@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race lint npvet analyze bench bench-compare trace-demo tune-smoke fleet-smoke
+.PHONY: check build fmt vet test race lint npvet analyze fuzz-smoke bench bench-compare trace-demo tune-smoke fleet-smoke
 
 # check is the tier-1 gate: build + formatting + vet + race-enabled tests +
 # cross-registry lint + the custom npvet analyzers + the dataflow analyses
-# over the model zoo. CI and pre-commit hooks should run exactly this.
-check: build fmt vet race lint npvet analyze
+# over the model zoo + a five-second run of the partitioner fuzz target. CI
+# and pre-commit hooks should run exactly this.
+check: build fmt vet race lint npvet analyze fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -36,12 +37,19 @@ npvet:
 analyze:
 	$(GO) run ./cmd/npc -zoo all -analyze
 
-# bench writes the machine-readable run log to BENCH_PR10.json (test2json
+# fuzz-smoke runs the partitioner's fuzz target briefly: the committed seed
+# corpus plus five seconds of mutation, each input checked against the BFS
+# oracle (error or the oracle's convex partition, never a panic). A failing
+# input is written under internal/passes/testdata/fuzz/ — commit it with the fix.
+fuzz-smoke:
+	$(GO) test ./internal/passes -run '^$$' -fuzz FuzzPartitionForCompiler -fuzztime 5s
+
+# bench writes the machine-readable run log to BENCH_PR14.json (test2json
 # event stream, one JSON object per line) while echoing the human-readable
 # benchmark lines to stdout. Override BENCHTIME for a quick smoke run
 # (e.g. make bench BENCHTIME=1x).
 BENCHTIME ?= 1s
-BENCHOUT ?= BENCH_PR10.json
+BENCHOUT ?= BENCH_PR14.json
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -json . | \
 		tee $(BENCHOUT) | \
@@ -51,7 +59,7 @@ bench:
 # exits nonzero on a >10% ns/op or allocs/op regression. CI runs it
 # non-blocking (machine noise on shared runners is real); use it locally to
 # spot-check a perf-sensitive change.
-BENCHBASE ?= BENCH_PR10.json
+BENCHBASE ?= BENCH_PR14.json
 bench-compare:
 	$(GO) run ./cmd/npbench -compare $(BENCHBASE) bench-new.json
 

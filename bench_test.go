@@ -204,6 +204,43 @@ func BenchmarkAblationRegionMerge(b *testing.B) {
 	b.ReportMetric(float64(unmerged)/float64(merged), "slowdown-x")
 }
 
+// BenchmarkPartitionForNIR times the paper's partition_for_nir alone, per zoo
+// model at full size, on the module runtime.Build hands it (after
+// SimplifyInference, FoldConstant and CSE): ns/op, B/op and allocs/op of
+// annotate → merge → lift → verify.
+func BenchmarkPartitionForNIR(b *testing.B) {
+	for _, name := range models.Names() {
+		var m *relay.Module // built once: b.Run re-enters the function as it grows b.N
+		b.Run(name, func(b *testing.B) {
+			if m == nil {
+				spec, err := models.Get(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m, err = spec.Build(models.SizeFull); err != nil {
+					b.Fatal(err)
+				}
+				m, err = passes.Sequential(m, passes.NewContext(3),
+					passes.SimplifyInference(), passes.FoldConstant(), passes.EliminateCommonSubexpr())
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var out *relay.Module
+			var err error
+			for i := 0; i < b.N; i++ {
+				out, err = nir.PartitionForNIR(m, passes.DefaultPartitionOptions(), soc.KindCPU, soc.KindAPU)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(out.ExternalFuncs(nir.CompilerName))), "regions")
+		})
+	}
+}
+
 // BenchmarkAblationFusion quantifies FuseOps on the TVM-only path.
 func BenchmarkAblationFusion(b *testing.B) {
 	m := fullModels(b)["emotion"]

@@ -21,6 +21,8 @@ func Codegen(m *relay.Module, sc *soc.SoC, devices []soc.DeviceKind) (map[string
 // CodegenTraced is Codegen with compile-time observability: when tk is
 // non-nil, every region conversion and Execution-Planner compile emits one
 // wall-clock span (Neuron op/operand counts and target devices in the args).
+// The span arguments are built only then: an untraced build formats and boxes
+// nothing.
 func CodegenTraced(m *relay.Module, sc *soc.SoC, devices []soc.DeviceKind, tk *obs.Track) (map[string]*neuron.CompiledModel, error) {
 	out := map[string]*neuron.CompiledModel{}
 	for _, name := range m.ExternalFuncs(CompilerName) {
@@ -30,17 +32,21 @@ func CodegenTraced(m *relay.Module, sc *soc.SoC, devices []soc.DeviceKind, tk *o
 		if err != nil {
 			return nil, fmt.Errorf("nir codegen %s: %w", name, err)
 		}
-		tk.Emit("ConvertFunction:"+name, "codegen", convStart, time.Since(convStart),
-			obs.A("operations", len(model.Operations)),
-			obs.A("operands", len(model.Operands)))
+		if tk != nil {
+			tk.Emit("ConvertFunction:"+name, "codegen", convStart, time.Since(convStart),
+				obs.A("operations", len(model.Operations)),
+				obs.A("operands", len(model.Operands)))
+		}
 		compStart := time.Now()
 		cm, err := neuron.Compile(model, sc, devices)
 		if err != nil {
 			return nil, fmt.Errorf("nir codegen %s: %w", name, err)
 		}
-		tk.Emit("neuron.Compile:"+name, "codegen", compStart, time.Since(compStart),
-			obs.A("operations", len(model.Operations)),
-			obs.A("devices", fmt.Sprint(devices)))
+		if tk != nil {
+			tk.Emit("neuron.Compile:"+name, "codegen", compStart, time.Since(compStart),
+				obs.A("operations", len(model.Operations)),
+				obs.A("devices", fmt.Sprint(devices)))
+		}
 		out[name] = cm
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package passes
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/relay"
@@ -273,6 +274,34 @@ func TestPartitionConvexityNoCycle(t *testing.T) {
 	// must remain in main.
 	if n := relay.CountOps(out.Main().Body, "nn.leaky_relu"); n != 1 {
 		t.Errorf("leaky_relu not in main after partition")
+	}
+}
+
+func TestPartitionMutuallyDependentRegionsIsAnError(t *testing.T) {
+	// Two regions, each convex, each consuming an output of the other:
+	//   A = {x, y1, y}   B = {p, q, r}   h, h2 unsupported
+	//   x → p (B takes x)   q → y1 (A takes q)
+	// The host branches x → h → p and q → h2 → y keep A and B from merging.
+	// Neither lifted function could be called first; lifting used to recurse
+	// without end here and must report the cycle instead.
+	v := relay.NewVar("v", relay.TType(tensor.Float32, 4))
+	x := relay.NewCall(relay.OpReLU, []relay.Expr{v}, nil)
+	h := relay.NewCall(relay.OpLeakyReLU, []relay.Expr{x}, relay.Attrs{"alpha": 0.1})
+	p := relay.NewCall(relay.OpAdd, []relay.Expr{x, h}, nil)
+	q := relay.NewCall(relay.OpTanh, []relay.Expr{v}, nil)
+	r := relay.NewCall(relay.OpAdd, []relay.Expr{p, q}, nil)
+	y1 := relay.NewCall(relay.OpAdd, []relay.Expr{x, q}, nil)
+	h2 := relay.NewCall(relay.OpLeakyReLU, []relay.Expr{q}, relay.Attrs{"alpha": 0.1})
+	y := relay.NewCall(relay.OpAdd, []relay.Expr{y1, h2}, nil)
+	m := relay.NewModule(relay.NewFunc([]*relay.Var{v}, relay.NewTuple([]relay.Expr{r, y})))
+	_, err := PartitionForCompiler(m, "ext", supportAllBut("nn.leaky_relu"), DefaultPartitionOptions())
+	if !errors.Is(err, errRegionCycle) {
+		t.Fatalf("PartitionForCompiler = %v, want errRegionCycle", err)
+	}
+	// Without merging every region is one call and nothing can cycle.
+	if _, err := PartitionForCompiler(m, "ext", supportAllBut("nn.leaky_relu"),
+		PartitionOptions{MergeRegions: false, MinRegionSize: 1}); err != nil {
+		t.Fatalf("unmerged partition: %v", err)
 	}
 }
 

@@ -35,9 +35,12 @@ const (
 	NumDeviceKinds
 )
 
+// deviceKinds is the canonical device order.
+var deviceKinds = [NumDeviceKinds]DeviceKind{KindCPU, KindGPU, KindAPU}
+
 // AllDeviceKinds lists every device kind in canonical order.
 func AllDeviceKinds() []DeviceKind {
-	return []DeviceKind{KindCPU, KindGPU, KindAPU}
+	return append([]DeviceKind(nil), deviceKinds[:]...)
 }
 
 func (k DeviceKind) String() string {

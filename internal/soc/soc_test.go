@@ -92,6 +92,21 @@ func TestTimelineScheduling(t *testing.T) {
 	}
 }
 
+// Total must not depend on map iteration order: 0.1, 0.2 and 0.3 sum to
+// different float64 values in different orders.
+func TestProfileTotalIsBitStable(t *testing.T) {
+	p := NewProfile()
+	p.AddOp(KindAPU, 0.3)
+	p.AddOp(KindGPU, 0.2)
+	p.AddOp(KindCPU, 0.1)
+	want := math.Float64bits(float64(Seconds(0.1) + Seconds(0.2) + Seconds(0.3)))
+	for i := 0; i < 1000; i++ {
+		if got := math.Float64bits(float64(p.Total())); got != want {
+			t.Fatalf("call %d: Total bits %#x, want %#x (CPU+GPU+APU order)", i, got, want)
+		}
+	}
+}
+
 func TestProfileAccumulation(t *testing.T) {
 	p := NewProfile()
 	p.AddOp(KindCPU, 1e-3)

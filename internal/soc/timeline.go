@@ -227,13 +227,15 @@ func (p *Profile) AddSubgraph() {
 }
 
 // Total returns the summed sequential inference time (per-device time plus
-// DMA), the quantity the paper's bar charts report per model/target.
+// DMA), the quantity the paper's bar charts report per model/target. Devices
+// are summed in canonical order, not map order, so two calls agree to the
+// last bit.
 func (p *Profile) Total() Seconds {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	t := p.DMATime + p.DispatchTime
-	for _, v := range p.DeviceTime {
-		t += v
+	for _, k := range deviceKinds {
+		t += p.DeviceTime[k]
 	}
 	return t
 }

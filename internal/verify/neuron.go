@@ -49,6 +49,17 @@ var opSignatures = map[neuron.OpCode]opSignature{
 // may stamp on an anchor operation.
 var fusedActivations = map[string]bool{"relu": true, "relu6": true}
 
+// operandWhere and opWhere format a diagnostic's location. They are called
+// only where a finding is emitted: formatting one per operand and operation
+// of a clean model was a fifth of a BYOC build.
+func operandWhere(m *neuron.Model, i int) string {
+	return fmt.Sprintf("model %q operand #%d (%s)", m.Name, i, m.Operands[i].Name)
+}
+
+func opWhere(m *neuron.Model, oi int, op neuron.Operation) string {
+	return fmt.Sprintf("model %q op #%d %s", m.Name, oi, op.Code)
+}
+
 // NeuronModel verifies the tensor-oriented invariants of a Neuron IR model:
 // operand indices in bounds, every quantized operand carrying scale and
 // zero-point (the paper's §3.3 invariant), per-operation arity against the
@@ -57,26 +68,22 @@ var fusedActivations = map[string]bool{"relu": true, "relu6": true}
 func NeuronModel(m *neuron.Model) *Result {
 	res := &Result{}
 	n := len(m.Operands)
-	where := func(oi int, op neuron.Operation) string {
-		return fmt.Sprintf("model %q op #%d %s", m.Name, oi, op.Code)
-	}
 	inBounds := func(idx int) bool { return idx >= 0 && idx < n }
 
 	// Operand table: quantization params and constant shape agreement.
 	for i, od := range m.Operands {
-		ow := fmt.Sprintf("model %q operand #%d (%s)", m.Name, i, od.Name)
 		if od.Type.DType.IsQuantized() {
 			if od.Type.Quant == nil {
-				res.errorf("quant-params", ow,
+				res.errorf("quant-params", operandWhere(m, i),
 					"operand is %s but carries no scale/zero-point — Neuron IR is tensor-oriented, "+
 						"quantization parameters must ride on every operand", od.Type.DType)
 			} else if od.Type.Quant.Scale <= 0 {
-				res.errorf("quant-params", ow,
+				res.errorf("quant-params", operandWhere(m, i),
 					"operand has non-positive quantization scale %g", od.Type.Quant.Scale)
 			}
 		}
 		if od.IsConst() && !od.Const.Shape.Equal(od.Type.Shape) {
-			res.errorf("const-type", ow,
+			res.errorf("const-type", operandWhere(m, i),
 				"constant value shape %s disagrees with declared %s", od.Const.Shape, od.Type.Shape)
 		}
 	}
@@ -99,7 +106,7 @@ func NeuronModel(m *neuron.Model) *Result {
 	}
 
 	// Operation list: arity, bounds, topological order, fusion attributes.
-	defined := map[int]bool{}
+	defined := make([]bool, n)
 	for _, i := range m.Inputs {
 		if inBounds(i) {
 			defined[i] = true
@@ -111,50 +118,51 @@ func NeuronModel(m *neuron.Model) *Result {
 		}
 	}
 	for oi, op := range m.Operations {
-		w := where(oi, op)
 		if !neuron.KnownOpCode(op.Code) {
-			res.errorf("unknown-opcode", w, "opcode %d is not in the Neuron catalogue", int(op.Code))
+			res.errorf("unknown-opcode", opWhere(m, oi, op),
+				"opcode %d is not in the Neuron catalogue", int(op.Code))
 			continue
 		}
 		sig, ok := opSignatures[op.Code]
 		if !ok {
-			res.errorf("op-signature", w, "opcode has no signature in the verifier table")
+			res.errorf("op-signature", opWhere(m, oi, op), "opcode has no signature in the verifier table")
 			continue
 		}
 		if len(op.Inputs) < sig.minIn || (sig.maxIn >= 0 && len(op.Inputs) > sig.maxIn) {
 			if sig.maxIn == sig.minIn {
-				res.errorf("op-arity", w, "operation has %d inputs, signature wants %d",
+				res.errorf("op-arity", opWhere(m, oi, op), "operation has %d inputs, signature wants %d",
 					len(op.Inputs), sig.minIn)
 			} else {
-				res.errorf("op-arity", w, "operation has %d inputs, signature wants %d..%d",
+				res.errorf("op-arity", opWhere(m, oi, op), "operation has %d inputs, signature wants %d..%d",
 					len(op.Inputs), sig.minIn, sig.maxIn)
 			}
 		}
 		if len(op.Outputs) != sig.outs {
-			res.errorf("op-arity", w, "operation has %d outputs, signature wants %d",
+			res.errorf("op-arity", opWhere(m, oi, op), "operation has %d outputs, signature wants %d",
 				len(op.Outputs), sig.outs)
 		}
 		for _, in := range op.Inputs {
 			if !inBounds(in) {
-				res.errorf("operand-range", w, "input operand %d out of range (%d operands)", in, n)
+				res.errorf("operand-range", opWhere(m, oi, op), "input operand %d out of range (%d operands)", in, n)
 				continue
 			}
 			if !defined[in] {
-				res.errorf("topo-order", w,
+				res.errorf("topo-order", opWhere(m, oi, op),
 					"uses operand %d before any operation produces it (operations must be topologically ordered)", in)
 			}
 		}
 		for _, out := range op.Outputs {
 			if !inBounds(out) {
-				res.errorf("operand-range", w, "output operand %d out of range (%d operands)", out, n)
+				res.errorf("operand-range", opWhere(m, oi, op), "output operand %d out of range (%d operands)", out, n)
 				continue
 			}
 			if m.Operands[out].IsConst() {
-				res.errorf("write-const", w, "writes constant operand %d (%s)", out, m.Operands[out].Name)
+				res.errorf("write-const", opWhere(m, oi, op),
+					"writes constant operand %d (%s)", out, m.Operands[out].Name)
 			}
 			defined[out] = true
 		}
-		checkFusedForm(res, m, oi, op, w, inBounds)
+		checkFusedForm(res, m, oi, op, inBounds)
 	}
 	for _, i := range m.Outputs {
 		if inBounds(i) && !defined[i] {
@@ -169,25 +177,26 @@ func NeuronModel(m *neuron.Model) *Result {
 // attaches to an anchor: a third bias input must be a rank-1 constant, a
 // fused activation must be a known activation name, and a fused requantize
 // must carry its output scale.
-func checkFusedForm(res *Result, m *neuron.Model, oi int, op neuron.Operation, w string, inBounds func(int) bool) {
+func checkFusedForm(res *Result, m *neuron.Model, oi int, op neuron.Operation, inBounds func(int) bool) {
 	switch op.Code {
 	case neuron.Conv2D, neuron.DepthwiseConv2D, neuron.FullyConnected:
 		if len(op.Inputs) == 3 && inBounds(op.Inputs[2]) {
 			bias := m.Operands[op.Inputs[2]]
 			if !bias.IsConst() {
-				res.errorf("fused-bias", w, "fused bias operand %d (%s) is not a constant", op.Inputs[2], bias.Name)
+				res.errorf("fused-bias", opWhere(m, oi, op),
+					"fused bias operand %d (%s) is not a constant", op.Inputs[2], bias.Name)
 			} else if len(bias.Type.Shape) != 1 {
-				res.errorf("fused-bias", w, "fused bias operand %d has shape %s, want rank 1",
+				res.errorf("fused-bias", opWhere(m, oi, op), "fused bias operand %d has shape %s, want rank 1",
 					op.Inputs[2], bias.Type.Shape)
 			}
 		}
 	}
 	if act := op.Attrs.Str("fused_activation", ""); act != "" && !fusedActivations[act] {
-		res.errorf("fused-activation", w, "fused activation %q is not a known activation", act)
+		res.errorf("fused-activation", opWhere(m, oi, op), "fused activation %q is not a known activation", act)
 	}
 	if op.Attrs.Bool("fused_requantize", false) {
 		if op.Attrs.Float("requant_output_scale", 0) <= 0 {
-			res.errorf("fused-requantize", w,
+			res.errorf("fused-requantize", opWhere(m, oi, op),
 				"operation fuses a requantize but carries no positive requant_output_scale attribute")
 		}
 	}
@@ -213,13 +222,12 @@ func Plan(cm *neuron.CompiledModel) *Result {
 	}
 	for oi, dev := range cm.Plan {
 		op := cm.Model.Operations[oi]
-		w := fmt.Sprintf("model %q op #%d %s", cm.Model.Name, oi, op.Code)
 		if !enabled[int(dev)] {
-			res.errorf("plan-device", w, "assigned to %s, which is not among the enabled devices %v",
-				dev, cm.Devices)
+			res.errorf("plan-device", opWhere(cm.Model, oi, op),
+				"assigned to %s, which is not among the enabled devices %v", dev, cm.Devices)
 		}
 		if !neuron.SupportedOn(op.Code, dev) {
-			res.errorf("plan-unsupported", w,
+			res.errorf("plan-unsupported", opWhere(cm.Model, oi, op),
 				"assigned to %s, whose supported-op set does not contain %s", dev, op.Code)
 		}
 	}
