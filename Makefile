@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race lint npvet analyze fuzz-smoke bench bench-compare trace-demo tune-smoke fleet-smoke
+.PHONY: check build fmt vet test race lint npvet analyze fuzz-smoke bench bench-gate trace-demo tune-smoke fleet-smoke
 
 # check is the tier-1 gate: build + formatting + vet + race-enabled tests +
 # cross-registry lint + the custom npvet analyzers + the dataflow analyses
@@ -55,13 +55,29 @@ bench:
 		tee $(BENCHOUT) | \
 		sed -n 's/.*"Output":"\(.*\)\\n"}$$/\1/p' | sed -e 's/\\t/\t/g' -e 's/\\u003e/>/g'
 
-# bench-compare diffs a fresh bench run against the committed baseline and
-# exits nonzero on a >10% ns/op or allocs/op regression. CI runs it
-# non-blocking (machine noise on shared runners is real); use it locally to
-# spot-check a perf-sensitive change.
-BENCHBASE ?= BENCH_PR14.json
-bench-compare:
-	$(GO) run ./cmd/npbench -compare $(BENCHBASE) bench-new.json
+# bench-gate is the blocking, deterministic half of benchmark/: each of the
+# six workloads runs for a two-second window and must verify every operation
+# (correct, 0 failed) and print exactly the simulated time committed here —
+# workload:metric:value, read from the report: line. No wall-clock number
+# gates. A change that moves a value on purpose edits this table and says so
+# (benchmark/README.md, "the sim-ms rule").
+BENCH_GATE := \
+	compile_byoc:sim_ms_geomean:4.202291496 \
+	compile_pure:sim_ms_geomean:10.66993432 \
+	serve_heavy:sim_ms_per_op:0.4769892146 \
+	serve_light:sim_ms_per_op:0.05597219048 \
+	fleet_light:sim_ms_per_op:0.05597219048 \
+	showcase_frames:sim_ms_per_op:0.9631139378
+bench-gate:
+	@set -e; for row in $(BENCH_GATE); do \
+		w=$${row%%:*}; mv=$${row#*:}; m=$${mv%%:*}; v=$${mv#*:}; \
+		line=$$(bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | grep '^report:'); \
+		for want in '"correct":true,' '"failed":0,' "\"$$m\":$$v,"; do \
+			echo "$$line" | grep -qF "$$want" || { \
+				echo "bench-gate: $$w: no $$want in $$line"; exit 1; }; \
+		done; \
+		echo "bench-gate: $$w ok ($$m $$v)"; \
+	done
 
 # tune-smoke exercises the autotuner end to end on one zoo model with a
 # tiny budget: the produced records must load cleanly and change at least

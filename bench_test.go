@@ -5,15 +5,12 @@
 package repro_test
 
 import (
-	"context"
 	"fmt"
 	goruntime "runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/app"
 	"repro/internal/bench"
 	"repro/internal/models"
 	"repro/internal/neuron"
@@ -25,11 +22,9 @@ import (
 	"repro/internal/race"
 	"repro/internal/relay"
 	"repro/internal/runtime"
-	"repro/internal/serve"
 	"repro/internal/soc"
 	"repro/internal/tensor"
 	"repro/internal/topi"
-	"repro/internal/video"
 )
 
 // --------------------------------------------------------------- Figure 4
@@ -121,32 +116,6 @@ func BenchmarkFigure5Pipeline(b *testing.B) {
 	b.ReportMetric(res.Paper.Speedup, "speedup")
 	b.ReportMetric(res.Paper.Pipelined.Ms(), "sim-ms")
 	b.ReportMetric(res.Paper.Sequential.Ms(), "sequential-sim-ms")
-}
-
-// ------------------------------------------------- Figure 1 / Listing 5
-
-// BenchmarkFigure1Showcase runs the three-model application on synthetic
-// video, one frame per iteration (real numerics, simulated device time).
-func BenchmarkFigure1Showcase(b *testing.B) {
-	sc, err := app.New(app.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := video.NewSource(160, 120, 2, 2, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := src.Frames(8)
-	b.ResetTimer()
-	var total soc.Seconds
-	for i := 0; i < b.N; i++ {
-		res, err := sc.ProcessFrame(frames[i%len(frames)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		total += res.Timing.Total()
-	}
-	b.ReportMetric(total.Ms()/float64(b.N), "sim-ms/frame")
 }
 
 // ----------------------------------------------------------- Tables 1 & 2
@@ -294,6 +263,7 @@ func BenchmarkAblationPipelineAssign(b *testing.B) {
 		b.Fatal(err)
 	}
 	var paper, contended pipeline.Result
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		paper = res.Paper
 		contended = res.Contention
@@ -304,99 +274,6 @@ func BenchmarkAblationPipelineAssign(b *testing.B) {
 }
 
 // ------------------------------------------------ real-kernel wall clock
-
-// BenchmarkKernelConv2D measures the actual float32 convolution kernel
-// (wall clock, this host).
-func BenchmarkKernelConv2D(b *testing.B) {
-	data := tensor.New(tensor.Float32, tensor.Shape{1, 56, 56, 64})
-	data.FillUniform(tensor.NewRNG(1), -1, 1)
-	weight := tensor.New(tensor.Float32, tensor.Shape{64, 3, 3, 64})
-	weight.FillUniform(tensor.NewRNG(2), -1, 1)
-	attrs := relay.Attrs{"strides": []int{1, 1}, "padding": []int{1, 1}}
-	outTy := relay.TType(tensor.Float32, 1, 56, 56, 64)
-	b.SetBytes(int64(data.Bytes() + weight.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topi.Run("nn.conv2d", []*tensor.Tensor{data, weight}, attrs, outTy); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelQnnConv2D measures the quantized convolution kernel.
-func BenchmarkKernelQnnConv2D(b *testing.B) {
-	q := tensor.QuantParams{Scale: 0.02, ZeroPoint: 128}
-	wq := tensor.QuantParams{Scale: 0.01, ZeroPoint: 128}
-	data := tensor.New(tensor.UInt8, tensor.Shape{1, 56, 56, 64})
-	data.Quant = &q
-	weightF := tensor.New(tensor.Float32, tensor.Shape{64, 3, 3, 64})
-	weightF.FillUniform(tensor.NewRNG(2), -0.5, 0.5)
-	weight := weightF.QuantizeTo(tensor.UInt8, wq)
-	attrs := relay.Attrs{
-		"strides": []int{1, 1}, "padding": []int{1, 1},
-		"input_scale": q.Scale, "input_zero_point": 128,
-		"kernel_scale": wq.Scale, "kernel_zero_point": 128,
-	}
-	outTy := &relay.TensorType{Shape: tensor.Shape{1, 56, 56, 64}, DType: tensor.Int32,
-		Quant: &tensor.QuantParams{Scale: q.Scale * wq.Scale}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topi.Run("qnn.conv2d", []*tensor.Tensor{data, weight}, attrs, outTy); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelFusedQnnConv2D measures the single-launch fused quantized
-// convolution (conv → bias → fixed-point requantize → activation LUT)
-// against the equivalent staged chain of individual kernel launches.
-func BenchmarkKernelFusedQnnConv2D(b *testing.B) {
-	q := tensor.QuantParams{Scale: 0.02, ZeroPoint: 128}
-	wq := tensor.QuantParams{Scale: 0.01, ZeroPoint: 128}
-	outQ := tensor.QuantParams{Scale: 0.04, ZeroPoint: 7}
-	data := tensor.New(tensor.UInt8, tensor.Shape{1, 56, 56, 64})
-	data.Quant = &q
-	weightF := tensor.New(tensor.Float32, tensor.Shape{64, 3, 3, 64})
-	weightF.FillUniform(tensor.NewRNG(2), -0.5, 0.5)
-	weight := weightF.QuantizeTo(tensor.UInt8, wq)
-	bias := tensor.New(tensor.Int32, tensor.Shape{64})
-	attrs := relay.Attrs{
-		"strides": []int{1, 1}, "padding": []int{1, 1},
-		"input_scale": q.Scale, "input_zero_point": 128,
-		"kernel_scale": wq.Scale, "kernel_zero_point": 128,
-		"requant_input_scale":       q.Scale * wq.Scale,
-		"requant_input_zero_point":  0,
-		"requant_output_scale":      outQ.Scale,
-		"requant_output_zero_point": int(outQ.ZeroPoint),
-		"fused_activation":          "relu",
-	}
-	outTy := &relay.TensorType{Shape: tensor.Shape{1, 56, 56, 64}, DType: tensor.UInt8, Quant: &outQ}
-	args := []*tensor.Tensor{data, weight, bias}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topi.Run("qnn.conv2d_fused", args, attrs, outTy); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkKernelDense measures the cache-blocked register-tiled f32 GEMM
-// backing nn.dense (MobileNet-style classifier head shape).
-func BenchmarkKernelDense(b *testing.B) {
-	data := tensor.New(tensor.Float32, tensor.Shape{8, 1024})
-	data.FillUniform(tensor.NewRNG(1), -1, 1)
-	weight := tensor.New(tensor.Float32, tensor.Shape{1000, 1024})
-	weight.FillUniform(tensor.NewRNG(2), -1, 1)
-	attrs := relay.Attrs{"units": 1000}
-	outTy := relay.TType(tensor.Float32, 8, 1000)
-	b.SetBytes(int64(data.Bytes() + weight.Bytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := topi.Run("nn.dense", []*tensor.Tensor{data, weight}, attrs, outTy); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // BenchmarkAblationParallelKernels measures goroutine tile parallelism in
 // the convolution kernel (serial vs all cores), wall clock.
@@ -423,29 +300,6 @@ func BenchmarkAblationParallelKernels(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkGraphExecutor measures one end-to-end BYOC inference of the lite
-// emotion model (real numerics + simulated accounting), wall clock.
-func BenchmarkGraphExecutor(b *testing.B) {
-	m, err := models.BuildEmotion(models.SizeLite)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib, err := runtime.Build(m, runtime.BuildOptions{OptLevel: 3, UseNIR: true, SoC: benchSoC})
-	if err != nil {
-		b.Fatal(err)
-	}
-	gm := runtime.NewGraphModule(lib)
-	in := models.RandomInput(m, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		gm.SetInput(gm.InputNames()[0], in)
-		if err := gm.Run(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -557,75 +411,6 @@ func BenchmarkTracingOverhead(b *testing.B) {
 
 // ------------------------------------------------------------------ serving
 
-// BenchmarkServeThroughput drives concurrent clients through the serving
-// subsystem (internal/serve) across pool sizes and batching modes: each op
-// is one complete request (admission → pool checkout → inference → output
-// copy-out). Wall clock is this host; sim-ms/req is the simulated device
-// cost. Batched variants coalesce same-model requests into one exclusive
-// device reservation, so their mean-batch metric should exceed 1 under
-// concurrent load.
-func BenchmarkServeThroughput(b *testing.B) {
-	m, err := models.BuildEmotion(models.SizeLite)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib, err := runtime.Build(m, runtime.BuildOptions{OptLevel: 3, SoC: benchSoC})
-	if err != nil {
-		b.Fatal(err)
-	}
-	inName := runtime.NewGraphModule(lib).InputNames()[0]
-	// Pre-synthesized inputs so the clients measure serving, not RNG.
-	inputs := make([]*tensor.Tensor, 16)
-	for i := range inputs {
-		inputs[i] = models.RandomInput(m, uint64(i+1))
-	}
-	for _, c := range []struct {
-		name  string
-		pool  int
-		batch int
-	}{
-		{"pool1/unbatched", 1, 1},
-		{"pool2/unbatched", 2, 1},
-		{"pool4/unbatched", 4, 1},
-		{"pool2/batch8", 2, 8},
-		{"pool4/batch8", 4, 8},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			s := serve.NewServer()
-			err := s.Register("emotion", lib, serve.ModelOptions{
-				Pool:        c.pool,
-				QueueDepth:  1024,
-				MaxBatch:    c.batch,
-				BatchWindow: 200 * time.Microsecond,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var reqID atomic.Uint64
-			b.SetParallelism(8) // ≥ 8 concurrent clients regardless of GOMAXPROCS
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					i := reqID.Add(1)
-					in := map[string]*tensor.Tensor{inName: inputs[i%uint64(len(inputs))]}
-					if _, err := s.Submit(context.Background(), "emotion", in); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			b.StopTimer()
-			st := s.Stats()[0]
-			if st.Completed != uint64(b.N) {
-				b.Fatalf("completed %d of %d requests", st.Completed, b.N)
-			}
-			b.ReportMetric(st.SimMs/float64(b.N), "sim-ms/req")
-			b.ReportMetric(st.MeanBatch, "mean-batch")
-			b.ReportMetric(float64(st.MaxBatch), "max-batch")
-			s.Drain()
-		})
-	}
-}
-
 // BenchmarkFlightRecorderOverhead pins the per-request cost of the flight
 // recorder on the serving hot path. Disabled it must stay zero-allocation
 // (the pin is enforced here, skipped under -race where AllocsPerRun is
@@ -668,15 +453,17 @@ func BenchmarkFlightRecorderOverhead(b *testing.B) {
 // BenchmarkAutoPipeline runs the automatic pipeline-scheduling search (the
 // paper's announced future work) and reports the discovered makespan.
 func BenchmarkAutoPipeline(b *testing.B) {
-	var res *pipeline.AutoResult
-	var err error
+	var res *pipeline.SearchResult
 	for i := 0; i < b.N; i++ {
-		res, err = bench.RunAutoPipeline(benchSoC, 12)
+		stages, err := bench.ShowcaseStages(benchSoC)
 		if err != nil {
 			b.Fatal(err)
 		}
+		if res, err = pipeline.SearchSchedule(stages, 12); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.ReportMetric(res.Result.Pipelined.Ms(), "sim-ms")
+	b.ReportMetric(res.Pipelined.Ms(), "sim-ms")
 	b.ReportMetric(float64(res.Evaluated), "assignments")
 }
 
@@ -756,28 +543,4 @@ func BenchmarkExtensionAutoQuant(b *testing.B) {
 	b.ReportMetric(res.Float.Time.Ms(), "float32-sim-ms")
 	b.ReportMetric(res.Quantized.Time.Ms(), "int8-sim-ms")
 	b.ReportMetric(res.MaxAbsDiff, "max-output-diff")
-}
-
-// BenchmarkLivePipeline runs the real three-model application through the
-// goroutine pipeline (Figure 5 assignment), reporting simulated speedup.
-func BenchmarkLivePipeline(b *testing.B) {
-	sc, err := app.New(app.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := video.NewSource(160, 120, 2, 2, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	frames := src.Frames(6)
-	b.ResetTimer()
-	var res *app.LiveResult
-	for i := 0; i < b.N; i++ {
-		res, err = sc.RunLive(frames, app.Figure5Devices())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.Makespan.Ms(), "sim-ms")
-	b.ReportMetric(res.Speedup(), "speedup")
 }

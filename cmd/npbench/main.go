@@ -8,14 +8,6 @@
 //	npbench              # everything
 //	npbench -fig 4       # one figure
 //	npbench -table 1     # one table
-//
-// It also serves as the benchmark regression gate:
-//
-//	npbench -compare old.json new.json
-//
-// compares two `make bench` artifacts (go test -json streams) and exits
-// nonzero when any benchmark's ns/op or allocs/op regressed by more than
-// 10% — CI runs this as a non-blocking step against the committed baseline.
 package main
 
 import (
@@ -32,25 +24,12 @@ import (
 
 func main() {
 	var (
-		fig     = flag.Int("fig", 0, "regenerate one figure (4, 5 or 6); 0 = all")
-		table   = flag.Int("table", 0, "regenerate one table (1 or 2); 0 = all")
-		frames  = flag.Int("frames", 12, "frame count for the Figure 5 pipeline")
-		ext     = flag.Bool("ext", false, "also run the extension experiments (GPU backend, op-level scheduling)")
-		compare = flag.Bool("compare", false, "compare two `make bench` JSON artifacts: npbench -compare old.json new.json")
+		fig    = flag.Int("fig", 0, "regenerate one figure (4, 5 or 6); 0 = all")
+		table  = flag.Int("table", 0, "regenerate one table (1 or 2); 0 = all")
+		frames = flag.Int("frames", 12, "frame count for the Figure 5 pipeline")
+		ext    = flag.Bool("ext", false, "also run the extension experiments (GPU backend, op-level scheduling)")
 	)
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: npbench -compare old.json new.json")
-			os.Exit(2)
-		}
-		regressions, err := compareRuns(flag.Arg(0), flag.Arg(1))
-		fatal(err)
-		if regressions > 0 {
-			os.Exit(1)
-		}
-		return
-	}
 	sc := soc.NewDimensity800()
 	all := *fig == 0 && *table == 0
 
@@ -64,11 +43,7 @@ func main() {
 		rows, err := bench.RunFigure4(sc)
 		fatal(err)
 		fmt.Println(bench.RenderFigure("Figure 4: inference time for the showcase models across targets", rows))
-		fmt.Println("computation schedule (per-model best target, §5.1):")
-		for name, p := range bench.ComputationSchedule(rows) {
-			fmt.Printf("  %-24s -> %s\n", name, p)
-		}
-		fmt.Println()
+		fmt.Println(bench.RenderComputationSchedule(rows))
 	}
 	if all || *fig == 6 {
 		rows, err := bench.RunFigure6(sc)
@@ -80,22 +55,22 @@ func main() {
 		fatal(err)
 		fmt.Printf("Figure 5: pipeline scheduling prototype (%d frames)\n", *frames)
 		fmt.Printf("  stage plan: detect=%s on cpu, anti-spoof=%s on cpu+apu, emotion=%s on apu\n",
-			res.Plan.Detect.Duration, res.Plan.Spoof.Duration, res.Plan.Emotion.Duration)
+			res.Plan[0].Duration, res.Plan[1].Duration, res.Plan[2].Duration)
 		fmt.Printf("  contended (det on cpu+apu): sequential %s, pipelined %s (%.2fx)\n",
 			res.Contention.Sequential, res.Contention.Pipelined, res.Contention.Speedup)
 		fmt.Printf("  paper plan (det on cpu):    sequential %s, pipelined %s (%.2fx)\n",
 			res.Paper.Sequential, res.Paper.Pipelined, res.Paper.Speedup)
 		fmt.Print(res.Gantt)
 
-		auto, err := bench.RunAutoPipeline(sc, *frames)
+		stages, err := bench.ShowcaseStages(sc)
+		fatal(err)
+		auto, err := pipeline.SearchSchedule(stages, *frames)
 		fatal(err)
 		fmt.Printf("\nautomatic pipeline scheduling (paper's announced future work, %d assignments searched):\n",
 			auto.Evaluated)
-		fmt.Printf("  detect=%s, anti-spoof=%s, emotion=%s\n",
-			auto.Choice[pipeline.StageDetect], auto.Choice[pipeline.StageSpoof],
-			auto.Choice[pipeline.StageEmotion])
+		fmt.Printf("  detect=%s, anti-spoof=%s, emotion=%s\n", auto.Choice[0], auto.Choice[1], auto.Choice[2])
 		fmt.Printf("  pipelined %s (%.2fx vs its sequential)\n",
-			auto.Result.Pipelined, auto.Result.Speedup)
+			auto.Pipelined, float64(auto.Sequential)/float64(auto.Pipelined))
 	}
 	if *ext {
 		fmt.Println(bench.SupportMatrixString())

@@ -10,7 +10,7 @@
 //	npc -model yolov3.cfg -weights yolov3.weights -framework darknet -targets cpu,apu -o yolo.nplib
 //	npc -model model.tflite -dump            # print the partitioned relay module
 //	npc -model model.tflite -verify -o m.nplib   # IR-verify after every pass
-//	npc -model model.tflite -run -executor=plan  # one synthetic inference
+//	npc -model model.tflite -run                 # one synthetic inference
 //	npc -zoo emotion -run -profile           # per-op profile table for a zoo model
 //	npc -zoo emotion -run -trace=out.json    # Chrome trace (load in Perfetto)
 //	npc -lint                                # cross-check the operator registries
@@ -56,7 +56,6 @@ func main() {
 		lint        = flag.Bool("lint", false, "cross-check the relay-op / NIR-handler / TOPI-kernel / Neuron registries and exit")
 		analyzeFlag = flag.Bool("analyze", false, "run the dataflow analyses (plan safety, quant ranges, device legality, dead code) over the compiled module")
 		runFlag     = flag.Bool("run", false, "execute one inference on a synthetic input and print the simulated profile")
-		executor    = flag.String("executor", "auto", "executor for -run: plan|interp|auto")
 		zooName     = flag.String("zoo", "", "build a model-zoo model by name instead of importing -model (\"list\" prints names)")
 		sizeFlag    = flag.String("size", "lite", "zoo model size with -zoo: lite|full")
 		profileFlag = flag.Bool("profile", false, "with -run: print the per-op profile table")
@@ -176,9 +175,7 @@ func main() {
 		return
 	}
 	if *runFlag {
-		kind, err := runtime.ParseExecutorKind(*executor)
-		fatal(err)
-		gm, err := runOnce(lib, mod, kind, *profileFlag || *traceOut != "")
+		gm, err := runOnce(lib, mod, *profileFlag || *traceOut != "")
 		fatal(err)
 		if *profileFlag {
 			fmt.Print(soc.OpTable(gm.LastProfile().Events()))
@@ -208,11 +205,10 @@ func main() {
 	fmt.Printf("npc: wrote %s (%d bytes)\n", *outPath, info.Size())
 }
 
-// runOnce executes one inference on a synthetic input through the selected
-// executor and prints the plan summary plus the simulated cost profile.
-func runOnce(lib *runtime.Lib, mod *relay.Module, kind runtime.ExecutorKind, profile bool) (*runtime.GraphModule, error) {
+// runOnce executes one inference on a synthetic input and prints the plan
+// summary plus the simulated cost profile.
+func runOnce(lib *runtime.Lib, mod *relay.Module, profile bool) (*runtime.GraphModule, error) {
 	gm := runtime.NewGraphModule(lib)
-	gm.SetExecutor(kind)
 	gm.SetProfiling(profile)
 	names := gm.InputNames()
 	if len(names) != 1 {
@@ -222,15 +218,13 @@ func runOnce(lib *runtime.Lib, mod *relay.Module, kind runtime.ExecutorKind, pro
 	if err := gm.Run(); err != nil {
 		return nil, err
 	}
-	if kind != runtime.ExecutorInterp {
-		if plan, err := lib.Plan(); err == nil {
-			fmt.Printf("npc: %s\n", plan)
-		} else {
-			fmt.Printf("npc: module not plannable (%v), interpreter used\n", err)
-		}
+	if plan, err := lib.Plan(); err == nil {
+		fmt.Printf("npc: %s\n", plan)
+	} else {
+		fmt.Printf("npc: module not plannable (%v), interpreter used\n", err)
 	}
-	fmt.Printf("npc: executor=%s, %d output(s), simulated inference %s\n",
-		kind, gm.NumOutputs(), gm.LastProfile().Total())
+	fmt.Printf("npc: %d output(s), simulated inference %s\n",
+		gm.NumOutputs(), gm.LastProfile().Total())
 	fmt.Printf("npc: profile: %s\n", gm.LastProfile())
 	return gm, nil
 }

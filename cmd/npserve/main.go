@@ -58,7 +58,6 @@ func main() {
 		queue     = flag.Int("queue", 64, "admission queue depth per model")
 		batch     = flag.Int("batch", 1, "max micro-batch size (1 = batching off)")
 		window    = flag.Duration("window", 2*time.Millisecond, "micro-batch coalescing window")
-		executor  = flag.String("executor", "auto", "executor: plan|interp|auto")
 		noNIR     = flag.Bool("no-nir", false, "disable NeuroPilot partitioning (TVM-only builds)")
 		drainWait = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget")
 		tuneWith  = flag.String("tune-with", "", "tuning-record file (nptune output) to steer kernel dispatch")
@@ -80,8 +79,6 @@ func main() {
 	fatal(err)
 	log = obs.NewLogger(os.Stderr, "npserve", lv)
 
-	kind, err := runtime.ParseExecutorKind(*executor)
-	fatal(err)
 	size := models.SizeLite
 	switch *sizeArg {
 	case "lite":
@@ -115,7 +112,6 @@ func main() {
 		QueueDepth:  *queue,
 		MaxBatch:    *batch,
 		BatchWindow: *window,
-		Executor:    kind,
 	}
 	slo := obs.SLO{ObjectiveQuantile: *sloQ, ThresholdMs: *sloMs, Window: *sloWindow}
 
@@ -178,7 +174,6 @@ func main() {
 		log.Info("building the /v1/showcase application", "models", 3)
 		cfg := app.DefaultConfig()
 		cfg.Size = size
-		cfg.Executor = kind
 		fatal(srv.RegisterShowcase(cfg))
 	}
 	if *pprofOn {

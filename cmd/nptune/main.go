@@ -146,29 +146,11 @@ func tuneZoo(zooArg, sizeArg string, opt tune.Options) ([]tune.Record, error) {
 // tunePipeline runs the cost-model placement search over the showcase
 // stages and returns it as a placement record.
 func tunePipeline(frames int) (tune.Record, error) {
-	sc := soc.NewDimensity800()
-	builds := []struct {
-		stage pipeline.Stage
-		label string
-		build func(models.Size) (*relay.Module, error)
-	}{
-		{pipeline.StageDetect, "d", models.BuildMobileNetSSDQuant},
-		{pipeline.StageSpoof, "s", models.BuildDeePixBiS},
-		{pipeline.StageEmotion, "e", models.BuildEmotion},
+	stages, err := bench.ShowcaseStages(soc.NewDimensity800())
+	if err != nil {
+		return tune.Record{}, err
 	}
-	stages := make([]pipeline.StageSpec, 0, len(builds))
-	for _, b := range builds {
-		m, err := b.build(models.SizeFull)
-		if err != nil {
-			return tune.Record{}, err
-		}
-		so, err := bench.StageOptionsFor(b.stage, m, sc)
-		if err != nil {
-			return tune.Record{}, err
-		}
-		stages = append(stages, pipeline.StageSpec{Name: b.stage.String(), Label: b.label, Options: so.Options})
-	}
-	res, err := pipeline.SearchSchedule(stages, pipeline.SearchOptions{Frames: frames})
+	res, err := pipeline.SearchSchedule(stages, frames)
 	if err != nil {
 		return tune.Record{}, err
 	}

@@ -8,7 +8,6 @@
 //
 //	showcase -frames 10 -faces 2 -objects 2
 //	showcase -frames 20 -pipeline        # also report the §5.2 pipeline comparison
-//	showcase -executor=interp            # force the reference interpreter
 //	showcase -frames 20 -trace=out.json  # Chrome trace of the pipelined timeline
 package main
 
@@ -20,7 +19,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/runtime"
 	"repro/internal/soc"
 	"repro/internal/video"
 )
@@ -34,7 +32,6 @@ func main() {
 		height   = flag.Int("height", 120, "frame height")
 		seed     = flag.Uint64("seed", 42, "scene seed")
 		pipeFlag = flag.Bool("pipeline", false, "compare sequential vs pipelined scheduling")
-		executor = flag.String("executor", "auto", "executor for all three models: plan|interp|auto")
 		traceOut = flag.String("trace", "", "write the live pipelined timeline as Chrome trace JSON (implies -pipeline)")
 	)
 	flag.Parse()
@@ -42,12 +39,8 @@ func main() {
 		*pipeFlag = true
 	}
 
-	kind, err := runtime.ParseExecutorKind(*executor)
-	fatal(err)
 	fmt.Println("building the three showcase models (TFLite SSD, PyTorch DeePixBiS, Keras emotion CNN)...")
-	cfg := app.DefaultConfig()
-	cfg.Executor = kind
-	sc, err := app.New(cfg)
+	sc, err := app.New(app.DefaultConfig())
 	fatal(err)
 	src, err := video.NewSource(*width, *height, *faces, *objects, *seed)
 	fatal(err)
@@ -92,7 +85,7 @@ func main() {
 		// same frames, device mutexes enforcing exclusive use.
 		src2, err := video.NewSource(*width, *height, *faces, *objects, *seed)
 		fatal(err)
-		live, err := sc.RunLive(src2.Frames(*frames), app.Figure5Devices())
+		live, err := sc.RunLive(src2.Frames(*frames))
 		fatal(err)
 		fmt.Printf("\nlive pipelined execution (goroutine stages, real inference):\n")
 		fmt.Printf("  sequential work: %s\n  pipelined makespan: %s (%.2fx)\n",

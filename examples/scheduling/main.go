@@ -34,7 +34,7 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("object detection demoted to CPU-only: %s per frame (was %s on CPU+APU)\n",
-		res.Plan.Detect.Duration, res.Contention.Sequential/12-res.Plan.Spoof.Duration-res.Plan.Emotion.Duration)
+		res.Plan[0].Duration, res.Contention.Sequential/12-res.Plan[1].Duration-res.Plan[2].Duration)
 	fmt.Printf("contended  (all stages share CPU+APU): %s for 12 frames\n", res.Contention.Pipelined)
 	fmt.Printf("pipelined  (exclusive resources):      %s for 12 frames, %.2fx vs sequential\n",
 		res.Paper.Pipelined, res.Paper.Speedup)

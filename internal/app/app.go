@@ -20,8 +20,9 @@ type Config struct {
 	Detection runtime.BuildOptions
 	AntiSpoof runtime.BuildOptions
 	Emotion   runtime.BuildOptions
-	// Executor selects the execution strategy for all three graph modules
-	// (the showcase/npc -executor flag); the zero value is ExecutorAuto.
+	// Executor selects the execution strategy for all three graph modules;
+	// the zero value is ExecutorAuto. References for differential checks set
+	// ExecutorInterp.
 	Executor runtime.ExecutorKind
 	// ScoreThreshold for object detections.
 	ScoreThreshold float64

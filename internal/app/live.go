@@ -1,40 +1,18 @@
 package app
 
 import (
-	"fmt"
-
 	"repro/internal/pipeline"
 	"repro/internal/soc"
 	"repro/internal/video"
 )
 
 // The live pipelined executor: the §5.2 prototype applied to the *actual*
-// application rather than to averaged stage times. Three goroutine stages
-// (detect → anti-spoof → emotion) process different frames concurrently;
-// per-device mutexes enforce the exclusive-resource rule in wall-clock time
-// while the shared virtual timeline accounts the simulated schedule with
-// the same atomic multi-device reservation the static scheduler uses.
-
-// DeviceLocks is the shared exclusive-device mutex set; it now lives in
-// internal/pipeline so the serving scheduler can coordinate through the same
-// mechanism.
-type DeviceLocks = pipeline.DeviceLocks
-
-// StageDevices assigns the exclusive device set of each pipeline stage —
-// the Figure 5 assignment by default.
-type StageDevices struct {
-	Detect, Spoof, Emotion []soc.DeviceKind
-}
-
-// Figure5Devices is the paper's assignment: detection CPU-only,
-// anti-spoofing CPU+APU, emotion APU-only.
-func Figure5Devices() StageDevices {
-	return StageDevices{
-		Detect:  []soc.DeviceKind{soc.KindCPU},
-		Spoof:   []soc.DeviceKind{soc.KindCPU, soc.KindAPU},
-		Emotion: []soc.DeviceKind{soc.KindAPU},
-	}
-}
+// application rather than to averaged stage times. One goroutine per stage
+// (detect → anti-spoof → emotion) processes different frames concurrently;
+// per-device mutexes enforce the exclusive-resource rule in wall-clock time.
+// The simulated timeline is not recorded while the goroutines race: it is
+// the static scheduler (pipeline.Schedule) run afterwards on the per-frame
+// stage costs the frames measured, so it depends on the frames alone.
 
 // LiveResult is the outcome of a pipelined run.
 type LiveResult struct {
@@ -57,84 +35,78 @@ func (r *LiveResult) Speedup() float64 {
 
 // liveItem carries one frame through the stage channels.
 type liveItem struct {
-	idx        int
 	frame      *video.Frame
 	res        *FrameResult
 	candidates []video.Rect
-	ready      soc.Seconds // simulated completion of the previous stage
 	err        error
 }
 
-// RunLive processes the frames through the three-stage pipeline. Frame
-// results are identical to sequential ProcessFrame calls (same models, same
-// inputs); only the schedule differs.
-func (s *Showcase) RunLive(frames []*video.Frame, devs StageDevices) (*LiveResult, error) {
-	tl := soc.NewTimeline()
-	locks := &DeviceLocks{}
-	c1 := make(chan *liveItem, len(frames))
-	c2 := make(chan *liveItem, len(frames))
-	done := make(chan *liveItem, len(frames))
-
-	// Stage 1: detection.
-	go func() {
-		defer close(c2)
-		for it := range c1 {
-			if it.err == nil {
-				locks.Lock(devs.Detect)
-				res, cands, err := s.DetectStage(it.frame)
-				if err == nil {
-					it.res, it.candidates = res, cands
-					it.ready = tl.ScheduleMulti(devs.Detect, fmt.Sprintf("d%d", it.idx),
-						it.ready, res.Timing.Detect)
-				}
-				it.err = err
-				locks.Unlock(devs.Detect)
-			}
-			c2 <- it
-		}
-	}()
-	// Stage 2: anti-spoofing.
-	go func() {
-		defer close(done)
-		for it := range c2 {
-			if it.err == nil {
-				locks.Lock(devs.Spoof)
-				err := s.SpoofStage(it.frame, it.res, it.candidates)
-				if err == nil {
-					it.ready = tl.ScheduleMulti(devs.Spoof, fmt.Sprintf("s%d", it.idx),
-						it.ready, it.res.Timing.AntiSpoof)
-				}
-				it.err = err
-				locks.Unlock(devs.Spoof)
-			}
-			done <- it
-		}
-	}()
-
-	for i, f := range frames {
-		c1 <- &liveItem{idx: i, frame: f}
+// RunLive processes the frames through the three-stage pipeline under the
+// Figure 5 device assignment. Frame results are identical to sequential
+// ProcessFrame calls (same models, same inputs); only the schedule differs.
+func (s *Showcase) RunLive(frames []*video.Frame) (*LiveResult, error) {
+	// Device sets only: the durations are what each frame measures below.
+	plan := pipeline.PaperAssignment(0, 0, 0)
+	run := []func(*liveItem) error{
+		func(it *liveItem) (err error) {
+			it.res, it.candidates, err = s.DetectStage(it.frame)
+			return err
+		},
+		func(it *liveItem) error { return s.SpoofStage(it.frame, it.res, it.candidates) },
+		func(it *liveItem) error { return s.EmotionStage(it.frame, it.res) },
 	}
-	close(c1)
 
-	// Stage 3 runs on the collector goroutine (emotion), preserving FIFO.
-	out := &LiveResult{Timeline: tl}
-	for it := range done {
-		if it.err != nil {
-			return nil, it.err
-		}
-		locks.Lock(devs.Emotion)
-		err := s.EmotionStage(it.frame, it.res)
-		if err == nil {
-			it.ready = tl.ScheduleMulti(devs.Emotion, fmt.Sprintf("e%d", it.idx),
-				it.ready, it.res.Timing.Emotion)
-		}
-		locks.Unlock(devs.Emotion)
-		if err != nil {
-			return nil, err
-		}
-		out.Results = append(out.Results, it.res)
-		out.SequentialTime += it.res.Timing.Total()
+	// Every channel holds all frames, so no stage ever blocks on its
+	// successor and each goroutine ends when its input is closed.
+	locks := &pipeline.DeviceLocks{}
+	ch := make(chan *liveItem, len(frames))
+	for _, f := range frames {
+		ch <- &liveItem{frame: f}
 	}
-	out.Makespan = tl.Now()
-	return out, nil
+	close(ch)
+	for i := range run {
+		out := make(chan *liveItem, len(frames))
+		go runStage(locks, plan[i].Devices, run[i], ch, out)
+		ch = out
+	}
+
+	res := &LiveResult{}
+	costs := make([][]soc.Seconds, 0, len(frames))
+	var firstErr error
+	for it := range ch { // FIFO: frames leave the last stage in order
+		if firstErr == nil {
+			firstErr = it.err
+		}
+		if firstErr != nil {
+			continue // keep draining: the loop ends once every stage has returned
+		}
+		t := it.res.Timing
+		res.Results = append(res.Results, it.res)
+		res.SequentialTime += t.Total()
+		costs = append(costs, []soc.Seconds{t.Detect, t.AntiSpoof, t.Emotion})
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	tl, err := pipeline.Schedule(plan, costs)
+	if err != nil {
+		return nil, err
+	}
+	res.Timeline, res.Makespan = tl, tl.Now()
+	return res, nil
+}
+
+// runStage is one stage's goroutine: it holds the stage's devices while it
+// runs a frame, passes frames on in arrival order, and lets a frame that
+// already failed through untouched.
+func runStage(locks *pipeline.DeviceLocks, devs []soc.DeviceKind, run func(*liveItem) error, in <-chan *liveItem, out chan<- *liveItem) {
+	defer close(out)
+	for it := range in {
+		if it.err == nil {
+			locks.Lock(devs)
+			it.err = run(it)
+			locks.Unlock(devs)
+		}
+		out <- it
+	}
 }

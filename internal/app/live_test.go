@@ -1,8 +1,10 @@
 package app
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/pipeline"
 	"repro/internal/soc"
 	"repro/internal/video"
 )
@@ -33,7 +35,7 @@ func TestRunLiveMatchesSequential(t *testing.T) {
 		want = append(want, r)
 	}
 
-	live, err := sc.RunLive(frames, Figure5Devices())
+	live, err := sc.RunLive(frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +54,49 @@ func TestRunLiveMatchesSequential(t *testing.T) {
 			}
 		}
 	}
+
+	// The live timeline is the static scheduler on the per-frame stage costs
+	// — here the ones the sequential reference measured.
+	costs := make([][]soc.Seconds, len(want))
+	for i, w := range want {
+		costs[i] = []soc.Seconds{w.Timing.Detect, w.Timing.AntiSpoof, w.Timing.Emotion}
+	}
+	tl, err := pipeline.Schedule(pipeline.PaperAssignment(0, 0, 0), costs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Makespan != tl.Now() || !reflect.DeepEqual(live.Timeline.Events(), tl.Events()) {
+		t.Errorf("live timeline (makespan %s) is not the scheduler's on the reference costs (makespan %s):\n%s%s",
+			live.Makespan, tl.Now(), live.Timeline.Gantt(80), tl.Gantt(80))
+	}
+}
+
+// TestRunLiveIsDeterministic: the goroutine stages race on the wall clock,
+// the simulated timeline must not — same frames, same events, every run.
+func TestRunLiveIsDeterministic(t *testing.T) {
+	sc, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := video.NewSource(160, 120, 1, 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := src.Frames(6)
+	first, err := sc.RunLive(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := sc.RunLive(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.Makespan != first.Makespan || !reflect.DeepEqual(again.Timeline.Events(), first.Timeline.Events()) {
+			t.Fatalf("run %d: makespan %s vs %s\n%s%s", i+2, again.Makespan, first.Makespan,
+				again.Timeline.Gantt(80), first.Timeline.Gantt(80))
+		}
+	}
 }
 
 func TestRunLivePipelines(t *testing.T) {
@@ -63,7 +108,7 @@ func TestRunLivePipelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := sc.RunLive(src.Frames(8), Figure5Devices())
+	live, err := sc.RunLive(src.Frames(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,22 +199,23 @@ func RenderFigure(title string, rows []ModelRow) string {
 	return b.String()
 }
 
-// ComputationSchedule implements §5.1: pick each model's most efficient
-// permutation from the measured rows.
-func ComputationSchedule(rows []ModelRow) map[string]Permutation {
-	out := map[string]Permutation{}
+// RenderComputationSchedule implements §5.1: each model's most efficient
+// permutation from the measured rows, one line per model in rows order.
+func RenderComputationSchedule(rows []ModelRow) string {
+	var b strings.Builder
+	b.WriteString("computation schedule (per-model best target, §5.1):\n")
 	for _, r := range rows {
 		best, _ := r.Best()
-		out[r.Name] = best
+		fmt.Fprintf(&b, "  %-24s -> %s\n", r.Name, best)
 	}
-	return out
+	return b.String()
 }
 
 // Figure5Result bundles the pipeline experiment output.
 type Figure5Result struct {
-	Plan       pipeline.Plan
-	Contention pipeline.Result // all models on their §5.1-best targets
-	Paper      pipeline.Result // detection demoted to CPU-only (Figure 5)
+	Plan       []pipeline.StagePlan // the paper plan: detect, anti-spoof, emotion
+	Contention pipeline.Result      // all models on their §5.1-best targets
+	Paper      pipeline.Result      // detection demoted to CPU-only (Figure 5)
 	Gantt      string
 }
 
@@ -303,16 +304,16 @@ func Table2String(sc *soc.SoC) string {
 	return b.String()
 }
 
-// StageOptionsFor measures one stage model under every permutation and
+// stageOptions measures one stage model under every permutation and
 // returns the feasible targets as pipeline options. The exclusive device
 // set of each option is derived from the measured profile (every device the
 // configuration actually launched work on).
-func StageOptionsFor(stage pipeline.Stage, m *relay.Module, sc *soc.SoC) (pipeline.StageOptions, error) {
-	so := pipeline.StageOptions{Stage: stage}
+func stageOptions(m *relay.Module, sc *soc.SoC) ([]pipeline.TargetOption, error) {
+	var options []pipeline.TargetOption
 	for _, p := range AllPermutations {
 		cell, err := MeasureModule(m, p, sc)
 		if err != nil {
-			return so, err
+			return nil, err
 		}
 		if !cell.OK {
 			continue // no statistics: infeasible target
@@ -326,47 +327,38 @@ func StageOptionsFor(stage pipeline.Stage, m *relay.Module, sc *soc.SoC) (pipeli
 		if len(devices) == 0 {
 			devices = []soc.DeviceKind{soc.KindCPU}
 		}
-		so.Options = append(so.Options, pipeline.TargetOption{
+		options = append(options, pipeline.TargetOption{
 			Name:     p.String(),
 			Devices:  devices,
 			Duration: cell.Time,
 		})
 	}
-	return so, nil
+	return options, nil
 }
 
-// RunAutoPipeline implements the paper's announced future work: measure
-// every showcase stage under every feasible target and automatically search
-// the assignment with the best pipelined makespan (§7).
-func RunAutoPipeline(sc *soc.SoC, frames int) (*pipeline.AutoResult, error) {
-	if sc == nil {
-		sc = soc.NewDimensity800()
+// ShowcaseStages is the input of the paper's announced future work (§7):
+// the three showcase models at full size, each measured under every
+// feasible target, as stages for pipeline.SearchSchedule. The stage names
+// are the ones placement records are keyed by.
+func ShowcaseStages(sc *soc.SoC) ([]pipeline.StageSpec, error) {
+	stages := []pipeline.StageSpec{
+		{Name: "object-detection", Label: "d"},
+		{Name: "anti-spoofing", Label: "s"},
+		{Name: "emotion", Label: "e"},
 	}
-	det, err := models.BuildMobileNetSSDQuant(models.SizeFull)
-	if err != nil {
-		return nil, err
+	builds := []func(models.Size) (*relay.Module, error){
+		models.BuildMobileNetSSDQuant, models.BuildDeePixBiS, models.BuildEmotion,
 	}
-	spoof, err := models.BuildDeePixBiS(models.SizeFull)
-	if err != nil {
-		return nil, err
+	for i, build := range builds {
+		m, err := build(models.SizeFull)
+		if err != nil {
+			return nil, err
+		}
+		if stages[i].Options, err = stageOptions(m, sc); err != nil {
+			return nil, err
+		}
 	}
-	emo, err := models.BuildEmotion(models.SizeFull)
-	if err != nil {
-		return nil, err
-	}
-	detOpts, err := StageOptionsFor(pipeline.StageDetect, det, sc)
-	if err != nil {
-		return nil, err
-	}
-	spoofOpts, err := StageOptionsFor(pipeline.StageSpoof, spoof, sc)
-	if err != nil {
-		return nil, err
-	}
-	emoOpts, err := StageOptionsFor(pipeline.StageEmotion, emo, sc)
-	if err != nil {
-		return nil, err
-	}
-	return pipeline.AutoSchedule(detOpts, spoofOpts, emoOpts, frames)
+	return stages, nil
 }
 
 // OpLevelComparison quantifies §5.1's model-level vs operation-level

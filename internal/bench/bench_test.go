@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/models"
+	"repro/internal/pipeline"
 	"repro/internal/soc"
 )
 
@@ -166,13 +167,25 @@ func TestComputationSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := ComputationSchedule(rows)
-	if len(sched) != 3 {
-		t.Fatalf("schedule covers %d models", len(sched))
+	sched := RenderComputationSchedule(rows)
+	if got := strings.Count(sched, " -> "); got != 3 {
+		t.Fatalf("schedule covers %d models:\n%s", got, sched)
 	}
-	for name, p := range sched {
-		if p < 0 {
-			t.Errorf("%s has no runnable permutation", name)
+	if strings.Contains(sched, "permutation(") {
+		t.Errorf("a model has no runnable permutation:\n%s", sched)
+	}
+	// One line per model in rows order, so the block is the same on every run.
+	at := 0
+	for _, r := range rows {
+		i := strings.Index(sched[at:], "  "+r.Name+" ")
+		if i < 0 {
+			t.Fatalf("%s missing or out of rows order:\n%s", r.Name, sched)
+		}
+		at += i
+	}
+	for i := 0; i < 20; i++ {
+		if again := RenderComputationSchedule(rows); again != sched {
+			t.Fatalf("two renders differ:\n%s\n%s", sched, again)
 		}
 	}
 }
@@ -220,13 +233,17 @@ func TestAutoPipelineAtLeastPaperPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, err := RunAutoPipeline(nil, 12)
+	stages, err := ShowcaseStages(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auto.Result.Pipelined > fig5.Paper.Pipelined+1e-12 {
+	auto, err := pipeline.SearchSchedule(stages, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auto.Pipelined > fig5.Paper.Pipelined+1e-12 {
 		t.Errorf("auto schedule (%s) worse than the manual Figure 5 plan (%s)",
-			auto.Result.Pipelined, fig5.Paper.Pipelined)
+			auto.Pipelined, fig5.Paper.Pipelined)
 	}
 	if auto.Evaluated < 7*2 {
 		t.Errorf("search space suspiciously small: %d assignments", auto.Evaluated)

@@ -17,20 +17,20 @@ func Example() {
 	fmt.Printf("contended: %s (%.2fx)\n", contended.Pipelined, contended.Speedup)
 	fmt.Printf("paper:     %s (%.2fx)\n", paper.Pipelined, paper.Speedup)
 
-	// The automatic scheduler discovers the same trade-off.
-	auto, _ := pipeline.AutoSchedule(
-		pipeline.StageOptions{Stage: pipeline.StageDetect, Options: []pipeline.TargetOption{
+	// The placement search discovers the same trade-off.
+	auto, _ := pipeline.SearchSchedule([]pipeline.StageSpec{
+		{Name: "object-detection", Label: "d", Options: []pipeline.TargetOption{
 			{Name: "cpu+apu", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: 8e-3},
 			{Name: "cpu", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: 12e-3},
 		}},
-		pipeline.StageOptions{Stage: pipeline.StageSpoof, Options: []pipeline.TargetOption{
+		{Name: "anti-spoofing", Label: "s", Options: []pipeline.TargetOption{
 			{Name: "cpu+apu", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: 20e-3},
 		}},
-		pipeline.StageOptions{Stage: pipeline.StageEmotion, Options: []pipeline.TargetOption{
+		{Name: "emotion", Label: "e", Options: []pipeline.TargetOption{
 			{Name: "apu", Devices: []soc.DeviceKind{soc.KindAPU}, Duration: 8e-3},
 		}},
-		frames)
-	fmt.Printf("auto picks detection on: %s\n", auto.Choice[pipeline.StageDetect])
+	}, frames)
+	fmt.Printf("auto picks detection on: %s\n", auto.Choice[0])
 	// Output:
 	// contended: 360.000ms (1.00x)
 	// paper:     328.000ms (1.22x)

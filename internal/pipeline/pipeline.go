@@ -10,6 +10,11 @@
 // that it can execute concurrently with the emotion model of the previous
 // frame — exclusive use of every resource is preserved while the two stages
 // overlap.
+//
+// A pipeline is a []StagePlan: the stages of one frame in dependency order,
+// each with the device set it holds while it runs. Schedule is the one list
+// scheduler over such a slice; Compare, SearchSchedule and the live showcase
+// (internal/app) all obtain their simulated timelines from it.
 package pipeline
 
 import (
@@ -18,160 +23,108 @@ import (
 	"repro/internal/soc"
 )
 
-// Stage identifies one showcase pipeline stage.
-type Stage int
-
-const (
-	StageDetect Stage = iota
-	StageSpoof
-	StageEmotion
-	numStages
-)
-
-func (s Stage) String() string {
-	switch s {
-	case StageDetect:
-		return "object-detection"
-	case StageSpoof:
-		return "anti-spoofing"
-	case StageEmotion:
-		return "emotion"
-	}
-	return fmt.Sprintf("stage(%d)", int(s))
-}
-
 // StagePlan is one stage's device assignment and per-frame duration under
 // that assignment.
 type StagePlan struct {
+	// Label prefixes the stage's timeline entries (the frame index is
+	// appended): "d", "s", "e" for the showcase.
+	Label string
 	// Devices the stage occupies exclusively while running.
 	Devices []soc.DeviceKind
 	// Duration per frame on that target.
 	Duration soc.Seconds
 }
 
-// Plan assigns all three stages.
-type Plan struct {
-	Detect, Spoof, Emotion StagePlan
-}
-
-func (p Plan) stage(s Stage) StagePlan {
-	switch s {
-	case StageDetect:
-		return p.Detect
-	case StageSpoof:
-		return p.Spoof
-	case StageEmotion:
-		return p.Emotion
-	}
-	panic("pipeline: bad stage")
-}
-
-// Validate rejects empty device sets and negative durations.
-func (p Plan) Validate() error {
-	for s := Stage(0); s < numStages; s++ {
-		sp := p.stage(s)
-		if len(sp.Devices) == 0 {
-			return fmt.Errorf("pipeline: %s has no devices", s)
-		}
-		if sp.Duration < 0 {
-			return fmt.Errorf("pipeline: %s has negative duration", s)
-		}
-	}
-	return nil
-}
-
 // PaperAssignment returns the Figure 5 device assignment given per-stage
 // durations: detection CPU-only (blue), anti-spoofing CPU+APU (yellow),
 // emotion APU-only (green).
-func PaperAssignment(detect, spoof, emotion soc.Seconds) Plan {
-	return Plan{
-		Detect:  StagePlan{Devices: []soc.DeviceKind{soc.KindCPU}, Duration: detect},
-		Spoof:   StagePlan{Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: spoof},
-		Emotion: StagePlan{Devices: []soc.DeviceKind{soc.KindAPU}, Duration: emotion},
+func PaperAssignment(detect, spoof, emotion soc.Seconds) []StagePlan {
+	return []StagePlan{
+		{Label: "d", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: detect},
+		{Label: "s", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: spoof},
+		{Label: "e", Devices: []soc.DeviceKind{soc.KindAPU}, Duration: emotion},
 	}
 }
 
 // ContentionAssignment is the pre-pipeline configuration (§5.1): every model
 // on its individually-fastest target, object detection on CPU+APU — which
 // blocks all overlap (every stage touches a shared resource).
-func ContentionAssignment(detect, spoof, emotion soc.Seconds) Plan {
-	return Plan{
-		Detect:  StagePlan{Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: detect},
-		Spoof:   StagePlan{Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: spoof},
-		Emotion: StagePlan{Devices: []soc.DeviceKind{soc.KindAPU}, Duration: emotion},
-	}
+func ContentionAssignment(detect, spoof, emotion soc.Seconds) []StagePlan {
+	stages := PaperAssignment(detect, spoof, emotion)
+	stages[0].Devices = []soc.DeviceKind{soc.KindCPU, soc.KindAPU}
+	return stages
 }
 
-// Sequential simulates the unpipelined application: every stage of every
-// frame strictly in order. Returns the makespan.
-func Sequential(p Plan, frames int) soc.Seconds {
-	var t soc.Seconds
-	for i := 0; i < frames; i++ {
-		t += p.Detect.Duration + p.Spoof.Duration + p.Emotion.Duration
-	}
-	return t
-}
-
-// Schedule list-schedules the pipelined execution: within a frame the
-// stages are chained (detect → spoof → emotion); across frames a stage
-// waits for every device in its set (exclusive use); stages of the same
-// kind execute in frame order. Returns the timeline (for the Gantt chart)
-// and the makespan.
-func Schedule(p Plan, frames int) (*soc.Timeline, soc.Seconds, error) {
-	if err := p.Validate(); err != nil {
-		return nil, 0, err
-	}
-	return ScheduleStages([]StagePlan{p.Detect, p.Spoof, p.Emotion},
-		[]string{"d", "s", "e"}, frames)
-}
-
-// ScheduleStages is the N-stage generalization of Schedule: stage i of a
-// frame starts after stage i-1 of the same frame and after every device in
-// its set is free. labels[i] prefixes the stage's timeline entries (the
-// frame index is appended). The fixed 3-stage Schedule and the placement
-// search (search.go) both run through here.
-func ScheduleStages(stages []StagePlan, labels []string, frames int) (*soc.Timeline, soc.Seconds, error) {
-	if len(labels) != len(stages) {
-		return nil, 0, fmt.Errorf("pipeline: %d labels for %d stages", len(labels), len(stages))
-	}
+// Schedule list-schedules the pipelined execution of len(costs) frames:
+// costs[f][i] is what stage i takes on frame f. Within a frame the stages
+// are chained (stage i starts after stage i-1 of the same frame); across
+// frames a stage waits for every device in its set (exclusive use); frames
+// are placed in order, so the timeline is a function of the inputs alone.
+func Schedule(stages []StagePlan, costs [][]soc.Seconds) (*soc.Timeline, error) {
 	for i, sp := range stages {
 		if len(sp.Devices) == 0 {
-			return nil, 0, fmt.Errorf("pipeline: stage %s has no devices", labels[i])
-		}
-		if sp.Duration < 0 {
-			return nil, 0, fmt.Errorf("pipeline: stage %s has negative duration", labels[i])
+			return nil, fmt.Errorf("pipeline: stage %d (%q) has no devices", i, sp.Label)
 		}
 	}
 	tl := soc.NewTimeline()
-	for i := 0; i < frames; i++ {
+	for f, row := range costs {
+		if len(row) != len(stages) {
+			return nil, fmt.Errorf("pipeline: frame %d has %d costs for %d stages", f, len(row), len(stages))
+		}
 		var ready soc.Seconds
-		for s, sp := range stages {
-			ready = tl.ScheduleMulti(sp.Devices, fmt.Sprintf("%s%d", labels[s], i), ready, sp.Duration)
+		for i, sp := range stages {
+			if row[i] < 0 {
+				return nil, fmt.Errorf("pipeline: stage %d (%q) has negative duration", i, sp.Label)
+			}
+			ready = tl.ScheduleMulti(sp.Devices, fmt.Sprintf("%s%d", sp.Label, f), ready, row[i])
 		}
 	}
-	return tl, tl.Now(), nil
+	return tl, nil
+}
+
+// uniformCosts is the static model's input to Schedule: every frame costs
+// each stage its planned Duration.
+func uniformCosts(stages []StagePlan, frames int) [][]soc.Seconds {
+	row := make([]soc.Seconds, len(stages))
+	for i, sp := range stages {
+		row[i] = sp.Duration
+	}
+	costs := make([][]soc.Seconds, frames)
+	for f := range costs {
+		costs[f] = row
+	}
+	return costs
+}
+
+// sequentialTime is the unpipelined application: every stage of every frame
+// strictly in order.
+func sequentialTime(stages []StagePlan, frames int) soc.Seconds {
+	var perFrame soc.Seconds
+	for _, sp := range stages {
+		perFrame += sp.Duration
+	}
+	return perFrame * soc.Seconds(frames)
 }
 
 // Result summarizes a sequential-vs-pipelined comparison (the Figure 5
 // experiment).
 type Result struct {
-	Frames     int
 	Sequential soc.Seconds
 	Pipelined  soc.Seconds
 	Speedup    float64
 	Timeline   *soc.Timeline
 }
 
-// Compare runs both simulations.
-func Compare(p Plan, frames int) (Result, error) {
-	tl, pipelined, err := Schedule(p, frames)
+// Compare simulates the stages over the given frame count at their planned
+// durations, sequentially and pipelined.
+func Compare(stages []StagePlan, frames int) (Result, error) {
+	tl, err := Schedule(stages, uniformCosts(stages, frames))
 	if err != nil {
 		return Result{}, err
 	}
-	seq := Sequential(p, frames)
-	r := Result{Frames: frames, Sequential: seq, Pipelined: pipelined, Timeline: tl}
-	if pipelined > 0 {
-		r.Speedup = float64(seq) / float64(pipelined)
+	r := Result{Sequential: sequentialTime(stages, frames), Pipelined: tl.Now(), Timeline: tl}
+	if r.Pipelined > 0 {
+		r.Speedup = float64(r.Sequential) / float64(r.Pipelined)
 	}
 	return r, nil
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -9,8 +10,11 @@ import (
 )
 
 func TestSequentialMakespan(t *testing.T) {
-	p := PaperAssignment(10e-3, 20e-3, 5e-3)
-	if got := Sequential(p, 4); math.Abs(float64(got)-4*35e-3) > 1e-12 {
+	res, err := Compare(PaperAssignment(10e-3, 20e-3, 5e-3), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Sequential; math.Abs(float64(got)-4*35e-3) > 1e-12 {
 		t.Errorf("sequential = %s, want 140ms", got)
 	}
 }
@@ -67,11 +71,11 @@ func TestPaperTradeoff(t *testing.T) {
 
 func TestExclusiveResourceInvariant(t *testing.T) {
 	// No two intervals on the same device may overlap — the §5.2 invariant.
-	p := PaperAssignment(7e-3, 13e-3, 9e-3)
-	tl, _, err := Schedule(p, 10)
+	res, err := Compare(PaperAssignment(7e-3, 13e-3, 9e-3), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tl := res.Timeline
 	perDev := map[soc.DeviceKind][]soc.Interval{}
 	for _, e := range tl.Events() {
 		perDev[e.Device] = append(perDev[e.Device], e)
@@ -87,11 +91,11 @@ func TestExclusiveResourceInvariant(t *testing.T) {
 
 func TestFrameDependenciesRespected(t *testing.T) {
 	// Within a frame: detect ends before spoof starts, spoof before emotion.
-	p := PaperAssignment(5e-3, 6e-3, 7e-3)
-	tl, _, err := Schedule(p, 3)
+	res, err := Compare(PaperAssignment(5e-3, 6e-3, 7e-3), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tl := res.Timeline
 	start := map[string]soc.Seconds{}
 	end := map[string]soc.Seconds{}
 	for _, e := range tl.Events() {
@@ -114,16 +118,38 @@ func TestFrameDependenciesRespected(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	bad := Plan{
-		Detect:  StagePlan{Devices: nil, Duration: 1},
-		Spoof:   StagePlan{Devices: []soc.DeviceKind{soc.KindCPU}, Duration: 1},
-		Emotion: StagePlan{Devices: []soc.DeviceKind{soc.KindAPU}, Duration: 1},
-	}
-	if err := bad.Validate(); err == nil {
+	bad := PaperAssignment(1, 1, 1)
+	bad[0].Devices = nil
+	if _, err := Compare(bad, 2); err == nil {
 		t.Error("empty device set accepted")
 	}
-	if _, _, err := Schedule(bad, 2); err == nil {
-		t.Error("Schedule accepted invalid plan")
+	if _, err := Compare(PaperAssignment(1, -1, 1), 2); err == nil {
+		t.Error("negative duration accepted")
+	}
+	if _, err := Schedule(PaperAssignment(1, 1, 1), [][]soc.Seconds{{1, 1}}); err == nil {
+		t.Error("two costs for three stages accepted")
+	}
+}
+
+// TestSchedulePerFrameCosts: the scheduler places frames in order at their
+// own costs — a frame whose stage costs nothing still occupies its slot in
+// the dependency chain, and a long frame delays only what shares its devices.
+func TestSchedulePerFrameCosts(t *testing.T) {
+	tl, err := Schedule(PaperAssignment(0, 0, 0), [][]soc.Seconds{
+		{1, 2, 3}, // d0 0-1 cpu, s0 1-3 cpu+apu, e0 3-6 apu
+		{4, 0, 1}, // d1 3-7 cpu (behind s0), s1 7-7, e1 7-8 apu
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tl.Now(); got != 8 {
+		t.Errorf("makespan %v, want 8", got)
+	}
+	want := map[string][2]soc.Seconds{"d0": {0, 1}, "s0": {1, 3}, "e0": {3, 6}, "d1": {3, 7}, "s1": {7, 7}, "e1": {7, 8}}
+	for _, e := range tl.Events() {
+		if w := want[e.Label]; e.Start != w[0] || e.End != w[1] {
+			t.Errorf("%s on %s: %v-%v, want %v-%v", e.Label, e.Device, e.Start, e.End, w[0], w[1])
+		}
 	}
 }
 
@@ -158,98 +184,110 @@ func TestPipelineBoundsProperty(t *testing.T) {
 }
 
 func TestGanttRenders(t *testing.T) {
-	p := PaperAssignment(5e-3, 6e-3, 7e-3)
-	tl, _, err := Schedule(p, 3)
+	res, err := Compare(PaperAssignment(5e-3, 6e-3, 7e-3), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := tl.Gantt(60)
+	g := res.Timeline.Gantt(60)
 	if len(g) == 0 || g == "(empty timeline)\n" {
 		t.Error("empty Gantt chart")
+	}
+}
+
+// showcaseSpecs packages three option lists as the showcase's stages.
+func showcaseSpecs(detect, spoof, emotion []TargetOption) []StageSpec {
+	return []StageSpec{
+		{Name: "object-detection", Label: "d", Options: detect},
+		{Name: "anti-spoofing", Label: "s", Options: spoof},
+		{Name: "emotion", Label: "e", Options: emotion},
 	}
 }
 
 func TestAutoScheduleFindsTradeoff(t *testing.T) {
 	// Candidate targets mirroring §5: detection can run fast on cpu+apu or
 	// slower on cpu-only; anti-spoofing needs cpu+apu; emotion apu-only.
-	detect := StageOptions{Stage: StageDetect, Options: []TargetOption{
-		{Name: "cpu+apu", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: 8e-3},
-		{Name: "cpu", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: 12e-3},
-	}}
-	spoof := StageOptions{Stage: StageSpoof, Options: []TargetOption{
-		{Name: "cpu+apu", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: 20e-3},
-	}}
-	emotion := StageOptions{Stage: StageEmotion, Options: []TargetOption{
-		{Name: "apu", Devices: []soc.DeviceKind{soc.KindAPU}, Duration: 8e-3},
-		{Name: "cpu", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: 14e-3},
-	}}
-	res, err := AutoSchedule(detect, spoof, emotion, 16)
+	stages := showcaseSpecs(
+		[]TargetOption{
+			{Name: "cpu+apu", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: 8e-3},
+			{Name: "cpu", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: 12e-3},
+		},
+		[]TargetOption{
+			{Name: "cpu+apu", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: 20e-3},
+		},
+		[]TargetOption{
+			{Name: "apu", Devices: []soc.DeviceKind{soc.KindAPU}, Duration: 8e-3},
+			{Name: "cpu", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: 14e-3},
+		})
+	res, err := SearchSchedule(stages, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Evaluated != 4 {
 		t.Errorf("evaluated %d assignments, want 4", res.Evaluated)
 	}
-	// The auto scheduler must discover the paper's trade-off: detection on
+	// The search must discover the paper's trade-off: detection on
 	// cpu-only (slower solo) + emotion on apu, which overlap.
-	if res.Choice[StageDetect] != "cpu" || res.Choice[StageEmotion] != "apu" {
-		t.Errorf("auto choice %v, want detect=cpu emotion=apu", res.Choice)
+	if res.Choice[0] != "cpu" || res.Choice[2] != "apu" {
+		t.Errorf("choice %v, want detect=cpu emotion=apu", res.Choice)
 	}
 	// And it must beat the all-fastest assignment.
 	contended, err := Compare(ContentionAssignment(8e-3, 20e-3, 8e-3), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Result.Pipelined >= contended.Pipelined {
-		t.Errorf("auto (%s) should beat contended (%s)", res.Result.Pipelined, contended.Pipelined)
+	if res.Pipelined >= contended.Pipelined {
+		t.Errorf("search (%s) should beat contended (%s)", res.Pipelined, contended.Pipelined)
 	}
 }
 
 func TestAutoScheduleRejectsEmptyStage(t *testing.T) {
-	empty := StageOptions{Stage: StageDetect}
-	ok := StageOptions{Stage: StageSpoof, Options: []TargetOption{
-		{Name: "cpu", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: 1e-3},
-	}}
-	if _, err := AutoSchedule(empty, ok, ok, 4); err == nil {
-		t.Error("empty stage options accepted")
+	ok := []TargetOption{{Name: "cpu", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: 1e-3}}
+	_, err := SearchSchedule(showcaseSpecs(nil, ok, ok), 4)
+	if err == nil || !strings.Contains(err.Error(), "object-detection") {
+		t.Errorf("empty stage options: err = %v, want one naming the stage", err)
 	}
-	if _, err := AutoSchedule(ok, ok, ok, 0); err == nil {
+	if _, err := SearchSchedule(showcaseSpecs(ok, ok, ok), 0); err == nil {
 		t.Error("zero frames accepted")
 	}
 }
 
-// Property: the auto schedule is never worse than any manually enumerated
-// assignment (it is an exhaustive argmin).
+// Property: the search result is never worse than any manually enumerated
+// assignment (it is an exhaustive argmin), and the plans it returns
+// reproduce its makespan through Compare.
 func TestAutoScheduleOptimalProperty(t *testing.T) {
 	f := func(d1, d2, s1, e1, e2 uint16) bool {
 		ms := func(v uint16) soc.Seconds { return soc.Seconds(float64(v%2000)+1) * 1e-6 }
-		detect := StageOptions{Stage: StageDetect, Options: []TargetOption{
-			{Name: "a", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: ms(d1)},
-			{Name: "b", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: ms(d2)},
-		}}
-		spoof := StageOptions{Stage: StageSpoof, Options: []TargetOption{
-			{Name: "a", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: ms(s1)},
-		}}
-		emotion := StageOptions{Stage: StageEmotion, Options: []TargetOption{
-			{Name: "a", Devices: []soc.DeviceKind{soc.KindAPU}, Duration: ms(e1)},
-			{Name: "b", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: ms(e2)},
-		}}
-		res, err := AutoSchedule(detect, spoof, emotion, 8)
+		stages := showcaseSpecs(
+			[]TargetOption{
+				{Name: "a", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: ms(d1)},
+				{Name: "b", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: ms(d2)},
+			},
+			[]TargetOption{
+				{Name: "a", Devices: []soc.DeviceKind{soc.KindCPU, soc.KindAPU}, Duration: ms(s1)},
+			},
+			[]TargetOption{
+				{Name: "a", Devices: []soc.DeviceKind{soc.KindAPU}, Duration: ms(e1)},
+				{Name: "b", Devices: []soc.DeviceKind{soc.KindCPU}, Duration: ms(e2)},
+			})
+		res, err := SearchSchedule(stages, 8)
 		if err != nil {
 			return false
 		}
-		for _, d := range detect.Options {
-			for _, e := range emotion.Options {
-				plan := Plan{
-					Detect:  StagePlan{Devices: d.Devices, Duration: d.Duration},
-					Spoof:   StagePlan{Devices: spoof.Options[0].Devices, Duration: spoof.Options[0].Duration},
-					Emotion: StagePlan{Devices: e.Devices, Duration: e.Duration},
-				}
-				manual, err := Compare(plan, 8)
+		if own, err := Compare(res.Plans, 8); err != nil || own.Pipelined != res.Pipelined || own.Sequential != res.Sequential {
+			return false
+		}
+		sp := stages[1].Options[0]
+		for _, d := range stages[0].Options {
+			for _, e := range stages[2].Options {
+				manual, err := Compare([]StagePlan{
+					{Label: "d", Devices: d.Devices, Duration: d.Duration},
+					{Label: "s", Devices: sp.Devices, Duration: sp.Duration},
+					{Label: "e", Devices: e.Devices, Duration: e.Duration},
+				}, 8)
 				if err != nil {
 					return false
 				}
-				if manual.Pipelined < res.Result.Pipelined-1e-15 {
+				if manual.Pipelined < res.Pipelined-1e-15 {
 					return false
 				}
 			}

@@ -8,44 +8,51 @@ import (
 	"repro/internal/soc"
 )
 
-// Cost-model-driven placement search. The paper enumerates seven target
-// permutations per model (§5) and AutoSchedule enumerated the full cross
-// product of stage targets; that stops scaling the moment stages multiply
-// (N-stage pipelines, per-region device assignments). SearchSchedule keeps
-// the exhaustive enumeration for small spaces — where it is provably optimal
-// and bit-compatible with the old search — and switches to a beam search
-// over per-stage assignments for large ones, ranking partial assignments by
-// the simulated makespan of the scheduled prefix. Both paths use the same
-// simulated-soc cost model (ScheduleStages) as the enumerator they replace.
+// Automatic pipeline scheduling — the algorithm the paper's conclusion
+// announces as under development ("we are currently developing the
+// algorithm for automatically pipeline scheduling of different models").
+//
+// Each stage has a set of candidate targets (a device set plus the stage's
+// measured duration on that target, from §5.1 profiling). SearchSchedule
+// simulates assignments under exclusive resources with the package's one
+// scheduler and returns the one with the smallest makespan — automatically
+// discovering trade-offs like the paper's manual one (a stage accepting a
+// slower solo target to unlock overlap). The paper's space is seven target
+// permutations per model; that stops being enumerable the moment stages
+// multiply (N-stage pipelines, per-region device assignments), so the
+// search enumerates the full cross product where it is small — provably
+// optimal there — and runs a beam search over per-stage assignments where it
+// is not, ranking partial assignments by the simulated makespan of the
+// scheduled prefix.
+
+// TargetOption is one candidate execution target for a stage.
+type TargetOption struct {
+	// Name identifies the target ("BYOC cpu", "NP-only apu", ...).
+	Name string
+	// Devices the stage would occupy exclusively.
+	Devices []soc.DeviceKind
+	// Duration per frame on this target.
+	Duration soc.Seconds
+}
 
 // StageSpec is one stage of an N-stage pipeline offered to the search.
 type StageSpec struct {
 	// Name identifies the stage in results ("object-detection", ...).
 	Name string
-	// Label prefixes the stage's timeline entries; defaults to a letter
-	// derived from the stage index when empty.
+	// Label prefixes the stage's timeline entries ("d", "s", "e").
 	Label string
-	// Options are the feasible targets (from profiling or the cost model).
+	// Options are the feasible targets (from profiling or the cost model);
+	// targets where the model has no statistics are simply not listed.
 	Options []TargetOption
 }
 
-// SearchOptions tunes SearchSchedule.
-type SearchOptions struct {
-	// Frames is the simulated frame count (required, > 0).
-	Frames int
-	// ExhaustiveLimit is the assignment-count threshold up to which the
-	// search enumerates the full cross product; beyond it the beam search
-	// runs. 0 means the default (4096). Negative forces the beam search
-	// regardless of size (tests and ablations).
-	ExhaustiveLimit int
-	// BeamWidth is the number of partial assignments kept per stage in beam
-	// mode; 0 means the default (8).
-	BeamWidth int
-}
-
 const (
-	defaultExhaustiveLimit = 4096
-	defaultBeamWidth       = 8
+	// exhaustiveLimit is the assignment count up to which the search
+	// enumerates the full cross product; beyond it the beam search runs.
+	exhaustiveLimit = 4096
+	// beamWidth is the number of partial assignments kept per stage in beam
+	// mode.
+	beamWidth = 8
 )
 
 // SearchResult is the best assignment found.
@@ -63,12 +70,12 @@ type SearchResult struct {
 }
 
 // SearchSchedule finds the per-stage target assignment with the smallest
-// simulated pipelined makespan. Exhaustive (optimal) for spaces up to
-// ExhaustiveLimit assignments, beam search beyond; deterministic in both
-// modes — ties break toward the smaller sequential time, then the
-// lexicographically smaller choice key.
-func SearchSchedule(stages []StageSpec, opt SearchOptions) (*SearchResult, error) {
-	if opt.Frames <= 0 {
+// simulated pipelined makespan over the given frame count. Exhaustive
+// (optimal) for spaces up to 4096 assignments, beam search beyond;
+// deterministic in both modes — ties break toward the smaller sequential
+// time, then the lexicographically smaller choice key.
+func SearchSchedule(stages []StageSpec, frames int) (*SearchResult, error) {
+	if frames <= 0 {
 		return nil, fmt.Errorf("pipeline: SearchSchedule needs frames > 0")
 	}
 	if len(stages) == 0 {
@@ -79,54 +86,31 @@ func SearchSchedule(stages []StageSpec, opt SearchOptions) (*SearchResult, error
 		if len(st.Options) == 0 {
 			return nil, fmt.Errorf("pipeline: stage %s has no feasible targets", st.Name)
 		}
-		if size > 0 && size <= defaultExhaustiveLimit*1024 {
+		if size <= exhaustiveLimit { // stop multiplying once over: no overflow
 			size *= len(st.Options)
 		}
 	}
-	limit := opt.ExhaustiveLimit
-	if limit == 0 {
-		limit = defaultExhaustiveLimit
+	if size <= exhaustiveLimit {
+		return searchExhaustive(stages, frames)
 	}
-	labels := stageLabels(stages)
-	if limit > 0 && size <= limit {
-		return searchExhaustive(stages, labels, opt.Frames)
-	}
-	return searchBeam(stages, labels, opt.Frames, opt.BeamWidth)
+	return searchBeam(stages, frames)
 }
 
-// stageLabels resolves timeline label prefixes, keeping them unique.
-func stageLabels(stages []StageSpec) []string {
-	labels := make([]string, len(stages))
-	seen := map[string]bool{}
-	for i, st := range stages {
-		l := st.Label
-		if l == "" {
-			l = string(rune('a' + i%26))
-		}
-		for seen[l] {
-			l += "'"
-		}
-		seen[l] = true
-		labels[i] = l
-	}
-	return labels
-}
-
-// assignment materializes one choice of option indices into stage plans.
+// assignment materializes one choice of option indices (a prefix of the
+// stages when idx is shorter) into stage plans.
 func assignment(stages []StageSpec, idx []int) ([]StagePlan, []string) {
-	plans := make([]StagePlan, len(stages))
-	names := make([]string, len(stages))
-	for i, st := range stages {
-		o := st.Options[idx[i]]
-		plans[i] = StagePlan{Devices: o.Devices, Duration: o.Duration}
+	plans := make([]StagePlan, len(idx))
+	names := make([]string, len(idx))
+	for i, oi := range idx {
+		o := stages[i].Options[oi]
+		plans[i] = StagePlan{Label: stages[i].Label, Devices: o.Devices, Duration: o.Duration}
 		names[i] = o.Name
 	}
 	return plans, names
 }
 
-// searchKey reproduces the old AutoSchedule tie-break key exactly (sorted
-// "i=name" fields rendered with fmt.Sprint), so the exhaustive path is
-// bit-compatible with the enumeration it replaced.
+// searchKey is the last tie-break: sorted "i=name" fields rendered with
+// fmt.Sprint. Placement records were chosen under this order, so it is fixed.
 func searchKey(names []string) string {
 	keys := make([]string, len(names))
 	for i, n := range names {
@@ -153,30 +137,26 @@ func (a *searchCand) betterThan(b *searchCand) bool {
 }
 
 // evaluate simulates one (possibly partial) assignment.
-func evaluate(stages []StageSpec, labels []string, idx []int, frames int) (*searchCand, error) {
-	plans, names := assignment(stages[:len(idx)], idx)
-	_, makespan, err := ScheduleStages(plans, labels[:len(idx)], frames)
+func evaluate(stages []StageSpec, idx []int, frames int) (*searchCand, error) {
+	plans, names := assignment(stages, idx)
+	tl, err := Schedule(plans, uniformCosts(plans, frames))
 	if err != nil {
 		return nil, err
 	}
-	var seq soc.Seconds
-	for _, p := range plans {
-		seq += p.Duration
-	}
 	return &searchCand{
 		idx:        append([]int(nil), idx...),
-		pipelined:  makespan,
-		sequential: seq * soc.Seconds(frames),
+		pipelined:  tl.Now(),
+		sequential: sequentialTime(plans, frames),
 		key:        searchKey(names),
 	}, nil
 }
 
-func searchExhaustive(stages []StageSpec, labels []string, frames int) (*SearchResult, error) {
+func searchExhaustive(stages []StageSpec, frames int) (*SearchResult, error) {
 	idx := make([]int, len(stages))
 	var best *searchCand
 	evaluated := 0
 	for {
-		cand, err := evaluate(stages, labels, idx, frames)
+		cand, err := evaluate(stages, idx, frames)
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +177,7 @@ func searchExhaustive(stages []StageSpec, labels []string, frames int) (*SearchR
 			break
 		}
 	}
-	return finishSearch(stages, best, evaluated, true, frames)
+	return finishSearch(stages, best, evaluated, true), nil
 }
 
 // searchBeam extends partial assignments stage by stage, keeping the
@@ -206,17 +186,14 @@ func searchExhaustive(stages []StageSpec, labels []string, frames int) (*SearchR
 // sound greedy ranking; keeping several prefixes covers the paper's
 // demote-to-overlap trade-off, where the best full pipeline rides a
 // prefix that is not locally optimal.
-func searchBeam(stages []StageSpec, labels []string, frames, beamWidth int) (*SearchResult, error) {
-	if beamWidth <= 0 {
-		beamWidth = defaultBeamWidth
-	}
+func searchBeam(stages []StageSpec, frames int) (*SearchResult, error) {
 	evaluated := 0
 	beam := []*searchCand{{idx: []int{}}}
 	for si := range stages {
 		var next []*searchCand
 		for _, state := range beam {
 			for oi := range stages[si].Options {
-				cand, err := evaluate(stages, labels, append(state.idx, oi), frames)
+				cand, err := evaluate(stages, append(state.idx, oi), frames)
 				if err != nil {
 					return nil, err
 				}
@@ -230,10 +207,10 @@ func searchBeam(stages []StageSpec, labels []string, frames, beamWidth int) (*Se
 		}
 		beam = next
 	}
-	return finishSearch(stages, beam[0], evaluated, false, frames)
+	return finishSearch(stages, beam[0], evaluated, false), nil
 }
 
-func finishSearch(stages []StageSpec, best *searchCand, evaluated int, exhaustive bool, frames int) (*SearchResult, error) {
+func finishSearch(stages []StageSpec, best *searchCand, evaluated int, exhaustive bool) *SearchResult {
 	plans, names := assignment(stages, best.idx)
 	return &SearchResult{
 		Choice:     names,
@@ -242,10 +219,10 @@ func finishSearch(stages []StageSpec, best *searchCand, evaluated int, exhaustiv
 		Sequential: best.sequential,
 		Evaluated:  evaluated,
 		Exhaustive: exhaustive,
-	}, nil
+	}
 }
 
-// String renders the result compactly ("stage=target" pairs plus times).
+// Describe renders the result compactly ("stage=target" pairs plus times).
 func (r *SearchResult) Describe(stages []StageSpec) string {
 	parts := make([]string, len(r.Choice))
 	for i, c := range r.Choice {

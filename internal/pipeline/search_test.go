@@ -31,37 +31,34 @@ func searchStages(n int, seed int64) []StageSpec {
 
 func TestSearchScheduleValidation(t *testing.T) {
 	stages := searchStages(2, 1)
-	if _, err := SearchSchedule(stages, SearchOptions{Frames: 0}); err == nil {
+	if _, err := SearchSchedule(stages, 0); err == nil {
 		t.Error("frames=0 accepted")
 	}
-	if _, err := SearchSchedule(nil, SearchOptions{Frames: 1}); err == nil {
+	if _, err := SearchSchedule(nil, 1); err == nil {
 		t.Error("no stages accepted")
 	}
 	empty := []StageSpec{{Name: "x"}}
-	if _, err := SearchSchedule(empty, SearchOptions{Frames: 1}); err == nil {
+	if _, err := SearchSchedule(empty, 1); err == nil {
 		t.Error("stage without options accepted")
 	}
 }
 
 // TestBeamMatchesExhaustiveSmall: on spaces the exhaustive search can
-// enumerate, the beam search (forced via a negative limit) must find an
-// assignment with the same optimal pipelined makespan.
+// enumerate, the beam search (called directly: SearchSchedule would not pick
+// it here) must find an assignment with the same optimal pipelined makespan.
 func TestBeamMatchesExhaustiveSmall(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		stages := searchStages(4, seed)
-		ex, err := SearchSchedule(stages, SearchOptions{Frames: 5})
+		ex, err := SearchSchedule(stages, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ex.Exhaustive {
 			t.Fatalf("seed %d: 16-assignment space not enumerated", seed)
 		}
-		beam, err := SearchSchedule(stages, SearchOptions{Frames: 5, ExhaustiveLimit: -1})
+		beam, err := searchBeam(stages, 5)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if beam.Exhaustive {
-			t.Fatalf("seed %d: negative limit did not force beam mode", seed)
 		}
 		if beam.Pipelined > ex.Pipelined {
 			t.Errorf("seed %d: beam makespan %v worse than optimal %v (choice %v vs %v)",
@@ -77,7 +74,7 @@ func TestBeamMatchesExhaustiveSmall(t *testing.T) {
 // options each) must fall to beam mode by default and stay cheap.
 func TestBeamHandlesLargeSpaces(t *testing.T) {
 	stages := searchStages(13, 7) // 2^13 = 8192 > default limit
-	res, err := SearchSchedule(stages, SearchOptions{Frames: 3})
+	res, err := SearchSchedule(stages, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +94,19 @@ func TestBeamHandlesLargeSpaces(t *testing.T) {
 
 func TestSearchDeterministic(t *testing.T) {
 	stages := searchStages(5, 11)
-	for _, limit := range []int{0, -1} {
-		a, err := SearchSchedule(stages, SearchOptions{Frames: 4, ExhaustiveLimit: limit})
+	for mode, search := range map[string]func([]StageSpec, int) (*SearchResult, error){
+		"exhaustive": SearchSchedule, "beam": searchBeam,
+	} {
+		a, err := search(stages, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SearchSchedule(stages, SearchOptions{Frames: 4, ExhaustiveLimit: limit})
+		b, err := search(stages, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if fmt.Sprint(a.Choice) != fmt.Sprint(b.Choice) || a.Pipelined != b.Pipelined || a.Evaluated != b.Evaluated {
-			t.Fatalf("limit %d: search not deterministic: %+v vs %+v", limit, a, b)
+			t.Fatalf("%s: search not deterministic: %+v vs %+v", mode, a, b)
 		}
 	}
 }
@@ -124,7 +123,7 @@ func TestSearchScheduleOverlap(t *testing.T) {
 			twoDev("cpu", []soc.DeviceKind{soc.KindCPU}, 2),
 			twoDev("apu", []soc.DeviceKind{soc.KindAPU}, 2)}},
 	}
-	res, err := SearchSchedule(stages, SearchOptions{Frames: 8})
+	res, err := SearchSchedule(stages, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,27 +135,5 @@ func TestSearchScheduleOverlap(t *testing.T) {
 	}
 	if got := res.Describe(stages); got == "" {
 		t.Error("Describe returned empty")
-	}
-}
-
-// TestScheduleStagesMatchesSchedule pins the N-stage generalization to the
-// fixed three-stage scheduler it replaced.
-func TestScheduleStagesMatchesSchedule(t *testing.T) {
-	p := PaperAssignment(3, 2, 1)
-	const frames = 6
-	_, wantMakespan, err := Schedule(p, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, gotMakespan, err := ScheduleStages(
-		[]StagePlan{p.Detect, p.Spoof, p.Emotion}, []string{"d", "s", "e"}, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotMakespan != wantMakespan {
-		t.Fatalf("ScheduleStages makespan %v != Schedule %v", gotMakespan, wantMakespan)
-	}
-	if _, _, err := ScheduleStages([]StagePlan{p.Detect}, []string{"a", "b"}, 1); err == nil {
-		t.Error("label/stage length mismatch accepted")
 	}
 }

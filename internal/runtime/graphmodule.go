@@ -40,19 +40,6 @@ func (k ExecutorKind) String() string {
 	return fmt.Sprintf("ExecutorKind(%d)", int(k))
 }
 
-// ParseExecutorKind parses the npc -executor flag values.
-func ParseExecutorKind(s string) (ExecutorKind, error) {
-	switch s {
-	case "auto":
-		return ExecutorAuto, nil
-	case "plan", "planned":
-		return ExecutorPlanned, nil
-	case "interp", "interpreter":
-		return ExecutorInterp, nil
-	}
-	return ExecutorAuto, fmt.Errorf("runtime: unknown executor %q (want auto, plan, or interp)", s)
-}
-
 // GraphModule is the executable handle over a built library, mirroring TVM's
 // graph_executor.GraphModule used throughout the paper's listings:
 //

@@ -14,8 +14,8 @@ import (
 // exclusive device reservation, and fan results back out. On drain the
 // worker finishes whatever is still queued (answering expired requests with
 // their deadline error) and exits. Every worker records its serving phases
-// (coalesce, lock-wait, execute, per-request queue-wait) as wall-clock spans
-// on its own tracer track, exported by /tracez.
+// (coalesce, lock-wait, per-request queue-wait and execute) as wall-clock
+// spans on its own tracer track, exported by /tracez.
 func (e *endpoint) worker(tk *obs.Track) {
 	defer e.wg.Done()
 	for {
@@ -58,7 +58,7 @@ func (e *endpoint) serveOne(first *request, tk *obs.Track) {
 
 // traceArgs stamps a batch-level span with every member request's trace ID
 // (one Arg per distinct traced request), so /tracez?id= finds the coalesce /
-// lock-wait / execute phases of any request that rode in the batch.
+// lock-wait phases of any request that rode in the batch.
 func traceArgs(batch []*request) []obs.Arg {
 	var args []obs.Arg
 	for _, r := range batch {
@@ -185,28 +185,34 @@ func (e *endpoint) runBatch(batch []*request, tk *obs.Track) {
 		for name, t := range r.inputs {
 			gm.SetInput(name, t)
 		}
-		if err := gm.Run(); err != nil {
-			e.stats.failed()
-			e.record(r, "failed", len(live), queueWait, time.Since(start), time.Since(r.enqueued))
-			r.respond(nil, fmt.Errorf("serve: %s: %w", e.name, err))
-			continue
-		}
-		outs := make([]*tensor.Tensor, gm.NumOutputs())
-		var copyErr error
-		for i := range outs {
-			if outs[i], copyErr = gm.OutputCopy(i); copyErr != nil {
-				break
+		err := gm.Run()
+		var outs []*tensor.Tensor
+		if err == nil {
+			outs = make([]*tensor.Tensor, gm.NumOutputs())
+			for i := range outs {
+				if outs[i], err = gm.OutputCopy(i); err != nil {
+					break
+				}
 			}
 		}
-		if copyErr != nil {
+		execWall := time.Since(start)
+		// The request's own span goes on the track before the request is
+		// answered: a client that asks /tracez?id= for its request the moment
+		// it has the reply must find it.
+		if r.trace.Valid() {
+			tk.Emit("execute:"+e.name, "serve", start, execWall,
+				obs.A(obs.TraceArg, r.trace.TraceID), obs.A("batch", len(live)))
+		} else {
+			tk.Emit("execute:"+e.name, "serve", start, execWall, obs.A("batch", len(live)))
+		}
+		if err != nil {
 			e.stats.failed()
-			e.record(r, "failed", len(live), queueWait, time.Since(start), time.Since(r.enqueued))
-			r.respond(nil, fmt.Errorf("serve: %s: %w", e.name, copyErr))
+			e.record(r, "failed", len(live), queueWait, execWall, time.Since(r.enqueued))
+			r.respond(nil, fmt.Errorf("serve: %s: %w", e.name, err))
 			continue
 		}
 		sim := gm.LastProfile().Total()
 		batchSim += sim
-		execWall := time.Since(start)
 		e.stats.completed(time.Since(r.enqueued), queueWait, execWall, sim)
 		e.record(r, "ok", len(live), queueWait, execWall, time.Since(r.enqueued))
 		r.respond(&Result{
@@ -218,11 +224,9 @@ func (e *endpoint) runBatch(batch []*request, tk *obs.Track) {
 			SimTime:   sim,
 		}, nil)
 	}
-	execArgs := append(traceArgs(live), obs.A("batch", len(live)))
-	tk.Emit("execute:"+e.name, "serve", runStart, time.Since(runStart), execArgs...)
 	// Account the whole reservation on the shared virtual timeline: the
 	// batch occupied its device set exclusively for its summed simulated
 	// cost (this is what /statsz reports as per-device busy time).
 	e.server.timeline.ScheduleMulti(e.opts.Devices, e.name, 0, batchSim)
-	e.stats.batchDone(len(live), time.Since(runStart))
+	e.stats.batchDone(len(live))
 }

@@ -61,9 +61,7 @@ func newEndpoint(name string, lib *runtime.Lib, opts ModelOptions, s *Server) (*
 	// front: the first request should not eat a cold start. Lowering runs
 	// once per Lib (cached); each instance binds its own arena.
 	for i := 0; i < opts.Pool; i++ {
-		gm := runtime.NewGraphModule(lib)
-		gm.SetExecutor(opts.Executor)
-		e.pool <- gm
+		e.pool <- runtime.NewGraphModule(lib)
 	}
 	return e, nil
 }

@@ -78,8 +78,6 @@ type ModelOptions struct {
 	// while executing. Defaults to the set implied by the library's build
 	// options: CPU, plus the NIR target devices on the BYOC path.
 	Devices []soc.DeviceKind
-	// Executor selects the execution strategy for the pooled modules.
-	Executor runtime.ExecutorKind
 	// Gate, when non-nil, is invoked with the batch size immediately before
 	// each batch executes. It exists for tests and benchmarks to shape
 	// traffic deterministically (e.g. hold a worker to force queueing).

@@ -118,7 +118,7 @@ func (c *statsCollector) completed(latency, queueWait, exec time.Duration, sim s
 	c.exec.Observe(exec.Seconds())
 }
 
-func (c *statsCollector) batchDone(size int, wall time.Duration) {
+func (c *statsCollector) batchDone(size int) {
 	c.batches.Inc()
 	c.batchSize.Observe(float64(size))
 }

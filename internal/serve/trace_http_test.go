@@ -2,13 +2,21 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/frontend/keras"
+	"repro/internal/models"
 	"repro/internal/obs"
+	"repro/internal/runtime"
+	"repro/internal/tensor"
 )
 
 // TestInferTraceRoundTrip pins the single-worker trace contract: a request
@@ -188,5 +196,66 @@ func TestHealthzAndMetricszCarrySLO(t *testing.T) {
 		if !strings.Contains(string(mb), want) {
 			t.Errorf("metricsz missing %q", want)
 		}
+	}
+}
+
+// TestOwnExecuteSpanVisibleOnReply: a client that reads /tracez?id= the
+// moment it has its reply finds its own execute span. Two requests ride each
+// batch, so the one answered first asks while the worker is still running
+// the other — the span must already be on the track, not emitted after the
+// batch. The model is tiny and the reply is taken from Submit, so the read
+// follows the reply by microseconds.
+func TestOwnExecuteSpanVisibleOnReply(t *testing.T) {
+	seq := keras.NewSequential("tiny", 7).Input(16, 16, 3).
+		Conv2D(4, 3, 1, "same", "relu").Flatten().Dense(4, "softmax")
+	js, err := seq.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := seq.Weights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := keras.FromKeras(js, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := runtime.Build(mod, runtime.BuildOptions{OptLevel: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer()
+	if err := s.Register("tiny", lib, ModelOptions{Pool: 1, MaxBatch: 2, BatchWindow: time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain()
+	h := s.Handler()
+	inputs := map[string]*tensor.Tensor{mod.Main().Params[0].Name: models.RandomInput(mod, 1)}
+
+	// Returns errors, not t.Fatal: it runs off the test goroutine.
+	submitThenTrace := func() error {
+		tc := obs.MintTrace()
+		if _, err := s.Submit(obs.WithTrace(context.Background(), tc), "tiny", inputs); err != nil {
+			return err
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/tracez?id="+tc.TraceID, nil))
+		if !bytes.Contains(rec.Body.Bytes(), []byte(`"execute:tiny"`)) {
+			return fmt.Errorf("trace %s read right after its reply has no execute span:\n%s", tc.TraceID, rec.Body)
+		}
+		return nil
+	}
+	for round := 0; round < 200 && !t.Failed(); round++ {
+		var wg sync.WaitGroup
+		for c := 0; c < 2; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := submitThenTrace(); err != nil {
+					t.Errorf("round %d: %v", round, err)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
