@@ -4,8 +4,9 @@ GO ?= go
 
 # check is the tier-1 gate: build + formatting + vet + race-enabled tests +
 # cross-registry lint + the custom npvet analyzers + the dataflow analyses
-# over the model zoo + a five-second run of the partitioner fuzz target. CI
-# and pre-commit hooks should run exactly this.
+# over the model zoo + a five-second run of the partitioner fuzz target.
+# Pre-commit hooks should run exactly this; CI runs the same eight
+# prerequisites as named steps.
 check: build fmt vet race lint npvet analyze fuzz-smoke
 
 build:

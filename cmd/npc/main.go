@@ -328,11 +328,7 @@ func analyzeLib(lib *runtime.Lib) *verify.Result {
 	if plan, err := lib.Plan(); err == nil {
 		res.Merge(analysis.PlanSafety(plan.View()))
 	} else {
-		res.Diags = append(res.Diags, verify.Diagnostic{
-			Sev:   verify.SevWarning,
-			Check: "plan-unavailable",
-			Msg:   fmt.Sprintf("module not plannable, plan safety skipped: %v", err),
-		})
+		res.Warnf("plan-unavailable", "", "module not plannable, plan safety skipped: %v", err)
 	}
 	res.Merge(analysis.QuantRanges(lib.Module))
 	regions := make([]string, 0, len(lib.External))

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"fmt"
-
 	"repro/internal/relay"
 	"repro/internal/verify"
 )
@@ -12,40 +10,17 @@ import (
 // memory planner allocates for them and the executor schedules them, so the
 // leak is performance, not correctness — every finding is a warning.
 //
-//	dead-param     a function parameter its body never reads
-//	dead-function  a module function (other than main) that main's body
-//	               never references
+//	dead-param  a function parameter its body never reads
 //
-// Plan-level dead nodes are the plan-dead-node check in PlanSafety, which
-// sees the graph after lowering.
+// A module function main never references is an error, not a leak:
+// verify.Module's dead-binding. Plan-level dead nodes are the
+// plan-dead-node check in PlanSafety, which sees the graph after lowering.
 func DeadCode(m *relay.Module) *verify.Result {
 	res := &verify.Result{}
-	warnf := func(check, where, format string, a ...any) {
-		res.Diags = append(res.Diags, verify.Diagnostic{
-			Sev: verify.SevWarning, Check: check, Where: where, Msg: fmt.Sprintf(format, a...),
-		})
-	}
-
-	// Reachability: every *Function object main's body mentions (partitioned
-	// regions are inlined as the same objects the module registers by name).
-	reachable := map[*relay.Function]bool{}
-	if main := m.Main(); main != nil {
-		reachable[main] = true
-		relay.PostOrderVisit(main, func(e relay.Expr) {
-			if fn, ok := e.(*relay.Function); ok {
-				reachable[fn] = true
-			}
-		})
-	}
-
 	m.Functions(func(name string, fn *relay.Function) {
 		if fn == nil {
 			return
 		}
-		if name != relay.MainFunc && !reachable[fn] {
-			warnf("dead-function", "@"+name, "module function is never referenced from @%s", relay.MainFunc)
-		}
-
 		// Parameter liveness: a param is dead when no Var node of the body
 		// is that object. Nested functions bind their own params, so scan
 		// only this function's immediate body.
@@ -57,7 +32,7 @@ func DeadCode(m *relay.Module) *verify.Result {
 		})
 		for _, p := range fn.Params {
 			if !used[p] {
-				warnf("dead-param", "@"+name, "parameter %%%s is never read", p.Name)
+				res.Warnf("dead-param", "@"+name, "parameter %%%s is never read", p.Name)
 			}
 		}
 	})

@@ -9,18 +9,14 @@ import (
 )
 
 // Device-transfer legality: an audit of a compiled NeuroPilot region's
-// device plan. neuron.CheckPlan enforces the structural half (one enabled,
-// supporting device per operation); this analysis adds the dataflow half —
-// a linear forward scan that tracks which device's memory holds each
-// operand, exactly as the Execution Planner and Estimate do, and flags
-// placements that are legal per-operation but illegal per-value:
+// device plan. The structural half (one enabled, supporting device per
+// operation: plan-length, plan-device, plan-unsupported) is
+// neuron.CompiledModel.CheckPlacement, reported here under the region's
+// name; this analysis adds the dataflow half — a linear forward scan that
+// tracks which device's memory holds each operand, exactly as the Execution
+// Planner and Estimate do, and flags placements that are legal
+// per-operation but illegal per-value:
 //
-//	device-plan-shape       (error) plan length disagrees with the
-//	                        operation list — nothing else is checkable
-//	device-not-enabled      (error) an operation placed on a device outside
-//	                        the enabled set
-//	device-unsupported-op   (error) an operation placed on a device whose
-//	                        supported-op set excludes it
 //	device-gpu-quantized    (error) quantized work placed on the GPU
 //	                        delegate, which has no integer pipeline — the
 //	                        planner never does this, so seeing it means the
@@ -32,25 +28,12 @@ import (
 //	                        memory and pays the DMA twice
 func DeviceLegality(region string, cm *neuron.CompiledModel) *verify.Result {
 	res := &verify.Result{}
-	errorf := func(check, where, format string, a ...any) {
-		res.Diags = append(res.Diags, verify.Diagnostic{
-			Sev: verify.SevError, Check: check, Where: region + ": " + where, Msg: fmt.Sprintf(format, a...),
-		})
+	for _, f := range cm.CheckPlacement() {
+		res.Errorf(f.Check, region+": "+f.Where, "%s", f.Msg)
 	}
-	warnf := func(check, where, format string, a ...any) {
-		res.Diags = append(res.Diags, verify.Diagnostic{
-			Sev: verify.SevWarning, Check: check, Where: region + ": " + where, Msg: fmt.Sprintf(format, a...),
-		})
-	}
-
 	m := cm.Model
 	if len(cm.Plan) != len(m.Operations) {
-		errorf("device-plan-shape", "plan", "plan assigns %d operations, model has %d", len(cm.Plan), len(m.Operations))
-		return res
-	}
-	enabled := map[soc.DeviceKind]bool{}
-	for _, d := range cm.Devices {
-		enabled[d] = true
+		return res // nothing else is checkable
 	}
 
 	// producer[i] is the device whose memory holds operand i right now;
@@ -61,17 +44,11 @@ func DeviceLegality(region string, cm *neuron.CompiledModel) *verify.Result {
 	}
 	for oi, op := range m.Operations {
 		dev := cm.Plan[oi]
-		where := fmt.Sprintf("operation %d (%s)", oi, op.Code)
-		if !enabled[dev] {
-			errorf("device-not-enabled", where, "placed on %s, enabled set is %v", dev, cm.Devices)
-		}
-		if !neuron.SupportedOn(op.Code, dev) {
-			errorf("device-unsupported-op", where, "placed on %s, which does not support %s", dev, op.Code)
-		}
+		where := fmt.Sprintf("%s: operation %d (%s)", region, oi, op.Code)
 		if dev == soc.KindGPU {
 			for _, in := range op.Inputs {
 				if in >= 0 && in < len(m.Operands) && m.Operands[in].Type.DType.IsQuantized() {
-					errorf("device-gpu-quantized", where,
+					res.Errorf("device-gpu-quantized", where,
 						"consumes quantized operand %d (%s) on the GPU delegate, which has no integer pipeline",
 						in, m.Operands[in].Type)
 					break
@@ -84,7 +61,7 @@ func DeviceLegality(region string, cm *neuron.CompiledModel) *verify.Result {
 			}
 			from := producer[in]
 			if (from == soc.KindAPU && dev == soc.KindGPU) || (from == soc.KindGPU && dev == soc.KindAPU) {
-				warnf("device-indirect-transfer", where,
+				res.Warnf("device-indirect-transfer", where,
 					"consumes operand %d produced on %s; there is no %s→%s link, the value stages through host memory",
 					in, from, from, dev)
 			}

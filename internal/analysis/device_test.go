@@ -66,16 +66,16 @@ func TestDeviceLegalityMutations(t *testing.T) {
 		plan    []soc.DeviceKind
 	}{
 		{
-			"plan length mismatch", "device-plan-shape",
+			"plan length mismatch", "plan-length",
 			cpuAPU, []soc.DeviceKind{soc.KindCPU},
 		},
 		{
-			"disabled device", "device-not-enabled",
+			"disabled device", "plan-device",
 			[]soc.DeviceKind{soc.KindCPU},
 			[]soc.DeviceKind{soc.KindCPU, soc.KindCPU, soc.KindAPU},
 		},
 		{
-			"unsupported op on APU", "device-unsupported-op",
+			"unsupported op on APU", "plan-unsupported",
 			cpuAPU, []soc.DeviceKind{soc.KindAPU, soc.KindAPU, soc.KindAPU},
 		},
 		{

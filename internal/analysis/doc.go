@@ -9,10 +9,11 @@
 // safety net the ROADMAP's aggressive-graph-optimization and autotuning
 // items need before searched rewrites and placements are let loose:
 //
-//   - PlanSafety (plansafety.go): an independent interval/aliasing checker
-//     over runtime.ExecPlan exports. It recomputes wavefront levels and
-//     value liveness from the node list alone — trusting nothing the memory
-//     planner recorded — and proves that no two simultaneously-live values
+//   - PlanSafety (plansafety.go): the one checker of runtime.ExecPlan, over
+//     its plain-data export. It recomputes wavefront levels and value
+//     liveness from the node list alone — trusting nothing the memory
+//     planner recorded — and proves that the executor runs every node in
+//     the wavefront so computed, that no two simultaneously-live values
 //     share arena storage, that every dispatch reads only defined, live
 //     slots, and that the GraphModule.OutputCopy aliasing contract holds
 //     (graph outputs on dedicated storage, external-region results owned by
@@ -25,17 +26,16 @@
 //     the uint8/int8 domain, and int32 accumulators that can overflow.
 //
 //   - DeviceLegality (device.go): per-operation device-placement audit over
-//     a compiled NeuroPilot region. Beyond what neuron.CheckPlan enforces
-//     structurally, it propagates producer devices through the operand
-//     table and flags operations that consume values their Execution
-//     Planner device cannot legally receive (quantized tensors on the GPU
-//     delegate, direct APU<->GPU hand-offs that real hardware must stage
-//     through the host).
+//     a compiled NeuroPilot region. Beyond what neuron's CheckPlacement
+//     enforces structurally, it propagates producer devices through the
+//     operand table and flags operations that consume values their
+//     Execution Planner device cannot legally receive (quantized tensors on
+//     the GPU delegate, direct APU<->GPU hand-offs that real hardware must
+//     stage through the host).
 //
 //   - DeadCode (deadcode.go): unused-value detection over relay modules
-//     (never-read parameters, unreferenced region functions) and — via
-//     PlanSafety's backward needed-ness pass — plan nodes whose results no
-//     output depends on.
+//     (never-read parameters) and — via PlanSafety's backward needed-ness
+//     pass — plan nodes whose results no output depends on.
 //
 // The package sits between internal/verify (which it reports through) and
 // internal/runtime (which exports plan views to it): it imports relay,

@@ -4,10 +4,11 @@ import "repro/internal/tensor"
 
 // PlanView is the neutral, plain-data export of a runtime.ExecPlan that the
 // plan-safety checker consumes. It deliberately carries only what the
-// executor *does* — the node list with its reads and writes, the slot
-// table, and the storage assignment — and none of what the memory planner
-// *concluded* (levels, liveness intervals): the checker recomputes those
-// from scratch so a planner bug cannot vouch for itself.
+// executor *does* — the node list with its reads and writes and the
+// wavefront each node runs in, the slot table, and the storage assignment —
+// and none of what the memory planner *concluded* (liveness intervals): the
+// checker recomputes those, and the levels, from scratch so a planner bug
+// cannot vouch for itself.
 // runtime.(*ExecPlan).View produces one.
 type PlanView struct {
 	Nodes    []PlanNode
@@ -32,6 +33,9 @@ type PlanNode struct {
 	ID    int
 	Kind  string // PlanNodeOp | PlanNodePrimitive | PlanNodeExternal
 	Label string
+	// Level is the wavefront the executor runs the node in: nodes of one
+	// level run concurrently, levels run in order.
+	Level int
 	Args  []int
 	Outs  []int
 	// Sub is the serial sub-plan of a fused primitive node; it is audited

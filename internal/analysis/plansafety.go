@@ -9,13 +9,11 @@ import (
 // PlanSafety is the independent memory-plan checker: it re-derives, from the
 // node list alone, everything runtime's memory planner claims about a plan —
 // dependency levels, value liveness, storage lifetimes — and audits the
-// storage assignment against the recomputation. runtime.VerifyPlan checks
-// that the plan is *self-consistent* (its recorded levels and intervals
-// match its structure); PlanSafety checks that the plan is *safe* even if
-// every recorded conclusion were wrong, which is what makes it a meaningful
-// gate for the aggressive rewrites and searched placements the ROADMAP
-// plans: a planner bug and a matching verifier bug would have to conspire
-// across two codebases to let a corrupt plan through.
+// storage assignment against the recomputation. It is the one gate
+// runtime.BuildPlan puts every plan through, and it consults none of the
+// planner's recorded conclusions, so a planner bug cannot vouch for itself —
+// which is what makes it a meaningful gate for the aggressive rewrites and
+// searched placements the ROADMAP plans.
 //
 // Checks (error severity unless noted):
 //
@@ -23,6 +21,12 @@ import (
 //	plan-topo-order      a node reads only slots produced by earlier nodes
 //	plan-single-def      every slot is written exactly once, by its Producer
 //	plan-read-undef      every read is of a produced, constant, or input slot
+//	plan-output-def      every graph output is a produced, constant, or input
+//	                     slot
+//	plan-level-order     a node executes in the wavefront one past its deepest
+//	                     producer's: the levels liveness is recomputed in are
+//	                     the levels the executor runs, and no node shares a
+//	                     wavefront with a value it reads
 //	plan-storage-shape   a slot's dtype/element count matches its storage
 //	plan-storage-alias   no two simultaneously-live slots share a storage,
 //	                     under liveness recomputed here (includes the
@@ -43,19 +47,11 @@ func PlanSafety(v *PlanView) *verify.Result {
 }
 
 func planSafetyInto(v *PlanView, prefix string, res *verify.Result) {
-	errorf := func(check, where, format string, a ...any) {
-		res.Diags = append(res.Diags, verify.Diagnostic{
-			Sev: verify.SevError, Check: check, Where: prefix + where, Msg: fmt.Sprintf(format, a...),
-		})
-	}
-	warnf := func(check, where, format string, a ...any) {
-		res.Diags = append(res.Diags, verify.Diagnostic{
-			Sev: verify.SevWarning, Check: check, Where: prefix + where, Msg: fmt.Sprintf(format, a...),
-		})
-	}
 	nodeWhere := func(n *PlanNode) string {
-		return fmt.Sprintf("node %d (%s %s)", n.ID, n.Kind, n.Label)
+		return fmt.Sprintf("%snode %d (%s %s)", prefix, n.ID, n.Kind, n.Label)
 	}
+	slotWhere := func(i int) string { return fmt.Sprintf("%sslot %d", prefix, i) }
+	outputWhere := func(i int) string { return fmt.Sprintf("%soutput %d", prefix, i) }
 
 	// Pass 1: index sanity. Everything downstream dereferences slot and
 	// storage ids, so a plan that fails here is reported and abandoned —
@@ -66,26 +62,26 @@ func planSafetyInto(v *PlanView, prefix string, res *verify.Result) {
 		n := &v.Nodes[i]
 		for _, s := range n.Args {
 			if !slotOK(s) {
-				errorf("plan-slot-range", nodeWhere(n), "argument slot %d out of range [0,%d)", s, len(v.Slots))
+				res.Errorf("plan-slot-range", nodeWhere(n), "argument slot %d out of range [0,%d)", s, len(v.Slots))
 				indexOK = false
 			}
 		}
 		for _, s := range n.Outs {
 			if !slotOK(s) {
-				errorf("plan-slot-range", nodeWhere(n), "output slot %d out of range [0,%d)", s, len(v.Slots))
+				res.Errorf("plan-slot-range", nodeWhere(n), "output slot %d out of range [0,%d)", s, len(v.Slots))
 				indexOK = false
 			}
 		}
 	}
 	for i, sl := range v.Slots {
 		if sl.Storage >= len(v.Storages) {
-			errorf("plan-slot-range", fmt.Sprintf("slot %d", i), "storage id %d out of range [0,%d)", sl.Storage, len(v.Storages))
+			res.Errorf("plan-slot-range", slotWhere(i), "storage id %d out of range [0,%d)", sl.Storage, len(v.Storages))
 			indexOK = false
 		}
 	}
 	for i, s := range v.Outputs {
 		if !slotOK(s) {
-			errorf("plan-slot-range", fmt.Sprintf("output %d", i), "slot %d out of range [0,%d)", s, len(v.Slots))
+			res.Errorf("plan-slot-range", outputWhere(i), "slot %d out of range [0,%d)", s, len(v.Slots))
 			indexOK = false
 		}
 	}
@@ -101,25 +97,25 @@ func planSafetyInto(v *PlanView, prefix string, res *verify.Result) {
 			sl := &v.Slots[s]
 			switch {
 			case sl.Producer >= len(v.Nodes):
-				errorf("plan-slot-range", nodeWhere(n), "slot %d names producer %d beyond the node list", s, sl.Producer)
+				res.Errorf("plan-slot-range", nodeWhere(n), "slot %d names producer %d beyond the node list", s, sl.Producer)
 				return
 			case sl.Producer >= n.ID:
-				errorf("plan-topo-order", nodeWhere(n), "reads slot %d produced by node %d, which has not executed yet", s, sl.Producer)
+				res.Errorf("plan-topo-order", nodeWhere(n), "reads slot %d produced by node %d, which has not executed yet", s, sl.Producer)
 			case sl.Producer < 0 && !sl.IsConst && !sl.IsInput:
-				errorf("plan-read-undef", nodeWhere(n), "reads slot %d, which is neither produced, constant, nor a graph input", s)
+				res.Errorf("plan-read-undef", nodeWhere(n), "reads slot %d, which is neither produced, constant, nor a graph input", s)
 			}
 		}
 		for _, s := range n.Outs {
 			defs[s]++
 			if v.Slots[s].Producer != n.ID {
-				errorf("plan-single-def", nodeWhere(n), "writes slot %d whose recorded producer is node %d", s, v.Slots[s].Producer)
+				res.Errorf("plan-single-def", nodeWhere(n), "writes slot %d whose recorded producer is node %d", s, v.Slots[s].Producer)
 			}
 		}
 		switch n.Kind {
 		case PlanNodeExternal:
 			for _, s := range n.Outs {
 				if v.Slots[s].Storage >= 0 {
-					errorf("plan-external-arena", nodeWhere(n),
+					res.Errorf("plan-external-arena", nodeWhere(n),
 						"external result slot %d is arena-backed (storage %d); the Neuron runtime owns its buffers, "+
 							"an arena view here would alias a planner buffer", s, v.Slots[s].Storage)
 				}
@@ -127,33 +123,40 @@ func planSafetyInto(v *PlanView, prefix string, res *verify.Result) {
 		case PlanNodeOp, PlanNodePrimitive:
 			for _, s := range n.Outs {
 				if v.Slots[s].Storage < 0 {
-					errorf("plan-missing-storage", nodeWhere(n),
+					res.Errorf("plan-missing-storage", nodeWhere(n),
 						"result slot %d has no arena storage; the kernel would write into a nil view", s)
 				}
 			}
 		}
 	}
 	for i, sl := range v.Slots {
-		where := fmt.Sprintf("slot %d", i)
+		where := slotWhere(i)
 		switch {
 		case sl.Producer < 0 && defs[i] != 0:
-			errorf("plan-single-def", where, "producer-less slot written by %d node(s)", defs[i])
+			res.Errorf("plan-single-def", where, "producer-less slot written by %d node(s)", defs[i])
 		case sl.Producer >= 0 && defs[i] != 1:
-			errorf("plan-single-def", where, "slot written %d times, want exactly once", defs[i])
+			res.Errorf("plan-single-def", where, "slot written %d times, want exactly once", defs[i])
 		}
 		if sl.Storage >= 0 {
 			st := v.Storages[sl.Storage]
 			if st.DType != sl.DType || st.Elems != sl.Elems {
-				errorf("plan-storage-shape", where, "slot is %v x%d elems but storage %d is %v x%d",
+				res.Errorf("plan-storage-shape", where, "slot is %v x%d elems but storage %d is %v x%d",
 					sl.DType, sl.Elems, sl.Storage, st.DType, st.Elems)
 			}
+		}
+	}
+
+	for i, s := range v.Outputs {
+		if sl := &v.Slots[s]; sl.Producer < 0 && !sl.IsConst && !sl.IsInput {
+			res.Errorf("plan-output-def", outputWhere(i), "slot %d is neither produced, constant, nor a graph input", s)
 		}
 	}
 
 	// Pass 3: recompute dependency levels with a forward dataflow solve —
 	// level(n) = 1 + max(level of producers), 0 with no producers — then
 	// derive each slot's live interval [def level, deepest reading level]
-	// from the actual reads. Nothing recorded in the plan is consulted.
+	// from the actual reads. The only recorded level consulted is the one
+	// the executor runs a node in, and only to demand it equals this one.
 	g := v.Graph()
 	levels, err := Solve(g, Problem[int]{
 		Dir:  Forward,
@@ -171,8 +174,15 @@ func planSafetyInto(v *PlanView, prefix string, res *verify.Result) {
 	})
 	if err != nil {
 		// A read-before-write cycle: already reported as plan-topo-order.
-		errorf("plan-topo-order", "plan", "level recomputation diverged: %v", err)
+		res.Errorf("plan-topo-order", prefix+"plan", "level recomputation diverged: %v", err)
 		return
+	}
+
+	for i := range v.Nodes {
+		if n := &v.Nodes[i]; n.Level != levels[n.ID] {
+			res.Errorf("plan-level-order", nodeWhere(n),
+				"executes in wavefront level %d, its producers put it at level %d", n.Level, levels[n.ID])
+		}
 	}
 
 	defLevel := make([]int, len(v.Slots))
@@ -210,15 +220,15 @@ func planSafetyInto(v *PlanView, prefix string, res *verify.Result) {
 		for i := 0; i < len(group); i++ {
 			for j := i + 1; j < len(group); j++ {
 				a, b := group[i], group[j]
-				where := fmt.Sprintf("storage %d", sid)
+				where := fmt.Sprintf("%sstorage %d", prefix, sid)
 				if v.Slots[a].IsOutput || v.Slots[b].IsOutput {
-					errorf("plan-output-alias", where,
+					res.Errorf("plan-output-alias", where,
 						"graph-output slot shares storage with another slot (slots %d, %d); "+
 							"OutputCopy's contract requires outputs on dedicated buffers", a, b)
 					continue
 				}
 				if defLevel[a] <= lastUse[b] && defLevel[b] <= lastUse[a] {
-					errorf("plan-storage-alias", where,
+					res.Errorf("plan-storage-alias", where,
 						"slots %d (live levels [%d,%d]) and %d (live levels [%d,%d]) share storage while simultaneously live",
 						a, defLevel[a], lastUse[a], b, defLevel[b], lastUse[b])
 				}
@@ -261,7 +271,7 @@ func planSafetyInto(v *PlanView, prefix string, res *verify.Result) {
 	if err == nil {
 		for i := range v.Nodes {
 			if !needed[i] {
-				warnf("plan-dead-node", nodeWhere(&v.Nodes[i]), "no graph output depends on this node's results")
+				res.Warnf("plan-dead-node", nodeWhere(&v.Nodes[i]), "no graph output depends on this node's results")
 			}
 		}
 	}

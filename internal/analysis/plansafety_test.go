@@ -16,10 +16,10 @@ import (
 func chainView() *PlanView {
 	return &PlanView{
 		Nodes: []PlanNode{
-			{ID: 0, Kind: PlanNodeOp, Label: "a", Args: []int{0}, Outs: []int{2}},
-			{ID: 1, Kind: PlanNodeOp, Label: "b", Args: []int{2}, Outs: []int{3}},
-			{ID: 2, Kind: PlanNodeOp, Label: "c", Args: []int{3}, Outs: []int{4}},
-			{ID: 3, Kind: PlanNodeOp, Label: "d", Args: []int{4, 1}, Outs: []int{5}},
+			{ID: 0, Kind: PlanNodeOp, Label: "a", Level: 0, Args: []int{0}, Outs: []int{2}},
+			{ID: 1, Kind: PlanNodeOp, Label: "b", Level: 1, Args: []int{2}, Outs: []int{3}},
+			{ID: 2, Kind: PlanNodeOp, Label: "c", Level: 2, Args: []int{3}, Outs: []int{4}},
+			{ID: 3, Kind: PlanNodeOp, Label: "d", Level: 3, Args: []int{4, 1}, Outs: []int{5}},
 		},
 		Slots: []PlanSlot{
 			{DType: tensor.Float32, Elems: 16, Storage: -1, Producer: -1, IsInput: true},
@@ -107,6 +107,19 @@ func TestPlanSafetyMutations(t *testing.T) {
 			func(v *PlanView) { v.Nodes[2].Kind = PlanNodeExternal },
 		},
 		{
+			// The executor would run node 1 concurrently with node 0,
+			// whose result it reads.
+			"node levelled with its producer", "plan-level-order",
+			func(v *PlanView) { v.Nodes[1].Level = 0 },
+		},
+		{
+			"undefined graph output", "plan-output-def",
+			func(v *PlanView) {
+				v.Slots = append(v.Slots, PlanSlot{DType: tensor.Float32, Elems: 16, Storage: -1, Producer: -1})
+				v.Outputs[0] = len(v.Slots) - 1
+			},
+		},
+		{
 			"dead node", "plan-dead-node",
 			func(v *PlanView) {
 				// Detach node 1/2's chain from the output: node 3 reads the
@@ -165,7 +178,7 @@ func TestPlanSafetyExternalOutputs(t *testing.T) {
 	v := &PlanView{
 		Nodes: []PlanNode{
 			{ID: 0, Kind: PlanNodeExternal, Label: "nir_0", Args: []int{0}, Outs: []int{1}},
-			{ID: 1, Kind: PlanNodeOp, Label: "softmax", Args: []int{1}, Outs: []int{2}},
+			{ID: 1, Kind: PlanNodeOp, Label: "softmax", Level: 1, Args: []int{1}, Outs: []int{2}},
 		},
 		Slots: []PlanSlot{
 			{DType: tensor.UInt8, Elems: 4, Storage: -1, Producer: -1, IsInput: true},

@@ -179,10 +179,7 @@ func analyzeQuantFn(fnName string, fn *relay.Function, audited map[relay.Expr]bo
 		Equal:    func(a, b Interval) bool { return a == b },
 	})
 	if err != nil {
-		res.Diags = append(res.Diags, verify.Diagnostic{
-			Sev: verify.SevError, Check: "quant-diverged",
-			Where: "@" + fnName, Msg: err.Error(),
-		})
+		res.Errorf("quant-diverged", "@"+fnName, "%v", err)
 		return
 	}
 
@@ -416,21 +413,15 @@ func matmulInterval(c *relay.Call, dep func(int) Interval) Interval {
 // intervals.
 func auditQuantCall(fnName string, c *relay.Call, argFact func(int) Interval, res *verify.Result) {
 	where := "@" + fnName + ": " + verify.Summarize(c)
-	errorf := func(check, format string, a ...any) {
-		res.Diags = append(res.Diags, verify.Diagnostic{Sev: verify.SevError, Check: check, Where: where, Msg: fmt.Sprintf(format, a...)})
-	}
-	warnf := func(check, format string, a ...any) {
-		res.Diags = append(res.Diags, verify.Diagnostic{Sev: verify.SevWarning, Check: check, Where: where, Msg: fmt.Sprintf(format, a...)})
-	}
 	checkAffine := func(scale float64, zp int, dtype, role string) bool {
 		ok := true
 		if !(scale > 0) || math.IsNaN(scale) || math.IsInf(scale, 0) {
-			errorf("quant-bad-scale", "%s scale %g is not a positive finite number; the affine map is degenerate", role, scale)
+			res.Errorf("quant-bad-scale", where, "%s scale %g is not a positive finite number; the affine map is degenerate", role, scale)
 			ok = false
 		}
 		if qmin, qmax, dok := qdomain(dtype); dok {
 			if float64(zp) < qmin || float64(zp) > qmax {
-				errorf("quant-bad-zero-point", "%s zero point %d is outside the %s domain [%g, %g]; real zero becomes unrepresentable",
+				res.Errorf("quant-bad-zero-point", where, "%s zero point %d is outside the %s domain [%g, %g]; real zero becomes unrepresentable",
 					role, zp, dtype, qmin, qmax)
 				ok = false
 			}
@@ -461,11 +452,11 @@ func auditQuantCall(fnName string, c *relay.Call, argFact func(int) Interval, re
 		// uint8 grid clips half an ulp at the positive edge by design);
 		// real saturation exceeds it by construction.
 		if slack := 1e-9 + 1e-2*r.AbsMax(); in.Lo < r.Lo-slack || in.Hi > r.Hi+slack {
-			warnf("quant-saturate", "incoming range %v exceeds the representable range %v; values will clip", in, r)
+			res.Warnf("quant-saturate", where, "incoming range %v exceeds the representable range %v; values will clip", in, r)
 			return
 		}
 		if inW, rW := in.Hi-in.Lo, r.Hi-r.Lo; inW > 0 && rW > 0 && inW < rW/8 {
-			warnf("quant-low-coverage", "incoming range %v uses %.1f%% of the representable range %v; "+
+			res.Warnf("quant-low-coverage", where, "incoming range %v uses %.1f%% of the representable range %v; "+
 				"the scale wastes most of the %s domain", in, 100*inW/rW, r, dtype)
 		}
 	case "qnn.dequantize":
@@ -474,7 +465,7 @@ func auditQuantCall(fnName string, c *relay.Call, argFact func(int) Interval, re
 		// Worst-case int32 accumulation: K products of 8-bit magnitudes.
 		if k := reductionSize(c); k > 0 {
 			if worst := float64(k) * 255 * 255; worst > float64(math.MaxInt32) {
-				errorf("quant-acc-overflow", "reduction of %d 8-bit products can reach %.3g, overflowing the int32 accumulator", k, worst)
+				res.Errorf("quant-acc-overflow", where, "reduction of %d 8-bit products can reach %.3g, overflowing the int32 accumulator", k, worst)
 			}
 		}
 	}

@@ -1,196 +1,91 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"html/template"
 	"net/http"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/serve"
 )
 
-// The /dashboardz surface: one server-rendered HTML page assembled from the
-// same sources the machine-readable endpoints expose — the fleet roster,
-// each worker's /statsz and /debugz/cache scrape, the SLO state captured by
-// the health probes, and the merged flight-recorder slow lane. No scripts, no
-// external assets: curl it, open it in a browser, or archive it as a CI
-// artifact and it still renders.
+// The /dashboardz surface: one server-rendered HTML page over the values the
+// machine-readable endpoints serve — the /statsz document (roster, totals,
+// each worker's own /statsz), the /debugz/requests slow lane, the SLO state
+// captured by the health probes, and each worker's /debugz/cache. No
+// scripts, no external assets: curl it, open it in a browser, or archive it
+// as a CI artifact and it still renders.
 
-// dashModel is one (worker, model) serving row.
-type dashModel struct {
-	Model     string
-	Version   string
-	Completed uint64
-	Failed    uint64
-	Rejected  uint64
-	Expired   uint64
-	QPS       float64
-	P50Ms     float64
-	P95Ms     float64
-	P99Ms     float64
-}
-
-// dashSLO is one SLO budget bar.
-type dashSLO struct {
-	Model         string
-	BurnRate      float64
-	BudgetPct     float64 // BudgetRemaining * 100, for the bar width
-	Healthy       bool
-	Requests      uint64
-	ThresholdMs   float64
-	QuantileLabel string
-}
-
-// dashCache is one worker's artifact-cache line.
-type dashCache struct {
-	HitRatePct float64
-	Hits       uint64
-	Misses     uint64
-	Builds     uint64
-	MemEntries int
-}
-
-// dashWorker is one worker's dashboard section.
+// dashWorker is one worker's dashboard section. Stats is nil for a worker
+// that is down or whose /statsz could not be read; Cache is nil for a worker
+// without /debugz/cache (npserve mounts it, a bare serve.Server has none).
 type dashWorker struct {
-	Info    WorkerInfo
-	Models  []dashModel
-	SLO     []dashSLO
-	Cache   *dashCache
-	ScrapeE string
-}
-
-// dashSlow is one slow-request row linking into the stitched trace view.
-type dashSlow struct {
-	TraceID string
-	Model   string
-	Worker  string
-	Status  string
-	TotalMs float64
-	QueueMs float64
-	ExecMs  float64
+	Info  WorkerInfo
+	Stats *serve.StatsResponse
+	SLO   []obs.SLOStatus
+	Cache *registry.CacheStats
 }
 
 // dashData is everything the template renders.
 type dashData struct {
-	Generated  string
-	UptimeMin  float64
-	Registered int
-	Healthy    int
-	Routed     float64
-	Retried    float64
-	Failed     float64
-	Workers    []dashWorker
-	Slow       []dashSlow
+	Generated string
+	Fleet     FleetStats
+	Healthy   int
+	Workers   []dashWorker
+	// Slow is the fleet-wide slow lane, worst first, capped for the page.
+	Slow []obs.FlightRecord
 }
 
-// dashboardData assembles the page model from the roster and live scrapes.
+// dashboardData assembles the page model.
 func (rt *Router) dashboardData() dashData {
 	d := dashData{
 		Generated: rt.now().UTC().Format(time.RFC3339),
-		UptimeMin: rt.now().Sub(rt.start).Minutes(),
-		Routed:    rt.sumRouted(),
-		Retried:   rt.retriedC.Value(),
-		Failed:    rt.failedC.Value(),
+		Fleet:     rt.fleetStats(),
+		Slow:      rt.debugRequests().Slow,
 	}
-	for _, wi := range rt.Workers() {
-		d.Registered++
-		if wi.Healthy && !wi.Draining {
-			d.Healthy++
-		}
-		dw := dashWorker{Info: wi}
-		if wi.Healthy {
-			rt.fillWorker(&dw)
-		}
-		d.Workers = append(d.Workers, dw)
-	}
-	// Fleet-wide slow lane, worst first, capped for the page.
-	for _, wi := range d.Workers {
-		if !wi.Info.Healthy {
-			continue
-		}
-		var dr serve.DebugRequestsResponse
-		if err := rt.getJSON(wi.Info.URL+"/debugz/requests", &dr); err != nil {
-			rt.scrapeErrC.Inc()
-			continue
-		}
-		for _, rec := range dr.Slow {
-			d.Slow = append(d.Slow, dashSlow{
-				TraceID: rec.TraceID, Model: rec.Model, Worker: wi.Info.Key,
-				Status: rec.Status, TotalMs: rec.TotalMs,
-				QueueMs: rec.QueueMs, ExecMs: rec.ExecMs,
-			})
-		}
-	}
-	sort.Slice(d.Slow, func(i, j int) bool { return d.Slow[i].TotalMs > d.Slow[j].TotalMs })
+	d.Healthy = routable(d.Fleet.Workers)
 	if len(d.Slow) > 10 {
 		d.Slow = d.Slow[:10]
+	}
+	caches := map[string]*registry.CacheStats{}
+	rt.eachHealthy("/debugz/cache", func(wi WorkerInfo, body []byte) error {
+		var cs registry.CacheStats
+		err := json.Unmarshal(body, &cs)
+		if err == nil {
+			caches[wi.Key] = &cs
+		}
+		return err
+	})
+	for _, wi := range d.Fleet.Workers {
+		dw := dashWorker{Info: wi, Cache: caches[wi.Key]}
+		if raw, ok := d.Fleet.PerWork[wi.Key]; ok {
+			var st serve.StatsResponse
+			if json.Unmarshal(raw, &st) == nil {
+				dw.Stats = &st
+			}
+		}
+		if wi.Healthy {
+			dw.SLO = rt.sloOf(wi.Key)
+		}
+		d.Workers = append(d.Workers, dw)
 	}
 	return d
 }
 
-// fillWorker scrapes one healthy worker's stats, SLO state, and cache
-// counters into its dashboard section. Scrape failures degrade to an error
-// note — the dashboard must render even with half the fleet unreachable.
-func (rt *Router) fillWorker(dw *dashWorker) {
-	var st serve.StatsResponse
-	if err := rt.getJSON(dw.Info.URL+"/statsz", &st); err != nil {
-		rt.scrapeErrC.Inc()
-		dw.ScrapeE = err.Error()
-		return
-	}
-	uptimeSec := st.UptimeMs / 1000
-	for _, m := range st.Models {
-		row := dashModel{
-			Model: m.Model, Version: m.Version,
-			Completed: m.Completed, Failed: m.Failed,
-			Rejected: m.Rejected, Expired: m.Expired,
-			P50Ms: m.Latency.P50Ms, P95Ms: m.Latency.P95Ms, P99Ms: m.Latency.P99Ms,
+var dashTemplate = template.Must(template.New("dashboardz").Funcs(template.FuncMap{
+	"minutes": func(ms float64) float64 { return ms / 60_000 },
+	"pct":     func(fraction float64) float64 { return fraction * 100 },
+	"pnn":     func(quantile float64) string { return fmt.Sprintf("p%g", quantile*100) },
+	"qps": func(completed uint64, uptimeMs float64) float64 {
+		if uptimeMs <= 0 {
+			return 0
 		}
-		if uptimeSec > 0 {
-			row.QPS = float64(m.Completed) / uptimeSec
-		}
-		dw.Models = append(dw.Models, row)
-	}
-
-	rt.mu.RLock()
-	var slo []obs.SLOStatus
-	if ws, ok := rt.workers[dw.Info.Key]; ok {
-		slo = append(slo, ws.slo...)
-	}
-	rt.mu.RUnlock()
-	for _, s := range slo {
-		dw.SLO = append(dw.SLO, dashSLO{
-			Model:         s.Model,
-			BurnRate:      s.BurnRate,
-			BudgetPct:     s.BudgetRemaining * 100,
-			Healthy:       s.Healthy,
-			Requests:      s.Requests,
-			ThresholdMs:   s.ThresholdMs,
-			QuantileLabel: fmt.Sprintf("p%g", s.ObjectiveQuantile*100),
-		})
-	}
-
-	// /debugz/cache is mounted by npserve; workers without it (tests, bare
-	// serve.Server) just omit the cache line.
-	var cs struct {
-		Hits       uint64  `json:"hits"`
-		Misses     uint64  `json:"misses"`
-		Builds     uint64  `json:"builds"`
-		MemEntries int     `json:"mem_entries"`
-		HitRate    float64 `json:"hit_rate"`
-	}
-	if err := rt.getJSON(dw.Info.URL+"/debugz/cache", &cs); err == nil {
-		dw.Cache = &dashCache{
-			HitRatePct: cs.HitRate * 100,
-			Hits:       cs.Hits, Misses: cs.Misses,
-			Builds: cs.Builds, MemEntries: cs.MemEntries,
-		}
-	}
-}
-
-var dashTemplate = template.Must(template.New("dashboardz").Parse(`<!doctype html>
+		return float64(completed) / (uptimeMs / 1000)
+	},
+}).Parse(`<!doctype html>
 <html><head><meta charset="utf-8"><title>npfleet dashboard</title>
 <style>
 body { font: 14px/1.5 system-ui, sans-serif; margin: 2rem; color: #1a2330; }
@@ -205,38 +100,38 @@ th { background: #eef2f7; } td:first-child, th:first-child { text-align: left; }
 a { color: #1a56b0; text-decoration: none; } a:hover { text-decoration: underline; }
 </style></head><body>
 <h1>npfleet dashboard</h1>
-<p class="meta">generated {{.Generated}} · router up {{printf "%.1f" .UptimeMin}} min ·
-{{.Healthy}}/{{.Registered}} workers healthy ·
-routed {{printf "%.0f" .Routed}} · retried {{printf "%.0f" .Retried}} · failed {{printf "%.0f" .Failed}}</p>
+<p class="meta">generated {{.Generated}} · router up {{printf "%.1f" (minutes .Fleet.UptimeMs)}} min ·
+{{.Healthy}}/{{len .Workers}} workers healthy ·
+routed {{printf "%.0f" .Fleet.Routed}} · retried {{printf "%.0f" .Fleet.Retried}} · failed {{printf "%.0f" .Fleet.Failed}}</p>
 
 {{range .Workers}}
 <h2>worker {{.Info.Key}} <span class="meta">{{.Info.URL}}</span>
 {{if not .Info.Healthy}}<span class="bad">DOWN</span>{{else if .Info.Draining}}<span class="bad">draining</span>{{else}}<span class="ok">healthy</span>{{end}}</h2>
-{{if .ScrapeE}}<p class="bad">stats scrape failed: {{.ScrapeE}}</p>{{end}}
-{{if .Models}}
+{{if and .Info.Healthy (not .Stats)}}<p class="bad">stats scrape failed</p>{{end}}
+{{with .Stats}}{{if .Models}}{{$up := .UptimeMs}}
 <table>
 <tr><th>model</th><th>version</th><th>qps</th><th>completed</th><th>failed</th><th>rejected</th><th>expired</th><th>p50 ms</th><th>p95 ms</th><th>p99 ms</th></tr>
 {{range .Models}}
-<tr><td>{{.Model}}</td><td>{{.Version}}</td><td>{{printf "%.2f" .QPS}}</td><td>{{.Completed}}</td>
+<tr><td>{{.Model}}</td><td>{{.Version}}</td><td>{{printf "%.2f" (qps .Completed $up)}}</td><td>{{.Completed}}</td>
 <td{{if .Failed}} class="bad"{{end}}>{{.Failed}}</td><td>{{.Rejected}}</td><td>{{.Expired}}</td>
-<td>{{printf "%.2f" .P50Ms}}</td><td>{{printf "%.2f" .P95Ms}}</td><td>{{printf "%.2f" .P99Ms}}</td></tr>
+<td>{{printf "%.2f" .Latency.P50Ms}}</td><td>{{printf "%.2f" .Latency.P95Ms}}</td><td>{{printf "%.2f" .Latency.P99Ms}}</td></tr>
 {{end}}
 </table>
-{{end}}
+{{end}}{{end}}
 {{if .SLO}}
 <table>
 <tr><th>SLO</th><th>objective</th><th>window reqs</th><th>burn rate</th><th>budget left</th><th></th></tr>
 {{range .SLO}}
-<tr><td>{{.Model}}</td><td>{{.QuantileLabel}} &le; {{printf "%.0f" .ThresholdMs}} ms</td>
+<tr><td>{{.Model}}</td><td>{{pnn .ObjectiveQuantile}} &le; {{printf "%.0f" .ThresholdMs}} ms</td>
 <td>{{.Requests}}</td>
 <td{{if not .Healthy}} class="bad"{{end}}>{{printf "%.2f" .BurnRate}}</td>
-<td>{{printf "%.0f" .BudgetPct}}%</td>
-<td><span class="bar"><i style="width: {{printf "%.0f" .BudgetPct}}%"></i></span></td></tr>
+<td>{{printf "%.0f" (pct .BudgetRemaining)}}%</td>
+<td><span class="bar"><i style="width: {{printf "%.0f" (pct .BudgetRemaining)}}%"></i></span></td></tr>
 {{end}}
 </table>
 {{end}}
-{{if .Cache}}<p class="meta">artifact cache: {{printf "%.0f" .Cache.HitRatePct}}% hit rate
-({{.Cache.Hits}} hits / {{.Cache.Misses}} misses, {{.Cache.Builds}} builds, {{.Cache.MemEntries}} resident)</p>{{end}}
+{{with .Cache}}<p class="meta">artifact cache: {{printf "%.0f" (pct .HitRate)}}% hit rate
+({{.Hits}} hits / {{.Misses}} misses, {{.Builds}} builds, {{.MemEntries}} resident)</p>{{end}}
 {{end}}
 
 <h2>slowest requests</h2>

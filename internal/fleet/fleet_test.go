@@ -289,3 +289,68 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 	t.Fatalf("timed out waiting for %s", what)
 }
+
+// TestFleetStatsKeysPinned: benchmark/ and the CI artifact readers depend on
+// the /statsz document's keys, top level and roster rows.
+func TestFleetStatsKeysPinned(t *testing.T) {
+	_, w1 := newWorker(t, "emotion")
+	rt := NewRouter(Options{})
+	rts := httptest.NewServer(rt.Handler())
+	defer rts.Close()
+	registerWorker(t, rts.URL, "w1", w1.URL)
+
+	var raw map[string]json.RawMessage
+	mustGetJSON(t, rts.URL+"/statsz", &raw)
+	pinned := []string{"uptime_ms", "workers", "routed_requests", "retried_requests", "failed_requests", "worker_statsz"}
+	for _, key := range pinned {
+		if _, ok := raw[key]; !ok {
+			t.Errorf("statsz missing pinned key %q", key)
+		}
+	}
+	if len(raw) != len(pinned) {
+		t.Errorf("statsz has %d keys, want the %d pinned ones", len(raw), len(pinned))
+	}
+	var roster []map[string]json.RawMessage
+	if err := json.Unmarshal(raw["workers"], &roster); err != nil || len(roster) != 1 {
+		t.Fatalf("workers: %v, %d rows", err, len(roster))
+	}
+	for _, key := range []string{"key", "url", "models", "healthy", "draining", "probes", "beats"} {
+		if _, ok := roster[0][key]; !ok {
+			t.Errorf("roster row missing pinned key %q", key)
+		}
+	}
+	var perWorker map[string]serve.StatsResponse
+	if err := json.Unmarshal(raw["worker_statsz"], &perWorker); err != nil || len(perWorker["w1"].Models) != 1 {
+		t.Errorf("worker_statsz[w1] is not the worker's /statsz document: %v", err)
+	}
+}
+
+// TestRouterBodyCap: the router reads at most serve.MaxInferBody bytes of an
+// inference and maxControlBody of a control request; longer bodies get 413.
+func TestRouterBodyCap(t *testing.T) {
+	h := NewRouter(Options{}).Handler()
+	cases := []struct {
+		path  string
+		limit int
+	}{
+		{"/v1/infer", serve.MaxInferBody},
+		{"/fleet/register", maxControlBody},
+		{"/fleet/heartbeat", maxControlBody},
+		{"/fleet/deregister", maxControlBody},
+	}
+	for _, tc := range cases {
+		t.Run(tc.path, func(t *testing.T) {
+			huge := `{"key":"` + strings.Repeat("a", tc.limit) + `"}`
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(huge)))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("oversized body: status %d, want 413: %s", rec.Code, rec.Body)
+			}
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(`{"key":"w9"}`)))
+			if rec.Code == http.StatusRequestEntityTooLarge {
+				t.Errorf("ordinary body: status 413: %s", rec.Body)
+			}
+		})
+	}
+}

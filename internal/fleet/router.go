@@ -7,53 +7,14 @@
 package fleet
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
-
-// WorkerInfo is one registered worker as reported on /fleet/workers.
-type WorkerInfo struct {
-	// Key is the worker's device key (tracker vocabulary): a stable name for
-	// the device class + instance this worker serves on, e.g. "d9000-0".
-	Key string `json:"key"`
-	// URL is the worker's base URL (scheme://host:port).
-	URL string `json:"url"`
-	// Models are the routable model names from the worker's last /healthz
-	// probe (endpoints and aliases both count).
-	Models []string `json:"models,omitempty"`
-	// Healthy means the last probe succeeded and the heartbeat is fresh.
-	Healthy bool `json:"healthy"`
-	// Draining means the worker answered its probe but refuses new work.
-	Draining bool `json:"draining"`
-	// Probes/Beats count health checks answered and heartbeats received.
-	Probes uint64 `json:"probes"`
-	Beats  uint64 `json:"beats"`
-	// SLOBurning lists the routable model names whose SLO burn rate exceeded
-	// 1.0 on the worker's last probe (endpoint names and the public aliases
-	// pointing at them). Routing demotes the worker for those models.
-	SLOBurning []string `json:"slo_burning,omitempty"`
-}
-
-type workerState struct {
-	info     WorkerInfo
-	lastBeat time.Time
-	// slo is the worker's full per-model objective state from its last probe
-	// (the /healthz slo block); the dashboard renders budget bars from it.
-	slo []obs.SLOStatus
-}
 
 // Options tunes the router; zero values get defaults.
 type Options struct {
@@ -87,6 +48,9 @@ type Router struct {
 	retriedC    *obs.Counter
 	failedC     *obs.Counter
 	scrapeErrC  *obs.Counter
+	// routed totals np_fleet_routed_requests_total across its (worker, model)
+	// series, for /statsz and the dashboard.
+	routed obs.Counter
 }
 
 // NewRouter builds a router; Handler serves its HTTP surface and
@@ -133,513 +97,6 @@ func (rt *Router) Metrics() *obs.Registry { return rt.metrics }
 // Tracer returns the router's span tracer; routed requests leave a
 // route:<model> span per attempt, stamped with the trace ID and worker key.
 func (rt *Router) Tracer() *obs.Tracer { return rt.tracer }
-
-// ----------------------------------------------------------------- tracking
-
-// RegisterRequest is the /fleet/register body a worker posts on startup.
-type RegisterRequest struct {
-	Key string `json:"key"`
-	URL string `json:"url"`
-}
-
-// Register adds (or re-adds) a worker and probes it synchronously, so a
-// successful registration means the worker is routable immediately.
-func (rt *Router) Register(key, url string) error {
-	if key == "" || url == "" {
-		return errors.New("fleet: register needs key and url")
-	}
-	rt.mu.Lock()
-	w, ok := rt.workers[key]
-	if !ok {
-		w = &workerState{}
-		rt.workers[key] = w
-	}
-	w.info.Key, w.info.URL = key, url
-	w.lastBeat = rt.now()
-	rt.mu.Unlock()
-	rt.probe(key)
-	rt.updateGauges()
-	return nil
-}
-
-// Heartbeat refreshes a worker's liveness; unknown keys error so the agent
-// re-registers (the tracker may have restarted and lost state).
-func (rt *Router) Heartbeat(key string) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	w, ok := rt.workers[key]
-	if !ok {
-		return fmt.Errorf("fleet: unknown worker %q", key)
-	}
-	w.lastBeat = rt.now()
-	w.info.Beats++
-	return nil
-}
-
-// Deregister removes a worker (graceful shutdown path).
-func (rt *Router) Deregister(key string) {
-	rt.mu.Lock()
-	delete(rt.workers, key)
-	rt.mu.Unlock()
-	rt.updateGauges()
-}
-
-// Workers snapshots the fleet state, sorted by key.
-func (rt *Router) Workers() []WorkerInfo {
-	rt.mu.RLock()
-	out := make([]WorkerInfo, 0, len(rt.workers))
-	for _, w := range rt.workers {
-		out = append(out, w.info)
-	}
-	rt.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// probe health-checks one worker and folds the result into its state.
-func (rt *Router) probe(key string) {
-	rt.mu.RLock()
-	w, ok := rt.workers[key]
-	var url string
-	if ok {
-		url = w.info.URL
-	}
-	rt.mu.RUnlock()
-	if !ok {
-		return
-	}
-	var h serve.HealthResponse
-	err := rt.getJSON(url+"/healthz", &h)
-	rt.mu.Lock()
-	if w, ok := rt.workers[key]; ok {
-		if err != nil {
-			w.info.Healthy = false
-		} else {
-			w.info.Healthy = true
-			w.info.Draining = h.Draining
-			w.info.Models = h.Models
-			w.info.SLOBurning = burningModels(h)
-			w.slo = h.SLO
-			w.info.Probes++
-			w.lastBeat = rt.now()
-		}
-	}
-	rt.mu.Unlock()
-}
-
-// burningModels extracts the routable names whose SLO is unhealthy from a
-// worker's health report. SLOs are tracked per endpoint name ("model@version"
-// for registry deploys), but routing addresses public aliases — so every
-// alias pointing at a burning endpoint is penalized under its public name
-// too.
-func burningModels(h serve.HealthResponse) []string {
-	var out []string
-	for _, st := range h.SLO {
-		if st.Healthy {
-			continue
-		}
-		out = append(out, st.Model)
-		for public, target := range h.Aliases {
-			if target == st.Model {
-				out = append(out, public)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// HealthCheckLoop probes every worker each HealthInterval and expires the
-// ones whose heartbeat went stale, until ctx is done.
-func (rt *Router) HealthCheckLoop(ctx context.Context) {
-	t := time.NewTicker(rt.opts.HealthInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			rt.CheckWorkers()
-		}
-	}
-}
-
-// CheckWorkers runs one probe pass over the fleet (the loop body, exported
-// for deterministic tests and the smoke harness).
-func (rt *Router) CheckWorkers() {
-	rt.mu.RLock()
-	keys := make([]string, 0, len(rt.workers))
-	for k := range rt.workers {
-		keys = append(keys, k)
-	}
-	rt.mu.RUnlock()
-	for _, k := range keys {
-		rt.probe(k)
-	}
-	cutoff := rt.now().Add(-rt.opts.HeartbeatTimeout)
-	rt.mu.Lock()
-	for _, w := range rt.workers {
-		if w.lastBeat.Before(cutoff) {
-			w.info.Healthy = false
-		}
-	}
-	rt.mu.Unlock()
-	rt.updateGauges()
-}
-
-func (rt *Router) updateGauges() {
-	rt.mu.RLock()
-	total, healthy := len(rt.workers), 0
-	for _, w := range rt.workers {
-		if w.info.Healthy && !w.info.Draining {
-			healthy++
-		}
-	}
-	rt.mu.RUnlock()
-	rt.registeredG.Set(float64(total))
-	rt.healthyG.Set(float64(healthy))
-}
-
-// ------------------------------------------------------------------ routing
-
-// candidates ranks the healthy, non-draining workers serving model: workers
-// whose SLO for the model is within budget come first (the SLO routing
-// penalty), then by rendezvous (highest-random-weight) hash of (model, shard,
-// worker key) — the same (model, shard) always prefers the same worker while
-// every worker stays a deterministic fallback; adding or losing one worker
-// only moves the shards that touched it. A burning worker is still routable
-// (it sorts last, keeping it as fallback when it is the only candidate).
-func (rt *Router) candidates(model string, shard uint64) []WorkerInfo {
-	rt.mu.RLock()
-	var cands []WorkerInfo
-	for _, w := range rt.workers {
-		if !w.info.Healthy || w.info.Draining {
-			continue
-		}
-		for _, m := range w.info.Models {
-			if m == model {
-				cands = append(cands, w.info)
-				break
-			}
-		}
-	}
-	rt.mu.RUnlock()
-	sort.Slice(cands, func(i, j int) bool {
-		bi, bj := sloBurns(cands[i], model), sloBurns(cands[j], model)
-		if bi != bj {
-			return !bi
-		}
-		hi, hj := rendezvous(model, shard, cands[i].Key), rendezvous(model, shard, cands[j].Key)
-		if hi != hj {
-			return hi > hj
-		}
-		return cands[i].Key < cands[j].Key
-	})
-	return cands
-}
-
-// sloBurns reports whether the worker's last probe flagged model as burning
-// its error budget.
-func sloBurns(wi WorkerInfo, model string) bool {
-	for _, m := range wi.SLOBurning {
-		if m == model {
-			return true
-		}
-	}
-	return false
-}
-
-func rendezvous(model string, shard uint64, key string) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, model)
-	h.Write([]byte{0})
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(shard >> (8 * i))
-	}
-	h.Write(b[:])
-	h.Write([]byte{0})
-	io.WriteString(h, key)
-	return h.Sum64()
-}
-
-// WorkerHeader names the response header carrying the key of the worker
-// that served a routed request.
-const WorkerHeader = "X-NP-Worker"
-
-// handleInfer routes one inference: decode enough of the body to learn
-// (model, seed), walk the rendezvous-ranked candidates, and proxy to the
-// first worker that accepts. Transport failures mark the worker unhealthy
-// and the request retries on the next candidate; 503 (draining) retries
-// without the penalty. Responses stream back verbatim plus WorkerHeader.
-func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: "+err.Error())
-		return
-	}
-	var req serve.InferRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return
-	}
-	// The router is the fleet's first edge: adopt the caller's trace context
-	// (minting a child span for this hop) or mint a fresh trace, forward it to
-	// the worker on the proxied request, and stamp every response with it.
-	tc, traced := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader))
-	if traced {
-		tc = tc.Child()
-	} else {
-		tc = obs.MintTrace()
-	}
-	w.Header().Set(obs.TraceHeader, tc.String())
-
-	cands := rt.candidates(req.Model, req.Seed)
-	if len(cands) == 0 {
-		rt.failedC.Inc()
-		writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("no healthy worker serves model %q", req.Model))
-		return
-	}
-	routeStart := rt.now()
-	for i, cand := range cands {
-		if i > 0 {
-			rt.retriedC.Inc()
-		}
-		preq, err := http.NewRequest(http.MethodPost, cand.URL+"/v1/infer", bytes.NewReader(body))
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		preq.Header.Set("Content-Type", "application/json")
-		preq.Header.Set(obs.TraceHeader, tc.String())
-		resp, err := rt.client.Do(preq)
-		if err != nil {
-			// Transport-dead worker: mark it down so routing skips it until a
-			// probe or heartbeat revives it, and fail over.
-			rt.markUnhealthy(cand.Key)
-			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable {
-			// Draining or overload-shedding worker: it is alive (it answered),
-			// so no health penalty — just honor the hint and fail over.
-			resp.Body.Close()
-			continue
-		}
-		rt.routedCounter(cand.Key, req.Model).Inc()
-		rt.track.Emit("route:"+req.Model, "fleet", routeStart, time.Since(routeStart),
-			obs.A(obs.TraceArg, tc.TraceID), obs.A("worker", cand.Key), obs.A("attempt", i+1))
-		w.Header().Set(WorkerHeader, cand.Key)
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-		resp.Body.Close()
-		return
-	}
-	rt.failedC.Inc()
-	rt.updateGauges()
-	rt.track.Emit("route-failed:"+req.Model, "fleet", routeStart, time.Since(routeStart),
-		obs.A(obs.TraceArg, tc.TraceID), obs.A("candidates", len(cands)))
-	w.Header().Set("Retry-After", strconv.Itoa(serve.DrainRetryAfterSeconds))
-	writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("all %d workers for model %q failed or refused", len(cands), req.Model))
-}
-
-func (rt *Router) routedCounter(workerKey, model string) *obs.Counter {
-	return rt.metrics.Counter("np_fleet_routed_requests_total",
-		"Inference requests routed to a worker, by worker key and model.",
-		obs.L("worker", workerKey, "model", model))
-}
-
-func (rt *Router) markUnhealthy(key string) {
-	rt.mu.Lock()
-	if w, ok := rt.workers[key]; ok {
-		w.info.Healthy = false
-	}
-	rt.mu.Unlock()
-	rt.updateGauges()
-}
-
-// -------------------------------------------------------------- aggregation
-
-// FleetStats is the router's /statsz reply: the fleet roster plus each
-// healthy worker's raw /statsz document under its key.
-type FleetStats struct {
-	UptimeMs float64                    `json:"uptime_ms"`
-	Workers  []WorkerInfo               `json:"workers"`
-	Routed   float64                    `json:"routed_requests"`
-	Retried  float64                    `json:"retried_requests"`
-	Failed   float64                    `json:"failed_requests"`
-	PerWork  map[string]json.RawMessage `json:"worker_statsz"`
-}
-
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	fs := FleetStats{
-		UptimeMs: float64(rt.now().Sub(rt.start)) / float64(time.Millisecond),
-		Workers:  rt.Workers(),
-		Retried:  rt.retriedC.Value(),
-		Failed:   rt.failedC.Value(),
-		PerWork:  map[string]json.RawMessage{},
-	}
-	for _, wi := range fs.Workers {
-		if !wi.Healthy {
-			continue
-		}
-		var raw json.RawMessage
-		if err := rt.getJSON(wi.URL+"/statsz", &raw); err != nil {
-			rt.scrapeErrC.Inc()
-			continue
-		}
-		fs.PerWork[wi.Key] = raw
-	}
-	// Routed total across all (worker, model) series: recovered from the
-	// per-worker statsz is racy, so sum our own counter series instead.
-	fs.Routed = rt.sumRouted()
-	writeJSONBody(w, fs)
-}
-
-func (rt *Router) sumRouted() float64 {
-	var buf bytes.Buffer
-	rt.metrics.WritePrometheus(&buf)
-	var total float64
-	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-		if !bytes.HasPrefix(line, []byte("np_fleet_routed_requests_total")) {
-			continue
-		}
-		if i := bytes.LastIndexByte(line, ' '); i >= 0 {
-			if v, err := strconv.ParseFloat(string(line[i+1:]), 64); err == nil {
-				total += v
-			}
-		}
-	}
-	return total
-}
-
-// handleMetrics merges the fleet's Prometheus expositions: the router's own
-// np_fleet_* families verbatim, plus every healthy worker's /metricsz with a
-// worker="<key>" label injected (obs.Merger semantics: one HELP/TYPE header
-// per family fleet-wide).
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := obs.NewMerger()
-	var own bytes.Buffer
-	rt.metrics.WritePrometheus(&own)
-	if err := m.Add("", "", own.Bytes()); err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	for _, wi := range rt.Workers() {
-		if !wi.Healthy {
-			continue
-		}
-		resp, err := rt.client.Get(wi.URL + "/metricsz")
-		if err != nil {
-			rt.scrapeErrC.Inc()
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			rt.scrapeErrC.Inc()
-			continue
-		}
-		if err := m.Add("worker", wi.Key, body); err != nil {
-			rt.scrapeErrC.Inc()
-		}
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.WriteTo(w)
-}
-
-// handleTracez assembles the fleet-wide distributed trace: the router's own
-// route spans plus every healthy worker's /tracez export, stitched onto one
-// wall-clock timeline with per-worker process rows (obs.StitchChromeTraces).
-// ?id=<32 hex trace id> narrows every part to one request — the usual way in:
-// take the trace ID a response was stamped with and load the result in
-// Perfetto.
-func (rt *Router) handleTracez(w http.ResponseWriter, r *http.Request) {
-	id := r.URL.Query().Get("id")
-	if id != "" {
-		if err := obs.ValidTraceID(id); err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
-		}
-	}
-	spans, names := rt.tracer.Snapshot()
-	if id != "" {
-		spans = obs.FilterByTraceID(spans, id)
-	}
-	var own bytes.Buffer
-	if err := obs.WriteChromeTraceEpoch(&own, spans, names, rt.tracer.Epoch()); err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	parts := []obs.TracePart{{Label: "router", JSON: own.Bytes()}}
-	for _, wi := range rt.Workers() {
-		if !wi.Healthy {
-			continue
-		}
-		url := wi.URL + "/tracez"
-		if id != "" {
-			url += "?id=" + id
-		}
-		resp, err := rt.client.Get(url)
-		if err != nil {
-			rt.scrapeErrC.Inc()
-			continue
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			rt.scrapeErrC.Inc()
-			continue
-		}
-		parts = append(parts, obs.TracePart{Label: "worker " + wi.Key, JSON: body})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := obs.StitchChromeTraces(w, parts); err != nil {
-		writeErr(w, http.StatusInternalServerError, err.Error())
-	}
-}
-
-// FleetDebugRequests is the router's /debugz/requests reply: every healthy
-// worker's flight-recorder lanes merged — Recent ordered by completion time,
-// Slow worst-first — with each record's worker key intact and per-worker
-// dropped counts summed.
-type FleetDebugRequests struct {
-	Workers []string           `json:"workers"`
-	Dropped uint64             `json:"dropped"`
-	Recent  []obs.FlightRecord `json:"recent"`
-	Slow    []obs.FlightRecord `json:"slow"`
-}
-
-func (rt *Router) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
-	var merged FleetDebugRequests
-	for _, wi := range rt.Workers() {
-		if !wi.Healthy {
-			continue
-		}
-		var dr serve.DebugRequestsResponse
-		if err := rt.getJSON(wi.URL+"/debugz/requests", &dr); err != nil {
-			rt.scrapeErrC.Inc()
-			continue
-		}
-		merged.Workers = append(merged.Workers, wi.Key)
-		merged.Dropped += dr.Dropped
-		merged.Recent = append(merged.Recent, dr.Recent...)
-		merged.Slow = append(merged.Slow, dr.Slow...)
-	}
-	sort.Slice(merged.Recent, func(i, j int) bool {
-		return merged.Recent[i].UnixMicro < merged.Recent[j].UnixMicro
-	})
-	sort.Slice(merged.Slow, func(i, j int) bool {
-		return merged.Slow[i].TotalMs > merged.Slow[j].TotalMs
-	})
-	writeJSONBody(w, merged)
-}
-
-// --------------------------------------------------------------------- HTTP
 
 // Handler returns the router's HTTP surface:
 //
@@ -697,36 +154,21 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/dashboardz", rt.handleDashboard)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		ws := rt.Workers()
-		healthy := 0
-		for _, wi := range ws {
-			if wi.Healthy && !wi.Draining {
-				healthy++
-			}
-		}
-		writeJSONBody(w, map[string]any{"status": "ok", "workers": len(ws), "healthy": healthy})
+		writeJSONBody(w, map[string]any{"status": "ok", "workers": len(ws), "healthy": routable(ws)})
 	})
 	return mux
 }
 
-func (rt *Router) getJSON(url string, v any) error {
-	resp, err := rt.client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fleet: GET %s: status %d", url, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
+// maxControlBody bounds a /fleet/ control request: a key and a URL.
+const maxControlBody = 1 << 20
 
 func postBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST only")
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(v); err != nil {
+		writeErr(w, serve.BodyErrStatus(err), "bad request body: "+err.Error())
 		return false
 	}
 	return true

@@ -11,13 +11,15 @@ import (
 
 	"repro/internal/models"
 	"repro/internal/obs"
+	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/serve"
 )
 
-// newTracedWorker builds one worker with its fleet key stamped (so flight
-// records carry it) and a sensitive slow lane (so every request shows up in
-// the dashboard's slow table).
+// newTracedWorker builds one worker the way npserve does: its fleet key
+// stamped (so flight records carry it), /debugz/cache mounted, and a
+// sensitive slow lane (so every request shows up in the dashboard's slow
+// table).
 func newTracedWorker(t *testing.T, key string) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	m, err := models.BuildEmotion(models.SizeLite)
@@ -31,6 +33,11 @@ func newTracedWorker(t *testing.T, key string) (*serve.Server, *httptest.Server)
 	s := serve.NewServer()
 	s.SetWorkerKey(key)
 	s.ConfigureFlightRecorder(64, 8, 0.0001)
+	cache, err := registry.NewCache("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Mount("/debugz/cache", cache.Handler())
 	if err := s.Register("emotion", lib, serve.ModelOptions{Pool: 1, QueueDepth: 16}); err != nil {
 		t.Fatal(err)
 	}
@@ -210,6 +217,9 @@ func TestDashboardRendersFleet(t *testing.T) {
 	rts := httptest.NewServer(rt.Handler())
 	defer rts.Close()
 	registerWorker(t, rts.URL, "w1", w1.URL)
+	// A bare serve.Server beside it: no /debugz/cache, no worker key.
+	_, bare := newWorker(t, "other")
+	registerWorker(t, rts.URL, "w2", bare.URL)
 
 	resp, err := http.Post(rts.URL+"/v1/infer", "application/json",
 		bytes.NewReader([]byte(`{"model":"emotion","seed":3}`)))
@@ -236,6 +246,7 @@ func TestDashboardRendersFleet(t *testing.T) {
 		"<td>emotion</td>",         // model stats row
 		"p50",                      // renamed latency column present
 		"class=\"bar\"",            // SLO budget bar
+		"artifact cache: 0% hit",   // w1's /debugz/cache line
 		"/tracez?id=" + tc.TraceID, // slow request links into the stitched trace
 	} {
 		if !strings.Contains(page, want) {
@@ -244,5 +255,11 @@ func TestDashboardRendersFleet(t *testing.T) {
 	}
 	if strings.Contains(page, "DOWN") {
 		t.Error("healthy worker rendered as DOWN")
+	}
+	if n := strings.Count(page, "artifact cache:"); n != 1 {
+		t.Errorf("%d cache lines, want one: w2 serves no /debugz/cache", n)
+	}
+	if errs := rt.scrapeErrC.Value(); errs != 0 {
+		t.Errorf("%v scrape errors: a worker answering 404 is not a failed scrape", errs)
 	}
 }

@@ -6,7 +6,7 @@
 //
 // The property that drives the paper's §3.3 QNN augmentation lives here:
 // *every* quantized operand must carry its own scale/zero-point
-// (Model.Validate enforces it), whereas relay QNN keeps those parameters on
+// (Model.Check enforces it), whereas relay QNN keeps those parameters on
 // operator attributes. The BYOC converter (internal/nir) bridges the two.
 package neuron
 
@@ -83,74 +83,6 @@ func (m *Model) AddOperation(code OpCode, inputs, outputs []int, attrs relay.Att
 		attrs = relay.Attrs{}
 	}
 	m.Operations = append(m.Operations, Operation{Code: code, Inputs: inputs, Outputs: outputs, Attrs: attrs})
-}
-
-// Validate checks structural well-formedness and the tensor-oriented
-// quantization invariant: every operand with a quantized element type (and
-// every int32 accumulator feeding a requantize) must carry QuantParams.
-func (m *Model) Validate() error {
-	n := len(m.Operands)
-	inBounds := func(idx int) bool { return idx >= 0 && idx < n }
-	for _, i := range m.Inputs {
-		if !inBounds(i) {
-			return fmt.Errorf("neuron: model %q input operand %d out of range", m.Name, i)
-		}
-		if m.Operands[i].IsConst() {
-			return fmt.Errorf("neuron: model %q input operand %d is constant", m.Name, i)
-		}
-	}
-	for _, i := range m.Outputs {
-		if !inBounds(i) {
-			return fmt.Errorf("neuron: model %q output operand %d out of range", m.Name, i)
-		}
-	}
-	defined := map[int]bool{}
-	for _, i := range m.Inputs {
-		defined[i] = true
-	}
-	for i, od := range m.Operands {
-		if od.IsConst() {
-			if !od.Const.Shape.Equal(od.Type.Shape) {
-				return fmt.Errorf("neuron: operand %d (%s) constant shape %s != declared %s",
-					i, od.Name, od.Const.Shape, od.Type.Shape)
-			}
-			defined[i] = true
-		}
-		if od.Type.DType.IsQuantized() && od.Type.Quant == nil {
-			return fmt.Errorf("neuron: operand %d (%s) is %s but has no quantization parameters — "+
-				"Neuron IR is tensor-oriented, params must be carried on every tensor",
-				i, od.Name, od.Type.DType)
-		}
-	}
-	for oi, op := range m.Operations {
-		if !KnownOpCode(op.Code) {
-			return fmt.Errorf("neuron: operation %d has unknown opcode %d", oi, int(op.Code))
-		}
-		for _, in := range op.Inputs {
-			if !inBounds(in) {
-				return fmt.Errorf("neuron: operation %d (%s) input %d out of range", oi, op.Code, in)
-			}
-			if !defined[in] {
-				return fmt.Errorf("neuron: operation %d (%s) uses operand %d before definition "+
-					"(operations must be topologically ordered)", oi, op.Code, in)
-			}
-		}
-		for _, out := range op.Outputs {
-			if !inBounds(out) {
-				return fmt.Errorf("neuron: operation %d (%s) output %d out of range", oi, op.Code, out)
-			}
-			if m.Operands[out].IsConst() {
-				return fmt.Errorf("neuron: operation %d (%s) writes constant operand %d", oi, op.Code, out)
-			}
-			defined[out] = true
-		}
-	}
-	for _, i := range m.Outputs {
-		if !defined[i] {
-			return fmt.Errorf("neuron: model output %d is never produced", i)
-		}
-	}
-	return nil
 }
 
 // OpCounts returns a histogram of opcodes, used by tests and debug dumps.

@@ -243,3 +243,13 @@ func TestOpCodeStrings(t *testing.T) {
 		t.Error("unknown opcode name")
 	}
 }
+
+// An opcode without a row in the signature table would have the zero
+// signature, which no operation satisfies.
+func TestEveryOpCodeHasSignature(t *testing.T) {
+	for _, c := range OpCodes() {
+		if sig := opSignatures[c]; sig.minIn < 1 || sig.outs != 1 {
+			t.Errorf("%s: signature %+v", c, sig)
+		}
+	}
+}

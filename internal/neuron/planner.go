@@ -106,7 +106,7 @@ type CompileOptions struct {
 	DisableOperationFusion bool
 }
 
-// Compile validates the model and runs the Execution Planner for the enabled
+// Compile checks the model and runs the Execution Planner for the enabled
 // devices. It fails with *UnsupportedError when some operation has no home.
 func Compile(m *Model, sc *soc.SoC, devices []soc.DeviceKind) (*CompiledModel, error) {
 	return CompileWith(m, sc, devices, CompileOptions{})
@@ -154,43 +154,18 @@ func CompileWith(m *Model, sc *soc.SoC, devices []soc.DeviceKind, opts CompileOp
 			cm.producerDev[out] = best
 		}
 	}
-	if err := cm.CheckPlan(); err != nil {
+	// The model passed Check above; only the placement is new.
+	if err := firstFinding(cm.CheckPlacement()); err != nil {
 		return nil, fmt.Errorf("neuron: compiler produced an invalid plan: %w", err)
 	}
 	return cm, nil
 }
 
-// CheckPlan audits the execution plan against the model: one device per
-// operation, drawn from the enabled set, whose supported-op set contains the
-// operation. Compile runs it on its own output; deserialized artifacts and
-// the IR verifier run it on externally supplied plans.
-func (cm *CompiledModel) CheckPlan() error {
-	if len(cm.Plan) != len(cm.Model.Operations) {
-		return fmt.Errorf("neuron: plan length %d != %d operations", len(cm.Plan), len(cm.Model.Operations))
-	}
-	enabled := map[soc.DeviceKind]bool{}
-	for _, d := range cm.Devices {
-		enabled[d] = true
-	}
-	for i, dev := range cm.Plan {
-		if !enabled[dev] {
-			return fmt.Errorf("neuron: plan places operation %d (%s) on %s, which is not enabled (%v)",
-				i, cm.Model.Operations[i].Code, dev, cm.Devices)
-		}
-		if !SupportedOn(cm.Model.Operations[i].Code, dev) {
-			return fmt.Errorf("neuron: plan places %s on %s, which does not support it",
-				cm.Model.Operations[i].Code, dev)
-		}
-	}
-	return nil
-}
-
 // NewCompiledModel rehydrates a compiled model from a serialized artifact:
-// the plan was computed at export time, so only validation happens here.
+// the plan was computed at export time, so only checking happens here — the
+// same checking Compile's own output gets, because these bytes may not be
+// ours.
 func NewCompiledModel(m *Model, sc *soc.SoC, devices []soc.DeviceKind, plan []soc.DeviceKind) (*CompiledModel, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
 	cm := &CompiledModel{Model: m, SoC: sc, Devices: devices, Plan: plan}
 	if err := cm.CheckPlan(); err != nil {
 		return nil, err

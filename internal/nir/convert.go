@@ -97,9 +97,6 @@ func ConvertFunction(name string, fn *relay.Function) (*neuron.Model, error) {
 		return nil, fmt.Errorf("nir: region %q produced no output entry", name)
 	}
 	cv.model.Outputs = append(cv.model.Outputs, rootEntry.Outputs...)
-	if err := cv.model.Validate(); err != nil {
-		return nil, fmt.Errorf("nir: converted model invalid: %w", err)
-	}
 	if err := verify.NeuronModelErr(cv.model); err != nil {
 		return nil, fmt.Errorf("nir: converted model failed IR verification: %w", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync/atomic"
 )
@@ -117,6 +118,22 @@ func ParseTraceContext(s string) (TraceContext, bool) {
 		return TraceContext{}, false
 	}
 	return tc, true
+}
+
+// AdoptTrace is what every HTTP edge does with the trace header: continue
+// the caller's trace under a span ID of its own (a router hop forwarded its
+// header), or mint a fresh trace when this edge is the first. The response is
+// stamped with the result either way — success or error — so the caller can
+// fetch GET /tracez?id=<trace> later.
+func AdoptTrace(w http.ResponseWriter, r *http.Request) TraceContext {
+	tc, ok := ParseTraceContext(r.Header.Get(TraceHeader))
+	if ok {
+		tc = tc.Child()
+	} else {
+		tc = MintTrace()
+	}
+	w.Header().Set(TraceHeader, tc.String())
+	return tc
 }
 
 func isHex(s string, n int) bool {

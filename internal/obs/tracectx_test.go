@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -92,5 +93,40 @@ func TestValidTraceID(t *testing.T) {
 		if err := ValidTraceID(bad); err == nil {
 			t.Errorf("ValidTraceID(%q) accepted", bad)
 		}
+	}
+}
+
+// TestAdoptTrace: an edge continues a well-formed caller trace under its own
+// span ID, mints one otherwise, and stamps the response with what it uses.
+func TestAdoptTrace(t *testing.T) {
+	caller := MintTrace()
+	for _, tc := range []struct {
+		name, header string
+		wantTraceID  string // "" = any freshly minted one
+	}{
+		{"forwarded", caller.String(), caller.TraceID},
+		{"absent", "", ""},
+		{"malformed", "not-a-trace", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := httptest.NewRequest("POST", "/v1/infer", nil)
+			if tc.header != "" {
+				r.Header.Set(TraceHeader, tc.header)
+			}
+			w := httptest.NewRecorder()
+			got := AdoptTrace(w, r)
+			if !got.Valid() || got.SpanID == caller.SpanID {
+				t.Fatalf("adopted %+v from %+v: want a valid context with its own span", got, caller)
+			}
+			if tc.wantTraceID != "" && got.TraceID != tc.wantTraceID {
+				t.Errorf("trace id %s, want the caller's %s", got.TraceID, tc.wantTraceID)
+			}
+			if tc.wantTraceID == "" && got.TraceID == caller.TraceID {
+				t.Error("minted trace reuses another trace's id")
+			}
+			if h := w.Header().Get(TraceHeader); h != got.String() {
+				t.Errorf("response stamped %q, want %q", h, got.String())
+			}
+		})
 	}
 }

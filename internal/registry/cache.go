@@ -26,20 +26,34 @@ import (
 // artifacts, so the cache can hand one compiled Lib to every requester.
 var Key = runtime.ArtifactKey
 
-// CacheStats is a point-in-time snapshot of the cache counters.
+// CacheStats is a point-in-time snapshot of the cache counters, and — with
+// the derived hit_rate beside it — the /debugz/cache wire document.
 type CacheStats struct {
 	// Hits counts loads served without compiling (memory or disk); Misses
 	// counts loads that had to compile; Builds is the number of compilations
 	// actually executed (single-flight: concurrent misses on one key share
 	// one build, so Builds <= Misses).
-	Hits, Misses, Builds uint64
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	Builds uint64 `json:"builds"`
 	// MemHits/DiskHits split Hits by layer.
-	MemHits, DiskHits uint64
+	MemHits  uint64 `json:"mem_hits"`
+	DiskHits uint64 `json:"disk_hits"`
 	// BytesWritten/BytesRead are artifact bytes exported to / loaded from
 	// the disk store.
-	BytesWritten, BytesRead uint64
+	BytesWritten uint64 `json:"bytes_written"`
+	BytesRead    uint64 `json:"bytes_read"`
 	// MemEntries is the number of Libs resident in the memory layer.
-	MemEntries int
+	MemEntries int `json:"mem_entries"`
+}
+
+// HitRate is the fraction of loads served without compiling; 0 before any
+// load (never NaN, which JSON cannot carry).
+func (s CacheStats) HitRate() float64 {
+	if total := s.Hits + s.Misses; total > 0 {
+		return float64(s.Hits) / float64(total)
+	}
+	return 0
 }
 
 // Cache is a two-layer content-addressed store of compiled libraries:

@@ -5,45 +5,18 @@ import (
 	"net/http"
 )
 
-// CacheStatsJSON is the /debugz/cache wire shape: the CacheStats counters
-// under stable snake_case keys plus the derived hit rate, so dashboards don't
-// re-implement the ratio.
-type CacheStatsJSON struct {
-	Hits         uint64  `json:"hits"`
-	MemHits      uint64  `json:"mem_hits"`
-	DiskHits     uint64  `json:"disk_hits"`
-	Misses       uint64  `json:"misses"`
-	Builds       uint64  `json:"builds"`
-	BytesWritten uint64  `json:"bytes_written"`
-	BytesRead    uint64  `json:"bytes_read"`
-	MemEntries   int     `json:"mem_entries"`
-	HitRate      float64 `json:"hit_rate"`
-}
-
-// statsJSON converts a snapshot to the wire shape.
-func statsJSON(s CacheStats) CacheStatsJSON {
-	out := CacheStatsJSON{
-		Hits:         s.Hits,
-		MemHits:      s.MemHits,
-		DiskHits:     s.DiskHits,
-		Misses:       s.Misses,
-		Builds:       s.Builds,
-		BytesWritten: s.BytesWritten,
-		BytesRead:    s.BytesRead,
-		MemEntries:   s.MemEntries,
-	}
-	if total := s.Hits + s.Misses; total > 0 {
-		out.HitRate = float64(s.Hits) / float64(total)
-	}
-	return out
-}
-
-// Handler serves the cache counters as JSON — npserve mounts it at
-// /debugz/cache so the fleet dashboard can report per-worker artifact-cache
-// hit rates without scraping and parsing the Prometheus exposition.
+// Handler serves the cache counters as JSON — the CacheStats keys plus the
+// derived hit_rate, so dashboards don't re-implement the ratio. npserve
+// mounts it at /debugz/cache so the fleet dashboard can report per-worker
+// artifact-cache hit rates without scraping and parsing the Prometheus
+// exposition.
 func (c *Cache) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s := c.Stats()
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(statsJSON(c.Stats()))
+		json.NewEncoder(w).Encode(struct {
+			CacheStats
+			HitRate float64 `json:"hit_rate"`
+		}{s, s.HitRate()})
 	})
 }

@@ -38,15 +38,15 @@ func TestCacheHandlerJSON(t *testing.T) {
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	var got CacheStatsJSON
+	var got CacheStats
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatalf("decode: %v\n%s", err, rec.Body.String())
 	}
 	if got.Hits != 2 || got.MemHits != 2 || got.Misses != 1 || got.Builds != 1 {
 		t.Errorf("counters %+v, want 2 hits (mem), 1 miss, 1 build", got)
 	}
-	if want := 2.0 / 3.0; got.HitRate != want {
-		t.Errorf("hit_rate = %v, want %v", got.HitRate, want)
+	if want := 2.0 / 3.0; got.HitRate() != want {
+		t.Errorf("HitRate() = %v, want %v", got.HitRate(), want)
 	}
 	if got.BytesWritten == 0 || got.MemEntries != 1 {
 		t.Errorf("bytes_written=%d mem_entries=%d, want artifact persisted and resident", got.BytesWritten, got.MemEntries)
@@ -61,6 +61,12 @@ func TestCacheHandlerJSON(t *testing.T) {
 			t.Errorf("wire document missing key %q", k)
 		}
 	}
+	if len(raw) != 9 {
+		t.Errorf("wire document has %d keys, want the 9 pinned ones: %v", len(raw), raw)
+	}
+	if raw["hit_rate"] != 2.0/3.0 {
+		t.Errorf("hit_rate = %v, want %v", raw["hit_rate"], 2.0/3.0)
+	}
 }
 
 // TestCacheHandlerEmptyNoNaN: zero traffic must yield hit_rate 0, not NaN
@@ -72,11 +78,11 @@ func TestCacheHandlerEmptyNoNaN(t *testing.T) {
 	}
 	rec := httptest.NewRecorder()
 	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debugz/cache", nil))
-	var got CacheStatsJSON
+	var got map[string]float64
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatalf("decode: %v\n%s", err, rec.Body.String())
 	}
-	if got.HitRate != 0 {
-		t.Errorf("idle hit_rate = %v, want 0", got.HitRate)
+	if rate, ok := got["hit_rate"]; !ok || rate != 0 {
+		t.Errorf("idle hit_rate = %v (present %v), want 0", rate, ok)
 	}
 }

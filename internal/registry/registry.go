@@ -273,14 +273,17 @@ func (r *Registry) AdminHandler(load LoadFunc) http.Handler {
 	return mux
 }
 
+// maxAdminBody bounds an /admin/ request: a model name and a version.
+const maxAdminBody = 1 << 20
+
 func adminBody(w http.ResponseWriter, req *http.Request) (AdminRequest, bool) {
 	if req.Method != http.MethodPost {
 		writeJSON(w, http.StatusMethodNotAllowed, errJSON("POST only"))
 		return AdminRequest{}, false
 	}
 	var ar AdminRequest
-	if err := json.NewDecoder(req.Body).Decode(&ar); err != nil {
-		writeJSON(w, http.StatusBadRequest, errJSON("bad request body: "+err.Error()))
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxAdminBody)).Decode(&ar); err != nil {
+		writeJSON(w, serve.BodyErrStatus(err), errJSON("bad request body: "+err.Error()))
 		return AdminRequest{}, false
 	}
 	if ar.Model == "" {

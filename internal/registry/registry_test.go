@@ -3,6 +3,9 @@ package registry
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,5 +251,26 @@ func TestKeyDeterminism(t *testing.T) {
 	}
 	if k1 != k2 {
 		t.Fatalf("same model, same options: keys differ\n%s\n%s", k1, k2)
+	}
+}
+
+// TestAdminBodyCap: every /admin/ POST reads at most maxAdminBody bytes and
+// answers a longer body with 413 before touching the registry.
+func TestAdminBodyCap(t *testing.T) {
+	h := New(serve.NewServer()).AdminHandler(nil)
+	huge := `{"model":"` + strings.Repeat("a", maxAdminBody) + `"}`
+	for _, path := range []string{"/admin/deploy", "/admin/rollback", "/admin/remove"} {
+		t.Run(path, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(huge)))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("oversized body: status %d, want 413: %s", rec.Code, rec.Body)
+			}
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{"model":"m","version":"v"}`)))
+			if rec.Code == http.StatusRequestEntityTooLarge || rec.Code == http.StatusBadRequest {
+				t.Errorf("ordinary body refused at the edge: status %d: %s", rec.Code, rec.Body)
+			}
+		})
 	}
 }

@@ -18,7 +18,7 @@ import (
 // and runs a static memory planner that assigns arena storage IDs by
 // liveness, TVM GraphPlanMemory-style, so intermediate buffers are reused
 // across non-overlapping lifetimes. plan_exec.go executes the result;
-// plan_verify.go audits it.
+// analysis.PlanSafety audits it (plan_view.go exports it).
 
 // planNodeKind discriminates the executable node forms of a plan.
 type planNodeKind int
@@ -204,14 +204,12 @@ func BuildPlan(lib *Lib) (*ExecPlan, error) {
 		b.plan.slots[s].IsOutput = true
 	}
 	b.finish()
-	if err := VerifyPlan(b.plan).Err(); err != nil {
-		return nil, fmt.Errorf("runtime: built plan failed verification: %w", err)
-	}
-	// Second, independent gate: the dataflow safety checker re-derives
-	// levels and liveness from the node list alone and audits the storage
-	// assignment against them (see internal/analysis).
+	// The one gate: the safety checker re-derives levels and liveness from
+	// the exported node list alone and audits the storage assignment and the
+	// executed wavefronts against them (see internal/analysis), so a planner
+	// bug surfaces as a build-time diagnostic, not a corrupted inference.
 	if err := analysis.PlanSafety(b.plan.View()).Err(); err != nil {
-		return nil, fmt.Errorf("runtime: built plan failed safety analysis: %w", err)
+		return nil, fmt.Errorf("runtime: built plan failed verification: %w", err)
 	}
 	return b.plan, nil
 }

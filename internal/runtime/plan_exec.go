@@ -252,9 +252,13 @@ func (st *planState) runPrim(ni int, n *planNode, args []*tensor.Tensor) error {
 	for i, s := range n.sub.params {
 		sub.slots[s] = args[i]
 	}
-	for _, sn := range n.sub.nodes {
-		if err := sub.exec(sn.id); err != nil {
-			return err
+	// Level by level, like run: the memory planner recycles a storage one
+	// level after its last reader, which node-id order does not respect.
+	for _, lvl := range n.sub.levels {
+		for _, id := range lvl {
+			if err := sub.exec(id); err != nil {
+				return err
+			}
 		}
 	}
 	outSlot := n.sub.outputs[0]

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/relay"
 	"repro/internal/tensor"
 )
@@ -28,7 +29,7 @@ func TestVerifyPlanAcceptsFreshPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := VerifyPlan(plan); !res.OK() {
+	if res := analysis.PlanSafety(plan.View()); !res.OK() {
 		t.Fatalf("fresh plan rejected:\n%v", res)
 	}
 }
@@ -59,7 +60,7 @@ func TestVerifyPlanCatchesStorageAliasing(t *testing.T) {
 	if !tampered {
 		t.Fatal("test setup: found no second storage to alias")
 	}
-	err = VerifyPlan(plan).Err()
+	err = analysis.PlanSafety(plan.View()).Err()
 	if err == nil {
 		t.Fatal("verifier accepted overlapping live ranges on one storage")
 	}
@@ -76,7 +77,7 @@ func TestVerifyPlanCatchesTopoViolation(t *testing.T) {
 	// Claim the last node produced the slot the first node reads.
 	firstArg := plan.nodes[0].args[0]
 	plan.slots[firstArg].Producer = plan.nodes[len(plan.nodes)-1].id
-	err = VerifyPlan(plan).Err()
+	err = analysis.PlanSafety(plan.View()).Err()
 	if err == nil {
 		t.Fatal("verifier accepted a node reading a later node's output")
 	}
@@ -96,11 +97,31 @@ func TestVerifyPlanCatchesStorageTypeMismatch(t *testing.T) {
 			break
 		}
 	}
-	err = VerifyPlan(plan).Err()
+	err = analysis.PlanSafety(plan.View()).Err()
 	if err == nil {
 		t.Fatal("verifier accepted a storage smaller than its slot")
 	}
-	if !strings.Contains(err.Error(), "plan-storage-type") {
-		t.Errorf("expected plan-storage-type diagnostic, got: %v", err)
+	if !strings.Contains(err.Error(), "plan-storage-shape") {
+		t.Errorf("expected plan-storage-shape diagnostic, got: %v", err)
+	}
+}
+
+// The view must export the wavefront the executor iterates, not the
+// planner's per-node record: moving a node into its producer's wavefront
+// changes nothing but plan.levels, and has to be refused.
+func TestVerifyPlanCatchesLevelViolation(t *testing.T) {
+	plan, err := BuildPlan(reluChainLib(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := plan.levels[1][0]
+	plan.levels[0] = append(plan.levels[0], moved)
+	plan.levels[1] = plan.levels[1][1:]
+	err = analysis.PlanSafety(plan.View()).Err()
+	if err == nil {
+		t.Fatal("verifier accepted a node running in its producer's wavefront")
+	}
+	if !strings.Contains(err.Error(), "plan-level-order") {
+		t.Errorf("expected plan-level-order diagnostic, got: %v", err)
 	}
 }

@@ -223,6 +223,43 @@ func TestWavefrontDiamondMatchesInterp(t *testing.T) {
 	}
 }
 
+// A fused kernel's sub-plan recycles arena storage by wavefront level, so it
+// has to run level by level too. In this body the long branch's third node
+// (level 2) reuses the first node's storage, which add(%0, …) on the short
+// branch (level 1, but a later node id) still reads: executed in node-id
+// order the planned result was silently wrong.
+func TestPrimitiveSubPlanRunsInLevelOrder(t *testing.T) {
+	ty := relay.TType(tensor.Float32, 1, 16)
+	p := relay.NewVar("p", ty)
+	t1 := relay.NewCall(relay.OpTanh, []relay.Expr{p}, nil)
+	t2 := relay.NewCall(relay.OpTanh, []relay.Expr{t1}, nil)
+	t3 := relay.NewCall(relay.OpTanh, []relay.Expr{t2}, nil)
+	short := relay.NewCall(relay.OpAdd, []relay.Expr{t1, relay.NewCall(relay.OpSigmoid, []relay.Expr{p}, nil)}, nil)
+	prim := relay.NewFunc([]*relay.Var{p}, relay.NewCall(relay.OpAdd, []relay.Expr{t3, short}, nil))
+	prim.FnAttrs[relay.FnAttrPrimitive] = "1"
+	x := relay.NewVar("x", ty)
+	lib, err := runtime.Build(relay.NewModule(relay.NewFunc([]*relay.Var{x},
+		relay.NewFnCall(prim, []relay.Expr{x}))), runtime.BuildOptions{OptLevel: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := tensor.New(tensor.Float32, tensor.Shape{1, 16})
+	in.FillUniform(tensor.NewRNG(1), -1, 1)
+	var outs []*tensor.Tensor
+	for _, k := range []runtime.ExecutorKind{runtime.ExecutorInterp, runtime.ExecutorPlanned} {
+		gm := runtime.NewGraphModule(lib)
+		gm.SetExecutor(k)
+		gm.SetInput("x", in)
+		if err := gm.Run(); err != nil {
+			t.Fatalf("executor %s: %v", k, err)
+		}
+		outs = append(outs, gm.MustOutput(0))
+	}
+	if !tensor.AllClose(outs[1], outs[0], 0, 0) {
+		t.Fatal("planned fused kernel diverged from the interpreter")
+	}
+}
+
 // A module the planner cannot lower (a plain, non-primitive function call)
 // must fall back to the interpreter under ExecutorAuto, fail loudly under
 // ExecutorPlanned, and still run under ExecutorInterp.

@@ -3,11 +3,12 @@ package runtime
 import "repro/internal/analysis"
 
 // View exports the plan as the plain-data form internal/analysis consumes.
-// It carries only what the executor does — nodes with their reads/writes,
-// the slot table, the storage assignment — and none of the planner's
-// conclusions (levels, liveness), so analysis.PlanSafety re-derives those
-// independently. The slices are fresh copies; mutating the view (as the
-// mutation tests do) never touches the live plan.
+// It carries only what the executor does — nodes with their reads/writes
+// and the wavefront each runs in, the slot table, the storage assignment —
+// and none of the planner's conclusions (slot liveness), so
+// analysis.PlanSafety re-derives those independently. The slices are fresh
+// copies; mutating the view (as the mutation tests do) never touches the
+// live plan.
 func (p *ExecPlan) View() *analysis.PlanView {
 	v := &analysis.PlanView{
 		Nodes:    make([]analysis.PlanNode, len(p.nodes)),
@@ -28,6 +29,13 @@ func (p *ExecPlan) View() *analysis.PlanView {
 			vn.Sub = n.sub.View()
 		}
 		v.Nodes[i] = vn
+	}
+	// A node's level is its position in the wavefront list the executor
+	// iterates, not the planner's per-node record of it.
+	for lvl, ids := range p.levels {
+		for _, id := range ids {
+			v.Nodes[id].Level = lvl
+		}
 	}
 	// Input-ness comes from params membership, not InputName: sub-plan
 	// parameter slots are anonymous (the caller binds them positionally)

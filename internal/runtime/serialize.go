@@ -339,6 +339,15 @@ func encodeFunc(name string, fn *relay.Function, pool *constPool) (jsonFunc, err
 	return jf, nil
 }
 
+// poolConst resolves a constant reference of a loaded artifact; every index
+// read from the graph section goes through here.
+func poolConst(pool []*tensor.Tensor, i int) (*tensor.Tensor, error) {
+	if i < 0 || i >= len(pool) {
+		return nil, fmt.Errorf("runtime: constant index %d out of pool (%d)", i, len(pool))
+	}
+	return pool[i], nil
+}
+
 // decodeFunc rebuilds a function from its node table.
 func decodeFunc(jf jsonFunc, pool []*tensor.Tensor) (*relay.Function, error) {
 	exprs := make([]relay.Expr, len(jf.Nodes))
@@ -357,10 +366,11 @@ func decodeFunc(jf jsonFunc, pool []*tensor.Tensor) (*relay.Function, error) {
 			}
 			exprs[i] = relay.NewVar(n.Name, ty)
 		case "const":
-			if n.Const < 0 || n.Const >= len(pool) {
-				return nil, fmt.Errorf("runtime: constant index %d out of pool (%d)", n.Const, len(pool))
+			c, err := poolConst(pool, n.Const)
+			if err != nil {
+				return nil, err
 			}
-			exprs[i] = relay.Const(pool[n.Const])
+			exprs[i] = relay.Const(c)
 		case "call":
 			attrs, err := decodeAttrs(n.Attrs)
 			if err != nil {
@@ -558,13 +568,15 @@ func LoadLibrary(r io.Reader, sc *soc.SoC) (*Lib, error) {
 	if err := binary.Read(r, binary.LittleEndian, &nConsts); err != nil {
 		return nil, err
 	}
-	pool := make([]*tensor.Tensor, nConsts)
-	for i := range pool {
+	// The count is a claim, not a size: the pool grows as constants parse,
+	// so a hostile count costs no more than the bytes that follow it.
+	var pool []*tensor.Tensor
+	for i := uint32(0); i < nConsts; i++ {
 		t, err := tensor.ReadFrom(r)
 		if err != nil {
-			return nil, fmt.Errorf("runtime: reading constant %d: %w", i, err)
+			return nil, fmt.Errorf("runtime: reading constant %d of %d: %w", i, nConsts, err)
 		}
-		pool[i] = t
+		pool = append(pool, t)
 	}
 
 	var mod *relay.Module
@@ -627,11 +639,10 @@ func LoadLibrary(r io.Reader, sc *soc.SoC) (*Lib, error) {
 				return nil, err
 			}
 			var cval *tensor.Tensor
-			if jo.Const >= 0 {
-				if jo.Const >= len(pool) {
-					return nil, fmt.Errorf("runtime: operand constant index out of pool")
+			if jo.Const >= 0 { // -1 marks a runtime-fed operand
+				if cval, err = poolConst(pool, jo.Const); err != nil {
+					return nil, fmt.Errorf("runtime: rehydrating %s: operand %q: %w", jm.Name, jo.Name, err)
 				}
-				cval = pool[jo.Const]
 			}
 			model.AddOperand(jo.Name, neuron.OperandType{
 				Shape: append(tensor.Shape(nil), jo.Shape...),

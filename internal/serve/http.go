@@ -130,6 +130,33 @@ func writeServeErr(w http.ResponseWriter, err error) {
 	writeErr(w, code, err)
 }
 
+// MaxInferBody bounds what the edge reads from one request. The largest
+// thing a legitimate client sends is the biggest zoo input as a JSON float
+// array: yolov3's 1×416×416×3 = 519 168 values at up to 25 bytes each, 13 MB.
+// The fleet router applies the same bound to what it forwards.
+const MaxInferBody = 16 << 20
+
+// BodyErrStatus is the status to answer a request whose body could not be
+// read or decoded under an http.MaxBytesReader: 413 when the cap was hit,
+// 400 otherwise.
+func BodyErrStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// decodeBody decodes the capped JSON body into v, answering the request
+// itself when it cannot.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxInferBody)).Decode(v)
+	if err != nil {
+		writeErr(w, BodyErrStatus(err), fmt.Errorf("bad request body: %w", err))
+	}
+	return err == nil
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
@@ -140,21 +167,9 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("POST only"))
 		return
 	}
-	// Trace context: adopt the caller's (a router hop forwards its header and
-	// we mint a child span for this edge) or mint a fresh trace when this
-	// worker is the first edge. Every response — success or error — is stamped
-	// with the header so the caller can fetch GET /tracez?id=<trace> later.
-	tc, ok := obs.ParseTraceContext(r.Header.Get(obs.TraceHeader))
-	if ok {
-		tc = tc.Child()
-	} else {
-		tc = obs.MintTrace()
-	}
-	w.Header().Set(obs.TraceHeader, tc.String())
-
+	tc := obs.AdoptTrace(w, r)
 	var req InferRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s.mu.RLock()
@@ -331,8 +346,7 @@ func (s *Server) handleShowcase(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ShowcaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Frames <= 0 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/app"
@@ -236,5 +237,35 @@ func TestHTTPShowcaseUnregistered(t *testing.T) {
 	resp, _ := postJSON(t, ts.URL+"/v1/showcase", ShowcaseRequest{Frames: 1})
 	if resp.StatusCode != http.StatusNotImplemented {
 		t.Errorf("status %d, want 501", resp.StatusCode)
+	}
+}
+
+// TestRequestBodyCap: the POST handlers read at most MaxInferBody bytes and
+// answer a longer body with 413; an ordinary body passes the edge.
+func TestRequestBodyCap(t *testing.T) {
+	s := NewServer()
+	s.showcase = &showcaseEndpoint{} // decoding comes before the first use of the app
+	h := s.Handler()
+	huge := `{"model":"` + strings.Repeat("a", MaxInferBody) + `"}`
+	cases := []struct {
+		path, ordinary string
+		ordinaryStatus int
+	}{
+		{"/v1/infer", `{"model":"nope"}`, http.StatusNotFound},
+		{"/v1/showcase", `{"frames":65}`, http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.path, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(huge)))
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Errorf("oversized body: status %d, want 413: %s", rec.Code, rec.Body)
+			}
+			rec = httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.ordinary)))
+			if rec.Code != tc.ordinaryStatus {
+				t.Errorf("ordinary body: status %d, want %d: %s", rec.Code, tc.ordinaryStatus, rec.Body)
+			}
+		})
 	}
 }

@@ -49,17 +49,17 @@ func Registries(s RegistrySnapshot) *Result {
 	sort.Strings(handlers)
 	for _, name := range handlers {
 		if !relayOps[name] {
-			res.errorf("nir-orphan-handler", "nir:"+name,
+			res.Errorf("nir-orphan-handler", "nir:"+name,
 				"converter has a handler for %q but the relay op registry does not define it", name)
 		}
 		code, ok := s.OpcodeOf(name)
 		if !ok {
-			res.errorf("nir-no-opcode", "nir:"+name,
+			res.Errorf("nir-no-opcode", "nir:"+name,
 				"handled relay op %q maps to no Neuron opcode (device-coverage checks cannot see it)", name)
 			continue
 		}
 		if !neuron.KnownOpCode(code) {
-			res.errorf("nir-no-opcode", "nir:"+name,
+			res.Errorf("nir-no-opcode", "nir:"+name,
 				"handled relay op %q maps to unknown Neuron opcode %d", name, int(code))
 		}
 	}
@@ -67,13 +67,13 @@ func Registries(s RegistrySnapshot) *Result {
 	// TOPI kernel inventory ↔ relay op registry.
 	for _, name := range s.TOPIKernels {
 		if !relayOps[name] {
-			res.errorf("topi-orphan-kernel", "topi:"+name,
+			res.Errorf("topi-orphan-kernel", "topi:"+name,
 				"kernel %q implements no registered relay op", name)
 		}
 	}
 	for _, name := range s.RelayOps {
 		if !kernels[name] {
-			res.errorf("relay-op-no-kernel", "relay:"+name,
+			res.Errorf("relay-op-no-kernel", "relay:"+name,
 				"relay op %q has no TOPI kernel — the graph executor cannot run it", name)
 		}
 	}
@@ -84,10 +84,10 @@ func Registries(s RegistrySnapshot) *Result {
 		for _, quantized := range []bool{false, true} {
 			k := neuron.KernelFor(code, quantized)
 			if k == "" {
-				res.errorf("neuron-no-kernel", where,
+				res.Errorf("neuron-no-kernel", where,
 					"opcode has no reference kernel mapping (quantized=%v)", quantized)
 			} else if !kernels[k] {
-				res.errorf("neuron-no-kernel", where,
+				res.Errorf("neuron-no-kernel", where,
 					"opcode maps to kernel %q, which is not in the TOPI inventory (quantized=%v)", k, quantized)
 			}
 		}
@@ -99,7 +99,7 @@ func Registries(s RegistrySnapshot) *Result {
 			}
 		}
 		if !supported {
-			res.errorf("neuron-no-device", where,
+			res.Errorf("neuron-no-device", where,
 				"no enabled device's supported-op set contains the opcode (devices %v)", devices)
 		}
 	}

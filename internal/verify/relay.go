@@ -58,7 +58,7 @@ type walkCtx struct {
 
 func (v *moduleVerifier) run() {
 	if v.m.Main() == nil {
-		v.res.errorf("no-main", "", "module has no %q entry function", relay.MainFunc)
+		v.res.Errorf("no-main", "", "module has no %q entry function", relay.MainFunc)
 		return
 	}
 	v.m.Functions(func(name string, fn *relay.Function) {
@@ -76,7 +76,7 @@ func (v *moduleVerifier) run() {
 		if name == relay.MainFunc || v.referenced[fn] {
 			return
 		}
-		v.res.errorf("dead-binding", "@"+name,
+		v.res.Errorf("dead-binding", "@"+name,
 			"function is never referenced from @%s", relay.MainFunc)
 	})
 }
@@ -87,13 +87,13 @@ func (v *moduleVerifier) run() {
 func (v *moduleVerifier) checkRegionDef(name string, fn *relay.Function) {
 	comp := fn.Attr(relay.FnAttrCompiler)
 	if comp == "" {
-		v.res.errorf("region-attrs", "@"+name,
+		v.res.Errorf("region-attrs", "@"+name,
 			"module-level function carries no %s attribute (only partitioned regions are registered)",
 			relay.FnAttrCompiler)
 		return
 	}
 	if sym := fn.Attr(relay.FnAttrGlobalSymbol); sym != name {
-		v.res.errorf("region-attrs", "@"+name,
+		v.res.Errorf("region-attrs", "@"+name,
 			"%s=%q does not match the module binding name", relay.FnAttrGlobalSymbol, sym)
 	}
 }
@@ -102,12 +102,12 @@ func (v *moduleVerifier) checkRegionDef(name string, fn *relay.Function) {
 // of the body must be a parameter.
 func (v *moduleVerifier) checkFunction(name string, fn *relay.Function) {
 	for _, free := range relay.FreeVars(fn) {
-		v.res.errorf("unbound-var", exprWhere(name, free),
+		v.res.Errorf("unbound-var", exprWhere(name, free),
 			"variable %%%s is used but bound by no enclosing parameter list", free.Name)
 	}
 	for _, p := range fn.Params {
 		if p.TypeAnnotation == nil {
-			v.res.errorf("var-annotation", exprWhere(name, p),
+			v.res.Errorf("var-annotation", exprWhere(name, p),
 				"parameter %%%s has no type annotation", p.Name)
 		}
 	}
@@ -148,16 +148,16 @@ func (v *moduleVerifier) enterNestedFunc(fn *relay.Function, ctx walkCtx) {
 	comp := fn.Attr(relay.FnAttrCompiler)
 	prim := fn.Attr(relay.FnAttrPrimitive)
 	if ctx.primitive {
-		v.res.errorf("primitive-nested", exprWhere(ctx.fnName, fn),
+		v.res.Errorf("primitive-nested", exprWhere(ctx.fnName, fn),
 			"fused Primitive function contains a nested function (fusion must not cross partition or kernel boundaries)")
 	}
 	if ctx.compiler != "" {
 		if comp != "" {
-			v.res.errorf("nested-partition", exprWhere(ctx.fnName, fn),
+			v.res.Errorf("nested-partition", exprWhere(ctx.fnName, fn),
 				"partitioned region for %q contains a nested %s=%q region (regions must be convex, never nested)",
 				ctx.compiler, relay.FnAttrCompiler, comp)
 		} else {
-			v.res.errorf("region-nested-fn", exprWhere(ctx.fnName, fn),
+			v.res.Errorf("region-nested-fn", exprWhere(ctx.fnName, fn),
 				"partitioned region for %q contains a nested function; the converter only accepts flat op graphs",
 				ctx.compiler)
 		}
@@ -177,7 +177,7 @@ func (v *moduleVerifier) checkVar(n *relay.Var, ctx walkCtx) {
 	if n.TypeAnnotation != nil {
 		v.checkType(n.TypeAnnotation, "var-annotation", ctx.fnName, n)
 		if ct := n.CheckedType(); ct != nil && !ct.Same(n.TypeAnnotation) {
-			v.res.errorf("type-mismatch", exprWhere(ctx.fnName, n),
+			v.res.Errorf("type-mismatch", exprWhere(ctx.fnName, n),
 				"checked type %s disagrees with annotation %s (stale inference after a rewrite?)",
 				ct, n.TypeAnnotation)
 		}
@@ -187,12 +187,12 @@ func (v *moduleVerifier) checkVar(n *relay.Var, ctx walkCtx) {
 
 func (v *moduleVerifier) checkConstant(n *relay.Constant, ctx walkCtx) {
 	if n.Value == nil {
-		v.res.errorf("const-value", exprWhere(ctx.fnName, n), "constant carries no tensor value")
+		v.res.Errorf("const-value", exprWhere(ctx.fnName, n), "constant carries no tensor value")
 		return
 	}
 	if tt, ok := n.CheckedType().(*relay.TensorType); ok {
 		if !tt.Shape.Equal(n.Value.Shape) || tt.DType != n.Value.DType {
-			v.res.errorf("const-type", exprWhere(ctx.fnName, n),
+			v.res.Errorf("const-type", exprWhere(ctx.fnName, n),
 				"checked type %s disagrees with the stored tensor (%s %s)",
 				tt, n.Value.DType, n.Value.Shape)
 		}
@@ -206,10 +206,10 @@ func (v *moduleVerifier) checkConstant(n *relay.Constant, ctx walkCtx) {
 func (v *moduleVerifier) checkCall(n *relay.Call, ctx walkCtx) {
 	switch {
 	case n.Op != nil && n.Fn != nil:
-		v.res.errorf("ambiguous-callee", exprWhere(ctx.fnName, n),
+		v.res.Errorf("ambiguous-callee", exprWhere(ctx.fnName, n),
 			"call has both an operator and a function callee")
 	case n.Op == nil && n.Fn == nil:
-		v.res.errorf("no-callee", exprWhere(ctx.fnName, n), "call has neither operator nor function callee")
+		v.res.Errorf("no-callee", exprWhere(ctx.fnName, n), "call has neither operator nor function callee")
 	case n.Op != nil:
 		v.checkOpCall(n, ctx)
 	default:
@@ -220,13 +220,13 @@ func (v *moduleVerifier) checkCall(n *relay.Call, ctx walkCtx) {
 
 func (v *moduleVerifier) checkOpCall(n *relay.Call, ctx walkCtx) {
 	if _, registered := relay.LookupOp(n.Op.Name); !registered {
-		v.res.errorf("unregistered-op", exprWhere(ctx.fnName, n),
+		v.res.Errorf("unregistered-op", exprWhere(ctx.fnName, n),
 			"operator %q is not in the relay op registry", n.Op.Name)
 		return
 	}
 	if ctx.compiler != "" {
 		if sup := v.opts.ExternalOps[ctx.compiler]; sup != nil && !sup(n) {
-			v.res.errorf("region-unsupported-op", exprWhere(ctx.fnName, n),
+			v.res.Errorf("region-unsupported-op", exprWhere(ctx.fnName, n),
 				"op %s is inside a %s=%q region but the external codegen does not support it",
 				n.Op.Name, relay.FnAttrCompiler, ctx.compiler)
 		}
@@ -239,12 +239,12 @@ func (v *moduleVerifier) checkOpCall(n *relay.Call, ctx walkCtx) {
 	}
 	got, err := n.Op.Infer(args, n.Attrs)
 	if err != nil {
-		v.res.errorf("op-signature", exprWhere(ctx.fnName, n),
+		v.res.Errorf("op-signature", exprWhere(ctx.fnName, n),
 			"call does not satisfy the registry signature: %v", err)
 		return
 	}
 	if ct := n.CheckedType(); ct != nil && !got.Same(ct) {
-		v.res.errorf("type-mismatch", exprWhere(ctx.fnName, n),
+		v.res.Errorf("type-mismatch", exprWhere(ctx.fnName, n),
 			"checked type %s disagrees with registry inference %s (stale after a rewrite?)", ct, got)
 	}
 }
@@ -252,7 +252,7 @@ func (v *moduleVerifier) checkOpCall(n *relay.Call, ctx walkCtx) {
 func (v *moduleVerifier) checkFnCall(n *relay.Call, ctx walkCtx) {
 	fn, ok := n.Fn.(*relay.Function)
 	if !ok {
-		v.res.errorf("no-callee", exprWhere(ctx.fnName, n),
+		v.res.Errorf("no-callee", exprWhere(ctx.fnName, n),
 			"function callee is a %T, not a Function literal", n.Fn)
 		return
 	}
@@ -263,25 +263,25 @@ func (v *moduleVerifier) checkFnCall(n *relay.Call, ctx walkCtx) {
 		sym := fn.Attr(relay.FnAttrGlobalSymbol)
 		reg, found := v.m.Get(sym)
 		if !found || reg != fn {
-			v.res.errorf("unregistered-region", exprWhere(ctx.fnName, n),
+			v.res.Errorf("unregistered-region", exprWhere(ctx.fnName, n),
 				"call targets a %s=%q region with %s=%q that is not the module definition of that name",
 				relay.FnAttrCompiler, comp, relay.FnAttrGlobalSymbol, sym)
 		} else {
 			v.referenced[fn] = true
 		}
 	case prim == "":
-		v.res.errorf("anonymous-fn-call", exprWhere(ctx.fnName, n),
+		v.res.Errorf("anonymous-fn-call", exprWhere(ctx.fnName, n),
 			"callee function carries neither %s nor %s attributes",
 			relay.FnAttrCompiler, relay.FnAttrPrimitive)
 	}
 	if len(fn.Params) != len(n.Args) {
-		v.res.errorf("call-arity", exprWhere(ctx.fnName, n),
+		v.res.Errorf("call-arity", exprWhere(ctx.fnName, n),
 			"call passes %d arguments, callee declares %d parameters", len(n.Args), len(fn.Params))
 	} else {
 		for i, a := range n.Args {
 			at, pt := a.CheckedType(), fn.Params[i].TypeAnnotation
 			if at != nil && pt != nil && !at.Same(pt) {
-				v.res.errorf("call-arg-type", exprWhere(ctx.fnName, n),
+				v.res.Errorf("call-arg-type", exprWhere(ctx.fnName, n),
 					"argument %d has type %s, callee parameter %%%s wants %s",
 					i, at, fn.Params[i].Name, pt)
 			}
@@ -293,7 +293,7 @@ func (v *moduleVerifier) checkFnCall(n *relay.Call, ctx walkCtx) {
 func (v *moduleVerifier) checkTupleGet(n *relay.TupleGetItem, ctx walkCtx) {
 	if tt, ok := n.Tuple.CheckedType().(*relay.TupleType); ok {
 		if n.Index < 0 || n.Index >= len(tt.Fields) {
-			v.res.errorf("tuple-index", exprWhere(ctx.fnName, n),
+			v.res.Errorf("tuple-index", exprWhere(ctx.fnName, n),
 				"projection index %d out of range for %d-field tuple", n.Index, len(tt.Fields))
 		}
 	}
@@ -310,7 +310,7 @@ func (v *moduleVerifier) checkTupleGet(n *relay.TupleGetItem, ctx walkCtx) {
 func (v *moduleVerifier) checkTyped(e relay.Expr, ctx walkCtx) {
 	t := e.CheckedType()
 	if t == nil {
-		v.res.errorf("untyped", exprWhere(ctx.fnName, e),
+		v.res.Errorf("untyped", exprWhere(ctx.fnName, e),
 			"expression has no checked type (InferType did not run after the last rewrite)")
 		return
 	}
@@ -325,10 +325,10 @@ func (v *moduleVerifier) checkType(t relay.Type, check, fnName string, at relay.
 	case *relay.TensorType:
 		if tt.DType.IsQuantized() {
 			if tt.Quant == nil {
-				v.res.errorf(check, exprWhere(fnName, at),
+				v.res.Errorf(check, exprWhere(fnName, at),
 					"type %s is quantized but carries no scale/zero-point (QNN params must survive onto every tensor)", tt)
 			} else if tt.Quant.Scale <= 0 {
-				v.res.errorf(check, exprWhere(fnName, at),
+				v.res.Errorf(check, exprWhere(fnName, at),
 					"type %s has non-positive quantization scale %g", tt, tt.Quant.Scale)
 			}
 		}

@@ -43,7 +43,7 @@ func (s Severity) String() string {
 // Diagnostic is one verifier finding.
 type Diagnostic struct {
 	Sev Severity
-	// Check names the invariant class, e.g. "unbound-var" or "op-arity".
+	// Check names the invariant class, e.g. unbound-var or op-arity.
 	Check string
 	// Where locates the offending node: function name plus a pretty-printed
 	// one-line context of the expression or operation.
@@ -86,11 +86,11 @@ func (r *Result) add(sev Severity, check, where, format string, args ...interfac
 	})
 }
 
-func (r *Result) errorf(check, where, format string, args ...interface{}) {
+func (r *Result) Errorf(check, where, format string, args ...interface{}) {
 	r.add(SevError, check, where, format, args...)
 }
 
-func (r *Result) warnf(check, where, format string, args ...interface{}) {
+func (r *Result) Warnf(check, where, format string, args ...interface{}) {
 	r.add(SevWarning, check, where, format, args...)
 }
 
