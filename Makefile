@@ -4,7 +4,7 @@ GO ?= go
 
 # check is the tier-1 gate: build + formatting + vet + race-enabled tests +
 # cross-registry lint + the custom npvet analyzers + the dataflow analyses
-# over the model zoo + a five-second run of the partitioner fuzz target.
+# over the model zoo + a five-second run of each fuzz target.
 # Pre-commit hooks should run exactly this; CI runs the same eight
 # prerequisites as named steps.
 check: build fmt vet race lint npvet analyze fuzz-smoke
@@ -38,12 +38,15 @@ npvet:
 analyze:
 	$(GO) run ./cmd/npc -zoo all -analyze
 
-# fuzz-smoke runs the partitioner's fuzz target briefly: the committed seed
-# corpus plus five seconds of mutation, each input checked against the BFS
-# oracle (error or the oracle's convex partition, never a panic). A failing
-# input is written under internal/passes/testdata/fuzz/ — commit it with the fix.
+# fuzz-smoke runs both fuzz targets briefly, each over its committed seed
+# corpus plus five seconds of mutation: the partitioner against the BFS oracle
+# (error or the oracle's convex partition, never a panic) and the /v1/infer
+# decoder against json.Unmarshal (same accept/reject, same values to the bit).
+# A failing input is written under the package's testdata/fuzz/ — commit it
+# with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/passes -run '^$$' -fuzz FuzzPartitionForCompiler -fuzztime 5s
+	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeInfer -fuzztime 5s
 
 # bench writes the machine-readable run log to BENCH_PR14.json (test2json
 # event stream, one JSON object per line) while echoing the human-readable

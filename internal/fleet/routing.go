@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -80,7 +79,7 @@ func rendezvous(model string, shard uint64, key string) uint64 {
 // that served a routed request.
 const WorkerHeader = "X-NP-Worker"
 
-// handleInfer routes one inference: decode enough of the body to learn
+// handleInfer routes one inference: read the body's envelope to learn
 // (model, seed), walk the rendezvous-ranked candidates, and proxy to the
 // first worker that accepts. Transport failures mark the worker unhealthy
 // and the request retries on the next candidate; 503 (draining) retries
@@ -95,8 +94,10 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, serve.BodyErrStatus(err), "reading body: "+err.Error())
 		return
 	}
-	var req serve.InferRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	// Routing reads the envelope only; the inputs' numbers are parsed once,
+	// by the worker the bytes are forwarded to.
+	model, seed, err := serve.InferEnvelope(body)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
@@ -104,10 +105,10 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	// context is forwarded to the worker on the proxied request.
 	tc := obs.AdoptTrace(w, r)
 
-	cands := rt.candidates(req.Model, req.Seed)
+	cands := rt.candidates(model, seed)
 	if len(cands) == 0 {
 		rt.failedC.Inc()
-		writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("no healthy worker serves model %q", req.Model))
+		writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("no healthy worker serves model %q", model))
 		return
 	}
 	routeStart := rt.now()
@@ -135,9 +136,9 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 			resp.Body.Close()
 			continue
 		}
-		rt.routedCounter(cand.Key, req.Model).Inc()
+		rt.routedCounter(cand.Key, model).Inc()
 		rt.routed.Inc()
-		rt.track.Emit("route:"+req.Model, "fleet", routeStart, time.Since(routeStart),
+		rt.track.Emit("route:"+model, "fleet", routeStart, time.Since(routeStart),
 			obs.A(obs.TraceArg, tc.TraceID), obs.A("worker", cand.Key), obs.A("attempt", i+1))
 		w.Header().Set(WorkerHeader, cand.Key)
 		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
@@ -148,10 +149,10 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.failedC.Inc()
 	rt.updateGauges()
-	rt.track.Emit("route-failed:"+req.Model, "fleet", routeStart, time.Since(routeStart),
+	rt.track.Emit("route-failed:"+model, "fleet", routeStart, time.Since(routeStart),
 		obs.A(obs.TraceArg, tc.TraceID), obs.A("candidates", len(cands)))
 	w.Header().Set("Retry-After", strconv.Itoa(serve.DrainRetryAfterSeconds))
-	writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("all %d workers for model %q failed or refused", len(cands), req.Model))
+	writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("all %d workers for model %q failed or refused", len(cands), model))
 }
 
 func (rt *Router) routedCounter(workerKey, model string) *obs.Counter {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/runtime"
 	"repro/internal/soc"
 	"repro/internal/tensor"
 )
@@ -165,68 +166,79 @@ func (e *endpoint) runBatch(batch []*request, tk *obs.Track) {
 
 	runStart := time.Now()
 	var batchSim soc.Seconds
-	for _, r := range live {
-		// The batch window may have outlived a tight deadline.
-		if err := r.ctx.Err(); err != nil {
-			e.stats.expired()
-			wait := time.Since(r.enqueued)
-			e.record(r, "expired", len(live), wait, 0, wait)
-			r.respond(nil, fmt.Errorf("serve: %s: expired before execution: %w", e.name, err))
-			continue
+	for i, r := range live {
+		res, err := e.runOne(gm, r, len(live), runStart, tk)
+		if res != nil {
+			batchSim += res.SimTime
 		}
-		queueWait := runStart.Sub(r.enqueued)
-		if r.trace.Valid() {
-			tk.Emit("queue-wait:"+e.name, "serve", r.enqueued, queueWait,
-				obs.A(obs.TraceArg, r.trace.TraceID))
-		} else {
-			tk.Emit("queue-wait:"+e.name, "serve", r.enqueued, queueWait)
+		if i == len(live)-1 {
+			// The batch's books close before its last reply goes out, so
+			// whoever holds every reply of a batch finds it on /statsz. It
+			// occupied its device set exclusively for its summed simulated
+			// cost: one reservation on the shared virtual timeline (what
+			// /statsz reports as per-device busy time).
+			e.server.timeline.ScheduleMulti(e.opts.Devices, e.name, 0, batchSim)
+			e.stats.batchDone(len(live))
 		}
-		start := time.Now()
-		for name, t := range r.inputs {
-			gm.SetInput(name, t)
-		}
-		err := gm.Run()
-		var outs []*tensor.Tensor
-		if err == nil {
-			outs = make([]*tensor.Tensor, gm.NumOutputs())
-			for i := range outs {
-				if outs[i], err = gm.OutputCopy(i); err != nil {
-					break
-				}
+		r.respond(res, err)
+	}
+}
+
+// runOne executes one request of a batch on gm and keeps its books — spans,
+// counters, flight record — leaving only the reply to the caller.
+func (e *endpoint) runOne(gm *runtime.GraphModule, r *request, batch int, runStart time.Time, tk *obs.Track) (*Result, error) {
+	// The batch window may have outlived a tight deadline.
+	if err := r.ctx.Err(); err != nil {
+		e.stats.expired()
+		wait := time.Since(r.enqueued)
+		e.record(r, "expired", batch, wait, 0, wait)
+		return nil, fmt.Errorf("serve: %s: expired before execution: %w", e.name, err)
+	}
+	queueWait := runStart.Sub(r.enqueued)
+	if r.trace.Valid() {
+		tk.Emit("queue-wait:"+e.name, "serve", r.enqueued, queueWait,
+			obs.A(obs.TraceArg, r.trace.TraceID))
+	} else {
+		tk.Emit("queue-wait:"+e.name, "serve", r.enqueued, queueWait)
+	}
+	start := time.Now()
+	for name, t := range r.inputs {
+		gm.SetInput(name, t)
+	}
+	err := gm.Run()
+	var outs []*tensor.Tensor
+	if err == nil {
+		outs = make([]*tensor.Tensor, gm.NumOutputs())
+		for i := range outs {
+			if outs[i], err = gm.OutputCopy(i); err != nil {
+				break
 			}
 		}
-		execWall := time.Since(start)
-		// The request's own span goes on the track before the request is
-		// answered: a client that asks /tracez?id= for its request the moment
-		// it has the reply must find it.
-		if r.trace.Valid() {
-			tk.Emit("execute:"+e.name, "serve", start, execWall,
-				obs.A(obs.TraceArg, r.trace.TraceID), obs.A("batch", len(live)))
-		} else {
-			tk.Emit("execute:"+e.name, "serve", start, execWall, obs.A("batch", len(live)))
-		}
-		if err != nil {
-			e.stats.failed()
-			e.record(r, "failed", len(live), queueWait, execWall, time.Since(r.enqueued))
-			r.respond(nil, fmt.Errorf("serve: %s: %w", e.name, err))
-			continue
-		}
-		sim := gm.LastProfile().Total()
-		batchSim += sim
-		e.stats.completed(time.Since(r.enqueued), queueWait, execWall, sim)
-		e.record(r, "ok", len(live), queueWait, execWall, time.Since(r.enqueued))
-		r.respond(&Result{
-			Outputs:   outs,
-			Version:   e.opts.Version,
-			BatchSize: len(live),
-			QueueWait: queueWait,
-			Wall:      execWall,
-			SimTime:   sim,
-		}, nil)
 	}
-	// Account the whole reservation on the shared virtual timeline: the
-	// batch occupied its device set exclusively for its summed simulated
-	// cost (this is what /statsz reports as per-device busy time).
-	e.server.timeline.ScheduleMulti(e.opts.Devices, e.name, 0, batchSim)
-	e.stats.batchDone(len(live))
+	execWall := time.Since(start)
+	// The request's own span goes on the track before the request is
+	// answered: a client that asks /tracez?id= for its request the moment
+	// it has the reply must find it.
+	if r.trace.Valid() {
+		tk.Emit("execute:"+e.name, "serve", start, execWall,
+			obs.A(obs.TraceArg, r.trace.TraceID), obs.A("batch", batch))
+	} else {
+		tk.Emit("execute:"+e.name, "serve", start, execWall, obs.A("batch", batch))
+	}
+	if err != nil {
+		e.stats.failed()
+		e.record(r, "failed", batch, queueWait, execWall, time.Since(r.enqueued))
+		return nil, fmt.Errorf("serve: %s: %w", e.name, err)
+	}
+	sim := gm.LastProfile().Total()
+	e.stats.completed(time.Since(r.enqueued), queueWait, execWall, sim)
+	e.record(r, "ok", batch, queueWait, execWall, time.Since(r.enqueued))
+	return &Result{
+		Outputs:   outs,
+		Version:   e.opts.Version,
+		BatchSize: batch,
+		QueueWait: queueWait,
+		Wall:      execWall,
+		SimTime:   sim,
+	}, nil
 }

@@ -168,63 +168,72 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tc := obs.AdoptTrace(w, r)
-	var req InferRequest
-	if !decodeBody(w, r, &req) {
+	traced := obs.A(obs.TraceArg, tc.TraceID)
+	start := time.Now()
+	q := getInferBuf()
+	defer putInferBuf(q)
+	err := q.readBody(w, r)
+	if err == nil {
+		err = q.decode(q.b)
+	}
+	if err != nil {
+		writeErr(w, BodyErrStatus(err), fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	s.mu.RLock()
-	e, ok := s.resolve(req.Model)
+	e, ok := s.resolve(q.model)
 	s.mu.RUnlock()
 	if !ok {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownModel, req.Model))
+		writeErr(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownModel, q.model))
 		return
 	}
-	inputs, err := e.buildInputs(req)
+	inputs, err := e.bindInputs(q)
+	s.httpTrack.Emit(e.decodeSpan, "serve", start, time.Since(start), traced)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx := obs.WithTrace(r.Context(), tc)
-	if req.TimeoutMs > 0 {
+	if q.timeoutMs > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMs)*time.Millisecond)
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(q.timeoutMs)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := s.Submit(ctx, req.Model, inputs)
+	res, err := s.Submit(ctx, q.model, inputs)
 	if err != nil {
 		writeServeErr(w, err)
 		return
 	}
-	resp := InferResponse{
-		Model:     req.Model,
-		Version:   res.Version,
-		BatchSize: res.BatchSize,
-		QueueMs:   float64(res.QueueWait) / float64(time.Millisecond),
-		WallMs:    float64(res.Wall) / float64(time.Millisecond),
-		SimMs:     res.SimTime.Ms(),
-		TraceID:   tc.TraceID,
+	// The request is bound and answered: its body bytes are dead, and the
+	// reply is built where they were. Encoding finishes before the header
+	// goes out, so a value with no JSON form is an error status, not a
+	// 200 with half a body.
+	start = time.Now()
+	q.b, err = appendInferResponse(q.b[:0], q.model, res, tc.TraceID)
+	s.httpTrack.Emit(e.encodeSpan, "serve", start, time.Since(start), traced)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
-	for _, t := range res.Outputs {
-		resp.Outputs = append(resp.Outputs, tensorToJSON(t))
-	}
-	writeJSON(w, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(q.b)
 }
 
-// buildInputs materializes the request's input binding: explicit data when
+// bindInputs materializes the request's input binding: explicit data when
 // given, a deterministic synthetic input otherwise.
-func (e *endpoint) buildInputs(req InferRequest) (map[string]*tensor.Tensor, error) {
+func (e *endpoint) bindInputs(q *inferBuf) (map[string]*tensor.Tensor, error) {
 	main := e.lib.Module.Main()
 	out := make(map[string]*tensor.Tensor, len(main.Params))
-	if len(req.Inputs) == 0 {
+	if len(q.inputs) == 0 {
 		if len(main.Params) != 1 {
 			return nil, fmt.Errorf("serve: model %q has %d inputs; seed synthesis needs exactly 1 (bind inputs explicitly)",
 				e.name, len(main.Params))
 		}
-		out[main.Params[0].Name] = models.RandomInput(e.lib.Module, req.Seed)
+		out[main.Params[0].Name] = models.RandomInput(e.lib.Module, q.seed)
 		return out, nil
 	}
 	for _, p := range main.Params {
-		data, ok := req.Inputs[p.Name]
+		data, ok := q.input(p.Name)
 		if !ok {
 			return nil, fmt.Errorf("serve: model %q: input %q missing", e.name, p.Name)
 		}
@@ -242,15 +251,17 @@ func (e *endpoint) buildInputs(req InferRequest) (map[string]*tensor.Tensor, err
 }
 
 // tensorFromData builds a tensor of the declared input type from row-major
-// real values, quantizing through the declared parameters for integer
-// inputs.
+// real values, each narrowed to float32 — the wire carries doubles, and
+// parsing them at 32 bits would round twice — then quantized through the
+// declared parameters for integer inputs.
 func tensorFromData(data []float64, tt *relay.TensorType) (*tensor.Tensor, error) {
 	if len(data) != tt.Shape.Elems() {
 		return nil, fmt.Errorf("want %d elements for shape %s, got %d", tt.Shape.Elems(), tt.Shape, len(data))
 	}
-	f := tensor.New(tensor.Float32, tt.Shape.Clone())
+	f := tensor.New(tensor.Float32, tt.Shape)
+	dst := f.F32()
 	for i, v := range data {
-		f.SetF(i, v)
+		dst[i] = float32(v)
 	}
 	if tt.DType == tensor.Float32 {
 		return f, nil
@@ -259,14 +270,6 @@ func tensorFromData(data []float64, tt *relay.TensorType) (*tensor.Tensor, error
 		return nil, fmt.Errorf("cannot bind explicit data to %s input without quant params", tt.DType)
 	}
 	return f.QuantizeTo(tt.DType, *tt.Quant), nil
-}
-
-func tensorToJSON(t *tensor.Tensor) TensorJSON {
-	out := TensorJSON{Shape: []int(t.Shape.Clone()), DType: t.DType.String(), Data: make([]float64, t.Elems())}
-	for i := range out.Data {
-		out.Data[i] = t.GetF(i)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------- showcase

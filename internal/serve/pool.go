@@ -38,6 +38,10 @@ type endpoint struct {
 	// registration, so per-request flight records share one string instead of
 	// joining on the serving path.
 	devicesLabel string
+
+	// decodeSpan and encodeSpan name the handler's spans for this endpoint,
+	// built once here rather than per request.
+	decodeSpan, encodeSpan string
 }
 
 func newEndpoint(name string, lib *runtime.Lib, opts ModelOptions, s *Server) (*endpoint, error) {
@@ -51,6 +55,8 @@ func newEndpoint(name string, lib *runtime.Lib, opts ModelOptions, s *Server) (*
 		stats:      newStatsCollector(s.metrics, name),
 		drainCh:    make(chan struct{}),
 		inputNames: runtime.NewGraphModule(lib).InputNames(),
+		decodeSpan: "decode:" + name,
+		encodeSpan: "encode:" + name,
 	}
 	labels := make([]string, len(opts.Devices))
 	for i, d := range opts.Devices {

@@ -180,6 +180,10 @@ type Server struct {
 	start    time.Time
 	metrics  *obs.Registry
 	tracer   *obs.Tracer
+	// httpTrack carries the handlers' own spans (decode:, encode:). Handlers
+	// run on net/http's goroutines, not on ones this server owns, so they
+	// share this one track and its mutex instead of having one each.
+	httpTrack *obs.Track
 	// flight is an atomic pointer so ConfigureFlightRecorder can swap the
 	// recorder without adding a lock to the per-request Record path.
 	flight atomic.Pointer[obs.FlightRecorder]
@@ -212,6 +216,7 @@ func NewServer() *Server {
 		slo:       obs.NewSLOTracker(),
 		aux:       map[string]http.Handler{},
 	}
+	s.httpTrack = s.tracer.NewTrack("http")
 	s.flight.Store(obs.NewFlightRecorder(0, 0, DefaultSlowThresholdMs))
 	// Surface per-kernel launch counts and cumulative kernel time on
 	// /metricsz alongside the serving metrics.
@@ -229,7 +234,8 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 
 // Tracer exposes the server's wall-clock span tracer: every worker records
 // queue-wait, batch-coalesce, device-lock-wait, and execute spans on its own
-// track, and /tracez exports the ring as Chrome trace JSON.
+// track, the /v1/infer handlers record decode and encode spans on the shared
+// "http" track, and /tracez exports the rings as Chrome trace JSON.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // FlightRecorder exposes the per-request black box behind /debugz/requests.

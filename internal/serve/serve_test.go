@@ -360,6 +360,34 @@ func TestBatchingMatchesUnbatched(t *testing.T) {
 	}
 }
 
+// TestBatchAccountedBeforeLastReply: whoever holds a batch's last reply finds
+// the batch in the counters and on the device timeline — the worker closes
+// the batch's books first and answers second, so a /statsz read that follows
+// a reply cannot miss it.
+func TestBatchAccountedBeforeLastReply(t *testing.T) {
+	lib := kerasLib(t, 8, 8)
+	s := NewServer()
+	defer s.Drain()
+	if err := s.Register("tiny", lib, ModelOptions{Pool: 1}); err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string]*tensor.Tensor{lib.Module.Main().Params[0].Name: models.RandomInput(lib.Module, 1)}
+	var busy soc.Seconds
+	for i := 1; i <= 300; i++ {
+		if _, err := s.Submit(context.Background(), "tiny", inputs); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Stats()[0].Batches; got != uint64(i) {
+			t.Fatalf("after reply %d the counters hold %d batches", i, got)
+		}
+		now := s.timeline.BusyTime(soc.KindCPU)
+		if now <= busy {
+			t.Fatalf("after reply %d the cpu's busy time is %v, as before it", i, now)
+		}
+		busy = now
+	}
+}
+
 // TestDrainRejectsNewServesAdmitted pins graceful shutdown: Drain answers
 // everything already admitted and rejects new work with ErrDraining.
 func TestDrainRejectsNewServesAdmitted(t *testing.T) {

@@ -33,7 +33,14 @@ func TestInferTraceRoundTrip(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, body := postJSON(t, ts.URL+"/v1/infer", InferRequest{Model: "emotion", Seed: 1})
+	// An explicit-input request, so every stage of the request path has work.
+	in := models.RandomInput(lib.Module, 1)
+	data := make([]float64, in.Elems())
+	for i := range data {
+		data[i] = in.GetF(i)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/infer",
+		InferRequest{Model: "emotion", Inputs: map[string][]float64{lib.Module.Main().Params[0].Name: data}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("infer status %d: %s", resp.StatusCode, body)
 	}
@@ -77,13 +84,17 @@ func TestInferTraceRoundTrip(t *testing.T) {
 		t.Errorf("flight record missing device set or timing: %+v", rec)
 	}
 
-	// /tracez?id= filters to this request's spans only.
+	// /tracez?id= filters to this request's spans only, and reads as the
+	// request path: decode → queue-wait → execute → encode, the handler's two
+	// spans on the shared http track and the worker's two on its own.
 	_, tr := getBody(t, ts.URL+"/tracez?id="+tc.TraceID)
 	var doc struct {
 		EpochUnixUs int64 `json:"epochUnixUs"`
 		TraceEvents []struct {
 			Name string         `json:"name"`
 			Ph   string         `json:"ph"`
+			Ts   int64          `json:"ts"`
+			Tid  int            `json:"tid"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
@@ -93,7 +104,13 @@ func TestInferTraceRoundTrip(t *testing.T) {
 	if doc.EpochUnixUs == 0 {
 		t.Error("trace export lost the tracer epoch (stitching needs it)")
 	}
-	var sawExec bool
+	threads := map[int]string{}
+	startOf, threadOf := map[string]int64{}, map[string]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			threads[ev.Tid], _ = ev.Args["name"].(string)
+		}
+	}
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "X" {
 			continue
@@ -101,12 +118,24 @@ func TestInferTraceRoundTrip(t *testing.T) {
 		if ev.Args[obs.TraceArg] != tc.TraceID {
 			t.Errorf("span %q in filtered export lacks the trace arg: %v", ev.Name, ev.Args)
 		}
-		if strings.HasPrefix(ev.Name, "execute:emotion") {
-			sawExec = true
+		startOf[ev.Name], threadOf[ev.Name] = ev.Ts, threads[ev.Tid]
+	}
+	path := []string{"decode:emotion", "queue-wait:emotion", "execute:emotion", "encode:emotion"}
+	for i, name := range path {
+		if _, ok := startOf[name]; !ok {
+			t.Fatalf("filtered trace has no %s span: %v", name, startOf)
+		}
+		if i > 0 && startOf[name] < startOf[path[i-1]] {
+			t.Errorf("%s starts at %d µs, before %s at %d µs", name, startOf[name], path[i-1], startOf[path[i-1]])
 		}
 	}
-	if !sawExec {
-		t.Error("filtered trace lost the execute span")
+	for _, name := range []string{"decode:emotion", "encode:emotion"} {
+		if threadOf[name] != "http" {
+			t.Errorf("%s is on track %q, want the server's http track", name, threadOf[name])
+		}
+	}
+	if threadOf["execute:emotion"] != "emotion/worker0" {
+		t.Errorf("execute span is on track %q, want emotion/worker0", threadOf["execute:emotion"])
 	}
 }
 
