@@ -72,15 +72,25 @@ type FrameResult struct {
 
 // Showcase bundles the three compiled models plus the face detector —
 // Listing 5's build_model_on_TVM output.
+//
+// Each stage owns the tensors its model reads, allocated once here and
+// refilled for every frame or face, so a frame allocates no model input. No
+// buffer is shared between stages: RunLive may run the three stages on three
+// goroutines (each on a different frame), but one stage must not run twice at
+// once — its second caller would overwrite the input the first is reading.
 type Showcase struct {
-	cfg      Config
-	detGM    *runtime.GraphModule
-	spoofGM  *runtime.GraphModule
-	emoGM    *runtime.GraphModule
-	faces    *FaceDetector
-	detShape tensor.Shape
-	detQuant *tensor.QuantParams
-	spoofIn  tensor.Shape
+	cfg     Config
+	detGM   *runtime.GraphModule
+	spoofGM *runtime.GraphModule
+	emoGM   *runtime.GraphModule
+	faces   *FaceDetector
+	// Detect stage: the resized frame, and the quantized copy the model
+	// reads (nil for a float detector, which reads detIn itself).
+	detIn  *tensor.Tensor
+	detInQ *tensor.Tensor
+	// SpoofStage and EmotionStage: the face crop at the model's input size.
+	spoofIn *tensor.Tensor
+	emoIn   *tensor.Tensor
 	// Anti-spoofing calibration: synthetic weights are uncalibrated, so the
 	// decision boundary is fitted at build time against reference live and
 	// printed-photo patches (midpoint threshold + polarity).
@@ -116,14 +126,18 @@ func New(cfg Config) (*Showcase, error) {
 		return nil, fmt.Errorf("app: compiling emotion model: %w", err)
 	}
 	s := &Showcase{
-		cfg:      cfg,
-		detGM:    runtime.NewGraphModule(detLib),
-		spoofGM:  runtime.NewGraphModule(spoofLib),
-		emoGM:    runtime.NewGraphModule(emoLib),
-		faces:    NewFaceDetector(),
-		detShape: models.InputShape(detMod),
-		detQuant: models.InputQuant(detMod),
-		spoofIn:  models.InputShape(spoofMod),
+		cfg:     cfg,
+		detGM:   runtime.NewGraphModule(detLib),
+		spoofGM: runtime.NewGraphModule(spoofLib),
+		emoGM:   runtime.NewGraphModule(emoLib),
+		faces:   NewFaceDetector(),
+		detIn:   tensor.New(tensor.Float32, models.InputShape(detMod)),
+		spoofIn: tensor.New(tensor.Float32, models.InputShape(spoofMod)),
+		emoIn:   tensor.New(tensor.Float32, models.InputShape(emoMod)),
+	}
+	if q := models.InputQuant(detMod); q != nil {
+		s.detInQ = tensor.New(tensor.UInt8, s.detIn.Shape)
+		s.detInQ.Quant = q
 	}
 	s.detGM.SetExecutor(cfg.Executor)
 	s.spoofGM.SetExecutor(cfg.Executor)
@@ -139,7 +153,7 @@ func New(cfg Config) (*Showcase, error) {
 // dimmer), set the threshold at the midpoint and the polarity from which
 // side scores higher.
 func (s *Showcase) calibrateSpoof() error {
-	h, w := s.spoofIn[1], s.spoofIn[2]
+	h, w := s.spoofIn.Shape[1], s.spoofIn.Shape[2]
 	score := func(in *tensor.Tensor) (float64, error) {
 		s.spoofGM.SetInput(s.spoofGM.InputNames()[0], in)
 		if err := s.spoofGM.Run(); err != nil {
@@ -163,16 +177,19 @@ func (s *Showcase) calibrateSpoof() error {
 	return nil
 }
 
-// prepareDetInput resizes the frame to the detector resolution and
-// quantizes it with the model's input parameters.
+// prepareDetInput resizes the frame to the detector resolution into the
+// stage's own tensor and, for a quantized detector, quantizes it with the
+// model's input parameters into the twin the model reads.
 func (s *Showcase) prepareDetInput(img *tensor.Tensor) *tensor.Tensor {
 	h, w := img.Shape[1], img.Shape[2]
-	resized := video.CropResize(img, video.Rect{X: 0, Y: 0, W: w, H: h},
-		s.detShape[1], s.detShape[2], 3)
-	if s.detQuant == nil {
-		return resized
+	video.CropResizeInto(s.detIn, img, video.Rect{X: 0, Y: 0, W: w, H: h})
+	if s.detInQ == nil {
+		return s.detIn
 	}
-	return resized.QuantizeTo(tensor.UInt8, *s.detQuant)
+	for i, v := range s.detIn.F32() {
+		s.detInQ.SetF(i, float64(v))
+	}
+	return s.detInQ
 }
 
 // DetectStage runs object detection + face detection + the overlap gate,
@@ -209,8 +226,8 @@ func (s *Showcase) DetectStage(f *video.Frame) (*FrameResult, []video.Rect, erro
 // res.
 func (s *Showcase) SpoofStage(f *video.Frame, res *FrameResult, candidates []video.Rect) error {
 	for _, fb := range candidates {
-		crop := video.CropResize(f.Image, fb, s.spoofIn[1], s.spoofIn[2], 3)
-		s.spoofGM.SetInput(s.spoofGM.InputNames()[0], crop)
+		video.CropResizeInto(s.spoofIn, f.Image, fb)
+		s.spoofGM.SetInput(s.spoofGM.InputNames()[0], s.spoofIn)
 		if err := s.spoofGM.Run(); err != nil {
 			return fmt.Errorf("app: anti-spoofing: %w", err)
 		}
@@ -230,8 +247,8 @@ func (s *Showcase) EmotionStage(f *video.Frame, res *FrameResult) error {
 		if !fr.Real {
 			continue
 		}
-		gray := video.CropResize(f.Image, fr.Box, 48, 48, 1)
-		s.emoGM.SetInput(s.emoGM.InputNames()[0], gray)
+		video.CropResizeInto(s.emoIn, f.Image, fr.Box)
+		s.emoGM.SetInput(s.emoGM.InputNames()[0], s.emoIn)
 		if err := s.emoGM.Run(); err != nil {
 			return fmt.Errorf("app: emotion detection: %w", err)
 		}

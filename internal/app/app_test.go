@@ -1,8 +1,10 @@
 package app
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/tensor"
 	"repro/internal/video"
 )
@@ -43,6 +45,23 @@ func TestFaceDetectorIgnoresObjects(t *testing.T) {
 	boxes := NewFaceDetector().Detect(frame.Image)
 	if len(boxes) != 0 {
 		t.Errorf("object-only scene produced %d face boxes", len(boxes))
+	}
+}
+
+// TestFaceDetectorAllocations: the grid loop reads pixels by flat offset, so
+// Detect allocates its mask and its component map and, on a frame without
+// faces, nothing else — whatever the frame size.
+func TestFaceDetectorAllocations(t *testing.T) {
+	d := NewFaceDetector()
+	for _, size := range [][2]int{{160, 120}, {640, 480}} {
+		src, err := video.NewSource(size[0], size[1], 0, 3, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := src.Next().Image
+		if allocs := testing.AllocsPerRun(10, func() { d.Detect(img) }); allocs != 2 {
+			t.Errorf("%dx%d: Detect allocates %v times per call, want 2 (mask, components)", size[0], size[1], allocs)
+		}
 	}
 }
 
@@ -208,5 +227,43 @@ func TestSpoofGateSeparates(t *testing.T) {
 	}
 	if total > 0 && mismatches > total/4 {
 		t.Errorf("calibrated gate disagrees with ground truth on %d/%d faces", mismatches, total)
+	}
+}
+
+// TestProcessFrameAllocationBudget pins the frame path's steady state on the
+// lite trio: stage-owned inputs, flat-indexed resize and detection, serial
+// GEMM rows without a closure. One 32-frame ring pass of the benchmark's
+// scene, after one warm pass, stays under 500 KB and 1000 objects a frame
+// (8 264 KB and 246 247 when every At/Set heap-allocated its index list).
+func TestProcessFrameAllocationBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop the kernels' scratch buffers at random")
+	}
+	sc, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := video.NewSource(160, 120, 2, 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := src.Frames(32)
+	pass := func() {
+		for _, f := range frames {
+			if _, err := sc.ProcessFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass()
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(len(frames))
+	objects := float64(after.Mallocs-before.Mallocs) / float64(len(frames))
+	t.Logf("%.1f KB and %.0f objects per frame", kb, objects)
+	if kb > 500 || objects > 1000 {
+		t.Errorf("ProcessFrame allocates %.1f KB and %.0f objects per frame, budget 500 KB and 1000", kb, objects)
 	}
 }

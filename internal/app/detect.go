@@ -26,6 +26,9 @@ func DecodeSSD(boxes, scores *tensor.Tensor, frameW, frameH int, threshold float
 		return nil, fmt.Errorf("app: SSD boxes have shape %s, want (1,N,4)", boxes.Shape)
 	}
 	n := boxes.Shape[1]
+	if len(scores.Shape) != 3 || scores.Shape[1] != n {
+		return nil, fmt.Errorf("app: SSD scores have shape %s, want (1,%d,C)", scores.Shape, n)
+	}
 	classes := scores.Shape[2]
 	// N = anchors·(gridA² + gridB²) with gridA = 2·gridB → N = 15·gridB².
 	gridB := int(math.Round(math.Sqrt(float64(n) / 15)))
@@ -35,12 +38,13 @@ func DecodeSSD(boxes, scores *tensor.Tensor, frameW, frameH int, threshold float
 	gridA := 2 * gridB
 	anchors := 3
 
-	var dets []Detection
+	// Rows are read by flat offset: boxes[i·4+k], scores[i·classes+c].
+	dets := make([]Detection, 0, n) // most rows of an uncalibrated head pass the threshold
 	for i := 0; i < n; i++ {
 		// Best non-background class.
 		best, bestScore := 0, 0.0
 		for c := 1; c < classes; c++ {
-			if s := scores.At(0, i, c); s > bestScore {
+			if s := scores.GetF(i*classes + c); s > bestScore {
 				best, bestScore = c, s
 			}
 		}
@@ -56,10 +60,10 @@ func DecodeSSD(boxes, scores *tensor.Tensor, frameW, frameH int, threshold float
 		cy := cell / grid
 		cx := cell % grid
 		// Box regression relative to anchor cell center.
-		dx := boxes.At(0, i, 0)
-		dy := boxes.At(0, i, 1)
-		dw := boxes.At(0, i, 2)
-		dh := boxes.At(0, i, 3)
+		dx := boxes.GetF(i * 4)
+		dy := boxes.GetF(i*4 + 1)
+		dw := boxes.GetF(i*4 + 2)
+		dh := boxes.GetF(i*4 + 3)
 		centerX := (float64(cx)+0.5)/float64(grid) + 0.1*clampF(dx, -2, 2)
 		centerY := (float64(cy)+0.5)/float64(grid) + 0.1*clampF(dy, -2, 2)
 		base := 1.8 / float64(grid)

@@ -29,27 +29,14 @@ func NewFaceDetector() *FaceDetector {
 	return &FaceDetector{Threshold: 0.7, Stride: 4, MinArea: 64}
 }
 
-// Detect returns face bounding boxes in frame pixel coordinates.
+// Detect returns face bounding boxes in frame pixel coordinates. img is a
+// (1,H,W,3) frame.
 func (d *FaceDetector) Detect(img *tensor.Tensor) []video.Rect {
 	h, w := img.Shape[1], img.Shape[2]
 	gw := (w + d.Stride - 1) / d.Stride
 	gh := (h + d.Stride - 1) / d.Stride
 	mask := make([]bool, gw*gh)
-	for gy := 0; gy < gh; gy++ {
-		for gx := 0; gx < gw; gx++ {
-			y := gy * d.Stride
-			x := gx * d.Stride
-			if y >= h || x >= w {
-				continue
-			}
-			// Face pixels are bright with R >= G >= B (the renderer's skin
-			// tone); objects are green-dominant.
-			r := img.At(0, y, x, 0)
-			g := img.At(0, y, x, 1)
-			b := img.At(0, y, x, 2)
-			mask[gy*gw+gx] = r > d.Threshold && r >= g && g >= b
-		}
-	}
+	d.faceMask(mask, img, gw, gh)
 	// Connected components via iterative flood fill (4-connectivity).
 	comp := make([]int, gw*gh)
 	for i := range comp {
@@ -106,4 +93,20 @@ func (d *FaceDetector) Detect(img *tensor.Tensor) []video.Rect {
 		}
 	}
 	return boxes
+}
+
+// faceMask marks the grid cells whose sampled pixel is face-like: bright with
+// R >= G >= B (the renderer's skin tone); objects are green-dominant. Pixels
+// are read by flat NHWC offset.
+//
+//np:hotpath
+func (d *FaceDetector) faceMask(mask []bool, img *tensor.Tensor, gw, gh int) {
+	w := img.Shape[2]
+	for gy := 0; gy < gh; gy++ {
+		for gx := 0; gx < gw; gx++ {
+			px := (gy*d.Stride*w + gx*d.Stride) * 3
+			r, g, b := img.GetF(px), img.GetF(px+1), img.GetF(px+2)
+			mask[gy*gw+gx] = r > d.Threshold && r >= g && g >= b
+		}
+	}
 }

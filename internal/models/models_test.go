@@ -1,6 +1,7 @@
 package models
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/nir"
@@ -57,7 +58,9 @@ func TestFigure6Sweep(t *testing.T) {
 }
 
 // buildLite builds every model at SizeLite, ensuring every frontend path
-// works for every architecture family.
+// works for every architecture family, and that every constant it carries
+// survives the binary tensor format (tensor.ReadFrom reads in bounded steps)
+// bit for bit.
 func TestAllModelsBuildLite(t *testing.T) {
 	for _, name := range Names() {
 		name := name
@@ -74,6 +77,26 @@ func TestAllModelsBuildLite(t *testing.T) {
 			if n := relay.CountOps(m.Main()); n < 5 {
 				t.Errorf("suspiciously small graph: %d ops", n)
 			}
+			relay.PostOrderVisit(m.Main().Body, func(e relay.Expr) {
+				c, ok := e.(*relay.Constant)
+				if !ok {
+					return
+				}
+				var want, back bytes.Buffer
+				if err := c.Value.Serialize(&want); err != nil {
+					t.Fatalf("serialize %s: %v", c.Value, err)
+				}
+				got, err := tensor.ReadFrom(bytes.NewReader(want.Bytes()))
+				if err != nil {
+					t.Fatalf("read back %s: %v", c.Value, err)
+				}
+				if err := got.Serialize(&back); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(back.Bytes(), want.Bytes()) {
+					t.Errorf("constant %s does not round-trip bitwise", c.Value)
+				}
+			})
 		})
 	}
 }

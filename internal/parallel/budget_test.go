@@ -94,6 +94,55 @@ func TestExhaustedBudgetRunsSerially(t *testing.T) {
 	}
 }
 
+// AcquireWorkers and RunChunks are ForChunkedOpts in two steps: the first
+// applies the same limits and takes the same tokens, the second gives them
+// back — and with the budget exhausted the answer is 1 with nothing held.
+func TestAcquireWorkersAccounting(t *testing.T) {
+	old := SetMaxWorkers(4)
+	defer SetMaxWorkers(old)
+	idle := AvailableTokens()
+	cases := []struct {
+		n    int
+		o    ChunkOpts
+		want int
+	}{
+		{100, ChunkOpts{}, 4},
+		{3, ChunkOpts{}, 3},
+		{1, ChunkOpts{}, 1},
+		{100, ChunkOpts{MaxWorkers: 2}, 2},
+		{100, ChunkOpts{MaxWorkers: 1}, 1},
+		{100, ChunkOpts{MinGrain: 40}, 2},
+		{100, ChunkOpts{MinGrain: 60}, 1},
+	}
+	for _, c := range cases {
+		workers := AcquireWorkers(c.n, c.o)
+		if workers != c.want {
+			t.Errorf("AcquireWorkers(%d, %+v) = %d, want %d", c.n, c.o, workers, c.want)
+		}
+		if held := idle - AvailableTokens(); held != workers-1 {
+			t.Errorf("AcquireWorkers(%d, %+v) = %d holds %d tokens", c.n, c.o, workers, held)
+		}
+		if workers > 1 {
+			var visited int64
+			RunChunks(c.n, workers, func(lo, hi int) { atomic.AddInt64(&visited, int64(hi-lo)) })
+			if visited != int64(c.n) {
+				t.Errorf("RunChunks(%d, %d) visited %d", c.n, workers, visited)
+			}
+		}
+		if got := AvailableTokens(); got != idle {
+			t.Fatalf("after n=%d %+v: %d tokens available, want %d", c.n, c.o, got, idle)
+		}
+	}
+	// Nested under a call that holds every token until all its chunks are
+	// done: serial, nothing taken.
+	ForChunked(4, func(lo, hi int) {
+		if w := AcquireWorkers(100, ChunkOpts{}); w != 1 {
+			t.Errorf("AcquireWorkers under an exhausted budget = %d, want 1", w)
+			releaseTokens(w - 1)
+		}
+	})
+}
+
 func TestForElemsCoverage(t *testing.T) {
 	for _, n := range []int{0, 1, 7, elemGrain - 1, 2 * elemGrain, 5*elemGrain + 13} {
 		var visited int64

@@ -152,6 +152,22 @@ func ForChunkedOpts(n int, o ChunkOpts, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
+	if workers := AcquireWorkers(n, o); workers > 1 {
+		RunChunks(n, workers, body)
+	} else {
+		body(0, n)
+	}
+}
+
+// AcquireWorkers is the deciding half of ForChunkedOpts: how many workers
+// (the caller included) a range of n may use under o, the worker cap and the
+// shared budget right now. A result above 1 holds that many minus one tokens
+// and must be passed to RunChunks, which returns them; at 1 nothing is held
+// and the caller runs [0,n) itself. A kernel that would need a closure only
+// to hand its loop to RunChunks asks first, and on the serial answer — every
+// GEMM nested under an already-parallel conv row loop — calls the loop
+// directly and allocates nothing.
+func AcquireWorkers(n int, o ChunkOpts) int {
 	workers := MaxWorkers()
 	if o.MaxWorkers > 0 && workers > o.MaxWorkers {
 		workers = o.MaxWorkers
@@ -167,10 +183,13 @@ func ForChunkedOpts(n int, o ChunkOpts, body func(lo, hi int)) {
 	if workers > 1 {
 		workers = 1 + acquireTokens(workers-1)
 	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
+	return workers
+}
+
+// RunChunks is the running half: it splits [0,n) into one contiguous chunk
+// per worker, runs the first on the caller and the rest on helper goroutines,
+// waits, and releases the workers-1 tokens AcquireWorkers took.
+func RunChunks(n, workers int, body func(lo, hi int)) {
 	chunk := (n + workers - 1) / workers
 	var wg sync.WaitGroup
 	for lo := chunk; lo < n; lo += chunk {
@@ -199,31 +218,5 @@ func ForElems(n int, body func(lo, hi int)) {
 		}
 		return
 	}
-	workers := n / elemGrain
-	if mw := MaxWorkers(); workers > mw {
-		workers = mw
-	}
-	if workers > 1 {
-		workers = 1 + acquireTokens(workers-1)
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	body(0, chunk)
-	wg.Wait()
-	releaseTokens(workers - 1)
+	ForChunkedOpts(n, ChunkOpts{MinGrain: elemGrain}, body)
 }

@@ -117,45 +117,76 @@ func ReadFrom(r io.Reader) (*Tensor, error) {
 	if !shape.Valid() && rank > 0 {
 		return nil, fmt.Errorf("tensor: corrupt stream, shape %v", shape)
 	}
-	t := New(dt, shape)
-	t.Quant = quant
-	if err := t.readData(r); err != nil {
+	n := 1
+	for _, d := range shape {
+		if d > math.MaxInt/4/n { // n·Size() must fit an int
+			return nil, fmt.Errorf("tensor: corrupt stream, shape %v too large", shape)
+		}
+		n *= d
+	}
+	t := &Tensor{DType: dt, Shape: shape, Quant: quant}
+	if err := t.readData(r, n); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-func (t *Tensor) readData(r io.Reader) error {
-	n := t.Elems()
-	switch t.DType {
-	case Float32:
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(r, buf); err != nil {
+// readStep is how many payload bytes readData asks the reader for at a time.
+const readStep = 256 << 10
+
+// readData reads n elements in steps of at most readStep bytes and grows the
+// backing slice only as bytes arrive, so a header that declares more data
+// than the stream holds costs O(bytes read), not O(declared shape). A tensor
+// that fits one step is allocated once, at its final size.
+func (t *Tensor) readData(r io.Reader, n int) error {
+	size := t.DType.Size()
+	var buf []byte // staging for the dtypes that need decoding
+	if t.DType != UInt8 {
+		buf = make([]byte, min(n*size, readStep))
+	}
+	for have := 0; have < n; {
+		step := min(n-have, readStep/size)
+		var b []byte
+		switch t.DType {
+		case Float32:
+			t.f32, b = grown(t.f32, have+step, n), buf[:4*step]
+		case Int32:
+			t.i32, b = grown(t.i32, have+step, n), buf[:4*step]
+		case Int8:
+			t.i8, b = grown(t.i8, have+step, n), buf[:step]
+		case UInt8: // bytes are elements: read in place
+			t.u8 = grown(t.u8, have+step, n)
+			b = t.u8[have:]
+		}
+		if _, err := io.ReadFull(r, b); err != nil {
 			return err
 		}
-		for i := range t.f32 {
-			t.f32[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		switch t.DType {
+		case Float32:
+			for i := range t.f32[have:] {
+				t.f32[have+i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		case Int32:
+			for i := range t.i32[have:] {
+				t.i32[have+i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
+			}
+		case Int8:
+			for i := range t.i8[have:] {
+				t.i8[have+i] = int8(b[i])
+			}
 		}
-	case Int32:
-		buf := make([]byte, 4*n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return err
-		}
-		for i := range t.i32 {
-			t.i32[i] = int32(binary.LittleEndian.Uint32(buf[4*i:]))
-		}
-	case Int8:
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return err
-		}
-		for i := range t.i8 {
-			t.i8[i] = int8(buf[i])
-		}
-	case UInt8:
-		if _, err := io.ReadFull(r, t.u8); err != nil {
-			return err
-		}
+		have += step
 	}
 	return nil
+}
+
+// grown returns s resliced to length need, reallocating with at least double
+// the capacity — never beyond total — when need does not fit.
+func grown[T any](s []T, need, total int) []T {
+	if need <= cap(s) {
+		return s[:need]
+	}
+	out := make([]T, need, min(max(2*cap(s), need), total))
+	copy(out, s)
+	return out
 }

@@ -356,7 +356,12 @@ func clampI32(v, lo, hi int32) int32 {
 	return v
 }
 
-// Index computes the flat offset of a row-major multi-index.
+// Index computes the flat offset of a row-major multi-index. The panic
+// message formats a copy of idx: handing idx itself to fmt would make it
+// escape, and every At/Set call in the repository would heap-allocate its
+// index list.
+//
+//np:hotpath
 func (t *Tensor) Index(idx ...int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: index rank %d vs shape rank %d", len(idx), len(t.Shape)))
@@ -364,7 +369,8 @@ func (t *Tensor) Index(idx ...int) int {
 	off := 0
 	for i, d := range t.Shape {
 		if idx[i] < 0 || idx[i] >= d {
-			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", idx, t.Shape))
+			//np:alloc-ok panic branch only; the copy is what keeps idx on the caller's stack
+			panic(fmt.Sprintf("tensor: index %v out of bounds for shape %v", append([]int(nil), idx...), t.Shape))
 		}
 		off = off*d + idx[i]
 	}

@@ -2,7 +2,10 @@ package tensor
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -100,6 +103,54 @@ func TestIndexAndAt(t *testing.T) {
 		}
 	}()
 	tt.Index(2, 0, 0)
+}
+
+// TestIndexPanics pins the two panic messages byte for byte: Index formats a
+// copy of idx so the argument does not escape, and the text must not change.
+func TestIndexPanics(t *testing.T) {
+	tt := New(Float32, Shape{2, 3, 4})
+	cases := []struct {
+		idx  []int
+		want string
+	}{
+		{[]int{1, 2}, "tensor: index rank 2 vs shape rank 3"},
+		{[]int{0, 0, 0, 0}, "tensor: index rank 4 vs shape rank 3"},
+		{[]int{2, 0, 0}, "tensor: index [2 0 0] out of bounds for shape (2,3,4)"},
+		{[]int{1, -1, 3}, "tensor: index [1 -1 3] out of bounds for shape (2,3,4)"},
+		{[]int{1, 2, 4}, "tensor: index [1 2 4] out of bounds for shape (2,3,4)"},
+	}
+	for _, c := range cases {
+		func() {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != c.want {
+					t.Errorf("Index(%v) panicked with %q, want %q", c.idx, got, c.want)
+				}
+			}()
+			tt.Index(c.idx...)
+		}()
+	}
+}
+
+// TestAtSetDoNotAllocate: the variadic index list stays on the caller's stack.
+func TestAtSetDoNotAllocate(t *testing.T) {
+	tt := New(Float32, Shape{1, 6, 5, 3})
+	q := New(UInt8, Shape{4, 4})
+	q.Quant = &QuantParams{Scale: 0.5, ZeroPoint: 3}
+	var sink float64
+	allocs := testing.AllocsPerRun(100, func() {
+		for y := 0; y < 6; y++ {
+			for x := 0; x < 5; x++ {
+				tt.Set(float64(x+y), 0, y, x, 1)
+				sink += tt.At(0, y, x, 1)
+			}
+		}
+		q.Set(2.5, 3, 1)
+		sink += q.At(3, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("At/Set allocate %v times per run, want 0", allocs)
+	}
+	_ = sink
 }
 
 func TestQuantParamsRoundTrip(t *testing.T) {
@@ -242,6 +293,90 @@ func TestReadFromRejectsCorrupt(t *testing.T) {
 	for i, c := range cases {
 		if _, err := ReadFrom(bytes.NewReader(c)); err == nil {
 			t.Errorf("case %d: corrupt stream accepted", i)
+		}
+	}
+}
+
+// TestReadFromBoundsAllocation: a header may declare any shape, so ReadFrom
+// must spend memory on bytes that arrived, not on the declared element count.
+// Every rank up to the format's maximum with every extent 65535, and a large
+// shape whose payload stops early, fail under a fixed allocation ceiling.
+func TestReadFromBoundsAllocation(t *testing.T) {
+	header := func(dt DType, shape ...uint32) []byte {
+		b := []byte{byte(dt), 0}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(shape)))
+		for _, d := range shape {
+			b = binary.LittleEndian.AppendUint32(b, d)
+		}
+		return b
+	}
+	var streams [][]byte
+	for _, dt := range []DType{Float32, Int8, UInt8, Int32} {
+		for rank := 1; rank <= maxSerializedRank; rank++ {
+			shape := make([]uint32, rank)
+			for i := range shape {
+				shape[i] = 65535
+			}
+			streams = append(streams, header(dt, shape...))
+		}
+		streams = append(streams,
+			header(dt, math.MaxUint32, math.MaxUint32),
+			// 1000 payload bytes of the 4·2³⁰ declared.
+			append(header(dt, 1<<15, 1<<15), make([]byte, 1000)...))
+	}
+	const ceiling = 1 << 20
+	for _, stream := range streams {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := ReadFrom(bytes.NewReader(stream))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("header % x: accepted as %s", stream[:min(len(stream), 14)], got)
+		}
+		if spent := after.TotalAlloc - before.TotalAlloc; spent > ceiling {
+			t.Errorf("header % x: %d bytes allocated before failing (%v), ceiling %d",
+				stream[:min(len(stream), 14)], spent, err, ceiling)
+		}
+	}
+}
+
+// TestSerializeRoundTripMultiStep: payloads longer than one read step, of
+// every dtype, come back bit for bit and without spare capacity.
+func TestSerializeRoundTripMultiStep(t *testing.T) {
+	rng := NewRNG(7)
+	for _, dt := range []DType{Float32, Int8, UInt8, Int32} {
+		for _, n := range []int{readStep/dt.Size() - 1, readStep / dt.Size(), readStep/dt.Size() + 1, 5*readStep/dt.Size() + 3} {
+			src := New(dt, Shape{n})
+			for i := 0; i < n; i++ {
+				switch dt {
+				case Float32:
+					src.f32[i] = math.Float32frombits(uint32(rng.Intn(1 << 31)))
+				case Int32:
+					src.i32[i] = int32(rng.Intn(1<<31)) - 1<<30
+				case Int8:
+					src.i8[i] = int8(rng.Intn(256) - 128)
+				case UInt8:
+					src.u8[i] = uint8(rng.Intn(256))
+				}
+			}
+			var want bytes.Buffer
+			if err := src.Serialize(&want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadFrom(bytes.NewReader(want.Bytes()))
+			if err != nil {
+				t.Fatalf("%s[%d]: %v", dt, n, err)
+			}
+			var back bytes.Buffer
+			if err := got.Serialize(&back); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(back.Bytes(), want.Bytes()) {
+				t.Errorf("%s[%d]: round trip changed the bytes", dt, n)
+			}
+			if c := cap(got.f32) + cap(got.i32) + cap(got.i8) + cap(got.u8); c != n {
+				t.Errorf("%s[%d]: backing capacity %d", dt, n, c)
+			}
 		}
 	}
 }

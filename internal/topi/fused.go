@@ -9,16 +9,14 @@ import (
 )
 
 // Fused quantized conv/dense kernels: quantize→conv→bias→requantize→
-// activation in a single launch, computing in int32 with the fixed-point
-// requantize multiplier instead of materializing three intermediate tensors
-// and round-tripping through float64 per element. The Neuron runtime
-// dispatches these for its fused operations (runtime.go); the unfused chain
-// remains the reference and the fused path is pinned bitwise-equal to it
-// (fused_test.go):
+// activation in a single launch, computing in int32 instead of materializing
+// three intermediate tensors. The Neuron runtime dispatches these for its
+// fused operations (runtime.go); the unfused chain remains the reference and
+// the fused path is pinned bitwise-equal to it (fused_test.go):
 //
 //   - accumulator and bias math is associative int32, identical by
 //     construction;
-//   - requantize uses fixedMultiplier, bit-exact with the float64 reference;
+//   - requantize is the same float64 expression (requantize in qnn.go);
 //   - the activation epilogue operates on the 8-bit post-requantize value, a
 //     domain of at most 256 points — so it runs through a lookup table built
 //     by evaluating the reference scalar code (relu's raw-domain clamp,
@@ -87,24 +85,24 @@ func buildActivationLUT(activation string, dt tensor.DType, q *tensor.QuantParam
 }
 
 // requantParams extracts the requant_* attribute set the fusion pass stores.
-func requantParams(attrs relay.Attrs) (fm fixedMultiplier, inZp, outZp int32) {
+func requantParams(attrs relay.Attrs) (ratio float64, inZp, outZp int32) {
 	inScale := attrs.Float("requant_input_scale", 1)
 	outScale := attrs.Float("requant_output_scale", 1)
 	inZp = int32(attrs.Int("requant_input_zero_point", 0))
 	outZp = int32(attrs.Int("requant_output_zero_point", 0))
-	return newFixedMultiplier(inScale / outScale), inZp, outZp
+	return inScale / outScale, inZp, outZp
 }
 
 // fusedEpilogue applies bias + requantize + activation to one GEMM output
 // row segment and stores it into res.
 //
 //np:hotpath
-func fusedEpilogue(res *tensor.Tensor, acc, bias []int32, flatBase int, fm fixedMultiplier, reqInZp, reqOutZp int32, dt tensor.DType, lut *activationLUT) {
+func fusedEpilogue(res *tensor.Tensor, acc, bias []int32, flatBase int, ratio float64, reqInZp, reqOutZp int32, dt tensor.DType, lut *activationLUT) {
 	for f, a := range acc {
 		if bias != nil {
 			a += bias[f]
 		}
-		q := clampToDType(fm.apply(a-reqInZp)+reqOutZp, dt)
+		q := clampToDType(requantize(a, ratio, reqInZp, reqOutZp), dt)
 		if lut.on {
 			q = lut.tab[q-lut.base]
 		}
@@ -129,7 +127,7 @@ func qnnConv2DFused(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorT
 	p := convParams(attrs)
 	zpIn := int32(attrs.Int("input_zero_point", 0))
 	zpK := int32(attrs.Int("kernel_zero_point", 0))
-	fm, reqInZp, reqOutZp := requantParams(attrs)
+	ratio, reqInZp, reqOutZp := requantParams(attrs)
 	lut, err := buildActivationLUT(attrs.Str("fused_activation", ""), out.DType, out.Quant)
 	if err != nil {
 		return nil, err
@@ -175,7 +173,7 @@ func qnnConv2DFused(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorT
 				}
 				for ox := 0; ox < ow; ox++ {
 					fusedEpilogue(res, acc[ox*ocg:(ox+1)*ocg], gb,
-						((b*oh+oy)*ow+ox)*oc+g*ocg, fm, reqInZp, reqOutZp, out.DType, &lut)
+						((b*oh+oy)*ow+ox)*oc+g*ocg, ratio, reqInZp, reqOutZp, out.DType, &lut)
 				}
 			}
 		}
@@ -200,7 +198,7 @@ func qnnDenseFused(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorTy
 	}
 	zpIn := int32(attrs.Int("input_zero_point", 0))
 	zpK := int32(attrs.Int("kernel_zero_point", 0))
-	fm, reqInZp, reqOutZp := requantParams(attrs)
+	ratio, reqInZp, reqOutZp := requantParams(attrs)
 	lut, err := buildActivationLUT(attrs.Str("fused_activation", ""), out.DType, out.Quant)
 	if err != nil {
 		return nil, err
@@ -225,7 +223,7 @@ func qnnDenseFused(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorTy
 	gemmI32Cfg(n, units, k, din, k, pw.data, acc, units, cfg)
 	for row := 0; row < n; row++ {
 		fusedEpilogue(res, acc[row*units:(row+1)*units], bv,
-			row*units, fm, reqInZp, reqOutZp, out.DType, &lut)
+			row*units, ratio, reqInZp, reqOutZp, out.DType, &lut)
 	}
 	putScratchI32(accP)
 	putScratchI32(dinP)

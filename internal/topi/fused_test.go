@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
+	"repro/internal/race"
 	"repro/internal/relay"
 	"repro/internal/tensor"
 )
@@ -96,6 +98,37 @@ func TestFusedConv2DMatchesStagedChain(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestFusedConvAllocationsIndependentOfRows: the kernel's allocations are per
+// call (its output, its row-loop closure, its scratch handles), none per
+// output row — the count at 2·oh rows equals the count at oh.
+func TestFusedConvAllocationsIndependentOfRows(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
+	}
+	old := parallel.SetMaxWorkers(1)
+	defer parallel.SetMaxWorkers(old)
+	weight := tensor.New(tensor.UInt8, tensor.Shape{6, 3, 3, 4})
+	weight.Quant = &tensor.QuantParams{Scale: 0.4, ZeroPoint: 121}
+	bias := tensor.New(tensor.Int32, tensor.Shape{6})
+	attrs, outQ := fusedQuantAttrs("relu6")
+	attrs["strides"] = []int{1, 1}
+	attrs["padding"] = []int{1, 1, 1, 1}
+	allocsAt := func(oh int) float64 {
+		data := tensor.New(tensor.UInt8, tensor.Shape{1, oh, 9, 4})
+		data.Quant = &tensor.QuantParams{Scale: 0.02, ZeroPoint: 128}
+		outTy := &relay.TensorType{Shape: tensor.Shape{1, oh, 9, 6}, DType: tensor.UInt8, Quant: &outQ}
+		args := []*tensor.Tensor{data, weight, bias}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := Run("qnn.conv2d_fused", args, attrs, outTy); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if at9, at18 := allocsAt(9), allocsAt(18); at9 != at18 {
+		t.Errorf("qnn.conv2d_fused allocates %v times at 9 output rows and %v at 18", at9, at18)
 	}
 }
 

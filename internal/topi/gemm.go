@@ -28,11 +28,12 @@ import (
 //     per weight tensor (gemmWeightCache below): steady-state inference
 //     repacks only the activation side.
 //
-// Parallelism: the driver splits N-panel tiles across parallel.ForChunked,
-// which draws from the shared inter/intra-op token budget. Called from
-// inside an already-parallel conv row loop the budget is exhausted and the
-// tiles run serially on the caller; called at top level (dense layers) the
-// tiles fan out across the free workers.
+// Parallelism: the driver asks the shared inter/intra-op token budget
+// (parallel.AcquireWorkers) how many workers the N-panel loop may use. Called
+// from inside an already-parallel conv row loop the budget is exhausted and
+// the panels run serially on the caller — a plain call, no closure; called at
+// top level (dense layers) the panels fan out across the free workers
+// (parallel.RunChunks).
 
 // Register tile shape. 4×2 keeps the working set — MR·NR accumulators plus
 // MR+NR operand temporaries — at 14 values, inside amd64's 16 XMM/GPR
@@ -201,37 +202,42 @@ func gemmF32Cfg(m, n, k int, a []float32, lda int, bpack []float32, c []float32,
 	apP := getScratchF32(gemmTiles(mc, gemmMR) * gemmMR * k)
 	ap := *apP
 	for i0 := 0; i0 < m; i0 += mc {
-		mb := m - i0
-		if mb > mc {
-			mb = mc
-		}
+		mb := min(mc, m-i0)
 		packLHSF32(ap, a[i0*lda:], mb, k, lda)
-		mt := gemmTiles(mb, gemmMR)
 		cb := c[i0*ldc:]
-		parallel.ForChunkedOpts(nt, opts, func(jtLo, jtHi int) {
-			for jt := jtLo; jt < jtHi; jt++ {
-				bp := bpack[jt*k*gemmNR : (jt+1)*k*gemmNR]
-				nj := n - jt*gemmNR
-				if nj > gemmNR {
-					nj = gemmNR
-				}
-				for it := 0; it < mt; it++ {
-					acc := gemmMicroF32(ap[it*k*gemmMR:(it+1)*k*gemmMR], bp)
-					mi := mb - it*gemmMR
-					if mi > gemmMR {
-						mi = gemmMR
-					}
-					for i := 0; i < mi; i++ {
-						row := cb[(it*gemmMR+i)*ldc+jt*gemmNR:]
-						for j := 0; j < nj; j++ {
-							row[j] = acc[i*gemmNR+j]
-						}
-					}
-				}
-			}
-		})
+		// Ask before building the closure RunChunks needs: on the serial
+		// answer the panel loop is a plain call.
+		if workers := parallel.AcquireWorkers(nt, opts); workers > 1 {
+			parallel.RunChunks(nt, workers, func(jtLo, jtHi int) {
+				gemmPanelsF32(ap, bpack, cb, mb, n, k, ldc, jtLo, jtHi)
+			})
+		} else {
+			gemmPanelsF32(ap, bpack, cb, mb, n, k, ldc, 0, nt)
+		}
 	}
 	putScratchF32(apP)
+}
+
+// gemmPanelsF32 runs the micro-kernel over N-panels [jtLo,jtHi) against the mb
+// packed LHS rows in ap and writes the tiles into c (row stride ldc).
+//
+//np:hotpath
+func gemmPanelsF32(ap, bpack, c []float32, mb, n, k, ldc, jtLo, jtHi int) {
+	mt := gemmTiles(mb, gemmMR)
+	for jt := jtLo; jt < jtHi; jt++ {
+		bp := bpack[jt*k*gemmNR : (jt+1)*k*gemmNR]
+		nj := min(gemmNR, n-jt*gemmNR)
+		for it := 0; it < mt; it++ {
+			acc := gemmMicroF32(ap[it*k*gemmMR:(it+1)*k*gemmMR], bp)
+			mi := min(gemmMR, mb-it*gemmMR)
+			for i := 0; i < mi; i++ {
+				row := c[(it*gemmMR+i)*ldc+jt*gemmNR:]
+				for j := 0; j < nj; j++ {
+					row[j] = acc[i*gemmNR+j]
+				}
+			}
+		}
+	}
 }
 
 // ---- int32 variant (quantized conv/dense accumulators) ----
@@ -350,37 +356,42 @@ func gemmI32Cfg(m, n, k int, a []int32, lda int, bpack []int32, c []int32, ldc i
 	apP := getScratchI32(gemmTiles(mc, gemmMR) * gemmMR * k)
 	ap := *apP
 	for i0 := 0; i0 < m; i0 += mc {
-		mb := m - i0
-		if mb > mc {
-			mb = mc
-		}
+		mb := min(mc, m-i0)
 		packLHSI32(ap, a[i0*lda:], mb, k, lda)
-		mt := gemmTiles(mb, gemmMR)
 		cb := c[i0*ldc:]
-		parallel.ForChunkedOpts(nt, opts, func(jtLo, jtHi int) {
-			for jt := jtLo; jt < jtHi; jt++ {
-				bp := bpack[jt*k*gemmNR : (jt+1)*k*gemmNR]
-				nj := n - jt*gemmNR
-				if nj > gemmNR {
-					nj = gemmNR
-				}
-				for it := 0; it < mt; it++ {
-					acc := gemmMicroI32(ap[it*k*gemmMR:(it+1)*k*gemmMR], bp)
-					mi := mb - it*gemmMR
-					if mi > gemmMR {
-						mi = gemmMR
-					}
-					for i := 0; i < mi; i++ {
-						row := cb[(it*gemmMR+i)*ldc+jt*gemmNR:]
-						for j := 0; j < nj; j++ {
-							row[j] = acc[i*gemmNR+j]
-						}
-					}
-				}
-			}
-		})
+		// Ask before building the closure RunChunks needs: on the serial
+		// answer the panel loop is a plain call.
+		if workers := parallel.AcquireWorkers(nt, opts); workers > 1 {
+			parallel.RunChunks(nt, workers, func(jtLo, jtHi int) {
+				gemmPanelsI32(ap, bpack, cb, mb, n, k, ldc, jtLo, jtHi)
+			})
+		} else {
+			gemmPanelsI32(ap, bpack, cb, mb, n, k, ldc, 0, nt)
+		}
 	}
 	putScratchI32(apP)
+}
+
+// gemmPanelsI32 runs the micro-kernel over N-panels [jtLo,jtHi) against the mb
+// packed LHS rows in ap and writes the tiles into c (row stride ldc).
+//
+//np:hotpath
+func gemmPanelsI32(ap, bpack, c []int32, mb, n, k, ldc, jtLo, jtHi int) {
+	mt := gemmTiles(mb, gemmMR)
+	for jt := jtLo; jt < jtHi; jt++ {
+		bp := bpack[jt*k*gemmNR : (jt+1)*k*gemmNR]
+		nj := min(gemmNR, n-jt*gemmNR)
+		for it := 0; it < mt; it++ {
+			acc := gemmMicroI32(ap[it*k*gemmMR:(it+1)*k*gemmMR], bp)
+			mi := min(gemmMR, mb-it*gemmMR)
+			for i := 0; i < mi; i++ {
+				row := c[(it*gemmMR+i)*ldc+jt*gemmNR:]
+				for j := 0; j < nj; j++ {
+					row[j] = acc[i*gemmNR+j]
+				}
+			}
+		}
+	}
 }
 
 // ---- packed weight caches ----

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
+	"repro/internal/race"
 	"repro/internal/relay"
 	"repro/internal/tensor"
 )
@@ -134,6 +136,32 @@ func TestGemmI32MatchesNaive(t *testing.T) {
 // im2col+GEMM path and the direct kernel produce bitwise-identical outputs
 // (both reduce each output cell with a single accumulator over the same
 // ky,kx,ic order; padding contributes exact zero terms).
+// TestGemmSerialPathDoesNotAllocate: when the budget answers "serial" — one
+// worker here; every GEMM nested under a parallel conv row loop in a model —
+// the drivers call the panel loop directly, with no closure per call (the
+// quantized convs call them once per output row per group).
+func TestGemmSerialPathDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
+	}
+	old := parallel.SetMaxWorkers(1)
+	defer parallel.SetMaxWorkers(old)
+	const m, n, k = 13, 9, 27
+	af, bf, cf := make([]float32, m*k), make([]float32, gemmTiles(n, gemmNR)*gemmNR*k), make([]float32, m*n)
+	ai, bi, ci := make([]int32, m*k), make([]int32, gemmTiles(n, gemmNR)*gemmNR*k), make([]int32, m*n)
+	blocked := &KernelConfig{GemmMC: 4}
+	for name, call := range map[string]func(){
+		"gemmF32Cfg":            func() { gemmF32Cfg(m, n, k, af, k, bf, cf, n, nil) },
+		"gemmF32Cfg, MC blocks": func() { gemmF32Cfg(m, n, k, af, k, bf, cf, n, blocked) },
+		"gemmI32Cfg":            func() { gemmI32Cfg(m, n, k, ai, k, bi, ci, n, nil) },
+		"gemmI32Cfg, MC blocks": func() { gemmI32Cfg(m, n, k, ai, k, bi, ci, n, blocked) },
+	} {
+		if allocs := testing.AllocsPerRun(200, call); allocs != 0 {
+			t.Errorf("%s allocates %v times per call on the serial path, want 0", name, allocs)
+		}
+	}
+}
+
 type convCase struct {
 	name                   string
 	n, h, w, c, oc, kh, kw int

@@ -85,25 +85,29 @@ func qnnRequantize(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorTy
 	inZp := int32(attrs.Int("input_zero_point", 0))
 	outScale := attrs.Float("output_scale", 1)
 	outZp := int32(attrs.Int("output_zero_point", 0))
-	// Precompute the fixed-point multiplier once: the per-element loop then
-	// runs in pure integer arithmetic, bit-exact with the float64 reference
-	// (see fixedpoint.go).
-	fm := newFixedMultiplier(inScale / outScale)
+	ratio := inScale / outScale
 	res := output(dstBuf, out)
 	n := in.Elems()
 	parallel.ForElems(n, func(lo, hi int) {
-		requantRange(res, in, fm, inZp, outZp, out.DType, lo, hi)
+		requantRange(res, in, ratio, inZp, outZp, out.DType, lo, hi)
 	})
 	return res, nil
 }
 
-// requantRange is the requantize inner loop over [lo,hi): widen, rescale
-// through the fixed-point multiplier, re-bias, clamp.
+// requantize is the reference semantics of qnn.requantize for one element:
+// q_out = roundHalfAway(float64(q_in − zp_in) · ratio) + zp_out, with
+// ratio = input_scale/output_scale evaluated in float64.
+func requantize(x int32, ratio float64, inZp, outZp int32) int32 {
+	return roundHalfAwayF(float64(x-inZp)*ratio) + outZp
+}
+
+// requantRange is the requantize inner loop over [lo,hi): widen, rescale,
+// re-bias, clamp.
 //
 //np:hotpath
-func requantRange(res, in *tensor.Tensor, fm fixedMultiplier, inZp, outZp int32, dt tensor.DType, lo, hi int) {
+func requantRange(res, in *tensor.Tensor, ratio float64, inZp, outZp int32, dt tensor.DType, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		setRaw(res, i, clampToDType(fm.apply(in.GetRaw(i)-inZp)+outZp, dt))
+		setRaw(res, i, clampToDType(requantize(in.GetRaw(i), ratio, inZp, outZp), dt))
 	}
 }
 
@@ -153,8 +157,7 @@ func qnnConcatenate(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorT
 			continue
 		}
 		r := tensor.New(out.DType, t.Shape)
-		fm := newFixedMultiplier(inScale / outScale)
-		requantRange(r, t, fm, inZp, outZp, out.DType, 0, t.Elems())
+		requantRange(r, t, inScale/outScale, inZp, outZp, out.DType, 0, t.Elems())
 		rescaled[i] = r
 	}
 	return concatenateKernel(rescaled, attrs, out, dstBuf)
