@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race lint npvet analyze fuzz-smoke bench bench-gate trace-demo tune-smoke fleet-smoke
+.PHONY: check build fmt vet test race lint npvet analyze fuzz-smoke bench-gate trace-demo tune-smoke fleet-smoke
 
 # check is the tier-1 gate: build + formatting + vet + race-enabled tests +
 # cross-registry lint + the custom npvet analyzers + the dataflow analyses
@@ -47,17 +47,6 @@ analyze:
 fuzz-smoke:
 	$(GO) test ./internal/passes -run '^$$' -fuzz FuzzPartitionForCompiler -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeInfer -fuzztime 5s
-
-# bench writes the machine-readable run log to BENCH_PR14.json (test2json
-# event stream, one JSON object per line) while echoing the human-readable
-# benchmark lines to stdout. Override BENCHTIME for a quick smoke run
-# (e.g. make bench BENCHTIME=1x).
-BENCHTIME ?= 1s
-BENCHOUT ?= BENCH_PR14.json
-bench:
-	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -json . | \
-		tee $(BENCHOUT) | \
-		sed -n 's/.*"Output":"\(.*\)\\n"}$$/\1/p' | sed -e 's/\\t/\t/g' -e 's/\\u003e/>/g'
 
 # bench-gate is the blocking, deterministic half of benchmark/: each of the
 # six workloads runs for a two-second window and must verify every operation

@@ -25,17 +25,19 @@
 //     degenerate scales, out-of-domain zero points, ranges that saturate
 //     the uint8/int8 domain, and int32 accumulators that can overflow.
 //
-//   - DeviceLegality (device.go): per-operation device-placement audit over
-//     a compiled NeuroPilot region. Beyond what neuron's CheckPlacement
-//     enforces structurally, it propagates producer devices through the
-//     operand table and flags operations that consume values their
-//     Execution Planner device cannot legally receive (quantized tensors on
-//     the GPU delegate, direct APU<->GPU hand-offs that real hardware must
-//     stage through the host).
+//   - DeviceLegality (device.go): device-placement audit over a compiled
+//     NeuroPilot region. The per-operation half is neuron's CheckPlacement
+//     (a read of the opcode table's device sets), reported under the
+//     region's name; the analysis adds the per-value half — it propagates
+//     producer devices through the operand table and flags operations that
+//     consume values their Execution Planner device cannot legally receive
+//     (quantized tensors on the GPU delegate, direct APU<->GPU hand-offs
+//     that real hardware must stage through the host).
 //
-//   - DeadCode (deadcode.go): unused-value detection over relay modules
-//     (never-read parameters) and — via PlanSafety's backward needed-ness
-//     pass — plan nodes whose results no output depends on.
+//   - DeadCode (deadcode.go): never-read function parameters of a relay
+//     module (dead-param). The other unused values have other owners: an
+//     unreferenced module function is verify.Module's dead-binding, a plan
+//     node no output depends on is PlanSafety's plan-dead-node.
 //
 // The package sits between internal/verify (which it reports through) and
 // internal/runtime (which exports plan views to it): it imports relay,

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -336,6 +338,20 @@ func TestSupportMatrix(t *testing.T) {
 				t.Errorf("yolo row wrong: %q", line)
 			}
 		}
+	}
+}
+
+// TestSupportMatrixGolden pins the whole matrix — relay op name → handler
+// row → opcode row → device set, for all 43 relay ops — against the rendering
+// committed before the op tables became rows (testdata/support_matrix.golden).
+// A row edit that moves a cell on purpose regenerates the file and says so.
+func TestSupportMatrixGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "support_matrix.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := SupportMatrixString(); got != string(want) {
+		t.Errorf("support matrix moved:\n--- got\n%s--- want\n%s", got, want)
 	}
 }
 

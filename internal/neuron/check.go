@@ -30,47 +30,6 @@ func firstFinding(fs []Finding) error {
 	return fs[0]
 }
 
-// opSignature is the NNAPI-style arity contract of one Neuron operation.
-// minIn/maxIn bound the input operand count (maxIn < 0 means unbounded, the
-// CONCATENATION case); outs is the exact output operand count. The fused
-// forms the Neuron compiler produces (conv+bias, dense+bias) raise maxIn by
-// one over the converter's unfused emission. The table is indexed by opcode,
-// so an opcode added without a row has the zero signature and every
-// operation using it fails op-arity.
-type opSignature struct {
-	minIn, maxIn, outs int
-}
-
-var opSignatures = [numOpCodes]opSignature{
-	Conv2D:              {2, 3, 1}, // data, weight [, fused bias]
-	DepthwiseConv2D:     {2, 3, 1},
-	FullyConnected:      {2, 3, 1},
-	MaxPool2D:           {1, 1, 1},
-	AveragePool2D:       {1, 1, 1},
-	GlobalAveragePool2D: {1, 1, 1},
-	ReLU:                {1, 1, 1},
-	Clamp:               {1, 1, 1},
-	Logistic:            {1, 1, 1},
-	TanhOp:              {1, 1, 1},
-	Softmax:             {1, 1, 1},
-	Add:                 {2, 2, 1},
-	Sub:                 {2, 2, 1},
-	Mul:                 {2, 2, 1},
-	Max:                 {2, 2, 1},
-	Min:                 {2, 2, 1},
-	Concatenation:       {1, -1, 1},
-	Reshape:             {1, 1, 1},
-	Transpose:           {1, 1, 1},
-	Squeeze:             {1, 1, 1},
-	ExpandDims:          {1, 1, 1},
-	Pad:                 {1, 1, 1},
-	ResizeNearest:       {1, 1, 1},
-	Quantize:            {1, 1, 1},
-	Dequantize:          {1, 1, 1},
-	Requantize:          {1, 1, 1},
-	BiasAdd:             {2, 2, 1},
-}
-
 // fusedActivations are the activation names the operation-fusion pass may
 // stamp on an anchor operation.
 var fusedActivations = map[string]bool{"relu": true, "relu6": true}
@@ -154,7 +113,7 @@ func (m *Model) Check() []Finding {
 			c.add("unknown-opcode", c.op(oi), "opcode %d is not in the Neuron catalogue", int(op.Code))
 			continue
 		}
-		sig := opSignatures[op.Code]
+		sig := op.Code.row()
 		if len(op.Inputs) < sig.minIn || (sig.maxIn >= 0 && len(op.Inputs) > sig.maxIn) {
 			if sig.maxIn == sig.minIn {
 				c.add("op-arity", c.op(oi), "operation has %d inputs, signature wants %d", len(op.Inputs), sig.minIn)
@@ -163,8 +122,8 @@ func (m *Model) Check() []Finding {
 					len(op.Inputs), sig.minIn, sig.maxIn)
 			}
 		}
-		if len(op.Outputs) != sig.outs {
-			c.add("op-arity", c.op(oi), "operation has %d outputs, signature wants %d", len(op.Outputs), sig.outs)
+		if len(op.Outputs) != 1 {
+			c.add("op-arity", c.op(oi), "operation has %d outputs, signature wants 1", len(op.Outputs))
 		}
 		for _, in := range op.Inputs {
 			if !c.inBounds(in) {

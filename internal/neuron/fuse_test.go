@@ -89,7 +89,7 @@ func TestFusionPreservesNumerics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs, err := cm.Execute([]*tensor.Tensor{in}, nil)
+		outs, err := cm.Execute([]*tensor.Tensor{in})
 		if err != nil {
 			t.Fatal(err)
 		}

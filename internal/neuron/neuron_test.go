@@ -7,6 +7,7 @@ import (
 	"repro/internal/relay"
 	"repro/internal/soc"
 	"repro/internal/tensor"
+	"repro/internal/topi"
 )
 
 func f32Type(shape ...int) OperandType {
@@ -166,11 +167,12 @@ func TestExecuteTinyModel(t *testing.T) {
 	}
 	in := tensor.New(tensor.Float32, tensor.Shape{1, 8, 8, 3})
 	in.FillUniform(tensor.NewRNG(2), -1, 1)
-	prof := soc.NewProfile()
-	outs, err := cm.Execute([]*tensor.Tensor{in}, prof)
+	outs, err := cm.Execute([]*tensor.Tensor{in})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof := soc.NewProfile()
+	cm.Estimate(prof)
 	if len(outs) != 1 || !outs[0].Shape.Equal(tensor.Shape{1, 8, 8, 4}) {
 		t.Fatalf("bad outputs: %v", outs)
 	}
@@ -214,27 +216,6 @@ func TestExecuteChargesDMAAcrossBoundary(t *testing.T) {
 	}
 }
 
-func TestEstimateMatchesExecuteCosts(t *testing.T) {
-	m := buildTinyModel(t)
-	sc := soc.NewDimensity800()
-	cm, err := Compile(m, sc, []soc.DeviceKind{soc.KindCPU, soc.KindAPU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := soc.NewProfile()
-	cm.Estimate(est)
-	run := soc.NewProfile()
-	in := tensor.New(tensor.Float32, tensor.Shape{1, 8, 8, 3})
-	if _, err := cm.Execute([]*tensor.Tensor{in}, run); err != nil {
-		t.Fatal(err)
-	}
-	// Static estimation and instrumented execution must charge identical
-	// simulated cost (same plan, same work extraction).
-	if est.Total() != run.Total() {
-		t.Errorf("estimate %s != execute %s", est.Total(), run.Total())
-	}
-}
-
 func TestOpCodeStrings(t *testing.T) {
 	if Conv2D.String() != "CONV_2D" || Requantize.String() != "REQUANTIZE" {
 		t.Error("opcode names wrong")
@@ -244,12 +225,52 @@ func TestOpCodeStrings(t *testing.T) {
 	}
 }
 
-// An opcode without a row in the signature table would have the zero
-// signature, which no operation satisfies.
+// An opcode without a row in the catalogue table would have the zero arity,
+// which no operation satisfies.
 func TestEveryOpCodeHasSignature(t *testing.T) {
 	for _, c := range OpCodes() {
-		if sig := opSignatures[c]; sig.minIn < 1 || sig.outs != 1 {
-			t.Errorf("%s: signature %+v", c, sig)
+		if r := c.row(); r.minIn < 1 || (r.maxIn >= 0 && r.maxIn < r.minIn) {
+			t.Errorf("%s: arity %d..%d", c, r.minIn, r.maxIn)
 		}
+	}
+}
+
+// TestOpTableRowsComplete checks every fact a catalogue row states: a unique
+// NNAPI name, reference kernels (both numeric paths, and the fused launch
+// where one is named) that exist in the TOPI inventory, and at least one
+// device that runs the opcode.
+func TestOpTableRowsComplete(t *testing.T) {
+	inventory := map[string]bool{}
+	for _, k := range topi.KernelNames() {
+		inventory[k] = true
+	}
+	names := map[string]OpCode{}
+	for _, c := range OpCodes() {
+		r := c.row()
+		if r.name == "" || r.name == unknownOp.name {
+			t.Errorf("opcode %d has no name", int(c))
+		}
+		if prev, dup := names[r.name]; dup {
+			t.Errorf("opcodes %d and %d share the name %s", int(prev), int(c), r.name)
+		}
+		names[r.name] = c
+		for _, k := range []string{KernelFor(c, false), KernelFor(c, true)} {
+			if !inventory[k] {
+				t.Errorf("%s: reference kernel %q is not in the TOPI inventory", c, k)
+			}
+		}
+		if r.fused != "" && (!inventory[r.fused] || r.qkernel == "") {
+			t.Errorf("%s: fused kernel %q needs a registered kernel and an integer path to fuse", c, r.fused)
+		}
+		anyDev := false
+		for _, d := range soc.AllDeviceKinds() {
+			anyDev = anyDev || SupportedOn(c, d)
+		}
+		if !anyDev {
+			t.Errorf("%s runs on no device", c)
+		}
+	}
+	if len(names) != int(numOpCodes) {
+		t.Errorf("%d named opcodes, catalogue has %d", len(names), int(numOpCodes))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/soc"
+	"repro/internal/tensor"
 )
 
 // The Execution Planner: NeuroPilot's compiler stage that assigns each
@@ -66,36 +67,25 @@ func operandBytes(m *Model, idx int) int64 {
 	return int64(t.Shape.Elems()) * int64(t.DType.Size())
 }
 
-// workOf summarizes one operation for the cost model.
+// workOf summarizes one operation for the cost model: traffic and the
+// integer-path flag from its operands, MACs from the cost model's one rule
+// (soc.MACs), asked under the opcode's reference kernel name.
 func workOf(m *Model, op Operation) soc.Work {
-	out := m.Operands[op.Outputs[0]]
-	outElems := int64(out.Type.Shape.Elems())
 	w := soc.Work{OpName: op.Code.String()}
 	w.Bytes = operandBytes(m, op.Outputs[0])
-	for _, in := range op.Inputs {
+	var shapes [2]tensor.Shape // data, weight
+	for i, in := range op.Inputs {
+		t := m.Operands[in].Type
 		w.Bytes += operandBytes(m, in)
-		if m.Operands[in].Type.DType.IsQuantized() {
+		if t.DType.IsQuantized() {
 			w.Quantized = true
 		}
+		if i < len(shapes) {
+			shapes[i] = t.Shape
+		}
 	}
-	switch op.Code {
-	case Conv2D, DepthwiseConv2D:
-		wt := m.Operands[op.Inputs[1]].Type
-		w.MACs = outElems * int64(wt.Shape[1]*wt.Shape[2]*wt.Shape[3])
-	case FullyConnected:
-		wt := m.Operands[op.Inputs[1]].Type
-		w.MACs = outElems * int64(wt.Shape[1])
-	case MaxPool2D, AveragePool2D:
-		kh, kw := op.Attrs.IntPair("pool_size", 1)
-		w.MACs = outElems * int64(kh*kw)
-	case GlobalAveragePool2D:
-		in := m.Operands[op.Inputs[0]].Type
-		w.MACs = int64(in.Shape.Elems())
-	case Softmax, Logistic, TanhOp:
-		w.MACs = outElems * 8
-	default:
-		w.MACs = outElems
-	}
+	outElems := int64(m.Operands[op.Outputs[0]].Type.Shape.Elems())
+	w.MACs = soc.MACs(op.Code.row().kernel, op.Attrs, outElems, shapes[0], shapes[1])
 	return w
 }
 
@@ -222,10 +212,10 @@ func (cm *CompiledModel) PlanCounts() map[soc.DeviceKind]int {
 	return h
 }
 
-// Estimate charges the whole compiled model to a profile without executing
-// numerics: per-op roofline time plus boundary DMA. The full-scale Figure 6
-// sweep uses this path; correctness of the numerics is covered separately by
-// the executing tests.
+// Estimate charges the whole compiled model to a profile: per-op roofline
+// time plus boundary DMA. It is the only cost walk over a plan — both
+// executors call it beside Execute (which computes numerics and charges
+// nothing), and the full-scale Figure 6 sweep calls it alone.
 func (cm *CompiledModel) Estimate(prof *soc.Profile) soc.Seconds {
 	if prof == nil {
 		prof = soc.NewProfile()

@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"repro/internal/relay"
-	"repro/internal/soc"
 	"repro/internal/tensor"
 	"repro/internal/topi"
 )
 
-// The Neuron runtime: executes a compiled model's plan, computing real
-// numerics through the shared kernel inventory while charging simulated
-// device time and boundary DMA to a profile.
+// The Neuron runtime: executes a compiled model's operations, computing real
+// numerics through the shared kernel inventory. The simulated device time and
+// boundary DMA of the same plan are charged by Estimate (planner.go).
 //
 // In the real stack Neuron ships its own tuned libraries; the simulation
 // reuses the reference numerics and models the performance difference purely
@@ -26,9 +25,8 @@ import (
 // Execute call at a time; CompiledModel.execState recycles it across calls
 // (claimed exclusively with an atomic Swap; see the field's doc comment).
 type execState struct {
-	values   []*tensor.Tensor
-	producer []soc.DeviceKind
-	args     [][]*tensor.Tensor
+	values []*tensor.Tensor
+	args   [][]*tensor.Tensor
 	// opOut[i] is the pooled destination for operation i's output, nil when
 	// that operand is a model output: outputs escape the call and must be
 	// allocated fresh every Execute.
@@ -64,18 +62,6 @@ var relu6Attrs = relay.Attrs{"a_min": 0.0, "a_max": 6.0}
 
 var emptyAttrs = relay.Attrs{}
 
-// fusedKernelFor returns the single-launch fused kernel for quantized
-// anchors whose absorbed requantize keeps the whole chain in integer math.
-func fusedKernelFor(c OpCode) string {
-	switch c {
-	case Conv2D, DepthwiseConv2D:
-		return "qnn.conv2d_fused"
-	case FullyConnected:
-		return "qnn.dense_fused"
-	}
-	return ""
-}
-
 func newOperandTensor(od Operand) *tensor.Tensor {
 	t := tensor.New(od.Type.DType, od.Type.Shape)
 	if od.Type.Quant != nil {
@@ -97,13 +83,11 @@ func buildOpExec(m *Model, op Operation) opExec {
 	if !op.Attrs.Bool(FusedRequantAttr, false) {
 		return e
 	}
-	if quantized {
-		if f := fusedKernelFor(op.Code); f != "" {
-			e.kernel = f
-			e.fused = true
-			e.splitBias = false
-			return e
-		}
+	if f := op.Code.row().fused; quantized && f != "" {
+		e.kernel = f
+		e.fused = true
+		e.splitBias = false
+		return e
 	}
 	// Staged requantize: the anchor produces the int32 accumulator, then
 	// qnn.requantize narrows it into the final operand type.
@@ -125,11 +109,10 @@ func buildOpExec(m *Model, op Operation) opExec {
 func (cm *CompiledModel) newExecState() *execState {
 	m := cm.Model
 	st := &execState{
-		values:   make([]*tensor.Tensor, len(m.Operands)),
-		producer: make([]soc.DeviceKind, len(m.Operands)),
-		args:     make([][]*tensor.Tensor, len(m.Operations)),
-		opOut:    make([]*tensor.Tensor, len(m.Operations)),
-		ops:      make([]opExec, len(m.Operations)),
+		values: make([]*tensor.Tensor, len(m.Operands)),
+		args:   make([][]*tensor.Tensor, len(m.Operations)),
+		opOut:  make([]*tensor.Tensor, len(m.Operations)),
+		ops:    make([]opExec, len(m.Operations)),
 	}
 	isOut := make([]bool, len(m.Operands))
 	for _, idx := range m.Outputs {
@@ -146,9 +129,9 @@ func (cm *CompiledModel) newExecState() *execState {
 }
 
 // Execute runs the compiled model on the given inputs (one tensor per
-// Model.Inputs entry, in order) and returns the output tensors. When prof is
-// non-nil, simulated costs are accumulated into it.
-func (cm *CompiledModel) Execute(inputs []*tensor.Tensor, prof *soc.Profile) ([]*tensor.Tensor, error) {
+// Model.Inputs entry, in order) and returns the output tensors. It computes
+// numerics only; Estimate charges the same plan's simulated cost.
+func (cm *CompiledModel) Execute(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	m := cm.Model
 	if len(inputs) != len(m.Inputs) {
 		return nil, fmt.Errorf("neuron: model %q expects %d inputs, got %d", m.Name, len(m.Inputs), len(inputs))
@@ -158,9 +141,8 @@ func (cm *CompiledModel) Execute(inputs []*tensor.Tensor, prof *soc.Profile) ([]
 		st = cm.newExecState()
 	}
 	defer cm.execState.Store(st)
-	values, producer := st.values, st.producer
+	values := st.values
 	for i, od := range m.Operands {
-		producer[i] = soc.KindCPU
 		if od.IsConst() {
 			values[i] = od.Const
 		} else {
@@ -177,16 +159,12 @@ func (cm *CompiledModel) Execute(inputs []*tensor.Tensor, prof *soc.Profile) ([]
 	}
 
 	for oi, op := range m.Operations {
-		dev := cm.Plan[oi]
 		args := st.args[oi]
 		for ai, in := range op.Inputs {
 			if values[in] == nil {
 				return nil, fmt.Errorf("neuron: operation %d (%s) input operand %d undefined", oi, op.Code, in)
 			}
 			args[ai] = values[in]
-			if prof != nil && !m.Operands[in].IsConst() && crossesLink(producer[in], dev) {
-				prof.AddDMANamed(cm.SoC.APULink.TransferTime(operandBytes(m, in)), m.Name)
-			}
 		}
 		dst := st.opOut[oi]
 		if dst == nil {
@@ -198,14 +176,6 @@ func (cm *CompiledModel) Execute(inputs []*tensor.Tensor, prof *soc.Profile) ([]
 			return nil, fmt.Errorf("neuron: operation %d (%s): %w", oi, op.Code, err)
 		}
 		values[op.Outputs[0]] = res
-		if prof != nil {
-			d := cm.SoC.Device(dev)
-			prof.AddOpNamed(dev, d.OpTime(fusedWork(m, op), efficiency(dev)),
-				m.Name+":"+opDisplayName(m, op))
-		}
-		for _, out := range op.Outputs {
-			producer[out] = dev
-		}
 	}
 
 	outs := make([]*tensor.Tensor, len(m.Outputs))
@@ -214,9 +184,6 @@ func (cm *CompiledModel) Execute(inputs []*tensor.Tensor, prof *soc.Profile) ([]
 			return nil, fmt.Errorf("neuron: model output operand %d undefined", idx)
 		}
 		outs[i] = values[idx]
-		if prof != nil && crossesLink(producer[idx], soc.KindCPU) {
-			prof.AddDMANamed(cm.SoC.APULink.TransferTime(operandBytes(m, idx)), m.Name)
-		}
 	}
 	return outs, nil
 }

@@ -21,16 +21,33 @@ type NodeEntry struct {
 	Outputs []int
 }
 
-// createOpFn builds the Neuron operation(s) for one relay call whose
-// argument operands are already materialized.
-type createOpFn func(cv *Converter, call *relay.Call, entry *NodeEntry) error
+// createOpFn builds the Neuron operation(s) of opcode code for one relay call
+// whose argument operands are already materialized.
+type createOpFn func(cv *Converter, code neuron.OpCode, call *relay.Call, entry *NodeEntry) error
 
 // checkFn imposes extra structural constraints for Supported().
 type checkFn func(*relay.Call) bool
 
+// opHandler is one row of the op-handler dictionary.
 type opHandler struct {
+	// code is the Neuron opcode the relay op lowers to (its standard form,
+	// where variant distinguishes several).
+	code neuron.OpCode
+	// variant, when set, picks the opcode from the call itself; ok=false
+	// means this form of the op has no Neuron equivalent.
+	variant func(*relay.Call) (neuron.OpCode, bool)
+	// create, when set, builds the operation; nil means one operation with
+	// the call's attributes copied verbatim.
 	create createOpFn
 	check  checkFn
+}
+
+// opcode returns the Neuron opcode this particular call lowers to.
+func (h opHandler) opcode(call *relay.Call) (neuron.OpCode, bool) {
+	if h.variant != nil {
+		return h.variant(call)
+	}
+	return h.code, true
 }
 
 // Converter lowers one relay function (a Compiler="nir" region) to a Neuron
@@ -207,7 +224,17 @@ func (cv *Converter) visitCall(call *relay.Call) error {
 		return fmt.Errorf("nir: no Neuron mapping for relay op %q — partitioning should not have "+
 			"placed it in an external region", call.Op.Name)
 	}
-	if err := h.create(cv, call, entry); err != nil {
+	code, ok := h.opcode(call)
+	if !ok {
+		return fmt.Errorf("nir: converting %s: this form of the op (attrs %v) has no Neuron equivalent", call.Op.Name, call.Attrs)
+	}
+	var err error
+	if h.create != nil {
+		err = h.create(cv, code, call, entry)
+	} else {
+		err = cv.addSimpleOp(code, call, entry, nil)
+	}
+	if err != nil {
 		return fmt.Errorf("nir: converting %s: %w", call.Op.Name, err)
 	}
 	cv.nodeEntryDict[call] = entry

@@ -8,97 +8,84 @@ import (
 )
 
 // opHandlerDict is the dictionary of Listing 1: relay operator name → the
-// logic converting that operator into Neuron IR. Adding NeuroPilot coverage
-// for a new relay op means adding one entry here.
+// Neuron opcode it lowers to and whatever that lowering needs beyond "one
+// operation, attributes copied". Adding NeuroPilot coverage for a new relay
+// op means adding one entry here (plus a neuron.opTable row if the opcode is
+// new): Supported, the converter, OpcodeOf, device coverage and the registry
+// lint all read the entry.
 var opHandlerDict = map[string]opHandler{
-	"nn.conv2d":  {create: createConv2D, check: conv2dSupported},
-	"qnn.conv2d": {create: createConv2D, check: conv2dSupported},
-	"nn.dense":   {create: simpleOp(neuron.FullyConnected)},
-	"qnn.dense":  {create: simpleOp(neuron.FullyConnected)},
+	"nn.conv2d":  {code: neuron.Conv2D, variant: conv2dOpcode},
+	"qnn.conv2d": {code: neuron.Conv2D, variant: conv2dOpcode},
+	"nn.dense":   {code: neuron.FullyConnected},
+	"qnn.dense":  {code: neuron.FullyConnected},
 
-	"nn.bias_add": {create: simpleOp(neuron.BiasAdd)},
+	"nn.bias_add": {code: neuron.BiasAdd},
 
-	"add":      {create: simpleOp(neuron.Add), check: float32Or8Bit},
-	"qnn.add":  {create: simpleOp(neuron.Add)},
-	"subtract": {create: simpleOp(neuron.Sub), check: float32Or8Bit},
-	"multiply": {create: simpleOp(neuron.Mul), check: float32Or8Bit},
-	"maximum":  {create: simpleOp(neuron.Max), check: float32Or8Bit},
-	"minimum":  {create: simpleOp(neuron.Min), check: float32Or8Bit},
+	"add":      {code: neuron.Add, check: float32Or8Bit},
+	"qnn.add":  {code: neuron.Add},
+	"subtract": {code: neuron.Sub, check: float32Or8Bit},
+	"multiply": {code: neuron.Mul, check: float32Or8Bit},
+	"maximum":  {code: neuron.Max, check: float32Or8Bit},
+	"minimum":  {code: neuron.Min, check: float32Or8Bit},
 
-	"nn.relu":    {create: simpleOp(neuron.ReLU)},
-	"clip":       {create: simpleOp(neuron.Clamp)},
-	"sigmoid":    {create: simpleOp(neuron.Logistic)},
-	"tanh":       {create: simpleOp(neuron.TanhOp)},
-	"nn.softmax": {create: simpleOp(neuron.Softmax)},
+	"nn.relu":    {code: neuron.ReLU},
+	"clip":       {code: neuron.Clamp},
+	"sigmoid":    {code: neuron.Logistic},
+	"tanh":       {code: neuron.TanhOp},
+	"nn.softmax": {code: neuron.Softmax},
 
-	"nn.max_pool2d":        {create: simpleOp(neuron.MaxPool2D)},
-	"nn.avg_pool2d":        {create: simpleOp(neuron.AveragePool2D)},
-	"nn.global_avg_pool2d": {create: simpleOp(neuron.GlobalAveragePool2D)},
+	"nn.max_pool2d":        {code: neuron.MaxPool2D},
+	"nn.avg_pool2d":        {code: neuron.AveragePool2D},
+	"nn.global_avg_pool2d": {code: neuron.GlobalAveragePool2D},
 
-	"concatenate":     {create: simpleOp(neuron.Concatenation)},
-	"qnn.concatenate": {create: createQnnConcat},
+	// Neuron's CONCATENATION requantizes internally when input scales
+	// differ; each operand carries its own parameters, so the quantized form
+	// needs nothing extra.
+	"concatenate":     {code: neuron.Concatenation},
+	"qnn.concatenate": {code: neuron.Concatenation},
 
-	"reshape":          {create: simpleOp(neuron.Reshape)},
-	"nn.batch_flatten": {create: createBatchFlatten},
-	"squeeze":          {create: simpleOp(neuron.Squeeze)},
-	"expand_dims":      {create: simpleOp(neuron.ExpandDims)},
-	"transpose":        {create: simpleOp(neuron.Transpose)},
-	"nn.pad":           {create: simpleOp(neuron.Pad)},
-	"nn.upsampling":    {create: simpleOp(neuron.ResizeNearest)},
+	"reshape":          {code: neuron.Reshape},
+	"nn.batch_flatten": {code: neuron.Reshape, create: createBatchFlatten},
+	"squeeze":          {code: neuron.Squeeze},
+	"expand_dims":      {code: neuron.ExpandDims},
+	"transpose":        {code: neuron.Transpose},
+	"nn.pad":           {code: neuron.Pad},
+	"nn.upsampling":    {code: neuron.ResizeNearest},
 
-	"qnn.quantize":   {create: simpleOp(neuron.Quantize)},
-	"qnn.dequantize": {create: createDequantize},
-	"qnn.requantize": {create: simpleOp(neuron.Requantize)},
+	"qnn.quantize":   {code: neuron.Quantize},
+	"qnn.dequantize": {code: neuron.Dequantize, create: createDequantize},
+	"qnn.requantize": {code: neuron.Requantize},
 }
 
-// simpleOp returns a handler that emits one Neuron operation with the call's
-// attributes copied verbatim.
-func simpleOp(code neuron.OpCode) createOpFn {
-	return func(cv *Converter, call *relay.Call, entry *NodeEntry) error {
-		return cv.addSimpleOp(code, call, entry, nil)
-	}
-}
-
-// createConv2D distinguishes depthwise from standard convolution (Neuron has
-// distinct opcodes) and keeps the QNN scale attributes.
-func createConv2D(cv *Converter, call *relay.Call, entry *NodeEntry) error {
+// conv2dOpcode is the one statement of Neuron's grouped-convolution rule:
+// standard and depthwise (groups == channels) convolution are distinct
+// opcodes, and any other grouping has no Neuron equivalent.
+func conv2dOpcode(call *relay.Call) (neuron.OpCode, bool) {
 	groups := call.Attrs.Int("groups", 1)
-	code := neuron.Conv2D
-	if groups > 1 {
-		data, ok := call.Args[0].CheckedType().(*relay.TensorType)
-		if !ok {
-			return fmt.Errorf("conv2d data is not a tensor")
-		}
-		if groups != data.Shape[3] {
-			return fmt.Errorf("grouped convolution with groups=%d (channels %d) has no Neuron equivalent",
-				groups, data.Shape[3])
-		}
-		code = neuron.DepthwiseConv2D
+	if groups == 1 {
+		return neuron.Conv2D, true
 	}
-	return cv.addSimpleOp(code, call, entry, nil)
-}
-
-// createQnnConcat records each field's quantization parameters as attributes
-// so the runtime can requantize mismatched fields (Neuron's CONCATENATION
-// requantizes internally when input scales differ).
-func createQnnConcat(cv *Converter, call *relay.Call, entry *NodeEntry) error {
-	return cv.addSimpleOp(neuron.Concatenation, call, entry, nil)
+	data, ok := call.Args[0].CheckedType().(*relay.TensorType)
+	if !ok || len(data.Shape) != 4 || groups != data.Shape[3] {
+		return 0, false
+	}
+	return neuron.DepthwiseConv2D, true
 }
 
 // createBatchFlatten lowers nn.batch_flatten to RESHAPE with an explicit
 // target shape (Neuron has no flatten op).
-func createBatchFlatten(cv *Converter, call *relay.Call, entry *NodeEntry) error {
+func createBatchFlatten(cv *Converter, code neuron.OpCode, call *relay.Call, entry *NodeEntry) error {
 	tt, ok := call.CheckedType().(*relay.TensorType)
 	if !ok {
 		return fmt.Errorf("batch_flatten result is not a tensor")
 	}
 	attrs := relay.Attrs{"newshape": []int{tt.Shape[0], tt.Shape[1]}}
-	return cv.addSimpleOp(neuron.Reshape, call, entry, attrs)
+	return cv.addSimpleOp(code, call, entry, attrs)
 }
 
 // createDequantize makes sure the kernel sees the input scale even when the
 // relay frontend left the attrs empty (tensor-carried params take over).
-func createDequantize(cv *Converter, call *relay.Call, entry *NodeEntry) error {
+func createDequantize(cv *Converter, code neuron.OpCode, call *relay.Call, entry *NodeEntry) error {
 	attrs := call.Attrs.Clone()
 	if attrs.Float("input_scale", 0) == 0 {
 		if tt, ok := call.Args[0].CheckedType().(*relay.TensorType); ok && tt.Quant != nil {
@@ -106,5 +93,5 @@ func createDequantize(cv *Converter, call *relay.Call, entry *NodeEntry) error {
 			attrs["input_zero_point"] = int(tt.Quant.ZeroPoint)
 		}
 	}
-	return cv.addSimpleOp(neuron.Dequantize, call, entry, attrs)
+	return cv.addSimpleOp(code, call, entry, attrs)
 }

@@ -1,6 +1,7 @@
 package nir
 
 import (
+	"repro/internal/neuron"
 	"repro/internal/relay"
 	"repro/internal/soc"
 	"repro/internal/topi"
@@ -13,10 +14,13 @@ import (
 // tests run the lint over this snapshot so a new operator cannot land
 // half-registered.
 func VerifySnapshot(devices ...soc.DeviceKind) verify.RegistrySnapshot {
+	handlers := make(map[string]neuron.OpCode, len(opHandlerDict))
+	for name, h := range opHandlerDict {
+		handlers[name] = h.code
+	}
 	return verify.RegistrySnapshot{
 		RelayOps:    relay.OpNames(),
-		NIRHandlers: SupportedOpNames(),
-		OpcodeOf:    OpcodeOf,
+		NIRHandlers: handlers,
 		TOPIKernels: topi.KernelNames(),
 		Devices:     devices,
 	}

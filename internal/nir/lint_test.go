@@ -51,13 +51,22 @@ func TestRegistryPins(t *testing.T) {
 			t.Errorf("%s maps to no Neuron opcode", core)
 		}
 	}
-	// Every handled op must be a registered relay op with a Neuron opcode.
-	for _, n := range SupportedOpNames() {
+	// Every handler row must name a registered relay op and a catalogued
+	// Neuron opcode, and OpcodeOf must read that field. A row that forgets
+	// its code would silently read as CONV_2D (the zero opcode), so the rows
+	// lowering to CONV_2D are pinned to the two convolutions.
+	for n, h := range opHandlerDict {
 		if !relayOps[n] {
 			t.Errorf("NIR handles %q but relay does not register it", n)
 		}
-		if _, ok := OpcodeOf(n); !ok {
-			t.Errorf("NIR handles %q but it has no Neuron opcode", n)
+		if !neuron.KnownOpCode(h.code) {
+			t.Errorf("NIR handles %q with opcode %d, outside the catalogue", n, int(h.code))
+		}
+		if code, ok := OpcodeOf(n); !ok || code != h.code {
+			t.Errorf("OpcodeOf(%q) = %s, %v; the row says %s", n, code, ok, h.code)
+		}
+		if isConv := n == "nn.conv2d" || n == "qnn.conv2d"; (h.code == neuron.Conv2D) != isConv {
+			t.Errorf("NIR handles %q by lowering to %s", n, h.code)
 		}
 	}
 	// Every Neuron opcode must resolve to kernels and at least one device.

@@ -33,17 +33,21 @@ const CompilerName = "nir"
 // stays on the TVM side, which is what produces both the partitioned
 // subgraphs and the missing NeuroPilot-only statistics of Figures 4/6.
 func Supported(call *relay.Call) bool {
+	_, ok := supportedOpcode(call)
+	return ok
+}
+
+// supportedOpcode is Supported plus the answer device coverage needs: the
+// opcode this call lowers to.
+func supportedOpcode(call *relay.Call) (neuron.OpCode, bool) {
 	if call.Op == nil {
-		return false
+		return 0, false
 	}
 	h, ok := opHandlerDict[call.Op.Name]
-	if !ok {
-		return false
+	if !ok || h.check != nil && !h.check(call) {
+		return 0, false
 	}
-	if h.check != nil && !h.check(call) {
-		return false
-	}
-	return true
+	return h.opcode(call)
 }
 
 // SupportedOpNames returns the relay ops in the conversion dictionary;
@@ -56,18 +60,11 @@ func SupportedOpNames() []string {
 	return names
 }
 
-// conv2dSupported: Neuron implements standard and depthwise convolution but
-// not arbitrary grouped convolution.
-func conv2dSupported(call *relay.Call) bool {
-	groups := call.Attrs.Int("groups", 1)
-	if groups == 1 {
-		return true
-	}
-	data, ok := call.Args[0].CheckedType().(*relay.TensorType)
-	if !ok || len(data.Shape) != 4 {
-		return false
-	}
-	return groups == data.Shape[3] // depthwise
+// OpcodeOf maps a relay op name to its Neuron opcode (standard, non-grouped
+// form); exported for the support-matrix documentation tool.
+func OpcodeOf(name string) (neuron.OpCode, bool) {
+	h, ok := opHandlerDict[name]
+	return h.code, ok
 }
 
 // float32Or8Bit restricts an op to the dtypes the Neuron backend implements.
@@ -92,10 +89,7 @@ func SupportedForDevices(devices []soc.DeviceKind) passes.Supported {
 		devices = []soc.DeviceKind{soc.KindCPU, soc.KindAPU}
 	}
 	return func(c *relay.Call) bool {
-		if !Supported(c) {
-			return false
-		}
-		code, ok := opcodeOf(c)
+		code, ok := supportedOpcode(c)
 		if !ok {
 			return false
 		}
@@ -106,78 +100,6 @@ func SupportedForDevices(devices []soc.DeviceKind) passes.Supported {
 		}
 		return false
 	}
-}
-
-// opcodeOf maps a supported relay call to its Neuron opcode (for
-// device-coverage checks).
-func opcodeOf(c *relay.Call) (neuron.OpCode, bool) {
-	if c.Op.Name == "nn.conv2d" || c.Op.Name == "qnn.conv2d" {
-		if c.Attrs.Int("groups", 1) > 1 {
-			return neuron.DepthwiseConv2D, true
-		}
-		return neuron.Conv2D, true
-	}
-	return OpcodeOf(c.Op.Name)
-}
-
-// OpcodeOf maps a relay op name to its Neuron opcode (standard, non-grouped
-// form); exported for the support-matrix documentation tool.
-func OpcodeOf(name string) (neuron.OpCode, bool) {
-	switch name {
-	case "nn.conv2d", "qnn.conv2d":
-		return neuron.Conv2D, true
-	case "nn.dense", "qnn.dense":
-		return neuron.FullyConnected, true
-	case "nn.bias_add":
-		return neuron.BiasAdd, true
-	case "add", "qnn.add":
-		return neuron.Add, true
-	case "subtract":
-		return neuron.Sub, true
-	case "multiply":
-		return neuron.Mul, true
-	case "maximum":
-		return neuron.Max, true
-	case "minimum":
-		return neuron.Min, true
-	case "nn.relu":
-		return neuron.ReLU, true
-	case "clip":
-		return neuron.Clamp, true
-	case "sigmoid":
-		return neuron.Logistic, true
-	case "tanh":
-		return neuron.TanhOp, true
-	case "nn.softmax":
-		return neuron.Softmax, true
-	case "nn.max_pool2d":
-		return neuron.MaxPool2D, true
-	case "nn.avg_pool2d":
-		return neuron.AveragePool2D, true
-	case "nn.global_avg_pool2d":
-		return neuron.GlobalAveragePool2D, true
-	case "concatenate", "qnn.concatenate":
-		return neuron.Concatenation, true
-	case "reshape", "nn.batch_flatten":
-		return neuron.Reshape, true
-	case "squeeze":
-		return neuron.Squeeze, true
-	case "expand_dims":
-		return neuron.ExpandDims, true
-	case "transpose":
-		return neuron.Transpose, true
-	case "nn.pad":
-		return neuron.Pad, true
-	case "nn.upsampling":
-		return neuron.ResizeNearest, true
-	case "qnn.quantize":
-		return neuron.Quantize, true
-	case "qnn.dequantize":
-		return neuron.Dequantize, true
-	case "qnn.requantize":
-		return neuron.Requantize, true
-	}
-	return 0, false
 }
 
 // PartitionForNIR is the paper's nir.partition_for_nir: annotate supported

@@ -67,6 +67,7 @@ func Schedule(stages []StagePlan, costs [][]soc.Seconds) (*soc.Timeline, error) 
 		}
 	}
 	tl := soc.NewTimeline()
+	tl.EnableEvents() // the Gantt and trace consumers read the intervals
 	for f, row := range costs {
 		if len(row) != len(stages) {
 			return nil, fmt.Errorf("pipeline: frame %d has %d costs for %d stages", f, len(row), len(stages))

@@ -198,12 +198,13 @@ func (ex *executor) evalExternal(fn *relay.Function, args []value) (value, error
 		}
 		ins[i] = t
 	}
-	if ex.prof != nil {
-		ex.prof.AddSubgraphNamed(sym)
-	}
-	outs, err := cm.Execute(ins, ex.prof)
+	outs, err := cm.Execute(ins)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: external region %q: %w", sym, err)
+	}
+	if ex.prof != nil {
+		ex.prof.AddSubgraphNamed(sym)
+		cm.Estimate(ex.prof)
 	}
 	if len(outs) == 1 {
 		return outs[0], nil

@@ -375,34 +375,15 @@ func (b *planBuilder) evalOpCall(c *relay.Call) (pval, error) {
 // planNodeTuned consults the installed tuning table at lowering time: it
 // reports whether this op call's task signature resolves to a non-default
 // kernel config, i.e. whether the dispatch the plan encodes will deviate
-// from the built-in defaults. Ops outside the tunable families, rank
-// mismatches, and a missing table all fall back to false.
+// from the built-in defaults. Calls with no task (topi.TaskKeyOf) and a
+// missing table fall back to false.
 func planNodeTuned(c *relay.Call) bool {
 	tbl := topi.Tuning()
-	if tbl == nil || len(c.Args) < 2 {
+	if tbl == nil {
 		return false
 	}
-	data, ok := c.Args[0].CheckedType().(*relay.TensorType)
+	key, ok := topi.TaskKeyOf(c)
 	if !ok {
-		return false
-	}
-	weight, ok := c.Args[1].CheckedType().(*relay.TensorType)
-	if !ok {
-		return false
-	}
-	var key topi.TaskKey
-	switch c.Op.Name {
-	case "nn.conv2d", "qnn.conv2d", "qnn.conv2d_fused":
-		if len(data.Shape) != 4 || len(weight.Shape) != 4 {
-			return false
-		}
-		key = topi.ConvTaskKeyTypes(c.Op.Name, data, weight, c.Attrs)
-	case "nn.dense", "qnn.dense", "qnn.dense_fused":
-		if len(data.Shape) != 2 || len(weight.Shape) != 2 {
-			return false
-		}
-		key = topi.DenseTaskKeyTypes(c.Op.Name, data, weight)
-	default:
 		return false
 	}
 	cfg, ok := tbl.Lookup(key)

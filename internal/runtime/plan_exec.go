@@ -227,7 +227,7 @@ func (st *planState) execNode(ni int) error {
 	case nodePrim:
 		return st.runPrim(ni, n, args)
 	case nodeExternal:
-		outs, err := n.cm.Execute(args, nil)
+		outs, err := n.cm.Execute(args)
 		if err != nil {
 			return fmt.Errorf("runtime: external region %q: %w", n.sym, err)
 		}

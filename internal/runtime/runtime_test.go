@@ -160,11 +160,12 @@ func TestNeuroPilotOnlySupportedModel(t *testing.T) {
 		t.Fatalf("NeuroPilot-only build failed on a fully supported model: %v", err)
 	}
 	in := input(tensor.Shape{1, 32, 32, 16}, 14)
-	prof := soc.NewProfile()
-	outs, err := cm.Execute([]*tensor.Tensor{in}, prof)
+	outs, err := cm.Execute([]*tensor.Tensor{in})
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof := soc.NewProfile()
+	cm.Estimate(prof)
 	_, ref := runModule(t, smallCNN(), BuildOptions{OptLevel: 3}, in)
 	if !tensor.AllClose(outs[0], ref, 1e-4, 1e-4) {
 		t.Errorf("NeuroPilot-only output differs, max %g", tensor.MaxAbsDiff(outs[0], ref))

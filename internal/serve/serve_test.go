@@ -388,6 +388,34 @@ func TestBatchAccountedBeforeLastReply(t *testing.T) {
 	}
 }
 
+// TestTimelineStateBoundedByDevices: the server's virtual clock is a running
+// sum per device, not a log — 10⁴ requests retain no interval, and the busy
+// time /statsz reports is the sum of the replies' simulated times, to the bit
+// (one request per batch here, so the terms and their order are the same).
+func TestTimelineStateBoundedByDevices(t *testing.T) {
+	lib := kerasLib(t, 8, 8)
+	s := NewServer()
+	defer s.Drain()
+	if err := s.Register("tiny", lib, ModelOptions{Pool: 1}); err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string]*tensor.Tensor{lib.Module.Main().Params[0].Name: models.RandomInput(lib.Module, 1)}
+	var sim soc.Seconds
+	for i := 0; i < 10000; i++ {
+		res, err := s.Submit(context.Background(), "tiny", inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim += res.SimTime
+	}
+	if n := len(s.Timeline().Events()); n != 0 {
+		t.Errorf("server timeline retains %d intervals after 10000 requests, want 0", n)
+	}
+	if cpu := s.Timeline().BusyTime(soc.KindCPU); cpu != sim || sim <= 0 {
+		t.Errorf("cpu busy time %v, replies' simulated times sum to %v", cpu, sim)
+	}
+}
+
 // TestDrainRejectsNewServesAdmitted pins graceful shutdown: Drain answers
 // everything already admitted and rejects new work with ErrDraining.
 func TestDrainRejectsNewServesAdmitted(t *testing.T) {

@@ -64,6 +64,7 @@ func TestDMATransfer(t *testing.T) {
 
 func TestTimelineScheduling(t *testing.T) {
 	tl := NewTimeline()
+	tl.EnableEvents()
 	end1 := tl.Schedule(KindCPU, "a", 0, 10)
 	if end1 != 10 {
 		t.Errorf("first task end %v", end1)
@@ -89,6 +90,45 @@ func TestTimelineScheduling(t *testing.T) {
 	}
 	if len(tl.Events()) != 3 {
 		t.Error("events not recorded")
+	}
+}
+
+// A timeline nobody asked events of keeps the clock and the busy sums and
+// retains nothing, however long it runs.
+func TestTimelineWithoutEventsRetainsNothing(t *testing.T) {
+	tl, ref := NewTimeline(), NewTimeline()
+	ref.EnableEvents()
+	for i := 0; i < 1000; i++ {
+		dur := Seconds(i%7+1) * 1e-4
+		for _, x := range []*Timeline{tl, ref} {
+			x.Schedule(KindCPU, "a", 0, dur)
+			x.ScheduleMulti([]DeviceKind{KindCPU, KindAPU}, "b", Seconds(i)*1e-3, dur/3)
+		}
+	}
+	if n := len(tl.Events()); n != 0 {
+		t.Errorf("retained %d intervals without EnableEvents", n)
+	}
+	if len(ref.Events()) != 3000 {
+		t.Errorf("reference retained %d intervals, want 3000", len(ref.Events()))
+	}
+	for _, d := range AllDeviceKinds() {
+		// The running sum adds the same End − Start terms in the same order
+		// as a walk over the retained intervals: equal to the bit.
+		var walked Seconds
+		for _, e := range ref.events {
+			if e.Device == d {
+				walked += e.End - e.Start
+			}
+		}
+		if tl.BusyTime(d) != walked || ref.BusyTime(d) != walked {
+			t.Errorf("%s: busy %v / %v, interval walk %v", d, tl.BusyTime(d), ref.BusyTime(d), walked)
+		}
+		if tl.Avail(d) != ref.Avail(d) {
+			t.Errorf("%s: avail %v vs %v", d, tl.Avail(d), ref.Avail(d))
+		}
+	}
+	if tl.Now() != ref.Now() {
+		t.Errorf("makespan %v vs %v", tl.Now(), ref.Now())
 	}
 }
 
@@ -165,6 +205,7 @@ func TestWorkOfQuantizedConv(t *testing.T) {
 
 func TestGantt(t *testing.T) {
 	tl := NewTimeline()
+	tl.EnableEvents()
 	tl.Schedule(KindCPU, "d0", 0, 5)
 	tl.Schedule(KindAPU, "e0", 5, 5)
 	g := tl.Gantt(40)

@@ -13,8 +13,12 @@ import (
 // exclusive-use constraint the paper's pipeline prototype (Figure 5) is
 // built around.
 type Timeline struct {
-	mu     sync.Mutex
-	avail  map[DeviceKind]Seconds
+	mu    sync.Mutex
+	avail map[DeviceKind]Seconds
+	busy  map[DeviceKind]Seconds
+	// events, when non-nil (EnableEvents), retains one Interval per device
+	// occupancy for the Gantt/trace consumers. A long-running clock (the
+	// server's) leaves it off: its state is then two numbers per device.
 	events []Interval
 }
 
@@ -28,7 +32,27 @@ type Interval struct {
 
 // NewTimeline returns an empty timeline at virtual time zero.
 func NewTimeline() *Timeline {
-	return &Timeline{avail: map[DeviceKind]Seconds{}}
+	return &Timeline{avail: map[DeviceKind]Seconds{}, busy: map[DeviceKind]Seconds{}}
+}
+
+// EnableEvents turns on interval retention, as Profile.EnableEvents does for
+// charges: Events, Gantt and TimelineSpans see only what is scheduled after
+// it. The clock itself (Avail, Now, BusyTime) does not depend on it.
+func (tl *Timeline) EnableEvents() {
+	tl.mu.Lock()
+	defer tl.mu.Unlock()
+	if tl.events == nil {
+		tl.events = []Interval{}
+	}
+}
+
+// occupy books [start, end) on one device. Callers hold tl.mu.
+func (tl *Timeline) occupy(dev DeviceKind, label string, start, end Seconds) {
+	tl.avail[dev] = end
+	tl.busy[dev] += end - start
+	if tl.events != nil {
+		tl.events = append(tl.events, Interval{Device: dev, Label: label, Start: start, End: end})
+	}
 }
 
 // Schedule places a task of the given duration on a device, starting no
@@ -42,8 +66,7 @@ func (tl *Timeline) Schedule(dev DeviceKind, label string, ready Seconds, dur Se
 		start = a
 	}
 	end := start + dur
-	tl.avail[dev] = end
-	tl.events = append(tl.events, Interval{Device: dev, Label: label, Start: start, End: end})
+	tl.occupy(dev, label, start, end)
 	return end
 }
 
@@ -62,8 +85,7 @@ func (tl *Timeline) ScheduleMulti(devs []DeviceKind, label string, ready Seconds
 	}
 	end := start + dur
 	for _, d := range devs {
-		tl.avail[d] = end
-		tl.events = append(tl.events, Interval{Device: d, Label: label, Start: start, End: end})
+		tl.occupy(d, label, start, end)
 	}
 	return end
 }
@@ -88,9 +110,10 @@ func (tl *Timeline) Now() Seconds {
 	return m
 }
 
-// Events returns a copy of the recorded intervals in a stable order: sorted
-// by start time, then device, with schedule order breaking remaining ties —
-// the deterministic sequence trace export and the pipeline reports rely on.
+// Events returns a copy of the retained intervals (none unless EnableEvents
+// was called before scheduling) in a stable order: sorted by start time, then
+// device, with schedule order breaking remaining ties — the deterministic
+// sequence trace export and the pipeline reports rely on.
 func (tl *Timeline) Events() []Interval {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
@@ -104,29 +127,25 @@ func (tl *Timeline) Events() []Interval {
 	return out
 }
 
-// Reset returns the timeline to virtual time zero, dropping every recorded
-// interval and device availability — so one timeline can be reused across
-// measurement windows.
+// Reset returns the timeline to virtual time zero, dropping every retained
+// interval, device availability and busy sum — so one timeline can be reused
+// across measurement windows.
 func (tl *Timeline) Reset() {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
 	tl.events = tl.events[:0]
 	for k := range tl.avail {
 		delete(tl.avail, k)
+		delete(tl.busy, k)
 	}
 }
 
-// BusyTime returns the total occupied time of one device.
+// BusyTime returns the total occupied time of one device: the running sum of
+// End − Start over its occupancies, in schedule order.
 func (tl *Timeline) BusyTime(dev DeviceKind) Seconds {
 	tl.mu.Lock()
 	defer tl.mu.Unlock()
-	var t Seconds
-	for _, e := range tl.events {
-		if e.Device == dev {
-			t += e.End - e.Start
-		}
-	}
-	return t
+	return tl.busy[dev]
 }
 
 // Gantt renders an ASCII Gantt chart of the timeline (one row per device),

@@ -9,6 +9,7 @@ import (
 
 func TestTimelineEventsStableOrder(t *testing.T) {
 	tl := NewTimeline()
+	tl.EnableEvents()
 	// Schedule out of start order: the APU task lands at [0,2], then a CPU
 	// task at [0,1] and another CPU task behind it at [1,2].
 	tl.Schedule(KindAPU, "apu-a", 0, 2)
@@ -27,6 +28,7 @@ func TestTimelineEventsStableOrder(t *testing.T) {
 	}
 	// Equal (start, device): schedule order must break the tie stably.
 	tl2 := NewTimeline()
+	tl2.EnableEvents()
 	tl2.ScheduleMulti([]DeviceKind{KindCPU}, "first", 0, 0)
 	tl2.ScheduleMulti([]DeviceKind{KindCPU}, "second", 0, 0)
 	ev2 := tl2.Events()
@@ -37,13 +39,14 @@ func TestTimelineEventsStableOrder(t *testing.T) {
 
 func TestTimelineReset(t *testing.T) {
 	tl := NewTimeline()
+	tl.EnableEvents()
 	tl.Schedule(KindCPU, "a", 0, 5)
 	tl.Reset()
 	if got := tl.Events(); len(got) != 0 {
 		t.Errorf("events after Reset = %d, want 0", len(got))
 	}
-	if tl.Now() != 0 {
-		t.Errorf("Now after Reset = %v, want 0", tl.Now())
+	if tl.Now() != 0 || tl.BusyTime(KindCPU) != 0 {
+		t.Errorf("after Reset: Now %v, CPU busy %v, want 0", tl.Now(), tl.BusyTime(KindCPU))
 	}
 	// Device availability is cleared too: a new task starts at its ready time.
 	if end := tl.Schedule(KindCPU, "b", 0, 1); end != 1 {
@@ -142,6 +145,7 @@ func TestOpTable(t *testing.T) {
 
 func TestTimelineSpans(t *testing.T) {
 	tl := NewTimeline()
+	tl.EnableEvents()
 	tl.Schedule(KindCPU, "detect", 0, 0.5)
 	tl.Schedule(KindAPU, "emotion", 0.5, 0.25)
 	spans := TimelineSpans(tl)

@@ -41,54 +41,56 @@ func WorkOf(call *relay.Call) Work {
 	w := Work{OpName: call.OpName()}
 	outT := call.CheckedType()
 	w.Bytes = bytesOfType(outT)
-	for _, a := range call.Args {
-		w.Bytes += bytesOfType(a.CheckedType())
-	}
-	if ot, ok := outT.(*relay.TensorType); ok {
-		w.Quantized = ot.DType.IsQuantized() || ot.DType == tensor.Int32 && ot.Quant != nil
-	}
-	if len(call.Args) > 0 {
-		if at, ok := call.Args[0].CheckedType().(*relay.TensorType); ok && at.DType.IsQuantized() {
-			w.Quantized = true
+	var shapes [2]tensor.Shape // data, weight
+	for i, a := range call.Args {
+		t := a.CheckedType()
+		w.Bytes += bytesOfType(t)
+		if at, ok := t.(*relay.TensorType); ok && i < len(shapes) {
+			shapes[i] = at.Shape
+			w.Quantized = w.Quantized || i == 0 && at.DType.IsQuantized()
 		}
 	}
-
 	outElems := int64(1)
 	if ot, ok := outT.(*relay.TensorType); ok {
+		w.Quantized = w.Quantized || ot.DType.IsQuantized() || ot.DType == tensor.Int32 && ot.Quant != nil
 		outElems = int64(ot.Shape.Elems())
 	}
-
-	switch call.OpName() {
-	case "nn.conv2d", "qnn.conv2d":
-		wt := relay.TensorTypeOf(call.Args[1])
-		kh, kw, icg := wt.Shape[1], wt.Shape[2], wt.Shape[3]
-		w.MACs = outElems * int64(kh*kw*icg)
-	case "nn.dense", "qnn.dense":
-		wt := relay.TensorTypeOf(call.Args[1])
-		w.MACs = outElems * int64(wt.Shape[1])
-	case "nn.max_pool2d", "nn.avg_pool2d":
-		kh, kw := call.Attrs.IntPair("pool_size", 1)
-		w.MACs = outElems * int64(kh*kw)
-	case "nn.global_avg_pool2d", "mean":
-		in := relay.TensorTypeOf(call.Args[0])
-		w.MACs = int64(in.Shape.Elems())
-	case "nn.softmax":
-		w.MACs = outElems * 8 // exp + normalize, transcendental-weighted
-	case "sigmoid", "tanh", "exp", "sqrt":
-		w.MACs = outElems * 8
-	case "nn.batch_norm":
-		w.MACs = outElems * 2
-	case "nn.lrn":
-		size := int64(call.Attrs.Int("size", 5))
-		w.MACs = outElems * (size + 4)
-	case "vision.yolo_output":
-		w.MACs = outElems * 8
-	default:
-		// Elementwise / data movement: one ALU op per output element; the
-		// roofline makes these memory-bound anyway.
-		w.MACs = outElems
-	}
+	w.MACs = MACs(call.OpName(), call.Attrs, outElems, shapes[0], shapes[1])
 	return w
+}
+
+// MACs is the cost model's one multiply-accumulate rule (ALU operations for
+// non-MAC kernels), keyed by relay op name: WorkOf applies it to a relay
+// call, the Neuron planner to an operation under its opcode's reference
+// kernel name, so the two engines cannot disagree about what a layer costs.
+// out is the output element count; data and weight are the shapes of the
+// first two tensor arguments (nil where the op has none).
+func MACs(op string, attrs relay.Attrs, out int64, data, weight tensor.Shape) int64 {
+	switch op {
+	case "nn.conv2d", "qnn.conv2d":
+		kh, kw, icg := weight[1], weight[2], weight[3]
+		return out * int64(kh*kw*icg)
+	case "nn.dense", "qnn.dense":
+		return out * int64(weight[1])
+	case "nn.max_pool2d", "nn.avg_pool2d":
+		kh, kw := attrs.IntPair("pool_size", 1)
+		return out * int64(kh*kw)
+	case "nn.global_avg_pool2d", "mean":
+		return int64(data.Elems())
+	case "nn.softmax":
+		return out * 8 // exp + normalize, transcendental-weighted
+	case "sigmoid", "tanh", "exp", "sqrt":
+		return out * 8
+	case "nn.batch_norm":
+		return out * 2
+	case "nn.lrn":
+		return out * (int64(attrs.Int("size", 5)) + 4)
+	case "vision.yolo_output":
+		return out * 8
+	}
+	// Elementwise / data movement: one ALU op per output element; the
+	// roofline makes these memory-bound anyway.
+	return out
 }
 
 // FunctionWork sums the work of every operator call in a function body

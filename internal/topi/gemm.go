@@ -25,8 +25,9 @@ import (
 //     bit-identical to the naive single-accumulator dot product — the
 //     property the GEMM equivalence tests pin (gemm_test.go).
 //   - Weight panels are immutable per model, so packRHS results are cached
-//     per weight tensor (gemmWeightCache below): steady-state inference
-//     repacks only the activation side.
+//     per weight tensor (the bounded weightCache instances in
+//     weightcache.go): steady-state inference repacks only the activation
+//     side.
 //
 // Parallelism: the driver asks the shared inter/intra-op token budget
 // (parallel.AcquireWorkers) how many workers the N-panel loop may use. Called

@@ -375,3 +375,33 @@ func DenseTaskKeyTypes(op string, data, weight *relay.TensorType) TaskKey {
 		DType: data.DType.String(),
 	}
 }
+
+// TaskKeyOf is the one mapping from a type-checked relay call to its tunable
+// task: ok=false for ops outside the conv/dense families and for calls whose
+// operand types are missing, non-tensor or of the wrong rank. The tune
+// extractor and the plan builder both ask here, so a task is tunable exactly
+// when the plan can see its record.
+func TaskKeyOf(call *relay.Call) (TaskKey, bool) {
+	if call.Op == nil || len(call.Args) < 2 {
+		return TaskKey{}, false
+	}
+	data, ok := call.Args[0].CheckedType().(*relay.TensorType)
+	if !ok {
+		return TaskKey{}, false
+	}
+	weight, ok := call.Args[1].CheckedType().(*relay.TensorType)
+	if !ok {
+		return TaskKey{}, false
+	}
+	switch op := taskOp(call.Op.Name); op {
+	case "nn.conv2d", "qnn.conv2d":
+		if len(data.Shape) == 4 && len(weight.Shape) == 4 {
+			return ConvTaskKeyTypes(op, data, weight, call.Attrs), true
+		}
+	case "nn.dense", "qnn.dense":
+		if len(data.Shape) == 2 && len(weight.Shape) == 2 {
+			return DenseTaskKeyTypes(op, data, weight), true
+		}
+	}
+	return TaskKey{}, false
+}

@@ -12,16 +12,6 @@ import (
 // their anchor op inside the key builders, so one tuned record serves both
 // the unfused TVM chain and the Neuron runtime's fused dispatch.
 
-// tunableOps maps relay op names to their task-key family.
-var tunableOps = map[string]string{
-	"nn.conv2d":        "conv",
-	"qnn.conv2d":       "conv",
-	"qnn.conv2d_fused": "conv",
-	"nn.dense":         "dense",
-	"qnn.dense":        "dense",
-	"qnn.dense_fused":  "dense",
-}
-
 // Tasks extracts the deduplicated, deterministically ordered tunable task
 // set of a module. The module must be type-checked (any module that came
 // out of runtime.Build is); calls whose types are missing or non-tensor are
@@ -35,7 +25,7 @@ func Tasks(m *relay.Module) []topi.TaskKey {
 			if !ok {
 				return
 			}
-			key, ok := taskOf(call)
+			key, ok := topi.TaskKeyOf(call)
 			if !ok || seen[key] {
 				return
 			}
@@ -45,43 +35,4 @@ func Tasks(m *relay.Module) []topi.TaskKey {
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
-}
-
-// taskOf builds the task signature of one call, if it is tunable.
-func taskOf(call *relay.Call) (topi.TaskKey, bool) {
-	family, ok := tunableOps[call.OpName()]
-	if !ok || len(call.Args) < 2 {
-		return topi.TaskKey{}, false
-	}
-	data, ok := tensorTypeOf(call.Args[0])
-	if !ok {
-		return topi.TaskKey{}, false
-	}
-	weight, ok := tensorTypeOf(call.Args[1])
-	if !ok {
-		return topi.TaskKey{}, false
-	}
-	switch family {
-	case "conv":
-		if len(data.Shape) != 4 || len(weight.Shape) != 4 {
-			return topi.TaskKey{}, false
-		}
-		return topi.ConvTaskKeyTypes(call.OpName(), data, weight, call.Attrs), true
-	case "dense":
-		if len(data.Shape) != 2 || len(weight.Shape) != 2 {
-			return topi.TaskKey{}, false
-		}
-		return topi.DenseTaskKeyTypes(call.OpName(), data, weight), true
-	}
-	return topi.TaskKey{}, false
-}
-
-// tensorTypeOf is the non-panicking form of relay.TensorTypeOf.
-func tensorTypeOf(e relay.Expr) (*relay.TensorType, bool) {
-	t := e.CheckedType()
-	if t == nil {
-		return nil, false
-	}
-	tt, ok := t.(*relay.TensorType)
-	return tt, ok
 }

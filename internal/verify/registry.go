@@ -10,18 +10,15 @@ import (
 // RegistrySnapshot is the cross-registry state the lint audits: the relay op
 // registry, the NIR converter's op-handler dictionary, the TOPI kernel
 // inventory, and the Neuron opcode catalogue with its per-device support
-// sets. It is plain data + closures so the verifier stays below
-// internal/nir and internal/topi in the dependency order;
-// nir.VerifySnapshot assembles the live one.
+// sets. It is plain data so the verifier stays below internal/nir and
+// internal/topi in the dependency order; nir.VerifySnapshot assembles the
+// live one.
 type RegistrySnapshot struct {
 	// RelayOps is relay.OpNames(): every registered relay operator.
 	RelayOps []string
-	// NIRHandlers is nir.SupportedOpNames(): relay ops with a Neuron
-	// conversion handler.
-	NIRHandlers []string
-	// OpcodeOf maps a handled relay op name to its Neuron opcode
-	// (nir.OpcodeOf).
-	OpcodeOf func(string) (neuron.OpCode, bool)
+	// NIRHandlers is the converter dictionary: each relay op with a Neuron
+	// conversion handler, and the opcode its row names.
+	NIRHandlers map[string]neuron.OpCode
 	// TOPIKernels is topi.KernelNames(): ops with a reference kernel.
 	TOPIKernels []string
 	// Devices are the NeuroPilot backends to audit coverage for; empty
@@ -31,7 +28,7 @@ type RegistrySnapshot struct {
 
 // Registries cross-checks the four operator registries so that a new op
 // cannot be half-registered: every relay op with an NIR handler must exist
-// in the op registry and map to a known Neuron opcode, every TOPI kernel
+// in the op registry and name a catalogued Neuron opcode, every TOPI kernel
 // must implement a registered relay op (and vice versa), and every Neuron
 // opcode must resolve to real reference kernels and be executable on at
 // least one backend device.
@@ -45,21 +42,18 @@ func Registries(s RegistrySnapshot) *Result {
 	kernels := toSet(s.TOPIKernels)
 
 	// NIR handler dictionary ↔ relay op registry ↔ Neuron opcode catalogue.
-	handlers := append([]string(nil), s.NIRHandlers...)
+	handlers := make([]string, 0, len(s.NIRHandlers))
+	for name := range s.NIRHandlers {
+		handlers = append(handlers, name)
+	}
 	sort.Strings(handlers)
 	for _, name := range handlers {
 		if !relayOps[name] {
 			res.Errorf("nir-orphan-handler", "nir:"+name,
 				"converter has a handler for %q but the relay op registry does not define it", name)
 		}
-		code, ok := s.OpcodeOf(name)
-		if !ok {
-			res.Errorf("nir-no-opcode", "nir:"+name,
-				"handled relay op %q maps to no Neuron opcode (device-coverage checks cannot see it)", name)
-			continue
-		}
-		if !neuron.KnownOpCode(code) {
-			res.Errorf("nir-no-opcode", "nir:"+name,
+		if code := s.NIRHandlers[name]; !neuron.KnownOpCode(code) {
+			res.Errorf("nir-unknown-opcode", "nir:"+name,
 				"handled relay op %q maps to unknown Neuron opcode %d", name, int(code))
 		}
 	}

@@ -329,25 +329,29 @@ func TestVerifyAfterEachPassNamesTheBreakingPass(t *testing.T) {
 
 func TestRegistriesCatchHalfRegisteredOp(t *testing.T) {
 	snap := verify.RegistrySnapshot{
-		RelayOps:    []string{"nn.relu"},
-		NIRHandlers: []string{"nn.relu", "nn.phantom"},
-		OpcodeOf: func(name string) (neuron.OpCode, bool) {
-			if name == "nn.relu" {
-				return neuron.ReLU, true
-			}
-			return 0, false
+		RelayOps: []string{"nn.relu"},
+		NIRHandlers: map[string]neuron.OpCode{
+			"nn.relu":    neuron.ReLU,
+			"nn.phantom": neuron.OpCode(len(neuron.OpCodes())),
 		},
 		TOPIKernels: []string{"nn.relu", "nn.orphan"},
 	}
 	res := verify.Registries(snap)
 	for _, check := range []string{
 		"nir-orphan-handler", // nn.phantom handled but not registered
-		"nir-no-opcode",      // nn.phantom maps to no Neuron opcode
+		"nir-unknown-opcode", // nn.phantom names an opcode outside the catalogue
 		"topi-orphan-kernel", // nn.orphan implements no registered op
 		"neuron-no-kernel",   // most opcodes' kernels missing from the tiny inventory
 	} {
 		if !res.Has(check) {
 			t.Errorf("lint missed %q: %v", check, res.Err())
+		}
+	}
+	// The findings are about the broken rows only: the well-registered op
+	// draws none.
+	for _, d := range res.Diags {
+		if strings.Contains(d.String(), "nir:nn.relu") || strings.Contains(d.String(), "topi:nn.relu") {
+			t.Errorf("lint flagged the consistent op: %s", d)
 		}
 	}
 }
