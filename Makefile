@@ -1,16 +1,25 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race lint npvet analyze fuzz-smoke bench-gate trace-demo tune-smoke fleet-smoke
+.PHONY: check build portable fmt vet test race lint npvet analyze fuzz-smoke bench-gate trace-demo tune-smoke fleet-smoke
 
-# check is the tier-1 gate: build + formatting + vet + race-enabled tests +
-# cross-registry lint + the custom npvet analyzers + the dataflow analyses
-# over the model zoo + a five-second run of each fuzz target.
-# Pre-commit hooks should run exactly this; CI runs the same eight
+# check is the tier-1 gate: build + a cross-build for the architectures
+# without assembly + formatting + vet + race-enabled tests + cross-registry
+# lint + the custom npvet analyzers + the dataflow analyses over the model
+# zoo + a five-second run of each fuzz target.
+# Pre-commit hooks should run exactly this; CI runs the same nine
 # prerequisites as named steps.
-check: build fmt vet race lint npvet analyze fuzz-smoke
+check: build portable fmt vet race lint npvet analyze fuzz-smoke
 
 build:
 	$(GO) build ./...
+
+# portable cross-builds for arm64 and vets the kernel package there: every
+# runner is amd64, where internal/topi's f32 GEMM tile is assembly
+# (gemm_amd64.s), so nothing else compiles the pure-Go path the other
+# architectures take (gemm_generic.go). Needs no network and runs nothing.
+portable:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/topi
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

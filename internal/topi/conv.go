@@ -21,9 +21,7 @@ func convParams(attrs relay.Attrs) conv2dParams {
 	return p
 }
 
-// conv2DF32 is the float32 direct convolution: NHWC data, OHWI weight.
-// Parallelized over (batch × output row); each goroutine owns disjoint output
-// rows so there is no shared mutable state.
+// conv2DF32 is the float32 convolution: NHWC data, OHWI weight.
 func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := wantArgs(args, 2, "nn.conv2d"); err != nil {
 		return nil, err
@@ -31,21 +29,27 @@ func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	data, weight := args[0], args[1]
 	p := convParams(attrs)
 
+	// Shapes that fill the GEMM tile take the im2col + GEMM path (contiguous
+	// inner loops, SIMD on amd64); the rest stay on the direct kernel. A
+	// tuned record overrides the heuristic; both paths are pinned
+	// bit-identical, so the switch is a pure performance decision.
+	cfg := tunedConfig(convTaskKey("nn.conv2d", data, weight, p))
+	if convUseIm2col(cfg, out.Shape, weight.Shape, p.groups) {
+		return conv2DF32Im2col(data, weight, p, out, dstBuf, cfg), nil
+	}
+	return conv2DF32Direct(data, weight, p, out, dstBuf, cfg), nil
+}
+
+// conv2DF32Direct is the direct kernel. Parallelized over (batch × output
+// row); each goroutine owns disjoint output rows so there is no shared
+// mutable state.
+func conv2DF32Direct(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig) *tensor.Tensor {
+	res := output(dstBuf, out)
 	n := data.Shape[0]
 	h, w, c := data.Shape[1], data.Shape[2], data.Shape[3]
 	oc, kh, kw, icg := weight.Shape[0], weight.Shape[1], weight.Shape[2], weight.Shape[3]
 	oh, ow := out.Shape[1], out.Shape[2]
 	ocg := oc / p.groups
-
-	// Compute-heavy shapes take the im2col + GEMM path (contiguous inner
-	// loops); small shapes stay on the direct kernel to avoid packing cost.
-	// A tuned record overrides the volume heuristic; both paths are pinned
-	// bit-identical, so the switch is a pure performance decision.
-	cfg := tunedConfig(convTaskKey("nn.conv2d", data, weight, p))
-	if convUseIm2col(cfg, n, oh, ow, oc, kh*kw*icg) {
-		return conv2DF32Im2col(data, weight, p, out, dstBuf, cfg), nil
-	}
-	res := output(dstBuf, out)
 
 	din := data.F32()
 	wt := weight.F32()
@@ -84,13 +88,13 @@ func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 			}
 		}
 	})
-	return res, nil
+	return res
 }
 
-// convUseIm2col applies the tuned conv-strategy knob on top of the MAC-volume
-// heuristic: an explicit record wins, ConvAuto (or no record) keeps the
-// threshold comparison.
-func convUseIm2col(cfg *KernelConfig, n, oh, ow, oc, kvol int) bool {
+// convUseIm2col applies the tuned conv-strategy knob on top of the built-in
+// heuristic: an explicit record wins, ConvAuto (or no record) asks
+// im2colPays. out is the NHWC output shape, weight the OHWI filter shape.
+func convUseIm2col(cfg *KernelConfig, out, weight tensor.Shape, groups int) bool {
 	if cfg != nil {
 		switch cfg.ConvStrategy {
 		case ConvIm2col:
@@ -99,7 +103,7 @@ func convUseIm2col(cfg *KernelConfig, n, oh, ow, oc, kvol int) bool {
 			return false
 		}
 	}
-	return int64(n)*int64(oh)*int64(ow)*int64(oc)*int64(kvol) >= im2colThreshold
+	return im2colPays(out, weight, groups)
 }
 
 // qnnConv2D is the quantized convolution producing an int32 accumulator:
@@ -114,20 +118,24 @@ func qnnConv2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	zpIn := int32(attrs.Int("input_zero_point", 0))
 	zpK := int32(attrs.Int("kernel_zero_point", 0))
 
+	// Same strategy rule as the float kernel (im2colPays); integer
+	// accumulation is associative, so both paths are bitwise identical. A
+	// tuned record overrides the heuristic.
+	cfg := tunedConfig(convTaskKey("qnn.conv2d", data, weight, p))
+	if convUseIm2col(cfg, out.Shape, weight.Shape, p.groups) {
+		return conv2DQnnIm2col(data, weight, p, zpIn, zpK, out, dstBuf, cfg)
+	}
+	return conv2DQnnDirect(data, weight, p, zpIn, zpK, out, dstBuf, cfg)
+}
+
+// conv2DQnnDirect is the quantized direct kernel.
+func conv2DQnnDirect(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig) (*tensor.Tensor, error) {
+	res := output(dstBuf, out)
 	n := data.Shape[0]
 	h, w, c := data.Shape[1], data.Shape[2], data.Shape[3]
 	oc, kh, kw, icg := weight.Shape[0], weight.Shape[1], weight.Shape[2], weight.Shape[3]
 	oh, ow := out.Shape[1], out.Shape[2]
 	ocg := oc / p.groups
-
-	// Compute-heavy shapes take the im2col + int32 GEMM path; integer
-	// accumulation is associative, so both paths are bitwise identical. A
-	// tuned record overrides the volume heuristic.
-	cfg := tunedConfig(convTaskKey("qnn.conv2d", data, weight, p))
-	if convUseIm2col(cfg, n, oh, ow, oc, kh*kw*icg) {
-		return conv2DQnnIm2col(data, weight, p, zpIn, zpK, out, dstBuf, cfg)
-	}
-	res := output(dstBuf, out)
 
 	// Widen both operands once into pooled (raw − zp) scratch: the inner
 	// loop then runs multiply-accumulate only, and the kernel allocates

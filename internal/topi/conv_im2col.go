@@ -6,15 +6,33 @@ import (
 	"repro/internal/tensor"
 )
 
-// im2col + GEMM convolution path. The direct kernel's inner loops carry
-// per-tap bounds checks and strided reads; for compute-heavy shapes it pays
-// to materialize the patch matrix once per output-row tile and reduce the
-// problem to a register-tiled GEMM over contiguous panels (gemm.go). The
-// dispatcher in conv.go selects this path when the arithmetic volume
-// amortizes the packing cost.
+// im2col + GEMM convolution path. The direct kernel reduces each output cell
+// through one accumulator, a chain of dependent adds with per-tap bounds
+// checks and strided reads; materializing the patch matrix once per output
+// row reduces the problem to a register-tiled GEMM over contiguous panels
+// (gemm.go) that keeps a whole tile of independent accumulators in flight.
+// The dispatcher in conv.go selects this path when im2colPays.
 
-// im2colThreshold is the MAC volume above which packing pays off.
-const im2colThreshold = 1 << 20
+// im2colThreshold is the MAC volume below which a layer is a couple of
+// microseconds on either kernel and the GEMM path's fixed costs (two scratch
+// buffers, the weight-cache lookup) are no longer paid back.
+const im2colThreshold = 1 << 10
+
+// im2colPays is the built-in strategy rule, for both element types, derived
+// from BenchmarkConvStrategy (direct against im2col on one shape; DESIGN.md
+// §11 has the table). Packing one output row's patches costs two copies per
+// patch element per group and the GEMM repays that once per output channel of
+// the group — so with a single channel per group (depthwise, or one filter)
+// there is nothing to amortize over and nothing to vectorize across, and the
+// direct kernel is level or ahead at every volume measured (1.6–1.9× on
+// depthwise 3×3 from 83 k to 3.6 M MACs). With two or more channels the GEMM
+// path is ahead from the threshold up: 2× at 1 024 MACs, 4–7× on the showcase
+// models' 55 296–609 408 MAC float layers and 16× at 12.8 M on the SSE2 tile,
+// 2–5× on the scalar int32 tile.
+func im2colPays(out, weight tensor.Shape, groups int) bool {
+	macs := int64(out.Elems()) * int64(weight[1]*weight[2]*weight[3])
+	return weight[0]/groups >= 2 && macs >= im2colThreshold
+}
 
 // conv2DF32Im2col computes the same result as the direct kernel: each output
 // row's patches are packed into a col matrix (one row per output pixel,

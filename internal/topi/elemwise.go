@@ -9,8 +9,19 @@ import (
 	"repro/internal/tensor"
 )
 
-// unaryF32 registers a float32 map kernel.
+// unaryF32 registers a float32 map kernel that applies f to every element.
 func unaryF32(name string, f func(float32) float32) {
+	mapF32(name, func(dst, src []float32) {
+		for i, v := range src {
+			dst[i] = f(v)
+		}
+	})
+}
+
+// mapF32 registers a float32 map kernel from its loop over one chunk
+// (len(dst) == len(src)): an op hot enough to matter passes a loop with its
+// body inline instead of paying unaryF32's call through f per element.
+func mapF32(name string, loop func(dst, src []float32)) {
 	Register(name, func(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
 		if err := wantArgs(args, 1, name); err != nil {
 			return nil, err
@@ -24,9 +35,7 @@ func unaryF32(name string, f func(float32) float32) {
 		res := output(dstBuf, out)
 		src, dst := in.F32(), res.F32()
 		parallel.ForElems(len(src), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dst[i] = f(src[i])
-			}
+			loop(dst[lo:hi], src[lo:hi])
 		})
 		return res, nil
 	})
@@ -171,10 +180,17 @@ func biasAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, ds
 	for i := axis + 1; i < len(data.Shape); i++ {
 		inner *= data.Shape[i]
 	}
+	// Channel-last data (inner == 1, every call the model zoo makes) walks
+	// rows of c against the bias slice; other axes pay a divide and a modulo
+	// per element.
 	switch data.DType {
 	case tensor.Float32:
 		src, dst, bv := data.F32(), res.F32(), bias.F32()
 		parallel.ForElems(len(src), func(lo, hi int) {
+			if inner == 1 {
+				biasAddRows(dst[lo:hi], src[lo:hi], bv[:c], lo%c)
+				return
+			}
 			for i := lo; i < hi; i++ {
 				dst[i] = src[i] + bv[(i/inner)%c]
 			}
@@ -182,6 +198,10 @@ func biasAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, ds
 	case tensor.Int32:
 		// Quantized accumulator + int32 bias (the QNN conv/dense epilogue).
 		src, dst, bv := data.I32(), res.I32(), bias.I32()
+		if inner == 1 {
+			biasAddRows(dst, src, bv[:c], 0)
+			break
+		}
 		for i := range src {
 			dst[i] = src[i] + bv[(i/inner)%c]
 		}
@@ -189,6 +209,20 @@ func biasAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, ds
 		return nil, fmt.Errorf("nn.bias_add on %s", data.DType)
 	}
 	return res, nil
+}
+
+// biasAddRows adds bias to consecutive rows of len(bias) channels; src and
+// dst start at channel ch of a row (a parallel chunk need not start on a row
+// boundary) and may end inside one.
+func biasAddRows[T float32 | int32](dst, src, bias []T, ch int) {
+	for len(src) > 0 {
+		n := min(len(bias)-ch, len(src))
+		d := dst[:n]
+		for j, b := range bias[ch : ch+n] {
+			d[j] = src[j] + b
+		}
+		src, dst, ch = src[n:], dst[n:], 0
+	}
 }
 
 func batchNorm(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
@@ -342,11 +376,13 @@ func leakyReLU(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 }
 
 func init() {
-	unaryF32("nn.relu", func(v float32) float32 {
-		if v < 0 {
-			return 0
+	mapF32("nn.relu", func(dst, src []float32) {
+		for i, v := range src {
+			if v < 0 { // not max(v, 0): −0 and NaN pass through unchanged
+				v = 0
+			}
+			dst[i] = v
 		}
-		return v
 	})
 	unaryF32("sigmoid", func(v float32) float32 {
 		return float32(1 / (1 + math.Exp(-float64(v))))

@@ -16,18 +16,38 @@ import (
 //
 //   - Both operands are repacked into register-tile panels: A into
 //     gemmMR-row panels interleaved by k (panel layout ap[(it·k+kk)·MR+i]),
-//     B into gemmNR-row panels (bp[(jt·k+kk)·NR+j]). The microkernel then
-//     reads both operands as two forward streams, which removes all index
-//     arithmetic and bounds checks from the inner loop.
-//   - The microkernel keeps a full MR×NR accumulator tile in registers and
-//     runs the K loop unblocked. Each output cell owns exactly one
-//     accumulator that sums k in ascending order, so the result is
-//     bit-identical to the naive single-accumulator dot product — the
-//     property the GEMM equivalence tests pin (gemm_test.go).
+//     B into NR-row panels (bp[(jt·k+kk)·NR+j]). The micro-kernel then reads
+//     both operands as two forward streams, which removes all index
+//     arithmetic and bounds checks from the inner loop. The panel layout is
+//     the same on every architecture and is never serialized.
+//   - The micro-kernel keeps a full MR×NR accumulator tile and runs the K
+//     loop unblocked. Each output cell owns exactly one accumulator that
+//     sums k in ascending order, each step one multiply rounded to float32
+//     and then one add rounded to float32, so the result is bit-identical to
+//     the naive single-accumulator dot product — the property the GEMM
+//     equivalence tests pin (gemm_test.go).
 //   - Weight panels are immutable per model, so packRHS results are cached
 //     per weight tensor (the bounded weightCache instances in
 //     weightcache.go): steady-state inference repacks only the activation
 //     side.
+//
+// Tile shapes. The f32 tile is 4×8: on amd64 the kernel is SSE2 assembly
+// (gemm_amd64.s) holding the tile in eight XMM accumulators — two vectors of
+// four output channels per A row, one lane per output cell — and spending
+// the other eight registers on the two B vectors and the broadcast A values.
+// Vectorising across N keeps every cell's reduction serial in k, which is
+// what makes the vector tile bit-equal to the scalar loops. It multiplies
+// (MULPS) and then adds (ADDPS), never a fused multiply-add: an FMA rounds
+// once where every other kernel in the repo (the direct convolution, the
+// interpreter reference, gemmMicroF32Go below) rounds twice, and would break
+// every bitwise pin. (Where the Go compiler itself fuses x*y + z, as on
+// arm64, it does so in all of those loops alike.) SSE2 is the amd64 baseline,
+// so there is no feature detection and no second code path on that
+// architecture. Everywhere else
+// gemmMicroF32 is gemmMicroF32Go, which is also the oracle the assembly is
+// tested against. The int32 tile stays the scalar 4×2 below: integer
+// addition is associative, so the quantized side has no ordering constraint
+// and is a separate piece of work.
 //
 // Parallelism: the driver asks the shared inter/intra-op token budget
 // (parallel.AcquireWorkers) how many workers the N-panel loop may use. Called
@@ -36,14 +56,11 @@ import (
 // top level (dense layers) the panels fan out across the free workers
 // (parallel.RunChunks).
 
-// Register tile shape. 4×2 keeps the working set — MR·NR accumulators plus
-// MR+NR operand temporaries — at 14 values, inside amd64's 16 XMM/GPR
-// registers; a 4×4 tile (24 values) spills half its accumulators to the
-// stack on every k iteration and benches measurably slower on the im2col
-// GEMM.
+// Register tile shapes: MR rows of A against NR rows of B (output channels).
 const (
-	gemmMR = 4 // rows of A per register tile
-	gemmNR = 2 // rows of B (output channels) per register tile
+	gemmMR    = 4 // both element types
+	gemmNRF32 = 8 // two 4-lane vectors
+	gemmNR    = 2 // int32: 8 scalar accumulators + 6 operands fit 16 registers
 )
 
 func gemmTiles(x, tile int) int { return (x + tile - 1) / tile }
@@ -74,102 +91,112 @@ func packLHSF32(dst, a []float32, m, k, lda int) {
 // packRHSF32 packs n rows of k elements (row stride ldb) into NR-interleaved
 // panels, zero-filling tail rows.
 func packRHSF32(dst, b []float32, n, k, ldb int) {
-	nt := gemmTiles(n, gemmNR)
+	nt := gemmTiles(n, gemmNRF32)
 	for jt := 0; jt < nt; jt++ {
-		base := jt * k * gemmNR
-		for j := 0; j < gemmNR; j++ {
-			row := jt*gemmNR + j
+		base := jt * k * gemmNRF32
+		for j := 0; j < gemmNRF32; j++ {
+			row := jt*gemmNRF32 + j
 			if row >= n {
 				for kk := 0; kk < k; kk++ {
-					dst[base+kk*gemmNR+j] = 0
+					dst[base+kk*gemmNRF32+j] = 0
 				}
 				continue
 			}
 			src := b[row*ldb : row*ldb+k]
 			for kk, v := range src {
-				dst[base+kk*gemmNR+j] = v
+				dst[base+kk*gemmNRF32+j] = v
 			}
 		}
 	}
 }
 
-// gemmMicroF32 computes one MR×NR register tile over the full K extent. ap
-// and bp must be exactly k·MR and k·NR long; the slice-advance loop lets the
-// compiler elide every bounds check. One accumulator per cell, k ascending:
-// bit-identical to the naive dot product.
+// gemmMicroF32Go computes one 4×8 tile over the full K extent in portable Go:
+// acc[i·8+j] = Σ_kk ap[kk·4+i]·bp[kk·8+j], with k = len(ap)/4 and bp at least
+// 8k long. It is gemmMicroF32 on every architecture but amd64, and the oracle
+// for the assembly there. The tile is walked as four 4×2 column pairs — eight
+// accumulators and six operands, which stay in registers on a 16-register
+// machine where 32 accumulators would spill on every step (and run at half
+// the speed). One accumulator per cell, k ascending: bit-identical to the
+// naive dot product.
 //
 //np:hotpath
-func gemmMicroF32(ap, bp []float32) (acc [gemmMR * gemmNR]float32) {
-	var c00, c01 float32
-	var c10, c11 float32
-	var c20, c21 float32
-	var c30, c31 float32
-	// K unrolled ×4: the slice-advance bookkeeping (~12 integer ops) then
-	// amortizes over 32 MACs instead of 8. Each accumulator still sums its
-	// k products in ascending order, so unrolling cannot change the result.
-	for len(ap) >= 4*gemmMR && len(bp) >= 4*gemmNR {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[4], ap[5], ap[6], ap[7]
-		b0, b1 = bp[2], bp[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[8], ap[9], ap[10], ap[11]
-		b0, b1 = bp[4], bp[5]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[12], ap[13], ap[14], ap[15]
-		b0, b1 = bp[6], bp[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		ap = ap[4*gemmMR:]
-		bp = bp[4*gemmNR:]
+func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNRF32]float32) {
+	k := len(ap) / gemmMR
+	ap = ap[:k*gemmMR]
+	bp = bp[:k*gemmNRF32]
+	for j := 0; j < gemmNRF32; j += 2 {
+		var c00, c01 float32
+		var c10, c11 float32
+		var c20, c21 float32
+		var c30, c31 float32
+		a, b := ap, bp
+		// K unrolled ×4: the slice-advance bookkeeping then amortizes over 32
+		// MACs instead of 8. Each accumulator still sums its k products in
+		// ascending order, so unrolling cannot change the result.
+		for len(a) >= 4*gemmMR && len(b) >= 4*gemmNRF32 {
+			bj := b[j : j+3*gemmNRF32+2 : j+3*gemmNRF32+2]
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+			b0, b1 := bj[0], bj[1]
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c20 += a2 * b0
+			c21 += a2 * b1
+			c30 += a3 * b0
+			c31 += a3 * b1
+			a0, a1, a2, a3 = a[4], a[5], a[6], a[7]
+			b0, b1 = bj[8], bj[9]
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c20 += a2 * b0
+			c21 += a2 * b1
+			c30 += a3 * b0
+			c31 += a3 * b1
+			a0, a1, a2, a3 = a[8], a[9], a[10], a[11]
+			b0, b1 = bj[16], bj[17]
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c20 += a2 * b0
+			c21 += a2 * b1
+			c30 += a3 * b0
+			c31 += a3 * b1
+			a0, a1, a2, a3 = a[12], a[13], a[14], a[15]
+			b0, b1 = bj[24], bj[25]
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c20 += a2 * b0
+			c21 += a2 * b1
+			c30 += a3 * b0
+			c31 += a3 * b1
+			a = a[4*gemmMR:]
+			b = b[4*gemmNRF32:]
+		}
+		for len(a) >= gemmMR && len(b) >= gemmNRF32 {
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+			b0, b1 := b[j], b[j+1]
+			c00 += a0 * b0
+			c01 += a0 * b1
+			c10 += a1 * b0
+			c11 += a1 * b1
+			c20 += a2 * b0
+			c21 += a2 * b1
+			c30 += a3 * b0
+			c31 += a3 * b1
+			a = a[gemmMR:]
+			b = b[gemmNRF32:]
+		}
+		acc[0*gemmNRF32+j], acc[0*gemmNRF32+j+1] = c00, c01
+		acc[1*gemmNRF32+j], acc[1*gemmNRF32+j+1] = c10, c11
+		acc[2*gemmNRF32+j], acc[2*gemmNRF32+j+1] = c20, c21
+		acc[3*gemmNRF32+j], acc[3*gemmNRF32+j+1] = c30, c31
 	}
-	for len(ap) >= gemmMR && len(bp) >= gemmNR {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		ap = ap[gemmMR:]
-		bp = bp[gemmNR:]
-	}
-	acc[0], acc[1] = c00, c01
-	acc[2], acc[3] = c10, c11
-	acc[4], acc[5] = c20, c21
-	acc[6], acc[7] = c30, c31
-	return acc
 }
 
 // gemmF32 computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n, where
@@ -198,7 +225,7 @@ func gemmF32Cfg(m, n, k int, a []float32, lda int, bpack []float32, c []float32,
 		return
 	}
 	mc := gemmMCBlock(m, cfg)
-	nt := gemmTiles(n, gemmNR)
+	nt := gemmTiles(n, gemmNRF32)
 	opts := cfg.gemmOpts()
 	apP := getScratchF32(gemmTiles(mc, gemmMR) * gemmMR * k)
 	ap := *apP
@@ -225,17 +252,16 @@ func gemmF32Cfg(m, n, k int, a []float32, lda int, bpack []float32, c []float32,
 //np:hotpath
 func gemmPanelsF32(ap, bpack, c []float32, mb, n, k, ldc, jtLo, jtHi int) {
 	mt := gemmTiles(mb, gemmMR)
+	var acc [gemmMR * gemmNRF32]float32
 	for jt := jtLo; jt < jtHi; jt++ {
-		bp := bpack[jt*k*gemmNR : (jt+1)*k*gemmNR]
-		nj := min(gemmNR, n-jt*gemmNR)
+		bp := bpack[jt*k*gemmNRF32 : (jt+1)*k*gemmNRF32]
+		nj := min(gemmNRF32, n-jt*gemmNRF32)
 		for it := 0; it < mt; it++ {
-			acc := gemmMicroF32(ap[it*k*gemmMR:(it+1)*k*gemmMR], bp)
+			gemmMicroF32(ap[it*k*gemmMR:(it+1)*k*gemmMR], bp, &acc)
 			mi := min(gemmMR, mb-it*gemmMR)
 			for i := 0; i < mi; i++ {
-				row := c[(it*gemmMR+i)*ldc+jt*gemmNR:]
-				for j := 0; j < nj; j++ {
-					row[j] = acc[i*gemmNR+j]
-				}
+				row := c[(it*gemmMR+i)*ldc+jt*gemmNRF32:]
+				copy(row[:nj], acc[i*gemmNRF32:])
 			}
 		}
 	}
@@ -407,7 +433,7 @@ func gemmPanelsI32(ap, bpack, c []int32, mb, n, k, ldc, jtLo, jtHi int) {
 
 type packedWeightF32 struct {
 	groups, k int
-	data      []float32 // groups · ceil(ocg/NR)·NR · k
+	data      []float32 // groups · ceil(ocg/NRF32)·NRF32 · k
 }
 
 type packedWeightI32 struct {
@@ -421,7 +447,7 @@ func groupPanelLen(ocg, k, nr int) int { return gemmTiles(ocg, nr) * nr * k }
 
 func buildPackedWeightF32(w []float32, oc, k, groups int) *packedWeightF32 {
 	ocg := oc / groups
-	glen := groupPanelLen(ocg, k, gemmNR)
+	glen := groupPanelLen(ocg, k, gemmNRF32)
 	pw := &packedWeightF32{groups: groups, k: k, data: make([]float32, groups*glen)}
 	for g := 0; g < groups; g++ {
 		packRHSF32(pw.data[g*glen:(g+1)*glen], w[g*ocg*k:], ocg, k, k)
@@ -431,7 +457,7 @@ func buildPackedWeightF32(w []float32, oc, k, groups int) *packedWeightF32 {
 
 // group returns the panel slice for group g.
 func (pw *packedWeightF32) group(g, ocg int) []float32 {
-	glen := groupPanelLen(ocg, pw.k, gemmNR)
+	glen := groupPanelLen(ocg, pw.k, gemmNRF32)
 	return pw.data[g*glen : (g+1)*glen]
 }
 

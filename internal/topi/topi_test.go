@@ -677,3 +677,76 @@ func TestLeakyReLUKernel(t *testing.T) {
 		t.Errorf("leaky = %v", got.F32())
 	}
 }
+
+// TestBiasAddMatchesIndexFormula pins nn.bias_add, bit for bit, to the
+// per-element formula bias[(i/inner)%c] on every axis: the channel-last row
+// walk (float32 long enough that ForElems splits it at chunk boundaries that
+// are not row boundaries, and int32), and the general loop for the others.
+func TestBiasAddMatchesIndexFormula(t *testing.T) {
+	rng := tensor.NewRNG(5)
+	for _, tc := range []struct {
+		shape tensor.Shape
+		axis  int
+	}{
+		{tensor.Shape{1, 37, 41, 13}, -1}, // 19 721 elements: two ForElems chunks
+		{tensor.Shape{3, 7}, 1},
+		{tensor.Shape{1, 5, 6, 4}, 3},
+		{tensor.Shape{2, 3, 5, 4}, 1}, // channel-first: the general loop
+		{tensor.Shape{4, 6}, 0},
+	} {
+		axis := tc.axis
+		if axis < 0 {
+			axis += len(tc.shape)
+		}
+		c, inner := tc.shape[axis], 1
+		for _, d := range tc.shape[axis+1:] {
+			inner *= d
+		}
+		data := tensor.New(tensor.Float32, tc.shape)
+		bias := tensor.New(tensor.Float32, tensor.Shape{c})
+		for i := range data.F32() {
+			data.F32()[i] = float32(rng.Norm())
+		}
+		for i := range bias.F32() {
+			bias.F32()[i] = float32(rng.Norm())
+		}
+		got := run(t, "nn.bias_add", []*tensor.Tensor{data, bias}, relay.Attrs{"axis": tc.axis}).F32()
+		for i, v := range data.F32() {
+			want := v + bias.F32()[(i/inner)%c]
+			if math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Fatalf("f32 %v axis %d: out[%d] = %v, want %v", tc.shape, tc.axis, i, got[i], want)
+			}
+		}
+
+		acc := tensor.New(tensor.Int32, tc.shape)
+		ibias := tensor.New(tensor.Int32, tensor.Shape{c})
+		for i := range acc.I32() {
+			acc.I32()[i] = int32(rng.Intn(1<<20)) - 1<<19
+		}
+		for i := range ibias.I32() {
+			ibias.I32()[i] = int32(rng.Intn(1<<16)) - 1<<15
+		}
+		igot := run(t, "nn.bias_add", []*tensor.Tensor{acc, ibias}, relay.Attrs{"axis": tc.axis}).I32()
+		for i, v := range acc.I32() {
+			if want := v + ibias.I32()[(i/inner)%c]; igot[i] != want {
+				t.Fatalf("i32 %v axis %d: out[%d] = %d, want %d", tc.shape, tc.axis, i, igot[i], want)
+			}
+		}
+	}
+}
+
+// TestReLUSpecialValues: nn.relu is `if v < 0 { 0 }`, not max(v, 0) — −0 and
+// NaN are not below zero and pass through with their bits intact.
+func TestReLUSpecialValues(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := math.Float32frombits(0x7fc00123)
+	inf := float32(math.Inf(1))
+	in := []float32{-1.5, negZero, 0, 2.5, nan, -inf, inf, -math.SmallestNonzeroFloat32}
+	want := []float32{0, negZero, 0, 2.5, nan, 0, inf, 0}
+	out := run(t, "nn.relu", []*tensor.Tensor{tensor.FromF32(in, tensor.Shape{len(in)})}, nil).F32()
+	for i := range want {
+		if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
+			t.Errorf("relu(%v) = %v (%#08x), want %v (%#08x)", in[i], out[i], math.Float32bits(out[i]), want[i], math.Float32bits(want[i]))
+		}
+	}
+}

@@ -156,7 +156,7 @@ func TestGemmMCBlockingBitwise(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float32()*2 - 1
 		}
-		bpack := make([]float32, gemmTiles(n, gemmNR)*gemmNR*k)
+		bpack := make([]float32, gemmTiles(n, gemmNRF32)*gemmNRF32*k)
 		packRHSF32(bpack, b, n, k, k)
 		want := make([]float32, m*n)
 		gemmF32Cfg(m, n, k, a, k, bpack, want, n, nil)
