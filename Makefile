@@ -82,10 +82,12 @@ bench-gate:
 	done
 
 # tune-smoke exercises the autotuner end to end on one zoo model with a
-# tiny budget: the produced records must load cleanly and change at least
-# one dispatch decision (nptune -check exits nonzero otherwise). CI runs it
-# non-blocking — with a near-zero budget on a noisy shared runner the
-# search can legitimately conclude every default is already optimal.
+# tiny budget, then gates on what is deterministic (nptune -check): the
+# records load, every kernel record names a task of the model, and writing
+# them back reproduces the file byte for byte. How many dispatch decisions
+# they change is printed, not required — with a near-zero budget on a noisy
+# shared runner the search can legitimately keep every default. Blocking in
+# CI.
 TUNEOUT ?= tune-smoke.json
 TUNEBUDGET ?= 8
 tune-smoke:

@@ -12,7 +12,7 @@
 //	nptune -pipeline -o tuning_records.json                  # placement search (appends to kernel records)
 //	nptune -merge a.json,b.json -o merged.json               # lower-cost-wins merge
 //	nptune -show tuning_records.json                         # inspect a record file
-//	nptune -check tuning_records.json -zoo emotion           # verify records affect dispatch
+//	nptune -check tuning_records.json -zoo emotion           # audit a record file against a model
 package main
 
 import (
@@ -42,7 +42,7 @@ func main() {
 		frames    = flag.Int("frames", 12, "frame count for -pipeline")
 		mergeArg  = flag.String("merge", "", "comma-separated record files to merge into -o")
 		showArg   = flag.String("show", "", "print a record file and exit")
-		checkArg  = flag.String("check", "", "record file to check against -zoo (exit 1 unless >=1 dispatch decision changes)")
+		checkArg  = flag.String("check", "", "record file to check against -zoo: loads, names only the model's tasks, re-writes byte-identically")
 		warmup    = flag.Int("warmup", 1, "warmup runs per candidate")
 		reps      = flag.Int("reps", 3, "timed repetitions per candidate (minimum wins)")
 		minSample = flag.Int64("min-sample-us", 200, "target duration of one timed repetition, microseconds")
@@ -213,18 +213,15 @@ func showRecords(path string) error {
 	return nil
 }
 
-// checkRecords implements -check: the records must load cleanly and change
-// at least one dispatch decision of the given zoo model — the tune-smoke
-// acceptance gate.
+// checkRecords implements -check, the tune-smoke gate: tune.CheckFile's
+// deterministic audit of the file against one zoo model's tasks, then a
+// report of how many dispatch decisions the records change — zero is not a
+// failure, since a tiny-budget search on a noisy runner may keep every
+// default.
 func checkRecords(path, zooArg, sizeArg string) error {
 	if zooArg == "" || zooArg == "all" {
 		return fmt.Errorf("nptune: -check needs a single -zoo model")
 	}
-	tbl, n, err := tune.LoadTable(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("nptune: loaded %d record(s), %d kernel config(s)\n", n, tbl.Len())
 	size := models.SizeLite
 	if sizeArg == "full" {
 		size = models.SizeFull
@@ -247,16 +244,18 @@ func checkRecords(path, zooArg, sizeArg string) error {
 		return ierr
 	}
 	tasks := tune.Tasks(mod)
+	tbl, err := tune.CheckFile(path, tasks)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("nptune: %s: %d kernel config(s), every one a task of %s; re-writes byte-identically\n",
+		path, tbl.Len(), spec.Name)
 	changed := 0
 	for _, task := range tasks {
 		if cfg, ok := tbl.Lookup(task); ok && !cfg.IsDefault() {
 			changed++
 			fmt.Printf("  %s -> %s\n", task, cfg)
 		}
-	}
-	if changed == 0 {
-		return fmt.Errorf("nptune: records in %s change no dispatch decision of %s (%d task(s) extracted)",
-			path, spec.Name, len(tasks))
 	}
 	fmt.Printf("nptune: %d of %d task(s) of %s dispatch with tuned configs\n", changed, len(tasks), spec.Name)
 	return nil

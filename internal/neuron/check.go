@@ -156,9 +156,9 @@ func (m *Model) Check() []Finding {
 }
 
 // fusedForm validates the epilogues the operation-fusion pass attaches to an
-// anchor: a third bias input must be a rank-1 constant, a fused activation
-// must be a known activation name, and a fused requantize must carry its
-// output scale.
+// anchor: a third bias input must be a rank-1 constant holding one value per
+// channel of the anchor's output, a fused activation must be a known
+// activation name, and a fused requantize must carry its output scale.
 func (c *modelCheck) fusedForm(oi int, op Operation) {
 	switch op.Code {
 	case Conv2D, DepthwiseConv2D, FullyConnected:
@@ -169,6 +169,12 @@ func (c *modelCheck) fusedForm(oi int, op Operation) {
 			} else if len(bias.Type.Shape) != 1 {
 				c.add("fused-bias", c.op(oi), "fused bias operand %d has shape %s, want rank 1",
 					op.Inputs[2], bias.Type.Shape)
+			} else if len(op.Outputs) == 1 && c.inBounds(op.Outputs[0]) {
+				out := c.m.Operands[op.Outputs[0]].Type.Shape
+				if len(out) > 0 && bias.Type.Shape[0] != out[len(out)-1] {
+					c.add("fused-bias", c.op(oi), "fused bias operand %d has %d elements, output has %d channels",
+						op.Inputs[2], bias.Type.Shape[0], out[len(out)-1])
+				}
 			}
 		}
 	}

@@ -105,6 +105,30 @@ func TestLoadLibraryRejectsMalformedRegions(t *testing.T) {
 			},
 		},
 		{
+			// Loaded before fused-bias compared the bias with the output's
+			// channels; the kernel then sliced past the short bias inside a
+			// parallel worker at the first inference.
+			"fused bias swapped for a layer's of another length", "fused-bias",
+			func(t *testing.T, jm *jsonNeuronModel, pool []byte) []byte {
+				var biases []int
+				for _, op := range jm.Operations {
+					if len(op.Inputs) == 3 {
+						biases = append(biases, op.Inputs[2])
+					}
+				}
+				for _, op := range jm.Operations {
+					for _, b := range biases {
+						if len(op.Inputs) == 3 && jm.Operands[b].Shape[0] != jm.Operands[op.Inputs[2]].Shape[0] {
+							op.Inputs[2] = b
+							return pool
+						}
+					}
+				}
+				t.Fatal("region has no two fused biases of different lengths")
+				return nil
+			},
+		},
+		{
 			"plan device outside devices", "plan-device",
 			func(t *testing.T, jm *jsonNeuronModel, pool []byte) []byte {
 				jm.Plan[0] = 7

@@ -6,6 +6,14 @@ import (
 	"repro/internal/tensor"
 )
 
+// One convolution and one dense kernel per element type. The float and the
+// quantized convolution run the same two strategies over the same loops —
+// the direct row (convDirectRow) and the im2col patch pack (packCol) are one
+// generic body over float32 | int32, the quantized side feeding them
+// operands widened once to (raw − zero point) — and differ only in the GEMM
+// tile they call. qnn.conv2d_fused and qnn.dense_fused (fused.go) are
+// qnn.conv2d and qnn.dense with an epilogue applied to each output row.
+
 // conv2dParams gathers the attribute set shared by float and quantized
 // convolution.
 type conv2dParams struct {
@@ -21,6 +29,31 @@ func convParams(attrs relay.Attrs) conv2dParams {
 	return p
 }
 
+// convGeom is everything a convolution's row loops read: NHWC data h×w×c,
+// OHWI filter oc×kh×kw×icg, oh output rows of ow pixels per batch, and the
+// attributes. It is sixteen words and its address is never taken where it
+// is built, so the row-loop closures capture it by value instead of moving
+// it to the heap; each worker copies it onto its own stack (g := g) and the
+// row functions take a pointer to that copy, which keeps a freshly spawned
+// worker's frames inside its starting stack.
+type convGeom struct {
+	h, w, c, oc, kh, kw, icg, oh, ow   int
+	sh, sw, dh, dw, padT, padL, groups int
+}
+
+func newConvGeom(p conv2dParams, data, weight, out tensor.Shape) convGeom {
+	return convGeom{
+		h: data[1], w: data[2], c: data[3],
+		oc: weight[0], kh: weight[1], kw: weight[2], icg: weight[3],
+		oh: out[1], ow: out[2],
+		sh: p.sh, sw: p.sw, dh: p.dh, dw: p.dw, padT: p.pad[0], padL: p.pad[1], groups: p.groups,
+	}
+}
+
+func (g *convGeom) ocg() int    { return g.oc / g.groups }     // output channels per group
+func (g *convGeom) k() int      { return g.kh * g.kw * g.icg } // patch length
+func (g *convGeom) rowLen() int { return g.ow * g.oc }         // cells of one output row
+
 // conv2DF32 is the float32 convolution: NHWC data, OHWI weight.
 func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
 	if err := wantArgs(args, 2, "nn.conv2d"); err != nil {
@@ -28,72 +61,92 @@ func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	}
 	data, weight := args[0], args[1]
 	p := convParams(attrs)
-
-	// Shapes that fill the GEMM tile take the im2col + GEMM path (contiguous
-	// inner loops, SIMD on amd64); the rest stay on the direct kernel. A
-	// tuned record overrides the heuristic; both paths are pinned
-	// bit-identical, so the switch is a pure performance decision.
-	cfg := tunedConfig(convTaskKey("nn.conv2d", data, weight, p))
-	if convUseIm2col(cfg, out.Shape, weight.Shape, p.groups) {
-		return conv2DF32Im2col(data, weight, p, out, dstBuf, cfg), nil
-	}
-	return conv2DF32Direct(data, weight, p, out, dstBuf, cfg), nil
+	cfg := tunedConfig(taskKey("nn.conv2d", data.Shape, weight.Shape, data.DType, p))
+	return convF32(data, weight, p, out, dstBuf, cfg, convUseIm2col(cfg, out.Shape, weight.Shape, p.groups)), nil
 }
 
-// conv2DF32Direct is the direct kernel. Parallelized over (batch × output
-// row); each goroutine owns disjoint output rows so there is no shared
-// mutable state.
-func conv2DF32Direct(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig) *tensor.Tensor {
+// convF32 runs the float32 convolution by one strategy, parallel over
+// (batch × output row) — each worker owns disjoint output rows. The direct
+// strategy reduces every cell in place; im2col packs one output row's
+// patches per group into a col matrix (one row per output pixel, k
+// contiguous elements) and multiplies it against the cached weight panels.
+// Nested GEMM tile parallelism degrades to serial because this loop already
+// holds the worker-budget tokens.
+func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig, im2col bool) *tensor.Tensor {
 	res := output(dstBuf, out)
-	n := data.Shape[0]
-	h, w, c := data.Shape[1], data.Shape[2], data.Shape[3]
-	oc, kh, kw, icg := weight.Shape[0], weight.Shape[1], weight.Shape[2], weight.Shape[3]
-	oh, ow := out.Shape[1], out.Shape[2]
-	ocg := oc / p.groups
-
-	din := data.F32()
-	wt := weight.F32()
-	dout := res.F32()
-
-	parallel.ForChunkedOpts(n*oh, cfg.chunkOpts(), func(lo, hi int) {
+	g := newConvGeom(p, data.Shape, weight.Shape, out.Shape)
+	din, wt, dout := data.F32(), weight.F32(), res.F32()
+	var pw *packedWeight[float32]
+	if im2col {
+		pw = packedConvWeightF32(weight, g.groups)
+	}
+	parallel.ForChunkedOpts(data.Shape[0]*g.oh, cfg.chunkOpts(), func(lo, hi int) {
+		g := g
+		if !im2col {
+			for job := lo; job < hi; job++ {
+				convDirectRow(dout[job*g.rowLen():], din, wt, &g, job)
+			}
+			return
+		}
+		colP := getScratchF32(g.ow * g.k())
+		defer putScratchF32(colP)
 		for job := lo; job < hi; job++ {
-			b := job / oh
-			oy := job % oh
-			for ox := 0; ox < ow; ox++ {
-				outBase := ((b*oh+oy)*ow + ox) * oc
-				for g := 0; g < p.groups; g++ {
-					for f := 0; f < ocg; f++ {
-						o := g*ocg + f
-						var acc float32
-						for ky := 0; ky < kh; ky++ {
-							iy := oy*p.sh - p.pad[0] + ky*p.dh
-							if iy < 0 || iy >= h {
-								continue
-							}
-							for kx := 0; kx < kw; kx++ {
-								ix := ox*p.sw - p.pad[1] + kx*p.dw
-								if ix < 0 || ix >= w {
-									continue
-								}
-								inBase := ((b*h+iy)*w+ix)*c + g*icg
-								wBase := ((o*kh+ky)*kw + kx) * icg
-								for ic := 0; ic < icg; ic++ {
-									acc += din[inBase+ic] * wt[wBase+ic]
-								}
-							}
-						}
-						dout[outBase+o] = acc
-					}
-				}
+			for grp := 0; grp < g.groups; grp++ {
+				packCol(*colP, din, &g, job, grp)
+				gemmF32Cfg(g.ow, g.ocg(), g.k(), *colP, g.k(), pw.group(grp),
+					dout[job*g.rowLen()+grp*g.ocg():], g.oc, cfg)
 			}
 		}
 	})
 	return res
 }
 
-// convUseIm2col applies the tuned conv-strategy knob on top of the built-in
-// heuristic: an explicit record wins, ConvAuto (or no record) asks
-// im2colPays. out is the NHWC output shape, weight the OHWI filter shape.
+// convDirectRow computes output row job (= b·oh + oy) of the direct
+// convolution into row[:ow·oc]: each cell one accumulator summing ky, kx, ic
+// ascending, taps that fall in the padding skipped. Quantized operands
+// arrive widened to (raw − zero point), so a skipped tap is exactly the QNN
+// convention of padding with the zero point, which contributes
+// (zp − zp) = 0.
+func convDirectRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
+	h, w, c := g.h, g.w, g.c
+	oc, kh, kw, icg := g.oc, g.kh, g.kw, g.icg
+	ocg := g.ocg()
+	b, oy := job/g.oh, job%g.oh
+	for ox := 0; ox < g.ow; ox++ {
+		outBase := ox * oc
+		for grp := 0; grp < g.groups; grp++ {
+			for f := 0; f < ocg; f++ {
+				o := grp*ocg + f
+				var acc T
+				for ky := 0; ky < kh; ky++ {
+					iy := oy*g.sh - g.padT + ky*g.dh
+					if iy < 0 || iy >= h {
+						continue
+					}
+					x := din[(b*h+iy)*w*c+grp*icg:] // input row iy, this group's channels
+					k := wt[(o*kh+ky)*kw*icg:]      // filter row ky of output channel o
+					for kx := 0; kx < kw; kx++ {
+						ix := ox*g.sw - g.padL + kx*g.dw
+						if ix < 0 || ix >= w {
+							continue
+						}
+						xi, ki := ix*c, kx*icg
+						for ic := 0; ic < icg; ic++ {
+							acc += x[xi+ic] * k[ki+ic]
+						}
+					}
+				}
+				row[outBase+o] = acc
+			}
+		}
+	}
+}
+
+// convUseIm2col is the strategy decision of every convolution launch, float,
+// quantized or fused: an explicit tuned ConvStrategy wins, ConvAuto (or no
+// record) asks im2colPays. out is the NHWC output shape, weight the OHWI
+// filter shape. Both strategies are pinned bit-identical, so the switch is a
+// pure performance decision.
 func convUseIm2col(cfg *KernelConfig, out, weight tensor.Shape, groups int) bool {
 	if cfg != nil {
 		switch cfg.ConvStrategy {
@@ -113,87 +166,86 @@ func qnnConv2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	if err := wantArgs(args, 2, "qnn.conv2d"); err != nil {
 		return nil, err
 	}
-	data, weight := args[0], args[1]
-	p := convParams(attrs)
-	zpIn := int32(attrs.Int("input_zero_point", 0))
-	zpK := int32(attrs.Int("kernel_zero_point", 0))
-
-	// Same strategy rule as the float kernel (im2colPays); integer
-	// accumulation is associative, so both paths are bitwise identical. A
-	// tuned record overrides the heuristic.
-	cfg := tunedConfig(convTaskKey("qnn.conv2d", data, weight, p))
-	if convUseIm2col(cfg, out.Shape, weight.Shape, p.groups) {
-		return conv2DQnnIm2col(data, weight, p, zpIn, zpK, out, dstBuf, cfg)
-	}
-	return conv2DQnnDirect(data, weight, p, zpIn, zpK, out, dstBuf, cfg)
+	return quantizedConv("qnn.conv2d", args, attrs, out, dstBuf, nil)
 }
 
-// conv2DQnnDirect is the quantized direct kernel.
-func conv2DQnnDirect(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig) (*tensor.Tensor, error) {
-	res := output(dstBuf, out)
-	n := data.Shape[0]
-	h, w, c := data.Shape[1], data.Shape[2], data.Shape[3]
-	oc, kh, kw, icg := weight.Shape[0], weight.Shape[1], weight.Shape[2], weight.Shape[3]
-	oh, ow := out.Shape[1], out.Shape[2]
-	ocg := oc / p.groups
+// quantizedConv launches qnn.conv2d, or with an epilogue qnn.conv2d_fused:
+// one task key, one tuned record and one strategy rule for both.
+func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, ep *epilogue) (*tensor.Tensor, error) {
+	data, weight := args[0], args[1]
+	p := convParams(attrs)
+	cfg := tunedConfig(taskKey(op, data.Shape, weight.Shape, data.DType, p))
+	zpIn := int32(attrs.Int("input_zero_point", 0))
+	zpK := int32(attrs.Int("kernel_zero_point", 0))
+	return convQnn(data, weight, p, zpIn, zpK, out, dstBuf, cfg, convUseIm2col(cfg, out.Shape, weight.Shape, p.groups), ep)
+}
 
-	// Widen both operands once into pooled (raw − zp) scratch: the inner
-	// loop then runs multiply-accumulate only, and the kernel allocates
-	// nothing in steady state.
+// convQnn runs the quantized convolution by one strategy. The data tensor is
+// widened once into pooled (raw − zp_in) scratch; the weight comes from the
+// cached (raw − zp_w) panels (im2col) or is widened the same way (direct).
+// Integer accumulation is exact, so both strategies give the same bits. With
+// ep == nil (qnn.conv2d) the int32 accumulators are the output; otherwise
+// each output row is reduced into scratch and narrowed through ep.
+func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig, im2col bool, ep *epilogue) (*tensor.Tensor, error) {
+	res := output(dstBuf, out)
+	g := newConvGeom(p, data.Shape, weight.Shape, out.Shape)
 	dinP := getScratchI32(data.Elems())
+	defer putScratchI32(dinP)
 	din := *dinP
 	if err := rawMinusZp(din, data, zpIn); err != nil {
-		putScratchI32(dinP)
 		return nil, err
 	}
-	wtP := getScratchI32(weight.Elems())
-	wt := *wtP
-	if err := rawMinusZp(wt, weight, zpK); err != nil {
-		putScratchI32(dinP)
-		putScratchI32(wtP)
-		return nil, err
+	var pw *packedWeight[int32]
+	var wt []int32
+	if im2col {
+		var err error
+		if pw, err = packedConvWeightI32(weight, g.groups, zpK); err != nil {
+			return nil, err
+		}
+	} else {
+		wtP := getScratchI32(weight.Elems())
+		defer putScratchI32(wtP)
+		wt = *wtP
+		if err := rawMinusZp(wt, weight, zpK); err != nil {
+			return nil, err
+		}
 	}
-	dout := res.I32()
-
-	parallel.ForChunkedOpts(n*oh, cfg.chunkOpts(), func(lo, hi int) {
+	var dout []int32
+	if ep == nil {
+		dout = res.I32()
+	}
+	parallel.ForChunkedOpts(data.Shape[0]*g.oh, cfg.chunkOpts(), func(lo, hi int) {
+		g := g
+		var colP, accP *[]int32
+		if im2col {
+			colP = getScratchI32(g.ow * g.k())
+			defer putScratchI32(colP)
+		}
+		if ep != nil {
+			accP = getScratchI32(g.rowLen())
+			defer putScratchI32(accP)
+		}
 		for job := lo; job < hi; job++ {
-			b := job / oh
-			oy := job % oh
-			for ox := 0; ox < ow; ox++ {
-				outBase := ((b*oh+oy)*ow + ox) * oc
-				for g := 0; g < p.groups; g++ {
-					for f := 0; f < ocg; f++ {
-						o := g*ocg + f
-						var acc int32
-						for ky := 0; ky < kh; ky++ {
-							iy := oy*p.sh - p.pad[0] + ky*p.dh
-							if iy < 0 || iy >= h {
-								continue
-							}
-							for kx := 0; kx < kw; kx++ {
-								ix := ox*p.sw - p.pad[1] + kx*p.dw
-								if ix < 0 || ix >= w {
-									continue
-								}
-								inBase := ((b*h+iy)*w+ix)*c + g*icg
-								wBase := ((o*kh+ky)*kw + kx) * icg
-								for ic := 0; ic < icg; ic++ {
-									acc += din[inBase+ic] * wt[wBase+ic]
-								}
-							}
-						}
-						// Padding contributes (zp_in - zp_in) = 0 with the
-						// skip-out-of-bounds loop above only when the padded
-						// value equals the zero point — which is exactly the
-						// QNN convention (pad with zp), so skipping is correct.
-						dout[outBase+o] = acc
-					}
+			var row []int32
+			if ep == nil {
+				row = dout[job*g.rowLen():]
+			} else {
+				row = *accP
+			}
+			if !im2col {
+				convDirectRow(row, din, wt, &g, job)
+			} else {
+				for grp := 0; grp < g.groups; grp++ {
+					packCol(*colP, din, &g, job, grp)
+					gemmI32Cfg(g.ow, g.ocg(), g.k(), *colP, g.k(), pw.group(grp),
+						row[grp*g.ocg():], g.oc, cfg)
 				}
+			}
+			if ep != nil {
+				ep.apply(res, row, job*g.rowLen())
 			}
 		}
 	})
-	putScratchI32(dinP)
-	putScratchI32(wtP)
 	return res, nil
 }
 
@@ -207,9 +259,9 @@ func denseF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, d
 	units := weight.Shape[0]
 	// nn.dense is GEMM by definition: rows of data against rows of weight.
 	// The packed panels come from the per-weight cache; tile parallelism
-	// inside gemmF32 draws on the shared worker budget.
-	cfg := tunedConfig(DenseTaskKey("nn.dense", data, weight))
-	pw := packedConvWeightF32(weight, units, k, 1)
+	// inside the driver draws on the shared worker budget.
+	cfg := tunedConfig(taskKey("nn.dense", data.Shape, weight.Shape, data.DType, unitParams))
+	pw := packedConvWeightF32(weight, 1)
 	gemmF32Cfg(n, units, k, data.F32(), k, pw.data, res.F32(), units, cfg)
 	return res, nil
 }
@@ -218,25 +270,35 @@ func qnnDense(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, d
 	if err := wantArgs(args, 2, "qnn.dense"); err != nil {
 		return nil, err
 	}
+	return quantizedDense("qnn.dense", args, attrs, out, dstBuf, nil)
+}
+
+// quantizedDense is qnn.dense, or with an epilogue qnn.dense_fused: the
+// (raw − zp) data rows against the cached (raw − zp) weight panels by the
+// int32 GEMM, the accumulators stored or narrowed through ep.
+func quantizedDense(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, ep *epilogue) (*tensor.Tensor, error) {
 	data, weight := args[0], args[1]
-	zpIn := int32(attrs.Int("input_zero_point", 0))
-	zpK := int32(attrs.Int("kernel_zero_point", 0))
 	res := output(dstBuf, out)
 	n, k := data.Shape[0], data.Shape[1]
 	units := weight.Shape[0]
-	pw, err := packedConvWeightI32(weight, units, k, 1, zpK)
+	pw, err := packedConvWeightI32(weight, 1, int32(attrs.Int("kernel_zero_point", 0)))
 	if err != nil {
 		return nil, err
 	}
 	dinP := getScratchI32(n * k)
-	din := *dinP
-	if err := rawMinusZp(din, data, zpIn); err != nil {
-		putScratchI32(dinP)
+	defer putScratchI32(dinP)
+	if err := rawMinusZp(*dinP, data, int32(attrs.Int("input_zero_point", 0))); err != nil {
 		return nil, err
 	}
-	cfg := tunedConfig(DenseTaskKey("qnn.dense", data, weight))
-	gemmI32Cfg(n, units, k, din, k, pw.data, res.I32(), units, cfg)
-	putScratchI32(dinP)
+	cfg := tunedConfig(taskKey(op, data.Shape, weight.Shape, data.DType, unitParams))
+	if ep == nil {
+		gemmI32Cfg(n, units, k, *dinP, k, pw.data, res.I32(), units, cfg)
+		return res, nil
+	}
+	accP := getScratchI32(n * units)
+	defer putScratchI32(accP)
+	gemmI32Cfg(n, units, k, *dinP, k, pw.data, *accP, units, cfg)
+	ep.apply(res, *accP, 0)
 	return res, nil
 }
 

@@ -24,7 +24,8 @@ var strategyShapes = append(append([]convCase(nil), convCases...),
 )
 
 // BenchmarkConvStrategy times the direct and the im2col + GEMM kernel on the
-// same shape, float32 and quantized — the measurement behind im2colPays:
+// same shape — float32, quantized, and quantized with the fused epilogue
+// (bias, requantize, relu6 into uint8) — the measurement behind im2colPays:
 //
 //	go test ./internal/topi -run '^$' -bench ConvStrategy -benchtime 200ms
 func BenchmarkConvStrategy(b *testing.B) {
@@ -50,15 +51,25 @@ func BenchmarkConvStrategy(b *testing.B) {
 		qout := &relay.TensorType{Shape: shape, DType: tensor.Int32}
 		dst, qdst := tensor.New(tensor.Float32, shape), tensor.New(tensor.Int32, shape)
 		p := cc.params()
+		attrs, outQ := fusedQuantAttrs("relu6")
+		fout := &relay.TensorType{Shape: shape, DType: tensor.UInt8, Quant: &outQ}
+		fdst := tensor.New(tensor.UInt8, shape)
+		ep, err := newEpilogue("qnn.conv2d_fused",
+			[]*tensor.Tensor{qdata, qweight, tensor.New(tensor.Int32, tensor.Shape{cc.oc})}, attrs, fout)
+		if err != nil {
+			b.Fatal(err)
+		}
 
 		for _, k := range []struct {
 			name string
 			run  func()
 		}{
-			{"f32/direct", func() { conv2DF32Direct(data, weight, p, out, dst, nil) }},
-			{"f32/im2col", func() { conv2DF32Im2col(data, weight, p, out, dst, nil) }},
-			{"qnn/direct", func() { conv2DQnnDirect(qdata, qweight, p, 128, 119, qout, qdst, nil) }},
-			{"qnn/im2col", func() { conv2DQnnIm2col(qdata, qweight, p, 128, 119, qout, qdst, nil) }},
+			{"f32/direct", func() { convF32(data, weight, p, out, dst, nil, false) }},
+			{"f32/im2col", func() { convF32(data, weight, p, out, dst, nil, true) }},
+			{"qnn/direct", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, nil, false, nil) }},
+			{"qnn/im2col", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, nil, true, nil) }},
+			{"qnn-fused/direct", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, nil, false, &ep) }},
+			{"qnn-fused/im2col", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, nil, true, &ep) }},
 		} {
 			b.Run(name+"/"+k.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -1,7 +1,10 @@
 package topi
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/parallel"
@@ -15,7 +18,7 @@ import (
 // The fused kernels must match it bit-for-bit — this is the §3.3 guarantee
 // the graph executor relies on when it collapses the chain into one launch.
 func stagedReference(t *testing.T, anchor string, args []*tensor.Tensor, attrs relay.Attrs,
-	accShape tensor.Shape, outQ tensor.QuantParams, activation string) *tensor.Tensor {
+	outDT tensor.DType, outQ tensor.QuantParams, activation string) *tensor.Tensor {
 	t.Helper()
 	accScale := attrs.Float("requant_input_scale", 1)
 	acc := run(t, anchor, args[:2], attrs)
@@ -29,7 +32,7 @@ func stagedReference(t *testing.T, anchor string, args []*tensor.Tensor, attrs r
 		"input_zero_point":  attrs.Int("requant_input_zero_point", 0),
 		"output_scale":      attrs.Float("requant_output_scale", 1),
 		"output_zero_point": attrs.Int("requant_output_zero_point", 0),
-		"out_dtype":         "uint8",
+		"out_dtype":         outDT.String(),
 	})
 	req.Quant = &tensor.QuantParams{Scale: outQ.Scale, ZeroPoint: outQ.ZeroPoint}
 	switch activation {
@@ -60,42 +63,218 @@ func fusedQuantAttrs(activation string) (relay.Attrs, tensor.QuantParams) {
 	}, outQ
 }
 
-func TestFusedConv2DMatchesStagedChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for _, act := range []string{"", "relu", "relu6"} {
-		name := act
-		if name == "" {
-			name = "none"
+// fusedDType is one quantized data type the fused tests draw operands in:
+// data, weight and output share it.
+type fusedDType struct {
+	dt               tensor.DType
+	zpIn, zpK, zpOut int
+	rawMin           int32
+}
+
+var fusedDTypes = []fusedDType{
+	{dt: tensor.UInt8, zpIn: 128, zpK: 121, zpOut: 7, rawMin: 0},
+	{dt: tensor.Int8, zpIn: -3, zpK: 0, zpOut: -5, rawMin: -128},
+}
+
+// fusedOperands draws data and weight of fd's type, an int32 bias of one
+// value per output channel when withBias, and the fused attrs. The requant
+// scale maps a typical accumulator of the weight's k taps (≈ 5 500·√k for
+// uniform 8-bit operands) onto ±64 output steps, so that few outputs clamp
+// and every activation sees both signs.
+func fusedOperands(rng *rand.Rand, fd fusedDType, dataShape, weightShape tensor.Shape, withBias bool, act string) ([]*tensor.Tensor, relay.Attrs, tensor.QuantParams) {
+	attrs, outQ := fusedQuantAttrs(act)
+	outQ.ZeroPoint = int32(fd.zpOut)
+	spread := 5500 * math.Sqrt(float64(weightShape.Elems()/weightShape[0]))
+	attrs["input_zero_point"] = fd.zpIn
+	attrs["kernel_zero_point"] = fd.zpK
+	attrs["requant_input_scale"] = outQ.Scale * 64 / spread
+	attrs["requant_output_zero_point"] = fd.zpOut
+	attrs["requant_out_dtype"] = fd.dt.String()
+
+	draw := func(shape tensor.Shape, q tensor.QuantParams) *tensor.Tensor {
+		x := tensor.New(fd.dt, shape)
+		for i := 0; i < x.Elems(); i++ {
+			setRaw(x, i, fd.rawMin+int32(rng.Intn(256)))
 		}
-		t.Run(name, func(t *testing.T) {
-			data := tensor.New(tensor.UInt8, tensor.Shape{1, 9, 9, 4})
-			weight := tensor.New(tensor.UInt8, tensor.Shape{6, 3, 3, 4})
-			bias := tensor.New(tensor.Int32, tensor.Shape{6})
-			for i := range data.U8() {
-				data.U8()[i] = uint8(rng.Intn(256))
-			}
-			for i := range weight.U8() {
-				weight.U8()[i] = uint8(rng.Intn(256))
-			}
-			for i := range bias.I32() {
-				bias.I32()[i] = int32(rng.Intn(2001) - 1000)
-			}
-			data.Quant = &tensor.QuantParams{Scale: 0.02, ZeroPoint: 128}
-			weight.Quant = &tensor.QuantParams{Scale: 0.4, ZeroPoint: 121}
+		x.Quant = &q
+		return x
+	}
+	args := []*tensor.Tensor{
+		draw(dataShape, tensor.QuantParams{Scale: 0.02, ZeroPoint: int32(fd.zpIn)}),
+		draw(weightShape, tensor.QuantParams{Scale: 0.4, ZeroPoint: int32(fd.zpK)}),
+	}
+	if withBias {
+		bias := tensor.New(tensor.Int32, tensor.Shape{weightShape[0]})
+		for i := range bias.I32() {
+			bias.I32()[i] = int32((rng.Float64()*2 - 1) * spread)
+		}
+		args = append(args, bias)
+	}
+	return args, attrs, outQ
+}
 
-			attrs, outQ := fusedQuantAttrs(act)
-			attrs["strides"] = []int{1, 1}
-			attrs["padding"] = []int{1, 1, 1, 1}
-			args := []*tensor.Tensor{data, weight, bias}
+// fusedActivations are the fused_activation values, by subtest name.
+var fusedActivations = []struct{ name, act string }{{"none", ""}, {"relu", "relu"}, {"relu6", "relu6"}}
 
-			fused := run(t, "qnn.conv2d_fused", args, attrs)
-			staged := stagedReference(t, "qnn.conv2d", args, attrs, tensor.Shape{1, 9, 9, 6}, outQ, act)
+// checkFusedAgainstStaged runs one shape and data type, with and without
+// bias, through the fused launch and the staged chain.
+func checkFusedAgainstStaged(t *testing.T, rng *rand.Rand, fused, anchor string, fd fusedDType,
+	dataShape, weightShape tensor.Shape, extra relay.Attrs, act string) {
+	t.Helper()
+	for _, withBias := range []bool{false, true} {
+		args, attrs, outQ := fusedOperands(rng, fd, dataShape, weightShape, withBias, act)
+		for k, v := range extra {
+			attrs[k] = v
+		}
+		got := run(t, fused, args, attrs)
+		want := stagedReference(t, anchor, args, attrs, fd.dt, outQ, act)
+		if got.DType != want.DType || !got.Shape.Equal(want.Shape) {
+			t.Fatalf("bias %v: fused %s %s, staged %s %s", withBias, got.DType, got.Shape, want.DType, want.Shape)
+		}
+		for i := 0; i < got.Elems(); i++ {
+			if got.GetRaw(i) != want.GetRaw(i) {
+				t.Fatalf("bias %v: out[%d]: fused %d != staged %d", withBias, i, got.GetRaw(i), want.GetRaw(i))
+			}
+		}
+	}
+}
 
-			f, s := fused.U8(), staged.U8()
-			for i := range f {
-				if f[i] != s[i] {
-					t.Fatalf("out[%d]: fused %d != staged %d", i, f[i], s[i])
+// TestFusedConv2DMatchesStagedChain pins qnn.conv2d_fused to the staged chain
+// bit for bit under each activation on every convCases shape — depthwise,
+// grouped, one channel per group, strided, dilated, asymmetric padding, the
+// showcase trio's layers — for uint8 and int8 data, with and without bias,
+// under a record forcing each strategy. The record is the anchor's
+// (qnn.conv2d): the fused launch must consult it too.
+func TestFusedConv2DMatchesStagedChain(t *testing.T) {
+	prev := SetTuning(nil)
+	defer SetTuning(prev)
+	rng := rand.New(rand.NewSource(23))
+	for _, a := range fusedActivations {
+		t.Run(a.name, func(t *testing.T) {
+			for _, cc := range convCases {
+				dataShape := tensor.Shape{cc.n, cc.h, cc.w, cc.c}
+				weightShape := tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}
+				for _, fd := range fusedDTypes {
+					for _, strategy := range []string{ConvDirect, ConvIm2col} {
+						t.Run(fmt.Sprintf("%s/%s/%s", cc.name, fd.dt, strategy), func(t *testing.T) {
+							tbl := NewTuningTable()
+							tbl.Set(taskKey("qnn.conv2d", dataShape, weightShape, fd.dt, cc.params()),
+								KernelConfig{ConvStrategy: strategy})
+							SetTuning(tbl)
+							defer SetTuning(nil)
+							checkFusedAgainstStaged(t, rng, "qnn.conv2d_fused", "qnn.conv2d", fd,
+								dataShape, weightShape, cc.attrs(), a.act)
+							// With and without bias, one fused and one staged launch each.
+							if hits, misses := tbl.Stats(); hits != 4 || misses != 0 {
+								t.Fatalf("record consulted %d times, %d misses; want 4 hits", hits, misses)
+							}
+						})
+					}
 				}
+			}
+		})
+	}
+}
+
+// TestFusedDenseMatchesStagedChain is the qnn.dense_fused analogue over every
+// gemmDims shape.
+func TestFusedDenseMatchesStagedChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, a := range fusedActivations {
+		t.Run(a.name, func(t *testing.T) {
+			for _, d := range gemmDims {
+				m, n, k := d[0], d[1], d[2]
+				for _, fd := range fusedDTypes {
+					t.Run(fmt.Sprintf("m%d_n%d_k%d/%s", m, n, k, fd.dt), func(t *testing.T) {
+						checkFusedAgainstStaged(t, rng, "qnn.dense_fused", "qnn.dense", fd,
+							tensor.Shape{m, k}, tensor.Shape{n, k}, relay.Attrs{"units": n}, a.act)
+					})
+				}
+			}
+		})
+	}
+}
+
+// convCaseNamed returns the convCases entry of that name.
+func convCaseNamed(t *testing.T, name string) convCase {
+	for _, cc := range convCases {
+		if cc.name == name {
+			return cc
+		}
+	}
+	t.Fatalf("no conv case %q", name)
+	return convCase{}
+}
+
+// TestFusedConvObeysStrategyRuleAndRecord: qnn.conv2d_fused takes the
+// strategy qnn.conv2d takes. Only im2col reads the int32 panel cache, so its
+// traffic tells which path ran: none on a depthwise layer (one channel per
+// group stays direct) or under a record forcing direct on a layer the rule
+// sends to im2col, and one lookup on that layer without the record.
+func TestFusedConvObeysStrategyRuleAndRecord(t *testing.T) {
+	prev := SetTuning(nil)
+	defer SetTuning(prev)
+	defer ResetWeightCaches()
+	rng := rand.New(rand.NewSource(31))
+	panelLookups := func(cc convCase, tbl *TuningTable) int64 {
+		t.Helper()
+		SetTuning(tbl)
+		defer SetTuning(nil)
+		ResetWeightCaches()
+		args, attrs, _ := fusedOperands(rng, fusedDTypes[0], tensor.Shape{cc.n, cc.h, cc.w, cc.c},
+			tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}, true, "relu")
+		for k, v := range cc.attrs() {
+			attrs[k] = v
+		}
+		run(t, "qnn.conv2d_fused", args, attrs)
+		_, i32 := WeightCacheSnapshot()
+		return i32.Hits + i32.Misses
+	}
+
+	if n := panelLookups(convCaseNamed(t, "depthwise"), nil); n != 0 {
+		t.Errorf("depthwise qnn.conv2d_fused made %d panel-cache lookups; the rule keeps it on the direct loop", n)
+	}
+	unit := convCaseNamed(t, "unit")
+	if n := panelLookups(unit, nil); n != 1 {
+		t.Fatalf("qnn.conv2d_fused on %s made %d panel-cache lookups, want the rule's im2col (1)", unit.name, n)
+	}
+	tbl := NewTuningTable()
+	tbl.Set(taskKey("qnn.conv2d", tensor.Shape{unit.n, unit.h, unit.w, unit.c},
+		tensor.Shape{unit.oc, unit.kh, unit.kw, unit.c / unit.groups}, tensor.UInt8, unit.params()),
+		KernelConfig{ConvStrategy: ConvDirect})
+	if n := panelLookups(unit, tbl); n != 0 {
+		t.Errorf("under a qnn.conv2d record forcing direct, qnn.conv2d_fused made %d panel-cache lookups", n)
+	}
+	if hits, _ := tbl.Stats(); hits != 1 {
+		t.Errorf("the fused launch consulted the anchor's record %d times, want 1", hits)
+	}
+}
+
+// TestFusedBiasLengthIsChecked: a bias that is not one value per output
+// channel is an error naming both lengths — not a slice panic inside a
+// parallel worker, which would take the process down.
+func TestFusedBiasLengthIsChecked(t *testing.T) {
+	cases := []struct {
+		op                string
+		data, weight, out tensor.Shape
+		bias              int
+	}{
+		{"qnn.conv2d_fused", tensor.Shape{1, 9, 9, 4}, tensor.Shape{6, 3, 3, 4}, tensor.Shape{1, 9, 9, 6}, 3},
+		{"qnn.conv2d_fused", tensor.Shape{1, 9, 9, 4}, tensor.Shape{6, 3, 3, 4}, tensor.Shape{1, 9, 9, 6}, 7},
+		{"qnn.dense_fused", tensor.Shape{3, 17}, tensor.Shape{11, 17}, tensor.Shape{3, 11}, 4},
+		{"qnn.dense_fused", tensor.Shape{3, 17}, tensor.Shape{11, 17}, tensor.Shape{3, 11}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("%s/bias%d", tc.op, tc.bias), func(t *testing.T) {
+			attrs, outQ := fusedQuantAttrs("relu")
+			attrs["padding"] = []int{1, 1, 1, 1}
+			args := []*tensor.Tensor{tensor.New(tensor.UInt8, tc.data), tensor.New(tensor.UInt8, tc.weight),
+				tensor.New(tensor.Int32, tensor.Shape{tc.bias})}
+			outTy := &relay.TensorType{Shape: tc.out, DType: tensor.UInt8, Quant: &outQ}
+			_, err := Run(tc.op, args, attrs, outTy)
+			want := fmt.Sprintf("bias has %d elements, output has %d channels", tc.bias, tc.out[len(tc.out)-1])
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want one containing %q", err, want)
 			}
 		})
 	}
@@ -129,45 +308,5 @@ func TestFusedConvAllocationsIndependentOfRows(t *testing.T) {
 	}
 	if at9, at18 := allocsAt(9), allocsAt(18); at9 != at18 {
 		t.Errorf("qnn.conv2d_fused allocates %v times at 9 output rows and %v at 18", at9, at18)
-	}
-}
-
-func TestFusedDenseMatchesStagedChain(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, act := range []string{"", "relu", "relu6"} {
-		name := act
-		if name == "" {
-			name = "none"
-		}
-		t.Run(name, func(t *testing.T) {
-			data := tensor.New(tensor.UInt8, tensor.Shape{3, 17})
-			weight := tensor.New(tensor.UInt8, tensor.Shape{11, 17})
-			bias := tensor.New(tensor.Int32, tensor.Shape{11})
-			for i := range data.U8() {
-				data.U8()[i] = uint8(rng.Intn(256))
-			}
-			for i := range weight.U8() {
-				weight.U8()[i] = uint8(rng.Intn(256))
-			}
-			for i := range bias.I32() {
-				bias.I32()[i] = int32(rng.Intn(2001) - 1000)
-			}
-			data.Quant = &tensor.QuantParams{Scale: 0.02, ZeroPoint: 128}
-			weight.Quant = &tensor.QuantParams{Scale: 0.4, ZeroPoint: 121}
-
-			attrs, outQ := fusedQuantAttrs(act)
-			attrs["units"] = 11
-			args := []*tensor.Tensor{data, weight, bias}
-
-			fused := run(t, "qnn.dense_fused", args, attrs)
-			staged := stagedReference(t, "qnn.dense", args, attrs, tensor.Shape{3, 11}, outQ, act)
-
-			f, s := fused.U8(), staged.U8()
-			for i := range f {
-				if f[i] != s[i] {
-					t.Fatalf("out[%d]: fused %d != staged %d", i, f[i], s[i])
-				}
-			}
-		})
 	}
 }

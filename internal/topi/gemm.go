@@ -14,22 +14,23 @@ import (
 //
 // Blocking scheme:
 //
-//   - Both operands are repacked into register-tile panels: A into
-//     gemmMR-row panels interleaved by k (panel layout ap[(it·k+kk)·MR+i]),
-//     B into NR-row panels (bp[(jt·k+kk)·NR+j]). The micro-kernel then reads
-//     both operands as two forward streams, which removes all index
-//     arithmetic and bounds checks from the inner loop. The panel layout is
-//     the same on every architecture and is never serialized.
+//   - Both operands are repacked into register-tile panels by one packer
+//     (packPanels, generic over the element type): A into gemmMR-row panels
+//     interleaved by k (panel layout ap[(it·k+kk)·MR+i]), B into NR-row
+//     panels (bp[(jt·k+kk)·NR+j]). The micro-kernel then reads both operands
+//     as two forward streams, which removes all index arithmetic and bounds
+//     checks from the inner loop. The panel layout is the same on every
+//     architecture and is never serialized.
 //   - The micro-kernel keeps a full MR×NR accumulator tile and runs the K
 //     loop unblocked. Each output cell owns exactly one accumulator that
 //     sums k in ascending order, each step one multiply rounded to float32
 //     and then one add rounded to float32, so the result is bit-identical to
 //     the naive single-accumulator dot product — the property the GEMM
 //     equivalence tests pin (gemm_test.go).
-//   - Weight panels are immutable per model, so packRHS results are cached
-//     per weight tensor (the bounded weightCache instances in
-//     weightcache.go): steady-state inference repacks only the activation
-//     side.
+//   - Weight panels are immutable per model, so they are packed once per
+//     weight tensor (packedWeight, one generic type for both element types)
+//     and cached in the bounded weightCache instances of weightcache.go:
+//     steady-state inference repacks only the activation side.
 //
 // Tile shapes. The f32 tile is 4×8: on amd64 the kernel is SSE2 assembly
 // (gemm_amd64.s) holding the tile in eight XMM accumulators — two vectors of
@@ -45,9 +46,11 @@ import (
 // so there is no feature detection and no second code path on that
 // architecture. Everywhere else
 // gemmMicroF32 is gemmMicroF32Go, which is also the oracle the assembly is
-// tested against. The int32 tile stays the scalar 4×2 below: integer
-// addition is associative, so the quantized side has no ordering constraint
-// and is a separate piece of work.
+// tested against. The int32 tile is the scalar 4×2 below, serving qnn.conv2d,
+// qnn.dense and their fused launches alike: integer accumulation is exact in
+// any order, and a SIMD int8 tile is a separate piece of work. The tiles and
+// the panel loops and drivers that call them are the only per-element-type
+// code here.
 //
 // Parallelism: the driver asks the shared inter/intra-op token budget
 // (parallel.AcquireWorkers) how many workers the N-panel loop may use. Called
@@ -65,46 +68,36 @@ const (
 
 func gemmTiles(x, tile int) int { return (x + tile - 1) / tile }
 
-// packLHSF32 packs m rows of k elements (row stride lda) into MR-interleaved
-// panels; tail rows of the last panel are zero-filled (they are computed but
-// never written back).
-func packLHSF32(dst, a []float32, m, k, lda int) {
-	mt := gemmTiles(m, gemmMR)
-	for it := 0; it < mt; it++ {
-		base := it * k * gemmMR
-		for i := 0; i < gemmMR; i++ {
-			row := it*gemmMR + i
-			if row >= m {
+// packPanels packs the first rows rows of src (k elements each, row stride
+// ld) into panels width rows wide, interleaved by k: row t·width+i lands at
+// dst[(t·k+kk)·width+i]. The tail rows of the last panel are zero-filled
+// (they are computed but never written back). The LHS is packed at gemmMR,
+// weights at their tile's NR.
+func packPanels[T float32 | int32](dst, src []T, rows, k, ld, width int) {
+	for t := 0; t*width < rows; t++ {
+		for i := 0; i < width; i++ {
+			row, d := t*width+i, t*k*width+i
+			if row >= rows {
 				for kk := 0; kk < k; kk++ {
-					dst[base+kk*gemmMR+i] = 0
+					dst[d] = 0
+					d += width
 				}
 				continue
 			}
-			src := a[row*lda : row*lda+k]
-			for kk, v := range src {
-				dst[base+kk*gemmMR+i] = v
+			// Four k steps per iteration: the LHS is repacked on every GEMM
+			// call, and with a run-time width the one-step loop reads
+			// 5–10 % slower on BenchmarkConvStrategy's im2col rows.
+			s := src[row*ld : row*ld+k]
+			for ; len(s) >= 4; s = s[4:] {
+				dst[d] = s[0]
+				dst[d+width] = s[1]
+				dst[d+2*width] = s[2]
+				dst[d+3*width] = s[3]
+				d += 4 * width
 			}
-		}
-	}
-}
-
-// packRHSF32 packs n rows of k elements (row stride ldb) into NR-interleaved
-// panels, zero-filling tail rows.
-func packRHSF32(dst, b []float32, n, k, ldb int) {
-	nt := gemmTiles(n, gemmNRF32)
-	for jt := 0; jt < nt; jt++ {
-		base := jt * k * gemmNRF32
-		for j := 0; j < gemmNRF32; j++ {
-			row := jt*gemmNRF32 + j
-			if row >= n {
-				for kk := 0; kk < k; kk++ {
-					dst[base+kk*gemmNRF32+j] = 0
-				}
-				continue
-			}
-			src := b[row*ldb : row*ldb+k]
-			for kk, v := range src {
-				dst[base+kk*gemmNRF32+j] = v
+			for _, v := range s {
+				dst[d] = v
+				d += width
 			}
 		}
 	}
@@ -199,13 +192,6 @@ func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNRF32]float32) {
 	}
 }
 
-// gemmF32 computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n, where
-// bpack holds B pre-packed by packRHSF32 (or the weight cache). Overwrite
-// semantics; each cell's reduction is bit-identical to the naive loop.
-func gemmF32(m, n, k int, a []float32, lda int, bpack []float32, c []float32, ldc int) {
-	gemmF32Cfg(m, n, k, a, lda, bpack, c, ldc, nil)
-}
-
 // gemmMCBlock resolves the tuned MC row-block size: the full m by default,
 // else cfg.GemmMC rounded up to the register-tile height. Blocking only
 // changes which LHS rows are packed together per scratch fill — every output
@@ -217,9 +203,12 @@ func gemmMCBlock(m int, cfg *KernelConfig) int {
 	return gemmTiles(cfg.GemmMC, gemmMR) * gemmMR
 }
 
-// gemmF32Cfg is gemmF32 with tuned knobs: MC row blocking (bounds packing
-// scratch, improves LHS locality for tall matrices) and per-call worker/grain
-// limits on the N-tile loop.
+// gemmF32Cfg computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n,
+// where bpack holds B packed at gemmNRF32 (packPanels, or the weight cache).
+// Overwrite semantics; each cell's reduction is bit-identical to the naive
+// loop. cfg (nil: every default) carries the tuned knobs: MC row blocking
+// (bounds packing scratch, improves LHS locality for tall matrices) and
+// per-call worker/grain limits on the N-tile loop.
 func gemmF32Cfg(m, n, k int, a []float32, lda int, bpack []float32, c []float32, ldc int, cfg *KernelConfig) {
 	if m <= 0 || n <= 0 {
 		return
@@ -231,7 +220,7 @@ func gemmF32Cfg(m, n, k int, a []float32, lda int, bpack []float32, c []float32,
 	ap := *apP
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
-		packLHSF32(ap, a[i0*lda:], mb, k, lda)
+		packPanels(ap, a[i0*lda:], mb, k, lda, gemmMR)
 		cb := c[i0*ldc:]
 		// Ask before building the closure RunChunks needs: on the serial
 		// answer the panel loop is a plain call.
@@ -268,27 +257,6 @@ func gemmPanelsF32(ap, bpack, c []float32, mb, n, k, ldc, jtLo, jtHi int) {
 }
 
 // ---- int32 variant (quantized conv/dense accumulators) ----
-
-// packLHSI32 packs m rows of k int32 elements into MR-interleaved panels.
-func packLHSI32(dst, a []int32, m, k, lda int) {
-	mt := gemmTiles(m, gemmMR)
-	for it := 0; it < mt; it++ {
-		base := it * k * gemmMR
-		for i := 0; i < gemmMR; i++ {
-			row := it*gemmMR + i
-			if row >= m {
-				for kk := 0; kk < k; kk++ {
-					dst[base+kk*gemmMR+i] = 0
-				}
-				continue
-			}
-			src := a[row*lda : row*lda+k]
-			for kk, v := range src {
-				dst[base+kk*gemmMR+i] = v
-			}
-		}
-	}
-}
 
 // gemmMicroI32 is the int32 register tile. Integer addition is associative,
 // so any evaluation order is bitwise-exact.
@@ -366,13 +334,7 @@ func gemmMicroI32(ap, bp []int32) (acc [gemmMR * gemmNR]int32) {
 	return acc
 }
 
-// gemmI32 is the memory-writing int32 driver (overwrite semantics), with the
-// same N-tile parallelism as gemmF32.
-func gemmI32(m, n, k int, a []int32, lda int, bpack []int32, c []int32, ldc int) {
-	gemmI32Cfg(m, n, k, a, lda, bpack, c, ldc, nil)
-}
-
-// gemmI32Cfg is gemmI32 with tuned MC blocking and worker/grain limits.
+// gemmI32Cfg is gemmF32Cfg for int32 operands, B packed at gemmNR.
 func gemmI32Cfg(m, n, k int, a []int32, lda int, bpack []int32, c []int32, ldc int, cfg *KernelConfig) {
 	if m <= 0 || n <= 0 {
 		return
@@ -384,7 +346,7 @@ func gemmI32Cfg(m, n, k int, a []int32, lda int, bpack []int32, c []int32, ldc i
 	ap := *apP
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
-		packLHSI32(ap, a[i0*lda:], mb, k, lda)
+		packPanels(ap, a[i0*lda:], mb, k, lda, gemmMR)
 		cb := c[i0*ldc:]
 		// Ask before building the closure RunChunks needs: on the serial
 		// answer the panel loop is a plain call.
@@ -431,109 +393,75 @@ func gemmPanelsI32(ap, bpack, c []int32, mb, n, k, ldc, jtLo, jtHi int) {
 // (same tensor used with different grouping or zero point — which real
 // models never do) falls back to an uncached pack.
 
-type packedWeightF32 struct {
-	groups, k int
-	data      []float32 // groups · ceil(ocg/NRF32)·NRF32 · k
+// packedWeight is one weight tensor's panels: for each of groups groups,
+// ceil(ocg/nr)·nr rows of k elements packed at width nr, glen elements.
+// Quantized weights are packed as (raw − zp).
+type packedWeight[T float32 | int32] struct {
+	groups, glen int
+	zp           int32
+	data         []T
 }
 
-type packedWeightI32 struct {
-	groups, k int
-	zp        int32
-	data      []int32
-}
-
-// groupPanelLen returns the packed length of one group's panels.
-func groupPanelLen(ocg, k, nr int) int { return gemmTiles(ocg, nr) * nr * k }
-
-func buildPackedWeightF32(w []float32, oc, k, groups int) *packedWeightF32 {
-	ocg := oc / groups
-	glen := groupPanelLen(ocg, k, gemmNRF32)
-	pw := &packedWeightF32{groups: groups, k: k, data: make([]float32, groups*glen)}
+// packWeight packs w — oc rows of k = len(w)/oc elements, split into
+// groups — at width nr.
+func packWeight[T float32 | int32](w []T, oc, groups, nr int, zp int32) *packedWeight[T] {
+	k, ocg := len(w)/oc, oc/groups
+	glen := gemmTiles(ocg, nr) * nr * k
+	pw := &packedWeight[T]{groups: groups, glen: glen, zp: zp, data: make([]T, groups*glen)}
 	for g := 0; g < groups; g++ {
-		packRHSF32(pw.data[g*glen:(g+1)*glen], w[g*ocg*k:], ocg, k, k)
+		packPanels(pw.data[g*glen:(g+1)*glen], w[g*ocg*k:], ocg, k, k, nr)
 	}
 	return pw
 }
 
 // group returns the panel slice for group g.
-func (pw *packedWeightF32) group(g, ocg int) []float32 {
-	glen := groupPanelLen(ocg, pw.k, gemmNRF32)
-	return pw.data[g*glen : (g+1)*glen]
+func (pw *packedWeight[T]) group(g int) []T { return pw.data[g*pw.glen : (g+1)*pw.glen] }
+
+// cachedWeight looks w up in cache: the panels when they were packed with
+// the same grouping and zero point; otherwise nil, and store reports
+// whether the caller's fresh pack may be cached (a miss) or not (a key
+// collision).
+func cachedWeight[T float32 | int32](cache *weightCache, w *tensor.Tensor, groups int, zp int32) (pw *packedWeight[T], store bool) {
+	v, ok := cache.get(w)
+	if !ok {
+		return nil, true
+	}
+	if pw := v.(*packedWeight[T]); pw.groups == groups && pw.zp == zp {
+		return pw, false
+	}
+	return nil, false
 }
 
-func (pw *packedWeightI32) group(g, ocg int) []int32 {
-	glen := groupPanelLen(ocg, pw.k, gemmNR)
-	return pw.data[g*glen : (g+1)*glen]
-}
-
-// packRHSI32 packs n rows of k int32 elements into NR-interleaved panels.
-func packRHSI32(dst, b []int32, n, k, ldb int) {
-	nt := gemmTiles(n, gemmNR)
-	for jt := 0; jt < nt; jt++ {
-		base := jt * k * gemmNR
-		for j := 0; j < gemmNR; j++ {
-			row := jt*gemmNR + j
-			if row >= n {
-				for kk := 0; kk < k; kk++ {
-					dst[base+kk*gemmNR+j] = 0
-				}
-				continue
-			}
-			src := b[row*ldb : row*ldb+k]
-			for kk, v := range src {
-				dst[base+kk*gemmNR+j] = v
-			}
+// packedConvWeightF32 returns the cached panels of a float weight tensor —
+// OHWI filters or the rows of a dense weight, oc = w.Shape[0] rows of the
+// remaining elements — split into groups.
+func packedConvWeightF32(w *tensor.Tensor, groups int) *packedWeight[float32] {
+	pw, store := cachedWeight[float32](gemmWeightF32, w, groups, 0)
+	if pw == nil {
+		pw = packWeight(w.F32(), w.Shape[0], groups, gemmNRF32, 0)
+		if store {
+			gemmWeightF32.put(w, pw)
 		}
 	}
-}
-
-// packedConvWeightF32 returns the cached NR panels for a float weight tensor
-// laid out as oc rows of k elements, split into groups.
-func packedConvWeightF32(w *tensor.Tensor, oc, k, groups int) *packedWeightF32 {
-	if v, ok := gemmWeightF32.get(w); ok {
-		pw := v.(*packedWeightF32)
-		if pw.groups == groups && pw.k == k {
-			return pw
-		}
-		return buildPackedWeightF32(w.F32(), oc, k, groups)
-	}
-	pw := buildPackedWeightF32(w.F32(), oc, k, groups)
-	gemmWeightF32.put(w, pw)
 	return pw
 }
 
-func buildPackedWeightI32(w *tensor.Tensor, oc, k, groups int, zp int32) (*packedWeightI32, error) {
-	rawP := getScratchI32(oc * k)
-	raw := *rawP
-	if err := rawMinusZp(raw, w, zp); err != nil {
-		putScratchI32(rawP)
-		return nil, err
-	}
-	ocg := oc / groups
-	glen := groupPanelLen(ocg, k, gemmNR)
-	pw := &packedWeightI32{groups: groups, k: k, zp: zp, data: make([]int32, groups*glen)}
-	for g := 0; g < groups; g++ {
-		packRHSI32(pw.data[g*glen:(g+1)*glen], raw[g*ocg*k:], ocg, k, k)
-	}
-	putScratchI32(rawP)
-	return pw, nil
-}
-
-// packedConvWeightI32 returns the cached (raw − zero_point) NR panels for a
+// packedConvWeightI32 returns the cached (raw − zero_point) panels of a
 // quantized weight tensor.
-func packedConvWeightI32(w *tensor.Tensor, oc, k, groups int, zp int32) (*packedWeightI32, error) {
-	if v, ok := gemmWeightI32.get(w); ok {
-		pw := v.(*packedWeightI32)
-		if pw.groups == groups && pw.k == k && pw.zp == zp {
-			return pw, nil
-		}
-		return buildPackedWeightI32(w, oc, k, groups, zp)
+func packedConvWeightI32(w *tensor.Tensor, groups int, zp int32) (*packedWeight[int32], error) {
+	pw, store := cachedWeight[int32](gemmWeightI32, w, groups, zp)
+	if pw != nil {
+		return pw, nil
 	}
-	pw, err := buildPackedWeightI32(w, oc, k, groups, zp)
-	if err != nil {
+	rawP := getScratchI32(w.Elems())
+	defer putScratchI32(rawP)
+	if err := rawMinusZp(*rawP, w, zp); err != nil {
 		return nil, err
 	}
-	gemmWeightI32.put(w, pw)
+	pw = packWeight(*rawP, w.Shape[0], groups, gemmNR, zp)
+	if store {
+		gemmWeightI32.put(w, pw)
+	}
 	return pw, nil
 }
 

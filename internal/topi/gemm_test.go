@@ -69,7 +69,7 @@ func gemmF32Case(rng *rand.Rand, m, n, k, lda, ldc int) (a, bpack, want []float3
 		b[i] = rng.Float32()*2 - 1
 	}
 	bpack = make([]float32, gemmTiles(n, gemmNRF32)*gemmNRF32*k)
-	packRHSF32(bpack, b, n, k, k)
+	packPanels(bpack, b, n, k, k, gemmNRF32)
 	want = make([]float32, m*ldc)
 	naiveGemmF32(m, n, k, a, lda, b, k, want, ldc)
 	return a, bpack, want
@@ -112,7 +112,7 @@ func TestGemmF32StridedOperands(t *testing.T) {
 		lda, ldc := k+5, n+3
 		a, bpack, want := gemmF32Case(rng, m, n, k, lda, ldc)
 		got := make([]float32, m*ldc)
-		gemmF32(m, n, k, a, lda, bpack, got, ldc)
+		gemmF32Cfg(m, n, k, a, lda, bpack, got, ldc, nil)
 		if i, ok := sameF32Bits(got, want); !ok {
 			t.Fatalf("m%d n%d k%d: c[%d,%d]: blocked %v != naive %v", m, n, k, i/ldc, i%ldc, got[i], want[i])
 		}
@@ -226,9 +226,9 @@ func TestGemmI32MatchesNaive(t *testing.T) {
 				b[i] = int32(rng.Intn(511) - 255)
 			}
 			bpack := make([]int32, gemmTiles(n, gemmNR)*gemmNR*k)
-			packRHSI32(bpack, b, n, k, k)
+			packPanels(bpack, b, n, k, k, gemmNR)
 			got := make([]int32, m*n)
-			gemmI32(m, n, k, a, k, bpack, got, n)
+			gemmI32Cfg(m, n, k, a, k, bpack, got, n, nil)
 			want := make([]int32, m*n)
 			naiveGemmI32(m, n, k, a, k, b, k, want, n)
 			for i := range want {
@@ -352,8 +352,8 @@ func TestConvIm2colMatchesDirectF32(t *testing.T) {
 			oh, ow := cc.outShape()
 			out := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.Float32}
 
-			direct := conv2DF32Direct(data, weight, cc.params(), out, nil, nil)
-			blocked := conv2DF32Im2col(data, weight, cc.params(), out, nil, nil)
+			direct := convF32(data, weight, cc.params(), out, nil, nil, false)
+			blocked := convF32(data, weight, cc.params(), out, nil, nil, true)
 			if i, ok := sameF32Bits(blocked.F32(), direct.F32()); !ok {
 				t.Fatalf("out[%d]: direct %v != im2col %v", i, direct.F32()[i], blocked.F32()[i])
 			}
@@ -388,11 +388,11 @@ func TestConvIm2colMatchesDirectQnn(t *testing.T) {
 			oh, ow := cc.outShape()
 			out := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.Int32}
 
-			direct, err := conv2DQnnDirect(data, weight, cc.params(), zpIn, zpK, out, nil, nil)
+			direct, err := convQnn(data, weight, cc.params(), zpIn, zpK, out, nil, nil, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocked, err := conv2DQnnIm2col(data, weight, cc.params(), zpIn, zpK, out, nil, nil)
+			blocked, err := convQnn(data, weight, cc.params(), zpIn, zpK, out, nil, nil, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

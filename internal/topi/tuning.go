@@ -320,60 +320,27 @@ func taskOp(op string) string {
 	return op
 }
 
-// ConvTaskKey builds the task signature of one convolution launch.
-func ConvTaskKey(op string, data, weight *tensor.Tensor, sh, sw, dh, dw, groups int, pad [4]int) TaskKey {
-	return TaskKey{
-		Op: taskOp(op),
-		N:  data.Shape[0], H: data.Shape[1], W: data.Shape[2], C: data.Shape[3],
-		OC: weight.Shape[0], KH: weight.Shape[1], KW: weight.Shape[2], ICG: weight.Shape[3],
-		SH: sh, SW: sw, DH: dh, DW: dw, Groups: groups,
-		PadT: pad[0], PadL: pad[1], PadB: pad[2], PadR: pad[3],
-		DType: data.DType.String(),
-	}
-}
+// unitParams are a dense launch's convolution attributes: unit strides and
+// dilation, no padding, one group.
+var unitParams = conv2dParams{sh: 1, sw: 1, dh: 1, dw: 1, groups: 1}
 
-// DenseTaskKey builds the task signature of one dense/matmul launch.
-func DenseTaskKey(op string, data, weight *tensor.Tensor) TaskKey {
-	return TaskKey{
+// taskKey is the one builder of a task signature, called by every conv and
+// dense kernel at dispatch (allocation-free) and by TaskKeyOf on checked
+// types. A dense launch — rank-2 N×C data against OC×C weight, unitParams —
+// is keyed as the 1×1 convolution it is: data N×1×1×C, weight OC×1×1×C.
+func taskKey(op string, data, weight tensor.Shape, dt tensor.DType, p conv2dParams) TaskKey {
+	k := TaskKey{
 		Op: taskOp(op),
-		N:  data.Shape[0], H: 1, W: 1, C: data.Shape[1],
-		OC: weight.Shape[0], KH: 1, KW: 1, ICG: weight.Shape[1],
-		SH: 1, SW: 1, DH: 1, DW: 1, Groups: 1,
-		DType: data.DType.String(),
+		N:  data[0], H: 1, W: 1, C: data[len(data)-1],
+		OC: weight[0], KH: 1, KW: 1, ICG: weight[len(weight)-1],
+		SH: p.sh, SW: p.sw, DH: p.dh, DW: p.dw, Groups: p.groups,
+		PadT: p.pad[0], PadL: p.pad[1], PadB: p.pad[2], PadR: p.pad[3],
+		DType: dt.String(),
 	}
-}
-
-func convTaskKey(op string, data, weight *tensor.Tensor, p conv2dParams) TaskKey {
-	return ConvTaskKey(op, data, weight, p.sh, p.sw, p.dh, p.dw, p.groups, p.pad)
-}
-
-// ConvTaskKeyTypes builds a convolution task signature from relay types and
-// attrs — the form the tune extractor uses on compiled modules, where only
-// checked types exist. It must agree exactly with the tensor-based key the
-// kernel builds at dispatch time (tuning_test.go pins the equivalence).
-func ConvTaskKeyTypes(op string, data, weight *relay.TensorType, attrs relay.Attrs) TaskKey {
-	sh, sw := attrs.IntPair("strides", 1)
-	dh, dw := attrs.IntPair("dilation", 1)
-	pad := attrs.Pad4("padding")
-	return TaskKey{
-		Op: taskOp(op),
-		N:  data.Shape[0], H: data.Shape[1], W: data.Shape[2], C: data.Shape[3],
-		OC: weight.Shape[0], KH: weight.Shape[1], KW: weight.Shape[2], ICG: weight.Shape[3],
-		SH: sh, SW: sw, DH: dh, DW: dw, Groups: attrs.Int("groups", 1),
-		PadT: pad[0], PadL: pad[1], PadB: pad[2], PadR: pad[3],
-		DType: data.DType.String(),
+	if len(data) == 4 {
+		k.H, k.W, k.KH, k.KW = data[1], data[2], weight[1], weight[2]
 	}
-}
-
-// DenseTaskKeyTypes is the dense/matmul analogue of ConvTaskKeyTypes.
-func DenseTaskKeyTypes(op string, data, weight *relay.TensorType) TaskKey {
-	return TaskKey{
-		Op: taskOp(op),
-		N:  data.Shape[0], H: 1, W: 1, C: data.Shape[1],
-		OC: weight.Shape[0], KH: 1, KW: 1, ICG: weight.Shape[1],
-		SH: 1, SW: 1, DH: 1, DW: 1, Groups: 1,
-		DType: data.DType.String(),
-	}
+	return k
 }
 
 // TaskKeyOf is the one mapping from a type-checked relay call to its tunable
@@ -396,11 +363,11 @@ func TaskKeyOf(call *relay.Call) (TaskKey, bool) {
 	switch op := taskOp(call.Op.Name); op {
 	case "nn.conv2d", "qnn.conv2d":
 		if len(data.Shape) == 4 && len(weight.Shape) == 4 {
-			return ConvTaskKeyTypes(op, data, weight, call.Attrs), true
+			return taskKey(op, data.Shape, weight.Shape, data.DType, convParams(call.Attrs)), true
 		}
 	case "nn.dense", "qnn.dense":
 		if len(data.Shape) == 2 && len(weight.Shape) == 2 {
-			return DenseTaskKeyTypes(op, data, weight), true
+			return taskKey(op, data.Shape, weight.Shape, data.DType, unitParams), true
 		}
 	}
 	return TaskKey{}, false

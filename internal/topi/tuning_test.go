@@ -37,46 +37,18 @@ func TestTaskKeyStringRoundTrip(t *testing.T) {
 }
 
 func TestTaskKeyFusedOpNormalization(t *testing.T) {
-	data := tensor.New(tensor.UInt8, tensor.Shape{1, 8, 8, 4})
-	weight := tensor.New(tensor.UInt8, tensor.Shape{8, 3, 3, 4})
-	plain := ConvTaskKey("qnn.conv2d", data, weight, 1, 1, 1, 1, 1, [4]int{1, 1, 1, 1})
-	fused := ConvTaskKey("qnn.conv2d_fused", data, weight, 1, 1, 1, 1, 1, [4]int{1, 1, 1, 1})
+	data, weight := tensor.Shape{1, 8, 8, 4}, tensor.Shape{8, 3, 3, 4}
+	p := conv2dParams{sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, pad: [4]int{1, 1, 1, 1}}
+	plain := taskKey("qnn.conv2d", data, weight, tensor.UInt8, p)
+	fused := taskKey("qnn.conv2d_fused", data, weight, tensor.UInt8, p)
 	if plain != fused {
 		t.Fatalf("fused key %s != anchor key %s", fused, plain)
 	}
 	if fused.Op != "qnn.conv2d" {
 		t.Fatalf("fused op normalized to %q", fused.Op)
 	}
-	if d := DenseTaskKey("qnn.dense_fused", tensor.New(tensor.UInt8, tensor.Shape{1, 16}),
-		tensor.New(tensor.UInt8, tensor.Shape{4, 16})); d.Op != "qnn.dense" {
+	if d := taskKey("qnn.dense_fused", tensor.Shape{1, 16}, tensor.Shape{4, 16}, tensor.UInt8, unitParams); d.Op != "qnn.dense" {
 		t.Fatalf("fused dense op normalized to %q", d.Op)
-	}
-}
-
-// TestTaskKeyTypesMatchesTensors pins the extractor-side key (relay types)
-// to the dispatch-side key (tensors): a record written from a compiled
-// module must be found by the kernel at launch time.
-func TestTaskKeyTypesMatchesTensors(t *testing.T) {
-	data := tensor.New(tensor.Float32, tensor.Shape{2, 16, 12, 8})
-	weight := tensor.New(tensor.Float32, tensor.Shape{24, 3, 5, 8})
-	attrs := relay.Attrs{"strides": []int{2, 1}, "dilation": []int{1, 2},
-		"padding": []int{1, 2, 3, 4}, "groups": 1}
-	fromTypes := ConvTaskKeyTypes("nn.conv2d",
-		&relay.TensorType{Shape: data.Shape, DType: data.DType},
-		&relay.TensorType{Shape: weight.Shape, DType: weight.DType}, attrs)
-	fromTensors := ConvTaskKey("nn.conv2d", data, weight, 2, 1, 1, 2, 1, [4]int{1, 2, 3, 4})
-	if fromTypes != fromTensors {
-		t.Fatalf("type-based key %s != tensor-based key %s", fromTypes, fromTensors)
-	}
-
-	dd := tensor.New(tensor.UInt8, tensor.Shape{3, 40})
-	dw := tensor.New(tensor.UInt8, tensor.Shape{10, 40})
-	dTypes := DenseTaskKeyTypes("qnn.dense",
-		&relay.TensorType{Shape: dd.Shape, DType: dd.DType},
-		&relay.TensorType{Shape: dw.Shape, DType: dw.DType})
-	dTensors := DenseTaskKey("qnn.dense", dd, dw)
-	if dTypes != dTensors {
-		t.Fatalf("type-based dense key %s != tensor-based %s", dTypes, dTensors)
 	}
 }
 
@@ -109,7 +81,8 @@ func TestTunedDispatchCountsHitsAndMisses(t *testing.T) {
 	}
 	base := runConv(t, data, weight)
 
-	key := ConvTaskKey("nn.conv2d", data, weight, 1, 1, 1, 1, 1, [4]int{1, 1, 1, 1})
+	key := taskKey("nn.conv2d", data.Shape, weight.Shape, data.DType,
+		conv2dParams{sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, pad: [4]int{1, 1, 1, 1}})
 	tbl := NewTuningTable()
 	tbl.Set(key, KernelConfig{ConvStrategy: ConvIm2col, GemmMC: 8, Workers: 1})
 	SetTuning(tbl)
@@ -157,7 +130,7 @@ func TestGemmMCBlockingBitwise(t *testing.T) {
 			b[i] = rng.Float32()*2 - 1
 		}
 		bpack := make([]float32, gemmTiles(n, gemmNRF32)*gemmNRF32*k)
-		packRHSF32(bpack, b, n, k, k)
+		packPanels(bpack, b, n, k, k, gemmNRF32)
 		want := make([]float32, m*n)
 		gemmF32Cfg(m, n, k, a, k, bpack, want, n, nil)
 		for _, mc := range []int{1, 3, 4, 8, m - 1, m, m + 5} {

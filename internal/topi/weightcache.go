@@ -37,7 +37,7 @@ func SetWeightCacheCap(n int) int {
 
 type weightCacheEntry struct {
 	stamp atomic.Int64
-	val   interface{} // *packedWeightF32 or *packedWeightI32
+	val   interface{} // *packedWeight[float32] or *packedWeight[int32]
 }
 
 // weightCache is one bounded cache instance (there is one for f32 panels

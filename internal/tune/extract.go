@@ -9,8 +9,9 @@ import (
 
 // Task extraction: walk a compiled module and collect the (op, shape, dtype)
 // signature of every tunable kernel launch. Fused primitives normalize to
-// their anchor op inside the key builders, so one tuned record serves both
-// the unfused TVM chain and the Neuron runtime's fused dispatch.
+// their anchor op inside topi's one key builder, and a fused launch runs the
+// anchor's kernel and strategy rule, so one tuned record serves both the
+// unfused TVM chain and the Neuron runtime's fused dispatch.
 
 // Tasks extracts the deduplicated, deterministically ordered tunable task
 // set of a module. The module must be type-checked (any module that came

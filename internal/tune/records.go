@@ -11,6 +11,7 @@ package tune
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -113,21 +114,64 @@ func (r Record) Validate() error {
 // identical results produces a byte-identical file (stable diffs, cacheable
 // artifacts).
 func WriteRecords(path string, recs []Record) error {
+	b, err := encodeRecords(recs)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, b, 0o644)
+}
+
+// encodeRecords renders the bytes WriteRecords writes.
+func encodeRecords(recs []Record) ([]byte, error) {
 	sorted := append([]Record(nil), recs...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key() < sorted[j].key() })
-	var b strings.Builder
+	var b bytes.Buffer
 	for _, r := range sorted {
 		if err := r.Validate(); err != nil {
-			return err
+			return nil, err
 		}
 		line, err := json.Marshal(r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		b.Write(line)
 		b.WriteByte('\n')
 	}
-	return os.WriteFile(path, []byte(b.String()), 0o644)
+	return b.Bytes(), nil
+}
+
+// CheckFile is the audit nptune -check runs on a record file against the
+// tasks of one model, and it fails only on what is deterministic: the file
+// must load, every kernel record must name one of tasks (as Tasks extracts
+// them), and writing the loaded records back must reproduce the file byte
+// for byte. It returns the file's dispatch table; whether the records change
+// any decision is the search's business, not the file's.
+func CheckFile(path string, tasks []topi.TaskKey) (*topi.TuningTable, error) {
+	recs, err := LoadRecords(path)
+	if err != nil {
+		return nil, err
+	}
+	known := make(map[string]bool, len(tasks))
+	for _, task := range tasks {
+		known[task.String()] = true
+	}
+	for _, r := range recs {
+		if r.Kind == KindKernel && !known[r.Task] {
+			return nil, fmt.Errorf("tune: %s: kernel record %s is not a task of the model", path, r.Task)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	got, err := encodeRecords(recs)
+	if err != nil {
+		return nil, err
+	}
+	if !bytes.Equal(got, want) {
+		return nil, fmt.Errorf("tune: %s: writing its %d record(s) back does not reproduce the file (WriteRecords sorts and re-encodes)", path, len(recs))
+	}
+	return BuildTable(recs)
 }
 
 // LoadRecords reads a record file, validating every line. A schema-version

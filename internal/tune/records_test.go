@@ -1,6 +1,7 @@
 package tune
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -146,5 +147,53 @@ func TestMergeLowerCostWins(t *testing.T) {
 	t2 := Merge([]Record{c}, []Record{b})
 	if t1[0].Config != t2[0].Config || t1[0].Model != t2[0].Model {
 		t.Fatalf("tie not deterministic: %+v vs %+v", t1[0], t2[0])
+	}
+}
+
+// TestCheckFile is nptune -check's gate, row by row: it fails on what is
+// deterministic about a record file and on nothing else.
+func TestCheckFile(t *testing.T) {
+	tasks := Tasks(buildTuneModule(t))
+	own := kernelRecord(tasks[0].String(), "m", Config{Workers: 1}, 10, 20)
+	cases := []struct {
+		name string
+		body func(path string) error
+		want string // "" passes
+	}{
+		{"records of the model's tasks", func(path string) error {
+			return WriteRecords(path, []Record{own})
+		}, ""},
+		{"no records: the search kept every default", func(path string) error {
+			return WriteRecords(path, nil)
+		}, ""},
+		{"a record of another model's task", func(path string) error {
+			return WriteRecords(path, []Record{kernelRecord(testTask(t).String(), "m", Config{}, 10, 20)})
+		}, "is not a task of the model"},
+		{"records out of order", func(path string) error {
+			var lines []string
+			for _, task := range tasks {
+				line, _ := json.Marshal(kernelRecord(task.String(), "m", Config{}, 10, 20))
+				lines = append([]string{string(line)}, lines...)
+			}
+			return os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644)
+		}, "does not reproduce the file"},
+		{"unparseable", func(path string) error {
+			return os.WriteFile(path, []byte("not json\n"), 0o644)
+		}, "invalid character"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "records.json")
+			if err := tc.body(path); err != nil {
+				t.Fatal(err)
+			}
+			_, err := CheckFile(path, tasks)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -259,6 +259,40 @@ func TestCorruptFusedActivation(t *testing.T) {
 	wantCheck(t, verify.NeuronModel(m), "fused-activation")
 }
 
+// TestCorruptFusedBias: a fused bias is a rank-1 constant of one value per
+// output channel. A short one used to pass the check and panic in the fused
+// kernel at the first inference.
+func TestCorruptFusedBias(t *testing.T) {
+	cases := []struct {
+		name  string
+		shape tensor.Shape
+		value bool
+		bad   bool
+	}{
+		{"one per channel", tensor.Shape{4}, true, false},
+		{"not a constant", tensor.Shape{4}, false, true},
+		{"rank 2", tensor.Shape{1, 4}, true, true},
+		{"short", tensor.Shape{3}, true, true},
+		{"long", tensor.Shape{5}, true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := denseModel(t) // FULLY_CONNECTED with 4 output channels
+			var value *tensor.Tensor
+			if tc.value {
+				value = tensor.New(tensor.Float32, tc.shape)
+			}
+			b := m.AddOperand("b", neuron.OperandType{Shape: tc.shape, DType: tensor.Float32}, value)
+			m.Operations[0].Inputs = append(m.Operations[0].Inputs, b)
+			if !tc.bad {
+				wantClean(t, verify.NeuronModel(m))
+				return
+			}
+			wantCheck(t, verify.NeuronModel(m), "fused-bias")
+		})
+	}
+}
+
 func TestCorruptFusedRequantize(t *testing.T) {
 	m := denseModel(t)
 	m.Operations[0].Attrs = relay.Attrs{neuron.FusedRequantAttr: true} // no requant_output_scale
