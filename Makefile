@@ -47,15 +47,18 @@ npvet:
 analyze:
 	$(GO) run ./cmd/npc -zoo all -analyze
 
-# fuzz-smoke runs both fuzz targets briefly, each over its committed seed
-# corpus plus five seconds of mutation: the partitioner against the BFS oracle
-# (error or the oracle's convex partition, never a panic) and the /v1/infer
-# decoder against json.Unmarshal (same accept/reject, same values to the bit).
-# A failing input is written under the package's testdata/fuzz/ — commit it
-# with the fix.
+# fuzz-smoke runs four fuzz targets briefly, each over its seed corpus plus
+# five seconds of mutation: the partitioner against the BFS oracle (error or
+# the oracle's convex partition, never a panic), the /v1/infer decoder against
+# json.Unmarshal (same accept/reject, same values to the bit), and the ONNX and
+# TorchScript importers over a serialized zoo model (error or module, never a
+# panic). A failing input is written under the package's testdata/fuzz/ —
+# commit it with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/passes -run '^$$' -fuzz FuzzPartitionForCompiler -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeInfer -fuzztime 5s
+	$(GO) test ./internal/models -run '^$$' -fuzz FuzzFromONNX -fuzztime 5s
+	$(GO) test ./internal/models -run '^$$' -fuzz FuzzFromTorch -fuzztime 5s
 
 # bench-gate is the blocking, deterministic half of benchmark/: each of the
 # six workloads runs for a two-second window and must verify every operation

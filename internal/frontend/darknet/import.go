@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/frontend"
 	"repro/internal/relay"
 	"repro/internal/tensor"
-	"repro/internal/verify"
 )
 
 // FromDarknet imports a parsed .cfg + .weights pair into a relay module —
@@ -40,25 +40,24 @@ func FromDarknet(cfgText string, weights io.Reader) (*relay.Module, error) {
 		case "convolutional":
 			out, err = imp.conv(sec, cur)
 		case "maxpool":
-			out, err = imp.maxpool(sec, cur)
+			out = maxpool(sec, cur)
 		case "upsample":
-			out, err = imp.upsample(sec, cur)
+			out = relay.NewCall(relay.OpUpsampling, []relay.Expr{cur},
+				relay.Attrs{"scale": sec.Int("stride", 2), "method": "nearest"})
 		case "route":
 			out, err = imp.route(sec, i)
 		case "shortcut":
 			out, err = imp.shortcut(sec, cur, i)
 		case "yolo":
-			out, err = imp.yolo(sec, cur)
-			if err == nil {
-				outputs = append(outputs, out)
-			}
+			out, err = yolo(sec, cur)
+			outputs = append(outputs, out)
 		case "avgpool":
 			out = relay.NewCall(relay.OpGlobalAvgPool, []relay.Expr{cur}, nil)
-			if _, terr := relay.InferTypes(out); terr != nil {
-				err = terr
-			}
 		default:
 			err = fmt.Errorf("unsupported section [%s]", sec.Name)
+		}
+		if err == nil {
+			_, err = relay.InferTypes(out)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("darknet: layer %d [%s]: %w", i, sec.Name, err)
@@ -66,23 +65,10 @@ func FromDarknet(cfgText string, weights io.Reader) (*relay.Module, error) {
 		imp.layers = append(imp.layers, out)
 		cur = out
 	}
-	var body relay.Expr
-	switch len(outputs) {
-	case 0:
-		body = cur // classification-style network
-	case 1:
-		body = outputs[0]
-	default:
-		body = relay.NewTuple(outputs)
+	if len(outputs) == 0 {
+		outputs = []relay.Expr{cur} // classification-style network
 	}
-	m := relay.NewModule(relay.NewFunc([]*relay.Var{input}, body))
-	if err := relay.InferModule(m); err != nil {
-		return nil, fmt.Errorf("darknet: imported module ill-typed: %w", err)
-	}
-	if err := verify.ModuleErr(m, verify.Options{}); err != nil {
-		return nil, fmt.Errorf("darknet: imported module failed IR verification: %w", err)
-	}
-	return m, nil
+	return frontend.Finish("darknet", []*relay.Var{input}, outputs, nil)
 }
 
 type dkImporter struct {
@@ -141,7 +127,7 @@ func (imp *dkImporter) conv(sec *Section, in relay.Expr) (relay.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	ohwi := permuteOIHWtoOHWI(oihw)
+	ohwi := frontend.OIHWToOHWI(oihw)
 
 	pad := 0
 	if padFlag == 1 {
@@ -165,13 +151,10 @@ func (imp *dkImporter) conv(sec *Section, in relay.Expr) (relay.Expr, error) {
 	default:
 		return nil, fmt.Errorf("unsupported activation %q", activation)
 	}
-	if _, err := relay.InferTypes(out); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
-func (imp *dkImporter) maxpool(sec *Section, in relay.Expr) (relay.Expr, error) {
+func maxpool(sec *Section, in relay.Expr) relay.Expr {
 	size := sec.Int("size", 2)
 	stride := sec.Int("stride", 2)
 	attrs := relay.Attrs{"pool_size": []int{size, size}, "strides": []int{stride, stride}}
@@ -179,20 +162,7 @@ func (imp *dkImporter) maxpool(sec *Section, in relay.Expr) (relay.Expr, error) 
 		// YOLO-tiny's stride-1 maxpool keeps spatial dims via asymmetric pad.
 		attrs["padding"] = []int{0, 0, size - 1, size - 1}
 	}
-	out := relay.NewCall(relay.OpMaxPool2D, []relay.Expr{in}, attrs)
-	if _, err := relay.InferTypes(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (imp *dkImporter) upsample(sec *Section, in relay.Expr) (relay.Expr, error) {
-	out := relay.NewCall(relay.OpUpsampling, []relay.Expr{in},
-		relay.Attrs{"scale": sec.Int("stride", 2), "method": "nearest"})
-	if _, err := relay.InferTypes(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return relay.NewCall(relay.OpMaxPool2D, []relay.Expr{in}, attrs)
 }
 
 func (imp *dkImporter) route(sec *Section, at int) (relay.Expr, error) {
@@ -214,12 +184,8 @@ func (imp *dkImporter) route(sec *Section, at int) (relay.Expr, error) {
 	if len(fields) == 1 {
 		return fields[0], nil
 	}
-	out := relay.NewCall(relay.OpConcatenate, []relay.Expr{relay.NewTuple(fields)},
-		relay.Attrs{"axis": 3})
-	if _, err := relay.InferTypes(out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return relay.NewCall(relay.OpConcatenate, []relay.Expr{relay.NewTuple(fields)},
+		relay.Attrs{"axis": 3}), nil
 }
 
 func (imp *dkImporter) shortcut(sec *Section, cur relay.Expr, at int) (relay.Expr, error) {
@@ -232,13 +198,10 @@ func (imp *dkImporter) shortcut(sec *Section, cur relay.Expr, at int) (relay.Exp
 	if sec.Str("activation", "linear") == "leaky" {
 		out = relay.NewCall(relay.OpLeakyReLU, []relay.Expr{out}, relay.Attrs{"alpha": 0.1})
 	}
-	if _, err := relay.InferTypes(out); err != nil {
-		return nil, err
-	}
 	return out, nil
 }
 
-func (imp *dkImporter) yolo(sec *Section, in relay.Expr) (relay.Expr, error) {
+func yolo(sec *Section, in relay.Expr) (relay.Expr, error) {
 	mask, err := sec.IntList("mask")
 	if err != nil {
 		return nil, err
@@ -248,29 +211,8 @@ func (imp *dkImporter) yolo(sec *Section, in relay.Expr) (relay.Expr, error) {
 		anchors = 3
 	}
 	classes := sec.Int("classes", 80)
-	out := relay.NewCall(relay.OpYoloOutput, []relay.Expr{in},
-		relay.Attrs{"anchors": anchors, "classes": classes})
-	if _, err := relay.InferTypes(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func permuteOIHWtoOHWI(w *tensor.Tensor) *tensor.Tensor {
-	o, i, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	out := tensor.New(tensor.Float32, tensor.Shape{o, kh, kw, i})
-	src := w.F32()
-	dst := out.F32()
-	for oo := 0; oo < o; oo++ {
-		for ii := 0; ii < i; ii++ {
-			for y := 0; y < kh; y++ {
-				for x := 0; x < kw; x++ {
-					dst[((oo*kh+y)*kw+x)*i+ii] = src[((oo*i+ii)*kh+y)*kw+x]
-				}
-			}
-		}
-	}
-	return out
+	return relay.NewCall(relay.OpYoloOutput, []relay.Expr{in},
+		relay.Attrs{"anchors": anchors, "classes": classes}), nil
 }
 
 // SynthesizeWeights writes a .weights file matching the cfg's convolutional

@@ -12,9 +12,9 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/frontend"
 	"repro/internal/relay"
 	"repro/internal/tensor"
-	"repro/internal/verify"
 )
 
 // ModelConfig is the top-level structure of a serialized Keras model.
@@ -53,6 +53,7 @@ func (l LayerConfig) number(key string, def float64) float64 {
 	return def
 }
 
+// intPair reads a positive (height, width) pair given as one number or two.
 func (l LayerConfig) intPair(key string, def int) (int, int, error) {
 	v, ok := l.Config[key]
 	if !ok {
@@ -60,12 +61,14 @@ func (l LayerConfig) intPair(key string, def int) (int, int, error) {
 	}
 	switch vv := v.(type) {
 	case float64:
-		return int(vv), int(vv), nil
+		if vv >= 1 {
+			return int(vv), int(vv), nil
+		}
 	case []interface{}:
 		if len(vv) == 2 {
 			a, ok1 := vv[0].(float64)
 			b, ok2 := vv[1].(float64)
-			if ok1 && ok2 {
+			if ok1 && ok2 && a >= 1 && b >= 1 {
 				return int(a), int(b), nil
 			}
 		}
@@ -165,22 +168,26 @@ func (b *builder) infer() error {
 	return nil
 }
 
+// apply replaces the running value by op over it (and any further args).
+func (b *builder) apply(op *relay.Op, attrs relay.Attrs, args ...relay.Expr) error {
+	b.cur = relay.NewCall(op, append([]relay.Expr{b.cur}, args...), attrs)
+	return b.infer()
+}
+
 func (b *builder) applyActivation(act string) error {
 	switch act {
 	case "", "linear":
 		return nil
 	case "relu":
-		b.cur = relay.NewCall(relay.OpReLU, []relay.Expr{b.cur}, nil)
+		return b.apply(relay.OpReLU, nil)
 	case "sigmoid":
-		b.cur = relay.NewCall(relay.OpSigmoid, []relay.Expr{b.cur}, nil)
+		return b.apply(relay.OpSigmoid, nil)
 	case "tanh":
-		b.cur = relay.NewCall(relay.OpTanh, []relay.Expr{b.cur}, nil)
+		return b.apply(relay.OpTanh, nil)
 	case "softmax":
-		b.cur = relay.NewCall(relay.OpSoftmax, []relay.Expr{b.cur}, nil)
-	default:
-		return fmt.Errorf("keras: unsupported activation %q", act)
+		return b.apply(relay.OpSoftmax, nil)
 	}
-	return b.infer()
+	return fmt.Errorf("keras: unsupported activation %q", act)
 }
 
 func (b *builder) build(cfg ModelConfig) (*relay.Module, error) {
@@ -208,14 +215,7 @@ func (b *builder) build(cfg ModelConfig) (*relay.Module, error) {
 			return nil, fmt.Errorf("keras: layer %d (%s): %w", i, layer.ClassName, err)
 		}
 	}
-	m := relay.NewModule(relay.NewFunc([]*relay.Var{input}, b.cur))
-	if err := relay.InferModule(m); err != nil {
-		return nil, err
-	}
-	if err := verify.ModuleErr(m, verify.Options{}); err != nil {
-		return nil, fmt.Errorf("keras: imported module failed IR verification: %w", err)
-	}
-	return m, nil
+	return frontend.Finish("keras", []*relay.Var{input}, []relay.Expr{b.cur}, nil)
 }
 
 func layerInputShape(layer LayerConfig) ([]int, error) {
@@ -245,107 +245,90 @@ func (b *builder) addLayer(layer LayerConfig) error {
 	switch layer.ClassName {
 	case "InputLayer":
 		return nil
-	case "Conv2D":
-		return b.addConv2D(layer)
-	case "DepthwiseConv2D":
-		return b.addDepthwiseConv2D(layer)
+	case "Conv2D", "DepthwiseConv2D":
+		return b.addConv(layer)
 	case "MaxPooling2D", "AveragePooling2D":
 		return b.addPool(layer)
 	case "GlobalAveragePooling2D":
-		b.cur = relay.NewCall(relay.OpGlobalAvgPool, []relay.Expr{b.cur}, nil)
-		if err := b.infer(); err != nil {
+		if err := b.apply(relay.OpGlobalAvgPool, nil); err != nil {
 			return err
 		}
 		// Keras returns (N, C), not (N,1,1,C).
-		b.cur = relay.NewCall(relay.OpBatchFlatten, []relay.Expr{b.cur}, nil)
-		return b.infer()
+		return b.apply(relay.OpBatchFlatten, nil)
 	case "Flatten":
-		b.cur = relay.NewCall(relay.OpBatchFlatten, []relay.Expr{b.cur}, nil)
-		return b.infer()
+		return b.apply(relay.OpBatchFlatten, nil)
 	case "Dense":
 		return b.addDense(layer)
 	case "Dropout":
-		b.cur = relay.NewCall(relay.OpDropout, []relay.Expr{b.cur},
-			relay.Attrs{"rate": layer.number("rate", 0.5)})
-		return b.infer()
+		return b.apply(relay.OpDropout, relay.Attrs{"rate": layer.number("rate", 0.5)})
 	case "Activation":
 		return b.applyActivation(layer.str("activation", "linear"))
 	case "BatchNormalization":
 		return b.addBatchNorm(layer)
 	case "ReLU":
-		b.cur = relay.NewCall(relay.OpReLU, []relay.Expr{b.cur}, nil)
-		return b.infer()
+		return b.apply(relay.OpReLU, nil)
 	}
 	return fmt.Errorf("unsupported layer class %q", layer.ClassName)
 }
 
-func (b *builder) addConv2D(layer LayerConfig) error {
-	filters := int(layer.number("filters", 0))
-	kh, kw, err := layer.intPair("kernel_size", 3)
-	if err != nil {
-		return err
+// window reads a spatial layer's window (key, default kdef), its strides
+// (default sdef, or the window's height when sdef is 0) and its padding,
+// which for "same" is TensorFlow's rule over the running input.
+func (b *builder) window(layer LayerConfig, key string, kdef, sdef int) (k, s, pad []int, err error) {
+	if len(b.curType.Shape) != 4 {
+		return nil, nil, nil, fmt.Errorf("needs 4-D input, have %s", b.curType.Shape)
 	}
-	sh, sw, err := layer.intPair("strides", 1)
+	kh, kw, err := layer.intPair(key, kdef)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if sdef == 0 {
+		sdef = kh
+	}
+	sh, sw, err := layer.intPair("strides", sdef)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	pad = []int{0, 0}
+	if layer.str("padding", "valid") == "same" {
+		pad = frontend.SamePad(b.curType.Shape[1], b.curType.Shape[2], kh, kw, sh, sw)
+	}
+	return []int{kh, kw}, []int{sh, sw}, pad, nil
+}
+
+// addConv lowers Conv2D and DepthwiseConv2D (one filter per input channel:
+// groups = channels).
+func (b *builder) addConv(layer LayerConfig) error {
+	k, strides, pad, err := b.window(layer, "kernel_size", 3, 1)
 	if err != nil {
 		return err
 	}
 	inC := b.curType.Shape[3]
-	w, err := b.weight(layer.name(), "kernel", tensor.Shape{filters, kh, kw, inC})
+	attrs := relay.Attrs{"strides": strides, "padding": pad}
+	filters := int(layer.number("filters", 0))
+	kernel, shape := "kernel", tensor.Shape{filters, k[0], k[1], inC}
+	if layer.ClassName == "DepthwiseConv2D" {
+		filters, kernel, shape = inC, "depthwise_kernel", tensor.Shape{inC, k[0], k[1], 1}
+		attrs["groups"] = inC
+	}
+	w, err := b.weight(layer.name(), kernel, shape)
 	if err != nil {
 		return err
 	}
-	pad := []int{0, 0}
-	if layer.str("padding", "valid") == "same" {
-		pad = samePadding(kh, kw)
-	}
-	b.cur = relay.NewCall(relay.OpConv2D, []relay.Expr{b.cur, w},
-		relay.Attrs{"strides": []int{sh, sw}, "padding": pad})
-	if err := b.infer(); err != nil {
+	if err := b.apply(relay.OpConv2D, attrs, w); err != nil {
 		return err
 	}
-	if useBias(layer) {
-		bias, err := b.weight(layer.name(), "bias", tensor.Shape{filters})
-		if err != nil {
-			return err
-		}
-		b.cur = relay.NewCall(relay.OpBiasAdd, []relay.Expr{b.cur, bias}, nil)
-		if err := b.infer(); err != nil {
-			return err
-		}
-	}
-	return b.applyActivation(layer.str("activation", "linear"))
+	return b.biasActivation(layer, filters)
 }
 
-func (b *builder) addDepthwiseConv2D(layer LayerConfig) error {
-	kh, kw, err := layer.intPair("kernel_size", 3)
-	if err != nil {
-		return err
-	}
-	sh, sw, err := layer.intPair("strides", 1)
-	if err != nil {
-		return err
-	}
-	c := b.curType.Shape[3]
-	w, err := b.weight(layer.name(), "depthwise_kernel", tensor.Shape{c, kh, kw, 1})
-	if err != nil {
-		return err
-	}
-	pad := []int{0, 0}
-	if layer.str("padding", "valid") == "same" {
-		pad = samePadding(kh, kw)
-	}
-	b.cur = relay.NewCall(relay.OpConv2D, []relay.Expr{b.cur, w},
-		relay.Attrs{"strides": []int{sh, sw}, "padding": pad, "groups": c})
-	if err := b.infer(); err != nil {
-		return err
-	}
+// biasActivation adds a layer's optional bias and its activation.
+func (b *builder) biasActivation(layer LayerConfig, units int) error {
 	if useBias(layer) {
-		bias, err := b.weight(layer.name(), "bias", tensor.Shape{c})
+		bias, err := b.weight(layer.name(), "bias", tensor.Shape{units})
 		if err != nil {
 			return err
 		}
-		b.cur = relay.NewCall(relay.OpBiasAdd, []relay.Expr{b.cur, bias}, nil)
-		if err := b.infer(); err != nil {
+		if err := b.apply(relay.OpBiasAdd, nil, bias); err != nil {
 			return err
 		}
 	}
@@ -353,11 +336,7 @@ func (b *builder) addDepthwiseConv2D(layer LayerConfig) error {
 }
 
 func (b *builder) addPool(layer LayerConfig) error {
-	kh, kw, err := layer.intPair("pool_size", 2)
-	if err != nil {
-		return err
-	}
-	sh, sw, err := layer.intPair("strides", kh)
+	k, strides, pad, err := b.window(layer, "pool_size", 2, 0)
 	if err != nil {
 		return err
 	}
@@ -365,13 +344,7 @@ func (b *builder) addPool(layer LayerConfig) error {
 	if layer.ClassName == "AveragePooling2D" {
 		op = relay.OpAvgPool2D
 	}
-	pad := []int{0, 0}
-	if layer.str("padding", "valid") == "same" {
-		pad = samePadding(kh, kw)
-	}
-	b.cur = relay.NewCall(op, []relay.Expr{b.cur},
-		relay.Attrs{"pool_size": []int{kh, kw}, "strides": []int{sh, sw}, "padding": pad})
-	return b.infer()
+	return b.apply(op, relay.Attrs{"pool_size": k, "strides": strides, "padding": pad})
 }
 
 func (b *builder) addDense(layer LayerConfig) error {
@@ -379,50 +352,27 @@ func (b *builder) addDense(layer LayerConfig) error {
 	if len(b.curType.Shape) != 2 {
 		return fmt.Errorf("Dense needs 2-D input, have %s (add Flatten)", b.curType.Shape)
 	}
-	k := b.curType.Shape[1]
-	w, err := b.weight(layer.name(), "kernel", tensor.Shape{units, k})
+	w, err := b.weight(layer.name(), "kernel", tensor.Shape{units, b.curType.Shape[1]})
 	if err != nil {
 		return err
 	}
-	b.cur = relay.NewCall(relay.OpDense, []relay.Expr{b.cur, w}, nil)
-	if err := b.infer(); err != nil {
+	if err := b.apply(relay.OpDense, nil, w); err != nil {
 		return err
 	}
-	if useBias(layer) {
-		bias, err := b.weight(layer.name(), "bias", tensor.Shape{units})
-		if err != nil {
-			return err
-		}
-		b.cur = relay.NewCall(relay.OpBiasAdd, []relay.Expr{b.cur, bias}, nil)
-		if err := b.infer(); err != nil {
-			return err
-		}
-	}
-	return b.applyActivation(layer.str("activation", "linear"))
+	return b.biasActivation(layer, units)
 }
 
 func (b *builder) addBatchNorm(layer LayerConfig) error {
 	c := b.curType.Shape[len(b.curType.Shape)-1]
-	gamma, err := b.weight(layer.name(), "gamma", tensor.Shape{c})
-	if err != nil {
-		return err
+	stats := make([]relay.Expr, 4)
+	for i, suffix := range []string{"gamma", "beta", "moving_mean", "moving_variance"} {
+		w, err := b.weight(layer.name(), suffix, tensor.Shape{c})
+		if err != nil {
+			return err
+		}
+		stats[i] = w
 	}
-	beta, err := b.weight(layer.name(), "beta", tensor.Shape{c})
-	if err != nil {
-		return err
-	}
-	mean, err := b.weight(layer.name(), "moving_mean", tensor.Shape{c})
-	if err != nil {
-		return err
-	}
-	variance, err := b.weight(layer.name(), "moving_variance", tensor.Shape{c})
-	if err != nil {
-		return err
-	}
-	b.cur = relay.NewCall(relay.OpBatchNorm,
-		[]relay.Expr{b.cur, gamma, beta, mean, variance},
-		relay.Attrs{"epsilon": layer.number("epsilon", 1e-3)})
-	return b.infer()
+	return b.apply(relay.OpBatchNorm, relay.Attrs{"epsilon": layer.number("epsilon", 1e-3)}, stats...)
 }
 
 func useBias(layer LayerConfig) bool {
@@ -430,10 +380,4 @@ func useBias(layer LayerConfig) bool {
 		return v
 	}
 	return true
-}
-
-// samePadding computes Keras "same" padding for stride-1-compatible output
-// (symmetric floor/ceil split: [top, left, bottom, right]).
-func samePadding(kh, kw int) []int {
-	return []int{(kh - 1) / 2, (kw - 1) / 2, kh / 2, kw / 2}
 }

@@ -2,6 +2,7 @@ package keras
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -195,4 +196,30 @@ func TestLoadWeightsCorrupt(t *testing.T) {
 			t.Errorf("case %d: corrupt blob accepted", i)
 		}
 	}
+}
+
+// Keras "same" is TensorFlow's rule: at stride 2 the odd padding row goes at
+// the end, and the output is ceil(in/stride), as Sequential's shape says.
+func TestStridedSamePadding(t *testing.T) {
+	s := NewSequential("strided", 5).Input(8, 8, 3).Conv2D(4, 3, 2, "same", "linear")
+	js, err := s.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, _ := s.Weights()
+	m, err := FromKeras(js, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ret := m.Main().CheckedType().(*relay.FuncType).Ret
+	if !ret.Same(relay.TType(tensor.Float32, s.OutputShape()...)) || !s.OutputShape().Equal(tensor.Shape{1, 4, 4, 4}) {
+		t.Errorf("stride-2 'same' conv output %s, builder says %s", ret, s.OutputShape())
+	}
+	relay.PostOrderVisit(m.Main().Body, func(e relay.Expr) {
+		if c, ok := e.(*relay.Call); ok && c.Op == relay.OpConv2D {
+			if got := c.Attrs.Ints("padding", nil); !reflect.DeepEqual(got, []int{0, 0, 1, 1}) {
+				t.Errorf("padding %v, want [0 0 1 1]", got)
+			}
+		}
+	})
 }

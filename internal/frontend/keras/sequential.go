@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/frontend"
 	"repro/internal/tensor"
 )
 
@@ -73,13 +74,6 @@ func (s *Sequential) Input(h, w, c int) *Sequential {
 	return s
 }
 
-func outDim(in, k, stride int, same bool) int {
-	if same {
-		return (in + stride - 1) / stride
-	}
-	return (in-k)/stride + 1
-}
-
 // Conv2D appends a convolution (+bias, +activation).
 func (s *Sequential) Conv2D(filters, kernel, stride int, padding, activation string) *Sequential {
 	if s.err != nil {
@@ -101,7 +95,7 @@ func (s *Sequential) Conv2D(filters, kernel, stride int, padding, activation str
 	s.newWeight(name+"/kernel", tensor.Shape{filters, kernel, kernel, inC}, kernel*kernel*inC, filters)
 	s.weights[name+"/bias"] = tensor.New(tensor.Float32, tensor.Shape{filters})
 	same := padding == "same"
-	s.shape = tensor.Shape{1, outDim(s.shape[1], kernel, stride, same), outDim(s.shape[2], kernel, stride, same), filters}
+	s.shape = tensor.Shape{1, frontend.OutDim(s.shape[1], kernel, stride, same), frontend.OutDim(s.shape[2], kernel, stride, same), filters}
 	return s
 }
 
@@ -125,7 +119,7 @@ func (s *Sequential) DepthwiseConv2D(kernel, stride int, padding, activation str
 	s.newWeight(name+"/depthwise_kernel", tensor.Shape{c, kernel, kernel, 1}, kernel*kernel, 1)
 	s.weights[name+"/bias"] = tensor.New(tensor.Float32, tensor.Shape{c})
 	same := padding == "same"
-	s.shape = tensor.Shape{1, outDim(s.shape[1], kernel, stride, same), outDim(s.shape[2], kernel, stride, same), c}
+	s.shape = tensor.Shape{1, frontend.OutDim(s.shape[1], kernel, stride, same), frontend.OutDim(s.shape[2], kernel, stride, same), c}
 	return s
 }
 
@@ -152,7 +146,7 @@ func (s *Sequential) pool(class string, pool, stride int) *Sequential {
 		"strides":   []interface{}{float64(stride), float64(stride)},
 		"padding":   "valid",
 	})
-	s.shape = tensor.Shape{1, outDim(s.shape[1], pool, stride, false), outDim(s.shape[2], pool, stride, false), s.shape[3]}
+	s.shape = tensor.Shape{1, frontend.OutDim(s.shape[1], pool, stride, false), frontend.OutDim(s.shape[2], pool, stride, false), s.shape[3]}
 	return s
 }
 

@@ -4,9 +4,9 @@
 // outputs / attributes, typed value_info inputs, and initializers embedded
 // as base64 tensors — see DESIGN.md §2 for the protobuf→JSON substitution.
 //
-// ONNX models are NCHW/OIHW; the importer emits an NHWC relay module,
-// permuting convolution weights and remapping channel-indexed attributes,
-// exactly like the TorchScript frontend.
+// ONNX models are NCHW/OIHW; the importer lowers through the shared
+// frontend.Graph, which emits an NHWC relay module with OHWI convolution
+// weights and remapped channel axes, exactly like the TorchScript frontend.
 package onnx
 
 import (
@@ -15,9 +15,9 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/frontend"
 	"repro/internal/relay"
 	"repro/internal/tensor"
-	"repro/internal/verify"
 )
 
 // ModelProto is the top-level serialized model.
@@ -120,304 +120,96 @@ func FromONNX(data []byte) (*relay.Module, error) {
 // Import lowers a parsed model to relay.
 func Import(mp *ModelProto) (*relay.Module, error) {
 	g := &mp.Graph
-	imp := &importer{values: map[string]relay.Expr{}, params: map[string]*tensor.Tensor{}}
+	params := map[string]*tensor.Tensor{}
 	for _, ip := range g.Initializer {
 		t, err := decodeInitializer(ip)
 		if err != nil {
 			return nil, err
 		}
-		imp.params[ip.Name] = t
+		params[ip.Name] = t
 	}
-	var vars []*relay.Var
+	fg := frontend.NewGraph(params)
 	for _, in := range g.Input {
-		if _, isParam := imp.params[in.Name]; isParam {
+		if _, isParam := params[in.Name]; isParam {
 			continue // ONNX lists initializers among inputs too
 		}
-		shape, err := nchwToNHWC(in.Shape)
-		if err != nil {
-			return nil, fmt.Errorf("onnx: input %q: %v", in.Name, err)
+		if err := fg.Input(in.Name, in.Shape); err != nil {
+			return nil, fmt.Errorf("onnx: %w", err)
 		}
-		v := relay.NewVar(in.Name, relay.TType(tensor.Float32, shape...))
-		imp.values[in.Name] = v
-		vars = append(vars, v)
-	}
-	if len(vars) == 0 {
-		return nil, fmt.Errorf("onnx: graph has no runtime inputs")
 	}
 	for i, n := range g.Node {
-		if err := imp.convert(n); err != nil {
+		if err := convert(fg, n); err != nil {
 			return nil, fmt.Errorf("onnx: node %d (%s): %w", i, n.OpType, err)
 		}
 	}
-	var body relay.Expr
-	switch len(g.Output) {
-	case 0:
-		return nil, fmt.Errorf("onnx: graph has no outputs")
-	case 1:
-		body = imp.values[g.Output[0]]
-	default:
-		fields := make([]relay.Expr, len(g.Output))
-		for i, o := range g.Output {
-			fields[i] = imp.values[o]
-			if fields[i] == nil {
-				return nil, fmt.Errorf("onnx: unknown output %q", o)
-			}
-		}
-		body = relay.NewTuple(fields)
-	}
-	if body == nil {
-		return nil, fmt.Errorf("onnx: unknown output %q", g.Output[0])
-	}
-	m := relay.NewModule(relay.NewFunc(vars, body))
-	if err := relay.InferModule(m); err != nil {
-		return nil, fmt.Errorf("onnx: imported module ill-typed: %w", err)
-	}
-	if err := verify.ModuleErr(m, verify.Options{}); err != nil {
-		return nil, fmt.Errorf("onnx: imported module failed IR verification: %w", err)
-	}
-	return m, nil
+	return fg.Finish("onnx", g.Output)
 }
 
-func nchwToNHWC(s []int) ([]int, error) {
-	switch len(s) {
-	case 4:
-		return []int{s[0], s[2], s[3], s[1]}, nil
-	case 2:
-		return append([]int(nil), s...), nil
-	}
-	return nil, fmt.Errorf("rank-%d shape %v unsupported", len(s), s)
-}
+// listAttrs are the list attributes the importer reads and their lengths;
+// pads is [top, left, bottom, right].
+var listAttrs = []struct {
+	key string
+	n   int
+}{{"kernel_shape", 2}, {"strides", 2}, {"pads", 4}}
 
-type importer struct {
-	values map[string]relay.Expr
-	params map[string]*tensor.Tensor
-}
-
-func (imp *importer) value(name string) (relay.Expr, error) {
-	if e, ok := imp.values[name]; ok {
-		return e, nil
+func convert(g *frontend.Graph, n NodeProto) error {
+	if len(n.Output) != 1 {
+		return fmt.Errorf("expects 1 output, got %d", len(n.Output))
 	}
-	if p, ok := imp.params[name]; ok {
-		c := relay.Const(p)
-		imp.values[name] = c
-		return c, nil
-	}
-	return nil, fmt.Errorf("unknown value %q", name)
-}
-
-func (imp *importer) param(name string) (*tensor.Tensor, error) {
-	p, ok := imp.params[name]
-	if !ok {
-		return nil, fmt.Errorf("missing initializer %q", name)
-	}
-	return p, nil
-}
-
-func (imp *importer) set(name string, e relay.Expr) error {
-	if _, err := relay.InferTypes(e); err != nil {
-		return err
-	}
-	imp.values[name] = e
-	return nil
-}
-
-func permuteOIHWtoOHWI(w *tensor.Tensor) *tensor.Tensor {
-	o, i, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	out := tensor.New(tensor.Float32, tensor.Shape{o, kh, kw, i})
-	src, dst := w.F32(), out.F32()
-	for oo := 0; oo < o; oo++ {
-		for ii := 0; ii < i; ii++ {
-			for y := 0; y < kh; y++ {
-				for x := 0; x < kw; x++ {
-					dst[((oo*kh+y)*kw+x)*i+ii] = src[((oo*i+ii)*kh+y)*kw+x]
-				}
-			}
+	for _, a := range listAttrs {
+		if v, ok := n.Attribute[a.key]; ok && len(nodeAttrInts(n, a.key, nil)) != a.n {
+			return fmt.Errorf("attribute %s = %v: want %d ints", a.key, v, a.n)
 		}
 	}
-	return out
-}
-
-func (imp *importer) convert(n NodeProto) error {
+	in, out := n.Input, n.Output[0]
 	switch n.OpType {
 	case "Conv":
-		return imp.convertConv(n)
+		return g.Conv(in, out, relay.Attrs{"strides": nodeAttrInts(n, "strides", []int{1, 1}),
+			"padding": nodeAttrInts(n, "pads", []int{0, 0, 0, 0}), "groups": nodeAttrInt(n, "group", 1)})
 	case "Relu":
-		return imp.unary(n, relay.OpReLU, nil)
+		return g.Unary(in, out, relay.OpReLU, nil)
 	case "LeakyRelu":
-		return imp.unary(n, relay.OpLeakyReLU, relay.Attrs{"alpha": nodeAttrFloat(n, "alpha", 0.01)})
+		return g.Unary(in, out, relay.OpLeakyReLU, relay.Attrs{"alpha": nodeAttrFloat(n, "alpha", 0.01)})
 	case "Sigmoid":
-		return imp.unary(n, relay.OpSigmoid, nil)
+		return g.Unary(in, out, relay.OpSigmoid, nil)
 	case "Tanh":
-		return imp.unary(n, relay.OpTanh, nil)
+		return g.Unary(in, out, relay.OpTanh, nil)
 	case "Clip":
-		return imp.unary(n, relay.OpClip, relay.Attrs{
+		return g.Unary(in, out, relay.OpClip, relay.Attrs{
 			"a_min": nodeAttrFloat(n, "min", 0), "a_max": nodeAttrFloat(n, "max", 6)})
 	case "Dropout":
-		return imp.unary(n, relay.OpDropout, nil)
+		return g.Unary(in, out, relay.OpDropout, nil)
 	case "MaxPool", "AveragePool":
 		k := nodeAttrInts(n, "kernel_shape", []int{2, 2})
-		s := nodeAttrInts(n, "strides", k)
-		pads := nodeAttrInts(n, "pads", []int{0, 0, 0, 0})
 		op := relay.OpMaxPool2D
 		if n.OpType == "AveragePool" {
 			op = relay.OpAvgPool2D
 		}
-		return imp.unary(n, op, relay.Attrs{
-			"pool_size": k, "strides": s,
-			"padding": []int{pads[0], pads[1], pads[2], pads[3]},
-		})
+		return g.Unary(in, out, op, relay.Attrs{
+			"pool_size": k, "strides": nodeAttrInts(n, "strides", k),
+			"padding": nodeAttrInts(n, "pads", []int{0, 0, 0, 0})})
 	case "GlobalAveragePool":
-		return imp.unary(n, relay.OpGlobalAvgPool, nil)
+		return g.Unary(in, out, relay.OpGlobalAvgPool, nil)
 	case "Add":
-		return imp.binary(n, relay.OpAdd)
+		return g.Binary(in, out, relay.OpAdd)
 	case "Mul":
-		return imp.binary(n, relay.OpMultiply)
+		return g.Binary(in, out, relay.OpMultiply)
 	case "Concat":
-		return imp.convertConcat(n)
+		return g.Concat(in, out, nodeAttrInt(n, "axis", 1))
 	case "Softmax":
-		return imp.unary(n, relay.OpSoftmax, nil)
+		return g.Unary(in, out, relay.OpSoftmax, nil)
 	case "Flatten":
-		return imp.convertFlatten(n)
+		return g.Flatten(in, out)
 	case "Gemm":
-		return imp.convertGemm(n)
+		if nodeAttrInt(n, "transB", 1) != 1 {
+			return fmt.Errorf("Gemm with transB=0 unsupported")
+		}
+		return g.Dense(in, out)
 	case "BatchNormalization":
-		return imp.convertBatchNorm(n)
+		return g.BatchNorm(in, out, relay.Attrs{"epsilon": nodeAttrFloat(n, "epsilon", 1e-5)})
 	case "Upsample":
-		return imp.unary(n, relay.OpUpsampling,
+		return g.Unary(in, out, relay.OpUpsampling,
 			relay.Attrs{"scale": nodeAttrInt(n, "scale", 2), "method": "nearest"})
 	}
 	return fmt.Errorf("ONNX operator %q not supported by the importer", n.OpType)
-}
-
-func (imp *importer) unary(n NodeProto, op *relay.Op, attrs relay.Attrs) error {
-	x, err := imp.value(n.Input[0])
-	if err != nil {
-		return err
-	}
-	return imp.set(n.Output[0], relay.NewCall(op, []relay.Expr{x}, attrs))
-}
-
-func (imp *importer) binary(n NodeProto, op *relay.Op) error {
-	a, err := imp.value(n.Input[0])
-	if err != nil {
-		return err
-	}
-	b, err := imp.value(n.Input[1])
-	if err != nil {
-		return err
-	}
-	return imp.set(n.Output[0], relay.NewCall(op, []relay.Expr{a, b}, nil))
-}
-
-func (imp *importer) convertConv(n NodeProto) error {
-	x, err := imp.value(n.Input[0])
-	if err != nil {
-		return err
-	}
-	w, err := imp.param(n.Input[1])
-	if err != nil {
-		return err
-	}
-	strides := nodeAttrInts(n, "strides", []int{1, 1})
-	pads := nodeAttrInts(n, "pads", []int{0, 0, 0, 0})
-	groups := nodeAttrInt(n, "group", 1)
-	conv := relay.NewCall(relay.OpConv2D, []relay.Expr{x, relay.Const(permuteOIHWtoOHWI(w))},
-		relay.Attrs{"strides": strides,
-			"padding": []int{pads[0], pads[1], pads[2], pads[3]}, "groups": groups})
-	out := relay.Expr(conv)
-	if len(n.Input) >= 3 {
-		b, err := imp.param(n.Input[2])
-		if err != nil {
-			return err
-		}
-		out = relay.NewCall(relay.OpBiasAdd, []relay.Expr{conv, relay.Const(b)}, nil)
-	}
-	return imp.set(n.Output[0], out)
-}
-
-func (imp *importer) convertConcat(n NodeProto) error {
-	fields := make([]relay.Expr, len(n.Input))
-	rank := 0
-	for i, in := range n.Input {
-		e, err := imp.value(in)
-		if err != nil {
-			return err
-		}
-		fields[i] = e
-		if tt, ok := e.CheckedType().(*relay.TensorType); ok {
-			rank = len(tt.Shape)
-		}
-	}
-	axis := nodeAttrInt(n, "axis", 1)
-	if rank == 4 {
-		// NCHW channel axis 1 → NHWC axis 3 (spatial axes likewise remapped).
-		switch axis {
-		case 1:
-			axis = 3
-		case 2:
-			axis = 1
-		case 3:
-			axis = 2
-		}
-	}
-	return imp.set(n.Output[0], relay.NewCall(relay.OpConcatenate,
-		[]relay.Expr{relay.NewTuple(fields)}, relay.Attrs{"axis": axis}))
-}
-
-func (imp *importer) convertFlatten(n NodeProto) error {
-	x, err := imp.value(n.Input[0])
-	if err != nil {
-		return err
-	}
-	tt, ok := x.CheckedType().(*relay.TensorType)
-	if !ok {
-		return fmt.Errorf("flatten input is not a tensor")
-	}
-	if len(tt.Shape) == 4 && (tt.Shape[1] != 1 || tt.Shape[2] != 1) {
-		return fmt.Errorf("flatten of non-1x1 spatial tensor %s is layout-ambiguous", tt.Shape)
-	}
-	return imp.set(n.Output[0], relay.NewCall(relay.OpBatchFlatten, []relay.Expr{x}, nil))
-}
-
-func (imp *importer) convertGemm(n NodeProto) error {
-	x, err := imp.value(n.Input[0])
-	if err != nil {
-		return err
-	}
-	w, err := imp.param(n.Input[1])
-	if err != nil {
-		return err
-	}
-	if nodeAttrInt(n, "transB", 1) != 1 {
-		return fmt.Errorf("Gemm with transB=0 unsupported")
-	}
-	out := relay.Expr(relay.NewCall(relay.OpDense, []relay.Expr{x, relay.Const(w)}, nil))
-	if len(n.Input) >= 3 {
-		b, err := imp.param(n.Input[2])
-		if err != nil {
-			return err
-		}
-		out = relay.NewCall(relay.OpBiasAdd, []relay.Expr{out, relay.Const(b)}, nil)
-	}
-	return imp.set(n.Output[0], out)
-}
-
-func (imp *importer) convertBatchNorm(n NodeProto) error {
-	if len(n.Input) != 5 {
-		return fmt.Errorf("BatchNormalization expects 5 inputs")
-	}
-	x, err := imp.value(n.Input[0])
-	if err != nil {
-		return err
-	}
-	args := []relay.Expr{x}
-	for _, pn := range n.Input[1:] {
-		p, err := imp.param(pn)
-		if err != nil {
-			return err
-		}
-		args = append(args, relay.Const(p))
-	}
-	return imp.set(n.Output[0], relay.NewCall(relay.OpBatchNorm, args,
-		relay.Attrs{"epsilon": nodeAttrFloat(n, "epsilon", 1e-5)}))
 }

@@ -1,6 +1,7 @@
 package onnx
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/relay"
@@ -138,5 +139,69 @@ func TestInitializerRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeInitializer(InitializerProto{Name: "bad", Raw: "!!!"}); err == nil {
 		t.Error("bad base64 accepted")
+	}
+}
+
+// TestImportNodeTable runs single-node graphs over one [1,3,8,8] input. The
+// malformed nodes must be refused with an error (each used to panic with an
+// index out of range); the Concat rows pin NCHW→NHWC axis mapping, where
+// axis -1 is width, as axis 3 is.
+func TestImportNodeTable(t *testing.T) {
+	var inits []InitializerProto
+	for name, shape := range map[string]tensor.Shape{"w": {4, 3, 3, 3}, "w2": {4, 3}} {
+		ip, err := EncodeInitializer(name, tensor.New(tensor.Float32, shape))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inits = append(inits, ip)
+	}
+	cases := []struct {
+		name  string
+		node  NodeProto
+		want  tensor.Shape // output type, when the node is well-formed
+		error string       // error substring, when it is not
+	}{
+		{"relu without input", NodeProto{OpType: "Relu", Input: []string{}, Output: []string{"y"}}, nil, "expects 1 input"},
+		{"relu without output", NodeProto{OpType: "Relu", Input: []string{"x"}, Output: []string{}}, nil, "expects 1 output"},
+		{"maxpool with one pad", NodeProto{OpType: "MaxPool", Input: []string{"x"}, Output: []string{"y"},
+			Attribute: map[string]interface{}{"pads": []interface{}{0.0}}}, nil, "want 4 ints"},
+		{"conv without weight", NodeProto{OpType: "Conv", Input: []string{"x"}, Output: []string{"y"}}, nil, "expects x, weight"},
+		{"conv with rank-2 weight", NodeProto{OpType: "Conv", Input: []string{"x", "w2"}, Output: []string{"y"}}, nil, "want float32 OIHW"},
+		{"conv weight from a value", NodeProto{OpType: "Conv", Input: []string{"x", "x"}, Output: []string{"y"}}, nil, "missing parameter"},
+		{"gemm without weight", NodeProto{OpType: "Gemm", Input: []string{"x"}, Output: []string{"y"}}, nil, "expects x, weight"},
+		{"add with one input", NodeProto{OpType: "Add", Input: []string{"x"}, Output: []string{"y"}}, nil, "expects 2 inputs"},
+		{"batchnorm without stats", NodeProto{OpType: "BatchNormalization", Input: []string{"x"}, Output: []string{"y"}}, nil, "x + 4 params"},
+		{"concat of nothing", NodeProto{OpType: "Concat", Input: nil, Output: []string{"y"}}, nil, "no inputs"},
+		{"concat axis 4", NodeProto{OpType: "Concat", Input: []string{"x", "x"}, Output: []string{"y"},
+			Attribute: map[string]interface{}{"axis": 4.0}}, nil, "out of range"},
+		{"conv", NodeProto{OpType: "Conv", Input: []string{"x", "w"}, Output: []string{"y"}}, tensor.Shape{1, 6, 6, 4}, ""},
+		{"concat axis -1", NodeProto{OpType: "Concat", Input: []string{"x", "x"}, Output: []string{"y"},
+			Attribute: map[string]interface{}{"axis": -1.0}}, tensor.Shape{1, 8, 16, 3}, ""},
+		{"concat axis 3", NodeProto{OpType: "Concat", Input: []string{"x", "x"}, Output: []string{"y"},
+			Attribute: map[string]interface{}{"axis": 3.0}}, tensor.Shape{1, 8, 16, 3}, ""},
+		{"concat axis 1", NodeProto{OpType: "Concat", Input: []string{"x", "x"}, Output: []string{"y"}},
+			tensor.Shape{1, 8, 8, 6}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := Import(&ModelProto{Graph: GraphProto{
+				Input:       []ValueInfoProto{{Name: "x", Shape: []int{1, 3, 8, 8}}},
+				Node:        []NodeProto{c.node},
+				Output:      []string{"y"},
+				Initializer: inits,
+			}})
+			if c.error != "" {
+				if err == nil || !strings.Contains(err.Error(), c.error) {
+					t.Fatalf("error %v, want one containing %q", err, c.error)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ret := m.Main().CheckedType().(*relay.FuncType).Ret; !ret.Same(relay.TType(tensor.Float32, c.want...)) {
+				t.Errorf("output %s, want %s", ret, c.want)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/frontend"
 	"repro/internal/tensor"
 )
 
@@ -129,7 +130,8 @@ func (b *Builder) Conv2D(input, filters, kernel, stride, padding, fusedAct int) 
 		inputs = append(inputs, bIdx)
 	}
 
-	oh, ow := convOut(in.Shape[1], kernel, stride, padding), convOut(in.Shape[2], kernel, stride, padding)
+	oh := frontend.OutDim(in.Shape[1], kernel, stride, padding == PaddingSame)
+	ow := frontend.OutDim(in.Shape[2], kernel, stride, padding == PaddingSame)
 	var oq *tensor.QuantParams
 	dt := tensor.Float32
 	if quantized {
@@ -173,7 +175,8 @@ func (b *Builder) DepthwiseConv2D(input, kernel, stride, padding, fusedAct int) 
 		inputs = append(inputs, b.addTensor(fmt.Sprintf("b%d", len(b.m.Tensors)),
 			tensor.Float32, []int{c}, nil, b.addBuffer(bias)))
 	}
-	oh, ow := convOut(in.Shape[1], kernel, stride, padding), convOut(in.Shape[2], kernel, stride, padding)
+	oh := frontend.OutDim(in.Shape[1], kernel, stride, padding == PaddingSame)
+	ow := frontend.OutDim(in.Shape[2], kernel, stride, padding == PaddingSame)
 	var oq *tensor.QuantParams
 	dt := tensor.Float32
 	if quantized {
@@ -193,13 +196,6 @@ func (b *Builder) DepthwiseConv2D(input, kernel, stride, padding, fusedAct int) 
 	return out
 }
 
-func convOut(in, k, s, padding int) int {
-	if padding == PaddingSame {
-		return (in + s - 1) / s
-	}
-	return (in-k)/s + 1
-}
-
 // Pool appends a max/average pool with VALID padding.
 func (b *Builder) Pool(opcode, input, filter, stride int) int {
 	return b.PoolPadded(opcode, input, filter, stride, PaddingValid)
@@ -212,8 +208,8 @@ func (b *Builder) PoolPadded(opcode, input, filter, stride, padding int) int {
 		return -1
 	}
 	in := b.m.Tensors[input]
-	oh := convOut(in.Shape[1], filter, stride, padding)
-	ow := convOut(in.Shape[2], filter, stride, padding)
+	oh := frontend.OutDim(in.Shape[1], filter, stride, padding == PaddingSame)
+	ow := frontend.OutDim(in.Shape[2], filter, stride, padding == PaddingSame)
 	out := b.addTensor(fmt.Sprintf("pool%d", len(b.m.Tensors)), in.DType,
 		[]int{in.Shape[0], oh, ow, in.Shape[3]}, in.Quant, -1)
 	b.m.Operators = append(b.m.Operators, Operator{

@@ -3,9 +3,9 @@ package tflite
 import (
 	"fmt"
 
+	"repro/internal/frontend"
 	"repro/internal/relay"
 	"repro/internal/tensor"
-	"repro/internal/verify"
 )
 
 // FromTFLite lowers a parsed model to relay. Quantized operators become
@@ -42,33 +42,15 @@ func Lower(m *Model) (*relay.Module, error) {
 			return nil, fmt.Errorf("tflite: operator %d (opcode %d): %w", i, op.Opcode, err)
 		}
 	}
-	var body relay.Expr
-	switch len(m.Outputs) {
-	case 0:
-		return nil, fmt.Errorf("tflite: model has no outputs")
-	case 1:
-		body = imp.values[m.Outputs[0]]
-	default:
-		fields := make([]relay.Expr, len(m.Outputs))
-		for i, o := range m.Outputs {
-			if imp.values[o] == nil {
-				return nil, fmt.Errorf("tflite: output tensor %d never produced", o)
-			}
-			fields[i] = imp.values[o]
+	outputs := make([]relay.Expr, len(m.Outputs))
+	names := make([]string, len(m.Outputs))
+	for i, o := range m.Outputs {
+		names[i] = fmt.Sprint("tensor ", o)
+		if o >= 0 && o < len(imp.values) {
+			outputs[i] = imp.values[o]
 		}
-		body = relay.NewTuple(fields)
 	}
-	if body == nil {
-		return nil, fmt.Errorf("tflite: output tensor never produced")
-	}
-	mod := relay.NewModule(relay.NewFunc(vars, body))
-	if err := relay.InferModule(mod); err != nil {
-		return nil, fmt.Errorf("tflite: imported module ill-typed: %w", err)
-	}
-	if err := verify.ModuleErr(mod, verify.Options{}); err != nil {
-		return nil, fmt.Errorf("tflite: imported module failed IR verification: %w", err)
-	}
-	return mod, nil
+	return frontend.Finish("tflite", vars, outputs, names)
 }
 
 type importer struct {
@@ -108,25 +90,6 @@ func (imp *importer) set(ti int, e relay.Expr) error {
 	}
 	imp.values[ti] = e
 	return nil
-}
-
-// samePad computes TFLite SAME padding: [top, left, bottom, right].
-func samePad(inH, inW, kh, kw, sh, sw int) []int {
-	pad := func(in, k, s int) (int, int) {
-		var total int
-		if in%s == 0 {
-			total = k - s
-		} else {
-			total = k - in%s
-		}
-		if total < 0 {
-			total = 0
-		}
-		return total / 2, total - total/2
-	}
-	t, b := pad(inH, kh, sh)
-	l, r := pad(inW, kw, sw)
-	return []int{t, l, b, r}
 }
 
 func (imp *importer) fusedActivation(e relay.Expr, act int) (relay.Expr, error) {
@@ -273,7 +236,7 @@ func (imp *importer) convertConv(op Operator) error {
 	sw := op.optInt("stride_w", 1)
 	var pad []int
 	if op.optInt("padding", PaddingSame) == PaddingSame {
-		pad = samePad(dataT.Shape[1], dataT.Shape[2], kh, kw, sh, sw)
+		pad = frontend.SamePad(dataT.Shape[1], dataT.Shape[2], kh, kw, sh, sw)
 	} else {
 		pad = []int{0, 0}
 	}
@@ -383,7 +346,7 @@ func (imp *importer) convertPool(op Operator) error {
 	sw := op.optInt("stride_w", 2)
 	var pad []int
 	if op.optInt("padding", PaddingValid) == PaddingSame {
-		pad = samePad(dataT.Shape[1], dataT.Shape[2], kh, kw, sh, sw)
+		pad = frontend.SamePad(dataT.Shape[1], dataT.Shape[2], kh, kw, sh, sw)
 	} else {
 		pad = []int{0, 0}
 	}

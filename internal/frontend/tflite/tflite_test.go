@@ -242,16 +242,3 @@ func TestQuantizedNeuroPilotOnly(t *testing.T) {
 		}
 	}
 }
-
-func TestSamePadHelper(t *testing.T) {
-	// 16x16, k3 s2: TFLite SAME gives output 8 and pad total 1 (0 top, 1 bottom).
-	p := samePad(16, 16, 3, 3, 2, 2)
-	if p[0] != 0 || p[2] != 1 {
-		t.Errorf("samePad = %v", p)
-	}
-	// k3 s1: symmetric 1/1.
-	p = samePad(16, 16, 3, 3, 1, 1)
-	if p[0] != 1 || p[2] != 1 {
-		t.Errorf("samePad s1 = %v", p)
-	}
-}

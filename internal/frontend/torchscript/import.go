@@ -3,9 +3,8 @@ package torchscript
 import (
 	"fmt"
 
+	"repro/internal/frontend"
 	"repro/internal/relay"
-	"repro/internal/tensor"
-	"repro/internal/verify"
 )
 
 // FromTorch imports a traced graph + state dict into a relay module —
@@ -13,369 +12,107 @@ import (
 // data input expects NHWC tensors and convolution weights have been permuted
 // OIHW→OHWI at import time.
 func FromTorch(g *Graph, params StateDict) (*relay.Module, error) {
-	if len(g.Inputs) == 0 {
-		return nil, fmt.Errorf("torchscript: graph has no inputs")
-	}
-	imp := &importer{values: map[string]relay.Expr{}, params: params}
-	var vars []*relay.Var
+	fg := frontend.NewGraph(params)
 	for _, in := range g.Inputs {
 		if in.DType != "" && in.DType != "float32" {
 			return nil, fmt.Errorf("torchscript: input %q dtype %s unsupported", in.Name, in.DType)
 		}
-		shape, err := nchwToNHWC(in.Shape)
-		if err != nil {
-			return nil, fmt.Errorf("torchscript: input %q: %v", in.Name, err)
+		if err := fg.Input(in.Name, in.Shape); err != nil {
+			return nil, fmt.Errorf("torchscript: %w", err)
 		}
-		v := relay.NewVar(in.Name, relay.TType(tensor.Float32, shape...))
-		imp.values[in.Name] = v
-		vars = append(vars, v)
 	}
 	for i, n := range g.Nodes {
-		if err := imp.convertNode(n); err != nil {
+		if err := convertNode(fg, n); err != nil {
 			return nil, fmt.Errorf("torchscript: node %d (%s): %w", i, n.Op, err)
 		}
 	}
-	var body relay.Expr
-	switch len(g.Outputs) {
-	case 0:
-		return nil, fmt.Errorf("torchscript: graph has no outputs")
-	case 1:
-		body = imp.values[g.Outputs[0]]
-	default:
-		fields := make([]relay.Expr, len(g.Outputs))
-		for i, o := range g.Outputs {
-			fields[i] = imp.values[o]
-			if fields[i] == nil {
-				return nil, fmt.Errorf("torchscript: unknown output %q", o)
-			}
+	return fg.Finish("torchscript", g.Outputs)
+}
+
+// pairAttrs are the (height, width) attributes the importer reads.
+var pairAttrs = []string{"kernel_size", "stride", "padding", "dilation", "output_size"}
+
+func convertNode(g *frontend.Graph, n Node) error {
+	for _, key := range pairAttrs {
+		if v, ok := n.Attrs[key]; ok && len(n.attrInts(key, nil)) != 2 {
+			return fmt.Errorf("attribute %s = %v: want 2 ints", key, v)
 		}
-		body = relay.NewTuple(fields)
 	}
-	if body == nil {
-		return nil, fmt.Errorf("torchscript: unknown output %q", g.Outputs[0])
-	}
-	m := relay.NewModule(relay.NewFunc(vars, body))
-	if err := relay.InferModule(m); err != nil {
-		return nil, fmt.Errorf("torchscript: imported module ill-typed: %w", err)
-	}
-	if err := verify.ModuleErr(m, verify.Options{}); err != nil {
-		return nil, fmt.Errorf("torchscript: imported module failed IR verification: %w", err)
-	}
-	return m, nil
-}
-
-// nchwToNHWC converts a 4-D shape; 2-D shapes pass through.
-func nchwToNHWC(s []int) ([]int, error) {
-	switch len(s) {
-	case 4:
-		return []int{s[0], s[2], s[3], s[1]}, nil
-	case 2:
-		return append([]int(nil), s...), nil
-	}
-	return nil, fmt.Errorf("rank-%d shape %v unsupported", len(s), s)
-}
-
-type importer struct {
-	values map[string]relay.Expr
-	params StateDict
-}
-
-func (imp *importer) value(name string) (relay.Expr, error) {
-	if e, ok := imp.values[name]; ok {
-		return e, nil
-	}
-	if p, ok := imp.params[name]; ok {
-		c := relay.Const(p)
-		imp.values[name] = c
-		return c, nil
-	}
-	return nil, fmt.Errorf("unknown value %q", name)
-}
-
-// param fetches a raw parameter tensor (bypassing the value map).
-func (imp *importer) param(name string) (*tensor.Tensor, error) {
-	p, ok := imp.params[name]
-	if !ok {
-		return nil, fmt.Errorf("missing parameter %q", name)
-	}
-	return p, nil
-}
-
-func (imp *importer) set(name string, e relay.Expr) error {
-	if _, err := relay.InferTypes(e); err != nil {
-		return err
-	}
-	imp.values[name] = e
-	return nil
-}
-
-func (imp *importer) convertNode(n Node) error {
+	in, out := n.Inputs, n.Output
 	switch n.Op {
 	case "aten::_convolution", "aten::conv2d":
-		return imp.convertConv(n)
+		return g.Conv(in, out, relay.Attrs{"strides": n.attrInts("stride", []int{1, 1}),
+			"padding": n.attrInts("padding", []int{0, 0}), "dilation": n.attrInts("dilation", []int{1, 1}),
+			"groups": n.attrInt("groups", 1)})
 	case "aten::relu":
-		return imp.unary(n, relay.OpReLU, nil)
+		return g.Unary(in, out, relay.OpReLU, nil)
 	case "aten::leaky_relu":
-		return imp.unary(n, relay.OpLeakyReLU, relay.Attrs{"alpha": n.attrFloat("negative_slope", 0.01)})
+		return g.Unary(in, out, relay.OpLeakyReLU, relay.Attrs{"alpha": n.attrFloat("negative_slope", 0.01)})
 	case "aten::sigmoid":
-		return imp.unary(n, relay.OpSigmoid, nil)
+		return g.Unary(in, out, relay.OpSigmoid, nil)
 	case "aten::tanh":
-		return imp.unary(n, relay.OpTanh, nil)
+		return g.Unary(in, out, relay.OpTanh, nil)
 	case "aten::hardtanh":
-		return imp.unary(n, relay.OpClip, relay.Attrs{
+		return g.Unary(in, out, relay.OpClip, relay.Attrs{
 			"a_min": n.attrFloat("min_val", 0), "a_max": n.attrFloat("max_val", 6)})
 	case "aten::dropout":
-		return imp.unary(n, relay.OpDropout, relay.Attrs{"rate": n.attrFloat("p", 0.5)})
-	case "aten::max_pool2d":
+		return g.Unary(in, out, relay.OpDropout, relay.Attrs{"rate": n.attrFloat("p", 0.5)})
+	case "aten::max_pool2d", "aten::avg_pool2d":
 		k := n.attrInts("kernel_size", []int{2, 2})
-		s := n.attrInts("stride", k)
-		return imp.unary(n, relay.OpMaxPool2D, relay.Attrs{"pool_size": k, "strides": s})
-	case "aten::avg_pool2d":
-		k := n.attrInts("kernel_size", []int{2, 2})
-		s := n.attrInts("stride", k)
-		return imp.unary(n, relay.OpAvgPool2D, relay.Attrs{"pool_size": k, "strides": s})
-	case "aten::adaptive_avg_pool2d":
-		out := n.attrInts("output_size", []int{1, 1})
-		if len(out) != 2 || out[0] != 1 || out[1] != 1 {
-			return fmt.Errorf("adaptive_avg_pool2d only supports 1x1 output, got %v", out)
+		op := relay.OpMaxPool2D
+		if n.Op == "aten::avg_pool2d" {
+			op = relay.OpAvgPool2D
 		}
-		return imp.unary(n, relay.OpGlobalAvgPool, nil)
+		return g.Unary(in, out, op, relay.Attrs{"pool_size": k, "strides": n.attrInts("stride", k)})
+	case "aten::adaptive_avg_pool2d":
+		size := n.attrInts("output_size", []int{1, 1})
+		if size[0] != 1 || size[1] != 1 {
+			return fmt.Errorf("adaptive_avg_pool2d only supports 1x1 output, got %v", size)
+		}
+		return g.Unary(in, out, relay.OpGlobalAvgPool, nil)
 	case "aten::batch_norm":
-		return imp.convertBatchNorm(n)
+		return g.BatchNorm(in, out, relay.Attrs{"epsilon": n.attrFloat("eps", 1e-5)})
 	case "aten::add":
-		return imp.binary(n, relay.OpAdd)
+		return g.Binary(in, out, relay.OpAdd)
 	case "aten::mul":
-		return imp.binary(n, relay.OpMultiply)
+		return g.Binary(in, out, relay.OpMultiply)
 	case "aten::cat":
-		return imp.convertCat(n)
+		return g.Concat(in, out, n.attrInt("dim", 1))
 	case "aten::mean":
-		return imp.convertMean(n)
+		return convertMean(g, n)
 	case "aten::flatten":
-		return imp.convertFlatten(n)
+		return g.Flatten(in, out)
 	case "aten::linear":
-		return imp.convertLinear(n)
+		return g.Dense(in, out)
 	case "aten::softmax":
-		return imp.convertSoftmax(n)
+		return convertSoftmax(g, n)
 	case "aten::upsample_nearest2d":
-		return imp.unary(n, relay.OpUpsampling,
+		return g.Unary(in, out, relay.OpUpsampling,
 			relay.Attrs{"scale": n.attrInt("scale_factor", 2), "method": "nearest"})
 	}
 	return fmt.Errorf("aten operator %q not supported by the importer", n.Op)
 }
 
-func (imp *importer) unary(n Node, op *relay.Op, attrs relay.Attrs) error {
-	if len(n.Inputs) != 1 {
-		return fmt.Errorf("expects 1 input, got %d", len(n.Inputs))
-	}
-	x, err := imp.value(n.Inputs[0])
-	if err != nil {
-		return err
-	}
-	return imp.set(n.Output, relay.NewCall(op, []relay.Expr{x}, attrs))
-}
-
-func (imp *importer) binary(n Node, op *relay.Op) error {
-	if len(n.Inputs) != 2 {
-		return fmt.Errorf("expects 2 inputs, got %d", len(n.Inputs))
-	}
-	a, err := imp.value(n.Inputs[0])
-	if err != nil {
-		return err
-	}
-	b, err := imp.value(n.Inputs[1])
-	if err != nil {
-		return err
-	}
-	return imp.set(n.Output, relay.NewCall(op, []relay.Expr{a, b}, nil))
-}
-
-// permuteOIHWtoOHWI rewrites conv weights into the stack's layout.
-func permuteOIHWtoOHWI(w *tensor.Tensor) *tensor.Tensor {
-	o, i, kh, kw := w.Shape[0], w.Shape[1], w.Shape[2], w.Shape[3]
-	out := tensor.New(tensor.Float32, tensor.Shape{o, kh, kw, i})
-	src := w.F32()
-	dst := out.F32()
-	for oo := 0; oo < o; oo++ {
-		for ii := 0; ii < i; ii++ {
-			for y := 0; y < kh; y++ {
-				for x := 0; x < kw; x++ {
-					dst[((oo*kh+y)*kw+x)*i+ii] = src[((oo*i+ii)*kh+y)*kw+x]
-				}
-			}
-		}
-	}
-	return out
-}
-
-func (imp *importer) convertConv(n Node) error {
-	if len(n.Inputs) < 2 {
-		return fmt.Errorf("convolution expects x, weight[, bias]")
-	}
-	x, err := imp.value(n.Inputs[0])
-	if err != nil {
-		return err
-	}
-	w, err := imp.param(n.Inputs[1])
-	if err != nil {
-		return err
-	}
-	if len(w.Shape) != 4 {
-		return fmt.Errorf("conv weight rank %d", len(w.Shape))
-	}
-	stride := n.attrInts("stride", []int{1, 1})
-	pad := n.attrInts("padding", []int{0, 0})
-	dilation := n.attrInts("dilation", []int{1, 1})
-	groups := n.attrInt("groups", 1)
-	conv := relay.NewCall(relay.OpConv2D,
-		[]relay.Expr{x, relay.Const(permuteOIHWtoOHWI(w))},
-		relay.Attrs{"strides": stride, "padding": pad, "dilation": dilation, "groups": groups})
-	out := relay.Expr(conv)
-	if len(n.Inputs) >= 3 {
-		b, err := imp.param(n.Inputs[2])
-		if err != nil {
-			return err
-		}
-		out = relay.NewCall(relay.OpBiasAdd, []relay.Expr{conv, relay.Const(b)}, nil)
-	}
-	return imp.set(n.Output, out)
-}
-
-func (imp *importer) convertBatchNorm(n Node) error {
-	if len(n.Inputs) != 5 {
-		return fmt.Errorf("batch_norm expects x + 4 params")
-	}
-	x, err := imp.value(n.Inputs[0])
-	if err != nil {
-		return err
-	}
-	args := []relay.Expr{x}
-	for _, pn := range n.Inputs[1:] {
-		p, err := imp.param(pn)
-		if err != nil {
-			return err
-		}
-		args = append(args, relay.Const(p))
-	}
-	return imp.set(n.Output, relay.NewCall(relay.OpBatchNorm, args,
-		relay.Attrs{"epsilon": n.attrFloat("eps", 1e-5)}))
-}
-
-func (imp *importer) convertCat(n Node) error {
-	fields := make([]relay.Expr, len(n.Inputs))
-	var rank int
-	for i, in := range n.Inputs {
-		e, err := imp.value(in)
-		if err != nil {
-			return err
-		}
-		fields[i] = e
-		if tt, ok := e.CheckedType().(*relay.TensorType); ok {
-			rank = len(tt.Shape)
-		}
-	}
-	dim := n.attrInt("dim", 1)
-	axis, err := translateAxis(dim, rank)
-	if err != nil {
-		return err
-	}
-	return imp.set(n.Output, relay.NewCall(relay.OpConcatenate,
-		[]relay.Expr{relay.NewTuple(fields)}, relay.Attrs{"axis": axis}))
-}
-
-// translateAxis maps an NCHW dim to the NHWC axis for 4-D values (identity
-// for 2-D).
-func translateAxis(dim, rank int) (int, error) {
-	if dim < 0 {
-		dim += rank
-	}
-	if rank != 4 {
-		return dim, nil
-	}
-	switch dim {
-	case 0:
-		return 0, nil
-	case 1:
-		return 3, nil
-	case 2:
-		return 1, nil
-	case 3:
-		return 2, nil
-	}
-	return 0, fmt.Errorf("dim %d out of range", dim)
-}
-
-func (imp *importer) convertMean(n Node) error {
-	x, err := imp.value(n.Inputs[0])
+func convertMean(g *frontend.Graph, n Node) error {
+	x, tt, err := g.Operand(n.Inputs)
 	if err != nil {
 		return err
 	}
 	dims := n.attrInts("dim", nil)
-	tt, ok := x.CheckedType().(*relay.TensorType)
-	if !ok {
-		return fmt.Errorf("mean input is not a tensor")
-	}
 	axes := make([]int, len(dims))
 	for i, d := range dims {
-		a, err := translateAxis(d, len(tt.Shape))
-		if err != nil {
+		if axes[i], err = frontend.NCHWAxis(d, len(tt.Shape)); err != nil {
 			return err
 		}
-		axes[i] = a
 	}
-	return imp.set(n.Output, relay.NewCall(relay.OpMean, []relay.Expr{x},
+	return g.Set(n.Output, relay.NewCall(relay.OpMean, []relay.Expr{x},
 		relay.Attrs{"axis": axes, "keepdims": false}))
 }
 
-func (imp *importer) convertFlatten(n Node) error {
-	x, err := imp.value(n.Inputs[0])
+func convertSoftmax(g *frontend.Graph, n Node) error {
+	x, tt, err := g.Operand(n.Inputs)
 	if err != nil {
 		return err
-	}
-	tt, ok := x.CheckedType().(*relay.TensorType)
-	if !ok {
-		return fmt.Errorf("flatten input is not a tensor")
-	}
-	if len(tt.Shape) == 4 && (tt.Shape[1] != 1 || tt.Shape[2] != 1) {
-		// Flattening a spatial NCHW tensor produces a channel-major order
-		// this NHWC importer cannot reproduce without a transpose; the
-		// models in the zoo flatten only after global pooling.
-		return fmt.Errorf("flatten of non-1x1 spatial tensor %s is layout-ambiguous; "+
-			"pool to 1x1 first", tt.Shape)
-	}
-	return imp.set(n.Output, relay.NewCall(relay.OpBatchFlatten, []relay.Expr{x}, nil))
-}
-
-func (imp *importer) convertLinear(n Node) error {
-	if len(n.Inputs) < 2 {
-		return fmt.Errorf("linear expects x, weight[, bias]")
-	}
-	x, err := imp.value(n.Inputs[0])
-	if err != nil {
-		return err
-	}
-	w, err := imp.param(n.Inputs[1])
-	if err != nil {
-		return err
-	}
-	out := relay.Expr(relay.NewCall(relay.OpDense, []relay.Expr{x, relay.Const(w)}, nil))
-	if len(n.Inputs) >= 3 {
-		b, err := imp.param(n.Inputs[2])
-		if err != nil {
-			return err
-		}
-		out = relay.NewCall(relay.OpBiasAdd, []relay.Expr{out, relay.Const(b)}, nil)
-	}
-	return imp.set(n.Output, out)
-}
-
-func (imp *importer) convertSoftmax(n Node) error {
-	x, err := imp.value(n.Inputs[0])
-	if err != nil {
-		return err
-	}
-	tt, ok := x.CheckedType().(*relay.TensorType)
-	if !ok {
-		return fmt.Errorf("softmax input is not a tensor")
 	}
 	dim := n.attrInt("dim", -1)
 	if dim < 0 {
@@ -384,5 +121,5 @@ func (imp *importer) convertSoftmax(n Node) error {
 	if dim != len(tt.Shape)-1 {
 		return fmt.Errorf("softmax over dim %d of rank-%d value unsupported (last dim only)", dim, len(tt.Shape))
 	}
-	return imp.set(n.Output, relay.NewCall(relay.OpSoftmax, []relay.Expr{x}, nil))
+	return g.Set(n.Output, relay.NewCall(relay.OpSoftmax, []relay.Expr{x}, nil))
 }

@@ -372,8 +372,7 @@ func refUpsampleNCHW(x *tensor.Tensor, scale int) *tensor.Tensor {
 	return out
 }
 
-// NCHWToNHWC converts an activation tensor between layouts (test helper and
-// app-side input adapter).
+// NCHWToNHWC converts an activation tensor between layouts.
 func NCHWToNHWC(x *tensor.Tensor) *tensor.Tensor {
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	out := tensor.New(x.DType, tensor.Shape{n, h, w, c})

@@ -2,6 +2,7 @@ package torchscript
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/relay"
@@ -224,5 +225,55 @@ func TestLinearAfterGlobalPool(t *testing.T) {
 	if !tensor.AllClose(gm.MustOutput(0), refOut[g.Outputs[0]], 1e-4, 1e-4) {
 		t.Errorf("linear head differs from reference, max %g",
 			tensor.MaxAbsDiff(gm.MustOutput(0), refOut[g.Outputs[0]]))
+	}
+}
+
+// TestImportNodeTable runs single-node graphs over one [1,3,8,8] input: the
+// malformed nodes must be refused with an error (the no-input mean, flatten
+// and softmax used to panic with an index out of range).
+func TestImportNodeTable(t *testing.T) {
+	sd := StateDict{"w": tensor.New(tensor.Float32, tensor.Shape{4, 3, 3, 3})}
+	cases := []struct {
+		name  string
+		node  Node
+		want  tensor.Shape // output type, when the node is well-formed
+		error string       // error substring, when it is not
+	}{
+		{"mean without input", Node{Op: "aten::mean", Output: "y", Attrs: map[string]interface{}{"dim": []int{2, 3}}}, nil, "expects 1 input"},
+		{"flatten without input", Node{Op: "aten::flatten", Output: "y"}, nil, "expects 1 input"},
+		{"softmax without input", Node{Op: "aten::softmax", Output: "y"}, nil, "expects 1 input"},
+		{"relu of two inputs", Node{Op: "aten::relu", Inputs: []string{"x", "x"}, Output: "y"}, nil, "expects 1 input"},
+		{"linear without weight", Node{Op: "aten::linear", Inputs: []string{"x"}, Output: "y"}, nil, "expects x, weight"},
+		{"conv with 3-int padding", Node{Op: "aten::conv2d", Inputs: []string{"x", "w"}, Output: "y",
+			Attrs: map[string]interface{}{"padding": []int{1, 1, 1}}}, nil, "want 2 ints"},
+		{"mean over dim 4", Node{Op: "aten::mean", Inputs: []string{"x"}, Output: "y",
+			Attrs: map[string]interface{}{"dim": []int{4}}}, nil, "out of range"},
+		{"conv", Node{Op: "aten::conv2d", Inputs: []string{"x", "w"}, Output: "y",
+			Attrs: map[string]interface{}{"padding": []int{1, 1}}}, tensor.Shape{1, 8, 8, 4}, ""},
+		{"cat dim -1", Node{Op: "aten::cat", Inputs: []string{"x", "x"}, Output: "y",
+			Attrs: map[string]interface{}{"dim": -1}}, tensor.Shape{1, 8, 16, 3}, ""},
+		{"mean over H, W", Node{Op: "aten::mean", Inputs: []string{"x"}, Output: "y",
+			Attrs: map[string]interface{}{"dim": []int{-2, -1}}}, tensor.Shape{1, 3}, ""},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := FromTorch(&Graph{
+				Inputs:  []ValueInfo{{Name: "x", Shape: []int{1, 3, 8, 8}}},
+				Nodes:   []Node{c.node},
+				Outputs: []string{"y"},
+			}, sd)
+			if c.error != "" {
+				if err == nil || !strings.Contains(err.Error(), c.error) {
+					t.Fatalf("error %v, want one containing %q", err, c.error)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ret := m.Main().CheckedType().(*relay.FuncType).Ret; !ret.Same(relay.TType(tensor.Float32, c.want...)) {
+				t.Errorf("output %s, want %s", ret, c.want)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package torchscript
 import (
 	"fmt"
 
+	"repro/internal/frontend"
 	"repro/internal/tensor"
 )
 
@@ -82,8 +83,8 @@ func (t *Tracer) Conv2D(x string, outC, kernel, stride, pad, groups int) string 
 	bName := t.fresh("bias")
 	t.newParam(wName, tensor.Shape{outC, inC / groups, kernel, kernel}, kernel*kernel*inC/groups, outC)
 	t.params[bName] = tensor.New(tensor.Float32, tensor.Shape{outC})
-	oh := (s[2]+2*pad-kernel)/stride + 1
-	ow := (s[3]+2*pad-kernel)/stride + 1
+	oh := frontend.OutDim(s[2]+2*pad, kernel, stride, false)
+	ow := frontend.OutDim(s[3]+2*pad, kernel, stride, false)
 	out := t.fresh("conv")
 	return t.node("aten::_convolution", out, []string{x, wName, bName}, map[string]interface{}{
 		"stride":   []interface{}{float64(stride), float64(stride)},
@@ -128,8 +129,8 @@ func (t *Tracer) MaxPool2D(x string, kernel, stride int) string {
 		return t.fail("max_pool input %q shape %v", x, s)
 	}
 	out := t.fresh("pool")
-	oh := (s[2]-kernel)/stride + 1
-	ow := (s[3]-kernel)/stride + 1
+	oh := frontend.OutDim(s[2], kernel, stride, false)
+	ow := frontend.OutDim(s[3], kernel, stride, false)
 	return t.node("aten::max_pool2d", out, []string{x}, map[string]interface{}{
 		"kernel_size": []interface{}{float64(kernel), float64(kernel)},
 		"stride":      []interface{}{float64(stride), float64(stride)},

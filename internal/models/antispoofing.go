@@ -39,6 +39,34 @@ func deePixBiSConfig(size Size) deePixBiSCfg {
 // BuildDeePixBiS traces the model and reimports it through the TorchScript
 // frontend (serialize → parse → import), returning the relay module.
 func BuildDeePixBiS(size Size) (*relay.Module, error) {
+	g, sd, err := traceDeePixBiS(size).Trace()
+	if err != nil {
+		return nil, fmt.Errorf("models: tracing DeePixBiS: %w", err)
+	}
+	// Round-trip through the serialized artifact, as loading torch_path
+	// would (Listing 2's build_model + torch.jit.trace).
+	blob, err := torchscript.MarshalGraph(g)
+	if err != nil {
+		return nil, err
+	}
+	var wbuf bytes.Buffer
+	if err := sd.Save(&wbuf); err != nil {
+		return nil, err
+	}
+	g2, err := torchscript.UnmarshalGraph(blob)
+	if err != nil {
+		return nil, err
+	}
+	sd2, err := torchscript.LoadStateDict(&wbuf)
+	if err != nil {
+		return nil, err
+	}
+	return torchscript.FromTorch(g2, sd2)
+}
+
+// traceDeePixBiS defines the network on a tracer, as running
+// torch.jit.trace over the nn.Module would.
+func traceDeePixBiS(size Size) *torchscript.Tracer {
 	cfg := deePixBiSConfig(size)
 	tr := torchscript.NewTracer(0xDEE9)
 	x := tr.Input(1, 3, cfg.input, cfg.input)
@@ -73,30 +101,7 @@ func BuildDeePixBiS(size Size) (*relay.Module, error) {
 	pixmap := tr.Sigmoid(pix)
 	score := tr.MeanSpatial(pixmap)
 	tr.Output(pixmap, score)
-
-	g, sd, err := tr.Trace()
-	if err != nil {
-		return nil, fmt.Errorf("models: tracing DeePixBiS: %w", err)
-	}
-	// Round-trip through the serialized artifact, as loading torch_path
-	// would (Listing 2's build_model + torch.jit.trace).
-	blob, err := torchscript.MarshalGraph(g)
-	if err != nil {
-		return nil, err
-	}
-	var wbuf bytes.Buffer
-	if err := sd.Save(&wbuf); err != nil {
-		return nil, err
-	}
-	g2, err := torchscript.UnmarshalGraph(blob)
-	if err != nil {
-		return nil, err
-	}
-	sd2, err := torchscript.LoadStateDict(&wbuf)
-	if err != nil {
-		return nil, err
-	}
-	return torchscript.FromTorch(g2, sd2)
+	return tr
 }
 
 func init() {

@@ -156,22 +156,27 @@ func (b *onnxBuilder) softmax(x string) string {
 	return out
 }
 
-func (b *onnxBuilder) finish(outputs ...string) (*relay.Module, error) {
+func (b *onnxBuilder) marshal(outputs ...string) ([]byte, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	b.mp.Graph.Output = outputs
-	blob, err := onnx.Marshal(&b.mp)
-	if err != nil {
-		return nil, err
-	}
-	return onnx.FromONNX(blob)
+	return onnx.Marshal(&b.mp)
 }
 
 // BuildInceptionResNetV2 builds the Inception-ResNet-v2-structured
 // classifier (width 0.25): stem, three stages of residual inception blocks
 // with reductions, global pool head. Fully Neuron-supported.
 func BuildInceptionResNetV2(size Size) (*relay.Module, error) {
+	blob, err := inceptionResNetV2(size)
+	if err != nil {
+		return nil, err
+	}
+	return onnx.FromONNX(blob)
+}
+
+// inceptionResNetV2 emits the serialized ModelProto.
+func inceptionResNetV2(size Size) ([]byte, error) {
 	input, w := 299, 16
 	blocksA, blocksB, blocksC := 4, 8, 4 // 5/10/5 in the full network
 	if size == SizeLite {
@@ -225,7 +230,7 @@ func BuildInceptionResNetV2(size Size) (*relay.Module, error) {
 	x = b.flatten(x)
 	x = b.gemm(x, 1000, feat)
 	x = b.softmax(x)
-	return b.finish(x)
+	return b.marshal(x)
 }
 
 func init() {

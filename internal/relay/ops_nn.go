@@ -206,6 +206,9 @@ func inferBatchNorm(args []Type, attrs Attrs) (Type, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(data.Shape) == 0 {
+		return nil, fmt.Errorf("nn.batch_norm on scalar")
+	}
 	c := data.Shape[len(data.Shape)-1]
 	for i, nm := range []string{"gamma", "beta", "moving_mean", "moving_var"} {
 		t, err := AsTensorType(args[i+1], "nn.batch_norm "+nm)
