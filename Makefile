@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check build portable fmt vet test race lint npvet analyze fuzz-smoke bench-gate trace-demo tune-smoke fleet-smoke
+.PHONY: check build portable no-fma fmt vet test race lint npvet analyze fuzz-smoke bench-gate trace-demo tune-smoke fleet-smoke
 
 # check is the tier-1 gate: build + a cross-build for the architectures
-# without assembly + formatting + vet + race-enabled tests + cross-registry
-# lint + the custom npvet analyzers + the dataflow analyses over the model
-# zoo + a five-second run of each fuzz target.
-# Pre-commit hooks should run exactly this; CI runs the same nine
+# without assembly + the no-FMA scan of the kernel package + formatting +
+# vet + race-enabled tests + cross-registry lint + the custom npvet
+# analyzers + the dataflow analyses over the model zoo + a five-second run
+# of each fuzz target.
+# Pre-commit hooks should run exactly this; CI runs the same ten
 # prerequisites as named steps.
-check: build portable fmt vet race lint npvet analyze fuzz-smoke
+check: build portable no-fma fmt vet race lint npvet analyze fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -20,6 +21,26 @@ build:
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/topi
+
+# no-fma enforces the kernels' multiply-then-add rule (internal/topi/gemm.go):
+# it builds internal/topi's test binary for amd64 at GOAMD64=v1 and at v3 —
+# where the toolchain may use FMA — and fails if package topi's code holds
+# any VFMADD/VFNMADD/VFMSUB/VFNMSUB, then runs the package's tests at v3. A
+# fused multiply-add rounds once where every reference loop rounds twice, so
+# one would break the bitwise pins on some hosts and not others. The scan
+# reads the compiler's and the assembler's own listings (-S): go tool
+# objdump does not decode VEX-encoded instructions, and prints an FMA as an
+# unrelated legacy opcode.
+no-fma:
+	@set -e; for v in v1 v3; do \
+		lst=$$(GOARCH=amd64 GOAMD64=$$v $(GO) test -c -o /dev/null -gcflags=-S -asmflags=-S ./internal/topi 2>&1) || \
+			{ echo "$$lst" | grep -v '^[[:space:]]' ; exit 1; }; \
+		fma=$$(echo "$$lst" | grep -E '[[:space:]]VFN?M(ADD|SUB)' || true); \
+		if [ -n "$$fma" ]; then echo "no-fma: GOAMD64=$$v: fused multiply-add in package topi:"; \
+			echo "$$fma"; exit 1; fi; \
+		echo "no-fma: GOAMD64=$$v: no FMA in package topi"; \
+	done
+	GOARCH=amd64 GOAMD64=v3 $(GO) test ./internal/topi
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

@@ -17,9 +17,11 @@ import (
 // through the engine-efficiency factors of the cost model (see DESIGN.md §2).
 // Steady-state execution allocates almost nothing: per-call bookkeeping and
 // every intermediate tensor come from a per-model pool (execState), kernels
-// write into caller-supplied buffers via topi.RunInto, and quantized
-// conv/dense anchors with an absorbed requantize dispatch to the
-// single-launch fused kernels (topi/fused.go).
+// write into caller-supplied buffers via topi.RunInto, and conv/dense anchors
+// run their absorbed epilogue in the same launch (topi/fused.go): a quantized
+// anchor with an absorbed requantize dispatches to the fused kernel
+// (qnn.conv2d_fused, qnn.dense_fused), a float one hands its bias and
+// fused_activation to nn.conv2d / nn.dense itself.
 
 // execState holds the pooled per-Execute working set. One state serves one
 // Execute call at a time; CompiledModel.execState recycles it across calls
@@ -40,10 +42,11 @@ type execState struct {
 // opExec is the per-operation dispatch plan, derived once from the static
 // model so the per-call path does no attribute parsing or type construction.
 type opExec struct {
-	// kernel is the anchor kernel, or the fully fused kernel when fused.
+	// kernel is the anchor kernel, or the quantized fused kernel.
 	kernel string
-	// fused: the whole anchor→bias→requantize→activation chain runs as one
-	// launch; args pass through unchanged.
+	// fused: the whole anchor→bias→(requantize→)activation chain runs as one
+	// launch of kernel — a float conv/dense anchor, or a quantized one with
+	// an absorbed requantize; args and attrs pass through unchanged.
 	fused bool
 	// splitBias: args[2] is a bias absorbed by the fusion pass, applied by a
 	// separate nn.bias_add stage.
@@ -78,7 +81,14 @@ func buildOpExec(m *Model, op Operation) opExec {
 	}
 	quantized := isQuantizedOp(m, op)
 	e.kernel = KernelFor(op.Code, quantized)
-	e.splitBias = isFusionAnchor(op.Code) && op.Code != Add && len(op.Inputs) >= 3
+	convOrDense := isFusionAnchor(op.Code) && op.Code != Add
+	if !quantized && convOrDense {
+		// nn.conv2d and nn.dense take the bias as args[2] and
+		// fused_activation as their row epilogue.
+		e.fused = true
+		return e
+	}
+	e.splitBias = convOrDense && len(op.Inputs) >= 3
 	e.mainTy = e.finalTy
 	if !op.Attrs.Bool(FusedRequantAttr, false) {
 		return e

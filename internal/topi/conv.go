@@ -11,8 +11,11 @@ import (
 // the direct row (convDirectRow) and the im2col patch pack (packCol) are one
 // generic body over float32 | int32, the quantized side feeding them
 // operands widened once to (raw − zero point) — and differ only in the GEMM
-// tile they call. qnn.conv2d_fused and qnn.dense_fused (fused.go) are
-// qnn.conv2d and qnn.dense with an epilogue applied to each output row.
+// tile they call. Each launch may carry an epilogue applied to each output
+// row as soon as it is reduced (fused.go): qnn.conv2d_fused and
+// qnn.dense_fused are qnn.conv2d and qnn.dense with bias → requantize →
+// activation, and nn.conv2d and nn.dense take an optional bias and
+// fused_activation, the Neuron runtime's float operations.
 
 // conv2dParams gathers the attribute set shared by float and quantized
 // convolution.
@@ -54,51 +57,79 @@ func (g *convGeom) ocg() int    { return g.oc / g.groups }     // output channel
 func (g *convGeom) k() int      { return g.kh * g.kw * g.icg } // patch length
 func (g *convGeom) rowLen() int { return g.ow * g.oc }         // cells of one output row
 
-// conv2DF32 is the float32 convolution: NHWC data, OHWI weight.
+// conv2DF32 is the float32 convolution: NHWC data, OHWI weight. It also
+// takes the Neuron runtime's form of a CONV_2D or DEPTHWISE_CONV_2D
+// operation — an absorbed bias as args[2] and a fused_activation attribute —
+// and applies them as the row epilogue of the same launch (epilogueF32).
 func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := wantArgs(args, 2, "nn.conv2d"); err != nil {
+	ep, err := newEpilogueF32("nn.conv2d", args, attrs, out)
+	if err != nil {
 		return nil, err
 	}
 	data, weight := args[0], args[1]
 	p := convParams(attrs)
 	cfg := tunedConfig(taskKey("nn.conv2d", data.Shape, weight.Shape, data.DType, p))
-	return convF32(data, weight, p, out, dstBuf, cfg, convUseIm2col(cfg, out.Shape, weight.Shape, p.groups)), nil
+	return convF32(data, weight, p, out, dstBuf, cfg, convUseIm2col(cfg, out.Shape, weight.Shape, p.groups), ep), nil
 }
 
 // convF32 runs the float32 convolution by one strategy, parallel over
 // (batch × output row) — each worker owns disjoint output rows. The direct
 // strategy reduces every cell in place; im2col packs one output row's
-// patches per group into a col matrix (one row per output pixel, k
-// contiguous elements) and multiplies it against the cached weight panels.
-// Nested GEMM tile parallelism degrades to serial because this loop already
-// holds the worker-budget tokens.
-func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig, im2col bool) *tensor.Tensor {
+// patches per group straight into GEMM panels (packCol) and multiplies them
+// against the cached weight panels. Either way ep runs over each output row
+// as soon as it is reduced. Nested GEMM tile parallelism degrades to serial
+// because this loop already holds the worker-budget tokens; on a serial
+// answer the row loop is a plain call and the launch allocates nothing.
+func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig, im2col bool, ep epilogueF32) *tensor.Tensor {
 	res := output(dstBuf, out)
-	g := newConvGeom(p, data.Shape, weight.Shape, out.Shape)
-	din, wt, dout := data.F32(), weight.F32(), res.F32()
-	var pw *packedWeight[float32]
-	if im2col {
-		pw = packedConvWeightF32(weight, g.groups)
+	r := convRowsF32{
+		g:   newConvGeom(p, data.Shape, weight.Shape, out.Shape),
+		din: data.F32(), wt: weight.F32(), dout: res.F32(),
+		cfg: cfg, ep: ep,
 	}
-	parallel.ForChunkedOpts(data.Shape[0]*g.oh, cfg.chunkOpts(), func(lo, hi int) {
-		g := g
-		if !im2col {
-			for job := lo; job < hi; job++ {
-				convDirectRow(dout[job*g.rowLen():], din, wt, &g, job)
-			}
-			return
-		}
-		colP := getScratchF32(g.ow * g.k())
-		defer putScratchF32(colP)
-		for job := lo; job < hi; job++ {
-			for grp := 0; grp < g.groups; grp++ {
-				packCol(*colP, din, &g, job, grp)
-				gemmF32Cfg(g.ow, g.ocg(), g.k(), *colP, g.k(), pw.group(grp),
-					dout[job*g.rowLen()+grp*g.ocg():], g.oc, cfg)
-			}
-		}
-	})
+	if im2col {
+		r.pw = packedConvWeightF32(weight, r.g.groups)
+	}
+	rows := data.Shape[0] * r.g.oh
+	if workers := parallel.AcquireWorkers(rows, cfg.chunkOpts()); workers > 1 {
+		parallel.RunChunks(rows, workers, r.run)
+	} else {
+		r.run(0, rows)
+	}
 	return res
+}
+
+// convRowsF32 is one float convolution launch's row loop. It is passed by
+// value, so each worker runs on its own copy — geometry included — on its
+// own stack; pw is nil on the direct strategy.
+type convRowsF32 struct {
+	g             convGeom
+	din, wt, dout []float32
+	pw            *packedWeight[float32]
+	cfg           *KernelConfig
+	ep            epilogueF32
+}
+
+// run computes output rows [lo, hi).
+func (r convRowsF32) run(lo, hi int) {
+	g := &r.g
+	var colP *[]float32
+	if r.pw != nil {
+		colP = getScratchF32(colLen(g))
+		defer putScratchF32(colP)
+	}
+	for job := lo; job < hi; job++ {
+		row := r.dout[job*g.rowLen() : (job+1)*g.rowLen()]
+		if r.pw == nil {
+			convDirectRow(row, r.din, r.wt, g, job)
+		} else {
+			for grp := 0; grp < g.groups; grp++ {
+				packCol(*colP, r.din, g, job, grp)
+				gemmPackedF32(g.ow, g.ocg(), g.k(), *colP, r.pw.group(grp), row[grp*g.ocg():], g.oc, r.cfg)
+			}
+		}
+		r.ep.apply(row)
+	}
 }
 
 // convDirectRow computes output row job (= b·oh + oy) of the direct
@@ -218,7 +249,7 @@ func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *
 		g := g
 		var colP, accP *[]int32
 		if im2col {
-			colP = getScratchI32(g.ow * g.k())
+			colP = getScratchI32(colLen(&g))
 			defer putScratchI32(colP)
 		}
 		if ep != nil {
@@ -237,7 +268,7 @@ func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *
 			} else {
 				for grp := 0; grp < g.groups; grp++ {
 					packCol(*colP, din, &g, job, grp)
-					gemmI32Cfg(g.ow, g.ocg(), g.k(), *colP, g.k(), pw.group(grp),
+					gemmPackedI32(g.ow, g.ocg(), g.k(), *colP, pw.group(grp),
 						row[grp*g.ocg():], g.oc, cfg)
 				}
 			}
@@ -249,8 +280,12 @@ func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *
 	return res, nil
 }
 
+// denseF32 is nn.dense, and like conv2DF32 it also takes the Neuron
+// FULLY_CONNECTED form: a bias as args[2] and fused_activation, applied by
+// the epilogue once the GEMM has reduced the rows.
 func denseF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := wantArgs(args, 2, "nn.dense"); err != nil {
+	ep, err := newEpilogueF32("nn.dense", args, attrs, out)
+	if err != nil {
 		return nil, err
 	}
 	data, weight := args[0], args[1]
@@ -263,6 +298,7 @@ func denseF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, d
 	cfg := tunedConfig(taskKey("nn.dense", data.Shape, weight.Shape, data.DType, unitParams))
 	pw := packedConvWeightF32(weight, 1)
 	gemmF32Cfg(n, units, k, data.F32(), k, pw.data, res.F32(), units, cfg)
+	ep.apply(res.F32())
 	return res, nil
 }
 

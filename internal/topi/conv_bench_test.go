@@ -64,8 +64,8 @@ func BenchmarkConvStrategy(b *testing.B) {
 			name string
 			run  func()
 		}{
-			{"f32/direct", func() { convF32(data, weight, p, out, dst, nil, false) }},
-			{"f32/im2col", func() { convF32(data, weight, p, out, dst, nil, true) }},
+			{"f32/direct", func() { convF32(data, weight, p, out, dst, nil, false, epilogueF32{}) }},
+			{"f32/im2col", func() { convF32(data, weight, p, out, dst, nil, true, epilogueF32{}) }},
 			{"qnn/direct", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, nil, false, nil) }},
 			{"qnn/im2col", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, nil, true, nil) }},
 			{"qnn-fused/direct", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, nil, false, &ep) }},

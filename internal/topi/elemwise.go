@@ -294,18 +294,9 @@ func clipKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType,
 	res := output(dstBuf, out)
 	if in.DType == tensor.Float32 {
 		src, dst := in.F32(), res.F32()
-		flo, fhi := float32(lo), float32(hi)
+		cl := newClampF32(float32(lo), float32(hi))
 		parallel.ForElems(len(src), func(l, h int) {
-			for i := l; i < h; i++ {
-				v := src[i]
-				if v < flo {
-					v = flo
-				}
-				if v > fhi {
-					v = fhi
-				}
-				dst[i] = v
-			}
+			cl.rows(dst[l:h], src[l:h])
 		})
 		return res, nil
 	}
@@ -322,6 +313,46 @@ func clipKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType,
 		res.SetF(i, v)
 	}
 	return res, nil
+}
+
+// clampF32 is float clip: v < lo becomes lo, then v > hi becomes hi, so NaN
+// and −0 pass through unchanged (relu is the clamp to [0, +Inf]: not
+// max(v, 0)). rows applies it as two selects on the bits, which the compiler
+// lowers to CMOV — no branch to mispredict on random-sign activations.
+// loBits is hi's bits when lo > hi: the reference clamps such a v to lo and
+// then lo to hi.
+type clampF32 struct {
+	lo, hi         float32
+	loBits, hiBits uint32
+}
+
+func newClampF32(lo, hi float32) clampF32 {
+	c := clampF32{lo: lo, hi: hi, loBits: math.Float32bits(lo), hiBits: math.Float32bits(hi)}
+	if lo > hi {
+		c.loBits = c.hiBits
+	}
+	return c
+}
+
+// reluClamp is nn.relu's clamp.
+var reluClamp = newClampF32(0, float32(math.Inf(1)))
+
+// rows clamps src into dst (len(dst) >= len(src)); dst may be src.
+//
+//np:hotpath
+func (c *clampF32) rows(dst, src []float32) {
+	lo, hi, loBits, hiBits := c.lo, c.hi, c.loBits, c.hiBits
+	dst = dst[:len(src)]
+	for i, v := range src {
+		u := math.Float32bits(v)
+		if v < lo {
+			u = loBits
+		}
+		if v > hi {
+			u = hiBits
+		}
+		dst[i] = math.Float32frombits(u)
+	}
 }
 
 func lrn(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
@@ -376,14 +407,7 @@ func leakyReLU(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 }
 
 func init() {
-	mapF32("nn.relu", func(dst, src []float32) {
-		for i, v := range src {
-			if v < 0 { // not max(v, 0): −0 and NaN pass through unchanged
-				v = 0
-			}
-			dst[i] = v
-		}
-	})
+	mapF32("nn.relu", reluClamp.rows)
 	unaryF32("sigmoid", func(v float32) float32 {
 		return float32(1 / (1 + math.Exp(-float64(v))))
 	})

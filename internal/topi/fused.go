@@ -7,7 +7,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// Fused quantized conv/dense: qnn.conv2d_fused and qnn.dense_fused are
+// Fused conv/dense epilogues, one per element type.
+//
+// Quantized: qnn.conv2d_fused and qnn.dense_fused are
 // qnn.conv2d and qnn.dense (conv.go) — the same strategy rule, task key,
 // tuned record and loops — with an epilogue, bias → requantize → activation,
 // applied to each output row of int32 accumulators as soon as it is reduced,
@@ -27,6 +29,14 @@ import (
 // Attrs: the anchor's conv/dense attrs plus the requant_* parameters and
 // fused_activation, exactly as the Neuron fusion pass (neuron/fuse.go)
 // stores them on the operation.
+//
+// Float: nn.conv2d and nn.dense themselves take the Neuron form of a float
+// CONV_2D, DEPTHWISE_CONV_2D or FULLY_CONNECTED — an optional bias as
+// args[2] and fused_activation — and run epilogueF32 over each output row.
+// Its parts are the staged kernels' own loops (biasAddRows, clampF32), so
+// the launch equals nn.conv2d → nn.bias_add → nn.relu/clip by construction;
+// fused_test.go pins it anyway. The op names, and so the task keys and
+// tuning records, are the unfused ones.
 
 // activationLUT tabulates the fused activation over every representable
 // post-requantize raw value. base is the dtype's minimum raw value.
@@ -141,6 +151,63 @@ func (e *epilogue) apply(res *tensor.Tensor, acc []int32, base int) {
 			}
 			setRaw(res, base+off+f, q)
 		}
+	}
+}
+
+// epilogueF32 is the tail of a float conv/dense launch: bias, then the
+// activation clamp. The zero value does nothing.
+type epilogueF32 struct {
+	bias  []float32 // nil, or one value per output channel
+	act   bool
+	clamp clampF32
+}
+
+// fusedActivationF32 maps fused_activation to its staged kernel's clamp:
+// nn.relu, and clip at [0, 6] for relu6 (the Neuron runtime's relu6Attrs).
+func fusedActivationF32(activation string) (clampF32, bool, error) {
+	switch activation {
+	case "":
+		return clampF32{}, false, nil
+	case "relu":
+		return reluClamp, true, nil
+	case "relu6":
+		return newClampF32(0, 6), true, nil
+	}
+	return clampF32{}, false, fmt.Errorf("fused kernel: unknown activation %q", activation)
+}
+
+// newEpilogueF32 reads a float launch's epilogue: args are data, weight and
+// an optional float32 bias of one value per output channel; attrs may carry
+// fused_activation.
+func newEpilogueF32(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType) (epilogueF32, error) {
+	var e epilogueF32
+	if len(args) != 2 && len(args) != 3 {
+		return e, fmt.Errorf("%s kernel expects 2 or 3 args, got %d", op, len(args))
+	}
+	if len(args) == 3 {
+		channels := out.Shape[len(out.Shape)-1]
+		if args[2].DType != tensor.Float32 {
+			return e, fmt.Errorf("%s bias must be float32, got %s", op, args[2].DType)
+		}
+		if e.bias = args[2].F32(); len(e.bias) != channels {
+			return e, fmt.Errorf("%s bias has %d elements, output has %d channels", op, len(e.bias), channels)
+		}
+	}
+	var err error
+	e.clamp, e.act, err = fusedActivationF32(attrs.Str("fused_activation", ""))
+	return e, err
+}
+
+// apply runs the epilogue in place over row — whole output pixels (conv) or
+// rows (dense) of one value per output channel.
+//
+//np:hotpath
+func (e *epilogueF32) apply(row []float32) {
+	if e.bias != nil {
+		biasAddRows(row, row, e.bias, 0)
+	}
+	if e.act {
+		e.clamp.rows(row, row)
 	}
 }
 

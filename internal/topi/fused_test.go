@@ -310,3 +310,179 @@ func TestFusedConvAllocationsIndependentOfRows(t *testing.T) {
 		t.Errorf("qnn.conv2d_fused allocates %v times at 9 output rows and %v at 18", at9, at18)
 	}
 }
+
+// specialF32 are the operand classes the float epilogue pins mix into their
+// random data: NaN of both signs, both infinities, both zeros, denormals,
+// and the relu6 bounds themselves.
+var specialF32 = []float32{
+	math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002),
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	0, float32(math.Copysign(0, -1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -7e-42,
+	6, -6, math.Nextafter32(6, 7),
+}
+
+// drawF32 fills a float tensor of shape from rng: uniform in [−1, 1), with
+// one value in 64 drawn from specialF32 so that most output cells stay
+// finite while NaN, infinities, signed zeros and denormals reach every
+// stage.
+func drawF32(rng *rand.Rand, shape tensor.Shape) *tensor.Tensor {
+	x := tensor.New(tensor.Float32, shape)
+	for i := range x.F32() {
+		if rng.Intn(64) == 0 {
+			x.F32()[i] = specialF32[rng.Intn(len(specialF32))]
+		} else {
+			x.F32()[i] = rng.Float32()*2 - 1
+		}
+	}
+	return x
+}
+
+// stagedReferenceF32 is the float chain the Neuron runtime used to run for a
+// CONV_2D/FULLY_CONNECTED with an absorbed bias and fused activation: anchor
+// → nn.bias_add → nn.relu or clip [0, 6].
+func stagedReferenceF32(t *testing.T, anchor string, args []*tensor.Tensor, attrs relay.Attrs, activation string) *tensor.Tensor {
+	t.Helper()
+	out := run(t, anchor, args[:2], attrs)
+	if len(args) == 3 {
+		out = run(t, "nn.bias_add", []*tensor.Tensor{out, args[2]}, nil)
+	}
+	switch activation {
+	case "relu":
+		out = run(t, "nn.relu", []*tensor.Tensor{out}, nil)
+	case "relu6":
+		out = run(t, "clip", []*tensor.Tensor{out}, relay.Attrs{"a_min": 0.0, "a_max": 6.0})
+	}
+	return out
+}
+
+// checkFusedF32AgainstStaged runs anchor in its Neuron form (bias as
+// args[2], fused_activation) and the staged chain on the same operands, with
+// and without bias, and compares every bit — NaN payloads included: the
+// launch runs the staged kernels' own loops.
+func checkFusedF32AgainstStaged(t *testing.T, rng *rand.Rand, anchor string, dataShape, weightShape tensor.Shape, attrs relay.Attrs, act string) {
+	t.Helper()
+	for _, withBias := range []bool{false, true} {
+		args := []*tensor.Tensor{drawF32(rng, dataShape), drawF32(rng, weightShape)}
+		if withBias {
+			args = append(args, drawF32(rng, tensor.Shape{weightShape[0]}))
+		}
+		fusedAttrs := attrs.Clone()
+		fusedAttrs["fused_activation"] = act
+		want := stagedReferenceF32(t, anchor, args, attrs, act)
+		got, err := Run(anchor, args, fusedAttrs, &relay.TensorType{Shape: want.Shape, DType: tensor.Float32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i, ok := sameF32Bits(got.F32(), want.F32()); !ok {
+			t.Fatalf("bias %v: out[%d]: fused %v (%#08x), staged %v (%#08x)", withBias, i,
+				got.F32()[i], math.Float32bits(got.F32()[i]), want.F32()[i], math.Float32bits(want.F32()[i]))
+		}
+	}
+}
+
+// TestFusedF32ConvMatchesStagedChain pins nn.conv2d's Neuron form to the
+// staged chain under each activation on every convCases shape — direct and
+// im2col, grouped, depthwise — with and without bias, under a record forcing
+// each strategy. The record is nn.conv2d's own, and the launch consults it.
+func TestFusedF32ConvMatchesStagedChain(t *testing.T) {
+	prev := SetTuning(nil)
+	defer SetTuning(prev)
+	rng := rand.New(rand.NewSource(37))
+	for _, a := range fusedActivations {
+		t.Run(a.name, func(t *testing.T) {
+			for _, cc := range convCases {
+				dataShape := tensor.Shape{cc.n, cc.h, cc.w, cc.c}
+				weightShape := tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}
+				for _, strategy := range []string{ConvDirect, ConvIm2col} {
+					t.Run(cc.name+"/"+strategy, func(t *testing.T) {
+						tbl := NewTuningTable()
+						tbl.Set(taskKey("nn.conv2d", dataShape, weightShape, tensor.Float32, cc.params()),
+							KernelConfig{ConvStrategy: strategy})
+						SetTuning(tbl)
+						defer SetTuning(nil)
+						checkFusedF32AgainstStaged(t, rng, "nn.conv2d", dataShape, weightShape, cc.attrs(), a.act)
+						if hits, misses := tbl.Stats(); hits != 4 || misses != 0 {
+							t.Fatalf("record consulted %d times, %d misses; want 4 hits", hits, misses)
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// TestFusedF32DenseMatchesStagedChain is the nn.dense analogue over every
+// gemmDims shape.
+func TestFusedF32DenseMatchesStagedChain(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, a := range fusedActivations {
+		t.Run(a.name, func(t *testing.T) {
+			for _, d := range gemmDims {
+				m, n, k := d[0], d[1], d[2]
+				t.Run(fmt.Sprintf("m%d_n%d_k%d", m, n, k), func(t *testing.T) {
+					checkFusedF32AgainstStaged(t, rng, "nn.dense", tensor.Shape{m, k}, tensor.Shape{n, k},
+						relay.Attrs{"units": n}, a.act)
+				})
+			}
+		})
+	}
+}
+
+// TestFusedF32EpilogueIsChecked: the float launch refuses a bias of the
+// wrong length or type and an unknown activation, as errors.
+func TestFusedF32EpilogueIsChecked(t *testing.T) {
+	data, weight := tensor.New(tensor.Float32, tensor.Shape{1, 5, 5, 3}), tensor.New(tensor.Float32, tensor.Shape{4, 3, 3, 3})
+	outTy := &relay.TensorType{Shape: tensor.Shape{1, 3, 3, 4}, DType: tensor.Float32}
+	for _, tc := range []struct {
+		name string
+		bias *tensor.Tensor
+		act  string
+		want string
+	}{
+		{"short bias", tensor.New(tensor.Float32, tensor.Shape{3}), "", "bias has 3 elements, output has 4 channels"},
+		{"int bias", tensor.New(tensor.Int32, tensor.Shape{4}), "", "bias must be float32"},
+		{"activation", tensor.New(tensor.Float32, tensor.Shape{4}), "tanh", `unknown activation "tanh"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Run("nn.conv2d", []*tensor.Tensor{data, weight, tc.bias}, relay.Attrs{"fused_activation": tc.act}, outTy)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestFusedF32ConvDoesNotAllocate: a steady-state nn.conv2d launch in the
+// Neuron form — bias and relu, into a planned destination — allocates
+// nothing on the serial path, on either strategy: the row loop is a plain
+// call, the scratch is pooled and the weight panels are cached.
+func TestFusedF32ConvDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
+	}
+	old := parallel.SetMaxWorkers(1)
+	defer parallel.SetMaxWorkers(old)
+	rng := rand.New(rand.NewSource(43))
+	for _, name := range []string{"unit", "depthwise"} {
+		cc := convCaseNamed(t, name)
+		oh, ow := cc.outShape()
+		outTy := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.Float32}
+		args := []*tensor.Tensor{
+			drawF32(rng, tensor.Shape{cc.n, cc.h, cc.w, cc.c}),
+			drawF32(rng, tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}),
+			drawF32(rng, tensor.Shape{cc.oc}),
+		}
+		attrs := cc.attrs()
+		attrs["fused_activation"] = "relu"
+		dst := tensor.New(tensor.Float32, outTy.Shape)
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := RunInto("nn.conv2d", args, attrs, outTy, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: fused nn.conv2d allocates %v times per launch on the serial path, want 0", name, allocs)
+		}
+	}
+}

@@ -14,10 +14,11 @@ import (
 //
 // Blocking scheme:
 //
-//   - Both operands are repacked into register-tile panels by one packer
-//     (packPanels, generic over the element type): A into gemmMR-row panels
-//     interleaved by k (panel layout ap[(it·k+kk)·MR+i]), B into NR-row
-//     panels (bp[(jt·k+kk)·NR+j]). The micro-kernel then reads both operands
+//   - Both operands are repacked into register-tile panels (packPanels,
+//     generic over the element type): A into gemmMR-row panels interleaved
+//     by k (panel layout ap[(it·k+kk)·MR+i]), B into NR-row panels
+//     (bp[(jt·k+kk)·NR+j]). On the im2col path packCol writes A in that
+//     layout straight from the image. The micro-kernel then reads both operands
 //     as two forward streams, which removes all index arithmetic and bounds
 //     checks from the inner loop. The panel layout is the same on every
 //     architecture and is never serialized.
@@ -32,25 +33,35 @@ import (
 //     and cached in the bounded weightCache instances of weightcache.go:
 //     steady-state inference repacks only the activation side.
 //
-// Tile shapes. The f32 tile is 4×8: on amd64 the kernel is SSE2 assembly
-// (gemm_amd64.s) holding the tile in eight XMM accumulators — two vectors of
-// four output channels per A row, one lane per output cell — and spending
-// the other eight registers on the two B vectors and the broadcast A values.
-// Vectorising across N keeps every cell's reduction serial in k, which is
-// what makes the vector tile bit-equal to the scalar loops. It multiplies
-// (MULPS) and then adds (ADDPS), never a fused multiply-add: an FMA rounds
+// Tile shapes. The f32 tile is 4×8, and on amd64 it is assembly
+// (gemm_amd64.s) in two widths over the same panels. Both vectorise across N
+// — one lane per output cell, every cell's reduction serial in k — which is
+// what makes a vector tile bit-equal to the scalar loops. Both multiply
+// (MULPS) and then add (ADDPS), never a fused multiply-add: an FMA rounds
 // once where every other kernel in the repo (the direct convolution, the
 // interpreter reference, gemmMicroF32Go below) rounds twice, and would break
-// every bitwise pin. (Where the Go compiler itself fuses x*y + z, as on
-// arm64, it does so in all of those loops alike.) SSE2 is the amd64 baseline,
-// so there is no feature detection and no second code path on that
-// architecture. Everywhere else
-// gemmMicroF32 is gemmMicroF32Go, which is also the oracle the assembly is
-// tested against. The int32 tile is the scalar 4×2 below, serving qnn.conv2d,
-// qnn.dense and their fused launches alike: integer accumulation is exact in
-// any order, and a SIMD int8 tile is a separate piece of work. The tiles and
-// the panel loops and drivers that call them are the only per-element-type
-// code here.
+// every bitwise pin (`make no-fma` scans the package for one). (Where the Go
+// compiler itself fuses x*y + z, as on arm64, it does so in all of those
+// loops alike.)
+//
+//   - AVX: four YMM accumulators, one per A row, each k step one load of the
+//     eight B values and four broadcast A values. gemmMicroF32 runs it when
+//     the CPU has AVX and the OS saves YMM state — CPUID and XGETBV, read
+//     once at init into useAVX (gemm_amd64.go); nothing can force or forbid
+//     it.
+//   - SSE2, the amd64 baseline and the fallback: eight XMM accumulators, two
+//     vectors of four output channels per A row.
+//
+// Everywhere else gemmMicroF32 is gemmMicroF32Go, which is also the oracle
+// both assembly tiles are tested against, separately. The int32 tile is the
+// scalar 4×2 below, serving qnn.conv2d, qnn.dense and their fused launches
+// alike: integer accumulation is exact in any order, and a SIMD int8 tile is
+// a separate piece of work. The tiles and the panel loops and drivers that
+// call them are the only per-element-type code here.
+//
+// The A side arrives either row-major (gemmF32Cfg, gemmI32Cfg: dense, which
+// pack it first) or already in panels (gemmPackedF32, gemmPackedI32: the
+// im2col convolution, whose patch pack writes panels directly).
 //
 // Parallelism: the driver asks the shared inter/intra-op token budget
 // (parallel.AcquireWorkers) how many workers the N-panel loop may use. Called
@@ -62,7 +73,7 @@ import (
 // Register tile shapes: MR rows of A against NR rows of B (output channels).
 const (
 	gemmMR    = 4 // both element types
-	gemmNRF32 = 8 // two 4-lane vectors
+	gemmNRF32 = 8 // one 8-lane YMM vector, or two 4-lane XMM vectors
 	gemmNR    = 2 // int32: 8 scalar accumulators + 6 operands fit 16 registers
 )
 
@@ -193,9 +204,10 @@ func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNRF32]float32) {
 }
 
 // gemmMCBlock resolves the tuned MC row-block size: the full m by default,
-// else cfg.GemmMC rounded up to the register-tile height. Blocking only
-// changes which LHS rows are packed together per scratch fill — every output
-// cell still runs one k-ascending reduction, so results stay bit-identical.
+// else cfg.GemmMC rounded up to the register-tile height, so a block is a
+// run of whole panels. Blocking only changes the order the tiles are
+// visited in — every output cell still runs one k-ascending reduction, so
+// results stay bit-identical.
 func gemmMCBlock(m int, cfg *KernelConfig) int {
 	if cfg == nil || cfg.GemmMC <= 0 || cfg.GemmMC >= m {
 		return m
@@ -204,35 +216,46 @@ func gemmMCBlock(m int, cfg *KernelConfig) int {
 }
 
 // gemmF32Cfg computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n,
-// where bpack holds B packed at gemmNRF32 (packPanels, or the weight cache).
+// where bpack holds B packed at gemmNRF32 (packPanels, or the weight cache):
+// it packs A at gemmMR into pooled scratch and runs gemmPackedF32.
 // Overwrite semantics; each cell's reduction is bit-identical to the naive
 // loop. cfg (nil: every default) carries the tuned knobs: MC row blocking
-// (bounds packing scratch, improves LHS locality for tall matrices) and
-// per-call worker/grain limits on the N-tile loop.
+// (LHS locality for tall matrices) and per-call worker/grain limits on the
+// N-tile loop.
 func gemmF32Cfg(m, n, k int, a []float32, lda int, bpack []float32, c []float32, ldc int, cfg *KernelConfig) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	apP := getScratchF32(gemmTiles(m, gemmMR) * gemmMR * k)
+	packPanels(*apP, a, m, k, lda, gemmMR)
+	gemmPackedF32(m, n, k, *apP, bpack, c, ldc, cfg)
+	putScratchF32(apP)
+}
+
+// gemmPackedF32 is gemmF32Cfg for an A that is already in gemmMR panels —
+// the layout packCol writes the im2col patch matrix in — so nothing is
+// repacked. MC blocks are runs of whole panels (the block height is a
+// multiple of gemmMR), each swept against every N-panel before the next.
+func gemmPackedF32(m, n, k int, ap, bpack, c []float32, ldc int, cfg *KernelConfig) {
 	if m <= 0 || n <= 0 {
 		return
 	}
 	mc := gemmMCBlock(m, cfg)
 	nt := gemmTiles(n, gemmNRF32)
 	opts := cfg.gemmOpts()
-	apP := getScratchF32(gemmTiles(mc, gemmMR) * gemmMR * k)
-	ap := *apP
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
-		packPanels(ap, a[i0*lda:], mb, k, lda, gemmMR)
-		cb := c[i0*ldc:]
+		apb, cb := ap[i0*k:], c[i0*ldc:]
 		// Ask before building the closure RunChunks needs: on the serial
 		// answer the panel loop is a plain call.
 		if workers := parallel.AcquireWorkers(nt, opts); workers > 1 {
 			parallel.RunChunks(nt, workers, func(jtLo, jtHi int) {
-				gemmPanelsF32(ap, bpack, cb, mb, n, k, ldc, jtLo, jtHi)
+				gemmPanelsF32(apb, bpack, cb, mb, n, k, ldc, jtLo, jtHi)
 			})
 		} else {
-			gemmPanelsF32(ap, bpack, cb, mb, n, k, ldc, 0, nt)
+			gemmPanelsF32(apb, bpack, cb, mb, n, k, ldc, 0, nt)
 		}
 	}
-	putScratchF32(apP)
 }
 
 // gemmPanelsF32 runs the micro-kernel over N-panels [jtLo,jtHi) against the mb
@@ -339,26 +362,31 @@ func gemmI32Cfg(m, n, k int, a []int32, lda int, bpack []int32, c []int32, ldc i
 	if m <= 0 || n <= 0 {
 		return
 	}
+	apP := getScratchI32(gemmTiles(m, gemmMR) * gemmMR * k)
+	packPanels(*apP, a, m, k, lda, gemmMR)
+	gemmPackedI32(m, n, k, *apP, bpack, c, ldc, cfg)
+	putScratchI32(apP)
+}
+
+// gemmPackedI32 is gemmPackedF32 for int32 operands.
+func gemmPackedI32(m, n, k int, ap, bpack, c []int32, ldc int, cfg *KernelConfig) {
+	if m <= 0 || n <= 0 {
+		return
+	}
 	mc := gemmMCBlock(m, cfg)
 	nt := gemmTiles(n, gemmNR)
 	opts := cfg.gemmOpts()
-	apP := getScratchI32(gemmTiles(mc, gemmMR) * gemmMR * k)
-	ap := *apP
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
-		packPanels(ap, a[i0*lda:], mb, k, lda, gemmMR)
-		cb := c[i0*ldc:]
-		// Ask before building the closure RunChunks needs: on the serial
-		// answer the panel loop is a plain call.
+		apb, cb := ap[i0*k:], c[i0*ldc:]
 		if workers := parallel.AcquireWorkers(nt, opts); workers > 1 {
 			parallel.RunChunks(nt, workers, func(jtLo, jtHi int) {
-				gemmPanelsI32(ap, bpack, cb, mb, n, k, ldc, jtLo, jtHi)
+				gemmPanelsI32(apb, bpack, cb, mb, n, k, ldc, jtLo, jtHi)
 			})
 		} else {
-			gemmPanelsI32(ap, bpack, cb, mb, n, k, ldc, 0, nt)
+			gemmPanelsI32(apb, bpack, cb, mb, n, k, ldc, 0, nt)
 		}
 	}
-	putScratchI32(apP)
 }
 
 // gemmPanelsI32 runs the micro-kernel over N-panels [jtLo,jtHi) against the mb

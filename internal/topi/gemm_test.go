@@ -120,22 +120,43 @@ func TestGemmF32StridedOperands(t *testing.T) {
 }
 
 // tileValues are the operand classes the tile test draws from: normals of
-// both signs and several magnitudes, denormals, both zeros, both infinities.
-// Products and sums of these reach overflow, gradual underflow, −0 and NaN
-// (Inf·0, Inf−Inf).
+// both signs and several magnitudes, denormals, both zeros, both infinities,
+// NaN of both signs. Products and sums of these reach overflow, gradual
+// underflow, −0 and more NaN (Inf·0, Inf−Inf).
 var tileValues = []float32{
 	1, -1, 0.5, -3.25, 1.0000001, -0.33333334, 1e-20, -1e20, 3e38, -3e38,
 	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-40, -7e-42, 1.1754942e-38,
 	0, float32(math.Copysign(0, -1)),
 	float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.Float32frombits(0x7fc00011), math.Float32frombits(0xffc00022),
 }
 
-// TestGemmMicroF32Tile pins the register tile itself: gemmMicroF32 (the
-// assembly on amd64), gemmMicroF32Go and the naive per-cell loop agree on
-// every bit for every k through the ×4 unroll boundaries and a few long
-// reductions. A NaN cell must be NaN in all three; its payload is not
-// compared (which operand's payload survives is the instruction's choice).
+// tileKernel is one f32 register-tile entry point; skip marks one this CPU
+// cannot execute (the AVX tile without AVX).
+type tileKernel struct {
+	name string
+	run  func(ap, bp []float32, acc *[gemmMR * gemmNRF32]float32)
+	skip bool
+}
+
+// TestGemmMicroF32Tile pins each register tile of tileKernels (on amd64 the
+// SSE2 and the AVX assembly separately, and the dispatched gemmMicroF32)
+// against gemmMicroF32Go and the naive per-cell loop, on every bit, for every
+// k through the ×4 unroll boundaries and a few long reductions. A NaN cell
+// must be NaN in all of them; its payload is not compared (which operand's
+// payload survives is the instruction's choice).
 func TestGemmMicroF32Tile(t *testing.T) {
+	for _, kern := range tileKernels {
+		t.Run(kern.name, func(t *testing.T) {
+			if kern.skip {
+				t.Skipf("%s tile not run: the CPU lacks AVX or the OS does not save YMM state", kern.name)
+			}
+			testMicroF32Tile(t, kern)
+		})
+	}
+}
+
+func testMicroF32Tile(t *testing.T, kern tileKernel) {
 	const tile = gemmMR * gemmNRF32
 	rng := rand.New(rand.NewSource(23))
 	ks := []int{128, 576, 1000, 4097}
@@ -147,14 +168,14 @@ func TestGemmMicroF32Tile(t *testing.T) {
 			return rng.Float32()*2 - 1
 		}
 		v := tileValues[rng.Intn(len(tileValues))]
-		if finiteOnly && math.IsInf(float64(v), 0) {
+		if finiteOnly && (v != v || math.IsInf(float64(v), 0)) {
 			return 0.75
 		}
 		return v
 	}
 	for _, k := range ks {
 		for round := 0; round < 4; round++ {
-			// Odd rounds keep infinities out so that most cells stay
+			// Odd rounds keep infinities and NaN out so that most cells stay
 			// non-NaN and the denormal and signed-zero sums are compared.
 			ap := make([]float32, k*gemmMR)
 			bp := make([]float32, k*gemmNRF32)
@@ -176,29 +197,29 @@ func TestGemmMicroF32Tile(t *testing.T) {
 			}
 			// Guard cells on both sides of acc: the kernel writes the tile
 			// and nothing else. Start from garbage: k == 0 must write zeros.
-			var asm, gok struct {
+			var got, gok struct {
 				pre  [4]float32
 				acc  [tile]float32
 				post [4]float32
 			}
-			for i := range asm.acc {
-				asm.acc[i], gok.acc[i] = 42, 42
+			for i := range got.acc {
+				got.acc[i], gok.acc[i] = 42, 42
 			}
-			asm.pre, asm.post = [4]float32{1, 2, 3, 4}, [4]float32{5, 6, 7, 8}
-			gemmMicroF32(ap, bp, &asm.acc)
+			got.pre, got.post = [4]float32{1, 2, 3, 4}, [4]float32{5, 6, 7, 8}
+			kern.run(ap, bp, &got.acc)
 			gemmMicroF32Go(ap, bp, &gok.acc)
-			if asm.pre != [4]float32{1, 2, 3, 4} || asm.post != [4]float32{5, 6, 7, 8} {
-				t.Fatalf("k=%d: gemmMicroF32 wrote outside acc", k)
+			if got.pre != [4]float32{1, 2, 3, 4} || got.post != [4]float32{5, 6, 7, 8} {
+				t.Fatalf("k=%d: %s wrote outside acc", k, kern.name)
 			}
 			for c, w := range want {
-				for _, kern := range []struct {
+				for _, r := range []struct {
 					name string
 					got  float32
-				}{{"gemmMicroF32", asm.acc[c]}, {"gemmMicroF32Go", gok.acc[c]}} {
-					bothNaN := w != w && kern.got != kern.got
-					if !bothNaN && math.Float32bits(kern.got) != math.Float32bits(w) {
+				}{{kern.name, got.acc[c]}, {"gemmMicroF32Go", gok.acc[c]}} {
+					bothNaN := w != w && r.got != r.got
+					if !bothNaN && math.Float32bits(r.got) != math.Float32bits(w) {
 						t.Fatalf("k=%d cell %d: %s = %v (%#08x), naive %v (%#08x)",
-							k, c, kern.name, kern.got, math.Float32bits(kern.got), w, math.Float32bits(w))
+							k, c, r.name, r.got, math.Float32bits(r.got), w, math.Float32bits(w))
 					}
 				}
 			}
@@ -206,9 +227,9 @@ func TestGemmMicroF32Tile(t *testing.T) {
 	}
 	// k == 0 with nil panels: nothing to read, zeros written.
 	acc := [tile]float32{0: 9, tile - 1: 9}
-	gemmMicroF32(nil, nil, &acc)
+	kern.run(nil, nil, &acc)
 	if acc != [tile]float32{} {
-		t.Fatalf("k=0 on nil panels: acc = %v, want zeros", acc)
+		t.Fatalf("k=0 on nil panels: %s acc = %v, want zeros", kern.name, acc)
 	}
 }
 
@@ -352,8 +373,8 @@ func TestConvIm2colMatchesDirectF32(t *testing.T) {
 			oh, ow := cc.outShape()
 			out := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.Float32}
 
-			direct := convF32(data, weight, cc.params(), out, nil, nil, false)
-			blocked := convF32(data, weight, cc.params(), out, nil, nil, true)
+			direct := convF32(data, weight, cc.params(), out, nil, nil, false, epilogueF32{})
+			blocked := convF32(data, weight, cc.params(), out, nil, nil, true, epilogueF32{})
 			if i, ok := sameF32Bits(blocked.F32(), direct.F32()); !ok {
 				t.Fatalf("out[%d]: direct %v != im2col %v", i, direct.F32()[i], blocked.F32()[i])
 			}

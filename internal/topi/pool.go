@@ -40,29 +40,7 @@ func maxPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	if in.DType == tensor.Float32 {
 		src, dst := in.F32(), res.F32()
 		parallel.For(n*oh, func(job int) {
-			b, oy := job/oh, job%oh
-			for ox := 0; ox < ow; ox++ {
-				for ch := 0; ch < c; ch++ {
-					best := float32(math.Inf(-1))
-					for ky := 0; ky < p.kh; ky++ {
-						iy := oy*p.sh - p.pad[0] + ky
-						if iy < 0 || iy >= h {
-							continue
-						}
-						for kx := 0; kx < p.kw; kx++ {
-							ix := ox*p.sw - p.pad[1] + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							v := src[((b*h+iy)*w+ix)*c+ch]
-							if v > best {
-								best = v
-							}
-						}
-					}
-					dst[((b*oh+oy)*ow+ox)*c+ch] = best
-				}
-			}
+			maxPoolRowF32(dst[job*ow*c:(job+1)*ow*c], src, &p, job, h, w, c, oh)
 		})
 		return res, nil
 	}
@@ -94,6 +72,52 @@ func maxPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 		}
 	}
 	return res, nil
+}
+
+// maxPoolRowF32 computes output row job (= b·oh + oy) of the float max-pool
+// into row, ow pixels of c channels. Each pixel starts at −Inf and takes the
+// taps of its window in (ky, kx) order, one contiguous channel vector at a
+// time, through maxInto's select of v > best — the visit order and the
+// comparison of a loop per channel, so NaN never wins and of tied ±0 the
+// first seen stays.
+//
+//np:hotpath
+func maxPoolRowF32(row, src []float32, p *poolParams, job, h, w, c, oh int) {
+	b, oy := job/oh, job%oh
+	negInf := float32(math.Inf(-1))
+	for ox := 0; (ox+1)*c <= len(row); ox++ {
+		best := row[ox*c : (ox+1)*c]
+		for i := range best {
+			best[i] = negInf
+		}
+		for ky := 0; ky < p.kh; ky++ {
+			iy := oy*p.sh - p.pad[0] + ky
+			if iy < 0 || iy >= h {
+				continue
+			}
+			for kx := 0; kx < p.kw; kx++ {
+				ix := ox*p.sw - p.pad[1] + kx
+				if ix < 0 || ix >= w {
+					continue
+				}
+				maxInto(best, src[((b*h+iy)*w+ix)*c:])
+			}
+		}
+	}
+}
+
+// maxInto sets best[i] to v[i] where v[i] > best[i], as a select on the
+// bits (CMOV) rather than a branch on random data.
+func maxInto(best, v []float32) {
+	v = v[:len(best)]
+	for i, x := range v {
+		b := best[i]
+		u, ux := math.Float32bits(b), math.Float32bits(x)
+		if x > b {
+			u = ux
+		}
+		best[i] = math.Float32frombits(u)
+	}
 }
 
 func avgPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {

@@ -750,3 +750,67 @@ func TestReLUSpecialValues(t *testing.T) {
 		}
 	}
 }
+
+// TestClampF32SpecialValues pins the branch-free float nn.relu and clip (the
+// relu6 bounds [0, 6], and a general [−2.5, 3] range) on −0, +0, NaN of
+// both signs, ±Inf, denormals and values at the bounds exactly: a value
+// below the lower bound becomes it, one above the upper becomes that, and
+// everything else — NaN and −0 included — passes through with its bits.
+func TestClampF32SpecialValues(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	qnan, nnan := math.Float32frombits(0x7fc00123), math.Float32frombits(0xffc00456)
+	inf := float32(math.Inf(1))
+	den := float32(math.SmallestNonzeroFloat32)
+	six := float32(6)
+	above6 := math.Nextafter32(6, 7)
+	in := []float32{negZero, 0, qnan, nnan, inf, -inf, den, -den, 1e-40, six, above6, -1.5, 2.5, -2.5, 3}
+	for _, tc := range []struct {
+		op    string
+		attrs relay.Attrs
+		want  []float32
+	}{
+		{"nn.relu", nil,
+			[]float32{negZero, 0, qnan, nnan, inf, 0, den, 0, 1e-40, six, above6, 0, 2.5, 0, 3}},
+		{"clip", relay.Attrs{"a_min": 0.0, "a_max": 6.0},
+			[]float32{negZero, 0, qnan, nnan, six, 0, den, 0, 1e-40, six, six, 0, 2.5, 0, 3}},
+		{"clip", relay.Attrs{"a_min": -2.5, "a_max": 3.0},
+			[]float32{negZero, 0, qnan, nnan, 3, -2.5, den, -den, 1e-40, 3, 3, -1.5, 2.5, -2.5, 3}},
+	} {
+		out := run(t, tc.op, []*tensor.Tensor{tensor.FromF32(in, tensor.Shape{len(in)})}, tc.attrs).F32()
+		for i, w := range tc.want {
+			if math.Float32bits(out[i]) != math.Float32bits(w) {
+				t.Errorf("%s %v (%v) = %v (%#08x), want %v (%#08x)", tc.op, tc.attrs, in[i],
+					out[i], math.Float32bits(out[i]), w, math.Float32bits(w))
+			}
+		}
+	}
+}
+
+// TestClampF32MatchesBranches: the bits-select clamp equals the two-branch
+// clip it replaced, `if v < lo {v = lo}; if v > hi {v = hi}`, on every
+// special value and bound pair — inverted bounds and NaN bounds included.
+func TestClampF32MatchesBranches(t *testing.T) {
+	nan := float32(math.NaN())
+	inf := float32(math.Inf(1))
+	vals := []float32{float32(math.Copysign(0, -1)), 0, nan, -nan, inf, -inf,
+		math.SmallestNonzeroFloat32, -1e-40, 6, 7, -3, 0.5, 2}
+	for _, lo := range vals {
+		for _, hi := range vals {
+			c := newClampF32(lo, hi)
+			got := make([]float32, len(vals))
+			c.rows(got, vals)
+			for i, v := range vals {
+				want := v
+				if want < lo {
+					want = lo
+				}
+				if want > hi {
+					want = hi
+				}
+				if math.Float32bits(got[i]) != math.Float32bits(want) {
+					t.Fatalf("clamp [%v, %v] of %v = %v, want %v", lo, hi, v, got[i], want)
+				}
+			}
+		}
+	}
+}

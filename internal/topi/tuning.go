@@ -108,9 +108,10 @@ type KernelConfig struct {
 	// ConvStrategy selects the convolution algorithm: ConvAuto, ConvIm2col
 	// or ConvDirect. Ignored by dense tasks.
 	ConvStrategy string
-	// GemmMC blocks the GEMM LHS packing into row panels of at most GemmMC
-	// rows (rounded up to the register-tile height); 0 packs all rows at
-	// once. Bounds packing scratch and improves locality for tall LHS.
+	// GemmMC blocks the GEMM's LHS into runs of at most GemmMC rows
+	// (rounded up to the register-tile height), each swept against every
+	// N-panel before the next; 0 sweeps all rows at once. Improves LHS
+	// locality for tall matrices.
 	GemmMC int
 	// GemmNC is the minimum number of N register tiles per parallel chunk
 	// of the GEMM driver; 0 splits evenly across the acquired workers.
