@@ -14,13 +14,16 @@ check: build portable no-fma fmt vet race lint npvet analyze fuzz-smoke
 build:
 	$(GO) build ./...
 
-# portable cross-builds for arm64 and vets the kernel package there: every
-# runner is amd64, where internal/topi's f32 GEMM tile is assembly
-# (gemm_amd64.s), so nothing else compiles the pure-Go path the other
-# architectures take (gemm_generic.go). Needs no network and runs nothing.
+# portable cross-builds for arm64 and vets the kernel package there, then
+# runs the kernel package's tests as 386, which amd64 runners execute
+# natively: every runner is amd64, where internal/topi's GEMM tiles are
+# assembly (gemm_amd64.s), so nothing else compiles or runs the pure-Go tiles
+# the other architectures take (gemm_generic.go) — the 386 run puts them
+# under every bitwise pin. Needs no network.
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/topi
+	GOARCH=386 $(GO) test ./internal/topi
 
 # no-fma enforces the kernels' multiply-then-add rule (internal/topi/gemm.go):
 # it builds internal/topi's test binary for amd64 at GOAMD64=v1 and at v3 —

@@ -1,6 +1,10 @@
 package neuron
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/relay"
+)
 
 // The one checker of Neuron IR and its execution plan. Every consumer runs
 // it: Model.Validate and CompiledModel.CheckPlan return its first finding,
@@ -63,8 +67,10 @@ func (c *modelCheck) inBounds(idx int) bool { return idx >= 0 && idx < len(c.m.O
 // positive scale and a zero-point (the paper's §3.3 invariant), constants
 // agreeing with their declared type, per-operation arity against the
 // signature table, topological operation order, constants never written,
-// every model output produced, and the fused conv+bias+requantize+activation
-// forms remaining valid. A clean model returns nil.
+// every model output produced, quantized convolutions and fully connected
+// layers taking zero points of their operands' dtypes, and the fused
+// conv+bias+requantize+activation forms remaining valid. A clean model
+// returns nil.
 func (m *Model) Check() []Finding {
 	c := modelCheck{m: m}
 	n := len(m.Operands)
@@ -145,6 +151,7 @@ func (m *Model) Check() []Finding {
 			}
 			defined[out] = true
 		}
+		c.zeroPoints(oi, op)
 		c.fusedForm(oi, op)
 	}
 	for _, i := range m.Outputs {
@@ -184,6 +191,25 @@ func (c *modelCheck) fusedForm(oi int, op Operation) {
 	if op.Attrs.Bool(FusedRequantAttr, false) && op.Attrs.Float("requant_output_scale", 0) <= 0 {
 		c.add("fused-requantize", c.op(oi),
 			"operation fuses a requantize but carries no positive requant_output_scale attribute")
+	}
+}
+
+// zeroPoints applies relay.CheckQnnZeroPoints to a quantized CONV_2D,
+// DEPTHWISE_CONV_2D or FULLY_CONNECTED: the kernel's int16 panels need every
+// (raw − zp) within ±255.
+func (c *modelCheck) zeroPoints(oi int, op Operation) {
+	switch op.Code {
+	case Conv2D, DepthwiseConv2D, FullyConnected:
+		if len(op.Inputs) < 2 || !c.inBounds(op.Inputs[0]) || !c.inBounds(op.Inputs[1]) {
+			return
+		}
+		data, weight := c.m.Operands[op.Inputs[0]].Type.DType, c.m.Operands[op.Inputs[1]].Type.DType
+		if !data.IsQuantized() {
+			return
+		}
+		if err := relay.CheckQnnZeroPoints("operation", data, weight, op.Attrs); err != nil {
+			c.add("quant-zero-point", c.op(oi), "%v", err)
+		}
 	}
 }
 

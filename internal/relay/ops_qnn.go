@@ -95,6 +95,30 @@ func inferQnnRequantize(args []Type, attrs Attrs) (Type, error) {
 	return &TensorType{Shape: data.Shape, DType: dt, Quant: &q}, nil
 }
 
+// CheckQnnZeroPoints is the zero-point rule of qnn.conv2d, qnn.dense and
+// their fused forms: input_zero_point and kernel_zero_point must be values
+// of the data and the weight dtype, which must be 8-bit. Every (raw − zp) is
+// then within ±255, which the quantized kernels' int16 panels rely on. The
+// type relations, the Neuron model checker and the kernels all apply it.
+func CheckQnnZeroPoints(op string, data, weight tensor.DType, attrs Attrs) error {
+	for _, zp := range [2]struct {
+		attr string
+		dt   tensor.DType
+	}{{"input_zero_point", data}, {"kernel_zero_point", weight}} {
+		if !zp.dt.IsQuantized() {
+			return fmt.Errorf("%s: %s applies to %s, not an 8-bit type", op, zp.attr, zp.dt)
+		}
+		v, lo, hi := attrs.Int(zp.attr, 0), 0, 255
+		if zp.dt == tensor.Int8 {
+			lo, hi = -128, 127
+		}
+		if v < lo || v > hi {
+			return fmt.Errorf("%s: %s %d is outside the %s range [%d, %d]", op, zp.attr, v, zp.dt, lo, hi)
+		}
+	}
+	return nil
+}
+
 func inferQnnConv2D(args []Type, attrs Attrs) (Type, error) {
 	if len(args) != 2 {
 		return nil, fmt.Errorf("qnn.conv2d expects 2 args, got %d", len(args))
@@ -109,6 +133,9 @@ func inferQnnConv2D(args []Type, attrs Attrs) (Type, error) {
 	}
 	if !data.DType.IsQuantized() || !weight.DType.IsQuantized() {
 		return nil, fmt.Errorf("qnn.conv2d requires quantized data/weight, got %s / %s", data.DType, weight.DType)
+	}
+	if err := CheckQnnZeroPoints("qnn.conv2d", data.DType, weight.DType, attrs); err != nil {
+		return nil, err
 	}
 	inScale := attrs.Float("input_scale", 0)
 	kScale := attrs.Float("kernel_scale", 0)
@@ -147,6 +174,9 @@ func inferQnnDense(args []Type, attrs Attrs) (Type, error) {
 	}
 	if !data.DType.IsQuantized() || !weight.DType.IsQuantized() {
 		return nil, fmt.Errorf("qnn.dense requires quantized data/weight, got %s / %s", data.DType, weight.DType)
+	}
+	if err := CheckQnnZeroPoints("qnn.dense", data.DType, weight.DType, attrs); err != nil {
+		return nil, err
 	}
 	if len(data.Shape) != 2 || len(weight.Shape) != 2 || data.Shape[1] != weight.Shape[1] {
 		return nil, fmt.Errorf("qnn.dense shape mismatch: %s vs %s", data.Shape, weight.Shape)

@@ -197,6 +197,54 @@ func TestQnnConv2DInference(t *testing.T) {
 	}
 }
 
+// TestQnnZeroPointRange: qnn.conv2d, qnn.dense and their fused forms take an
+// input_zero_point and a kernel_zero_point of the data and weight dtype and
+// refuse any other — the first row is one the relations accepted before the
+// rule. Both extremes of both 8-bit dtypes type-check.
+func TestQnnZeroPointRange(t *testing.T) {
+	q := tensor.QuantParams{Scale: 0.05}
+	ops := []struct {
+		name         string
+		infer        func([]Type, Attrs) (Type, error)
+		data, weight []int
+	}{
+		{"qnn.conv2d", inferQnnConv2D, []int{1, 6, 6, 3}, []int{4, 3, 3, 3}},
+		{"qnn.conv2d_fused", inferQnnConv2DFused, []int{1, 6, 6, 3}, []int{4, 3, 3, 3}},
+		{"qnn.dense", inferQnnDense, []int{2, 5}, []int{3, 5}},
+		{"qnn.dense_fused", inferQnnDenseFused, []int{2, 5}, []int{3, 5}},
+	}
+	for _, row := range []struct {
+		dt        tensor.DType
+		zpIn, zpK int
+		ok        bool
+	}{
+		{tensor.UInt8, 300, 0, false},
+		{tensor.UInt8, 128, 256, false},
+		{tensor.UInt8, -1, 0, false},
+		{tensor.Int8, 128, 0, false},
+		{tensor.Int8, 0, -129, false},
+		{tensor.UInt8, 0, 255, true},
+		{tensor.UInt8, 255, 0, true},
+		{tensor.Int8, -128, 127, true},
+		{tensor.Int8, 127, -128, true},
+	} {
+		for _, op := range ops {
+			attrs := Attrs{
+				"input_scale": 0.05, "kernel_scale": 0.01,
+				"input_zero_point": row.zpIn, "kernel_zero_point": row.zpK,
+				"requant_input_scale": 5e-4, "requant_output_scale": 0.1,
+			}
+			_, err := op.infer([]Type{QTType(row.dt, q, op.data...), QTType(row.dt, q, op.weight...)}, attrs)
+			if row.ok && err != nil {
+				t.Errorf("%s %s zero points %d/%d refused: %v", op.name, row.dt, row.zpIn, row.zpK, err)
+			}
+			if !row.ok && (err == nil || !strings.Contains(err.Error(), "zero_point")) {
+				t.Errorf("%s %s zero points %d/%d: err = %v, want a zero-point refusal", op.name, row.dt, row.zpIn, row.zpK, err)
+			}
+		}
+	}
+}
+
 func TestQnnRequantizeInference(t *testing.T) {
 	acc := &TensorType{Shape: tensor.Shape{1, 4}, DType: tensor.Int32,
 		Quant: &tensor.QuantParams{Scale: 5e-4}}

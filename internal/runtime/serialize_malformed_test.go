@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	goruntime "runtime"
 	"strings"
 	"testing"
@@ -16,7 +17,13 @@ import (
 // (count + tensors) that follows it.
 func exportedEmotion(t *testing.T) (jl jsonLib, pool []byte) {
 	t.Helper()
-	spec, err := models.Get("emotion")
+	return exportedZoo(t, "emotion")
+}
+
+// exportedZoo is exportedEmotion for any zoo model.
+func exportedZoo(t *testing.T, name string) (jl jsonLib, pool []byte) {
+	t.Helper()
+	spec, err := models.Get(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +45,7 @@ func exportedEmotion(t *testing.T) (jl jsonLib, pool []byte) {
 		t.Fatal(err)
 	}
 	if len(jl.Externals) == 0 {
-		t.Fatal("emotion BYOC exported no NeuroPilot region")
+		t.Fatalf("%s BYOC exported no NeuroPilot region", name)
 	}
 	return jl, blob[4+n:]
 }
@@ -175,6 +182,49 @@ func TestLoadLibraryRejectsMalformedRegions(t *testing.T) {
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
 				t.Errorf("refusing a %d-byte artifact allocated %d MB", len(artifact), grew>>20)
+			}
+		})
+	}
+}
+
+// TestLoadLibraryRejectsOutOfRangeZeroPoint: a quantized convolution whose
+// kernel_zero_point or input_zero_point is not a value of its operand's
+// dtype — which the parent loaded, and whose (raw − zp) the int16 panels
+// cannot hold — is refused at load by the quant-zero-point check; the
+// dtype's own extremes load.
+func TestLoadLibraryRejectsOutOfRangeZeroPoint(t *testing.T) {
+	for _, tc := range []struct {
+		attr string
+		zp   int64
+		ok   bool
+	}{
+		{"kernel_zero_point", 300, false}, // loaded before the rule
+		{"kernel_zero_point", -1, false},
+		{"input_zero_point", 256, false},
+		{"kernel_zero_point", 255, true},
+		{"input_zero_point", 0, true},
+	} {
+		t.Run(fmt.Sprintf("%s=%d", tc.attr, tc.zp), func(t *testing.T) {
+			jl, pool := exportedZoo(t, "mobilenet v1 (quant)")
+			edited := false
+			for ei := range jl.Externals {
+				for _, op := range jl.Externals[ei].Operations {
+					if a, ok := op.Attrs[tc.attr]; ok && !edited {
+						a.I = tc.zp
+						op.Attrs[tc.attr] = a
+						edited = true
+					}
+				}
+			}
+			if !edited {
+				t.Fatalf("no region operation carries %s", tc.attr)
+			}
+			_, err := LoadLibrary(bytes.NewReader(reframe(t, jl, pool)), nil)
+			if tc.ok && err != nil {
+				t.Fatalf("in-range zero point refused: %v", err)
+			}
+			if !tc.ok && (err == nil || !strings.Contains(err.Error(), "quant-zero-point")) {
+				t.Fatalf("err = %v, want a quant-zero-point finding", err)
 			}
 		})
 	}

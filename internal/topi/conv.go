@@ -9,9 +9,9 @@ import (
 // One convolution and one dense kernel per element type. The float and the
 // quantized convolution run the same two strategies over the same loops —
 // the direct row (convDirectRow) and the im2col patch pack (packCol) are one
-// generic body over float32 | int32, the quantized side feeding them
-// operands widened once to (raw − zero point) — and differ only in the GEMM
-// tile they call. Each launch may carry an epilogue applied to each output
+// generic body each, the quantized side feeding them operands widened once
+// to (raw − zero point): int32 for the direct row, k-pairs (i16x2) for the
+// patch pack — and differ only in the GEMM tile they call. Each launch may carry an epilogue applied to each output
 // row as soon as it is reduced (fused.go): qnn.conv2d_fused and
 // qnn.dense_fused are qnn.conv2d and qnn.dense with bias → requantize →
 // activation, and nn.conv2d and nn.dense take an optional bias and
@@ -57,6 +57,20 @@ func (g *convGeom) ocg() int    { return g.oc / g.groups }     // output channel
 func (g *convGeom) k() int      { return g.kh * g.kw * g.icg } // patch length
 func (g *convGeom) rowLen() int { return g.ow * g.oc }         // cells of one output row
 
+// depthwise reports one input and one output channel per group — so c ==
+// oc == groups — the geometry convDirectRow walks by channel vectors.
+func (g *convGeom) depthwise() bool { return g.icg == 1 && g.ocg() == 1 }
+
+// pairs is the geometry of the same convolution over k-pairs
+// (rawMinusZpPairs with vec = icg): a group's icg channels are pairsOf(icg)
+// units, so packCol over pair data writes the quantized A panels and k()
+// counts pairs.
+func (g convGeom) pairs() convGeom {
+	g.icg = pairsOf(g.icg)
+	g.c = g.icg * g.groups
+	return g
+}
+
 // conv2DF32 is the float32 convolution: NHWC data, OHWI weight. It also
 // takes the Neuron runtime's form of a CONV_2D or DEPTHWISE_CONV_2D
 // operation — an absorbed bias as args[2] and a fused_activation attribute —
@@ -89,6 +103,11 @@ func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType,
 	}
 	if im2col {
 		r.pw = packedConvWeightF32(weight, r.g.groups)
+	} else if r.g.depthwise() {
+		wtP := scratchF32.get(len(r.wt))
+		defer scratchF32.put(wtP)
+		tapMajor(*wtP, r.wt, r.g.oc, r.g.kh*r.g.kw)
+		r.wt = *wtP
 	}
 	rows := data.Shape[0] * r.g.oh
 	if workers := parallel.AcquireWorkers(rows, cfg.chunkOpts()); workers > 1 {
@@ -101,7 +120,8 @@ func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType,
 
 // convRowsF32 is one float convolution launch's row loop. It is passed by
 // value, so each worker runs on its own copy — geometry included — on its
-// own stack; pw is nil on the direct strategy.
+// own stack; pw is nil on the direct strategy, where wt is tap-major on a
+// depthwise geometry (tapMajor).
 type convRowsF32 struct {
 	g             convGeom
 	din, wt, dout []float32
@@ -115,8 +135,8 @@ func (r convRowsF32) run(lo, hi int) {
 	g := &r.g
 	var colP *[]float32
 	if r.pw != nil {
-		colP = getScratchF32(colLen(g))
-		defer putScratchF32(colP)
+		colP = scratchF32.get(colLen(g))
+		defer scratchF32.put(colP)
 	}
 	for job := lo; job < hi; job++ {
 		row := r.dout[job*g.rowLen() : (job+1)*g.rowLen()]
@@ -137,8 +157,13 @@ func (r convRowsF32) run(lo, hi int) {
 // ascending, taps that fall in the padding skipped. Quantized operands
 // arrive widened to (raw − zero point), so a skipped tap is exactly the QNN
 // convention of padding with the zero point, which contributes
-// (zp − zp) = 0.
+// (zp − zp) = 0. wt is the OHWI filter, or on a depthwise geometry its
+// tap-major form, which depthwiseRow reads.
 func convDirectRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
+	if g.depthwise() {
+		depthwiseRow(row, din, wt, g, job)
+		return
+	}
 	h, w, c := g.h, g.w, g.c
 	oc, kh, kw, icg := g.oc, g.kh, g.kw, g.icg
 	ocg := g.ocg()
@@ -169,6 +194,61 @@ func convDirectRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
 				}
 				row[outBase+o] = acc
 			}
+		}
+	}
+}
+
+// depthwiseRow is convDirectRow on a depthwise geometry, where the inner ic
+// loop would have length one. An output pixel's c cells are one vector,
+// cleared and then accumulated tap by tap — (ky, kx) ascending, taps in the
+// padding skipped — from the pixel's input channel vector and the tap's row
+// of the tap-major filter, out[o] += x[o]·k[o]. Every cell sees the same
+// products added in the same order as its own accumulator in the per-cell
+// loop, so float results are bit-identical; the innermost loop now runs
+// over contiguous channels.
+func depthwiseRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
+	h, w, c, kh, kw := g.h, g.w, g.c, g.kh, g.kw
+	b, oy := job/g.oh, job%g.oh
+	for ox := 0; ox < g.ow; ox++ {
+		out := row[ox*c : ox*c+c]
+		clear(out)
+		for ky := 0; ky < kh; ky++ {
+			iy := oy*g.sh - g.padT + ky*g.dh
+			if iy < 0 || iy >= h {
+				continue
+			}
+			in := din[(b*h+iy)*w*c:]
+			for kx := 0; kx < kw; kx++ {
+				ix := ox*g.sw - g.padL + kx*g.dw
+				if ix < 0 || ix >= w {
+					continue
+				}
+				tap := (ky*kw + kx) * c
+				mulAddRow(out, in[ix*c:ix*c+c], wt[tap:tap+c])
+			}
+		}
+	}
+}
+
+// mulAddRow is out[o] += x[o]·k[o] over len(out) channels — one multiply
+// and one add per element, each rounded. It is kept out of line: inlined
+// into depthwiseRow its operands are spilled to the stack on every element.
+//
+//go:noinline
+func mulAddRow[T float32 | int32](out, x, k []T) {
+	x, k = x[:len(out)], k[:len(out)]
+	for o, v := range x {
+		out[o] += v * k[o]
+	}
+}
+
+// tapMajor writes a depthwise filter — OHWI with one input channel, taps =
+// kh·kw values per output channel — tap-major: dst[t·oc+o] = src[o·taps+t],
+// so each tap's weights are one channel vector.
+func tapMajor[T float32 | int32](dst, src []T, oc, taps int) {
+	for o := 0; o < oc; o++ {
+		for t, v := range src[o*taps : (o+1)*taps] {
+			dst[t*oc+o] = v
 		}
 	}
 }
@@ -204,6 +284,9 @@ func qnnConv2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 // one task key, one tuned record and one strategy rule for both.
 func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, ep *epilogue) (*tensor.Tensor, error) {
 	data, weight := args[0], args[1]
+	if err := relay.CheckQnnZeroPoints(op, data.DType, weight.DType, attrs); err != nil {
+		return nil, err
+	}
 	p := convParams(attrs)
 	cfg := tunedConfig(taskKey(op, data.Shape, weight.Shape, data.DType, p))
 	zpIn := int32(attrs.Int("input_zero_point", 0))
@@ -211,73 +294,115 @@ func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *rel
 	return convQnn(data, weight, p, zpIn, zpK, out, dstBuf, cfg, convUseIm2col(cfg, out.Shape, weight.Shape, p.groups), ep)
 }
 
-// convQnn runs the quantized convolution by one strategy. The data tensor is
-// widened once into pooled (raw − zp_in) scratch; the weight comes from the
-// cached (raw − zp_w) panels (im2col) or is widened the same way (direct).
-// Integer accumulation is exact, so both strategies give the same bits. With
+// convQnn runs the quantized convolution by one strategy, parallel over
+// (batch × output row) like convF32. The direct strategy widens data and
+// weight once into pooled (raw − zp) int32 scratch, the weight tap-major on a
+// depthwise geometry. im2col widens the data into pooled k-pairs
+// (rawMinusZpPairs) and reads the cached pair panels of the weight. Integer
+// accumulation is exact, so both strategies give the same bits. With
 // ep == nil (qnn.conv2d) the int32 accumulators are the output; otherwise
-// each output row is reduced into scratch and narrowed through ep.
+// each output row is reduced into scratch and narrowed through a copy of ep.
+// On a serial answer the row loop is a plain call and a steady-state launch
+// allocates nothing.
 func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig, im2col bool, ep *epilogue) (*tensor.Tensor, error) {
 	res := output(dstBuf, out)
-	g := newConvGeom(p, data.Shape, weight.Shape, out.Shape)
-	dinP := getScratchI32(data.Elems())
-	defer putScratchI32(dinP)
-	din := *dinP
-	if err := rawMinusZp(din, data, zpIn); err != nil {
-		return nil, err
+	r := convRowsQnn{g: newConvGeom(p, data.Shape, weight.Shape, out.Shape), res: res, cfg: cfg}
+	if ep != nil {
+		r.ep, r.fused = *ep, true
 	}
-	var pw *packedWeight[int32]
-	var wt []int32
+	g := &r.g
 	if im2col {
-		var err error
-		if pw, err = packedConvWeightI32(weight, g.groups, zpK); err != nil {
+		gp := g.pairs()
+		dinP := scratchPairs.get(data.Elems() / g.icg * gp.icg)
+		defer scratchPairs.put(dinP)
+		if err := rawMinusZpPairs(*dinP, data, zpIn, g.icg); err != nil {
 			return nil, err
 		}
+		pw, err := packedConvWeightI32(weight, g.groups, zpK)
+		if err != nil {
+			return nil, err
+		}
+		r.dinPairs, r.pw = *dinP, pw
 	} else {
-		wtP := getScratchI32(weight.Elems())
-		defer putScratchI32(wtP)
-		wt = *wtP
-		if err := rawMinusZp(wt, weight, zpK); err != nil {
+		dinP := scratchI32.get(data.Elems())
+		defer scratchI32.put(dinP)
+		wtP := scratchI32.get(weight.Elems())
+		defer scratchI32.put(wtP)
+		if err := rawMinusZp(*dinP, data, zpIn); err != nil {
 			return nil, err
 		}
+		if err := rawMinusZp(*wtP, weight, zpK); err != nil {
+			return nil, err
+		}
+		r.din, r.wt = *dinP, *wtP
+		if g.depthwise() {
+			tapsP := scratchI32.get(weight.Elems())
+			defer scratchI32.put(tapsP)
+			tapMajor(*tapsP, r.wt, g.oc, g.kh*g.kw)
+			r.wt = *tapsP
+		}
+	}
+	rows := data.Shape[0] * g.oh
+	if workers := parallel.AcquireWorkers(rows, cfg.chunkOpts()); workers > 1 {
+		parallel.RunChunks(rows, workers, r.run)
+	} else {
+		r.run(0, rows)
+	}
+	return res, nil
+}
+
+// convRowsQnn is one quantized convolution launch's row loop, passed by value
+// like convRowsF32 — epilogue included, so no pointer to the caller's
+// epilogue escapes. pw is nil on the direct strategy, which reads din and wt;
+// im2col reads dinPairs and pw.
+type convRowsQnn struct {
+	g        convGeom
+	din, wt  []int32
+	dinPairs []i16x2
+	pw       *packedWeight[i16x2]
+	res      *tensor.Tensor
+	cfg      *KernelConfig
+	fused    bool
+	ep       epilogue
+}
+
+// run computes output rows [lo, hi).
+func (r convRowsQnn) run(lo, hi int) {
+	g := &r.g
+	gp := g.pairs()
+	var colP *[]i16x2
+	var accP *[]int32
+	if r.pw != nil {
+		colP = scratchPairs.get(colLen(&gp))
+		defer scratchPairs.put(colP)
+	}
+	if r.fused {
+		accP = scratchI32.get(g.rowLen())
+		defer scratchI32.put(accP)
 	}
 	var dout []int32
-	if ep == nil {
-		dout = res.I32()
+	if !r.fused {
+		dout = r.res.I32()
 	}
-	parallel.ForChunkedOpts(data.Shape[0]*g.oh, cfg.chunkOpts(), func(lo, hi int) {
-		g := g
-		var colP, accP *[]int32
-		if im2col {
-			colP = getScratchI32(colLen(&g))
-			defer putScratchI32(colP)
+	for job := lo; job < hi; job++ {
+		var row []int32
+		if r.fused {
+			row = *accP
+		} else {
+			row = dout[job*g.rowLen() : (job+1)*g.rowLen()]
 		}
-		if ep != nil {
-			accP = getScratchI32(g.rowLen())
-			defer putScratchI32(accP)
-		}
-		for job := lo; job < hi; job++ {
-			var row []int32
-			if ep == nil {
-				row = dout[job*g.rowLen():]
-			} else {
-				row = *accP
-			}
-			if !im2col {
-				convDirectRow(row, din, wt, &g, job)
-			} else {
-				for grp := 0; grp < g.groups; grp++ {
-					packCol(*colP, din, &g, job, grp)
-					gemmPackedI32(g.ow, g.ocg(), g.k(), *colP, pw.group(grp),
-						row[grp*g.ocg():], g.oc, cfg)
-				}
-			}
-			if ep != nil {
-				ep.apply(res, row, job*g.rowLen())
+		if r.pw == nil {
+			convDirectRow(row, r.din, r.wt, g, job)
+		} else {
+			for grp := 0; grp < g.groups; grp++ {
+				packCol(*colP, r.dinPairs, &gp, job, grp)
+				gemmPackedI32(g.ow, g.ocg(), gp.k(), *colP, r.pw.group(grp), row[grp*g.ocg():], g.oc, r.cfg)
 			}
 		}
-	})
-	return res, nil
+		if r.fused {
+			r.ep.apply(r.res, row, job*g.rowLen())
+		}
+	}
 }
 
 // denseF32 is nn.dense, and like conv2DF32 it also takes the Neuron
@@ -310,30 +435,34 @@ func qnnDense(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, d
 }
 
 // quantizedDense is qnn.dense, or with an epilogue qnn.dense_fused: the
-// (raw − zp) data rows against the cached (raw − zp) weight panels by the
-// int32 GEMM, the accumulators stored or narrowed through ep.
+// (raw − zp) data rows, as k-pairs, against the cached pair panels of the
+// weight by the int32-sum GEMM, the sums stored or narrowed through ep.
 func quantizedDense(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, ep *epilogue) (*tensor.Tensor, error) {
 	data, weight := args[0], args[1]
+	if err := relay.CheckQnnZeroPoints(op, data.DType, weight.DType, attrs); err != nil {
+		return nil, err
+	}
 	res := output(dstBuf, out)
 	n, k := data.Shape[0], data.Shape[1]
+	kp := pairsOf(k)
 	units := weight.Shape[0]
 	pw, err := packedConvWeightI32(weight, 1, int32(attrs.Int("kernel_zero_point", 0)))
 	if err != nil {
 		return nil, err
 	}
-	dinP := getScratchI32(n * k)
-	defer putScratchI32(dinP)
-	if err := rawMinusZp(*dinP, data, int32(attrs.Int("input_zero_point", 0))); err != nil {
+	dinP := scratchPairs.get(n * kp)
+	defer scratchPairs.put(dinP)
+	if err := rawMinusZpPairs(*dinP, data, int32(attrs.Int("input_zero_point", 0)), k); err != nil {
 		return nil, err
 	}
 	cfg := tunedConfig(taskKey(op, data.Shape, weight.Shape, data.DType, unitParams))
 	if ep == nil {
-		gemmI32Cfg(n, units, k, *dinP, k, pw.data, res.I32(), units, cfg)
+		gemmI32Cfg(n, units, kp, *dinP, kp, pw.data, res.I32(), units, cfg)
 		return res, nil
 	}
-	accP := getScratchI32(n * units)
-	defer putScratchI32(accP)
-	gemmI32Cfg(n, units, k, *dinP, k, pw.data, *accP, units, cfg)
+	accP := scratchI32.get(n * units)
+	defer scratchI32.put(accP)
+	gemmI32Cfg(n, units, kp, *dinP, kp, pw.data, *accP, units, cfg)
 	ep.apply(res, *accP, 0)
 	return res, nil
 }

@@ -21,6 +21,11 @@ var strategyShapes = append(append([]convCase(nil), convCases...),
 	convCase{name: "32x32x32-oc32-g4", n: 1, h: 32, w: 32, c: 32, oc: 32, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 4, pad: samePad},
 	convCase{name: "depthwise-112x112x32", n: 1, h: 112, w: 112, c: 32, oc: 32, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 32, pad: samePad},
 	convCase{name: "56x56x64-oc64-k1", n: 1, h: 56, w: 56, c: 64, oc: 64, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
+	// MobileNet's depthwise 3×3 at both strides and one of its pointwise
+	// layers: the channel-vector direct row and the pair tile.
+	convCase{name: "dw3x3-s1-56x56x64", n: 1, h: 56, w: 56, c: 64, oc: 64, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 64, pad: samePad},
+	convCase{name: "dw3x3-s2-56x56x64", n: 1, h: 56, w: 56, c: 64, oc: 64, kh: 3, kw: 3, sh: 2, sw: 2, dh: 1, dw: 1, groups: 64, pad: samePad},
+	convCase{name: "pw-28x28x128-oc128", n: 1, h: 28, w: 28, c: 128, oc: 128, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
 )
 
 // BenchmarkConvStrategy times the direct and the im2col + GEMM kernel on the

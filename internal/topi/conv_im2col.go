@@ -22,10 +22,11 @@ const im2colThreshold = 1 << 10
 // the group — so with a single channel per group (depthwise, or one filter)
 // there is nothing to amortize over and nothing to vectorize across, and the
 // direct kernel is level or ahead at every volume measured (1.6–1.9× on
-// depthwise 3×3 from 83 k to 3.6 M MACs). With two or more channels the GEMM
-// path is ahead from the threshold up: 2× at 1 024 MACs, 4–7× on the showcase
-// models' 55 296–609 408 MAC float layers and 16× at 12.8 M on the SSE2 tile,
-// 2–5× on the scalar int32 tile.
+// depthwise 3×3 from 83 k to 3.6 M MACs, 5–8× since depthwiseRow). With two
+// or more channels the GEMM path is ahead from the threshold up: 2× at
+// 1 024 MACs, 4–7× on the showcase models' 55 296–609 408 MAC float layers
+// and 16× at 12.8 M on the SSE2 tile, 2–5× on the scalar int32 tile the pair
+// tile replaced, which only moved im2col further ahead.
 func im2colPays(out, weight tensor.Shape, groups int) bool {
 	macs := int64(out.Elems()) * int64(weight[1]*weight[2]*weight[3])
 	return weight[0]/groups >= 2 && macs >= im2colThreshold
@@ -37,13 +38,14 @@ func im2colPays(out, weight tensor.Shape, groups int) bool {
 // ap[((ox/gemmMR)·k + kk)·gemmMR + ox%gemmMR], and the rows past ow that
 // fill the last panel are zero — exactly packPanels over the ow×k patch
 // matrix. ap holds colLen(g) elements. Taps in the padding are zero; for
-// quantized data, already widened to (raw − zp_in), that is the QNN
-// pad-with-zero-point convention exactly.
+// quantized data, already widened to (raw − zp_in) k-pairs and packed over
+// the pairs() geometry, that is the QNN pad-with-zero-point convention
+// exactly.
 //
 // The panel is filled one tap at a time: a tap's icg channels of the
 // panel's gemmMR patches are one contiguous gemmMR×icg block, interleaved
 // from gemmMR source vectors.
-func packCol[T float32 | int32](ap, din []T, g *convGeom, job, grp int) {
+func packCol[T panelElem](ap, din []T, g *convGeom, job, grp int) {
 	h, w, c, kh, kw, icg := g.h, g.w, g.c, g.kh, g.kw, g.icg
 	b, oy := job/g.oh, job%g.oh
 	k := g.k()
@@ -106,7 +108,7 @@ func packCol[T float32 | int32](ap, din []T, g *convGeom, job, grp int) {
 // out of line: inlined into packCol its loop counter lives on the stack.
 //
 //go:noinline
-func interleave4[T float32 | int32](blk, s0, s1, s2, s3 []T) {
+func interleave4[T panelElem](blk, s0, s1, s2, s3 []T) {
 	n := len(s0)
 	s1, s2, s3 = s1[:n], s2[:n], s3[:n]
 	blk = blk[:n*gemmMR]
@@ -120,14 +122,14 @@ func interleave4[T float32 | int32](blk, s0, s1, s2, s3 []T) {
 func colLen(g *convGeom) int { return gemmTiles(g.ow, gemmMR) * gemmMR * g.k() }
 
 // panelCopy writes src to every gemmMR-th element of dst.
-func panelCopy[T float32 | int32](dst, src []T) {
+func panelCopy[T panelElem](dst, src []T) {
 	for i, v := range src {
 		dst[i*gemmMR] = v
 	}
 }
 
 // panelClear zeroes n elements of dst, gemmMR apart.
-func panelClear[T float32 | int32](dst []T, n int) {
+func panelClear[T panelElem](dst []T, n int) {
 	for i := 0; i < n; i++ {
 		dst[i*gemmMR] = 0
 	}

@@ -11,7 +11,7 @@ import (
 // packColRows is the row-major patch pack the im2col path used before
 // packCol wrote panels: col[ox·k + (ky·kw+kx)·icg + ic], taps in the padding
 // zero. packPanels over its ow rows is what packCol must equal.
-func packColRows[T float32 | int32](col, din []T, g *convGeom, job, grp int) {
+func packColRows[T panelElem](col, din []T, g *convGeom, job, grp int) {
 	h, w, c, kh, kw, icg := g.h, g.w, g.c, g.kh, g.kw, g.icg
 	b, oy := job/g.oh, job%g.oh
 	k := g.k()
@@ -45,7 +45,8 @@ func convCaseGeom(cc convCase) convGeom {
 }
 
 // TestPackColIsPackedRows: for every convCases shape, row and group, and
-// both element types, packCol's panels equal packColRows followed by
+// both element types (float32, and the quantized k-pairs, which packCol
+// moves as units over a pairs() geometry), packCol's panels equal packColRows followed by
 // packPanels at gemmMR — tail lanes zero — bit for bit, over a destination
 // that starts as garbage. The float data mixes in NaN, ±Inf, −0 and
 // denormals.
@@ -55,17 +56,17 @@ func TestPackColIsPackedRows(t *testing.T) {
 		t.Run(cc.name, func(t *testing.T) {
 			g := convCaseGeom(cc)
 			dinF := drawF32(rng, tensor.Shape{cc.n, cc.h, cc.w, cc.c}).F32()
-			dinI := make([]int32, len(dinF))
-			for i := range dinI {
-				dinI[i] = int32(rng.Intn(511) - 255)
+			dinP := make([]i16x2, len(dinF))
+			for i := range dinP {
+				dinP[i] = pairOf(int32(rng.Intn(511)-255), int32(rng.Intn(511)-255))
 			}
 			testPackCol(t, &g, dinF, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) })
-			testPackCol(t, &g, dinI, func(a, b int32) bool { return a == b })
+			testPackCol(t, &g, dinP, func(a, b i16x2) bool { return a == b })
 		})
 	}
 }
 
-func testPackCol[T float32 | int32](t *testing.T, g *convGeom, din []T, same func(a, b T) bool) {
+func testPackCol[T panelElem](t *testing.T, g *convGeom, din []T, same func(a, b T) bool) {
 	t.Helper()
 	rows := make([]T, g.ow*g.k())
 	want := make([]T, colLen(g))

@@ -107,9 +107,15 @@ func binaryF32(name string, f func(a, b float32) float32) {
 		bcast := newBroadcaster(a.Shape, b.Shape, out.Shape)
 		as, bs, dst := a.F32(), b.F32(), res.F32()
 		parallel.ForElems(len(dst), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				ia, ib := bcast.index(i)
-				dst[i] = f(as[ia], bs[ib])
+			// One index computation per innermost run; within it both
+			// inputs advance by their innermost strides.
+			for i := lo; i < hi; {
+				ia, ib, n, sa, sb := bcast.run(i, hi)
+				for end := i + n; i < end; i++ {
+					dst[i] = f(as[ia], bs[ib])
+					ia += sa
+					ib += sb
+				}
 			}
 		})
 		return res, nil
@@ -151,6 +157,18 @@ func newBroadcaster(a, b, out tensor.Shape) *broadcaster {
 		aStrides: strides(padShape(a)),
 		bStride:  strides(padShape(b)),
 	}
+}
+
+// run is index(flat) plus the rest of flat's innermost run, up to hi: n
+// elements along which the inputs advance by sa and sb.
+func (bc *broadcaster) run(flat, hi int) (ia, ib, n, sa, sb int) {
+	ia, ib = bc.index(flat)
+	last := len(bc.outShape) - 1
+	if last < 0 {
+		return ia, ib, 1, 0, 0
+	}
+	d := bc.outShape[last]
+	return ia, ib, min(d-flat%d, hi-flat), bc.aStrides[last], bc.bStride[last]
 }
 
 func (bc *broadcaster) index(flat int) (ia, ib int) {

@@ -26,6 +26,12 @@ import (
 //     by evaluating the reference scalar code (relu's raw-domain clamp,
 //     clip's GetF/SetF real-domain round trip) on every possible value.
 //
+// The epilogue is typed: apply switches on the output dtype once per row
+// and writes the []uint8 or []int8 directly (epilogueRow) — requantize and
+// the clamp (as min and max) in one pass, the branch-free round of
+// roundHalfAwayF, then the table in place — instead of a dtype switch per
+// element through setRaw. Any other output dtype keeps that loop.
+//
 // Attrs: the anchor's conv/dense attrs plus the requant_* parameters and
 // fused_activation, exactly as the Neuron fusion pass (neuron/fuse.go)
 // stores them on the operation.
@@ -134,23 +140,75 @@ func newEpilogue(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay
 }
 
 // apply narrows acc — whole output pixels (conv) or rows (dense) of
-// e.channels accumulators — into res from flat index base: bias, requantize,
-// clamp to the output dtype, activation.
+// e.channels accumulators — into res from flat index base: bias,
+// requantize, clamp to the output dtype, activation. An 8-bit output is
+// written through its typed slice by epilogueRow; any other keeps the
+// per-element setRaw loop.
 //
 //np:hotpath
 func (e *epilogue) apply(res *tensor.Tensor, acc []int32, base int) {
-	bias, ratio, inZp, outZp, dt, lut := e.bias, e.ratio, e.inZp, e.outZp, e.dt, &e.lut
-	for off := 0; off < len(acc); off += e.channels {
-		for f, a := range acc[off : off+e.channels] {
-			if bias != nil {
-				a += bias[f]
+	switch res.DType {
+	case tensor.UInt8:
+		epilogueRow(e, res.U8()[base:base+len(acc)], acc, 0, 255)
+	case tensor.Int8:
+		epilogueRow(e, res.I8()[base:base+len(acc)], acc, -128, 127)
+	default:
+		for off := 0; off < len(acc); off += e.channels {
+			for f, a := range acc[off : off+e.channels] {
+				if e.bias != nil {
+					a += e.bias[f]
+				}
+				q := clampToDType(requantize(a, e.ratio, e.inZp, e.outZp), e.dt)
+				if e.lut.on {
+					q = e.lut.tab[q-e.lut.base]
+				}
+				setRaw(res, base+off+f, q)
 			}
-			q := clampToDType(requantize(a, ratio, inZp, outZp), dt)
-			if lut.on {
-				q = lut.tab[q-lut.base]
-			}
-			setRaw(res, base+off+f, q)
 		}
+	}
+}
+
+// epilogueRow is apply into an 8-bit destination whose raw range is
+// [lo, hi]: requantRow narrows each pixel, then the activation table maps
+// the row in place.
+//
+//np:hotpath
+func epilogueRow[T uint8 | int8](e *epilogue, dst []T, acc []int32, lo, hi int32) {
+	dst = dst[:len(acc)]
+	for off := 0; off < len(acc); off += e.channels {
+		requantRow(dst[off:off+e.channels], acc[off:off+e.channels], e.bias, e.ratio, e.inZp, e.outZp, lo, hi)
+	}
+	if e.lut.on {
+		lutRow(dst, &e.lut)
+	}
+}
+
+// requantRow writes d[f] = clamp(requantize(a[f] + bias[f])) to [lo, hi]
+// (no bias: a[f] alone): the float64 requantize expression, the clamp as
+// min and max.
+//
+//np:hotpath
+func requantRow[T uint8 | int8](d []T, a, bias []int32, ratio float64, inZp, outZp, lo, hi int32) {
+	d = d[:len(a)]
+	if bias == nil {
+		for f, v := range a {
+			d[f] = T(min(max(requantize(v, ratio, inZp, outZp), lo), hi))
+		}
+		return
+	}
+	bias = bias[:len(a)]
+	for f, v := range a {
+		d[f] = T(min(max(requantize(v+bias[f], ratio, inZp, outZp), lo), hi))
+	}
+}
+
+// lutRow maps a clamped 8-bit row through the activation table in place;
+// a value's offset from the table's base is its low byte.
+//
+//np:hotpath
+func lutRow[T uint8 | int8](d []T, lut *activationLUT) {
+	for i, v := range d {
+		d[i] = T(lut.tab[uint8(int32(v)-lut.base)])
 	}
 }
 

@@ -486,3 +486,179 @@ func TestFusedF32ConvDoesNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// roundHalfAwayBranchy is roundHalfAwayF as it was written before it lost
+// its branch.
+func roundHalfAwayBranchy(x float64) int32 {
+	if x >= 0 {
+		return int32(x + 0.5)
+	}
+	return int32(x - 0.5)
+}
+
+// applyPerElement is the epilogue as it ran before the typed rows: the
+// branchy rounding, clampToDType and setRaw's dtype switch per element.
+func applyPerElement(e *epilogue, res *tensor.Tensor, acc []int32, base int) {
+	for off := 0; off < len(acc); off += e.channels {
+		for f, a := range acc[off : off+e.channels] {
+			if e.bias != nil {
+				a += e.bias[f]
+			}
+			q := clampToDType(roundHalfAwayBranchy(float64(a-e.inZp)*e.ratio)+e.outZp, e.dt)
+			if e.lut.on {
+				q = e.lut.tab[q-e.lut.base]
+			}
+			setRaw(res, base+off+f, q)
+		}
+	}
+}
+
+// TestRoundHalfAwayMatchesBranchy: the branch-free rounding equals the branchy
+// one on ties of both signs, both zeros, the float64 just below 0.5, values
+// past the int32 range, infinities and NaN.
+func TestRoundHalfAwayMatchesBranchy(t *testing.T) {
+	for _, x := range []float64{
+		0, math.Copysign(0, -1), 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1e9 + 0.5, -1e9 - 0.5,
+		0.49999999999999994, -0.49999999999999994, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		2147483647.5, -2147483648.5, 1e300, -1e300, math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		if got, want := roundHalfAwayF(x), roundHalfAwayBranchy(x); got != want {
+			t.Errorf("roundHalfAwayF(%v) = %d, branchy %d", x, got, want)
+		}
+	}
+}
+
+// TestEpilogueRowsMatchPerElement pins the typed epilogue against the
+// per-element loop for uint8 and int8 outputs, with and without bias, under
+// every activation: random accumulators, accumulators whose rescaled value
+// is an exact .5 tie of either sign (the ratio is a power of two), values
+// that clamp at both ends, and int32 extremes whose bias and zero-point
+// arithmetic wraps.
+func TestEpilogueRowsMatchPerElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	const channels, pixels = 6, 50
+	for _, fd := range fusedDTypes {
+		for _, a := range fusedActivations {
+			for _, withBias := range []bool{false, true} {
+				for _, ratio := range []float64{0.5, 0.25, 0.0137} {
+					attrs, outQ := fusedQuantAttrs(a.act)
+					outQ.ZeroPoint = int32(fd.zpOut)
+					attrs["requant_input_scale"] = ratio * outQ.Scale
+					attrs["requant_input_zero_point"] = 3
+					attrs["requant_output_zero_point"] = fd.zpOut
+					out := &relay.TensorType{Shape: tensor.Shape{1, 1, pixels, channels}, DType: fd.dt, Quant: &outQ}
+					args := []*tensor.Tensor{nil, nil}
+					if withBias {
+						bias := tensor.New(tensor.Int32, tensor.Shape{channels})
+						for i := range bias.I32() {
+							bias.I32()[i] = int32(rng.Intn(2001) - 1000)
+						}
+						bias.I32()[0] = math.MaxInt32
+						args = append(args, bias)
+					}
+					ep, err := newEpilogue("qnn.conv2d_fused", args, attrs, out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					acc := make([]int32, pixels*channels)
+					for i := range acc {
+						switch rng.Intn(4) {
+						case 0:
+							// Even, so acc − 3 is odd: a tie at ratio 0.5.
+							acc[i] = int32(rng.Intn(2001)-1000) &^ 1
+						case 1:
+							acc[i] = int32(rng.Intn(100001) - 50000)
+						default:
+							acc[i] = int32(rng.Intn(801) - 400)
+						}
+					}
+					acc[0], acc[1], acc[2] = math.MaxInt32, math.MinInt32, math.MinInt32+1
+					got, want := tensor.New(fd.dt, out.Shape), tensor.New(fd.dt, out.Shape)
+					for _, base := range []int{0, channels * 20} {
+						ep.apply(got, acc[base:], base)
+						applyPerElement(&ep, want, acc[base:], base)
+					}
+					for i := 0; i < got.Elems(); i++ {
+						if got.GetRaw(i) != want.GetRaw(i) {
+							t.Fatalf("%s %s bias %v ratio %v: out[%d] = %d, per-element %d (acc %d)",
+								fd.dt, a.name, withBias, ratio, i, got.GetRaw(i), want.GetRaw(i), acc[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFusedQnnConvDoesNotAllocate: a steady-state qnn.conv2d_fused launch —
+// bias, requantize and relu6 into a planned destination — allocates nothing
+// on the serial path, on the im2col and on the depthwise direct strategy:
+// the row loop is a plain call, the epilogue is copied into it by value, the
+// scratch is pooled and the weight pair panels are cached.
+func TestFusedQnnConvDoesNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
+	}
+	old := parallel.SetMaxWorkers(1)
+	defer parallel.SetMaxWorkers(old)
+	rng := rand.New(rand.NewSource(61))
+	for _, name := range []string{"unit", "depthwise"} {
+		cc := convCaseNamed(t, name)
+		oh, ow := cc.outShape()
+		args, attrs, outQ := fusedOperands(rng, fusedDTypes[0], tensor.Shape{cc.n, cc.h, cc.w, cc.c},
+			tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}, true, "relu6")
+		for k, v := range cc.attrs() {
+			attrs[k] = v
+		}
+		outTy := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.UInt8, Quant: &outQ}
+		dst := tensor.New(tensor.UInt8, outTy.Shape)
+		q := outQ
+		dst.Quant = &q
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := RunInto("qnn.conv2d_fused", args, attrs, outTy, dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: qnn.conv2d_fused allocates %v times per launch on the serial path, want 0", name, allocs)
+		}
+	}
+}
+
+// TestQuantizedKernelsRefuseZeroPoints: the quantized convolution and dense
+// kernels, fused or not, return an error for a zero point outside its
+// operand's 8-bit dtype — whose (raw − zp) the int16 panels cannot hold —
+// and for operands that are not 8-bit, instead of computing a wrong answer.
+func TestQuantizedKernelsRefuseZeroPoints(t *testing.T) {
+	conv := []*tensor.Tensor{tensor.New(tensor.UInt8, tensor.Shape{1, 5, 5, 3}), tensor.New(tensor.UInt8, tensor.Shape{4, 3, 3, 3})}
+	dense := []*tensor.Tensor{tensor.New(tensor.UInt8, tensor.Shape{2, 6}), tensor.New(tensor.UInt8, tensor.Shape{4, 6})}
+	convI32 := []*tensor.Tensor{tensor.New(tensor.Int32, tensor.Shape{1, 5, 5, 3}), conv[1]}
+	convOut, denseOut := tensor.Shape{1, 3, 3, 4}, tensor.Shape{2, 4}
+	for _, tc := range []struct {
+		op        string
+		args      []*tensor.Tensor
+		out       tensor.Shape
+		zpIn, zpK int
+		want      string
+	}{
+		{"qnn.conv2d", conv, convOut, 300, 0, "input_zero_point 300 is outside the uint8 range [0, 255]"},
+		{"qnn.conv2d", conv, convOut, 0, -1, "kernel_zero_point -1 is outside the uint8 range"},
+		{"qnn.conv2d_fused", conv, convOut, 256, 0, "input_zero_point 256"},
+		{"qnn.dense", dense, denseOut, 0, 999, "kernel_zero_point 999"},
+		{"qnn.dense_fused", dense, denseOut, -7, 0, "input_zero_point -7"},
+		{"qnn.conv2d", convI32, convOut, 0, 0, "input_zero_point applies to int32, not an 8-bit type"},
+	} {
+		t.Run(fmt.Sprintf("%s/%d_%d", tc.op, tc.zpIn, tc.zpK), func(t *testing.T) {
+			attrs, outQ := fusedQuantAttrs("")
+			attrs["input_zero_point"], attrs["kernel_zero_point"] = tc.zpIn, tc.zpK
+			outTy := &relay.TensorType{Shape: tc.out, DType: tensor.Int32}
+			if strings.HasSuffix(tc.op, "_fused") {
+				outTy = &relay.TensorType{Shape: tc.out, DType: tensor.UInt8, Quant: &outQ}
+			}
+			_, err := Run(tc.op, tc.args, attrs, outTy)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}

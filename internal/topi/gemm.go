@@ -15,13 +15,19 @@ import (
 // Blocking scheme:
 //
 //   - Both operands are repacked into register-tile panels (packPanels,
-//     generic over the element type): A into gemmMR-row panels interleaved
+//     generic over the panel element): A into gemmMR-row panels interleaved
 //     by k (panel layout ap[(it·k+kk)·MR+i]), B into NR-row panels
 //     (bp[(jt·k+kk)·NR+j]). On the im2col path packCol writes A in that
 //     layout straight from the image. The micro-kernel then reads both operands
 //     as two forward streams, which removes all index arithmetic and bounds
 //     checks from the inner loop. The panel layout is the same on every
 //     architecture and is never serialized.
+//   - A float panel element is one float32. A quantized one is an i16x2: one
+//     k-pair of (raw − zero point) values as two int16, so the same layout
+//     over pairs holds, per k-pair, an A panel's 4 rows × 2 k and a B
+//     panel's 8 columns × 2 k. The reduction runs over pairs; a vector of odd
+//     length (a filter tap's channels, a dense row) is padded with a zero
+//     (rawMinusZpPairs).
 //   - The micro-kernel keeps a full MR×NR accumulator tile and runs the K
 //     loop unblocked. Each output cell owns exactly one accumulator that
 //     sums k in ascending order, each step one multiply rounded to float32
@@ -53,11 +59,20 @@ import (
 //     vectors of four output channels per A row.
 //
 // Everywhere else gemmMicroF32 is gemmMicroF32Go, which is also the oracle
-// both assembly tiles are tested against, separately. The int32 tile is the
-// scalar 4×2 below, serving qnn.conv2d, qnn.dense and their fused launches
-// alike: integer accumulation is exact in any order, and a SIMD int8 tile is
-// a separate piece of work. The tiles and the panel loops and drivers that
-// call them are the only per-element-type code here.
+// both assembly tiles are tested against, separately.
+//
+// The quantized tile, serving qnn.conv2d, qnn.dense and their fused launches
+// alike, is 4×8 int32 sums over the pair panels. On amd64 it is PMADDWD
+// (gemm_amd64.s, baseline SSE2, so no feature test): per k-pair one A load,
+// a PSHUFD broadcast of each row's pair, two B loads, eight PMADDWDs and
+// eight PADDDs into eight XMM accumulators; everywhere else, and as its
+// oracle, gemmMicroI16Go. It is exact: qnn data and weight are 8-bit and
+// their zero points values of their dtypes (relay.CheckQnnZeroPoints), so
+// every (raw − zp) lies in [−255, 255] and fits int16, a pair product-sum is
+// at most 2·255² and fits int32, and wrapping int32 addition is associative,
+// so summing by pairs equals the naive k-ascending int32 loop bit for bit.
+// The tiles and the panel loops and drivers that call them are the only
+// per-element-type code here.
 //
 // The A side arrives either row-major (gemmF32Cfg, gemmI32Cfg: dense, which
 // pack it first) or already in panels (gemmPackedF32, gemmPackedI32: the
@@ -70,11 +85,12 @@ import (
 // top level (dense layers) the panels fan out across the free workers
 // (parallel.RunChunks).
 
-// Register tile shapes: MR rows of A against NR rows of B (output channels).
+// Register tile shape of both element types: MR rows of A against NR rows of
+// B (output channels). NR is one 8-lane YMM vector, or two 4-lane XMM
+// vectors, of float32 or of int32 sums.
 const (
-	gemmMR    = 4 // both element types
-	gemmNRF32 = 8 // one 8-lane YMM vector, or two 4-lane XMM vectors
-	gemmNR    = 2 // int32: 8 scalar accumulators + 6 operands fit 16 registers
+	gemmMR = 4
+	gemmNR = 8
 )
 
 func gemmTiles(x, tile int) int { return (x + tile - 1) / tile }
@@ -84,7 +100,7 @@ func gemmTiles(x, tile int) int { return (x + tile - 1) / tile }
 // dst[(t·k+kk)·width+i]. The tail rows of the last panel are zero-filled
 // (they are computed but never written back). The LHS is packed at gemmMR,
 // weights at their tile's NR.
-func packPanels[T float32 | int32](dst, src []T, rows, k, ld, width int) {
+func packPanels[T panelElem](dst, src []T, rows, k, ld, width int) {
 	for t := 0; t*width < rows; t++ {
 		for i := 0; i < width; i++ {
 			row, d := t*width+i, t*k*width+i
@@ -124,11 +140,11 @@ func packPanels[T float32 | int32](dst, src []T, rows, k, ld, width int) {
 // naive dot product.
 //
 //np:hotpath
-func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNRF32]float32) {
+func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
 	k := len(ap) / gemmMR
 	ap = ap[:k*gemmMR]
-	bp = bp[:k*gemmNRF32]
-	for j := 0; j < gemmNRF32; j += 2 {
+	bp = bp[:k*gemmNR]
+	for j := 0; j < gemmNR; j += 2 {
 		var c00, c01 float32
 		var c10, c11 float32
 		var c20, c21 float32
@@ -137,8 +153,8 @@ func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNRF32]float32) {
 		// K unrolled ×4: the slice-advance bookkeeping then amortizes over 32
 		// MACs instead of 8. Each accumulator still sums its k products in
 		// ascending order, so unrolling cannot change the result.
-		for len(a) >= 4*gemmMR && len(b) >= 4*gemmNRF32 {
-			bj := b[j : j+3*gemmNRF32+2 : j+3*gemmNRF32+2]
+		for len(a) >= 4*gemmMR && len(b) >= 4*gemmNR {
+			bj := b[j : j+3*gemmNR+2 : j+3*gemmNR+2]
 			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 			b0, b1 := bj[0], bj[1]
 			c00 += a0 * b0
@@ -180,9 +196,9 @@ func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNRF32]float32) {
 			c30 += a3 * b0
 			c31 += a3 * b1
 			a = a[4*gemmMR:]
-			b = b[4*gemmNRF32:]
+			b = b[4*gemmNR:]
 		}
-		for len(a) >= gemmMR && len(b) >= gemmNRF32 {
+		for len(a) >= gemmMR && len(b) >= gemmNR {
 			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 			b0, b1 := b[j], b[j+1]
 			c00 += a0 * b0
@@ -194,12 +210,12 @@ func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNRF32]float32) {
 			c30 += a3 * b0
 			c31 += a3 * b1
 			a = a[gemmMR:]
-			b = b[gemmNRF32:]
+			b = b[gemmNR:]
 		}
-		acc[0*gemmNRF32+j], acc[0*gemmNRF32+j+1] = c00, c01
-		acc[1*gemmNRF32+j], acc[1*gemmNRF32+j+1] = c10, c11
-		acc[2*gemmNRF32+j], acc[2*gemmNRF32+j+1] = c20, c21
-		acc[3*gemmNRF32+j], acc[3*gemmNRF32+j+1] = c30, c31
+		acc[0*gemmNR+j], acc[0*gemmNR+j+1] = c00, c01
+		acc[1*gemmNR+j], acc[1*gemmNR+j+1] = c10, c11
+		acc[2*gemmNR+j], acc[2*gemmNR+j+1] = c20, c21
+		acc[3*gemmNR+j], acc[3*gemmNR+j+1] = c30, c31
 	}
 }
 
@@ -216,7 +232,7 @@ func gemmMCBlock(m int, cfg *KernelConfig) int {
 }
 
 // gemmF32Cfg computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n,
-// where bpack holds B packed at gemmNRF32 (packPanels, or the weight cache):
+// where bpack holds B packed at gemmNR (packPanels, or the weight cache):
 // it packs A at gemmMR into pooled scratch and runs gemmPackedF32.
 // Overwrite semantics; each cell's reduction is bit-identical to the naive
 // loop. cfg (nil: every default) carries the tuned knobs: MC row blocking
@@ -226,10 +242,10 @@ func gemmF32Cfg(m, n, k int, a []float32, lda int, bpack []float32, c []float32,
 	if m <= 0 || n <= 0 {
 		return
 	}
-	apP := getScratchF32(gemmTiles(m, gemmMR) * gemmMR * k)
+	apP := scratchF32.get(gemmTiles(m, gemmMR) * gemmMR * k)
 	packPanels(*apP, a, m, k, lda, gemmMR)
 	gemmPackedF32(m, n, k, *apP, bpack, c, ldc, cfg)
-	putScratchF32(apP)
+	scratchF32.put(apP)
 }
 
 // gemmPackedF32 is gemmF32Cfg for an A that is already in gemmMR panels —
@@ -241,7 +257,7 @@ func gemmPackedF32(m, n, k int, ap, bpack, c []float32, ldc int, cfg *KernelConf
 		return
 	}
 	mc := gemmMCBlock(m, cfg)
-	nt := gemmTiles(n, gemmNRF32)
+	nt := gemmTiles(n, gemmNR)
 	opts := cfg.gemmOpts()
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
@@ -264,112 +280,91 @@ func gemmPackedF32(m, n, k int, ap, bpack, c []float32, ldc int, cfg *KernelConf
 //np:hotpath
 func gemmPanelsF32(ap, bpack, c []float32, mb, n, k, ldc, jtLo, jtHi int) {
 	mt := gemmTiles(mb, gemmMR)
-	var acc [gemmMR * gemmNRF32]float32
+	var acc [gemmMR * gemmNR]float32
 	for jt := jtLo; jt < jtHi; jt++ {
-		bp := bpack[jt*k*gemmNRF32 : (jt+1)*k*gemmNRF32]
-		nj := min(gemmNRF32, n-jt*gemmNRF32)
+		bp := bpack[jt*k*gemmNR : (jt+1)*k*gemmNR]
+		nj := min(gemmNR, n-jt*gemmNR)
 		for it := 0; it < mt; it++ {
 			gemmMicroF32(ap[it*k*gemmMR:(it+1)*k*gemmMR], bp, &acc)
 			mi := min(gemmMR, mb-it*gemmMR)
 			for i := 0; i < mi; i++ {
-				row := c[(it*gemmMR+i)*ldc+jt*gemmNRF32:]
-				copy(row[:nj], acc[i*gemmNRF32:])
+				row := c[(it*gemmMR+i)*ldc+jt*gemmNR:]
+				copy(row[:nj], acc[i*gemmNR:])
 			}
 		}
 	}
 }
 
-// ---- int32 variant (quantized conv/dense accumulators) ----
+// ---- quantized variant: int16 pair panels, int32 accumulators ----
 
-// gemmMicroI32 is the int32 register tile. Integer addition is associative,
-// so any evaluation order is bitwise-exact.
-//
-//np:hotpath
-func gemmMicroI32(ap, bp []int32) (acc [gemmMR * gemmNR]int32) {
-	var c00, c01 int32
-	var c10, c11 int32
-	var c20, c21 int32
-	var c30, c31 int32
-	// Same ×4 K unroll as the f32 kernel; integer addition is associative,
-	// so evaluation order is irrelevant to the (exact) result anyway.
-	for len(ap) >= 4*gemmMR && len(bp) >= 4*gemmNR {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[4], ap[5], ap[6], ap[7]
-		b0, b1 = bp[2], bp[3]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[8], ap[9], ap[10], ap[11]
-		b0, b1 = bp[4], bp[5]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		a0, a1, a2, a3 = ap[12], ap[13], ap[14], ap[15]
-		b0, b1 = bp[6], bp[7]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		ap = ap[4*gemmMR:]
-		bp = bp[4*gemmNR:]
-	}
-	for len(ap) >= gemmMR && len(bp) >= gemmNR {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1 := bp[0], bp[1]
-		c00 += a0 * b0
-		c01 += a0 * b1
-		c10 += a1 * b0
-		c11 += a1 * b1
-		c20 += a2 * b0
-		c21 += a2 * b1
-		c30 += a3 * b0
-		c31 += a3 * b1
-		ap = ap[gemmMR:]
-		bp = bp[gemmNR:]
-	}
-	acc[0], acc[1] = c00, c01
-	acc[2], acc[3] = c10, c11
-	acc[4], acc[5] = c20, c21
-	acc[6], acc[7] = c30, c31
-	return acc
+// i16x2 is one k-pair of a quantized operand: two int16 values of
+// (raw − zero point), the even k in the low half. The quantized panels are
+// built of these units exactly as the float panels are built of float32
+// values — packPanels and packCol move whole pairs — so an A panel holds, per
+// k-pair, the four rows' pairs, and a B panel the eight columns' pairs.
+type i16x2 uint32
+
+// pairOf packs two (raw − zp) values into one unit.
+func pairOf(lo, hi int32) i16x2 { return i16x2(uint16(lo)) | i16x2(uint16(hi))<<16 }
+
+// dot is the unit's pair product-sum, PMADDWD's per-lane operation.
+func (u i16x2) dot(v i16x2) int32 {
+	return int32(int16(u))*int32(int16(v)) + int32(int16(u>>16))*int32(int16(v>>16))
 }
 
-// gemmI32Cfg is gemmF32Cfg for int32 operands, B packed at gemmNR.
-func gemmI32Cfg(m, n, k int, a []int32, lda int, bpack []int32, c []int32, ldc int, cfg *KernelConfig) {
+// gemmMicroI16Go computes one 4×8 tile of int32 sums over the full K extent
+// in portable Go: acc[i·8+j] = Σ_p ap[p·4+i]·bp[p·8+j], each term one pair
+// product-sum, with kp = len(ap)/4 pairs and bp at least 8kp long. It is
+// gemmMicroI16 on every architecture but amd64 and the oracle for the
+// assembly there. Like gemmMicroF32Go it walks the tile as four 4×2 column
+// pairs so the eight accumulators stay in registers.
+//
+//np:hotpath
+func gemmMicroI16Go(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
+	kp := len(ap) / gemmMR
+	ap = ap[:kp*gemmMR]
+	bp = bp[:kp*gemmNR]
+	for j := 0; j < gemmNR; j += 2 {
+		var c00, c01 int32
+		var c10, c11 int32
+		var c20, c21 int32
+		var c30, c31 int32
+		a, b := ap, bp
+		for len(a) >= gemmMR && len(b) >= gemmNR {
+			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+			b0, b1 := b[j], b[j+1]
+			c00 += a0.dot(b0)
+			c01 += a0.dot(b1)
+			c10 += a1.dot(b0)
+			c11 += a1.dot(b1)
+			c20 += a2.dot(b0)
+			c21 += a2.dot(b1)
+			c30 += a3.dot(b0)
+			c31 += a3.dot(b1)
+			a = a[gemmMR:]
+			b = b[gemmNR:]
+		}
+		acc[0*gemmNR+j], acc[0*gemmNR+j+1] = c00, c01
+		acc[1*gemmNR+j], acc[1*gemmNR+j+1] = c10, c11
+		acc[2*gemmNR+j], acc[2*gemmNR+j+1] = c20, c21
+		acc[3*gemmNR+j], acc[3*gemmNR+j+1] = c30, c31
+	}
+}
+
+// gemmI32Cfg is gemmF32Cfg for the quantized operands: A is m rows of kp
+// pairs (row stride lda), B packed at gemmNR, C int32.
+func gemmI32Cfg(m, n, kp int, a []i16x2, lda int, bpack []i16x2, c []int32, ldc int, cfg *KernelConfig) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	apP := getScratchI32(gemmTiles(m, gemmMR) * gemmMR * k)
-	packPanels(*apP, a, m, k, lda, gemmMR)
-	gemmPackedI32(m, n, k, *apP, bpack, c, ldc, cfg)
-	putScratchI32(apP)
+	apP := scratchPairs.get(gemmTiles(m, gemmMR) * gemmMR * kp)
+	packPanels(*apP, a, m, kp, lda, gemmMR)
+	gemmPackedI32(m, n, kp, *apP, bpack, c, ldc, cfg)
+	scratchPairs.put(apP)
 }
 
-// gemmPackedI32 is gemmPackedF32 for int32 operands.
-func gemmPackedI32(m, n, k int, ap, bpack, c []int32, ldc int, cfg *KernelConfig) {
+// gemmPackedI32 is gemmPackedF32 for the quantized operands.
+func gemmPackedI32(m, n, kp int, ap, bpack []i16x2, c []int32, ldc int, cfg *KernelConfig) {
 	if m <= 0 || n <= 0 {
 		return
 	}
@@ -378,34 +373,32 @@ func gemmPackedI32(m, n, k int, ap, bpack, c []int32, ldc int, cfg *KernelConfig
 	opts := cfg.gemmOpts()
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
-		apb, cb := ap[i0*k:], c[i0*ldc:]
+		apb, cb := ap[i0*kp:], c[i0*ldc:]
 		if workers := parallel.AcquireWorkers(nt, opts); workers > 1 {
 			parallel.RunChunks(nt, workers, func(jtLo, jtHi int) {
-				gemmPanelsI32(apb, bpack, cb, mb, n, k, ldc, jtLo, jtHi)
+				gemmPanelsI32(apb, bpack, cb, mb, n, kp, ldc, jtLo, jtHi)
 			})
 		} else {
-			gemmPanelsI32(apb, bpack, cb, mb, n, k, ldc, 0, nt)
+			gemmPanelsI32(apb, bpack, cb, mb, n, kp, ldc, 0, nt)
 		}
 	}
 }
 
-// gemmPanelsI32 runs the micro-kernel over N-panels [jtLo,jtHi) against the mb
-// packed LHS rows in ap and writes the tiles into c (row stride ldc).
+// gemmPanelsI32 is gemmPanelsF32 for the quantized operands.
 //
 //np:hotpath
-func gemmPanelsI32(ap, bpack, c []int32, mb, n, k, ldc, jtLo, jtHi int) {
+func gemmPanelsI32(ap, bpack []i16x2, c []int32, mb, n, kp, ldc, jtLo, jtHi int) {
 	mt := gemmTiles(mb, gemmMR)
+	var acc [gemmMR * gemmNR]int32
 	for jt := jtLo; jt < jtHi; jt++ {
-		bp := bpack[jt*k*gemmNR : (jt+1)*k*gemmNR]
+		bp := bpack[jt*kp*gemmNR : (jt+1)*kp*gemmNR]
 		nj := min(gemmNR, n-jt*gemmNR)
 		for it := 0; it < mt; it++ {
-			acc := gemmMicroI32(ap[it*k*gemmMR:(it+1)*k*gemmMR], bp)
+			gemmMicroI16(ap[it*kp*gemmMR:(it+1)*kp*gemmMR], bp, &acc)
 			mi := min(gemmMR, mb-it*gemmMR)
 			for i := 0; i < mi; i++ {
 				row := c[(it*gemmMR+i)*ldc+jt*gemmNR:]
-				for j := 0; j < nj; j++ {
-					row[j] = acc[i*gemmNR+j]
-				}
+				copy(row[:nj], acc[i*gemmNR:])
 			}
 		}
 	}
@@ -421,10 +414,14 @@ func gemmPanelsI32(ap, bpack, c []int32, mb, n, k, ldc, jtLo, jtHi int) {
 // (same tensor used with different grouping or zero point — which real
 // models never do) falls back to an uncached pack.
 
+// panelElem is the element of a GEMM panel: a float32, or a quantized
+// operand's k-pair.
+type panelElem interface{ float32 | i16x2 }
+
 // packedWeight is one weight tensor's panels: for each of groups groups,
 // ceil(ocg/nr)·nr rows of k elements packed at width nr, glen elements.
-// Quantized weights are packed as (raw − zp).
-type packedWeight[T float32 | int32] struct {
+// Quantized weights are packed as (raw − zp) pairs.
+type packedWeight[T panelElem] struct {
 	groups, glen int
 	zp           int32
 	data         []T
@@ -432,7 +429,7 @@ type packedWeight[T float32 | int32] struct {
 
 // packWeight packs w — oc rows of k = len(w)/oc elements, split into
 // groups — at width nr.
-func packWeight[T float32 | int32](w []T, oc, groups, nr int, zp int32) *packedWeight[T] {
+func packWeight[T panelElem](w []T, oc, groups, nr int, zp int32) *packedWeight[T] {
 	k, ocg := len(w)/oc, oc/groups
 	glen := gemmTiles(ocg, nr) * nr * k
 	pw := &packedWeight[T]{groups: groups, glen: glen, zp: zp, data: make([]T, groups*glen)}
@@ -449,7 +446,7 @@ func (pw *packedWeight[T]) group(g int) []T { return pw.data[g*pw.glen : (g+1)*p
 // the same grouping and zero point; otherwise nil, and store reports
 // whether the caller's fresh pack may be cached (a miss) or not (a key
 // collision).
-func cachedWeight[T float32 | int32](cache *weightCache, w *tensor.Tensor, groups int, zp int32) (pw *packedWeight[T], store bool) {
+func cachedWeight[T panelElem](cache *weightCache, w *tensor.Tensor, groups int, zp int32) (pw *packedWeight[T], store bool) {
 	v, ok := cache.get(w)
 	if !ok {
 		return nil, true
@@ -466,7 +463,7 @@ func cachedWeight[T float32 | int32](cache *weightCache, w *tensor.Tensor, group
 func packedConvWeightF32(w *tensor.Tensor, groups int) *packedWeight[float32] {
 	pw, store := cachedWeight[float32](gemmWeightF32, w, groups, 0)
 	if pw == nil {
-		pw = packWeight(w.F32(), w.Shape[0], groups, gemmNRF32, 0)
+		pw = packWeight(w.F32(), w.Shape[0], groups, gemmNR, 0)
 		if store {
 			gemmWeightF32.put(w, pw)
 		}
@@ -474,16 +471,18 @@ func packedConvWeightF32(w *tensor.Tensor, groups int) *packedWeight[float32] {
 	return pw
 }
 
-// packedConvWeightI32 returns the cached (raw − zero_point) panels of a
-// quantized weight tensor.
-func packedConvWeightI32(w *tensor.Tensor, groups int, zp int32) (*packedWeight[int32], error) {
-	pw, store := cachedWeight[int32](gemmWeightI32, w, groups, zp)
+// packedConvWeightI32 returns the cached (raw − zero_point) pair panels of a
+// quantized weight tensor, its innermost vectors (a filter tap's channels, a
+// dense row) each padded to an even length (rawMinusZpPairs).
+func packedConvWeightI32(w *tensor.Tensor, groups int, zp int32) (*packedWeight[i16x2], error) {
+	pw, store := cachedWeight[i16x2](gemmWeightI32, w, groups, zp)
 	if pw != nil {
 		return pw, nil
 	}
-	rawP := getScratchI32(w.Elems())
-	defer putScratchI32(rawP)
-	if err := rawMinusZp(*rawP, w, zp); err != nil {
+	vec := w.Shape[len(w.Shape)-1]
+	rawP := scratchPairs.get(w.Elems() / vec * pairsOf(vec))
+	defer scratchPairs.put(rawP)
+	if err := rawMinusZpPairs(*rawP, w, zp, vec); err != nil {
 		return nil, err
 	}
 	pw = packWeight(*rawP, w.Shape[0], groups, gemmNR, zp)
@@ -492,6 +491,9 @@ func packedConvWeightI32(w *tensor.Tensor, groups int, zp int32) (*packedWeight[
 	}
 	return pw, nil
 }
+
+// pairsOf is the number of k-pairs that hold n values.
+func pairsOf(n int) int { return (n + 1) / 2 }
 
 // rawMinusZp widens a quantized tensor's raw values into dst, subtracting
 // the zero point.
@@ -505,12 +507,39 @@ func rawMinusZp(dst []int32, t *tensor.Tensor, zp int32) error {
 		for i, v := range t.I8() {
 			dst[i] = int32(v) - zp
 		}
-	case tensor.Int32:
-		for i, v := range t.I32() {
-			dst[i] = v - zp
-		}
 	default:
 		return fmt.Errorf("quantized kernel on %s tensor", t.DType)
 	}
 	return nil
+}
+
+// rawMinusZpPairs is rawMinusZp into k-pairs: t's raw values, read as
+// consecutive vectors of vec, each become pairsOf(vec) units of dst, a
+// vector of odd length padded with a zero. With vec a convolution's
+// per-group channel count the padding is per tap, so a pair never straddles
+// two taps and the patch pack moves whole pairs; the zero meets a zero
+// weight pad, so the sums are those of the unpadded reduction.
+func rawMinusZpPairs(dst []i16x2, t *tensor.Tensor, zp int32, vec int) error {
+	switch t.DType {
+	case tensor.UInt8:
+		widenPairs(dst, t.U8(), zp, vec)
+	case tensor.Int8:
+		widenPairs(dst, t.I8(), zp, vec)
+	default:
+		return fmt.Errorf("quantized kernel on %s tensor", t.DType)
+	}
+	return nil
+}
+
+func widenPairs[T uint8 | int8](dst []i16x2, src []T, zp int32, vec int) {
+	vp := pairsOf(vec)
+	for ; len(src) >= vec; src, dst = src[vec:], dst[vp:] {
+		s, d := src[:vec], dst[:vp]
+		for j := 0; j < vec/2; j++ {
+			d[j] = pairOf(int32(s[2*j])-zp, int32(s[2*j+1])-zp)
+		}
+		if vec%2 == 1 {
+			d[vp-1] = pairOf(int32(s[vec-1])-zp, 0)
+		}
+	}
 }

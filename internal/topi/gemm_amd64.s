@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// The f32 register tiles for amd64 and the feature test that picks one. See
-// gemm.go for the panel layout and the multiply-then-add rule.
+// The f32 register tiles for amd64 and the feature test that picks one, and
+// the quantized pair tile. See gemm.go for the panel layouts and the
+// multiply-then-add rule.
 
 // func cpuHasAVX() bool
 //
@@ -132,4 +133,68 @@ vstore:
 	VMOVUPS Y2, 64(DI)
 	VMOVUPS Y3, 96(DI)
 	VZEROUPPER
+	RET
+
+// gemmMicroI16SSE2 is the quantized tile: int16 k-pairs in, int32 sums out.
+//
+// X0..X7 hold the 4×8 tile of int32 sums as the SSE2 f32 tile holds its
+// floats: row i is X(2i) (columns 0–3) and X(2i+1) (columns 4–7). Per k-pair
+// X8 takes the four rows' pairs, X9/X10 the eight columns' pairs, and IROW
+// broadcasts row sel's pair to every lane (PSHUFD), multiplies it against
+// both column vectors and adds each lane's two products (PMADDWD, PMADDWL to
+// the Go assembler), then accumulates (PADDD, PADDL). The operands are
+// (raw − zp) of 8-bit data, within ±255, so a pair sum fits int32 and the
+// wrapping int32 adds are the Go tile's.
+
+#define IROW(sel, lo, hi) \
+	PSHUFD  $sel, X8, X11 \
+	MOVO    X11, X12      \
+	PMADDWL X9, X11       \
+	PMADDWL X10, X12      \
+	PADDL   X11, lo       \
+	PADDL   X12, hi
+
+// func gemmMicroI16SSE2(ap, bp []i16x2, acc *[32]int32)
+//
+// kp = len(ap)/4 k-pairs; bp must hold at least 8kp pairs. With kp == 0
+// neither panel is read and acc is zeroed.
+TEXT ·gemmMicroI16SSE2(SB), NOSPLIT, $0-56
+	MOVQ  ap_base+0(FP), SI
+	MOVQ  ap_len+8(FP), CX
+	MOVQ  bp_base+24(FP), DX
+	MOVQ  acc+48(FP), DI
+	SHRQ  $2, CX
+	PXOR  X0, X0
+	PXOR  X1, X1
+	PXOR  X2, X2
+	PXOR  X3, X3
+	PXOR  X4, X4
+	PXOR  X5, X5
+	PXOR  X6, X6
+	PXOR  X7, X7
+	TESTQ CX, CX
+	JZ    istore
+
+iloop:
+	MOVOU (SI), X8
+	MOVOU (DX), X9
+	MOVOU 16(DX), X10
+	IROW(0x00, X0, X1)
+	IROW(0x55, X2, X3)
+	IROW(0xAA, X4, X5)
+	IROW(0xFF, X6, X7)
+	ADDQ  $16, SI
+	ADDQ  $32, DX
+	DECQ  CX
+	JNZ   iloop
+
+istore:
+	MOVOU X0, (DI)
+	MOVOU X1, 16(DI)
+	MOVOU X2, 32(DI)
+	MOVOU X3, 48(DI)
+	MOVOU X4, 64(DI)
+	MOVOU X5, 80(DI)
+	MOVOU X6, 96(DI)
+	MOVOU X7, 112(DI)
 	RET

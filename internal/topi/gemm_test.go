@@ -68,8 +68,8 @@ func gemmF32Case(rng *rand.Rand, m, n, k, lda, ldc int) (a, bpack, want []float3
 	for i := range b {
 		b[i] = rng.Float32()*2 - 1
 	}
-	bpack = make([]float32, gemmTiles(n, gemmNRF32)*gemmNRF32*k)
-	packPanels(bpack, b, n, k, k, gemmNRF32)
+	bpack = make([]float32, gemmTiles(n, gemmNR)*gemmNR*k)
+	packPanels(bpack, b, n, k, k, gemmNR)
 	want = make([]float32, m*ldc)
 	naiveGemmF32(m, n, k, a, lda, b, k, want, ldc)
 	return a, bpack, want
@@ -135,7 +135,7 @@ var tileValues = []float32{
 // cannot execute (the AVX tile without AVX).
 type tileKernel struct {
 	name string
-	run  func(ap, bp []float32, acc *[gemmMR * gemmNRF32]float32)
+	run  func(ap, bp []float32, acc *[gemmMR * gemmNR]float32)
 	skip bool
 }
 
@@ -157,7 +157,7 @@ func TestGemmMicroF32Tile(t *testing.T) {
 }
 
 func testMicroF32Tile(t *testing.T, kern tileKernel) {
-	const tile = gemmMR * gemmNRF32
+	const tile = gemmMR * gemmNR
 	rng := rand.New(rand.NewSource(23))
 	ks := []int{128, 576, 1000, 4097}
 	for k := 0; k <= 67; k++ {
@@ -178,7 +178,7 @@ func testMicroF32Tile(t *testing.T, kern tileKernel) {
 			// Odd rounds keep infinities and NaN out so that most cells stay
 			// non-NaN and the denormal and signed-zero sums are compared.
 			ap := make([]float32, k*gemmMR)
-			bp := make([]float32, k*gemmNRF32)
+			bp := make([]float32, k*gemmNR)
 			for i := range ap {
 				ap[i] = draw(round%2 == 1)
 			}
@@ -187,12 +187,12 @@ func testMicroF32Tile(t *testing.T, kern tileKernel) {
 			}
 			var want [tile]float32
 			for i := 0; i < gemmMR; i++ {
-				for j := 0; j < gemmNRF32; j++ {
+				for j := 0; j < gemmNR; j++ {
 					var acc float32
 					for kk := 0; kk < k; kk++ {
-						acc += ap[kk*gemmMR+i] * bp[kk*gemmNRF32+j]
+						acc += ap[kk*gemmMR+i] * bp[kk*gemmNR+j]
 					}
-					want[i*gemmNRF32+j] = acc
+					want[i*gemmNR+j] = acc
 				}
 			}
 			// Guard cells on both sides of acc: the kernel writes the tile
@@ -233,6 +233,25 @@ func testMicroF32Tile(t *testing.T, kern tileKernel) {
 	}
 }
 
+// pairRows packs rows rows of k int32 values into rows of pairsOf(k)
+// k-pairs, an odd row padded with a zero.
+func pairRows(src []int32, rows, k int) []i16x2 {
+	kp := pairsOf(k)
+	dst := make([]i16x2, rows*kp)
+	for r := 0; r < rows; r++ {
+		for kk := 0; kk < k; kk += 2 {
+			hi := int32(0)
+			if kk+1 < k {
+				hi = src[r*k+kk+1]
+			}
+			dst[r*kp+kk/2] = pairOf(src[r*k+kk], hi)
+		}
+	}
+	return dst
+}
+
+// TestGemmI32MatchesNaive: the quantized GEMM — operands at ±255 as k-pairs,
+// odd k padded — equals the naive int32 loop over the unpadded operands.
 func TestGemmI32MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, d := range gemmDims {
@@ -246,16 +265,95 @@ func TestGemmI32MatchesNaive(t *testing.T) {
 			for i := range b {
 				b[i] = int32(rng.Intn(511) - 255)
 			}
-			bpack := make([]int32, gemmTiles(n, gemmNR)*gemmNR*k)
-			packPanels(bpack, b, n, k, k, gemmNR)
+			kp := pairsOf(k)
+			bpack := make([]i16x2, gemmTiles(n, gemmNR)*gemmNR*kp)
+			packPanels(bpack, pairRows(b, n, k), n, kp, kp, gemmNR)
 			got := make([]int32, m*n)
-			gemmI32Cfg(m, n, k, a, k, bpack, got, n, nil)
+			gemmI32Cfg(m, n, kp, pairRows(a, m, k), kp, bpack, got, n, nil)
 			want := make([]int32, m*n)
 			naiveGemmI32(m, n, k, a, k, b, k, want, n)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("c[%d]: blocked %d != naive %d", i, got[i], want[i])
 				}
+			}
+		})
+	}
+}
+
+// i16TileKernels are the quantized register tiles TestGemmMicroI16Tile runs
+// against gemmMicroI16Go and the naive loop: the dispatched gemmMicroI16
+// (on amd64 the PMADDWD assembly) and the Go tile itself.
+var i16TileKernels = []struct {
+	name string
+	run  func(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32)
+}{{"gemmMicroI16", gemmMicroI16}, {"gemmMicroI16Go", gemmMicroI16Go}}
+
+// TestGemmMicroI16Tile pins the quantized tile on every k through both pair
+// parities and a long reduction: operands drawn at random from [−255, 255]
+// with a quarter of them at ±255 (the largest pair sums, 2·255² each),
+// panels of odd k padded with zeros, each cell equal to the naive int32 dot
+// product of the unpadded rows. The tile writes its 32 sums and nothing
+// else, and zeros on k == 0.
+func TestGemmMicroI16Tile(t *testing.T) {
+	const tile = gemmMR * gemmNR
+	rng := rand.New(rand.NewSource(47))
+	draw := func() int32 {
+		if rng.Intn(4) == 0 {
+			return int32(255 * (1 - 2*rng.Intn(2)))
+		}
+		return int32(rng.Intn(511) - 255)
+	}
+	for _, kern := range i16TileKernels {
+		t.Run(kern.name, func(t *testing.T) {
+			for _, k := range []int{0, 1, 2, 3, 4, 5, 17, 576} {
+				for round := 0; round < 4; round++ {
+					a := make([]int32, gemmMR*k)
+					b := make([]int32, gemmNR*k)
+					for i := range a {
+						a[i] = draw()
+					}
+					for i := range b {
+						b[i] = draw()
+					}
+					if round == 3 {
+						// Every product at its largest: the sums' extremes.
+						for i := range a {
+							a[i] = 255
+						}
+						for i := range b {
+							b[i] = -255
+						}
+					}
+					kp := pairsOf(k)
+					ap := make([]i16x2, gemmMR*kp)
+					bp := make([]i16x2, gemmNR*kp)
+					packPanels(ap, pairRows(a, gemmMR, k), gemmMR, kp, kp, gemmMR)
+					packPanels(bp, pairRows(b, gemmNR, k), gemmNR, kp, kp, gemmNR)
+					var want [tile]int32
+					naiveGemmI32(gemmMR, gemmNR, k, a, k, b, k, want[:], gemmNR)
+					var got struct {
+						pre  [4]int32
+						acc  [tile]int32
+						post [4]int32
+					}
+					for i := range got.acc {
+						got.acc[i] = 42
+					}
+					got.pre, got.post = [4]int32{1, 2, 3, 4}, [4]int32{5, 6, 7, 8}
+					kern.run(ap, bp, &got.acc)
+					if got.pre != [4]int32{1, 2, 3, 4} || got.post != [4]int32{5, 6, 7, 8} {
+						t.Fatalf("k=%d: %s wrote outside acc", k, kern.name)
+					}
+					if got.acc != want {
+						t.Fatalf("k=%d round %d: %s = %v, naive %v", k, round, kern.name, got.acc, want)
+					}
+				}
+			}
+			acc := [tile]int32{0: 9, tile - 1: 9}
+			kern.run(nil, nil, &acc)
+			if acc != [tile]int32{} {
+				t.Fatalf("k=0 on nil panels: %s acc = %v, want zeros", kern.name, acc)
 			}
 		})
 	}
@@ -276,8 +374,8 @@ func TestGemmSerialPathDoesNotAllocate(t *testing.T) {
 	old := parallel.SetMaxWorkers(1)
 	defer parallel.SetMaxWorkers(old)
 	const m, n, k = 13, 9, 27
-	af, bf, cf := make([]float32, m*k), make([]float32, gemmTiles(n, gemmNRF32)*gemmNRF32*k), make([]float32, m*n)
-	ai, bi, ci := make([]int32, m*k), make([]int32, gemmTiles(n, gemmNR)*gemmNR*k), make([]int32, m*n)
+	af, bf, cf := make([]float32, m*k), make([]float32, gemmTiles(n, gemmNR)*gemmNR*k), make([]float32, m*n)
+	ai, bi, ci := make([]i16x2, m*k), make([]i16x2, gemmTiles(n, gemmNR)*gemmNR*k), make([]int32, m*n)
 	blocked := &KernelConfig{GemmMC: 4}
 	for name, call := range map[string]func(){
 		"gemmF32Cfg":            func() { gemmF32Cfg(m, n, k, af, k, bf, cf, n, nil) },

@@ -31,11 +31,10 @@ func clampToDType(v int32, dt tensor.DType) int32 {
 	return v
 }
 
+// roundHalfAwayF rounds half away from zero without a branch: x + 0.5 for
+// x >= 0 (−0 included, which truncates to 0 either way), x − 0.5 below.
 func roundHalfAwayF(x float64) int32 {
-	if x >= 0 {
-		return int32(x + 0.5)
-	}
-	return int32(x - 0.5)
+	return int32(x + math.Copysign(0.5, x))
 }
 
 func qnnQuantize(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {

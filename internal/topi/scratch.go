@@ -2,39 +2,32 @@ package topi
 
 import "sync"
 
-// scratchPool recycles kernel-internal scratch buffers (the im2col patch
-// matrices). Output buffers are arena-planned by the executor, but scratch is
-// shaped per (kernel, chunk) and so is pooled here instead — keeping the
-// planned executor's steady state free of per-run heap allocation. Pooling
+// scratchPool recycles kernel-internal scratch buffers of one element type
+// (im2col patch panels, widened raw views, GEMM packing panels). Output
+// buffers are arena-planned by the executor, but scratch is shaped per
+// (kernel, chunk) and so is pooled here instead — keeping the planned
+// executor's steady state free of per-run heap allocation. Pooling
 // pointers-to-slices avoids boxing a fresh slice header on every Put.
-var scratchPool = sync.Pool{New: func() any { return new([]float32) }}
+type scratchPool[T any] struct{ pool sync.Pool }
 
-// getScratchF32 returns a length-n float32 scratch slice with unspecified
-// contents. Return it with putScratchF32 when done.
-func getScratchF32(n int) *[]float32 {
-	p := scratchPool.Get().(*[]float32)
+var (
+	scratchF32   scratchPool[float32]
+	scratchI32   scratchPool[int32]
+	scratchPairs scratchPool[i16x2]
+)
+
+// get returns a length-n scratch slice with unspecified contents. Return it
+// with put when done.
+func (s *scratchPool[T]) get(n int) *[]T {
+	p, _ := s.pool.Get().(*[]T)
+	if p == nil {
+		p = new([]T)
+	}
 	if cap(*p) < n {
-		*p = make([]float32, n)
+		*p = make([]T, n)
 	}
 	*p = (*p)[:n]
 	return p
 }
 
-func putScratchF32(p *[]float32) { scratchPool.Put(p) }
-
-// scratchPoolI32 recycles int32 scratch (quantized im2col patch matrices,
-// widened raw views, GEMM packing panels).
-var scratchPoolI32 = sync.Pool{New: func() any { return new([]int32) }}
-
-// getScratchI32 returns a length-n int32 scratch slice with unspecified
-// contents. Return it with putScratchI32 when done.
-func getScratchI32(n int) *[]int32 {
-	p := scratchPoolI32.Get().(*[]int32)
-	if cap(*p) < n {
-		*p = make([]int32, n)
-	}
-	*p = (*p)[:n]
-	return p
-}
-
-func putScratchI32(p *[]int32) { scratchPoolI32.Put(p) }
+func (s *scratchPool[T]) put(p *[]T) { s.pool.Put(p) }

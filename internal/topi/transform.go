@@ -105,21 +105,38 @@ func concatenateKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.Tens
 	for i := axis + 1; i < rank; i++ {
 		inner *= out.Shape[i]
 	}
+	// Each input contributes one contiguous run of ax·inner elements per
+	// outer index.
 	axisOff := 0
 	for _, t := range args {
-		ax := t.Shape[axis]
+		run := t.Shape[axis] * inner
 		for o := 0; o < outer; o++ {
-			for a := 0; a < ax; a++ {
-				srcBase := (o*ax + a) * inner
-				dstBase := (o*out.Shape[axis] + axisOff + a) * inner
-				for i := 0; i < inner; i++ {
-					copyElem(res, dstBase+i, t, srcBase+i)
-				}
+			si, di := o*run, (o*out.Shape[axis]+axisOff)*inner
+			if t.DType == res.DType {
+				copyRun(res, di, t, si, run)
+				continue
+			}
+			for i := 0; i < run; i++ {
+				copyElem(res, di+i, t, si+i)
 			}
 		}
-		axisOff += ax
+		axisOff += t.Shape[axis]
 	}
 	return res, nil
+}
+
+// copyRun copies src[si:si+n] to dst[di:di+n], two tensors of one dtype.
+func copyRun(dst *tensor.Tensor, di int, src *tensor.Tensor, si, n int) {
+	switch src.DType {
+	case tensor.Float32:
+		copy(dst.F32()[di:di+n], src.F32()[si:si+n])
+	case tensor.Int8:
+		copy(dst.I8()[di:di+n], src.I8()[si:si+n])
+	case tensor.UInt8:
+		copy(dst.U8()[di:di+n], src.U8()[si:si+n])
+	case tensor.Int32:
+		copy(dst.I32()[di:di+n], src.I32()[si:si+n])
+	}
 }
 
 func padKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {

@@ -129,8 +129,8 @@ func TestGemmMCBlockingBitwise(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float32()*2 - 1
 		}
-		bpack := make([]float32, gemmTiles(n, gemmNRF32)*gemmNRF32*k)
-		packPanels(bpack, b, n, k, k, gemmNRF32)
+		bpack := make([]float32, gemmTiles(n, gemmNR)*gemmNR*k)
+		packPanels(bpack, b, n, k, k, gemmNR)
 		want := make([]float32, m*n)
 		gemmF32Cfg(m, n, k, a, k, bpack, want, n, nil)
 		for _, mc := range []int{1, 3, 4, 8, m - 1, m, m + 5} {
