@@ -33,11 +33,16 @@ portable:
 # one would break the bitwise pins on some hosts and not others. The scan
 # reads the compiler's and the assembler's own listings (-S): go tool
 # objdump does not decode VEX-encoded instructions, and prints an FMA as an
-# unrelated legacy opcode.
+# unrelated legacy opcode. Every TEXT routine of gemm_amd64.s must appear
+# in the assembler's listing, so a new tile cannot escape the scan.
 no-fma:
 	@set -e; for v in v1 v3; do \
 		lst=$$(GOARCH=amd64 GOAMD64=$$v $(GO) test -c -o /dev/null -gcflags=-S -asmflags=-S ./internal/topi 2>&1) || \
 			{ echo "$$lst" | grep -v '^[[:space:]]' ; exit 1; }; \
+		for f in $$(sed -n 's/^TEXT ·\([A-Za-z0-9]*\)(SB).*/\1/p' internal/topi/gemm_amd64.s); do \
+			echo "$$lst" | grep -qE "topi\.$$f STEXT.* asm " || \
+				{ echo "no-fma: GOAMD64=$$v: $$f is not in the assembler's listing"; exit 1; }; \
+		done; \
 		fma=$$(echo "$$lst" | grep -E '[[:space:]]VFN?M(ADD|SUB)' || true); \
 		if [ -n "$$fma" ]; then echo "no-fma: GOAMD64=$$v: fused multiply-add in package topi:"; \
 			echo "$$fma"; exit 1; fi; \

@@ -186,9 +186,7 @@ func (s *Showcase) prepareDetInput(img *tensor.Tensor) *tensor.Tensor {
 	if s.detInQ == nil {
 		return s.detIn
 	}
-	for i, v := range s.detIn.F32() {
-		s.detInQ.SetF(i, float64(v))
-	}
+	s.detInQ.QuantizeFrom(s.detIn.F32())
 	return s.detInQ
 }
 

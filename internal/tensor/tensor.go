@@ -408,13 +408,32 @@ func (t *Tensor) QuantizeTo(dt DType, q QuantParams) *Tensor {
 	if !dt.IsQuantized() {
 		panic("tensor: QuantizeTo requires a quantized dtype")
 	}
-	src := t.ToFloat32()
 	out := New(dt, t.Shape)
 	out.Quant = &q
-	for i, n := 0, t.Elems(); i < n; i++ {
-		out.SetF(i, float64(src.f32[i]))
-	}
+	out.QuantizeFrom(t.ToFloat32().f32)
 	return out
+}
+
+// QuantizeFrom overwrites the first len(src) elements of the quantized
+// tensor t with src quantized by t's parameters: element i gets exactly what
+// SetF(i, float64(src[i])) would store, in one typed loop instead of a dtype
+// switch per element.
+func (t *Tensor) QuantizeFrom(src []float32) {
+	if !t.DType.IsQuantized() || t.Quant == nil {
+		panic("tensor: QuantizeFrom requires a quantized tensor with quant params")
+	}
+	switch t.DType {
+	case UInt8:
+		quantizeInto(t.u8[:len(src)], src, *t.Quant, 0, 255)
+	case Int8:
+		quantizeInto(t.i8[:len(src)], src, *t.Quant, -128, 127)
+	}
+}
+
+func quantizeInto[T uint8 | int8](dst []T, src []float32, q QuantParams, lo, hi int32) {
+	for i, v := range src {
+		dst[i] = T(clampI32(q.Quantize(float64(v)), lo, hi))
+	}
 }
 
 func (t *Tensor) String() string {

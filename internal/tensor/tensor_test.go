@@ -492,3 +492,40 @@ func TestTypedAccessorPanicsOnWrongDType(t *testing.T) {
 	}()
 	f.I8()
 }
+
+// TestQuantizeFromMatchesSetF pins the typed quantize loop (QuantizeFrom,
+// and QuantizeTo through it) against SetF, bit for bit, for both dtypes:
+// exact ties at ±.5 and the float32 neighbours either side of each, negatives,
+// values past both ends of the range, ±Inf and NaN, under power-of-two and
+// other scales and several zero points.
+func TestQuantizeFromMatchesSetF(t *testing.T) {
+	var src []float32
+	for n := -260; n <= 260; n++ {
+		for _, v := range []float32{float32(n), float32(n) + 0.5, float32(n) + 0.25, float32(n) / 3} {
+			src = append(src, v, math.Nextafter32(v, float32(math.Inf(1))), math.Nextafter32(v, float32(math.Inf(-1))))
+		}
+	}
+	src = append(src, 1e9, -1e9, 3e38, -3e38, float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32)
+	for _, dt := range []DType{UInt8, Int8} {
+		for _, q := range []QuantParams{{1, 0}, {0.5, 128}, {0.25, -7}, {2, 3}, {0.0078125, 127}, {0.02, -128}, {0.1, 100}} {
+			got := New(dt, Shape{len(src)})
+			got.Quant = &q
+			got.QuantizeFrom(src)
+			want := New(dt, Shape{len(src)})
+			want.Quant = &q
+			for i, v := range src {
+				want.SetF(i, float64(v))
+			}
+			viaTo := New(Float32, Shape{len(src)})
+			copy(viaTo.F32(), src)
+			to := viaTo.QuantizeTo(dt, q)
+			for i, v := range src {
+				if got.GetF(i) != want.GetF(i) || to.GetF(i) != want.GetF(i) {
+					t.Fatalf("%s %+v: %v quantizes to %v (QuantizeTo %v), SetF %v",
+						dt, q, v, got.GetF(i), to.GetF(i), want.GetF(i))
+				}
+			}
+		}
+	}
+}

@@ -231,14 +231,17 @@ func depthwiseRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
 }
 
 // mulAddRow is out[o] += x[o]·k[o] over len(out) channels — one multiply
-// and one add per element, each rounded. It is kept out of line: inlined
-// into depthwiseRow its operands are spilled to the stack on every element.
+// and one add per element, each rounded. Where the CPU has AVX2 the leading
+// multiple of eight channels run as vectors (mulAddRowVec), which round and
+// wrap exactly as this loop does; the loop takes the rest. It is kept out of
+// line: inlined into depthwiseRow its operands are spilled to the stack on
+// every element.
 //
 //go:noinline
 func mulAddRow[T float32 | int32](out, x, k []T) {
 	x, k = x[:len(out)], k[:len(out)]
-	for o, v := range x {
-		out[o] += v * k[o]
+	for o := mulAddRowVec(out, x, k); o < len(out); o++ {
+		out[o] += x[o] * k[o]
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/relay"
 	"repro/internal/tensor"
 )
@@ -80,6 +81,58 @@ func BenchmarkConvStrategy(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					k.run()
 				}
+			})
+		}
+	}
+}
+
+// gemmShapes are the emotion model's f32 im2col GEMMs (m = one output row's
+// pixels, n = output channels, k = 3·3·input channels), which carry most of
+// a showcase frame's f32 multiply-adds.
+var gemmShapes = []struct{ m, n, k int }{{44, 64, 288}, {20, 128, 576}, {8, 128, 1152}}
+
+// BenchmarkGemmF32Shapes reports GFLOP/s (2·m·n·k per call) on gemmShapes
+// for the dispatched driver (gemmPackedF32, serial as it runs under a conv
+// row loop) and for each register tile of tileKernels this CPU runs, swept
+// over the panels alone:
+//
+//	go test ./internal/topi -run '^$' -bench GemmF32Shapes -benchtime 200ms
+func BenchmarkGemmF32Shapes(b *testing.B) {
+	old := parallel.SetMaxWorkers(1)
+	defer parallel.SetMaxWorkers(old)
+	rng := rand.New(rand.NewSource(37))
+	for _, s := range gemmShapes {
+		a, bpack, _ := gemmF32Case(rng, s.m, s.n, s.k, s.k, s.n)
+		ap := make([]float32, gemmTiles(s.m, gemmMR)*gemmMR*s.k)
+		packPanels(ap, a, s.m, s.k, s.k, gemmMR)
+		c := make([]float32, s.m*s.n)
+		mt, nt := gemmTiles(s.m, gemmMR), gemmTiles(s.n, gemmNR)
+		flops := float64(2 * s.m * s.n * s.k)
+		type row struct {
+			name string
+			run  func()
+		}
+		rows := []row{{"gemmPackedF32", func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n, nil) }}}
+		for _, kern := range tileKernels {
+			if kern.skip || nt%kern.panels != 0 {
+				continue
+			}
+			rows = append(rows, row{kern.name, func() {
+				var acc [gemmMR * gemmWideNR]float32
+				for jt := 0; jt < nt; jt += kern.panels {
+					bp := bpack[jt*s.k*gemmNR : (jt+kern.panels)*s.k*gemmNR]
+					for it := 0; it < mt; it++ {
+						kern.run(ap[it*s.k*gemmMR:(it+1)*s.k*gemmMR], bp, &acc)
+					}
+				}
+			}})
+		}
+		for _, r := range rows {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.n, s.k, r.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					r.run()
+				}
+				b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 			})
 		}
 	}

@@ -104,3 +104,43 @@ func testDepthwiseRow[T float32 | int32](t *testing.T, g *convGeom, din, wt []T,
 		}
 	}
 }
+
+// TestMulAddRowMatchesScalar pins mulAddRow — on an AVX2 host its vector
+// body plus the Go tail — against the plain per-element loop for every length
+// 0…67 at unaligned offsets: int32 over the full range, so products and sums
+// wrap, and float32 over tileValues' specials (NaN, ±Inf, ±0, denormals,
+// overflow). Bitwise, except that a NaN's payload is not compared (which
+// operand's survives is the instruction's choice, and the compiler's
+// operand order for the reference loop changes under -race); nothing past
+// len(out) is written.
+func TestMulAddRowMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for n := 0; n <= 67; n++ {
+		off := n % 4
+		xi, ki, oi := make([]int32, n+off), make([]int32, n+off), make([]int32, n+off+1)
+		xf, kf, of := make([]float32, n+off), make([]float32, n+off), make([]float32, n+off+1)
+		for i := range xi {
+			xi[i], ki[i], oi[i] = int32(rng.Uint32()), int32(rng.Uint32()), int32(rng.Uint32())
+			xf[i] = tileValues[rng.Intn(len(tileValues))]
+			kf[i] = tileValues[rng.Intn(len(tileValues))]
+			of[i] = tileValues[rng.Intn(len(tileValues))]
+		}
+		oi[n+off], of[n+off] = 7, 7
+		wi, wf := append([]int32(nil), oi...), append([]float32(nil), of...)
+		for i := off; i < n+off; i++ {
+			wi[i] += xi[i] * ki[i]
+			wf[i] += xf[i] * kf[i]
+		}
+		mulAddRow(oi[off:n+off], xi[off:], ki[off:])
+		mulAddRow(of[off:n+off], xf[off:], kf[off:])
+		for i := range wi {
+			if oi[i] != wi[i] {
+				t.Fatalf("int32 n=%d: out[%d] = %d, want %d", n, i, oi[i], wi[i])
+			}
+			if bothNaN := of[i] != of[i] && wf[i] != wf[i]; !bothNaN && math.Float32bits(of[i]) != math.Float32bits(wf[i]) {
+				t.Fatalf("float32 n=%d: out[%d] = %v (%#08x), want %v (%#08x)",
+					n, i, of[i], math.Float32bits(of[i]), wf[i], math.Float32bits(wf[i]))
+			}
+		}
+	}
+}

@@ -39,27 +39,42 @@ import (
 //     and cached in the bounded weightCache instances of weightcache.go:
 //     steady-state inference repacks only the activation side.
 //
-// Tile shapes. The f32 tile is 4×8, and on amd64 it is assembly
-// (gemm_amd64.s) in two widths over the same panels. Both vectorise across N
-// — one lane per output cell, every cell's reduction serial in k — which is
-// what makes a vector tile bit-equal to the scalar loops. Both multiply
-// (MULPS) and then add (ADDPS), never a fused multiply-add: an FMA rounds
-// once where every other kernel in the repo (the direct convolution, the
+// Tile shapes. Every f32 tile is 4 A rows by one or more whole adjacent
+// B panels of gemmNR = 8 columns, over the same panel layout: panel jt+1
+// starts where panel jt ends, so a tile that spans p panels reads p forward
+// streams of B. Every tile vectorises across N — one lane per output cell,
+// every cell's reduction serial in k — which is what makes a vector tile,
+// at any width, bit-equal to the scalar loops. Every tile multiplies (MULPS)
+// and then adds (ADDPS), never a fused multiply-add: an FMA rounds once
+// where every other kernel in the repo (the direct convolution, the
 // interpreter reference, gemmMicroF32Go below) rounds twice, and would break
 // every bitwise pin (`make no-fma` scans the package for one). (Where the Go
 // compiler itself fuses x*y + z, as on arm64, it does so in all of those
-// loops alike.)
+// loops alike.) On amd64 the tiles are assembly (gemm_amd64.s):
 //
-//   - AVX: four YMM accumulators, one per A row, each k step one load of the
-//     eight B values and four broadcast A values. gemmMicroF32 runs it when
-//     the CPU has AVX and the OS saves YMM state — CPUID and XGETBV, read
-//     once at init into useAVX (gemm_amd64.go); nothing can force or forbid
-//     it.
-//   - SSE2, the amd64 baseline and the fallback: eight XMM accumulators, two
-//     vectors of four output channels per A row.
+//   - YMM, 4×16 over two panels, where the CPU has AVX and the OS saves YMM
+//     state: eight YMM accumulators, two per A row; each k step two B loads
+//     and four broadcasts. Eight independent add chains hide VADDPS's
+//     latency, where one accumulator per row (4×8) leaves it exposed.
+//   - AVX, 4×8 over one panel: four YMM accumulators. It runs only for a
+//     last panel the YMM tile leaves.
+//   - SSE2, the amd64 baseline, 4×8 in eight XMM accumulators: the tile of a
+//     CPU without AVX. (The Go tile in its place is 1.3–3.3× slower on the
+//     im2col convolutions.)
 //
-// Everywhere else gemmMicroF32 is gemmMicroF32Go, which is also the oracle
-// both assembly tiles are tested against, separately.
+// Which tiles run is read once at init from CPUID and XGETBV (cpuFeatures)
+// into useAVX and gemmWidePanels (gemm_amd64.go); nothing can force or
+// forbid a tile. A 4×32 ZMM tile over four panels was measured and left out
+// (gemmWidePanels says why).
+// Everywhere else every tile is gemmMicroF32Go, which is also the oracle
+// each assembly tile is tested against, panel by panel.
+//
+// The panel walk (gemmPanelsF32) takes the widest tile that fits the panels
+// left in its range — gemmWidePanels of them, else one — and sweeps every A
+// panel against it before moving on, so its B panels stay hot across the A
+// panels. The parallel driver splits the panels
+// into chunks of whole groups of gemmWidePanels, so only the chunk that ends
+// at n has a tail.
 //
 // The quantized tile, serving qnn.conv2d, qnn.dense and their fused launches
 // alike, is 4×8 int32 sums over the pair panels. On amd64 it is PMADDWD
@@ -92,6 +107,10 @@ const (
 	gemmMR = 4
 	gemmNR = 8
 )
+
+// gemmWideNR is the widest f32 tile's column count, two panels: it sizes the
+// accumulator buffer every f32 tile writes into.
+const gemmWideNR = 2 * gemmNR
 
 func gemmTiles(x, tile int) int { return (x + tile - 1) / tile }
 
@@ -252,21 +271,27 @@ func gemmF32Cfg(m, n, k int, a []float32, lda int, bpack []float32, c []float32,
 // the layout packCol writes the im2col patch matrix in — so nothing is
 // repacked. MC blocks are runs of whole panels (the block height is a
 // multiple of gemmMR), each swept against every N-panel before the next.
+// The N-panels are split among workers in groups of gemmWidePanels, so a
+// chunk boundary never cuts a wide tile and only the last chunk has a tail;
+// a tuned GemmNC grain rounds up to whole groups.
 func gemmPackedF32(m, n, k int, ap, bpack, c []float32, ldc int, cfg *KernelConfig) {
 	if m <= 0 || n <= 0 {
 		return
 	}
 	mc := gemmMCBlock(m, cfg)
 	nt := gemmTiles(n, gemmNR)
+	w := gemmWidePanels
+	ng := gemmTiles(nt, w)
 	opts := cfg.gemmOpts()
+	opts.MinGrain = gemmTiles(opts.MinGrain, w)
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
 		apb, cb := ap[i0*k:], c[i0*ldc:]
 		// Ask before building the closure RunChunks needs: on the serial
 		// answer the panel loop is a plain call.
-		if workers := parallel.AcquireWorkers(nt, opts); workers > 1 {
-			parallel.RunChunks(nt, workers, func(jtLo, jtHi int) {
-				gemmPanelsF32(apb, bpack, cb, mb, n, k, ldc, jtLo, jtHi)
+		if workers := parallel.AcquireWorkers(ng, opts); workers > 1 {
+			parallel.RunChunks(ng, workers, func(gLo, gHi int) {
+				gemmPanelsF32(apb, bpack, cb, mb, n, k, ldc, gLo*w, min(gHi*w, nt))
 			})
 		} else {
 			gemmPanelsF32(apb, bpack, cb, mb, n, k, ldc, 0, nt)
@@ -274,24 +299,29 @@ func gemmPackedF32(m, n, k int, ap, bpack, c []float32, ldc int, cfg *KernelConf
 	}
 }
 
-// gemmPanelsF32 runs the micro-kernel over N-panels [jtLo,jtHi) against the mb
-// packed LHS rows in ap and writes the tiles into c (row stride ldc).
+// gemmPanelsF32 runs the register tiles over N-panels [jtLo,jtHi) against
+// the mb packed LHS rows in ap and writes them into c (row stride ldc). It
+// walks the panels in groups of the widest tile that fits what is left —
+// gemmWidePanels adjacent panels, or the 4×8 tile for a last single one —
+// and for each group sweeps every A panel.
 //
 //np:hotpath
 func gemmPanelsF32(ap, bpack, c []float32, mb, n, k, ldc, jtLo, jtHi int) {
 	mt := gemmTiles(mb, gemmMR)
-	var acc [gemmMR * gemmNR]float32
-	for jt := jtLo; jt < jtHi; jt++ {
-		bp := bpack[jt*k*gemmNR : (jt+1)*k*gemmNR]
-		nj := min(gemmNR, n-jt*gemmNR)
+	var acc [gemmMR * gemmWideNR]float32
+	for jt := jtLo; jt < jtHi; {
+		w := min(gemmWidePanels, jtHi-jt)
+		bp := bpack[jt*k*gemmNR : (jt+w)*k*gemmNR]
+		nj, ld := min(w*gemmNR, n-jt*gemmNR), w*gemmNR
 		for it := 0; it < mt; it++ {
-			gemmMicroF32(ap[it*k*gemmMR:(it+1)*k*gemmMR], bp, &acc)
+			gemmMicroF32Wide(w, ap[it*k*gemmMR:(it+1)*k*gemmMR], bp, &acc)
 			mi := min(gemmMR, mb-it*gemmMR)
 			for i := 0; i < mi; i++ {
 				row := c[(it*gemmMR+i)*ldc+jt*gemmNR:]
-				copy(row[:nj], acc[i*gemmNR:])
+				copy(row[:nj], acc[i*ld:])
 			}
 		}
+		jt += w
 	}
 }
 

@@ -1,30 +1,54 @@
 #include "textflag.h"
 
-// The f32 register tiles for amd64 and the feature test that picks one, and
-// the quantized pair tile. See gemm.go for the panel layouts and the
-// multiply-then-add rule.
+// The f32 register tiles for amd64 and the feature test that picks them, the
+// quantized pair tile, and the depthwise row's vector bodies. See gemm.go
+// for the panel layouts and the multiply-then-add rule.
 
-// func cpuHasAVX() bool
+// func cpuFeatures() (avx, avx2, avx512 bool)
 //
-// CPUID leaf 1 ECX bit 27 (OSXSAVE: XGETBV is usable) and bit 28 (AVX), then
-// XCR0 bits 1 and 2: the OS saves both XMM and YMM state across a context
-// switch.
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL   $1, AX
-	XORL   CX, CX
+// avx: CPUID leaf 1 ECX bit 27 (OSXSAVE: XGETBV is usable) and bit 28 (AVX),
+// and XCR0 bits 1 and 2 — the OS saves XMM and YMM state across a context
+// switch. avx2: avx, and leaf 7 EBX bit 5. avx512: avx, leaf 7 EBX bit 16
+// (AVX-512F), and XCR0 bits 5–7 — the OS also saves the opmask registers and
+// both halves of the ZMM state.
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-3
+	MOVB  $0, avx+0(FP)
+	MOVB  $0, avx2+1(FP)
+	MOVB  $0, avx512+2(FP)
+	XORL  AX, AX
 	CPUID
-	ANDL   $0x18000000, CX
-	CMPL   CX, $0x18000000
-	JNE    no
-	XORL   CX, CX
+	MOVL  AX, R8            // highest standard leaf
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	ANDL  $0x18000000, CX
+	CMPL  CX, $0x18000000
+	JNE   done
+	XORL  CX, CX
 	XGETBV
-	ANDL   $6, AX
-	CMPL   AX, $6
-	JNE    no
-	MOVB   $1, ret+0(FP)
-	RET
-no:
-	MOVB   $0, ret+0(FP)
+	MOVL  AX, R9            // XCR0, low half
+	ANDL  $6, AX
+	CMPL  AX, $6
+	JNE   done
+	MOVB  $1, avx+0(FP)
+	CMPL  R8, $7
+	JCS   done              // no leaf 7 (unsigned below)
+	MOVL  $7, AX
+	XORL  CX, CX
+	CPUID
+	TESTL $(1<<5), BX
+	JZ    zmm
+	MOVB  $1, avx2+1(FP)
+
+zmm:
+	TESTL $(1<<16), BX
+	JZ    done
+	ANDL  $0xE6, R9
+	CMPL  R9, $0xE6
+	JNE   done
+	MOVB  $1, avx512+2(FP)
+
+done:
 	RET
 
 // gemmMicroF32SSE2 is the tile on the architecture's baseline.
@@ -135,6 +159,72 @@ vstore:
 	VZEROUPPER
 	RET
 
+// gemmMicroF32YMM is the 4×16 tile over two adjacent B panels (AVX1 only).
+//
+// Y0..Y7 hold the tile: row i is Y(2i) (the first panel's eight columns) and
+// Y(2i+1) (the second panel's). Per k step Y8 and Y9 take one k row of each
+// panel, and WROW broadcasts one A value, multiplies it against both and
+// then adds — two roundings per step, as every other tile does. No FMA.
+// Eight independent accumulator chains cover VADDPS's latency where the
+// 4×8 tile's four do not. Rows alternate their temporaries.
+
+#define WROW(off, t0, t1, lo, hi) \
+	VBROADCASTSS off(SI), t0 \
+	VMULPS       Y8, t0, t1  \
+	VMULPS       Y9, t0, t0  \
+	VADDPS       t1, lo, lo  \
+	VADDPS       t0, hi, hi
+
+// func gemmMicroF32YMM(ap, bp []float32, acc *[64]float32)
+//
+// k = len(ap)/4; bp holds two panels of 8k values, the second at bp[8k:].
+// Row i of the tile lands in acc[16i : 16i+16]. With k == 0 neither panel is
+// read and the tile is zeroed.
+TEXT ·gemmMicroF32YMM(SB), NOSPLIT, $0-56
+	MOVQ   ap_base+0(FP), SI
+	MOVQ   ap_len+8(FP), CX
+	MOVQ   bp_base+24(FP), DX
+	MOVQ   acc+48(FP), DI
+	SHRQ   $2, CX
+	MOVQ   CX, R8
+	SHLQ   $5, R8           // one panel: 8k floats
+	ADDQ   DX, R8           // second panel
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ  CX, CX
+	JZ     wstore
+
+wloop:
+	VMOVUPS (DX), Y8
+	VMOVUPS (R8), Y9
+	WROW(0, Y10, Y11, Y0, Y1)
+	WROW(4, Y12, Y13, Y2, Y3)
+	WROW(8, Y14, Y15, Y4, Y5)
+	WROW(12, Y10, Y11, Y6, Y7)
+	ADDQ    $16, SI
+	ADDQ    $32, DX
+	ADDQ    $32, R8
+	DECQ    CX
+	JNZ     wloop
+
+wstore:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	VZEROUPPER
+	RET
+
 // gemmMicroI16SSE2 is the quantized tile: int16 k-pairs in, int32 sums out.
 //
 // X0..X7 hold the 4×8 tile of int32 sums as the SSE2 f32 tile holds its
@@ -197,4 +287,53 @@ istore:
 	MOVOU X5, 80(DI)
 	MOVOU X6, 96(DI)
 	MOVOU X7, 112(DI)
+	RET
+
+// func mulAddRowF32AVX2(out, x, k unsafe.Pointer, n int)
+//
+// out[o] += x[o]·k[o] for o < n, n a positive multiple of 8: per eight
+// channels one VMULPS and then one VADDPS, each rounded — the Go loop's two
+// roundings. No FMA.
+TEXT ·mulAddRowF32AVX2(SB), NOSPLIT, $0-32
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ k+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $3, CX
+
+floop:
+	VMOVUPS (SI), Y0
+	VMULPS  (DX), Y0, Y0
+	VADDPS  (DI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     floop
+	VZEROUPPER
+	RET
+
+// func mulAddRowI32AVX2(out, x, k unsafe.Pointer, n int)
+//
+// The int32 form: VPMULLD keeps the low 32 bits of each product and VPADDD
+// wraps, exactly Go's int32 arithmetic.
+TEXT ·mulAddRowI32AVX2(SB), NOSPLIT, $0-32
+	MOVQ out+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ k+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $3, CX
+
+iloop8:
+	VMOVDQU (SI), Y0
+	VPMULLD (DX), Y0, Y0
+	VPADDD  (DI), Y0, Y0
+	VMOVDQU Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     iloop8
+	VZEROUPPER
 	RET

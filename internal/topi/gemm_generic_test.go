@@ -2,6 +2,11 @@
 
 package topi
 
-// tileKernels: without assembly the dispatched tile is gemmMicroF32Go
-// itself, so the test compares it with the naive loop.
-var tileKernels = []tileKernel{{name: "gemmMicroF32", run: gemmMicroF32}}
+// tileKernels: without assembly the dispatched tiles are gemmMicroF32Go
+// itself, so the test compares them with the naive loop.
+var tileKernels = []tileKernel{
+	{name: "gemmMicroF32", panels: 1, run: narrowTile(gemmMicroF32)},
+	{name: "gemmMicroF32Wide", panels: 1, run: func(ap, bp []float32, acc *[gemmMR * gemmWideNR]float32) {
+		gemmMicroF32Wide(1, ap, bp, acc)
+	}},
+}

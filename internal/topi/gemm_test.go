@@ -131,25 +131,36 @@ var tileValues = []float32{
 	math.Float32frombits(0x7fc00011), math.Float32frombits(0xffc00022),
 }
 
-// tileKernel is one f32 register-tile entry point; skip marks one this CPU
-// cannot execute (the AVX tile without AVX).
+// tileKernel is one f32 register-tile entry point: it spans panels adjacent
+// B panels and writes row i of its tile at acc[i·panels·8:]. needs names the
+// CPU feature it runs on; skip marks one this CPU lacks.
 type tileKernel struct {
-	name string
-	run  func(ap, bp []float32, acc *[gemmMR * gemmNR]float32)
-	skip bool
+	name   string
+	panels int
+	run    func(ap, bp []float32, acc *[gemmMR * gemmWideNR]float32)
+	needs  string
+	skip   bool
 }
 
-// TestGemmMicroF32Tile pins each register tile of tileKernels (on amd64 the
-// SSE2 and the AVX assembly separately, and the dispatched gemmMicroF32)
-// against gemmMicroF32Go and the naive per-cell loop, on every bit, for every
-// k through the ×4 unroll boundaries and a few long reductions. A NaN cell
-// must be NaN in all of them; its payload is not compared (which operand's
-// payload survives is the instruction's choice).
+// narrowTile adapts a 4×8 tile to the wide tiles' accumulator buffer.
+func narrowTile(tile func(ap, bp []float32, acc *[gemmMR * gemmNR]float32)) func(ap, bp []float32, acc *[gemmMR * gemmWideNR]float32) {
+	return func(ap, bp []float32, acc *[gemmMR * gemmWideNR]float32) {
+		tile(ap, bp, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
+	}
+}
+
+// TestGemmMicroF32Tile pins each register tile of tileKernels (on amd64 every
+// assembly tile separately, and the dispatched gemmMicroF32 and
+// gemmMicroF32Wide) panel by panel against gemmMicroF32Go and the naive
+// per-cell loop, on every bit, for every k through the ×4 unroll boundaries
+// and a few long reductions. A NaN cell must be NaN in all of them; its
+// payload is not compared (which operand's payload survives is the
+// instruction's choice).
 func TestGemmMicroF32Tile(t *testing.T) {
 	for _, kern := range tileKernels {
 		t.Run(kern.name, func(t *testing.T) {
 			if kern.skip {
-				t.Skipf("%s tile not run: the CPU lacks AVX or the OS does not save YMM state", kern.name)
+				t.Skipf("%s tile not run: the CPU lacks %s or the OS does not save its register state", kern.name, kern.needs)
 			}
 			testMicroF32Tile(t, kern)
 		})
@@ -158,6 +169,7 @@ func TestGemmMicroF32Tile(t *testing.T) {
 
 func testMicroF32Tile(t *testing.T, kern tileKernel) {
 	const tile = gemmMR * gemmNR
+	ld := kern.panels * gemmNR
 	rng := rand.New(rand.NewSource(23))
 	ks := []int{128, 576, 1000, 4097}
 	for k := 0; k <= 67; k++ {
@@ -178,58 +190,109 @@ func testMicroF32Tile(t *testing.T, kern tileKernel) {
 			// Odd rounds keep infinities and NaN out so that most cells stay
 			// non-NaN and the denormal and signed-zero sums are compared.
 			ap := make([]float32, k*gemmMR)
-			bp := make([]float32, k*gemmNR)
+			bp := make([]float32, kern.panels*k*gemmNR)
 			for i := range ap {
 				ap[i] = draw(round%2 == 1)
 			}
 			for i := range bp {
 				bp[i] = draw(round%2 == 1)
 			}
-			var want [tile]float32
-			for i := 0; i < gemmMR; i++ {
-				for j := 0; j < gemmNR; j++ {
-					var acc float32
-					for kk := 0; kk < k; kk++ {
-						acc += ap[kk*gemmMR+i] * bp[kk*gemmNR+j]
-					}
-					want[i*gemmNR+j] = acc
-				}
-			}
-			// Guard cells on both sides of acc: the kernel writes the tile
-			// and nothing else. Start from garbage: k == 0 must write zeros.
-			var got, gok struct {
+			// Guard cells on both sides of acc, and acc's cells past the
+			// tile: the kernel writes the tile and nothing else. Start from
+			// garbage: k == 0 must write zeros.
+			var got struct {
 				pre  [4]float32
-				acc  [tile]float32
+				acc  [gemmMR * gemmWideNR]float32
 				post [4]float32
 			}
 			for i := range got.acc {
-				got.acc[i], gok.acc[i] = 42, 42
+				got.acc[i] = 42
 			}
 			got.pre, got.post = [4]float32{1, 2, 3, 4}, [4]float32{5, 6, 7, 8}
 			kern.run(ap, bp, &got.acc)
-			gemmMicroF32Go(ap, bp, &gok.acc)
 			if got.pre != [4]float32{1, 2, 3, 4} || got.post != [4]float32{5, 6, 7, 8} {
 				t.Fatalf("k=%d: %s wrote outside acc", k, kern.name)
 			}
-			for c, w := range want {
-				for _, r := range []struct {
-					name string
-					got  float32
-				}{{kern.name, got.acc[c]}, {"gemmMicroF32Go", gok.acc[c]}} {
-					bothNaN := w != w && r.got != r.got
-					if !bothNaN && math.Float32bits(r.got) != math.Float32bits(w) {
-						t.Fatalf("k=%d cell %d: %s = %v (%#08x), naive %v (%#08x)",
-							k, c, r.name, r.got, math.Float32bits(r.got), w, math.Float32bits(w))
+			for c := gemmMR * ld; c < len(got.acc); c++ {
+				if got.acc[c] != 42 {
+					t.Fatalf("k=%d: %s wrote acc[%d], past its %d×%d tile", k, kern.name, c, gemmMR, ld)
+				}
+			}
+			for p := 0; p < kern.panels; p++ {
+				pb := bp[p*k*gemmNR : (p+1)*k*gemmNR]
+				var want, gok [tile]float32
+				for i := 0; i < gemmMR; i++ {
+					for j := 0; j < gemmNR; j++ {
+						var acc float32
+						for kk := 0; kk < k; kk++ {
+							acc += ap[kk*gemmMR+i] * pb[kk*gemmNR+j]
+						}
+						want[i*gemmNR+j] = acc
+					}
+				}
+				for i := range gok {
+					gok[i] = 42
+				}
+				gemmMicroF32Go(ap, pb, &gok)
+				for c, w := range want {
+					i, j := c/gemmNR, c%gemmNR
+					for _, r := range []struct {
+						name string
+						got  float32
+					}{{kern.name, got.acc[i*ld+p*gemmNR+j]}, {"gemmMicroF32Go", gok[c]}} {
+						bothNaN := w != w && r.got != r.got
+						if !bothNaN && math.Float32bits(r.got) != math.Float32bits(w) {
+							t.Fatalf("k=%d panel %d cell %d: %s = %v (%#08x), naive %v (%#08x)",
+								k, p, c, r.name, r.got, math.Float32bits(r.got), w, math.Float32bits(w))
+						}
 					}
 				}
 			}
 		}
 	}
 	// k == 0 with nil panels: nothing to read, zeros written.
-	acc := [tile]float32{0: 9, tile - 1: 9}
+	var acc [gemmMR * gemmWideNR]float32
+	acc[0], acc[gemmMR*ld-1] = 9, 9
 	kern.run(nil, nil, &acc)
-	if acc != [tile]float32{} {
+	if acc != [gemmMR * gemmWideNR]float32{} {
 		t.Fatalf("k=0 on nil panels: %s acc = %v, want zeros", kern.name, acc)
+	}
+}
+
+// TestGemmPanelsF32Spans drives the panel walk over every N-panel range
+// [jtLo, jtHi) — odd starts included — for n = 1…40, so the widest tile,
+// each narrower tile of the tail and a last panel cut short by n all run,
+// against the naive loop: the range's columns equal it bitwise and every
+// other cell of C is left alone.
+func TestGemmPanelsF32Spans(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for n := 1; n <= 40; n++ {
+		for _, mk := range [][2]int{{1, 3}, {5, 17}, {7, 64}} {
+			m, k := mk[0], mk[1]
+			a, bpack, want := gemmF32Case(rng, m, n, k, k, n)
+			ap := make([]float32, gemmTiles(m, gemmMR)*gemmMR*k)
+			packPanels(ap, a, m, k, k, gemmMR)
+			nt := gemmTiles(n, gemmNR)
+			for lo := 0; lo < nt; lo++ {
+				for hi := lo + 1; hi <= nt; hi++ {
+					got := make([]float32, m*n)
+					for i := range got {
+						got[i] = 42
+					}
+					gemmPanelsF32(ap, bpack, got, m, n, k, n, lo, hi)
+					for c := range got {
+						w := float32(42)
+						if j := c % n; j >= lo*gemmNR && j < hi*gemmNR {
+							w = want[c]
+						}
+						if math.Float32bits(got[c]) != math.Float32bits(w) {
+							t.Fatalf("m%d n%d k%d panels [%d,%d): c[%d,%d] = %v, want %v",
+								m, n, k, lo, hi, c/n, c%n, got[c], w)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
