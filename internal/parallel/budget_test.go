@@ -4,10 +4,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // The shared token budget must bound total concurrency across nested
-// For/ForChunked calls: one implicit worker per top-level caller plus at most
+// launches: one implicit worker per top-level caller plus at most
 // MaxWorkers-1 helpers, no matter how deeply kernels nest.
 func TestNestedParallelismBounded(t *testing.T) {
 	old := SetMaxWorkers(4)
@@ -26,12 +28,12 @@ func TestNestedParallelismBounded(t *testing.T) {
 	leave := func() { atomic.AddInt64(&cur, -1) }
 
 	var visited int64
-	ForChunked(8, func(lo, hi int) {
+	forChunked(8, func(lo, hi int) {
 		enter()
 		defer leave()
 		for i := lo; i < hi; i++ {
 			// Nested kernel-style loop competing for the same budget.
-			ForChunked(64, func(l, h int) {
+			forChunked(64, func(l, h int) {
 				enter()
 				defer leave()
 				for j := l; j < h; j++ {
@@ -43,8 +45,8 @@ func TestNestedParallelismBounded(t *testing.T) {
 	if visited != 8*64 {
 		t.Fatalf("visited %d, want %d", visited, 8*64)
 	}
-	// Each goroutine is counted at most twice (an outer body running its
-	// nested first chunk inline holds two enters on one goroutine), so true
+	// Each goroutine is counted at most twice (an outer body running a
+	// nested chunk inline holds two enters on one goroutine), so true
 	// goroutine concurrency ≤ MaxWorkers bounds the counter by 2×MaxWorkers.
 	// Without the shared budget, 8 outer chunks × 4-way inner splits would
 	// push this toward 32.
@@ -53,7 +55,7 @@ func TestNestedParallelismBounded(t *testing.T) {
 	}
 }
 
-// All tokens must return to the pool once every parallel call completes.
+// All tokens must return to the pool once every launch completes.
 func TestTokensRestored(t *testing.T) {
 	old := SetMaxWorkers(4)
 	defer SetMaxWorkers(old)
@@ -64,8 +66,8 @@ func TestTokensRestored(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				ForChunked(32, func(lo, hi int) {
-					ForElems(4*elemGrain, func(l, h int) {})
+				forChunked(32, func(lo, hi int) {
+					fnRegion.Elems(4*grain, fnArgs{func(l, h int) {}})
 				})
 			}
 		}()
@@ -82,11 +84,11 @@ func TestExhaustedBudgetRunsSerially(t *testing.T) {
 	old := SetMaxWorkers(2)
 	defer SetMaxWorkers(old)
 	var visited int64
-	ForChunked(2, func(lo, hi int) {
+	forChunked(2, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			// With 2 workers, the outer call holds the only token: the inner
 			// call must fall back to the serial path.
-			For(100, func(int) { atomic.AddInt64(&visited, 1) })
+			forEach(100, func(int) { atomic.AddInt64(&visited, 1) })
 		}
 	})
 	if visited != 200 {
@@ -94,39 +96,47 @@ func TestExhaustedBudgetRunsSerially(t *testing.T) {
 	}
 }
 
-// AcquireWorkers and RunChunks are ForChunkedOpts in two steps: the first
-// applies the same limits and takes the same tokens, the second gives them
-// back — and with the budget exhausted the answer is 1 with nothing held.
+// acquireWorkers applies the per-call limits and the work grain and takes
+// the tokens a launch then gives back — and with the budget exhausted the
+// answer is 1 with nothing held.
 func TestAcquireWorkersAccounting(t *testing.T) {
 	old := SetMaxWorkers(4)
 	defer SetMaxWorkers(old)
 	idle := AvailableTokens()
+	const lots = 1 << 40
 	cases := []struct {
 		n    int
+		work int64
 		o    ChunkOpts
 		want int
 	}{
-		{100, ChunkOpts{}, 4},
-		{3, ChunkOpts{}, 3},
-		{1, ChunkOpts{}, 1},
-		{100, ChunkOpts{MaxWorkers: 2}, 2},
-		{100, ChunkOpts{MaxWorkers: 1}, 1},
-		{100, ChunkOpts{MinGrain: 40}, 2},
-		{100, ChunkOpts{MinGrain: 60}, 1},
+		{100, lots, ChunkOpts{}, 4},
+		{3, lots, ChunkOpts{}, 3},
+		{1, lots, ChunkOpts{}, 1},
+		{100, lots, ChunkOpts{MaxWorkers: 2}, 2},
+		{100, lots, ChunkOpts{MaxWorkers: 1}, 1},
+		{100, lots, ChunkOpts{MinGrain: 40}, 2},
+		{100, lots, ChunkOpts{MinGrain: 60}, 1},
+		{100, 3 * grain, ChunkOpts{}, 3},
+		{100, 2*grain - 1, ChunkOpts{}, 1},
+		{100, 0, ChunkOpts{}, 1},
 	}
 	for _, c := range cases {
-		workers := AcquireWorkers(c.n, c.o)
+		stalledUntil.Store(0) // a loaded test machine's stall would make every answer 1
+		workers := acquireWorkers(c.n, c.work, c.o)
 		if workers != c.want {
-			t.Errorf("AcquireWorkers(%d, %+v) = %d, want %d", c.n, c.o, workers, c.want)
+			t.Errorf("acquireWorkers(%d, %d, %+v) = %d, want %d", c.n, c.work, c.o, workers, c.want)
 		}
 		if held := idle - AvailableTokens(); held != workers-1 {
-			t.Errorf("AcquireWorkers(%d, %+v) = %d holds %d tokens", c.n, c.o, workers, held)
+			t.Errorf("acquireWorkers(%d, %d, %+v) = %d holds %d tokens", c.n, c.work, c.o, workers, held)
 		}
 		if workers > 1 {
 			var visited int64
-			RunChunks(c.n, workers, func(lo, hi int) { atomic.AddInt64(&visited, int64(hi-lo)) })
+			b := fnRegion.get()
+			b.data = fnArgs{func(lo, hi int) { atomic.AddInt64(&visited, int64(hi-lo)) }}
+			b.launch(c.n, workers, max(1, c.o.MinGrain))
 			if visited != int64(c.n) {
-				t.Errorf("RunChunks(%d, %d) visited %d", c.n, workers, visited)
+				t.Errorf("launch(%d, %d) visited %d", c.n, workers, visited)
 			}
 		}
 		if got := AvailableTokens(); got != idle {
@@ -135,46 +145,52 @@ func TestAcquireWorkersAccounting(t *testing.T) {
 	}
 	// Nested under a call that holds every token until all its chunks are
 	// done: serial, nothing taken.
-	ForChunked(4, func(lo, hi int) {
-		if w := AcquireWorkers(100, ChunkOpts{}); w != 1 {
-			t.Errorf("AcquireWorkers under an exhausted budget = %d, want 1", w)
+	forChunked(4, func(lo, hi int) {
+		if w := acquireWorkers(100, lots, ChunkOpts{}); w != 1 {
+			t.Errorf("acquireWorkers under an exhausted budget = %d, want 1", w)
 			releaseTokens(w - 1)
 		}
 	})
 }
 
-func TestForElemsCoverage(t *testing.T) {
-	for _, n := range []int{0, 1, 7, elemGrain - 1, 2 * elemGrain, 5*elemGrain + 13} {
-		var visited int64
-		var mu sync.Mutex
-		seen := make(map[int]bool, n)
-		ForElems(n, func(lo, hi int) {
-			atomic.AddInt64(&visited, int64(hi-lo))
-			mu.Lock()
-			for i := lo; i < hi; i++ {
-				if seen[i] {
-					t.Errorf("n=%d: index %d in two chunks", n, i)
-				}
-				seen[i] = true
+// fillArgs is a kernel-shaped region's data: plain slices, no closure.
+type fillArgs struct{ dst []float32 }
+
+var fillRegion = NewRegion(func(a fillArgs, lo, hi int) {
+	for i := range a.dst[lo:hi] {
+		a.dst[lo+i]++
+	}
+})
+
+func TestElemsCoverage(t *testing.T) {
+	old := SetMaxWorkers(4)
+	defer SetMaxWorkers(old)
+	for _, n := range []int{0, 1, 7, 2*grain - 1, 2 * grain, 5*grain + 13} {
+		dst := make([]float32, n)
+		fillRegion.Elems(n, fillArgs{dst})
+		for i, v := range dst {
+			if v != 1 {
+				t.Fatalf("n=%d: index %d visited %v times", n, i, v)
 			}
-			mu.Unlock()
-		})
-		if visited != int64(n) {
-			t.Fatalf("n=%d: visited %d", n, visited)
 		}
 	}
 }
 
-// Serial ForElems below the grain must not allocate (kernels rely on this
-// for the planned executor's allocation-free steady state).
-func TestForElemsSerialNoAlloc(t *testing.T) {
-	dst := make([]float32, elemGrain)
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = 1
+// A launch allocates nothing, serial or split: kernels rely on this for the
+// planned executor's allocation-free steady state.
+func TestElemsNoAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes allocation counts nondeterministic")
+	}
+	old := SetMaxWorkers(2)
+	defer SetMaxWorkers(old)
+	for _, n := range []int{grain, 16 * grain} {
+		dst := make([]float32, n)
+		if allocs := testing.AllocsPerRun(100, func() { fillRegion.Elems(n, fillArgs{dst}) }); allocs != 0 {
+			t.Errorf("Elems(%d) allocates %.1f times per run", n, allocs)
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { ForElems(len(dst), body) }); allocs != 0 {
-		t.Fatalf("serial ForElems allocates %.1f times per run", allocs)
+	if got := AvailableTokens(); got != 1 {
+		t.Fatalf("AvailableTokens after the runs = %d, want 1", got)
 	}
 }

@@ -87,6 +87,10 @@ type planNode struct {
 	// charge is the precomputed TVM-engine cost of this node (op and
 	// primitive nodes). External nodes charge through cm.Estimate instead.
 	charge soc.Seconds
+
+	// work is the node's MACs (soc.WorkOf, summed over a fused or external
+	// body): the wavefront's split estimate.
+	work int64
 }
 
 // slotInfo describes one value slot: the static type, the producing node,
@@ -365,6 +369,7 @@ func (b *planBuilder) evalOpCall(c *relay.Call) (pval, error) {
 		args:   args,
 		out:    []int{out},
 		charge: b.lib.SoC.CPU.OpTime(w, soc.TVMEff(w)),
+		work:   w.MACs,
 	})
 	if planNodeTuned(c) {
 		b.plan.TunedNodes++
@@ -469,6 +474,7 @@ func (b *planBuilder) evalPrimitive(c *relay.Call, fn *relay.Function) (pval, er
 		args:   args,
 		out:    []int{out},
 		charge: b.lib.SoC.CPU.OpTime(fw, soc.TVMEff(fw)),
+		work:   fw.MACs,
 	})
 	return pval{slot: out}, nil
 }
@@ -561,7 +567,7 @@ func (b *planBuilder) evalExternal(c *relay.Call, fn *relay.Function) (pval, err
 		return pval{}, err
 	}
 	node := &planNode{kind: nodeExternal, sym: sym, label: sym, cm: cm, args: args,
-		devSummary: planSummary(cm)}
+		devSummary: planSummary(cm), work: soc.FunctionWork(fn).MACs}
 	switch ty := c.CheckedType().(type) {
 	case *relay.TensorType:
 		node.out = []int{b.addSlot(ty)}

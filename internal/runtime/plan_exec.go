@@ -156,21 +156,21 @@ func (st *planState) run(inputs map[string]*tensor.Tensor, prof *soc.Profile) er
 		st.slots[slot] = in
 	}
 	for _, lvl := range p.levels {
-		if len(lvl) == 1 || parallel.MaxWorkers() <= 1 {
-			for _, ni := range lvl {
-				if err := st.exec(ni); err != nil {
-					return err
-				}
+		if len(lvl) == 1 {
+			if err := st.exec(lvl[0]); err != nil {
+				return err
 			}
 			continue
 		}
 		// Wavefront: the nodes of one level are mutually independent and
 		// the memory planner never recycles a storage within its release
-		// level, so they run concurrently without aliasing.
-		parallel.For(len(lvl), func(i int) {
-			ni := lvl[i]
-			st.errs[ni] = st.exec(ni)
-		})
+		// level, so they run concurrently without aliasing — split when the
+		// level's summed work pays for it.
+		var work int64
+		for _, ni := range lvl {
+			work += p.nodes[ni].work
+		}
+		levelRegion.Run(len(lvl), work, parallel.ChunkOpts{}, levelArgs{st, lvl})
 		for _, ni := range lvl {
 			if st.errs[ni] != nil {
 				return st.errs[ni]
@@ -181,6 +181,21 @@ func (st *planState) run(inputs map[string]*tensor.Tensor, prof *soc.Profile) er
 		st.charge(prof)
 	}
 	return nil
+}
+
+var levelRegion = parallel.NewRegion(levelArgs.run)
+
+// levelArgs is a wavefront level's chunk: nodes [lo, hi) of lvl, each
+// recording its error in st.errs.
+type levelArgs struct {
+	st  *planState
+	lvl []int
+}
+
+func (a levelArgs) run(lo, hi int) {
+	for _, ni := range a.lvl[lo:hi] {
+		a.st.errs[ni] = a.st.exec(ni)
+	}
 }
 
 // exec runs one node's numerics, recording a wall-clock span when profiling

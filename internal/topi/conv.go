@@ -34,11 +34,9 @@ func convParams(attrs relay.Attrs) conv2dParams {
 
 // convGeom is everything a convolution's row loops read: NHWC data h×w×c,
 // OHWI filter oc×kh×kw×icg, oh output rows of ow pixels per batch, and the
-// attributes. It is sixteen words and its address is never taken where it
-// is built, so the row-loop closures capture it by value instead of moving
-// it to the heap; each worker copies it onto its own stack (g := g) and the
-// row functions take a pointer to that copy, which keeps a freshly spawned
-// worker's frames inside its starting stack.
+// attributes. It is sixteen words, carried by value in the row loop's
+// closure data (convRowsF32, convRowsQnn), so each worker reads its own copy
+// and the row functions take a pointer to it.
 type convGeom struct {
 	h, w, c, oc, kh, kw, icg, oh, ow   int
 	sh, sw, dh, dw, padT, padL, groups int
@@ -56,6 +54,9 @@ func newConvGeom(p conv2dParams, data, weight, out tensor.Shape) convGeom {
 func (g *convGeom) ocg() int    { return g.oc / g.groups }     // output channels per group
 func (g *convGeom) k() int      { return g.kh * g.kw * g.icg } // patch length
 func (g *convGeom) rowLen() int { return g.ow * g.oc }         // cells of one output row
+
+// work is the MACs of rows output rows, the convolution's split estimate.
+func (g *convGeom) work(rows int) int64 { return int64(rows) * int64(g.rowLen()) * int64(g.k()) }
 
 // depthwise reports one input and one output channel per group — so c ==
 // oc == groups — the geometry convDirectRow walks by channel vectors.
@@ -91,9 +92,10 @@ func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 // strategy reduces every cell in place; im2col packs one output row's
 // patches per group straight into GEMM panels (packCol) and multiplies them
 // against the cached weight panels. Either way ep runs over each output row
-// as soon as it is reduced. Nested GEMM tile parallelism degrades to serial
-// because this loop already holds the worker-budget tokens; on a serial
-// answer the row loop is a plain call and the launch allocates nothing.
+// as soon as it is reduced. The row loop splits when its MACs pay for it
+// (convGeom.work); nested GEMM tile parallelism then degrades to serial
+// because this loop already holds the worker-budget tokens. Split or not, a
+// steady-state launch allocates nothing.
 func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig, im2col bool, ep epilogueF32) *tensor.Tensor {
 	res := output(dstBuf, out)
 	r := convRowsF32{
@@ -110,17 +112,15 @@ func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType,
 		r.wt = *wtP
 	}
 	rows := data.Shape[0] * r.g.oh
-	if workers := parallel.AcquireWorkers(rows, cfg.chunkOpts()); workers > 1 {
-		parallel.RunChunks(rows, workers, r.run)
-	} else {
-		r.run(0, rows)
-	}
+	convRegionF32.Run(rows, r.g.work(rows), cfg.chunkOpts(), r)
 	return res
 }
 
-// convRowsF32 is one float convolution launch's row loop. It is passed by
-// value, so each worker runs on its own copy — geometry included — on its
-// own stack; pw is nil on the direct strategy, where wt is tap-major on a
+var convRegionF32 = parallel.NewRegion(convRowsF32.run)
+
+// convRowsF32 is one float convolution launch's row loop and its closure
+// data. It is passed by value, so each worker runs on its own copy —
+// geometry included — on its own stack; pw is nil on the direct strategy, where wt is tap-major on a
 // depthwise geometry (tapMajor).
 type convRowsF32 struct {
 	g             convGeom
@@ -305,8 +305,7 @@ func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *rel
 // accumulation is exact, so both strategies give the same bits. With
 // ep == nil (qnn.conv2d) the int32 accumulators are the output; otherwise
 // each output row is reduced into scratch and narrowed through a copy of ep.
-// On a serial answer the row loop is a plain call and a steady-state launch
-// allocates nothing.
+// Split or not, a steady-state launch allocates nothing.
 func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig, im2col bool, ep *epilogue) (*tensor.Tensor, error) {
 	res := output(dstBuf, out)
 	r := convRowsQnn{g: newConvGeom(p, data.Shape, weight.Shape, out.Shape), res: res, cfg: cfg}
@@ -346,13 +345,11 @@ func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *
 		}
 	}
 	rows := data.Shape[0] * g.oh
-	if workers := parallel.AcquireWorkers(rows, cfg.chunkOpts()); workers > 1 {
-		parallel.RunChunks(rows, workers, r.run)
-	} else {
-		r.run(0, rows)
-	}
+	convRegionQnn.Run(rows, g.work(rows), cfg.chunkOpts(), r)
 	return res, nil
 }
+
+var convRegionQnn = parallel.NewRegion(convRowsQnn.run)
 
 // convRowsQnn is one quantized convolution launch's row loop, passed by value
 // like convRowsF32 — epilogue included, so no pointer to the caller's

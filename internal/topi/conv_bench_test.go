@@ -92,9 +92,10 @@ func BenchmarkConvStrategy(b *testing.B) {
 var gemmShapes = []struct{ m, n, k int }{{44, 64, 288}, {20, 128, 576}, {8, 128, 1152}}
 
 // BenchmarkGemmF32Shapes reports GFLOP/s (2·m·n·k per call) on gemmShapes
-// for the dispatched driver (gemmPackedF32, serial as it runs under a conv
-// row loop) and for each register tile of tileKernels this CPU runs, swept
-// over the panels alone:
+// for the dispatched driver — serial, as it runs under a conv row loop, and
+// split over two workers, as a top-level call is — and for each register
+// tile of tileKernels this CPU runs, swept over the panels alone. Every row
+// but the split one pins one worker:
 //
 //	go test ./internal/topi -run '^$' -bench GemmF32Shapes -benchtime 200ms
 func BenchmarkGemmF32Shapes(b *testing.B) {
@@ -109,15 +110,17 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 		mt, nt := gemmTiles(s.m, gemmMR), gemmTiles(s.n, gemmNR)
 		flops := float64(2 * s.m * s.n * s.k)
 		type row struct {
-			name string
-			run  func()
+			name    string
+			workers int
+			run     func()
 		}
-		rows := []row{{"gemmPackedF32", func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n, nil) }}}
+		driver := func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n, nil) }
+		rows := []row{{"gemmPackedF32", 1, driver}, {"gemmPackedF32/workers=2", 2, driver}}
 		for _, kern := range tileKernels {
 			if kern.skip || nt%kern.panels != 0 {
 				continue
 			}
-			rows = append(rows, row{kern.name, func() {
+			rows = append(rows, row{kern.name, 1, func() {
 				var acc [gemmMR * gemmWideNR]float32
 				for jt := 0; jt < nt; jt += kern.panels {
 					bp := bpack[jt*s.k*gemmNR : (jt+kern.panels)*s.k*gemmNR]
@@ -129,6 +132,8 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 		}
 		for _, r := range rows {
 			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.m, s.n, s.k, r.name), func(b *testing.B) {
+				parallel.SetMaxWorkers(r.workers)
+				defer parallel.SetMaxWorkers(1)
 				for i := 0; i < b.N; i++ {
 					r.run()
 				}

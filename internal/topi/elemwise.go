@@ -34,12 +34,20 @@ func mapF32(name string, loop func(dst, src []float32)) {
 		}
 		res := output(dstBuf, out)
 		src, dst := in.F32(), res.F32()
-		parallel.ForElems(len(src), func(lo, hi int) {
-			loop(dst[lo:hi], src[lo:hi])
-		})
+		mapRegion.Elems(len(src), mapArgs{loop, dst, src})
 		return res, nil
 	})
 }
+
+var mapRegion = parallel.NewRegion(mapArgs.run)
+
+// mapArgs is a map kernel's chunk: its loop over one range.
+type mapArgs struct {
+	loop     func(dst, src []float32)
+	dst, src []float32
+}
+
+func (a mapArgs) run(lo, hi int) { a.loop(a.dst[lo:hi], a.src[lo:hi]) }
 
 // unaryQuantized handles relu-style activations on quantized tensors: the
 // comparison happens against the zero point in the raw domain.
@@ -94,32 +102,43 @@ func binaryF32(name string, f func(a, b float32) float32) {
 		}
 		a, b := args[0], args[1]
 		res := output(dstBuf, out)
-		if a.Shape.Equal(b.Shape) {
-			// Fast path: element-wise, no index math.
-			as, bs, dst := a.F32(), b.F32(), res.F32()
-			parallel.ForElems(len(dst), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = f(as[i], bs[i])
-				}
-			})
-			return res, nil
+		z := zipArgs{f: f, as: a.F32(), bs: b.F32(), dst: res.F32()}
+		if !a.Shape.Equal(b.Shape) {
+			z.bcast = newBroadcaster(a.Shape, b.Shape, out.Shape)
 		}
-		bcast := newBroadcaster(a.Shape, b.Shape, out.Shape)
-		as, bs, dst := a.F32(), b.F32(), res.F32()
-		parallel.ForElems(len(dst), func(lo, hi int) {
-			// One index computation per innermost run; within it both
-			// inputs advance by their innermost strides.
-			for i := lo; i < hi; {
-				ia, ib, n, sa, sb := bcast.run(i, hi)
-				for end := i + n; i < end; i++ {
-					dst[i] = f(as[ia], bs[ib])
-					ia += sa
-					ib += sb
-				}
-			}
-		})
+		zipRegion.Elems(len(z.dst), z)
 		return res, nil
 	})
+}
+
+var zipRegion = parallel.NewRegion(zipArgs.run)
+
+// zipArgs is a zip kernel's chunk; bcast is nil when the shapes are equal.
+type zipArgs struct {
+	f           func(a, b float32) float32
+	as, bs, dst []float32
+	bcast       *broadcaster
+}
+
+func (z zipArgs) run(lo, hi int) {
+	f, as, bs, dst := z.f, z.as, z.bs, z.dst
+	if z.bcast == nil {
+		// Fast path: element-wise, no index math.
+		for i := lo; i < hi; i++ {
+			dst[i] = f(as[i], bs[i])
+		}
+		return
+	}
+	// One index computation per innermost run; within it both inputs
+	// advance by their innermost strides.
+	for i := lo; i < hi; {
+		ia, ib, n, sa, sb := z.bcast.run(i, hi)
+		for end := i + n; i < end; i++ {
+			dst[i] = f(as[ia], bs[ib])
+			ia += sa
+			ib += sb
+		}
+	}
 }
 
 // broadcaster maps a flat output index to flat indices into the two
@@ -203,16 +222,8 @@ func biasAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, ds
 	// per element.
 	switch data.DType {
 	case tensor.Float32:
-		src, dst, bv := data.F32(), res.F32(), bias.F32()
-		parallel.ForElems(len(src), func(lo, hi int) {
-			if inner == 1 {
-				biasAddRows(dst[lo:hi], src[lo:hi], bv[:c], lo%c)
-				return
-			}
-			for i := lo; i < hi; i++ {
-				dst[i] = src[i] + bv[(i/inner)%c]
-			}
-		})
+		src := data.F32()
+		biasRegion.Elems(len(src), biasArgs{res.F32(), src, bias.F32()[:c], inner})
 	case tensor.Int32:
 		// Quantized accumulator + int32 bias (the QNN conv/dense epilogue).
 		src, dst, bv := data.I32(), res.I32(), bias.I32()
@@ -227,6 +238,26 @@ func biasAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, ds
 		return nil, fmt.Errorf("nn.bias_add on %s", data.DType)
 	}
 	return res, nil
+}
+
+var biasRegion = parallel.NewRegion(biasArgs.run)
+
+// biasArgs is a float bias_add's chunk: bias has the axis' c values, each
+// repeated over inner consecutive elements.
+type biasArgs struct {
+	dst, src, bias []float32
+	inner          int
+}
+
+func (a biasArgs) run(lo, hi int) {
+	c := len(a.bias)
+	if a.inner == 1 {
+		biasAddRows(a.dst[lo:hi], a.src[lo:hi], a.bias, lo%c)
+		return
+	}
+	for i := lo; i < hi; i++ {
+		a.dst[i] = a.src[i] + a.bias[(i/a.inner)%c]
+	}
 }
 
 // biasAddRows adds bias to consecutive rows of len(bias) channels; src and
@@ -261,13 +292,22 @@ func batchNorm(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 		scale[ch] = s
 		shift[ch] = bt[ch] - mn[ch]*s
 	}
-	parallel.ForElems(len(src), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ch := i % c
-			dst[i] = src[i]*scale[ch] + shift[ch]
-		}
-	})
+	affineRegion.Elems(len(src), affineArgs{dst, src, scale, shift})
 	return res, nil
+}
+
+var affineRegion = parallel.NewRegion(affineArgs.run)
+
+// affineArgs is batch_norm's chunk: x·scale + shift per channel, the
+// channel innermost.
+type affineArgs struct{ dst, src, scale, shift []float32 }
+
+func (a affineArgs) run(lo, hi int) {
+	dst, src, scale, shift := a.dst, a.src, a.scale, a.shift
+	for i := lo; i < hi; i++ {
+		ch := i % len(scale)
+		dst[i] = src[i]*scale[ch] + shift[ch]
+	}
 }
 
 func softmax(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
@@ -279,8 +319,24 @@ func softmax(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, ds
 	rank := len(data.Shape)
 	axisLen := data.Shape[rank-1] // axis=-1 (the only form frontends emit)
 	rows := data.Elems() / axisLen
-	src, dst := data.F32(), res.F32()
-	parallel.For(rows, func(r int) {
+	src := data.F32()
+	// An exp and a normalize an element: the cost model's transcendental
+	// weight of eight (soc.MACs).
+	softmaxRegion.Run(rows, 8*int64(len(src)), parallel.ChunkOpts{}, softmaxArgs{res.F32(), src, axisLen})
+	return res, nil
+}
+
+var softmaxRegion = parallel.NewRegion(softmaxArgs.run)
+
+// softmaxArgs is softmax's chunk: rows [lo, hi) of axisLen elements.
+type softmaxArgs struct {
+	dst, src []float32
+	axisLen  int
+}
+
+func (a softmaxArgs) run(lo, hi int) {
+	src, dst, axisLen := a.src, a.dst, a.axisLen
+	for r := lo; r < hi; r++ {
 		base := r * axisLen
 		maxV := src[base]
 		for i := 1; i < axisLen; i++ {
@@ -298,8 +354,7 @@ func softmax(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, ds
 		for i := 0; i < axisLen; i++ {
 			dst[base+i] *= inv
 		}
-	})
-	return res, nil
+	}
 }
 
 func clipKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
@@ -312,10 +367,7 @@ func clipKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType,
 	res := output(dstBuf, out)
 	if in.DType == tensor.Float32 {
 		src, dst := in.F32(), res.F32()
-		cl := newClampF32(float32(lo), float32(hi))
-		parallel.ForElems(len(src), func(l, h int) {
-			cl.rows(dst[l:h], src[l:h])
-		})
+		clipRegion.Elems(len(src), clipArgs{newClampF32(float32(lo), float32(hi)), dst, src})
 		return res, nil
 	}
 	// Quantized clip (relu6 after requantize): clamp in the real domain via
@@ -332,6 +384,16 @@ func clipKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType,
 	}
 	return res, nil
 }
+
+var clipRegion = parallel.NewRegion(clipArgs.run)
+
+// clipArgs is clip's chunk.
+type clipArgs struct {
+	cl       clampF32
+	dst, src []float32
+}
+
+func (a clipArgs) run(lo, hi int) { a.cl.rows(a.dst[lo:hi], a.src[lo:hi]) }
 
 // clampF32 is float clip: v < lo becomes lo, then v > hi becomes hi, so NaN
 // and −0 pass through unchanged (relu is the clamp to [0, +Inf]: not
@@ -385,23 +447,38 @@ func lrn(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf
 	res := output(dstBuf, out)
 	c := in.Shape[len(in.Shape)-1]
 	rows := in.Elems() / c
-	src, dst := in.F32(), res.F32()
-	half := size / 2
-	parallel.For(rows, func(r int) {
+	src := in.F32()
+	// size squares and a pow an element, as the cost model weighs it.
+	lrnRegion.Run(rows, (int64(size)+4)*int64(len(src)), parallel.ChunkOpts{},
+		lrnArgs{res.F32(), src, c, size / 2, alpha, beta, bias})
+	return res, nil
+}
+
+var lrnRegion = parallel.NewRegion(lrnArgs.run)
+
+// lrnArgs is nn.lrn's chunk: rows [lo, hi) of c channels.
+type lrnArgs struct {
+	dst, src          []float32
+	c, half           int
+	alpha, beta, bias float64
+}
+
+func (a lrnArgs) run(lo, hi int) {
+	src, dst, c := a.src, a.dst, a.c
+	for r := lo; r < hi; r++ {
 		base := r * c
 		for ch := 0; ch < c; ch++ {
 			var sq float64
-			for j := ch - half; j <= ch+half; j++ {
+			for j := ch - a.half; j <= ch+a.half; j++ {
 				if j < 0 || j >= c {
 					continue
 				}
 				v := float64(src[base+j])
 				sq += v * v
 			}
-			dst[base+ch] = src[base+ch] / float32(math.Pow(bias+alpha*sq, beta))
+			dst[base+ch] = src[base+ch] / float32(math.Pow(a.bias+a.alpha*sq, a.beta))
 		}
-	})
-	return res, nil
+	}
 }
 
 func leakyReLU(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
@@ -411,17 +488,28 @@ func leakyReLU(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	alpha := float32(attrs.Float("alpha", 0.01))
 	in := args[0]
 	res := output(dstBuf, out)
-	src, dst := in.F32(), res.F32()
-	parallel.ForElems(len(src), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			v := src[i]
-			if v < 0 {
-				v *= alpha
-			}
-			dst[i] = v
-		}
-	})
+	src := in.F32()
+	leakyRegion.Elems(len(src), leakyArgs{res.F32(), src, alpha})
 	return res, nil
+}
+
+var leakyRegion = parallel.NewRegion(leakyArgs.run)
+
+// leakyArgs is leaky_relu's chunk.
+type leakyArgs struct {
+	dst, src []float32
+	alpha    float32
+}
+
+func (a leakyArgs) run(lo, hi int) {
+	dst, src, alpha := a.dst, a.src, a.alpha
+	for i := lo; i < hi; i++ {
+		v := src[i]
+		if v < 0 {
+			v *= alpha
+		}
+		dst[i] = v
+	}
 }
 
 func init() {

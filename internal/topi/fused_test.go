@@ -487,6 +487,58 @@ func TestFusedF32ConvDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// A split launch allocates nothing either: at two workers a fused f32
+// convolution and a top-level GEMM big enough to split (millions of MACs,
+// hundreds of parallel grains) run through the pool with their closure data
+// copied into reused job records, and write the same bits as one worker.
+func TestSplitLaunchesDoNotAllocate(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
+	}
+	old := parallel.SetMaxWorkers(2)
+	defer parallel.SetMaxWorkers(old)
+	rng := rand.New(rand.NewSource(47))
+	check := func(name string, run func(), out []float32) {
+		t.Helper()
+		parallel.SetMaxWorkers(1)
+		run()
+		want := append([]float32(nil), out...)
+		parallel.SetMaxWorkers(2)
+		if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+			t.Errorf("%s allocates %v times per launch split over two workers, want 0", name, allocs)
+		}
+		for i := range want {
+			if math.Float32bits(out[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%s: split output differs from serial at %d", name, i)
+			}
+		}
+	}
+
+	cc := convCase{name: "split", n: 1, h: 24, w: 24, c: 16, oc: 32, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, pad: samePad}
+	oh, ow := cc.outShape()
+	outTy := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.Float32}
+	args := []*tensor.Tensor{
+		drawF32(rng, tensor.Shape{cc.n, cc.h, cc.w, cc.c}),
+		drawF32(rng, tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c}),
+		drawF32(rng, tensor.Shape{cc.oc}),
+	}
+	attrs := cc.attrs()
+	attrs["fused_activation"] = "relu"
+	dst := tensor.New(tensor.Float32, outTy.Shape)
+	check("fused nn.conv2d", func() {
+		if err := RunInto("nn.conv2d", args, attrs, outTy, dst); err != nil {
+			t.Fatal(err)
+		}
+	}, dst.F32())
+
+	s := gemmShapes[1]
+	a, bpack, _ := gemmF32Case(rng, s.m, s.n, s.k, s.k, s.n)
+	ap := make([]float32, gemmTiles(s.m, gemmMR)*gemmMR*s.k)
+	packPanels(ap, a, s.m, s.k, s.k, gemmMR)
+	c := make([]float32, s.m*s.n)
+	check("gemmPackedF32", func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n, nil) }, c)
+}
+
 // roundHalfAwayBranchy is roundHalfAwayF as it was written before it lost
 // its branch.
 func roundHalfAwayBranchy(x float64) int32 {

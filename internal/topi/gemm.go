@@ -93,12 +93,11 @@ import (
 // pack it first) or already in panels (gemmPackedF32, gemmPackedI32: the
 // im2col convolution, whose patch pack writes panels directly).
 //
-// Parallelism: the driver asks the shared inter/intra-op token budget
-// (parallel.AcquireWorkers) how many workers the N-panel loop may use. Called
-// from inside an already-parallel conv row loop the budget is exhausted and
-// the panels run serially on the caller — a plain call, no closure; called at
-// top level (dense layers) the panels fan out across the free workers
-// (parallel.RunChunks).
+// Parallelism: the driver launches the N-panel loop as a parallel.Region
+// with the block's MACs as its work estimate. Called from inside an
+// already-parallel conv row loop the budget is exhausted and the panels run
+// serially on the caller; called at top level (dense layers) with enough
+// work they are split across the free workers. Neither allocates.
 
 // Register tile shape of both element types: MR rows of A against NR rows of
 // B (output channels). NR is one 8-lane YMM vector, or two 4-lane XMM
@@ -286,17 +285,23 @@ func gemmPackedF32(m, n, k int, ap, bpack, c []float32, ldc int, cfg *KernelConf
 	opts.MinGrain = gemmTiles(opts.MinGrain, w)
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
-		apb, cb := ap[i0*k:], c[i0*ldc:]
-		// Ask before building the closure RunChunks needs: on the serial
-		// answer the panel loop is a plain call.
-		if workers := parallel.AcquireWorkers(ng, opts); workers > 1 {
-			parallel.RunChunks(ng, workers, func(gLo, gHi int) {
-				gemmPanelsF32(apb, bpack, cb, mb, n, k, ldc, gLo*w, min(gHi*w, nt))
-			})
-		} else {
-			gemmPanelsF32(apb, bpack, cb, mb, n, k, ldc, 0, nt)
-		}
+		gemmRegionF32.Run(ng, int64(mb)*int64(n)*int64(k), opts,
+			gemmGroupsF32{ap[i0*k:], bpack, c[i0*ldc:], mb, n, k, ldc, nt})
 	}
+}
+
+var gemmRegionF32 = parallel.NewRegion(gemmGroupsF32.run)
+
+// gemmGroupsF32 is gemmPackedF32's panel loop over one MC block and its
+// closure data: run covers panel groups [gLo, gHi) of gemmWidePanels panels.
+type gemmGroupsF32 struct {
+	ap, bpack, c      []float32
+	mb, n, k, ldc, nt int
+}
+
+func (g gemmGroupsF32) run(gLo, gHi int) {
+	w := gemmWidePanels
+	gemmPanelsF32(g.ap, g.bpack, g.c, g.mb, g.n, g.k, g.ldc, gLo*w, min(gHi*w, g.nt))
 }
 
 // gemmPanelsF32 runs the register tiles over N-panels [jtLo,jtHi) against
@@ -403,15 +408,23 @@ func gemmPackedI32(m, n, kp int, ap, bpack []i16x2, c []int32, ldc int, cfg *Ker
 	opts := cfg.gemmOpts()
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
-		apb, cb := ap[i0*kp:], c[i0*ldc:]
-		if workers := parallel.AcquireWorkers(nt, opts); workers > 1 {
-			parallel.RunChunks(nt, workers, func(jtLo, jtHi int) {
-				gemmPanelsI32(apb, bpack, cb, mb, n, kp, ldc, jtLo, jtHi)
-			})
-		} else {
-			gemmPanelsI32(apb, bpack, cb, mb, n, kp, ldc, 0, nt)
-		}
+		gemmRegionI32.Run(nt, 2*int64(mb)*int64(n)*int64(kp), opts,
+			gemmPanelsI32Args{ap[i0*kp:], bpack, c[i0*ldc:], mb, n, kp, ldc})
 	}
+}
+
+var gemmRegionI32 = parallel.NewRegion(gemmPanelsI32Args.run)
+
+// gemmPanelsI32Args is gemmPackedI32's panel loop over one MC block and its
+// closure data; its work counts each k-pair as two MACs.
+type gemmPanelsI32Args struct {
+	ap, bpack      []i16x2
+	c              []int32
+	mb, n, kp, ldc int
+}
+
+func (g gemmPanelsI32Args) run(jtLo, jtHi int) {
+	gemmPanelsI32(g.ap, g.bpack, g.c, g.mb, g.n, g.kp, g.ldc, jtLo, jtHi)
 }
 
 // gemmPanelsI32 is gemmPanelsF32 for the quantized operands.

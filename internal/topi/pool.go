@@ -19,6 +19,10 @@ type poolParams struct {
 	pad            [4]int
 }
 
+// work is the split estimate of a pool with out output elements: one per
+// window tap, the cost model's count (soc.MACs).
+func (p *poolParams) work(out int) int64 { return int64(out) * int64(p.kh*p.kw) }
+
 func poolParamsOf(attrs relay.Attrs) poolParams {
 	var p poolParams
 	p.kh, p.kw = attrs.IntPair("pool_size", 1)
@@ -38,10 +42,8 @@ func maxPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	oh, ow := out.Shape[1], out.Shape[2]
 
 	if in.DType == tensor.Float32 {
-		src, dst := in.F32(), res.F32()
-		parallel.For(n*oh, func(job int) {
-			maxPoolRowF32(dst[job*ow*c:(job+1)*ow*c], src, &p, job, h, w, c, oh)
-		})
+		maxPoolRegion.Run(n*oh, p.work(res.Elems()), parallel.ChunkOpts{},
+			maxPoolArgs{res.F32(), in.F32(), p, h, w, c, oh, ow})
 		return res, nil
 	}
 	// Quantized: max over the raw domain.
@@ -72,6 +74,23 @@ func maxPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 		}
 	}
 	return res, nil
+}
+
+var maxPoolRegion = parallel.NewRegion(maxPoolArgs.run)
+
+// maxPoolArgs is the float max-pool's chunk: output rows [lo, hi) of ow
+// pixels.
+type maxPoolArgs struct {
+	dst, src        []float32
+	p               poolParams
+	h, w, c, oh, ow int
+}
+
+func (a maxPoolArgs) run(lo, hi int) {
+	n := a.ow * a.c
+	for job := lo; job < hi; job++ {
+		maxPoolRowF32(a.dst[job*n:(job+1)*n], a.src, &a.p, job, a.h, a.w, a.c, a.oh)
+	}
 }
 
 // maxPoolRowF32 computes output row job (= b·oh + oy) of the float max-pool
@@ -129,9 +148,24 @@ func avgPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	res := output(dstBuf, out)
 	n, h, w, c := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	oh, ow := out.Shape[1], out.Shape[2]
-	isFloat := in.DType == tensor.Float32
+	avgPoolRegion.Run(n*oh, p.work(res.Elems()), parallel.ChunkOpts{}, avgPoolArgs{in, res, p, h, w, c, oh, ow})
+	return res, nil
+}
 
-	parallel.For(n*oh, func(job int) {
+var avgPoolRegion = parallel.NewRegion(avgPoolArgs.run)
+
+// avgPoolArgs is the average pool's chunk: output rows [lo, hi).
+type avgPoolArgs struct {
+	in, res         *tensor.Tensor
+	p               poolParams
+	h, w, c, oh, ow int
+}
+
+func (a avgPoolArgs) run(lo, hi int) {
+	in, res, p := a.in, a.res, &a.p
+	h, w, c, oh, ow := a.h, a.w, a.c, a.oh, a.ow
+	isFloat := in.DType == tensor.Float32
+	for job := lo; job < hi; job++ {
 		b, oy := job/oh, job%oh
 		for ox := 0; ox < ow; ox++ {
 			for ch := 0; ch < c; ch++ {
@@ -176,8 +210,7 @@ func avgPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 				}
 			}
 		}
-	})
-	return res, nil
+	}
 }
 
 func globalAvgPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
@@ -187,8 +220,23 @@ func globalAvgPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.Tensor
 	in := args[0]
 	res := output(dstBuf, out)
 	n, h, w, c := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
+	globalAvgPoolRegion.Run(n*c, int64(in.Elems()), parallel.ChunkOpts{}, globalAvgPoolArgs{in, res, h, w, c})
+	return res, nil
+}
+
+var globalAvgPoolRegion = parallel.NewRegion(globalAvgPoolArgs.run)
+
+// globalAvgPoolArgs is the global average pool's chunk: (batch, channel)
+// outputs [lo, hi).
+type globalAvgPoolArgs struct {
+	in, res *tensor.Tensor
+	h, w, c int
+}
+
+func (a globalAvgPoolArgs) run(lo, hi int) {
+	in, h, w, c := a.in, a.h, a.w, a.c
 	area := h * w
-	parallel.For(n*c, func(job int) {
+	for job := lo; job < hi; job++ {
 		b, ch := job/c, job%c
 		if in.DType == tensor.Float32 {
 			var acc float64
@@ -198,8 +246,8 @@ func globalAvgPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.Tensor
 					acc += float64(src[((b*h+y)*w+x)*c+ch])
 				}
 			}
-			res.F32()[b*c+ch] = float32(acc / float64(area))
-			return
+			a.res.F32()[b*c+ch] = float32(acc / float64(area))
+			continue
 		}
 		var acc int64
 		for y := 0; y < h; y++ {
@@ -213,9 +261,8 @@ func globalAvgPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.Tensor
 		} else {
 			v = (v - int64(area)/2) / int64(area)
 		}
-		setRaw(res, b*c+ch, int32(v))
-	})
-	return res, nil
+		setRaw(a.res, b*c+ch, int32(v))
+	}
 }
 
 func meanKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {

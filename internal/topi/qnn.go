@@ -46,13 +46,26 @@ func qnnQuantize(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType
 	zp := int32(attrs.Int("output_zero_point", 0))
 	res := output(dstBuf, out)
 	src := in.F32()
-	parallel.ForElems(len(src), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			q := roundHalfAwayF(float64(src[i])/scale) + zp
-			setRaw(res, i, clampToDType(q, out.DType))
-		}
-	})
+	quantizeRegion.Elems(len(src), quantizeArgs{src, res, scale, zp, out.DType})
 	return res, nil
+}
+
+var quantizeRegion = parallel.NewRegion(quantizeArgs.run)
+
+// quantizeArgs is qnn.quantize's chunk.
+type quantizeArgs struct {
+	src   []float32
+	res   *tensor.Tensor
+	scale float64
+	zp    int32
+	dt    tensor.DType
+}
+
+func (a quantizeArgs) run(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		q := roundHalfAwayF(float64(a.src[i])/a.scale) + a.zp
+		setRaw(a.res, i, clampToDType(q, a.dt))
+	}
 }
 
 func qnnDequantize(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
@@ -86,11 +99,22 @@ func qnnRequantize(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorTy
 	outZp := int32(attrs.Int("output_zero_point", 0))
 	ratio := inScale / outScale
 	res := output(dstBuf, out)
-	n := in.Elems()
-	parallel.ForElems(n, func(lo, hi int) {
-		requantRange(res, in, ratio, inZp, outZp, out.DType, lo, hi)
-	})
+	requantRegion.Elems(in.Elems(), requantArgs{res, in, ratio, inZp, outZp, out.DType})
 	return res, nil
+}
+
+var requantRegion = parallel.NewRegion(requantArgs.run)
+
+// requantArgs is qnn.requantize's chunk.
+type requantArgs struct {
+	res, in     *tensor.Tensor
+	ratio       float64
+	inZp, outZp int32
+	dt          tensor.DType
+}
+
+func (a requantArgs) run(lo, hi int) {
+	requantRange(a.res, a.in, a.ratio, a.inZp, a.outZp, a.dt, lo, hi)
 }
 
 // requantize is the reference semantics of qnn.requantize for one element:
@@ -121,24 +145,35 @@ func qnnAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dst
 	rhsZp := int32(attrs.Int("rhs_zero_point", 0))
 	outScale := attrs.Float("output_scale", 1)
 	outZp := int32(attrs.Int("output_zero_point", 0))
-	res := output(dstBuf, out)
-	n := res.Elems()
-	sameShape := a.Shape.Equal(b.Shape)
-	var bc *broadcaster
-	if !sameShape {
-		bc = newBroadcaster(a.Shape, b.Shape, out.Shape)
+	q := qaddArgs{a: a, b: b, res: output(dstBuf, out),
+		lhsScale: lhsScale, rhsScale: rhsScale, outScale: outScale, lhsZp: lhsZp, rhsZp: rhsZp, outZp: outZp, dt: out.DType}
+	if !a.Shape.Equal(b.Shape) {
+		q.bc = newBroadcaster(a.Shape, b.Shape, out.Shape)
 	}
-	parallel.ForElems(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ia, ib := i, i
-			if bc != nil {
-				ia, ib = bc.index(i)
-			}
-			real := lhsScale*float64(a.GetRaw(ia)-lhsZp) + rhsScale*float64(b.GetRaw(ib)-rhsZp)
-			setRaw(res, i, clampToDType(roundHalfAwayF(real/outScale)+outZp, out.DType))
+	qaddRegion.Elems(q.res.Elems(), q)
+	return q.res, nil
+}
+
+var qaddRegion = parallel.NewRegion(qaddArgs.run)
+
+// qaddArgs is qnn.add's chunk; bc is nil when the shapes are equal.
+type qaddArgs struct {
+	a, b, res                    *tensor.Tensor
+	bc                           *broadcaster
+	lhsScale, rhsScale, outScale float64
+	lhsZp, rhsZp, outZp          int32
+	dt                           tensor.DType
+}
+
+func (q qaddArgs) run(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		ia, ib := i, i
+		if q.bc != nil {
+			ia, ib = q.bc.index(i)
 		}
-	})
-	return res, nil
+		real := q.lhsScale*float64(q.a.GetRaw(ia)-q.lhsZp) + q.rhsScale*float64(q.b.GetRaw(ib)-q.rhsZp)
+		setRaw(q.res, i, clampToDType(roundHalfAwayF(real/q.outScale)+q.outZp, q.dt))
+	}
 }
 
 func qnnConcatenate(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {

@@ -114,7 +114,7 @@ type KernelConfig struct {
 	// locality for tall matrices.
 	GemmMC int
 	// GemmNC is the minimum number of N register tiles per parallel chunk
-	// of the GEMM driver; 0 splits evenly across the acquired workers.
+	// of the GEMM driver; 0 leaves the chunk size to the launch.
 	GemmNC int
 	// Workers caps the workers this kernel's parallel loops may use on top
 	// of the shared inter/intra-op budget; 0 applies no per-kernel cap.
@@ -157,7 +157,7 @@ func (c KernelConfig) String() string {
 	return s
 }
 
-// chunkOpts translates the parallelism knobs for parallel.ForChunkedOpts.
+// chunkOpts translates the parallelism knobs for a parallel.Region launch.
 // Safe on a nil config (returns the unlimited zero value).
 func (c *KernelConfig) chunkOpts() parallel.ChunkOpts {
 	if c == nil {
