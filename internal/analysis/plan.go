@@ -48,7 +48,7 @@ type PlanSlot struct {
 	DType tensor.DType
 	Elems int
 	// Storage is the arena buffer backing the slot, -1 when the value is
-	// externally owned (graph inputs, constants, NeuroPilot region outputs).
+	// externally owned (graph inputs and constants).
 	Storage int
 	// Producer is the defining node id, -1 for inputs and constants.
 	Producer int

@@ -36,9 +36,10 @@ import (
 //	plan-output-alias    graph outputs have dedicated storage — the
 //	                     OutputCopy aliasing contract: an output view must
 //	                     stay valid until the caller copies it out
-//	plan-external-arena  external-region results are Neuron-runtime-owned,
-//	                     never arena-backed (the other half of the contract)
-//	plan-missing-storage op/primitive results are always arena-backed
+//	plan-missing-storage every node's results are arena-backed, whatever
+//	                     the node kind: op, primitive, or external region
+//	                     (the Neuron runtime writes into the views it is
+//	                     handed)
 //	plan-dead-node       (warning) a node's results reach no graph output
 func PlanSafety(v *PlanView) *verify.Result {
 	res := &verify.Result{}
@@ -110,22 +111,9 @@ func planSafetyInto(v *PlanView, prefix string, res *verify.Result) {
 			if v.Slots[s].Producer != n.ID {
 				res.Errorf("plan-single-def", nodeWhere(n), "writes slot %d whose recorded producer is node %d", s, v.Slots[s].Producer)
 			}
-		}
-		switch n.Kind {
-		case PlanNodeExternal:
-			for _, s := range n.Outs {
-				if v.Slots[s].Storage >= 0 {
-					res.Errorf("plan-external-arena", nodeWhere(n),
-						"external result slot %d is arena-backed (storage %d); the Neuron runtime owns its buffers, "+
-							"an arena view here would alias a planner buffer", s, v.Slots[s].Storage)
-				}
-			}
-		case PlanNodeOp, PlanNodePrimitive:
-			for _, s := range n.Outs {
-				if v.Slots[s].Storage < 0 {
-					res.Errorf("plan-missing-storage", nodeWhere(n),
-						"result slot %d has no arena storage; the kernel would write into a nil view", s)
-				}
+			if v.Slots[s].Storage < 0 {
+				res.Errorf("plan-missing-storage", nodeWhere(n),
+					"result slot %d has no arena storage; the node would write into a nil view", s)
 			}
 		}
 	}

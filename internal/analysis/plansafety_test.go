@@ -103,8 +103,13 @@ func TestPlanSafetyMutations(t *testing.T) {
 			func(v *PlanView) { v.Slots[3].Storage = -1 },
 		},
 		{
-			"external result on the arena", "plan-external-arena",
-			func(v *PlanView) { v.Nodes[2].Kind = PlanNodeExternal },
+			// The storage rule is one rule for every node kind: the Neuron
+			// runtime writes a region's results into arena views too.
+			"external result off the arena", "plan-missing-storage",
+			func(v *PlanView) {
+				v.Nodes[2].Kind = PlanNodeExternal
+				v.Slots[4].Storage = -1
+			},
 		},
 		{
 			// The executor would run node 1 concurrently with node 0,
@@ -172,8 +177,9 @@ func TestPlanSafetySubPlan(t *testing.T) {
 	}
 }
 
-// TestPlanSafetyExternalOutputs checks the two halves of the ownership
-// contract on a plan with an external region.
+// TestPlanSafetyExternalOutputs: an external region's result is arena-backed
+// like any other node's, so a plan with a region and planned storage for it
+// is clean.
 func TestPlanSafetyExternalOutputs(t *testing.T) {
 	v := &PlanView{
 		Nodes: []PlanNode{
@@ -182,10 +188,10 @@ func TestPlanSafetyExternalOutputs(t *testing.T) {
 		},
 		Slots: []PlanSlot{
 			{DType: tensor.UInt8, Elems: 4, Storage: -1, Producer: -1, IsInput: true},
-			{DType: tensor.UInt8, Elems: 4, Storage: -1, Producer: 0},
-			{DType: tensor.Float32, Elems: 4, Storage: 0, Producer: 1, IsOutput: true},
+			{DType: tensor.UInt8, Elems: 4, Storage: 0, Producer: 0},
+			{DType: tensor.Float32, Elems: 4, Storage: 1, Producer: 1, IsOutput: true},
 		},
-		Storages: []PlanStorage{{DType: tensor.Float32, Elems: 4}},
+		Storages: []PlanStorage{{DType: tensor.UInt8, Elems: 4}, {DType: tensor.Float32, Elems: 4}},
 		Params:   []int{0},
 		Outputs:  []int{2},
 	}

@@ -74,8 +74,9 @@ type FrameResult struct {
 // Listing 5's build_model_on_TVM output.
 //
 // Each stage owns the tensors its model reads, allocated once here and
-// refilled for every frame or face, so a frame allocates no model input. No
-// buffer is shared between stages: RunLive may run the three stages on three
+// refilled for every frame or face, so a frame allocates no model input; the
+// detect stage also keeps its SSD decode rows and the face detector's grid
+// buffers. No buffer is shared between stages: RunLive may run the three stages on three
 // goroutines (each on a different frame), but one stage must not run twice at
 // once — its second caller would overwrite the input the first is reading.
 type Showcase struct {
@@ -88,6 +89,9 @@ type Showcase struct {
 	// reads (nil for a float detector, which reads detIn itself).
 	detIn  *tensor.Tensor
 	detInQ *tensor.Tensor
+	// Detect stage: every SSD row that passes the score gate, sorted; only
+	// the top rows are copied out into FrameResult.Objects.
+	ssdRows []Detection
 	// SpoofStage and EmotionStage: the face crop at the model's input size.
 	spoofIn *tensor.Tensor
 	emoIn   *tensor.Tensor
@@ -201,11 +205,14 @@ func (s *Showcase) DetectStage(f *video.Frame) (*FrameResult, []video.Rect, erro
 		return nil, nil, fmt.Errorf("app: object detection: %w", err)
 	}
 	res.Timing.Detect = s.detGM.LastProfile().Total()
-	dets, err := DecodeSSD(s.detGM.MustOutput(0), s.detGM.MustOutput(1),
-		frameW, frameH, s.cfg.ScoreThreshold, 16)
+	rows, err := decodeSSDRows(s.ssdRows, s.detGM.MustOutput(0), s.detGM.MustOutput(1),
+		frameW, frameH, s.cfg.ScoreThreshold)
 	if err != nil {
 		return nil, nil, err
 	}
+	s.ssdRows = rows
+	dets := make([]Detection, topCount(rows, 16))
+	copy(dets, rows)
 	res.Objects = dets
 
 	var candidates []video.Rect

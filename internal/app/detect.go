@@ -17,11 +17,31 @@ type Detection struct {
 }
 
 // DecodeSSD converts the SSD head outputs (dequantized boxes [1,N,4] and
-// class scores [1,N,C]) into frame-space detections. Rows are laid out as
+// class scores [1,N,C]) into frame-space detections, best score first, at
+// most topK of them (all when topK <= 0). Rows are laid out as
 // gridA²·anchors followed by gridB²·anchors with gridA = 2·gridB (the two
 // feature-map scales of the model); box regressions are decoded relative to
 // their anchor cell.
 func DecodeSSD(boxes, scores *tensor.Tensor, frameW, frameH int, threshold float64, topK int) ([]Detection, error) {
+	dets, err := decodeSSDRows(nil, boxes, scores, frameW, frameH, threshold)
+	if err != nil {
+		return nil, err
+	}
+	return dets[:topCount(dets, topK)], nil
+}
+
+// topCount is how many of the sorted rows the topK cut keeps.
+func topCount(dets []Detection, topK int) int {
+	if topK > 0 && len(dets) > topK {
+		return topK
+	}
+	return len(dets)
+}
+
+// decodeSSDRows appends every row that passes the threshold to dst[:0] and
+// sorts the rows by descending score: DecodeSSD without the topK cut, into a
+// buffer the caller may reuse across frames.
+func decodeSSDRows(dst []Detection, boxes, scores *tensor.Tensor, frameW, frameH int, threshold float64) ([]Detection, error) {
 	if len(boxes.Shape) != 3 || boxes.Shape[2] != 4 {
 		return nil, fmt.Errorf("app: SSD boxes have shape %s, want (1,N,4)", boxes.Shape)
 	}
@@ -39,7 +59,10 @@ func DecodeSSD(boxes, scores *tensor.Tensor, frameW, frameH int, threshold float
 	anchors := 3
 
 	// Rows are read by flat offset: boxes[i·4+k], scores[i·classes+c].
-	dets := make([]Detection, 0, n) // most rows of an uncalibrated head pass the threshold
+	dets := dst[:0]
+	if cap(dets) < n {
+		dets = make([]Detection, 0, n) // most rows of an uncalibrated head pass the threshold
+	}
 	for i := 0; i < n; i++ {
 		// Best non-background class.
 		best, bestScore := 0, 0.0
@@ -81,9 +104,6 @@ func DecodeSSD(boxes, scores *tensor.Tensor, frameW, frameH int, threshold float
 		dets = append(dets, Detection{Box: rect, Score: bestScore, Class: best})
 	}
 	sort.Slice(dets, func(i, j int) bool { return dets[i].Score > dets[j].Score })
-	if topK > 0 && len(dets) > topK {
-		dets = dets[:topK]
-	}
 	return dets, nil
 }
 

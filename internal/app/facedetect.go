@@ -15,6 +15,10 @@ import (
 // stand-in): it thresholds the bright skin-toned blobs the synthetic scene
 // renders for faces, extracts connected components on a downsampled grid,
 // and returns their bounding boxes.
+//
+// A detector reuses its grid buffers from call to call, so one detector must
+// not run Detect concurrently; the showcase's detect stage is its only
+// caller.
 type FaceDetector struct {
 	// Threshold on the red channel selecting face-like pixels.
 	Threshold float64
@@ -22,6 +26,12 @@ type FaceDetector struct {
 	Stride int
 	// MinArea (in full-resolution pixels) below which components are noise.
 	MinArea int
+
+	// Scratch reused by every Detect: the face mask, the component map and
+	// the flood-fill stack of the component grid.
+	mask  []bool
+	comp  []int
+	stack []int
 }
 
 // NewFaceDetector returns a detector tuned for the synthetic scenes.
@@ -35,15 +45,18 @@ func (d *FaceDetector) Detect(img *tensor.Tensor) []video.Rect {
 	h, w := img.Shape[1], img.Shape[2]
 	gw := (w + d.Stride - 1) / d.Stride
 	gh := (h + d.Stride - 1) / d.Stride
-	mask := make([]bool, gw*gh)
+	if cap(d.mask) < gw*gh {
+		d.mask = make([]bool, gw*gh)
+		d.comp = make([]int, gw*gh)
+	}
+	mask, comp := d.mask[:gw*gh], d.comp[:gw*gh]
 	d.faceMask(mask, img, gw, gh)
 	// Connected components via iterative flood fill (4-connectivity).
-	comp := make([]int, gw*gh)
 	for i := range comp {
 		comp[i] = -1
 	}
 	var boxes []video.Rect
-	var stack []int
+	stack := d.stack
 	next := 0
 	for start := range mask {
 		if !mask[start] || comp[start] >= 0 {
@@ -92,6 +105,7 @@ func (d *FaceDetector) Detect(img *tensor.Tensor) []video.Rect {
 			boxes = append(boxes, box.Clamp(w, h))
 		}
 	}
+	d.stack = stack
 	return boxes
 }
 

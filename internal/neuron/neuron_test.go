@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/relay"
 	"repro/internal/soc"
 	"repro/internal/tensor"
@@ -184,6 +185,69 @@ func TestExecuteTinyModel(t *testing.T) {
 	// Operation fusion folds the ReLU into the convolution: one launch.
 	if prof.Launches[soc.KindCPU] != 1 {
 		t.Errorf("expected 1 CPU launch after fusion, got %d", prof.Launches[soc.KindCPU])
+	}
+}
+
+// TestExecuteIntoOutputs covers each way a model output reaches the caller's
+// buffer: an operation writes it in place (outs[0], also read by the next
+// operation), a passed-through input, a constant and a repeated output are
+// copied in. The steady state allocates nothing.
+func TestExecuteIntoOutputs(t *testing.T) {
+	m := NewModel("outs")
+	in := m.AddOperand("data", f32Type(2, 3), nil)
+	c := tensor.New(tensor.Float32, tensor.Shape{2, 3})
+	c.FillUniform(tensor.NewRNG(5), -1, 1)
+	ci := m.AddOperand("c", f32Type(2, 3), c)
+	mid := m.AddOperand("sig", f32Type(2, 3), nil)
+	out := m.AddOperand("act", f32Type(2, 3), nil)
+	m.AddOperation(Logistic, []int{in}, []int{mid}, nil)
+	m.AddOperation(ReLU, []int{mid}, []int{out}, nil)
+	m.Inputs = []int{in}
+	m.Outputs = []int{mid, out, in, ci, mid}
+	cm := &CompiledModel{Model: m}
+
+	st := cm.NewExecState()
+	outs := make([]*tensor.Tensor, len(m.Outputs))
+	for k := range outs {
+		outs[k] = tensor.New(tensor.Float32, tensor.Shape{2, 3})
+	}
+	data := tensor.New(tensor.Float32, tensor.Shape{2, 3})
+	for seed := uint64(1); seed <= 2; seed++ {
+		data.FillUniform(tensor.NewRNG(seed), -2, 2)
+		if err := cm.ExecuteInto(st, []*tensor.Tensor{data}, outs); err != nil {
+			t.Fatal(err)
+		}
+		if st.values[mid] != outs[0] || st.values[out] != outs[1] {
+			t.Fatal("operation results are not the caller's buffers")
+		}
+		// relu(sigmoid(x)) == sigmoid(x): outs 0, 1 and 4 agree bitwise.
+		for _, k := range []int{1, 4} {
+			if d := tensor.MaxAbsDiff(outs[0], outs[k]); d != 0 {
+				t.Errorf("seed %d: output %d differs from output 0 by %g", seed, k, d)
+			}
+		}
+		if d := tensor.MaxAbsDiff(outs[2], data); d != 0 {
+			t.Errorf("seed %d: passed-through input differs by %g", seed, d)
+		}
+		if d := tensor.MaxAbsDiff(outs[3], c); d != 0 {
+			t.Errorf("seed %d: constant output differs by %g", seed, d)
+		}
+		for i := 0; i < outs[0].Elems(); i++ {
+			if v := outs[0].GetF(i); v <= 0 || v >= 1 {
+				t.Fatalf("seed %d: sigmoid output %g", seed, v)
+			}
+		}
+	}
+	if race.Enabled {
+		return
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := cm.ExecuteInto(st, []*tensor.Tensor{data}, outs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ExecuteInto allocates %v objects per call, want 0", allocs)
 	}
 }
 

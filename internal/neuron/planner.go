@@ -2,7 +2,6 @@ package neuron
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/soc"
 	"repro/internal/tensor"
@@ -28,7 +27,9 @@ func (e *UnsupportedError) Error() string {
 }
 
 // CompiledModel is the output of the Neuron compiler: the model, the SoC it
-// was compiled for, and the per-operation device plan.
+// was compiled for, and the per-operation device plan. It is immutable once
+// compiled and shared by every module that executes it; the mutable working
+// set lives in an ExecState each executing instance owns (runtime.go).
 type CompiledModel struct {
 	Model   *Model
 	SoC     *soc.SoC
@@ -38,15 +39,6 @@ type CompiledModel struct {
 	// producerDev[operand] is the device whose memory holds the operand
 	// after it is produced (model inputs and constants live in host memory).
 	producerDev []soc.DeviceKind
-	// execState caches the per-Execute working set (runtime.go) so
-	// steady-state inference allocates only the escaping output tensors.
-	// A single atomically-claimed slot, not a sync.Pool: the serving layer
-	// gives each worker its own module instance, so Execute is effectively
-	// single-threaded per CompiledModel, and a pool's GC eviction would
-	// re-pay the full working-set allocation at unpredictable points
-	// (breaking the allocation pins). Concurrent callers that lose the
-	// claim build a fresh state and race benignly to put one back.
-	execState atomic.Pointer[execState]
 }
 
 // efficiency returns the NeuroPilot engine efficiency on a device.
@@ -214,8 +206,8 @@ func (cm *CompiledModel) PlanCounts() map[soc.DeviceKind]int {
 
 // Estimate charges the whole compiled model to a profile: per-op roofline
 // time plus boundary DMA. It is the only cost walk over a plan — both
-// executors call it beside Execute (which computes numerics and charges
-// nothing), and the full-scale Figure 6 sweep calls it alone.
+// executors call it beside Execute/ExecuteInto (which compute numerics and
+// charge nothing), and the full-scale Figure 6 sweep calls it alone.
 func (cm *CompiledModel) Estimate(prof *soc.Profile) soc.Seconds {
 	if prof == nil {
 		prof = soc.NewProfile()

@@ -15,24 +15,27 @@ import (
 // In the real stack Neuron ships its own tuned libraries; the simulation
 // reuses the reference numerics and models the performance difference purely
 // through the engine-efficiency factors of the cost model (see DESIGN.md §2).
-// Steady-state execution allocates almost nothing: per-call bookkeeping and
-// every intermediate tensor come from a per-model pool (execState), kernels
-// write into caller-supplied buffers via topi.RunInto, and conv/dense anchors
-// run their absorbed epilogue in the same launch (topi/fused.go): a quantized
-// anchor with an absorbed requantize dispatches to the fused kernel
-// (qnn.conv2d_fused, qnn.dense_fused), a float one hands its bias and
-// fused_activation to nn.conv2d / nn.dense itself.
+// ExecuteInto allocates nothing in the steady state: the caller owns both the
+// working set (an ExecState, one per executing module) and the result
+// buffers, which on the planned executor are arena views planned like any
+// other node's result. Kernels write into those buffers via topi.RunInto,
+// and conv/dense anchors run their absorbed epilogue in the same launch
+// (topi/fused.go): a quantized anchor with an absorbed requantize dispatches
+// to the fused kernel (qnn.conv2d_fused, qnn.dense_fused), a float one hands
+// its bias and fused_activation to nn.conv2d / nn.dense itself.
 
-// execState holds the pooled per-Execute working set. One state serves one
-// Execute call at a time; CompiledModel.execState recycles it across calls
-// (claimed exclusively with an atomic Swap; see the field's doc comment).
-type execState struct {
+// ExecState is the working set of one executing instance of a compiled
+// model: the per-operation dispatch plan and the buffers of every
+// intermediate operand. It serves one ExecuteInto call at a time; the
+// planned executor keeps one per external node of each GraphModule.
+type ExecState struct {
+	model  *Model
 	values []*tensor.Tensor
 	args   [][]*tensor.Tensor
-	// opOut[i] is the pooled destination for operation i's output, nil when
-	// that operand is a model output: outputs escape the call and must be
-	// allocated fresh every Execute.
+	// opOut[i] is the buffer operation i writes, nil when its result is a
+	// model output: that operation writes into the caller's outs[outAt[i]].
 	opOut []*tensor.Tensor
+	outAt []int
 	ops   []opExec
 	// pair is scratch for assembling 1- and 2-argument kernel calls without
 	// allocating.
@@ -116,21 +119,27 @@ func buildOpExec(m *Model, op Operation) opExec {
 	return e
 }
 
-func (cm *CompiledModel) newExecState() *execState {
+// NewExecState builds a working set for cm: the dispatch plan of every
+// operation and the buffer of every operand that is not a model output.
+func (cm *CompiledModel) NewExecState() *ExecState {
 	m := cm.Model
-	st := &execState{
+	st := &ExecState{
+		model:  m,
 		values: make([]*tensor.Tensor, len(m.Operands)),
 		args:   make([][]*tensor.Tensor, len(m.Operations)),
 		opOut:  make([]*tensor.Tensor, len(m.Operations)),
+		outAt:  make([]int, len(m.Operations)),
 		ops:    make([]opExec, len(m.Operations)),
 	}
-	isOut := make([]bool, len(m.Operands))
-	for _, idx := range m.Outputs {
-		isOut[idx] = true
+	outAt := make(map[int]int, len(m.Outputs))
+	for k := len(m.Outputs) - 1; k >= 0; k-- {
+		outAt[m.Outputs[k]] = k
 	}
 	for oi, op := range m.Operations {
 		st.args[oi] = make([]*tensor.Tensor, len(op.Inputs))
-		if !isOut[op.Outputs[0]] {
+		if k, ok := outAt[op.Outputs[0]]; ok {
+			st.outAt[oi] = k
+		} else {
 			st.opOut[oi] = newOperandTensor(m.Operands[op.Outputs[0]])
 		}
 		st.ops[oi] = buildOpExec(m, op)
@@ -139,18 +148,40 @@ func (cm *CompiledModel) newExecState() *execState {
 }
 
 // Execute runs the compiled model on the given inputs (one tensor per
-// Model.Inputs entry, in order) and returns the output tensors. It computes
-// numerics only; Estimate charges the same plan's simulated cost.
+// Model.Inputs entry, in order) and returns freshly allocated output tensors,
+// using a fresh working set: the convenience form of ExecuteInto for callers
+// that keep no state (the reference interpreter, tests).
 func (cm *CompiledModel) Execute(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+	outs := make([]*tensor.Tensor, len(cm.Model.Outputs))
+	for k, idx := range cm.Model.Outputs {
+		outs[k] = newOperandTensor(cm.Model.Operands[idx])
+	}
+	if err := cm.ExecuteInto(cm.NewExecState(), inputs, outs); err != nil {
+		return nil, err
+	}
+	return outs, nil
+}
+
+// ExecuteInto runs the compiled model on the given inputs (one tensor per
+// Model.Inputs entry, in order) with the working set st, writing model
+// output k into outs[k]: an operation whose result is a model output writes
+// there directly, and an output no operation produces (a passed-through
+// input, a constant, a repeated output) is copied in. outs must not alias
+// the inputs. It computes numerics only; Estimate charges the same plan's
+// simulated cost.
+//
+//np:hotpath
+func (cm *CompiledModel) ExecuteInto(st *ExecState, inputs, outs []*tensor.Tensor) error {
 	m := cm.Model
+	if st.model != m {
+		return fmt.Errorf("neuron: model %q executed with another model's state", m.Name)
+	}
 	if len(inputs) != len(m.Inputs) {
-		return nil, fmt.Errorf("neuron: model %q expects %d inputs, got %d", m.Name, len(m.Inputs), len(inputs))
+		return fmt.Errorf("neuron: model %q expects %d inputs, got %d", m.Name, len(m.Inputs), len(inputs))
 	}
-	st := cm.execState.Swap(nil)
-	if st == nil {
-		st = cm.newExecState()
+	if len(outs) != len(m.Outputs) {
+		return fmt.Errorf("neuron: model %q has %d outputs, got %d buffers", m.Name, len(m.Outputs), len(outs))
 	}
-	defer cm.execState.Store(st)
 	values := st.values
 	for i, od := range m.Operands {
 		if od.IsConst() {
@@ -163,7 +194,7 @@ func (cm *CompiledModel) Execute(inputs []*tensor.Tensor) ([]*tensor.Tensor, err
 		in := inputs[i]
 		want := m.Operands[idx].Type
 		if !in.Shape.Equal(want.Shape) || in.DType != want.DType {
-			return nil, fmt.Errorf("neuron: input %d is %s%s, model wants %s", i, in.DType, in.Shape, want)
+			return fmt.Errorf("neuron: input %d is %s%s, model wants %s", i, in.DType, in.Shape, want)
 		}
 		values[idx] = in
 	}
@@ -172,46 +203,47 @@ func (cm *CompiledModel) Execute(inputs []*tensor.Tensor) ([]*tensor.Tensor, err
 		args := st.args[oi]
 		for ai, in := range op.Inputs {
 			if values[in] == nil {
-				return nil, fmt.Errorf("neuron: operation %d (%s) input operand %d undefined", oi, op.Code, in)
+				return fmt.Errorf("neuron: operation %d (%s) input operand %d undefined", oi, op.Code, in)
 			}
 			args[ai] = values[in]
 		}
 		dst := st.opOut[oi]
 		if dst == nil {
-			// Model output: it outlives this call, so it cannot be pooled.
-			dst = newOperandTensor(m.Operands[op.Outputs[0]])
+			dst = outs[st.outAt[oi]]
 		}
-		res, err := runOperation(st, oi, op, args, dst)
-		if err != nil {
-			return nil, fmt.Errorf("neuron: operation %d (%s): %w", oi, op.Code, err)
+		if err := runOperation(st, oi, op, args, dst); err != nil {
+			return fmt.Errorf("neuron: operation %d (%s): %w", oi, op.Code, err)
 		}
-		values[op.Outputs[0]] = res
+		values[op.Outputs[0]] = dst
 	}
 
-	outs := make([]*tensor.Tensor, len(m.Outputs))
-	for i, idx := range m.Outputs {
-		if values[idx] == nil {
-			return nil, fmt.Errorf("neuron: model output operand %d undefined", idx)
+	for k, idx := range m.Outputs {
+		v := values[idx]
+		if v == nil {
+			return fmt.Errorf("neuron: model output operand %d undefined", idx)
 		}
-		outs[i] = values[idx]
+		if v != outs[k] {
+			if err := outs[k].CopyFrom(v); err != nil {
+				return fmt.Errorf("neuron: model output %d: %w", k, err)
+			}
+		}
 	}
-	return outs, nil
+	return nil
 }
 
 // runOperation executes one (possibly fused) Neuron operation into dst
 // following the dispatch plan prepared at state creation: either a single
 // fused launch, or the staged anchor → bias_add → requantize → activation
 // chain with elementwise stages running in place.
-func runOperation(st *execState, oi int, op Operation, args []*tensor.Tensor, dst *tensor.Tensor) (*tensor.Tensor, error) {
+//
+//np:hotpath
+func runOperation(st *ExecState, oi int, op Operation, args []*tensor.Tensor, dst *tensor.Tensor) error {
 	e := &st.ops[oi]
 	if e.kernel == "" {
-		return nil, fmt.Errorf("neuron: opcode %s has no kernel", op.Code)
+		return fmt.Errorf("neuron: opcode %s has no kernel", op.Code)
 	}
 	if e.fused {
-		if err := topi.RunInto(e.kernel, args, op.Attrs, e.finalTy, dst); err != nil {
-			return nil, err
-		}
-		return dst, nil
+		return topi.RunInto(e.kernel, args, op.Attrs, e.finalTy, dst)
 	}
 	mainArgs := args
 	var bias *tensor.Tensor
@@ -224,18 +256,18 @@ func runOperation(st *execState, oi int, op Operation, args []*tensor.Tensor, ds
 		mainDst = e.stage
 	}
 	if err := topi.RunInto(e.kernel, mainArgs, op.Attrs, e.mainTy, mainDst); err != nil {
-		return nil, err
+		return err
 	}
 	if bias != nil {
 		st.pair[0], st.pair[1] = mainDst, bias
 		if err := topi.RunInto("nn.bias_add", st.pair[:2], emptyAttrs, e.mainTy, mainDst); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if e.stage != nil {
 		st.pair[0] = mainDst
 		if err := topi.RunInto("qnn.requantize", st.pair[:1], e.reqAttrs, e.finalTy, dst); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	switch e.activation {
@@ -243,17 +275,17 @@ func runOperation(st *execState, oi int, op Operation, args []*tensor.Tensor, ds
 	case "relu":
 		st.pair[0] = dst
 		if err := topi.RunInto("nn.relu", st.pair[:1], emptyAttrs, e.finalTy, dst); err != nil {
-			return nil, err
+			return err
 		}
 	case "relu6":
 		st.pair[0] = dst
 		if err := topi.RunInto("clip", st.pair[:1], relu6Attrs, e.finalTy, dst); err != nil {
-			return nil, err
+			return err
 		}
 	default:
-		return nil, fmt.Errorf("neuron: unknown fused activation %q", e.activation)
+		return fmt.Errorf("neuron: unknown fused activation %q", e.activation)
 	}
-	return dst, nil
+	return nil
 }
 
 func operandRelayType(od Operand) *relay.TensorType {

@@ -3,7 +3,9 @@ package runtime_test
 import (
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/models"
+	"repro/internal/race"
 	"repro/internal/runtime"
 	"repro/internal/tensor"
 )
@@ -116,5 +118,93 @@ func TestInterpOutputsFresh(t *testing.T) {
 	}
 	if d := tensor.MaxAbsDiff(first, snapshot); d != 0 {
 		t.Errorf("interpreter output mutated by later Run (diff %g)", d)
+	}
+}
+
+// byocEmotion builds the lite emotion model through the BYOC flow: one
+// NeuroPilot region that produces the graph output.
+func byocEmotion(t *testing.T) (*runtime.GraphModule, int) {
+	t.Helper()
+	m, err := models.BuildEmotion(models.SizeLite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := runtime.Build(m, runtime.BuildOptions{OptLevel: 3, UseNIR: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := lib.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := plan.View()
+	out := -1
+	for i, s := range v.Outputs {
+		if p := v.Slots[s].Producer; p >= 0 && v.Nodes[p].Kind == analysis.PlanNodeExternal {
+			out = i
+			if v.Slots[s].Storage < 0 {
+				t.Fatalf("region-produced output %d has no arena storage", i)
+			}
+			break
+		}
+	}
+	if out < 0 {
+		t.Fatal("no graph output is produced by a NeuroPilot region; pick another model")
+	}
+	gm := runtime.NewGraphModule(lib)
+	gm.SetExecutor(runtime.ExecutorPlanned)
+	return gm, out
+}
+
+// TestRegionOutputIsArenaView: a graph output a NeuroPilot region produces
+// is a planned arena view like any other — the Neuron runtime writes it in
+// place, so two Runs return the very same tensor.
+func TestRegionOutputIsArenaView(t *testing.T) {
+	gm, out := byocEmotion(t)
+	name := gm.InputNames()[0]
+	mod := gm.Lib().Module
+
+	gm.SetInput(name, models.RandomInput(mod, 1))
+	if err := gm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	first := gm.MustOutput(out)
+	snapshot := first.Clone()
+	gm.SetInput(name, models.RandomInput(mod, 2))
+	if err := gm.Run(); err != nil {
+		t.Fatal(err)
+	}
+	second := gm.MustOutput(out)
+	if first != second {
+		t.Fatalf("region output is a different tensor after the second Run (%p, then %p); want one arena view", first, second)
+	}
+	if tensor.MaxAbsDiff(snapshot, second) == 0 {
+		t.Fatal("runs 1 and 2 produced identical outputs; pick different seeds")
+	}
+}
+
+// TestRegionRunAllocatesNoTensor pins a BYOC Run with profiling off. Its
+// allocations are all the simulated-cost charge: the profile (3) and the
+// Neuron Estimate walk over the region's operations (19: its producer slice
+// and per-operation display names). No tensor is allocated: a region output
+// allocated per call, as before the Neuron runtime wrote into arena views,
+// adds 2 (header and data).
+func TestRegionRunAllocatesNoTensor(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is nondeterministic under the race detector")
+	}
+	const bound = 22
+	gm, _ := byocEmotion(t)
+	gm.SetInput(gm.InputNames()[0], models.RandomInput(gm.Lib().Module, 1))
+	if err := gm.Run(); err != nil { // bind the plan state and the arena
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := gm.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > bound {
+		t.Errorf("BYOC Run allocates %v objects, bound %d (the cost charge only)", allocs, bound)
 	}
 }

@@ -95,8 +95,9 @@ type planNode struct {
 
 // slotInfo describes one value slot: the static type, the producing node,
 // the liveness interval in wavefront levels, and the arena storage backing
-// it (-1 when the value is externally owned: graph inputs, constants, and
-// NeuroPilot region outputs).
+// it. Every node result is arena-backed, a NeuroPilot region's included: the
+// Neuron runtime writes its outputs into the views it is handed. Only graph
+// inputs and constants are externally owned (Storage -1).
 type slotInfo struct {
 	Shape tensor.Shape
 	DType tensor.DType
@@ -641,6 +642,8 @@ func (b *planBuilder) finish() {
 	// reading. Graph outputs keep dedicated storage forever (the caller
 	// reads them after the run). Storages are reused only on an exact
 	// (dtype, element-count) match so views always cover the whole buffer.
+	// An external region's results are planned like an op's: the Neuron
+	// runtime writes into the views it is handed.
 	freeAt := map[int][]int{}
 	var avail []int
 	for lvl := 0; lvl <= maxLevel; lvl++ {
@@ -648,12 +651,7 @@ func (b *planBuilder) finish() {
 			avail = append(avail, freeAt[lvl-1]...)
 		}
 		for _, ni := range p.levels[lvl] {
-			n := p.nodes[ni]
-			if n.kind == nodeExternal {
-				// The Neuron runtime owns its result buffers; nothing to plan.
-				continue
-			}
-			for _, o := range n.out {
+			for _, o := range p.nodes[ni].out {
 				sl := p.slots[o]
 				p.NaiveBytes += sl.Shape.Elems() * sl.DType.Size()
 				sid := -1

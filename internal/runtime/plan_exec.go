@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/neuron"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/soc"
@@ -20,18 +21,18 @@ import (
 
 // planState is the mutable execution state of one GraphModule over a plan:
 // the arena, the current tensor bound to each slot, per-node argument
-// scratch, and per-primitive-node sub-state. It is constructed once and
-// reused by every Run.
+// scratch, per-primitive-node sub-state and per-external-node Neuron state.
+// It is constructed once and reused by every Run.
 type planState struct {
 	plan  *ExecPlan
 	arena *tensor.Arena
-	// slots holds each slot's current tensor: constants bound at build time,
-	// arena views bound at build time, graph inputs and external-region
-	// results rebound per run.
+	// slots holds each slot's current tensor: constants and arena views
+	// bound at build time, graph inputs rebound per run.
 	slots []*tensor.Tensor
 	args  [][]*tensor.Tensor // per-node argument scratch
 	errs  []error            // per-node error scratch for wavefront execution
 	subs  []*planState       // per-node sub-state (primitive nodes only)
+	ext   []extState         // per-node Neuron state (external nodes only)
 
 	// trace, when non-nil (profiling enabled), receives one wall-clock span
 	// per executed node, indexed by node id — concurrent wavefront nodes write
@@ -39,6 +40,14 @@ type planState struct {
 	// path free of timing calls and allocations.
 	trace      []obs.Span
 	traceEpoch time.Time
+}
+
+// extState is what one external node executes with: this module's own Neuron
+// working set, and the arena views of the node's result slots, which the
+// Neuron runtime writes in place.
+type extState struct {
+	neuron *neuron.ExecState
+	outs   []*tensor.Tensor
 }
 
 // setProfiling switches per-node span recording on or off, including the
@@ -104,6 +113,7 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 		args:  make([][]*tensor.Tensor, len(p.nodes)),
 		errs:  make([]error, len(p.nodes)),
 		subs:  make([]*planState, len(p.nodes)),
+		ext:   make([]extState, len(p.nodes)),
 	}
 	for _, rec := range p.storages {
 		st.arena.Add(rec.DType, rec.Elems)
@@ -122,21 +132,28 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 	}
 	for id, n := range p.nodes {
 		st.args[id] = make([]*tensor.Tensor, len(n.args))
-		if n.kind != nodePrim {
-			continue
+		switch n.kind {
+		case nodeExternal:
+			outs := make([]*tensor.Tensor, len(n.out))
+			for i, s := range n.out {
+				outs[i] = st.slots[s]
+			}
+			st.ext[id] = extState{neuron: n.cm.NewExecState(), outs: outs}
+		case nodePrim:
+			sub, err := newPlanState(n.sub)
+			if err != nil {
+				return nil, err
+			}
+			// The sub-plan's result writes straight into the outer arena
+			// view: rebind the sub output slot so the fused body's last
+			// kernel lands in place (no copy). A body that is a bare
+			// parameter or constant has no producing node; runPrim copies
+			// in that case.
+			if outSlot := n.sub.outputs[0]; n.sub.slots[outSlot].Producer >= 0 {
+				sub.slots[outSlot] = st.slots[n.out[0]]
+			}
+			st.subs[id] = sub
 		}
-		sub, err := newPlanState(n.sub)
-		if err != nil {
-			return nil, err
-		}
-		// The sub-plan's result writes straight into the outer arena view:
-		// rebind the sub output slot so the fused body's last kernel lands
-		// in place (no copy). A body that is a bare parameter or constant
-		// has no producing node; runPrim copies in that case.
-		if outSlot := n.sub.outputs[0]; n.sub.slots[outSlot].Producer >= 0 {
-			sub.slots[outSlot] = st.slots[n.out[0]]
-		}
-		st.subs[id] = sub
 	}
 	return st, nil
 }
@@ -242,15 +259,9 @@ func (st *planState) execNode(ni int) error {
 	case nodePrim:
 		return st.runPrim(ni, n, args)
 	case nodeExternal:
-		outs, err := n.cm.Execute(args)
-		if err != nil {
+		x := &st.ext[ni]
+		if err := n.cm.ExecuteInto(x.neuron, args, x.outs); err != nil {
 			return fmt.Errorf("runtime: external region %q: %w", n.sym, err)
-		}
-		if len(outs) != len(n.out) {
-			return fmt.Errorf("runtime: external region %q returned %d outputs, plan has %d", n.sym, len(outs), len(n.out))
-		}
-		for i, o := range outs {
-			st.slots[n.out[i]] = o
 		}
 		return nil
 	}
