@@ -11,6 +11,7 @@ package tensor
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 )
 
 // DType enumerates the element types supported by the stack. These mirror the
@@ -157,7 +158,25 @@ type Tensor struct {
 	i8  []int8
 	u8  []uint8
 	i32 []int32
+
+	// derived holds one value computed from this tensor's data (a weight's
+	// packed GEMM panels), so it lives exactly as long as the tensor. Every
+	// constructor, view and copy starts without one.
+	derived atomic.Pointer[any]
 }
+
+// Derived returns the value attached by SetDerived, or nil.
+func (t *Tensor) Derived() any {
+	if p := t.derived.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// SetDerived attaches v to t unless a value is attached already. v must be
+// a pure function of t's data, which must not change afterwards: concurrent
+// callers may race to attach equal values, and the first one wins.
+func (t *Tensor) SetDerived(v any) { t.derived.CompareAndSwap(nil, &v) }
 
 // New allocates a zero-filled tensor.
 func New(dt DType, shape Shape) *Tensor {
@@ -278,9 +297,8 @@ func (t *Tensor) Reshape(shape Shape) *Tensor {
 	if shape.Elems() != t.Elems() {
 		panic(fmt.Sprintf("tensor: reshape %v -> %v changes element count", t.Shape, shape))
 	}
-	v := *t
-	v.Shape = shape.Clone()
-	return &v
+	return &Tensor{DType: t.DType, Shape: shape.Clone(), Quant: t.Quant,
+		f32: t.f32, i8: t.i8, u8: t.u8, i32: t.i32}
 }
 
 // GetF returns element i as a float64 in the *real* domain: quantized

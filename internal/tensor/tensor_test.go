@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDTypeSizeAndString(t *testing.T) {
@@ -526,6 +527,55 @@ func TestQuantizeFromMatchesSetF(t *testing.T) {
 						dt, q, v, got.GetF(i), to.GetF(i), want.GetF(i))
 				}
 			}
+		}
+	}
+}
+
+// TestTensorSizeClass pins the Tensor header at 144 bytes, the size class it
+// shares with the 136-byte header it had before the derived slot. One more
+// word would move every tensor the stack allocates into the 160-byte class.
+func TestTensorSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Tensor{}); n > 144 {
+		t.Fatalf("unsafe.Sizeof(Tensor{}) = %d, want <= 144", n)
+	}
+}
+
+// TestDerivedIsNotCarried: a derived value (a weight's packed panels)
+// belongs to the one tensor it was attached to. A view, a copy or a
+// conversion of that tensor starts without one, and the first attached
+// value stays put.
+func TestDerivedIsNotCarried(t *testing.T) {
+	packed := func() *Tensor {
+		x := FromF32([]float32{1, 2, 3, 4, 5, 6}, Shape{2, 3})
+		x.SetDerived("panels")
+		x.SetDerived("other")
+		if x.Derived() != "panels" {
+			t.Fatalf("Derived() = %v after attaching \"panels\" then \"other\", want the first", x.Derived())
+		}
+		return x
+	}
+	arenaView := func() *Tensor {
+		a := NewArena()
+		id := a.Add(Float32, 6)
+		a.storages[id].SetDerived("panels")
+		v, err := a.View(id, Float32, Shape{3, 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	cases := []struct {
+		name string
+		make func() *Tensor
+	}{
+		{"Reshape", func() *Tensor { return packed().Reshape(Shape{3, 2}) }},
+		{"Clone", func() *Tensor { return packed().Clone() }},
+		{"Arena.View", arenaView},
+		{"QuantizeTo", func() *Tensor { return packed().QuantizeTo(UInt8, QuantParams{Scale: 0.1}) }},
+	}
+	for _, c := range cases {
+		if d := c.make().Derived(); d != nil {
+			t.Errorf("%s of a tensor with a derived value carries %v, want nil", c.name, d)
 		}
 	}
 }

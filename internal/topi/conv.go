@@ -91,7 +91,7 @@ func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 // (batch × output row) — each worker owns disjoint output rows. The direct
 // strategy reduces every cell in place; im2col packs one output row's
 // patches per group straight into GEMM panels (packCol) and multiplies them
-// against the cached weight panels. Either way ep runs over each output row
+// against the weight's packed panels. Either way ep runs over each output row
 // as soon as it is reduced. The row loop splits when its MACs pay for it
 // (convGeom.work); nested GEMM tile parallelism then degrades to serial
 // because this loop already holds the worker-budget tokens. Split or not, a
@@ -301,7 +301,7 @@ func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *rel
 // (batch × output row) like convF32. The direct strategy widens data and
 // weight once into pooled (raw − zp) int32 scratch, the weight tap-major on a
 // depthwise geometry. im2col widens the data into pooled k-pairs
-// (rawMinusZpPairs) and reads the cached pair panels of the weight. Integer
+// (rawMinusZpPairs) and reads the packed pair panels of the weight. Integer
 // accumulation is exact, so both strategies give the same bits. With
 // ep == nil (qnn.conv2d) the int32 accumulators are the output; otherwise
 // each output row is reduced into scratch and narrowed through a copy of ep.
@@ -418,7 +418,7 @@ func denseF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, d
 	n, k := data.Shape[0], data.Shape[1]
 	units := weight.Shape[0]
 	// nn.dense is GEMM by definition: rows of data against rows of weight.
-	// The packed panels come from the per-weight cache; tile parallelism
+	// The packed panels are the weight's own; tile parallelism
 	// inside the driver draws on the shared worker budget.
 	cfg := tunedConfig(taskKey("nn.dense", data.Shape, weight.Shape, data.DType, unitParams))
 	pw := packedConvWeightF32(weight, 1)
@@ -435,7 +435,7 @@ func qnnDense(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, d
 }
 
 // quantizedDense is qnn.dense, or with an epilogue qnn.dense_fused: the
-// (raw − zp) data rows, as k-pairs, against the cached pair panels of the
+// (raw − zp) data rows, as k-pairs, against the packed pair panels of the
 // weight by the int32-sum GEMM, the sums stored or narrowed through ep.
 func quantizedDense(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, ep *epilogue) (*tensor.Tensor, error) {
 	data, weight := args[0], args[1]

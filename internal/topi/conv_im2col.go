@@ -12,7 +12,7 @@ import "repro/internal/tensor"
 
 // im2colThreshold is the MAC volume below which a layer is a couple of
 // microseconds on either kernel and the GEMM path's fixed costs (two scratch
-// buffers, the weight-cache lookup) are no longer paid back.
+// buffers, the weight-panel lookup) are no longer paid back.
 const im2colThreshold = 1 << 10
 
 // im2colPays is the built-in strategy rule, for both element types, derived

@@ -207,43 +207,41 @@ func convCaseNamed(t *testing.T, name string) convCase {
 }
 
 // TestFusedConvObeysStrategyRuleAndRecord: qnn.conv2d_fused takes the
-// strategy qnn.conv2d takes. Only im2col reads the int32 panel cache, so its
-// traffic tells which path ran: none on a depthwise layer (one channel per
-// group stays direct) or under a record forcing direct on a layer the rule
-// sends to im2col, and one lookup on that layer without the record.
+// strategy qnn.conv2d takes. Only im2col packs the weight's pair panels, so
+// whether the launch left panels on the weight tells which path ran: none on
+// a depthwise layer (one channel per group stays direct) or under a record
+// forcing direct on a layer the rule sends to im2col, and panels on that
+// layer without the record.
 func TestFusedConvObeysStrategyRuleAndRecord(t *testing.T) {
 	prev := SetTuning(nil)
 	defer SetTuning(prev)
-	defer ResetWeightCaches()
 	rng := rand.New(rand.NewSource(31))
-	panelLookups := func(cc convCase, tbl *TuningTable) int64 {
+	packed := func(cc convCase, tbl *TuningTable) bool {
 		t.Helper()
 		SetTuning(tbl)
 		defer SetTuning(nil)
-		ResetWeightCaches()
 		args, attrs, _ := fusedOperands(rng, fusedDTypes[0], tensor.Shape{cc.n, cc.h, cc.w, cc.c},
 			tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}, true, "relu")
 		for k, v := range cc.attrs() {
 			attrs[k] = v
 		}
 		run(t, "qnn.conv2d_fused", args, attrs)
-		_, i32 := WeightCacheSnapshot()
-		return i32.Hits + i32.Misses
+		return args[1].Derived() != nil
 	}
 
-	if n := panelLookups(convCaseNamed(t, "depthwise"), nil); n != 0 {
-		t.Errorf("depthwise qnn.conv2d_fused made %d panel-cache lookups; the rule keeps it on the direct loop", n)
+	if packed(convCaseNamed(t, "depthwise"), nil) {
+		t.Errorf("depthwise qnn.conv2d_fused packed weight panels; the rule keeps it on the direct loop")
 	}
 	unit := convCaseNamed(t, "unit")
-	if n := panelLookups(unit, nil); n != 1 {
-		t.Fatalf("qnn.conv2d_fused on %s made %d panel-cache lookups, want the rule's im2col (1)", unit.name, n)
+	if !packed(unit, nil) {
+		t.Fatalf("qnn.conv2d_fused on %s left no panels on its weight, want the rule's im2col", unit.name)
 	}
 	tbl := NewTuningTable()
 	tbl.Set(taskKey("qnn.conv2d", tensor.Shape{unit.n, unit.h, unit.w, unit.c},
 		tensor.Shape{unit.oc, unit.kh, unit.kw, unit.c / unit.groups}, tensor.UInt8, unit.params()),
 		KernelConfig{ConvStrategy: ConvDirect})
-	if n := panelLookups(unit, tbl); n != 0 {
-		t.Errorf("under a qnn.conv2d record forcing direct, qnn.conv2d_fused made %d panel-cache lookups", n)
+	if packed(unit, tbl) {
+		t.Errorf("under a qnn.conv2d record forcing direct, qnn.conv2d_fused packed weight panels")
 	}
 	if hits, _ := tbl.Stats(); hits != 1 {
 		t.Errorf("the fused launch consulted the anchor's record %d times, want 1", hits)

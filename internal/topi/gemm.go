@@ -36,8 +36,9 @@ import (
 //     equivalence tests pin (gemm_test.go).
 //   - Weight panels are immutable per model, so they are packed once per
 //     weight tensor (packedWeight, one generic type for both element types)
-//     and cached in the bounded weightCache instances of weightcache.go:
-//     steady-state inference repacks only the activation side.
+//     and stored on that tensor (Tensor.SetDerived): steady-state inference
+//     repacks only the activation side, and the panels go when the weight
+//     does.
 //
 // Tile shapes. Every f32 tile is 4 A rows by one or more whole adjacent
 // B panels of gemmNR = 8 columns, over the same panel layout: panel jt+1
@@ -250,7 +251,7 @@ func gemmMCBlock(m int, cfg *KernelConfig) int {
 }
 
 // gemmF32Cfg computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n,
-// where bpack holds B packed at gemmNR (packPanels, or the weight cache):
+// where bpack holds B packed at gemmNR (packPanels, or a weight's panels):
 // it packs A at gemmMR into pooled scratch and runs gemmPackedF32.
 // Overwrite semantics; each cell's reduction is bit-identical to the naive
 // loop. cfg (nil: every default) carries the tuned knobs: MC row blocking
@@ -447,15 +448,14 @@ func gemmPanelsI32(ap, bpack []i16x2, c []int32, mb, n, kp, ldc, jtLo, jtHi int)
 	}
 }
 
-// ---- packed weight caches ----
+// ---- packed weight panels ----
 //
 // Convolution and dense weights are module constants: pack them once per
-// weight tensor and reuse the panels for every inference. Keyed by tensor
-// identity, so live modules keep their entries hot; the caches themselves
-// are the bounded weightCache instances in weightcache.go, so retired
-// models' panels age out instead of accumulating forever. A key collision
-// (same tensor used with different grouping or zero point — which real
-// models never do) falls back to an uncached pack.
+// weight tensor and keep the panels on the tensor itself (Tensor.Derived),
+// so they live exactly as long as the constant — and so as long as the
+// module that owns it. A weight used with a grouping or zero point other
+// than the one its panels were packed with (which real models never do)
+// packs afresh each time and leaves the stored panels alone.
 
 // panelElem is the element of a GEMM panel: a float32, or a quantized
 // operand's k-pair.
@@ -485,41 +485,34 @@ func packWeight[T panelElem](w []T, oc, groups, nr int, zp int32) *packedWeight[
 // group returns the panel slice for group g.
 func (pw *packedWeight[T]) group(g int) []T { return pw.data[g*pw.glen : (g+1)*pw.glen] }
 
-// cachedWeight looks w up in cache: the panels when they were packed with
-// the same grouping and zero point; otherwise nil, and store reports
-// whether the caller's fresh pack may be cached (a miss) or not (a key
-// collision).
-func cachedWeight[T panelElem](cache *weightCache, w *tensor.Tensor, groups int, zp int32) (pw *packedWeight[T], store bool) {
-	v, ok := cache.get(w)
-	if !ok {
-		return nil, true
+// weightPanels returns the panels stored on w when they were packed with
+// the same grouping and zero point, else nil.
+//
+//np:hotpath
+func weightPanels[T panelElem](w *tensor.Tensor, groups int, zp int32) *packedWeight[T] {
+	if pw, ok := w.Derived().(*packedWeight[T]); ok && pw.groups == groups && pw.zp == zp {
+		return pw
 	}
-	if pw := v.(*packedWeight[T]); pw.groups == groups && pw.zp == zp {
-		return pw, false
-	}
-	return nil, false
+	return nil
 }
 
-// packedConvWeightF32 returns the cached panels of a float weight tensor —
-// OHWI filters or the rows of a dense weight, oc = w.Shape[0] rows of the
+// packedConvWeightF32 returns the panels of a float weight tensor — OHWI
+// filters or the rows of a dense weight, oc = w.Shape[0] rows of the
 // remaining elements — split into groups.
 func packedConvWeightF32(w *tensor.Tensor, groups int) *packedWeight[float32] {
-	pw, store := cachedWeight[float32](gemmWeightF32, w, groups, 0)
-	if pw == nil {
-		pw = packWeight(w.F32(), w.Shape[0], groups, gemmNR, 0)
-		if store {
-			gemmWeightF32.put(w, pw)
-		}
+	if pw := weightPanels[float32](w, groups, 0); pw != nil {
+		return pw
 	}
+	pw := packWeight(w.F32(), w.Shape[0], groups, gemmNR, 0)
+	w.SetDerived(pw)
 	return pw
 }
 
-// packedConvWeightI32 returns the cached (raw − zero_point) pair panels of a
+// packedConvWeightI32 returns the (raw − zero_point) pair panels of a
 // quantized weight tensor, its innermost vectors (a filter tap's channels, a
 // dense row) each padded to an even length (rawMinusZpPairs).
 func packedConvWeightI32(w *tensor.Tensor, groups int, zp int32) (*packedWeight[i16x2], error) {
-	pw, store := cachedWeight[i16x2](gemmWeightI32, w, groups, zp)
-	if pw != nil {
+	if pw := weightPanels[i16x2](w, groups, zp); pw != nil {
 		return pw, nil
 	}
 	vec := w.Shape[len(w.Shape)-1]
@@ -528,10 +521,8 @@ func packedConvWeightI32(w *tensor.Tensor, groups int, zp int32) (*packedWeight[
 	if err := rawMinusZpPairs(*rawP, w, zp, vec); err != nil {
 		return nil, err
 	}
-	pw = packWeight(*rawP, w.Shape[0], groups, gemmNR, zp)
-	if store {
-		gemmWeightI32.put(w, pw)
-	}
+	pw := packWeight(*rawP, w.Shape[0], groups, gemmNR, zp)
+	w.SetDerived(pw)
 	return pw, nil
 }
 

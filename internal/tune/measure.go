@@ -71,7 +71,7 @@ func (m *Measurer) NewKernelBench(task topi.TaskKey) (*kernelBench, error) {
 	if err := b.synthesize(); err != nil {
 		return nil, err
 	}
-	// Calibrate: one untimed run (also pack-and-cache the weight panels),
+	// Calibrate: one untimed run (which also packs the weight panels),
 	// then size the iteration loop so a repetition spans minSample.
 	if err := b.runOnce(); err != nil {
 		return nil, err
