@@ -35,6 +35,12 @@ portable:
 # objdump does not decode VEX-encoded instructions, and prints an FMA as an
 # unrelated legacy opcode. Every TEXT routine of gemm_amd64.s must appear
 # in the assembler's listing, so a new tile cannot escape the scan.
+# amd64 never fuses without math.FMA; arm64, the paper's target class, fuses
+# x*y + z on its own wherever a product is not an explicit conversion. So the
+# scan then reads the arm64 compiler listing of the test binaries of the
+# packages whose float results are pinned — the kernels, the tensor
+# initializers, the frame renderer and resize, the SSD decode, and the
+# reference loops of their tests — for any FMADD/FMSUB/FNMADD/FNMSUB.
 no-fma:
 	@set -e; for v in v1 v3; do \
 		lst=$$(GOARCH=amd64 GOAMD64=$$v $(GO) test -c -o /dev/null -gcflags=-S -asmflags=-S ./internal/topi 2>&1) || \
@@ -47,6 +53,14 @@ no-fma:
 		if [ -n "$$fma" ]; then echo "no-fma: GOAMD64=$$v: fused multiply-add in package topi:"; \
 			echo "$$fma"; exit 1; fi; \
 		echo "no-fma: GOAMD64=$$v: no FMA in package topi"; \
+	done
+	@set -e; for p in topi tensor video app; do \
+		lst=$$(GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/$$p 2>&1) || \
+			{ echo "$$lst" | grep -v '^[[:space:]]' ; exit 1; }; \
+		fma=$$(echo "$$lst" | grep -E '[[:space:]]F(N)?M(ADD|SUB)[SD][[:space:]]' || true); \
+		if [ -n "$$fma" ]; then echo "no-fma: GOARCH=arm64: fused multiply-add in package $$p:"; \
+			echo "$$fma"; exit 1; fi; \
+		echo "no-fma: GOARCH=arm64: no FMA in package $$p"; \
 	done
 	GOARCH=amd64 GOAMD64=v3 $(GO) test ./internal/topi
 

@@ -182,15 +182,17 @@ func (s *Showcase) calibrateSpoof() error {
 }
 
 // prepareDetInput resizes the frame to the detector resolution into the
-// stage's own tensor and, for a quantized detector, quantizes it with the
-// model's input parameters into the twin the model reads.
+// stage's own tensor and, for a quantized detector, quantizes each chunk of
+// resized rows with the model's input parameters into the twin the model
+// reads, in the same launch.
 func (s *Showcase) prepareDetInput(img *tensor.Tensor) *tensor.Tensor {
 	h, w := img.Shape[1], img.Shape[2]
-	video.CropResizeInto(s.detIn, img, video.Rect{X: 0, Y: 0, W: w, H: h})
+	frame := video.Rect{X: 0, Y: 0, W: w, H: h}
 	if s.detInQ == nil {
+		video.CropResizeInto(s.detIn, img, frame)
 		return s.detIn
 	}
-	s.detInQ.QuantizeFrom(s.detIn.F32())
+	video.CropResizeQuantizeInto(s.detInQ, s.detIn, img, frame)
 	return s.detInQ
 }
 

@@ -295,10 +295,14 @@ func TestSpoofGateSeparates(t *testing.T) {
 }
 
 // TestProcessFrameAllocationBudget pins the frame path's steady state on the
-// lite trio: stage-owned inputs, flat-indexed resize and detection, serial
-// GEMM rows without a closure. One 32-frame ring pass of the benchmark's
-// scene, after one warm pass, stays under 500 KB and 1000 objects a frame
-// (8 264 KB and 246 247 when every At/Set heap-allocated its index list).
+// lite trio: stage-owned inputs, flat-indexed resize and detection, split
+// launches from recycled job records, broadcasting binaries without a
+// per-launch broadcaster. One 32-frame ring pass of the benchmark's scene,
+// after one warm pass, stays under 20 KB and 160 objects a frame. It reads
+// 6.6 KB and 142 objects; up to 13.5 KB and 143 when a collection during the
+// passes empties the kernels' scratch pools. It read 9.6 KB and 216 objects
+// while every broadcasting multiply built its broadcaster, 8 264 KB and
+// 246 247 when every At/Set heap-allocated its index list.
 func TestProcessFrameAllocationBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector makes sync.Pool drop the kernels' scratch buffers at random")
@@ -327,7 +331,7 @@ func TestProcessFrameAllocationBudget(t *testing.T) {
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(len(frames))
 	objects := float64(after.Mallocs-before.Mallocs) / float64(len(frames))
 	t.Logf("%.1f KB and %.0f objects per frame", kb, objects)
-	if kb > 500 || objects > 1000 {
-		t.Errorf("ProcessFrame allocates %.1f KB and %.0f objects per frame, budget 500 KB and 1000", kb, objects)
+	if kb > 20 || objects > 160 {
+		t.Errorf("ProcessFrame allocates %.1f KB and %.0f objects per frame, budget 20 KB and 160", kb, objects)
 	}
 }

@@ -87,14 +87,16 @@ func decodeSSDRows(dst []Detection, boxes, scores *tensor.Tensor, frameW, frameH
 		dy := boxes.GetF(i*4 + 1)
 		dw := boxes.GetF(i*4 + 2)
 		dh := boxes.GetF(i*4 + 3)
-		centerX := (float64(cx)+0.5)/float64(grid) + 0.1*clampF(dx, -2, 2)
-		centerY := (float64(cy)+0.5)/float64(grid) + 0.1*clampF(dy, -2, 2)
+		// Each product is an explicit conversion, so a target with fused
+		// multiply-add rounds it as amd64 does (the pinned boxes).
+		centerX := (float64(cx)+0.5)/float64(grid) + float64(0.1*clampF(dx, -2, 2))
+		centerY := (float64(cy)+0.5)/float64(grid) + float64(0.1*clampF(dy, -2, 2))
 		base := 1.8 / float64(grid)
 		bw := base * math.Exp(clampF(dw, -1, 1))
 		bh := base * math.Exp(clampF(dh, -1, 1))
 		rect := video.Rect{
-			X: int((centerX - bw/2) * float64(frameW)),
-			Y: int((centerY - bh/2) * float64(frameH)),
+			X: int((centerX - float64(bw/2)) * float64(frameW)),
+			Y: int((centerY - float64(bh/2)) * float64(frameH)),
 			W: int(bw * float64(frameW)),
 			H: int(bh * float64(frameH)),
 		}.Clamp(frameW, frameH)

@@ -29,7 +29,8 @@ func (r *RNG) Uint64() uint64 {
 
 // Float64 returns a uniform value in [0,1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / float64(1<<53)
+	// The conversion keeps a caller's add from fusing with the scaling.
+	return float64(float64(r.Uint64()>>11) / float64(1<<53))
 }
 
 // Intn returns a uniform value in [0,n).
@@ -53,7 +54,7 @@ func (r *RNG) Norm() float64 {
 // FillUniform fills t with uniform real-domain values in [lo,hi).
 func (t *Tensor) FillUniform(r *RNG, lo, hi float64) {
 	for i, n := 0, t.Elems(); i < n; i++ {
-		t.SetF(i, lo+(hi-lo)*r.Float64())
+		t.SetF(i, lo+float64((hi-lo)*r.Float64()))
 	}
 }
 

@@ -134,9 +134,11 @@ func (q QuantParams) Quantize(real float64) int32 {
 	return int32(roundHalfAway(real/q.Scale)) + q.ZeroPoint
 }
 
-// Dequantize maps a quantized value back to the real domain.
+// Dequantize maps a quantized value back to the real domain. The result is
+// an explicit conversion, so an inlined caller's add does not fuse with the
+// multiply on a target with fused multiply-add.
 func (q QuantParams) Dequantize(qv int32) float64 {
-	return q.Scale * float64(qv-q.ZeroPoint)
+	return float64(q.Scale * float64(qv-q.ZeroPoint))
 }
 
 func roundHalfAway(x float64) float64 {
@@ -436,18 +438,23 @@ func (t *Tensor) QuantizeTo(dt DType, q QuantParams) *Tensor {
 // tensor t with src quantized by t's parameters: element i gets exactly what
 // SetF(i, float64(src[i])) would store, in one typed loop instead of a dtype
 // switch per element.
-func (t *Tensor) QuantizeFrom(src []float32) {
+func (t *Tensor) QuantizeFrom(src []float32) { t.QuantizeFromAt(0, src) }
+
+// QuantizeFromAt is QuantizeFrom into elements [off, off+len(src)) of t:
+// disjoint ranges may be quantized concurrently.
+func (t *Tensor) QuantizeFromAt(off int, src []float32) {
 	if !t.DType.IsQuantized() || t.Quant == nil {
 		panic("tensor: QuantizeFrom requires a quantized tensor with quant params")
 	}
 	switch t.DType {
 	case UInt8:
-		quantizeInto(t.u8[:len(src)], src, *t.Quant, 0, 255)
+		quantizeInto(t.u8[off:off+len(src)], src, *t.Quant, 0, 255)
 	case Int8:
-		quantizeInto(t.i8[:len(src)], src, *t.Quant, -128, 127)
+		quantizeInto(t.i8[off:off+len(src)], src, *t.Quant, -128, 127)
 	}
 }
 
+//np:hotpath
 func quantizeInto[T uint8 | int8](dst []T, src []float32, q QuantParams, lo, hi int32) {
 	for i, v := range src {
 		dst[i] = T(clampI32(q.Quantize(float64(v)), lo, hi))
@@ -478,7 +485,7 @@ func AllClose(a, b *Tensor, atol, rtol float64) bool {
 		if bb < 0 {
 			bb = -bb
 		}
-		if d > atol+rtol*bb {
+		if d > atol+float64(rtol*bb) {
 			return false
 		}
 	}

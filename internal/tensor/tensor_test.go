@@ -159,7 +159,7 @@ func TestQuantParamsRoundTrip(t *testing.T) {
 	for _, real := range []float64{-3.0, -0.07, 0, 0.05, 1.234, 5.0} {
 		qv := q.Quantize(real)
 		back := q.Dequantize(qv)
-		if math.Abs(back-real) > q.Scale/2+1e-12 {
+		if math.Abs(back-real) > float64(q.Scale/2)+1e-12 {
 			t.Errorf("quantize(%g)=%d dequantize=%g, err > scale/2", real, qv, back)
 		}
 	}
@@ -415,7 +415,7 @@ func TestQuantRoundTripProperty(t *testing.T) {
 			return true
 		}
 		back := q.Dequantize(q.Quantize(x))
-		return math.Abs(back-x) <= q.Scale/2+1e-9
+		return math.Abs(back-x) <= float64(q.Scale/2)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -188,7 +188,7 @@ func convDirectRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
 						}
 						xi, ki := ix*c, kx*icg
 						for ic := 0; ic < icg; ic++ {
-							acc += x[xi+ic] * k[ki+ic]
+							acc += T(x[xi+ic] * k[ki+ic])
 						}
 					}
 				}
@@ -241,7 +241,7 @@ func depthwiseRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
 func mulAddRow[T float32 | int32](out, x, k []T) {
 	x, k = x[:len(out)], k[:len(out)]
 	for o := mulAddRowVec(out, x, k); o < len(out); o++ {
-		out[o] += x[o] * k[o]
+		out[o] += T(x[o] * k[o])
 	}
 }
 
@@ -301,7 +301,10 @@ func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *rel
 // (batch × output row) like convF32. The direct strategy widens data and
 // weight once into pooled (raw − zp) int32 scratch, the weight tap-major on a
 // depthwise geometry. im2col widens the data into pooled k-pairs
-// (rawMinusZpPairs) and reads the packed pair panels of the weight. Integer
+// (rawMinusZpPairs) and reads the packed pair panels of the weight. Either
+// widening is a parallel launch of its own ahead of the row loop — every
+// output row reads input rows of its neighbours, so the row loop cannot
+// widen its own. Integer
 // accumulation is exact, so both strategies give the same bits. With
 // ep == nil (qnn.conv2d) the int32 accumulators are the output; otherwise
 // each output row is reduced into scratch and narrowed through a copy of ep.

@@ -36,7 +36,7 @@ func convDirectRowPerCell[T float32 | int32](row, din, wt []T, g *convGeom, job 
 						}
 						xi, ki := ix*c, kx*icg
 						for ic := 0; ic < icg; ic++ {
-							acc += x[xi+ic] * k[ki+ic]
+							acc += T(x[xi+ic] * k[ki+ic])
 						}
 					}
 				}
@@ -129,7 +129,7 @@ func TestMulAddRowMatchesScalar(t *testing.T) {
 		wi, wf := append([]int32(nil), oi...), append([]float32(nil), of...)
 		for i := off; i < n+off; i++ {
 			wi[i] += xi[i] * ki[i]
-			wf[i] += xf[i] * kf[i]
+			wf[i] += float32(xf[i] * kf[i])
 		}
 		mulAddRow(oi[off:n+off], xi[off:], ki[off:])
 		mulAddRow(of[off:n+off], xf[off:], kf[off:])

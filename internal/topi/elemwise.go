@@ -9,18 +9,28 @@ import (
 	"repro/internal/tensor"
 )
 
-// unaryF32 registers a float32 map kernel that applies f to every element.
-func unaryF32(name string, f func(float32) float32) {
-	mapF32(name, func(dst, src []float32) {
-		for i, v := range src {
-			dst[i] = f(v)
-		}
-	})
-}
+// Elementwise kernels. Each float kernel here is a parallel.Region launch
+// like the GEMM tiles' — its work one MAC-equivalent an element, or the
+// cost model's weight for softmax and LRN — so a tensor big enough to pay
+// for a split is shared with the helper pool and a small one runs on the
+// caller without waking it, instead of a serial pass the helpers spin
+// through. The quantized convolution's operand widening (rawMinusZp,
+// rawMinusZpPairs in gemm.go) is such a launch too, split over whole pixel
+// vectors so no k-pair straddles two chunks.
+//
+// Each launch's chunk runs a typed loop with the op's body inline: the
+// maps pass their loop to mapF32, and the six binary ops are one zipF32
+// loop each. A binary op against a channel vector along the last axis —
+// the per-channel scale and shift of batch norm in an NHWC float model —
+// or a scalar walks rows (zipRowsF32) in either operand position, keeping
+// subtract's and divide's operand order; other broadcasts take the general
+// broadcaster, whose tables are fixed arrays, so no walk allocates. Each
+// output element sees the same operation on the same operands whichever
+// walk and chunk computes it, so the results are bit-identical to the
+// per-element reference loops the tests keep.
 
 // mapF32 registers a float32 map kernel from its loop over one chunk
-// (len(dst) == len(src)): an op hot enough to matter passes a loop with its
-// body inline instead of paying unaryF32's call through f per element.
+// (len(dst) == len(src)), the op's body inline in the loop.
 func mapF32(name string, loop func(dst, src []float32)) {
 	Register(name, func(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
 		if err := wantArgs(args, 1, name); err != nil {
@@ -94,87 +104,242 @@ func setRaw(t *tensor.Tensor, i int, v int32) {
 	}
 }
 
-// binaryF32 registers a broadcasting float32 zip kernel.
-func binaryF32(name string, f func(a, b float32) float32) {
+// binOp is a binary float kernel's operation.
+type binOp uint8
+
+const (
+	opAdd binOp = iota
+	opSubtract
+	opMultiply
+	opDivide
+	opMaximum
+	opMinimum
+)
+
+// apply is op on one pair of elements, the general broadcaster's body;
+// zipF32's typed loops repeat it inline.
+func (op binOp) apply(a, b float32) float32 {
+	switch op {
+	case opAdd:
+		return a + b
+	case opSubtract:
+		return a - b
+	case opMultiply:
+		return a * b
+	case opDivide:
+		return a / b
+	case opMaximum:
+		if a > b {
+			return a
+		}
+		return b
+	default: // opMinimum
+		if a < b {
+			return a
+		}
+		return b
+	}
+}
+
+// binaryF32 registers a broadcasting float32 zip kernel. The launch takes
+// one of three walks, picked once from the shapes: equal element counts zip
+// flat; one full-shape operand against a channel vector (the per-channel
+// scale or shift of an NHWC model) or a scalar walks rows; anything else
+// runs the general broadcaster.
+func binaryF32(name string, op binOp) {
 	Register(name, func(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
 		if err := wantArgs(args, 2, name); err != nil {
 			return nil, err
 		}
 		a, b := args[0], args[1]
 		res := output(dstBuf, out)
-		z := zipArgs{f: f, as: a.F32(), bs: b.F32(), dst: res.F32()}
-		if !a.Shape.Equal(b.Shape) {
-			z.bcast = newBroadcaster(a.Shape, b.Shape, out.Shape)
+		z := zipArgs{op: op, a: a.F32(), b: b.F32(), dst: res.F32()}
+		n := len(z.dst)
+		switch {
+		case len(z.a) == n && len(z.b) == n:
+		case len(z.a) == n && channelVector(b.Shape, out.Shape):
+			z.walk = zipRowsB
+		case len(z.b) == n && channelVector(a.Shape, out.Shape):
+			z.walk = zipRowsA
+		default:
+			bc, err := newBroadcaster(a.Shape, b.Shape, out.Shape)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			z.walk, z.bc = zipBroadcast, bc
 		}
-		zipRegion.Elems(len(z.dst), z)
+		zipRegion.Elems(n, z)
 		return res, nil
 	})
 }
 
+// channelVector reports whether an operand of shape v repeats along an
+// output of shape out as one vector over its last axis: a scalar, or every
+// extent but the last one 1 and the last the output's.
+func channelVector(v, out tensor.Shape) bool {
+	e := v.Elems()
+	return e == 1 || len(v) > 0 && len(out) > 0 && v[len(v)-1] == e && out[len(out)-1] == e
+}
+
 var zipRegion = parallel.NewRegion(zipArgs.run)
 
-// zipArgs is a zip kernel's chunk; bcast is nil when the shapes are equal.
+// zipWalk is how a zip launch maps output elements to its operands.
+type zipWalk uint8
+
+const (
+	zipFlat      zipWalk = iota // both operands have the output's layout
+	zipRowsB                    // a has it, b is a channel vector or scalar
+	zipRowsA                    // b has it, a is a channel vector or scalar
+	zipBroadcast                // any other broadcast: bc maps the indices
+)
+
+// zipArgs is a zip kernel's chunk.
 type zipArgs struct {
-	f           func(a, b float32) float32
-	as, bs, dst []float32
-	bcast       *broadcaster
+	op        binOp
+	walk      zipWalk
+	a, b, dst []float32
+	bc        broadcaster
 }
 
+// zipRepLen is the length a short channel vector is repeated to before a
+// row walk, so each zipF32 call covers at least half of it: an 8-channel
+// scale walks rows of 64, a scalar rows of 64, not of 8 and 1.
+const zipRepLen = 64
+
 func (z zipArgs) run(lo, hi int) {
-	f, as, bs, dst := z.f, z.as, z.bs, z.dst
-	if z.bcast == nil {
-		// Fast path: element-wise, no index math.
-		for i := lo; i < hi; i++ {
-			dst[i] = f(as[i], bs[i])
+	dst := z.dst[lo:hi]
+	switch z.walk {
+	case zipFlat:
+		zipF32(z.op, dst, z.a[lo:hi], z.b[lo:hi])
+	case zipRowsB, zipRowsA:
+		x, v := z.a, z.b
+		if z.walk == zipRowsA {
+			x, v = z.b, z.a
 		}
-		return
+		var rep [zipRepLen]float32
+		if c := len(v); c <= zipRepLen/2 {
+			// v repeated k times is the same periodic row: element i still
+			// meets v[i mod c].
+			n := zipRepLen / c * c
+			copy(rep[:c], v)
+			for m := c; m < n; m *= 2 {
+				copy(rep[m:n], rep[:m])
+			}
+			v = rep[:n]
+		}
+		zipRowsF32(z.op, dst, x[lo:hi], v, lo%len(v), z.walk == zipRowsA)
+	default:
+		z.bc.zip(z.op, z.dst, z.a, z.b, lo, hi)
 	}
-	// One index computation per innermost run; within it both inputs
-	// advance by their innermost strides.
-	for i := lo; i < hi; {
-		ia, ib, n, sa, sb := z.bcast.run(i, hi)
-		for end := i + n; i < end; i++ {
-			dst[i] = f(as[ia], bs[ib])
-			ia += sa
-			ib += sb
+}
+
+// zipF32 writes dst[i] = a[i] op b[i]: one typed loop per op, each with
+// apply's body inline.
+//
+//np:hotpath
+func zipF32(op binOp, dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	switch op {
+	case opAdd:
+		for i := range dst {
+			dst[i] = a[i] + b[i]
+		}
+	case opSubtract:
+		for i := range dst {
+			dst[i] = a[i] - b[i]
+		}
+	case opMultiply:
+		for i := range dst {
+			dst[i] = a[i] * b[i]
+		}
+	case opDivide:
+		for i := range dst {
+			dst[i] = a[i] / b[i]
+		}
+	case opMaximum:
+		for i := range dst {
+			x, y := a[i], b[i]
+			if x > y {
+				y = x
+			}
+			dst[i] = y
+		}
+	default: // opMinimum
+		for i := range dst {
+			x, y := a[i], b[i]
+			if x < y {
+				y = x
+			}
+			dst[i] = y
 		}
 	}
 }
+
+// zipRowsF32 zips x against the channel vector v repeated along it:
+// dst[i] = x[i] op v[(ch+i) mod len(v)], or v[…] op x[i] with vFirst, so
+// subtract and divide keep their operand order. x starts at channel ch of
+// a row (a parallel chunk need not start on a row boundary) and may end
+// inside one.
+//
+//np:hotpath
+func zipRowsF32(op binOp, dst, x, v []float32, ch int, vFirst bool) {
+	for len(x) > 0 {
+		n := min(len(v)-ch, len(x))
+		if vFirst {
+			zipF32(op, dst[:n], v[ch:ch+n], x)
+		} else {
+			zipF32(op, dst[:n], x, v[ch:ch+n])
+		}
+		x, dst, ch = x[n:], dst[n:], 0
+	}
+}
+
+// maxBroadcastRank is the highest output rank the general broadcaster
+// takes; its tables are arrays of this length, so a launch allocates none.
+const maxBroadcastRank = 8
 
 // broadcaster maps a flat output index to flat indices into the two
 // (possibly lower-rank / size-1-extent) inputs.
 type broadcaster struct {
-	outShape          tensor.Shape
-	aStrides, bStride []int
+	rank                         int
+	outShape, aStrides, bStrides [maxBroadcastRank]int
 }
 
-func newBroadcaster(a, b, out tensor.Shape) *broadcaster {
-	rank := len(out)
-	padShape := func(s tensor.Shape) tensor.Shape {
-		p := make(tensor.Shape, rank)
-		for i := range p {
-			p[i] = 1
-		}
-		copy(p[rank-len(s):], s)
-		return p
+func newBroadcaster(a, b, out tensor.Shape) (broadcaster, error) {
+	if len(out) > maxBroadcastRank {
+		return broadcaster{}, fmt.Errorf("broadcast to rank %d, at most %d supported", len(out), maxBroadcastRank)
 	}
-	strides := func(s tensor.Shape) []int {
-		st := make([]int, rank)
-		acc := 1
-		for i := rank - 1; i >= 0; i-- {
-			if s[i] == 1 {
-				st[i] = 0 // broadcast axis: do not advance
-			} else {
-				st[i] = acc
-			}
-			acc *= s[i]
+	bc := broadcaster{rank: len(out), aStrides: broadcastStrides(a, len(out)), bStrides: broadcastStrides(b, len(out))}
+	copy(bc.outShape[:], out)
+	return bc, nil
+}
+
+// broadcastStrides is the element stride of an operand of shape s along
+// each of the rank axes of the output it broadcasts to: s right-aligned,
+// zero along an axis where s has extent one or no axis at all.
+func broadcastStrides(s tensor.Shape, rank int) [maxBroadcastRank]int {
+	var st [maxBroadcastRank]int
+	acc := 1
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] != 1 {
+			st[rank-len(s)+i] = acc
 		}
-		return st
+		acc *= s[i]
 	}
-	return &broadcaster{
-		outShape: out,
-		aStrides: strides(padShape(a)),
-		bStride:  strides(padShape(b)),
+	return st
+}
+
+// zip writes output elements [lo, hi) of a op b: one index computation per
+// innermost run, along which both inputs advance by their innermost
+// strides.
+func (bc *broadcaster) zip(op binOp, dst, a, b []float32, lo, hi int) {
+	for i := lo; i < hi; {
+		ia, ib, n, sa, sb := bc.run(i, hi)
+		for end := i + n; i < end; i++ {
+			dst[i] = op.apply(a[ia], b[ib])
+			ia += sa
+			ib += sb
+		}
 	}
 }
 
@@ -182,22 +347,22 @@ func newBroadcaster(a, b, out tensor.Shape) *broadcaster {
 // elements along which the inputs advance by sa and sb.
 func (bc *broadcaster) run(flat, hi int) (ia, ib, n, sa, sb int) {
 	ia, ib = bc.index(flat)
-	last := len(bc.outShape) - 1
+	last := bc.rank - 1
 	if last < 0 {
 		return ia, ib, 1, 0, 0
 	}
 	d := bc.outShape[last]
-	return ia, ib, min(d-flat%d, hi-flat), bc.aStrides[last], bc.bStride[last]
+	return ia, ib, min(d-flat%d, hi-flat), bc.aStrides[last], bc.bStrides[last]
 }
 
 func (bc *broadcaster) index(flat int) (ia, ib int) {
 	rem := flat
-	for i := len(bc.outShape) - 1; i >= 0; i-- {
+	for i := bc.rank - 1; i >= 0; i-- {
 		d := bc.outShape[i]
 		pos := rem % d
 		rem /= d
 		ia += pos * bc.aStrides[i]
-		ib += pos * bc.bStride[i]
+		ib += pos * bc.bStrides[i]
 	}
 	return ia, ib
 }
@@ -290,7 +455,7 @@ func batchNorm(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	for ch := 0; ch < c; ch++ {
 		s := g[ch] / float32(math.Sqrt(float64(vr[ch]+eps)))
 		scale[ch] = s
-		shift[ch] = bt[ch] - mn[ch]*s
+		shift[ch] = bt[ch] - float32(mn[ch]*s)
 	}
 	affineRegion.Elems(len(src), affineArgs{dst, src, scale, shift})
 	return res, nil
@@ -306,7 +471,7 @@ func (a affineArgs) run(lo, hi int) {
 	dst, src, scale, shift := a.dst, a.src, a.scale, a.shift
 	for i := lo; i < hi; i++ {
 		ch := i % len(scale)
-		dst[i] = src[i]*scale[ch] + shift[ch]
+		dst[i] = float32(src[i]*scale[ch]) + shift[ch]
 	}
 }
 
@@ -474,9 +639,9 @@ func (a lrnArgs) run(lo, hi int) {
 					continue
 				}
 				v := float64(src[base+j])
-				sq += v * v
+				sq += float64(v * v)
 			}
-			dst[base+ch] = src[base+ch] / float32(math.Pow(a.bias+a.alpha*sq, a.beta))
+			dst[base+ch] = src[base+ch] / float32(math.Pow(a.bias+float64(a.alpha*sq), a.beta))
 		}
 	}
 }
@@ -512,32 +677,58 @@ func (a leakyArgs) run(lo, hi int) {
 	}
 }
 
+// sigmoidRows, tanhRows, expRows and sqrtRows are the transcendental map
+// kernels' loops, each element widened to float64, mapped and rounded back.
+//
+//np:hotpath
+func sigmoidRows(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = float32(1 / (1 + math.Exp(-float64(v))))
+	}
+}
+
+//np:hotpath
+func tanhRows(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = float32(math.Tanh(float64(v)))
+	}
+}
+
+//np:hotpath
+func expRows(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = float32(math.Exp(float64(v)))
+	}
+}
+
+//np:hotpath
+func sqrtRows(dst, src []float32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = float32(math.Sqrt(float64(v)))
+	}
+}
+
+// copyRows is nn.dropout's loop: the inference-time identity.
+func copyRows(dst, src []float32) { copy(dst, src) }
+
 func init() {
 	mapF32("nn.relu", reluClamp.rows)
-	unaryF32("sigmoid", func(v float32) float32 {
-		return float32(1 / (1 + math.Exp(-float64(v))))
-	})
-	unaryF32("tanh", func(v float32) float32 { return float32(math.Tanh(float64(v))) })
-	unaryF32("exp", func(v float32) float32 { return float32(math.Exp(float64(v))) })
-	unaryF32("sqrt", func(v float32) float32 { return float32(math.Sqrt(float64(v))) })
-	unaryF32("nn.dropout", func(v float32) float32 { return v }) // inference: identity
+	mapF32("sigmoid", sigmoidRows)
+	mapF32("tanh", tanhRows)
+	mapF32("exp", expRows)
+	mapF32("sqrt", sqrtRows)
+	mapF32("nn.dropout", copyRows)
 
-	binaryF32("add", func(a, b float32) float32 { return a + b })
-	binaryF32("subtract", func(a, b float32) float32 { return a - b })
-	binaryF32("multiply", func(a, b float32) float32 { return a * b })
-	binaryF32("divide", func(a, b float32) float32 { return a / b })
-	binaryF32("maximum", func(a, b float32) float32 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	binaryF32("minimum", func(a, b float32) float32 {
-		if a < b {
-			return a
-		}
-		return b
-	})
+	binaryF32("add", opAdd)
+	binaryF32("subtract", opSubtract)
+	binaryF32("multiply", opMultiply)
+	binaryF32("divide", opDivide)
+	binaryF32("maximum", opMaximum)
+	binaryF32("minimum", opMinimum)
 
 	Register("nn.bias_add", biasAdd)
 	Register("nn.batch_norm", batchNorm)

@@ -14,7 +14,12 @@ import (
 
 // broadcastCases are broadcasting operand pairs of every output rank 1–4: a
 // scalar, a channel vector, a middle axis, a leading axis, both operands
-// broadcast, and lower-rank operands.
+// broadcast, and lower-rank operands. The last rows are large enough to
+// split over two workers, into chunks (a launch cuts four a worker, of
+// ceil(n/8) elements) that end inside a row of the channel vector: 2115 of
+// 16 920 elements is 3 past a row of 8, 2697 of 21 576 is 9 past a row of
+// 12, 2185 of 17 480 is 25 past a row of 40 (a vector too long to be
+// repeated), and 2136 of 17 081 is 24 past the 64 a scalar is repeated to.
 var broadcastCases = []struct{ a, b tensor.Shape }{
 	{tensor.Shape{7}, tensor.Shape{1}},
 	{tensor.Shape{7}, tensor.Shape{}},
@@ -29,32 +34,70 @@ var broadcastCases = []struct{ a, b tensor.Shape }{
 	{tensor.Shape{2, 7, 9, 8}, tensor.Shape{7, 1, 1}},
 	{tensor.Shape{2, 1, 9, 1}, tensor.Shape{1, 7, 1, 8}},
 	{tensor.Shape{1, 1, 1, 8}, tensor.Shape{2, 7, 9, 8}},
-	{tensor.Shape{2, 40, 40, 16}, tensor.Shape{16}}, // past elemGrain: parallel chunks end mid-run
+	{tensor.Shape{2, 40, 40, 16}, tensor.Shape{16}},
+	{tensor.Shape{1, 45, 47, 8}, tensor.Shape{8}},
+	{tensor.Shape{2, 31, 29, 12}, tensor.Shape{1, 1, 1, 12}},
+	{tensor.Shape{2, 31, 29, 12}, tensor.Shape{2, 31, 29, 12}},
+	{tensor.Shape{2, 31, 29, 12}, tensor.Shape{31, 1, 12}},
+	{tensor.Shape{1, 23, 19, 40}, tensor.Shape{40}},
+	{tensor.Shape{1, 31, 29, 19}, tensor.Shape{}},
 }
 
-// binaryPerElement is the broadcast loop binaryF32 ran before it walked
-// innermost runs: one index computation per element.
+// binaryRefs are the six binary float kernels as plain functions.
+var binaryRefs = map[string]func(a, b float32) float32{
+	"add":      func(a, b float32) float32 { return a + b },
+	"subtract": func(a, b float32) float32 { return a - b },
+	"multiply": func(a, b float32) float32 { return a * b },
+	"divide":   func(a, b float32) float32 { return a / b },
+	"maximum": func(a, b float32) float32 {
+		if a > b {
+			return a
+		}
+		return b
+	},
+	"minimum": func(a, b float32) float32 {
+		if a < b {
+			return a
+		}
+		return b
+	},
+}
+
+// binaryPerElement is the reference the binary kernels are pinned against:
+// for each output element its multi-index, and f of the two operands'
+// elements at that index, each operand right-aligned and read at 0 along an
+// axis of extent one.
 func binaryPerElement(f func(a, b float32) float32, a, b *tensor.Tensor, out tensor.Shape) []float32 {
-	bc := newBroadcaster(a.Shape, b.Shape, out)
 	dst := make([]float32, out.Elems())
+	idx := make([]int, len(out))
+	offset := func(s tensor.Shape) int {
+		off := 0
+		for j, d := range s {
+			if d != 1 {
+				off = off*d + idx[len(idx)-len(s)+j]
+			}
+		}
+		return off
+	}
 	for i := range dst {
-		ia, ib := bc.index(i)
-		dst[i] = f(a.F32()[ia], b.F32()[ib])
+		rem := i
+		for ax := len(out) - 1; ax >= 0; ax-- {
+			idx[ax] = rem % out[ax]
+			rem /= out[ax]
+		}
+		dst[i] = f(a.F32()[offset(a.Shape)], b.F32()[offset(b.Shape)])
 	}
 	return dst
 }
 
-// TestBroadcastRunsMatchPerElement pins the run-wise broadcast of every
-// binary float kernel against the per-element loop, on every bit, over
-// operands mixing in NaN, ±Inf, −0 and denormals.
+// TestBroadcastRunsMatchPerElement pins every binary float kernel — the flat
+// zip, the channel-row walk for a channel vector or scalar in either operand
+// position, and the general broadcaster — against the per-element loop, on
+// every bit, over operands mixing in NaN, ±Inf, −0 and denormals, serially
+// and split over two workers.
 func TestBroadcastRunsMatchPerElement(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
 	rng := rand.New(rand.NewSource(67))
-	ops := map[string]func(a, b float32) float32{
-		"add":      func(a, b float32) float32 { return a + b },
-		"subtract": func(a, b float32) float32 { return a - b },
-		"multiply": func(a, b float32) float32 { return a * b },
-		"divide":   func(a, b float32) float32 { return a / b },
-	}
 	for _, bc := range broadcastCases {
 		for _, swap := range []bool{false, true} {
 			as, bs := bc.a, bc.b
@@ -66,16 +109,29 @@ func TestBroadcastRunsMatchPerElement(t *testing.T) {
 				t.Fatal(err)
 			}
 			a, b := drawF32(rng, as), drawF32(rng, bs)
-			for name, f := range ops {
+			for name, f := range binaryRefs {
 				t.Run(fmt.Sprintf("%s/%v_%v", name, as, bs), func(t *testing.T) {
-					got, err := Run(name, []*tensor.Tensor{a, b}, nil, &relay.TensorType{Shape: out, DType: tensor.Float32})
-					if err != nil {
-						t.Fatal(err)
-					}
 					want := binaryPerElement(f, a, b, out)
-					if i, ok := sameF32Bits(got.F32(), want); !ok {
-						t.Fatalf("out[%d] = %v (%#08x), per-element %v (%#08x)", i,
-							got.F32()[i], math.Float32bits(got.F32()[i]), want[i], math.Float32bits(want[i]))
+					// Of two NaN operands an add or multiply returns the
+					// one the compiler put first, and it may swap the
+					// operands of a commutative op: either order's bits
+					// pass there.
+					swapped := want
+					if name == "add" || name == "multiply" {
+						swapped = binaryPerElement(func(x, y float32) float32 { return f(y, x) }, a, b, out)
+					}
+					for _, workers := range []int{1, 2} {
+						parallel.SetMaxWorkers(workers)
+						got, err := Run(name, []*tensor.Tensor{a, b}, nil, &relay.TensorType{Shape: out, DType: tensor.Float32})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, v := range got.F32() {
+							if u := math.Float32bits(v); u != math.Float32bits(want[i]) && u != math.Float32bits(swapped[i]) {
+								t.Fatalf("%d workers: out[%d] = %v (%#08x), per-element %v (%#08x)", workers, i,
+									v, u, want[i], math.Float32bits(want[i]))
+							}
+						}
 					}
 				})
 			}
@@ -83,33 +139,105 @@ func TestBroadcastRunsMatchPerElement(t *testing.T) {
 	}
 }
 
-// TestBroadcastMultiplyAllocations bounds a broadcasting multiply into a
-// planned destination at the allocations it made before the run-wise loop —
-// the broadcaster and its stride tables, the chunk closure — on the serial
-// path.
+// TestBroadcastMultiplyAllocations pins a per-channel multiply into a planned
+// destination, the shape of an NHWC model's batch-norm scale, at zero
+// allocations a launch, serially and split over two workers (it made seven
+// while the broadcaster and its stride tables were built per launch).
 func TestBroadcastMultiplyAllocations(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector changes what escapes")
 	}
-	old := parallel.SetMaxWorkers(1)
-	defer parallel.SetMaxWorkers(old)
-	a, b := drawF32(rand.New(rand.NewSource(71)), tensor.Shape{1, 12, 12, 16}), tensor.New(tensor.Float32, tensor.Shape{16})
-	outTy := &relay.TensorType{Shape: a.Shape, DType: tensor.Float32}
-	dst := tensor.New(tensor.Float32, a.Shape)
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := RunInto("multiply", []*tensor.Tensor{a, b}, nil, outTy, dst); err != nil {
-			t.Fatal(err)
+	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
+	rng := rand.New(rand.NewSource(71))
+	for _, bs := range []tensor.Shape{{16}, {1, 32, 1, 16}} {
+		args := []*tensor.Tensor{drawF32(rng, tensor.Shape{1, 32, 32, 16}), drawF32(rng, bs)}
+		outTy := &relay.TensorType{Shape: args[0].Shape, DType: tensor.Float32}
+		dst := tensor.New(tensor.Float32, outTy.Shape)
+		for _, workers := range []int{1, 2} {
+			parallel.SetMaxWorkers(workers)
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := RunInto("multiply", args, nil, outTy, dst); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > broadcastMultiplyAllocs {
+				t.Errorf("multiply by %v at %d workers allocates %v times per launch, want at most %d", bs, workers, allocs, broadcastMultiplyAllocs)
+			}
 		}
-	})
-	t.Logf("%v allocations per launch", allocs)
-	if allocs > broadcastMultiplyAllocs {
-		t.Errorf("broadcasting multiply allocates %v times per launch, want at most %d", allocs, broadcastMultiplyAllocs)
 	}
 }
 
 // broadcastMultiplyAllocs is the count TestBroadcastMultiplyAllocations
-// measured on the per-element loop.
-const broadcastMultiplyAllocs = 7
+// allows: none, for the channel-row walk and the general broadcaster alike.
+const broadcastMultiplyAllocs = 0
+
+// TestWidenSplitMatchesSerial pins the quantized convolution's data
+// widening, a parallel launch over pixel vectors, against a serial
+// per-element loop, at one and two workers, for both 8-bit types: pairs
+// at vec = 3 (the detector's first convolution; odd, so each vector ends in
+// a padded pair) and at vec = 16, and the int32 widening of the direct
+// path. The split launch cuts ceil(vectors/8) vectors a chunk — 1 080 for
+// the 97×89×3 image, 12 past a row of 89 pixels, and 144 for 37×31×16, 20
+// past a row of 31 — so chunks end mid-row.
+func TestWidenSplitMatchesSerial(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
+	rng := rand.New(rand.NewSource(79))
+	for _, shape := range []tensor.Shape{{1, 97, 89, 3}, {1, 37, 31, 16}} {
+		vec := shape[3]
+		for _, dt := range []tensor.DType{tensor.UInt8, tensor.Int8} {
+			x := tensor.New(dt, shape)
+			for i := 0; i < x.Elems(); i++ {
+				setRaw(x, i, int32(rng.Intn(256))-128*int32(rng.Intn(2)))
+			}
+			if dt == tensor.UInt8 {
+				for i, v := range x.U8() {
+					x.U8()[i] = v + 128
+				}
+			}
+			zp := int32(rng.Intn(256)) - 128
+			if dt == tensor.UInt8 {
+				zp += 128
+			}
+			// The serial reference: one element at a time, each vector's
+			// odd last value paired with a zero.
+			vp := pairsOf(vec)
+			wantI32 := make([]int32, x.Elems())
+			for i := range wantI32 {
+				wantI32[i] = x.GetRaw(i) - zp
+			}
+			wantPairs := make([]i16x2, x.Elems()/vec*vp)
+			for i := range wantPairs {
+				v, j := i/vp, i%vp
+				lo, hi := wantI32[v*vec+2*j], int32(0)
+				if 2*j+1 < vec {
+					hi = wantI32[v*vec+2*j+1]
+				}
+				wantPairs[i] = pairOf(lo, hi)
+			}
+			for _, workers := range []int{1, 2} {
+				parallel.SetMaxWorkers(workers)
+				gotPairs := make([]i16x2, len(wantPairs))
+				if err := rawMinusZpPairs(gotPairs, x, zp, vec); err != nil {
+					t.Fatal(err)
+				}
+				for i := range wantPairs {
+					if gotPairs[i] != wantPairs[i] {
+						t.Fatalf("%s %v, %d workers: pair %d = %#x, serial %#x", dt, shape, workers, i, gotPairs[i], wantPairs[i])
+					}
+				}
+				gotI32 := make([]int32, len(wantI32))
+				if err := rawMinusZp(gotI32, x, zp); err != nil {
+					t.Fatal(err)
+				}
+				for i := range wantI32 {
+					if gotI32[i] != wantI32[i] {
+						t.Fatalf("%s %v, %d workers: element %d = %d, serial %d", dt, shape, workers, i, gotI32[i], wantI32[i])
+					}
+				}
+			}
+		}
+	}
+}
 
 // concatPerElement is concatenateKernel's copy as it ran before it moved
 // whole runs: one copyElem per element.

@@ -106,7 +106,7 @@ func fusedOperands(rng *rand.Rand, fd fusedDType, dataShape, weightShape tensor.
 	if withBias {
 		bias := tensor.New(tensor.Int32, tensor.Shape{weightShape[0]})
 		for i := range bias.I32() {
-			bias.I32()[i] = int32((rng.Float64()*2 - 1) * spread)
+			bias.I32()[i] = int32((float64(rng.Float64())*2 - 1) * spread)
 		}
 		args = append(args, bias)
 	}
@@ -541,9 +541,9 @@ func TestSplitLaunchesDoNotAllocate(t *testing.T) {
 // its branch.
 func roundHalfAwayBranchy(x float64) int32 {
 	if x >= 0 {
-		return int32(x + 0.5)
+		return int32(float64(x) + 0.5)
 	}
-	return int32(x - 0.5)
+	return int32(float64(x) - 0.5)
 }
 
 // applyPerElement is the epilogue as it ran before the typed rows: the

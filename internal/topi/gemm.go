@@ -49,9 +49,13 @@ import (
 // and then adds (ADDPS), never a fused multiply-add: an FMA rounds once
 // where every other kernel in the repo (the direct convolution, the
 // interpreter reference, gemmMicroF32Go below) rounds twice, and would break
-// every bitwise pin (`make no-fma` scans the package for one). (Where the Go
-// compiler itself fuses x*y + z, as on arm64, it does so in all of those
-// loops alike.) On amd64 the tiles are assembly (gemm_amd64.s):
+// every bitwise pin (`make no-fma` scans the package for one). The Go
+// compiler fuses x*y + z on its own where the target has the instruction, as
+// on arm64, so every Go loop that multiplies and then adds writes the product
+// as an explicit conversion, float32(x*y), which the language defines to
+// round: `make no-fma` scans the arm64 listing of this package and of
+// tensor, video and app for a fused instruction. On amd64 the tiles are
+// assembly (gemm_amd64.s):
 //
 //   - YMM, 4×16 over two panels, where the CPU has AVX and the OS saves YMM
 //     state: eight YMM accumulators, two per A row; each k step two B loads
@@ -176,58 +180,58 @@ func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
 			bj := b[j : j+3*gemmNR+2 : j+3*gemmNR+2]
 			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 			b0, b1 := bj[0], bj[1]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c20 += a2 * b0
-			c21 += a2 * b1
-			c30 += a3 * b0
-			c31 += a3 * b1
+			c00 += float32(a0 * b0)
+			c01 += float32(a0 * b1)
+			c10 += float32(a1 * b0)
+			c11 += float32(a1 * b1)
+			c20 += float32(a2 * b0)
+			c21 += float32(a2 * b1)
+			c30 += float32(a3 * b0)
+			c31 += float32(a3 * b1)
 			a0, a1, a2, a3 = a[4], a[5], a[6], a[7]
 			b0, b1 = bj[8], bj[9]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c20 += a2 * b0
-			c21 += a2 * b1
-			c30 += a3 * b0
-			c31 += a3 * b1
+			c00 += float32(a0 * b0)
+			c01 += float32(a0 * b1)
+			c10 += float32(a1 * b0)
+			c11 += float32(a1 * b1)
+			c20 += float32(a2 * b0)
+			c21 += float32(a2 * b1)
+			c30 += float32(a3 * b0)
+			c31 += float32(a3 * b1)
 			a0, a1, a2, a3 = a[8], a[9], a[10], a[11]
 			b0, b1 = bj[16], bj[17]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c20 += a2 * b0
-			c21 += a2 * b1
-			c30 += a3 * b0
-			c31 += a3 * b1
+			c00 += float32(a0 * b0)
+			c01 += float32(a0 * b1)
+			c10 += float32(a1 * b0)
+			c11 += float32(a1 * b1)
+			c20 += float32(a2 * b0)
+			c21 += float32(a2 * b1)
+			c30 += float32(a3 * b0)
+			c31 += float32(a3 * b1)
 			a0, a1, a2, a3 = a[12], a[13], a[14], a[15]
 			b0, b1 = bj[24], bj[25]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c20 += a2 * b0
-			c21 += a2 * b1
-			c30 += a3 * b0
-			c31 += a3 * b1
+			c00 += float32(a0 * b0)
+			c01 += float32(a0 * b1)
+			c10 += float32(a1 * b0)
+			c11 += float32(a1 * b1)
+			c20 += float32(a2 * b0)
+			c21 += float32(a2 * b1)
+			c30 += float32(a3 * b0)
+			c31 += float32(a3 * b1)
 			a = a[4*gemmMR:]
 			b = b[4*gemmNR:]
 		}
 		for len(a) >= gemmMR && len(b) >= gemmNR {
 			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
 			b0, b1 := b[j], b[j+1]
-			c00 += a0 * b0
-			c01 += a0 * b1
-			c10 += a1 * b0
-			c11 += a1 * b1
-			c20 += a2 * b0
-			c21 += a2 * b1
-			c30 += a3 * b0
-			c31 += a3 * b1
+			c00 += float32(a0 * b0)
+			c01 += float32(a0 * b1)
+			c10 += float32(a1 * b0)
+			c11 += float32(a1 * b1)
+			c20 += float32(a2 * b0)
+			c21 += float32(a2 * b1)
+			c30 += float32(a3 * b0)
+			c31 += float32(a3 * b1)
 			a = a[gemmMR:]
 			b = b[gemmNR:]
 		}
@@ -530,21 +534,45 @@ func packedConvWeightI32(w *tensor.Tensor, groups int, zp int32) (*packedWeight[
 func pairsOf(n int) int { return (n + 1) / 2 }
 
 // rawMinusZp widens a quantized tensor's raw values into dst, subtracting
-// the zero point.
+// the zero point: a parallel launch over the elements, one MAC-equivalent
+// each, so a tensor large enough to pay for a split is widened by the
+// helper pool instead of on the caller alone.
 func rawMinusZp(dst []int32, t *tensor.Tensor, zp int32) error {
 	switch t.DType {
 	case tensor.UInt8:
-		for i, v := range t.U8() {
-			dst[i] = int32(v) - zp
-		}
+		src := t.U8()
+		widenRegionU8.Elems(len(src), widenArgs[uint8]{dst, src, zp})
 	case tensor.Int8:
-		for i, v := range t.I8() {
-			dst[i] = int32(v) - zp
-		}
+		src := t.I8()
+		widenRegionI8.Elems(len(src), widenArgs[int8]{dst, src, zp})
 	default:
 		return fmt.Errorf("quantized kernel on %s tensor", t.DType)
 	}
 	return nil
+}
+
+var (
+	widenRegionU8 = parallel.NewRegion(widenArgs[uint8].run)
+	widenRegionI8 = parallel.NewRegion(widenArgs[int8].run)
+)
+
+// widenArgs is rawMinusZp's chunk: elements [lo, hi).
+type widenArgs[T uint8 | int8] struct {
+	dst []int32
+	src []T
+	zp  int32
+}
+
+func (a widenArgs[T]) run(lo, hi int) { widen(a.dst[lo:hi], a.src[lo:hi], a.zp) }
+
+// widen writes dst[i] = src[i] − zp.
+//
+//np:hotpath
+func widen[T uint8 | int8](dst []int32, src []T, zp int32) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = int32(v) - zp
+	}
 }
 
 // rawMinusZpPairs is rawMinusZp into k-pairs: t's raw values, read as
@@ -552,28 +580,61 @@ func rawMinusZp(dst []int32, t *tensor.Tensor, zp int32) error {
 // vector of odd length padded with a zero. With vec a convolution's
 // per-group channel count the padding is per tap, so a pair never straddles
 // two taps and the patch pack moves whole pairs; the zero meets a zero
-// weight pad, so the sums are those of the unpadded reduction.
+// weight pad, so the sums are those of the unpadded reduction. The launch
+// splits over whole vectors, so no pair straddles two chunks either.
 func rawMinusZpPairs(dst []i16x2, t *tensor.Tensor, zp int32, vec int) error {
 	switch t.DType {
 	case tensor.UInt8:
-		widenPairs(dst, t.U8(), zp, vec)
+		src := t.U8()
+		widenPairsRegionU8.Run(len(src)/vec, int64(len(src)), parallel.ChunkOpts{}, widenPairsArgs[uint8]{dst, src, zp, vec})
 	case tensor.Int8:
-		widenPairs(dst, t.I8(), zp, vec)
+		src := t.I8()
+		widenPairsRegionI8.Run(len(src)/vec, int64(len(src)), parallel.ChunkOpts{}, widenPairsArgs[int8]{dst, src, zp, vec})
 	default:
 		return fmt.Errorf("quantized kernel on %s tensor", t.DType)
 	}
 	return nil
 }
 
+var (
+	widenPairsRegionU8 = parallel.NewRegion(widenPairsArgs[uint8].run)
+	widenPairsRegionI8 = parallel.NewRegion(widenPairsArgs[int8].run)
+)
+
+// widenPairsArgs is rawMinusZpPairs' chunk: vectors [lo, hi).
+type widenPairsArgs[T uint8 | int8] struct {
+	dst []i16x2
+	src []T
+	zp  int32
+	vec int
+}
+
+func (a widenPairsArgs[T]) run(lo, hi int) {
+	vp := pairsOf(a.vec)
+	widenPairs(a.dst[lo*vp:hi*vp], a.src[lo*a.vec:hi*a.vec], a.zp, a.vec)
+}
+
+// widenPairs widens whole vectors of vec raw values of src into
+// pairsOf(vec) k-pairs each of dst. An even vec pads nothing, so its
+// vectors are one run of pairs; an odd one ends each vector in a pair
+// padded with a zero.
+//
+//np:hotpath
 func widenPairs[T uint8 | int8](dst []i16x2, src []T, zp int32, vec int) {
+	if vec%2 == 0 {
+		dst = dst[:len(src)/2]
+		for j := range dst {
+			s := src[2*j : 2*j+2 : 2*j+2]
+			dst[j] = pairOf(int32(s[0])-zp, int32(s[1])-zp)
+		}
+		return
+	}
 	vp := pairsOf(vec)
 	for ; len(src) >= vec; src, dst = src[vec:], dst[vp:] {
 		s, d := src[:vec], dst[:vp]
 		for j := 0; j < vec/2; j++ {
 			d[j] = pairOf(int32(s[2*j])-zp, int32(s[2*j+1])-zp)
 		}
-		if vec%2 == 1 {
-			d[vp-1] = pairOf(int32(s[vec-1])-zp, 0)
-		}
+		d[vp-1] = pairOf(int32(s[vec-1])-zp, 0)
 	}
 }

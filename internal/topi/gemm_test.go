@@ -20,7 +20,7 @@ func naiveGemmF32(m, n, k int, a []float32, lda int, b []float32, ldb int, c []f
 		for j := 0; j < n; j++ {
 			var acc float32
 			for kk := 0; kk < k; kk++ {
-				acc += a[i*lda+kk] * b[j*ldb+kk]
+				acc += float32(a[i*lda+kk] * b[j*ldb+kk])
 			}
 			c[i*ldc+j] = acc
 		}
@@ -225,7 +225,7 @@ func testMicroF32Tile(t *testing.T, kern tileKernel) {
 					for j := 0; j < gemmNR; j++ {
 						var acc float32
 						for kk := 0; kk < k; kk++ {
-							acc += ap[kk*gemmMR+i] * pb[kk*gemmNR+j]
+							acc += float32(ap[kk*gemmMR+i] * pb[kk*gemmNR+j])
 						}
 						want[i*gemmNR+j] = acc
 					}

@@ -1,6 +1,7 @@
 package topi
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/parallel"
@@ -33,8 +34,10 @@ func clampToDType(v int32, dt tensor.DType) int32 {
 
 // roundHalfAwayF rounds half away from zero without a branch: x + 0.5 for
 // x >= 0 (−0 included, which truncates to 0 either way), x − 0.5 below.
+// The conversion keeps x rounded when a caller's product is inlined into
+// it: the add must not fuse with that multiply.
 func roundHalfAwayF(x float64) int32 {
-	return int32(x + math.Copysign(0.5, x))
+	return int32(float64(x) + math.Copysign(0.5, x))
 }
 
 func qnnQuantize(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
@@ -148,7 +151,11 @@ func qnnAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dst
 	q := qaddArgs{a: a, b: b, res: output(dstBuf, out),
 		lhsScale: lhsScale, rhsScale: rhsScale, outScale: outScale, lhsZp: lhsZp, rhsZp: rhsZp, outZp: outZp, dt: out.DType}
 	if !a.Shape.Equal(b.Shape) {
-		q.bc = newBroadcaster(a.Shape, b.Shape, out.Shape)
+		bc, err := newBroadcaster(a.Shape, b.Shape, out.Shape)
+		if err != nil {
+			return nil, fmt.Errorf("qnn.add: %w", err)
+		}
+		q.bc, q.bcast = bc, true
 	}
 	qaddRegion.Elems(q.res.Elems(), q)
 	return q.res, nil
@@ -156,10 +163,12 @@ func qnnAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dst
 
 var qaddRegion = parallel.NewRegion(qaddArgs.run)
 
-// qaddArgs is qnn.add's chunk; bc is nil when the shapes are equal.
+// qaddArgs is qnn.add's chunk; bc is used only with bcast, when the shapes
+// differ.
 type qaddArgs struct {
 	a, b, res                    *tensor.Tensor
-	bc                           *broadcaster
+	bcast                        bool
+	bc                           broadcaster
 	lhsScale, rhsScale, outScale float64
 	lhsZp, rhsZp, outZp          int32
 	dt                           tensor.DType
@@ -168,10 +177,10 @@ type qaddArgs struct {
 func (q qaddArgs) run(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ia, ib := i, i
-		if q.bc != nil {
+		if q.bcast {
 			ia, ib = q.bc.index(i)
 		}
-		real := q.lhsScale*float64(q.a.GetRaw(ia)-q.lhsZp) + q.rhsScale*float64(q.b.GetRaw(ib)-q.rhsZp)
+		real := float64(q.lhsScale*float64(q.a.GetRaw(ia)-q.lhsZp)) + float64(q.rhsScale*float64(q.b.GetRaw(ib)-q.rhsZp))
 		setRaw(q.res, i, clampToDType(roundHalfAwayF(real/q.outScale)+q.outZp, q.dt))
 	}
 }

@@ -65,7 +65,7 @@ func referenceConv2D(data, weight *tensor.Tensor, sh, sw int, pad [4]int, groups
 								continue
 							}
 							for ic := 0; ic < icg; ic++ {
-								acc += data.At(b, iy, ix, g*icg+ic) * weight.At(o, ky, kx, ic)
+								acc += float64(data.At(b, iy, ix, g*icg+ic) * weight.At(o, ky, kx, ic))
 							}
 						}
 					}
@@ -179,7 +179,7 @@ func TestQnnDenseMatchesFloat(t *testing.T) {
 		data.QuantizeTo(tensor.UInt8, qIn), weight.QuantizeTo(tensor.Int8, qW)}, attrs)
 	want := run(t, "nn.dense", []*tensor.Tensor{data, weight}, nil)
 	for i := 0; i < acc.Elems(); i++ {
-		got := float64(acc.I32()[i]) * qIn.Scale * qW.Scale
+		got := float64(float64(acc.I32()[i]) * qIn.Scale * qW.Scale)
 		if math.Abs(got-float64(want.F32()[i])) > 0.1 {
 			t.Fatalf("qnn.dense[%d] = %g, float %g", i, got, want.F32()[i])
 		}
@@ -239,7 +239,7 @@ func TestGlobalAvgPool(t *testing.T) {
 					sum += in.At(b, y, x, c)
 				}
 			}
-			want := sum / 16
+			want := float64(sum / 16)
 			if math.Abs(got.At(b, 0, 0, c)-want) > 1e-5 {
 				t.Errorf("gap[%d,%d] = %g, want %g", b, c, got.At(b, 0, 0, c), want)
 			}
@@ -287,7 +287,7 @@ func TestBatchNormFoldsToScaleShift(t *testing.T) {
 		relay.Attrs{"epsilon": 1e-5})
 	for i := 0; i < data.Elems(); i++ {
 		ch := i % c
-		want := (data.GetF(i)-mean.GetF(ch))/math.Sqrt(variance.GetF(ch)+1e-5)*gamma.GetF(ch) + beta.GetF(ch)
+		want := float64((data.GetF(i)-mean.GetF(ch))/math.Sqrt(variance.GetF(ch)+1e-5)*gamma.GetF(ch)) + beta.GetF(ch)
 		if math.Abs(got.GetF(i)-want) > 1e-4 {
 			t.Fatalf("bn[%d] = %g, want %g", i, got.GetF(i), want)
 		}
@@ -369,8 +369,8 @@ func TestRequantizeRoundTrip(t *testing.T) {
 		"output_scale": 0.1, "output_zero_point": 50, "out_dtype": "uint8",
 	})
 	for i := 0; i < 5; i++ {
-		inReal := 0.05 * float64(int32(in.U8()[i])-100)
-		outReal := 0.1 * float64(int32(got.U8()[i])-50)
+		inReal := float64(0.05 * float64(int32(in.U8()[i])-100))
+		outReal := float64(0.1 * float64(int32(got.U8()[i])-50))
 		if math.Abs(inReal-outReal) > 0.05+1e-9 {
 			t.Errorf("requantize[%d]: %g -> %g", i, inReal, outReal)
 		}
@@ -552,7 +552,7 @@ func TestDilatedConv2D(t *testing.T) {
 	for ky := 0; ky < 3; ky++ {
 		for kx := 0; kx < 3; kx++ {
 			for ic := 0; ic < 2; ic++ {
-				want += data.At(0, ky*2, kx*2, ic) * weight.At(1, ky, kx, ic)
+				want += float64(data.At(0, ky*2, kx*2, ic) * weight.At(1, ky, kx, ic))
 			}
 		}
 	}
@@ -623,7 +623,7 @@ func TestIm2colDilated(t *testing.T) {
 					continue
 				}
 				for ic := 0; ic < 16; ic++ {
-					want += data.At(0, iy, ix, ic) * weight.At(o, ky, kx, ic)
+					want += float64(data.At(0, iy, ix, ic) * weight.At(o, ky, kx, ic))
 				}
 			}
 		}

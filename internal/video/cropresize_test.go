@@ -8,14 +8,16 @@ import (
 
 	"repro/internal/app"
 	"repro/internal/models"
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 	"repro/internal/video"
 )
 
 // cropResizeOracle and bilinearOracle are CropResize and bilinear as they
-// stood before the flat-indexed rewrite, moved here verbatim: every tap read
-// through At, every pixel written through Set. CropResizeInto must produce
-// the same float32 bits.
+// stood before the flat-indexed rewrite, moved here verbatim but for the
+// explicit conversion of every product, which keeps a target with fused
+// multiply-add from fusing it: every tap read through At, every pixel written
+// through Set. CropResizeInto must produce the same float32 bits.
 func cropResizeOracle(img *tensor.Tensor, box video.Rect, outH, outW, channels int) *tensor.Tensor {
 	h, w := img.Shape[1], img.Shape[2]
 	box = box.Clamp(w, h)
@@ -34,7 +36,7 @@ func cropResizeOracle(img *tensor.Tensor, box video.Rect, outH, outW, channels i
 			g := bilinearOracle(img, sy, sx, 1)
 			b := bilinearOracle(img, sy, sx, 2)
 			if channels == 1 {
-				out.Set(0.299*r+0.587*g+0.114*b, 0, oy, ox, 0)
+				out.Set(float64(0.299*r)+float64(0.587*g)+float64(0.114*b), 0, oy, ox, 0)
 			} else {
 				out.Set(r, 0, oy, ox, 0)
 				out.Set(g, 0, oy, ox, 1)
@@ -64,10 +66,10 @@ func bilinearOracle(img *tensor.Tensor, y, x float64, c int) float64 {
 		}
 		return img.At(0, yy, xx, c)
 	}
-	return clampAt(y0, x0)*(1-fx)*(1-fy) +
-		clampAt(y0, x0+1)*fx*(1-fy) +
-		clampAt(y0+1, x0)*(1-fx)*fy +
-		clampAt(y0+1, x0+1)*fx*fy
+	return float64(clampAt(y0, x0)*(1-fx)*(1-fy)) +
+		float64(clampAt(y0, x0+1)*fx*(1-fy)) +
+		float64(clampAt(y0+1, x0)*(1-fx)*fy) +
+		float64(clampAt(y0+1, x0+1)*fx*fy)
 }
 
 // sameBits fails the test at the first element whose float32 bits differ.
@@ -196,6 +198,9 @@ func TestCropResizeContract(t *testing.T) {
 			"video: CropResize wants a (1,H,W,C) float32 destination, got Tensor[uint8 (1,4,4,3)]"},
 		{"rank-2 destination", func() { video.CropResizeInto(tensor.New(tensor.Float32, tensor.Shape{4, 4}), frame, box) },
 			"video: CropResize wants a (1,H,W,C) float32 destination, got Tensor[float32 (4,4)]"},
+		{"quantized twin without params", func() {
+			video.CropResizeQuantizeInto(tensor.New(tensor.UInt8, tensor.Shape{1, 4, 4, 3}), tensor.New(tensor.Float32, tensor.Shape{1, 4, 4, 3}), frame, box)
+		}, "video: CropResize wants a quantized destination of 48 elements, got Tensor[uint8 (1,4,4,3)]"},
 	}
 	for _, c := range cases {
 		got := func() (msg string) {
@@ -226,6 +231,51 @@ func TestCropResizeIntoDoesNotAllocate(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() { video.CropResizeInto(dst, img, box) }); allocs != 0 {
 			t.Errorf("CropResizeInto %s allocates %v times per call, want 0",
 				strings.TrimPrefix(dst.String(), "Tensor"), allocs)
+		}
+	}
+}
+
+// TestCropResizeSplitMatchesSerial: the resize launch split over two
+// workers writes the bits the serial launch does, at three channels and at
+// one, for boxes inside the frame and clamped at its edges, and
+// CropResizeQuantizeInto equals CropResizeInto followed by QuantizeFrom on
+// the whole tensor. Every output here pays for a split (96 output rows cut
+// into chunks of 12, 48 into chunks of 6).
+func TestCropResizeSplitMatchesSerial(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
+	src, err := video.NewSource(160, 120, 2, 2, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := src.Next().Image
+	boxes := []video.Rect{
+		{X: 0, Y: 0, W: 160, H: 120},
+		{X: 31, Y: 22, W: 40, H: 36},
+		{X: -9, Y: 100, W: 40, H: 40},
+		{X: 140, Y: -5, W: 64, H: 30},
+	}
+	for _, shape := range []tensor.Shape{{1, 96, 96, 3}, {1, 96, 96, 1}, {1, 48, 48, 1}} {
+		for _, box := range boxes {
+			what := fmt.Sprintf("%v into %v", box, shape)
+			parallel.SetMaxWorkers(1)
+			want := tensor.New(tensor.Float32, shape)
+			video.CropResizeInto(want, img, box)
+			wantQ := want.QuantizeTo(tensor.UInt8, tensor.QuantParams{Scale: 1.0 / 255, ZeroPoint: 3})
+			parallel.SetMaxWorkers(2)
+			got := tensor.New(tensor.Float32, shape)
+			got.Fill(-7.25)
+			video.CropResizeInto(got, img, box)
+			sameBits(t, what+", split", got, want)
+			gotQ := tensor.New(tensor.UInt8, shape)
+			gotQ.Quant = wantQ.Quant
+			got.Fill(-7.25)
+			video.CropResizeQuantizeInto(gotQ, got, img, box)
+			sameBits(t, what+", split with quantize", got, want)
+			for i, v := range wantQ.U8() {
+				if gotQ.U8()[i] != v {
+					t.Fatalf("%s: quantized element %d = %d, serial %d", what, i, gotQ.U8()[i], v)
+				}
+			}
 		}
 	}
 }

@@ -9,7 +9,9 @@ package video
 
 import (
 	"fmt"
+	"sync"
 
+	"repro/internal/parallel"
 	"repro/internal/tensor"
 )
 
@@ -151,14 +153,16 @@ func NewSource(w, h, nFaces, nObjects int, seed uint64) (*Source, error) {
 func (s *Source) Next() *Frame {
 	img := tensor.New(tensor.Float32, tensor.Shape{1, s.H, s.W, 3})
 	data := img.F32()
-	// Background: smooth gradient with low-amplitude noise.
+	// Background: smooth gradient with low-amplitude noise. Here and in
+	// renderActor every product that meets an add is an explicit
+	// conversion, so a target with fused multiply-add renders the same bits.
 	for y := 0; y < s.H; y++ {
 		for x := 0; x < s.W; x++ {
 			base := 0.15 + 0.1*float32(y)/float32(s.H)
-			n := float32(s.rng.Float64()) * 0.02
+			n := float32(float32(s.rng.Float64()) * 0.02)
 			idx := (y*s.W + x) * 3
 			data[idx] = base + n
-			data[idx+1] = base + n*0.5
+			data[idx+1] = base + float32(n*0.5)
 			data[idx+2] = base
 		}
 	}
@@ -187,8 +191,8 @@ func (s *Source) Next() *Frame {
 func (s *Source) renderActor(img *tensor.Tensor, a Actor) {
 	box := a.Box.Clamp(s.W, s.H)
 	data := img.F32()
-	cx := float64(box.X) + float64(box.W)/2
-	cy := float64(box.Y) + float64(box.H)/2
+	cx := float64(box.X) + float64(float64(box.W)/2)
+	cy := float64(box.Y) + float64(float64(box.H)/2)
 	rx := float64(box.W) / 2
 	ry := float64(box.H) / 2
 	for y := box.Y; y < box.Y+box.H; y++ {
@@ -199,14 +203,14 @@ func (s *Source) renderActor(img *tensor.Tensor, a Actor) {
 				// textured, spoofed ones (printed photos) dimmer and flat.
 				dx := (float64(x) - cx) / rx
 				dy := (float64(y) - cy) / ry
-				if dx*dx+dy*dy > 1 {
+				if float64(dx*dx)+float64(dy*dy) > 1 {
 					continue
 				}
 				v := LiveFaceBrightness
 				if a.Spoofed {
 					v = SpoofFaceBrightness
 				} else {
-					v += float32(s.rng.Float64()-0.5) * 0.2
+					v += float32(float32(s.rng.Float64()-0.5) * 0.2)
 				}
 				data[idx] = v
 				data[idx+1] = v * 0.85
@@ -273,15 +277,36 @@ type colTap struct {
 	fx         float64
 }
 
-// stackCols is the widest output whose column taps live on the stack; model
-// inputs are far narrower.
-const stackCols = 256
+// colTaps recycles the column-tap tables: a launch's chunks read the table
+// through its slice, so it is built once per call and never copied into a
+// chunk.
+var colTaps = sync.Pool{New: func() any { return new([]colTap) }}
+
+// resizeWork is an output pixel's work in MAC-equivalents, the split
+// estimate: four taps of three source channels.
+const resizeWork = 12
 
 // CropResizeInto resizes box of img — a (1,H,W,3) float32 frame — into every
 // element of dst, a (1,outH,outW,1|3) float32 tensor the caller owns; a
-// one-channel dst receives luma. It allocates nothing (for outW up to
-// stackCols) and reads and writes the backing slices by flat offset.
-func CropResizeInto(dst, img *tensor.Tensor, box Rect) {
+// one-channel dst receives luma. It reads and writes the backing slices by
+// flat offset, splits the output rows over the parallel pool when their work
+// pays for it, and allocates nothing in steady state.
+func CropResizeInto(dst, img *tensor.Tensor, box Rect) { cropResize(dst, nil, img, box) }
+
+// CropResizeQuantizeInto is CropResizeInto into dst followed by
+// dstQ.QuantizeFrom(dst.F32()), each chunk of rows quantized as soon as it
+// is resized, while it is still in cache: a quantized model's input without
+// a second pass over the tensor. dstQ is a quantized tensor, with quant
+// params, of dst's element count.
+func CropResizeQuantizeInto(dstQ, dst, img *tensor.Tensor, box Rect) {
+	if !dstQ.DType.IsQuantized() || dstQ.Quant == nil || dstQ.Elems() != dst.Elems() {
+		panic(fmt.Sprintf("video: CropResize wants a quantized destination of %d elements, got %s", dst.Elems(), dstQ))
+	}
+	cropResize(dst, dstQ, img, box)
+}
+
+// cropResize is CropResizeInto, quantizing into dstQ too unless it is nil.
+func cropResize(dst, dstQ, img *tensor.Tensor, box Rect) {
 	if len(img.Shape) != 4 || img.DType != tensor.Float32 || img.Shape[0] != 1 || img.Shape[3] != 3 {
 		panic(fmt.Sprintf("video: CropResize wants a (1,H,W,3) float32 image, got %s", img))
 	}
@@ -300,29 +325,53 @@ func CropResizeInto(dst, img *tensor.Tensor, box Rect) {
 	if box.H < 1 {
 		box.H = 1
 	}
-	var onStack [stackCols]colTap
-	cols := onStack[:]
-	if outW > stackCols {
-		cols = make([]colTap, outW)
+	tp := colTaps.Get().(*[]colTap)
+	if cap(*tp) < outW {
+		*tp = make([]colTap, outW)
 	}
-	cols = cols[:outW]
+	cols := (*tp)[:outW]
 	for ox := range cols {
 		sx := float64(box.X) + (float64(ox)+0.5)*float64(box.W)/float64(outW) - 0.5
 		x0 := int(sx) // toward zero: a column left of the image keeps fx < 0
 		cols[ox] = colTap{off0: max(0, min(x0, w-1)) * 3, off1: max(0, min(x0+1, w-1)) * 3, fx: sx - float64(x0)}
 	}
-	resizeRows(dst.F32(), img.F32(), cols, box, h, w, outH, channels)
+	resizeRegion.Run(outH, int64(outH)*int64(outW)*resizeWork, parallel.ChunkOpts{},
+		resizeArgs{dst.F32(), img.F32(), cols, dstQ, box, h, w, outH, channels})
+	colTaps.Put(tp)
 }
 
-// resizeRows is the pixel loop of CropResizeInto. Each tap sum is written
-// term by term, left to right, with no pre-multiplied weights: regrouping the
+var resizeRegion = parallel.NewRegion(resizeArgs.run)
+
+// resizeArgs is one resize launch's chunk: output rows [lo, hi), then
+// their quantized copy when q is not nil.
+type resizeArgs struct {
+	out, src             []float32
+	cols                 []colTap
+	q                    *tensor.Tensor
+	box                  Rect
+	h, w, outH, channels int
+}
+
+func (a resizeArgs) run(lo, hi int) {
+	rowLen := len(a.cols) * a.channels
+	out := a.out[lo*rowLen : hi*rowLen]
+	resizeRows(out, a.src, a.cols, a.box, a.h, a.w, a.outH, a.channels, lo, hi)
+	if a.q != nil {
+		a.q.QuantizeFromAt(lo*rowLen, out)
+	}
+}
+
+// resizeRows is the pixel loop of CropResizeInto over output rows
+// [oyLo, oyHi), written from the start of out. Each tap sum is written term
+// by term, left to right, with no pre-multiplied weights: regrouping the
 // products changes the last bit of some pixels, and the showcase's verdicts
-// are pinned on these exact inputs.
+// are pinned on these exact inputs. Every product is an explicit conversion,
+// which rounds it, so no target fuses it with the add that follows.
 //
 //np:hotpath
-func resizeRows(out, src []float32, cols []colTap, box Rect, h, w, outH, channels int) {
+func resizeRows(out, src []float32, cols []colTap, box Rect, h, w, outH, channels, oyLo, oyHi int) {
 	o := 0
-	for oy := 0; oy < outH; oy++ {
+	for oy := oyLo; oy < oyHi; oy++ {
 		sy := float64(box.Y) + (float64(oy)+0.5)*float64(box.H)/float64(outH) - 0.5
 		y0 := int(sy)
 		fy := sy - float64(y0)
@@ -333,20 +382,20 @@ func resizeRows(out, src []float32, cols []colTap, box Rect, h, w, outH, channel
 			fx := c.fx
 			p00, p01 := row0[c.off0:c.off0+3], row0[c.off1:c.off1+3]
 			p10, p11 := row1[c.off0:c.off0+3], row1[c.off1:c.off1+3]
-			r := float64(p00[0])*(1-fx)*(1-fy) +
-				float64(p01[0])*fx*(1-fy) +
-				float64(p10[0])*(1-fx)*fy +
-				float64(p11[0])*fx*fy
-			g := float64(p00[1])*(1-fx)*(1-fy) +
-				float64(p01[1])*fx*(1-fy) +
-				float64(p10[1])*(1-fx)*fy +
-				float64(p11[1])*fx*fy
-			b := float64(p00[2])*(1-fx)*(1-fy) +
-				float64(p01[2])*fx*(1-fy) +
-				float64(p10[2])*(1-fx)*fy +
-				float64(p11[2])*fx*fy
+			r := float64(float64(p00[0])*(1-fx)*(1-fy)) +
+				float64(float64(p01[0])*fx*(1-fy)) +
+				float64(float64(p10[0])*(1-fx)*fy) +
+				float64(float64(p11[0])*fx*fy)
+			g := float64(float64(p00[1])*(1-fx)*(1-fy)) +
+				float64(float64(p01[1])*fx*(1-fy)) +
+				float64(float64(p10[1])*(1-fx)*fy) +
+				float64(float64(p11[1])*fx*fy)
+			b := float64(float64(p00[2])*(1-fx)*(1-fy)) +
+				float64(float64(p01[2])*fx*(1-fy)) +
+				float64(float64(p10[2])*(1-fx)*fy) +
+				float64(float64(p11[2])*fx*fy)
 			if channels == 1 {
-				out[o] = float32(0.299*r + 0.587*g + 0.114*b)
+				out[o] = float32(float64(0.299*r) + float64(0.587*g) + float64(0.114*b))
 				o++
 			} else {
 				out[o], out[o+1], out[o+2] = float32(r), float32(g), float32(b)
