@@ -299,8 +299,9 @@ func TestSpoofGateSeparates(t *testing.T) {
 // launches from recycled job records, broadcasting binaries without a
 // per-launch broadcaster. One 32-frame ring pass of the benchmark's scene,
 // after one warm pass, stays under 20 KB and 160 objects a frame. It reads
-// 6.6 KB and 142 objects; up to 13.5 KB and 143 when a collection during the
-// passes empties the kernels' scratch pools. It read 9.6 KB and 216 objects
+// 6.6 KB and 142 objects; 8.8 to 11.1 KB and 143 in some of five runs, when a
+// collection during the passes empties the kernels' scratch pools. It read
+// 9.6 KB and 216 objects
 // while every broadcasting multiply built its broadcaster, 8 264 KB and
 // 246 247 when every At/Set heap-allocated its index list.
 func TestProcessFrameAllocationBudget(t *testing.T) {

@@ -20,14 +20,18 @@ import (
 //
 // Each launch's chunk runs a typed loop with the op's body inline: the
 // maps pass their loop to mapF32, and the six binary ops are one zipF32
-// loop each. A binary op against a channel vector along the last axis —
-// the per-channel scale and shift of batch norm in an NHWC float model —
-// or a scalar walks rows (zipRowsF32) in either operand position, keeping
-// subtract's and divide's operand order; other broadcasts take the general
-// broadcaster, whose tables are fixed arrays, so no walk allocates. Each
-// output element sees the same operation on the same operands whichever
-// walk and chunk computes it, so the results are bit-identical to the
-// per-element reference loops the tests keep.
+// loop each. Every binary launch walks one broadcaster, which merges the
+// axes the two operands walk alike and zips a row at a time: a row both
+// operands advance along (equal shapes are a single row) in one zipF32
+// call, a row along which one operand repeats a shorter row of its own —
+// a scalar, or the per-channel scale and shift of batch norm in an NHWC
+// float model — by zipRowsF32, against that row repeated to 64 elements,
+// in either operand position and keeping subtract's and divide's operand
+// order. The broadcaster's axes fit in a fixed array up to eight after
+// merging, so no walk below that allocates. Each output element sees the
+// same operation on the same operands whichever row and chunk computes it,
+// so the results are bit-identical to the per-element reference loops the
+// tests keep.
 
 // mapF32 registers a float32 map kernel from its loop over one chunk
 // (len(dst) == len(src)), the op's body inline in the loop.
@@ -116,36 +120,11 @@ const (
 	opMinimum
 )
 
-// apply is op on one pair of elements, the general broadcaster's body;
-// zipF32's typed loops repeat it inline.
-func (op binOp) apply(a, b float32) float32 {
-	switch op {
-	case opAdd:
-		return a + b
-	case opSubtract:
-		return a - b
-	case opMultiply:
-		return a * b
-	case opDivide:
-		return a / b
-	case opMaximum:
-		if a > b {
-			return a
-		}
-		return b
-	default: // opMinimum
-		if a < b {
-			return a
-		}
-		return b
-	}
-}
-
-// binaryF32 registers a broadcasting float32 zip kernel. The launch takes
-// one of three walks, picked once from the shapes: equal element counts zip
-// flat; one full-shape operand against a channel vector (the per-channel
-// scale or shift of an NHWC model) or a scalar walks rows; anything else
-// runs the general broadcaster.
+// binaryF32 registers a broadcasting float32 zip kernel. Every launch, equal
+// shapes included, walks its output with a broadcaster, a row at a time:
+// zipF32 zips a row along which both operands advance, zipRowsF32 one
+// along which an operand repeats a shorter row of its own — a scalar, or a
+// channel vector against an NHWC tensor.
 func binaryF32(name string, op binOp) {
 	Register(name, func(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
 		if err := wantArgs(args, 2, name); err != nil {
@@ -153,88 +132,59 @@ func binaryF32(name string, op binOp) {
 		}
 		a, b := args[0], args[1]
 		res := output(dstBuf, out)
-		z := zipArgs{op: op, a: a.F32(), b: b.F32(), dst: res.F32()}
-		n := len(z.dst)
-		switch {
-		case len(z.a) == n && len(z.b) == n:
-		case len(z.a) == n && channelVector(b.Shape, out.Shape):
-			z.walk = zipRowsB
-		case len(z.b) == n && channelVector(a.Shape, out.Shape):
-			z.walk = zipRowsA
-		default:
-			bc, err := newBroadcaster(a.Shape, b.Shape, out.Shape)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", name, err)
-			}
-			z.walk, z.bc = zipBroadcast, bc
-		}
-		zipRegion.Elems(n, z)
+		dst := res.F32()
+		zipRegion.Elems(len(dst), zipArgs{op, newBroadcaster(a.Shape, b.Shape, out.Shape), a.F32(), b.F32(), dst})
 		return res, nil
 	})
 }
 
-// channelVector reports whether an operand of shape v repeats along an
-// output of shape out as one vector over its last axis: a scalar, or every
-// extent but the last one 1 and the last the output's.
-func channelVector(v, out tensor.Shape) bool {
-	e := v.Elems()
-	return e == 1 || len(v) > 0 && len(out) > 0 && v[len(v)-1] == e && out[len(out)-1] == e
-}
-
 var zipRegion = parallel.NewRegion(zipArgs.run)
-
-// zipWalk is how a zip launch maps output elements to its operands.
-type zipWalk uint8
-
-const (
-	zipFlat      zipWalk = iota // both operands have the output's layout
-	zipRowsB                    // a has it, b is a channel vector or scalar
-	zipRowsA                    // b has it, a is a channel vector or scalar
-	zipBroadcast                // any other broadcast: bc maps the indices
-)
 
 // zipArgs is a zip kernel's chunk.
 type zipArgs struct {
 	op        binOp
-	walk      zipWalk
-	a, b, dst []float32
 	bc        broadcaster
+	a, b, dst []float32
 }
 
-// zipRepLen is the length a short channel vector is repeated to before a
-// row walk, so each zipF32 call covers at least half of it: an 8-channel
-// scale walks rows of 64, a scalar rows of 64, not of 8 and 1.
-const zipRepLen = 64
-
+// run zips output elements [lo, hi) row by row. The multi-index is computed
+// once, at lo, and carried from row to row.
+//
+//np:hotpath
 func (z zipArgs) run(lo, hi int) {
-	dst := z.dst[lo:hi]
-	switch z.walk {
-	case zipFlat:
-		zipF32(z.op, dst, z.a[lo:hi], z.b[lo:hi])
-	case zipRowsB, zipRowsA:
-		x, v := z.a, z.b
-		if z.walk == zipRowsA {
-			x, v = z.b, z.a
+	bc := &z.bc
+	ax := bc.axes()[bc.outer:]
+	var posBuf [maxBroadcastRank]int
+	pos := posBuf[:]
+	if len(ax) > len(pos) {
+		pos = make([]int, len(ax)) //np:alloc-ok only past maxBroadcastRank merged axes, which no model reaches
+	}
+	p0, ia, ib := bc.rowStart(lo, pos)
+	for i := lo; i < hi; {
+		n := min(bc.d-p0, hi-i)
+		dst := z.dst[i : i+n]
+		switch {
+		case bc.period == 0:
+			zipF32(z.op, dst, z.a[ia+p0:], z.b[ib+p0:])
+		case bc.aStill:
+			zipRowsF32(z.op, dst, z.b[ib+p0:], z.a[ia:ia+bc.period], p0%bc.period, true)
+		default:
+			zipRowsF32(z.op, dst, z.a[ia+p0:], z.b[ib:ib+bc.period], p0%bc.period, false)
 		}
-		var rep [zipRepLen]float32
-		if c := len(v); c <= zipRepLen/2 {
-			// v repeated k times is the same periodic row: element i still
-			// meets v[i mod c].
-			n := zipRepLen / c * c
-			copy(rep[:c], v)
-			for m := c; m < n; m *= 2 {
-				copy(rep[m:n], rep[:m])
+		i, p0 = i+n, 0
+		for k, x := range ax {
+			ia, ib = ia+x.sa, ib+x.sb
+			if pos[k]++; pos[k] < x.d {
+				break
 			}
-			v = rep[:n]
+			pos[k] = 0
+			ia, ib = ia-x.d*x.sa, ib-x.d*x.sb
 		}
-		zipRowsF32(z.op, dst, x[lo:hi], v, lo%len(v), z.walk == zipRowsA)
-	default:
-		z.bc.zip(z.op, z.dst, z.a, z.b, lo, hi)
 	}
 }
 
-// zipF32 writes dst[i] = a[i] op b[i]: one typed loop per op, each with
-// apply's body inline.
+// zipF32 writes dst[i] = a[i] op b[i]: one typed loop per op, its body
+// inline.
 //
 //np:hotpath
 func zipF32(op binOp, dst, a, b []float32) {
@@ -275,14 +225,31 @@ func zipF32(op binOp, dst, a, b []float32) {
 	}
 }
 
-// zipRowsF32 zips x against the channel vector v repeated along it:
-// dst[i] = x[i] op v[(ch+i) mod len(v)], or v[…] op x[i] with vFirst, so
-// subtract and divide keep their operand order. x starts at channel ch of
-// a row (a parallel chunk need not start on a row boundary) and may end
-// inside one.
+// zipRepLen is the length zipRowsF32 repeats a short row to, so each zipF32
+// call covers at least half of it: an 8-channel scale is zipped 64 elements
+// at a time, not 8, and a scalar 64, not 1.
+const zipRepLen = 64
+
+// zipRowsF32 zips x against the row v repeated along it, for
+// i < len(dst): dst[i] = x[i] op v[(ch+i) mod len(v)], or v[…] op x[i] with vFirst, so
+// subtract and divide keep their operand order. x starts at element ch of a
+// row (a parallel chunk need not start on a row boundary) and may end inside
+// one.
 //
 //np:hotpath
 func zipRowsF32(op binOp, dst, x, v []float32, ch int, vFirst bool) {
+	x = x[:len(dst)]
+	var rep [zipRepLen]float32
+	if c := len(v); c <= zipRepLen/2 && len(x) > c-ch {
+		// v repeated k times is the same periodic row: element i still
+		// meets v[(ch+i) mod c].
+		n := zipRepLen / c * c
+		copy(rep[:c], v)
+		for m := c; m < n; m *= 2 {
+			copy(rep[m:n], rep[:m])
+		}
+		v = rep[:n]
+	}
 	for len(x) > 0 {
 		n := min(len(v)-ch, len(x))
 		if vFirst {
@@ -294,77 +261,125 @@ func zipRowsF32(op binOp, dst, x, v []float32, ch int, vFirst bool) {
 	}
 }
 
-// maxBroadcastRank is the highest output rank the general broadcaster
-// takes; its tables are arrays of this length, so a launch allocates none.
+// maxBroadcastRank is how many axes a broadcaster keeps in its fixed table,
+// so that building and walking one allocates nothing; a broadcast with more
+// axes after merging (operands alternating, axis after axis, which one
+// repeats) keeps them on the heap.
 const maxBroadcastRank = 8
 
-// broadcaster maps a flat output index to flat indices into the two
-// (possibly lower-rank / size-1-extent) inputs.
+// bcAxis is one axis of a broadcast: its extent and each operand's element
+// stride along it, zero where the operand repeats.
+type bcAxis struct{ d, sa, sb int }
+
+// broadcaster is a binary op's walk over its output. Its axes run innermost
+// first, every output axis of extent one dropped and adjacent axes that the
+// two operands walk alike merged, so equal shapes are one axis and a channel
+// vector against an NHWC tensor two. The walk's rows are the first one or
+// two of them: the innermost axis, and the next one too when both operands
+// advance along the innermost — then the other repeats its row of the
+// innermost along the next. An operand that repeats along a row has period
+// elements in it: it is the row's still operand.
 type broadcaster struct {
-	rank                         int
-	outShape, aStrides, bStrides [maxBroadcastRank]int
+	d      int  // elements in a row
+	period int  // the still operand's row length, 0 if both operands advance along the row
+	aStill bool // the still operand is a, not b
+	outer  int  // the first axis outside the row
+	n      int
+	fixed  [maxBroadcastRank]bcAxis
+	more   []bcAxis // all n axes, when n > maxBroadcastRank
 }
 
-func newBroadcaster(a, b, out tensor.Shape) (broadcaster, error) {
-	if len(out) > maxBroadcastRank {
-		return broadcaster{}, fmt.Errorf("broadcast to rank %d, at most %d supported", len(out), maxBroadcastRank)
-	}
-	bc := broadcaster{rank: len(out), aStrides: broadcastStrides(a, len(out)), bStrides: broadcastStrides(b, len(out))}
-	copy(bc.outShape[:], out)
-	return bc, nil
-}
-
-// broadcastStrides is the element stride of an operand of shape s along
-// each of the rank axes of the output it broadcasts to: s right-aligned,
-// zero along an axis where s has extent one or no axis at all.
-func broadcastStrides(s tensor.Shape, rank int) [maxBroadcastRank]int {
-	var st [maxBroadcastRank]int
-	acc := 1
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] != 1 {
-			st[rank-len(s)+i] = acc
+func newBroadcaster(a, b, out tensor.Shape) broadcaster {
+	var bc broadcaster
+	sa, sb := 1, 1 // each operand's stride along the next axis it does not repeat along
+	for i := len(out) - 1; i >= 0; i-- {
+		d := out[i]
+		if d == 1 {
+			continue
 		}
-		acc *= s[i]
+		x := bcAxis{d: d}
+		if extentAt(a, out, i) != 1 {
+			x.sa, sa = sa, sa*d
+		}
+		if extentAt(b, out, i) != 1 {
+			x.sb, sb = sb, sb*d
+		}
+		if ax := bc.axes(); bc.n > 0 && (ax[bc.n-1].sa == 0) == (x.sa == 0) && (ax[bc.n-1].sb == 0) == (x.sb == 0) {
+			ax[bc.n-1].d *= d
+			continue
+		}
+		switch {
+		case bc.n < maxBroadcastRank:
+			bc.fixed[bc.n] = x
+		case bc.more == nil:
+			bc.more = append(append([]bcAxis(nil), bc.fixed[:]...), x)
+		default:
+			bc.more = append(bc.more, x)
+		}
+		bc.n++
 	}
-	return st
+	if bc.n == 0 {
+		bc.fixed[0], bc.n = bcAxis{d: 1, sa: 1, sb: 1}, 1
+	}
+	ax := bc.axes()
+	bc.d, bc.outer = ax[0].d, 1
+	switch {
+	case ax[0].sa == 0 || ax[0].sb == 0:
+		bc.period, bc.aStill = 1, ax[0].sa == 0
+	case bc.n > 1:
+		// Merging left the next axis with one operand repeating along it.
+		bc.d, bc.period, bc.aStill, bc.outer = ax[0].d*ax[1].d, ax[0].d, ax[1].sa == 0, 2
+	}
+	return bc
 }
 
-// zip writes output elements [lo, hi) of a op b: one index computation per
-// innermost run, along which both inputs advance by their innermost
-// strides.
-func (bc *broadcaster) zip(op binOp, dst, a, b []float32, lo, hi int) {
-	for i := lo; i < hi; {
-		ia, ib, n, sa, sb := bc.run(i, hi)
-		for end := i + n; i < end; i++ {
-			dst[i] = op.apply(a[ia], b[ib])
-			ia += sa
-			ib += sb
+// extentAt is the extent of an operand of shape s along axis i of the
+// output shape out it broadcasts to: s right-aligned, one where s has no
+// axis.
+func extentAt(s, out tensor.Shape, i int) int {
+	if j := i - len(out) + len(s); j >= 0 {
+		return s[j]
+	}
+	return 1
+}
+
+// axes is the broadcaster's axes, innermost first.
+func (bc *broadcaster) axes() []bcAxis {
+	if bc.more != nil {
+		return bc.more
+	}
+	return bc.fixed[:bc.n]
+}
+
+// rowStart maps the flat output index flat to its position p0 in its row
+// and the operands' indices at the start of that row, and stores the row's
+// multi-index over the axes outside it in pos unless pos is nil.
+func (bc *broadcaster) rowStart(flat int, pos []int) (p0, ia, ib int) {
+	p0, flat = flat%bc.d, flat/bc.d
+	for k, x := range bc.axes()[bc.outer:] {
+		p := flat % x.d
+		flat /= x.d
+		ia += p * x.sa
+		ib += p * x.sb
+		if pos != nil {
+			pos[k] = p
 		}
 	}
+	return p0, ia, ib
 }
 
-// run is index(flat) plus the rest of flat's innermost run, up to hi: n
-// elements along which the inputs advance by sa and sb.
-func (bc *broadcaster) run(flat, hi int) (ia, ib, n, sa, sb int) {
-	ia, ib = bc.index(flat)
-	last := bc.rank - 1
-	if last < 0 {
-		return ia, ib, 1, 0, 0
-	}
-	d := bc.outShape[last]
-	return ia, ib, min(d-flat%d, hi-flat), bc.aStrides[last], bc.bStrides[last]
-}
-
+// index maps the flat output index flat to flat indices into the two
+// operands.
 func (bc *broadcaster) index(flat int) (ia, ib int) {
-	rem := flat
-	for i := bc.rank - 1; i >= 0; i-- {
-		d := bc.outShape[i]
-		pos := rem % d
-		rem /= d
-		ia += pos * bc.aStrides[i]
-		ib += pos * bc.bStrides[i]
+	p0, ia, ib := bc.rowStart(flat, nil)
+	switch {
+	case bc.period == 0:
+		return ia + p0, ib + p0
+	case bc.aStill:
+		return ia + p0%bc.period, ib + p0
+	default:
+		return ia + p0, ib + p0%bc.period
 	}
-	return ia, ib
 }
 
 func biasAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {

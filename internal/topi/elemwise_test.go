@@ -14,12 +14,16 @@ import (
 
 // broadcastCases are broadcasting operand pairs of every output rank 1–4: a
 // scalar, a channel vector, a middle axis, a leading axis, both operands
-// broadcast, and lower-rank operands. The last rows are large enough to
+// broadcast, and lower-rank operands. The rows after them are large enough to
 // split over two workers, into chunks (a launch cuts four a worker, of
 // ceil(n/8) elements) that end inside a row of the channel vector: 2115 of
 // 16 920 elements is 3 past a row of 8, 2697 of 21 576 is 9 past a row of
 // 12, 2185 of 17 480 is 25 past a row of 40 (a vector too long to be
 // repeated), and 2136 of 17 081 is 24 past the 64 a scalar is repeated to.
+// The last rows alternate, axis after axis, which operand repeats, so no two
+// axes merge: nine axes and twelve, more than a broadcaster's fixed table
+// holds, the twelve-axis pair walking rows of 4 against a repeated row, and
+// 19 683 elements split into chunks of 2461, 1 past a row of 3.
 var broadcastCases = []struct{ a, b tensor.Shape }{
 	{tensor.Shape{7}, tensor.Shape{1}},
 	{tensor.Shape{7}, tensor.Shape{}},
@@ -41,6 +45,9 @@ var broadcastCases = []struct{ a, b tensor.Shape }{
 	{tensor.Shape{2, 31, 29, 12}, tensor.Shape{31, 1, 12}},
 	{tensor.Shape{1, 23, 19, 40}, tensor.Shape{40}},
 	{tensor.Shape{1, 31, 29, 19}, tensor.Shape{}},
+	{tensor.Shape{2, 1, 2, 1, 2, 1, 2, 1, 2}, tensor.Shape{1, 2, 1, 2, 1, 2, 1, 2, 1}},
+	{tensor.Shape{2, 1, 3, 1, 2, 1, 2, 1, 2, 1, 2, 4}, tensor.Shape{2, 1, 3, 1, 2, 1, 2, 1, 2, 1, 4}},
+	{tensor.Shape{3, 1, 3, 1, 3, 1, 3, 1, 3}, tensor.Shape{1, 3, 1, 3, 1, 3, 1, 3, 1}},
 }
 
 // binaryRefs are the six binary float kernels as plain functions.
@@ -63,12 +70,11 @@ var binaryRefs = map[string]func(a, b float32) float32{
 	},
 }
 
-// binaryPerElement is the reference the binary kernels are pinned against:
-// for each output element its multi-index, and f of the two operands'
-// elements at that index, each operand right-aligned and read at 0 along an
-// axis of extent one.
-func binaryPerElement(f func(a, b float32) float32, a, b *tensor.Tensor, out tensor.Shape) []float32 {
-	dst := make([]float32, out.Elems())
+// broadcastIndices is the reference broadcast: for each element of an
+// output of shape out, its multi-index, and each operand's flat index at it,
+// the operand right-aligned and read at 0 along an axis of extent one.
+func broadcastIndices(as, bs, out tensor.Shape) (ia, ib []int) {
+	ia, ib = make([]int, out.Elems()), make([]int, out.Elems())
 	idx := make([]int, len(out))
 	offset := func(s tensor.Shape) int {
 		off := 0
@@ -79,22 +85,34 @@ func binaryPerElement(f func(a, b float32) float32, a, b *tensor.Tensor, out ten
 		}
 		return off
 	}
-	for i := range dst {
+	for i := range ia {
 		rem := i
 		for ax := len(out) - 1; ax >= 0; ax-- {
 			idx[ax] = rem % out[ax]
 			rem /= out[ax]
 		}
-		dst[i] = f(a.F32()[offset(a.Shape)], b.F32()[offset(b.Shape)])
+		ia[i], ib[i] = offset(as), offset(bs)
+	}
+	return ia, ib
+}
+
+// binaryPerElement is the reference the binary kernels are pinned against:
+// f of the two operands' elements at each output element's broadcast
+// indices.
+func binaryPerElement(f func(a, b float32) float32, a, b *tensor.Tensor, out tensor.Shape) []float32 {
+	ia, ib := broadcastIndices(a.Shape, b.Shape, out)
+	dst := make([]float32, out.Elems())
+	for i := range dst {
+		dst[i] = f(a.F32()[ia[i]], b.F32()[ib[i]])
 	}
 	return dst
 }
 
-// TestBroadcastRunsMatchPerElement pins every binary float kernel — the flat
-// zip, the channel-row walk for a channel vector or scalar in either operand
-// position, and the general broadcaster — against the per-element loop, on
-// every bit, over operands mixing in NaN, ±Inf, −0 and denormals, serially
-// and split over two workers.
+// TestBroadcastRunsMatchPerElement pins every binary float kernel — rows
+// both operands advance along, and rows against a channel vector, a scalar
+// or a middle axis repeating in either operand position — against the
+// per-element loop, on every bit, over operands mixing in NaN, ±Inf, −0 and
+// denormals, serially and split over two workers.
 func TestBroadcastRunsMatchPerElement(t *testing.T) {
 	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
 	rng := rand.New(rand.NewSource(67))
@@ -112,28 +130,70 @@ func TestBroadcastRunsMatchPerElement(t *testing.T) {
 			for name, f := range binaryRefs {
 				t.Run(fmt.Sprintf("%s/%v_%v", name, as, bs), func(t *testing.T) {
 					want := binaryPerElement(f, a, b, out)
-					// Of two NaN operands an add or multiply returns the
-					// one the compiler put first, and it may swap the
-					// operands of a commutative op: either order's bits
-					// pass there.
-					swapped := want
-					if name == "add" || name == "multiply" {
-						swapped = binaryPerElement(func(x, y float32) float32 { return f(y, x) }, a, b, out)
-					}
 					for _, workers := range []int{1, 2} {
 						parallel.SetMaxWorkers(workers)
 						got, err := Run(name, []*tensor.Tensor{a, b}, nil, &relay.TensorType{Shape: out, DType: tensor.Float32})
 						if err != nil {
 							t.Fatal(err)
 						}
-						for i, v := range got.F32() {
-							if u := math.Float32bits(v); u != math.Float32bits(want[i]) && u != math.Float32bits(swapped[i]) {
-								t.Fatalf("%d workers: out[%d] = %v (%#08x), per-element %v (%#08x)", workers, i,
-									v, u, want[i], math.Float32bits(want[i]))
-							}
+						if i, ok := sameF32Bits(got.F32(), want); !ok {
+							t.Fatalf("%d workers: out[%d] = %v (%#08x), per-element %v (%#08x)", workers, i,
+								got.F32()[i], math.Float32bits(got.F32()[i]), want[i], math.Float32bits(want[i]))
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestQnnAddBroadcastMatchesPerElement pins qnn.add, which maps each output
+// element to its operands through the same broadcaster, against qnn.add's
+// arithmetic at the reference broadcast indices, on every broadcastCases
+// pair in both operand orders, serially and split over two workers.
+func TestQnnAddBroadcastMatchesPerElement(t *testing.T) {
+	defer parallel.SetMaxWorkers(parallel.MaxWorkers())
+	rng := rand.New(rand.NewSource(89))
+	attrs := relay.Attrs{
+		"lhs_scale": 0.07, "lhs_zero_point": 121,
+		"rhs_scale": 0.13, "rhs_zero_point": 3,
+		"output_scale": 0.11, "output_zero_point": 97,
+	}
+	draw := func(s tensor.Shape) *tensor.Tensor {
+		x := tensor.New(tensor.UInt8, s)
+		for i := range x.U8() {
+			x.U8()[i] = uint8(rng.Intn(256))
+		}
+		return x
+	}
+	for _, bc := range broadcastCases {
+		for _, swap := range []bool{false, true} {
+			as, bs := bc.a, bc.b
+			if swap {
+				as, bs = bs, as
+			}
+			out, err := relay.BroadcastShapes(as, bs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := draw(as), draw(bs)
+			ia, ib := broadcastIndices(as, bs, out)
+			want := make([]uint8, out.Elems())
+			for i := range want {
+				real := float64(0.07*float64(int32(a.U8()[ia[i]])-121)) + float64(0.13*float64(int32(b.U8()[ib[i]])-3))
+				want[i] = uint8(clampToDType(roundHalfAwayF(real/0.11)+97, tensor.UInt8))
+			}
+			for _, workers := range []int{1, 2} {
+				parallel.SetMaxWorkers(workers)
+				got, err := Run("qnn.add", []*tensor.Tensor{a, b}, attrs, &relay.TensorType{Shape: out, DType: tensor.UInt8})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range got.U8() {
+					if v != want[i] {
+						t.Fatalf("%v + %v, %d workers: out[%d] = %d, per-element %d", as, bs, workers, i, v, want[i])
+					}
+				}
 			}
 		}
 	}
@@ -168,7 +228,7 @@ func TestBroadcastMultiplyAllocations(t *testing.T) {
 }
 
 // broadcastMultiplyAllocs is the count TestBroadcastMultiplyAllocations
-// allows: none, for the channel-row walk and the general broadcaster alike.
+// allows: none, for a channel vector and a middle-axis operand alike.
 const broadcastMultiplyAllocs = 0
 
 // TestWidenSplitMatchesSerial pins the quantized convolution's data

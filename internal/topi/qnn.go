@@ -1,7 +1,6 @@
 package topi
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/parallel"
@@ -151,11 +150,7 @@ func qnnAdd(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dst
 	q := qaddArgs{a: a, b: b, res: output(dstBuf, out),
 		lhsScale: lhsScale, rhsScale: rhsScale, outScale: outScale, lhsZp: lhsZp, rhsZp: rhsZp, outZp: outZp, dt: out.DType}
 	if !a.Shape.Equal(b.Shape) {
-		bc, err := newBroadcaster(a.Shape, b.Shape, out.Shape)
-		if err != nil {
-			return nil, fmt.Errorf("qnn.add: %w", err)
-		}
-		q.bc, q.bcast = bc, true
+		q.bc, q.bcast = newBroadcaster(a.Shape, b.Shape, out.Shape), true
 	}
 	qaddRegion.Elems(q.res.Elems(), q)
 	return q.res, nil

@@ -9,7 +9,6 @@ package video
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/parallel"
 	"repro/internal/tensor"
@@ -277,10 +276,20 @@ type colTap struct {
 	fx         float64
 }
 
-// colTaps recycles the column-tap tables: a launch's chunks read the table
-// through its slice, so it is built once per call and never copied into a
-// chunk.
-var colTaps = sync.Pool{New: func() any { return new([]colTap) }}
+// stackCols is the widest output whose column taps a chunk keeps on its
+// stack; model inputs are at most a few hundred pixels wide.
+const stackCols = 256
+
+// columnTaps fills cols with the taps of output columns [0, len(cols)) of a
+// resize of box, in an image w pixels wide.
+func columnTaps(cols []colTap, box Rect, w int) {
+	outW := len(cols)
+	for ox := range cols {
+		sx := float64(box.X) + (float64(ox)+0.5)*float64(box.W)/float64(outW) - 0.5
+		x0 := int(sx) // toward zero: a column left of the image keeps fx < 0
+		cols[ox] = colTap{off0: max(0, min(x0, w-1)) * 3, off1: max(0, min(x0+1, w-1)) * 3, fx: sx - float64(x0)}
+	}
+}
 
 // resizeWork is an output pixel's work in MAC-equivalents, the split
 // estimate: four taps of three source channels.
@@ -325,37 +334,32 @@ func cropResize(dst, dstQ, img *tensor.Tensor, box Rect) {
 	if box.H < 1 {
 		box.H = 1
 	}
-	tp := colTaps.Get().(*[]colTap)
-	if cap(*tp) < outW {
-		*tp = make([]colTap, outW)
-	}
-	cols := (*tp)[:outW]
-	for ox := range cols {
-		sx := float64(box.X) + (float64(ox)+0.5)*float64(box.W)/float64(outW) - 0.5
-		x0 := int(sx) // toward zero: a column left of the image keeps fx < 0
-		cols[ox] = colTap{off0: max(0, min(x0, w-1)) * 3, off1: max(0, min(x0+1, w-1)) * 3, fx: sx - float64(x0)}
-	}
 	resizeRegion.Run(outH, int64(outH)*int64(outW)*resizeWork, parallel.ChunkOpts{},
-		resizeArgs{dst.F32(), img.F32(), cols, dstQ, box, h, w, outH, channels})
-	colTaps.Put(tp)
+		resizeArgs{dst.F32(), img.F32(), dstQ, box, h, w, outH, outW, channels})
 }
 
 var resizeRegion = parallel.NewRegion(resizeArgs.run)
 
 // resizeArgs is one resize launch's chunk: output rows [lo, hi), then
-// their quantized copy when q is not nil.
+// their quantized copy when q is not nil. Each chunk computes the column
+// taps it reads; they depend on the output column alone.
 type resizeArgs struct {
-	out, src             []float32
-	cols                 []colTap
-	q                    *tensor.Tensor
-	box                  Rect
-	h, w, outH, channels int
+	out, src                   []float32
+	q                          *tensor.Tensor
+	box                        Rect
+	h, w, outH, outW, channels int
 }
 
 func (a resizeArgs) run(lo, hi int) {
-	rowLen := len(a.cols) * a.channels
+	var onStack [stackCols]colTap
+	cols := onStack[:min(a.outW, stackCols)]
+	if a.outW > stackCols {
+		cols = make([]colTap, a.outW)
+	}
+	columnTaps(cols, a.box, a.w)
+	rowLen := a.outW * a.channels
 	out := a.out[lo*rowLen : hi*rowLen]
-	resizeRows(out, a.src, a.cols, a.box, a.h, a.w, a.outH, a.channels, lo, hi)
+	resizeRows(out, a.src, cols, a.box, a.h, a.w, a.outH, a.channels, lo, hi)
 	if a.q != nil {
 		a.q.QuantizeFromAt(lo*rowLen, out)
 	}
