@@ -2,8 +2,9 @@ GO ?= go
 
 .PHONY: check build portable no-fma fmt vet test race lint npvet analyze fuzz-smoke bench-gate trace-demo tune-smoke fleet-smoke
 
-# check is the tier-1 gate: build + a cross-build for the architectures
-# without assembly + the no-FMA scan of the kernel package + formatting +
+# check is the tier-1 gate: build + a cross-build and 386 tests for the
+# architectures without assembly + the no-FMA and VEX-only scan of every
+# package with assembly + formatting +
 # vet + race-enabled tests + cross-registry lint + the custom npvet
 # analyzers + the dataflow analyses over the model zoo + a five-second run
 # of each fuzz target.
@@ -14,27 +15,47 @@ check: build portable no-fma fmt vet race lint npvet analyze fuzz-smoke
 build:
 	$(GO) build ./...
 
-# portable cross-builds for arm64 and vets the kernel package there, then
-# runs the kernel package's tests as 386, which amd64 runners execute
-# natively: every runner is amd64, where internal/topi's GEMM tiles are
-# assembly (gemm_amd64.s), so nothing else compiles or runs the pure-Go tiles
-# the other architectures take (gemm_generic.go) — the 386 run puts them
-# under every bitwise pin. Needs no network.
+# portable cross-builds for arm64 and vets the packages with assembly there,
+# then runs their tests as 386, which amd64 runners execute natively: every
+# runner is amd64, where internal/topi's GEMM tiles and requantize body and
+# internal/video's resize passes are assembly, so nothing else compiles or
+# runs the pure-Go paths the other architectures take (gemm_generic.go,
+# resize_generic.go) — the 386 run puts them under every bitwise pin. Needs
+# no network.
 portable:
 	GOARCH=arm64 $(GO) build ./...
-	GOARCH=arm64 $(GO) vet ./internal/topi
-	GOARCH=386 $(GO) test ./internal/topi
+	GOARCH=arm64 $(GO) vet ./internal/topi ./internal/video
+	GOARCH=386 $(GO) test ./internal/topi ./internal/video
+
+# ASM_PKGS are the packages with amd64 assembly: every internal/*/*_amd64.s.
+ASM_PKGS = $(sort $(patsubst internal/%/,%,$(dir $(wildcard internal/*/*_amd64.s))))
+
+# VEX_ONLY reads an assembler listing and prints every legacy-SSE
+# instruction — a mnemonic without the V prefix that names an X register —
+# inside an assembly TEXT body that also touches a Y register. Mixing the two
+# encodings in a loop can cost an SSE/AVX state transition or a false
+# dependency per iteration, and no bit test can see it (a legacy
+# MOVQ X1, (DI) store in requantAVX2's loop made it ≈ 1.1× slower on a
+# 2-core Xeon).
+VEX_ONLY = function flush() { if (ymm) for (i = 1; i <= n; i++) print bad[i] } \
+	/ STEXT / { flush(); fn = $$1; asm = / asm /; ymm = 0; n = 0 } \
+	asm && /^\t/ { split($$0, f, "\t"); \
+		if (f[4] ~ /(^|[^A-Za-z0-9_])Y[0-9]+/) ymm = 1; \
+		if (f[3] !~ /^V/ && f[4] ~ /(^|[^A-Za-z0-9_])X[0-9]+/) bad[++n] = fn ": " f[3] " " f[4] } \
+	END { flush() }
 
 # no-fma enforces the kernels' multiply-then-add rule (internal/topi/gemm.go):
-# it builds internal/topi's test binary for amd64 at GOAMD64=v1 and at v3 —
-# where the toolchain may use FMA — and fails if package topi's code holds
-# any VFMADD/VFNMADD/VFMSUB/VFNMSUB, then runs the package's tests at v3. A
-# fused multiply-add rounds once where every reference loop rounds twice, so
-# one would break the bitwise pins on some hosts and not others. The scan
-# reads the compiler's and the assembler's own listings (-S): go tool
-# objdump does not decode VEX-encoded instructions, and prints an FMA as an
-# unrelated legacy opcode. Every TEXT routine of gemm_amd64.s must appear
-# in the assembler's listing, so a new tile cannot escape the scan.
+# it builds the test binary of every package with amd64 assembly (ASM_PKGS)
+# at GOAMD64=v1 and at v3 — where the toolchain may use FMA — and fails if
+# the package's code holds any VFMADD/VFNMADD/VFMSUB/VFNMSUB, then runs those
+# packages' tests at v3. A fused multiply-add rounds once where every
+# reference loop rounds twice, so one would break the bitwise pins on some
+# hosts and not others. The scan reads the compiler's and the assembler's
+# own listings (-S): go tool objdump does not decode VEX-encoded
+# instructions, and prints an FMA as an unrelated legacy opcode. Every TEXT
+# routine of every *_amd64.s file must appear in the assembler's listing, so
+# a new body cannot escape the scan, and no body that uses YMM registers may
+# hold a legacy-SSE instruction (VEX_ONLY).
 # amd64 never fuses without math.FMA; arm64, the paper's target class, fuses
 # x*y + z on its own wherever a product is not an explicit conversion. So the
 # scan then reads the arm64 compiler listing of the test binaries of the
@@ -42,18 +63,21 @@ portable:
 # initializers, the frame renderer and resize, the SSD decode, and the
 # reference loops of their tests — for any FMADD/FMSUB/FNMADD/FNMSUB.
 no-fma:
-	@set -e; for v in v1 v3; do \
-		lst=$$(GOARCH=amd64 GOAMD64=$$v $(GO) test -c -o /dev/null -gcflags=-S -asmflags=-S ./internal/topi 2>&1) || \
+	@set -e; for v in v1 v3; do for p in $(ASM_PKGS); do \
+		lst=$$(GOARCH=amd64 GOAMD64=$$v $(GO) test -c -o /dev/null -gcflags=-S -asmflags=-S ./internal/$$p 2>&1) || \
 			{ echo "$$lst" | grep -v '^[[:space:]]' ; exit 1; }; \
-		for f in $$(sed -n 's/^TEXT ·\([A-Za-z0-9]*\)(SB).*/\1/p' internal/topi/gemm_amd64.s); do \
-			echo "$$lst" | grep -qE "topi\.$$f STEXT.* asm " || \
-				{ echo "no-fma: GOAMD64=$$v: $$f is not in the assembler's listing"; exit 1; }; \
+		for f in $$(sed -n 's/^TEXT ·\([A-Za-z0-9]*\)(SB).*/\1/p' internal/$$p/*_amd64.s); do \
+			echo "$$lst" | grep -qE "$$p\.$$f STEXT.* asm " || \
+				{ echo "no-fma: GOAMD64=$$v: $$p.$$f is not in the assembler's listing"; exit 1; }; \
 		done; \
 		fma=$$(echo "$$lst" | grep -E '[[:space:]]VFN?M(ADD|SUB)' || true); \
-		if [ -n "$$fma" ]; then echo "no-fma: GOAMD64=$$v: fused multiply-add in package topi:"; \
+		if [ -n "$$fma" ]; then echo "no-fma: GOAMD64=$$v: fused multiply-add in package $$p:"; \
 			echo "$$fma"; exit 1; fi; \
-		echo "no-fma: GOAMD64=$$v: no FMA in package topi"; \
-	done
+		sse=$$(echo "$$lst" | awk '$(VEX_ONLY)'); \
+		if [ -n "$$sse" ]; then echo "no-fma: GOAMD64=$$v: legacy SSE in a YMM body of package $$p:"; \
+			echo "$$sse"; exit 1; fi; \
+		echo "no-fma: GOAMD64=$$v: no FMA, no legacy SSE beside YMM in package $$p"; \
+	done; done
 	@set -e; for p in topi tensor video app; do \
 		lst=$$(GOARCH=arm64 $(GO) test -c -o /dev/null -gcflags=-S ./internal/$$p 2>&1) || \
 			{ echo "$$lst" | grep -v '^[[:space:]]' ; exit 1; }; \
@@ -62,7 +86,7 @@ no-fma:
 			echo "$$fma"; exit 1; fi; \
 		echo "no-fma: GOARCH=arm64: no FMA in package $$p"; \
 	done
-	GOARCH=amd64 GOAMD64=v3 $(GO) test ./internal/topi
+	GOARCH=amd64 GOAMD64=v3 $(GO) test $(addprefix ./internal/,$(ASM_PKGS))
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \

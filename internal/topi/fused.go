@@ -2,6 +2,7 @@ package topi
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/relay"
 	"repro/internal/tensor"
@@ -29,8 +30,26 @@ import (
 // The epilogue is typed: apply switches on the output dtype once per row
 // and writes the []uint8 or []int8 directly (epilogueRow) — requantize and
 // the clamp (as min and max) in one pass, the branch-free round of
-// roundHalfAwayF, then the table in place — instead of a dtype switch per
-// element through setRaw. Any other output dtype keeps that loop.
+// roundHalfAwayF — instead of a dtype switch per element through setRaw.
+// Any other output dtype keeps that loop. Two things make the 8-bit row one
+// pass at vector width:
+//
+//   - the clamp fold: when the activation table is itself a clamp —
+//     tab[v] = min(max(v, tab[0]), tab[255]) at all 256 points, which
+//     buildActivationLUT proves on the table it has just evaluated — its
+//     bounds become the requantize clamp's and the table pass (lutRow) is
+//     skipped. relu and relu6 tables are clamps; a table that fails the
+//     check keeps lutRow;
+//   - the vector body: where the CPU has AVX2, requantVec runs a whole
+//     accumulator block eight lanes at a time (gemm_amd64.s), with the bias
+//     repeated to lcm(channels, 8) values (tiledBias, kept on the bias
+//     tensor) so every lane meets its channel's bias. It performs
+//     requantize's IEEE steps in its order — wrapping int32 bias and
+//     zero-point arithmetic, the float64 product, the add of a copysign
+//     0.5, a truncating conversion that yields 0x80000000 on overflow as
+//     Go's int32() does on amd64 — so it is bit-equal by construction;
+//     requant_test.go pins it against requantRow. A block's last len%8
+//     values, and every value on other CPUs, take requantRow's Go loop.
 //
 // Attrs: the anchor's conv/dense attrs plus the requant_* parameters and
 // fused_activation, exactly as the Neuron fusion pass (neuron/fuse.go)
@@ -45,11 +64,12 @@ import (
 // tuning records, are the unfused ones.
 
 // activationLUT tabulates the fused activation over every representable
-// post-requantize raw value. base is the dtype's minimum raw value.
+// post-requantize raw value. base is the dtype's minimum raw value. clamp
+// records that the table is the clamp [tab[0], tab[255]] (isClamp).
 type activationLUT struct {
-	on   bool
-	base int32
-	tab  [256]int32
+	on, clamp bool
+	base      int32
+	tab       [256]int32
 }
 
 // buildActivationLUT replicates the unfused epilogue kernels exactly:
@@ -99,12 +119,25 @@ func buildActivationLUT(activation string, dt tensor.DType, q *tensor.QuantParam
 	default:
 		return lut, fmt.Errorf("fused kernel: unknown activation %q", activation)
 	}
+	lut.clamp = lut.isClamp()
 	return lut, nil
+}
+
+// isClamp reports whether the table equals min(max(v, tab[0]), tab[255]) at
+// every point, so that clamping to [tab[0], tab[255]] applies it exactly.
+func (l *activationLUT) isClamp() bool {
+	for i, t := range l.tab {
+		if t != min(max(l.base+int32(i), l.tab[0]), l.tab[255]) {
+			return false
+		}
+	}
+	return true
 }
 
 // epilogue is the tail a fused launch applies to its accumulators.
 type epilogue struct {
 	bias        []int32 // nil, or one value per output channel
+	tile        []int32 // bias repeated to lcm(channels, 8) values, or nil
 	channels    int     // the output's innermost extent
 	ratio       float64 // requant_input_scale / requant_output_scale
 	inZp, outZp int32
@@ -133,6 +166,7 @@ func newEpilogue(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay
 		if e.bias = args[2].I32(); len(e.bias) != e.channels {
 			return e, fmt.Errorf("%s bias has %d elements, output has %d channels", op, len(e.bias), e.channels)
 		}
+		e.tile = tiledBias(args[2])
 	}
 	var err error
 	e.lut, err = buildActivationLUT(attrs.Str("fused_activation", ""), out.DType, out.Quant)
@@ -169,18 +203,55 @@ func (e *epilogue) apply(res *tensor.Tensor, acc []int32, base int) {
 }
 
 // epilogueRow is apply into an 8-bit destination whose raw range is
-// [lo, hi]: requantRow narrows each pixel, then the activation table maps
-// the row in place.
+// [lo, hi]: one requantize pass over the block, clamped to the activation's
+// bounds when the table is a clamp, else followed by the table in place.
+// requantVec takes the block's leading multiple of eight values; requantRow
+// the rest, in runs that end where the tiled bias wraps.
 //
 //np:hotpath
 func epilogueRow[T uint8 | int8](e *epilogue, dst []T, acc []int32, lo, hi int32) {
 	dst = dst[:len(acc)]
-	for off := 0; off < len(acc); off += e.channels {
-		requantRow(dst[off:off+e.channels], acc[off:off+e.channels], e.bias, e.ratio, e.inZp, e.outZp, lo, hi)
+	if e.lut.clamp {
+		lo, hi = e.lut.tab[0], e.lut.tab[255]
 	}
-	if e.lut.on {
+	if e.tile == nil {
+		off := requantVec(dst, acc, zeroTile[:], e.ratio, e.inZp, e.outZp, lo, hi)
+		requantRow(dst[off:], acc[off:], nil, e.ratio, e.inZp, e.outZp, lo, hi)
+	} else {
+		for off := requantVec(dst, acc, e.tile, e.ratio, e.inZp, e.outZp, lo, hi); off < len(acc); {
+			end := min(len(acc), off+len(e.tile)-off%len(e.tile))
+			requantRow(dst[off:end], acc[off:end], e.tile[off%len(e.tile):], e.ratio, e.inZp, e.outZp, lo, hi)
+			off = end
+		}
+	}
+	if e.lut.on && !e.lut.clamp {
 		lutRow(dst, &e.lut)
 	}
+}
+
+// zeroTile is the tiled bias of an epilogue without one: adding zero leaves
+// every int32 as it is.
+var zeroTile [8]int32
+
+// tiledBias returns the bias tensor b repeated to the least multiple of
+// eight values that is a multiple of its length, kept on b (Tensor.Derived)
+// once built. A stored tile that no longer starts with b's values is
+// rebuilt rather than trusted.
+func tiledBias(b *tensor.Tensor) []int32 {
+	bias := b.I32()
+	if t, ok := b.Derived().([]int32); ok && slices.Equal(t[:len(bias)], bias) {
+		return t
+	}
+	n := len(bias)
+	for n%8 != 0 {
+		n += len(bias)
+	}
+	t := make([]int32, n)
+	for i := range t {
+		t[i] = bias[i%len(bias)]
+	}
+	b.SetDerived(t)
+	return t
 }
 
 // requantRow writes d[f] = clamp(requantize(a[f] + bias[f])) to [lo, hi]

@@ -67,8 +67,8 @@ import (
 //     CPU without AVX. (The Go tile in its place is 1.3–3.3× slower on the
 //     im2col convolutions.)
 //
-// Which tiles run is read once at init from CPUID and XGETBV (cpuFeatures)
-// into useAVX and gemmWidePanels (gemm_amd64.go); nothing can force or
+// Which tiles run is read once at init from CPUID and XGETBV (package cpuid)
+// into cpuid.AVX and gemmWidePanels (gemm_amd64.go); nothing can force or
 // forbid a tile. A 4×32 ZMM tile over four panels was measured and left out
 // (gemmWidePanels says why).
 // Everywhere else every tile is gemmMicroF32Go, which is also the oracle

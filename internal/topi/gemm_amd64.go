@@ -1,17 +1,13 @@
 package topi
 
-import "unsafe"
+import (
+	"unsafe"
 
-// The CPU features the kernels dispatch on, read once at init by CPUID and
-// XGETBV (cpuFeatures, gemm_amd64.s); nothing sets them. useAVX: the CPU has
-// AVX and the OS saves YMM state (the YMM and AVX tiles). useAVX2: also
-// AVX2 (mulAddRow's vector body). useAVX512: also AVX-512F, and the OS saves
-// the ZMM state; no kernel runs on it (gemmWidePanels says why), the test
-// against /proc/cpuinfo pins it with the others.
-var useAVX, useAVX2, useAVX512 = cpuFeatures()
+	"repro/internal/cpuid"
+)
 
-// cpuFeatures is the CPUID/XGETBV test, in gemm_amd64.s.
-func cpuFeatures() (avx, avx2, avx512 bool)
+// The kernels dispatch on cpuid.AVX (the YMM and AVX tiles) and cpuid.AVX2
+// (mulAddRow's and the requantize epilogue's vector bodies).
 
 // gemmWidePanels is how many adjacent B panels the widest f32 tile spans:
 // two (4×16, YMM) with AVX, else one. A 4×32 ZMM tile over four panels was
@@ -19,7 +15,7 @@ func cpuFeatures() (avx, avx2, avx512 bool)
 // the emotion model's GEMMs, but ahead of the YMM-only build end to end in
 // only half of the paired showcase runs (AVX-512 clocks down some parts).
 var gemmWidePanels = func() int {
-	if useAVX {
+	if cpuid.AVX {
 		return 2
 	}
 	return 1
@@ -30,7 +26,7 @@ var gemmWidePanels = func() int {
 // long. It runs the AVX tile where the CPU has one and the SSE2 tile
 // elsewhere; both are bit-identical to gemmMicroF32Go.
 func gemmMicroF32(ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
-	if useAVX {
+	if cpuid.AVX {
 		gemmMicroF32AVX(ap, bp, acc)
 	} else {
 		gemmMicroF32SSE2(ap, bp, acc)
@@ -83,7 +79,7 @@ func gemmMicroI16SSE2(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32)
 // at least len(out) long.
 func mulAddRowVec[T float32 | int32](out, x, k []T) int {
 	n := len(out) &^ 7
-	if !useAVX2 || n == 0 {
+	if !cpuid.AVX2 || n == 0 {
 		return 0
 	}
 	po, px, pk := unsafe.Pointer(&out[0]), unsafe.Pointer(&x[0]), unsafe.Pointer(&k[0])
@@ -103,3 +99,26 @@ func mulAddRowF32AVX2(out, x, k unsafe.Pointer, n int)
 
 //go:noescape
 func mulAddRowI32AVX2(out, x, k unsafe.Pointer, n int)
+
+// requantVec runs requantRow over the leading multiple of eight values of
+// a, a block of whole output pixels, in YMM vectors where the CPU has AVX2,
+// and returns how many it did. tile is the bias repeated to a multiple of
+// eight values (zeroTile for none); the body reads it from its start and
+// wraps to its start at its end, so value i meets tile[i % len(tile)].
+//
+//np:hotpath
+func requantVec[T uint8 | int8](d []T, a, tile []int32, ratio float64, inZp, outZp, lo, hi int32) int {
+	n := len(a) &^ 7
+	if !cpuid.AVX2 || n == 0 {
+		return 0
+	}
+	_ = d[n-1]
+	requantAVX2(unsafe.Pointer(&d[0]), unsafe.Pointer(&a[0]), unsafe.Pointer(&tile[0]), n, len(tile), ratio, inZp, outZp, lo, hi)
+	return n
+}
+
+// requantAVX2 is requantVec's body in gemm_amd64.s, for either 8-bit
+// dtype; n and tileLen are positive multiples of 8.
+//
+//go:noescape
+func requantAVX2(d, a, tile unsafe.Pointer, n, tileLen int, ratio float64, inZp, outZp, lo, hi int32)

@@ -1,55 +1,8 @@
 #include "textflag.h"
 
-// The f32 register tiles for amd64 and the feature test that picks them, the
-// quantized pair tile, and the depthwise row's vector bodies. See gemm.go
-// for the panel layouts and the multiply-then-add rule.
-
-// func cpuFeatures() (avx, avx2, avx512 bool)
-//
-// avx: CPUID leaf 1 ECX bit 27 (OSXSAVE: XGETBV is usable) and bit 28 (AVX),
-// and XCR0 bits 1 and 2 — the OS saves XMM and YMM state across a context
-// switch. avx2: avx, and leaf 7 EBX bit 5. avx512: avx, leaf 7 EBX bit 16
-// (AVX-512F), and XCR0 bits 5–7 — the OS also saves the opmask registers and
-// both halves of the ZMM state.
-TEXT ·cpuFeatures(SB), NOSPLIT, $0-3
-	MOVB  $0, avx+0(FP)
-	MOVB  $0, avx2+1(FP)
-	MOVB  $0, avx512+2(FP)
-	XORL  AX, AX
-	CPUID
-	MOVL  AX, R8            // highest standard leaf
-	MOVL  $1, AX
-	XORL  CX, CX
-	CPUID
-	ANDL  $0x18000000, CX
-	CMPL  CX, $0x18000000
-	JNE   done
-	XORL  CX, CX
-	XGETBV
-	MOVL  AX, R9            // XCR0, low half
-	ANDL  $6, AX
-	CMPL  AX, $6
-	JNE   done
-	MOVB  $1, avx+0(FP)
-	CMPL  R8, $7
-	JCS   done              // no leaf 7 (unsigned below)
-	MOVL  $7, AX
-	XORL  CX, CX
-	CPUID
-	TESTL $(1<<5), BX
-	JZ    zmm
-	MOVB  $1, avx2+1(FP)
-
-zmm:
-	TESTL $(1<<16), BX
-	JZ    done
-	ANDL  $0xE6, R9
-	CMPL  R9, $0xE6
-	JNE   done
-	MOVB  $1, avx512+2(FP)
-
-done:
-	RET
+// The f32 register tiles for amd64, the quantized pair tile, the depthwise
+// row's vector bodies and the requantize epilogue's. See gemm.go for the
+// panel layouts and the multiply-then-add rule, fused.go for the epilogue.
 
 // gemmMicroF32SSE2 is the tile on the architecture's baseline.
 //
@@ -335,5 +288,88 @@ iloop8:
 	ADDQ    $32, DI
 	DECQ    CX
 	JNZ     iloop8
+	VZEROUPPER
+	RET
+
+// func requantAVX2(d, a, tile unsafe.Pointer, n, tileLen int, ratio float64, inZp, outZp, lo, hi int32)
+//
+// requantRow eight values at a time: d[i] = clamp(requantize(a[i] +
+// tile[i % tileLen])) to [lo, hi], n and tileLen positive multiples of 8.
+// Per eight values: VPADDD adds the bias and VPSUBD takes the input zero
+// point, both wrapping as Go's int32 does; VCVTDQ2PD widens each half
+// exactly and VMULPD scales it by ratio; the sign bit (AND with Y10) OR 0.5
+// (Y9) is copysign(0.5, x), added by VADDPD; VCVTTPD2DQ truncates, giving
+// 0x80000000 for a value outside int32 as CVTTSD2SL does for Go's int32();
+// VPADDD adds the output zero point and VPMAXSD/VPMINSD clamp — the same
+// steps, in the same order, as requantize. [lo, hi] lies inside the 8-bit
+// output dtype's range, so VPACKSSDW to int16 and VPSHUFB of each int16's
+// low byte (X8) narrow without saturating, and one body serves uint8 and
+// int8. The tile pointer returns to the tile's start (R9) at its end (R8).
+// Every instruction is VEX-encoded (make no-fma checks): a legacy-SSE
+// MOVQ store in the loop made it ≈ 1.1× slower.
+TEXT ·requantAVX2(SB), NOSPLIT, $0-64
+	MOVQ         d+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         tile+16(FP), BX
+	MOVQ         n+24(FP), CX
+	MOVQ         tileLen+32(FP), R8
+	SHLQ         $2, R8
+	ADDQ         BX, R8
+	MOVQ         BX, R9
+	SHRQ         $3, CX
+	VBROADCASTSD ratio+40(FP), Y14
+	MOVL         inZp+48(FP), AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15
+	MOVL         outZp+52(FP), AX
+	VMOVD        AX, X11
+	VPBROADCASTD X11, X11
+	MOVL         lo+56(FP), AX
+	VMOVD        AX, X12
+	VPBROADCASTD X12, X12
+	MOVL         hi+60(FP), AX
+	VMOVD        AX, X13
+	VPBROADCASTD X13, X13
+	VPCMPEQQ     Y10, Y10, Y10
+	VPSLLQ       $63, Y10, Y10
+	MOVQ         $0x3FE0000000000000, AX
+	VMOVQ        AX, X9
+	VPBROADCASTQ X9, Y9
+	MOVQ         $0x0E0C0A0806040200, AX
+	VMOVQ        AX, X8
+
+rqloop:
+	VMOVDQU      (SI), Y0
+	VPADDD       (BX), Y0, Y0
+	VPSUBD       Y15, Y0, Y0
+	VCVTDQ2PD    X0, Y1
+	VEXTRACTI128 $1, Y0, X2
+	VCVTDQ2PD    X2, Y2
+	VMULPD       Y14, Y1, Y1
+	VMULPD       Y14, Y2, Y2
+	VANDPD       Y10, Y1, Y3
+	VANDPD       Y10, Y2, Y4
+	VORPD        Y9, Y3, Y3
+	VORPD        Y9, Y4, Y4
+	VADDPD       Y3, Y1, Y1
+	VADDPD       Y4, Y2, Y2
+	VCVTTPD2DQY  Y1, X1
+	VCVTTPD2DQY  Y2, X2
+	VPADDD       X11, X1, X1
+	VPADDD       X11, X2, X2
+	VPMAXSD      X12, X1, X1
+	VPMAXSD      X12, X2, X2
+	VPMINSD      X13, X1, X1
+	VPMINSD      X13, X2, X2
+	VPACKSSDW    X2, X1, X1
+	VPSHUFB      X8, X1, X1
+	VMOVQ        X1, (DI)
+	ADDQ         $8, DI
+	ADDQ         $32, SI
+	ADDQ         $32, BX
+	CMPQ         BX, R8
+	CMOVQEQ      R9, BX
+	DECQ         CX
+	JNZ          rqloop
 	VZEROUPPER
 	RET

@@ -22,3 +22,8 @@ func gemmMicroI16(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
 
 // mulAddRowVec: no vector body, mulAddRow's Go loop does every channel.
 func mulAddRowVec[T float32 | int32](out, x, k []T) int { return 0 }
+
+// requantVec: no vector body, requantRow's Go loop does every value.
+func requantVec[T uint8 | int8](d []T, a, tile []int32, ratio float64, inZp, outZp, lo, hi int32) int {
+	return 0
+}

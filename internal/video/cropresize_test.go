@@ -143,26 +143,43 @@ func TestCropResizeMatchesOracle(t *testing.T) {
 	}
 
 	img := src.Next().Image
+	// workers, when not 0, caps the launch's workers. The row reuse
+	// (resizeRows) is checked by an upscale whose consecutive output rows
+	// share both source rows, a box at the bottom edge whose last rows clamp
+	// both taps to the same source row, and a launch split over two workers
+	// whose chunk boundaries (every 8 of its 64 rows) fall inside a run of
+	// output rows that share their source rows (rows 0–47 all read rows 0
+	// and 1 of the box).
 	geometry := []struct {
 		name       string
 		box        video.Rect
 		outH, outW int
+		workers    int
 	}{
-		{"over the left edge", video.Rect{X: -9, Y: 30, W: 30, H: 30}, 64, 64},
-		{"over the top edge", video.Rect{X: 40, Y: -12, W: 28, H: 28}, 64, 64},
-		{"over the right edge", video.Rect{X: 150, Y: 30, W: 30, H: 30}, 64, 64},
-		{"over the bottom edge", video.Rect{X: 40, Y: 110, W: 30, H: 30}, 64, 64},
-		{"over two edges at the corner", video.Rect{X: 140, Y: 100, W: 64, H: 64}, 48, 48},
-		{"outside the frame", video.Rect{X: 400, Y: 300, W: 10, H: 10}, 8, 8},
-		{"1x1 box", video.Rect{X: 77, Y: 55, W: 1, H: 1}, 48, 48},
-		{"1x1 box at the origin", video.Rect{X: 0, Y: 0, W: 1, H: 1}, 5, 7},
-		{"upsampled 8x at the frame corner", video.Rect{X: 0, Y: 0, W: 8, H: 8}, 64, 64},
-		{"upsampled, odd sizes", video.Rect{X: 13, Y: 17, W: 11, H: 9}, 63, 47},
-		{"downsampled 4x", video.Rect{X: 0, Y: 0, W: 160, H: 120}, 30, 40},
-		{"downsampled to one pixel", video.Rect{X: 20, Y: 20, W: 90, H: 70}, 1, 1},
-		{"wider than the stack taps", video.Rect{X: 5, Y: 5, W: 100, H: 20}, 4, 300},
+		{"over the left edge", video.Rect{X: -9, Y: 30, W: 30, H: 30}, 64, 64, 0},
+		{"over the top edge", video.Rect{X: 40, Y: -12, W: 28, H: 28}, 64, 64, 0},
+		{"over the right edge", video.Rect{X: 150, Y: 30, W: 30, H: 30}, 64, 64, 0},
+		{"over the bottom edge", video.Rect{X: 40, Y: 110, W: 30, H: 30}, 64, 64, 0},
+		{"over two edges at the corner", video.Rect{X: 140, Y: 100, W: 64, H: 64}, 48, 48, 0},
+		{"outside the frame", video.Rect{X: 400, Y: 300, W: 10, H: 10}, 8, 8, 0},
+		{"1x1 box", video.Rect{X: 77, Y: 55, W: 1, H: 1}, 48, 48, 0},
+		{"1x1 box at the origin", video.Rect{X: 0, Y: 0, W: 1, H: 1}, 5, 7, 0},
+		{"upsampled 8x at the frame corner", video.Rect{X: 0, Y: 0, W: 8, H: 8}, 64, 64, 0},
+		{"upsampled, odd sizes", video.Rect{X: 13, Y: 17, W: 11, H: 9}, 63, 47, 0},
+		{"downsampled 4x", video.Rect{X: 0, Y: 0, W: 160, H: 120}, 30, 40, 0},
+		{"downsampled to one pixel", video.Rect{X: 20, Y: 20, W: 90, H: 70}, 1, 1, 0},
+		{"wider than the stack taps", video.Rect{X: 5, Y: 5, W: 100, H: 20}, 4, 300, 0},
+		{"upsampled 16x, rows shared in runs", video.Rect{X: 60, Y: 40, W: 12, H: 4}, 64, 24, 0},
+		{"at the bottom edge, both taps on the last row", video.Rect{X: 20, Y: 116, W: 30, H: 4}, 24, 20, 0},
+		{"split inside a run of shared rows", video.Rect{X: 10, Y: 50, W: 40, H: 2}, 64, 64, 2},
 	}
+	workers := parallel.MaxWorkers()
+	defer parallel.SetMaxWorkers(workers)
 	for _, g := range geometry {
+		parallel.SetMaxWorkers(workers)
+		if g.workers != 0 {
+			parallel.SetMaxWorkers(g.workers)
+		}
 		for _, channels := range []int{3, 1} {
 			check(fmt.Sprintf("%s, %d channels", g.name, channels), img, g.box, g.outH, g.outW, channels)
 		}
@@ -277,5 +294,33 @@ func TestCropResizeSplitMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkCropResize times the showcase's three resizes on one worker: the
+// detector's full frame, and a face box at the anti-spoofing and the emotion
+// size.
+func BenchmarkCropResize(b *testing.B) {
+	defer parallel.SetMaxWorkers(parallel.SetMaxWorkers(1))
+	src, err := video.NewSource(160, 120, 2, 2, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := src.Next().Image
+	for _, c := range []struct {
+		name  string
+		box   video.Rect
+		shape tensor.Shape
+	}{
+		{"detector_96x96", video.Rect{X: 0, Y: 0, W: 160, H: 120}, tensor.Shape{1, 96, 96, 3}},
+		{"spoof_64x64", video.Rect{X: 31, Y: 22, W: 40, H: 36}, tensor.Shape{1, 64, 64, 3}},
+		{"emotion_48x48_gray", video.Rect{X: 31, Y: 22, W: 40, H: 36}, tensor.Shape{1, 48, 48, 1}},
+	} {
+		dst := tensor.New(tensor.Float32, c.shape)
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				video.CropResizeInto(dst, img, c.box)
+			}
+		})
 	}
 }

@@ -352,14 +352,15 @@ type resizeArgs struct {
 
 func (a resizeArgs) run(lo, hi int) {
 	var onStack [stackCols]colTap
-	cols := onStack[:min(a.outW, stackCols)]
+	var prodStack [4 * 3 * stackCols]float64
+	cols, prods := onStack[:min(a.outW, stackCols)], prodStack[:4*3*min(a.outW, stackCols)]
 	if a.outW > stackCols {
-		cols = make([]colTap, a.outW)
+		cols, prods = make([]colTap, a.outW), make([]float64, 4*3*a.outW)
 	}
 	columnTaps(cols, a.box, a.w)
 	rowLen := a.outW * a.channels
 	out := a.out[lo*rowLen : hi*rowLen]
-	resizeRows(out, a.src, cols, a.box, a.h, a.w, a.outH, a.channels, lo, hi)
+	resizeRows(out, a.src, cols, prods, a.box, a.h, a.w, a.outH, a.channels, lo, hi)
 	if a.q != nil {
 		a.q.QuantizeFromAt(lo*rowLen, out)
 	}
@@ -369,42 +370,121 @@ func (a resizeArgs) run(lo, hi int) {
 // [oyLo, oyHi), written from the start of out. Each tap sum is written term
 // by term, left to right, with no pre-multiplied weights: regrouping the
 // products changes the last bit of some pixels, and the showcase's verdicts
-// are pinned on these exact inputs. Every product is an explicit conversion,
-// which rounds it, so no target fuses it with the add that follows.
+// are pinned on these exact inputs. Every product is an explicit conversion
+// or a store, which rounds it, so no target fuses it with the add that
+// follows.
+//
+// It runs in two passes that keep that order. A tap's term is
+// (p·wx)·wy: the horizontal pass (rowProducts) writes a source row's
+// products p·(1−fx) and p·fx, every output column's three channels,
+// into a row of prods, and the vertical pass (blendRows) multiplies them by
+// the row weights 1−fy and fy and adds the four terms in the original order.
+// An output row reads two source rows, and consecutive output rows of an
+// upscale, or of a downscale by less than two, share one or both; prods
+// holds the products of the last two source rows the chunk computed, so a
+// shared row is multiplied once per chunk instead of once per output row.
+// The reused value is the same float64 the one-pass loop recomputed, so
+// the reuse cannot change a bit. A chunk starts with none held. Where the
+// CPU has AVX both passes run in vector registers (resize_amd64.s).
 //
 //np:hotpath
-func resizeRows(out, src []float32, cols []colTap, box Rect, h, w, outH, channels, oyLo, oyHi int) {
+func resizeRows(out, src []float32, cols []colTap, prods []float64, box Rect, h, w, outH, channels, oyLo, oyHi int) {
+	n := 3 * len(cols)
+	held := [2]int{-1, -1} // the source row whose products slot i of prods holds
 	o := 0
 	for oy := oyLo; oy < oyHi; oy++ {
 		sy := float64(box.Y) + (float64(oy)+0.5)*float64(box.H)/float64(outH) - 0.5
 		y0 := int(sy)
 		fy := sy - float64(y0)
-		row0 := src[max(0, min(y0, h-1))*w*3:]
-		row1 := src[max(0, min(y0+1, h-1))*w*3:]
-		for i := range cols {
-			c := &cols[i]
-			fx := c.fx
-			p00, p01 := row0[c.off0:c.off0+3], row0[c.off1:c.off1+3]
-			p10, p11 := row1[c.off0:c.off0+3], row1[c.off1:c.off1+3]
-			r := float64(float64(p00[0])*(1-fx)*(1-fy)) +
-				float64(float64(p01[0])*fx*(1-fy)) +
-				float64(float64(p10[0])*(1-fx)*fy) +
-				float64(float64(p11[0])*fx*fy)
-			g := float64(float64(p00[1])*(1-fx)*(1-fy)) +
-				float64(float64(p01[1])*fx*(1-fy)) +
-				float64(float64(p10[1])*(1-fx)*fy) +
-				float64(float64(p11[1])*fx*fy)
-			b := float64(float64(p00[2])*(1-fx)*(1-fy)) +
-				float64(float64(p01[2])*fx*(1-fy)) +
-				float64(float64(p10[2])*(1-fx)*fy) +
-				float64(float64(p11[2])*fx*fy)
-			if channels == 1 {
-				out[o] = float32(float64(0.299*r) + float64(0.587*g) + float64(0.114*b))
-				o++
-			} else {
-				out[o], out[o+1], out[o+2] = float32(r), float32(g), float32(b)
-				o += 3
+		r0, r1 := max(0, min(y0, h-1)), max(0, min(y0+1, h-1))
+		i0 := heldSlot(&held, r0)
+		if i0 < 0 {
+			i0 = 0
+			if held[0] == r1 {
+				i0 = 1
 			}
+			a, b := prodSlot(prods, n, i0)
+			rowProducts(a, b, src[r0*w*3:], cols)
+			held[i0] = r0
 		}
+		i1 := heldSlot(&held, r1)
+		if i1 < 0 {
+			i1 = 1 - i0
+			a, b := prodSlot(prods, n, i1)
+			rowProducts(a, b, src[r1*w*3:], cols)
+			held[i1] = r1
+		}
+		a0, b0 := prodSlot(prods, n, i0)
+		a1, b1 := prodSlot(prods, n, i1)
+		if channels == 1 {
+			blendRowsLuma(out[o:o+len(cols)], a0, b0, a1, b1, 1-fy, fy)
+			o += len(cols)
+		} else {
+			blendRows(out[o:o+n], a0, b0, a1, b1, 1-fy, fy)
+			o += n
+		}
+	}
+}
+
+// prodSlot returns slot i of prods: the a and b product rows, n values
+// each, of one source row.
+func prodSlot(prods []float64, n, i int) (a, b []float64) {
+	return prods[2*i*n : (2*i+1)*n], prods[(2*i+1)*n : (2*i+2)*n]
+}
+
+// heldSlot returns the slot of prods holding source row r's products, or -1.
+func heldSlot(held *[2]int, r int) int {
+	for i, hr := range held {
+		if hr == r {
+			return i
+		}
+	}
+	return -1
+}
+
+// rowProducts is the horizontal pass over one source row: for output column
+// i and channel ch, a[3i+ch] = p0·(1−fx) and b[3i+ch] = p1·fx, p0 and p1
+// the channel at the column's two taps. rowProductsVec does the row where
+// the CPU has a vector body.
+//
+//np:hotpath
+func rowProducts(a, b []float64, row []float32, cols []colTap) {
+	if rowProductsVec(a, b, row, cols) {
+		return
+	}
+	for i := range cols {
+		c := &cols[i]
+		p0, p1 := (*[3]float32)(row[c.off0:]), (*[3]float32)(row[c.off1:])
+		ai, bi := (*[3]float64)(a[3*i:]), (*[3]float64)(b[3*i:])
+		wx0, wx1 := 1-c.fx, c.fx
+		ai[0], ai[1], ai[2] = float64(p0[0])*wx0, float64(p0[1])*wx0, float64(p0[2])*wx0
+		bi[0], bi[1], bi[2] = float64(p1[0])*wx1, float64(p1[1])*wx1, float64(p1[2])*wx1
+	}
+}
+
+// blendRows is the vertical pass into a three-channel row:
+// out[j] = float32(a0[j]·wy0 + b0[j]·wy0 + a1[j]·wy1 + b1[j]·wy1), added
+// left to right. blendVec takes the leading multiple of four lanes where the
+// CPU has a vector body; the Go loop does the rest.
+//
+//np:hotpath
+func blendRows(out []float32, a0, b0, a1, b1 []float64, wy0, wy1 float64) {
+	a0, b0, a1, b1 = a0[:len(out)], b0[:len(out)], a1[:len(out)], b1[:len(out)]
+	for j := blendVec(out, a0, b0, a1, b1, wy0, wy1); j < len(out); j++ {
+		out[j] = float32(float64(a0[j]*wy0) + float64(b0[j]*wy0) + float64(a1[j]*wy1) + float64(b1[j]*wy1))
+	}
+}
+
+// blendRowsLuma is the vertical pass into a one-channel row: each output
+// pixel blends its three channels as blendRows does, then takes their luma.
+//
+//np:hotpath
+func blendRowsLuma(out []float32, a0, b0, a1, b1 []float64, wy0, wy1 float64) {
+	for i := range out {
+		x0, y0, x1, y1 := (*[3]float64)(a0[3*i:]), (*[3]float64)(b0[3*i:]), (*[3]float64)(a1[3*i:]), (*[3]float64)(b1[3*i:])
+		r := float64(x0[0]*wy0) + float64(y0[0]*wy0) + float64(x1[0]*wy1) + float64(y1[0]*wy1)
+		g := float64(x0[1]*wy0) + float64(y0[1]*wy0) + float64(x1[1]*wy1) + float64(y1[1]*wy1)
+		b := float64(x0[2]*wy0) + float64(y0[2]*wy0) + float64(x1[2]*wy1) + float64(y1[2]*wy1)
+		out[i] = float32(float64(0.299*r) + float64(0.587*g) + float64(0.114*b))
 	}
 }
