@@ -85,6 +85,8 @@ type Showcase struct {
 	spoofGM *runtime.GraphModule
 	emoGM   *runtime.GraphModule
 	faces   *FaceDetector
+	// Each model's input name, resolved once: InputNames builds a slice.
+	detName, spoofName, emoName string
 	// Detect stage: the resized frame, and the quantized copy the model
 	// reads (nil for a float detector, which reads detIn itself).
 	detIn  *tensor.Tensor
@@ -139,6 +141,9 @@ func New(cfg Config) (*Showcase, error) {
 		spoofIn: tensor.New(tensor.Float32, models.InputShape(spoofMod)),
 		emoIn:   tensor.New(tensor.Float32, models.InputShape(emoMod)),
 	}
+	s.detName = s.detGM.InputNames()[0]
+	s.spoofName = s.spoofGM.InputNames()[0]
+	s.emoName = s.emoGM.InputNames()[0]
 	if q := models.InputQuant(detMod); q != nil {
 		s.detInQ = tensor.New(tensor.UInt8, s.detIn.Shape)
 		s.detInQ.Quant = q
@@ -159,7 +164,7 @@ func New(cfg Config) (*Showcase, error) {
 func (s *Showcase) calibrateSpoof() error {
 	h, w := s.spoofIn.Shape[1], s.spoofIn.Shape[2]
 	score := func(in *tensor.Tensor) (float64, error) {
-		s.spoofGM.SetInput(s.spoofGM.InputNames()[0], in)
+		s.spoofGM.SetInput(s.spoofName, in)
 		if err := s.spoofGM.Run(); err != nil {
 			return 0, err
 		}
@@ -202,7 +207,7 @@ func (s *Showcase) prepareDetInput(img *tensor.Tensor) *tensor.Tensor {
 func (s *Showcase) DetectStage(f *video.Frame) (*FrameResult, []video.Rect, error) {
 	res := &FrameResult{Frame: f.Index}
 	frameH, frameW := f.Image.Shape[1], f.Image.Shape[2]
-	s.detGM.SetInput(s.detGM.InputNames()[0], s.prepareDetInput(f.Image))
+	s.detGM.SetInput(s.detName, s.prepareDetInput(f.Image))
 	if err := s.detGM.Run(); err != nil {
 		return nil, nil, fmt.Errorf("app: object detection: %w", err)
 	}
@@ -234,7 +239,7 @@ func (s *Showcase) DetectStage(f *video.Frame) (*FrameResult, []video.Rect, erro
 func (s *Showcase) SpoofStage(f *video.Frame, res *FrameResult, candidates []video.Rect) error {
 	for _, fb := range candidates {
 		video.CropResizeInto(s.spoofIn, f.Image, fb)
-		s.spoofGM.SetInput(s.spoofGM.InputNames()[0], s.spoofIn)
+		s.spoofGM.SetInput(s.spoofName, s.spoofIn)
 		if err := s.spoofGM.Run(); err != nil {
 			return fmt.Errorf("app: anti-spoofing: %w", err)
 		}
@@ -255,7 +260,7 @@ func (s *Showcase) EmotionStage(f *video.Frame, res *FrameResult) error {
 			continue
 		}
 		video.CropResizeInto(s.emoIn, f.Image, fr.Box)
-		s.emoGM.SetInput(s.emoGM.InputNames()[0], s.emoIn)
+		s.emoGM.SetInput(s.emoName, s.emoIn)
 		if err := s.emoGM.Run(); err != nil {
 			return fmt.Errorf("app: emotion detection: %w", err)
 		}

@@ -295,15 +295,18 @@ func TestSpoofGateSeparates(t *testing.T) {
 }
 
 // TestProcessFrameAllocationBudget pins the frame path's steady state on the
-// lite trio: stage-owned inputs, flat-indexed resize and detection, split
-// launches from recycled job records, broadcasting binaries without a
-// per-launch broadcaster. One 32-frame ring pass of the benchmark's scene,
-// after one warm pass, stays under 20 KB and 160 objects a frame. It reads
-// 6.6 KB and 142 objects; 8.8 to 11.1 KB and 143 in some of five runs, when a
-// collection during the passes empties the kernels' scratch pools. It read
-// 9.6 KB and 216 objects
-// while every broadcasting multiply built its broadcaster, 8 264 KB and
-// 246 247 when every At/Set heap-allocated its index list.
+// lite trio: stage-owned inputs and input names, flat-indexed resize and
+// detection, split launches from recycled job records, broadcasting binaries
+// without a per-launch broadcaster, each model's simulated charge computed
+// once. One 32-frame ring pass of the benchmark's scene, after one warm pass,
+// stays under 10 KB and 18 objects a frame: about 1.7 times the worst bytes
+// seen and the object count plus an eighth. It reads 1.3 KB and 16 objects;
+// 3.6 or 5.9 KB and 16 in five of twelve runs, when a collection during the
+// passes empties the kernels' scratch pools. It read 6.6 KB and 142 objects
+// while every Run charged a fresh profile and every stage built an input-name
+// slice, 9.6 KB and 216 while every broadcasting multiply built its
+// broadcaster, 8 264 KB and 246 247 when every At/Set heap-allocated its
+// index list.
 func TestProcessFrameAllocationBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector makes sync.Pool drop the kernels' scratch buffers at random")
@@ -332,7 +335,7 @@ func TestProcessFrameAllocationBudget(t *testing.T) {
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / float64(len(frames))
 	objects := float64(after.Mallocs-before.Mallocs) / float64(len(frames))
 	t.Logf("%.1f KB and %.0f objects per frame", kb, objects)
-	if kb > 20 || objects > 160 {
-		t.Errorf("ProcessFrame allocates %.1f KB and %.0f objects per frame, budget 20 KB and 160", kb, objects)
+	if kb > 10 || objects > 18 {
+		t.Errorf("ProcessFrame allocates %.1f KB and %.0f objects per frame, budget 10 KB and 18", kb, objects)
 	}
 }

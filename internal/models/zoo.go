@@ -69,27 +69,37 @@ func InputQuant(m *relay.Module) *tensor.QuantParams {
 
 // RandomInput synthesizes a deterministic input tensor matching the module.
 func RandomInput(m *relay.Module, seed uint64) *tensor.Tensor {
-	shape := InputShape(m)
-	dt := InputDType(m)
+	return RandomInputInto(m, seed, tensor.New(InputDType(m), InputShape(m)))
+}
+
+// RandomInputInto synthesizes RandomInput's tensor into dst, which must have
+// the module's input dtype and shape, and returns dst. A float input draws
+// uniform values in [0,1); a uint8 input draws raw bytes and carries the
+// module's input quantization.
+//
+//np:hotpath
+func RandomInputInto(m *relay.Module, seed uint64, dst *tensor.Tensor) *tensor.Tensor {
+	tt := m.Main().Params[0].TypeAnnotation.(*relay.TensorType)
+	if dst.DType != tt.DType || !dst.Shape.Equal(tt.Shape) {
+		panic(fmt.Sprintf("models: input %s %s into a %s %s tensor", tt.DType, tt.Shape, dst.DType, dst.Shape))
+	}
 	rng := tensor.NewRNG(seed)
-	switch dt {
+	switch tt.DType {
 	case tensor.Float32:
-		t := tensor.New(tensor.Float32, shape)
-		t.FillUniform(rng, 0, 1)
-		return t
+		dst.FillUniform(rng, 0, 1)
+		return dst
 	case tensor.UInt8:
-		t := tensor.New(tensor.UInt8, shape)
-		if q := InputQuant(m); q != nil {
+		if q := tt.Quant; q != nil && (dst.Quant == nil || *dst.Quant != *q) {
 			qq := *q
-			t.Quant = &qq
+			dst.Quant = &qq //np:alloc-ok once per tensor: a pooled tensor keeps its copy
 		}
-		raw := t.U8()
+		raw := dst.U8()
 		for i := range raw {
 			raw[i] = uint8(rng.Intn(256))
 		}
-		return t
+		return dst
 	}
-	panic(fmt.Sprintf("models: no input synthesizer for %s", dt))
+	panic(fmt.Sprintf("models: no input synthesizer for %s", tt.DType))
 }
 
 var registry = map[string]Spec{}

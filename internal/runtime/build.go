@@ -15,9 +15,13 @@
 // that hand results to another goroutine while the module keeps serving
 // (e.g. a module pool), must detach them first — either Clone the view or
 // use GraphModule.OutputCopy, which returns a tensor sharing no storage
-// with the arena. The reference interpreter (ExecutorInterp) happens to
+// with the arena (OutputCopyInto makes the same copy into a tensor the
+// caller reuses). The reference interpreter (ExecutorInterp) happens to
 // return freshly allocated tensors each Run, but callers must not rely on
 // that: the contract is defined by the planned path.
+//
+// The profile LastProfile returns after an unprofiled planned Run is charged
+// once per module and shared by every such Run: it is read-only.
 //
 // One GraphModule is single-threaded state (SetInput/Run/GetOutput is a
 // stateful sequence); concurrency is achieved by pooling independent

@@ -47,7 +47,10 @@ func (k ExecutorKind) String() string {
 //	m.Run()
 //	y, err := m.GetOutput(0)
 //
-// LastProfile exposes the simulated cost of the most recent Run.
+// LastProfile exposes the simulated cost of the most recent Run. The planned
+// executor's charge depends only on the plan, never on a tensor value, so an
+// unprofiled planned Run charges it once per module and every later one
+// returns that same profile: treat it as read-only.
 //
 // By default Run executes the library's cached ExecPlan: kernels write into
 // views of an arena preallocated once per GraphModule, so the steady-state
@@ -121,8 +124,18 @@ func (g *GraphModule) SetInput(name string, t *tensor.Tensor) {
 	g.inputs[name] = t
 }
 
-// Run executes one inference, validating that every declared input is bound
-// and recording a fresh simulated-cost profile.
+// ClearInputs drops every input binding, so the module no longer refers to
+// tensors a caller may reuse; Run fails until each input is bound again.
+func (g *GraphModule) ClearInputs() {
+	clear(g.inputs)
+	if g.state != nil {
+		g.state.unbindInputs()
+	}
+}
+
+// Run executes one inference, validating that every declared input is bound,
+// and sets LastProfile: a fresh profile on a profiled Run and on the
+// interpreter, the plan's once-charged profile on an unprofiled planned Run.
 func (g *GraphModule) Run() error {
 	if err := g.validateInputs(); err != nil {
 		return err
@@ -181,23 +194,34 @@ func (g *GraphModule) planState() (*planState, error) {
 	return st, nil
 }
 
+// runPlanned executes the plan and sets the profile: a profiled run charges
+// a fresh one with events, an unprofiled run reuses the one its state
+// charged first (the charge reads the plan alone, so every run's is equal).
 func (g *GraphModule) runPlanned(st *planState) error {
-	prof := soc.NewProfile()
 	if g.profiling {
 		if st.trace == nil {
 			st.setProfiling(true) // state may postdate SetProfiling(true)
 		}
 		st.setEpoch(time.Now())
-		prof.EnableEvents()
 	}
-	if err := st.run(g.inputs, prof); err != nil {
+	if err := st.run(g.inputs); err != nil {
 		return err
 	}
 	g.outputs = g.outputs[:0]
 	for _, s := range st.plan.outputs {
 		g.outputs = append(g.outputs, st.slots[s])
 	}
-	g.profile = prof
+	if g.profiling {
+		g.profile = soc.NewProfile()
+		g.profile.EnableEvents()
+		st.charge(g.profile)
+		return nil
+	}
+	if st.charged == nil {
+		st.charged = soc.NewProfile()
+		st.charge(st.charged)
+	}
+	g.profile = st.charged
 	return nil
 }
 
@@ -254,11 +278,28 @@ func (g *GraphModule) GetOutput(i int) (*tensor.Tensor, error) {
 // next Run invalidates; see the package documentation for the full aliasing
 // contract.)
 func (g *GraphModule) OutputCopy(i int) (*tensor.Tensor, error) {
+	return g.OutputCopyInto(i, nil)
+}
+
+// OutputCopyInto is OutputCopy into storage the caller reuses: when dst has
+// output i's dtype, shape and quantization, the output is copied into dst
+// and dst returned; otherwise (dst nil included) the result is a fresh copy,
+// as OutputCopy's.
+//
+//np:hotpath
+func (g *GraphModule) OutputCopyInto(i int, dst *tensor.Tensor) (*tensor.Tensor, error) {
 	t, err := g.GetOutput(i)
 	if err != nil {
 		return nil, err
 	}
-	return t.Clone(), nil
+	if dst == nil || dst.DType != t.DType || !dst.Shape.Equal(t.Shape) || !sameQuant(dst.Quant, t.Quant) {
+		return t.Clone(), nil //np:alloc-ok no reusable destination: a fresh copy, as OutputCopy's
+	}
+	return dst, dst.CopyFrom(t)
+}
+
+func sameQuant(a, b *tensor.QuantParams) bool {
+	return a == b || a != nil && b != nil && *a == *b
 }
 
 // MustOutput is GetOutput for callers that have already checked Run's error;
@@ -272,5 +313,8 @@ func (g *GraphModule) MustOutput(i int) *tensor.Tensor {
 }
 
 // LastProfile returns the simulated cost profile of the last Run (nil before
-// the first Run).
+// the first Run). After an unprofiled planned Run it is the profile this
+// module's plan state charged once and returns for every such Run, so it is
+// shared across runs and read-only: read it (Total, Events, the fields), never
+// charge into it. A profiled Run and the interpreter charge a fresh one.
 func (g *GraphModule) LastProfile() *soc.Profile { return g.profile }

@@ -34,6 +34,11 @@ type planState struct {
 	subs  []*planState       // per-node sub-state (primitive nodes only)
 	ext   []extState         // per-node Neuron state (external nodes only)
 
+	// charged is the plan's simulated cost, charged by the first unprofiled
+	// Run and returned by every later one: the charge reads node costs and
+	// region estimates, never a tensor, so it cannot differ between runs.
+	charged *soc.Profile
+
 	// trace, when non-nil (profiling enabled), receives one wall-clock span
 	// per executed node, indexed by node id — concurrent wavefront nodes write
 	// disjoint entries, so no synchronization is needed. Nil keeps the hot
@@ -158,12 +163,12 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 	return st, nil
 }
 
-// run executes one inference over the bound plan. Numerics run uncharged
-// (possibly concurrently); the simulated cost is then charged to prof in a
-// single sequential pass over the linear node order, which keeps the profile
+// run executes one inference's numerics over the bound plan, possibly
+// concurrently. The simulated cost is charged apart (charge), in a single
+// sequential pass over the linear node order, which keeps the profile
 // bit-identical to the interpreter's post-order charging regardless of how
 // the wavefront interleaved.
-func (st *planState) run(inputs map[string]*tensor.Tensor, prof *soc.Profile) error {
+func (st *planState) run(inputs map[string]*tensor.Tensor) error {
 	p := st.plan
 	for name, slot := range p.inputs {
 		in, ok := inputs[name]
@@ -194,10 +199,14 @@ func (st *planState) run(inputs map[string]*tensor.Tensor, prof *soc.Profile) er
 			}
 		}
 	}
-	if prof != nil {
-		st.charge(prof)
-	}
 	return nil
+}
+
+// unbindInputs drops the graph inputs bound by the last run.
+func (st *planState) unbindInputs() {
+	for _, slot := range st.plan.inputs {
+		st.slots[slot] = nil
+	}
 }
 
 var levelRegion = parallel.NewRegion(levelArgs.run)

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -182,6 +183,119 @@ func TestProfilingOffAddsZeroAllocs(t *testing.T) {
 	})
 	if off > baseline {
 		t.Errorf("SetProfiling(false) run allocates %v/op, never-profiled baseline %v/op", off, baseline)
+	}
+}
+
+// sameProfile demands bit-identical simulated numbers: Total and every
+// device's time, plus what assertProfilesEqual compares.
+func sameProfile(t *testing.T, what string, want, got *soc.Profile) {
+	t.Helper()
+	if math.Float64bits(float64(want.Total())) != math.Float64bits(float64(got.Total())) {
+		t.Errorf("%s: Total %v, fresh module's first run %v", what, got.Total(), want.Total())
+	}
+	for _, k := range soc.AllDeviceKinds() {
+		if math.Float64bits(float64(want.DeviceTime[k])) != math.Float64bits(float64(got.DeviceTime[k])) {
+			t.Errorf("%s: DeviceTime[%s] %v, fresh module's first run %v", what, k, got.DeviceTime[k], want.DeviceTime[k])
+		}
+	}
+	assertProfilesEqual(t, what, want, got)
+}
+
+// The planned executor charges a plan once per module: every unprofiled Run
+// returns the profile the first one charged, and a profiled Run charges a
+// fresh one with events. On every zoo model, TVM-only and BYOC, the first
+// run, the second, and one after profiling was switched on and off again
+// each equal a fresh module's first-run profile bit for bit; the profiled
+// run between them does too, and its events sum to its total.
+func TestPlannedChargeIsCachedOnZoo(t *testing.T) {
+	specs := append(models.Showcase(), models.Figure6()...)
+	for _, spec := range specs {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			t.Parallel()
+			mod, err := spec.Build(models.SizeLite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := models.RandomInput(mod, 3)
+			for _, opts := range []runtime.BuildOptions{{OptLevel: 3}, {OptLevel: 3, UseNIR: true}} {
+				lib, err := runtime.Build(mod, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := func(gm *runtime.GraphModule) *soc.Profile {
+					t.Helper()
+					if err := gm.Run(); err != nil {
+						t.Fatal(err)
+					}
+					return gm.LastProfile()
+				}
+				newModule := func() *runtime.GraphModule {
+					gm := runtime.NewGraphModule(lib)
+					gm.SetExecutor(runtime.ExecutorPlanned)
+					gm.SetInput(gm.InputNames()[0], in)
+					return gm
+				}
+				want := run(newModule())
+				gm := newModule()
+				first, second := run(gm), run(gm)
+				gm.SetProfiling(true)
+				profiled := run(gm)
+				gm.SetProfiling(false)
+				after := run(gm)
+				what := fmt.Sprintf("nir=%v", opts.UseNIR)
+				sameProfile(t, what+" first run", want, first)
+				sameProfile(t, what+" second run", want, second)
+				sameProfile(t, what+" profiled run", want, profiled)
+				sameProfile(t, what+" run after profiling", want, after)
+				if second != first || after != first {
+					t.Errorf("%s: unprofiled runs returned distinct profiles: the charge is not cached", what)
+				}
+				if profiled == first || !profiled.EventsEnabled() || len(profiled.Events()) == 0 {
+					t.Fatalf("%s: the profiled run after cached runs carries no events of its own", what)
+				}
+				var sum soc.Seconds
+				for _, ev := range profiled.Events() {
+					sum += ev.Time
+				}
+				if d := math.Abs(float64(sum - profiled.Total())); d > 1e-12 {
+					t.Errorf("%s: profiled events sum to %v, total %v", what, sum, profiled.Total())
+				}
+			}
+		})
+	}
+}
+
+// TestWarmPlannedRunAllocs pins what a warm, unprofiled planned Run of each
+// showcase model allocates on the BYOC build the application runs: two of
+// the anti-spoofing model's three are its mean kernel's, the detector's two
+// are its quantized concatenation's. It was 39, 22 and 66 while every Run
+// charged a fresh profile.
+func TestWarmPlannedRunAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("AllocsPerRun is nondeterministic under the race detector")
+	}
+	want := map[string]float64{"anti-spoofing": 3, "emotion": 0, "mobilenet ssd (quant)": 2}
+	for _, spec := range models.Showcase() {
+		mod, err := spec.Build(models.SizeLite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lib, err := runtime.Build(mod, runtime.BuildOptions{OptLevel: 3, UseNIR: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm := runtime.NewGraphModule(lib)
+		gm.SetExecutor(runtime.ExecutorPlanned)
+		gm.SetInput(gm.InputNames()[0], models.RandomInput(mod, 1))
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := gm.Run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != want[spec.Name] {
+			t.Errorf("%s: %v allocations per warm Run, want %v", spec.Name, allocs, want[spec.Name])
+		}
 	}
 }
 

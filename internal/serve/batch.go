@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -208,13 +209,10 @@ func (e *endpoint) runOne(gm *runtime.GraphModule, r *request, batch int, runSta
 	err := gm.Run()
 	var outs []*tensor.Tensor
 	if err == nil {
-		outs = make([]*tensor.Tensor, gm.NumOutputs())
-		for i := range outs {
-			if outs[i], err = gm.OutputCopy(i); err != nil {
-				break
-			}
-		}
+		outs = copyOutputs(gm, r.outs)
 	}
+	// The request's tensors are its handler's again once it is answered.
+	gm.ClearInputs()
 	execWall := time.Since(start)
 	// The request's own span goes on the track before the request is
 	// answered: a client that asks /tracez?id= for its request the moment
@@ -241,4 +239,17 @@ func (e *endpoint) runOne(gm *runtime.GraphModule, r *request, batch int, runSta
 		Wall:      execWall,
 		SimTime:   sim,
 	}, nil
+}
+
+// copyOutputs copies gm's outputs out of its arena into dst, grown to the
+// output count, reusing each entry whose dtype, shape and quantization fit.
+//
+//np:hotpath
+func copyOutputs(gm *runtime.GraphModule, dst []*tensor.Tensor) []*tensor.Tensor {
+	n := gm.NumOutputs()
+	dst = slices.Grow(dst[:0], n)[:n] //np:alloc-ok only while dst is short: Submit's nil, a set's first request
+	for i := range dst {
+		dst[i], _ = gm.OutputCopyInto(i, dst[i]) // i < NumOutputs: no error
+	}
+	return dst
 }

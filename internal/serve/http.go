@@ -15,7 +15,6 @@ import (
 	"repro/internal/app"
 	"repro/internal/models"
 	"repro/internal/obs"
-	"repro/internal/relay"
 	"repro/internal/soc"
 	"repro/internal/tensor"
 	"repro/internal/video"
@@ -187,7 +186,11 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("%w: %q", ErrUnknownModel, q.model))
 		return
 	}
-	inputs, err := e.bindInputs(q)
+	// The set goes back to e when the handler returns: after submit, whose
+	// worker is done with it by then, and after the reply read its outputs.
+	set := e.sets.Get().(*ioSet)
+	defer e.sets.Put(set)
+	err = e.bindInputs(q, set)
 	s.httpTrack.Emit(e.decodeSpan, "serve", start, time.Since(start), traced)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
@@ -199,11 +202,12 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(q.timeoutMs)*time.Millisecond)
 		defer cancel()
 	}
-	res, err := s.Submit(ctx, q.model, inputs)
+	res, err := s.submit(ctx, q.model, set.inputs, set.outs)
 	if err != nil {
 		writeServeErr(w, err)
 		return
 	}
+	set.outs = res.Outputs
 	// The request is bound and answered: its body bytes are dead, and the
 	// reply is built where they were. Encoding finishes before the header
 	// goes out, so a value with no JSON form is an error status, not a
@@ -219,57 +223,61 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	w.Write(q.b)
 }
 
-// bindInputs materializes the request's input binding: explicit data when
-// given, a deterministic synthetic input otherwise.
-func (e *endpoint) bindInputs(q *inferBuf) (map[string]*tensor.Tensor, error) {
+// bindInputs fills the set's input tensors from the request: explicit data
+// when given, a deterministic synthetic input otherwise.
+func (e *endpoint) bindInputs(q *inferBuf, set *ioSet) error {
 	main := e.lib.Module.Main()
-	out := make(map[string]*tensor.Tensor, len(main.Params))
 	if len(q.inputs) == 0 {
 		if len(main.Params) != 1 {
-			return nil, fmt.Errorf("serve: model %q has %d inputs; seed synthesis needs exactly 1 (bind inputs explicitly)",
+			return fmt.Errorf("serve: model %q has %d inputs; seed synthesis needs exactly 1 (bind inputs explicitly)",
 				e.name, len(main.Params))
 		}
-		out[main.Params[0].Name] = models.RandomInput(e.lib.Module, q.seed)
-		return out, nil
+		name := main.Params[0].Name
+		t := set.inputs[name]
+		if t == nil {
+			return fmt.Errorf("serve: model %q: input %q has no tensor type", e.name, name)
+		}
+		models.RandomInputInto(e.lib.Module, q.seed, t)
+		return nil
 	}
 	for _, p := range main.Params {
 		data, ok := q.input(p.Name)
 		if !ok {
-			return nil, fmt.Errorf("serve: model %q: input %q missing", e.name, p.Name)
+			return fmt.Errorf("serve: model %q: input %q missing", e.name, p.Name)
 		}
-		tt, ok := p.TypeAnnotation.(*relay.TensorType)
-		if !ok {
-			return nil, fmt.Errorf("serve: model %q: input %q has no tensor type", e.name, p.Name)
+		t := set.inputs[p.Name]
+		if t == nil {
+			return fmt.Errorf("serve: model %q: input %q has no tensor type", e.name, p.Name)
 		}
-		t, err := tensorFromData(data, tt)
-		if err != nil {
-			return nil, fmt.Errorf("serve: model %q input %q: %w", e.name, p.Name, err)
+		if err := fillInput(t, data); err != nil {
+			return fmt.Errorf("serve: model %q input %q: %w", e.name, p.Name, err)
 		}
-		out[p.Name] = t
 	}
-	return out, nil
+	return nil
 }
 
-// tensorFromData builds a tensor of the declared input type from row-major
-// real values, each narrowed to float32 — the wire carries doubles, and
+// fillInput writes row-major real values into an input tensor of the
+// declared type, each narrowed to float32 — the wire carries doubles, and
 // parsing them at 32 bits would round twice — then quantized through the
-// declared parameters for integer inputs.
-func tensorFromData(data []float64, tt *relay.TensorType) (*tensor.Tensor, error) {
-	if len(data) != tt.Shape.Elems() {
-		return nil, fmt.Errorf("want %d elements for shape %s, got %d", tt.Shape.Elems(), tt.Shape, len(data))
+// tensor's parameters for an integer input.
+//
+//np:hotpath
+func fillInput(dst *tensor.Tensor, data []float64) error {
+	if n := dst.Elems(); len(data) != n {
+		return fmt.Errorf("want %d elements for shape %s, got %d", n, dst.Shape, len(data))
 	}
-	f := tensor.New(tensor.Float32, tt.Shape)
-	dst := f.F32()
-	for i, v := range data {
-		dst[i] = float32(v)
+	switch {
+	case dst.DType == tensor.Float32:
+		f := dst.F32()
+		for i, v := range data {
+			f[i] = float32(v)
+		}
+	case dst.DType.IsQuantized() && dst.Quant != nil:
+		dst.QuantizeFromF64(data)
+	default:
+		return fmt.Errorf("cannot bind explicit data to %s input without quant params", dst.DType)
 	}
-	if tt.DType == tensor.Float32 {
-		return f, nil
-	}
-	if !tt.DType.IsQuantized() || tt.Quant == nil {
-		return nil, fmt.Errorf("cannot bind explicit data to %s input without quant params", tt.DType)
-	}
-	return f.QuantizeTo(tt.DType, *tt.Quant), nil
+	return nil
 }
 
 // ---------------------------------------------------------------- showcase

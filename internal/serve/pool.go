@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/relay"
 	"repro/internal/runtime"
 	"repro/internal/tensor"
 )
@@ -28,11 +29,16 @@ type endpoint struct {
 	drainCh  chan struct{}
 	draining bool
 
-	// inputNames is the model's declared input set, cached at registration:
-	// pooled modules retain SetInput bindings across requests, so admission
-	// must require every request to bind the full set (a partial binding
-	// would silently reuse a previous request's tensor).
+	// inputNames is the model's declared input set, cached at registration.
+	// Admission requires every request to bind the full set: a worker drops
+	// its module's bindings after each run, so a partial binding would fail
+	// in Run instead of being answered at the door.
 	inputNames []string
+
+	// sets pools the /v1/infer handler's per-request tensors (ioSet): the
+	// model's input shapes and dtypes are fixed here at registration, so a
+	// request binds into tensors an earlier one left behind.
+	sets sync.Pool
 
 	// devicesLabel is the exclusive device set comma-joined once at
 	// registration, so per-request flight records share one string instead of
@@ -58,6 +64,7 @@ func newEndpoint(name string, lib *runtime.Lib, opts ModelOptions, s *Server) (*
 		decodeSpan: "decode:" + name,
 		encodeSpan: "encode:" + name,
 	}
+	e.sets.New = func() any { return newIOSet(lib) }
 	labels := make([]string, len(opts.Devices))
 	for i, d := range opts.Devices {
 		labels[i] = d.String()
@@ -95,4 +102,37 @@ func (e *endpoint) checkInputs(inputs map[string]*tensor.Tensor) error {
 		}
 	}
 	return nil
+}
+
+// ioSet is one /v1/infer request's tensors at an endpoint: an input tensor
+// of the declared dtype and shape per model input, bound by name as Submit
+// takes them, and the output tensors the worker copies the results into
+// (grown on the first request, reused by later ones). A handler takes a set
+// from its endpoint, holds it until the reply is encoded, and returns it;
+// Submit does not return before the worker is done with the request, and the
+// worker drops its module's bindings after the run, so no goroutine reaches
+// a set between two requests.
+type ioSet struct {
+	inputs map[string]*tensor.Tensor
+	outs   []*tensor.Tensor
+}
+
+// newIOSet allocates one input tensor per tensor-typed model input.
+func newIOSet(lib *runtime.Lib) *ioSet {
+	params := lib.Module.Main().Params
+	set := &ioSet{inputs: make(map[string]*tensor.Tensor, len(params))}
+	for _, p := range params {
+		if tt, ok := p.TypeAnnotation.(*relay.TensorType); ok {
+			t := tensor.New(tt.DType, tt.Shape)
+			if tt.Quant != nil {
+				q := *tt.Quant
+				t.Quant = &q
+			}
+			// Refilled per request: a kernel must not keep what it derives
+			// from one request's values (a weight input's packed panels).
+			t.MarkVolatile()
+			set.inputs[p.Name] = t
+		}
+	}
+	return set
 }

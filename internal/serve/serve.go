@@ -11,8 +11,11 @@
 //     executor while remaining safe under arbitrary client concurrency.
 //   - A dynamic micro-batcher: same-model requests arriving within a
 //     configurable window coalesce into one device reservation; results fan
-//     back out with outputs copied out of the arena (OutputCopy) before the
-//     module returns to the pool.
+//     back out with outputs copied out of the arena before the module returns
+//     to the pool. Submit's copies are fresh tensors (OutputCopy); /v1/infer
+//     copies into tensors its request brought from the endpoint's pool
+//     (OutputCopyInto), and binds its inputs into pooled tensors too, so a
+//     request allocates nothing that scales with the model.
 //   - Admission control: a bounded queue with per-request context deadlines.
 //     A full queue rejects immediately with ErrOverloaded (HTTP 429) rather
 //     than blocking; a request whose deadline expires while queued is
@@ -123,7 +126,8 @@ func LibDevices(lib *runtime.Lib) []soc.DeviceKind {
 
 // Result is one request's response.
 type Result struct {
-	// Outputs are detached copies (no arena aliasing): valid indefinitely.
+	// Outputs are detached copies (no arena aliasing): Submit's are valid
+	// indefinitely.
 	Outputs []*tensor.Tensor
 	// Version is the model revision of the endpoint that served the request
 	// (ModelOptions.Version; empty for unversioned registrations). Because it
@@ -148,8 +152,12 @@ type outcome struct {
 }
 
 type request struct {
-	ctx      context.Context
-	inputs   map[string]*tensor.Tensor
+	ctx    context.Context
+	inputs map[string]*tensor.Tensor
+	// outs, when it has room, is where the worker copies the outputs: an
+	// entry of the output's dtype, shape and quantization is overwritten in
+	// place, any other (nil included) replaced by a fresh copy.
+	outs     []*tensor.Tensor
 	ch       chan outcome
 	enqueued time.Time
 	// trace is the request's distributed trace context (zero when untraced).
@@ -382,6 +390,13 @@ func (s *Server) Endpoint(name string) (ModelOptions, error) {
 // It blocks until the request is served, rejected, or times out — every
 // admitted request is guaranteed a response, including during drain.
 func (s *Server) Submit(ctx context.Context, model string, inputs map[string]*tensor.Tensor) (*Result, error) {
+	return s.submit(ctx, model, inputs, nil)
+}
+
+// submit is Submit with the outputs copied into outs where its entries fit
+// (request.outs); the Result's Outputs are then outs itself, grown as needed,
+// and stay the caller's to reuse.
+func (s *Server) submit(ctx context.Context, model string, inputs map[string]*tensor.Tensor, outs []*tensor.Tensor) (*Result, error) {
 	s.mu.RLock()
 	e, ok := s.resolve(model)
 	s.mu.RUnlock()
@@ -394,7 +409,7 @@ func (s *Server) Submit(ctx context.Context, model string, inputs map[string]*te
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	req := &request{ctx: ctx, inputs: inputs, ch: make(chan outcome, 1), enqueued: time.Now()}
+	req := &request{ctx: ctx, inputs: inputs, outs: outs, ch: make(chan outcome, 1), enqueued: time.Now()}
 	// Carry the caller's trace context (if any) onto the queued request so
 	// the executing worker can stamp its spans and flight record with it.
 	req.trace, _ = obs.TraceFrom(ctx)

@@ -170,7 +170,9 @@ type Tensor struct {
 // Derived returns the value attached by SetDerived, or nil.
 func (t *Tensor) Derived() any {
 	if p := t.derived.Load(); p != nil {
-		return *p
+		if _, ok := (*p).(volatileMark); !ok {
+			return *p
+		}
 	}
 	return nil
 }
@@ -179,6 +181,18 @@ func (t *Tensor) Derived() any {
 // a pure function of t's data, which must not change afterwards: concurrent
 // callers may race to attach equal values, and the first one wins.
 func (t *Tensor) SetDerived(v any) { t.derived.CompareAndSwap(nil, &v) }
+
+// volatileMark fills the derived slot of a volatile tensor.
+type volatileMark struct{}
+
+// MarkVolatile declares that t's data changes between uses — a buffer
+// refilled for every request — so nothing may be derived from it once and
+// kept: from then on Derived returns nil and SetDerived attaches nothing, and
+// a kernel that packs t (as a weight operand) packs it on every call.
+func (t *Tensor) MarkVolatile() {
+	var v any = volatileMark{}
+	t.derived.Store(&v)
+}
 
 // New allocates a zero-filled tensor.
 func New(dt DType, shape Shape) *Tensor {
@@ -442,7 +456,14 @@ func (t *Tensor) QuantizeFrom(src []float32) { t.QuantizeFromAt(0, src) }
 
 // QuantizeFromAt is QuantizeFrom into elements [off, off+len(src)) of t:
 // disjoint ranges may be quantized concurrently.
-func (t *Tensor) QuantizeFromAt(off int, src []float32) {
+func (t *Tensor) QuantizeFromAt(off int, src []float32) { quantizeTensor(t, off, src) }
+
+// QuantizeFromF64 is QuantizeFrom of src's values each narrowed to float32:
+// element i gets exactly what QuantizeFrom stores for float32(src[i]),
+// without a float32 copy of src.
+func (t *Tensor) QuantizeFromF64(src []float64) { quantizeTensor(t, 0, src) }
+
+func quantizeTensor[S float32 | float64](t *Tensor, off int, src []S) {
 	if !t.DType.IsQuantized() || t.Quant == nil {
 		panic("tensor: QuantizeFrom requires a quantized tensor with quant params")
 	}
@@ -454,10 +475,13 @@ func (t *Tensor) QuantizeFromAt(off int, src []float32) {
 	}
 }
 
+// quantizeInto narrows each source value to float32 (a no-op for a float32
+// source) and quantizes it.
+//
 //np:hotpath
-func quantizeInto[T uint8 | int8](dst []T, src []float32, q QuantParams, lo, hi int32) {
+func quantizeInto[T uint8 | int8, S float32 | float64](dst []T, src []S, q QuantParams, lo, hi int32) {
 	for i, v := range src {
-		dst[i] = T(clampI32(q.Quantize(float64(v)), lo, hi))
+		dst[i] = T(clampI32(q.Quantize(float64(float32(v))), lo, hi))
 	}
 }
 

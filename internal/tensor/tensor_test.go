@@ -579,3 +579,18 @@ func TestDerivedIsNotCarried(t *testing.T) {
 		}
 	}
 }
+
+// A volatile tensor keeps nothing derived: what it had is dropped, and
+// nothing attaches later.
+func TestMarkVolatileKeepsNothingDerived(t *testing.T) {
+	x := FromF32([]float32{1, 2, 3}, Shape{3})
+	x.SetDerived("panels")
+	x.MarkVolatile()
+	if d := x.Derived(); d != nil {
+		t.Errorf("Derived() = %v after MarkVolatile, want nil", d)
+	}
+	x.SetDerived("panels")
+	if d := x.Derived(); d != nil {
+		t.Errorf("Derived() = %v after SetDerived on a volatile tensor, want nil", d)
+	}
+}
