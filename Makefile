@@ -110,9 +110,12 @@ npvet:
 	$(GO) run ./cmd/npvet ./cmd ./internal ./examples
 
 # analyze runs the dataflow analyses — plan safety, quantization ranges,
-# device-transfer legality, dead code — over every model-zoo entry.
+# device-transfer legality, dead code — over every model-zoo entry, built
+# both ways: BYOC (plans with NeuroPilot regions) and TVM-only (plans with a
+# fused sub-plan per kernel).
 analyze:
 	$(GO) run ./cmd/npc -zoo all -analyze
+	$(GO) run ./cmd/npc -zoo all -analyze -no-nir
 
 # fuzz-smoke runs four fuzz targets briefly, each over its seed corpus plus
 # five seconds of mutation: the partitioner against the BFS oracle (error or

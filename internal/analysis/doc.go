@@ -9,15 +9,16 @@
 // safety net the ROADMAP's aggressive-graph-optimization and autotuning
 // items need before searched rewrites and placements are let loose:
 //
-//   - PlanSafety (plansafety.go): the one checker of runtime.ExecPlan, over
-//     its plain-data export. It recomputes wavefront levels and value
-//     liveness from the node list alone — trusting nothing the memory
-//     planner recorded — and proves that the executor runs every node in
-//     the wavefront so computed, that no two simultaneously-live values
-//     share arena storage, that every dispatch reads only defined, live
-//     slots, and that the GraphModule.OutputCopy aliasing contract holds
-//     (graph outputs on dedicated storage, external-region results owned by
-//     the Neuron runtime, never the arena).
+//   - PlanSafety (plansafety.go): the one checker of runtime.ExecPlan,
+//     through the Plan interface (plan.go): the plan's own arrays, read in
+//     place, or the plain-data PlanView copy. It recomputes wavefront
+//     levels and value liveness from the node list alone — trusting
+//     nothing the memory planner recorded — and proves that the executor
+//     runs every node in the wavefront so computed, that no two
+//     simultaneously-live values share arena storage, that every dispatch
+//     reads only defined, live slots, that every node result, an external
+//     region's included, is arena-backed, and that the GraphModule.OutputCopy
+//     aliasing contract holds (graph outputs on dedicated storage).
 //
 //   - QuantRanges (quantrange.go): forward value-range propagation through
 //     QNN modules. Every expression gets a conservative real-domain
@@ -40,9 +41,9 @@
 //     node no output depends on is PlanSafety's plan-dead-node.
 //
 // The package sits between internal/verify (which it reports through) and
-// internal/runtime (which exports plan views to it): it imports relay,
-// neuron, soc, tensor and verify, never runtime, so the runtime can run
-// PlanSafety on every plan it builds without an import cycle.
+// internal/runtime (whose plans it reads): it imports relay, neuron, soc,
+// tensor and verify, never runtime, so the runtime can run PlanSafety on
+// every plan it builds without an import cycle.
 //
 // The sibling package analysis/npvet is the Go-source half of the same
 // idea: custom go/ast analyzers enforcing repo invariants (hot-path

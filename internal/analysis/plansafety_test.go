@@ -16,10 +16,10 @@ import (
 func chainView() *PlanView {
 	return &PlanView{
 		Nodes: []PlanNode{
-			{ID: 0, Kind: PlanNodeOp, Label: "a", Level: 0, Args: []int{0}, Outs: []int{2}},
-			{ID: 1, Kind: PlanNodeOp, Label: "b", Level: 1, Args: []int{2}, Outs: []int{3}},
-			{ID: 2, Kind: PlanNodeOp, Label: "c", Level: 2, Args: []int{3}, Outs: []int{4}},
-			{ID: 3, Kind: PlanNodeOp, Label: "d", Level: 3, Args: []int{4, 1}, Outs: []int{5}},
+			{ID: 0, Kind: PlanNodeOp, Label: "a", Level: 0, Args: []int32{0}, Outs: []int32{2}},
+			{ID: 1, Kind: PlanNodeOp, Label: "b", Level: 1, Args: []int32{2}, Outs: []int32{3}},
+			{ID: 2, Kind: PlanNodeOp, Label: "c", Level: 2, Args: []int32{3}, Outs: []int32{4}},
+			{ID: 3, Kind: PlanNodeOp, Label: "d", Level: 3, Args: []int32{4, 1}, Outs: []int32{5}},
 		},
 		Slots: []PlanSlot{
 			{DType: tensor.Float32, Elems: 16, Storage: -1, Producer: -1, IsInput: true},
@@ -34,8 +34,8 @@ func chainView() *PlanView {
 			{DType: tensor.Float32, Elems: 16},
 			{DType: tensor.Float32, Elems: 16},
 		},
-		Params:  []int{0},
-		Outputs: []int{5},
+		Params:  []int32{0},
+		Outputs: []int32{5},
 	}
 }
 
@@ -67,7 +67,7 @@ func TestPlanSafetyMutations(t *testing.T) {
 		},
 		{
 			"read of a later node's result", "plan-topo-order",
-			func(v *PlanView) { v.Nodes[0].Args = []int{3} },
+			func(v *PlanView) { v.Nodes[0].Args = []int32{3} },
 		},
 		{
 			"double write", "plan-single-def",
@@ -121,7 +121,7 @@ func TestPlanSafetyMutations(t *testing.T) {
 			"undefined graph output", "plan-output-def",
 			func(v *PlanView) {
 				v.Slots = append(v.Slots, PlanSlot{DType: tensor.Float32, Elems: 16, Storage: -1, Producer: -1})
-				v.Outputs[0] = len(v.Slots) - 1
+				v.Outputs[0] = int32(len(v.Slots) - 1)
 			},
 		},
 		{
@@ -129,7 +129,7 @@ func TestPlanSafetyMutations(t *testing.T) {
 			func(v *PlanView) {
 				// Detach node 1/2's chain from the output: node 3 reads the
 				// input directly instead of slot 4.
-				v.Nodes[3].Args = []int{0, 1}
+				v.Nodes[3].Args = []int32{0, 1}
 			},
 		},
 	}
@@ -152,15 +152,15 @@ func TestPlanSafetySubPlan(t *testing.T) {
 	sub.Slots[4].Storage = 1 // overlap inside the sub-plan
 	v := &PlanView{
 		Nodes: []PlanNode{
-			{ID: 0, Kind: PlanNodePrimitive, Label: "fused", Args: []int{0}, Outs: []int{1}, Sub: sub},
+			{ID: 0, Kind: PlanNodePrimitive, Label: "fused", Args: []int32{0}, Outs: []int32{1}, Sub: sub},
 		},
 		Slots: []PlanSlot{
 			{DType: tensor.Float32, Elems: 16, Storage: -1, Producer: -1, IsInput: true},
 			{DType: tensor.Float32, Elems: 16, Storage: 0, Producer: 0, IsOutput: true},
 		},
 		Storages: []PlanStorage{{DType: tensor.Float32, Elems: 16}},
-		Params:   []int{0},
-		Outputs:  []int{1},
+		Params:   []int32{0},
+		Outputs:  []int32{1},
 	}
 	res := PlanSafety(v)
 	if !res.Has("plan-storage-alias") {
@@ -183,8 +183,8 @@ func TestPlanSafetySubPlan(t *testing.T) {
 func TestPlanSafetyExternalOutputs(t *testing.T) {
 	v := &PlanView{
 		Nodes: []PlanNode{
-			{ID: 0, Kind: PlanNodeExternal, Label: "nir_0", Args: []int{0}, Outs: []int{1}},
-			{ID: 1, Kind: PlanNodeOp, Label: "softmax", Level: 1, Args: []int{1}, Outs: []int{2}},
+			{ID: 0, Kind: PlanNodeExternal, Label: "nir_0", Args: []int32{0}, Outs: []int32{1}},
+			{ID: 1, Kind: PlanNodeOp, Label: "softmax", Level: 1, Args: []int32{1}, Outs: []int32{2}},
 		},
 		Slots: []PlanSlot{
 			{DType: tensor.UInt8, Elems: 4, Storage: -1, Producer: -1, IsInput: true},
@@ -192,8 +192,8 @@ func TestPlanSafetyExternalOutputs(t *testing.T) {
 			{DType: tensor.Float32, Elems: 4, Storage: 1, Producer: 1, IsOutput: true},
 		},
 		Storages: []PlanStorage{{DType: tensor.UInt8, Elems: 4}, {DType: tensor.Float32, Elems: 4}},
-		Params:   []int{0},
-		Outputs:  []int{2},
+		Params:   []int32{0},
+		Outputs:  []int32{2},
 	}
 	if res := PlanSafety(v); !res.OK() {
 		t.Fatalf("clean external plan rejected: %v", res.Diags)

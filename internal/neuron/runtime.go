@@ -68,12 +68,15 @@ var relu6Attrs = relay.Attrs{"a_min": 0.0, "a_max": 6.0}
 
 var emptyAttrs = relay.Attrs{}
 
+// newOperandTensor allocates an operand buffer, rewritten by every Execute:
+// volatile, so no kernel keeps what it derives from one run's values.
 func newOperandTensor(od Operand) *tensor.Tensor {
 	t := tensor.New(od.Type.DType, od.Type.Shape)
 	if od.Type.Quant != nil {
 		q := *od.Type.Quant
 		t.Quant = &q
 	}
+	t.MarkVolatile()
 	return t
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/tensor"
 )
 
@@ -314,6 +315,48 @@ func TestRewriteIdentityReturnsSameNodes(t *testing.T) {
 	out := Rewrite(fn, func(e Expr) Expr { return e })
 	if out != Expr(fn) {
 		t.Error("identity rewrite should return the original node")
+	}
+}
+
+// A rewrite copies an argument list only where a child changed: untouched
+// subtrees come back pointer-identical, and an identity rewrite allocates
+// the same few objects whatever the size of the graph.
+func TestRewriteCopiesOnlyChangedArgs(t *testing.T) {
+	x := NewVar("x", TType(tensor.Float32, 2))
+	kept := NewCall(OpReLU, []Expr{x}, nil)
+	sum := NewCall(OpAdd, []Expr{kept, NewCall(OpSigmoid, []Expr{x}, nil)}, nil)
+	out := Rewrite(sum, func(e Expr) Expr {
+		if c, ok := e.(*Call); ok && c.Op == OpSigmoid {
+			return NewCall(OpTanh, c.Args, nil)
+		}
+		return e
+	}).(*Call)
+	if out == sum || out.Args[0] != Expr(kept) {
+		t.Errorf("rewrite rebuilt an unchanged operand or kept a changed call")
+	}
+	if out.Args[1].(*Call).Op != OpTanh {
+		t.Error("rewrite did not apply")
+	}
+
+	if race.Enabled {
+		return // allocation counts are nondeterministic under the race detector
+	}
+	chain := func(n int) Expr {
+		e := Expr(x)
+		for i := 0; i < n; i++ {
+			e = NewCall(OpReLU, []Expr{e}, nil)
+		}
+		return e
+	}
+	allocs := func(e Expr) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if Rewrite(e, func(e Expr) Expr { return e }) != e {
+				t.Fatal("identity rewrite returned a new graph")
+			}
+		})
+	}
+	if short, long := allocs(chain(10)), allocs(chain(400)); long != short {
+		t.Errorf("identity rewrite allocates %v objects over 400 calls, %v over 10", long, short)
 	}
 }
 

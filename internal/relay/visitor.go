@@ -1,6 +1,9 @@
 package relay
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // This file provides the AST traversal infrastructure the paper's Listing 1
 // is built on: a memoized post-order DFS visitor (TVM's ExprVisitor) and a
@@ -110,25 +113,17 @@ func Rewrite(e Expr, fn func(Expr) Expr) Expr {
 			if n.Fn != nil {
 				newFn = walk(n.Fn)
 			}
-			newArgs := make([]Expr, len(n.Args))
-			changed := newFn != n.Fn
-			for i, a := range n.Args {
-				newArgs[i] = walk(a)
-				changed = changed || newArgs[i] != a
-			}
-			if changed {
+			newArgs := rewriteList(n.Args, walk)
+			if newArgs != nil || newFn != n.Fn {
+				if newArgs == nil {
+					newArgs = slices.Clone(n.Args)
+				}
 				rebuilt = &Call{Op: n.Op, Fn: newFn, Args: newArgs, Attrs: n.Attrs}
 			} else {
 				rebuilt = n
 			}
 		case *Tuple:
-			newFields := make([]Expr, len(n.Fields))
-			changed := false
-			for i, f := range n.Fields {
-				newFields[i] = walk(f)
-				changed = changed || newFields[i] != f
-			}
-			if changed {
+			if newFields := rewriteList(n.Fields, walk); newFields != nil {
 				rebuilt = &Tuple{Fields: newFields}
 			} else {
 				rebuilt = n
@@ -156,6 +151,23 @@ func Rewrite(e Expr, fn func(Expr) Expr) Expr {
 		return out
 	}
 	return walk(e)
+}
+
+// rewriteList walks every expression of xs and returns the rewritten list,
+// or nil when no element changed: the copy is made at the first change.
+func rewriteList(xs []Expr, walk func(Expr) Expr) []Expr {
+	var out []Expr
+	for i, x := range xs {
+		r := walk(x)
+		if out == nil && r != x {
+			out = make([]Expr, len(xs))
+			copy(out, xs[:i])
+		}
+		if out != nil {
+			out[i] = r
+		}
+	}
+	return out
 }
 
 // FreeVars returns the variables used by e that are not bound by any

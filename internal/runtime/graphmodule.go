@@ -208,7 +208,7 @@ func (g *GraphModule) runPlanned(st *planState) error {
 		return err
 	}
 	g.outputs = g.outputs[:0]
-	for _, s := range st.plan.outputs {
+	for _, s := range st.plan.ids(st.plan.outputs) {
 		g.outputs = append(g.outputs, st.slots[s])
 	}
 	if g.profiling {
@@ -233,7 +233,9 @@ func (g *GraphModule) runInterp() error {
 	}
 	ex := newExecutor(g.lib, prof)
 	for _, p := range main.Params {
-		ex.env[p] = g.inputs[p.Name]
+		in := g.inputs[p.Name]
+		in.MarkVolatile() // refillable between runs, like the planned executor's inputs
+		ex.env[p] = in
 	}
 	out, err := ex.eval(main.Body)
 	if err != nil {

@@ -2,6 +2,7 @@ package runtime_test
 
 import (
 	goruntime "runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -60,4 +61,63 @@ func TestPackedWeightDiesWithItsLib(t *testing.T) {
 		}
 	}
 	t.Fatal("a packed weight constant was still reachable after its Lib and GraphModule were dropped")
+}
+
+// TestWeightPanelsFollowRefilledInput: a dense weight that is a graph input,
+// or an intermediate computed from one — an arena view, or on the BYOC build
+// a Neuron working-set operand — is refilled between runs, so no run may
+// reuse panels packed from an earlier run's values. Each of two runs, planned
+// and interpreted, must equal a fresh module's computation on copies of the
+// inputs, bit for bit. With the first run's panels kept, the second run is
+// off by 2 to 4.
+func TestWeightPanelsFollowRefilledInput(t *testing.T) {
+	data := relay.NewVar("data", relay.TType(tensor.Float32, 2, 16))
+	weight := relay.NewVar("weight", relay.TType(tensor.Float32, 8, 16))
+	for _, b := range []struct {
+		name string
+		w    relay.Expr
+	}{
+		{"input", weight},
+		{"intermediate", relay.NewCall(relay.OpReLU, []relay.Expr{weight}, nil)},
+	} {
+		mod := relay.NewModule(relay.NewFunc([]*relay.Var{data, weight},
+			relay.NewCall(relay.OpDense, []relay.Expr{data, b.w}, nil)))
+		for _, opts := range []runtime.BuildOptions{{OptLevel: 3}, {OptLevel: 3, UseNIR: true}} {
+			lib, err := runtime.Build(mod, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh := func(x, w *tensor.Tensor) *tensor.Tensor {
+				gm := runtime.NewGraphModule(lib)
+				gm.SetExecutor(runtime.ExecutorInterp)
+				gm.SetInput("data", x)
+				gm.SetInput("weight", w)
+				if err := gm.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return gm.MustOutput(0)
+			}
+			for _, exec := range []runtime.ExecutorKind{runtime.ExecutorPlanned, runtime.ExecutorInterp} {
+				x := tensor.New(tensor.Float32, tensor.Shape{2, 16})
+				w := tensor.New(tensor.Float32, tensor.Shape{8, 16})
+				gm := runtime.NewGraphModule(lib)
+				gm.SetExecutor(exec)
+				gm.SetInput("data", x)
+				gm.SetInput("weight", w)
+				for seed := uint64(1); seed <= 2; seed++ {
+					rng := tensor.NewRNG(seed)
+					x.FillUniform(rng, -1, 1)
+					w.FillUniform(rng, -1, 1)
+					if err := gm.Run(); err != nil {
+						t.Fatal(err)
+					}
+					got, want := gm.MustOutput(0), fresh(x.Clone(), w.Clone())
+					if !slices.Equal(got.F32(), want.F32()) {
+						t.Errorf("weight %s, %d region(s), executor %v, run %d: differs from a fresh computation by %g",
+							b.name, len(lib.External), exec, seed, tensor.MaxAbsDiff(got, want))
+					}
+				}
+			}
+		}
+	}
 }

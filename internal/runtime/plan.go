@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/analysis"
 	"repro/internal/neuron"
@@ -50,67 +52,67 @@ func (k planNodeKind) String() string {
 // tuple of pvals. Tuples exist only at plan time — the builder resolves every
 // TupleGetItem statically, so the executed plan moves tensors exclusively.
 type pval struct {
-	slot   int
+	slot   int32
 	fields []pval // non-nil for tuple-valued expressions
 }
 
-// planNode is one executable step.
-type planNode struct {
-	id    int
-	kind  planNodeKind
-	level int // wavefront dependency level
-	lane  int // index within the level — the trace row concurrent nodes render on
+// span is the half-open range [lo, hi) of a plan's index slab.
+type span struct{ lo, hi int32 }
 
-	// label names the node for profile events and trace spans: the op name,
-	// the fused kernel's op chain, or the external region's global symbol.
+// planNode is one executable step, a value in the plan's node slab.
+type planNode struct {
+	kind  planNodeKind
+	level int32 // wavefront dependency level
+	lane  int32 // index within the level — the trace row concurrent nodes render on
+
+	args span // input slot ids, tuple arguments pre-flattened
+	out  span // output slot ids (more than one only for multi-output externals)
+
+	// label names the node for profile events and trace spans: the op name
+	// an op node dispatches, the fused kernel's op chain, or the external
+	// region's global symbol (its key in Lib.External).
 	label string
 
 	// nodeOp fields.
-	opName string
-	attrs  relay.Attrs
-	outTy  *relay.TensorType
+	attrs relay.Attrs
+	outTy *relay.TensorType
 
-	args []int // input slot ids, tuple arguments pre-flattened
-	out  []int // output slot ids (len > 1 only for multi-output externals)
-
-	// nodePrim fields.
-	fn  *relay.Function
+	// nodePrim field.
 	sub *ExecPlan
 
 	// nodeExternal fields.
-	sym string
-	cm  *neuron.CompiledModel
+	cm *neuron.CompiledModel
 	// devSummary renders the Execution Planner's device placement for trace
 	// spans ("apu:12 cpu:3"), precomputed so profiled runs don't re-derive it.
 	devSummary string
 
 	// charge is the precomputed TVM-engine cost of this node (op and
-	// primitive nodes). External nodes charge through cm.Estimate instead.
+	// primitive nodes of a top-level plan). External nodes charge through
+	// cm.Estimate instead.
 	charge soc.Seconds
 
 	// work is the node's MACs (soc.WorkOf, summed over a fused or external
-	// body): the wavefront's split estimate.
+	// body): the wavefront's split estimate, zero inside a sub-plan.
 	work int64
 }
 
-// slotInfo describes one value slot: the static type, the producing node,
-// the liveness interval in wavefront levels, and the arena storage backing
-// it. Every node result is arena-backed, a NeuroPilot region's included: the
-// Neuron runtime writes its outputs into the views it is handed. Only graph
-// inputs and constants are externally owned (Storage -1).
+// slotInfo describes one value slot: the static type, the producing node and
+// the arena storage backing it. Every node result is arena-backed, a
+// NeuroPilot region's included: the Neuron runtime writes its outputs into
+// the views it is handed. Only graph inputs and constants are externally
+// owned (Storage -1).
 type slotInfo struct {
-	Shape tensor.Shape
-	DType tensor.DType
-	Quant *tensor.QuantParams
-
-	Producer int // producing node id; -1 for inputs and constants
-	Storage  int // arena storage id; -1 when not arena-backed
-	DefLevel int // level of the producing node; -1 for inputs/constants
-	LastUse  int // highest consumer level (= DefLevel when unconsumed)
-	IsOutput bool
+	Type *relay.TensorType
 
 	Const     *tensor.Tensor // non-nil for constant slots
 	InputName string         // non-empty for graph-input slots
+
+	Producer int32 // producing node id; -1 for inputs and constants
+	Storage  int32 // arena storage id; -1 when not arena-backed
+	IsOutput bool
+	// IsParam marks the slots the caller binds per run: graph inputs, and a
+	// sub-plan's parameters, which are positional and so unnamed.
+	IsParam bool
 }
 
 // storageRec is one arena buffer: slots only share a storage when their
@@ -120,17 +122,19 @@ type storageRec struct {
 	Elems int
 }
 
-// ExecPlan is a lowered, memory-planned form of a module's main function.
+// ExecPlan is a lowered, memory-planned form of a module's main function,
+// held as flat value slabs: nodes and slots are values, and every id list —
+// a node's arguments and results, a level's nodes, the params and outputs —
+// is a span of the one index slab.
 type ExecPlan struct {
-	nodes  []*planNode
-	slots  []*slotInfo
-	levels [][]int // node ids per dependency level
-
-	params  []int          // input slots in declaration order
-	inputs  map[string]int // input name → slot
-	outputs []int          // graph-output slots in result order
-
+	nodes    []planNode
+	slots    []slotInfo
 	storages []storageRec
+	index    []int32
+	levels   []span // node ids per dependency level
+
+	params  span // input slots in declaration order
+	outputs span // graph-output slots in result order
 
 	// NaiveBytes is what one-buffer-per-node allocation would use for the
 	// arena-backed intermediates; ArenaBytes is what the planner's reuse
@@ -144,6 +148,9 @@ type ExecPlan struct {
 	// table is loaded — the graceful-fallback path.
 	TunedNodes int
 }
+
+// ids returns the index slab's span s.
+func (p *ExecPlan) ids(s span) []int32 { return p.index[s.lo:s.hi] }
 
 // NumNodes returns the executable node count.
 func (p *ExecPlan) NumNodes() int { return len(p.nodes) }
@@ -164,13 +171,58 @@ func (p *ExecPlan) String() string {
 		len(p.nodes), len(p.levels), len(p.slots), len(p.storages), p.ArenaBytes, p.NaiveBytes, tuned)
 }
 
-// planBuilder lowers relay expressions into an ExecPlan.
+// planBuilder lowers relay expressions into an ExecPlan. It builds in scratch
+// slabs and seals the plan into exactly sized ones, so one builder — taken
+// from builderPool with its maps and slabs grown by earlier plans — lowers
+// plan after plan, and a warm build allocates little beyond the plan.
 type planBuilder struct {
 	lib   *Lib
-	plan  *ExecPlan
+	inner bool // building a primitive sub-plan
 	memo  map[relay.Expr]pval
 	env   map[*relay.Var]pval
-	inner bool // building a primitive sub-plan
+	// sub lowers this builder's fused sub-plans, one after another.
+	sub *planBuilder
+
+	nodes   []planNode
+	slots   []slotInfo
+	index   []int32
+	params  span
+	outputs span
+	tuned   int
+	// stack holds the argument slots of the calls being lowered: a call
+	// lowers its arguments, which push and pop their own, before it moves
+	// its own into the index slab.
+	stack []int32
+	label []byte // a fused kernel's label, spelled here before it is copied out
+
+	// finish's scratch.
+	levels   []span
+	lastUse  []int32   // per slot, the deepest level that reads it
+	freeAt   [][]int32 // per level, the storages its last readers release
+	avail    []int32
+	storages []storageRec
+}
+
+var builderPool = sync.Pool{New: func() any { return newPlanBuilder(false) }}
+
+func newPlanBuilder(inner bool) *planBuilder {
+	return &planBuilder{
+		inner: inner,
+		memo:  map[relay.Expr]pval{},
+		env:   map[*relay.Var]pval{},
+	}
+}
+
+// reset empties the builder for the next plan of lib, dropping every
+// reference the last one held.
+func (b *planBuilder) reset(lib *Lib) {
+	b.lib = lib
+	clear(b.memo)
+	clear(b.env)
+	clear(b.nodes)
+	clear(b.slots)
+	b.nodes, b.slots, b.index, b.stack = b.nodes[:0], b.slots[:0], b.index[:0], b.stack[:0]
+	b.params, b.outputs, b.tuned = span{}, span{}, 0
 }
 
 // BuildPlan lowers the library's main function into an execution plan. It
@@ -178,76 +230,91 @@ type planBuilder struct {
 // non-primitive function calls, tuple-typed parameters); callers fall back
 // to the interpreting executor in that case.
 func BuildPlan(lib *Lib) (*ExecPlan, error) {
+	b := builderPool.Get().(*planBuilder)
+	b.reset(lib)
+	defer func() {
+		for x := b; x != nil; x = x.sub {
+			x.reset(nil)
+		}
+		builderPool.Put(b)
+	}()
 	main := lib.Module.Main()
-	b := newPlanBuilder(lib, false)
 	for _, prm := range main.Params {
 		tt, ok := prm.TypeAnnotation.(*relay.TensorType)
 		if !ok {
 			return nil, fmt.Errorf("runtime: plan: input %q is not tensor-typed", prm.Name)
 		}
-		s := b.addSlot(tt)
-		b.plan.slots[s].InputName = prm.Name
-		b.plan.inputs[prm.Name] = s
-		b.plan.params = append(b.plan.params, s)
+		s := b.addParam(tt)
+		b.slots[s].InputName = prm.Name
 		b.env[prm] = pval{slot: s}
 	}
 	root, err := b.eval(main.Body)
 	if err != nil {
 		return nil, err
 	}
-	if root.fields != nil {
-		for i, f := range root.fields {
-			if f.fields != nil {
-				return nil, fmt.Errorf("runtime: plan: nested tuple in graph output %d", i)
-			}
-			b.plan.outputs = append(b.plan.outputs, f.slot)
+	if root.fields == nil {
+		b.stack = append(b.stack, root.slot)
+	}
+	for i, f := range root.fields {
+		if f.fields != nil {
+			return nil, fmt.Errorf("runtime: plan: nested tuple in graph output %d", i)
 		}
-	} else {
-		b.plan.outputs = append(b.plan.outputs, root.slot)
+		b.stack = append(b.stack, f.slot)
 	}
-	for _, s := range b.plan.outputs {
-		b.plan.slots[s].IsOutput = true
-	}
-	b.finish()
+	b.setOutputs()
+	plan := b.finish()
 	// The one gate: the safety checker re-derives levels and liveness from
-	// the exported node list alone and audits the storage assignment and the
+	// the plan's node list alone and audits the storage assignment and the
 	// executed wavefronts against them (see internal/analysis), so a planner
 	// bug surfaces as a build-time diagnostic, not a corrupted inference.
-	if err := analysis.PlanSafety(b.plan.View()).Err(); err != nil {
+	if err := analysis.PlanSafety((*checkedPlan)(plan)).Err(); err != nil {
 		return nil, fmt.Errorf("runtime: built plan failed verification: %w", err)
 	}
-	return b.plan, nil
+	return plan, nil
 }
 
-func newPlanBuilder(lib *Lib, inner bool) *planBuilder {
-	return &planBuilder{
-		lib:   lib,
-		plan:  &ExecPlan{inputs: map[string]int{}},
-		memo:  map[relay.Expr]pval{},
-		env:   map[*relay.Var]pval{},
-		inner: inner,
+func (b *planBuilder) addSlot(tt *relay.TensorType) int32 {
+	b.slots = append(b.slots, slotInfo{Type: tt, Producer: -1, Storage: -1})
+	return int32(len(b.slots) - 1)
+}
+
+// addParam adds a slot the caller binds. Params come before any node, so
+// they are the index slab's first span.
+func (b *planBuilder) addParam(tt *relay.TensorType) int32 {
+	s := b.addSlot(tt)
+	b.slots[s].IsParam = true
+	b.index = append(b.index, s)
+	b.params.hi = int32(len(b.index))
+	return s
+}
+
+// setOutputs makes the slots on the stack the graph outputs, in order.
+func (b *planBuilder) setOutputs() {
+	for _, s := range b.stack {
+		b.slots[s].IsOutput = true
 	}
+	b.outputs = b.push(b.stack...)
+	b.stack = b.stack[:0]
 }
 
-func (b *planBuilder) addSlot(tt *relay.TensorType) int {
-	b.plan.slots = append(b.plan.slots, &slotInfo{
-		Shape:    tt.Shape,
-		DType:    tt.DType,
-		Quant:    tt.Quant,
-		Producer: -1,
-		Storage:  -1,
-		DefLevel: -1,
-	})
-	return len(b.plan.slots) - 1
-}
-
-func (b *planBuilder) addNode(n *planNode) int {
-	n.id = len(b.plan.nodes)
-	b.plan.nodes = append(b.plan.nodes, n)
-	for _, o := range n.out {
-		b.plan.slots[o].Producer = n.id
+// addNode appends n reading the argument slots pushed on the stack from
+// base on and writing outs, and pops the arguments.
+func (b *planBuilder) addNode(n planNode, base int, outs ...int32) {
+	id := int32(len(b.nodes))
+	n.args = b.push(b.stack[base:]...)
+	n.out = b.push(outs...)
+	for _, o := range outs {
+		b.slots[o].Producer = id
 	}
-	return n.id
+	b.nodes = append(b.nodes, n)
+	b.stack = b.stack[:base]
+}
+
+// push appends ids to the index slab and returns their span.
+func (b *planBuilder) push(ids ...int32) span {
+	lo := int32(len(b.index))
+	b.index = append(b.index, ids...)
+	return span{lo, int32(len(b.index))}
 }
 
 func (b *planBuilder) eval(e relay.Expr) (pval, error) {
@@ -276,7 +343,7 @@ func (b *planBuilder) evalUncached(e relay.Expr) (pval, error) {
 			return pval{}, fmt.Errorf("runtime: plan: constant with non-tensor type")
 		}
 		s := b.addSlot(tt)
-		b.plan.slots[s].Const = n.Value
+		b.slots[s].Const = n.Value
 		return pval{slot: s}, nil
 	case *relay.Tuple:
 		fields := make([]pval, len(n.Fields))
@@ -306,27 +373,26 @@ func (b *planBuilder) evalUncached(e relay.Expr) (pval, error) {
 	return pval{}, fmt.Errorf("runtime: plan: cannot lower %T", e)
 }
 
-// flattenArgs resolves call arguments to flat slot lists, mirroring the
+// pushArgs lowers call arguments and pushes their slots, mirroring the
 // interpreter's tuple flattening for operator calls (concatenate).
-func (b *planBuilder) flattenArgs(args []relay.Expr, what string) ([]int, error) {
-	flat := make([]int, 0, len(args))
+func (b *planBuilder) pushArgs(args []relay.Expr, what string) error {
 	for _, a := range args {
 		v, err := b.eval(a)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if v.fields == nil {
-			flat = append(flat, v.slot)
+			b.stack = append(b.stack, v.slot)
 			continue
 		}
 		for _, f := range v.fields {
 			if f.fields != nil {
-				return nil, fmt.Errorf("runtime: plan: nested tuple argument to %s", what)
+				return fmt.Errorf("runtime: plan: nested tuple argument to %s", what)
 			}
-			flat = append(flat, f.slot)
+			b.stack = append(b.stack, f.slot)
 		}
 	}
-	return flat, nil
+	return nil
 }
 
 func (b *planBuilder) evalCall(c *relay.Call) (pval, error) {
@@ -351,8 +417,8 @@ func (b *planBuilder) evalCall(c *relay.Call) (pval, error) {
 }
 
 func (b *planBuilder) evalOpCall(c *relay.Call) (pval, error) {
-	args, err := b.flattenArgs(c.Args, c.Op.Name)
-	if err != nil {
+	base := len(b.stack)
+	if err := b.pushArgs(c.Args, c.Op.Name); err != nil {
 		return pval{}, err
 	}
 	outTy, ok := c.CheckedType().(*relay.TensorType)
@@ -360,20 +426,16 @@ func (b *planBuilder) evalOpCall(c *relay.Call) (pval, error) {
 		return pval{}, fmt.Errorf("runtime: plan: op %s has non-tensor checked type %v", c.Op.Name, c.CheckedType())
 	}
 	out := b.addSlot(outTy)
-	w := soc.WorkOf(c)
-	b.addNode(&planNode{
-		kind:   nodeOp,
-		opName: c.Op.Name,
-		label:  c.Op.Name,
-		attrs:  c.Attrs,
-		outTy:  outTy,
-		args:   args,
-		out:    []int{out},
-		charge: b.lib.SoC.CPU.OpTime(w, soc.TVMEff(w)),
-		work:   w.MACs,
-	})
+	n := planNode{kind: nodeOp, label: c.Op.Name, attrs: c.Attrs, outTy: outTy}
+	// A sub-plan's nodes are neither charged nor split by work: their
+	// primitive node is, as one launch.
+	if !b.inner {
+		w := soc.WorkOf(c)
+		n.charge, n.work = b.lib.SoC.CPU.OpTime(w, soc.TVMEff(w)), w.MACs
+	}
+	b.addNode(n, base, out)
 	if planNodeTuned(c) {
-		b.plan.TunedNodes++
+		b.tuned++
 	}
 	return pval{slot: out}, nil
 }
@@ -416,21 +478,24 @@ func planSummary(cm *neuron.CompiledModel) string {
 }
 
 // primLabel names a fused kernel by its operator chain ("fused:conv2d+relu").
-func primLabel(fn *relay.Function) string {
-	var ops []string
+func primLabel(fn *relay.Function) string { return string(appendPrimLabel(nil, fn)) }
+
+// appendPrimLabel appends primLabel(fn) to dst.
+func appendPrimLabel(dst []byte, fn *relay.Function) []byte {
+	dst = append(dst, "fused:"...)
+	start := len(dst)
 	relay.PostOrderVisit(fn.Body, func(e relay.Expr) {
 		if c, ok := e.(*relay.Call); ok && c.Op != nil {
-			ops = append(ops, c.Op.Name)
+			if len(dst) > start {
+				dst = append(dst, '+')
+			}
+			dst = append(dst, c.Op.Name...)
 		}
 	})
-	if len(ops) == 0 {
-		return "fused:identity"
+	if len(dst) == start {
+		dst = append(dst, "identity"...)
 	}
-	out := "fused:" + ops[0]
-	for _, o := range ops[1:] {
-		out += "+" + o
-	}
-	return out
+	return dst
 }
 
 // evalPrimitive lowers a fused kernel: the body becomes a serial sub-plan
@@ -443,19 +508,22 @@ func (b *planBuilder) evalPrimitive(c *relay.Call, fn *relay.Function) (pval, er
 	// Fused functions may take tuple-typed parameters (fused concatenate):
 	// the sub-plan assigns one slot per leaf tensor, and the call site passes
 	// the argument leaves in the same order.
-	var args []int
+	base := len(b.stack)
 	for i, a := range c.Args {
 		v, err := b.eval(a)
 		if err != nil {
 			return pval{}, err
 		}
-		before := len(args)
-		args = appendLeaves(args, v)
-		if got, want := len(args)-before, countLeaves(fn.Params[i].TypeAnnotation); got != want {
+		before := len(b.stack)
+		b.pushLeaves(v)
+		if got, want := len(b.stack)-before, countLeaves(fn.Params[i].TypeAnnotation); got != want {
 			return pval{}, fmt.Errorf("runtime: plan: primitive argument %d has %d tensor leaves, parameter wants %d", i, got, want)
 		}
 	}
-	sub, err := buildSubPlan(b.lib, fn)
+	if b.sub == nil {
+		b.sub = newPlanBuilder(true)
+	}
+	sub, err := b.sub.buildSubPlan(b.lib, fn)
 	if err != nil {
 		return pval{}, err
 	}
@@ -464,31 +532,28 @@ func (b *planBuilder) evalPrimitive(c *relay.Call, fn *relay.Function) (pval, er
 		return pval{}, fmt.Errorf("runtime: plan: primitive with non-tensor result type %v", c.CheckedType())
 	}
 	out := b.addSlot(outTy)
-	b.plan.TunedNodes += sub.TunedNodes
+	b.tuned += sub.TunedNodes
 	fw := soc.FunctionWork(fn)
-	b.addNode(&planNode{
+	b.label = appendPrimLabel(b.label[:0], fn)
+	b.addNode(planNode{
 		kind:   nodePrim,
-		fn:     fn,
-		label:  primLabel(fn),
+		label:  string(b.label),
 		sub:    sub,
-		outTy:  outTy,
-		args:   args,
-		out:    []int{out},
 		charge: b.lib.SoC.CPU.OpTime(fw, soc.TVMEff(fw)),
 		work:   fw.MACs,
-	})
+	}, base, out)
 	return pval{slot: out}, nil
 }
 
-// appendLeaves collects a pval's tensor slots in depth-first order.
-func appendLeaves(dst []int, v pval) []int {
+// pushLeaves pushes a pval's tensor slots in depth-first order.
+func (b *planBuilder) pushLeaves(v pval) {
 	if v.fields == nil {
-		return append(dst, v.slot)
+		b.stack = append(b.stack, v.slot)
+		return
 	}
 	for _, f := range v.fields {
-		dst = appendLeaves(dst, f)
+		b.pushLeaves(f)
 	}
-	return dst
 }
 
 // countLeaves counts the tensor leaves of a type (1 for a tensor, the summed
@@ -508,38 +573,35 @@ func countLeaves(ty relay.Type) int {
 // buildSubPlan lowers a primitive function body. Sub-plans execute serially
 // inside one wavefront task, so two primitive nodes scheduled concurrently
 // never share sub-plan state: each prim node binds its own arena.
-func buildSubPlan(lib *Lib, fn *relay.Function) (*ExecPlan, error) {
-	sb := newPlanBuilder(lib, true)
+func (b *planBuilder) buildSubPlan(lib *Lib, fn *relay.Function) (*ExecPlan, error) {
+	b.reset(lib)
 	for i, prm := range fn.Params {
-		v, err := sb.paramSlots(prm.TypeAnnotation)
+		v, err := b.paramSlots(prm.TypeAnnotation)
 		if err != nil {
 			return nil, fmt.Errorf("runtime: plan: primitive parameter %d: %w", i, err)
 		}
-		sb.env[prm] = v
+		b.env[prm] = v
 	}
-	root, err := sb.eval(fn.Body)
+	root, err := b.eval(fn.Body)
 	if err != nil {
 		return nil, err
 	}
 	if root.fields != nil {
 		return nil, fmt.Errorf("runtime: plan: tuple-valued primitive body is not plannable")
 	}
-	sb.plan.outputs = []int{root.slot}
-	sb.plan.slots[root.slot].IsOutput = true
-	sb.finish()
-	return sb.plan, nil
+	b.stack = append(b.stack, root.slot)
+	b.setOutputs()
+	return b.finish(), nil
 }
 
 // paramSlots allocates the input slot(s) for one sub-plan parameter: a
 // single slot for a tensor, a slot tree for a tuple. Every leaf is appended
-// to plan.params in depth-first order — the order the caller passes argument
+// to the params in depth-first order — the order the caller passes argument
 // leaves in.
 func (b *planBuilder) paramSlots(ty relay.Type) (pval, error) {
 	switch tt := ty.(type) {
 	case *relay.TensorType:
-		s := b.addSlot(tt)
-		b.plan.params = append(b.plan.params, s)
-		return pval{slot: s}, nil
+		return pval{slot: b.addParam(tt)}, nil
 	case *relay.TupleType:
 		fields := make([]pval, len(tt.Fields))
 		for i, f := range tt.Fields {
@@ -563,78 +625,89 @@ func (b *planBuilder) evalExternal(c *relay.Call, fn *relay.Function) (pval, err
 	if !ok {
 		return pval{}, fmt.Errorf("runtime: plan: external module %q not compiled (was Build run with UseNIR?)", sym)
 	}
-	args, err := b.flattenArgs(c.Args, "external region "+sym)
-	if err != nil {
+	base := len(b.stack)
+	if err := b.pushArgs(c.Args, "external region "+sym); err != nil {
 		return pval{}, err
 	}
-	node := &planNode{kind: nodeExternal, sym: sym, label: sym, cm: cm, args: args,
+	node := planNode{kind: nodeExternal, label: sym, cm: cm,
 		devSummary: planSummary(cm), work: soc.FunctionWork(fn).MACs}
 	switch ty := c.CheckedType().(type) {
 	case *relay.TensorType:
-		node.out = []int{b.addSlot(ty)}
-		b.addNode(node)
-		return pval{slot: node.out[0]}, nil
+		out := b.addSlot(ty)
+		b.addNode(node, base, out)
+		return pval{slot: out}, nil
 	case *relay.TupleType:
 		fields := make([]pval, len(ty.Fields))
+		outs := make([]int32, len(ty.Fields))
 		for i, f := range ty.Fields {
 			tt, ok := f.(*relay.TensorType)
 			if !ok {
 				return pval{}, fmt.Errorf("runtime: plan: external %q output %d is not tensor-typed", sym, i)
 			}
-			s := b.addSlot(tt)
-			node.out = append(node.out, s)
-			fields[i] = pval{slot: s}
+			outs[i] = b.addSlot(tt)
+			fields[i] = pval{slot: outs[i]}
 		}
-		b.addNode(node)
+		b.addNode(node, base, outs...)
 		return pval{fields: fields}, nil
 	}
 	return pval{}, fmt.Errorf("runtime: plan: external %q has unsupported result type %v", sym, c.CheckedType())
 }
 
 // finish computes wavefront levels, slot liveness, and the static storage
-// assignment.
-func (b *planBuilder) finish() {
-	p := b.plan
+// assignment, and seals the plan into exactly sized slabs.
+func (b *planBuilder) finish() *ExecPlan {
+	nodes, slots := b.nodes, b.slots
 
 	// Dependency levels: a node runs one level after its deepest producer.
 	// Nodes within a level are mutually independent, so the executor may run
 	// them concurrently.
-	maxLevel := -1
-	for _, n := range p.nodes {
-		lvl := 0
-		for _, s := range n.args {
-			if prod := p.slots[s].Producer; prod >= 0 {
-				if d := p.nodes[prod].level + 1; d > lvl {
-					lvl = d
-				}
+	b.levels = b.levels[:0]
+	for i := range nodes {
+		n := &nodes[i]
+		lvl := int32(0)
+		for _, s := range b.index[n.args.lo:n.args.hi] {
+			if prod := slots[s].Producer; prod >= 0 && nodes[prod].level+1 > lvl {
+				lvl = nodes[prod].level + 1
 			}
 		}
 		n.level = lvl
-		for _, o := range n.out {
-			p.slots[o].DefLevel = lvl
+		for int(lvl) >= len(b.levels) {
+			b.levels = append(b.levels, span{})
 		}
-		if lvl > maxLevel {
-			maxLevel = lvl
-		}
+		n.lane = b.levels[lvl].hi // the level's node count so far
+		b.levels[lvl].hi++
 	}
-	p.levels = make([][]int, maxLevel+1)
-	for _, n := range p.nodes {
-		n.lane = len(p.levels[n.level])
-		p.levels[n.level] = append(p.levels[n.level], n.id)
+	// Each level's node ids, counted above, become a span of the index
+	// slab, in id order.
+	off := int32(len(b.index))
+	for l := range b.levels {
+		cnt := b.levels[l].hi
+		b.levels[l] = span{off, off}
+		off += cnt
+	}
+	b.index = slices.Grow(b.index, len(nodes))[:off]
+	for i := range nodes {
+		lv := &b.levels[nodes[i].level]
+		b.index[lv.hi] = int32(i)
+		lv.hi++
 	}
 
 	// Liveness in level granularity: a slot is live from its defining level
 	// through the deepest level that reads it.
-	for _, sl := range p.slots {
-		sl.LastUse = sl.DefLevel
-	}
-	for _, n := range p.nodes {
-		for _, s := range n.args {
-			if n.level > p.slots[s].LastUse {
-				p.slots[s].LastUse = n.level
-			}
+	lastUse := slices.Grow(b.lastUse[:0], len(slots))[:len(slots)]
+	for s := range slots {
+		lastUse[s] = -1
+		if prod := slots[s].Producer; prod >= 0 {
+			lastUse[s] = nodes[prod].level
 		}
 	}
+	for i := range nodes {
+		n := &nodes[i]
+		for _, s := range b.index[n.args.lo:n.args.hi] {
+			lastUse[s] = max(lastUse[s], n.level)
+		}
+	}
+	b.lastUse = lastUse
 
 	// Static storage assignment. A storage freed at level L only re-enters
 	// the pool at level L+1: nodes within one level run concurrently, so a
@@ -644,20 +717,28 @@ func (b *planBuilder) finish() {
 	// (dtype, element-count) match so views always cover the whole buffer.
 	// An external region's results are planned like an op's: the Neuron
 	// runtime writes into the views it is handed.
-	freeAt := map[int][]int{}
-	var avail []int
-	for lvl := 0; lvl <= maxLevel; lvl++ {
-		if lvl > 0 {
-			avail = append(avail, freeAt[lvl-1]...)
+	for len(b.freeAt) < len(b.levels) {
+		b.freeAt = append(b.freeAt, nil)
+	}
+	for l := range b.levels {
+		b.freeAt[l] = b.freeAt[l][:0]
+	}
+	avail, storages := b.avail[:0], b.storages[:0]
+	naive := 0
+	for l, lv := range b.levels {
+		if l > 0 {
+			avail = append(avail, b.freeAt[l-1]...)
 		}
-		for _, ni := range p.levels[lvl] {
-			for _, o := range p.nodes[ni].out {
-				sl := p.slots[o]
-				p.NaiveBytes += sl.Shape.Elems() * sl.DType.Size()
-				sid := -1
+		for _, ni := range b.index[lv.lo:lv.hi] {
+			n := &nodes[ni]
+			for _, o := range b.index[n.out.lo:n.out.hi] {
+				sl := &slots[o]
+				dt, elems := sl.Type.DType, sl.Type.Shape.Elems()
+				naive += elems * dt.Size()
+				sid := int32(-1)
 				if !sl.IsOutput {
 					for i, id := range avail {
-						if p.storages[id].DType == sl.DType && p.storages[id].Elems == sl.Shape.Elems() {
+						if storages[id].DType == dt && storages[id].Elems == elems {
 							sid = id
 							avail = append(avail[:i], avail[i+1:]...)
 							break
@@ -665,17 +746,31 @@ func (b *planBuilder) finish() {
 					}
 				}
 				if sid < 0 {
-					p.storages = append(p.storages, storageRec{DType: sl.DType, Elems: sl.Shape.Elems()})
-					sid = len(p.storages) - 1
+					storages = append(storages, storageRec{DType: dt, Elems: elems})
+					sid = int32(len(storages) - 1)
 				}
 				sl.Storage = sid
 				if !sl.IsOutput {
-					freeAt[sl.LastUse] = append(freeAt[sl.LastUse], sid)
+					b.freeAt[lastUse[o]] = append(b.freeAt[lastUse[o]], sid)
 				}
 			}
 		}
 	}
-	for _, st := range p.storages {
+	b.avail, b.storages = avail, storages
+
+	p := &ExecPlan{
+		nodes:      slices.Clone(nodes),
+		slots:      slices.Clone(slots),
+		storages:   slices.Clone(storages),
+		index:      slices.Clone(b.index),
+		levels:     slices.Clone(b.levels),
+		params:     b.params,
+		outputs:    b.outputs,
+		NaiveBytes: naive,
+		TunedNodes: b.tuned,
+	}
+	for _, st := range storages {
 		p.ArenaBytes += st.Elems * st.DType.Size()
 	}
+	return p
 }

@@ -11,8 +11,17 @@ import (
 // TestZooPlanSafety proves every zoo model's built ExecPlan clean under the
 // independent plan-safety checker: liveness is recomputed from scratch over
 // the exported PlanView, so agreement here means the planner's interval
-// bookkeeping and the checker's dataflow solution coincide on real plans.
+// bookkeeping and the checker's recomputation coincide on real plans. Both
+// build kinds: the BYOC plans carry the regions, the TVM-only plans a
+// fused sub-plan per kernel.
 func TestZooPlanSafety(t *testing.T) {
+	kinds := []struct {
+		name string
+		opts runtime.BuildOptions
+	}{
+		{"byoc", runtime.BuildOptions{OptLevel: 3, UseNIR: true}},
+		{"tvm", runtime.BuildOptions{OptLevel: 3}},
+	}
 	for _, name := range models.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -25,20 +34,24 @@ func TestZooPlanSafety(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			lib, err := runtime.Build(m, runtime.BuildOptions{OptLevel: 3, UseNIR: true})
-			if err != nil {
-				t.Fatalf("runtime.Build: %v", err)
-			}
-			plan, err := lib.Plan()
-			if err != nil {
-				t.Fatalf("plan: %v", err)
-			}
-			res := analysis.PlanSafety(plan.View())
-			if err := res.Err(); err != nil {
-				t.Errorf("plan safety: %v", err)
-			}
-			for _, d := range res.Diags {
-				t.Logf("diag: %v", d)
+			for _, k := range kinds {
+				t.Run(k.name, func(t *testing.T) {
+					lib, err := runtime.Build(m, k.opts)
+					if err != nil {
+						t.Fatalf("runtime.Build: %v", err)
+					}
+					plan, err := lib.Plan()
+					if err != nil {
+						t.Fatalf("plan: %v", err)
+					}
+					res := analysis.PlanSafety(plan.View())
+					if err := res.Err(); err != nil {
+						t.Errorf("plan safety: %v", err)
+					}
+					for _, d := range res.Diags {
+						t.Logf("diag: %v", d)
+					}
+				})
 			}
 		})
 	}
@@ -155,7 +168,7 @@ func TestZooPlanSafetyRejectsLateReader(t *testing.T) {
 			continue // this model's plan never reuses storage
 		}
 		last := &v.Nodes[len(v.Nodes)-1]
-		last.Args = append(last.Args, victim)
+		last.Args = append(last.Args, int32(victim))
 		if res := analysis.PlanSafety(v); res.OK() {
 			t.Errorf("%s: use-after-release accepted", name)
 		}

@@ -29,10 +29,12 @@ type planState struct {
 	// slots holds each slot's current tensor: constants and arena views
 	// bound at build time, graph inputs rebound per run.
 	slots []*tensor.Tensor
-	args  [][]*tensor.Tensor // per-node argument scratch
-	errs  []error            // per-node error scratch for wavefront execution
-	subs  []*planState       // per-node sub-state (primitive nodes only)
-	ext   []extState         // per-node Neuron state (external nodes only)
+	// args is the nodes' argument scratch, laid out as the plan's index
+	// slab: node n's arguments bind at its args span.
+	args []*tensor.Tensor
+	errs []error      // per-node error scratch for wavefront execution
+	subs []*planState // per-node sub-state (primitive nodes only)
+	ext  []extState   // per-node Neuron state (external nodes only)
 
 	// charged is the plan's simulated cost, charged by the first unprofiled
 	// Run and returned by every later one: the charge reads node costs and
@@ -115,7 +117,7 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 		plan:  p,
 		arena: tensor.NewArena(),
 		slots: make([]*tensor.Tensor, len(p.slots)),
-		args:  make([][]*tensor.Tensor, len(p.nodes)),
+		args:  make([]*tensor.Tensor, len(p.index)),
 		errs:  make([]error, len(p.nodes)),
 		subs:  make([]*planState, len(p.nodes)),
 		ext:   make([]extState, len(p.nodes)),
@@ -123,25 +125,26 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 	for _, rec := range p.storages {
 		st.arena.Add(rec.DType, rec.Elems)
 	}
-	for i, sl := range p.slots {
+	for i := range p.slots {
+		sl := &p.slots[i]
 		switch {
 		case sl.Const != nil:
 			st.slots[i] = sl.Const
 		case sl.Storage >= 0:
-			v, err := st.arena.View(sl.Storage, sl.DType, sl.Shape, sl.Quant)
+			v, err := st.arena.View(int(sl.Storage), sl.Type.DType, sl.Type.Shape, sl.Type.Quant)
 			if err != nil {
 				return nil, fmt.Errorf("runtime: plan state: slot %d: %w", i, err)
 			}
 			st.slots[i] = v
 		}
 	}
-	for id, n := range p.nodes {
-		st.args[id] = make([]*tensor.Tensor, len(n.args))
+	for id := range p.nodes {
+		n := &p.nodes[id]
 		switch n.kind {
 		case nodeExternal:
-			outs := make([]*tensor.Tensor, len(n.out))
-			for i, s := range n.out {
-				outs[i] = st.slots[s]
+			outs := make([]*tensor.Tensor, 0, n.out.hi-n.out.lo)
+			for _, s := range p.ids(n.out) {
+				outs = append(outs, st.slots[s])
 			}
 			st.ext[id] = extState{neuron: n.cm.NewExecState(), outs: outs}
 		case nodePrim:
@@ -154,8 +157,8 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 			// kernel lands in place (no copy). A body that is a bare
 			// parameter or constant has no producing node; runPrim copies
 			// in that case.
-			if outSlot := n.sub.outputs[0]; n.sub.slots[outSlot].Producer >= 0 {
-				sub.slots[outSlot] = st.slots[n.out[0]]
+			if outSlot := n.sub.index[n.sub.outputs.lo]; n.sub.slots[outSlot].Producer >= 0 {
+				sub.slots[outSlot] = st.slots[p.index[n.out.lo]]
 			}
 			st.subs[id] = sub
 		}
@@ -170,14 +173,19 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 // the wavefront interleaved.
 func (st *planState) run(inputs map[string]*tensor.Tensor) error {
 	p := st.plan
-	for name, slot := range p.inputs {
+	for _, slot := range p.ids(p.params) {
+		name := p.slots[slot].InputName
 		in, ok := inputs[name]
 		if !ok {
 			return fmt.Errorf("runtime: input %q not set", name)
 		}
+		// The caller may refill an input between runs: nothing derived from
+		// its data (a weight operand's packed panels) may be kept.
+		in.MarkVolatile()
 		st.slots[slot] = in
 	}
-	for _, lvl := range p.levels {
+	for _, lv := range p.levels {
+		lvl := p.ids(lv)
 		if len(lvl) == 1 {
 			if err := st.exec(lvl[0]); err != nil {
 				return err
@@ -204,7 +212,7 @@ func (st *planState) run(inputs map[string]*tensor.Tensor) error {
 
 // unbindInputs drops the graph inputs bound by the last run.
 func (st *planState) unbindInputs() {
-	for _, slot := range st.plan.inputs {
+	for _, slot := range st.plan.ids(st.plan.params) {
 		st.slots[slot] = nil
 	}
 }
@@ -215,7 +223,7 @@ var levelRegion = parallel.NewRegion(levelArgs.run)
 // recording its error in st.errs.
 type levelArgs struct {
 	st  *planState
-	lvl []int
+	lvl []int32
 }
 
 func (a levelArgs) run(lo, hi int) {
@@ -226,17 +234,18 @@ func (a levelArgs) run(lo, hi int) {
 
 // exec runs one node's numerics, recording a wall-clock span when profiling
 // is enabled.
-func (st *planState) exec(ni int) error {
+func (st *planState) exec(ni int32) error {
 	if st.trace == nil {
 		return st.execNode(ni)
 	}
 	start := time.Now()
 	err := st.execNode(ni)
 	dur := time.Since(start)
-	n := st.plan.nodes[ni]
-	args := []obs.Arg{obs.A("level", n.level)}
-	if len(n.out) > 0 && st.plan.slots[n.out[0]].Storage >= 0 {
-		args = append(args, obs.A("storage", st.plan.slots[n.out[0]].Storage))
+	p := st.plan
+	n := &p.nodes[ni]
+	args := []obs.Arg{obs.A("level", int(n.level))}
+	if outs := p.ids(n.out); len(outs) > 0 && p.slots[outs[0]].Storage >= 0 {
+		args = append(args, obs.A("storage", int(p.slots[outs[0]].Storage)))
 	}
 	if n.kind == nodeExternal {
 		args = append(args, obs.A("devices", n.devSummary))
@@ -245,7 +254,7 @@ func (st *planState) exec(ni int) error {
 		Name:  n.label,
 		Cat:   n.kind.String(),
 		PID:   obs.PIDExec,
-		TID:   n.lane + 1,
+		TID:   int(n.lane) + 1,
 		Start: start.Sub(st.traceEpoch).Microseconds(),
 		Dur:   dur.Microseconds(),
 		Args:  args,
@@ -256,21 +265,22 @@ func (st *planState) exec(ni int) error {
 // execNode runs one node's numerics.
 //
 //np:hotpath
-func (st *planState) execNode(ni int) error {
-	n := st.plan.nodes[ni]
-	args := st.args[ni]
-	for i, s := range n.args {
+func (st *planState) execNode(ni int32) error {
+	p := st.plan
+	n := &p.nodes[ni]
+	args := st.args[n.args.lo:n.args.hi]
+	for i, s := range p.ids(n.args) {
 		args[i] = st.slots[s]
 	}
 	switch n.kind {
 	case nodeOp:
-		return topi.RunInto(n.opName, args, n.attrs, n.outTy, st.slots[n.out[0]])
+		return topi.RunInto(n.label, args, n.attrs, n.outTy, st.slots[p.index[n.out.lo]])
 	case nodePrim:
 		return st.runPrim(ni, n, args)
 	case nodeExternal:
 		x := &st.ext[ni]
 		if err := n.cm.ExecuteInto(x.neuron, args, x.outs); err != nil {
-			return fmt.Errorf("runtime: external region %q: %w", n.sym, err)
+			return fmt.Errorf("runtime: external region %q: %w", n.label, err)
 		}
 		return nil
 	}
@@ -282,25 +292,25 @@ func (st *planState) execNode(ni int) error {
 // kernels scheduled on the same level never share sub-arena buffers.
 //
 //np:hotpath
-func (st *planState) runPrim(ni int, n *planNode, args []*tensor.Tensor) error {
-	sub := st.subs[ni]
-	for i, s := range n.sub.params {
+func (st *planState) runPrim(ni int32, n *planNode, args []*tensor.Tensor) error {
+	sub, sp := st.subs[ni], n.sub
+	for i, s := range sp.ids(sp.params) {
 		sub.slots[s] = args[i]
 	}
 	// Level by level, like run: the memory planner recycles a storage one
 	// level after its last reader, which node-id order does not respect.
-	for _, lvl := range n.sub.levels {
-		for _, id := range lvl {
+	for _, lv := range sp.levels {
+		for _, id := range sp.ids(lv) {
 			if err := sub.exec(id); err != nil {
 				return err
 			}
 		}
 	}
-	outSlot := n.sub.outputs[0]
-	if n.sub.slots[outSlot].Producer < 0 {
+	outSlot := sp.index[sp.outputs.lo]
+	if sp.slots[outSlot].Producer < 0 {
 		// Degenerate body (bare parameter/constant): materialize into the
 		// outer view.
-		return st.slots[n.out[0]].CopyFrom(sub.slots[outSlot])
+		return st.slots[st.plan.index[n.out.lo]].CopyFrom(sub.slots[outSlot])
 	}
 	return nil
 }
@@ -312,12 +322,13 @@ func (st *planState) runPrim(ni int, n *planNode, args []*tensor.Tensor) error {
 //
 //np:hotpath
 func (st *planState) charge(prof *soc.Profile) {
-	for _, n := range st.plan.nodes {
+	for i := range st.plan.nodes {
+		n := &st.plan.nodes[i]
 		switch n.kind {
 		case nodeOp, nodePrim:
 			prof.AddOpNamed(soc.KindCPU, n.charge, n.label)
 		case nodeExternal:
-			prof.AddSubgraphNamed(n.sym)
+			prof.AddSubgraphNamed(n.label)
 			n.cm.Estimate(prof)
 		}
 	}

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -24,13 +25,26 @@ func reluChainLib(t *testing.T) *Lib {
 	return lib
 }
 
+// planSafety audits plan both ways PlanSafety reads one — in place, as
+// BuildPlan's gate does, and through a View — and fails unless the two
+// report the same diagnostics.
+func planSafety(t *testing.T, plan *ExecPlan) error {
+	t.Helper()
+	inPlace := analysis.PlanSafety((*checkedPlan)(plan))
+	viewed := analysis.PlanSafety(plan.View())
+	if fmt.Sprint(inPlace.Diags) != fmt.Sprint(viewed.Diags) {
+		t.Errorf("in-place audit reports\n%v\nthe view's reports\n%v", inPlace.Diags, viewed.Diags)
+	}
+	return inPlace.Err()
+}
+
 func TestVerifyPlanAcceptsFreshPlan(t *testing.T) {
 	plan, err := BuildPlan(reluChainLib(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := analysis.PlanSafety(plan.View()); !res.OK() {
-		t.Fatalf("fresh plan rejected:\n%v", res)
+	if err := planSafety(t, plan); err != nil {
+		t.Fatalf("fresh plan rejected:\n%v", err)
 	}
 }
 
@@ -41,9 +55,10 @@ func TestVerifyPlanCatchesStorageAliasing(t *testing.T) {
 	}
 	// Force the first two intermediates — live at overlapping levels — onto
 	// one storage.
-	var first = -1
+	var first int32 = -1
 	tampered := false
-	for _, sl := range plan.slots {
+	for i := range plan.slots {
+		sl := &plan.slots[i]
 		if sl.Storage < 0 || sl.IsOutput {
 			continue
 		}
@@ -60,7 +75,7 @@ func TestVerifyPlanCatchesStorageAliasing(t *testing.T) {
 	if !tampered {
 		t.Fatal("test setup: found no second storage to alias")
 	}
-	err = analysis.PlanSafety(plan.View()).Err()
+	err = planSafety(t, plan)
 	if err == nil {
 		t.Fatal("verifier accepted overlapping live ranges on one storage")
 	}
@@ -75,9 +90,9 @@ func TestVerifyPlanCatchesTopoViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Claim the last node produced the slot the first node reads.
-	firstArg := plan.nodes[0].args[0]
-	plan.slots[firstArg].Producer = plan.nodes[len(plan.nodes)-1].id
-	err = analysis.PlanSafety(plan.View()).Err()
+	firstArg := plan.index[plan.nodes[0].args.lo]
+	plan.slots[firstArg].Producer = int32(len(plan.nodes) - 1)
+	err = planSafety(t, plan)
 	if err == nil {
 		t.Fatal("verifier accepted a node reading a later node's output")
 	}
@@ -97,7 +112,7 @@ func TestVerifyPlanCatchesStorageTypeMismatch(t *testing.T) {
 			break
 		}
 	}
-	err = analysis.PlanSafety(plan.View()).Err()
+	err = planSafety(t, plan)
 	if err == nil {
 		t.Fatal("verifier accepted a storage smaller than its slot")
 	}
@@ -114,10 +129,14 @@ func TestVerifyPlanCatchesLevelViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	moved := plan.levels[1][0]
-	plan.levels[0] = append(plan.levels[0], moved)
-	plan.levels[1] = plan.levels[1][1:]
-	err = analysis.PlanSafety(plan.View()).Err()
+	// Each level of the chain is one node and the levels' ids are adjacent
+	// in the index slab, so widening level 0 by one id moves level 1's.
+	if plan.levels[0].hi != plan.levels[1].lo {
+		t.Fatal("test setup: level spans are not adjacent")
+	}
+	plan.levels[0].hi++
+	plan.levels[1].lo++
+	err = planSafety(t, plan)
 	if err == nil {
 		t.Fatal("verifier accepted a node running in its producer's wavefront")
 	}

@@ -56,6 +56,9 @@ func (a *Arena) View(id int, dt DType, shape Shape, q *QuantParams) (*Tensor, er
 	} else {
 		v.Quant = nil
 	}
+	// The storage is rewritten by every value planned onto it: a kernel must
+	// not keep what it derives from one of them (a weight's packed panels).
+	v.MarkVolatile()
 	return v, nil
 }
 

@@ -182,17 +182,18 @@ func (t *Tensor) Derived() any {
 // callers may race to attach equal values, and the first one wins.
 func (t *Tensor) SetDerived(v any) { t.derived.CompareAndSwap(nil, &v) }
 
-// volatileMark fills the derived slot of a volatile tensor.
+// volatileMark fills the derived slot of a volatile tensor; volatile is the
+// one value every volatile tensor shares.
 type volatileMark struct{}
 
+var volatile any = volatileMark{}
+
 // MarkVolatile declares that t's data changes between uses — a buffer
-// refilled for every request — so nothing may be derived from it once and
-// kept: from then on Derived returns nil and SetDerived attaches nothing, and
-// a kernel that packs t (as a weight operand) packs it on every call.
-func (t *Tensor) MarkVolatile() {
-	var v any = volatileMark{}
-	t.derived.Store(&v)
-}
+// refilled for every request, an arena view, an input an executor binds —
+// so nothing may be derived from it once and kept: from then on Derived
+// returns nil and SetDerived attaches nothing, and a kernel that packs t (as
+// a weight operand) packs it on every call. It does not allocate.
+func (t *Tensor) MarkVolatile() { t.derived.Store(&volatile) }
 
 // New allocates a zero-filled tensor.
 func New(dt DType, shape Shape) *Tensor {

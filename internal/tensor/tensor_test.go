@@ -593,4 +593,23 @@ func TestMarkVolatileKeepsNothingDerived(t *testing.T) {
 	if d := x.Derived(); d != nil {
 		t.Errorf("Derived() = %v after SetDerived on a volatile tensor, want nil", d)
 	}
+	// Executors mark every input they bind on every run: it must be free.
+	if n := testing.AllocsPerRun(100, x.MarkVolatile); n != 0 {
+		t.Errorf("MarkVolatile allocates %v objects, want 0", n)
+	}
+}
+
+// An arena view is rewritten by every value planned onto its storage, so it
+// is born volatile: nothing a kernel derives from it sticks.
+func TestArenaViewKeepsNothingDerived(t *testing.T) {
+	a := NewArena()
+	id := a.Add(Float32, 6)
+	v, err := a.View(id, Float32, Shape{2, 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.SetDerived("panels")
+	if d := v.Derived(); d != nil {
+		t.Errorf("Derived() = %v after SetDerived on an arena view, want nil", d)
+	}
 }

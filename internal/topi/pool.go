@@ -270,29 +270,40 @@ func meanKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType,
 		return nil, err
 	}
 	in := args[0]
+	rank := len(in.Shape)
+	// idx is the multi-index of the input element at hand, keep[i] whether
+	// axis i survives the reduction: stack arrays at any realistic rank.
+	var idxBuf [8]int
+	var keepBuf [8]bool
+	idx, keep := idxBuf[:], keepBuf[:]
+	if rank > len(idxBuf) {
+		idx, keep = make([]int, rank), make([]bool, rank)
+	}
+	idx, keep = idx[:rank], keep[:rank]
+	// Without an axis attribute every axis is reduced.
 	axes := attrs.Ints("axis", nil)
-	reduce := map[int]bool{}
-	if axes == nil {
-		for i := range in.Shape {
-			reduce[i] = true
+	for i := range keep {
+		keep[i] = axes != nil
+	}
+	for _, ax := range axes {
+		if ax < 0 {
+			ax += rank
 		}
-	} else {
-		for _, ax := range axes {
-			if ax < 0 {
-				ax += len(in.Shape)
-			}
-			reduce[ax] = true
-		}
+		keep[ax] = false
 	}
 	res := output(dstBuf, out)
-	sums := make([]float64, res.Elems())
-	counts := make([]int, res.Elems())
+	sumsP := scratchF64.get(res.Elems())
+	defer scratchF64.put(sumsP)
+	sums := *sumsP
+	clear(sums)
 	// Map every input index to its output bucket by dropping reduced axes.
-	idx := make([]int, len(in.Shape))
+	// Every bucket receives the same number of elements, the product of the
+	// reduced extents.
 	src := in.F32()
+	count := len(src) / max(len(sums), 1)
 	for flat := range src {
 		rem := flat
-		for i := len(in.Shape) - 1; i >= 0; i-- {
+		for i := rank - 1; i >= 0; i-- {
 			idx[i] = rem % in.Shape[i]
 			rem /= in.Shape[i]
 		}
@@ -300,18 +311,16 @@ func meanKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType,
 		// bucket computation serves both forms.
 		o := 0
 		for i, d := range in.Shape {
-			if reduce[i] {
-				continue
+			if keep[i] {
+				o = o*d + idx[i]
 			}
-			o = o*d + idx[i]
 		}
 		sums[o] += float64(src[flat])
-		counts[o]++
 	}
 	dres := res.F32()
 	for i := range dres {
-		if counts[i] > 0 {
-			dres[i] = float32(sums[i] / float64(counts[i]))
+		if count > 0 {
+			dres[i] = float32(sums[i] / float64(count))
 		} else {
 			dres[i] = 0 // never reached for valid shapes; keeps reused buffers clean
 		}

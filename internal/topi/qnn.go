@@ -180,25 +180,14 @@ func (q qaddArgs) run(lo, hi int) {
 	}
 }
 
+// qnnConcatenate requantizes each field to the output params as it
+// concatenates them, straight into the output.
 func qnnConcatenate(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
-	// Requantize each field to the output params, then concatenate.
-	outScale := attrs.Float("output_scale", 1)
-	outZp := int32(attrs.Int("output_zero_point", 0))
-	rescaled := make([]*tensor.Tensor, len(args))
-	for i, t := range args {
-		inScale, inZp := outScale, outZp
-		if t.Quant != nil {
-			inScale, inZp = t.Quant.Scale, t.Quant.ZeroPoint
-		}
-		if inScale == outScale && inZp == outZp {
-			rescaled[i] = t
-			continue
-		}
-		r := tensor.New(out.DType, t.Shape)
-		requantRange(r, t, inScale/outScale, inZp, outZp, out.DType, 0, t.Elems())
-		rescaled[i] = r
+	q := tensor.QuantParams{
+		Scale:     attrs.Float("output_scale", 1),
+		ZeroPoint: int32(attrs.Int("output_zero_point", 0)),
 	}
-	return concatenateKernel(rescaled, attrs, out, dstBuf)
+	return concatenate(args, attrs, out, dstBuf, &q)
 }
 
 // QuantizeLinear is a convenience used by frontends/tests to pick symmetric

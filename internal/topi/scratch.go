@@ -12,6 +12,7 @@ type scratchPool[T any] struct{ pool sync.Pool }
 
 var (
 	scratchF32   scratchPool[float32]
+	scratchF64   scratchPool[float64]
 	scratchI32   scratchPool[int32]
 	scratchPairs scratchPool[i16x2]
 )

@@ -87,6 +87,14 @@ func copyElem(dst *tensor.Tensor, di int, src *tensor.Tensor, si int) {
 }
 
 func concatenateKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
+	return concatenate(args, attrs, out, dstBuf, nil)
+}
+
+// concatenate writes args concatenated along the axis attribute into the
+// output. With q non-nil every field quantized otherwise than q is
+// requantized to it on the way (qnn.concatenate); a field without
+// quantization parameters is taken to share q.
+func concatenate(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, q *tensor.QuantParams) (*tensor.Tensor, error) {
 	if len(args) == 0 {
 		return nil, fmt.Errorf("concatenate of no tensors")
 	}
@@ -109,15 +117,25 @@ func concatenateKernel(args []*tensor.Tensor, attrs relay.Attrs, out *relay.Tens
 	// outer index.
 	axisOff := 0
 	for _, t := range args {
+		requant := q != nil && t.Quant != nil && (t.Quant.Scale != q.Scale || t.Quant.ZeroPoint != q.ZeroPoint)
+		var ratio float64
+		if requant {
+			ratio = t.Quant.Scale / q.Scale
+		}
 		run := t.Shape[axis] * inner
 		for o := 0; o < outer; o++ {
 			si, di := o*run, (o*out.Shape[axis]+axisOff)*inner
-			if t.DType == res.DType {
+			switch {
+			case requant:
+				for i := 0; i < run; i++ {
+					setRaw(res, di+i, clampToDType(requantize(t.GetRaw(si+i), ratio, t.Quant.ZeroPoint, q.ZeroPoint), out.DType))
+				}
+			case t.DType == res.DType:
 				copyRun(res, di, t, si, run)
-				continue
-			}
-			for i := 0; i < run; i++ {
-				copyElem(res, di+i, t, si+i)
+			default:
+				for i := 0; i < run; i++ {
+					copyElem(res, di+i, t, si+i)
+				}
 			}
 		}
 		axisOff += t.Shape[axis]
