@@ -117,18 +117,21 @@ analyze:
 	$(GO) run ./cmd/npc -zoo all -analyze
 	$(GO) run ./cmd/npc -zoo all -analyze -no-nir
 
-# fuzz-smoke runs four fuzz targets briefly, each over its seed corpus plus
-# five seconds of mutation: the partitioner against the BFS oracle (error or
-# the oracle's convex partition, never a panic), the /v1/infer decoder against
-# json.Unmarshal (same accept/reject, same values to the bit), and the ONNX and
-# TorchScript importers over a serialized zoo model (error or module, never a
-# panic). A failing input is written under the package's testdata/fuzz/ —
-# commit it with the fix.
+# fuzz-smoke runs the five fuzz targets briefly, each over its seed corpus
+# plus five seconds of mutation: the partitioner against the BFS oracle
+# (error or the oracle's convex partition, never a panic), the /v1/infer
+# decoder against json.Unmarshal (same accept/reject, same values to the
+# bit), the ONNX and TorchScript importers over a serialized zoo model (error
+# or module, never a panic), and the tuning-record decoder over a file
+# WriteRecords wrote (error or records that pass Validate, never a panic). A
+# failing input is written under the package's testdata/fuzz/ — commit it
+# with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/passes -run '^$$' -fuzz FuzzPartitionForCompiler -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeInfer -fuzztime 5s
 	$(GO) test ./internal/models -run '^$$' -fuzz FuzzFromONNX -fuzztime 5s
 	$(GO) test ./internal/models -run '^$$' -fuzz FuzzFromTorch -fuzztime 5s
+	$(GO) test ./internal/tune -run '^$$' -fuzz FuzzRecords -fuzztime 5s
 
 # bench-gate is the blocking, deterministic half of benchmark/: each of the
 # six workloads runs for a two-second window and must verify every operation
@@ -154,18 +157,17 @@ bench-gate:
 		echo "bench-gate: $$w ok ($$m $$v)"; \
 	done
 
-# tune-smoke exercises the autotuner end to end on one zoo model with a
-# tiny budget, then gates on what is deterministic (nptune -check): the
-# records load, every kernel record names a task of the model, and writing
-# them back reproduces the file byte for byte. How many dispatch decisions
-# they change is printed, not required — with a near-zero budget on a noisy
-# shared runner the search can legitimately keep every default. Blocking in
-# CI.
+# tune-smoke exercises the autotuner end to end on one zoo model — each conv
+# task measured under the strategy the built-in rule does not pick, between
+# two measurements of the default — then gates on what is deterministic
+# (nptune -check): the records load, every kernel record names a task of the
+# model, and writing them back reproduces the file byte for byte. How many
+# dispatch decisions they change is printed, not required — on a noisy
+# shared runner no candidate may beat the default's spread. Blocking in CI.
 TUNEOUT ?= tune-smoke.json
-TUNEBUDGET ?= 8
 tune-smoke:
 	rm -f $(TUNEOUT)
-	$(GO) run ./cmd/nptune -zoo emotion -budget $(TUNEBUDGET) -o $(TUNEOUT)
+	$(GO) run ./cmd/nptune -zoo emotion -o $(TUNEOUT)
 	$(GO) run ./cmd/nptune -check $(TUNEOUT) -zoo emotion
 
 # fleet-smoke stands up the fleet tier in-process — an nprouter-equivalent

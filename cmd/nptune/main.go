@@ -1,14 +1,15 @@
 // Command nptune is the profile-guided autotuner driver: it extracts the
-// tunable kernel tasks of zoo models, measures candidate configurations
-// in-process, and writes the winners to a tuning-record file that
-// npc/npserve load with -tune-with. It also searches the showcase-pipeline
-// device placement with the simulated cost model and records the chosen
-// assignment.
+// convolution tasks of zoo models, measures each under the strategy the
+// built-in rule does not pick, between two measurements of the default,
+// and writes the strategies that won beyond that spread to a tuning-record
+// file that npc/npserve load with -tune-with. It also searches the
+// showcase-pipeline device placement with the simulated cost model and
+// records the chosen assignment.
 //
 // Usage:
 //
 //	nptune -zoo emotion,deepixbis -o tuning_records.json     # tune two models
-//	nptune -zoo all -budget 24 -o tuning_records.json        # the whole zoo, tighter budget
+//	nptune -zoo all -o tuning_records.json                   # the whole zoo
 //	nptune -pipeline -o tuning_records.json                  # placement search (appends to kernel records)
 //	nptune -merge a.json,b.json -o merged.json               # lower-cost-wins merge
 //	nptune -show tuning_records.json                         # inspect a record file
@@ -34,9 +35,6 @@ func main() {
 		zooArg    = flag.String("zoo", "", `comma-separated zoo models to tune, or "all"`)
 		sizeArg   = flag.String("size", "lite", "zoo model build preset: lite|full")
 		outPath   = flag.String("o", "tuning_records.json", "output record file")
-		budget    = flag.Int("budget", 48, "max measured candidates per task")
-		seed      = flag.Uint64("seed", 0, "search seed perturbation (0 = task-hash only)")
-		strategy  = flag.String("strategy", "auto", "search strategy: auto|grid|random")
 		verify    = flag.Bool("verify-bitwise", true, "re-check every candidate's output against the default config")
 		pipeFlag  = flag.Bool("pipeline", false, "search the showcase-pipeline device placement and record it")
 		frames    = flag.Int("frames", 12, "frame count for -pipeline")
@@ -44,7 +42,7 @@ func main() {
 		showArg   = flag.String("show", "", "print a record file and exit")
 		checkArg  = flag.String("check", "", "record file to check against -zoo: loads, names only the model's tasks, re-writes byte-identically")
 		warmup    = flag.Int("warmup", 1, "warmup runs per candidate")
-		reps      = flag.Int("reps", 3, "timed repetitions per candidate (minimum wins)")
+		reps      = flag.Int("reps", 3, "timed repetitions per measurement (minimum wins)")
 		minSample = flag.Int64("min-sample-us", 200, "target duration of one timed repetition, microseconds")
 	)
 	flag.Parse()
@@ -68,7 +66,6 @@ func main() {
 	}
 
 	opt := tune.Options{
-		Search: tune.SearchOptions{Budget: *budget, Seed: *seed, Strategy: *strategy},
 		Measure: tune.Measurer{
 			Warmup:      *warmup,
 			Reps:        *reps,
@@ -216,8 +213,8 @@ func showRecords(path string) error {
 // checkRecords implements -check, the tune-smoke gate: tune.CheckFile's
 // deterministic audit of the file against one zoo model's tasks, then a
 // report of how many dispatch decisions the records change — zero is not a
-// failure, since a tiny-budget search on a noisy runner may keep every
-// default.
+// failure, since on a noisy runner no candidate may beat the default's
+// spread.
 func checkRecords(path, zooArg, sizeArg string) error {
 	if zooArg == "" || zooArg == "all" {
 		return fmt.Errorf("nptune: -check needs a single -zoo model")

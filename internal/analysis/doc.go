@@ -1,8 +1,9 @@
-// Package analysis is the dataflow static-analysis framework of the stack:
-// a reusable forward/backward fixpoint engine over directed graphs
-// (dataflow.go) with four concrete analyses layered on top, all reporting
-// through internal/verify's structured diagnostics so `npc -analyze` reads
-// exactly like `-verify` and `-lint`.
+// Package analysis holds the stack's dataflow static analyses: four
+// analyses, each one linear pass over a graph that is already in
+// topological order (a plan's node list, a post-ordered relay function, a
+// region's operation list), all reporting through internal/verify's
+// structured diagnostics so `npc -analyze` reads exactly like `-verify` and
+// `-lint`.
 //
 // Where internal/verify checks *well-formedness* (every index in range,
 // every type consistent), this package proves *dataflow* properties — the

@@ -127,10 +127,13 @@ func QuantRanges(m *relay.Module) *verify.Result {
 	return res
 }
 
-// analyzeQuantFn runs the solve over one function body and audits it.
+// analyzeQuantFn computes every expression's interval in one forward pass
+// over one function body and audits it.
 func analyzeQuantFn(fnName string, fn *relay.Function, audited map[relay.Expr]bool, res *verify.Result) {
-	// Collect the expression DAG in post order: children get lower ids than
-	// parents, so node ids are topologically ordered for the forward solve.
+	// Collect the expression DAG in post order: PostOrderVisit visits a
+	// call's callee and arguments, a tuple's fields and a function's body
+	// before the node itself, so every dependency's interval is final by the
+	// time the loop below reaches its consumer.
 	var exprs []relay.Expr
 	idx := map[relay.Expr]int{}
 	relay.PostOrderVisit(fn, func(e relay.Expr) {
@@ -138,53 +141,34 @@ func analyzeQuantFn(fnName string, fn *relay.Function, audited map[relay.Expr]bo
 		exprs = append(exprs, e)
 	})
 
-	g := NewDigraph(len(exprs))
-	// Dependency edges in argument order: Transfer receives deps aligned
-	// with the positions established here. A call of a function value gets
+	// Dependency facts in argument order: a call of a function value gets
 	// the callee as its final dep, after the arguments.
-	depsOf := func(e relay.Expr) []int {
+	facts := make([]Interval, len(exprs))
+	var deps []Interval
+	for i, e := range exprs {
+		deps = deps[:0]
 		switch n := e.(type) {
 		case *relay.Call:
-			deps := make([]int, 0, len(n.Args)+1)
 			for _, a := range n.Args {
-				deps = append(deps, idx[a])
+				deps = append(deps, facts[idx[a]])
 			}
 			if n.Fn != nil {
-				deps = append(deps, idx[n.Fn])
+				deps = append(deps, facts[idx[n.Fn]])
 			}
-			return deps
 		case *relay.Tuple:
-			deps := make([]int, len(n.Fields))
-			for i, f := range n.Fields {
-				deps[i] = idx[f]
+			for _, f := range n.Fields {
+				deps = append(deps, facts[idx[f]])
 			}
-			return deps
 		case *relay.TupleGetItem:
-			return []int{idx[n.Tuple]}
+			deps = append(deps, facts[idx[n.Tuple]])
 		case *relay.Function:
-			return []int{idx[n.Body]}
+			deps = append(deps, facts[idx[n.Body]])
 		}
-		return nil
-	}
-	for i, e := range exprs {
-		for _, d := range depsOf(e) {
-			g.AddEdge(d, i)
-		}
-	}
-
-	facts, err := Solve(g, Problem[Interval]{
-		Dir:      Forward,
-		Init:     func(n int) Interval { return initialInterval(exprs[n]) },
-		Transfer: func(n int, deps []Interval) Interval { return transferInterval(exprs[n], deps) },
-		Equal:    func(a, b Interval) bool { return a == b },
-	})
-	if err != nil {
-		res.Errorf("quant-diverged", "@"+fnName, "%v", err)
-		return
+		facts[i] = transferInterval(e, deps)
 	}
 
 	// Audit pass: with the final facts in hand, check every quantization
-	// boundary once (the solve itself stays pure).
+	// boundary once.
 	for _, e := range exprs {
 		c, ok := e.(*relay.Call)
 		if !ok || c.Op == nil || audited[e] {

@@ -96,8 +96,8 @@ func TestExhaustedBudgetRunsSerially(t *testing.T) {
 	}
 }
 
-// acquireWorkers applies the per-call limits and the work grain and takes
-// the tokens a launch then gives back — and with the budget exhausted the
+// acquireWorkers applies the worker cap and the work grain and takes the
+// tokens a launch then gives back — and with the budget exhausted the
 // answer is 1 with nothing held.
 func TestAcquireWorkersAccounting(t *testing.T) {
 	old := SetMaxWorkers(4)
@@ -107,46 +107,41 @@ func TestAcquireWorkersAccounting(t *testing.T) {
 	cases := []struct {
 		n    int
 		work int64
-		o    ChunkOpts
 		want int
 	}{
-		{100, lots, ChunkOpts{}, 4},
-		{3, lots, ChunkOpts{}, 3},
-		{1, lots, ChunkOpts{}, 1},
-		{100, lots, ChunkOpts{MaxWorkers: 2}, 2},
-		{100, lots, ChunkOpts{MaxWorkers: 1}, 1},
-		{100, lots, ChunkOpts{MinGrain: 40}, 2},
-		{100, lots, ChunkOpts{MinGrain: 60}, 1},
-		{100, 3 * grain, ChunkOpts{}, 3},
-		{100, 2*grain - 1, ChunkOpts{}, 1},
-		{100, 0, ChunkOpts{}, 1},
+		{100, lots, 4},
+		{3, lots, 3},
+		{1, lots, 1},
+		{100, 3 * grain, 3},
+		{100, 2*grain - 1, 1},
+		{100, 0, 1},
 	}
 	for _, c := range cases {
 		stalledUntil.Store(0) // a loaded test machine's stall would make every answer 1
-		workers := acquireWorkers(c.n, c.work, c.o)
+		workers := acquireWorkers(c.n, c.work)
 		if workers != c.want {
-			t.Errorf("acquireWorkers(%d, %d, %+v) = %d, want %d", c.n, c.work, c.o, workers, c.want)
+			t.Errorf("acquireWorkers(%d, %d) = %d, want %d", c.n, c.work, workers, c.want)
 		}
 		if held := idle - AvailableTokens(); held != workers-1 {
-			t.Errorf("acquireWorkers(%d, %d, %+v) = %d holds %d tokens", c.n, c.work, c.o, workers, held)
+			t.Errorf("acquireWorkers(%d, %d) = %d holds %d tokens", c.n, c.work, workers, held)
 		}
 		if workers > 1 {
 			var visited int64
 			b := fnRegion.get()
 			b.data = fnArgs{func(lo, hi int) { atomic.AddInt64(&visited, int64(hi-lo)) }}
-			b.launch(c.n, workers, max(1, c.o.MinGrain))
+			b.launch(c.n, workers)
 			if visited != int64(c.n) {
 				t.Errorf("launch(%d, %d) visited %d", c.n, workers, visited)
 			}
 		}
 		if got := AvailableTokens(); got != idle {
-			t.Fatalf("after n=%d %+v: %d tokens available, want %d", c.n, c.o, got, idle)
+			t.Fatalf("after n=%d work=%d: %d tokens available, want %d", c.n, c.work, got, idle)
 		}
 	}
 	// Nested under a call that holds every token until all its chunks are
 	// done: serial, nothing taken.
 	forChunked(4, func(lo, hi int) {
-		if w := acquireWorkers(100, lots, ChunkOpts{}); w != 1 {
+		if w := acquireWorkers(100, lots); w != 1 {
 			t.Errorf("acquireWorkers under an exhausted budget = %d, want 1", w)
 			releaseTokens(w - 1)
 		}

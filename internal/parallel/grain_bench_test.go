@@ -74,7 +74,7 @@ func BenchmarkHandOff(b *testing.B) {
 					b.StartTimer()
 				}
 				started.Store(0)
-				barrierRegion.Run(2, 2*grain, ChunkOpts{}, &started)
+				barrierRegion.Run(2, 2*grain, &started)
 			}
 		})
 	}

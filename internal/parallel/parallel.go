@@ -20,7 +20,10 @@
 //
 // Whether to split at all is the caller's estimate of its work: a range is
 // handed to at most work/grain workers, so a kernel too small to pay for a
-// hand-off stays serial and wakes nobody. A caller that finds a helper's
+// hand-off stays serial and wakes nobody. A launch has no per-call options:
+// the range, its work and the shared budget decide the split, and the
+// package's constants (grain, chunksPerWorker, spinWindow) are measured
+// once for every caller. A caller that finds a helper's
 // chunk stalled — its thread descheduled on a loaded host — holds splits
 // off for stallBackoff.
 //
@@ -159,38 +162,12 @@ const spinLooks = 128
 // groups), so no output bit depends on the count.
 const chunksPerWorker = 4
 
-// ChunkOpts bounds one launch's parallelism. The zero value applies no
-// per-call limits (shared budget and work estimate only). The autotuner
-// (internal/tune) turns these as knobs: a kernel that benches faster with
-// fewer workers or coarser chunks carries its tuned limits through the
-// dispatch table.
-type ChunkOpts struct {
-	// MaxWorkers caps the total workers (including the caller) used by this
-	// call, on top of the shared budget. 0 means no per-call cap.
-	MaxWorkers int
-	// MinGrain is the minimum chunk size: the range is never split finer
-	// than MinGrain iterations per worker, nor into chunks shorter than
-	// that. 0 means no minimum.
-	MinGrain int
-}
-
 // acquireWorkers decides how many workers (the caller included) a range of
-// n iterations doing work MAC-equivalents may use under o, the work grain,
-// the worker cap and the shared budget right now. A result above 1 holds
-// that many minus one tokens, which the launch returns; at 1 nothing is held.
-func acquireWorkers(n int, work int64, o ChunkOpts) int {
-	workers := MaxWorkers()
-	if o.MaxWorkers > 0 && workers > o.MaxWorkers {
-		workers = o.MaxWorkers
-	}
-	if workers > n {
-		workers = n
-	}
-	if o.MinGrain > 1 {
-		if byGrain := n / o.MinGrain; workers > byGrain {
-			workers = byGrain
-		}
-	}
+// n iterations doing work MAC-equivalents may use under the work grain, the
+// worker cap and the shared budget right now. A result above 1 holds that
+// many minus one tokens, which the launch returns; at 1 nothing is held.
+func acquireWorkers(n int, work int64) int {
+	workers := min(MaxWorkers(), n)
 	if byWork := work / grain; int64(workers) > byWork {
 		workers = int(byWork)
 	}
@@ -241,26 +218,26 @@ func NewRegion[T any](fn func(data T, lo, hi int)) *Region[T] {
 // the caller alone otherwise. It returns once every chunk has run.
 //
 //np:hotpath
-func (r *Region[T]) Run(n int, work int64, o ChunkOpts, data T) {
+func (r *Region[T]) Run(n int, work int64, data T) {
 	if n <= 0 {
 		return
 	}
-	workers := acquireWorkers(n, work, o)
+	workers := acquireWorkers(n, work)
 	if workers == 1 {
 		r.fn(data, 0, n)
 		return
 	}
 	b := r.get()
 	b.data = data
-	b.launch(n, workers, max(1, o.MinGrain))
+	b.launch(n, workers)
 }
 
 // Elems is Run for a cheap elementwise loop over n elements: one
-// MAC-equivalent each and no per-call limits.
+// MAC-equivalent each.
 //
 //np:hotpath
 func (r *Region[T]) Elems(n int, data T) {
-	r.Run(n, int64(n), ChunkOpts{}, data)
+	r.Run(n, int64(n), data)
 }
 
 // get pops a job record off the free list, or makes one.
@@ -322,13 +299,13 @@ type job struct {
 	fin     chan struct{}
 }
 
-// launch runs [0,n) in chunksPerWorker chunks a worker, none shorter than
-// minChunk, on the caller and any helper that joins in time, then returns
-// the workers-1 tokens acquireWorkers took.
+// launch runs [0,n) in chunksPerWorker chunks a worker on the caller and
+// any helper that joins in time, then returns the workers-1 tokens
+// acquireWorkers took.
 //
 //np:hotpath
-func (j *job) launch(n, workers, minChunk int) {
-	j.n, j.size = n, max(minChunk, (n+workers*chunksPerWorker-1)/(workers*chunksPerWorker))
+func (j *job) launch(n, workers int) {
+	j.n, j.size = n, (n+workers*chunksPerWorker-1)/(workers*chunksPerWorker)
 	j.chunks = int32((n + j.size - 1) / j.size)
 	j.next.Store(0)
 	j.left.Store(j.chunks)

@@ -15,7 +15,7 @@ var fnRegion = NewRegion(func(a fnArgs, lo, hi int) { a.f(lo, hi) })
 
 // forChunked launches body over [0,n) with work enough for every worker.
 func forChunked(n int, body func(lo, hi int)) {
-	fnRegion.Run(n, int64(n)*grain, ChunkOpts{}, fnArgs{body})
+	fnRegion.Run(n, int64(n)*grain, fnArgs{body})
 }
 
 // forEach is forChunked one index at a time.
@@ -41,52 +41,46 @@ func TestForCoversRangeExactlyOnce(t *testing.T) {
 }
 
 // Chunks are contiguous and disjoint, chunksPerWorker a worker, cut every
-// ceil(n/(workers·chunksPerWorker)) — or every MinGrain when that is longer.
+// ceil(n/(workers·chunksPerWorker)).
 func TestRunChunksCoverRange(t *testing.T) {
 	old := SetMaxWorkers(4)
 	defer SetMaxWorkers(old)
-	for _, minGrain := range []int{0, 20} {
-		for _, n := range []int{1, 2, 3, 5, 7, 64, 777} {
-			var mu sync.Mutex
-			seen := make([]bool, n)
-			var chunks []int
-			body := func(lo, hi int) {
-				if lo < 0 || hi > n || lo >= hi {
-					t.Errorf("n=%d: bad chunk [%d,%d)", n, lo, hi)
+	for _, n := range []int{1, 2, 3, 5, 7, 64, 777} {
+		var mu sync.Mutex
+		seen := make([]bool, n)
+		var chunks []int
+		body := func(lo, hi int) {
+			if lo < 0 || hi > n || lo >= hi {
+				t.Errorf("n=%d: bad chunk [%d,%d)", n, lo, hi)
+			}
+			mu.Lock()
+			chunks = append(chunks, lo)
+			for i := lo; i < hi; i++ {
+				if seen[i] {
+					t.Errorf("n=%d: index %d in two chunks", n, i)
 				}
-				mu.Lock()
-				chunks = append(chunks, lo)
-				for i := lo; i < hi; i++ {
-					if seen[i] {
-						t.Errorf("n=%d: index %d in two chunks", n, i)
-					}
-					seen[i] = true
-				}
-				mu.Unlock()
+				seen[i] = true
 			}
-			o := ChunkOpts{MinGrain: minGrain}
-			stalledUntil.Store(0)
-			fnRegion.Run(n, int64(n)*grain, o, fnArgs{body})
-			for i, s := range seen {
-				if !s {
-					t.Fatalf("n=%d: index %d never visited", n, i)
-				}
+			mu.Unlock()
+		}
+		stalledUntil.Store(0)
+		fnRegion.Run(n, int64(n)*grain, fnArgs{body})
+		for i, s := range seen {
+			if !s {
+				t.Fatalf("n=%d: index %d never visited", n, i)
 			}
-			workers := min(4, n)
-			if minGrain > 0 {
-				workers = min(workers, n/minGrain)
-			}
-			size := n
-			if workers > 1 {
-				size = max(minGrain, (n+workers*chunksPerWorker-1)/(workers*chunksPerWorker))
-			}
-			if want := (n + size - 1) / size; len(chunks) != want {
-				t.Errorf("n=%d %+v: %d chunks, want %d", n, o, len(chunks), want)
-			}
-			for _, lo := range chunks {
-				if lo%size != 0 {
-					t.Errorf("n=%d %+v: chunk starts at %d, not a multiple of %d", n, o, lo, size)
-				}
+		}
+		workers := min(4, n)
+		size := n
+		if workers > 1 {
+			size = (n + workers*chunksPerWorker - 1) / (workers * chunksPerWorker)
+		}
+		if want := (n + size - 1) / size; len(chunks) != want {
+			t.Errorf("n=%d: %d chunks, want %d", n, len(chunks), want)
+		}
+		for _, lo := range chunks {
+			if lo%size != 0 {
+				t.Errorf("n=%d: chunk starts at %d, not a multiple of %d", n, lo, size)
 			}
 		}
 	}

@@ -205,13 +205,13 @@ func TestStallHoldsSplitsOff(t *testing.T) {
 		t.Fatal("a 2 ms helper chunk against an instant caller chunk was never taken for a stall")
 	}
 	until := time.Unix(0, stalledUntil.Load())
-	w := acquireWorkers(100, 1<<40, ChunkOpts{})
+	w := acquireWorkers(100, 1<<40)
 	releaseTokens(w - 1)
 	if w != 1 && time.Now().Before(until) {
 		t.Fatalf("acquireWorkers during the backoff = %d, want 1", w)
 	}
 	time.Sleep(time.Until(until))
-	w = acquireWorkers(100, 1<<40, ChunkOpts{})
+	w = acquireWorkers(100, 1<<40)
 	releaseTokens(w - 1)
 	if w != 2 {
 		t.Fatalf("acquireWorkers after the backoff = %d, want 2", w)

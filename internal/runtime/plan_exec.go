@@ -200,7 +200,7 @@ func (st *planState) run(inputs map[string]*tensor.Tensor) error {
 		for _, ni := range lvl {
 			work += p.nodes[ni].work
 		}
-		levelRegion.Run(len(lvl), work, parallel.ChunkOpts{}, levelArgs{st, lvl})
+		levelRegion.Run(len(lvl), work, levelArgs{st, lvl})
 		for _, ni := range lvl {
 			if st.errs[ni] != nil {
 				return st.errs[ni]

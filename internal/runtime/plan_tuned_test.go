@@ -11,8 +11,8 @@ import (
 )
 
 // TestPlanCountsTunedNodes: lowering consults the installed tuning table —
-// a plan built with a non-default config for one of the model's tasks
-// reports it in TunedNodes, and a plan built with no table reports zero
+// a plan built with a strategy flip for one of the model's tasks reports it
+// in TunedNodes, and a plan built with no table reports zero
 // (the graceful-fallback path).
 func TestPlanCountsTunedNodes(t *testing.T) {
 	mod, err := models.BuildEmotion(models.SizeLite)
@@ -34,7 +34,7 @@ func TestPlanCountsTunedNodes(t *testing.T) {
 	}
 
 	tbl := topi.NewTuningTable()
-	tbl.Set(tasks[0], topi.KernelConfig{Workers: 1})
+	tbl.Set(tasks[0], tune.Candidate(tasks[0]))
 	prev := topi.SetTuning(tbl)
 	defer topi.SetTuning(prev)
 

@@ -83,8 +83,7 @@ func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	}
 	data, weight := args[0], args[1]
 	p := convParams(attrs)
-	cfg := tunedConfig(taskKey("nn.conv2d", data.Shape, weight.Shape, data.DType, p))
-	return convF32(data, weight, p, out, dstBuf, cfg, convUseIm2col(cfg, out.Shape, weight.Shape, p.groups), ep), nil
+	return convF32(data, weight, p, out, dstBuf, convUseIm2col("nn.conv2d", data, weight, p, out.Shape), ep), nil
 }
 
 // convF32 runs the float32 convolution by one strategy, parallel over
@@ -96,12 +95,12 @@ func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 // (convGeom.work); nested GEMM tile parallelism then degrades to serial
 // because this loop already holds the worker-budget tokens. Split or not, a
 // steady-state launch allocates nothing.
-func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig, im2col bool, ep epilogueF32) *tensor.Tensor {
+func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, im2col bool, ep epilogueF32) *tensor.Tensor {
 	res := output(dstBuf, out)
 	r := convRowsF32{
 		g:   newConvGeom(p, data.Shape, weight.Shape, out.Shape),
 		din: data.F32(), wt: weight.F32(), dout: res.F32(),
-		cfg: cfg, ep: ep,
+		ep: ep,
 	}
 	if im2col {
 		r.pw = packedConvWeightF32(weight, r.g.groups)
@@ -112,7 +111,7 @@ func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType,
 		r.wt = *wtP
 	}
 	rows := data.Shape[0] * r.g.oh
-	convRegionF32.Run(rows, r.g.work(rows), cfg.chunkOpts(), r)
+	convRegionF32.Run(rows, r.g.work(rows), r)
 	return res
 }
 
@@ -126,7 +125,6 @@ type convRowsF32 struct {
 	g             convGeom
 	din, wt, dout []float32
 	pw            *packedWeight[float32]
-	cfg           *KernelConfig
 	ep            epilogueF32
 }
 
@@ -145,7 +143,7 @@ func (r convRowsF32) run(lo, hi int) {
 		} else {
 			for grp := 0; grp < g.groups; grp++ {
 				packCol(*colP, r.din, g, job, grp)
-				gemmPackedF32(g.ow, g.ocg(), g.k(), *colP, r.pw.group(grp), row[grp*g.ocg():], g.oc, r.cfg)
+				gemmPackedF32(g.ow, g.ocg(), g.k(), *colP, r.pw.group(grp), row[grp*g.ocg():], g.oc)
 			}
 		}
 		r.ep.apply(row)
@@ -257,12 +255,11 @@ func tapMajor[T float32 | int32](dst, src []T, oc, taps int) {
 }
 
 // convUseIm2col is the strategy decision of every convolution launch, float,
-// quantized or fused: an explicit tuned ConvStrategy wins, ConvAuto (or no
-// record) asks im2colPays. out is the NHWC output shape, weight the OHWI
-// filter shape. Both strategies are pinned bit-identical, so the switch is a
-// pure performance decision.
-func convUseIm2col(cfg *KernelConfig, out, weight tensor.Shape, groups int) bool {
-	if cfg != nil {
+// quantized or fused: the task's tuned ConvStrategy wins, ConvAuto (or no
+// record) asks im2colPays. out is the NHWC output shape. Both strategies are
+// pinned bit-identical, so the switch is a pure performance decision.
+func convUseIm2col(op string, data, weight *tensor.Tensor, p conv2dParams, out tensor.Shape) bool {
+	if cfg := tunedConfig(taskKey(op, data.Shape, weight.Shape, data.DType, p)); cfg != nil {
 		switch cfg.ConvStrategy {
 		case ConvIm2col:
 			return true
@@ -270,7 +267,7 @@ func convUseIm2col(cfg *KernelConfig, out, weight tensor.Shape, groups int) bool
 			return false
 		}
 	}
-	return im2colPays(out, weight, groups)
+	return im2colPays(out, weight.Shape, p.groups)
 }
 
 // qnnConv2D is the quantized convolution producing an int32 accumulator:
@@ -291,10 +288,9 @@ func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *rel
 		return nil, err
 	}
 	p := convParams(attrs)
-	cfg := tunedConfig(taskKey(op, data.Shape, weight.Shape, data.DType, p))
 	zpIn := int32(attrs.Int("input_zero_point", 0))
 	zpK := int32(attrs.Int("kernel_zero_point", 0))
-	return convQnn(data, weight, p, zpIn, zpK, out, dstBuf, cfg, convUseIm2col(cfg, out.Shape, weight.Shape, p.groups), ep)
+	return convQnn(data, weight, p, zpIn, zpK, out, dstBuf, convUseIm2col(op, data, weight, p, out.Shape), ep)
 }
 
 // convQnn runs the quantized convolution by one strategy, parallel over
@@ -309,9 +305,9 @@ func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *rel
 // ep == nil (qnn.conv2d) the int32 accumulators are the output; otherwise
 // each output row is reduced into scratch and narrowed through a copy of ep.
 // Split or not, a steady-state launch allocates nothing.
-func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, dstBuf *tensor.Tensor, cfg *KernelConfig, im2col bool, ep *epilogue) (*tensor.Tensor, error) {
+func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, dstBuf *tensor.Tensor, im2col bool, ep *epilogue) (*tensor.Tensor, error) {
 	res := output(dstBuf, out)
-	r := convRowsQnn{g: newConvGeom(p, data.Shape, weight.Shape, out.Shape), res: res, cfg: cfg}
+	r := convRowsQnn{g: newConvGeom(p, data.Shape, weight.Shape, out.Shape), res: res}
 	if ep != nil {
 		r.ep, r.fused = *ep, true
 	}
@@ -348,7 +344,7 @@ func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *
 		}
 	}
 	rows := data.Shape[0] * g.oh
-	convRegionQnn.Run(rows, g.work(rows), cfg.chunkOpts(), r)
+	convRegionQnn.Run(rows, g.work(rows), r)
 	return res, nil
 }
 
@@ -364,7 +360,6 @@ type convRowsQnn struct {
 	dinPairs []i16x2
 	pw       *packedWeight[i16x2]
 	res      *tensor.Tensor
-	cfg      *KernelConfig
 	fused    bool
 	ep       epilogue
 }
@@ -399,7 +394,7 @@ func (r convRowsQnn) run(lo, hi int) {
 		} else {
 			for grp := 0; grp < g.groups; grp++ {
 				packCol(*colP, r.dinPairs, &gp, job, grp)
-				gemmPackedI32(g.ow, g.ocg(), gp.k(), *colP, r.pw.group(grp), row[grp*g.ocg():], g.oc, r.cfg)
+				gemmPackedI32(g.ow, g.ocg(), gp.k(), *colP, r.pw.group(grp), row[grp*g.ocg():], g.oc)
 			}
 		}
 		if r.fused {
@@ -423,9 +418,8 @@ func denseF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, d
 	// nn.dense is GEMM by definition: rows of data against rows of weight.
 	// The packed panels are the weight's own; tile parallelism
 	// inside the driver draws on the shared worker budget.
-	cfg := tunedConfig(taskKey("nn.dense", data.Shape, weight.Shape, data.DType, unitParams))
 	pw := packedConvWeightF32(weight, 1)
-	gemmF32Cfg(n, units, k, data.F32(), k, pw.data, res.F32(), units, cfg)
+	gemmF32(n, units, k, data.F32(), k, pw.data, res.F32(), units)
 	ep.apply(res.F32())
 	return res, nil
 }
@@ -458,14 +452,13 @@ func quantizedDense(op string, args []*tensor.Tensor, attrs relay.Attrs, out *re
 	if err := rawMinusZpPairs(*dinP, data, int32(attrs.Int("input_zero_point", 0)), k); err != nil {
 		return nil, err
 	}
-	cfg := tunedConfig(taskKey(op, data.Shape, weight.Shape, data.DType, unitParams))
 	if ep == nil {
-		gemmI32Cfg(n, units, kp, *dinP, kp, pw.data, res.I32(), units, cfg)
+		gemmI32(n, units, kp, *dinP, kp, pw.data, res.I32(), units)
 		return res, nil
 	}
 	accP := scratchI32.get(n * units)
 	defer scratchI32.put(accP)
-	gemmI32Cfg(n, units, kp, *dinP, kp, pw.data, *accP, units, cfg)
+	gemmI32(n, units, kp, *dinP, kp, pw.data, *accP, units)
 	ep.apply(res, *accP, 0)
 	return res, nil
 }

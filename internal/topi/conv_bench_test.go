@@ -70,12 +70,12 @@ func BenchmarkConvStrategy(b *testing.B) {
 			name string
 			run  func()
 		}{
-			{"f32/direct", func() { convF32(data, weight, p, out, dst, nil, false, epilogueF32{}) }},
-			{"f32/im2col", func() { convF32(data, weight, p, out, dst, nil, true, epilogueF32{}) }},
-			{"qnn/direct", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, nil, false, nil) }},
-			{"qnn/im2col", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, nil, true, nil) }},
-			{"qnn-fused/direct", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, nil, false, &ep) }},
-			{"qnn-fused/im2col", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, nil, true, &ep) }},
+			{"f32/direct", func() { convF32(data, weight, p, out, dst, false, epilogueF32{}) }},
+			{"f32/im2col", func() { convF32(data, weight, p, out, dst, true, epilogueF32{}) }},
+			{"qnn/direct", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, false, nil) }},
+			{"qnn/im2col", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, true, nil) }},
+			{"qnn-fused/direct", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, false, &ep) }},
+			{"qnn-fused/im2col", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, true, &ep) }},
 		} {
 			b.Run(name+"/"+k.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -114,7 +114,7 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 			workers int
 			run     func()
 		}
-		driver := func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n, nil) }
+		driver := func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n) }
 		rows := []row{{"gemmPackedF32", 1, driver}, {"gemmPackedF32/workers=2", 2, driver}}
 		for _, kern := range tileKernels {
 			if kern.skip || nt%kern.panels != 0 {

@@ -502,7 +502,7 @@ func softmax(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, ds
 	src := data.F32()
 	// An exp and a normalize an element: the cost model's transcendental
 	// weight of eight (soc.MACs).
-	softmaxRegion.Run(rows, 8*int64(len(src)), parallel.ChunkOpts{}, softmaxArgs{res.F32(), src, axisLen})
+	softmaxRegion.Run(rows, 8*int64(len(src)), softmaxArgs{res.F32(), src, axisLen})
 	return res, nil
 }
 
@@ -629,7 +629,7 @@ func lrn(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf
 	rows := in.Elems() / c
 	src := in.F32()
 	// size squares and a pow an element, as the cost model weighs it.
-	lrnRegion.Run(rows, (int64(size)+4)*int64(len(src)), parallel.ChunkOpts{},
+	lrnRegion.Run(rows, (int64(size)+4)*int64(len(src)),
 		lrnArgs{res.F32(), src, c, size / 2, alpha, beta, bias})
 	return res, nil
 }

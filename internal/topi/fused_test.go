@@ -534,7 +534,7 @@ func TestSplitLaunchesDoNotAllocate(t *testing.T) {
 	ap := make([]float32, gemmTiles(s.m, gemmMR)*gemmMR*s.k)
 	packPanels(ap, a, s.m, s.k, s.k, gemmMR)
 	c := make([]float32, s.m*s.n)
-	check("gemmPackedF32", func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n, nil) }, c)
+	check("gemmPackedF32", func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n) }, c)
 }
 
 // roundHalfAwayBranchy is roundHalfAwayF as it was written before it lost

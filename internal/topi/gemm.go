@@ -94,7 +94,7 @@ import (
 // The tiles and the panel loops and drivers that call them are the only
 // per-element-type code here.
 //
-// The A side arrives either row-major (gemmF32Cfg, gemmI32Cfg: dense, which
+// The A side arrives either row-major (gemmF32, gemmI32: dense, which
 // pack it first) or already in panels (gemmPackedF32, gemmPackedI32: the
 // im2col convolution, whose patch pack writes panels directly).
 //
@@ -242,63 +242,39 @@ func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
 	}
 }
 
-// gemmMCBlock resolves the tuned MC row-block size: the full m by default,
-// else cfg.GemmMC rounded up to the register-tile height, so a block is a
-// run of whole panels. Blocking only changes the order the tiles are
-// visited in — every output cell still runs one k-ascending reduction, so
-// results stay bit-identical.
-func gemmMCBlock(m int, cfg *KernelConfig) int {
-	if cfg == nil || cfg.GemmMC <= 0 || cfg.GemmMC >= m {
-		return m
-	}
-	return gemmTiles(cfg.GemmMC, gemmMR) * gemmMR
-}
-
-// gemmF32Cfg computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n,
+// gemmF32 computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n,
 // where bpack holds B packed at gemmNR (packPanels, or a weight's panels):
 // it packs A at gemmMR into pooled scratch and runs gemmPackedF32.
 // Overwrite semantics; each cell's reduction is bit-identical to the naive
-// loop. cfg (nil: every default) carries the tuned knobs: MC row blocking
-// (LHS locality for tall matrices) and per-call worker/grain limits on the
-// N-tile loop.
-func gemmF32Cfg(m, n, k int, a []float32, lda int, bpack []float32, c []float32, ldc int, cfg *KernelConfig) {
+// loop.
+func gemmF32(m, n, k int, a []float32, lda int, bpack []float32, c []float32, ldc int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
 	apP := scratchF32.get(gemmTiles(m, gemmMR) * gemmMR * k)
 	packPanels(*apP, a, m, k, lda, gemmMR)
-	gemmPackedF32(m, n, k, *apP, bpack, c, ldc, cfg)
+	gemmPackedF32(m, n, k, *apP, bpack, c, ldc)
 	scratchF32.put(apP)
 }
 
-// gemmPackedF32 is gemmF32Cfg for an A that is already in gemmMR panels —
-// the layout packCol writes the im2col patch matrix in — so nothing is
-// repacked. MC blocks are runs of whole panels (the block height is a
-// multiple of gemmMR), each swept against every N-panel before the next.
-// The N-panels are split among workers in groups of gemmWidePanels, so a
-// chunk boundary never cuts a wide tile and only the last chunk has a tail;
-// a tuned GemmNC grain rounds up to whole groups.
-func gemmPackedF32(m, n, k int, ap, bpack, c []float32, ldc int, cfg *KernelConfig) {
+// gemmPackedF32 is gemmF32 for an A that is already in gemmMR panels — the
+// layout packCol writes the im2col patch matrix in — so nothing is
+// repacked. The N-panels are split among workers in groups of
+// gemmWidePanels, so a chunk boundary never cuts a wide tile and only the
+// last chunk has a tail.
+func gemmPackedF32(m, n, k int, ap, bpack, c []float32, ldc int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	mc := gemmMCBlock(m, cfg)
 	nt := gemmTiles(n, gemmNR)
-	w := gemmWidePanels
-	ng := gemmTiles(nt, w)
-	opts := cfg.gemmOpts()
-	opts.MinGrain = gemmTiles(opts.MinGrain, w)
-	for i0 := 0; i0 < m; i0 += mc {
-		mb := min(mc, m-i0)
-		gemmRegionF32.Run(ng, int64(mb)*int64(n)*int64(k), opts,
-			gemmGroupsF32{ap[i0*k:], bpack, c[i0*ldc:], mb, n, k, ldc, nt})
-	}
+	gemmRegionF32.Run(gemmTiles(nt, gemmWidePanels), int64(m)*int64(n)*int64(k),
+		gemmGroupsF32{ap, bpack, c, m, n, k, ldc, nt})
 }
 
 var gemmRegionF32 = parallel.NewRegion(gemmGroupsF32.run)
 
-// gemmGroupsF32 is gemmPackedF32's panel loop over one MC block and its
-// closure data: run covers panel groups [gLo, gHi) of gemmWidePanels panels.
+// gemmGroupsF32 is gemmPackedF32's panel loop and its closure data: run
+// covers panel groups [gLo, gHi) of gemmWidePanels panels.
 type gemmGroupsF32 struct {
 	ap, bpack, c      []float32
 	mb, n, k, ldc, nt int
@@ -391,37 +367,31 @@ func gemmMicroI16Go(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
 	}
 }
 
-// gemmI32Cfg is gemmF32Cfg for the quantized operands: A is m rows of kp
-// pairs (row stride lda), B packed at gemmNR, C int32.
-func gemmI32Cfg(m, n, kp int, a []i16x2, lda int, bpack []i16x2, c []int32, ldc int, cfg *KernelConfig) {
+// gemmI32 is gemmF32 for the quantized operands: A is m rows of kp pairs
+// (row stride lda), B packed at gemmNR, C int32.
+func gemmI32(m, n, kp int, a []i16x2, lda int, bpack []i16x2, c []int32, ldc int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
 	apP := scratchPairs.get(gemmTiles(m, gemmMR) * gemmMR * kp)
 	packPanels(*apP, a, m, kp, lda, gemmMR)
-	gemmPackedI32(m, n, kp, *apP, bpack, c, ldc, cfg)
+	gemmPackedI32(m, n, kp, *apP, bpack, c, ldc)
 	scratchPairs.put(apP)
 }
 
 // gemmPackedI32 is gemmPackedF32 for the quantized operands.
-func gemmPackedI32(m, n, kp int, ap, bpack []i16x2, c []int32, ldc int, cfg *KernelConfig) {
+func gemmPackedI32(m, n, kp int, ap, bpack []i16x2, c []int32, ldc int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	mc := gemmMCBlock(m, cfg)
-	nt := gemmTiles(n, gemmNR)
-	opts := cfg.gemmOpts()
-	for i0 := 0; i0 < m; i0 += mc {
-		mb := min(mc, m-i0)
-		gemmRegionI32.Run(nt, 2*int64(mb)*int64(n)*int64(kp), opts,
-			gemmPanelsI32Args{ap[i0*kp:], bpack, c[i0*ldc:], mb, n, kp, ldc})
-	}
+	gemmRegionI32.Run(gemmTiles(n, gemmNR), 2*int64(m)*int64(n)*int64(kp),
+		gemmPanelsI32Args{ap, bpack, c, m, n, kp, ldc})
 }
 
 var gemmRegionI32 = parallel.NewRegion(gemmPanelsI32Args.run)
 
-// gemmPanelsI32Args is gemmPackedI32's panel loop over one MC block and its
-// closure data; its work counts each k-pair as two MACs.
+// gemmPanelsI32Args is gemmPackedI32's panel loop and its closure data; its
+// work counts each k-pair as two MACs.
 type gemmPanelsI32Args struct {
 	ap, bpack      []i16x2
 	c              []int32
@@ -586,10 +556,10 @@ func rawMinusZpPairs(dst []i16x2, t *tensor.Tensor, zp int32, vec int) error {
 	switch t.DType {
 	case tensor.UInt8:
 		src := t.U8()
-		widenPairsRegionU8.Run(len(src)/vec, int64(len(src)), parallel.ChunkOpts{}, widenPairsArgs[uint8]{dst, src, zp, vec})
+		widenPairsRegionU8.Run(len(src)/vec, int64(len(src)), widenPairsArgs[uint8]{dst, src, zp, vec})
 	case tensor.Int8:
 		src := t.I8()
-		widenPairsRegionI8.Run(len(src)/vec, int64(len(src)), parallel.ChunkOpts{}, widenPairsArgs[int8]{dst, src, zp, vec})
+		widenPairsRegionI8.Run(len(src)/vec, int64(len(src)), widenPairsArgs[int8]{dst, src, zp, vec})
 	default:
 		return fmt.Errorf("quantized kernel on %s tensor", t.DType)
 	}

@@ -91,12 +91,10 @@ func TestGemmF32MatchesNaive(t *testing.T) {
 		m, n, k := d[0], d[1], d[2]
 		t.Run(fmt.Sprintf("m%d_n%d_k%d", m, n, k), func(t *testing.T) {
 			a, bpack, want := gemmF32Case(rng, m, n, k, k, n)
-			for _, cfg := range []*KernelConfig{nil, {GemmMC: 1}, {GemmMC: 4}, {GemmMC: 6}} {
-				got := make([]float32, m*n)
-				gemmF32Cfg(m, n, k, a, k, bpack, got, n, cfg)
-				if i, ok := sameF32Bits(got, want); !ok {
-					t.Fatalf("cfg %v: c[%d]: blocked %v != naive %v", cfg, i, got[i], want[i])
-				}
+			got := make([]float32, m*n)
+			gemmF32(m, n, k, a, k, bpack, got, n)
+			if i, ok := sameF32Bits(got, want); !ok {
+				t.Fatalf("c[%d]: blocked %v != naive %v", i, got[i], want[i])
 			}
 		})
 	}
@@ -112,7 +110,7 @@ func TestGemmF32StridedOperands(t *testing.T) {
 		lda, ldc := k+5, n+3
 		a, bpack, want := gemmF32Case(rng, m, n, k, lda, ldc)
 		got := make([]float32, m*ldc)
-		gemmF32Cfg(m, n, k, a, lda, bpack, got, ldc, nil)
+		gemmF32(m, n, k, a, lda, bpack, got, ldc)
 		if i, ok := sameF32Bits(got, want); !ok {
 			t.Fatalf("m%d n%d k%d: c[%d,%d]: blocked %v != naive %v", m, n, k, i/ldc, i%ldc, got[i], want[i])
 		}
@@ -332,7 +330,7 @@ func TestGemmI32MatchesNaive(t *testing.T) {
 			bpack := make([]i16x2, gemmTiles(n, gemmNR)*gemmNR*kp)
 			packPanels(bpack, pairRows(b, n, k), n, kp, kp, gemmNR)
 			got := make([]int32, m*n)
-			gemmI32Cfg(m, n, kp, pairRows(a, m, k), kp, bpack, got, n, nil)
+			gemmI32(m, n, kp, pairRows(a, m, k), kp, bpack, got, n)
 			want := make([]int32, m*n)
 			naiveGemmI32(m, n, k, a, k, b, k, want, n)
 			for i := range want {
@@ -439,12 +437,9 @@ func TestGemmSerialPathDoesNotAllocate(t *testing.T) {
 	const m, n, k = 13, 9, 27
 	af, bf, cf := make([]float32, m*k), make([]float32, gemmTiles(n, gemmNR)*gemmNR*k), make([]float32, m*n)
 	ai, bi, ci := make([]i16x2, m*k), make([]i16x2, gemmTiles(n, gemmNR)*gemmNR*k), make([]int32, m*n)
-	blocked := &KernelConfig{GemmMC: 4}
 	for name, call := range map[string]func(){
-		"gemmF32Cfg":            func() { gemmF32Cfg(m, n, k, af, k, bf, cf, n, nil) },
-		"gemmF32Cfg, MC blocks": func() { gemmF32Cfg(m, n, k, af, k, bf, cf, n, blocked) },
-		"gemmI32Cfg":            func() { gemmI32Cfg(m, n, k, ai, k, bi, ci, n, nil) },
-		"gemmI32Cfg, MC blocks": func() { gemmI32Cfg(m, n, k, ai, k, bi, ci, n, blocked) },
+		"gemmF32": func() { gemmF32(m, n, k, af, k, bf, cf, n) },
+		"gemmI32": func() { gemmI32(m, n, k, ai, k, bi, ci, n) },
 	} {
 		if allocs := testing.AllocsPerRun(200, call); allocs != 0 {
 			t.Errorf("%s allocates %v times per call on the serial path, want 0", name, allocs)
@@ -488,15 +483,23 @@ var convCases = []convCase{
 
 // TestConvStrategyRule pins which kernel the built-in rule picks for each
 // case, so that the two equivalence tests below are known to cover shapes
-// on both sides of it.
+// on both sides of it, and checks that a task key's DefaultStrategy — the
+// decision the tuner's candidate must differ from — is that rule.
 func TestConvStrategyRule(t *testing.T) {
 	for _, cc := range convCases {
 		oh, ow := cc.outShape()
 		out := tensor.Shape{cc.n, oh, ow, cc.oc}
 		weight := tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}
-		if got := !convUseIm2col(nil, out, weight, cc.groups); got != cc.direct {
+		if got := !im2colPays(out, weight, cc.groups); got != cc.direct {
 			t.Errorf("%s (output %v, filter %v, %d groups): direct = %v, want %v",
 				cc.name, out, weight, cc.groups, got, cc.direct)
+		}
+		key := taskKey("nn.conv2d", tensor.Shape{cc.n, cc.h, cc.w, cc.c}, weight, tensor.Float32, cc.params())
+		if got, err := key.OutShape(); err != nil || !got.Equal(out) {
+			t.Errorf("%s: task output %v (%v), want %v", cc.name, got, err, out)
+		}
+		if got := key.DefaultStrategy() == ConvDirect; got != cc.direct {
+			t.Errorf("%s: DefaultStrategy %s, direct = %v", cc.name, key.DefaultStrategy(), cc.direct)
 		}
 	}
 }
@@ -534,8 +537,8 @@ func TestConvIm2colMatchesDirectF32(t *testing.T) {
 			oh, ow := cc.outShape()
 			out := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.Float32}
 
-			direct := convF32(data, weight, cc.params(), out, nil, nil, false, epilogueF32{})
-			blocked := convF32(data, weight, cc.params(), out, nil, nil, true, epilogueF32{})
+			direct := convF32(data, weight, cc.params(), out, nil, false, epilogueF32{})
+			blocked := convF32(data, weight, cc.params(), out, nil, true, epilogueF32{})
 			if i, ok := sameF32Bits(blocked.F32(), direct.F32()); !ok {
 				t.Fatalf("out[%d]: direct %v != im2col %v", i, direct.F32()[i], blocked.F32()[i])
 			}
@@ -570,11 +573,11 @@ func TestConvIm2colMatchesDirectQnn(t *testing.T) {
 			oh, ow := cc.outShape()
 			out := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.Int32}
 
-			direct, err := convQnn(data, weight, cc.params(), zpIn, zpK, out, nil, nil, false, nil)
+			direct, err := convQnn(data, weight, cc.params(), zpIn, zpK, out, nil, false, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			blocked, err := convQnn(data, weight, cc.params(), zpIn, zpK, out, nil, nil, true, nil)
+			blocked, err := convQnn(data, weight, cc.params(), zpIn, zpK, out, nil, true, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,7 +42,7 @@ func maxPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	oh, ow := out.Shape[1], out.Shape[2]
 
 	if in.DType == tensor.Float32 {
-		maxPoolRegion.Run(n*oh, p.work(res.Elems()), parallel.ChunkOpts{},
+		maxPoolRegion.Run(n*oh, p.work(res.Elems()),
 			maxPoolArgs{res.F32(), in.F32(), p, h, w, c, oh, ow})
 		return res, nil
 	}
@@ -148,7 +148,7 @@ func avgPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	res := output(dstBuf, out)
 	n, h, w, c := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
 	oh, ow := out.Shape[1], out.Shape[2]
-	avgPoolRegion.Run(n*oh, p.work(res.Elems()), parallel.ChunkOpts{}, avgPoolArgs{in, res, p, h, w, c, oh, ow})
+	avgPoolRegion.Run(n*oh, p.work(res.Elems()), avgPoolArgs{in, res, p, h, w, c, oh, ow})
 	return res, nil
 }
 
@@ -220,7 +220,7 @@ func globalAvgPool2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.Tensor
 	in := args[0]
 	res := output(dstBuf, out)
 	n, h, w, c := in.Shape[0], in.Shape[1], in.Shape[2], in.Shape[3]
-	globalAvgPoolRegion.Run(n*c, int64(in.Elems()), parallel.ChunkOpts{}, globalAvgPoolArgs{in, res, h, w, c})
+	globalAvgPoolRegion.Run(n*c, int64(in.Elems()), globalAvgPoolArgs{in, res, h, w, c})
 	return res, nil
 }
 

@@ -12,7 +12,7 @@ import (
 // TestZooDispatchKeysAreTaskKeyOf: a tuning record is written under the key
 // TaskKeyOf gives a checked call and found under the key the kernel builds
 // at dispatch, and one builder makes both. For every lite-zoo model, built
-// TVM-only and BYOC, a table holding TaskKeyOf of each conv/dense call is
+// TVM-only and BYOC, a table holding TaskKeyOf of each convolution call is
 // installed and one inference runs: every dispatch that consults the table —
 // the TVM kernels and the Neuron runtime's fused launches alike — must find
 // its record.
@@ -52,7 +52,7 @@ func TestZooDispatchKeysAreTaskKeyOf(t *testing.T) {
 				t.Fatalf("%s (BYOC %v): %v", name, opts.UseNIR, err)
 			}
 			if hits, misses := tbl.Stats(); hits == 0 || misses != 0 {
-				t.Errorf("%s (BYOC %v): %d conv/dense dispatches found their TaskKeyOf record, %d did not",
+				t.Errorf("%s (BYOC %v): %d conv dispatches found their TaskKeyOf record, %d did not",
 					name, opts.UseNIR, hits, misses)
 			}
 		}

@@ -7,36 +7,33 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/relay"
 	"repro/internal/tensor"
 )
 
-// Profile-guided kernel dispatch: the internal/tune autotuner measures
-// kernel variants per (op, shape, dtype) task and persists the winners to a
-// tuning-record file; at load time the records become a TuningTable
-// installed here, and every conv/dense kernel launch consults it before
-// picking its strategy, blocking, and parallelism. With no table installed
-// (the default) the lookup is one atomic load and every kernel keeps its
-// PR 7 hard-coded heuristics, so untuned deployments pay nothing.
+// Profile-guided kernel dispatch: the internal/tune autotuner measures each
+// convolution task (op, shape, dtype) under the strategy the built-in rule
+// does not pick and persists the strategies that won to a tuning-record
+// file; at load time the records become a TuningTable installed here, and
+// every convolution launch consults it before picking its strategy. With
+// no table installed (the default) the lookup is one atomic load and every
+// launch keeps the built-in rule (im2colPays), so untuned deployments pay
+// nothing.
 //
-// Every knob is bitwise-output-preserving by construction: strategy
-// switches between kernels already pinned bit-identical (im2col vs direct,
-// blocked GEMM vs naive), and blocking/worker knobs only re-partition
-// disjoint output ranges whose per-cell reductions keep their k-ascending
-// order (tuning_test.go pins this across the whole config space).
+// The strategy is the one knob: it switches between two kernels pinned
+// bit-identical to each other (im2col against direct), and neither is
+// faster on every shape.
 
-// TaskKey identifies one tunable kernel task: the operator plus the problem
-// shape and dtype. Dense tasks store the data matrix as N×C with H=W=1 and
-// the weight as OC×1×1×ICG. The struct is comparable and built on the
-// kernel dispatch path without allocation.
+// TaskKey identifies one tunable convolution task: the operator plus the
+// problem shape and dtype. The struct is comparable and built on the kernel
+// dispatch path without allocation.
 type TaskKey struct {
 	Op string
 	// Data tensor shape (NHWC).
 	N, H, W, C int
 	// Weight tensor shape (OHWI; ICG is the per-group input-channel count).
 	OC, KH, KW, ICG int
-	// Convolution attributes (dense: strides/dilation 1, pads 0, groups 1).
+	// Convolution attributes.
 	SH, SW, DH, DW, Groups int
 	PadT, PadL, PadB, PadR int
 	// Element type of the data operand ("float32", "uint8", ...).
@@ -97,34 +94,49 @@ func parseTaskKey(s string) (TaskKey, bool) {
 
 // Conv strategy knob values.
 const (
-	ConvAuto   = ""       // volume-threshold heuristic (the PR 7 default)
-	ConvIm2col = "im2col" // force the im2col + blocked-GEMM path
+	ConvAuto   = ""       // the built-in rule, im2colPays
+	ConvIm2col = "im2col" // force the im2col + GEMM path
 	ConvDirect = "direct" // force the direct kernel
 )
 
-// KernelConfig is the knob set one task resolves to. The zero value means
-// "use every default" and is indistinguishable from an absent record.
-type KernelConfig struct {
-	// ConvStrategy selects the convolution algorithm: ConvAuto, ConvIm2col
-	// or ConvDirect. Ignored by dense tasks.
-	ConvStrategy string
-	// GemmMC blocks the GEMM's LHS into runs of at most GemmMC rows
-	// (rounded up to the register-tile height), each swept against every
-	// N-panel before the next; 0 sweeps all rows at once. Improves LHS
-	// locality for tall matrices.
-	GemmMC int
-	// GemmNC is the minimum number of N register tiles per parallel chunk
-	// of the GEMM driver; 0 leaves the chunk size to the launch.
-	GemmNC int
-	// Workers caps the workers this kernel's parallel loops may use on top
-	// of the shared inter/intra-op budget; 0 applies no per-kernel cap.
-	Workers int
-	// Grain is the minimum iterations per chunk of the kernel's outer
-	// parallel loop (conv batch×row loop); 0 applies no minimum.
-	Grain int
+// OutShape is the NHWC output shape of the task's convolution, or an error
+// when a stride is not positive or the kernel is larger than the padded
+// input.
+func (k TaskKey) OutShape() (tensor.Shape, error) {
+	oh, err := relay.ConvOutDim(k.H, k.KH, k.SH, k.PadT, k.PadB, k.DH)
+	if err != nil {
+		return nil, err
+	}
+	ow, err := relay.ConvOutDim(k.W, k.KW, k.SW, k.PadL, k.PadR, k.DW)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.Shape{k.N, oh, ow, k.OC}, nil
 }
 
-// IsDefault reports whether the config carries no overrides.
+// DefaultStrategy is the strategy a launch of the task runs without a
+// record: ConvIm2col or ConvDirect, as im2colPays decides. A task with no
+// output shape has no launch, and gets ConvAuto.
+func (k TaskKey) DefaultStrategy() string {
+	out, err := k.OutShape()
+	if err != nil {
+		return ConvAuto
+	}
+	if im2colPays(out, tensor.Shape{k.OC, k.KH, k.KW, k.ICG}, k.Groups) {
+		return ConvIm2col
+	}
+	return ConvDirect
+}
+
+// KernelConfig is what one task's record resolves to. The zero value means
+// "use the built-in rule" and is indistinguishable from an absent record.
+type KernelConfig struct {
+	// ConvStrategy selects the convolution algorithm: ConvAuto, ConvIm2col
+	// or ConvDirect.
+	ConvStrategy string
+}
+
+// IsDefault reports whether the config carries no override.
 func (c KernelConfig) IsDefault() bool { return c == KernelConfig{} }
 
 // String renders the config compactly for reports and record files.
@@ -132,47 +144,7 @@ func (c KernelConfig) String() string {
 	if c.IsDefault() {
 		return "default"
 	}
-	s := ""
-	app := func(f string, args ...interface{}) {
-		if s != "" {
-			s += " "
-		}
-		s += fmt.Sprintf(f, args...)
-	}
-	if c.ConvStrategy != ConvAuto {
-		app("conv=%s", c.ConvStrategy)
-	}
-	if c.GemmMC != 0 {
-		app("mc=%d", c.GemmMC)
-	}
-	if c.GemmNC != 0 {
-		app("nc=%d", c.GemmNC)
-	}
-	if c.Workers != 0 {
-		app("workers=%d", c.Workers)
-	}
-	if c.Grain != 0 {
-		app("grain=%d", c.Grain)
-	}
-	return s
-}
-
-// chunkOpts translates the parallelism knobs for a parallel.Region launch.
-// Safe on a nil config (returns the unlimited zero value).
-func (c *KernelConfig) chunkOpts() parallel.ChunkOpts {
-	if c == nil {
-		return parallel.ChunkOpts{}
-	}
-	return parallel.ChunkOpts{MaxWorkers: c.Workers, MinGrain: c.Grain}
-}
-
-// gemmOpts is chunkOpts for the GEMM N-tile loop, whose grain knob is
-// GemmNC rather than Grain.
-func (c *KernelConfig) gemmOpts() parallel.ChunkOpts {
-	if c == nil {
-		return parallel.ChunkOpts{}
-	}
-	return parallel.ChunkOpts{MaxWorkers: c.Workers, MinGrain: c.GemmNC}
+	return "conv=" + c.ConvStrategy
 }
 
 // tunedEntry pairs a config with its dispatch hit count (npc -profile's
@@ -308,47 +280,35 @@ func tunedConfig(key TaskKey) *KernelConfig {
 	return &e.cfg
 }
 
-// taskOp normalizes fused kernel names to their anchor op so one tuning
+// taskOp normalizes the fused kernel name to its anchor op so one tuning
 // record serves both the TVM chain (qnn.conv2d) and the Neuron runtime's
 // fused dispatch (qnn.conv2d_fused) of the same problem.
 func taskOp(op string) string {
-	switch op {
-	case "qnn.conv2d_fused":
+	if op == "qnn.conv2d_fused" {
 		return "qnn.conv2d"
-	case "qnn.dense_fused":
-		return "qnn.dense"
 	}
 	return op
 }
 
-// unitParams are a dense launch's convolution attributes: unit strides and
-// dilation, no padding, one group.
-var unitParams = conv2dParams{sh: 1, sw: 1, dh: 1, dw: 1, groups: 1}
-
-// taskKey is the one builder of a task signature, called by every conv and
-// dense kernel at dispatch (allocation-free) and by TaskKeyOf on checked
-// types. A dense launch — rank-2 N×C data against OC×C weight, unitParams —
-// is keyed as the 1×1 convolution it is: data N×1×1×C, weight OC×1×1×C.
+// taskKey is the one builder of a task signature, called by every
+// convolution launch at dispatch (allocation-free) and by TaskKeyOf on
+// checked types: NHWC data, OHWI weight.
 func taskKey(op string, data, weight tensor.Shape, dt tensor.DType, p conv2dParams) TaskKey {
-	k := TaskKey{
+	return TaskKey{
 		Op: taskOp(op),
-		N:  data[0], H: 1, W: 1, C: data[len(data)-1],
-		OC: weight[0], KH: 1, KW: 1, ICG: weight[len(weight)-1],
+		N:  data[0], H: data[1], W: data[2], C: data[3],
+		OC: weight[0], KH: weight[1], KW: weight[2], ICG: weight[3],
 		SH: p.sh, SW: p.sw, DH: p.dh, DW: p.dw, Groups: p.groups,
 		PadT: p.pad[0], PadL: p.pad[1], PadB: p.pad[2], PadR: p.pad[3],
 		DType: dt.String(),
 	}
-	if len(data) == 4 {
-		k.H, k.W, k.KH, k.KW = data[1], data[2], weight[1], weight[2]
-	}
-	return k
 }
 
 // TaskKeyOf is the one mapping from a type-checked relay call to its tunable
-// task: ok=false for ops outside the conv/dense families and for calls whose
-// operand types are missing, non-tensor or of the wrong rank. The tune
-// extractor and the plan builder both ask here, so a task is tunable exactly
-// when the plan can see its record.
+// task: ok=false for ops other than the convolutions and for calls whose
+// operand types are missing, non-tensor or not rank 4. The tune extractor
+// and the plan builder both ask here, so a task is tunable exactly when the
+// plan can see its record.
 func TaskKeyOf(call *relay.Call) (TaskKey, bool) {
 	if call.Op == nil || len(call.Args) < 2 {
 		return TaskKey{}, false
@@ -365,10 +325,6 @@ func TaskKeyOf(call *relay.Call) (TaskKey, bool) {
 	case "nn.conv2d", "qnn.conv2d":
 		if len(data.Shape) == 4 && len(weight.Shape) == 4 {
 			return taskKey(op, data.Shape, weight.Shape, data.DType, convParams(call.Attrs)), true
-		}
-	case "nn.dense", "qnn.dense":
-		if len(data.Shape) == 2 && len(weight.Shape) == 2 {
-			return taskKey(op, data.Shape, weight.Shape, data.DType, unitParams), true
 		}
 	}
 	return TaskKey{}, false

@@ -16,8 +16,6 @@ func TestTaskKeyStringRoundTrip(t *testing.T) {
 			SH: 1, SW: 1, DH: 1, DW: 1, Groups: 1, PadT: 1, PadL: 1, PadB: 1, PadR: 1, DType: "float32"},
 		{Op: "qnn.conv2d", N: 2, H: 224, W: 224, C: 32, OC: 64, KH: 3, KW: 3, ICG: 1,
 			SH: 2, SW: 2, DH: 1, DW: 1, Groups: 32, PadT: 0, PadL: 1, PadB: 0, PadR: 1, DType: "uint8"},
-		{Op: "nn.dense", N: 1, H: 1, W: 1, C: 1024, OC: 1000, KH: 1, KW: 1, ICG: 1024,
-			SH: 1, SW: 1, DH: 1, DW: 1, Groups: 1, DType: "float32"},
 	}
 	for _, k := range keys {
 		back, err := ParseTaskKey(k.String())
@@ -46,9 +44,6 @@ func TestTaskKeyFusedOpNormalization(t *testing.T) {
 	}
 	if fused.Op != "qnn.conv2d" {
 		t.Fatalf("fused op normalized to %q", fused.Op)
-	}
-	if d := taskKey("qnn.dense_fused", tensor.Shape{1, 16}, tensor.Shape{4, 16}, tensor.UInt8, unitParams); d.Op != "qnn.dense" {
-		t.Fatalf("fused dense op normalized to %q", d.Op)
 	}
 }
 
@@ -84,7 +79,7 @@ func TestTunedDispatchCountsHitsAndMisses(t *testing.T) {
 	key := taskKey("nn.conv2d", data.Shape, weight.Shape, data.DType,
 		conv2dParams{sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, pad: [4]int{1, 1, 1, 1}})
 	tbl := NewTuningTable()
-	tbl.Set(key, KernelConfig{ConvStrategy: ConvIm2col, GemmMC: 8, Workers: 1})
+	tbl.Set(key, KernelConfig{ConvStrategy: ConvDirect})
 	SetTuning(tbl)
 
 	tuned := runConv(t, data, weight)
@@ -101,7 +96,7 @@ func TestTunedDispatchCountsHitsAndMisses(t *testing.T) {
 	}
 
 	snap := tbl.Snapshot()
-	if len(snap) != 1 || snap[0].Hits != 1 || snap[0].Config.GemmMC != 8 {
+	if len(snap) != 1 || snap[0].Hits != 1 || snap[0].Config.ConvStrategy != ConvDirect {
 		t.Fatalf("snapshot = %+v", snap)
 	}
 
@@ -114,46 +109,12 @@ func TestTunedDispatchCountsHitsAndMisses(t *testing.T) {
 	}
 }
 
-// TestGemmMCBlockingBitwise pins the MC row-blocking knob: any block size
-// must reproduce the unblocked result bit for bit (each output cell keeps
-// one k-ascending accumulator regardless of row panel splits).
-func TestGemmMCBlockingBitwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for _, d := range [][3]int{{13, 7, 11}, {64, 32, 9}, {31, 17, 23}} {
-		m, n, k := d[0], d[1], d[2]
-		a := make([]float32, m*k)
-		b := make([]float32, n*k)
-		for i := range a {
-			a[i] = rng.Float32()*2 - 1
-		}
-		for i := range b {
-			b[i] = rng.Float32()*2 - 1
-		}
-		bpack := make([]float32, gemmTiles(n, gemmNR)*gemmNR*k)
-		packPanels(bpack, b, n, k, k, gemmNR)
-		want := make([]float32, m*n)
-		gemmF32Cfg(m, n, k, a, k, bpack, want, n, nil)
-		for _, mc := range []int{1, 3, 4, 8, m - 1, m, m + 5} {
-			if mc <= 0 {
-				continue
-			}
-			got := make([]float32, m*n)
-			gemmF32Cfg(m, n, k, a, k, bpack, got, n, &KernelConfig{GemmMC: mc})
-			for i := range want {
-				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-					t.Fatalf("m%d n%d k%d mc=%d: c[%d] = %v, want %v", m, n, k, mc, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 func TestKernelConfigString(t *testing.T) {
 	if s := (KernelConfig{}).String(); s != "default" {
 		t.Errorf("default config renders %q", s)
 	}
-	cfg := KernelConfig{ConvStrategy: ConvDirect, GemmMC: 64, Workers: 2}
-	if s := cfg.String(); s != "conv=direct mc=64 workers=2" {
+	cfg := KernelConfig{ConvStrategy: ConvDirect}
+	if s := cfg.String(); s != "conv=direct" {
 		t.Errorf("config renders %q", s)
 	}
 	if fmt.Sprint(&cfg) == "" {

@@ -8,8 +8,9 @@ import (
 	"repro/internal/topi"
 )
 
-// buildTuneModule constructs conv -> relu -> conv(same shape) -> dense:
-// three tunable launches, two distinct tasks plus one dense task.
+// buildTuneModule constructs conv -> relu -> conv(same shape) -> conv(five
+// filters) -> dense: three conv launches of two distinct tasks, and a dense
+// launch, which has no knob and so is no task.
 func buildTuneModule(t *testing.T) *relay.Module {
 	t.Helper()
 	data := relay.NewVar("data", relay.TType(tensor.Float32, 1, 8, 8, 3))
@@ -20,8 +21,11 @@ func buildTuneModule(t *testing.T) *relay.Module {
 	w2 := relay.Const(tensor.New(tensor.Float32, tensor.Shape{3, 3, 3, 3}))
 	conv2 := relay.NewCall(relay.OpConv2D, []relay.Expr{act, w2},
 		relay.Attrs{"strides": []int{1, 1}, "padding": []int{1, 1}})
-	flat := relay.NewCall(relay.OpReshape, []relay.Expr{conv2}, relay.Attrs{"newshape": []int{1, 192}})
-	wd := relay.Const(tensor.New(tensor.Float32, tensor.Shape{10, 192}))
+	w3 := relay.Const(tensor.New(tensor.Float32, tensor.Shape{5, 3, 3, 3}))
+	conv3 := relay.NewCall(relay.OpConv2D, []relay.Expr{conv2, w3},
+		relay.Attrs{"strides": []int{1, 1}, "padding": []int{1, 1}})
+	flat := relay.NewCall(relay.OpReshape, []relay.Expr{conv3}, relay.Attrs{"newshape": []int{1, 320}})
+	wd := relay.Const(tensor.New(tensor.Float32, tensor.Shape{10, 320}))
 	dense := relay.NewCall(relay.OpDense, []relay.Expr{flat, wd}, nil)
 	fn := relay.NewFunc([]*relay.Var{data}, dense)
 	if _, err := relay.InferTypes(fn); err != nil {
@@ -34,30 +38,20 @@ func TestTasksExtractionDedupesAndSorts(t *testing.T) {
 	m := buildTuneModule(t)
 	tasks := Tasks(m)
 	if len(tasks) != 2 {
-		t.Fatalf("extracted %d tasks, want 2 (deduped conv + dense): %v", len(tasks), tasks)
+		t.Fatalf("extracted %d tasks, want 2 (deduped convs, no dense): %v", len(tasks), tasks)
 	}
 	for i := 1; i < len(tasks); i++ {
 		if tasks[i-1].String() >= tasks[i].String() {
 			t.Fatalf("tasks not sorted: %s before %s", tasks[i-1], tasks[i])
 		}
 	}
-	var conv, dense *topi.TaskKey
-	for i := range tasks {
-		switch tasks[i].Op {
-		case "nn.conv2d":
-			conv = &tasks[i]
-		case "nn.dense":
-			dense = &tasks[i]
+	for _, task := range tasks {
+		if task.Op != "nn.conv2d" || task.H != 8 || task.W != 8 || task.C != 3 || task.KH != 3 || task.PadT != 1 {
+			t.Errorf("conv task = %s", task)
 		}
 	}
-	if conv == nil || dense == nil {
-		t.Fatalf("tasks = %v, want one conv and one dense", tasks)
-	}
-	if conv.H != 8 || conv.W != 8 || conv.C != 3 || conv.OC != 3 || conv.KH != 3 || conv.PadT != 1 {
-		t.Errorf("conv task = %s", conv)
-	}
-	if dense.N != 1 || dense.C != 192 || dense.OC != 10 {
-		t.Errorf("dense task = %s", dense)
+	if tasks[0].OC != 3 || tasks[1].OC != 5 {
+		t.Errorf("tasks = %v, want 3 and 5 filters", tasks)
 	}
 
 	// Every extracted task must survive the canonical string round-trip —

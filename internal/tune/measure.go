@@ -3,6 +3,7 @@ package tune
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"time"
 
@@ -12,10 +13,10 @@ import (
 )
 
 // Measurement harness: run one task's kernel in-process against real
-// tensors synthesized from the task signature, with a candidate config
-// temporarily installed in the dispatch table. Wall time is min-of-N over
-// iteration loops sized once per task (from the default config), so every
-// candidate amortizes timer overhead identically.
+// tensors synthesized from the task signature, with a config temporarily
+// installed in the dispatch table. Wall time is min-of-N over iteration
+// loops sized once per task (from the default config), so every measurement
+// amortizes timer overhead identically.
 
 // Measurer holds measurement policy shared across tasks.
 type Measurer struct {
@@ -106,64 +107,37 @@ func (b *kernelBench) synthesize() error {
 	if err != nil {
 		return fmt.Errorf("tune: task %s: %w", task, err)
 	}
-	rng := tensor.NewRNG(taskSeed(task, 0x6d65617375726572))
+	out, err := task.OutShape()
+	if err != nil {
+		return fmt.Errorf("tune: task %s has empty output: %w", task, err)
+	}
+	h := fnv.New64a()
+	h.Write([]byte(task.String()))
+	rng := tensor.NewRNG(h.Sum64())
+	data := tensor.New(dt, tensor.Shape{task.N, task.H, task.W, task.C})
+	weight := tensor.New(dt, tensor.Shape{task.OC, task.KH, task.KW, task.ICG})
+	fill(data, rng)
+	fill(weight, rng)
 	b.op = task.Op
-	b.attrs = relay.Attrs{}
-
-	var zpIn, zpK int
+	b.args = []*tensor.Tensor{data, weight}
+	b.attrs = relay.Attrs{
+		"strides":  []int{task.SH, task.SW},
+		"dilation": []int{task.DH, task.DW},
+		"padding":  []int{task.PadT, task.PadL, task.PadB, task.PadR},
+		"groups":   task.Groups,
+	}
+	outDT := tensor.Float32
 	switch dt {
 	case tensor.UInt8:
-		zpIn, zpK = 128, 119
+		outDT = tensor.Int32
+		b.attrs["input_zero_point"], b.attrs["kernel_zero_point"] = 128, 119
 	case tensor.Int8:
-		zpIn, zpK = -1, 3
+		outDT = tensor.Int32
+		b.attrs["input_zero_point"], b.attrs["kernel_zero_point"] = -1, 3
 	}
-
-	dense := task.KH == 1 && task.KW == 1 && task.H == 1 && task.W == 1 &&
-		(task.Op == "nn.dense" || task.Op == "qnn.dense")
-	if dense {
-		data := tensor.New(dt, tensor.Shape{task.N, task.C})
-		weight := tensor.New(dt, tensor.Shape{task.OC, task.ICG})
-		fill(data, rng)
-		fill(weight, rng)
-		b.args = []*tensor.Tensor{data, weight}
-		outDT := tensor.Float32
-		if dt.IsQuantized() {
-			outDT = tensor.Int32
-			b.attrs["input_zero_point"] = zpIn
-			b.attrs["kernel_zero_point"] = zpK
-		}
-		b.out = &relay.TensorType{Shape: tensor.Shape{task.N, task.OC}, DType: outDT}
-	} else {
-		data := tensor.New(dt, tensor.Shape{task.N, task.H, task.W, task.C})
-		weight := tensor.New(dt, tensor.Shape{task.OC, task.KH, task.KW, task.ICG})
-		fill(data, rng)
-		fill(weight, rng)
-		b.args = []*tensor.Tensor{data, weight}
-		b.attrs["strides"] = []int{task.SH, task.SW}
-		b.attrs["dilation"] = []int{task.DH, task.DW}
-		b.attrs["padding"] = []int{task.PadT, task.PadL, task.PadB, task.PadR}
-		b.attrs["groups"] = task.Groups
-		oh := convOut(task.H, task.KH, task.SH, task.DH, task.PadT, task.PadB)
-		ow := convOut(task.W, task.KW, task.SW, task.DW, task.PadL, task.PadR)
-		if oh <= 0 || ow <= 0 {
-			return fmt.Errorf("tune: task %s has empty output %dx%d", task, oh, ow)
-		}
-		outDT := tensor.Float32
-		if dt.IsQuantized() {
-			outDT = tensor.Int32
-			b.attrs["input_zero_point"] = zpIn
-			b.attrs["kernel_zero_point"] = zpK
-		}
-		b.out = &relay.TensorType{Shape: tensor.Shape{task.N, oh, ow, task.OC}, DType: outDT}
-	}
-	b.dst = tensor.New(b.out.DType, b.out.Shape.Clone())
+	b.out = &relay.TensorType{Shape: out, DType: outDT}
+	b.dst = tensor.New(outDT, out.Clone())
 	return nil
-}
-
-// convOut is the standard convolution output-extent arithmetic.
-func convOut(in, k, stride, dilation, padA, padB int) int {
-	eff := (k-1)*dilation + 1
-	return (in+padA+padB-eff)/stride + 1
 }
 
 // fill writes deterministic pseudo-random values appropriate to the dtype.
@@ -192,7 +166,7 @@ func (b *kernelBench) runOnce() error {
 	return topi.RunInto(b.op, b.args, b.attrs, b.out, b.dst)
 }
 
-// Measure times the task under one candidate config: the config is
+// Measure times the task under one config: the config is
 // installed as a single-entry dispatch table for the duration, the kernel
 // warms up, then the minimum of Reps timed iteration loops is returned (in
 // ns per kernel launch).
@@ -228,8 +202,8 @@ func (b *kernelBench) Measure(cfg topi.KernelConfig) (int64, error) {
 	return best, nil
 }
 
-// verifyAgainstRef enforces the bitwise-identity invariant: the candidate's
-// output must equal the default config's byte for byte.
+// verifyAgainstRef enforces the bitwise-identity invariant: the output under
+// cfg must equal the default config's byte for byte.
 func (b *kernelBench) verifyAgainstRef(cfg topi.KernelConfig) error {
 	if sameTensorData(b.dst, b.ref) {
 		return nil

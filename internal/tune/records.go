@@ -7,6 +7,7 @@
 // is that measured-cost search beats hand-picked schedule defaults; this
 // package closes that loop for the Go kernels, under the repository's
 // standing invariant that every knob preserves bitwise-identical outputs.
+// The one kernel knob is the convolution strategy (topi.KernelConfig).
 package tune
 
 import (
@@ -25,11 +26,12 @@ import (
 // Bump it when the record or config layout changes incompatibly; loaders
 // reject mismatched files with a re-tune diagnostic instead of silently
 // misreading knobs.
-const SchemaVersion = 1
+// Version 2: a kernel config is the convolution strategy alone.
+const SchemaVersion = 2
 
 // Record kinds.
 const (
-	KindKernel    = "kernel"    // per-task kernel knobs
+	KindKernel    = "kernel"    // per-task convolution strategy
 	KindPlacement = "placement" // per-stage device assignment
 )
 
@@ -37,32 +39,16 @@ const (
 // names, independent of the in-memory struct).
 type Config struct {
 	ConvStrategy string `json:"conv,omitempty"`
-	GemmMC       int    `json:"mc,omitempty"`
-	GemmNC       int    `json:"nc,omitempty"`
-	Workers      int    `json:"workers,omitempty"`
-	Grain        int    `json:"grain,omitempty"`
 }
 
 // Kernel converts to the dispatch-table form.
 func (c Config) Kernel() topi.KernelConfig {
-	return topi.KernelConfig{
-		ConvStrategy: c.ConvStrategy,
-		GemmMC:       c.GemmMC,
-		GemmNC:       c.GemmNC,
-		Workers:      c.Workers,
-		Grain:        c.Grain,
-	}
+	return topi.KernelConfig{ConvStrategy: c.ConvStrategy}
 }
 
 // FromKernel converts a dispatch-table config to the serialized form.
 func FromKernel(k topi.KernelConfig) Config {
-	return Config{
-		ConvStrategy: k.ConvStrategy,
-		GemmMC:       k.GemmMC,
-		GemmNC:       k.GemmNC,
-		Workers:      k.Workers,
-		Grain:        k.Grain,
-	}
+	return Config{ConvStrategy: k.ConvStrategy}
 }
 
 // Record is one line of a tuning-record file.
@@ -93,8 +79,15 @@ func (r Record) Validate() error {
 	}
 	switch r.Kind {
 	case KindKernel:
-		if _, err := topi.ParseTaskKey(r.Task); err != nil {
+		key, err := topi.ParseTaskKey(r.Task)
+		if err != nil {
 			return fmt.Errorf("tune: kernel record: %w", err)
+		}
+		if key.Op != "nn.conv2d" && key.Op != "qnn.conv2d" {
+			return fmt.Errorf("tune: kernel record %q is not a convolution task", r.Task)
+		}
+		if c := r.Config.ConvStrategy; c != topi.ConvIm2col && c != topi.ConvDirect {
+			return fmt.Errorf("tune: kernel record %q has conv strategy %q (want %s or %s)", r.Task, c, topi.ConvIm2col, topi.ConvDirect)
 		}
 	case KindPlacement:
 		if !strings.HasPrefix(r.Task, "pipeline|") {
@@ -147,7 +140,11 @@ func encodeRecords(recs []Record) ([]byte, error) {
 // for byte. It returns the file's dispatch table; whether the records change
 // any decision is the search's business, not the file's.
 func CheckFile(path string, tasks []topi.TaskKey) (*topi.TuningTable, error) {
-	recs, err := LoadRecords(path)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	recs, err := decodeRecords(path, want)
 	if err != nil {
 		return nil, err
 	}
@@ -159,10 +156,6 @@ func CheckFile(path string, tasks []topi.TaskKey) (*topi.TuningTable, error) {
 		if r.Kind == KindKernel && !known[r.Task] {
 			return nil, fmt.Errorf("tune: %s: kernel record %s is not a task of the model", path, r.Task)
 		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
 	}
 	got, err := encodeRecords(recs)
 	if err != nil {
@@ -178,13 +171,19 @@ func CheckFile(path string, tasks []topi.TaskKey) (*topi.TuningTable, error) {
 // mismatch anywhere in the file fails the whole load with a diagnostic
 // naming both versions.
 func LoadRecords(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	return decodeRecords(path, b)
+}
+
+// decodeRecords parses the bytes of a record file named path (for
+// diagnostics): one JSON record a line, blank lines skipped, every record
+// validated. It returns an error or records that all pass Validate.
+func decodeRecords(path string, b []byte) ([]Record, error) {
 	var recs []Record
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(bytes.NewReader(b))
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	lineNo := 0
 	for sc.Scan() {

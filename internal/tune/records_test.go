@@ -2,6 +2,7 @@ package tune
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -27,7 +28,7 @@ func kernelRecord(task, model string, cfg Config, cost, def int64) Record {
 func TestRecordRoundTrip(t *testing.T) {
 	task := testTask(t)
 	recs := []Record{
-		kernelRecord(task.String(), "emotion", Config{ConvStrategy: topi.ConvIm2col, GemmMC: 128}, 1200, 1500),
+		kernelRecord(task.String(), "emotion", Config{ConvStrategy: topi.ConvIm2col}, 1200, 1500),
 		{Schema: SchemaVersion, Kind: KindPlacement, Task: "pipeline|showcase",
 			Choice: map[string]string{"detect": "np-apu", "spoof": "np-cpu"}, CostNS: 9000},
 	}
@@ -73,22 +74,22 @@ func TestRecordRoundTrip(t *testing.T) {
 		t.Fatalf("table has %d entries, want 1", tbl.Len())
 	}
 	cfg, ok := tbl.Lookup(task)
-	if !ok || cfg.ConvStrategy != topi.ConvIm2col || cfg.GemmMC != 128 {
+	if !ok || cfg.ConvStrategy != topi.ConvIm2col {
 		t.Fatalf("table lookup = %+v, %v", cfg, ok)
 	}
 }
 
 func TestSchemaMismatchRejected(t *testing.T) {
 	task := testTask(t)
-	r := kernelRecord(task.String(), "m", Config{}, 10, 20)
+	r := kernelRecord(task.String(), "m", Config{ConvStrategy: topi.ConvDirect}, 10, 20)
 	r.Schema = SchemaVersion + 1
-	path := filepath.Join(t.TempDir(), "old.json")
+	path := filepath.Join(t.TempDir(), "new.json")
 	// Write the stale-schema line by hand; WriteRecords itself refuses it.
 	if err := WriteRecords(path, []Record{r}); err == nil {
 		t.Fatal("WriteRecords accepted a wrong-schema record")
 	}
-	line := `{"schema":2,"kind":"kernel","task":"` + task.String() + `","cost_ns":10}`
-	if err := os.WriteFile(path, []byte(line+"\n"), 0o644); err != nil {
+	line, _ := json.Marshal(r)
+	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := LoadRecords(path)
@@ -96,18 +97,47 @@ func TestSchemaMismatchRejected(t *testing.T) {
 		t.Fatal("LoadRecords accepted a schema-mismatched file")
 	}
 	msg := err.Error()
-	for _, want := range []string{"schema v2", "reads v1", "re-run nptune", "old.json:1"} {
+	for _, want := range []string{fmt.Sprintf("schema v%d", SchemaVersion+1), fmt.Sprintf("reads v%d", SchemaVersion), "re-run nptune", "new.json:1"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("diagnostic %q missing %q", msg, want)
 		}
 	}
 }
 
+// TestSchemaV1FileRejected: a file written before the knobs other than the
+// conv strategy were removed is refused with the re-run diagnostic, not
+// read as a strategy-only record with its blocking and worker knobs
+// silently dropped.
+func TestSchemaV1FileRejected(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.json")
+	v1 := `{"schema":1,"kind":"kernel","task":"` + testTask(t).String() +
+		`","config":{"conv":"im2col","mc":128,"nc":4,"workers":2,"grain":2},"cost_ns":7589,"default_ns":12294,"model":"anti-spoofing"}` + "\n"
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadRecords(path)
+	if err == nil {
+		t.Fatal("LoadRecords accepted a schema-v1 file")
+	}
+	for _, want := range []string{"schema v1", "reads v2", "re-run nptune", "v1.json:1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("diagnostic %q missing %q", err, want)
+		}
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.json")
-	os.WriteFile(path, []byte("{\"schema\":1,\"kind\":\"kernel\",\"task\":\"bogus\",\"cost_ns\":1}\n"), 0o644)
-	if _, err := LoadRecords(path); err == nil {
-		t.Fatal("accepted an unparseable task key")
+	for _, line := range []string{
+		`{"schema":2,"kind":"kernel","task":"bogus","config":{"conv":"direct"},"cost_ns":1}`,
+		`{"schema":2,"kind":"kernel","task":"nn.dense|d=1x1x1x64|w=10x1x1x64|s=1x1|l=1x1|p=0,0,0,0|g=1|float32","config":{"conv":"direct"},"cost_ns":1}`,
+		`{"schema":2,"kind":"kernel","task":"` + testTask(t).String() + `","config":{"conv":"winograd"},"cost_ns":1}`,
+		`{"schema":2,"kind":"kernel","task":"` + testTask(t).String() + `","cost_ns":1}`,
+	} {
+		os.WriteFile(path, []byte(line+"\n"), 0o644)
+		if _, err := LoadRecords(path); err == nil {
+			t.Errorf("accepted %s", line)
+		}
 	}
 	os.WriteFile(path, []byte("not json\n"), 0o644)
 	if _, err := LoadRecords(path); err == nil || !strings.Contains(err.Error(), "bad.json:1") {
@@ -117,9 +147,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestMergeLowerCostWins(t *testing.T) {
 	task := testTask(t)
-	a := kernelRecord(task.String(), "a", Config{GemmMC: 32}, 1500, 2000)
-	b := kernelRecord(task.String(), "b", Config{GemmMC: 128}, 1200, 2000)
-	other := kernelRecord("nn.dense|d=1x1x1x64|w=10x1x1x64|s=1x1|l=1x1|p=0,0,0,0|g=1|float32", "a", Config{Workers: 2}, 900, 1000)
+	a := kernelRecord(task.String(), "a", Config{ConvStrategy: topi.ConvDirect}, 1500, 2000)
+	b := kernelRecord(task.String(), "b", Config{ConvStrategy: topi.ConvIm2col}, 1200, 2000)
+	other := kernelRecord("qnn.conv2d|d=1x8x8x4|w=6x3x3x4|s=2x2|l=1x1|p=1,1,1,1|g=1|uint8", "a", Config{ConvStrategy: topi.ConvDirect}, 900, 1000)
 
 	m1 := Merge([]Record{a, other}, []Record{b})
 	m2 := Merge([]Record{b}, []Record{other, a})
@@ -137,12 +167,12 @@ func TestMergeLowerCostWins(t *testing.T) {
 			got = r
 		}
 	}
-	if got.CostNS != 1200 || got.Config.GemmMC != 128 {
-		t.Fatalf("merge kept %+v, want the 1200ns mc=128 record", got)
+	if got.CostNS != 1200 || got.Config.ConvStrategy != topi.ConvIm2col {
+		t.Fatalf("merge kept %+v, want the 1200ns conv=im2col record", got)
 	}
 
 	// Exact cost tie: deterministic winner via the serialized-config tie key.
-	c := kernelRecord(task.String(), "c", Config{GemmMC: 64}, 1200, 2000)
+	c := kernelRecord(task.String(), "c", Config{ConvStrategy: topi.ConvDirect}, 1200, 2000)
 	t1 := Merge([]Record{b}, []Record{c})
 	t2 := Merge([]Record{c}, []Record{b})
 	if t1[0].Config != t2[0].Config || t1[0].Model != t2[0].Model {
@@ -154,7 +184,8 @@ func TestMergeLowerCostWins(t *testing.T) {
 // deterministic about a record file and on nothing else.
 func TestCheckFile(t *testing.T) {
 	tasks := Tasks(buildTuneModule(t))
-	own := kernelRecord(tasks[0].String(), "m", Config{Workers: 1}, 10, 20)
+	im2col := Config{ConvStrategy: topi.ConvIm2col}
+	own := kernelRecord(tasks[0].String(), "m", Config{ConvStrategy: topi.ConvDirect}, 10, 20)
 	cases := []struct {
 		name string
 		body func(path string) error
@@ -167,12 +198,12 @@ func TestCheckFile(t *testing.T) {
 			return WriteRecords(path, nil)
 		}, ""},
 		{"a record of another model's task", func(path string) error {
-			return WriteRecords(path, []Record{kernelRecord(testTask(t).String(), "m", Config{}, 10, 20)})
+			return WriteRecords(path, []Record{kernelRecord(testTask(t).String(), "m", im2col, 10, 20)})
 		}, "is not a task of the model"},
 		{"records out of order", func(path string) error {
 			var lines []string
 			for _, task := range tasks {
-				line, _ := json.Marshal(kernelRecord(task.String(), "m", Config{}, 10, 20))
+				line, _ := json.Marshal(kernelRecord(task.String(), "m", im2col, 10, 20))
 				lines = append([]string{string(line)}, lines...)
 			}
 			return os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644)

@@ -3,193 +3,68 @@ package tune
 import (
 	"fmt"
 
-	"repro/internal/tensor"
 	"repro/internal/topi"
 )
 
-// Search strategies over a ConfigSpace. Small spaces are enumerated
-// exhaustively; large ones are covered by deterministic random sampling
-// followed by greedy hill-climbing from the best sample, with an early-stop
-// measurement budget shared by both phases. All randomness flows from a
-// seed derived from the task signature, so re-tuning reproduces the same
-// trajectory bit for bit.
+// The search of one task is an A/B/A measurement. A conv task has one
+// candidate, the strategy the built-in rule does not pick for it, so a
+// record can never name the decision a launch takes without one. The
+// default is measured before and after the candidate, and the gap between
+// those two readings is the noise the candidate must beat: it wins only
+// when it is faster than both by more than that gap.
 
-// SearchOptions tunes one task's search.
-type SearchOptions struct {
-	// Budget caps candidate measurements per task (default 48). The default
-	// config is always measured and does not count against the budget.
-	Budget int
-	// Seed perturbs the per-task RNG (default 0: task-signature hash only).
-	Seed uint64
-	// Strategy forces a searcher: "grid", "random", or "" / "auto" (grid
-	// when the space fits the budget).
-	Strategy string
-}
-
-func (o SearchOptions) budget() int {
-	if o.Budget <= 0 {
-		return 48
-	}
-	return o.Budget
-}
-
-// MeasureFunc measures one candidate config for the task under search,
-// returning its cost in nanoseconds.
+// MeasureFunc measures one config for the task under search, returning its
+// cost in nanoseconds.
 type MeasureFunc func(cfg topi.KernelConfig) (int64, error)
+
+// Candidate is a conv task's one candidate config: the strategy
+// topi.TaskKey.DefaultStrategy does not name.
+func Candidate(task topi.TaskKey) topi.KernelConfig {
+	if task.DefaultStrategy() == topi.ConvIm2col {
+		return topi.KernelConfig{ConvStrategy: topi.ConvDirect}
+	}
+	return topi.KernelConfig{ConvStrategy: topi.ConvIm2col}
+}
 
 // TaskResult is the outcome of one task's search.
 type TaskResult struct {
-	Task      topi.TaskKey
-	Best      topi.KernelConfig
-	BestNS    int64
-	DefaultNS int64
-	Evaluated int
-	Strategy  string
+	Task        topi.TaskKey
+	Candidate   topi.KernelConfig
+	CandidateNS int64
+	// DefaultNS holds the default config's readings before and after the
+	// candidate's.
+	DefaultNS [2]int64
 }
 
-// Improved reports whether the search found a non-default config measuring
-// strictly faster than the default.
+// defaultRange returns the faster and the slower default reading.
+func (r TaskResult) defaultRange() (lo, hi int64) {
+	return min(r.DefaultNS[0], r.DefaultNS[1]), max(r.DefaultNS[0], r.DefaultNS[1])
+}
+
+// Improved reports whether the candidate beat both default readings by
+// more than the gap between them.
 func (r TaskResult) Improved() bool {
-	return !r.Best.IsDefault() && r.BestNS < r.DefaultNS
+	lo, hi := r.defaultRange()
+	return r.CandidateNS < lo-(hi-lo)
 }
 
-// SearchTask searches the task's config space with the given measurement
-// function. The returned Best is the default config unless some candidate
-// measured strictly faster.
-func SearchTask(space ConfigSpace, measure MeasureFunc, opt SearchOptions) (TaskResult, error) {
-	res := TaskResult{Task: space.Task}
-	defNS, err := measure(topi.KernelConfig{})
-	if err != nil {
-		return res, fmt.Errorf("tune: measuring default for %s: %w", space.Task, err)
-	}
-	res.DefaultNS = defNS
-	res.BestNS = defNS
-
-	strategy := opt.Strategy
-	if strategy == "" || strategy == "auto" {
-		if space.Size() <= opt.budget() {
-			strategy = "grid"
-		} else {
-			strategy = "random"
-		}
-	}
-	res.Strategy = strategy
-
-	eval := func(idx [5]int) (int64, error) {
-		cfg := space.At(idx)
-		if cfg.IsDefault() {
-			return defNS, nil // already measured
-		}
-		ns, err := measure(cfg)
+// SearchTask measures the default config, the task's candidate, and the
+// default again.
+func SearchTask(task topi.TaskKey, measure MeasureFunc) (TaskResult, error) {
+	res := TaskResult{Task: task, Candidate: Candidate(task)}
+	for _, m := range [...]struct {
+		cfg topi.KernelConfig
+		ns  *int64
+	}{
+		{topi.KernelConfig{}, &res.DefaultNS[0]},
+		{res.Candidate, &res.CandidateNS},
+		{topi.KernelConfig{}, &res.DefaultNS[1]},
+	} {
+		ns, err := measure(m.cfg)
 		if err != nil {
-			return 0, fmt.Errorf("tune: measuring %s for %s: %w", cfg, space.Task, err)
+			return res, fmt.Errorf("tune: measuring %s for %s: %w", m.cfg, task, err)
 		}
-		res.Evaluated++
-		if ns < res.BestNS {
-			res.BestNS, res.Best = ns, cfg
-		}
-		return ns, nil
-	}
-
-	switch strategy {
-	case "grid":
-		for flat := 0; flat < space.Size(); flat++ {
-			if res.Evaluated >= opt.budget() {
-				break
-			}
-			if _, err := eval(space.point(flat)); err != nil {
-				return res, err
-			}
-		}
-	case "random":
-		if err := searchRandomHillClimb(&space, eval, &res, opt); err != nil {
-			return res, err
-		}
-	default:
-		return res, fmt.Errorf("tune: unknown search strategy %q", strategy)
+		*m.ns = ns
 	}
 	return res, nil
-}
-
-// searchRandomHillClimb samples the space uniformly for half the budget,
-// then greedily walks axis-neighbor steps from the best point until no
-// neighbor improves or the budget runs out.
-func searchRandomHillClimb(space *ConfigSpace, eval func([5]int) (int64, error), res *TaskResult, opt SearchOptions) error {
-	rng := tensor.NewRNG(taskSeed(space.Task, opt.Seed))
-	ax := space.axes()
-	visited := map[[5]int]int64{}
-	bestIdx := [5]int{}
-	bestNS := res.DefaultNS
-	visited[bestIdx] = bestNS
-
-	try := func(idx [5]int) (int64, error) {
-		if ns, ok := visited[idx]; ok {
-			return ns, nil
-		}
-		ns, err := eval(idx)
-		if err != nil {
-			return 0, err
-		}
-		visited[idx] = ns
-		if ns < bestNS {
-			bestNS, bestIdx = ns, idx
-		}
-		return ns, nil
-	}
-
-	sampleBudget := opt.budget() / 2
-	for res.Evaluated < sampleBudget {
-		var idx [5]int
-		for i, n := range ax {
-			idx[i] = rng.Intn(n)
-		}
-		if _, ok := visited[idx]; ok {
-			// Resampling a visited point wastes no budget but must not spin
-			// forever on tiny spaces.
-			if len(visited) >= space.Size() {
-				break
-			}
-			continue
-		}
-		if _, err := try(idx); err != nil {
-			return err
-		}
-	}
-
-	// Greedy hill climb: evaluate all ±1 axis neighbors of the incumbent,
-	// move to the best improving one, repeat.
-	for res.Evaluated < opt.budget() {
-		cur := bestIdx
-		curNS := bestNS
-		for i := 0; i < 5 && res.Evaluated < opt.budget(); i++ {
-			for _, d := range [2]int{-1, 1} {
-				n := cur
-				n[i] += d
-				if n[i] < 0 || n[i] >= ax[i] {
-					continue
-				}
-				if _, err := try(n); err != nil {
-					return err
-				}
-				if res.Evaluated >= opt.budget() {
-					break
-				}
-			}
-		}
-		if bestNS >= curNS {
-			break // no neighbor improved: local optimum
-		}
-	}
-	return nil
-}
-
-// taskSeed derives a deterministic RNG seed from the task signature (FNV-1a
-// over the canonical string) and the user seed.
-func taskSeed(task topi.TaskKey, seed uint64) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range []byte(task.String()) {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h ^ seed
 }

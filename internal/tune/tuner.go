@@ -10,16 +10,15 @@ import (
 
 // Options configures one tuning run.
 type Options struct {
-	Search  SearchOptions
 	Measure Measurer
 	// Progress, when non-nil, receives one line per task as it finishes.
 	Progress io.Writer
 }
 
-// TuneModule extracts the tunable tasks of one module and searches each
-// task's config space, returning the records worth persisting (only tasks
-// where a non-default config measured strictly faster) plus every task's
-// full search result for reporting.
+// TuneModule extracts the tunable tasks of one module and searches each,
+// returning the records worth persisting (only tasks whose candidate beat
+// the default beyond its spread) plus every task's search result for
+// reporting.
 func TuneModule(model string, m *relay.Module, opt Options) ([]Record, []TaskResult, error) {
 	var ierr error
 	m.Functions(func(fname string, f *relay.Function) {
@@ -36,9 +35,9 @@ func TuneModule(model string, m *relay.Module, opt Options) ([]Record, []TaskRes
 	return TuneTasks(model, Tasks(m), opt)
 }
 
-// TuneTasks searches the config space of each task with the in-process
-// measurement harness. Tuning temporarily installs per-candidate dispatch
-// tables (topi.SetTuning), so it must not run concurrently with inference.
+// TuneTasks searches each task with the in-process measurement harness.
+// Tuning temporarily installs per-candidate dispatch tables
+// (topi.SetTuning), so it must not run concurrently with inference.
 func TuneTasks(model string, tasks []topi.TaskKey, opt Options) ([]Record, []TaskResult, error) {
 	var recs []Record
 	var results []TaskResult
@@ -47,27 +46,28 @@ func TuneTasks(model string, tasks []topi.TaskKey, opt Options) ([]Record, []Tas
 		if err != nil {
 			return recs, results, fmt.Errorf("tune: preparing %s: %w", task, err)
 		}
-		res, err := SearchTask(SpaceFor(task), bench.Measure, opt.Search)
+		res, err := SearchTask(task, bench.Measure)
 		if err != nil {
 			return recs, results, err
 		}
 		results = append(results, res)
+		lo, _ := res.defaultRange()
 		if opt.Progress != nil {
 			status := "default kept"
 			if res.Improved() {
-				status = fmt.Sprintf("%s (%.2fx)", res.Best, float64(res.DefaultNS)/float64(res.BestNS))
+				status = fmt.Sprintf("%s (%.2fx)", res.Candidate, float64(lo)/float64(res.CandidateNS))
 			}
-			fmt.Fprintf(opt.Progress, "  %-60s %7d ns  %3d cands  %-6s %s\n",
-				task, res.BestNS, res.Evaluated, res.Strategy, status)
+			fmt.Fprintf(opt.Progress, "  %-72s default %8d/%8d ns  %-11s %8d ns  %s\n",
+				task, res.DefaultNS[0], res.DefaultNS[1], res.Candidate, res.CandidateNS, status)
 		}
 		if res.Improved() {
 			recs = append(recs, Record{
 				Schema:    SchemaVersion,
 				Kind:      KindKernel,
 				Task:      task.String(),
-				Config:    FromKernel(res.Best),
-				CostNS:    res.BestNS,
-				DefaultNS: res.DefaultNS,
+				Config:    FromKernel(res.Candidate),
+				CostNS:    res.CandidateNS,
+				DefaultNS: lo,
 				Model:     model,
 			})
 		}

@@ -334,7 +334,7 @@ func cropResize(dst, dstQ, img *tensor.Tensor, box Rect) {
 	if box.H < 1 {
 		box.H = 1
 	}
-	resizeRegion.Run(outH, int64(outH)*int64(outW)*resizeWork, parallel.ChunkOpts{},
+	resizeRegion.Run(outH, int64(outH)*int64(outW)*resizeWork,
 		resizeArgs{dst.F32(), img.F32(), dstQ, box, h, w, outH, outW, channels})
 }
 
