@@ -122,7 +122,7 @@ analyze:
 # (error or the oracle's convex partition, never a panic), the /v1/infer
 # decoder against json.Unmarshal (same accept/reject, same values to the
 # bit), the ONNX and TorchScript importers over a serialized zoo model (error
-# or module, never a panic), and the tuning-record decoder over a file
+# or module, never a panic), and the placement-record decoder over a file
 # WriteRecords wrote (error or records that pass Validate, never a panic). A
 # failing input is written under the package's testdata/fuzz/ — commit it
 # with the fix.
@@ -157,18 +157,18 @@ bench-gate:
 		echo "bench-gate: $$w ok ($$m $$v)"; \
 	done
 
-# tune-smoke exercises the autotuner end to end on one zoo model — each conv
-# task measured under the strategy the built-in rule does not pick, between
-# two measurements of the default — then gates on what is deterministic
-# (nptune -check): the records load, every kernel record names a task of the
-# model, and writing them back reproduces the file byte for byte. How many
-# dispatch decisions they change is printed, not required — on a noisy
-# shared runner no candidate may beat the default's spread. Blocking in CI.
+# tune-smoke exercises the placement search end to end: nptune -pipeline
+# into two fresh record files, which must be byte-identical — the search
+# runs on the simulated cost model, so it is deterministic — then
+# nptune -show loads and prints one. Blocking in CI.
 TUNEOUT ?= tune-smoke.json
 tune-smoke:
-	rm -f $(TUNEOUT)
-	$(GO) run ./cmd/nptune -zoo emotion -o $(TUNEOUT)
-	$(GO) run ./cmd/nptune -check $(TUNEOUT) -zoo emotion
+	rm -f $(TUNEOUT) $(TUNEOUT).2
+	$(GO) run ./cmd/nptune -pipeline -o $(TUNEOUT)
+	$(GO) run ./cmd/nptune -pipeline -o $(TUNEOUT).2
+	cmp $(TUNEOUT) $(TUNEOUT).2
+	rm -f $(TUNEOUT).2
+	$(GO) run ./cmd/nptune -show $(TUNEOUT)
 
 # fleet-smoke stands up the fleet tier in-process — an nprouter-equivalent
 # router fronting two workers that share an artifact store — routes an

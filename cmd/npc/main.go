@@ -35,8 +35,6 @@ import (
 	"repro/internal/relay"
 	"repro/internal/runtime"
 	"repro/internal/soc"
-	"repro/internal/topi"
-	"repro/internal/tune"
 	"repro/internal/verify"
 )
 
@@ -60,14 +58,8 @@ func main() {
 		sizeFlag    = flag.String("size", "lite", "zoo model size with -zoo: lite|full")
 		profileFlag = flag.Bool("profile", false, "with -run: print the per-op profile table")
 		traceOut    = flag.String("trace", "", "write a Chrome trace JSON file (compile spans; with -run also executor and simulated-timeline spans)")
-		tuneWith    = flag.String("tune-with", "", "tuning-record file (nptune output) to steer kernel dispatch")
 	)
 	flag.Parse()
-	if *tuneWith != "" {
-		_, n, err := tune.LoadAndInstall(*tuneWith)
-		fatal(err)
-		fmt.Printf("npc: loaded %d tuning record(s) from %s\n", n, *tuneWith)
-	}
 	if *lint {
 		runLint()
 		return
@@ -179,7 +171,6 @@ func main() {
 		fatal(err)
 		if *profileFlag {
 			fmt.Print(soc.OpTable(gm.LastProfile().Events()))
-			printTunedDispatch()
 		}
 		if *traceOut != "" {
 			fatal(writeTrace(*traceOut, tracer, gm))
@@ -227,22 +218,6 @@ func runOnce(lib *runtime.Lib, mod *relay.Module, profile bool) (*runtime.GraphM
 		gm.NumOutputs(), gm.LastProfile().Total())
 	fmt.Printf("npc: profile: %s\n", gm.LastProfile())
 	return gm, nil
-}
-
-// printTunedDispatch appends the tuned-dispatch audit to the -profile
-// output: which kernel tasks resolved to a tuned configuration during the
-// run, and how often. Silent when no tuning table is installed.
-func printTunedDispatch() {
-	tbl := topi.Tuning()
-	if tbl == nil {
-		return
-	}
-	hits, misses := tbl.Stats()
-	fmt.Printf("\ntuned dispatch (%d config(s) loaded, %d hit(s), %d miss(es)):\n",
-		tbl.Len(), hits, misses)
-	for _, d := range tbl.Snapshot() {
-		fmt.Printf("  %-72s %-28s %d hit(s)\n", d.Task, d.Config, d.Hits)
-	}
 }
 
 // writeTrace merges the compile-time tracer spans with (when gm ran profiled)

@@ -44,7 +44,6 @@ import (
 	"repro/internal/registry"
 	"repro/internal/runtime"
 	"repro/internal/serve"
-	"repro/internal/tune"
 )
 
 var log = obs.NewLogger(os.Stderr, "npserve", obs.LevelInfo)
@@ -60,7 +59,6 @@ func main() {
 		window    = flag.Duration("window", 2*time.Millisecond, "micro-batch coalescing window")
 		noNIR     = flag.Bool("no-nir", false, "disable NeuroPilot partitioning (TVM-only builds)")
 		drainWait = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget")
-		tuneWith  = flag.String("tune-with", "", "tuning-record file (nptune output) to steer kernel dispatch")
 		cacheDir  = flag.String("artifact-cache", "", "directory for the content-addressed compiled-Lib store (empty = in-memory only)")
 		version   = flag.String("model-version", "v1", "version label for the deployed models (registry endpoint name@version)")
 		routerURL = flag.String("router", "", "nprouter base URL to register with (joins the fleet)")
@@ -93,15 +91,6 @@ func main() {
 		srv.SetWorkerKey(*workerKey)
 	}
 	srv.ConfigureFlightRecorder(0, 0, *slowMs)
-	var tuningBytes []byte
-	if *tuneWith != "" {
-		tbl, n, err := tune.LoadAndInstall(*tuneWith)
-		fatal(err)
-		tbl.EnableMetrics(srv.Metrics())
-		tuningBytes, err = os.ReadFile(*tuneWith)
-		fatal(err)
-		log.Info("loaded tuning records", "file", *tuneWith, "records", n, "configs", tbl.Len())
-	}
 	cache, err := registry.NewCache(*cacheDir)
 	fatal(err)
 	cache.EnableMetrics(srv.Metrics())
@@ -125,9 +114,9 @@ func main() {
 		}
 	}
 	// loadModel materializes one zoo model through the artifact cache: the
-	// content address covers the module, the build options, and any tuning
-	// records, so a warmed -artifact-cache directory makes startup (and every
-	// sibling worker's startup) a load instead of a compile.
+	// content address covers the module and the build options, so a warmed
+	// -artifact-cache directory makes startup (and every sibling worker's
+	// startup) a load instead of a compile.
 	bopts := runtime.BuildOptions{OptLevel: 3, UseNIR: !*noNIR}
 	loadModel := func(name string) (*runtime.Lib, string, bool, error) {
 		spec, err := models.Get(name)
@@ -138,7 +127,7 @@ func main() {
 		if err != nil {
 			return nil, "", false, err
 		}
-		key, err := registry.Key(mod, bopts, tuningBytes)
+		key, err := registry.Key(mod, bopts, nil)
 		if err != nil {
 			return nil, "", false, err
 		}

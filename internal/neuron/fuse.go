@@ -57,6 +57,9 @@ func FuseOperations(m *Model) int {
 		if absorbed[i] || !isFusionAnchor(anchor.Code) {
 			continue
 		}
+		// The anchor's attribute map may be its relay call's (the converter
+		// shares it): copy it once, before the first write.
+		owned := false
 		for {
 			out := anchor.Outputs[0]
 			if isOutput[out] || consumers[out] != 1 {
@@ -74,7 +77,9 @@ func FuseOperations(m *Model) int {
 				anchor.Inputs = append(anchor.Inputs, next.Inputs[1])
 			case next.Code == Requantize && next.Inputs[0] == out &&
 				anchor.Attrs.Bool(FusedRequantAttr, false) == false:
-				anchor.Attrs = anchor.Attrs.Clone()
+				if !owned {
+					anchor.Attrs, owned = anchor.Attrs.Clone(), true
+				}
 				anchor.Attrs[FusedRequantAttr] = true
 				for _, k := range []string{"input_scale", "input_zero_point",
 					"output_scale", "output_zero_point", "out_dtype"} {
@@ -84,7 +89,9 @@ func FuseOperations(m *Model) int {
 				}
 			case isFusableActivation(next) && next.Inputs[0] == out &&
 				anchor.Attrs.Str(FusedActivationAttr, "") == "":
-				anchor.Attrs = anchor.Attrs.Clone()
+				if !owned {
+					anchor.Attrs, owned = anchor.Attrs.Clone(), true
+				}
 				anchor.Attrs[FusedActivationAttr] = activationName(next)
 			default:
 				goto done

@@ -156,9 +156,9 @@ func NewCompiledModel(m *Model, sc *soc.SoC, devices []soc.DeviceKind, plan []so
 }
 
 // PlacementCost is the Execution Planner's cost model for placing one
-// operation on one device, exposed so placement searches (internal/tune,
-// the pipeline scheduler) can score assignments with exactly the greedy
-// planner's arithmetic: roofline op time at the device's NeuroPilot
+// operation on one device, exposed so placement searches (the pipeline
+// scheduler) can score assignments with exactly the greedy planner's
+// arithmetic: roofline op time at the device's NeuroPilot
 // efficiency, plus DMA for every non-constant input whose producer sits on
 // the other side of the APU link. producer[i] is the device currently
 // holding operand i (the planner threads its producerDev through here).

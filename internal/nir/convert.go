@@ -242,7 +242,9 @@ func (cv *Converter) visitCall(call *relay.Call) error {
 }
 
 // addSimpleOp creates the output operand from the call's checked type and
-// appends one Neuron operation consuming entry.Inputs.
+// appends one Neuron operation consuming entry.Inputs. With attrs nil the
+// operation shares the call's attribute map: nothing writes a Neuron
+// operation's map but neuron.FuseOperations, which copies it first.
 func (cv *Converter) addSimpleOp(code neuron.OpCode, call *relay.Call, entry *NodeEntry, attrs relay.Attrs) error {
 	tt, ok := call.CheckedType().(*relay.TensorType)
 	if !ok {
@@ -254,7 +256,7 @@ func (cv *Converter) addSimpleOp(code neuron.OpCode, call *relay.Call, entry *No
 	}
 	out := cv.model.AddOperand(cv.freshName("t"), ot, nil)
 	if attrs == nil {
-		attrs = call.Attrs.Clone()
+		attrs = call.Attrs
 	}
 	cv.model.AddOperation(code, entry.Inputs, []int{out}, attrs)
 	entry.Outputs = []int{out}

@@ -86,9 +86,10 @@ func createBatchFlatten(cv *Converter, code neuron.OpCode, call *relay.Call, ent
 // createDequantize makes sure the kernel sees the input scale even when the
 // relay frontend left the attrs empty (tensor-carried params take over).
 func createDequantize(cv *Converter, code neuron.OpCode, call *relay.Call, entry *NodeEntry) error {
-	attrs := call.Attrs.Clone()
+	attrs := call.Attrs
 	if attrs.Float("input_scale", 0) == 0 {
 		if tt, ok := call.Args[0].CheckedType().(*relay.TensorType); ok && tt.Quant != nil {
+			attrs = attrs.Clone()
 			attrs["input_scale"] = tt.Quant.Scale
 			attrs["input_zero_point"] = int(tt.Quant.ZeroPoint)
 		}

@@ -1,6 +1,6 @@
 // Package registry is the model-lifecycle tier over the serving layer: a
 // content-addressed compiled-artifact cache (compile once per (model,
-// options, tuning) fleet-wide) and a versioned model registry with atomic
+// options) fleet-wide) and a versioned model registry with atomic
 // hot-load, drain, and rollback on a live serve.Server — the production
 // counterpart of the paper's §4.5 export/load deployment flow, where the
 // compile host and the device fleet share artifacts instead of recompiling
@@ -20,9 +20,10 @@ import (
 )
 
 // Key derives the content address of the artifact Build(mod, opts) would
-// produce under the given tuning-record bytes (nil when untuned): a hex
-// SHA-256 over the canonical module encoding, the build-option fingerprint,
-// and the tuning bytes (runtime.ArtifactKey). Equal keys ⇒ bitwise-equal
+// produce: a hex SHA-256 over the canonical module encoding, the build-option
+// fingerprint, and the tuning bytes (runtime.ArtifactKey). Every caller in
+// the tree passes the tuning bytes as nil, benchmark/ included; dropping the
+// parameter is a change to the benchmark. Equal keys ⇒ bitwise-equal
 // artifacts, so the cache can hand one compiled Lib to every requester.
 var Key = runtime.ArtifactKey
 

@@ -112,6 +112,22 @@ func (lib *Lib) Plan() (*ExecPlan, error) {
 	return lib.plan, lib.planErr
 }
 
+// Estimate charges one inference of the built library to a fresh profile
+// without executing any numerics: the plan's charge, which an unprofiled
+// planned Run returns — per-kernel roofline time for host (TVM) kernels,
+// and the compiled Execution-Planner cost for each external NeuroPilot
+// region. The Figure 4/6 sweeps use this path at full model scale. A
+// library the planner cannot lower has no estimate (Plan's error).
+func (lib *Lib) Estimate() (*soc.Profile, error) {
+	plan, err := lib.Plan()
+	if err != nil {
+		return nil, err
+	}
+	prof := soc.NewProfile()
+	plan.charge(prof)
+	return prof, nil
+}
+
 // Build compiles a relay module into an executable library, mirroring the
 // paper's flow: optimize → partition_for_nir → relay.build.
 func Build(m *relay.Module, opts BuildOptions) (*Lib, error) {

@@ -214,12 +214,12 @@ func (g *GraphModule) runPlanned(st *planState) error {
 	if g.profiling {
 		g.profile = soc.NewProfile()
 		g.profile.EnableEvents()
-		st.charge(g.profile)
+		st.plan.charge(g.profile)
 		return nil
 	}
 	if st.charged == nil {
 		st.charged = soc.NewProfile()
-		st.charge(st.charged)
+		st.plan.charge(st.charged)
 	}
 	g.profile = st.charged
 	return nil

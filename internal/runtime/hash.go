@@ -14,9 +14,9 @@ import (
 )
 
 // Content addressing for compiled artifacts: a built Lib is a pure function
-// of (source module, build options, tuning records), so a fleet-wide cache
-// can key compiled artifacts by a hash of those three inputs and compile each
-// distinct configuration exactly once (internal/registry layers the store and
+// of (source module, build options), so a fleet-wide cache can key compiled
+// artifacts by a hash of those inputs and compile each distinct
+// configuration exactly once (internal/registry layers the store and
 // single-flight on top of this file).
 //
 // EncodeModule reuses the ExportLibrary node-table encoding, which is
@@ -65,7 +65,7 @@ func EncodeModule(m *relay.Module) ([]byte, error) {
 
 // Fingerprint renders the semantically relevant build options as a canonical
 // string. Two option sets with equal fingerprints produce bitwise-identical
-// libraries from the same module (and tuning records). Non-semantic fields —
+// libraries from the same module. Non-semantic fields —
 // Tracer, Verify — are deliberately excluded: they change diagnostics, not
 // the artifact.
 func (o BuildOptions) Fingerprint() string {
@@ -84,9 +84,11 @@ func (o BuildOptions) Fingerprint() string {
 }
 
 // ArtifactKey derives the content address of the library Build(mod, opts)
-// would produce under the given tuning records (nil for untuned builds): a
-// hex SHA-256 over the canonical module encoding, the option fingerprint,
-// and the raw tuning-record bytes.
+// would produce: a hex SHA-256 over the canonical module encoding, the
+// option fingerprint, and the tuning bytes. Every caller in the tree passes
+// tuning as nil — no build reads tuning records — but the empty section is
+// part of every key (import.golden pins the bytes, and benchmark/ calls this
+// with nil), so dropping the parameter is a change to the benchmark too.
 func ArtifactKey(mod *relay.Module, opts BuildOptions, tuning []byte) (string, error) {
 	enc, err := EncodeModule(mod)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/relay"
 	"repro/internal/soc"
 	"repro/internal/tensor"
-	"repro/internal/topi"
 )
 
 // This file is the compile half of the planned executor: it lowers a built
@@ -141,12 +140,6 @@ type ExecPlan struct {
 	// actually allocates. The ratio is the memory planner's payoff.
 	NaiveBytes int
 	ArenaBytes int
-
-	// TunedNodes counts the op and fused-kernel nodes (including sub-plan
-	// ops) whose task signature resolved to a non-default tuned config in
-	// the dispatch table installed when the plan was lowered. Zero when no
-	// table is loaded — the graceful-fallback path.
-	TunedNodes int
 }
 
 // ids returns the index slab's span s.
@@ -163,12 +156,8 @@ func (p *ExecPlan) NumStorages() int { return len(p.storages) }
 
 // String summarizes the plan (the executor's debug view).
 func (p *ExecPlan) String() string {
-	tuned := ""
-	if p.TunedNodes > 0 {
-		tuned = fmt.Sprintf(", %d tuned", p.TunedNodes)
-	}
-	return fmt.Sprintf("ExecPlan{%d nodes, %d levels, %d slots, %d storages, arena %d B (naive %d B)%s}",
-		len(p.nodes), len(p.levels), len(p.slots), len(p.storages), p.ArenaBytes, p.NaiveBytes, tuned)
+	return fmt.Sprintf("ExecPlan{%d nodes, %d levels, %d slots, %d storages, arena %d B (naive %d B)}",
+		len(p.nodes), len(p.levels), len(p.slots), len(p.storages), p.ArenaBytes, p.NaiveBytes)
 }
 
 // planBuilder lowers relay expressions into an ExecPlan. It builds in scratch
@@ -188,7 +177,6 @@ type planBuilder struct {
 	index   []int32
 	params  span
 	outputs span
-	tuned   int
 	// stack holds the argument slots of the calls being lowered: a call
 	// lowers its arguments, which push and pop their own, before it moves
 	// its own into the index slab.
@@ -222,7 +210,7 @@ func (b *planBuilder) reset(lib *Lib) {
 	clear(b.nodes)
 	clear(b.slots)
 	b.nodes, b.slots, b.index, b.stack = b.nodes[:0], b.slots[:0], b.index[:0], b.stack[:0]
-	b.params, b.outputs, b.tuned = span{}, span{}, 0
+	b.params, b.outputs = span{}, span{}
 }
 
 // BuildPlan lowers the library's main function into an execution plan. It
@@ -434,28 +422,7 @@ func (b *planBuilder) evalOpCall(c *relay.Call) (pval, error) {
 		n.charge, n.work = b.lib.SoC.CPU.OpTime(w, soc.TVMEff(w)), w.MACs
 	}
 	b.addNode(n, base, out)
-	if planNodeTuned(c) {
-		b.tuned++
-	}
 	return pval{slot: out}, nil
-}
-
-// planNodeTuned consults the installed tuning table at lowering time: it
-// reports whether this op call's task signature resolves to a non-default
-// kernel config, i.e. whether the dispatch the plan encodes will deviate
-// from the built-in defaults. Calls with no task (topi.TaskKeyOf) and a
-// missing table fall back to false.
-func planNodeTuned(c *relay.Call) bool {
-	tbl := topi.Tuning()
-	if tbl == nil {
-		return false
-	}
-	key, ok := topi.TaskKeyOf(c)
-	if !ok {
-		return false
-	}
-	cfg, ok := tbl.Lookup(key)
-	return ok && !cfg.IsDefault()
 }
 
 // planSummary renders a compiled model's per-device operation counts in
@@ -532,7 +499,6 @@ func (b *planBuilder) evalPrimitive(c *relay.Call, fn *relay.Function) (pval, er
 		return pval{}, fmt.Errorf("runtime: plan: primitive with non-tensor result type %v", c.CheckedType())
 	}
 	out := b.addSlot(outTy)
-	b.tuned += sub.TunedNodes
 	fw := soc.FunctionWork(fn)
 	b.label = appendPrimLabel(b.label[:0], fn)
 	b.addNode(planNode{
@@ -767,7 +733,6 @@ func (b *planBuilder) finish() *ExecPlan {
 		params:     b.params,
 		outputs:    b.outputs,
 		NaiveBytes: naive,
-		TunedNodes: b.tuned,
 	}
 	for _, st := range storages {
 		p.ArenaBytes += st.Elems * st.DType.Size()

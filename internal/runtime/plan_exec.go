@@ -321,9 +321,9 @@ func (st *planState) runPrim(ni int32, n *planNode, args []*tensor.Tensor) error
 // the exact sequence the interpreting executor emits.
 //
 //np:hotpath
-func (st *planState) charge(prof *soc.Profile) {
-	for i := range st.plan.nodes {
-		n := &st.plan.nodes[i]
+func (p *ExecPlan) charge(prof *soc.Profile) {
+	for i := range p.nodes {
+		n := &p.nodes[i]
 		switch n.kind {
 		case nodeOp, nodePrim:
 			prof.AddOpNamed(soc.KindCPU, n.charge, n.label)

@@ -369,3 +369,39 @@ func TestBuildCompileSpans(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateIsThePlannedCharge: Lib.Estimate, which executes nothing,
+// equals the profile a planned Run returns, field for field and bit for
+// bit, on every lite zoo model built TVM-only and BYOC.
+func TestEstimateIsThePlannedCharge(t *testing.T) {
+	for _, name := range models.Names() {
+		spec, err := models.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			mod, err := spec.Build(models.SizeLite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range []runtime.BuildOptions{{OptLevel: 3}, {OptLevel: 3, UseNIR: true}} {
+				lib, err := runtime.Build(mod, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				est, err := lib.Estimate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				gm := runtime.NewGraphModule(lib)
+				gm.SetExecutor(runtime.ExecutorPlanned)
+				gm.SetInput(gm.InputNames()[0], models.RandomInput(mod, 1))
+				if err := gm.Run(); err != nil {
+					t.Fatal(err)
+				}
+				sameProfile(t, fmt.Sprintf("nir=%v: Estimate", opts.UseNIR), gm.LastProfile(), est)
+			}
+		})
+	}
+}

@@ -136,9 +136,9 @@ func TestTimelineWithoutEventsRetainsNothing(t *testing.T) {
 // different float64 values in different orders.
 func TestProfileTotalIsBitStable(t *testing.T) {
 	p := NewProfile()
-	p.AddOp(KindAPU, 0.3)
-	p.AddOp(KindGPU, 0.2)
-	p.AddOp(KindCPU, 0.1)
+	p.AddOpNamed(KindAPU, 0.3, "op")
+	p.AddOpNamed(KindGPU, 0.2, "op")
+	p.AddOpNamed(KindCPU, 0.1, "op")
 	want := math.Float64bits(float64(Seconds(0.1) + Seconds(0.2) + Seconds(0.3)))
 	for i := 0; i < 1000; i++ {
 		if got := math.Float64bits(float64(p.Total())); got != want {
@@ -149,10 +149,10 @@ func TestProfileTotalIsBitStable(t *testing.T) {
 
 func TestProfileAccumulation(t *testing.T) {
 	p := NewProfile()
-	p.AddOp(KindCPU, 1e-3)
-	p.AddOp(KindAPU, 2e-3)
-	p.AddDMA(0.5e-3)
-	p.AddSubgraph()
+	p.AddOpNamed(KindCPU, 1e-3, "op")
+	p.AddOpNamed(KindAPU, 2e-3, "op")
+	p.AddDMANamed(0.5e-3, "dma")
+	p.AddSubgraphNamed("region")
 	want := Seconds(1e-3 + 2e-3 + 0.5e-3 + float64(SubgraphDispatchOverhead))
 	if math.Abs(float64(p.Total()-want)) > 1e-12 {
 		t.Errorf("total %v, want %v", p.Total(), want)

@@ -228,23 +228,6 @@ func NewProfile() *Profile {
 	return &Profile{DeviceTime: map[DeviceKind]Seconds{}, Launches: map[DeviceKind]int{}}
 }
 
-// AddOp charges one kernel launch (unattributed; AddOpNamed records the op
-// name into the event stream when profiling is enabled).
-func (p *Profile) AddOp(dev DeviceKind, t Seconds) {
-	p.AddOpNamed(dev, t, "(op)")
-}
-
-// AddDMA charges one boundary transfer.
-func (p *Profile) AddDMA(t Seconds) {
-	p.AddDMANamed(t, "(dma)")
-}
-
-// AddSubgraph counts one external subgraph invocation and charges its
-// dispatch overhead.
-func (p *Profile) AddSubgraph() {
-	p.AddSubgraphNamed("(dispatch)")
-}
-
 // Total returns the summed sequential inference time (per-device time plus
 // DMA), the quantity the paper's bar charts report per model/target. Devices
 // are summed in canonical order, not map order, so two calls agree to the

@@ -17,11 +17,11 @@ import (
 type ProfileEventKind int
 
 const (
-	// EventOp is one kernel launch (AddOp).
+	// EventOp is one kernel launch (AddOpNamed).
 	EventOp ProfileEventKind = iota
-	// EventDMA is one boundary transfer (AddDMA).
+	// EventDMA is one boundary transfer (AddDMANamed).
 	EventDMA
-	// EventDispatch is one external-subgraph dispatch overhead (AddSubgraph).
+	// EventDispatch is one external-subgraph dispatch overhead (AddSubgraphNamed).
 	EventDispatch
 )
 
@@ -37,10 +37,10 @@ func (k ProfileEventKind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// ProfileEvent is one labeled charge: every AddOp/AddDMA/AddSubgraph call
-// appends one when event recording is enabled, so the events partition the
-// profile's Total() exactly — per-op tables built from them sum to the
-// run's simulated time by construction.
+// ProfileEvent is one labeled charge: every AddOpNamed, AddDMANamed and
+// AddSubgraphNamed call appends one when event recording is enabled, so the
+// events partition the profile's Total() exactly — per-op tables built from
+// them sum to the run's simulated time by construction.
 type ProfileEvent struct {
 	Kind   ProfileEventKind
 	Name   string

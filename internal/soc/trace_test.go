@@ -57,8 +57,8 @@ func TestTimelineReset(t *testing.T) {
 func TestProfileEventsOffByDefault(t *testing.T) {
 	p := NewProfile()
 	p.AddOpNamed(KindCPU, 1e-3, "conv")
-	p.AddDMA(1e-4)
-	p.AddSubgraph()
+	p.AddDMANamed(1e-4, "dma")
+	p.AddSubgraphNamed("region")
 	if p.EventsEnabled() {
 		t.Error("EventsEnabled = true before EnableEvents")
 	}

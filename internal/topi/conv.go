@@ -83,7 +83,7 @@ func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	}
 	data, weight := args[0], args[1]
 	p := convParams(attrs)
-	return convF32(data, weight, p, out, dstBuf, convUseIm2col("nn.conv2d", data, weight, p, out.Shape), ep), nil
+	return convF32(data, weight, p, out, dstBuf, im2colPays(out.Shape, weight.Shape, p.groups), ep), nil
 }
 
 // convF32 runs the float32 convolution by one strategy, parallel over
@@ -254,22 +254,6 @@ func tapMajor[T float32 | int32](dst, src []T, oc, taps int) {
 	}
 }
 
-// convUseIm2col is the strategy decision of every convolution launch, float,
-// quantized or fused: the task's tuned ConvStrategy wins, ConvAuto (or no
-// record) asks im2colPays. out is the NHWC output shape. Both strategies are
-// pinned bit-identical, so the switch is a pure performance decision.
-func convUseIm2col(op string, data, weight *tensor.Tensor, p conv2dParams, out tensor.Shape) bool {
-	if cfg := tunedConfig(taskKey(op, data.Shape, weight.Shape, data.DType, p)); cfg != nil {
-		switch cfg.ConvStrategy {
-		case ConvIm2col:
-			return true
-		case ConvDirect:
-			return false
-		}
-	}
-	return im2colPays(out, weight.Shape, p.groups)
-}
-
 // qnnConv2D is the quantized convolution producing an int32 accumulator:
 // acc = Σ (q_in - zp_in) * (q_w - zp_w). The requantize kernel narrows the
 // accumulator back to 8 bits.
@@ -281,7 +265,7 @@ func qnnConv2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 }
 
 // quantizedConv launches qnn.conv2d, or with an epilogue qnn.conv2d_fused:
-// one task key, one tuned record and one strategy rule for both.
+// one strategy rule for both.
 func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, ep *epilogue) (*tensor.Tensor, error) {
 	data, weight := args[0], args[1]
 	if err := relay.CheckQnnZeroPoints(op, data.DType, weight.DType, attrs); err != nil {
@@ -290,7 +274,7 @@ func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *rel
 	p := convParams(attrs)
 	zpIn := int32(attrs.Int("input_zero_point", 0))
 	zpK := int32(attrs.Int("kernel_zero_point", 0))
-	return convQnn(data, weight, p, zpIn, zpK, out, dstBuf, convUseIm2col(op, data, weight, p, out.Shape), ep)
+	return convQnn(data, weight, p, zpIn, zpK, out, dstBuf, im2colPays(out.Shape, weight.Shape, p.groups), ep)
 }
 
 // convQnn runs the quantized convolution by one strategy, parallel over

@@ -8,7 +8,7 @@ import "repro/internal/tensor"
 // row reduces the problem to a register-tiled GEMM over contiguous panels
 // (gemm.go) that keeps a whole tile of independent accumulators in flight.
 // Every convolution launch — nn.conv2d, qnn.conv2d, qnn.conv2d_fused —
-// selects it through convUseIm2col.
+// selects it through im2colPays, the one strategy rule.
 
 // im2colThreshold is the MAC volume below which a layer is a couple of
 // microseconds on either kernel and the GEMM path's fixed costs (two scratch

@@ -10,11 +10,11 @@ import (
 
 // Fused conv/dense epilogues, one per element type.
 //
-// Quantized: qnn.conv2d_fused and qnn.dense_fused are
-// qnn.conv2d and qnn.dense (conv.go) — the same strategy rule, task key,
-// tuned record and loops — with an epilogue, bias → requantize → activation,
-// applied to each output row of int32 accumulators as soon as it is reduced,
-// instead of materializing the int32 tensor and running three more kernels.
+// Quantized: qnn.conv2d_fused and qnn.dense_fused are qnn.conv2d and
+// qnn.dense (conv.go) — the same strategy rule and loops — with an epilogue,
+// bias → requantize → activation, applied to each output row of int32
+// accumulators as soon as it is reduced, instead of materializing the int32
+// tensor and running three more kernels.
 // The Neuron runtime dispatches them for its fused operations (runtime.go);
 // the staged chain remains the reference and the fused launch is pinned
 // bitwise-equal to it (fused_test.go):
@@ -60,8 +60,7 @@ import (
 // args[2] and fused_activation — and run epilogueF32 over each output row.
 // Its parts are the staged kernels' own loops (biasAddRows, clampF32), so
 // the launch equals nn.conv2d → nn.bias_add → nn.relu/clip by construction;
-// fused_test.go pins it anyway. The op names, and so the task keys and
-// tuning records, are the unfused ones.
+// fused_test.go pins it anyway. The op names are the unfused ones.
 
 // activationLUT tabulates the fused activation over every representable
 // post-requantize raw value. base is the dtype's minimum raw value. clamp

@@ -14,14 +14,15 @@ import (
 )
 
 // stagedReference runs the unfused kernel chain the fused kernels replace:
-// anchor (int32 accumulator) → nn.bias_add → qnn.requantize → activation.
-// The fused kernels must match it bit-for-bit — this is the §3.3 guarantee
-// the graph executor relies on when it collapses the chain into one launch.
-func stagedReference(t *testing.T, anchor string, args []*tensor.Tensor, attrs relay.Attrs,
+// anchor (int32 accumulator, by launch) → nn.bias_add → qnn.requantize →
+// activation. The fused kernels must match it bit-for-bit — this is the §3.3
+// guarantee the graph executor relies on when it collapses the chain into
+// one launch.
+func stagedReference(t *testing.T, launch launchFn, anchor string, args []*tensor.Tensor, attrs relay.Attrs,
 	outDT tensor.DType, outQ tensor.QuantParams, activation string) *tensor.Tensor {
 	t.Helper()
 	accScale := attrs.Float("requant_input_scale", 1)
-	acc := run(t, anchor, args[:2], attrs)
+	acc := runBy(t, launch, anchor, args[:2], attrs)
 	acc.Quant = &tensor.QuantParams{Scale: accScale, ZeroPoint: int32(attrs.Int("requant_input_zero_point", 0))}
 	if len(args) == 3 {
 		acc = run(t, "nn.bias_add", []*tensor.Tensor{acc, args[2]}, nil)
@@ -116,9 +117,58 @@ func fusedOperands(rng *rand.Rand, fd fusedDType, dataShape, weightShape tensor.
 // fusedActivations are the fused_activation values, by subtest name.
 var fusedActivations = []struct{ name, act string }{{"none", ""}, {"relu", "relu"}, {"relu6", "relu6"}}
 
+// launchFn launches op on args into out's type: Run, by the strategy rule,
+// or convBy, with the strategy forced.
+type launchFn func(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType) (*tensor.Tensor, error)
+
+// runBy is run through launch.
+func runBy(t *testing.T, launch launchFn, op string, args []*tensor.Tensor, attrs relay.Attrs) *tensor.Tensor {
+	t.Helper()
+	out, err := launch(op, args, attrs, inferOut(t, op, args, attrs))
+	if err != nil {
+		t.Fatalf("%s: %v", op, err)
+	}
+	return out
+}
+
+// convStrategies are the two convolution strategies, by subtest name.
+var convStrategies = []struct {
+	name   string
+	im2col bool
+}{{"direct", false}, {"im2col", true}}
+
+// convBy launches a convolution — nn.conv2d, plain or in its Neuron form,
+// qnn.conv2d or qnn.conv2d_fused — by the given strategy instead of the
+// rule's, with the registered kernel's epilogue.
+func convBy(im2col bool) launchFn {
+	return func(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType) (*tensor.Tensor, error) {
+		p := convParams(attrs)
+		switch op {
+		case "nn.conv2d":
+			ep, err := newEpilogueF32(op, args, attrs, out)
+			if err != nil {
+				return nil, err
+			}
+			return convF32(args[0], args[1], p, out, nil, im2col, ep), nil
+		case "qnn.conv2d", "qnn.conv2d_fused":
+			var ep *epilogue
+			if op == "qnn.conv2d_fused" {
+				e, err := newEpilogue(op, args, attrs, out)
+				if err != nil {
+					return nil, err
+				}
+				ep = &e
+			}
+			return convQnn(args[0], args[1], p, int32(attrs.Int("input_zero_point", 0)),
+				int32(attrs.Int("kernel_zero_point", 0)), out, nil, im2col, ep)
+		}
+		return nil, fmt.Errorf("convBy: %s is not a convolution", op)
+	}
+}
+
 // checkFusedAgainstStaged runs one shape and data type, with and without
 // bias, through the fused launch and the staged chain.
-func checkFusedAgainstStaged(t *testing.T, rng *rand.Rand, fused, anchor string, fd fusedDType,
+func checkFusedAgainstStaged(t *testing.T, rng *rand.Rand, launch launchFn, fused, anchor string, fd fusedDType,
 	dataShape, weightShape tensor.Shape, extra relay.Attrs, act string) {
 	t.Helper()
 	for _, withBias := range []bool{false, true} {
@@ -126,8 +176,8 @@ func checkFusedAgainstStaged(t *testing.T, rng *rand.Rand, fused, anchor string,
 		for k, v := range extra {
 			attrs[k] = v
 		}
-		got := run(t, fused, args, attrs)
-		want := stagedReference(t, anchor, args, attrs, fd.dt, outQ, act)
+		got := runBy(t, launch, fused, args, attrs)
+		want := stagedReference(t, launch, anchor, args, attrs, fd.dt, outQ, act)
 		if got.DType != want.DType || !got.Shape.Equal(want.Shape) {
 			t.Fatalf("bias %v: fused %s %s, staged %s %s", withBias, got.DType, got.Shape, want.DType, want.Shape)
 		}
@@ -143,11 +193,8 @@ func checkFusedAgainstStaged(t *testing.T, rng *rand.Rand, fused, anchor string,
 // bit for bit under each activation on every convCases shape — depthwise,
 // grouped, one channel per group, strided, dilated, asymmetric padding, the
 // showcase trio's layers — for uint8 and int8 data, with and without bias,
-// under a record forcing each strategy. The record is the anchor's
-// (qnn.conv2d): the fused launch must consult it too.
+// with the fused launch and its staged anchor forced onto each strategy.
 func TestFusedConv2DMatchesStagedChain(t *testing.T) {
-	prev := SetTuning(nil)
-	defer SetTuning(prev)
 	rng := rand.New(rand.NewSource(23))
 	for _, a := range fusedActivations {
 		t.Run(a.name, func(t *testing.T) {
@@ -155,19 +202,10 @@ func TestFusedConv2DMatchesStagedChain(t *testing.T) {
 				dataShape := tensor.Shape{cc.n, cc.h, cc.w, cc.c}
 				weightShape := tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}
 				for _, fd := range fusedDTypes {
-					for _, strategy := range []string{ConvDirect, ConvIm2col} {
-						t.Run(fmt.Sprintf("%s/%s/%s", cc.name, fd.dt, strategy), func(t *testing.T) {
-							tbl := NewTuningTable()
-							tbl.Set(taskKey("qnn.conv2d", dataShape, weightShape, fd.dt, cc.params()),
-								KernelConfig{ConvStrategy: strategy})
-							SetTuning(tbl)
-							defer SetTuning(nil)
-							checkFusedAgainstStaged(t, rng, "qnn.conv2d_fused", "qnn.conv2d", fd,
+					for _, st := range convStrategies {
+						t.Run(fmt.Sprintf("%s/%s/%s", cc.name, fd.dt, st.name), func(t *testing.T) {
+							checkFusedAgainstStaged(t, rng, convBy(st.im2col), "qnn.conv2d_fused", "qnn.conv2d", fd,
 								dataShape, weightShape, cc.attrs(), a.act)
-							// With and without bias, one fused and one staged launch each.
-							if hits, misses := tbl.Stats(); hits != 4 || misses != 0 {
-								t.Fatalf("record consulted %d times, %d misses; want 4 hits", hits, misses)
-							}
 						})
 					}
 				}
@@ -186,7 +224,7 @@ func TestFusedDenseMatchesStagedChain(t *testing.T) {
 				m, n, k := d[0], d[1], d[2]
 				for _, fd := range fusedDTypes {
 					t.Run(fmt.Sprintf("m%d_n%d_k%d/%s", m, n, k, fd.dt), func(t *testing.T) {
-						checkFusedAgainstStaged(t, rng, "qnn.dense_fused", "qnn.dense", fd,
+						checkFusedAgainstStaged(t, rng, Run, "qnn.dense_fused", "qnn.dense", fd,
 							tensor.Shape{m, k}, tensor.Shape{n, k}, relay.Attrs{"units": n}, a.act)
 					})
 				}
@@ -206,20 +244,15 @@ func convCaseNamed(t *testing.T, name string) convCase {
 	return convCase{}
 }
 
-// TestFusedConvObeysStrategyRuleAndRecord: qnn.conv2d_fused takes the
-// strategy qnn.conv2d takes. Only im2col packs the weight's pair panels, so
-// whether the launch left panels on the weight tells which path ran: none on
-// a depthwise layer (one channel per group stays direct) or under a record
-// forcing direct on a layer the rule sends to im2col, and panels on that
-// layer without the record.
-func TestFusedConvObeysStrategyRuleAndRecord(t *testing.T) {
-	prev := SetTuning(nil)
-	defer SetTuning(prev)
+// TestFusedConvObeysStrategyRule: qnn.conv2d_fused takes the strategy
+// qnn.conv2d takes. Only im2col packs the weight's pair panels, so whether
+// the launch left panels on the weight tells which path ran: none on a
+// depthwise layer (one channel per group stays direct), and panels on a
+// layer the rule sends to im2col.
+func TestFusedConvObeysStrategyRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	packed := func(cc convCase, tbl *TuningTable) bool {
+	packed := func(cc convCase) bool {
 		t.Helper()
-		SetTuning(tbl)
-		defer SetTuning(nil)
 		args, attrs, _ := fusedOperands(rng, fusedDTypes[0], tensor.Shape{cc.n, cc.h, cc.w, cc.c},
 			tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}, true, "relu")
 		for k, v := range cc.attrs() {
@@ -229,22 +262,11 @@ func TestFusedConvObeysStrategyRuleAndRecord(t *testing.T) {
 		return args[1].Derived() != nil
 	}
 
-	if packed(convCaseNamed(t, "depthwise"), nil) {
+	if packed(convCaseNamed(t, "depthwise")) {
 		t.Errorf("depthwise qnn.conv2d_fused packed weight panels; the rule keeps it on the direct loop")
 	}
-	unit := convCaseNamed(t, "unit")
-	if !packed(unit, nil) {
-		t.Fatalf("qnn.conv2d_fused on %s left no panels on its weight, want the rule's im2col", unit.name)
-	}
-	tbl := NewTuningTable()
-	tbl.Set(taskKey("qnn.conv2d", tensor.Shape{unit.n, unit.h, unit.w, unit.c},
-		tensor.Shape{unit.oc, unit.kh, unit.kw, unit.c / unit.groups}, tensor.UInt8, unit.params()),
-		KernelConfig{ConvStrategy: ConvDirect})
-	if packed(unit, tbl) {
-		t.Errorf("under a qnn.conv2d record forcing direct, qnn.conv2d_fused packed weight panels")
-	}
-	if hits, _ := tbl.Stats(); hits != 1 {
-		t.Errorf("the fused launch consulted the anchor's record %d times, want 1", hits)
+	if unit := convCaseNamed(t, "unit"); !packed(unit) {
+		t.Errorf("qnn.conv2d_fused on %s left no panels on its weight, want the rule's im2col", unit.name)
 	}
 }
 
@@ -338,10 +360,10 @@ func drawF32(rng *rand.Rand, shape tensor.Shape) *tensor.Tensor {
 
 // stagedReferenceF32 is the float chain the Neuron runtime used to run for a
 // CONV_2D/FULLY_CONNECTED with an absorbed bias and fused activation: anchor
-// → nn.bias_add → nn.relu or clip [0, 6].
-func stagedReferenceF32(t *testing.T, anchor string, args []*tensor.Tensor, attrs relay.Attrs, activation string) *tensor.Tensor {
+// (by launch) → nn.bias_add → nn.relu or clip [0, 6].
+func stagedReferenceF32(t *testing.T, launch launchFn, anchor string, args []*tensor.Tensor, attrs relay.Attrs, activation string) *tensor.Tensor {
 	t.Helper()
-	out := run(t, anchor, args[:2], attrs)
+	out := runBy(t, launch, anchor, args[:2], attrs)
 	if len(args) == 3 {
 		out = run(t, "nn.bias_add", []*tensor.Tensor{out, args[2]}, nil)
 	}
@@ -358,7 +380,7 @@ func stagedReferenceF32(t *testing.T, anchor string, args []*tensor.Tensor, attr
 // args[2], fused_activation) and the staged chain on the same operands, with
 // and without bias, and compares every bit — NaN payloads included: the
 // launch runs the staged kernels' own loops.
-func checkFusedF32AgainstStaged(t *testing.T, rng *rand.Rand, anchor string, dataShape, weightShape tensor.Shape, attrs relay.Attrs, act string) {
+func checkFusedF32AgainstStaged(t *testing.T, rng *rand.Rand, launch launchFn, anchor string, dataShape, weightShape tensor.Shape, attrs relay.Attrs, act string) {
 	t.Helper()
 	for _, withBias := range []bool{false, true} {
 		args := []*tensor.Tensor{drawF32(rng, dataShape), drawF32(rng, weightShape)}
@@ -367,8 +389,8 @@ func checkFusedF32AgainstStaged(t *testing.T, rng *rand.Rand, anchor string, dat
 		}
 		fusedAttrs := attrs.Clone()
 		fusedAttrs["fused_activation"] = act
-		want := stagedReferenceF32(t, anchor, args, attrs, act)
-		got, err := Run(anchor, args, fusedAttrs, &relay.TensorType{Shape: want.Shape, DType: tensor.Float32})
+		want := stagedReferenceF32(t, launch, anchor, args, attrs, act)
+		got, err := launch(anchor, args, fusedAttrs, &relay.TensorType{Shape: want.Shape, DType: tensor.Float32})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,28 +403,18 @@ func checkFusedF32AgainstStaged(t *testing.T, rng *rand.Rand, anchor string, dat
 
 // TestFusedF32ConvMatchesStagedChain pins nn.conv2d's Neuron form to the
 // staged chain under each activation on every convCases shape — direct and
-// im2col, grouped, depthwise — with and without bias, under a record forcing
-// each strategy. The record is nn.conv2d's own, and the launch consults it.
+// im2col, grouped, depthwise — with and without bias, with the launch and
+// its staged anchor forced onto each strategy.
 func TestFusedF32ConvMatchesStagedChain(t *testing.T) {
-	prev := SetTuning(nil)
-	defer SetTuning(prev)
 	rng := rand.New(rand.NewSource(37))
 	for _, a := range fusedActivations {
 		t.Run(a.name, func(t *testing.T) {
 			for _, cc := range convCases {
 				dataShape := tensor.Shape{cc.n, cc.h, cc.w, cc.c}
 				weightShape := tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}
-				for _, strategy := range []string{ConvDirect, ConvIm2col} {
-					t.Run(cc.name+"/"+strategy, func(t *testing.T) {
-						tbl := NewTuningTable()
-						tbl.Set(taskKey("nn.conv2d", dataShape, weightShape, tensor.Float32, cc.params()),
-							KernelConfig{ConvStrategy: strategy})
-						SetTuning(tbl)
-						defer SetTuning(nil)
-						checkFusedF32AgainstStaged(t, rng, "nn.conv2d", dataShape, weightShape, cc.attrs(), a.act)
-						if hits, misses := tbl.Stats(); hits != 4 || misses != 0 {
-							t.Fatalf("record consulted %d times, %d misses; want 4 hits", hits, misses)
-						}
+				for _, st := range convStrategies {
+					t.Run(cc.name+"/"+st.name, func(t *testing.T) {
+						checkFusedF32AgainstStaged(t, rng, convBy(st.im2col), "nn.conv2d", dataShape, weightShape, cc.attrs(), a.act)
 					})
 				}
 			}
@@ -419,7 +431,7 @@ func TestFusedF32DenseMatchesStagedChain(t *testing.T) {
 			for _, d := range gemmDims {
 				m, n, k := d[0], d[1], d[2]
 				t.Run(fmt.Sprintf("m%d_n%d_k%d", m, n, k), func(t *testing.T) {
-					checkFusedF32AgainstStaged(t, rng, "nn.dense", tensor.Shape{m, k}, tensor.Shape{n, k},
+					checkFusedF32AgainstStaged(t, rng, Run, "nn.dense", tensor.Shape{m, k}, tensor.Shape{n, k},
 						relay.Attrs{"units": n}, a.act)
 				})
 			}

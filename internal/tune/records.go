@@ -1,13 +1,8 @@
-// Package tune is the profile-guided autotuner: it extracts tunable kernel
-// tasks from compiled modules, measures candidate configurations in-process
-// against real tensors, and persists the winners as tuning records that the
-// topi dispatch layer consults at kernel-launch time (topi/tuning.go). The
-// same record store carries device-placement decisions from the simulated-
-// cost pipeline search (internal/pipeline.SearchSchedule). TVM's core result
-// is that measured-cost search beats hand-picked schedule defaults; this
-// package closes that loop for the Go kernels, under the repository's
-// standing invariant that every knob preserves bitwise-identical outputs.
-// The one kernel knob is the convolution strategy (topi.KernelConfig).
+// Package tune is the record store of the placement search: nptune -pipeline
+// runs internal/pipeline.SearchSchedule, the simulated-cost search over the
+// showcase pipeline's device assignments (the paper's §5), and persists the
+// chosen assignment as a placement record in a JSON-lines file. The
+// convolution strategy is not tuned: topi's im2colPays is its one rule.
 package tune
 
 import (
@@ -18,55 +13,28 @@ import (
 	"os"
 	"sort"
 	"strings"
-
-	"repro/internal/topi"
 )
 
-// SchemaVersion is the tuning-record schema this build reads and writes.
-// Bump it when the record or config layout changes incompatibly; loaders
-// reject mismatched files with a re-tune diagnostic instead of silently
-// misreading knobs.
-// Version 2: a kernel config is the convolution strategy alone.
+// SchemaVersion is the record schema this build reads and writes. Bump it
+// when the record layout changes incompatibly; loaders reject mismatched
+// files with a re-run diagnostic instead of silently misreading them.
 const SchemaVersion = 2
 
-// Record kinds.
-const (
-	KindKernel    = "kernel"    // per-task convolution strategy
-	KindPlacement = "placement" // per-stage device assignment
-)
+// KindPlacement is the kind of a per-stage device assignment record, the one
+// kind this build reads.
+const KindPlacement = "placement"
 
-// Config is the serialized form of topi.KernelConfig (stable JSON field
-// names, independent of the in-memory struct).
-type Config struct {
-	ConvStrategy string `json:"conv,omitempty"`
-}
-
-// Kernel converts to the dispatch-table form.
-func (c Config) Kernel() topi.KernelConfig {
-	return topi.KernelConfig{ConvStrategy: c.ConvStrategy}
-}
-
-// FromKernel converts a dispatch-table config to the serialized form.
-func FromKernel(k topi.KernelConfig) Config {
-	return Config{ConvStrategy: k.ConvStrategy}
-}
-
-// Record is one line of a tuning-record file.
+// Record is one line of a record file.
 type Record struct {
 	Schema int    `json:"schema"`
 	Kind   string `json:"kind"`
-	// Task is the canonical task signature: topi.TaskKey.String() for
-	// kernel records, "pipeline|<name>" for placement records.
-	Task   string `json:"task"`
-	Config Config `json:"config,omitempty"`
-	// Choice maps stage name → chosen target for placement records.
+	// Task names the searched pipeline: "pipeline|<name>".
+	Task string `json:"task"`
+	// Choice maps stage name → chosen target.
 	Choice map[string]string `json:"choice,omitempty"`
-	// CostNS is the measured (kernel, wall ns) or simulated (placement,
-	// simulated ns) cost of the winning configuration; DefaultNS the cost of
-	// the untuned default, for audit.
-	CostNS    int64  `json:"cost_ns"`
-	DefaultNS int64  `json:"default_ns,omitempty"`
-	Model     string `json:"model,omitempty"`
+	// CostNS is the simulated cost of the chosen assignment, in ns.
+	CostNS int64  `json:"cost_ns"`
+	Model  string `json:"model,omitempty"`
 }
 
 // key is the merge identity of a record.
@@ -77,24 +45,11 @@ func (r Record) Validate() error {
 	if r.Schema != SchemaVersion {
 		return fmt.Errorf("tune: record schema v%d, this build reads v%d — re-run nptune to regenerate the file", r.Schema, SchemaVersion)
 	}
-	switch r.Kind {
-	case KindKernel:
-		key, err := topi.ParseTaskKey(r.Task)
-		if err != nil {
-			return fmt.Errorf("tune: kernel record: %w", err)
-		}
-		if key.Op != "nn.conv2d" && key.Op != "qnn.conv2d" {
-			return fmt.Errorf("tune: kernel record %q is not a convolution task", r.Task)
-		}
-		if c := r.Config.ConvStrategy; c != topi.ConvIm2col && c != topi.ConvDirect {
-			return fmt.Errorf("tune: kernel record %q has conv strategy %q (want %s or %s)", r.Task, c, topi.ConvIm2col, topi.ConvDirect)
-		}
-	case KindPlacement:
-		if !strings.HasPrefix(r.Task, "pipeline|") {
-			return fmt.Errorf("tune: placement record task %q (want pipeline|<name>)", r.Task)
-		}
-	default:
-		return fmt.Errorf("tune: unknown record kind %q", r.Kind)
+	if r.Kind != KindPlacement {
+		return fmt.Errorf("tune: record kind %q, this build reads only %q records", r.Kind, KindPlacement)
+	}
+	if !strings.HasPrefix(r.Task, "pipeline|") {
+		return fmt.Errorf("tune: placement record task %q (want pipeline|<name>)", r.Task)
 	}
 	if r.CostNS < 0 {
 		return fmt.Errorf("tune: record %q has negative cost %d", r.Task, r.CostNS)
@@ -131,40 +86,6 @@ func encodeRecords(recs []Record) ([]byte, error) {
 		b.WriteByte('\n')
 	}
 	return b.Bytes(), nil
-}
-
-// CheckFile is the audit nptune -check runs on a record file against the
-// tasks of one model, and it fails only on what is deterministic: the file
-// must load, every kernel record must name one of tasks (as Tasks extracts
-// them), and writing the loaded records back must reproduce the file byte
-// for byte. It returns the file's dispatch table; whether the records change
-// any decision is the search's business, not the file's.
-func CheckFile(path string, tasks []topi.TaskKey) (*topi.TuningTable, error) {
-	want, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	recs, err := decodeRecords(path, want)
-	if err != nil {
-		return nil, err
-	}
-	known := make(map[string]bool, len(tasks))
-	for _, task := range tasks {
-		known[task.String()] = true
-	}
-	for _, r := range recs {
-		if r.Kind == KindKernel && !known[r.Task] {
-			return nil, fmt.Errorf("tune: %s: kernel record %s is not a task of the model", path, r.Task)
-		}
-	}
-	got, err := encodeRecords(recs)
-	if err != nil {
-		return nil, err
-	}
-	if !bytes.Equal(got, want) {
-		return nil, fmt.Errorf("tune: %s: writing its %d record(s) back does not reproduce the file (WriteRecords sorts and re-encodes)", path, len(recs))
-	}
-	return BuildTable(recs)
 }
 
 // LoadRecords reads a record file, validating every line. A schema-version
@@ -209,7 +130,7 @@ func decodeRecords(path string, b []byte) ([]Record, error) {
 
 // Merge combines record sets: for records of the same (kind, task) the
 // lower-cost entry wins; an exact cost tie breaks toward the
-// lexicographically smaller serialized config, so merging is deterministic
+// lexicographically smaller serialized choice, so merging is deterministic
 // and order-independent. The result is sorted by (kind, task).
 func Merge(sets ...[]Record) []Record {
 	best := map[string]Record{}
@@ -234,50 +155,16 @@ func recordWins(a, b Record) bool {
 	if a.CostNS != b.CostNS {
 		return a.CostNS < b.CostNS
 	}
-	return a.tieKey() < b.tieKey()
+	return a.Choices() < b.Choices()
 }
 
-func (r Record) tieKey() string {
-	if r.Kind == KindPlacement {
-		keys := make([]string, 0, len(r.Choice))
-		for s, t := range r.Choice {
-			keys = append(keys, s+"="+t)
-		}
-		sort.Strings(keys)
-		return strings.Join(keys, ",")
+// Choices renders the choice as sorted "stage=target" pairs, joined by
+// spaces: the merge's tiebreak and nptune -show's column.
+func (r Record) Choices() string {
+	pairs := make([]string, 0, len(r.Choice))
+	for s, t := range r.Choice {
+		pairs = append(pairs, s+"="+t)
 	}
-	return r.Config.Kernel().String()
-}
-
-// BuildTable assembles the kernel records into a dispatch table for
-// topi.SetTuning. Placement records are skipped (they configure the
-// pipeline scheduler, not kernel dispatch).
-func BuildTable(recs []Record) (*topi.TuningTable, error) {
-	t := topi.NewTuningTable()
-	for _, r := range recs {
-		if r.Kind != KindKernel {
-			continue
-		}
-		key, err := topi.ParseTaskKey(r.Task)
-		if err != nil {
-			return nil, err
-		}
-		t.Set(key, r.Config.Kernel())
-	}
-	return t, nil
-}
-
-// LoadTable loads a record file and builds its kernel dispatch table. The
-// second return is the total record count (including placement records),
-// for reporting.
-func LoadTable(path string) (*topi.TuningTable, int, error) {
-	recs, err := LoadRecords(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	t, err := BuildTable(recs)
-	if err != nil {
-		return nil, 0, err
-	}
-	return t, len(recs), nil
+	sort.Strings(pairs)
+	return strings.Join(pairs, " ")
 }
