@@ -300,9 +300,11 @@ func TestSpoofGateSeparates(t *testing.T) {
 // without a per-launch broadcaster, each model's simulated charge computed
 // once. One 32-frame ring pass of the benchmark's scene, after one warm pass,
 // stays under 10 KB and 18 objects a frame: about 1.7 times the worst bytes
-// seen and the object count plus an eighth. It reads 1.3 KB and 16 objects;
-// 3.6 or 5.9 KB and 16 in five of twelve runs, when a collection during the
-// passes empties the kernels' scratch pools. It read 6.6 KB and 142 objects
+// seen and the object count plus an eighth. It reads 1.1 KB and 6 objects
+// (1.3 KB and 16 while the SSD rows were sorted by sort.Slice, which builds
+// a reflect swapper on every call, and every convolution packed its
+// patches into pooled panels); 3.6 or 5.9 KB in five of twelve runs, when
+// a collection during the passes empties the kernels' scratch pools. It read 6.6 KB and 142 objects
 // while every Run charged a fresh profile and every stage built an input-name
 // slice, 9.6 KB and 216 while every broadcasting multiply built its
 // broadcaster, 8 264 KB and 246 247 when every At/Set heap-allocated its

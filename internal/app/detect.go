@@ -3,7 +3,7 @@ package app
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/tensor"
 	"repro/internal/video"
@@ -42,6 +42,33 @@ func topCount(dets []Detection, topK int) int {
 // sorts the rows by descending score: DecodeSSD without the topK cut, into a
 // buffer the caller may reuse across frames.
 func decodeSSDRows(dst []Detection, boxes, scores *tensor.Tensor, frameW, frameH int, threshold float64) ([]Detection, error) {
+	dets, err := ssdRows(dst, boxes, scores, frameW, frameH, threshold)
+	if err != nil {
+		return nil, err
+	}
+	sortByScore(dets)
+	return dets, nil
+}
+
+// sortByScore sorts detections by descending score in place. slices.SortFunc
+// runs the pdqsort that sort.Slice runs, from the same template, so with
+// this comparison it leaves tied rows in the same order; it needs no
+// reflect-built swapper, which sort.Slice allocates on every call.
+func sortByScore(dets []Detection) {
+	slices.SortFunc(dets, func(a, b Detection) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		return 0
+	})
+}
+
+// ssdRows appends every row that passes the threshold to dst[:0], in row
+// order.
+func ssdRows(dst []Detection, boxes, scores *tensor.Tensor, frameW, frameH int, threshold float64) ([]Detection, error) {
 	if len(boxes.Shape) != 3 || boxes.Shape[2] != 4 {
 		return nil, fmt.Errorf("app: SSD boxes have shape %s, want (1,N,4)", boxes.Shape)
 	}
@@ -105,7 +132,6 @@ func decodeSSDRows(dst []Detection, boxes, scores *tensor.Tensor, frameW, frameH
 		}
 		dets = append(dets, Detection{Box: rect, Score: bestScore, Class: best})
 	}
-	sort.Slice(dets, func(i, j int) bool { return dets[i].Score > dets[j].Score })
 	return dets, nil
 }
 

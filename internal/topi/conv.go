@@ -8,14 +8,16 @@ import (
 
 // One convolution and one dense kernel per element type. The float and the
 // quantized convolution run the same two strategies over the same loops —
-// the direct row (convDirectRow) and the im2col patch pack (packCol) are one
-// generic body each, the quantized side feeding them operands widened once
-// to (raw − zero point): int32 for the direct row, k-pairs (i16x2) for the
-// patch pack — and differ only in the GEMM tile they call. Each launch may carry an epilogue applied to each output
-// row as soon as it is reduced (fused.go): qnn.conv2d_fused and
+// the direct depthwise row (depthwiseRow) and the indirect row table
+// (indirectRow) are one generic body each, the quantized side feeding them
+// operands widened once to (raw − zero point): int32 for the direct row,
+// k-pairs (i16x2) for the indirect table — and differ only in the GEMM
+// tile they call. Each launch may carry an epilogue: qnn.conv2d_fused and
 // qnn.dense_fused are qnn.conv2d and qnn.dense with bias → requantize →
-// activation, and nn.conv2d and nn.dense take an optional bias and
-// fused_activation, the Neuron runtime's float operations.
+// activation applied to each output row as soon as it is reduced (fused.go),
+// and nn.conv2d and nn.dense take an optional bias and fused_activation, the
+// Neuron runtime's float operations, which the indirect float tile applies
+// to its accumulators at the store.
 
 // conv2dParams gathers the attribute set shared by float and quantized
 // convolution.
@@ -59,13 +61,13 @@ func (g *convGeom) rowLen() int { return g.ow * g.oc }         // cells of one o
 func (g *convGeom) work(rows int) int64 { return int64(rows) * int64(g.rowLen()) * int64(g.k()) }
 
 // depthwise reports one input and one output channel per group — so c ==
-// oc == groups — the geometry convDirectRow walks by channel vectors.
+// oc == groups — the geometry depthwiseRow walks by channel vectors.
 func (g *convGeom) depthwise() bool { return g.icg == 1 && g.ocg() == 1 }
 
 // pairs is the geometry of the same convolution over k-pairs
 // (rawMinusZpPairs with vec = icg): a group's icg channels are pairsOf(icg)
-// units, so packCol over pair data writes the quantized A panels and k()
-// counts pairs.
+// units, so indirectRow over pair data points the quantized tile at the
+// widened image and k() counts pairs.
 func (g convGeom) pairs() convGeom {
 	g.icg = pairsOf(g.icg)
 	g.c = g.icg * g.groups
@@ -83,32 +85,29 @@ func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, 
 	}
 	data, weight := args[0], args[1]
 	p := convParams(attrs)
-	return convF32(data, weight, p, out, dstBuf, im2colPays(out.Shape, weight.Shape, p.groups), ep), nil
+	return convF32(data, weight, p, out, dstBuf, im2colPays(weight.Shape, p.groups), ep), nil
 }
 
 // convF32 runs the float32 convolution by one strategy, parallel over
 // (batch × output row) — each worker owns disjoint output rows. The direct
-// strategy reduces every cell in place; im2col packs one output row's
-// patches per group straight into GEMM panels (packCol) and multiplies them
-// against the weight's packed panels. Either way ep runs over each output row
-// as soon as it is reduced. The row loop splits when its MACs pay for it
-// (convGeom.work); nested GEMM tile parallelism then degrades to serial
-// because this loop already holds the worker-budget tokens. Split or not, a
-// steady-state launch allocates nothing.
+// strategy, on a depthwise geometry only, reduces every cell in place and
+// then runs ep over the row; the indirect one, on any geometry, points the
+// GEMM tile at each output row's patches in the image (indirectRow) and
+// multiplies them against the weight's packed panels, the tile applying
+// ep's bias and clamp at its store. The row loop splits when its MACs pay
+// for it (convGeom.work). Split or not, a steady-state launch allocates
+// nothing.
 func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, im2col bool, ep epilogueF32) *tensor.Tensor {
 	res := output(dstBuf, out)
 	r := convRowsF32{
 		g:   newConvGeom(p, data.Shape, weight.Shape, out.Shape),
-		din: data.F32(), wt: weight.F32(), dout: res.F32(),
+		din: data.F32(), dout: res.F32(),
 		ep: ep,
 	}
 	if im2col {
 		r.pw = packedConvWeightF32(weight, r.g.groups)
-	} else if r.g.depthwise() {
-		wtP := scratchF32.get(len(r.wt))
-		defer scratchF32.put(wtP)
-		tapMajor(*wtP, r.wt, r.g.oc, r.g.kh*r.g.kw)
-		r.wt = *wtP
+	} else {
+		r.wt = directWeightF32(weight, &r.g)
 	}
 	rows := data.Shape[0] * r.g.oh
 	convRegionF32.Run(rows, r.g.work(rows), r)
@@ -119,8 +118,8 @@ var convRegionF32 = parallel.NewRegion(convRowsF32.run)
 
 // convRowsF32 is one float convolution launch's row loop and its closure
 // data. It is passed by value, so each worker runs on its own copy —
-// geometry included — on its own stack; pw is nil on the direct strategy, where wt is tap-major on a
-// depthwise geometry (tapMajor).
+// geometry included — on its own stack; pw is nil on the direct strategy,
+// which reads the tap-major wt (directWeightF32).
 type convRowsF32 struct {
 	g             convGeom
 	din, wt, dout []float32
@@ -131,79 +130,37 @@ type convRowsF32 struct {
 // run computes output rows [lo, hi).
 func (r convRowsF32) run(lo, hi int) {
 	g := &r.g
-	var colP *[]float32
-	if r.pw != nil {
-		colP = scratchF32.get(colLen(g))
-		defer scratchF32.put(colP)
-	}
-	for job := lo; job < hi; job++ {
-		row := r.dout[job*g.rowLen() : (job+1)*g.rowLen()]
-		if r.pw == nil {
-			convDirectRow(row, r.din, r.wt, g, job)
-		} else {
-			for grp := 0; grp < g.groups; grp++ {
-				packCol(*colP, r.din, g, job, grp)
-				gemmPackedF32(g.ow, g.ocg(), g.k(), *colP, r.pw.group(grp), row[grp*g.ocg():], g.oc)
-			}
+	if r.pw == nil {
+		for job := lo; job < hi; job++ {
+			row := r.dout[job*g.rowLen() : (job+1)*g.rowLen()]
+			depthwiseRow(row, r.din, r.wt, g, job)
+			r.ep.apply(row)
 		}
-		r.ep.apply(row)
-	}
-}
-
-// convDirectRow computes output row job (= b·oh + oy) of the direct
-// convolution into row[:ow·oc]: each cell one accumulator summing ky, kx, ic
-// ascending, taps that fall in the padding skipped. Quantized operands
-// arrive widened to (raw − zero point), so a skipped tap is exactly the QNN
-// convention of padding with the zero point, which contributes
-// (zp − zp) = 0. wt is the OHWI filter, or on a depthwise geometry its
-// tap-major form, which depthwiseRow reads.
-func convDirectRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
-	if g.depthwise() {
-		depthwiseRow(row, din, wt, g, job)
 		return
 	}
-	h, w, c := g.h, g.w, g.c
-	oc, kh, kw, icg := g.oc, g.kh, g.kw, g.icg
+	s := getIndirect[float32](&indirectPoolF32, g)
+	defer indirectPoolF32.Put(s)
 	ocg := g.ocg()
-	b, oy := job/g.oh, job%g.oh
-	for ox := 0; ox < g.ow; ox++ {
-		outBase := ox * oc
+	for job := lo; job < hi; job++ {
+		row := r.dout[job*g.rowLen() : (job+1)*g.rowLen()]
 		for grp := 0; grp < g.groups; grp++ {
-			for f := 0; f < ocg; f++ {
-				o := grp*ocg + f
-				var acc T
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*g.sh - g.padT + ky*g.dh
-					if iy < 0 || iy >= h {
-						continue
-					}
-					x := din[(b*h+iy)*w*c+grp*icg:] // input row iy, this group's channels
-					k := wt[(o*kh+ky)*kw*icg:]      // filter row ky of output channel o
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*g.sw - g.padL + kx*g.dw
-						if ix < 0 || ix >= w {
-							continue
-						}
-						xi, ki := ix*c, kx*icg
-						for ic := 0; ic < icg; ic++ {
-							acc += T(x[xi+ic] * k[ki+ic])
-						}
-					}
-				}
-				row[outBase+o] = acc
-			}
+			indirectRow(s, r.din, g, job, grp)
+			indirectPanelsF32(s.tiles, r.pw.group(grp), row[grp*ocg:], g.ow, ocg, g.k(), g.oc, &r.ep, grp*ocg)
 		}
 	}
 }
 
-// depthwiseRow is convDirectRow on a depthwise geometry, where the inner ic
-// loop would have length one. An output pixel's c cells are one vector,
+// depthwiseRow computes output row job (= b·oh + oy) of a depthwise
+// convolution into row[:ow·c]. An output pixel's c cells are one vector,
 // cleared and then accumulated tap by tap — (ky, kx) ascending, taps in the
 // padding skipped — from the pixel's input channel vector and the tap's row
-// of the tap-major filter, out[o] += x[o]·k[o]. Every cell sees the same
-// products added in the same order as its own accumulator in the per-cell
-// loop, so float results are bit-identical; the innermost loop now runs
-// over contiguous channels.
+// of the tap-major filter (tapMajor), out[o] += x[o]·k[o]. Every cell sees
+// the same products added in the same order as its own accumulator in a
+// per-cell loop (convDirectRowPerCell, kept in conv_test.go), so float
+// results are bit-identical; the innermost loop runs over contiguous
+// channels. Quantized operands arrive widened to (raw − zero point), so a
+// skipped tap is exactly the QNN convention of padding with the zero point,
+// which contributes (zp − zp) = 0.
 func depthwiseRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
 	h, w, c, kh, kw := g.h, g.w, g.c, g.kh, g.kw
 	b, oy := job/g.oh, job%g.oh
@@ -254,6 +211,53 @@ func tapMajor[T float32 | int32](dst, src []T, oc, taps int) {
 	}
 }
 
+// directWeight is a depthwise filter in the form depthwiseRow reads —
+// tap-major (tapMajor), a quantized one widened to (raw − zp) int32 first —
+// derived once per weight tensor and kept on it (Tensor.SetDerived) as
+// packed panels are. zp is the kernel zero point it was widened with; a
+// launch under another prepares afresh and leaves the stored form alone.
+type directWeight[T float32 | int32] struct {
+	zp   int32
+	data []T
+}
+
+// storedDirectWeight returns the form stored on w when it was widened with
+// zp, else nil.
+func storedDirectWeight[T float32 | int32](w *tensor.Tensor, zp int32) []T {
+	if dw, ok := w.Derived().(*directWeight[T]); ok && dw.zp == zp {
+		return dw.data
+	}
+	return nil
+}
+
+// directWeightF32 is the tap-major form of a float depthwise filter on g.
+func directWeightF32(w *tensor.Tensor, g *convGeom) []float32 {
+	if data := storedDirectWeight[float32](w, 0); data != nil {
+		return data
+	}
+	data := make([]float32, w.Elems())
+	tapMajor(data, w.F32(), g.oc, g.kh*g.kw)
+	w.SetDerived(&directWeight[float32]{data: data})
+	return data
+}
+
+// directWeightI32 is the tap-major (raw − zp) form of a quantized depthwise
+// filter on g.
+func directWeightI32(w *tensor.Tensor, g *convGeom, zp int32) ([]int32, error) {
+	if data := storedDirectWeight[int32](w, zp); data != nil {
+		return data, nil
+	}
+	rawP := scratchI32.get(w.Elems())
+	defer scratchI32.put(rawP)
+	if err := rawMinusZp(*rawP, w, zp); err != nil {
+		return nil, err
+	}
+	data := make([]int32, w.Elems())
+	tapMajor(data, *rawP, g.oc, g.kh*g.kw)
+	w.SetDerived(&directWeight[int32]{zp: zp, data: data})
+	return data, nil
+}
+
 // qnnConv2D is the quantized convolution producing an int32 accumulator:
 // acc = Σ (q_in - zp_in) * (q_w - zp_w). The requantize kernel narrows the
 // accumulator back to 8 bits.
@@ -274,18 +278,18 @@ func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *rel
 	p := convParams(attrs)
 	zpIn := int32(attrs.Int("input_zero_point", 0))
 	zpK := int32(attrs.Int("kernel_zero_point", 0))
-	return convQnn(data, weight, p, zpIn, zpK, out, dstBuf, im2colPays(out.Shape, weight.Shape, p.groups), ep)
+	return convQnn(data, weight, p, zpIn, zpK, out, dstBuf, im2colPays(weight.Shape, p.groups), ep)
 }
 
 // convQnn runs the quantized convolution by one strategy, parallel over
-// (batch × output row) like convF32. The direct strategy widens data and
-// weight once into pooled (raw − zp) int32 scratch, the weight tap-major on a
-// depthwise geometry. im2col widens the data into pooled k-pairs
-// (rawMinusZpPairs) and reads the packed pair panels of the weight. Either
+// (batch × output row) like convF32. The direct strategy, on a depthwise
+// geometry only, widens the data once into pooled (raw − zp) int32 scratch
+// and reads the weight's tap-major form (directWeightI32). The indirect one
+// widens the data into pooled k-pairs (rawMinusZpPairs), which its row
+// tables point into, and reads the packed pair panels of the weight. Either
 // widening is a parallel launch of its own ahead of the row loop — every
 // output row reads input rows of its neighbours, so the row loop cannot
-// widen its own. Integer
-// accumulation is exact, so both strategies give the same bits. With
+// widen its own. Integer accumulation is exact, so both strategies give the same bits. With
 // ep == nil (qnn.conv2d) the int32 accumulators are the output; otherwise
 // each output row is reduced into scratch and narrowed through a copy of ep.
 // Split or not, a steady-state launch allocates nothing.
@@ -311,21 +315,14 @@ func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *
 	} else {
 		dinP := scratchI32.get(data.Elems())
 		defer scratchI32.put(dinP)
-		wtP := scratchI32.get(weight.Elems())
-		defer scratchI32.put(wtP)
 		if err := rawMinusZp(*dinP, data, zpIn); err != nil {
 			return nil, err
 		}
-		if err := rawMinusZp(*wtP, weight, zpK); err != nil {
+		wt, err := directWeightI32(weight, g, zpK)
+		if err != nil {
 			return nil, err
 		}
-		r.din, r.wt = *dinP, *wtP
-		if g.depthwise() {
-			tapsP := scratchI32.get(weight.Elems())
-			defer scratchI32.put(tapsP)
-			tapMajor(*tapsP, r.wt, g.oc, g.kh*g.kw)
-			r.wt = *tapsP
-		}
+		r.din, r.wt = *dinP, wt
 	}
 	rows := data.Shape[0] * g.oh
 	convRegionQnn.Run(rows, g.work(rows), r)
@@ -337,7 +334,7 @@ var convRegionQnn = parallel.NewRegion(convRowsQnn.run)
 // convRowsQnn is one quantized convolution launch's row loop, passed by value
 // like convRowsF32 — epilogue included, so no pointer to the caller's
 // epilogue escapes. pw is nil on the direct strategy, which reads din and wt;
-// im2col reads dinPairs and pw.
+// the indirect one reads dinPairs and pw.
 type convRowsQnn struct {
 	g        convGeom
 	din, wt  []int32
@@ -352,11 +349,11 @@ type convRowsQnn struct {
 func (r convRowsQnn) run(lo, hi int) {
 	g := &r.g
 	gp := g.pairs()
-	var colP *[]i16x2
+	var s *indirectScratch[i16x2]
 	var accP *[]int32
 	if r.pw != nil {
-		colP = scratchPairs.get(colLen(&gp))
-		defer scratchPairs.put(colP)
+		s = getIndirect[i16x2](&indirectPoolPairs, &gp)
+		defer indirectPoolPairs.Put(s)
 	}
 	if r.fused {
 		accP = scratchI32.get(g.rowLen())
@@ -366,6 +363,7 @@ func (r convRowsQnn) run(lo, hi int) {
 	if !r.fused {
 		dout = r.res.I32()
 	}
+	ocg := g.ocg()
 	for job := lo; job < hi; job++ {
 		var row []int32
 		if r.fused {
@@ -374,11 +372,11 @@ func (r convRowsQnn) run(lo, hi int) {
 			row = dout[job*g.rowLen() : (job+1)*g.rowLen()]
 		}
 		if r.pw == nil {
-			convDirectRow(row, r.din, r.wt, g, job)
+			depthwiseRow(row, r.din, r.wt, g, job)
 		} else {
 			for grp := 0; grp < g.groups; grp++ {
-				packCol(*colP, r.dinPairs, &gp, job, grp)
-				gemmPackedI32(g.ow, g.ocg(), gp.k(), *colP, r.pw.group(grp), row[grp*g.ocg():], g.oc)
+				indirectRow(s, r.dinPairs, &gp, job, grp)
+				indirectPanelsI32(s.tiles, r.pw.group(grp), row[grp*ocg:], g.ow, ocg, gp.k(), g.oc)
 			}
 		}
 		if r.fused {

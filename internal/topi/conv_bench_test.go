@@ -27,14 +27,26 @@ var strategyShapes = append(append([]convCase(nil), convCases...),
 	convCase{name: "dw3x3-s1-56x56x64", n: 1, h: 56, w: 56, c: 64, oc: 64, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 64, pad: samePad},
 	convCase{name: "dw3x3-s2-56x56x64", n: 1, h: 56, w: 56, c: 64, oc: 64, kh: 3, kw: 3, sh: 2, sw: 2, dh: 1, dw: 1, groups: 64, pad: samePad},
 	convCase{name: "pw-28x28x128-oc128", n: 1, h: 28, w: 28, c: 128, oc: 128, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
+	// The lite SSD's pointwise layers, which carry most of a detect run's
+	// GEMM MACs.
+	convCase{name: "ssd-pw-24x24x8-oc16", n: 1, h: 24, w: 24, c: 8, oc: 16, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
+	convCase{name: "ssd-pw-24x24x16-oc16", n: 1, h: 24, w: 24, c: 16, oc: 16, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
+	convCase{name: "ssd-pw-12x12x32-oc32", n: 1, h: 12, w: 12, c: 32, oc: 32, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
+	convCase{name: "ssd-pw-6x6x64-oc64", n: 1, h: 6, w: 6, c: 64, oc: 64, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
 )
 
-// BenchmarkConvStrategy times the direct and the im2col + GEMM kernel on the
+// BenchmarkConvStrategy times the direct kernel and the indirect GEMM on the
 // same shape — float32, quantized, and quantized with the fused epilogue
-// (bias, requantize, relu6 into uint8) — the measurement behind im2colPays:
+// (bias, requantize, relu6 into uint8) — the measurement behind im2colPays.
+// On a depthwise shape the direct rows time depthwiseRow's launch, on any
+// other the per-cell loop the rule no longer runs (directConvF32,
+// directConvQnn), which has no parallel launch; so every row runs on one
+// worker, and the table compares the kernels core for core:
 //
 //	go test ./internal/topi -run '^$' -bench ConvStrategy -benchtime 200ms
 func BenchmarkConvStrategy(b *testing.B) {
+	old := parallel.SetMaxWorkers(1)
+	defer parallel.SetMaxWorkers(old)
 	rng := rand.New(rand.NewSource(17))
 	for _, cc := range strategyShapes {
 		oh, ow := cc.outShape()
@@ -70,12 +82,12 @@ func BenchmarkConvStrategy(b *testing.B) {
 			name string
 			run  func()
 		}{
-			{"f32/direct", func() { convF32(data, weight, p, out, dst, false, epilogueF32{}) }},
-			{"f32/im2col", func() { convF32(data, weight, p, out, dst, true, epilogueF32{}) }},
-			{"qnn/direct", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, false, nil) }},
-			{"qnn/im2col", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, true, nil) }},
-			{"qnn-fused/direct", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, false, &ep) }},
-			{"qnn-fused/im2col", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, true, &ep) }},
+			{"f32/direct", func() { directConvF32(data, weight, p, out, epilogueF32{}) }},
+			{"f32/indirect", func() { convF32(data, weight, p, out, dst, true, epilogueF32{}) }},
+			{"qnn/direct", func() { directConvQnn(qdata, qweight, p, 128, 119, qout, nil) }},
+			{"qnn/indirect", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, true, nil) }},
+			{"qnn-fused/direct", func() { directConvQnn(qdata, qweight, p, 128, 119, fout, &ep) }},
+			{"qnn-fused/indirect", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, true, &ep) }},
 		} {
 			b.Run(name+"/"+k.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -114,8 +126,8 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 			workers int
 			run     func()
 		}
-		driver := func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n) }
-		rows := []row{{"gemmPackedF32", 1, driver}, {"gemmPackedF32/workers=2", 2, driver}}
+		driver := func() { gemmF32(s.m, s.n, s.k, a, s.k, bpack, c, s.n) }
+		rows := []row{{"gemmF32", 1, driver}, {"gemmF32/workers=2", 2, driver}}
 		for _, kern := range tileKernels {
 			if kern.skip || nt%kern.panels != 0 {
 				continue

@@ -5,12 +5,16 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/relay"
 	"repro/internal/tensor"
 )
 
-// convDirectRowPerCell is the direct row as it ran before depthwiseRow: one
-// accumulator per cell over ky, kx, ic ascending against the OHWI filter,
-// whatever the geometry. depthwiseRow must equal it bit for bit.
+// convDirectRowPerCell is the direct row as it ran before depthwiseRow and
+// the indirect tile: one accumulator per cell over ky, kx, ic ascending
+// against the OHWI filter, whatever the geometry, taps in the padding
+// skipped. depthwiseRow must equal it bit for bit, and it is the direct
+// strategy the tests run on every other geometry (directConvF32,
+// directConvQnn).
 func convDirectRowPerCell[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
 	h, w, c := g.h, g.w, g.c
 	oc, kh, kw, icg := g.oc, g.kh, g.kw, g.icg
@@ -44,6 +48,52 @@ func convDirectRowPerCell[T float32 | int32](row, din, wt []T, g *convGeom, job 
 			}
 		}
 	}
+}
+
+// directConvF32 is the direct strategy on any geometry: convF32's own on a
+// depthwise one, else convDirectRowPerCell row by row, each row then
+// through the epilogue — the loop nn.conv2d ran on every other shape until
+// the indirect tile took them all.
+func directConvF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, ep epilogueF32) *tensor.Tensor {
+	g := newConvGeom(p, data.Shape, weight.Shape, out.Shape)
+	if g.depthwise() {
+		return convF32(data, weight, p, out, nil, false, ep)
+	}
+	res := output(nil, out)
+	for job := 0; job < data.Shape[0]*g.oh; job++ {
+		row := res.F32()[job*g.rowLen() : (job+1)*g.rowLen()]
+		convDirectRowPerCell(row, data.F32(), weight.F32(), &g, job)
+		ep.apply(row)
+	}
+	return res
+}
+
+// directConvQnn is directConvF32 for the quantized convolution: operands
+// widened to (raw − zero point) int32, each row's sums stored or, with an
+// epilogue, narrowed through it.
+func directConvQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, ep *epilogue) (*tensor.Tensor, error) {
+	g := newConvGeom(p, data.Shape, weight.Shape, out.Shape)
+	if g.depthwise() {
+		return convQnn(data, weight, p, zpIn, zpK, out, nil, false, ep)
+	}
+	din, wt := make([]int32, data.Elems()), make([]int32, weight.Elems())
+	if err := rawMinusZp(din, data, zpIn); err != nil {
+		return nil, err
+	}
+	if err := rawMinusZp(wt, weight, zpK); err != nil {
+		return nil, err
+	}
+	res := output(nil, out)
+	row := make([]int32, g.rowLen())
+	for job := 0; job < data.Shape[0]*g.oh; job++ {
+		convDirectRowPerCell(row, din, wt, &g, job)
+		if ep == nil {
+			copy(res.I32()[job*g.rowLen():], row)
+		} else {
+			ep.apply(res, row, job*g.rowLen())
+		}
+	}
+	return res, nil
 }
 
 // depthwiseCases are depthwise geometries beyond convCases' one: stride 2,
@@ -96,7 +146,7 @@ func testDepthwiseRow[T float32 | int32](t *testing.T, g *convGeom, din, wt []T,
 			got[i] = 7
 		}
 		convDirectRowPerCell(want, din, wt, g, job)
-		convDirectRow(got, din, taps, g, job)
+		depthwiseRow(got, din, taps, g, job)
 		for i := range want {
 			if !same(got[i], want[i]) {
 				t.Fatalf("%T row %d cell %d: depthwise %v, per-cell %v", got[i], job, i, got[i], want[i])

@@ -94,13 +94,17 @@ func zooConvRows(t *testing.T) []convRow {
 }
 
 // drawOperand fills a tensor of ty with values from rng: uniform in [-1, 1)
-// for float32, every raw value for the 8-bit types.
-func drawOperand(rng *rand.Rand, ty *relay.TensorType) *tensor.Tensor {
+// for float32 — one value in four drawn from specials instead, if any —
+// and every raw value for the 8-bit types.
+func drawOperand(rng *rand.Rand, ty *relay.TensorType, specials []float32) *tensor.Tensor {
 	x := tensor.New(ty.DType, ty.Shape)
 	switch ty.DType {
 	case tensor.Float32:
 		for i := range x.F32() {
 			x.F32()[i] = rng.Float32()*2 - 1
+			if len(specials) > 0 && rng.Intn(4) == 0 {
+				x.F32()[i] = specials[rng.Intn(len(specials))]
+			}
 		}
 	case tensor.UInt8:
 		for i := range x.U8() {
@@ -114,6 +118,20 @@ func drawOperand(rng *rand.Rand, ty *relay.TensorType) *tensor.Tensor {
 	return x
 }
 
+// nanData and finiteWeights are the float operand classes of the NaN pass.
+// The data mixes in NaN of both signs and two payloads and both infinities
+// (Inf·0 and Inf − Inf make more NaN), the weights only the finite ones:
+// both zeros and denormals. A weight must stay finite because a tap in the
+// padding is skipped by the direct row but multiplied as a zero by the
+// GEMM, and 0·Inf is NaN.
+var (
+	finiteWeights = []float32{0, float32(math.Copysign(0, -1)), 1e-40, -7e-42}
+	nanData       = append([]float32{
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002),
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+	}, finiteWeights...)
+)
+
 // outBits is the bit pattern of a convolution output's element i: float32
 // or the int32 accumulator.
 func outBits(x *tensor.Tensor, i int) uint32 {
@@ -123,30 +141,63 @@ func outBits(x *tensor.Tensor, i int) uint32 {
 	return uint32(x.I32()[i])
 }
 
+// isNaN reports whether element i of x is a float NaN.
+func isNaN(x *tensor.Tensor, i int) bool {
+	return x.DType == tensor.Float32 && x.F32()[i] != x.F32()[i]
+}
+
 // TestZooConvStrategiesMatch runs every convolution problem of the lite zoo,
-// and three fixed ones, by the direct and by the im2col strategy, and
-// compares every output bit: the strategy rule (im2colPays) is a pure
-// performance decision only while the two agree.
+// and three fixed ones, by the direct and by the indirect (im2col) strategy,
+// and compares every output bit: the strategy rule (im2colPays) is a pure
+// performance decision only while the two agree. A second pass draws the
+// float problems' data with NaN, ±Inf, ±0 and denormals mixed in, and
+// their weights with ±0 and denormals: there every non-NaN cell must still
+// match bit for bit and every NaN cell must be NaN under both strategies.
+// Its payload may differ — the one thing strategies may differ in
+// (DESIGN.md §11): which of two NaN operands survives an add depends on the
+// order the strategy accumulates in and on the operand order the compiler
+// picks for an ADDSS.
 func TestZooConvStrategiesMatch(t *testing.T) {
 	zoo := zooConvRows(t)
 	if len(zoo) == 0 {
 		t.Fatal("the lite zoo has no convolution")
 	}
 	rng := rand.New(rand.NewSource(43))
-	for _, r := range append(fixedConvRows(t), zoo...) {
-		args := []*tensor.Tensor{drawOperand(rng, r.data), drawOperand(rng, r.weight)}
-		direct, err := topi.ConvBy(false, r.op, args, r.attrs, r.out)
-		if err != nil {
-			t.Fatalf("%s: direct: %v", r, err)
-		}
-		im2col, err := topi.ConvBy(true, r.op, args, r.attrs, r.out)
-		if err != nil {
-			t.Fatalf("%s: im2col: %v", r, err)
-		}
-		for i := 0; i < direct.Elems(); i++ {
-			if d, m := outBits(direct, i), outBits(im2col, i); d != m {
-				t.Fatalf("%s: out[%d]: direct %#x, im2col %#x", r, i, d, m)
+	for _, specials := range []bool{false, true} {
+		nanCells := 0
+		for _, r := range append(fixedConvRows(t), zoo...) {
+			var dataSp, weightSp []float32
+			if specials {
+				if r.data.DType != tensor.Float32 {
+					continue
+				}
+				dataSp, weightSp = nanData, finiteWeights
 			}
+			args := []*tensor.Tensor{drawOperand(rng, r.data, dataSp), drawOperand(rng, r.weight, weightSp)}
+			direct, err := topi.ConvBy(false, r.op, args, r.attrs, r.out)
+			if err != nil {
+				t.Fatalf("%s: direct: %v", r, err)
+			}
+			indirect, err := topi.ConvBy(true, r.op, args, r.attrs, r.out)
+			if err != nil {
+				t.Fatalf("%s: indirect: %v", r, err)
+			}
+			for i := 0; i < direct.Elems(); i++ {
+				if dn, in := isNaN(direct, i), isNaN(indirect, i); dn || in {
+					if !dn || !in {
+						t.Fatalf("%s: specials %v: out[%d]: direct %#x, indirect %#x: NaN under one strategy only",
+							r, specials, i, outBits(direct, i), outBits(indirect, i))
+					}
+					nanCells++
+					continue
+				}
+				if d, m := outBits(direct, i), outBits(indirect, i); d != m {
+					t.Fatalf("%s: specials %v: out[%d]: direct %#x, indirect %#x", r, specials, i, d, m)
+				}
+			}
+		}
+		if specials && nanCells == 0 {
+			t.Fatal("the NaN pass produced no NaN cell")
 		}
 	}
 }

@@ -139,7 +139,8 @@ var convStrategies = []struct {
 
 // convBy launches a convolution — nn.conv2d, plain or in its Neuron form,
 // qnn.conv2d or qnn.conv2d_fused — by the given strategy instead of the
-// rule's, with the registered kernel's epilogue.
+// rule's, with the registered kernel's epilogue: the indirect GEMM on any
+// geometry, or the direct one (directConvF32, directConvQnn).
 func convBy(im2col bool) launchFn {
 	return func(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType) (*tensor.Tensor, error) {
 		p := convParams(attrs)
@@ -149,7 +150,10 @@ func convBy(im2col bool) launchFn {
 			if err != nil {
 				return nil, err
 			}
-			return convF32(args[0], args[1], p, out, nil, im2col, ep), nil
+			if !im2col {
+				return directConvF32(args[0], args[1], p, out, ep), nil
+			}
+			return convF32(args[0], args[1], p, out, nil, true, ep), nil
 		case "qnn.conv2d", "qnn.conv2d_fused":
 			var ep *epilogue
 			if op == "qnn.conv2d_fused" {
@@ -159,8 +163,11 @@ func convBy(im2col bool) launchFn {
 				}
 				ep = &e
 			}
-			return convQnn(args[0], args[1], p, int32(attrs.Int("input_zero_point", 0)),
-				int32(attrs.Int("kernel_zero_point", 0)), out, nil, im2col, ep)
+			zpIn, zpK := int32(attrs.Int("input_zero_point", 0)), int32(attrs.Int("kernel_zero_point", 0))
+			if !im2col {
+				return directConvQnn(args[0], args[1], p, zpIn, zpK, out, ep)
+			}
+			return convQnn(args[0], args[1], p, zpIn, zpK, out, nil, true, ep)
 		}
 		return nil, fmt.Errorf("convBy: %s is not a convolution", op)
 	}
@@ -245,10 +252,11 @@ func convCaseNamed(t *testing.T, name string) convCase {
 }
 
 // TestFusedConvObeysStrategyRule: qnn.conv2d_fused takes the strategy
-// qnn.conv2d takes. Only im2col packs the weight's pair panels, so whether
-// the launch left panels on the weight tells which path ran: none on a
+// qnn.conv2d takes. Only the indirect GEMM packs the weight's pair panels
+// (the direct row keeps its own widened form on the weight), so whether the
+// launch left panels on the weight tells which path ran: none on a
 // depthwise layer (one channel per group stays direct), and panels on a
-// layer the rule sends to im2col.
+// layer the rule sends to the GEMM.
 func TestFusedConvObeysStrategyRule(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	packed := func(cc convCase) bool {
@@ -259,7 +267,8 @@ func TestFusedConvObeysStrategyRule(t *testing.T) {
 			attrs[k] = v
 		}
 		run(t, "qnn.conv2d_fused", args, attrs)
-		return args[1].Derived() != nil
+		_, ok := args[1].Derived().(*packedWeight[i16x2])
+		return ok
 	}
 
 	if packed(convCaseNamed(t, "depthwise")) {
@@ -543,10 +552,8 @@ func TestSplitLaunchesDoNotAllocate(t *testing.T) {
 
 	s := gemmShapes[1]
 	a, bpack, _ := gemmF32Case(rng, s.m, s.n, s.k, s.k, s.n)
-	ap := make([]float32, gemmTiles(s.m, gemmMR)*gemmMR*s.k)
-	packPanels(ap, a, s.m, s.k, s.k, gemmMR)
 	c := make([]float32, s.m*s.n)
-	check("gemmPackedF32", func() { gemmPackedF32(s.m, s.n, s.k, ap, bpack, c, s.n) }, c)
+	check("gemmF32", func() { gemmF32(s.m, s.n, s.k, a, s.k, bpack, c, s.n) }, c)
 }
 
 // roundHalfAwayBranchy is roundHalfAwayF as it was written before it lost

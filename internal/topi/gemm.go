@@ -7,21 +7,22 @@ import (
 	"repro/internal/tensor"
 )
 
-// Cache-blocked, register-tiled GEMM backing the im2col convolution and
+// Cache-blocked, register-tiled GEMM backing the indirect convolution and
 // dense/matmul paths. The computation is C[i][j] = Σ_k A[i][k]·B[j][k]
 // (B holds filter rows, so the reduction runs over two row-major operands
 // with contiguous K) — exactly the shape im2col produces.
 //
 // Blocking scheme:
 //
-//   - Both operands are repacked into register-tile panels (packPanels,
-//     generic over the panel element): A into gemmMR-row panels interleaved
-//     by k (panel layout ap[(it·k+kk)·MR+i]), B into NR-row panels
-//     (bp[(jt·k+kk)·NR+j]). On the im2col path packCol writes A in that
-//     layout straight from the image. The micro-kernel then reads both operands
-//     as two forward streams, which removes all index arithmetic and bounds
-//     checks from the inner loop. The panel layout is the same on every
-//     architecture and is never serialized.
+//   - B is packed into NR-row panels (bp[(jt·k+kk)·NR+j], packPanels,
+//     generic over the panel element). Dense packs A too, into gemmMR-row
+//     panels interleaved by k (ap[(it·k+kk)·MR+i]), and its micro-kernel
+//     reads both operands as two forward streams, which removes all index
+//     arithmetic and bounds checks from the inner loop. The convolution
+//     packs no A: its indirect tiles read the tile's four rows through a
+//     table of runs in the image (conv_indirect.go), in the same k order.
+//     The panel layout is the same on every architecture and is never
+//     serialized.
 //   - A float panel element is one float32. A quantized one is an i16x2: one
 //     k-pair of (raw − zero point) values as two int16, so the same layout
 //     over pairs holds, per k-pair, an A panel's 4 rows × 2 k and a B
@@ -94,9 +95,11 @@ import (
 // The tiles and the panel loops and drivers that call them are the only
 // per-element-type code here.
 //
-// The A side arrives either row-major (gemmF32, gemmI32: dense, which
-// pack it first) or already in panels (gemmPackedF32, gemmPackedI32: the
-// im2col convolution, whose patch pack writes panels directly).
+// Each tile has an indirect twin that takes, instead of an A panel, a table
+// of the four rows' runs (gemmIndirectF32Go, gemmIndirectI16Go and the
+// assembly bodies of gemm_amd64.s): the same k steps in the same order, so
+// the same bits. The float ones also apply a convolution's bias and clamp to
+// their accumulators at the store.
 //
 // Parallelism: the driver launches the N-panel loop as a parallel.Region
 // with the block's MACs as its work estimate. Called from inside an
@@ -242,9 +245,66 @@ func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
 	}
 }
 
+// gemmIndirectF32Go is gemmMicroF32Go over an indirection table: rows holds,
+// per segment s, the runs rows[4s+i] of tile row i, all len(rows[4s]) long,
+// and the segments laid end to end are the tile's k = Σ runs, against which
+// bp holds one panel of 8k values. Then, at the store, each cell gets
+// bias[j] added (bias nil: none) and is clamped to [lo, hi] — v < lo
+// becomes lo, then v > hi becomes hi, as clampF32 does:
+// acc[i·8+j] = clamp(Σ_kk A_i[kk]·bp[kk·8+j] + bias[j]). It is the tile on
+// every architecture but amd64, and the oracle for the assembly there.
+// Each cell is one accumulator with k ascending, product then sum, so it is
+// bit-identical to gemmMicroF32Go over the packed panel of the same rows.
+//
+//np:hotpath
+func gemmIndirectF32Go(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32) {
+	for j := 0; j < gemmNR; j += 2 {
+		var c00, c01 float32
+		var c10, c11 float32
+		var c20, c21 float32
+		var c30, c31 float32
+		b := bp
+		for s := 0; s+gemmMR <= len(rows); s += gemmMR {
+			r0 := rows[s]
+			r1, r2, r3 := rows[s+1][:len(r0)], rows[s+2][:len(r0)], rows[s+3][:len(r0)]
+			for l, a0 := range r0 {
+				a1, a2, a3 := r1[l], r2[l], r3[l]
+				b0, b1 := b[j], b[j+1]
+				c00 += float32(a0 * b0)
+				c01 += float32(a0 * b1)
+				c10 += float32(a1 * b0)
+				c11 += float32(a1 * b1)
+				c20 += float32(a2 * b0)
+				c21 += float32(a2 * b1)
+				c30 += float32(a3 * b0)
+				c31 += float32(a3 * b1)
+				b = b[gemmNR:]
+			}
+		}
+		acc[0*gemmNR+j], acc[0*gemmNR+j+1] = c00, c01
+		acc[1*gemmNR+j], acc[1*gemmNR+j+1] = c10, c11
+		acc[2*gemmNR+j], acc[2*gemmNR+j+1] = c20, c21
+		acc[3*gemmNR+j], acc[3*gemmNR+j+1] = c30, c31
+	}
+	for c, v := range acc {
+		if bias != nil {
+			v += bias[c%gemmNR]
+		}
+		if v < lo {
+			v = lo
+		}
+		if v > hi {
+			v = hi
+		}
+		acc[c] = v
+	}
+}
+
 // gemmF32 computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n,
 // where bpack holds B packed at gemmNR (packPanels, or a weight's panels):
-// it packs A at gemmMR into pooled scratch and runs gemmPackedF32.
+// it packs A at gemmMR into pooled scratch and runs the panel loop. The
+// N-panels are split among workers in groups of gemmWidePanels, so a chunk
+// boundary never cuts a wide tile and only the last chunk has a tail.
 // Overwrite semantics; each cell's reduction is bit-identical to the naive
 // loop.
 func gemmF32(m, n, k int, a []float32, lda int, bpack []float32, c []float32, ldc int) {
@@ -253,27 +313,15 @@ func gemmF32(m, n, k int, a []float32, lda int, bpack []float32, c []float32, ld
 	}
 	apP := scratchF32.get(gemmTiles(m, gemmMR) * gemmMR * k)
 	packPanels(*apP, a, m, k, lda, gemmMR)
-	gemmPackedF32(m, n, k, *apP, bpack, c, ldc)
-	scratchF32.put(apP)
-}
-
-// gemmPackedF32 is gemmF32 for an A that is already in gemmMR panels — the
-// layout packCol writes the im2col patch matrix in — so nothing is
-// repacked. The N-panels are split among workers in groups of
-// gemmWidePanels, so a chunk boundary never cuts a wide tile and only the
-// last chunk has a tail.
-func gemmPackedF32(m, n, k int, ap, bpack, c []float32, ldc int) {
-	if m <= 0 || n <= 0 {
-		return
-	}
 	nt := gemmTiles(n, gemmNR)
 	gemmRegionF32.Run(gemmTiles(nt, gemmWidePanels), int64(m)*int64(n)*int64(k),
-		gemmGroupsF32{ap, bpack, c, m, n, k, ldc, nt})
+		gemmGroupsF32{*apP, bpack, c, m, n, k, ldc, nt})
+	scratchF32.put(apP)
 }
 
 var gemmRegionF32 = parallel.NewRegion(gemmGroupsF32.run)
 
-// gemmGroupsF32 is gemmPackedF32's panel loop and its closure data: run
+// gemmGroupsF32 is gemmF32's panel loop and its closure data: run
 // covers panel groups [gLo, gHi) of gemmWidePanels panels.
 type gemmGroupsF32 struct {
 	ap, bpack, c      []float32
@@ -316,8 +364,8 @@ func gemmPanelsF32(ap, bpack, c []float32, mb, n, k, ldc, jtLo, jtHi int) {
 // i16x2 is one k-pair of a quantized operand: two int16 values of
 // (raw − zero point), the even k in the low half. The quantized panels are
 // built of these units exactly as the float panels are built of float32
-// values — packPanels and packCol move whole pairs — so an A panel holds, per
-// k-pair, the four rows' pairs, and a B panel the eight columns' pairs.
+// values — packPanels moves whole pairs — so an A panel holds, per k-pair,
+// the four rows' pairs, and a B panel the eight columns' pairs.
 type i16x2 uint32
 
 // pairOf packs two (raw − zp) values into one unit.
@@ -367,6 +415,44 @@ func gemmMicroI16Go(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
 	}
 }
 
+// gemmIndirectI16Go is gemmMicroI16Go over an indirection table, laid out
+// as gemmIndirectF32Go's: per segment the four rows' runs of k-pairs, the
+// segments laid end to end the tile's kp pairs, bp one panel of 8kp pairs.
+// It is the quantized tile on every architecture but amd64 and the oracle
+// for the assembly there; its sums are stored as they are.
+//
+//np:hotpath
+func gemmIndirectI16Go(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
+	for j := 0; j < gemmNR; j += 2 {
+		var c00, c01 int32
+		var c10, c11 int32
+		var c20, c21 int32
+		var c30, c31 int32
+		b := bp
+		for s := 0; s+gemmMR <= len(rows); s += gemmMR {
+			r0 := rows[s]
+			r1, r2, r3 := rows[s+1][:len(r0)], rows[s+2][:len(r0)], rows[s+3][:len(r0)]
+			for l, a0 := range r0 {
+				a1, a2, a3 := r1[l], r2[l], r3[l]
+				b0, b1 := b[j], b[j+1]
+				c00 += a0.dot(b0)
+				c01 += a0.dot(b1)
+				c10 += a1.dot(b0)
+				c11 += a1.dot(b1)
+				c20 += a2.dot(b0)
+				c21 += a2.dot(b1)
+				c30 += a3.dot(b0)
+				c31 += a3.dot(b1)
+				b = b[gemmNR:]
+			}
+		}
+		acc[0*gemmNR+j], acc[0*gemmNR+j+1] = c00, c01
+		acc[1*gemmNR+j], acc[1*gemmNR+j+1] = c10, c11
+		acc[2*gemmNR+j], acc[2*gemmNR+j+1] = c20, c21
+		acc[3*gemmNR+j], acc[3*gemmNR+j+1] = c30, c31
+	}
+}
+
 // gemmI32 is gemmF32 for the quantized operands: A is m rows of kp pairs
 // (row stride lda), B packed at gemmNR, C int32.
 func gemmI32(m, n, kp int, a []i16x2, lda int, bpack []i16x2, c []int32, ldc int) {
@@ -375,22 +461,14 @@ func gemmI32(m, n, kp int, a []i16x2, lda int, bpack []i16x2, c []int32, ldc int
 	}
 	apP := scratchPairs.get(gemmTiles(m, gemmMR) * gemmMR * kp)
 	packPanels(*apP, a, m, kp, lda, gemmMR)
-	gemmPackedI32(m, n, kp, *apP, bpack, c, ldc)
-	scratchPairs.put(apP)
-}
-
-// gemmPackedI32 is gemmPackedF32 for the quantized operands.
-func gemmPackedI32(m, n, kp int, ap, bpack []i16x2, c []int32, ldc int) {
-	if m <= 0 || n <= 0 {
-		return
-	}
 	gemmRegionI32.Run(gemmTiles(n, gemmNR), 2*int64(m)*int64(n)*int64(kp),
-		gemmPanelsI32Args{ap, bpack, c, m, n, kp, ldc})
+		gemmPanelsI32Args{*apP, bpack, c, m, n, kp, ldc})
+	scratchPairs.put(apP)
 }
 
 var gemmRegionI32 = parallel.NewRegion(gemmPanelsI32Args.run)
 
-// gemmPanelsI32Args is gemmPackedI32's panel loop and its closure data; its
+// gemmPanelsI32Args is gemmI32's panel loop and its closure data; its
 // work counts each k-pair as two MACs.
 type gemmPanelsI32Args struct {
 	ap, bpack      []i16x2

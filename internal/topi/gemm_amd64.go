@@ -58,6 +58,53 @@ func gemmMicroF32SSE2(ap, bp []float32, acc *[gemmMR * gemmNR]float32)
 //go:noescape
 func gemmMicroF32YMM(ap, bp []float32, acc *[gemmMR * gemmWideNR]float32)
 
+// gemmIndirectF32 computes one indirect f32 tile (gemmIndirectF32Go's
+// contract) over panels adjacent B panels (1 or 2, at most gemmWidePanels):
+// row i of it, panels·8 columns, lands at acc[i·panels·8:], and bias holds
+// panels·8 values. bp holds the panels back to back, 8k values each. Two
+// panels run the YMM tile; one the AVX tile where the CPU has one, else the
+// SSE2 tile. All three are bit-identical to gemmIndirectF32Go.
+//
+//np:hotpath
+func gemmIndirectF32(panels int, rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
+	narrow := (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR])
+	switch {
+	case panels == 2:
+		gemmIndirectF32YMM(rows, bp, bias, lo, hi, acc)
+	case cpuid.AVX:
+		gemmIndirectF32AVX(rows, bp, bias, lo, hi, narrow)
+	default:
+		gemmIndirectF32SSE2(rows, bp, bias, lo, hi, narrow)
+	}
+}
+
+// gemmIndirectF32YMM, gemmIndirectF32AVX and gemmIndirectF32SSE2 are the
+// indirect f32 tiles of gemm_amd64.s. Each reads its table's segments and
+// bp's k rows, and nothing past them: the YMM tile's second panel starts at
+// bp[len(bp)/2], so bp must hold exactly the two panels.
+//
+//go:noescape
+func gemmIndirectF32YMM(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32)
+
+//go:noescape
+func gemmIndirectF32AVX(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)
+
+//go:noescape
+func gemmIndirectF32SSE2(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)
+
+// gemmIndirectI16 computes one indirect 4×8 tile of int32 sums
+// (gemmIndirectI16Go's contract) by the PMADDWD body, baseline SSE2.
+//
+//np:hotpath
+func gemmIndirectI16(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
+	gemmIndirectI16SSE2(rows, bp, acc)
+}
+
+// gemmIndirectI16SSE2 is the indirect PMADDWD tile of gemm_amd64.s.
+//
+//go:noescape
+func gemmIndirectI16SSE2(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32)
+
 // gemmMicroI16 computes one 4×8 tile of int32 sums over kp = len(ap)/4
 // k-pairs: acc[i·8+j] = Σ_p ap[p·4+i]·bp[p·8+j], each term a pair
 // product-sum. The SSE2 tile is the amd64 baseline, so there is nothing to

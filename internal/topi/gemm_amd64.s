@@ -1,7 +1,7 @@
 #include "textflag.h"
 
-// The f32 register tiles for amd64, the quantized pair tile, the depthwise
-// row's vector bodies and the requantize epilogue's. See gemm.go for the
+// The f32 register tiles for amd64, the quantized pair tile, their indirect
+// twins, the depthwise row's vector bodies and the requantize epilogue's. See gemm.go for the
 // panel layouts and the multiply-then-add rule, fused.go for the epilogue.
 
 // gemmMicroF32SSE2 is the tile on the architecture's baseline.
@@ -232,6 +232,358 @@ iloop:
 	JNZ   iloop
 
 istore:
+	MOVOU X0, (DI)
+	MOVOU X1, 16(DI)
+	MOVOU X2, 32(DI)
+	MOVOU X3, 48(DI)
+	MOVOU X4, 64(DI)
+	MOVOU X5, 80(DI)
+	MOVOU X6, 96(DI)
+	MOVOU X7, 112(DI)
+	RET
+
+// The indirect tiles. Each takes, in place of an A panel, a table of the
+// tile's four row runs per segment (conv_indirect.go): entry 4s+i is the
+// slice header of row i's run in segment s, so at 24(4s+i) bytes its
+// pointer and at 24(4s)+8 the segment's length, which the four runs share.
+// Per segment the body loads the four pointers once, then runs the k steps
+// of its packed twin — the same loads of B, the same broadcast, multiply,
+// then add — indexing each run by AX. The segments laid end to end are the
+// tile's k, so B advances across them unbroken. At the store the f32 tiles
+// add the bias (bias == nil: none), then clamp: max(lo, v) then min(hi, ·),
+// whose operand order keeps v wherever it is NaN or equal to the bound —
+// clampF32's v < lo and v > hi.
+
+#define IWROW(p, t0, t1, lo, hi) \
+	VBROADCASTSS (p)(AX*4), t0 \
+	VMULPS       Y8, t0, t1    \
+	VMULPS       Y9, t0, t0    \
+	VADDPS       t1, lo, lo    \
+	VADDPS       t0, hi, hi
+
+#define VCLAMP(v) \
+	VMAXPS v, Y14, v \
+	VMINPS v, Y15, v
+
+// func gemmIndirectF32YMM(rows [][]float32, bp []float32, bias *[16]float32, lo, hi float32, acc *[64]float32)
+//
+// gemmMicroF32YMM over a table: bp holds two panels of 8k values, the second
+// at bp[len(bp)/2:]. Row i of the tile lands in acc[16i : 16i+16].
+TEXT ·gemmIndirectF32YMM(SB), NOSPLIT, $0-72
+	MOVQ   rows_base+0(FP), SI
+	MOVQ   rows_len+8(FP), BX
+	SHRQ   $2, BX              // segments
+	MOVQ   bp_base+24(FP), DX
+	MOVQ   bp_len+32(FP), R12
+	SHLQ   $1, R12             // half of bp, in bytes
+	ADDQ   DX, R12             // second panel
+	MOVQ   acc+64(FP), DI
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	TESTQ  BX, BX
+	JZ     yistore
+
+yiseg:
+	MOVQ  0(SI), R8
+	MOVQ  8(SI), CX
+	MOVQ  24(SI), R9
+	MOVQ  48(SI), R10
+	MOVQ  72(SI), R11
+	ADDQ  $96, SI
+	XORQ  AX, AX
+	TESTQ CX, CX
+	JZ    yinext
+
+yiloop:
+	VMOVUPS (DX), Y8
+	VMOVUPS (R12), Y9
+	IWROW(R8, Y10, Y11, Y0, Y1)
+	IWROW(R9, Y12, Y13, Y2, Y3)
+	IWROW(R10, Y14, Y15, Y4, Y5)
+	IWROW(R11, Y10, Y11, Y6, Y7)
+	ADDQ    $32, DX
+	ADDQ    $32, R12
+	INCQ    AX
+	CMPQ    AX, CX
+	JLT     yiloop
+
+yinext:
+	DECQ BX
+	JNZ  yiseg
+
+yistore:
+	MOVQ    bias+48(FP), AX
+	TESTQ   AX, AX
+	JZ      yiclamp
+	VMOVUPS (AX), Y8
+	VMOVUPS 32(AX), Y9
+	VADDPS  Y8, Y0, Y0
+	VADDPS  Y9, Y1, Y1
+	VADDPS  Y8, Y2, Y2
+	VADDPS  Y9, Y3, Y3
+	VADDPS  Y8, Y4, Y4
+	VADDPS  Y9, Y5, Y5
+	VADDPS  Y8, Y6, Y6
+	VADDPS  Y9, Y7, Y7
+
+yiclamp:
+	VBROADCASTSS lo+56(FP), Y14
+	VBROADCASTSS hi+60(FP), Y15
+	VCLAMP(Y0)
+	VCLAMP(Y1)
+	VCLAMP(Y2)
+	VCLAMP(Y3)
+	VCLAMP(Y4)
+	VCLAMP(Y5)
+	VCLAMP(Y6)
+	VCLAMP(Y7)
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	VMOVUPS      Y3, 96(DI)
+	VMOVUPS      Y4, 128(DI)
+	VMOVUPS      Y5, 160(DI)
+	VMOVUPS      Y6, 192(DI)
+	VMOVUPS      Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+#define IVROW(p, tmp, acc) \
+	VBROADCASTSS (p)(AX*4), tmp \
+	VMULPS       Y4, tmp, tmp  \
+	VADDPS       tmp, acc, acc
+
+// func gemmIndirectF32AVX(rows [][]float32, bp []float32, bias *[16]float32, lo, hi float32, acc *[32]float32)
+//
+// gemmMicroF32AVX over a table; bias is read for its first 8 values.
+TEXT ·gemmIndirectF32AVX(SB), NOSPLIT, $0-72
+	MOVQ   rows_base+0(FP), SI
+	MOVQ   rows_len+8(FP), BX
+	SHRQ   $2, BX
+	MOVQ   bp_base+24(FP), DX
+	MOVQ   acc+64(FP), DI
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	TESTQ  BX, BX
+	JZ     vistore
+
+viseg:
+	MOVQ  0(SI), R8
+	MOVQ  8(SI), CX
+	MOVQ  24(SI), R9
+	MOVQ  48(SI), R10
+	MOVQ  72(SI), R11
+	ADDQ  $96, SI
+	XORQ  AX, AX
+	TESTQ CX, CX
+	JZ    vinext
+
+viloop:
+	VMOVUPS (DX), Y4
+	IVROW(R8, Y5, Y0)
+	IVROW(R9, Y6, Y1)
+	IVROW(R10, Y7, Y2)
+	IVROW(R11, Y8, Y3)
+	ADDQ    $32, DX
+	INCQ    AX
+	CMPQ    AX, CX
+	JLT     viloop
+
+vinext:
+	DECQ BX
+	JNZ  viseg
+
+vistore:
+	MOVQ    bias+48(FP), AX
+	TESTQ   AX, AX
+	JZ      viclamp
+	VMOVUPS (AX), Y4
+	VADDPS  Y4, Y0, Y0
+	VADDPS  Y4, Y1, Y1
+	VADDPS  Y4, Y2, Y2
+	VADDPS  Y4, Y3, Y3
+
+viclamp:
+	VBROADCASTSS lo+56(FP), Y14
+	VBROADCASTSS hi+60(FP), Y15
+	VCLAMP(Y0)
+	VCLAMP(Y1)
+	VCLAMP(Y2)
+	VCLAMP(Y3)
+	VMOVUPS      Y0, (DI)
+	VMOVUPS      Y1, 32(DI)
+	VMOVUPS      Y2, 64(DI)
+	VMOVUPS      Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+#define SIROW(p, lo, hi) \
+	MOVSS  (p)(AX*4), X10 \
+	SHUFPS $0, X10, X10   \
+	MOVAPS X10, X11       \
+	MULPS  X8, X10        \
+	MULPS  X9, X11        \
+	ADDPS  X10, lo        \
+	ADDPS  X11, hi
+
+#define SCLAMP(v) \
+	MOVAPS X8, X10 \
+	MAXPS  v, X10  \
+	MOVAPS X9, v   \
+	MINPS  X10, v
+
+// func gemmIndirectF32SSE2(rows [][]float32, bp []float32, bias *[16]float32, lo, hi float32, acc *[32]float32)
+//
+// gemmMicroF32SSE2 over a table; bias is read for its first 8 values.
+TEXT ·gemmIndirectF32SSE2(SB), NOSPLIT, $0-72
+	MOVQ  rows_base+0(FP), SI
+	MOVQ  rows_len+8(FP), BX
+	SHRQ  $2, BX
+	MOVQ  bp_base+24(FP), DX
+	MOVQ  acc+64(FP), DI
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	TESTQ BX, BX
+	JZ    sistore
+
+siseg:
+	MOVQ  0(SI), R8
+	MOVQ  8(SI), CX
+	MOVQ  24(SI), R9
+	MOVQ  48(SI), R10
+	MOVQ  72(SI), R11
+	ADDQ  $96, SI
+	XORQ  AX, AX
+	TESTQ CX, CX
+	JZ    sinext
+
+siloop:
+	MOVUPS (DX), X8
+	MOVUPS 16(DX), X9
+	SIROW(R8, X0, X1)
+	SIROW(R9, X2, X3)
+	SIROW(R10, X4, X5)
+	SIROW(R11, X6, X7)
+	ADDQ   $32, DX
+	INCQ   AX
+	CMPQ   AX, CX
+	JLT    siloop
+
+sinext:
+	DECQ BX
+	JNZ  siseg
+
+sistore:
+	MOVQ   bias+48(FP), AX
+	TESTQ  AX, AX
+	JZ     siclamp
+	MOVUPS (AX), X8
+	MOVUPS 16(AX), X9
+	ADDPS  X8, X0
+	ADDPS  X9, X1
+	ADDPS  X8, X2
+	ADDPS  X9, X3
+	ADDPS  X8, X4
+	ADDPS  X9, X5
+	ADDPS  X8, X6
+	ADDPS  X9, X7
+
+siclamp:
+	MOVSS  lo+56(FP), X8
+	SHUFPS $0, X8, X8
+	MOVSS  hi+60(FP), X9
+	SHUFPS $0, X9, X9
+	SCLAMP(X0)
+	SCLAMP(X1)
+	SCLAMP(X2)
+	SCLAMP(X3)
+	SCLAMP(X4)
+	SCLAMP(X5)
+	SCLAMP(X6)
+	SCLAMP(X7)
+	MOVUPS X0, (DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	MOVUPS X5, 80(DI)
+	MOVUPS X6, 96(DI)
+	MOVUPS X7, 112(DI)
+	RET
+
+#define IIROW(p, lo, hi) \
+	MOVSS   (p)(AX*4), X11 \
+	PSHUFD  $0, X11, X11   \
+	MOVO    X11, X12       \
+	PMADDWL X9, X11        \
+	PMADDWL X10, X12       \
+	PADDL   X11, lo        \
+	PADDL   X12, hi
+
+// func gemmIndirectI16SSE2(rows [][]i16x2, bp []i16x2, acc *[32]int32)
+//
+// gemmMicroI16SSE2 over a table of k-pair runs: per pair one MOVSS of each
+// row's pair and a PSHUFD broadcast in place of the panel load's four
+// selectors.
+TEXT ·gemmIndirectI16SSE2(SB), NOSPLIT, $0-56
+	MOVQ  rows_base+0(FP), SI
+	MOVQ  rows_len+8(FP), BX
+	SHRQ  $2, BX
+	MOVQ  bp_base+24(FP), DX
+	MOVQ  acc+48(FP), DI
+	PXOR  X0, X0
+	PXOR  X1, X1
+	PXOR  X2, X2
+	PXOR  X3, X3
+	PXOR  X4, X4
+	PXOR  X5, X5
+	PXOR  X6, X6
+	PXOR  X7, X7
+	TESTQ BX, BX
+	JZ    iistore
+
+iiseg:
+	MOVQ  0(SI), R8
+	MOVQ  8(SI), CX
+	MOVQ  24(SI), R9
+	MOVQ  48(SI), R10
+	MOVQ  72(SI), R11
+	ADDQ  $96, SI
+	XORQ  AX, AX
+	TESTQ CX, CX
+	JZ    iinext
+
+iiloop:
+	MOVOU (DX), X9
+	MOVOU 16(DX), X10
+	IIROW(R8, X0, X1)
+	IIROW(R9, X2, X3)
+	IIROW(R10, X4, X5)
+	IIROW(R11, X6, X7)
+	ADDQ  $32, DX
+	INCQ  AX
+	CMPQ  AX, CX
+	JLT   iiloop
+
+iinext:
+	DECQ BX
+	JNZ  iiseg
+
+iistore:
 	MOVOU X0, (DI)
 	MOVOU X1, 16(DI)
 	MOVOU X2, 32(DI)

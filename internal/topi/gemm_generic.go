@@ -20,6 +20,16 @@ func gemmMicroI16(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
 	gemmMicroI16Go(ap, bp, acc)
 }
 
+// gemmIndirectF32 is the portable indirect tile: panels is always 1 here.
+func gemmIndirectF32(panels int, rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
+	gemmIndirectF32Go(rows, bp, bias, lo, hi, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
+}
+
+// gemmIndirectI16 is the portable indirect pair tile.
+func gemmIndirectI16(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
+	gemmIndirectI16Go(rows, bp, acc)
+}
+
 // mulAddRowVec: no vector body, mulAddRow's Go loop does every channel.
 func mulAddRowVec[T float32 | int32](out, x, k []T) int { return 0 }
 

@@ -10,3 +10,12 @@ var tileKernels = []tileKernel{
 		gemmMicroF32Wide(1, ap, bp, acc)
 	}},
 }
+
+// indirectTileKernels: without assembly the dispatched indirect tile is the
+// Go tile itself.
+var indirectTileKernels = []indirectTileKernel{
+	{name: "gemmIndirectF32Go", panels: 1, run: narrowIndirect(gemmIndirectF32Go)},
+	{name: "gemmIndirectF32", panels: 1, run: func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
+		gemmIndirectF32(1, rows, bp, bias, lo, hi, acc)
+	}},
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/parallel"
@@ -420,14 +421,9 @@ func TestGemmMicroI16Tile(t *testing.T) {
 	}
 }
 
-// convCase is one conv2d shape; the property under test is that the
-// im2col+GEMM path and the direct kernel produce bitwise-identical outputs
-// (both reduce each output cell with a single accumulator over the same
-// ky,kx,ic order; padding contributes exact zero terms).
 // TestGemmSerialPathDoesNotAllocate: when the budget answers "serial" — one
-// worker here; every GEMM nested under a parallel conv row loop in a model —
-// the drivers call the panel loop directly, with no closure per call (the
-// quantized convs call them once per output row per group).
+// worker here, or a dense layer under an already split wavefront level —
+// the drivers call the panel loop directly, with no closure per call.
 func TestGemmSerialPathDoesNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
@@ -447,18 +443,22 @@ func TestGemmSerialPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// convCase is one conv2d shape; the property under test is that the
+// indirect GEMM and the direct kernel produce bitwise-identical outputs
+// (both reduce each output cell with a single accumulator over the same
+// ky,kx,ic order; padding contributes exact zero terms).
 type convCase struct {
 	name                   string
 	n, h, w, c, oc, kh, kw int
 	sh, sw, dh, dw, groups int
 	pad                    [4]int
-	direct                 bool // the built-in rule (im2colPays) keeps it on the direct kernel
+	direct                 bool // the built-in rule (im2colPays) keeps it on the direct kernel: depthwise
 }
 
 var samePad = [4]int{1, 1, 1, 1} // 3×3 "same" padding
 
 var convCases = []convCase{
-	{name: "tiny", n: 1, h: 3, w: 3, c: 5, oc: 2, kh: 2, kw: 2, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, direct: true},
+	{name: "tiny", n: 1, h: 3, w: 3, c: 5, oc: 2, kh: 2, kw: 2, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
 	{name: "unit", n: 1, h: 8, w: 8, c: 3, oc: 4, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
 	{name: "strided", n: 2, h: 9, w: 7, c: 3, oc: 5, kh: 3, kw: 3, sh: 2, sw: 2, dh: 1, dw: 1, groups: 1, pad: samePad},
 	{name: "dilated", n: 1, h: 11, w: 11, c: 2, oc: 3, kh: 3, kw: 3, sh: 1, sw: 1, dh: 2, dw: 2, groups: 1},
@@ -466,7 +466,7 @@ var convCases = []convCase{
 	{name: "asym-pad", n: 1, h: 7, w: 10, c: 3, oc: 4, kh: 2, kw: 3, sh: 2, sw: 1, dh: 1, dw: 1, groups: 1, pad: [4]int{0, 1, 2, 1}},
 	{name: "pointwise", n: 1, h: 5, w: 5, c: 7, oc: 9, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
 	// The f32 layers of the showcase trio (face detector, anti-spoofing,
-	// emotion) under 1 << 20 MACs: seven for the GEMM path and one
+	// emotion) under 1 << 20 MACs: seven 3×3 and 1×1 layers and one
 	// single-filter 1×1 head.
 	{name: "48x48x1-oc32", n: 1, h: 48, w: 48, c: 1, oc: 32, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
 	{name: "64x64x3-oc8-s2", n: 1, h: 64, w: 64, c: 3, oc: 8, kh: 3, kw: 3, sh: 2, sw: 2, dh: 1, dw: 1, groups: 1, pad: samePad},
@@ -475,9 +475,10 @@ var convCases = []convCase{
 	{name: "16x16x24-oc12-k1", n: 1, h: 16, w: 16, c: 24, oc: 12, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
 	{name: "8x8x20-oc8", n: 1, h: 8, w: 8, c: 20, oc: 8, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, pad: samePad},
 	{name: "8x8x12-oc8", n: 1, h: 8, w: 8, c: 12, oc: 8, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, pad: samePad},
-	{name: "8x8x28-oc1-k1", n: 1, h: 8, w: 8, c: 28, oc: 1, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, direct: true},
-	// One output channel per group: direct at any volume.
-	{name: "grouped-ocg1", n: 1, h: 16, w: 16, c: 16, oc: 8, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 8, pad: samePad, direct: true},
+	{name: "8x8x28-oc1-k1", n: 1, h: 8, w: 8, c: 28, oc: 1, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
+	// One output channel per group, two input channels: indirect; only a
+	// depthwise layer stays direct.
+	{name: "grouped-ocg1", n: 1, h: 16, w: 16, c: 16, oc: 8, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 8, pad: samePad},
 	{name: "depthwise", n: 1, h: 24, w: 24, c: 16, oc: 16, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 16, pad: samePad, direct: true},
 }
 
@@ -489,7 +490,7 @@ func TestConvStrategyRule(t *testing.T) {
 		oh, ow := cc.outShape()
 		out := tensor.Shape{cc.n, oh, ow, cc.oc}
 		weight := tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}
-		if got := !im2colPays(out, weight, cc.groups); got != cc.direct {
+		if got := !im2colPays(weight, cc.groups); got != cc.direct {
 			t.Errorf("%s (output %v, filter %v, %d groups): direct = %v, want %v",
 				cc.name, out, weight, cc.groups, got, cc.direct)
 		}
@@ -529,7 +530,7 @@ func TestConvIm2colMatchesDirectF32(t *testing.T) {
 			oh, ow := cc.outShape()
 			out := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.Float32}
 
-			direct := convF32(data, weight, cc.params(), out, nil, false, epilogueF32{})
+			direct := directConvF32(data, weight, cc.params(), out, epilogueF32{})
 			blocked := convF32(data, weight, cc.params(), out, nil, true, epilogueF32{})
 			if i, ok := sameF32Bits(blocked.F32(), direct.F32()); !ok {
 				t.Fatalf("out[%d]: direct %v != im2col %v", i, direct.F32()[i], blocked.F32()[i])
@@ -565,7 +566,7 @@ func TestConvIm2colMatchesDirectQnn(t *testing.T) {
 			oh, ow := cc.outShape()
 			out := &relay.TensorType{Shape: tensor.Shape{cc.n, oh, ow, cc.oc}, DType: tensor.Int32}
 
-			direct, err := convQnn(data, weight, cc.params(), zpIn, zpK, out, nil, false, nil)
+			direct, err := directConvQnn(data, weight, cc.params(), zpIn, zpK, out, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -582,6 +583,235 @@ func TestConvIm2colMatchesDirectQnn(t *testing.T) {
 				if d[i] != b[i] || d[i] != g[i] {
 					t.Fatalf("out[%d]: direct %d, im2col %d, qnn.conv2d %d", i, d[i], b[i], g[i])
 				}
+			}
+		})
+	}
+}
+
+// indirectTileKernel is one indirect f32 tile entry point: like tileKernel,
+// it spans panels adjacent B panels and writes row i of its tile at
+// acc[i·panels·8:].
+type indirectTileKernel struct {
+	name   string
+	panels int
+	run    func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32)
+	needs  string
+	skip   bool
+}
+
+// narrowIndirect adapts a 4×8 indirect tile to the wide accumulator buffer.
+func narrowIndirect(tile func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)) func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
+	return func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
+		tile(rows, bp, bias, lo, hi, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
+	}
+}
+
+// indirectTileCases are the geometries the indirect tile tests build their
+// tables from: left and right padded edges with a tail tile of two pixels,
+// stride 2 with a tail, a 1×1 with a one-pixel tail, a grouped and a
+// dilated geometry (tap segments only), and interior runs long enough to
+// cross the tiles' register blocking.
+var indirectTileCases = []convCase{
+	{name: "edges-tail", n: 1, h: 6, w: 10, c: 5, oc: 8, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1, pad: samePad},
+	{name: "stride2", n: 2, h: 9, w: 11, c: 3, oc: 8, kh: 3, kw: 3, sh: 2, sw: 2, dh: 1, dw: 1, groups: 1, pad: samePad},
+	{name: "pointwise-tail", n: 1, h: 3, w: 5, c: 7, oc: 8, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
+	{name: "grouped", n: 1, h: 5, w: 6, c: 4, oc: 8, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 2, pad: samePad},
+	{name: "dilated", n: 1, h: 7, w: 7, c: 2, oc: 8, kh: 3, kw: 3, sh: 1, sw: 1, dh: 2, dw: 2, groups: 1, pad: [4]int{2, 2, 2, 2}},
+	{name: "long-runs", n: 1, h: 4, w: 12, c: 40, oc: 8, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
+}
+
+// indirectTables runs indirectRow over every output row and group of g and
+// calls each with every tile's table.
+func indirectTables[T panelElem](g *convGeom, din []T, each func(rows [][]T)) {
+	s := getIndirect[T](new(sync.Pool), g)
+	for job := 0; job < len(din)/(g.h*g.w*g.c)*g.oh; job++ {
+		for grp := 0; grp < g.groups; grp++ {
+			indirectRow(s, din, g, job, grp)
+			for _, rows := range s.tiles {
+				each(rows)
+			}
+		}
+	}
+}
+
+// storeEpilogues are the stores an indirect f32 tile is tested under: none,
+// a bias alone, relu with and without a bias, relu6 with one.
+var storeEpilogues = []struct {
+	name   string
+	bias   bool
+	lo, hi float32
+}{
+	{"none", false, float32(math.Inf(-1)), float32(math.Inf(1))},
+	{"bias", true, float32(math.Inf(-1)), float32(math.Inf(1))},
+	{"relu", false, 0, float32(math.Inf(1))},
+	{"bias-relu", true, 0, float32(math.Inf(1))},
+	{"bias-relu6", true, 0, 6},
+}
+
+// TestGemmIndirectF32Tile pins each indirect f32 tile of indirectTileKernels
+// (on amd64 every assembly body separately, the dispatched gemmIndirectF32
+// and the Go tile) on the tables of indirectTileCases' every tile: panel by
+// panel, each cell equals the Go indirect tile and the packed Go tile
+// gemmMicroF32Go over the tile's gathered A panel followed by the staged
+// epilogue — the bias added, then clampF32 — on every bit. The data mixes in tileValues' specials on even
+// rounds; a NaN cell must be NaN in both, its payload not compared. The
+// tile writes its cells and nothing else.
+func TestGemmIndirectF32Tile(t *testing.T) {
+	for _, kern := range indirectTileKernels {
+		t.Run(kern.name, func(t *testing.T) {
+			if kern.skip {
+				t.Skipf("%s tile not run: the CPU lacks %s or the OS does not save its register state", kern.name, kern.needs)
+			}
+			rng := rand.New(rand.NewSource(61))
+			for _, cc := range indirectTileCases {
+				for round := 0; round < 2; round++ {
+					draw := func() float32 {
+						if round == 1 || rng.Intn(3) == 0 {
+							return rng.Float32()*2 - 1
+						}
+						return tileValues[rng.Intn(len(tileValues))]
+					}
+					g := convCaseGeom(cc)
+					din := make([]float32, cc.n*cc.h*cc.w*cc.c)
+					for i := range din {
+						din[i] = draw()
+					}
+					indirectTables(&g, din, func(rows [][]float32) {
+						testIndirectF32Tile(t, kern, cc.name, rows, draw)
+					})
+				}
+			}
+			var acc [gemmMR * gemmWideNR]float32
+			acc[0] = 9
+			kern.run(nil, nil, nil, float32(math.Inf(-1)), float32(math.Inf(1)), &acc)
+			if acc != [gemmMR * gemmWideNR]float32{} {
+				t.Fatalf("empty table: %s acc = %v, want zeros", kern.name, acc)
+			}
+		})
+	}
+}
+
+func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, rows [][]float32, draw func() float32) {
+	t.Helper()
+	ap := gatherTile(t, rows)
+	k := len(ap) / gemmMR
+	ld := kern.panels * gemmNR
+	bp := make([]float32, kern.panels*k*gemmNR)
+	for i := range bp {
+		bp[i] = draw()
+	}
+	var bias [gemmWideNR]float32
+	for i := range bias {
+		bias[i] = draw()
+	}
+	for _, ep := range storeEpilogues {
+		var b *[gemmWideNR]float32
+		if ep.bias {
+			b = &bias
+		}
+		var got struct {
+			pre  [4]float32
+			acc  [gemmMR * gemmWideNR]float32
+			post [4]float32
+		}
+		for i := range got.acc {
+			got.acc[i] = 42
+		}
+		got.pre, got.post = [4]float32{1, 2, 3, 4}, [4]float32{5, 6, 7, 8}
+		kern.run(rows, bp, b, ep.lo, ep.hi, &got.acc)
+		if got.pre != [4]float32{1, 2, 3, 4} || got.post != [4]float32{5, 6, 7, 8} {
+			t.Fatalf("%s k=%d %s: %s wrote outside acc", name, k, ep.name, kern.name)
+		}
+		for c := gemmMR * ld; c < len(got.acc); c++ {
+			if got.acc[c] != 42 {
+				t.Fatalf("%s k=%d %s: %s wrote acc[%d], past its %d×%d tile", name, k, ep.name, kern.name, c, gemmMR, ld)
+			}
+		}
+		clamp := newClampF32(ep.lo, ep.hi)
+		for p := 0; p < kern.panels; p++ {
+			pb := bp[p*k*gemmNR : (p+1)*k*gemmNR]
+			var want, goTile [gemmMR * gemmNR]float32
+			gemmMicroF32Go(ap, pb, &want)
+			var goBias *[gemmWideNR]float32
+			if ep.bias {
+				goBias = new([gemmWideNR]float32)
+				copy(goBias[:], bias[p*gemmNR:])
+			}
+			gemmIndirectF32Go(rows, pb, goBias, ep.lo, ep.hi, &goTile)
+			for c, w := range want {
+				i, j := c/gemmNR, c%gemmNR
+				if ep.bias {
+					w = w + bias[p*gemmNR+j]
+				}
+				one := []float32{w}
+				clamp.rows(one, one)
+				w = one[0]
+				for _, r := range []struct {
+					name string
+					got  float32
+				}{{kern.name, got.acc[i*ld+p*gemmNR+j]}, {"gemmIndirectF32Go", goTile[c]}} {
+					if bothNaN := w != w && r.got != r.got; !bothNaN && math.Float32bits(r.got) != math.Float32bits(w) {
+						t.Fatalf("%s k=%d %s panel %d cell %d: %s = %v (%#08x), packed tile then staged epilogue %v (%#08x)",
+							name, k, ep.name, p, c, r.name, r.got, math.Float32bits(r.got), w, math.Float32bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
+// i16IndirectTileKernels are the indirect pair tiles TestGemmIndirectI16Tile
+// runs: the dispatched gemmIndirectI16 (on amd64 the PMADDWD assembly) and
+// the Go tile itself.
+var i16IndirectTileKernels = []struct {
+	name string
+	run  func(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32)
+}{{"gemmIndirectI16", gemmIndirectI16}, {"gemmIndirectI16Go", gemmIndirectI16Go}}
+
+// TestGemmIndirectI16Tile pins the indirect pair tiles on the tables of
+// indirectTileCases over the pairs() geometry — odd channel counts padded
+// per tap — against the Go indirect tile and the packed Go tile
+// gemmMicroI16Go over each tile's gathered A panel: operands at random in [−255, 255], a quarter at ±255.
+func TestGemmIndirectI16Tile(t *testing.T) {
+	draw := func(rng *rand.Rand) int32 {
+		if rng.Intn(4) == 0 {
+			return int32(255 * (1 - 2*rng.Intn(2)))
+		}
+		return int32(rng.Intn(511) - 255)
+	}
+	for _, kern := range i16IndirectTileKernels {
+		t.Run(kern.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(67))
+			for _, cc := range indirectTileCases {
+				g := convCaseGeom(cc)
+				gp := g.pairs()
+				din := make([]i16x2, cc.n*cc.h*cc.w*gp.c)
+				for i := range din {
+					din[i] = pairOf(draw(rng), draw(rng))
+				}
+				indirectTables(&gp, din, func(rows [][]i16x2) {
+					ap := gatherTile(t, rows)
+					kp := len(ap) / gemmMR
+					bp := make([]i16x2, kp*gemmNR)
+					for i := range bp {
+						bp[i] = pairOf(draw(rng), draw(rng))
+					}
+					var want, goTile, got [gemmMR * gemmNR]int32
+					for i := range got {
+						got[i] = 42
+					}
+					gemmMicroI16Go(ap, bp, &want)
+					gemmIndirectI16Go(rows, bp, &goTile)
+					kern.run(rows, bp, &got)
+					if got != want || goTile != want {
+						t.Fatalf("%s kp=%d: %s = %v, gemmIndirectI16Go %v, packed tile %v", cc.name, kp, kern.name, got, goTile, want)
+					}
+				})
+			}
+			acc := [gemmMR * gemmNR]int32{0: 9}
+			kern.run(nil, nil, &acc)
+			if acc != [gemmMR * gemmNR]int32{} {
+				t.Fatalf("empty table: %s acc = %v, want zeros", kern.name, acc)
 			}
 		})
 	}
