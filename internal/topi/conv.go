@@ -16,8 +16,9 @@ import (
 // qnn.dense_fused are qnn.conv2d and qnn.dense with bias → requantize →
 // activation applied to each output row as soon as it is reduced (fused.go),
 // and nn.conv2d and nn.dense take an optional bias and fused_activation, the
-// Neuron runtime's float operations, which the indirect float tile applies
-// to its accumulators at the store.
+// Neuron runtime's float operations, which the float tile applies to its
+// accumulators at the store. Dense runs on the convolution's tiles and panel
+// walks, each data row one segment of the row table (denseRows).
 
 // conv2dParams gathers the attribute set shared by float and quantized
 // convolution.
@@ -138,7 +139,7 @@ func (r convRowsF32) run(lo, hi int) {
 		}
 		return
 	}
-	s := getIndirect[float32](&indirectPoolF32, g)
+	s := getConvIndirect[float32](&indirectPoolF32, g)
 	defer indirectPoolF32.Put(s)
 	ocg := g.ocg()
 	for job := lo; job < hi; job++ {
@@ -352,7 +353,7 @@ func (r convRowsQnn) run(lo, hi int) {
 	var s *indirectScratch[i16x2]
 	var accP *[]int32
 	if r.pw != nil {
-		s = getIndirect[i16x2](&indirectPoolPairs, &gp)
+		s = getConvIndirect[i16x2](&indirectPoolPairs, &gp)
 		defer indirectPoolPairs.Put(s)
 	}
 	if r.fused {
@@ -386,8 +387,8 @@ func (r convRowsQnn) run(lo, hi int) {
 }
 
 // denseF32 is nn.dense, and like conv2DF32 it also takes the Neuron
-// FULLY_CONNECTED form: a bias as args[2] and fused_activation, applied by
-// the epilogue once the GEMM has reduced the rows.
+// FULLY_CONNECTED form: a bias as args[2] and fused_activation, which the
+// float tile applies to its accumulators at the store.
 func denseF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
 	ep, err := newEpilogueF32("nn.dense", args, attrs, out)
 	if err != nil {
@@ -397,13 +398,50 @@ func denseF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, d
 	res := output(dstBuf, out)
 	n, k := data.Shape[0], data.Shape[1]
 	units := weight.Shape[0]
-	// nn.dense is GEMM by definition: rows of data against rows of weight.
-	// The packed panels are the weight's own; tile parallelism
-	// inside the driver draws on the shared worker budget.
+	// nn.dense is GEMM by definition: rows of data against rows of weight,
+	// whose packed panels are the weight's own.
 	pw := packedConvWeightF32(weight, 1)
-	gemmF32(n, units, k, data.F32(), k, pw.data, res.F32(), units)
-	ep.apply(res.F32())
+	denseLaunchF32(n, units, k, data.F32(), k, pw.data, res.F32(), units, ep)
 	return res, nil
+}
+
+// denseLaunchF32 computes C[i·ldc+j] = clamp(Σ_k A[i·lda+k]·B[j][k] +
+// bias[j]) for i<m, j<n by ep, where bpack holds B packed at gemmNR (a
+// weight's panels): the f32 tiles read A's rows in place through a table of
+// one segment a row (denseRows), taken from the convolution's pool. The
+// N-panels are split among workers in groups of gemmWidePanels, so a chunk
+// boundary never cuts a wide tile and only the last chunk has a tail.
+// Overwrite semantics; each cell's reduction is bit-identical to the naive
+// loop, then the bias is added and the clamp applied as epilogueF32.apply
+// does. A steady-state launch allocates nothing, split or not.
+func denseLaunchF32(m, n, k int, a []float32, lda int, bpack, c []float32, ldc int, ep epilogueF32) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	s := getIndirect[float32](&indirectPoolF32, gemmTiles(m, gemmMR), 1, 0)
+	denseRows(s, a, m, k, lda)
+	nt := gemmTiles(n, gemmNR)
+	denseRegionF32.Run(gemmTiles(nt, gemmWidePanels), int64(m)*int64(n)*int64(k),
+		densePanelsF32{s.tiles, bpack, c, m, n, k, ldc, ep})
+	indirectPoolF32.Put(s)
+}
+
+var denseRegionF32 = parallel.NewRegion(densePanelsF32.run)
+
+// densePanelsF32 is denseLaunchF32's panel loop and its closure data, the
+// epilogue carried by value as convRowsF32 carries it: run covers panel
+// groups [gLo, gHi) of gemmWidePanels panels, each chunk the panel walk over
+// its own slice of the panels, of C and of the bias.
+type densePanelsF32 struct {
+	tiles        [][][]float32
+	bpack, c     []float32
+	m, n, k, ldc int
+	ep           epilogueF32
+}
+
+func (d densePanelsF32) run(gLo, gHi int) {
+	lo, hi := gLo*gemmWidePanels*gemmNR, min(gHi*gemmWidePanels*gemmNR, d.n)
+	indirectPanelsF32(d.tiles, d.bpack[lo*d.k:], d.c[lo:], d.m, hi-lo, d.k, d.ldc, &d.ep, lo)
 }
 
 func qnnDense(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
@@ -415,7 +453,7 @@ func qnnDense(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, d
 
 // quantizedDense is qnn.dense, or with an epilogue qnn.dense_fused: the
 // (raw − zp) data rows, as k-pairs, against the packed pair panels of the
-// weight by the int32-sum GEMM, the sums stored or narrowed through ep.
+// weight by the int32-sum tiles, the sums stored or narrowed through ep.
 func quantizedDense(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, ep *epilogue) (*tensor.Tensor, error) {
 	data, weight := args[0], args[1]
 	if err := relay.CheckQnnZeroPoints(op, data.DType, weight.DType, attrs); err != nil {
@@ -435,14 +473,45 @@ func quantizedDense(op string, args []*tensor.Tensor, attrs relay.Attrs, out *re
 		return nil, err
 	}
 	if ep == nil {
-		gemmI32(n, units, kp, *dinP, kp, pw.data, res.I32(), units)
+		denseLaunchI32(n, units, kp, *dinP, kp, pw.data, res.I32(), units)
 		return res, nil
 	}
 	accP := scratchI32.get(n * units)
 	defer scratchI32.put(accP)
-	gemmI32(n, units, kp, *dinP, kp, pw.data, *accP, units)
+	denseLaunchI32(n, units, kp, *dinP, kp, pw.data, *accP, units)
 	ep.apply(res, *accP, 0)
 	return res, nil
+}
+
+// denseLaunchI32 is denseLaunchF32 for the quantized operands: A is m rows
+// of kp pairs (row stride lda), B packed at gemmNR, C int32 sums stored as
+// they are. The panels are split one by one; the work counts each k-pair as
+// two MACs.
+func denseLaunchI32(m, n, kp int, a []i16x2, lda int, bpack []i16x2, c []int32, ldc int) {
+	if m <= 0 || n <= 0 {
+		return
+	}
+	s := getIndirect[i16x2](&indirectPoolPairs, gemmTiles(m, gemmMR), 1, 0)
+	denseRows(s, a, m, kp, lda)
+	denseRegionI32.Run(gemmTiles(n, gemmNR), 2*int64(m)*int64(n)*int64(kp),
+		densePanelsI32{s.tiles, bpack, c, m, n, kp, ldc})
+	indirectPoolPairs.Put(s)
+}
+
+var denseRegionI32 = parallel.NewRegion(densePanelsI32.run)
+
+// densePanelsI32 is denseLaunchI32's panel loop and its closure data: run
+// covers panels [jtLo, jtHi).
+type densePanelsI32 struct {
+	tiles         [][][]i16x2
+	bpack         []i16x2
+	c             []int32
+	m, n, kp, ldc int
+}
+
+func (d densePanelsI32) run(jtLo, jtHi int) {
+	lo, hi := jtLo*gemmNR, min(jtHi*gemmNR, d.n)
+	indirectPanelsI32(d.tiles, d.bpack[lo*d.kp:], d.c[lo:], d.m, hi-lo, d.kp, d.ldc)
 }
 
 func init() {

@@ -2,7 +2,9 @@ package topi
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/parallel"
@@ -104,10 +106,10 @@ func BenchmarkConvStrategy(b *testing.B) {
 var gemmShapes = []struct{ m, n, k int }{{44, 64, 288}, {20, 128, 576}, {8, 128, 1152}}
 
 // BenchmarkGemmF32Shapes reports GFLOP/s (2·m·n·k per call) on gemmShapes
-// for the dispatched driver — serial, as it runs under a conv row loop, and
-// split over two workers, as a top-level call is — and for each register
-// tile of tileKernels this CPU runs, swept over the panels alone. Every row
-// but the split one pins one worker:
+// for the dense launch — serial, and split over two workers, as a top-level
+// call is — and for each f32 tile of indirectTileKernels this CPU runs,
+// swept over the panels alone against the rows' one-segment tables
+// (denseRows). Every row but the split one pins one worker:
 //
 //	go test ./internal/topi -run '^$' -bench GemmF32Shapes -benchtime 200ms
 func BenchmarkGemmF32Shapes(b *testing.B) {
@@ -116,19 +118,20 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(37))
 	for _, s := range gemmShapes {
 		a, bpack, _ := gemmF32Case(rng, s.m, s.n, s.k, s.k, s.n)
-		ap := make([]float32, gemmTiles(s.m, gemmMR)*gemmMR*s.k)
-		packPanels(ap, a, s.m, s.k, s.k, gemmMR)
+		tab := getIndirect[float32](new(sync.Pool), gemmTiles(s.m, gemmMR), 1, 0)
+		denseRows(tab, a, s.m, s.k, s.k)
 		c := make([]float32, s.m*s.n)
-		mt, nt := gemmTiles(s.m, gemmMR), gemmTiles(s.n, gemmNR)
+		nt := gemmTiles(s.n, gemmNR)
 		flops := float64(2 * s.m * s.n * s.k)
 		type row struct {
 			name    string
 			workers int
 			run     func()
 		}
-		driver := func() { gemmF32(s.m, s.n, s.k, a, s.k, bpack, c, s.n) }
-		rows := []row{{"gemmF32", 1, driver}, {"gemmF32/workers=2", 2, driver}}
-		for _, kern := range tileKernels {
+		launch := func() { denseLaunchF32(s.m, s.n, s.k, a, s.k, bpack, c, s.n, epilogueF32{}) }
+		rows := []row{{"dense", 1, launch}, {"dense/workers=2", 2, launch}}
+		lo, hi := float32(math.Inf(-1)), float32(math.Inf(1))
+		for _, kern := range indirectTileKernels {
 			if kern.skip || nt%kern.panels != 0 {
 				continue
 			}
@@ -136,8 +139,8 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 				var acc [gemmMR * gemmWideNR]float32
 				for jt := 0; jt < nt; jt += kern.panels {
 					bp := bpack[jt*s.k*gemmNR : (jt+kern.panels)*s.k*gemmNR]
-					for it := 0; it < mt; it++ {
-						kern.run(ap[it*s.k*gemmMR:(it+1)*s.k*gemmMR], bp, &acc)
+					for _, t := range tab.tiles {
+						kern.run(t, bp, nil, lo, hi, &acc)
 					}
 				}
 			}})

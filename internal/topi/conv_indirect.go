@@ -14,7 +14,8 @@ import (
 // of runs built once per output row (indirectRow). Every convolution launch
 // — nn.conv2d, qnn.conv2d, qnn.conv2d_fused — selects it through
 // im2colPays, the one strategy rule; the name keeps "im2col" because the
-// tile sees exactly the im2col patch matrix, only without the copy.
+// tile sees exactly the im2col patch matrix, only without the copy. A dense
+// layer runs on the same tiles, each of its rows one segment (denseRows).
 
 // im2colPays is the built-in strategy rule, for both element types: every
 // convolution but a depthwise one — one input and one output channel per
@@ -29,8 +30,10 @@ func im2colPays(weight tensor.Shape, groups int) bool {
 	return weight[3] != 1 || weight[0] != groups
 }
 
-// indirectScratch is one worker's indirection state: the row table, its
-// per-tile views, and the zero row every tap in the padding points at.
+// indirectScratch is one launch's or one worker's indirection state: the
+// row table, its per-tile views, and the zero row every tap in the padding
+// points at. A convolution worker and a dense launch draw it from the same
+// pools.
 type indirectScratch[T panelElem] struct {
 	tab   [][]T
 	tiles [][][]T
@@ -42,26 +45,30 @@ var (
 	indirectPoolPairs sync.Pool // *indirectScratch[i16x2]
 )
 
-// getIndirect returns pooled indirection state sized for g's output rows;
-// return it to p when done. The zero row is only ever read, so a recycled
-// one is still zero.
-func getIndirect[T panelElem](p *sync.Pool, g *convGeom) *indirectScratch[T] {
+// getIndirect returns pooled indirection state for tiles tiles of segs
+// segments each and a zero row of zero values; return it to p when done.
+// The zero row is only ever read, so a recycled one is still zero.
+func getIndirect[T panelElem](p *sync.Pool, tiles, segs, zero int) *indirectScratch[T] {
 	s, _ := p.Get().(*indirectScratch[T])
 	if s == nil {
 		s = new(indirectScratch[T])
 	}
-	tiles := gemmTiles(g.ow, gemmMR)
-	if n := tiles * g.kh * g.kw * gemmMR; cap(s.tab) < n {
+	if n := tiles * segs * gemmMR; cap(s.tab) < n {
 		s.tab = make([][]T, n)
 	}
 	if cap(s.tiles) < tiles {
 		s.tiles = make([][][]T, tiles)
 	}
-	if n := g.kw * g.icg; len(s.zero) < n {
-		s.zero = make([]T, n)
+	if len(s.zero) < zero {
+		s.zero = make([]T, zero)
 	}
 	s.tiles = s.tiles[:tiles]
 	return s
+}
+
+// getConvIndirect is getIndirect sized for one output row of g.
+func getConvIndirect[T panelElem](p *sync.Pool, g *convGeom) *indirectScratch[T] {
+	return getIndirect[T](p, gemmTiles(g.ow, gemmMR), g.kh*g.kw, g.kw*g.icg)
 }
 
 // indirectRow fills s.tiles with output row job's tiles for group grp. Tile
@@ -131,6 +138,22 @@ func indirectRow[T panelElem](s *indirectScratch[T], din []T, g *convGeom, job, 
 	}
 }
 
+// denseRows fills s.tiles with the tiles of a dense layer's m rows of k
+// values, row stride lda: tile t lists rows 4t…4t+3, each one segment, the
+// row itself — the input row is the patch. A row past m repeats row m−1;
+// its cells are computed and never stored, so a dense launch needs no zero
+// row.
+func denseRows[T panelElem](s *indirectScratch[T], a []T, m, k, lda int) {
+	for t := range s.tiles {
+		tab := s.tab[t*gemmMR : (t+1)*gemmMR : (t+1)*gemmMR]
+		for i := range tab {
+			r := min(t*gemmMR+i, m-1)
+			tab[i] = a[r*lda : r*lda+k]
+		}
+		s.tiles[t] = tab
+	}
+}
+
 // storeBounds is the clamp a float tile applies at its store: the
 // activation's bounds, or (−Inf, +Inf), which leaves every value — NaN and
 // −0 included — as it is.
@@ -142,9 +165,10 @@ func (e *epilogueF32) storeBounds() (lo, hi float32) {
 }
 
 // indirectPanelsF32 runs every N-panel of one group's packed weight (n
-// channels, k values a patch) against the tiles of one output row of ow
-// pixels and stores the ow×n block into c, row stride ldc, with ep's bias
-// (from channel ch0 on) and clamp applied to the accumulators at the store.
+// channels, k values a patch) against the tiles of ow rows — one output row
+// of ow pixels, or a dense layer's ow rows — and stores the ow×n block into
+// c, row stride ldc, with ep's bias (from channel ch0 on) and clamp applied
+// to the accumulators at the store.
 // It takes the widest tile that fits the panels left — gemmWidePanels
 // adjacent panels, or one — and sweeps every tile against it, so its
 // panels stay hot across the row.
@@ -177,7 +201,7 @@ func indirectPanelsF32(tiles [][][]float32, bpack, c []float32, ow, n, k, ldc in
 
 // indirectPanelsI32 is indirectPanelsF32 for the quantized operands: int32
 // sums over kp k-pairs a patch, stored as they are — the requantize
-// epilogue runs over the whole row afterwards.
+// epilogue runs over the whole block afterwards.
 //
 //np:hotpath
 func indirectPanelsI32(tiles [][][]i16x2, bpack []i16x2, c []int32, ow, n, kp, ldc int) {

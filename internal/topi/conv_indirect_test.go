@@ -11,9 +11,9 @@ import (
 
 // packColRows is the row-major patch pack the im2col path used before it
 // wrote panels: col[ox·k + (ky·kw+kx)·icg + ic], taps in the padding zero.
-// packPanels over its ow rows is the A panel set the GEMM tiles read when
-// the patches were copied (packCol, since deleted), and what the indirect
-// tables must stand for.
+// Its ow rows are the A rows the GEMM tiles read when the patches were
+// copied (packCol, since deleted), and what the indirect tables must stand
+// for.
 func packColRows[T panelElem](col, din []T, g *convGeom, job, grp int) {
 	h, w, c, kh, kw, icg := g.h, g.w, g.c, g.kh, g.kw, g.icg
 	b, oy := job/g.oh, job%g.oh
@@ -40,25 +40,27 @@ func packColRows[T panelElem](col, din []T, g *convGeom, job, grp int) {
 	}
 }
 
-// gatherTile lays one tile's table out as the A panel it stands for,
-// ap[kk·4+i] = row i's kk-th value, the segments' runs end to end. It fails
-// the test if a segment's four runs differ in length.
+// gatherTile lays one tile's table out as the four rows it stands for,
+// row-major: a[i·k+kk] = row i's kk-th value, the segments' runs end to
+// end. It fails the test if a segment's four runs differ in length.
 func gatherTile[T panelElem](t *testing.T, rows [][]T) []T {
 	t.Helper()
-	var ap []T
+	var k int
 	for s := 0; s+gemmMR <= len(rows); s += gemmMR {
 		for i := 1; i < gemmMR; i++ {
 			if len(rows[s+i]) != len(rows[s]) {
 				t.Fatalf("segment %d: run %d is %d long, run 0 %d", s/gemmMR, i, len(rows[s+i]), len(rows[s]))
 			}
 		}
-		for l := range rows[s] {
-			for i := 0; i < gemmMR; i++ {
-				ap = append(ap, rows[s+i][l])
-			}
+		k += len(rows[s])
+	}
+	a := make([]T, 0, gemmMR*k)
+	for i := 0; i < gemmMR; i++ {
+		for s := i; s < len(rows); s += gemmMR {
+			a = append(a, rows[s]...)
 		}
 	}
-	return ap
+	return a
 }
 
 // convCaseGeom is cc's geometry.
@@ -71,11 +73,10 @@ func convCaseGeom(cc convCase) convGeom {
 // TestPackColIsPackedRows: for every convCases shape, row and group, and
 // both element types (float32, and the quantized k-pairs, which the table
 // points into over a pairs() geometry), the indirect row tables gathered
-// tile by tile equal packColRows followed by packPanels at gemmMR — tail
-// lanes zero — bit for bit: the indirect tile reads the very panels the
-// patch copy wrote, in the same k order. The table is built over scratch
-// that starts as garbage, and the float data mixes in NaN, ±Inf, −0 and
-// denormals.
+// tile by tile equal packColRows' rows — a tail tile's rows past ow zero —
+// bit for bit: the indirect tile reads the very rows the patch copy wrote,
+// in the same k order. The table is built over scratch that starts as
+// garbage, and the float data mixes in NaN, ±Inf, −0 and denormals.
 func TestPackColIsPackedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, cc := range convCases {
@@ -95,25 +96,24 @@ func TestPackColIsPackedRows(t *testing.T) {
 func testIndirectTables[T panelElem](t *testing.T, g *convGeom, din []T, same func(a, b T) bool) {
 	t.Helper()
 	k := g.k()
-	rows := make([]T, g.ow*k)
 	want := make([]T, gemmTiles(g.ow, gemmMR)*gemmMR*k)
-	s := getIndirect[T](new(sync.Pool), g)
+	s := getConvIndirect[T](new(sync.Pool), g)
 	for i := range s.tab {
 		s.tab[i] = din[:1]
 	}
 	for job := 0; job < len(din)/(g.h*g.w*g.c)*g.oh; job++ {
 		for grp := 0; grp < g.groups; grp++ {
-			packColRows(rows, din, g, job, grp)
-			packPanels(want, rows, g.ow, k, k, gemmMR)
+			packColRows(want, din, g, job, grp)
+			clear(want[g.ow*k:])
 			indirectRow(s, din, g, job, grp)
 			for it, tab := range s.tiles {
 				got := gatherTile(t, tab)
 				if len(got) != k*gemmMR {
-					t.Fatalf("%T row %d group %d tile %d: the table covers %d panel elements, want %d", got[0], job, grp, it, len(got), k*gemmMR)
+					t.Fatalf("%T row %d group %d tile %d: the table covers %d elements, want %d", got[0], job, grp, it, len(got), k*gemmMR)
 				}
 				for i, v := range got {
 					if w := want[it*k*gemmMR+i]; !same(v, w) {
-						t.Fatalf("%T row %d group %d tile %d: panel element %d = %v, want %v", v, job, grp, it, i, v, w)
+						t.Fatalf("%T row %d group %d tile %d: row %d element %d = %v, want %v", v, job, grp, it, i/k, i%k, v, w)
 					}
 				}
 			}

@@ -57,10 +57,12 @@ import (
 //
 // Float: nn.conv2d and nn.dense themselves take the Neuron form of a float
 // CONV_2D, DEPTHWISE_CONV_2D or FULLY_CONNECTED — an optional bias as
-// args[2] and fused_activation — and run epilogueF32 over each output row.
-// Its parts are the staged kernels' own loops (biasAddRows, clampF32), so
-// the launch equals nn.conv2d → nn.bias_add → nn.relu/clip by construction;
-// fused_test.go pins it anyway. The op names are the unfused ones.
+// args[2] and fused_activation — and apply epilogueF32: the GEMM tile adds
+// the bias and clamps at its store (storeBounds), the depthwise row runs
+// apply over each output row, whose parts are the staged kernels' own loops
+// (biasAddRows, clampF32). Both equal nn.conv2d → nn.bias_add →
+// nn.relu/clip bit for bit; fused_test.go pins it. The op names are the
+// unfused ones.
 
 // activationLUT tabulates the fused activation over every representable
 // post-requantize raw value. base is the dtype's minimum raw value. clamp
@@ -326,8 +328,9 @@ func newEpilogueF32(op string, args []*tensor.Tensor, attrs relay.Attrs, out *re
 	return e, err
 }
 
-// apply runs the epilogue in place over row — whole output pixels (conv) or
-// rows (dense) of one value per output channel.
+// apply runs the epilogue in place over row — whole output pixels of a
+// depthwise convolution's row, one value per output channel. The GEMM tiles
+// apply the same two steps at their store instead.
 //
 //np:hotpath
 func (e *epilogueF32) apply(row []float32) {

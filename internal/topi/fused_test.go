@@ -173,9 +173,38 @@ func convBy(im2col bool) launchFn {
 	}
 }
 
+// naiveDense launches nn.dense and qnn.dense by the naive single-accumulator
+// loops (naiveGemmF32, naiveGemmI32 over raw − zero point), the anchor of
+// the dense tests' second staged chain: the fused launch and the first chain
+// both run the dense launch, so a fault there cancels out between them.
+func naiveDense(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType) (*tensor.Tensor, error) {
+	data, weight := args[0], args[1]
+	m, k, n := data.Shape[0], data.Shape[1], weight.Shape[0]
+	res := tensor.New(out.DType, out.Shape)
+	switch op {
+	case "nn.dense":
+		naiveGemmF32(m, n, k, data.F32(), k, weight.F32(), k, res.F32(), n)
+	case "qnn.dense":
+		widen := func(x *tensor.Tensor, zp int32) []int32 {
+			v := make([]int32, x.Elems())
+			for i := range v {
+				v[i] = x.GetRaw(i) - zp
+			}
+			return v
+		}
+		a := widen(data, int32(attrs.Int("input_zero_point", 0)))
+		b := widen(weight, int32(attrs.Int("kernel_zero_point", 0)))
+		naiveGemmI32(m, n, k, a, k, b, k, res.I32(), n)
+	default:
+		return nil, fmt.Errorf("naiveDense: %s is not a dense layer", op)
+	}
+	return res, nil
+}
+
 // checkFusedAgainstStaged runs one shape and data type, with and without
-// bias, through the fused launch and the staged chain.
-func checkFusedAgainstStaged(t *testing.T, rng *rand.Rand, launch launchFn, fused, anchor string, fd fusedDType,
+// bias, through the fused launch and the staged chain; with an oracle, also
+// through the staged chain whose anchor the oracle launches.
+func checkFusedAgainstStaged(t *testing.T, rng *rand.Rand, launch, oracle launchFn, fused, anchor string, fd fusedDType,
 	dataShape, weightShape tensor.Shape, extra relay.Attrs, act string) {
 	t.Helper()
 	for _, withBias := range []bool{false, true} {
@@ -184,13 +213,19 @@ func checkFusedAgainstStaged(t *testing.T, rng *rand.Rand, launch launchFn, fuse
 			attrs[k] = v
 		}
 		got := runBy(t, launch, fused, args, attrs)
-		want := stagedReference(t, launch, anchor, args, attrs, fd.dt, outQ, act)
-		if got.DType != want.DType || !got.Shape.Equal(want.Shape) {
-			t.Fatalf("bias %v: fused %s %s, staged %s %s", withBias, got.DType, got.Shape, want.DType, want.Shape)
+		refs := []launchFn{launch, oracle}
+		if oracle == nil {
+			refs = refs[:1]
 		}
-		for i := 0; i < got.Elems(); i++ {
-			if got.GetRaw(i) != want.GetRaw(i) {
-				t.Fatalf("bias %v: out[%d]: fused %d != staged %d", withBias, i, got.GetRaw(i), want.GetRaw(i))
+		for _, by := range refs {
+			want := stagedReference(t, by, anchor, args, attrs, fd.dt, outQ, act)
+			if got.DType != want.DType || !got.Shape.Equal(want.Shape) {
+				t.Fatalf("bias %v: fused %s %s, staged %s %s", withBias, got.DType, got.Shape, want.DType, want.Shape)
+			}
+			for i := 0; i < got.Elems(); i++ {
+				if got.GetRaw(i) != want.GetRaw(i) {
+					t.Fatalf("bias %v: out[%d]: fused %d != staged %d", withBias, i, got.GetRaw(i), want.GetRaw(i))
+				}
 			}
 		}
 	}
@@ -211,7 +246,7 @@ func TestFusedConv2DMatchesStagedChain(t *testing.T) {
 				for _, fd := range fusedDTypes {
 					for _, st := range convStrategies {
 						t.Run(fmt.Sprintf("%s/%s/%s", cc.name, fd.dt, st.name), func(t *testing.T) {
-							checkFusedAgainstStaged(t, rng, convBy(st.im2col), "qnn.conv2d_fused", "qnn.conv2d", fd,
+							checkFusedAgainstStaged(t, rng, convBy(st.im2col), nil, "qnn.conv2d_fused", "qnn.conv2d", fd,
 								dataShape, weightShape, cc.attrs(), a.act)
 						})
 					}
@@ -222,7 +257,8 @@ func TestFusedConv2DMatchesStagedChain(t *testing.T) {
 }
 
 // TestFusedDenseMatchesStagedChain is the qnn.dense_fused analogue over every
-// gemmDims shape.
+// gemmDims shape, against the staged chain and against the chain whose
+// qnn.dense is the naive loop (naiveDense).
 func TestFusedDenseMatchesStagedChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for _, a := range fusedActivations {
@@ -231,7 +267,7 @@ func TestFusedDenseMatchesStagedChain(t *testing.T) {
 				m, n, k := d[0], d[1], d[2]
 				for _, fd := range fusedDTypes {
 					t.Run(fmt.Sprintf("m%d_n%d_k%d/%s", m, n, k, fd.dt), func(t *testing.T) {
-						checkFusedAgainstStaged(t, rng, Run, "qnn.dense_fused", "qnn.dense", fd,
+						checkFusedAgainstStaged(t, rng, Run, naiveDense, "qnn.dense_fused", "qnn.dense", fd,
 							tensor.Shape{m, k}, tensor.Shape{n, k}, relay.Attrs{"units": n}, a.act)
 					})
 				}
@@ -388,8 +424,11 @@ func stagedReferenceF32(t *testing.T, launch launchFn, anchor string, args []*te
 // checkFusedF32AgainstStaged runs anchor in its Neuron form (bias as
 // args[2], fused_activation) and the staged chain on the same operands, with
 // and without bias, and compares every bit — NaN payloads included: the
-// launch runs the staged kernels' own loops.
-func checkFusedF32AgainstStaged(t *testing.T, rng *rand.Rand, launch launchFn, anchor string, dataShape, weightShape tensor.Shape, attrs relay.Attrs, act string) {
+// launch adds and clamps as the staged kernels do. With an oracle it also
+// compares against the staged chain whose anchor the oracle launches, every
+// bit of every non-NaN cell and NaN for NaN: which operand's payload a
+// reduction keeps is its own order's business.
+func checkFusedF32AgainstStaged(t *testing.T, rng *rand.Rand, launch, oracle launchFn, anchor string, dataShape, weightShape tensor.Shape, attrs relay.Attrs, act string) {
 	t.Helper()
 	for _, withBias := range []bool{false, true} {
 		args := []*tensor.Tensor{drawF32(rng, dataShape), drawF32(rng, weightShape)}
@@ -407,6 +446,16 @@ func checkFusedF32AgainstStaged(t *testing.T, rng *rand.Rand, launch launchFn, a
 			t.Fatalf("bias %v: out[%d]: fused %v (%#08x), staged %v (%#08x)", withBias, i,
 				got.F32()[i], math.Float32bits(got.F32()[i]), want.F32()[i], math.Float32bits(want.F32()[i]))
 		}
+		if oracle == nil {
+			continue
+		}
+		naive := stagedReferenceF32(t, oracle, anchor, args, attrs, act).F32()
+		for i, g := range got.F32() {
+			if bothNaN := g != g && naive[i] != naive[i]; !bothNaN && math.Float32bits(g) != math.Float32bits(naive[i]) {
+				t.Fatalf("bias %v: out[%d]: fused %v (%#08x), staged on the naive loop %v (%#08x)", withBias, i,
+					g, math.Float32bits(g), naive[i], math.Float32bits(naive[i]))
+			}
+		}
 	}
 }
 
@@ -423,7 +472,7 @@ func TestFusedF32ConvMatchesStagedChain(t *testing.T) {
 				weightShape := tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}
 				for _, st := range convStrategies {
 					t.Run(cc.name+"/"+st.name, func(t *testing.T) {
-						checkFusedF32AgainstStaged(t, rng, convBy(st.im2col), "nn.conv2d", dataShape, weightShape, cc.attrs(), a.act)
+						checkFusedF32AgainstStaged(t, rng, convBy(st.im2col), nil, "nn.conv2d", dataShape, weightShape, cc.attrs(), a.act)
 					})
 				}
 			}
@@ -432,7 +481,8 @@ func TestFusedF32ConvMatchesStagedChain(t *testing.T) {
 }
 
 // TestFusedF32DenseMatchesStagedChain is the nn.dense analogue over every
-// gemmDims shape.
+// gemmDims shape, against the staged chain and against the chain whose
+// nn.dense is the naive loop (naiveDense).
 func TestFusedF32DenseMatchesStagedChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, a := range fusedActivations {
@@ -440,7 +490,7 @@ func TestFusedF32DenseMatchesStagedChain(t *testing.T) {
 			for _, d := range gemmDims {
 				m, n, k := d[0], d[1], d[2]
 				t.Run(fmt.Sprintf("m%d_n%d_k%d", m, n, k), func(t *testing.T) {
-					checkFusedF32AgainstStaged(t, rng, Run, "nn.dense", tensor.Shape{m, k}, tensor.Shape{n, k},
+					checkFusedF32AgainstStaged(t, rng, Run, naiveDense, "nn.dense", tensor.Shape{m, k}, tensor.Shape{n, k},
 						relay.Attrs{"units": n}, a.act)
 				})
 			}
@@ -507,7 +557,7 @@ func TestFusedF32ConvDoesNotAllocate(t *testing.T) {
 }
 
 // A split launch allocates nothing either: at two workers a fused f32
-// convolution and a top-level GEMM big enough to split (millions of MACs,
+// convolution and a top-level dense launch big enough to split (millions of MACs,
 // hundreds of parallel grains) run through the pool with their closure data
 // copied into reused job records, and write the same bits as one worker.
 func TestSplitLaunchesDoNotAllocate(t *testing.T) {
@@ -553,7 +603,7 @@ func TestSplitLaunchesDoNotAllocate(t *testing.T) {
 	s := gemmShapes[1]
 	a, bpack, _ := gemmF32Case(rng, s.m, s.n, s.k, s.k, s.n)
 	c := make([]float32, s.m*s.n)
-	check("gemmF32", func() { gemmF32(s.m, s.n, s.k, a, s.k, bpack, c, s.n) }, c)
+	check("denseLaunchF32", func() { denseLaunchF32(s.m, s.n, s.k, a, s.k, bpack, c, s.n, epilogueF32{}) }, c)
 }
 
 // roundHalfAwayBranchy is roundHalfAwayF as it was written before it lost

@@ -7,41 +7,39 @@ import (
 	"repro/internal/tensor"
 )
 
-// Cache-blocked, register-tiled GEMM backing the indirect convolution and
-// dense/matmul paths. The computation is C[i][j] = Σ_k A[i][k]·B[j][k]
-// (B holds filter rows, so the reduction runs over two row-major operands
-// with contiguous K) — exactly the shape im2col produces.
+// Cache-blocked, register-tiled GEMM backing every convolution and dense
+// launch. The computation is C[i][j] = Σ_k A[i][k]·B[j][k] (B holds filter
+// rows, so the reduction runs over two row-major operands with contiguous
+// K) — exactly the shape im2col produces.
 //
 // Blocking scheme:
 //
 //   - B is packed into NR-row panels (bp[(jt·k+kk)·NR+j], packPanels,
-//     generic over the panel element). Dense packs A too, into gemmMR-row
-//     panels interleaved by k (ap[(it·k+kk)·MR+i]), and its micro-kernel
-//     reads both operands as two forward streams, which removes all index
-//     arithmetic and bounds checks from the inner loop. The convolution
-//     packs no A: its indirect tiles read the tile's four rows through a
-//     table of runs in the image (conv_indirect.go), in the same k order.
-//     The panel layout is the same on every architecture and is never
-//     serialized.
+//     generic over the panel element). A is never packed: a tile reads its
+//     four rows of A in place, through a table of runs — per segment one run
+//     of each row, the segments laid end to end the row's k values in order.
+//     A convolution's table points into the image (indirectRow,
+//     conv_indirect.go; Dukhan, arXiv 1907.02129); a dense layer's row is
+//     one segment, the input row itself (denseRows). The panel layout is the
+//     same on every architecture and is never serialized.
 //   - A float panel element is one float32. A quantized one is an i16x2: one
 //     k-pair of (raw − zero point) values as two int16, so the same layout
-//     over pairs holds, per k-pair, an A panel's 4 rows × 2 k and a B
-//     panel's 8 columns × 2 k. The reduction runs over pairs; a vector of odd
+//     over pairs holds, per k-pair, a B panel's 8 columns × 2 k, and a run of
+//     A is a run of pairs. The reduction runs over pairs; a vector of odd
 //     length (a filter tap's channels, a dense row) is padded with a zero
 //     (rawMinusZpPairs).
-//   - The micro-kernel keeps a full MR×NR accumulator tile and runs the K
-//     loop unblocked. Each output cell owns exactly one accumulator that
-//     sums k in ascending order, each step one multiply rounded to float32
-//     and then one add rounded to float32, so the result is bit-identical to
-//     the naive single-accumulator dot product — the property the GEMM
+//   - The tile keeps a full MR×NR accumulator tile and runs the K loop
+//     unblocked. Each output cell owns exactly one accumulator that sums k
+//     in ascending order, each step one multiply rounded to float32 and then
+//     one add rounded to float32, so the result is bit-identical to the
+//     naive single-accumulator dot product — the property the GEMM
 //     equivalence tests pin (gemm_test.go).
 //   - Weight panels are immutable per model, so they are packed once per
 //     weight tensor (packedWeight, one generic type for both element types)
 //     and stored on that tensor (Tensor.SetDerived): steady-state inference
-//     repacks only the activation side, and the panels go when the weight
-//     does.
+//     packs nothing, and the panels go when the weight does.
 //
-// Tile shapes. Every f32 tile is 4 A rows by one or more whole adjacent
+// One tile family. Every f32 tile is 4 A rows by one or more whole adjacent
 // B panels of gemmNR = 8 columns, over the same panel layout: panel jt+1
 // starts where panel jt ends, so a tile that spans p panels reads p forward
 // streams of B. Every tile vectorises across N — one lane per output cell,
@@ -49,14 +47,16 @@ import (
 // at any width, bit-equal to the scalar loops. Every tile multiplies (MULPS)
 // and then adds (ADDPS), never a fused multiply-add: an FMA rounds once
 // where every other kernel in the repo (the direct convolution, the
-// interpreter reference, gemmMicroF32Go below) rounds twice, and would break
-// every bitwise pin (`make no-fma` scans the package for one). The Go
+// interpreter reference, gemmIndirectF32Go below) rounds twice, and would
+// break every bitwise pin (`make no-fma` scans the package for one). The Go
 // compiler fuses x*y + z on its own where the target has the instruction, as
 // on arm64, so every Go loop that multiplies and then adds writes the product
 // as an explicit conversion, float32(x*y), which the language defines to
 // round: `make no-fma` scans the arm64 listing of this package and of
-// tensor, video and app for a fused instruction. On amd64 the tiles are
-// assembly (gemm_amd64.s):
+// tensor, video and app for a fused instruction. At the store the f32 tile
+// adds a bias and clamps to the activation's bounds (epilogueF32's), so a
+// float convolution or dense layer makes no second pass over its output. On
+// amd64 the tiles are assembly (gemm_amd64.s):
 //
 //   - YMM, 4×16 over two panels, where the CPU has AVX and the OS saves YMM
 //     state: eight YMM accumulators, two per A row; each k step two B loads
@@ -71,41 +71,36 @@ import (
 // Which tiles run is read once at init from CPUID and XGETBV (package cpuid)
 // into cpuid.AVX and gemmWidePanels (gemm_amd64.go); nothing can force or
 // forbid a tile. A 4×32 ZMM tile over four panels was measured and left out
-// (gemmWidePanels says why).
-// Everywhere else every tile is gemmMicroF32Go, which is also the oracle
-// each assembly tile is tested against, panel by panel.
+// (gemmWidePanels says why). Everywhere else the tile is gemmIndirectF32Go;
+// the tests hold each assembly tile, panel by panel, to it and to the naive
+// loop.
 //
-// The panel walk (gemmPanelsF32) takes the widest tile that fits the panels
-// left in its range — gemmWidePanels of them, else one — and sweeps every A
-// panel against it before moving on, so its B panels stay hot across the A
-// panels. The parallel driver splits the panels
-// into chunks of whole groups of gemmWidePanels, so only the chunk that ends
-// at n has a tail.
+// The panel walk (indirectPanelsF32) takes the widest tile that fits the
+// panels left in its range — gemmWidePanels of them, else one — and sweeps
+// every row tile against it before moving on, so its B panels stay hot
+// across the rows. A dense launch splits the panels into chunks of whole
+// groups of gemmWidePanels, so only the chunk that ends at n has a tail.
 //
 // The quantized tile, serving qnn.conv2d, qnn.dense and their fused launches
 // alike, is 4×8 int32 sums over the pair panels. On amd64 it is PMADDWD
-// (gemm_amd64.s, baseline SSE2, so no feature test): per k-pair one A load,
-// a PSHUFD broadcast of each row's pair, two B loads, eight PMADDWDs and
-// eight PADDDs into eight XMM accumulators; everywhere else, and as its
-// oracle, gemmMicroI16Go. It is exact: qnn data and weight are 8-bit and
-// their zero points values of their dtypes (relay.CheckQnnZeroPoints), so
-// every (raw − zp) lies in [−255, 255] and fits int16, a pair product-sum is
-// at most 2·255² and fits int32, and wrapping int32 addition is associative,
+// (gemm_amd64.s, baseline SSE2, so no feature test): per k-pair a PSHUFD
+// broadcast of each row's pair, two B loads, eight PMADDWDs and eight PADDDs
+// into eight XMM accumulators; everywhere else, and as its oracle,
+// gemmIndirectI16Go. It is exact: qnn data and weight are 8-bit and their
+// zero points values of their dtypes (relay.CheckQnnZeroPoints), so every
+// (raw − zp) lies in [−255, 255] and fits int16, a pair product-sum is at
+// most 2·255² and fits int32, and wrapping int32 addition is associative,
 // so summing by pairs equals the naive k-ascending int32 loop bit for bit.
-// The tiles and the panel loops and drivers that call them are the only
+// The tiles and the panel loops that call them are the only
 // per-element-type code here.
 //
-// Each tile has an indirect twin that takes, instead of an A panel, a table
-// of the four rows' runs (gemmIndirectF32Go, gemmIndirectI16Go and the
-// assembly bodies of gemm_amd64.s): the same k steps in the same order, so
-// the same bits. The float ones also apply a convolution's bias and clamp to
-// their accumulators at the store.
-//
-// Parallelism: the driver launches the N-panel loop as a parallel.Region
-// with the block's MACs as its work estimate. Called from inside an
-// already-parallel conv row loop the budget is exhausted and the panels run
-// serially on the caller; called at top level (dense layers) with enough
-// work they are split across the free workers. Neither allocates.
+// Parallelism: a convolution splits its output rows, and each row's panel
+// walk runs on the worker that owns the row. A dense launch (denseLaunchF32,
+// denseLaunchI32) launches its N-panel loop as a parallel.Region with the
+// block's MACs as its work estimate: under an already split wavefront level
+// the budget is exhausted and the panels run serially on the caller, at top
+// level with enough work they are split across the free workers. Neither
+// allocates.
 
 // Register tile shape of both element types: MR rows of A against NR rows of
 // B (output channels). NR is one 8-lane YMM vector, or two 4-lane XMM
@@ -124,8 +119,8 @@ func gemmTiles(x, tile int) int { return (x + tile - 1) / tile }
 // packPanels packs the first rows rows of src (k elements each, row stride
 // ld) into panels width rows wide, interleaved by k: row t·width+i lands at
 // dst[(t·k+kk)·width+i]. The tail rows of the last panel are zero-filled
-// (they are computed but never written back). The LHS is packed at gemmMR,
-// weights at their tile's NR.
+// (they are computed but never written back). Only weights are packed, once
+// each (packWeight).
 func packPanels[T panelElem](dst, src []T, rows, k, ld, width int) {
 	for t := 0; t*width < rows; t++ {
 		for i := 0; i < width; i++ {
@@ -137,18 +132,7 @@ func packPanels[T panelElem](dst, src []T, rows, k, ld, width int) {
 				}
 				continue
 			}
-			// Four k steps per iteration: the LHS is repacked on every GEMM
-			// call, and with a run-time width the one-step loop reads
-			// 5–10 % slower on BenchmarkConvStrategy's im2col rows.
-			s := src[row*ld : row*ld+k]
-			for ; len(s) >= 4; s = s[4:] {
-				dst[d] = s[0]
-				dst[d+width] = s[1]
-				dst[d+2*width] = s[2]
-				dst[d+3*width] = s[3]
-				d += 4 * width
-			}
-			for _, v := range s {
+			for _, v := range src[row*ld : row*ld+k] {
 				dst[d] = v
 				d += width
 			}
@@ -156,105 +140,19 @@ func packPanels[T panelElem](dst, src []T, rows, k, ld, width int) {
 	}
 }
 
-// gemmMicroF32Go computes one 4×8 tile over the full K extent in portable Go:
-// acc[i·8+j] = Σ_kk ap[kk·4+i]·bp[kk·8+j], with k = len(ap)/4 and bp at least
-// 8k long. It is gemmMicroF32 on every architecture but amd64, and the oracle
-// for the assembly there. The tile is walked as four 4×2 column pairs — eight
-// accumulators and six operands, which stay in registers on a 16-register
-// machine where 32 accumulators would spill on every step (and run at half
-// the speed). One accumulator per cell, k ascending: bit-identical to the
-// naive dot product.
-//
-//np:hotpath
-func gemmMicroF32Go(ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
-	k := len(ap) / gemmMR
-	ap = ap[:k*gemmMR]
-	bp = bp[:k*gemmNR]
-	for j := 0; j < gemmNR; j += 2 {
-		var c00, c01 float32
-		var c10, c11 float32
-		var c20, c21 float32
-		var c30, c31 float32
-		a, b := ap, bp
-		// K unrolled ×4: the slice-advance bookkeeping then amortizes over 32
-		// MACs instead of 8. Each accumulator still sums its k products in
-		// ascending order, so unrolling cannot change the result.
-		for len(a) >= 4*gemmMR && len(b) >= 4*gemmNR {
-			bj := b[j : j+3*gemmNR+2 : j+3*gemmNR+2]
-			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-			b0, b1 := bj[0], bj[1]
-			c00 += float32(a0 * b0)
-			c01 += float32(a0 * b1)
-			c10 += float32(a1 * b0)
-			c11 += float32(a1 * b1)
-			c20 += float32(a2 * b0)
-			c21 += float32(a2 * b1)
-			c30 += float32(a3 * b0)
-			c31 += float32(a3 * b1)
-			a0, a1, a2, a3 = a[4], a[5], a[6], a[7]
-			b0, b1 = bj[8], bj[9]
-			c00 += float32(a0 * b0)
-			c01 += float32(a0 * b1)
-			c10 += float32(a1 * b0)
-			c11 += float32(a1 * b1)
-			c20 += float32(a2 * b0)
-			c21 += float32(a2 * b1)
-			c30 += float32(a3 * b0)
-			c31 += float32(a3 * b1)
-			a0, a1, a2, a3 = a[8], a[9], a[10], a[11]
-			b0, b1 = bj[16], bj[17]
-			c00 += float32(a0 * b0)
-			c01 += float32(a0 * b1)
-			c10 += float32(a1 * b0)
-			c11 += float32(a1 * b1)
-			c20 += float32(a2 * b0)
-			c21 += float32(a2 * b1)
-			c30 += float32(a3 * b0)
-			c31 += float32(a3 * b1)
-			a0, a1, a2, a3 = a[12], a[13], a[14], a[15]
-			b0, b1 = bj[24], bj[25]
-			c00 += float32(a0 * b0)
-			c01 += float32(a0 * b1)
-			c10 += float32(a1 * b0)
-			c11 += float32(a1 * b1)
-			c20 += float32(a2 * b0)
-			c21 += float32(a2 * b1)
-			c30 += float32(a3 * b0)
-			c31 += float32(a3 * b1)
-			a = a[4*gemmMR:]
-			b = b[4*gemmNR:]
-		}
-		for len(a) >= gemmMR && len(b) >= gemmNR {
-			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-			b0, b1 := b[j], b[j+1]
-			c00 += float32(a0 * b0)
-			c01 += float32(a0 * b1)
-			c10 += float32(a1 * b0)
-			c11 += float32(a1 * b1)
-			c20 += float32(a2 * b0)
-			c21 += float32(a2 * b1)
-			c30 += float32(a3 * b0)
-			c31 += float32(a3 * b1)
-			a = a[gemmMR:]
-			b = b[gemmNR:]
-		}
-		acc[0*gemmNR+j], acc[0*gemmNR+j+1] = c00, c01
-		acc[1*gemmNR+j], acc[1*gemmNR+j+1] = c10, c11
-		acc[2*gemmNR+j], acc[2*gemmNR+j+1] = c20, c21
-		acc[3*gemmNR+j], acc[3*gemmNR+j+1] = c30, c31
-	}
-}
-
-// gemmIndirectF32Go is gemmMicroF32Go over an indirection table: rows holds,
-// per segment s, the runs rows[4s+i] of tile row i, all len(rows[4s]) long,
+// gemmIndirectF32Go computes one 4×8 f32 tile in portable Go over a table of
+// A rows' runs: rows holds, per segment s, the runs rows[4s+i] of tile row i, all len(rows[4s]) long,
 // and the segments laid end to end are the tile's k = Σ runs, against which
 // bp holds one panel of 8k values. Then, at the store, each cell gets
 // bias[j] added (bias nil: none) and is clamped to [lo, hi] — v < lo
 // becomes lo, then v > hi becomes hi, as clampF32 does:
 // acc[i·8+j] = clamp(Σ_kk A_i[kk]·bp[kk·8+j] + bias[j]). It is the tile on
 // every architecture but amd64, and the oracle for the assembly there.
-// Each cell is one accumulator with k ascending, product then sum, so it is
-// bit-identical to gemmMicroF32Go over the packed panel of the same rows.
+// The tile is walked as four 4×2 column pairs — eight accumulators and six
+// operands, which stay in registers on a 16-register machine where 32
+// accumulators would spill on every step. Each cell is one accumulator with
+// k ascending, product then sum, so it is bit-identical to the naive dot
+// product of the same rows.
 //
 //np:hotpath
 func gemmIndirectF32Go(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32) {
@@ -300,72 +198,13 @@ func gemmIndirectF32Go(rows [][]float32, bp []float32, bias *[gemmWideNR]float32
 	}
 }
 
-// gemmF32 computes C[i·ldc+j] = Σ_k A[i·lda+k]·Bp[j][k] for i<m, j<n,
-// where bpack holds B packed at gemmNR (packPanels, or a weight's panels):
-// it packs A at gemmMR into pooled scratch and runs the panel loop. The
-// N-panels are split among workers in groups of gemmWidePanels, so a chunk
-// boundary never cuts a wide tile and only the last chunk has a tail.
-// Overwrite semantics; each cell's reduction is bit-identical to the naive
-// loop.
-func gemmF32(m, n, k int, a []float32, lda int, bpack []float32, c []float32, ldc int) {
-	if m <= 0 || n <= 0 {
-		return
-	}
-	apP := scratchF32.get(gemmTiles(m, gemmMR) * gemmMR * k)
-	packPanels(*apP, a, m, k, lda, gemmMR)
-	nt := gemmTiles(n, gemmNR)
-	gemmRegionF32.Run(gemmTiles(nt, gemmWidePanels), int64(m)*int64(n)*int64(k),
-		gemmGroupsF32{*apP, bpack, c, m, n, k, ldc, nt})
-	scratchF32.put(apP)
-}
-
-var gemmRegionF32 = parallel.NewRegion(gemmGroupsF32.run)
-
-// gemmGroupsF32 is gemmF32's panel loop and its closure data: run
-// covers panel groups [gLo, gHi) of gemmWidePanels panels.
-type gemmGroupsF32 struct {
-	ap, bpack, c      []float32
-	mb, n, k, ldc, nt int
-}
-
-func (g gemmGroupsF32) run(gLo, gHi int) {
-	w := gemmWidePanels
-	gemmPanelsF32(g.ap, g.bpack, g.c, g.mb, g.n, g.k, g.ldc, gLo*w, min(gHi*w, g.nt))
-}
-
-// gemmPanelsF32 runs the register tiles over N-panels [jtLo,jtHi) against
-// the mb packed LHS rows in ap and writes them into c (row stride ldc). It
-// walks the panels in groups of the widest tile that fits what is left —
-// gemmWidePanels adjacent panels, or the 4×8 tile for a last single one —
-// and for each group sweeps every A panel.
-//
-//np:hotpath
-func gemmPanelsF32(ap, bpack, c []float32, mb, n, k, ldc, jtLo, jtHi int) {
-	mt := gemmTiles(mb, gemmMR)
-	var acc [gemmMR * gemmWideNR]float32
-	for jt := jtLo; jt < jtHi; {
-		w := min(gemmWidePanels, jtHi-jt)
-		bp := bpack[jt*k*gemmNR : (jt+w)*k*gemmNR]
-		nj, ld := min(w*gemmNR, n-jt*gemmNR), w*gemmNR
-		for it := 0; it < mt; it++ {
-			gemmMicroF32Wide(w, ap[it*k*gemmMR:(it+1)*k*gemmMR], bp, &acc)
-			mi := min(gemmMR, mb-it*gemmMR)
-			for i := 0; i < mi; i++ {
-				row := c[(it*gemmMR+i)*ldc+jt*gemmNR:]
-				copy(row[:nj], acc[i*ld:])
-			}
-		}
-		jt += w
-	}
-}
-
 // ---- quantized variant: int16 pair panels, int32 accumulators ----
 
 // i16x2 is one k-pair of a quantized operand: two int16 values of
 // (raw − zero point), the even k in the low half. The quantized panels are
 // built of these units exactly as the float panels are built of float32
-// values — packPanels moves whole pairs — so an A panel holds, per k-pair,
-// the four rows' pairs, and a B panel the eight columns' pairs.
+// values — packPanels moves whole pairs — so a B panel holds, per k-pair,
+// the eight columns' pairs, and a run of A a row's pairs.
 type i16x2 uint32
 
 // pairOf packs two (raw − zp) values into one unit.
@@ -376,50 +215,13 @@ func (u i16x2) dot(v i16x2) int32 {
 	return int32(int16(u))*int32(int16(v)) + int32(int16(u>>16))*int32(int16(v>>16))
 }
 
-// gemmMicroI16Go computes one 4×8 tile of int32 sums over the full K extent
-// in portable Go: acc[i·8+j] = Σ_p ap[p·4+i]·bp[p·8+j], each term one pair
-// product-sum, with kp = len(ap)/4 pairs and bp at least 8kp long. It is
-// gemmMicroI16 on every architecture but amd64 and the oracle for the
-// assembly there. Like gemmMicroF32Go it walks the tile as four 4×2 column
-// pairs so the eight accumulators stay in registers.
-//
-//np:hotpath
-func gemmMicroI16Go(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
-	kp := len(ap) / gemmMR
-	ap = ap[:kp*gemmMR]
-	bp = bp[:kp*gemmNR]
-	for j := 0; j < gemmNR; j += 2 {
-		var c00, c01 int32
-		var c10, c11 int32
-		var c20, c21 int32
-		var c30, c31 int32
-		a, b := ap, bp
-		for len(a) >= gemmMR && len(b) >= gemmNR {
-			a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-			b0, b1 := b[j], b[j+1]
-			c00 += a0.dot(b0)
-			c01 += a0.dot(b1)
-			c10 += a1.dot(b0)
-			c11 += a1.dot(b1)
-			c20 += a2.dot(b0)
-			c21 += a2.dot(b1)
-			c30 += a3.dot(b0)
-			c31 += a3.dot(b1)
-			a = a[gemmMR:]
-			b = b[gemmNR:]
-		}
-		acc[0*gemmNR+j], acc[0*gemmNR+j+1] = c00, c01
-		acc[1*gemmNR+j], acc[1*gemmNR+j+1] = c10, c11
-		acc[2*gemmNR+j], acc[2*gemmNR+j+1] = c20, c21
-		acc[3*gemmNR+j], acc[3*gemmNR+j+1] = c30, c31
-	}
-}
-
-// gemmIndirectI16Go is gemmMicroI16Go over an indirection table, laid out
-// as gemmIndirectF32Go's: per segment the four rows' runs of k-pairs, the
-// segments laid end to end the tile's kp pairs, bp one panel of 8kp pairs.
-// It is the quantized tile on every architecture but amd64 and the oracle
-// for the assembly there; its sums are stored as they are.
+// gemmIndirectI16Go computes one 4×8 tile of int32 sums in portable Go over
+// a table laid out as gemmIndirectF32Go's: per segment the four rows' runs
+// of k-pairs, the segments laid end to end the tile's kp pairs, bp one panel
+// of 8kp pairs, each term one pair product-sum:
+// acc[i·8+j] = Σ_p A_i[p]·bp[p·8+j]. It is the quantized tile on every
+// architecture but amd64 and the oracle for the assembly there; its sums are
+// stored as they are.
 //
 //np:hotpath
 func gemmIndirectI16Go(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
@@ -450,53 +252,6 @@ func gemmIndirectI16Go(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32) 
 		acc[1*gemmNR+j], acc[1*gemmNR+j+1] = c10, c11
 		acc[2*gemmNR+j], acc[2*gemmNR+j+1] = c20, c21
 		acc[3*gemmNR+j], acc[3*gemmNR+j+1] = c30, c31
-	}
-}
-
-// gemmI32 is gemmF32 for the quantized operands: A is m rows of kp pairs
-// (row stride lda), B packed at gemmNR, C int32.
-func gemmI32(m, n, kp int, a []i16x2, lda int, bpack []i16x2, c []int32, ldc int) {
-	if m <= 0 || n <= 0 {
-		return
-	}
-	apP := scratchPairs.get(gemmTiles(m, gemmMR) * gemmMR * kp)
-	packPanels(*apP, a, m, kp, lda, gemmMR)
-	gemmRegionI32.Run(gemmTiles(n, gemmNR), 2*int64(m)*int64(n)*int64(kp),
-		gemmPanelsI32Args{*apP, bpack, c, m, n, kp, ldc})
-	scratchPairs.put(apP)
-}
-
-var gemmRegionI32 = parallel.NewRegion(gemmPanelsI32Args.run)
-
-// gemmPanelsI32Args is gemmI32's panel loop and its closure data; its
-// work counts each k-pair as two MACs.
-type gemmPanelsI32Args struct {
-	ap, bpack      []i16x2
-	c              []int32
-	mb, n, kp, ldc int
-}
-
-func (g gemmPanelsI32Args) run(jtLo, jtHi int) {
-	gemmPanelsI32(g.ap, g.bpack, g.c, g.mb, g.n, g.kp, g.ldc, jtLo, jtHi)
-}
-
-// gemmPanelsI32 is gemmPanelsF32 for the quantized operands.
-//
-//np:hotpath
-func gemmPanelsI32(ap, bpack []i16x2, c []int32, mb, n, kp, ldc, jtLo, jtHi int) {
-	mt := gemmTiles(mb, gemmMR)
-	var acc [gemmMR * gemmNR]int32
-	for jt := jtLo; jt < jtHi; jt++ {
-		bp := bpack[jt*kp*gemmNR : (jt+1)*kp*gemmNR]
-		nj := min(gemmNR, n-jt*gemmNR)
-		for it := 0; it < mt; it++ {
-			gemmMicroI16(ap[it*kp*gemmMR:(it+1)*kp*gemmMR], bp, &acc)
-			mi := min(gemmMR, mb-it*gemmMR)
-			for i := 0; i < mi; i++ {
-				row := c[(it*gemmMR+i)*ldc+jt*gemmNR:]
-				copy(row[:nj], acc[i*gemmNR:])
-			}
-		}
 	}
 }
 

@@ -21,47 +21,10 @@ var gemmWidePanels = func() int {
 	return 1
 }()
 
-// gemmMicroF32 computes one 4×8 f32 register tile over the full K extent:
-// acc[i·8+j] = Σ_kk ap[kk·4+i]·bp[kk·8+j], k = len(ap)/4, bp at least 8k
-// long. It runs the AVX tile where the CPU has one and the SSE2 tile
-// elsewhere; both are bit-identical to gemmMicroF32Go.
-func gemmMicroF32(ap, bp []float32, acc *[gemmMR * gemmNR]float32) {
-	if cpuid.AVX {
-		gemmMicroF32AVX(ap, bp, acc)
-	} else {
-		gemmMicroF32SSE2(ap, bp, acc)
-	}
-}
-
-// gemmMicroF32Wide computes the tile over panels adjacent B panels (1 or
-// 2, at most gemmWidePanels): row i of it, panels·8 columns, lands at
-// acc[i·panels·8:]. bp holds the panels back to back, 8k values each.
-//
-//np:hotpath
-func gemmMicroF32Wide(panels int, ap, bp []float32, acc *[gemmMR * gemmWideNR]float32) {
-	if panels == 2 {
-		gemmMicroF32YMM(ap, bp[:2*gemmNR*(len(ap)/gemmMR)], acc)
-	} else {
-		gemmMicroF32(ap, bp, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
-	}
-}
-
-// gemmMicroF32AVX, gemmMicroF32SSE2 and gemmMicroF32YMM are the tiles of
-// gemm_amd64.s.
-//
-//go:noescape
-func gemmMicroF32AVX(ap, bp []float32, acc *[gemmMR * gemmNR]float32)
-
-//go:noescape
-func gemmMicroF32SSE2(ap, bp []float32, acc *[gemmMR * gemmNR]float32)
-
-//go:noescape
-func gemmMicroF32YMM(ap, bp []float32, acc *[gemmMR * gemmWideNR]float32)
-
-// gemmIndirectF32 computes one indirect f32 tile (gemmIndirectF32Go's
-// contract) over panels adjacent B panels (1 or 2, at most gemmWidePanels):
-// row i of it, panels·8 columns, lands at acc[i·panels·8:], and bias holds
-// panels·8 values. bp holds the panels back to back, 8k values each. Two
+// gemmIndirectF32 computes one f32 tile (gemmIndirectF32Go's contract) over
+// panels adjacent B panels (1 or 2, at most gemmWidePanels): row i of it,
+// panels·8 columns, lands at acc[i·panels·8:], and bias holds panels·8
+// values. bp holds the panels back to back, 8k values each. Two
 // panels run the YMM tile; one the AVX tile where the CPU has one, else the
 // SSE2 tile. All three are bit-identical to gemmIndirectF32Go.
 //
@@ -79,8 +42,8 @@ func gemmIndirectF32(panels int, rows [][]float32, bp []float32, bias *[gemmWide
 }
 
 // gemmIndirectF32YMM, gemmIndirectF32AVX and gemmIndirectF32SSE2 are the
-// indirect f32 tiles of gemm_amd64.s. Each reads its table's segments and
-// bp's k rows, and nothing past them: the YMM tile's second panel starts at
+// f32 tiles of gemm_amd64.s. Each reads its table's segments and bp's k
+// rows, and nothing past them: the YMM tile's second panel starts at
 // bp[len(bp)/2], so bp must hold exactly the two panels.
 //
 //go:noescape
@@ -92,33 +55,19 @@ func gemmIndirectF32AVX(rows [][]float32, bp []float32, bias *[gemmWideNR]float3
 //go:noescape
 func gemmIndirectF32SSE2(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)
 
-// gemmIndirectI16 computes one indirect 4×8 tile of int32 sums
-// (gemmIndirectI16Go's contract) by the PMADDWD body, baseline SSE2.
+// gemmIndirectI16 computes one 4×8 tile of int32 sums (gemmIndirectI16Go's
+// contract) by the PMADDWD body. It is the amd64 baseline, so there is
+// nothing to test for.
 //
 //np:hotpath
 func gemmIndirectI16(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
 	gemmIndirectI16SSE2(rows, bp, acc)
 }
 
-// gemmIndirectI16SSE2 is the indirect PMADDWD tile of gemm_amd64.s.
+// gemmIndirectI16SSE2 is the PMADDWD tile of gemm_amd64.s.
 //
 //go:noescape
 func gemmIndirectI16SSE2(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32)
-
-// gemmMicroI16 computes one 4×8 tile of int32 sums over kp = len(ap)/4
-// k-pairs: acc[i·8+j] = Σ_p ap[p·4+i]·bp[p·8+j], each term a pair
-// product-sum. The SSE2 tile is the amd64 baseline, so there is nothing to
-// test for; it is bit-identical to gemmMicroI16Go.
-//
-//np:hotpath
-func gemmMicroI16(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
-	gemmMicroI16SSE2(ap, bp, acc)
-}
-
-// gemmMicroI16SSE2 is the PMADDWD tile of gemm_amd64.s.
-//
-//go:noescape
-func gemmMicroI16SSE2(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32)
 
 // mulAddRowVec runs mulAddRow's out[o] += x[o]·k[o] over the leading
 // multiple of eight channels in YMM vectors where the CPU has AVX2, and

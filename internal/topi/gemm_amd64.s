@@ -1,258 +1,22 @@
 #include "textflag.h"
 
-// The f32 register tiles for amd64, the quantized pair tile, their indirect
-// twins, the depthwise row's vector bodies and the requantize epilogue's. See gemm.go for the
+// The f32 register tiles for amd64, the quantized pair tile, the depthwise
+// row's vector bodies and the requantize epilogue's. See gemm.go for the
 // panel layouts and the multiply-then-add rule, fused.go for the epilogue.
 
-// gemmMicroF32SSE2 is the tile on the architecture's baseline.
-//
-// X0..X7 hold the 4×8 tile: row i is X(2i) (columns 0–3) and X(2i+1)
-// (columns 4–7). Per k step X8/X9 take the eight B values and ROW broadcasts
-// one A value into X10/X11, multiplies and then adds — two roundings per
-// step, as the Go kernels do. No FMA.
-
-#define ROW(off, lo, hi) \
-	MOVSS  off(SI), X10 \
-	SHUFPS $0, X10, X10 \
-	MOVAPS X10, X11     \
-	MULPS  X8, X10      \
-	MULPS  X9, X11      \
-	ADDPS  X10, lo      \
-	ADDPS  X11, hi
-
-// func gemmMicroF32SSE2(ap, bp []float32, acc *[32]float32)
-//
-// k = len(ap)/4; bp must hold at least 8k values. With k == 0 neither panel
-// is read and acc is zeroed.
-TEXT ·gemmMicroF32SSE2(SB), NOSPLIT, $0-56
-	MOVQ  ap_base+0(FP), SI
-	MOVQ  ap_len+8(FP), CX
-	MOVQ  bp_base+24(FP), DX
-	MOVQ  acc+48(FP), DI
-	SHRQ  $2, CX
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	TESTQ CX, CX
-	JZ    store
-
-loop:
-	MOVUPS (DX), X8
-	MOVUPS 16(DX), X9
-	ROW(0, X0, X1)
-	ROW(4, X2, X3)
-	ROW(8, X4, X5)
-	ROW(12, X6, X7)
-	ADDQ   $16, SI
-	ADDQ   $32, DX
-	DECQ   CX
-	JNZ    loop
-
-store:
-	MOVUPS X0, (DI)
-	MOVUPS X1, 16(DI)
-	MOVUPS X2, 32(DI)
-	MOVUPS X3, 48(DI)
-	MOVUPS X4, 64(DI)
-	MOVUPS X5, 80(DI)
-	MOVUPS X6, 96(DI)
-	MOVUPS X7, 112(DI)
-	RET
-
-// gemmMicroF32AVX is the same tile at full YMM width (AVX1 only).
-//
-// Y0..Y3 hold the 4×8 tile, one register per A row, one lane per output
-// cell. Per k step Y4 takes the eight B values, and VROW broadcasts one A
-// value, multiplies and then adds — two roundings per step, the same
-// operations in the same order as the SSE2 tile. No FMA. Each row has its own
-// temporary so the four multiplies are independent.
-
-#define VROW(off, tmp, acc) \
-	VBROADCASTSS off(SI), tmp \
-	VMULPS       Y4, tmp, tmp \
-	VADDPS       tmp, acc, acc
-
-// func gemmMicroF32AVX(ap, bp []float32, acc *[32]float32)
-//
-// Same contract as gemmMicroF32SSE2.
-TEXT ·gemmMicroF32AVX(SB), NOSPLIT, $0-56
-	MOVQ   ap_base+0(FP), SI
-	MOVQ   ap_len+8(FP), CX
-	MOVQ   bp_base+24(FP), DX
-	MOVQ   acc+48(FP), DI
-	SHRQ   $2, CX
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	TESTQ  CX, CX
-	JZ     vstore
-
-vloop:
-	VMOVUPS (DX), Y4
-	VROW(0, Y5, Y0)
-	VROW(4, Y6, Y1)
-	VROW(8, Y7, Y2)
-	VROW(12, Y8, Y3)
-	ADDQ    $16, SI
-	ADDQ    $32, DX
-	DECQ    CX
-	JNZ     vloop
-
-vstore:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VZEROUPPER
-	RET
-
-// gemmMicroF32YMM is the 4×16 tile over two adjacent B panels (AVX1 only).
-//
-// Y0..Y7 hold the tile: row i is Y(2i) (the first panel's eight columns) and
-// Y(2i+1) (the second panel's). Per k step Y8 and Y9 take one k row of each
-// panel, and WROW broadcasts one A value, multiplies it against both and
-// then adds — two roundings per step, as every other tile does. No FMA.
-// Eight independent accumulator chains cover VADDPS's latency where the
-// 4×8 tile's four do not. Rows alternate their temporaries.
-
-#define WROW(off, t0, t1, lo, hi) \
-	VBROADCASTSS off(SI), t0 \
-	VMULPS       Y8, t0, t1  \
-	VMULPS       Y9, t0, t0  \
-	VADDPS       t1, lo, lo  \
-	VADDPS       t0, hi, hi
-
-// func gemmMicroF32YMM(ap, bp []float32, acc *[64]float32)
-//
-// k = len(ap)/4; bp holds two panels of 8k values, the second at bp[8k:].
-// Row i of the tile lands in acc[16i : 16i+16]. With k == 0 neither panel is
-// read and the tile is zeroed.
-TEXT ·gemmMicroF32YMM(SB), NOSPLIT, $0-56
-	MOVQ   ap_base+0(FP), SI
-	MOVQ   ap_len+8(FP), CX
-	MOVQ   bp_base+24(FP), DX
-	MOVQ   acc+48(FP), DI
-	SHRQ   $2, CX
-	MOVQ   CX, R8
-	SHLQ   $5, R8           // one panel: 8k floats
-	ADDQ   DX, R8           // second panel
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	TESTQ  CX, CX
-	JZ     wstore
-
-wloop:
-	VMOVUPS (DX), Y8
-	VMOVUPS (R8), Y9
-	WROW(0, Y10, Y11, Y0, Y1)
-	WROW(4, Y12, Y13, Y2, Y3)
-	WROW(8, Y14, Y15, Y4, Y5)
-	WROW(12, Y10, Y11, Y6, Y7)
-	ADDQ    $16, SI
-	ADDQ    $32, DX
-	ADDQ    $32, R8
-	DECQ    CX
-	JNZ     wloop
-
-wstore:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VMOVUPS Y4, 128(DI)
-	VMOVUPS Y5, 160(DI)
-	VMOVUPS Y6, 192(DI)
-	VMOVUPS Y7, 224(DI)
-	VZEROUPPER
-	RET
-
-// gemmMicroI16SSE2 is the quantized tile: int16 k-pairs in, int32 sums out.
-//
-// X0..X7 hold the 4×8 tile of int32 sums as the SSE2 f32 tile holds its
-// floats: row i is X(2i) (columns 0–3) and X(2i+1) (columns 4–7). Per k-pair
-// X8 takes the four rows' pairs, X9/X10 the eight columns' pairs, and IROW
-// broadcasts row sel's pair to every lane (PSHUFD), multiplies it against
-// both column vectors and adds each lane's two products (PMADDWD, PMADDWL to
-// the Go assembler), then accumulates (PADDD, PADDL). The operands are
-// (raw − zp) of 8-bit data, within ±255, so a pair sum fits int32 and the
-// wrapping int32 adds are the Go tile's.
-
-#define IROW(sel, lo, hi) \
-	PSHUFD  $sel, X8, X11 \
-	MOVO    X11, X12      \
-	PMADDWL X9, X11       \
-	PMADDWL X10, X12      \
-	PADDL   X11, lo       \
-	PADDL   X12, hi
-
-// func gemmMicroI16SSE2(ap, bp []i16x2, acc *[32]int32)
-//
-// kp = len(ap)/4 k-pairs; bp must hold at least 8kp pairs. With kp == 0
-// neither panel is read and acc is zeroed.
-TEXT ·gemmMicroI16SSE2(SB), NOSPLIT, $0-56
-	MOVQ  ap_base+0(FP), SI
-	MOVQ  ap_len+8(FP), CX
-	MOVQ  bp_base+24(FP), DX
-	MOVQ  acc+48(FP), DI
-	SHRQ  $2, CX
-	PXOR  X0, X0
-	PXOR  X1, X1
-	PXOR  X2, X2
-	PXOR  X3, X3
-	PXOR  X4, X4
-	PXOR  X5, X5
-	PXOR  X6, X6
-	PXOR  X7, X7
-	TESTQ CX, CX
-	JZ    istore
-
-iloop:
-	MOVOU (SI), X8
-	MOVOU (DX), X9
-	MOVOU 16(DX), X10
-	IROW(0x00, X0, X1)
-	IROW(0x55, X2, X3)
-	IROW(0xAA, X4, X5)
-	IROW(0xFF, X6, X7)
-	ADDQ  $16, SI
-	ADDQ  $32, DX
-	DECQ  CX
-	JNZ   iloop
-
-istore:
-	MOVOU X0, (DI)
-	MOVOU X1, 16(DI)
-	MOVOU X2, 32(DI)
-	MOVOU X3, 48(DI)
-	MOVOU X4, 64(DI)
-	MOVOU X5, 80(DI)
-	MOVOU X6, 96(DI)
-	MOVOU X7, 112(DI)
-	RET
-
-// The indirect tiles. Each takes, in place of an A panel, a table of the
-// tile's four row runs per segment (conv_indirect.go): entry 4s+i is the
-// slice header of row i's run in segment s, so at 24(4s+i) bytes its
-// pointer and at 24(4s)+8 the segment's length, which the four runs share.
-// Per segment the body loads the four pointers once, then runs the k steps
-// of its packed twin — the same loads of B, the same broadcast, multiply,
-// then add — indexing each run by AX. The segments laid end to end are the
-// tile's k, so B advances across them unbroken. At the store the f32 tiles
-// add the bias (bias == nil: none), then clamp: max(lo, v) then min(hi, ·),
-// whose operand order keeps v wherever it is NaN or equal to the bound —
-// clampF32's v < lo and v > hi.
+// The tiles. Each takes, for A, a table of the tile's four row runs per
+// segment (conv_indirect.go): entry 4s+i is the slice header of row i's run
+// in segment s, so at 24(4s+i) bytes its pointer and at 24(4s)+8 the
+// segment's length, which the four runs share. Per segment the body loads
+// the four pointers once, then runs the segment's k steps — per step one
+// load of each B panel's eight values, then per row a broadcast of its A
+// value, a multiply and then an add: two roundings per step, as the Go
+// tiles do, never an FMA — indexing each run by AX. The segments laid end
+// to end are the tile's k, so B advances across them unbroken. With no
+// segment, or only empty ones, the accumulators stay zero. At the store the
+// f32 tiles add the bias (bias == nil: none), then clamp: max(lo, v) then
+// min(hi, ·), whose operand order keeps v wherever it is NaN or equal to the
+// bound — clampF32's v < lo and v > hi.
 
 #define IWROW(p, t0, t1, lo, hi) \
 	VBROADCASTSS (p)(AX*4), t0 \
@@ -267,8 +31,14 @@ istore:
 
 // func gemmIndirectF32YMM(rows [][]float32, bp []float32, bias *[16]float32, lo, hi float32, acc *[64]float32)
 //
-// gemmMicroF32YMM over a table: bp holds two panels of 8k values, the second
-// at bp[len(bp)/2:]. Row i of the tile lands in acc[16i : 16i+16].
+// The 4×16 tile over two adjacent B panels (AVX1 only): bp holds two panels
+// of 8k values, the second at bp[len(bp)/2:]. Y0..Y7 hold the tile: row i is
+// Y(2i) (the first panel's eight columns) and Y(2i+1) (the second panel's).
+// Per k step Y8 and Y9 take one k row of each panel, and IWROW broadcasts
+// one A value, multiplies it against both and then adds. Eight independent
+// accumulator chains cover VADDPS's latency where the 4×8 tile's four do
+// not. Rows alternate their temporaries. Row i of the tile lands in
+// acc[16i : 16i+16].
 TEXT ·gemmIndirectF32YMM(SB), NOSPLIT, $0-72
 	MOVQ   rows_base+0(FP), SI
 	MOVQ   rows_len+8(FP), BX
@@ -361,7 +131,11 @@ yiclamp:
 
 // func gemmIndirectF32AVX(rows [][]float32, bp []float32, bias *[16]float32, lo, hi float32, acc *[32]float32)
 //
-// gemmMicroF32AVX over a table; bias is read for its first 8 values.
+// The 4×8 tile at full YMM width (AVX1 only). Y0..Y3 hold the tile, one
+// register per A row, one lane per output cell. Per k step Y4 takes the
+// eight B values, and IVROW broadcasts one A value, multiplies and then
+// adds; each row has its own temporary so the four multiplies are
+// independent. bias is read for its first 8 values.
 TEXT ·gemmIndirectF32AVX(SB), NOSPLIT, $0-72
 	MOVQ   rows_base+0(FP), SI
 	MOVQ   rows_len+8(FP), BX
@@ -442,7 +216,10 @@ viclamp:
 
 // func gemmIndirectF32SSE2(rows [][]float32, bp []float32, bias *[16]float32, lo, hi float32, acc *[32]float32)
 //
-// gemmMicroF32SSE2 over a table; bias is read for its first 8 values.
+// The 4×8 tile on the architecture's baseline. X0..X7 hold the tile: row i
+// is X(2i) (columns 0–3) and X(2i+1) (columns 4–7). Per k step X8/X9 take
+// the eight B values and SIROW broadcasts one A value into X10/X11,
+// multiplies and then adds. bias is read for its first 8 values.
 TEXT ·gemmIndirectF32SSE2(SB), NOSPLIT, $0-72
 	MOVQ  rows_base+0(FP), SI
 	MOVQ  rows_len+8(FP), BX
@@ -536,9 +313,15 @@ siclamp:
 
 // func gemmIndirectI16SSE2(rows [][]i16x2, bp []i16x2, acc *[32]int32)
 //
-// gemmMicroI16SSE2 over a table of k-pair runs: per pair one MOVSS of each
-// row's pair and a PSHUFD broadcast in place of the panel load's four
-// selectors.
+// The quantized tile over a table of k-pair runs: int16 k-pairs in, int32
+// sums out. X0..X7 hold the 4×8 tile of int32 sums as the SSE2 f32 tile
+// holds its floats: row i is X(2i) (columns 0–3) and X(2i+1) (columns 4–7).
+// Per k-pair X9/X10 take the eight columns' pairs, and IIROW loads one row's
+// pair (MOVSS), broadcasts it to every lane (PSHUFD), multiplies it against
+// both column vectors and adds each lane's two products (PMADDWD, PMADDWL
+// to the Go assembler), then accumulates (PADDD, PADDL). The operands are
+// (raw − zp) of 8-bit data, within ±255, so a pair sum fits int32 and the
+// wrapping int32 adds are the Go tile's.
 TEXT ·gemmIndirectI16SSE2(SB), NOSPLIT, $0-56
 	MOVQ  rows_base+0(FP), SI
 	MOVQ  rows_len+8(FP), BX

@@ -93,16 +93,16 @@ func TestGemmF32MatchesNaive(t *testing.T) {
 		t.Run(fmt.Sprintf("m%d_n%d_k%d", m, n, k), func(t *testing.T) {
 			a, bpack, want := gemmF32Case(rng, m, n, k, k, n)
 			got := make([]float32, m*n)
-			gemmF32(m, n, k, a, k, bpack, got, n)
+			denseLaunchF32(m, n, k, a, k, bpack, got, n, epilogueF32{})
 			if i, ok := sameF32Bits(got, want); !ok {
-				t.Fatalf("c[%d]: blocked %v != naive %v", i, got[i], want[i])
+				t.Fatalf("c[%d]: dense %v != naive %v", i, got[i], want[i])
 			}
 		})
 	}
 }
 
 func TestGemmF32StridedOperands(t *testing.T) {
-	// lda > k and ldc > n: the packed kernel must respect leading
+	// lda > k and ldc > n: the dense launch must respect leading
 	// dimensions when A rows and C rows are embedded in wider buffers, and
 	// must leave the cells between C rows alone.
 	rng := rand.New(rand.NewSource(11))
@@ -111,9 +111,9 @@ func TestGemmF32StridedOperands(t *testing.T) {
 		lda, ldc := k+5, n+3
 		a, bpack, want := gemmF32Case(rng, m, n, k, lda, ldc)
 		got := make([]float32, m*ldc)
-		gemmF32(m, n, k, a, lda, bpack, got, ldc)
+		denseLaunchF32(m, n, k, a, lda, bpack, got, ldc, epilogueF32{})
 		if i, ok := sameF32Bits(got, want); !ok {
-			t.Fatalf("m%d n%d k%d: c[%d,%d]: blocked %v != naive %v", m, n, k, i/ldc, i%ldc, got[i], want[i])
+			t.Fatalf("m%d n%d k%d: c[%d,%d]: dense %v != naive %v", m, n, k, i/ldc, i%ldc, got[i], want[i])
 		}
 	}
 }
@@ -130,162 +130,46 @@ var tileValues = []float32{
 	math.Float32frombits(0x7fc00011), math.Float32frombits(0xffc00022),
 }
 
-// tileKernel is one f32 register-tile entry point: it spans panels adjacent
-// B panels and writes row i of its tile at acc[i·panels·8:]. needs names the
-// CPU feature it runs on; skip marks one this CPU lacks.
-type tileKernel struct {
-	name   string
-	panels int
-	run    func(ap, bp []float32, acc *[gemmMR * gemmWideNR]float32)
-	needs  string
-	skip   bool
-}
-
-// narrowTile adapts a 4×8 tile to the wide tiles' accumulator buffer.
-func narrowTile(tile func(ap, bp []float32, acc *[gemmMR * gemmNR]float32)) func(ap, bp []float32, acc *[gemmMR * gemmWideNR]float32) {
-	return func(ap, bp []float32, acc *[gemmMR * gemmWideNR]float32) {
-		tile(ap, bp, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
-	}
-}
-
-// TestGemmMicroF32Tile pins each register tile of tileKernels (on amd64 every
-// assembly tile separately, and the dispatched gemmMicroF32 and
-// gemmMicroF32Wide) panel by panel against gemmMicroF32Go and the naive
-// per-cell loop, on every bit, for every k through the ×4 unroll boundaries
-// and a few long reductions. A NaN cell must be NaN in all of them; its
-// payload is not compared (which operand's payload survives is the
-// instruction's choice).
-func TestGemmMicroF32Tile(t *testing.T) {
-	for _, kern := range tileKernels {
-		t.Run(kern.name, func(t *testing.T) {
-			if kern.skip {
-				t.Skipf("%s tile not run: the CPU lacks %s or the OS does not save its register state", kern.name, kern.needs)
-			}
-			testMicroF32Tile(t, kern)
-		})
-	}
-}
-
-func testMicroF32Tile(t *testing.T, kern tileKernel) {
-	const tile = gemmMR * gemmNR
-	ld := kern.panels * gemmNR
-	rng := rand.New(rand.NewSource(23))
-	ks := []int{128, 576, 1000, 4097}
-	for k := 0; k <= 67; k++ {
-		ks = append(ks, k)
-	}
-	draw := func(finiteOnly bool) float32 {
-		if rng.Intn(3) == 0 {
-			return rng.Float32()*2 - 1
-		}
-		v := tileValues[rng.Intn(len(tileValues))]
-		if finiteOnly && (v != v || math.IsInf(float64(v), 0)) {
-			return 0.75
-		}
-		return v
-	}
-	for _, k := range ks {
-		for round := 0; round < 4; round++ {
-			// Odd rounds keep infinities and NaN out so that most cells stay
-			// non-NaN and the denormal and signed-zero sums are compared.
-			ap := make([]float32, k*gemmMR)
-			bp := make([]float32, kern.panels*k*gemmNR)
-			for i := range ap {
-				ap[i] = draw(round%2 == 1)
-			}
-			for i := range bp {
-				bp[i] = draw(round%2 == 1)
-			}
-			// Guard cells on both sides of acc, and acc's cells past the
-			// tile: the kernel writes the tile and nothing else. Start from
-			// garbage: k == 0 must write zeros.
-			var got struct {
-				pre  [4]float32
-				acc  [gemmMR * gemmWideNR]float32
-				post [4]float32
-			}
-			for i := range got.acc {
-				got.acc[i] = 42
-			}
-			got.pre, got.post = [4]float32{1, 2, 3, 4}, [4]float32{5, 6, 7, 8}
-			kern.run(ap, bp, &got.acc)
-			if got.pre != [4]float32{1, 2, 3, 4} || got.post != [4]float32{5, 6, 7, 8} {
-				t.Fatalf("k=%d: %s wrote outside acc", k, kern.name)
-			}
-			for c := gemmMR * ld; c < len(got.acc); c++ {
-				if got.acc[c] != 42 {
-					t.Fatalf("k=%d: %s wrote acc[%d], past its %d×%d tile", k, kern.name, c, gemmMR, ld)
-				}
-			}
-			for p := 0; p < kern.panels; p++ {
-				pb := bp[p*k*gemmNR : (p+1)*k*gemmNR]
-				var want, gok [tile]float32
-				for i := 0; i < gemmMR; i++ {
-					for j := 0; j < gemmNR; j++ {
-						var acc float32
-						for kk := 0; kk < k; kk++ {
-							acc += float32(ap[kk*gemmMR+i] * pb[kk*gemmNR+j])
-						}
-						want[i*gemmNR+j] = acc
-					}
-				}
-				for i := range gok {
-					gok[i] = 42
-				}
-				gemmMicroF32Go(ap, pb, &gok)
-				for c, w := range want {
-					i, j := c/gemmNR, c%gemmNR
-					for _, r := range []struct {
-						name string
-						got  float32
-					}{{kern.name, got.acc[i*ld+p*gemmNR+j]}, {"gemmMicroF32Go", gok[c]}} {
-						bothNaN := w != w && r.got != r.got
-						if !bothNaN && math.Float32bits(r.got) != math.Float32bits(w) {
-							t.Fatalf("k=%d panel %d cell %d: %s = %v (%#08x), naive %v (%#08x)",
-								k, p, c, r.name, r.got, math.Float32bits(r.got), w, math.Float32bits(w))
-						}
-					}
-				}
-			}
-		}
-	}
-	// k == 0 with nil panels: nothing to read, zeros written.
-	var acc [gemmMR * gemmWideNR]float32
-	acc[0], acc[gemmMR*ld-1] = 9, 9
-	kern.run(nil, nil, &acc)
-	if acc != [gemmMR * gemmWideNR]float32{} {
-		t.Fatalf("k=0 on nil panels: %s acc = %v, want zeros", kern.name, acc)
-	}
-}
-
-// TestGemmPanelsF32Spans drives the panel walk over every N-panel range
-// [jtLo, jtHi) — odd starts included — for n = 1…40, so the widest tile,
-// each narrower tile of the tail and a last panel cut short by n all run,
-// against the naive loop: the range's columns equal it bitwise and every
-// other cell of C is left alone.
-func TestGemmPanelsF32Spans(t *testing.T) {
+// TestDenseSplitMatchesSerial drives the dense launch's panel loop over
+// every chunk [gLo, gHi) of panel groups — every boundary a split can put,
+// odd starts included — for n = 1…40 under a bias and a clamp to [0, 0.5].
+// The launch on one worker equals the naive loop followed by the staged bias
+// add and clampF32, and each chunk's columns equal that launch bit for bit,
+// the bias taken from the chunk's own channels, while every other cell of C
+// is left alone.
+func TestDenseSplitMatchesSerial(t *testing.T) {
+	old := parallel.SetMaxWorkers(1)
+	defer parallel.SetMaxWorkers(old)
 	rng := rand.New(rand.NewSource(29))
 	for n := 1; n <= 40; n++ {
 		for _, mk := range [][2]int{{1, 3}, {5, 17}, {7, 64}} {
 			m, k := mk[0], mk[1]
-			a, bpack, want := gemmF32Case(rng, m, n, k, k, n)
-			ap := make([]float32, gemmTiles(m, gemmMR)*gemmMR*k)
-			packPanels(ap, a, m, k, k, gemmMR)
-			nt := gemmTiles(n, gemmNR)
-			for lo := 0; lo < nt; lo++ {
-				for hi := lo + 1; hi <= nt; hi++ {
+			a, bpack, naive := gemmF32Case(rng, m, n, k, k, n)
+			ep := epilogueF32{bias: drawF32(rng, tensor.Shape{n}).F32(), act: true, clamp: newClampF32(0, 0.5)}
+			ep.apply(naive)
+			serial := make([]float32, m*n)
+			denseLaunchF32(m, n, k, a, k, bpack, serial, n, ep)
+			if i, ok := sameF32Bits(serial, naive); !ok {
+				t.Fatalf("m%d n%d k%d: c[%d,%d]: dense %v != naive then staged epilogue %v", m, n, k, i/n, i%n, serial[i], naive[i])
+			}
+			s := getIndirect[float32](new(sync.Pool), gemmTiles(m, gemmMR), 1, 0)
+			denseRows(s, a, m, k, k)
+			span := gemmWidePanels * gemmNR
+			groups := gemmTiles(n, span)
+			for lo := 0; lo < groups; lo++ {
+				for hi := lo + 1; hi <= groups; hi++ {
 					got := make([]float32, m*n)
 					for i := range got {
 						got[i] = 42
 					}
-					gemmPanelsF32(ap, bpack, got, m, n, k, n, lo, hi)
+					densePanelsF32{s.tiles, bpack, got, m, n, k, n, ep}.run(lo, hi)
 					for c := range got {
 						w := float32(42)
-						if j := c % n; j >= lo*gemmNR && j < hi*gemmNR {
-							w = want[c]
+						if j := c % n; j >= lo*span && j < hi*span {
+							w = serial[c]
 						}
 						if math.Float32bits(got[c]) != math.Float32bits(w) {
-							t.Fatalf("m%d n%d k%d panels [%d,%d): c[%d,%d] = %v, want %v",
+							t.Fatalf("m%d n%d k%d groups [%d,%d): c[%d,%d] = %v, want %v",
 								m, n, k, lo, hi, c/n, c%n, got[c], w)
 						}
 					}
@@ -312,8 +196,9 @@ func pairRows(src []int32, rows, k int) []i16x2 {
 	return dst
 }
 
-// TestGemmI32MatchesNaive: the quantized GEMM — operands at ±255 as k-pairs,
-// odd k padded — equals the naive int32 loop over the unpadded operands.
+// TestGemmI32MatchesNaive: the quantized dense launch — operands at ±255 as
+// k-pairs, odd k padded — equals the naive int32 loop over the unpadded
+// operands.
 func TestGemmI32MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, d := range gemmDims {
@@ -331,91 +216,13 @@ func TestGemmI32MatchesNaive(t *testing.T) {
 			bpack := make([]i16x2, gemmTiles(n, gemmNR)*gemmNR*kp)
 			packPanels(bpack, pairRows(b, n, k), n, kp, kp, gemmNR)
 			got := make([]int32, m*n)
-			gemmI32(m, n, kp, pairRows(a, m, k), kp, bpack, got, n)
+			denseLaunchI32(m, n, kp, pairRows(a, m, k), kp, bpack, got, n)
 			want := make([]int32, m*n)
 			naiveGemmI32(m, n, k, a, k, b, k, want, n)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("c[%d]: blocked %d != naive %d", i, got[i], want[i])
+					t.Fatalf("c[%d]: dense %d != naive %d", i, got[i], want[i])
 				}
-			}
-		})
-	}
-}
-
-// i16TileKernels are the quantized register tiles TestGemmMicroI16Tile runs
-// against gemmMicroI16Go and the naive loop: the dispatched gemmMicroI16
-// (on amd64 the PMADDWD assembly) and the Go tile itself.
-var i16TileKernels = []struct {
-	name string
-	run  func(ap, bp []i16x2, acc *[gemmMR * gemmNR]int32)
-}{{"gemmMicroI16", gemmMicroI16}, {"gemmMicroI16Go", gemmMicroI16Go}}
-
-// TestGemmMicroI16Tile pins the quantized tile on every k through both pair
-// parities and a long reduction: operands drawn at random from [−255, 255]
-// with a quarter of them at ±255 (the largest pair sums, 2·255² each),
-// panels of odd k padded with zeros, each cell equal to the naive int32 dot
-// product of the unpadded rows. The tile writes its 32 sums and nothing
-// else, and zeros on k == 0.
-func TestGemmMicroI16Tile(t *testing.T) {
-	const tile = gemmMR * gemmNR
-	rng := rand.New(rand.NewSource(47))
-	draw := func() int32 {
-		if rng.Intn(4) == 0 {
-			return int32(255 * (1 - 2*rng.Intn(2)))
-		}
-		return int32(rng.Intn(511) - 255)
-	}
-	for _, kern := range i16TileKernels {
-		t.Run(kern.name, func(t *testing.T) {
-			for _, k := range []int{0, 1, 2, 3, 4, 5, 17, 576} {
-				for round := 0; round < 4; round++ {
-					a := make([]int32, gemmMR*k)
-					b := make([]int32, gemmNR*k)
-					for i := range a {
-						a[i] = draw()
-					}
-					for i := range b {
-						b[i] = draw()
-					}
-					if round == 3 {
-						// Every product at its largest: the sums' extremes.
-						for i := range a {
-							a[i] = 255
-						}
-						for i := range b {
-							b[i] = -255
-						}
-					}
-					kp := pairsOf(k)
-					ap := make([]i16x2, gemmMR*kp)
-					bp := make([]i16x2, gemmNR*kp)
-					packPanels(ap, pairRows(a, gemmMR, k), gemmMR, kp, kp, gemmMR)
-					packPanels(bp, pairRows(b, gemmNR, k), gemmNR, kp, kp, gemmNR)
-					var want [tile]int32
-					naiveGemmI32(gemmMR, gemmNR, k, a, k, b, k, want[:], gemmNR)
-					var got struct {
-						pre  [4]int32
-						acc  [tile]int32
-						post [4]int32
-					}
-					for i := range got.acc {
-						got.acc[i] = 42
-					}
-					got.pre, got.post = [4]int32{1, 2, 3, 4}, [4]int32{5, 6, 7, 8}
-					kern.run(ap, bp, &got.acc)
-					if got.pre != [4]int32{1, 2, 3, 4} || got.post != [4]int32{5, 6, 7, 8} {
-						t.Fatalf("k=%d: %s wrote outside acc", k, kern.name)
-					}
-					if got.acc != want {
-						t.Fatalf("k=%d round %d: %s = %v, naive %v", k, round, kern.name, got.acc, want)
-					}
-				}
-			}
-			acc := [tile]int32{0: 9, tile - 1: 9}
-			kern.run(nil, nil, &acc)
-			if acc != [tile]int32{} {
-				t.Fatalf("k=0 on nil panels: %s acc = %v, want zeros", kern.name, acc)
 			}
 		})
 	}
@@ -423,7 +230,8 @@ func TestGemmMicroI16Tile(t *testing.T) {
 
 // TestGemmSerialPathDoesNotAllocate: when the budget answers "serial" — one
 // worker here, or a dense layer under an already split wavefront level —
-// the drivers call the panel loop directly, with no closure per call.
+// the dense launches call the panel loop directly, with no closure per call,
+// and take their row tables from the pools.
 func TestGemmSerialPathDoesNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
@@ -434,8 +242,8 @@ func TestGemmSerialPathDoesNotAllocate(t *testing.T) {
 	af, bf, cf := make([]float32, m*k), make([]float32, gemmTiles(n, gemmNR)*gemmNR*k), make([]float32, m*n)
 	ai, bi, ci := make([]i16x2, m*k), make([]i16x2, gemmTiles(n, gemmNR)*gemmNR*k), make([]int32, m*n)
 	for name, call := range map[string]func(){
-		"gemmF32": func() { gemmF32(m, n, k, af, k, bf, cf, n) },
-		"gemmI32": func() { gemmI32(m, n, k, ai, k, bi, ci, n) },
+		"denseLaunchF32": func() { denseLaunchF32(m, n, k, af, k, bf, cf, n, epilogueF32{}) },
+		"denseLaunchI32": func() { denseLaunchI32(m, n, k, ai, k, bi, ci, n) },
 	} {
 		if allocs := testing.AllocsPerRun(200, call); allocs != 0 {
 			t.Errorf("%s allocates %v times per call on the serial path, want 0", name, allocs)
@@ -588,9 +396,9 @@ func TestConvIm2colMatchesDirectQnn(t *testing.T) {
 	}
 }
 
-// indirectTileKernel is one indirect f32 tile entry point: like tileKernel,
-// it spans panels adjacent B panels and writes row i of its tile at
-// acc[i·panels·8:].
+// indirectTileKernel is one f32 tile entry point: it spans panels adjacent
+// B panels and writes row i of its tile at acc[i·panels·8:]. needs names the
+// CPU feature it runs on; skip marks one this CPU lacks.
 type indirectTileKernel struct {
 	name   string
 	panels int
@@ -599,14 +407,14 @@ type indirectTileKernel struct {
 	skip   bool
 }
 
-// narrowIndirect adapts a 4×8 indirect tile to the wide accumulator buffer.
+// narrowIndirect adapts a 4×8 tile to the wide accumulator buffer.
 func narrowIndirect(tile func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)) func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
 	return func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
 		tile(rows, bp, bias, lo, hi, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
 	}
 }
 
-// indirectTileCases are the geometries the indirect tile tests build their
+// indirectTileCases are the geometries the tile tests build convolution
 // tables from: left and right padded edges with a tail tile of two pixels,
 // stride 2 with a tail, a 1×1 with a one-pixel tail, a grouped and a
 // dilated geometry (tap segments only), and interior runs long enough to
@@ -620,10 +428,21 @@ var indirectTileCases = []convCase{
 	{name: "long-runs", n: 1, h: 4, w: 12, c: 40, oc: 8, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
 }
 
+// denseTileKs are the row lengths of the dense tables the tile tests run:
+// every k through 67, across the tiles' register blocking, and a few long
+// reductions.
+var denseTileKs = func() []int {
+	ks := []int{128, 576, 1000, 4097}
+	for k := 0; k <= 67; k++ {
+		ks = append(ks, k)
+	}
+	return ks
+}()
+
 // indirectTables runs indirectRow over every output row and group of g and
 // calls each with every tile's table.
 func indirectTables[T panelElem](g *convGeom, din []T, each func(rows [][]T)) {
-	s := getIndirect[T](new(sync.Pool), g)
+	s := getConvIndirect[T](new(sync.Pool), g)
 	for job := 0; job < len(din)/(g.h*g.w*g.c)*g.oh; job++ {
 		for grp := 0; grp < g.groups; grp++ {
 			indirectRow(s, din, g, job, grp)
@@ -634,8 +453,22 @@ func indirectTables[T panelElem](g *convGeom, din []T, each func(rows [][]T)) {
 	}
 }
 
-// storeEpilogues are the stores an indirect f32 tile is tested under: none,
-// a bias alone, relu with and without a bias, relu6 with one.
+// denseTables runs denseRows over three rows of k values of din (row
+// stride k+1, so the runs are not adjacent) and calls each with its one
+// tile's table, whose last row repeats the third.
+func denseTables[T panelElem](k int, din func() T, each func(rows [][]T)) {
+	const m = 3
+	a := make([]T, m*(k+1))
+	for i := range a {
+		a[i] = din()
+	}
+	s := getIndirect[T](new(sync.Pool), 1, 1, 0)
+	denseRows(s, a, m, k, k+1)
+	each(s.tiles[0])
+}
+
+// storeEpilogues are the stores an f32 tile is tested under: none, a bias
+// alone, relu with and without a bias, relu6 with one.
 var storeEpilogues = []struct {
 	name   string
 	bias   bool
@@ -648,14 +481,18 @@ var storeEpilogues = []struct {
 	{"bias-relu6", true, 0, 6},
 }
 
-// TestGemmIndirectF32Tile pins each indirect f32 tile of indirectTileKernels
-// (on amd64 every assembly body separately, the dispatched gemmIndirectF32
-// and the Go tile) on the tables of indirectTileCases' every tile: panel by
-// panel, each cell equals the Go indirect tile and the packed Go tile
-// gemmMicroF32Go over the tile's gathered A panel followed by the staged
-// epilogue — the bias added, then clampF32 — on every bit. The data mixes in tileValues' specials on even
-// rounds; a NaN cell must be NaN in both, its payload not compared. The
-// tile writes its cells and nothing else.
+// TestGemmIndirectF32Tile pins each f32 tile of indirectTileKernels (on
+// amd64 every assembly body separately, the dispatched gemmIndirectF32 and
+// the Go tile) on the tables of indirectTileCases' every tile and on dense
+// tables of every k in denseTileKs: panel by panel, each cell equals the Go
+// tile and the naive single-accumulator loop (naiveGemmF32) over the tile's
+// gathered rows followed by the staged epilogue — the bias added, then
+// clampF32 — on every bit. The first round mixes in tileValues' specials,
+// the last its finite ones only, so that most cells stay non-NaN and the
+// denormal and signed-zero sums are compared; a NaN cell must be NaN in
+// both, its payload not compared (which operand's payload survives is the
+// instruction's choice). The tile writes its cells and nothing else, and an
+// empty table gives zeros.
 func TestGemmIndirectF32Tile(t *testing.T) {
 	for _, kern := range indirectTileKernels {
 		t.Run(kern.name, func(t *testing.T) {
@@ -663,14 +500,18 @@ func TestGemmIndirectF32Tile(t *testing.T) {
 				t.Skipf("%s tile not run: the CPU lacks %s or the OS does not save its register state", kern.name, kern.needs)
 			}
 			rng := rand.New(rand.NewSource(61))
-			for _, cc := range indirectTileCases {
-				for round := 0; round < 2; round++ {
-					draw := func() float32 {
-						if round == 1 || rng.Intn(3) == 0 {
-							return rng.Float32()*2 - 1
-						}
-						return tileValues[rng.Intn(len(tileValues))]
+			for round := 0; round < 3; round++ {
+				draw := func() float32 {
+					if round == 1 || rng.Intn(3) == 0 {
+						return rng.Float32()*2 - 1
 					}
+					v := tileValues[rng.Intn(len(tileValues))]
+					if round == 2 && (v != v || math.IsInf(float64(v), 0)) {
+						return 0.75
+					}
+					return v
+				}
+				for _, cc := range indirectTileCases {
 					g := convCaseGeom(cc)
 					din := make([]float32, cc.n*cc.h*cc.w*cc.c)
 					for i := range din {
@@ -678,6 +519,11 @@ func TestGemmIndirectF32Tile(t *testing.T) {
 					}
 					indirectTables(&g, din, func(rows [][]float32) {
 						testIndirectF32Tile(t, kern, cc.name, rows, draw)
+					})
+				}
+				for _, k := range denseTileKs {
+					denseTables(k, draw, func(rows [][]float32) {
+						testIndirectF32Tile(t, kern, "dense", rows, draw)
 					})
 				}
 			}
@@ -693,21 +539,25 @@ func TestGemmIndirectF32Tile(t *testing.T) {
 
 func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, rows [][]float32, draw func() float32) {
 	t.Helper()
-	ap := gatherTile(t, rows)
-	k := len(ap) / gemmMR
+	a := gatherTile(t, rows)
+	k := len(a) / gemmMR
 	ld := kern.panels * gemmNR
-	bp := make([]float32, kern.panels*k*gemmNR)
-	for i := range bp {
-		bp[i] = draw()
+	b := make([]float32, ld*k)
+	for i := range b {
+		b[i] = draw()
 	}
+	bp := make([]float32, ld*k)
+	packPanels(bp, b, ld, k, k, gemmNR)
+	naive := make([]float32, gemmMR*ld)
+	naiveGemmF32(gemmMR, ld, k, a, k, b, k, naive, ld)
 	var bias [gemmWideNR]float32
 	for i := range bias {
 		bias[i] = draw()
 	}
 	for _, ep := range storeEpilogues {
-		var b *[gemmWideNR]float32
+		var bb *[gemmWideNR]float32
 		if ep.bias {
-			b = &bias
+			bb = &bias
 		}
 		var got struct {
 			pre  [4]float32
@@ -718,7 +568,7 @@ func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, row
 			got.acc[i] = 42
 		}
 		got.pre, got.post = [4]float32{1, 2, 3, 4}, [4]float32{5, 6, 7, 8}
-		kern.run(rows, bp, b, ep.lo, ep.hi, &got.acc)
+		kern.run(rows, bp, bb, ep.lo, ep.hi, &got.acc)
 		if got.pre != [4]float32{1, 2, 3, 4} || got.post != [4]float32{5, 6, 7, 8} {
 			t.Fatalf("%s k=%d %s: %s wrote outside acc", name, k, ep.name, kern.name)
 		}
@@ -729,19 +579,18 @@ func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, row
 		}
 		clamp := newClampF32(ep.lo, ep.hi)
 		for p := 0; p < kern.panels; p++ {
-			pb := bp[p*k*gemmNR : (p+1)*k*gemmNR]
-			var want, goTile [gemmMR * gemmNR]float32
-			gemmMicroF32Go(ap, pb, &want)
+			var goTile [gemmMR * gemmNR]float32
 			var goBias *[gemmWideNR]float32
 			if ep.bias {
 				goBias = new([gemmWideNR]float32)
 				copy(goBias[:], bias[p*gemmNR:])
 			}
-			gemmIndirectF32Go(rows, pb, goBias, ep.lo, ep.hi, &goTile)
-			for c, w := range want {
-				i, j := c/gemmNR, c%gemmNR
+			gemmIndirectF32Go(rows, bp[p*k*gemmNR:(p+1)*k*gemmNR], goBias, ep.lo, ep.hi, &goTile)
+			for c := range goTile {
+				i, j := c/gemmNR, p*gemmNR+c%gemmNR
+				w := naive[i*ld+j]
 				if ep.bias {
-					w = w + bias[p*gemmNR+j]
+					w = w + bias[j]
 				}
 				one := []float32{w}
 				clamp.rows(one, one)
@@ -749,9 +598,9 @@ func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, row
 				for _, r := range []struct {
 					name string
 					got  float32
-				}{{kern.name, got.acc[i*ld+p*gemmNR+j]}, {"gemmIndirectF32Go", goTile[c]}} {
+				}{{kern.name, got.acc[i*ld+j]}, {"gemmIndirectF32Go", goTile[c]}} {
 					if bothNaN := w != w && r.got != r.got; !bothNaN && math.Float32bits(r.got) != math.Float32bits(w) {
-						t.Fatalf("%s k=%d %s panel %d cell %d: %s = %v (%#08x), packed tile then staged epilogue %v (%#08x)",
+						t.Fatalf("%s k=%d %s panel %d cell %d: %s = %v (%#08x), naive loop then staged epilogue %v (%#08x)",
 							name, k, ep.name, p, c, r.name, r.got, math.Float32bits(r.got), w, math.Float32bits(w))
 					}
 				}
@@ -760,54 +609,90 @@ func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, row
 	}
 }
 
-// i16IndirectTileKernels are the indirect pair tiles TestGemmIndirectI16Tile
-// runs: the dispatched gemmIndirectI16 (on amd64 the PMADDWD assembly) and
-// the Go tile itself.
+// i16IndirectTileKernels are the pair tiles TestGemmIndirectI16Tile runs:
+// the dispatched gemmIndirectI16 (on amd64 the PMADDWD assembly) and the Go
+// tile itself.
 var i16IndirectTileKernels = []struct {
 	name string
 	run  func(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32)
 }{{"gemmIndirectI16", gemmIndirectI16}, {"gemmIndirectI16Go", gemmIndirectI16Go}}
 
-// TestGemmIndirectI16Tile pins the indirect pair tiles on the tables of
-// indirectTileCases over the pairs() geometry — odd channel counts padded
-// per tap — against the Go indirect tile and the packed Go tile
-// gemmMicroI16Go over each tile's gathered A panel: operands at random in [−255, 255], a quarter at ±255.
-func TestGemmIndirectI16Tile(t *testing.T) {
-	draw := func(rng *rand.Rand) int32 {
-		if rng.Intn(4) == 0 {
-			return int32(255 * (1 - 2*rng.Intn(2)))
-		}
-		return int32(rng.Intn(511) - 255)
+// unpairRows is pairRows' inverse: each k-pair of src becomes its two int32
+// values, so rows of kp pairs become rows of 2kp values, a padding zero
+// included.
+func unpairRows(src []i16x2) []int32 {
+	dst := make([]int32, 2*len(src))
+	for i, u := range src {
+		dst[2*i], dst[2*i+1] = int32(int16(u)), int32(int16(u>>16))
 	}
+	return dst
+}
+
+// TestGemmIndirectI16Tile pins the pair tiles on the tables of
+// indirectTileCases over the pairs() geometry — odd channel counts padded
+// per tap — and on dense tables of every kp in denseTileKs, against the Go
+// tile and the naive int32 loop (naiveGemmI32) over each tile's gathered
+// rows: operands at random in [−255, 255], a quarter at ±255, and a dense
+// table of every product at its largest, 255·−255. The tile writes its 32 sums and nothing else, and an
+// empty table gives zeros.
+func TestGemmIndirectI16Tile(t *testing.T) {
 	for _, kern := range i16IndirectTileKernels {
 		t.Run(kern.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(67))
+			draw := func() int32 {
+				if rng.Intn(4) == 0 {
+					return int32(255 * (1 - 2*rng.Intn(2)))
+				}
+				return int32(rng.Intn(511) - 255)
+			}
+			drawPair := func() i16x2 { return pairOf(draw(), draw()) }
+			check := func(name string, rows [][]i16x2, drawB func() int32) {
+				a := unpairRows(gatherTile(t, rows))
+				k := len(a) / gemmMR
+				b := make([]int32, gemmNR*k)
+				for i := range b {
+					b[i] = drawB()
+				}
+				kp := k / 2
+				bp := make([]i16x2, gemmNR*kp)
+				packPanels(bp, pairRows(b, gemmNR, k), gemmNR, kp, kp, gemmNR)
+				var want [gemmMR * gemmNR]int32
+				naiveGemmI32(gemmMR, gemmNR, k, a, k, b, k, want[:], gemmNR)
+				var goTile [gemmMR * gemmNR]int32
+				gemmIndirectI16Go(rows, bp, &goTile)
+				var got struct {
+					pre  [4]int32
+					acc  [gemmMR * gemmNR]int32
+					post [4]int32
+				}
+				for i := range got.acc {
+					got.acc[i] = 42
+				}
+				got.pre, got.post = [4]int32{1, 2, 3, 4}, [4]int32{5, 6, 7, 8}
+				kern.run(rows, bp, &got.acc)
+				if got.pre != [4]int32{1, 2, 3, 4} || got.post != [4]int32{5, 6, 7, 8} {
+					t.Fatalf("%s kp=%d: %s wrote outside acc", name, kp, kern.name)
+				}
+				if got.acc != want || goTile != want {
+					t.Fatalf("%s kp=%d: %s = %v, gemmIndirectI16Go %v, naive loop %v", name, kp, kern.name, got.acc, goTile, want)
+				}
+			}
 			for _, cc := range indirectTileCases {
 				g := convCaseGeom(cc)
 				gp := g.pairs()
 				din := make([]i16x2, cc.n*cc.h*cc.w*gp.c)
 				for i := range din {
-					din[i] = pairOf(draw(rng), draw(rng))
+					din[i] = drawPair()
 				}
-				indirectTables(&gp, din, func(rows [][]i16x2) {
-					ap := gatherTile(t, rows)
-					kp := len(ap) / gemmMR
-					bp := make([]i16x2, kp*gemmNR)
-					for i := range bp {
-						bp[i] = pairOf(draw(rng), draw(rng))
-					}
-					var want, goTile, got [gemmMR * gemmNR]int32
-					for i := range got {
-						got[i] = 42
-					}
-					gemmMicroI16Go(ap, bp, &want)
-					gemmIndirectI16Go(rows, bp, &goTile)
-					kern.run(rows, bp, &got)
-					if got != want || goTile != want {
-						t.Fatalf("%s kp=%d: %s = %v, gemmIndirectI16Go %v, packed tile %v", cc.name, kp, kern.name, got, goTile, want)
-					}
-				})
+				indirectTables(&gp, din, func(rows [][]i16x2) { check(cc.name, rows, draw) })
 			}
+			for _, kp := range denseTileKs {
+				denseTables(kp, drawPair, func(rows [][]i16x2) { check("dense", rows, draw) })
+			}
+			// Every product at its largest: the sums' extremes.
+			denseTables(4097, func() i16x2 { return pairOf(255, 255) }, func(rows [][]i16x2) {
+				check("dense-extreme", rows, func() int32 { return -255 })
+			})
 			acc := [gemmMR * gemmNR]int32{0: 9}
 			kern.run(nil, nil, &acc)
 			if acc != [gemmMR * gemmNR]int32{} {

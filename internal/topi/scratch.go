@@ -3,15 +3,15 @@ package topi
 import "sync"
 
 // scratchPool recycles kernel-internal scratch buffers of one element type
-// (im2col patch panels, widened raw views, GEMM packing panels). Output
-// buffers are arena-planned by the executor, but scratch is shaped per
-// (kernel, chunk) and so is pooled here instead — keeping the planned
+// (operands widened to (raw − zero point), as int32 or k-pairs; a fused
+// quantized launch's int32 sums; a reduction's float64 sums).
+// Output buffers are arena-planned by the executor, but scratch is shaped
+// per (kernel, chunk) and so is pooled here instead — keeping the planned
 // executor's steady state free of per-run heap allocation. Pooling
 // pointers-to-slices avoids boxing a fresh slice header on every Put.
 type scratchPool[T any] struct{ pool sync.Pool }
 
 var (
-	scratchF32   scratchPool[float32]
 	scratchF64   scratchPool[float64]
 	scratchI32   scratchPool[int32]
 	scratchPairs scratchPool[i16x2]
