@@ -117,21 +117,23 @@ analyze:
 	$(GO) run ./cmd/npc -zoo all -analyze
 	$(GO) run ./cmd/npc -zoo all -analyze -no-nir
 
-# fuzz-smoke runs the five fuzz targets briefly, each over its seed corpus
+# fuzz-smoke runs the six fuzz targets briefly, each over its seed corpus
 # plus five seconds of mutation: the partitioner against the BFS oracle
 # (error or the oracle's convex partition, never a panic), the /v1/infer
 # decoder against json.Unmarshal (same accept/reject, same values to the
 # bit), the ONNX and TorchScript importers over a serialized zoo model (error
-# or module, never a panic), and the placement-record decoder over a file
-# WriteRecords wrote (error or records that pass Validate, never a panic). A
-# failing input is written under the package's testdata/fuzz/ — commit it
-# with the fix.
+# or module, never a panic), the placement-record decoder over a file
+# WriteRecords wrote (error or records that pass Validate, never a panic),
+# and a prepared convolution launch over fuzzed geometries, run on two bound
+# inputs (the per-cell loop's bits on both). A failing input is written under
+# the package's testdata/fuzz/ — commit it with the fix.
 fuzz-smoke:
 	$(GO) test ./internal/passes -run '^$$' -fuzz FuzzPartitionForCompiler -fuzztime 5s
 	$(GO) test ./internal/serve -run '^$$' -fuzz FuzzDecodeInfer -fuzztime 5s
 	$(GO) test ./internal/models -run '^$$' -fuzz FuzzFromONNX -fuzztime 5s
 	$(GO) test ./internal/models -run '^$$' -fuzz FuzzFromTorch -fuzztime 5s
 	$(GO) test ./internal/tune -run '^$$' -fuzz FuzzRecords -fuzztime 5s
+	$(GO) test ./internal/topi -run '^$$' -fuzz FuzzConvGeometry -fuzztime 5s
 
 # bench-gate is the blocking, deterministic half of benchmark/: each of the
 # six workloads runs for a two-second window and must verify every operation

@@ -303,8 +303,10 @@ func TestSpoofGateSeparates(t *testing.T) {
 // seen and the object count plus an eighth. It reads 1.1 KB and 6 objects
 // (1.3 KB and 16 while the SSD rows were sorted by sort.Slice, which builds
 // a reflect swapper on every call, and every convolution packed its
-// patches into pooled panels); 3.6 or 5.9 KB in five of twelve runs, when
-// a collection during the passes empties the kernels' scratch pools. It read 6.6 KB and 142 objects
+// patches into pooled panels); more in a run where a collection during the
+// passes empties the kernels' scratch pools (the widened operands), which
+// refill. The convolutions' offset tables are prepared with the plan state,
+// in the warm pass, and are not pooled. It read 6.6 KB and 142 objects
 // while every Run charged a fresh profile and every stage built an input-name
 // slice, 9.6 KB and 216 while every broadcasting multiply built its
 // broadcaster, 8 264 KB and 246 247 when every At/Set heap-allocated its

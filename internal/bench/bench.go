@@ -461,7 +461,7 @@ func SupportMatrixString() string {
 		return "-"
 	}
 	for _, name := range relay.OpNames() {
-		_, tvmOK := topi.Lookup(name)
+		tvmOK := topi.Has(name)
 		npCode, npOK := nir.OpcodeOf(name)
 		apu, gpu := false, false
 		if npOK {

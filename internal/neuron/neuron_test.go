@@ -1,6 +1,7 @@
 package neuron
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -206,7 +207,10 @@ func TestExecuteIntoOutputs(t *testing.T) {
 	m.Outputs = []int{mid, out, in, ci, mid}
 	cm := &CompiledModel{Model: m}
 
-	st := cm.NewExecState()
+	st, err := cm.NewExecState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	outs := make([]*tensor.Tensor, len(m.Outputs))
 	for k := range outs {
 		outs[k] = tensor.New(tensor.Float32, tensor.Shape{2, 3})
@@ -336,5 +340,57 @@ func TestOpTableRowsComplete(t *testing.T) {
 	}
 	if len(names) != int(numOpCodes) {
 		t.Errorf("%d named opcodes, catalogue has %d", len(names), int(numOpCodes))
+	}
+}
+
+// TestPreparedStateFollowsRebindAndRefill: an ExecState prepares every
+// operation's launch once, from the operand types alone. Its CONV_2D —
+// data, weight and bias all model inputs, a fused relu — run on one state
+// must equal a fresh state's run, bit for bit, when a different data tensor
+// of the same shape is bound, and again when the weight and bias tensors
+// bound before are refilled in place: nothing derived from the first run's
+// weight or bias may be kept.
+func TestPreparedStateFollowsRebindAndRefill(t *testing.T) {
+	m := NewModel("rebind")
+	in := m.AddOperand("data", f32Type(1, 6, 7, 3), nil)
+	wi := m.AddOperand("w", f32Type(8, 3, 3, 3), nil)
+	bi := m.AddOperand("b", f32Type(8), nil)
+	out := m.AddOperand("out", f32Type(1, 6, 7, 8), nil)
+	m.AddOperation(Conv2D, []int{in, wi, bi}, []int{out}, relay.Attrs{"padding": []int{1, 1}, FusedActivationAttr: "relu"})
+	m.Inputs = []int{in, wi, bi}
+	m.Outputs = []int{out}
+	cm := &CompiledModel{Model: m}
+	st, err := cm.NewExecState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PreparedBytes() == 0 {
+		t.Fatal("the convolution prepared no offset table")
+	}
+	x := tensor.New(tensor.Float32, tensor.Shape{1, 6, 7, 3})
+	w := tensor.New(tensor.Float32, tensor.Shape{8, 3, 3, 3})
+	b := tensor.New(tensor.Float32, tensor.Shape{8})
+	w.FillUniform(tensor.NewRNG(1), -1, 1)
+	b.FillUniform(tensor.NewRNG(2), -1, 1)
+	outs := []*tensor.Tensor{tensor.New(tensor.Float32, tensor.Shape{1, 6, 7, 8})}
+	for run, step := range []string{"first", "rebound data", "refilled weight and bias"} {
+		switch run {
+		case 1:
+			x = tensor.New(tensor.Float32, x.Shape)
+		case 2:
+			w.FillUniform(tensor.NewRNG(3), -1, 1)
+			b.FillUniform(tensor.NewRNG(4), -1, 1)
+		}
+		x.FillUniform(tensor.NewRNG(uint64(10+run)), -1, 1)
+		if err := cm.ExecuteInto(st, []*tensor.Tensor{x, w, b}, outs); err != nil {
+			t.Fatal(err)
+		}
+		want, err := cm.Execute([]*tensor.Tensor{x.Clone(), w.Clone(), b.Clone()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(outs[0].F32(), want[0].F32()) {
+			t.Errorf("%s: the prepared state differs from a fresh one by %g", step, tensor.MaxAbsDiff(outs[0], want[0]))
+		}
 	}
 }

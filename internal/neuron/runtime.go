@@ -18,8 +18,9 @@ import (
 // ExecuteInto allocates nothing in the steady state: the caller owns both the
 // working set (an ExecState, one per executing module) and the result
 // buffers, which on the planned executor are arena views planned like any
-// other node's result. Kernels write into those buffers via topi.RunInto,
-// and conv/dense anchors run their absorbed epilogue in the same launch
+// other node's result. Every kernel launch is prepared once per working set
+// (topi.Prepare, in NewExecState) and writes into those buffers, and
+// conv/dense anchors run their absorbed epilogue in the same launch
 // (topi/fused.go): a quantized anchor with an absorbed requantize dispatches
 // to the fused kernel (qnn.conv2d_fused, qnn.dense_fused), a float one hands
 // its bias and fused_activation to nn.conv2d / nn.dense itself.
@@ -43,24 +44,27 @@ type ExecState struct {
 }
 
 // opExec is the per-operation dispatch plan, derived once from the static
-// model so the per-call path does no attribute parsing or type construction.
+// model with every kernel launch prepared, so the per-call path does no
+// attribute parsing, type construction or kernel lookup.
 type opExec struct {
-	// kernel is the anchor kernel, or the quantized fused kernel.
-	kernel string
+	// main launches the anchor kernel, or the quantized fused kernel.
+	main topi.Launch
 	// fused: the whole anchor→bias→(requantize→)activation chain runs as one
-	// launch of kernel — a float conv/dense anchor, or a quantized one with
-	// an absorbed requantize; args and attrs pass through unchanged.
+	// launch of main — a float conv/dense anchor, or a quantized one with
+	// an absorbed requantize; args pass through unchanged.
 	fused bool
-	// splitBias: args[2] is a bias absorbed by the fusion pass, applied by a
-	// separate nn.bias_add stage.
+	// biasAdd, when splitBias, applies args[2] — a bias absorbed by the
+	// fusion pass — as a separate nn.bias_add stage.
 	splitBias bool
+	biasAdd   topi.Launch
 	// stage is the pooled int32 accumulator between the anchor and a staged
-	// requantize; nil when the anchor writes the final type directly.
-	stage      *tensor.Tensor
-	finalTy    *relay.TensorType
-	mainTy     *relay.TensorType
-	reqAttrs   relay.Attrs
-	activation string
+	// requantize, which requant narrows into the final type; nil when the
+	// anchor writes the final type directly.
+	stage   *tensor.Tensor
+	requant topi.Launch
+	// act, when hasAct, is the staged fused activation, in place.
+	hasAct bool
+	act    topi.Launch
 }
 
 // relu6Attrs is shared read-only by every staged relu6 epilogue.
@@ -80,51 +84,81 @@ func newOperandTensor(od Operand) *tensor.Tensor {
 	return t
 }
 
-func buildOpExec(m *Model, op Operation) opExec {
-	e := opExec{
-		finalTy:    operandRelayType(m.Operands[op.Outputs[0]]),
-		activation: op.Attrs.Str(FusedActivationAttr, ""),
+// buildOpExec plans and prepares operation op of m.
+func buildOpExec(m *Model, op Operation) (opExec, error) {
+	var e opExec
+	finalTy := operandRelayType(m.Operands[op.Outputs[0]])
+	in := make([]*relay.TensorType, len(op.Inputs))
+	for i, idx := range op.Inputs {
+		in[i] = operandRelayType(m.Operands[idx])
 	}
 	quantized := isQuantizedOp(m, op)
-	e.kernel = KernelFor(op.Code, quantized)
+	kernel := KernelFor(op.Code, quantized)
+	if kernel == "" {
+		return e, fmt.Errorf("neuron: opcode %s has no kernel", op.Code)
+	}
 	convOrDense := isFusionAnchor(op.Code) && op.Code != Add
-	if !quantized && convOrDense {
+	var err error
+	if f := op.Code.row().fused; !quantized && convOrDense || quantized && f != "" && op.Attrs.Bool(FusedRequantAttr, false) {
 		// nn.conv2d and nn.dense take the bias as args[2] and
-		// fused_activation as their row epilogue.
+		// fused_activation as their row epilogue; a quantized anchor with an
+		// absorbed requantize runs the fused kernel.
+		if quantized {
+			kernel = f
+		}
 		e.fused = true
-		return e
+		e.main, err = topi.Prepare(kernel, in, op.Attrs, finalTy)
+		return e, err
 	}
 	e.splitBias = convOrDense && len(op.Inputs) >= 3
-	e.mainTy = e.finalTy
-	if !op.Attrs.Bool(FusedRequantAttr, false) {
-		return e
-	}
-	if f := op.Code.row().fused; quantized && f != "" {
-		e.kernel = f
-		e.fused = true
-		e.splitBias = false
-		return e
-	}
-	// Staged requantize: the anchor produces the int32 accumulator, then
-	// qnn.requantize narrows it into the final operand type.
-	e.mainTy = &relay.TensorType{Shape: e.finalTy.Shape, DType: tensor.Int32}
-	if s := op.Attrs.Float("requant_input_scale", 0); s > 0 {
-		e.mainTy.Quant = &tensor.QuantParams{Scale: s}
-	}
-	e.reqAttrs = relay.Attrs{}
-	for _, k := range []string{"input_scale", "input_zero_point",
-		"output_scale", "output_zero_point", "out_dtype"} {
-		if v, ok := op.Attrs["requant_"+k]; ok {
-			e.reqAttrs[k] = v
+	mainTy := finalTy
+	if op.Attrs.Bool(FusedRequantAttr, false) {
+		// Staged requantize: the anchor produces the int32 accumulator, then
+		// qnn.requantize narrows it into the final operand type.
+		mainTy = &relay.TensorType{Shape: finalTy.Shape, DType: tensor.Int32}
+		if s := op.Attrs.Float("requant_input_scale", 0); s > 0 {
+			mainTy.Quant = &tensor.QuantParams{Scale: s}
+		}
+		reqAttrs := relay.Attrs{}
+		for _, k := range []string{"input_scale", "input_zero_point",
+			"output_scale", "output_zero_point", "out_dtype"} {
+			if v, ok := op.Attrs["requant_"+k]; ok {
+				reqAttrs[k] = v
+			}
+		}
+		e.stage = tensor.New(tensor.Int32, finalTy.Shape)
+		if e.requant, err = topi.Prepare("qnn.requantize", []*relay.TensorType{mainTy}, reqAttrs, finalTy); err != nil {
+			return e, err
 		}
 	}
-	e.stage = tensor.New(tensor.Int32, e.finalTy.Shape)
-	return e
+	mainIn := in
+	if e.splitBias {
+		mainIn = in[:2]
+		if e.biasAdd, err = topi.Prepare("nn.bias_add", []*relay.TensorType{mainTy, in[2]}, emptyAttrs, mainTy); err != nil {
+			return e, err
+		}
+	}
+	if e.main, err = topi.Prepare(kernel, mainIn, op.Attrs, mainTy); err != nil {
+		return e, err
+	}
+	switch a := op.Attrs.Str(FusedActivationAttr, ""); a {
+	case "":
+	case "relu":
+		e.hasAct = true
+		e.act, err = topi.Prepare("nn.relu", []*relay.TensorType{finalTy}, emptyAttrs, finalTy)
+	case "relu6":
+		e.hasAct = true
+		e.act, err = topi.Prepare("clip", []*relay.TensorType{finalTy}, relu6Attrs, finalTy)
+	default:
+		err = fmt.Errorf("neuron: unknown fused activation %q", a)
+	}
+	return e, err
 }
 
 // NewExecState builds a working set for cm: the dispatch plan of every
-// operation and the buffer of every operand that is not a model output.
-func (cm *CompiledModel) NewExecState() *ExecState {
+// operation, its kernel launches prepared, and the buffer of every operand
+// that is not a model output.
+func (cm *CompiledModel) NewExecState() (*ExecState, error) {
 	m := cm.Model
 	st := &ExecState{
 		model:  m,
@@ -145,9 +179,23 @@ func (cm *CompiledModel) NewExecState() *ExecState {
 		} else {
 			st.opOut[oi] = newOperandTensor(m.Operands[op.Outputs[0]])
 		}
-		st.ops[oi] = buildOpExec(m, op)
+		e, err := buildOpExec(m, op)
+		if err != nil {
+			return nil, fmt.Errorf("neuron: operation %d (%s): %w", oi, op.Code, err)
+		}
+		st.ops[oi] = e
 	}
-	return st
+	return st, nil
+}
+
+// PreparedBytes is what the working set's prepared launches hold: the
+// indirection tables and zero rows of its convolutions and dense layers.
+func (st *ExecState) PreparedBytes() int {
+	n := 0
+	for i := range st.ops {
+		n += st.ops[i].main.Bytes()
+	}
+	return n
 }
 
 // Execute runs the compiled model on the given inputs (one tensor per
@@ -159,7 +207,11 @@ func (cm *CompiledModel) Execute(inputs []*tensor.Tensor) ([]*tensor.Tensor, err
 	for k, idx := range cm.Model.Outputs {
 		outs[k] = newOperandTensor(cm.Model.Operands[idx])
 	}
-	if err := cm.ExecuteInto(cm.NewExecState(), inputs, outs); err != nil {
+	st, err := cm.NewExecState()
+	if err != nil {
+		return nil, err
+	}
+	if err := cm.ExecuteInto(st, inputs, outs); err != nil {
 		return nil, err
 	}
 	return outs, nil
@@ -199,6 +251,9 @@ func (cm *CompiledModel) ExecuteInto(st *ExecState, inputs, outs []*tensor.Tenso
 		if !in.Shape.Equal(want.Shape) || in.DType != want.DType {
 			return fmt.Errorf("neuron: input %d is %s%s, model wants %s", i, in.DType, in.Shape, want)
 		}
+		// The caller may refill an input between runs — a weight or bias
+		// included: nothing derived from its data may be kept.
+		in.MarkVolatile()
 		values[idx] = in
 	}
 
@@ -214,7 +269,7 @@ func (cm *CompiledModel) ExecuteInto(st *ExecState, inputs, outs []*tensor.Tenso
 		if dst == nil {
 			dst = outs[st.outAt[oi]]
 		}
-		if err := runOperation(st, oi, op, args, dst); err != nil {
+		if err := runOperation(st, oi, args, dst); err != nil {
 			return fmt.Errorf("neuron: operation %d (%s): %w", oi, op.Code, err)
 		}
 		values[op.Outputs[0]] = dst
@@ -240,53 +295,39 @@ func (cm *CompiledModel) ExecuteInto(st *ExecState, inputs, outs []*tensor.Tenso
 // chain with elementwise stages running in place.
 //
 //np:hotpath
-func runOperation(st *ExecState, oi int, op Operation, args []*tensor.Tensor, dst *tensor.Tensor) error {
+func runOperation(st *ExecState, oi int, args []*tensor.Tensor, dst *tensor.Tensor) error {
 	e := &st.ops[oi]
-	if e.kernel == "" {
-		return fmt.Errorf("neuron: opcode %s has no kernel", op.Code)
-	}
 	if e.fused {
-		return topi.RunInto(e.kernel, args, op.Attrs, e.finalTy, dst)
+		return e.main.Run(args, dst)
 	}
 	mainArgs := args
-	var bias *tensor.Tensor
 	if e.splitBias {
-		bias = args[2]
 		mainArgs = args[:2]
 	}
 	mainDst := dst
 	if e.stage != nil {
 		mainDst = e.stage
 	}
-	if err := topi.RunInto(e.kernel, mainArgs, op.Attrs, e.mainTy, mainDst); err != nil {
+	if err := e.main.Run(mainArgs, mainDst); err != nil {
 		return err
 	}
-	if bias != nil {
-		st.pair[0], st.pair[1] = mainDst, bias
-		if err := topi.RunInto("nn.bias_add", st.pair[:2], emptyAttrs, e.mainTy, mainDst); err != nil {
+	if e.splitBias {
+		st.pair[0], st.pair[1] = mainDst, args[2]
+		if err := e.biasAdd.Run(st.pair[:2], mainDst); err != nil {
 			return err
 		}
 	}
 	if e.stage != nil {
 		st.pair[0] = mainDst
-		if err := topi.RunInto("qnn.requantize", st.pair[:1], e.reqAttrs, e.finalTy, dst); err != nil {
+		if err := e.requant.Run(st.pair[:1], dst); err != nil {
 			return err
 		}
 	}
-	switch e.activation {
-	case "":
-	case "relu":
+	if e.hasAct {
 		st.pair[0] = dst
-		if err := topi.RunInto("nn.relu", st.pair[:1], emptyAttrs, e.finalTy, dst); err != nil {
+		if err := e.act.Run(st.pair[:1], dst); err != nil {
 			return err
 		}
-	case "relu6":
-		st.pair[0] = dst
-		if err := topi.RunInto("clip", st.pair[:1], relu6Attrs, e.finalTy, dst); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("neuron: unknown fused activation %q", e.activation)
 	}
 	return nil
 }

@@ -37,7 +37,7 @@ func tryFold(e relay.Expr) (relay.Expr, error) {
 	if !ok || call.Op == nil {
 		return e, nil
 	}
-	if _, hasKernel := topi.Lookup(call.Op.Name); !hasKernel {
+	if !topi.Has(call.Op.Name) {
 		return e, nil
 	}
 	// Gather constant arguments; bail if any input is dynamic.

@@ -121,3 +121,58 @@ func TestWeightPanelsFollowRefilledInput(t *testing.T) {
 		}
 	}
 }
+
+// TestPreparedConvFollowsRebindAndRefill: a plan state prepares each
+// convolution's launch — geometry, epilogue, offset table — once, at the
+// first Run, from the plan's types alone. On a module whose data, weight
+// and bias are all graph inputs, built TVM-only (a prepared topi launch per
+// node) and BYOC (the same launch prepared in a Neuron ExecState), each of
+// three runs on one GraphModule — the first, one with a different data
+// tensor of the same shape bound, one with the weight and bias bound before
+// refilled in place — must equal a fresh module's run on copies of the
+// inputs, bit for bit.
+func TestPreparedConvFollowsRebindAndRefill(t *testing.T) {
+	data := relay.NewVar("data", relay.TType(tensor.Float32, 1, 6, 7, 3))
+	weight := relay.NewVar("weight", relay.TType(tensor.Float32, 8, 3, 3, 3))
+	bias := relay.NewVar("bias", relay.TType(tensor.Float32, 8))
+	conv := relay.NewCall(relay.OpConv2D, []relay.Expr{data, weight}, relay.Attrs{"padding": []int{1, 1, 1, 1}})
+	body := relay.NewCall(relay.OpReLU, []relay.Expr{relay.NewCall(relay.OpBiasAdd, []relay.Expr{conv, bias}, nil)}, nil)
+	mod := relay.NewModule(relay.NewFunc([]*relay.Var{data, weight, bias}, body))
+	for _, opts := range []runtime.BuildOptions{{OptLevel: 3}, {OptLevel: 3, UseNIR: true}} {
+		lib, err := runtime.Build(mod, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(gm *runtime.GraphModule, x, w, b *tensor.Tensor) *tensor.Tensor {
+			gm.SetInput("data", x)
+			gm.SetInput("weight", w)
+			gm.SetInput("bias", b)
+			if err := gm.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return gm.MustOutput(0)
+		}
+		gm := runtime.NewGraphModule(lib)
+		x := tensor.New(tensor.Float32, tensor.Shape{1, 6, 7, 3})
+		w := tensor.New(tensor.Float32, tensor.Shape{8, 3, 3, 3})
+		b := tensor.New(tensor.Float32, tensor.Shape{8})
+		w.FillUniform(tensor.NewRNG(1), -1, 1)
+		b.FillUniform(tensor.NewRNG(2), -1, 1)
+		for i, step := range []string{"first", "rebound data", "refilled weight and bias"} {
+			switch i {
+			case 1:
+				x = tensor.New(tensor.Float32, x.Shape)
+			case 2:
+				w.FillUniform(tensor.NewRNG(3), -1, 1)
+				b.FillUniform(tensor.NewRNG(4), -1, 1)
+			}
+			x.FillUniform(tensor.NewRNG(uint64(10+i)), -1, 1)
+			got := run(gm, x, w, b)
+			want := run(runtime.NewGraphModule(lib), x.Clone(), w.Clone(), b.Clone())
+			if !slices.Equal(got.F32(), want.F32()) {
+				t.Errorf("%d region(s), %s: the prepared plan state differs from a fresh one by %g",
+					len(lib.External), step, tensor.MaxAbsDiff(got, want))
+			}
+		}
+	}
+}

@@ -7,22 +7,25 @@ import (
 	"repro/internal/neuron"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/relay"
 	"repro/internal/soc"
 	"repro/internal/tensor"
 	"repro/internal/topi"
 )
 
 // This file is the runtime half of the planned executor: planState binds an
-// ExecPlan to a preallocated arena once per GraphModule, and run executes the
-// node list level by level — independent nodes of one wavefront level across
-// the parallel workers — with kernels writing into arena views through
-// topi.RunInto, so the steady-state hot path performs no heap allocation for
-// intermediates.
+// ExecPlan to a preallocated arena and prepares every node's kernel launch
+// once per GraphModule, at its first Run, and run executes the node list
+// level by level — independent nodes of one wavefront level across the
+// parallel workers — with the prepared launches writing into arena views, so
+// the steady-state hot path derives nothing and performs no heap allocation
+// for intermediates.
 
 // planState is the mutable execution state of one GraphModule over a plan:
 // the arena, the current tensor bound to each slot, per-node argument
-// scratch, per-primitive-node sub-state and per-external-node Neuron state.
-// It is constructed once and reused by every Run.
+// scratch, per-op-node prepared launch, per-primitive-node sub-state and
+// per-external-node Neuron state. It is constructed once and reused by every
+// Run.
 type planState struct {
 	plan  *ExecPlan
 	arena *tensor.Arena
@@ -31,10 +34,11 @@ type planState struct {
 	slots []*tensor.Tensor
 	// args is the nodes' argument scratch, laid out as the plan's index
 	// slab: node n's arguments bind at its args span.
-	args []*tensor.Tensor
-	errs []error      // per-node error scratch for wavefront execution
-	subs []*planState // per-node sub-state (primitive nodes only)
-	ext  []extState   // per-node Neuron state (external nodes only)
+	args     []*tensor.Tensor
+	errs     []error       // per-node error scratch for wavefront execution
+	launches []topi.Launch // per-node prepared kernel launch (op nodes only)
+	subs     []*planState  // per-node sub-state (primitive nodes only)
+	ext      []extState    // per-node Neuron state (external nodes only)
 
 	// charged is the plan's simulated cost, charged by the first unprofiled
 	// Run and returned by every later one: the charge reads node costs and
@@ -111,16 +115,22 @@ func (st *planState) traceSpans() []obs.Span {
 	return out
 }
 
-// newPlanState allocates the arena and binds every statically known slot.
+// newPlanState allocates the arena, binds every statically known slot and
+// prepares every node: an op node's kernel launch from its argument slots'
+// types (topi.Prepare), a primitive node's sub-state, an external node's
+// Neuron state. Nothing prepared reads a tensor's data, so a graph input —
+// a weight included — may be refilled or rebound between runs. It runs at
+// a module's first Run, never in BuildPlan.
 func newPlanState(p *ExecPlan) (*planState, error) {
 	st := &planState{
-		plan:  p,
-		arena: tensor.NewArena(),
-		slots: make([]*tensor.Tensor, len(p.slots)),
-		args:  make([]*tensor.Tensor, len(p.index)),
-		errs:  make([]error, len(p.nodes)),
-		subs:  make([]*planState, len(p.nodes)),
-		ext:   make([]extState, len(p.nodes)),
+		plan:     p,
+		arena:    tensor.NewArena(),
+		slots:    make([]*tensor.Tensor, len(p.slots)),
+		args:     make([]*tensor.Tensor, len(p.index)),
+		errs:     make([]error, len(p.nodes)),
+		launches: make([]topi.Launch, len(p.nodes)),
+		subs:     make([]*planState, len(p.nodes)),
+		ext:      make([]extState, len(p.nodes)),
 	}
 	for _, rec := range p.storages {
 		st.arena.Add(rec.DType, rec.Elems)
@@ -141,12 +151,26 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 	for id := range p.nodes {
 		n := &p.nodes[id]
 		switch n.kind {
+		case nodeOp:
+			in := make([]*relay.TensorType, 0, n.args.hi-n.args.lo)
+			for _, s := range p.ids(n.args) {
+				in = append(in, p.slots[s].Type)
+			}
+			l, err := topi.Prepare(n.label, in, n.attrs, n.outTy)
+			if err != nil {
+				return nil, fmt.Errorf("runtime: plan state: node %d: %w", id, err)
+			}
+			st.launches[id] = l
 		case nodeExternal:
 			outs := make([]*tensor.Tensor, 0, n.out.hi-n.out.lo)
 			for _, s := range p.ids(n.out) {
 				outs = append(outs, st.slots[s])
 			}
-			st.ext[id] = extState{neuron: n.cm.NewExecState(), outs: outs}
+			ns, err := n.cm.NewExecState()
+			if err != nil {
+				return nil, fmt.Errorf("runtime: plan state: external region %q: %w", n.label, err)
+			}
+			st.ext[id] = extState{neuron: ns, outs: outs}
 		case nodePrim:
 			sub, err := newPlanState(n.sub)
 			if err != nil {
@@ -164,6 +188,24 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 		}
 	}
 	return st, nil
+}
+
+// preparedBytes is what the state's prepared launches hold — the
+// indirection tables and zero rows of its convolutions and dense layers —
+// over every sub-state and Neuron state.
+func (st *planState) preparedBytes() int {
+	n := 0
+	for i := range st.plan.nodes {
+		switch st.plan.nodes[i].kind {
+		case nodeOp:
+			n += st.launches[i].Bytes()
+		case nodePrim:
+			n += st.subs[i].preparedBytes()
+		case nodeExternal:
+			n += st.ext[i].neuron.PreparedBytes()
+		}
+	}
+	return n
 }
 
 // run executes one inference's numerics over the bound plan, possibly
@@ -274,7 +316,7 @@ func (st *planState) execNode(ni int32) error {
 	}
 	switch n.kind {
 	case nodeOp:
-		return topi.RunInto(n.label, args, n.attrs, n.outTy, st.slots[p.index[n.out.lo]])
+		return st.launches[ni].Run(args, st.slots[p.index[n.out.lo]])
 	case nodePrim:
 		return st.runPrim(ni, n, args)
 	case nodeExternal:

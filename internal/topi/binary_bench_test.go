@@ -33,8 +33,9 @@ func BenchmarkBinaryBroadcast(b *testing.B) {
 			for _, workers := range []int{1, 2} {
 				b.Run(fmt.Sprintf("%s/%v_%v/w%d", op, c.x, c.v, workers), func(b *testing.B) {
 					parallel.SetMaxWorkers(workers)
+					l := prepared(b, op, args, nil, outTy)
 					for i := 0; i < b.N; i++ {
-						if err := RunInto(op, args, nil, outTy, dst); err != nil {
+						if err := l.Run(args, dst); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -1,24 +1,33 @@
 package topi
 
 import (
+	"fmt"
+
 	"repro/internal/parallel"
 	"repro/internal/relay"
 	"repro/internal/tensor"
 )
 
-// One convolution and one dense kernel per element type. The float and the
+// One convolution and one dense kernel per element type, each split into
+// prepare and run. Prepare reads the argument and output types and the
+// attributes, never an operand's data, and builds once what every launch
+// would otherwise re-derive: the geometry, the strategy, the epilogue and
+// the indirection table (indirectTable). Run checks its arguments against
+// the prepared types, binds the tensors — the weight's panels and the tiled
+// bias are read from the tensors themselves (Tensor.Derived), so a refilled
+// weight or bias derives afresh — and runs the loops. The float and the
 // quantized convolution run the same two strategies over the same loops —
-// the direct depthwise row (depthwiseRow) and the indirect row table
-// (indirectRow) are one generic body each, the quantized side feeding them
-// operands widened once to (raw − zero point): int32 for the direct row,
-// k-pairs (i16x2) for the indirect table — and differ only in the GEMM
-// tile they call. Each launch may carry an epilogue: qnn.conv2d_fused and
-// qnn.dense_fused are qnn.conv2d and qnn.dense with bias → requantize →
-// activation applied to each output row as soon as it is reduced (fused.go),
-// and nn.conv2d and nn.dense take an optional bias and fused_activation, the
-// Neuron runtime's float operations, which the float tile applies to its
-// accumulators at the store. Dense runs on the convolution's tiles and panel
-// walks, each data row one segment of the row table (denseRows).
+// the direct depthwise row (depthwiseRow) and the indirect table are one
+// generic body each, the quantized side feeding them operands widened once
+// to (raw − zero point): int32 for the direct row, k-pairs (i16x2) for the
+// indirect table — and differ only in the GEMM tile they call. Each launch
+// may carry an epilogue: qnn.conv2d_fused and qnn.dense_fused are
+// qnn.conv2d and qnn.dense with bias → requantize → activation applied to
+// each output row as soon as it is reduced (fused.go), and nn.conv2d and
+// nn.dense take an optional bias and fused_activation, the Neuron runtime's
+// float operations, which the float tile applies to its accumulators at the
+// store. Dense runs on the convolution's tiles and panel
+// walks, each data row one segment of its table (newDenseTable).
 
 // conv2dParams gathers the attribute set shared by float and quantized
 // convolution.
@@ -40,6 +49,8 @@ func convParams(attrs relay.Attrs) conv2dParams {
 // attributes. It is sixteen words, carried by value in the row loop's
 // closure data (convRowsF32, convRowsQnn), so each worker reads its own copy
 // and the row functions take a pointer to it.
+//
+// newConvGeom trusts its shapes; prepareConvGeom checks them first.
 type convGeom struct {
 	h, w, c, oc, kh, kw, icg, oh, ow   int
 	sh, sw, dh, dw, padT, padL, groups int
@@ -67,62 +78,110 @@ func (g *convGeom) depthwise() bool { return g.icg == 1 && g.ocg() == 1 }
 
 // pairs is the geometry of the same convolution over k-pairs
 // (rawMinusZpPairs with vec = icg): a group's icg channels are pairsOf(icg)
-// units, so indirectRow over pair data points the quantized tile at the
-// widened image and k() counts pairs.
+// units, so a table over it points the quantized tile at the widened image
+// and k() counts pairs.
 func (g convGeom) pairs() convGeom {
 	g.icg = pairsOf(g.icg)
 	g.c = g.icg * g.groups
 	return g
 }
 
-// conv2DF32 is the float32 convolution: NHWC data, OHWI weight. It also
-// takes the Neuron runtime's form of a CONV_2D or DEPTHWISE_CONV_2D
-// operation — an absorbed bias as args[2] and a fused_activation attribute —
-// and applies them as the row epilogue of the same launch (epilogueF32).
-func conv2DF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
-	ep, err := newEpilogueF32("nn.conv2d", args, attrs, out)
+// prepareConvGeom checks a convolution's data, weight and output types —
+// NHWC data, OHWI weight, the output's extent the one the attributes give —
+// and returns the geometry: a table built over shapes that disagree would
+// send the tiles outside the image.
+func prepareConvGeom(in []*relay.TensorType, p conv2dParams, out *relay.TensorType) (convGeom, error) {
+	data, weight := in[0].Shape, in[1].Shape
+	if len(data) != 4 || len(weight) != 4 || len(out.Shape) != 4 {
+		return convGeom{}, fmt.Errorf("data %s, weight %s and output %s must be rank 4", data, weight, out.Shape)
+	}
+	if p.sh < 1 || p.sw < 1 || p.dh < 1 || p.dw < 1 || p.groups < 1 || min(p.pad[0], p.pad[1], p.pad[2], p.pad[3]) < 0 {
+		return convGeom{}, fmt.Errorf("strides %d×%d, dilation %d×%d, %d groups and padding %v are out of range", p.sh, p.sw, p.dh, p.dw, p.groups, p.pad)
+	}
+	g := newConvGeom(p, data, weight, out.Shape)
+	// The padded image's extent past the dilated filter's first reach.
+	eh := g.h + p.pad[0] + p.pad[2] - (g.kh-1)*g.dh - 1
+	ew := g.w + p.pad[1] + p.pad[3] - (g.kw-1)*g.dw - 1
+	if eh < 0 || ew < 0 || g.icg*g.groups != g.c || g.oc%g.groups != 0 || g.oc < 1 || g.icg < 1 ||
+		!out.Shape.Equal(tensor.Shape{data[0], eh/g.sh + 1, ew/g.sw + 1, g.oc}) {
+		return convGeom{}, fmt.Errorf("data %s, weight %s in %d groups cannot give output %s", data, weight, g.groups, out.Shape)
+	}
+	return g, nil
+}
+
+// convLaunchF32 is a prepared float32 convolution: NHWC data, OHWI weight,
+// and the Neuron runtime's form of a CONV_2D or DEPTHWISE_CONV_2D operation
+// too — an absorbed bias as args[2] and a fused_activation attribute — which
+// it applies as the row epilogue of the same launch (epilogueF32).
+type convLaunchF32 struct {
+	in  []*relay.TensorType
+	out *relay.TensorType
+	g   convGeom
+	tab *indirectTable[float32] // nil: the direct depthwise row
+	ep  epilogueF32             // its bias bound at run
+}
+
+func prepareConv2DF32(in []*relay.TensorType, attrs relay.Attrs, out *relay.TensorType) (runner, error) {
+	ep, err := newEpilogueF32("nn.conv2d", in, attrs, out)
 	if err != nil {
 		return nil, err
 	}
-	data, weight := args[0], args[1]
 	p := convParams(attrs)
-	return convF32(data, weight, p, out, dstBuf, im2colPays(weight.Shape, p.groups), ep), nil
+	return newConvLaunchF32(in, out, p, ep, im2colPays)
 }
 
-// convF32 runs the float32 convolution by one strategy, parallel over
-// (batch × output row) — each worker owns disjoint output rows. The direct
-// strategy, on a depthwise geometry only, reduces every cell in place and
-// then runs ep over the row; the indirect one, on any geometry, points the
-// GEMM tile at each output row's patches in the image (indirectRow) and
-// multiplies them against the weight's packed panels, the tile applying
-// ep's bias and clamp at its store. The row loop splits when its MACs pay
-// for it (convGeom.work). Split or not, a steady-state launch allocates
-// nothing.
-func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dstBuf *tensor.Tensor, im2col bool, ep epilogueF32) *tensor.Tensor {
-	res := output(dstBuf, out)
-	r := convRowsF32{
-		g:   newConvGeom(p, data.Shape, weight.Shape, out.Shape),
-		din: data.F32(), dout: res.F32(),
-		ep: ep,
+// newConvLaunchF32 prepares the float convolution by the strategy im2col
+// picks: the built-in rule im2colPays, or in tests a forced one.
+func newConvLaunchF32(in []*relay.TensorType, out *relay.TensorType, p conv2dParams, ep epilogueF32, im2col func(weight tensor.Shape, groups int) bool) (*convLaunchF32, error) {
+	g, err := prepareConvGeom(in, p, out)
+	if err != nil {
+		return nil, err
 	}
-	if im2col {
-		r.pw = packedConvWeightF32(weight, r.g.groups)
+	c := &convLaunchF32{in: in, out: out, g: g, ep: ep}
+	if im2col(in[1].Shape, p.groups) {
+		c.tab, err = newConvTable[float32](&c.g)
+	} else if !c.g.depthwise() {
+		err = fmt.Errorf("the direct strategy runs depthwise geometries only")
+	}
+	return c, err
+}
+
+func (c *convLaunchF32) bytes() int { return c.tab.bytes() }
+
+// run runs the float32 convolution, parallel over (batch × output row) —
+// each worker owns disjoint output rows. The direct strategy, on a
+// depthwise geometry only, reduces every cell in place and then runs the
+// epilogue over the row; the indirect one, on any geometry, points the GEMM
+// tile at each output row's patches in the image through the prepared
+// table and multiplies them against the weight's packed panels, the tile
+// applying the bias and clamp at its store. The row loop splits when its
+// MACs pay for it (convGeom.work). Split or not, a steady-state launch
+// allocates nothing.
+func (c *convLaunchF32) run(args []*tensor.Tensor, dst *tensor.Tensor) (*tensor.Tensor, error) {
+	if err := checkArgs(c.in, args); err != nil {
+		return nil, err
+	}
+	res := output(dst, c.out)
+	r := convRowsF32{g: c.g, tab: c.tab, din: args[0].F32(), dout: res.F32(), ep: c.ep.bind(args)}
+	if c.tab != nil {
+		r.pw = packedConvWeightF32(args[1], c.g.groups)
 	} else {
-		r.wt = directWeightF32(weight, &r.g)
+		r.wt = directWeightF32(args[1], &c.g)
 	}
-	rows := data.Shape[0] * r.g.oh
-	convRegionF32.Run(rows, r.g.work(rows), r)
-	return res
+	rows := args[0].Shape[0] * c.g.oh
+	convRegionF32.Run(rows, c.g.work(rows), r)
+	return res, nil
 }
 
 var convRegionF32 = parallel.NewRegion(convRowsF32.run)
 
 // convRowsF32 is one float convolution launch's row loop and its closure
 // data. It is passed by value, so each worker runs on its own copy —
-// geometry included — on its own stack; pw is nil on the direct strategy,
-// which reads the tap-major wt (directWeightF32).
+// geometry included — on its own stack; tab and pw are nil on the direct
+// strategy, which reads the tap-major wt (directWeightF32).
 type convRowsF32 struct {
 	g             convGeom
+	tab           *indirectTable[float32]
 	din, wt, dout []float32
 	pw            *packedWeight[float32]
 	ep            epilogueF32
@@ -131,7 +190,7 @@ type convRowsF32 struct {
 // run computes output rows [lo, hi).
 func (r convRowsF32) run(lo, hi int) {
 	g := &r.g
-	if r.pw == nil {
+	if r.tab == nil {
 		for job := lo; job < hi; job++ {
 			row := r.dout[job*g.rowLen() : (job+1)*g.rowLen()]
 			depthwiseRow(row, r.din, r.wt, g, job)
@@ -139,14 +198,13 @@ func (r convRowsF32) run(lo, hi int) {
 		}
 		return
 	}
-	s := getConvIndirect[float32](&indirectPoolF32, g)
-	defer indirectPoolF32.Put(s)
 	ocg := g.ocg()
 	for job := lo; job < hi; job++ {
 		row := r.dout[job*g.rowLen() : (job+1)*g.rowLen()]
+		rows := r.tab.convRow(g, r.din, job)
 		for grp := 0; grp < g.groups; grp++ {
-			indirectRow(s, r.din, g, job, grp)
-			indirectPanelsF32(s.tiles, r.pw.group(grp), row[grp*ocg:], g.ow, ocg, g.k(), g.oc, &r.ep, grp*ocg)
+			indirectPanelsF32(&rows, r.pw.group(grp), row[grp*ocg:], g.ow, ocg, g.k(), g.oc, &r.ep, grp*ocg)
+			rows.base += g.icg
 		}
 	}
 }
@@ -259,56 +317,98 @@ func directWeightI32(w *tensor.Tensor, g *convGeom, zp int32) ([]int32, error) {
 	return data, nil
 }
 
-// qnnConv2D is the quantized convolution producing an int32 accumulator:
-// acc = Σ (q_in - zp_in) * (q_w - zp_w). The requantize kernel narrows the
-// accumulator back to 8 bits.
-func qnnConv2D(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := wantArgs(args, 2, "qnn.conv2d"); err != nil {
-		return nil, err
-	}
-	return quantizedConv("qnn.conv2d", args, attrs, out, dstBuf, nil)
+// convLaunchQnn is a prepared quantized convolution: qnn.conv2d, whose
+// int32 accumulators acc = Σ (q_in − zp_in)·(q_w − zp_w) are the output
+// (the requantize kernel narrows them back to 8 bits), or with an epilogue
+// qnn.conv2d_fused — one strategy rule for both.
+type convLaunchQnn struct {
+	in        []*relay.TensorType
+	out       *relay.TensorType
+	g         convGeom
+	zpIn, zpK int32
+	tab       *indirectTable[i16x2] // over g.pairs(); nil: the direct depthwise row
+	ep        *epilogue             // nil: qnn.conv2d
 }
 
-// quantizedConv launches qnn.conv2d, or with an epilogue qnn.conv2d_fused:
-// one strategy rule for both.
-func quantizedConv(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, ep *epilogue) (*tensor.Tensor, error) {
-	data, weight := args[0], args[1]
-	if err := relay.CheckQnnZeroPoints(op, data.DType, weight.DType, attrs); err != nil {
-		return nil, err
-	}
-	p := convParams(attrs)
-	zpIn := int32(attrs.Int("input_zero_point", 0))
-	zpK := int32(attrs.Int("kernel_zero_point", 0))
-	return convQnn(data, weight, p, zpIn, zpK, out, dstBuf, im2colPays(weight.Shape, p.groups), ep)
-}
-
-// convQnn runs the quantized convolution by one strategy, parallel over
-// (batch × output row) like convF32. The direct strategy, on a depthwise
-// geometry only, widens the data once into pooled (raw − zp) int32 scratch
-// and reads the weight's tap-major form (directWeightI32). The indirect one
-// widens the data into pooled k-pairs (rawMinusZpPairs), which its row
-// tables point into, and reads the packed pair panels of the weight. Either
-// widening is a parallel launch of its own ahead of the row loop — every
-// output row reads input rows of its neighbours, so the row loop cannot
-// widen its own. Integer accumulation is exact, so both strategies give the same bits. With
-// ep == nil (qnn.conv2d) the int32 accumulators are the output; otherwise
-// each output row is reduced into scratch and narrowed through a copy of ep.
-// Split or not, a steady-state launch allocates nothing.
-func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, dstBuf *tensor.Tensor, im2col bool, ep *epilogue) (*tensor.Tensor, error) {
-	res := output(dstBuf, out)
-	r := convRowsQnn{g: newConvGeom(p, data.Shape, weight.Shape, out.Shape), res: res}
-	if ep != nil {
-		r.ep, r.fused = *ep, true
-	}
-	g := &r.g
-	if im2col {
-		gp := g.pairs()
-		dinP := scratchPairs.get(data.Elems() / g.icg * gp.icg)
-		defer scratchPairs.put(dinP)
-		if err := rawMinusZpPairs(*dinP, data, zpIn, g.icg); err != nil {
+// prepareQnnTail checks a quantized convolution's or dense layer's
+// argument count and zero points and, when fused, prepares its epilogue
+// (nil otherwise).
+func prepareQnnTail(op string, fused bool, in []*relay.TensorType, attrs relay.Attrs, out *relay.TensorType) (*epilogue, error) {
+	var ep *epilogue
+	if fused {
+		e, err := newEpilogue(op, in, attrs, out)
+		if err != nil {
 			return nil, err
 		}
-		pw, err := packedConvWeightI32(weight, g.groups, zpK)
+		ep = &e
+	} else if len(in) != 2 {
+		return nil, fmt.Errorf("%s kernel expects 2 args, got %d", op, len(in))
+	}
+	return ep, relay.CheckQnnZeroPoints(op, in[0].DType, in[1].DType, attrs)
+}
+
+// prepareQnnConv2D prepares qnn.conv2d, or with fused qnn.conv2d_fused.
+func prepareQnnConv2D(op string, fused bool) preparer {
+	return func(in []*relay.TensorType, attrs relay.Attrs, out *relay.TensorType) (runner, error) {
+		ep, err := prepareQnnTail(op, fused, in, attrs, out)
+		if err != nil {
+			return nil, err
+		}
+		zpIn := int32(attrs.Int("input_zero_point", 0))
+		zpK := int32(attrs.Int("kernel_zero_point", 0))
+		return newConvLaunchQnn(in, out, convParams(attrs), zpIn, zpK, ep, im2colPays)
+	}
+}
+
+// newConvLaunchQnn is newConvLaunchF32 for the quantized convolution.
+func newConvLaunchQnn(in []*relay.TensorType, out *relay.TensorType, p conv2dParams, zpIn, zpK int32, ep *epilogue, im2col func(weight tensor.Shape, groups int) bool) (*convLaunchQnn, error) {
+	g, err := prepareConvGeom(in, p, out)
+	if err != nil {
+		return nil, err
+	}
+	c := &convLaunchQnn{in: in, out: out, g: g, zpIn: zpIn, zpK: zpK, ep: ep}
+	if im2col(in[1].Shape, p.groups) {
+		gp := c.g.pairs()
+		c.tab, err = newConvTable[i16x2](&gp)
+	} else if !c.g.depthwise() {
+		err = fmt.Errorf("the direct strategy runs depthwise geometries only")
+	}
+	return c, err
+}
+
+func (c *convLaunchQnn) bytes() int { return c.tab.bytes() }
+
+// run runs the quantized convolution by its strategy, parallel over
+// (batch × output row) like convLaunchF32. The direct strategy, on a
+// depthwise geometry only, widens the data once into pooled (raw − zp)
+// int32 scratch and reads the weight's tap-major form (directWeightI32).
+// The indirect one widens the data into pooled k-pairs (rawMinusZpPairs),
+// which its table points into, and reads the packed pair panels of the
+// weight. Either widening is a parallel launch of its own ahead of the row
+// loop — every output row reads input rows of its neighbours, so the row
+// loop cannot widen its own. Integer accumulation is exact, so both
+// strategies give the same bits. Without an epilogue (qnn.conv2d) the int32
+// accumulators are the output; otherwise each output row is reduced into
+// scratch and narrowed through the epilogue. Split or not, a steady-state
+// launch allocates nothing.
+func (c *convLaunchQnn) run(args []*tensor.Tensor, dst *tensor.Tensor) (*tensor.Tensor, error) {
+	if err := checkArgs(c.in, args); err != nil {
+		return nil, err
+	}
+	data, weight := args[0], args[1]
+	res := output(dst, c.out)
+	r := convRowsQnn{g: c.g, tab: c.tab, res: res}
+	if c.ep != nil {
+		r.ep, r.fused = c.ep.bind(args), true
+	}
+	g := &r.g
+	if c.tab != nil {
+		dinP := scratchPairs.get(data.Elems() / g.icg * pairsOf(g.icg))
+		defer scratchPairs.put(dinP)
+		if err := rawMinusZpPairs(*dinP, data, c.zpIn, g.icg); err != nil {
+			return nil, err
+		}
+		pw, err := packedConvWeightI32(weight, g.groups, c.zpK)
 		if err != nil {
 			return nil, err
 		}
@@ -316,10 +416,10 @@ func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *
 	} else {
 		dinP := scratchI32.get(data.Elems())
 		defer scratchI32.put(dinP)
-		if err := rawMinusZp(*dinP, data, zpIn); err != nil {
+		if err := rawMinusZp(*dinP, data, c.zpIn); err != nil {
 			return nil, err
 		}
-		wt, err := directWeightI32(weight, g, zpK)
+		wt, err := directWeightI32(weight, g, c.zpK)
 		if err != nil {
 			return nil, err
 		}
@@ -333,11 +433,12 @@ func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *
 var convRegionQnn = parallel.NewRegion(convRowsQnn.run)
 
 // convRowsQnn is one quantized convolution launch's row loop, passed by value
-// like convRowsF32 — epilogue included, so no pointer to the caller's
-// epilogue escapes. pw is nil on the direct strategy, which reads din and wt;
-// the indirect one reads dinPairs and pw.
+// like convRowsF32, its epilogue bound to this launch's bias. tab and pw are
+// nil on the direct strategy, which reads din and wt; the indirect one reads
+// dinPairs and pw.
 type convRowsQnn struct {
 	g        convGeom
+	tab      *indirectTable[i16x2]
 	din, wt  []int32
 	dinPairs []i16x2
 	pw       *packedWeight[i16x2]
@@ -350,12 +451,7 @@ type convRowsQnn struct {
 func (r convRowsQnn) run(lo, hi int) {
 	g := &r.g
 	gp := g.pairs()
-	var s *indirectScratch[i16x2]
 	var accP *[]int32
-	if r.pw != nil {
-		s = getConvIndirect[i16x2](&indirectPoolPairs, &gp)
-		defer indirectPoolPairs.Put(s)
-	}
 	if r.fused {
 		accP = scratchI32.get(g.rowLen())
 		defer scratchI32.put(accP)
@@ -372,12 +468,13 @@ func (r convRowsQnn) run(lo, hi int) {
 		} else {
 			row = dout[job*g.rowLen() : (job+1)*g.rowLen()]
 		}
-		if r.pw == nil {
+		if r.tab == nil {
 			depthwiseRow(row, r.din, r.wt, g, job)
 		} else {
+			rows := r.tab.convRow(&gp, r.dinPairs, job)
 			for grp := 0; grp < g.groups; grp++ {
-				indirectRow(s, r.dinPairs, &gp, job, grp)
-				indirectPanelsI32(s.tiles, r.pw.group(grp), row[grp*ocg:], g.ow, ocg, gp.k(), g.oc)
+				indirectPanelsI32(&rows, r.pw.group(grp), row[grp*ocg:], g.ow, ocg, gp.k(), g.oc)
+				rows.base += gp.icg
 			}
 		}
 		if r.fused {
@@ -386,137 +483,184 @@ func (r convRowsQnn) run(lo, hi int) {
 	}
 }
 
-// denseF32 is nn.dense, and like conv2DF32 it also takes the Neuron
-// FULLY_CONNECTED form: a bias as args[2] and fused_activation, which the
-// float tile applies to its accumulators at the store.
-func denseF32(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
-	ep, err := newEpilogueF32("nn.dense", args, attrs, out)
+// prepareDenseTypes checks a dense layer's data, weight and output types —
+// data m×k, weight units×k, output m×units — and returns m, k and units.
+func prepareDenseTypes(in []*relay.TensorType, out *relay.TensorType) (m, k, units int, err error) {
+	data, weight := in[0].Shape, in[1].Shape
+	if len(data) != 2 || len(weight) != 2 || data[1] != weight[1] || !out.Shape.Equal(tensor.Shape{data[0], weight[0]}) {
+		return 0, 0, 0, fmt.Errorf("data %s and weight %s cannot give output %s", data, weight, out.Shape)
+	}
+	return data[0], data[1], weight[0], nil
+}
+
+// denseLaunchF32 is a prepared nn.dense, and like convLaunchF32 it also
+// takes the Neuron FULLY_CONNECTED form: a bias as args[2] and
+// fused_activation, which the float tile applies to its accumulators at the
+// store.
+type denseLaunchF32 struct {
+	in         []*relay.TensorType
+	out        *relay.TensorType
+	m, k, unit int
+	tab        *indirectTable[float32]
+	ep         epilogueF32
+}
+
+func prepareDenseF32(in []*relay.TensorType, attrs relay.Attrs, out *relay.TensorType) (runner, error) {
+	ep, err := newEpilogueF32("nn.dense", in, attrs, out)
 	if err != nil {
 		return nil, err
 	}
-	data, weight := args[0], args[1]
-	res := output(dstBuf, out)
-	n, k := data.Shape[0], data.Shape[1]
-	units := weight.Shape[0]
+	d := &denseLaunchF32{in: in, out: out, ep: ep}
+	if d.m, d.k, d.unit, err = prepareDenseTypes(in, out); err != nil {
+		return nil, err
+	}
+	d.tab, err = newDenseTable[float32](d.m, d.k, d.k)
+	return d, err
+}
+
+func (d *denseLaunchF32) bytes() int { return d.tab.bytes() }
+
+func (d *denseLaunchF32) run(args []*tensor.Tensor, dst *tensor.Tensor) (*tensor.Tensor, error) {
+	if err := checkArgs(d.in, args); err != nil {
+		return nil, err
+	}
+	res := output(dst, d.out)
 	// nn.dense is GEMM by definition: rows of data against rows of weight,
 	// whose packed panels are the weight's own.
-	pw := packedConvWeightF32(weight, 1)
-	denseLaunchF32(n, units, k, data.F32(), k, pw.data, res.F32(), units, ep)
+	pw := packedConvWeightF32(args[1], 1)
+	denseGemmF32(d.tab, args[0].F32(), pw.data, res.F32(), d.m, d.unit, d.k, d.unit, d.ep.bind(args))
 	return res, nil
 }
 
-// denseLaunchF32 computes C[i·ldc+j] = clamp(Σ_k A[i·lda+k]·B[j][k] +
+// denseGemmF32 computes C[i·ldc+j] = clamp(Σ_k A[i·lda+k]·B[j][k] +
 // bias[j]) for i<m, j<n by ep, where bpack holds B packed at gemmNR (a
-// weight's panels): the f32 tiles read A's rows in place through a table of
-// one segment a row (denseRows), taken from the convolution's pool. The
-// N-panels are split among workers in groups of gemmWidePanels, so a chunk
-// boundary never cuts a wide tile and only the last chunk has a tail.
-// Overwrite semantics; each cell's reduction is bit-identical to the naive
-// loop, then the bias is added and the clamp applied as epilogueF32.apply
-// does. A steady-state launch allocates nothing, split or not.
-func denseLaunchF32(m, n, k int, a []float32, lda int, bpack, c []float32, ldc int, ep epilogueF32) {
+// weight's panels): the f32 tiles read A's rows in place through tab, its
+// dense table (offsets i·lda). The N-panels are split among workers in
+// groups of gemmWidePanels, so a chunk boundary never cuts a wide tile and
+// only the last chunk has a tail. Overwrite semantics; each cell's
+// reduction is bit-identical to the naive loop, then the bias is added and
+// the clamp applied as epilogueF32.apply does. A steady-state launch
+// allocates nothing, split or not.
+func denseGemmF32(tab *indirectTable[float32], a, bpack, c []float32, m, n, k, ldc int, ep epilogueF32) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	s := getIndirect[float32](&indirectPoolF32, gemmTiles(m, gemmMR), 1, 0)
-	denseRows(s, a, m, k, lda)
 	nt := gemmTiles(n, gemmNR)
 	denseRegionF32.Run(gemmTiles(nt, gemmWidePanels), int64(m)*int64(n)*int64(k),
-		densePanelsF32{s.tiles, bpack, c, m, n, k, ldc, ep})
-	indirectPoolF32.Put(s)
+		densePanelsF32{tab, a, bpack, c, m, n, k, ldc, ep})
 }
 
 var denseRegionF32 = parallel.NewRegion(densePanelsF32.run)
 
-// densePanelsF32 is denseLaunchF32's panel loop and its closure data, the
+// densePanelsF32 is denseGemmF32's panel loop and its closure data, the
 // epilogue carried by value as convRowsF32 carries it: run covers panel
 // groups [gLo, gHi) of gemmWidePanels panels, each chunk the panel walk over
 // its own slice of the panels, of C and of the bias.
 type densePanelsF32 struct {
-	tiles        [][][]float32
-	bpack, c     []float32
+	tab          *indirectTable[float32]
+	a, bpack, c  []float32
 	m, n, k, ldc int
 	ep           epilogueF32
 }
 
 func (d densePanelsF32) run(gLo, gHi int) {
 	lo, hi := gLo*gemmWidePanels*gemmNR, min(gHi*gemmWidePanels*gemmNR, d.n)
-	indirectPanelsF32(d.tiles, d.bpack[lo*d.k:], d.c[lo:], d.m, hi-lo, d.k, d.ldc, &d.ep, lo)
+	rows := tileRows[float32]{tab: d.tab, offs: d.tab.offs, a: d.a}
+	indirectPanelsF32(&rows, d.bpack[lo*d.k:], d.c[lo:], d.m, hi-lo, d.k, d.ldc, &d.ep, lo)
 }
 
-func qnnDense(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
-	if err := wantArgs(args, 2, "qnn.dense"); err != nil {
-		return nil, err
-	}
-	return quantizedDense("qnn.dense", args, attrs, out, dstBuf, nil)
+// denseLaunchQnn is a prepared qnn.dense, or with an epilogue
+// qnn.dense_fused: the (raw − zp) data rows, as k-pairs, against the packed
+// pair panels of the weight by the int32-sum tiles, the sums stored or
+// narrowed through the epilogue.
+type denseLaunchQnn struct {
+	in         []*relay.TensorType
+	out        *relay.TensorType
+	m, k, unit int
+	zpIn, zpK  int32
+	tab        *indirectTable[i16x2]
+	ep         *epilogue // nil: qnn.dense
 }
 
-// quantizedDense is qnn.dense, or with an epilogue qnn.dense_fused: the
-// (raw − zp) data rows, as k-pairs, against the packed pair panels of the
-// weight by the int32-sum tiles, the sums stored or narrowed through ep.
-func quantizedDense(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor, ep *epilogue) (*tensor.Tensor, error) {
-	data, weight := args[0], args[1]
-	if err := relay.CheckQnnZeroPoints(op, data.DType, weight.DType, attrs); err != nil {
+// prepareQnnDense prepares qnn.dense, or with fused qnn.dense_fused.
+func prepareQnnDense(op string, fused bool) preparer {
+	return func(in []*relay.TensorType, attrs relay.Attrs, out *relay.TensorType) (runner, error) {
+		d := &denseLaunchQnn{in: in, out: out,
+			zpIn: int32(attrs.Int("input_zero_point", 0)), zpK: int32(attrs.Int("kernel_zero_point", 0))}
+		var err error
+		if d.ep, err = prepareQnnTail(op, fused, in, attrs, out); err != nil {
+			return nil, err
+		}
+		if d.m, d.k, d.unit, err = prepareDenseTypes(in, out); err != nil {
+			return nil, err
+		}
+		kp := pairsOf(d.k)
+		d.tab, err = newDenseTable[i16x2](d.m, kp, kp)
+		return d, err
+	}
+}
+
+func (d *denseLaunchQnn) bytes() int { return d.tab.bytes() }
+
+func (d *denseLaunchQnn) run(args []*tensor.Tensor, dst *tensor.Tensor) (*tensor.Tensor, error) {
+	if err := checkArgs(d.in, args); err != nil {
 		return nil, err
 	}
-	res := output(dstBuf, out)
-	n, k := data.Shape[0], data.Shape[1]
-	kp := pairsOf(k)
-	units := weight.Shape[0]
-	pw, err := packedConvWeightI32(weight, 1, int32(attrs.Int("kernel_zero_point", 0)))
+	res := output(dst, d.out)
+	kp := pairsOf(d.k)
+	pw, err := packedConvWeightI32(args[1], 1, d.zpK)
 	if err != nil {
 		return nil, err
 	}
-	dinP := scratchPairs.get(n * kp)
+	dinP := scratchPairs.get(d.m * kp)
 	defer scratchPairs.put(dinP)
-	if err := rawMinusZpPairs(*dinP, data, int32(attrs.Int("input_zero_point", 0)), k); err != nil {
+	if err := rawMinusZpPairs(*dinP, args[0], d.zpIn, d.k); err != nil {
 		return nil, err
 	}
-	if ep == nil {
-		denseLaunchI32(n, units, kp, *dinP, kp, pw.data, res.I32(), units)
+	if d.ep == nil {
+		denseGemmI32(d.tab, *dinP, pw.data, res.I32(), d.m, d.unit, kp, d.unit)
 		return res, nil
 	}
-	accP := scratchI32.get(n * units)
+	accP := scratchI32.get(d.m * d.unit)
 	defer scratchI32.put(accP)
-	denseLaunchI32(n, units, kp, *dinP, kp, pw.data, *accP, units)
+	denseGemmI32(d.tab, *dinP, pw.data, *accP, d.m, d.unit, kp, d.unit)
+	ep := d.ep.bind(args)
 	ep.apply(res, *accP, 0)
 	return res, nil
 }
 
-// denseLaunchI32 is denseLaunchF32 for the quantized operands: A is m rows
-// of kp pairs (row stride lda), B packed at gemmNR, C int32 sums stored as
+// denseGemmI32 is denseGemmF32 for the quantized operands: A is m rows of
+// kp pairs read through tab, B packed at gemmNR, C int32 sums stored as
 // they are. The panels are split one by one; the work counts each k-pair as
 // two MACs.
-func denseLaunchI32(m, n, kp int, a []i16x2, lda int, bpack []i16x2, c []int32, ldc int) {
+func denseGemmI32(tab *indirectTable[i16x2], a, bpack []i16x2, c []int32, m, n, kp, ldc int) {
 	if m <= 0 || n <= 0 {
 		return
 	}
-	s := getIndirect[i16x2](&indirectPoolPairs, gemmTiles(m, gemmMR), 1, 0)
-	denseRows(s, a, m, kp, lda)
 	denseRegionI32.Run(gemmTiles(n, gemmNR), 2*int64(m)*int64(n)*int64(kp),
-		densePanelsI32{s.tiles, bpack, c, m, n, kp, ldc})
-	indirectPoolPairs.Put(s)
+		densePanelsI32{tab, a, bpack, c, m, n, kp, ldc})
 }
 
 var denseRegionI32 = parallel.NewRegion(densePanelsI32.run)
 
-// densePanelsI32 is denseLaunchI32's panel loop and its closure data: run
+// densePanelsI32 is denseGemmI32's panel loop and its closure data: run
 // covers panels [jtLo, jtHi).
 type densePanelsI32 struct {
-	tiles         [][][]i16x2
-	bpack         []i16x2
+	tab           *indirectTable[i16x2]
+	a, bpack      []i16x2
 	c             []int32
 	m, n, kp, ldc int
 }
 
 func (d densePanelsI32) run(jtLo, jtHi int) {
 	lo, hi := jtLo*gemmNR, min(jtHi*gemmNR, d.n)
-	indirectPanelsI32(d.tiles, d.bpack[lo*d.kp:], d.c[lo:], d.m, hi-lo, d.kp, d.ldc)
+	rows := tileRows[i16x2]{tab: d.tab, offs: d.tab.offs, a: d.a}
+	indirectPanelsI32(&rows, d.bpack[lo*d.kp:], d.c[lo:], d.m, hi-lo, d.kp, d.ldc)
 }
 
 func init() {
-	Register("nn.conv2d", conv2DF32)
-	Register("qnn.conv2d", qnnConv2D)
-	Register("nn.dense", denseF32)
-	Register("qnn.dense", qnnDense)
+	registerPrepared("nn.conv2d", prepareConv2DF32)
+	registerPrepared("qnn.conv2d", prepareQnnConv2D("qnn.conv2d", false))
+	registerPrepared("nn.dense", prepareDenseF32)
+	registerPrepared("qnn.dense", prepareQnnDense("qnn.dense", false))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/parallel"
@@ -74,11 +73,12 @@ func BenchmarkConvStrategy(b *testing.B) {
 		attrs, outQ := fusedQuantAttrs("relu6")
 		fout := &relay.TensorType{Shape: shape, DType: tensor.UInt8, Quant: &outQ}
 		fdst := tensor.New(tensor.UInt8, shape)
-		ep, err := newEpilogue("qnn.conv2d_fused",
-			[]*tensor.Tensor{qdata, qweight, tensor.New(tensor.Int32, tensor.Shape{cc.oc})}, attrs, fout)
+		fargs := []*tensor.Tensor{qdata, qweight, tensor.New(tensor.Int32, tensor.Shape{cc.oc})}
+		e, err := newEpilogue("qnn.conv2d_fused", typesOf(fargs), attrs, fout)
 		if err != nil {
 			b.Fatal(err)
 		}
+		ep := e.bind(fargs)
 
 		for _, k := range []struct {
 			name string
@@ -108,8 +108,8 @@ var gemmShapes = []struct{ m, n, k int }{{44, 64, 288}, {20, 128, 576}, {8, 128,
 // BenchmarkGemmF32Shapes reports GFLOP/s (2·m·n·k per call) on gemmShapes
 // for the dense launch — serial, and split over two workers, as a top-level
 // call is — and for each f32 tile of indirectTileKernels this CPU runs,
-// swept over the panels alone against the rows' one-segment tables
-// (denseRows). Every row but the split one pins one worker:
+// swept over the panels alone against the rows' one-segment table
+// (newDenseTable). Every row but the split one pins one worker:
 //
 //	go test ./internal/topi -run '^$' -bench GemmF32Shapes -benchtime 200ms
 func BenchmarkGemmF32Shapes(b *testing.B) {
@@ -118,8 +118,7 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 	rng := rand.New(rand.NewSource(37))
 	for _, s := range gemmShapes {
 		a, bpack, _ := gemmF32Case(rng, s.m, s.n, s.k, s.k, s.n)
-		tab := getIndirect[float32](new(sync.Pool), gemmTiles(s.m, gemmMR), 1, 0)
-		denseRows(tab, a, s.m, s.k, s.k)
+		tab := mustTable(newDenseTable[float32](s.m, s.k, s.k))
 		c := make([]float32, s.m*s.n)
 		nt := gemmTiles(s.n, gemmNR)
 		flops := float64(2 * s.m * s.n * s.k)
@@ -128,7 +127,7 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 			workers int
 			run     func()
 		}
-		launch := func() { denseLaunchF32(s.m, s.n, s.k, a, s.k, bpack, c, s.n, epilogueF32{}) }
+		launch := func() { denseGemmF32(tab, a, bpack, c, s.m, s.n, s.k, s.n, epilogueF32{}) }
 		rows := []row{{"dense", 1, launch}, {"dense/workers=2", 2, launch}}
 		lo, hi := float32(math.Inf(-1)), float32(math.Inf(1))
 		for _, kern := range indirectTileKernels {
@@ -139,8 +138,8 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 				var acc [gemmMR * gemmWideNR]float32
 				for jt := 0; jt < nt; jt += kern.panels {
 					bp := bpack[jt*s.k*gemmNR : (jt+kern.panels)*s.k*gemmNR]
-					for _, t := range tab.tiles {
-						kern.run(t, bp, nil, lo, hi, &acc)
+					for it := range tab.seg {
+						kern.run(a, 0, nil, tab.offs[it*gemmMR:(it+1)*gemmMR], s.k, bp, nil, lo, hi, &acc)
 					}
 				}
 			}})

@@ -3,7 +3,6 @@ package topi
 import (
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -42,22 +41,12 @@ func packColRows[T panelElem](col, din []T, g *convGeom, job, grp int) {
 
 // gatherTile lays one tile's table out as the four rows it stands for,
 // row-major: a[i·k+kk] = row i's kk-th value, the segments' runs end to
-// end. It fails the test if a segment's four runs differ in length.
-func gatherTile[T panelElem](t *testing.T, rows [][]T) []T {
-	t.Helper()
-	var k int
-	for s := 0; s+gemmMR <= len(rows); s += gemmMR {
-		for i := 1; i < gemmMR; i++ {
-			if len(rows[s+i]) != len(rows[s]) {
-				t.Fatalf("segment %d: run %d is %d long, run 0 %d", s/gemmMR, i, len(rows[s+i]), len(rows[s]))
-			}
-		}
-		k += len(rows[s])
-	}
-	a := make([]T, 0, gemmMR*k)
+// end.
+func gatherTile[T panelElem](tab tileTable[T]) []T {
+	a := make([]T, 0, len(tab.offs)*tab.seg)
 	for i := 0; i < gemmMR; i++ {
-		for s := i; s < len(rows); s += gemmMR {
-			a = append(a, rows[s]...)
+		for s := i; s < len(tab.offs); s += gemmMR {
+			a = append(a, tableRun(tab.a, tab.base, tab.zero, tab.offs[s], tab.seg)...)
 		}
 	}
 	return a
@@ -70,16 +59,16 @@ func convCaseGeom(cc convCase) convGeom {
 		tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}, tensor.Shape{cc.n, oh, ow, cc.oc})
 }
 
-// TestPackColIsPackedRows: for every convCases shape, row and group, and
-// both element types (float32, and the quantized k-pairs, which the table
-// points into over a pairs() geometry), the indirect row tables gathered
-// tile by tile equal packColRows' rows — a tail tile's rows past ow zero —
-// bit for bit: the indirect tile reads the very rows the patch copy wrote,
-// in the same k order. The table is built over scratch that starts as
-// garbage, and the float data mixes in NaN, ±Inf, −0 and denormals.
+// TestPackColIsPackedRows: for every convCases and indirectTileCases
+// shape, row and group, and both element types (float32, and the quantized
+// k-pairs, which the table points into over a pairs() geometry), the
+// prepared offset tables gathered tile by tile from each output row's
+// origin equal packColRows' rows — a tail tile's rows past ow zero — bit
+// for bit: the indirect tile reads the very rows the patch copy wrote, in
+// the same k order. The float data mixes in NaN, ±Inf, −0 and denormals.
 func TestPackColIsPackedRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	for _, cc := range convCases {
+	for _, cc := range append(convCases, indirectTileCases...) {
 		t.Run(cc.name, func(t *testing.T) {
 			g := convCaseGeom(cc)
 			dinF := drawF32(rng, tensor.Shape{cc.n, cc.h, cc.w, cc.c}).F32()
@@ -97,17 +86,15 @@ func testIndirectTables[T panelElem](t *testing.T, g *convGeom, din []T, same fu
 	t.Helper()
 	k := g.k()
 	want := make([]T, gemmTiles(g.ow, gemmMR)*gemmMR*k)
-	s := getConvIndirect[T](new(sync.Pool), g)
-	for i := range s.tab {
-		s.tab[i] = din[:1]
-	}
+	tab := mustTable(newConvTable[T](g))
 	for job := 0; job < len(din)/(g.h*g.w*g.c)*g.oh; job++ {
+		rows := tab.convRow(g, din, job)
 		for grp := 0; grp < g.groups; grp++ {
 			packColRows(want, din, g, job, grp)
 			clear(want[g.ow*k:])
-			indirectRow(s, din, g, job, grp)
-			for it, tab := range s.tiles {
-				got := gatherTile(t, tab)
+			for it := range tab.seg {
+				offs, seg := rows.tile(it)
+				got := gatherTile(tileTable[T]{din, rows.base, tab.zero, offs, seg})
 				if len(got) != k*gemmMR {
 					t.Fatalf("%T row %d group %d tile %d: the table covers %d elements, want %d", got[0], job, grp, it, len(got), k*gemmMR)
 				}
@@ -117,6 +104,7 @@ func testIndirectTables[T panelElem](t *testing.T, g *convGeom, din []T, same fu
 					}
 				}
 			}
+			rows.base += g.icg
 		}
 	}
 }

@@ -50,16 +50,61 @@ func convDirectRowPerCell[T float32 | int32](row, din, wt []T, g *convGeom, job 
 	}
 }
 
+// forced is a strategy rule that always answers im2col.
+func forced(im2col bool) func(tensor.Shape, int) bool {
+	return func(tensor.Shape, int) bool { return im2col }
+}
+
+// convF32 launches the float convolution of data and weight into dst (nil:
+// a fresh output) by the given strategy, through a launch prepared for
+// their types with the epilogue ep, its bias included.
+func convF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, dst *tensor.Tensor, im2col bool, ep epilogueF32) *tensor.Tensor {
+	args := []*tensor.Tensor{data, weight}
+	c, err := newConvLaunchF32(typesOf(args), out, p, ep, forced(im2col))
+	if err != nil {
+		panic(err)
+	}
+	res, err := c.run(args, dst)
+	if err != nil {
+		panic(err)
+	}
+	return res
+}
+
+// convQnn is convF32 for the quantized convolution: ep nil is qnn.conv2d,
+// else its epilogue with the bias bound.
+func convQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, dst *tensor.Tensor, im2col bool, ep *epilogue) (*tensor.Tensor, error) {
+	args := []*tensor.Tensor{data, weight}
+	c, err := newConvLaunchQnn(typesOf(args), out, p, zpIn, zpK, ep, forced(im2col))
+	if err != nil {
+		return nil, err
+	}
+	return c.run(args, dst)
+}
+
 // directConvF32 is the direct strategy on any geometry: convF32's own on a
-// depthwise one, else convDirectRowPerCell row by row, each row then
-// through the epilogue — the loop nn.conv2d ran on every other shape until
-// the indirect tile took them all.
+// depthwise one, else perCellConvF32 — the loop nn.conv2d ran on every
+// other shape until the indirect tile took them all.
 func directConvF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, ep epilogueF32) *tensor.Tensor {
-	g := newConvGeom(p, data.Shape, weight.Shape, out.Shape)
-	if g.depthwise() {
+	if g := newConvGeom(p, data.Shape, weight.Shape, out.Shape); g.depthwise() {
 		return convF32(data, weight, p, out, nil, false, ep)
 	}
-	res := output(nil, out)
+	return perCellConvF32(data, weight, p, out, ep)
+}
+
+// directConvQnn is directConvF32 for the quantized convolution.
+func directConvQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, ep *epilogue) (*tensor.Tensor, error) {
+	if g := newConvGeom(p, data.Shape, weight.Shape, out.Shape); g.depthwise() {
+		return convQnn(data, weight, p, zpIn, zpK, out, nil, false, ep)
+	}
+	return perCellConvQnn(data, weight, p, zpIn, zpK, out, ep)
+}
+
+// perCellConvF32 is convDirectRowPerCell over every output row of any
+// geometry, each row then through the epilogue.
+func perCellConvF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.TensorType, ep epilogueF32) *tensor.Tensor {
+	g := newConvGeom(p, data.Shape, weight.Shape, out.Shape)
+	res := newOutput(out)
 	for job := 0; job < data.Shape[0]*g.oh; job++ {
 		row := res.F32()[job*g.rowLen() : (job+1)*g.rowLen()]
 		convDirectRowPerCell(row, data.F32(), weight.F32(), &g, job)
@@ -68,14 +113,11 @@ func directConvF32(data, weight *tensor.Tensor, p conv2dParams, out *relay.Tenso
 	return res
 }
 
-// directConvQnn is directConvF32 for the quantized convolution: operands
+// perCellConvQnn is perCellConvF32 for the quantized convolution: operands
 // widened to (raw − zero point) int32, each row's sums stored or, with an
 // epilogue, narrowed through it.
-func directConvQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, ep *epilogue) (*tensor.Tensor, error) {
+func perCellConvQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32, out *relay.TensorType, ep *epilogue) (*tensor.Tensor, error) {
 	g := newConvGeom(p, data.Shape, weight.Shape, out.Shape)
-	if g.depthwise() {
-		return convQnn(data, weight, p, zpIn, zpK, out, nil, false, ep)
-	}
 	din, wt := make([]int32, data.Elems()), make([]int32, weight.Elems())
 	if err := rawMinusZp(din, data, zpIn); err != nil {
 		return nil, err
@@ -83,7 +125,7 @@ func directConvQnn(data, weight *tensor.Tensor, p conv2dParams, zpIn, zpK int32,
 	if err := rawMinusZp(wt, weight, zpK); err != nil {
 		return nil, err
 	}
-	res := output(nil, out)
+	res := newOutput(out)
 	row := make([]int32, g.rowLen())
 	for job := 0; job < data.Shape[0]*g.oh; job++ {
 		convDirectRowPerCell(row, din, wt, &g, job)

@@ -215,8 +215,9 @@ func TestBroadcastMultiplyAllocations(t *testing.T) {
 		dst := tensor.New(tensor.Float32, outTy.Shape)
 		for _, workers := range []int{1, 2} {
 			parallel.SetMaxWorkers(workers)
+			l := prepared(t, "multiply", args, nil, outTy)
 			allocs := testing.AllocsPerRun(100, func() {
-				if err := RunInto("multiply", args, nil, outTy, dst); err != nil {
+				if err := l.Run(args, dst); err != nil {
 					t.Fatal(err)
 				}
 			})

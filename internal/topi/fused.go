@@ -68,20 +68,20 @@ import (
 // post-requantize raw value. base is the dtype's minimum raw value. clamp
 // records that the table is the clamp [tab[0], tab[255]] (isClamp).
 type activationLUT struct {
-	on, clamp bool
-	base      int32
-	tab       [256]int32
+	clamp bool
+	base  int32
+	tab   [256]int32
 }
 
 // buildActivationLUT replicates the unfused epilogue kernels exactly:
 // nn.relu's raw-domain zero-point clamp, and clip's real-domain
-// Dequantize→clamp→Quantize round trip (relu6).
-func buildActivationLUT(activation string, dt tensor.DType, q *tensor.QuantParams) (activationLUT, error) {
-	lut := activationLUT{}
+// Dequantize→clamp→Quantize round trip (relu6). No activation has no
+// table. It runs once per prepared launch (newEpilogue).
+func buildActivationLUT(activation string, dt tensor.DType, q *tensor.QuantParams) (*activationLUT, error) {
 	if activation == "" {
-		return lut, nil
+		return nil, nil
 	}
-	lut.on = true
+	lut := new(activationLUT)
 	if dt == tensor.Int8 {
 		lut.base = -128
 	}
@@ -118,7 +118,7 @@ func buildActivationLUT(activation string, dt tensor.DType, q *tensor.QuantParam
 			lut.tab[v-lut.base] = clampToDType(out, dt)
 		}
 	default:
-		return lut, fmt.Errorf("fused kernel: unknown activation %q", activation)
+		return nil, fmt.Errorf("fused kernel: unknown activation %q", activation)
 	}
 	lut.clamp = lut.isClamp()
 	return lut, nil
@@ -135,7 +135,9 @@ func (l *activationLUT) isClamp() bool {
 	return true
 }
 
-// epilogue is the tail a fused launch applies to its accumulators.
+// epilogue is the tail a fused launch applies to its accumulators. Prepare
+// builds it from the attributes and types (newEpilogue); the bias and its
+// tile are the bias tensor's, bound by every run (bind).
 type epilogue struct {
 	bias        []int32 // nil, or one value per output channel
 	tile        []int32 // bias repeated to lcm(channels, 8) values, or nil
@@ -143,13 +145,13 @@ type epilogue struct {
 	ratio       float64 // requant_input_scale / requant_output_scale
 	inZp, outZp int32
 	dt          tensor.DType
-	lut         activationLUT
+	lut         *activationLUT // nil: no activation
 }
 
-// newEpilogue reads the epilogue of one fused launch: args are data, weight
-// and an optional int32 bias of one value per output channel; attrs carry
-// the requant_* parameters and fused_activation.
-func newEpilogue(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType) (epilogue, error) {
+// newEpilogue prepares the epilogue of one fused launch: in are the types
+// of data, weight and an optional int32 bias of one value per output
+// channel; attrs carry the requant_* parameters and fused_activation.
+func newEpilogue(op string, in []*relay.TensorType, attrs relay.Attrs, out *relay.TensorType) (epilogue, error) {
 	e := epilogue{
 		channels: out.Shape[len(out.Shape)-1],
 		ratio:    attrs.Float("requant_input_scale", 1) / attrs.Float("requant_output_scale", 1),
@@ -157,21 +159,30 @@ func newEpilogue(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay
 		outZp:    int32(attrs.Int("requant_output_zero_point", 0)),
 		dt:       out.DType,
 	}
-	if len(args) != 2 && len(args) != 3 {
-		return e, fmt.Errorf("%s wants 2 or 3 args, got %d", op, len(args))
+	if len(in) != 2 && len(in) != 3 {
+		return e, fmt.Errorf("%s wants 2 or 3 args, got %d", op, len(in))
 	}
-	if len(args) == 3 {
-		if args[2].DType != tensor.Int32 {
-			return e, fmt.Errorf("%s bias must be int32, got %s", op, args[2].DType)
+	if len(in) == 3 {
+		if in[2].DType != tensor.Int32 {
+			return e, fmt.Errorf("%s bias must be int32, got %s", op, in[2].DType)
 		}
-		if e.bias = args[2].I32(); len(e.bias) != e.channels {
-			return e, fmt.Errorf("%s bias has %d elements, output has %d channels", op, len(e.bias), e.channels)
+		if n := in[2].Shape.Elems(); n != e.channels {
+			return e, fmt.Errorf("%s bias has %d elements, output has %d channels", op, n, e.channels)
 		}
-		e.tile = tiledBias(args[2])
 	}
 	var err error
 	e.lut, err = buildActivationLUT(attrs.Str("fused_activation", ""), out.DType, out.Quant)
 	return e, err
+}
+
+// bind returns the epilogue with the bias of one launch's args — args[2],
+// when there is one — and its tile (tiledBias, kept on the bias tensor).
+func (e *epilogue) bind(args []*tensor.Tensor) epilogue {
+	b := *e
+	if len(args) == 3 {
+		b.bias, b.tile = args[2].I32(), tiledBias(args[2])
+	}
+	return b
 }
 
 // apply narrows acc — whole output pixels (conv) or rows (dense) of
@@ -194,7 +205,7 @@ func (e *epilogue) apply(res *tensor.Tensor, acc []int32, base int) {
 					a += e.bias[f]
 				}
 				q := clampToDType(requantize(a, e.ratio, e.inZp, e.outZp), e.dt)
-				if e.lut.on {
+				if e.lut != nil {
 					q = e.lut.tab[q-e.lut.base]
 				}
 				setRaw(res, base+off+f, q)
@@ -212,7 +223,7 @@ func (e *epilogue) apply(res *tensor.Tensor, acc []int32, base int) {
 //np:hotpath
 func epilogueRow[T uint8 | int8](e *epilogue, dst []T, acc []int32, lo, hi int32) {
 	dst = dst[:len(acc)]
-	if e.lut.clamp {
+	if e.lut != nil && e.lut.clamp {
 		lo, hi = e.lut.tab[0], e.lut.tab[255]
 	}
 	if e.tile == nil {
@@ -225,8 +236,8 @@ func epilogueRow[T uint8 | int8](e *epilogue, dst []T, acc []int32, lo, hi int32
 			off = end
 		}
 	}
-	if e.lut.on && !e.lut.clamp {
-		lutRow(dst, &e.lut)
+	if e.lut != nil && !e.lut.clamp {
+		lutRow(dst, e.lut)
 	}
 }
 
@@ -306,26 +317,35 @@ func fusedActivationF32(activation string) (clampF32, bool, error) {
 	return clampF32{}, false, fmt.Errorf("fused kernel: unknown activation %q", activation)
 }
 
-// newEpilogueF32 reads a float launch's epilogue: args are data, weight and
-// an optional float32 bias of one value per output channel; attrs may carry
-// fused_activation.
-func newEpilogueF32(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType) (epilogueF32, error) {
+// newEpilogueF32 prepares a float launch's epilogue: in are the types of
+// data, weight and an optional float32 bias of one value per output
+// channel; attrs may carry fused_activation.
+func newEpilogueF32(op string, in []*relay.TensorType, attrs relay.Attrs, out *relay.TensorType) (epilogueF32, error) {
 	var e epilogueF32
-	if len(args) != 2 && len(args) != 3 {
-		return e, fmt.Errorf("%s kernel expects 2 or 3 args, got %d", op, len(args))
+	if len(in) != 2 && len(in) != 3 {
+		return e, fmt.Errorf("%s kernel expects 2 or 3 args, got %d", op, len(in))
 	}
-	if len(args) == 3 {
+	if len(in) == 3 {
 		channels := out.Shape[len(out.Shape)-1]
-		if args[2].DType != tensor.Float32 {
-			return e, fmt.Errorf("%s bias must be float32, got %s", op, args[2].DType)
+		if in[2].DType != tensor.Float32 {
+			return e, fmt.Errorf("%s bias must be float32, got %s", op, in[2].DType)
 		}
-		if e.bias = args[2].F32(); len(e.bias) != channels {
-			return e, fmt.Errorf("%s bias has %d elements, output has %d channels", op, len(e.bias), channels)
+		if n := in[2].Shape.Elems(); n != channels {
+			return e, fmt.Errorf("%s bias has %d elements, output has %d channels", op, n, channels)
 		}
 	}
 	var err error
 	e.clamp, e.act, err = fusedActivationF32(attrs.Str("fused_activation", ""))
 	return e, err
+}
+
+// bind returns the epilogue with the bias of one launch's args, args[2]
+// when there is one.
+func (e epilogueF32) bind(args []*tensor.Tensor) epilogueF32 {
+	if len(args) == 3 {
+		e.bias = args[2].F32()
+	}
+	return e
 }
 
 // apply runs the epilogue in place over row — whole output pixels of a
@@ -342,27 +362,7 @@ func (e *epilogueF32) apply(row []float32) {
 	}
 }
 
-// qnnConv2DFused is qnn.conv2d → nn.bias_add → qnn.requantize → activation
-// in one launch.
-func qnnConv2DFused(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
-	ep, err := newEpilogue("qnn.conv2d_fused", args, attrs, out)
-	if err != nil {
-		return nil, err
-	}
-	return quantizedConv("qnn.conv2d_fused", args, attrs, out, dstBuf, &ep)
-}
-
-// qnnDenseFused is the FullyConnected analogue: qnn.dense → bias →
-// requantize → activation.
-func qnnDenseFused(args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType, dstBuf *tensor.Tensor) (*tensor.Tensor, error) {
-	ep, err := newEpilogue("qnn.dense_fused", args, attrs, out)
-	if err != nil {
-		return nil, err
-	}
-	return quantizedDense("qnn.dense_fused", args, attrs, out, dstBuf, &ep)
-}
-
 func init() {
-	Register("qnn.conv2d_fused", qnnConv2DFused)
-	Register("qnn.dense_fused", qnnDenseFused)
+	registerPrepared("qnn.conv2d_fused", prepareQnnConv2D("qnn.conv2d_fused", true))
+	registerPrepared("qnn.dense_fused", prepareQnnDense("qnn.dense_fused", true))
 }

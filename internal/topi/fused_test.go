@@ -146,10 +146,11 @@ func convBy(im2col bool) launchFn {
 		p := convParams(attrs)
 		switch op {
 		case "nn.conv2d":
-			ep, err := newEpilogueF32(op, args, attrs, out)
+			ep, err := newEpilogueF32(op, typesOf(args), attrs, out)
 			if err != nil {
 				return nil, err
 			}
+			ep = ep.bind(args)
 			if !im2col {
 				return directConvF32(args[0], args[1], p, out, ep), nil
 			}
@@ -157,10 +158,11 @@ func convBy(im2col bool) launchFn {
 		case "qnn.conv2d", "qnn.conv2d_fused":
 			var ep *epilogue
 			if op == "qnn.conv2d_fused" {
-				e, err := newEpilogue(op, args, attrs, out)
+				e, err := newEpilogue(op, typesOf(args), attrs, out)
 				if err != nil {
 					return nil, err
 				}
+				e = e.bind(args)
 				ep = &e
 			}
 			zpIn, zpK := int32(attrs.Int("input_zero_point", 0)), int32(attrs.Int("kernel_zero_point", 0))
@@ -545,8 +547,9 @@ func TestFusedF32ConvDoesNotAllocate(t *testing.T) {
 		attrs := cc.attrs()
 		attrs["fused_activation"] = "relu"
 		dst := tensor.New(tensor.Float32, outTy.Shape)
+		l := prepared(t, "nn.conv2d", args, attrs, outTy)
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := RunInto("nn.conv2d", args, attrs, outTy, dst); err != nil {
+			if err := l.Run(args, dst); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -594,8 +597,9 @@ func TestSplitLaunchesDoNotAllocate(t *testing.T) {
 	attrs := cc.attrs()
 	attrs["fused_activation"] = "relu"
 	dst := tensor.New(tensor.Float32, outTy.Shape)
+	l := prepared(t, "nn.conv2d", args, attrs, outTy)
 	check("fused nn.conv2d", func() {
-		if err := RunInto("nn.conv2d", args, attrs, outTy, dst); err != nil {
+		if err := l.Run(args, dst); err != nil {
 			t.Fatal(err)
 		}
 	}, dst.F32())
@@ -603,7 +607,8 @@ func TestSplitLaunchesDoNotAllocate(t *testing.T) {
 	s := gemmShapes[1]
 	a, bpack, _ := gemmF32Case(rng, s.m, s.n, s.k, s.k, s.n)
 	c := make([]float32, s.m*s.n)
-	check("denseLaunchF32", func() { denseLaunchF32(s.m, s.n, s.k, a, s.k, bpack, c, s.n, epilogueF32{}) }, c)
+	tab := mustTable(newDenseTable[float32](s.m, s.k, s.k))
+	check("denseGemmF32", func() { denseGemmF32(tab, a, bpack, c, s.m, s.n, s.k, s.n, epilogueF32{}) }, c)
 }
 
 // roundHalfAwayBranchy is roundHalfAwayF as it was written before it lost
@@ -624,7 +629,7 @@ func applyPerElement(e *epilogue, res *tensor.Tensor, acc []int32, base int) {
 				a += e.bias[f]
 			}
 			q := clampToDType(roundHalfAwayBranchy(float64(a-e.inZp)*e.ratio)+e.outZp, e.dt)
-			if e.lut.on {
+			if e.lut != nil {
 				q = e.lut.tab[q-e.lut.base]
 			}
 			setRaw(res, base+off+f, q)
@@ -675,10 +680,12 @@ func TestEpilogueRowsMatchPerElement(t *testing.T) {
 						bias.I32()[0] = math.MaxInt32
 						args = append(args, bias)
 					}
-					ep, err := newEpilogue("qnn.conv2d_fused", args, attrs, out)
+					in := []*relay.TensorType{{}, {}, {Shape: tensor.Shape{channels}, DType: tensor.Int32}}
+					e, err := newEpilogue("qnn.conv2d_fused", in[:len(args)], attrs, out)
 					if err != nil {
 						t.Fatal(err)
 					}
+					ep := e.bind(args)
 					acc := make([]int32, pixels*channels)
 					for i := range acc {
 						switch rng.Intn(4) {
@@ -733,8 +740,9 @@ func TestFusedQnnConvDoesNotAllocate(t *testing.T) {
 		dst := tensor.New(tensor.UInt8, outTy.Shape)
 		q := outQ
 		dst.Quant = &q
+		l := prepared(t, "qnn.conv2d_fused", args, attrs, outTy)
 		allocs := testing.AllocsPerRun(100, func() {
-			if err := RunInto("qnn.conv2d_fused", args, attrs, outTy, dst); err != nil {
+			if err := l.Run(args, dst); err != nil {
 				t.Fatal(err)
 			}
 		})

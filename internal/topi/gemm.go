@@ -18,10 +18,13 @@ import (
 //     generic over the panel element). A is never packed: a tile reads its
 //     four rows of A in place, through a table of runs — per segment one run
 //     of each row, the segments laid end to end the row's k values in order.
-//     A convolution's table points into the image (indirectRow,
-//     conv_indirect.go; Dukhan, arXiv 1907.02129); a dense layer's row is
-//     one segment, the input row itself (denseRows). The panel layout is the
-//     same on every architecture and is never serialized.
+//     The table is prepared once per launch as int32 element offsets from a
+//     row origin, with a marker for the zero row (indirectTable,
+//     conv_indirect.go; Dukhan, arXiv 1907.02129): a tile takes the data, the
+//     origin, the zero row, its offsets and its segment length. A
+//     convolution's offsets point into the image; a dense layer's row is
+//     one segment, the input row itself (newDenseTable). The panel layout
+//     is the same on every architecture and is never serialized.
 //   - A float panel element is one float32. A quantized one is an i16x2: one
 //     k-pair of (raw − zero point) values as two int16, so the same layout
 //     over pairs holds, per k-pair, a B panel's 8 columns × 2 k, and a run of
@@ -95,8 +98,8 @@ import (
 // per-element-type code here.
 //
 // Parallelism: a convolution splits its output rows, and each row's panel
-// walk runs on the worker that owns the row. A dense launch (denseLaunchF32,
-// denseLaunchI32) launches its N-panel loop as a parallel.Region with the
+// walk runs on the worker that owns the row. A dense launch (denseGemmF32,
+// denseGemmI32) launches its N-panel loop as a parallel.Region with the
 // block's MACs as its work estimate: under an already split wavefront level
 // the budget is exhausted and the panels run serially on the caller, at top
 // level with enough work they are split across the free workers. Neither
@@ -140,31 +143,34 @@ func packPanels[T panelElem](dst, src []T, rows, k, ld, width int) {
 	}
 }
 
-// gemmIndirectF32Go computes one 4×8 f32 tile in portable Go over a table of
-// A rows' runs: rows holds, per segment s, the runs rows[4s+i] of tile row i, all len(rows[4s]) long,
-// and the segments laid end to end are the tile's k = Σ runs, against which
-// bp holds one panel of 8k values. Then, at the store, each cell gets
-// bias[j] added (bias nil: none) and is clamped to [lo, hi] — v < lo
-// becomes lo, then v > hi becomes hi, as clampF32 does:
-// acc[i·8+j] = clamp(Σ_kk A_i[kk]·bp[kk·8+j] + bias[j]). It is the tile on
-// every architecture but amd64, and the oracle for the assembly there.
-// The tile is walked as four 4×2 column pairs — eight accumulators and six
-// operands, which stay in registers on a 16-register machine where 32
-// accumulators would spill on every step. Each cell is one accumulator with
-// k ascending, product then sum, so it is bit-identical to the naive dot
-// product of the same rows.
+// gemmIndirectF32Go computes one 4×8 f32 tile in portable Go over a table
+// of A rows' runs: offs holds, per segment s, the entries offs[4s+i] of tile
+// row i — each the run of seg values of a at base+offs[4s+i], or of the zero
+// row where the entry is zeroRun — and the segments laid end to end are the
+// tile's k = seg·len(offs)/4, against which bp holds one panel of 8k values.
+// Then, at the store, each cell gets bias[j] added (bias nil: none) and is
+// clamped to [lo, hi] — v < lo becomes lo, then v > hi becomes hi, as
+// clampF32 does: acc[i·8+j] = clamp(Σ_kk A_i[kk]·bp[kk·8+j] + bias[j]). It
+// is the tile on every architecture but amd64, and the oracle for the
+// assembly there. The tile is walked as four 4×2 column pairs — eight
+// accumulators and six operands, which stay in registers on a 16-register
+// machine where 32 accumulators would spill on every step. Each cell is one
+// accumulator with k ascending, product then sum, so it is bit-identical to
+// the naive dot product of the same rows.
 //
 //np:hotpath
-func gemmIndirectF32Go(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32) {
+func gemmIndirectF32Go(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32) {
 	for j := 0; j < gemmNR; j += 2 {
 		var c00, c01 float32
 		var c10, c11 float32
 		var c20, c21 float32
 		var c30, c31 float32
 		b := bp
-		for s := 0; s+gemmMR <= len(rows); s += gemmMR {
-			r0 := rows[s]
-			r1, r2, r3 := rows[s+1][:len(r0)], rows[s+2][:len(r0)], rows[s+3][:len(r0)]
+		for s := 0; s+gemmMR <= len(offs); s += gemmMR {
+			r0 := tableRun(a, base, zero, offs[s], seg)
+			r1 := tableRun(a, base, zero, offs[s+1], seg)[:len(r0)]
+			r2 := tableRun(a, base, zero, offs[s+2], seg)[:len(r0)]
+			r3 := tableRun(a, base, zero, offs[s+3], seg)[:len(r0)]
 			for l, a0 := range r0 {
 				a1, a2, a3 := r1[l], r2[l], r3[l]
 				b0, b1 := b[j], b[j+1]
@@ -198,6 +204,15 @@ func gemmIndirectF32Go(rows [][]float32, bp []float32, bias *[gemmWideNR]float32
 	}
 }
 
+// tableRun is the run a table entry names: seg values of a from base+off,
+// or of the zero row where off is zeroRun.
+func tableRun[T panelElem](a []T, base int, zero []T, off int32, seg int) []T {
+	if off < 0 {
+		return zero[:seg]
+	}
+	return a[base+int(off):][:seg]
+}
+
 // ---- quantized variant: int16 pair panels, int32 accumulators ----
 
 // i16x2 is one k-pair of a quantized operand: two int16 values of
@@ -217,23 +232,25 @@ func (u i16x2) dot(v i16x2) int32 {
 
 // gemmIndirectI16Go computes one 4×8 tile of int32 sums in portable Go over
 // a table laid out as gemmIndirectF32Go's: per segment the four rows' runs
-// of k-pairs, the segments laid end to end the tile's kp pairs, bp one panel
-// of 8kp pairs, each term one pair product-sum:
+// of seg k-pairs, the segments laid end to end the tile's kp pairs, bp one
+// panel of 8kp pairs, each term one pair product-sum:
 // acc[i·8+j] = Σ_p A_i[p]·bp[p·8+j]. It is the quantized tile on every
 // architecture but amd64 and the oracle for the assembly there; its sums are
 // stored as they are.
 //
 //np:hotpath
-func gemmIndirectI16Go(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
+func gemmIndirectI16Go(a []i16x2, base int, zero []i16x2, offs []int32, seg int, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
 	for j := 0; j < gemmNR; j += 2 {
 		var c00, c01 int32
 		var c10, c11 int32
 		var c20, c21 int32
 		var c30, c31 int32
 		b := bp
-		for s := 0; s+gemmMR <= len(rows); s += gemmMR {
-			r0 := rows[s]
-			r1, r2, r3 := rows[s+1][:len(r0)], rows[s+2][:len(r0)], rows[s+3][:len(r0)]
+		for s := 0; s+gemmMR <= len(offs); s += gemmMR {
+			r0 := tableRun(a, base, zero, offs[s], seg)
+			r1 := tableRun(a, base, zero, offs[s+1], seg)[:len(r0)]
+			r2 := tableRun(a, base, zero, offs[s+2], seg)[:len(r0)]
+			r3 := tableRun(a, base, zero, offs[s+3], seg)[:len(r0)]
 			for l, a0 := range r0 {
 				a1, a2, a3 := r1[l], r2[l], r3[l]
 				b0, b1 := b[j], b[j+1]

@@ -29,45 +29,46 @@ var gemmWidePanels = func() int {
 // SSE2 tile. All three are bit-identical to gemmIndirectF32Go.
 //
 //np:hotpath
-func gemmIndirectF32(panels int, rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
+func gemmIndirectF32(panels int, a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
 	narrow := (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR])
 	switch {
 	case panels == 2:
-		gemmIndirectF32YMM(rows, bp, bias, lo, hi, acc)
+		gemmIndirectF32YMM(a, base, zero, offs, seg, bp, bias, lo, hi, acc)
 	case cpuid.AVX:
-		gemmIndirectF32AVX(rows, bp, bias, lo, hi, narrow)
+		gemmIndirectF32AVX(a, base, zero, offs, seg, bp, bias, lo, hi, narrow)
 	default:
-		gemmIndirectF32SSE2(rows, bp, bias, lo, hi, narrow)
+		gemmIndirectF32SSE2(a, base, zero, offs, seg, bp, bias, lo, hi, narrow)
 	}
 }
 
 // gemmIndirectF32YMM, gemmIndirectF32AVX and gemmIndirectF32SSE2 are the
-// f32 tiles of gemm_amd64.s. Each reads its table's segments and bp's k
-// rows, and nothing past them: the YMM tile's second panel starts at
+// f32 tiles of gemm_amd64.s. Each reads its table's runs and bp's k rows,
+// and nothing past them — with no bounds check, so the table must have been
+// prepared for a's shape: the YMM tile's second panel starts at
 // bp[len(bp)/2], so bp must hold exactly the two panels.
 //
 //go:noescape
-func gemmIndirectF32YMM(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32)
+func gemmIndirectF32YMM(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32)
 
 //go:noescape
-func gemmIndirectF32AVX(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)
+func gemmIndirectF32AVX(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)
 
 //go:noescape
-func gemmIndirectF32SSE2(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)
+func gemmIndirectF32SSE2(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)
 
 // gemmIndirectI16 computes one 4×8 tile of int32 sums (gemmIndirectI16Go's
 // contract) by the PMADDWD body. It is the amd64 baseline, so there is
 // nothing to test for.
 //
 //np:hotpath
-func gemmIndirectI16(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
-	gemmIndirectI16SSE2(rows, bp, acc)
+func gemmIndirectI16(a []i16x2, base int, zero []i16x2, offs []int32, seg int, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
+	gemmIndirectI16SSE2(a, base, zero, offs, seg, bp, acc)
 }
 
 // gemmIndirectI16SSE2 is the PMADDWD tile of gemm_amd64.s.
 //
 //go:noescape
-func gemmIndirectI16SSE2(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32)
+func gemmIndirectI16SSE2(a []i16x2, base int, zero []i16x2, offs []int32, seg int, bp []i16x2, acc *[gemmMR * gemmNR]int32)
 
 // mulAddRowVec runs mulAddRow's out[o] += x[o]·k[o] over the leading
 // multiple of eight channels in YMM vectors where the CPU has AVX2, and

@@ -5,18 +5,52 @@
 // panel layouts and the multiply-then-add rule, fused.go for the epilogue.
 
 // The tiles. Each takes, for A, a table of the tile's four row runs per
-// segment (conv_indirect.go): entry 4s+i is the slice header of row i's run
-// in segment s, so at 24(4s+i) bytes its pointer and at 24(4s)+8 the
-// segment's length, which the four runs share. Per segment the body loads
-// the four pointers once, then runs the segment's k steps — per step one
-// load of each B panel's eight values, then per row a broadcast of its A
-// value, a multiply and then an add: two roundings per step, as the Go
-// tiles do, never an FMA — indexing each run by AX. The segments laid end
-// to end are the tile's k, so B advances across them unbroken. With no
-// segment, or only empty ones, the accumulators stay zero. At the store the
-// f32 tiles add the bias (bias == nil: none), then clamp: max(lo, v) then
-// min(hi, ·), whose operand order keeps v wherever it is NaN or equal to the
-// bound — clampF32's v < lo and v > hi.
+// segment (conv_indirect.go): entry 4s+i is row i's run in segment s as an
+// int32 element offset from the row origin a + 4·base, or zeroRun (−1) for
+// the zero row, and every run is seg values long. Per segment the body
+// turns the four entries into pointers once (ROWPTR: the origin plus the
+// offset, or the zero row where the entry is negative), then runs the
+// segment's seg steps — per step one load of each B panel's eight values,
+// then per row a broadcast of its A value, a multiply and then an add: two
+// roundings per step, as the Go tiles do, never an FMA — indexing each run
+// by AX. The segments laid end to end are the tile's k, so B advances
+// across them unbroken. With no segment, or empty ones, the accumulators
+// stay zero. Nothing is bounds-checked: the table must have been prepared
+// for a's shape. At the store the f32 tiles add the bias (bias == nil:
+// none), then clamp: max(lo, v) then min(hi, ·), whose operand order keeps v
+// wherever it is NaN or equal to the bound — clampF32's v < lo and v > hi.
+//
+// Every tile holds the row origin in R13 and the zero row in R14, the
+// table in SI, its segment count in BX and the segment length in CX.
+
+#define TABLE \
+	MOVQ a_base+0(FP), R13      \
+	MOVQ base+24(FP), AX        \
+	LEAQ (R13)(AX*4), R13       \
+	MOVQ zero_base+32(FP), R14  \
+	MOVQ offs_base+56(FP), SI   \
+	MOVQ offs_len+64(FP), BX    \
+	SHRQ $2, BX                 \
+	MOVQ seg+80(FP), CX         \
+	MOVQ bp_base+88(FP), DX
+
+// ROWPTR loads table entry d(SI) into r as the address of its run. LEAQ
+// leaves the flags of TESTQ for CMOVQLT.
+#define ROWPTR(d, r) \
+	MOVLQSX d(SI), r      \
+	TESTQ   r, r          \
+	LEAQ    (R13)(r*4), r \
+	CMOVQLT R14, r
+
+// SEGMENT points R8..R11 at the four runs of the segment at SI and steps SI
+// to the next one.
+#define SEGMENT \
+	ROWPTR(0, R8)  \
+	ROWPTR(4, R9)  \
+	ROWPTR(8, R10) \
+	ROWPTR(12, R11) \
+	ADDQ $16, SI   \
+	XORQ AX, AX
 
 #define IWROW(p, t0, t1, lo, hi) \
 	VBROADCASTSS (p)(AX*4), t0 \
@@ -29,7 +63,7 @@
 	VMAXPS v, Y14, v \
 	VMINPS v, Y15, v
 
-// func gemmIndirectF32YMM(rows [][]float32, bp []float32, bias *[16]float32, lo, hi float32, acc *[64]float32)
+// func gemmIndirectF32YMM(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[16]float32, lo, hi float32, acc *[64]float32)
 //
 // The 4×16 tile over two adjacent B panels (AVX1 only): bp holds two panels
 // of 8k values, the second at bp[len(bp)/2:]. Y0..Y7 hold the tile: row i is
@@ -39,15 +73,12 @@
 // accumulator chains cover VADDPS's latency where the 4×8 tile's four do
 // not. Rows alternate their temporaries. Row i of the tile lands in
 // acc[16i : 16i+16].
-TEXT ·gemmIndirectF32YMM(SB), NOSPLIT, $0-72
-	MOVQ   rows_base+0(FP), SI
-	MOVQ   rows_len+8(FP), BX
-	SHRQ   $2, BX              // segments
-	MOVQ   bp_base+24(FP), DX
-	MOVQ   bp_len+32(FP), R12
+TEXT ·gemmIndirectF32YMM(SB), NOSPLIT, $0-136
+	TABLE
+	MOVQ   bp_len+96(FP), R12
 	SHLQ   $1, R12             // half of bp, in bytes
 	ADDQ   DX, R12             // second panel
-	MOVQ   acc+64(FP), DI
+	MOVQ   acc+128(FP), DI
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -58,17 +89,11 @@ TEXT ·gemmIndirectF32YMM(SB), NOSPLIT, $0-72
 	VXORPS Y7, Y7, Y7
 	TESTQ  BX, BX
 	JZ     yistore
+	TESTQ  CX, CX
+	JZ     yistore
 
 yiseg:
-	MOVQ  0(SI), R8
-	MOVQ  8(SI), CX
-	MOVQ  24(SI), R9
-	MOVQ  48(SI), R10
-	MOVQ  72(SI), R11
-	ADDQ  $96, SI
-	XORQ  AX, AX
-	TESTQ CX, CX
-	JZ    yinext
+	SEGMENT
 
 yiloop:
 	VMOVUPS (DX), Y8
@@ -82,13 +107,11 @@ yiloop:
 	INCQ    AX
 	CMPQ    AX, CX
 	JLT     yiloop
-
-yinext:
-	DECQ BX
+	DECQ    BX
 	JNZ  yiseg
 
 yistore:
-	MOVQ    bias+48(FP), AX
+	MOVQ    bias+112(FP), AX
 	TESTQ   AX, AX
 	JZ      yiclamp
 	VMOVUPS (AX), Y8
@@ -103,8 +126,8 @@ yistore:
 	VADDPS  Y9, Y7, Y7
 
 yiclamp:
-	VBROADCASTSS lo+56(FP), Y14
-	VBROADCASTSS hi+60(FP), Y15
+	VBROADCASTSS lo+120(FP), Y14
+	VBROADCASTSS hi+124(FP), Y15
 	VCLAMP(Y0)
 	VCLAMP(Y1)
 	VCLAMP(Y2)
@@ -129,36 +152,27 @@ yiclamp:
 	VMULPS       Y4, tmp, tmp  \
 	VADDPS       tmp, acc, acc
 
-// func gemmIndirectF32AVX(rows [][]float32, bp []float32, bias *[16]float32, lo, hi float32, acc *[32]float32)
+// func gemmIndirectF32AVX(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[16]float32, lo, hi float32, acc *[32]float32)
 //
 // The 4×8 tile at full YMM width (AVX1 only). Y0..Y3 hold the tile, one
 // register per A row, one lane per output cell. Per k step Y4 takes the
 // eight B values, and IVROW broadcasts one A value, multiplies and then
 // adds; each row has its own temporary so the four multiplies are
 // independent. bias is read for its first 8 values.
-TEXT ·gemmIndirectF32AVX(SB), NOSPLIT, $0-72
-	MOVQ   rows_base+0(FP), SI
-	MOVQ   rows_len+8(FP), BX
-	SHRQ   $2, BX
-	MOVQ   bp_base+24(FP), DX
-	MOVQ   acc+64(FP), DI
+TEXT ·gemmIndirectF32AVX(SB), NOSPLIT, $0-136
+	TABLE
+	MOVQ   acc+128(FP), DI
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
 	TESTQ  BX, BX
 	JZ     vistore
+	TESTQ  CX, CX
+	JZ     vistore
 
 viseg:
-	MOVQ  0(SI), R8
-	MOVQ  8(SI), CX
-	MOVQ  24(SI), R9
-	MOVQ  48(SI), R10
-	MOVQ  72(SI), R11
-	ADDQ  $96, SI
-	XORQ  AX, AX
-	TESTQ CX, CX
-	JZ    vinext
+	SEGMENT
 
 viloop:
 	VMOVUPS (DX), Y4
@@ -170,13 +184,11 @@ viloop:
 	INCQ    AX
 	CMPQ    AX, CX
 	JLT     viloop
-
-vinext:
-	DECQ BX
+	DECQ    BX
 	JNZ  viseg
 
 vistore:
-	MOVQ    bias+48(FP), AX
+	MOVQ    bias+112(FP), AX
 	TESTQ   AX, AX
 	JZ      viclamp
 	VMOVUPS (AX), Y4
@@ -186,8 +198,8 @@ vistore:
 	VADDPS  Y4, Y3, Y3
 
 viclamp:
-	VBROADCASTSS lo+56(FP), Y14
-	VBROADCASTSS hi+60(FP), Y15
+	VBROADCASTSS lo+120(FP), Y14
+	VBROADCASTSS hi+124(FP), Y15
 	VCLAMP(Y0)
 	VCLAMP(Y1)
 	VCLAMP(Y2)
@@ -214,18 +226,15 @@ viclamp:
 	MOVAPS X9, v   \
 	MINPS  X10, v
 
-// func gemmIndirectF32SSE2(rows [][]float32, bp []float32, bias *[16]float32, lo, hi float32, acc *[32]float32)
+// func gemmIndirectF32SSE2(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[16]float32, lo, hi float32, acc *[32]float32)
 //
 // The 4×8 tile on the architecture's baseline. X0..X7 hold the tile: row i
 // is X(2i) (columns 0–3) and X(2i+1) (columns 4–7). Per k step X8/X9 take
 // the eight B values and SIROW broadcasts one A value into X10/X11,
 // multiplies and then adds. bias is read for its first 8 values.
-TEXT ·gemmIndirectF32SSE2(SB), NOSPLIT, $0-72
-	MOVQ  rows_base+0(FP), SI
-	MOVQ  rows_len+8(FP), BX
-	SHRQ  $2, BX
-	MOVQ  bp_base+24(FP), DX
-	MOVQ  acc+64(FP), DI
+TEXT ·gemmIndirectF32SSE2(SB), NOSPLIT, $0-136
+	TABLE
+	MOVQ  acc+128(FP), DI
 	XORPS X0, X0
 	XORPS X1, X1
 	XORPS X2, X2
@@ -236,17 +245,11 @@ TEXT ·gemmIndirectF32SSE2(SB), NOSPLIT, $0-72
 	XORPS X7, X7
 	TESTQ BX, BX
 	JZ    sistore
+	TESTQ CX, CX
+	JZ    sistore
 
 siseg:
-	MOVQ  0(SI), R8
-	MOVQ  8(SI), CX
-	MOVQ  24(SI), R9
-	MOVQ  48(SI), R10
-	MOVQ  72(SI), R11
-	ADDQ  $96, SI
-	XORQ  AX, AX
-	TESTQ CX, CX
-	JZ    sinext
+	SEGMENT
 
 siloop:
 	MOVUPS (DX), X8
@@ -259,13 +262,11 @@ siloop:
 	INCQ   AX
 	CMPQ   AX, CX
 	JLT    siloop
-
-sinext:
-	DECQ BX
+	DECQ   BX
 	JNZ  siseg
 
 sistore:
-	MOVQ   bias+48(FP), AX
+	MOVQ   bias+112(FP), AX
 	TESTQ  AX, AX
 	JZ     siclamp
 	MOVUPS (AX), X8
@@ -280,9 +281,9 @@ sistore:
 	ADDPS  X9, X7
 
 siclamp:
-	MOVSS  lo+56(FP), X8
+	MOVSS  lo+120(FP), X8
 	SHUFPS $0, X8, X8
-	MOVSS  hi+60(FP), X9
+	MOVSS  hi+124(FP), X9
 	SHUFPS $0, X9, X9
 	SCLAMP(X0)
 	SCLAMP(X1)
@@ -311,7 +312,7 @@ siclamp:
 	PADDL   X11, lo        \
 	PADDL   X12, hi
 
-// func gemmIndirectI16SSE2(rows [][]i16x2, bp []i16x2, acc *[32]int32)
+// func gemmIndirectI16SSE2(a []i16x2, base int, zero []i16x2, offs []int32, seg int, bp []i16x2, acc *[32]int32)
 //
 // The quantized tile over a table of k-pair runs: int16 k-pairs in, int32
 // sums out. X0..X7 hold the 4×8 tile of int32 sums as the SSE2 f32 tile
@@ -322,12 +323,9 @@ siclamp:
 // to the Go assembler), then accumulates (PADDD, PADDL). The operands are
 // (raw − zp) of 8-bit data, within ±255, so a pair sum fits int32 and the
 // wrapping int32 adds are the Go tile's.
-TEXT ·gemmIndirectI16SSE2(SB), NOSPLIT, $0-56
-	MOVQ  rows_base+0(FP), SI
-	MOVQ  rows_len+8(FP), BX
-	SHRQ  $2, BX
-	MOVQ  bp_base+24(FP), DX
-	MOVQ  acc+48(FP), DI
+TEXT ·gemmIndirectI16SSE2(SB), NOSPLIT, $0-120
+	TABLE
+	MOVQ  acc+112(FP), DI
 	PXOR  X0, X0
 	PXOR  X1, X1
 	PXOR  X2, X2
@@ -338,17 +336,11 @@ TEXT ·gemmIndirectI16SSE2(SB), NOSPLIT, $0-56
 	PXOR  X7, X7
 	TESTQ BX, BX
 	JZ    iistore
+	TESTQ CX, CX
+	JZ    iistore
 
 iiseg:
-	MOVQ  0(SI), R8
-	MOVQ  8(SI), CX
-	MOVQ  24(SI), R9
-	MOVQ  48(SI), R10
-	MOVQ  72(SI), R11
-	ADDQ  $96, SI
-	XORQ  AX, AX
-	TESTQ CX, CX
-	JZ    iinext
+	SEGMENT
 
 iiloop:
 	MOVOU (DX), X9
@@ -361,9 +353,7 @@ iiloop:
 	INCQ  AX
 	CMPQ  AX, CX
 	JLT   iiloop
-
-iinext:
-	DECQ BX
+	DECQ  BX
 	JNZ  iiseg
 
 iistore:

@@ -6,13 +6,13 @@ package topi
 const gemmWidePanels = 1
 
 // gemmIndirectF32 is the portable tile: panels is always 1 here.
-func gemmIndirectF32(panels int, rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
-	gemmIndirectF32Go(rows, bp, bias, lo, hi, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
+func gemmIndirectF32(panels int, a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
+	gemmIndirectF32Go(a, base, zero, offs, seg, bp, bias, lo, hi, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
 }
 
 // gemmIndirectI16 is the portable pair tile.
-func gemmIndirectI16(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
-	gemmIndirectI16Go(rows, bp, acc)
+func gemmIndirectI16(a []i16x2, base int, zero []i16x2, offs []int32, seg int, bp []i16x2, acc *[gemmMR * gemmNR]int32) {
+	gemmIndirectI16Go(a, base, zero, offs, seg, bp, acc)
 }
 
 // mulAddRowVec: no vector body, mulAddRow's Go loop does every channel.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/parallel"
@@ -86,6 +85,25 @@ func sameF32Bits(got, want []float32) (int, bool) {
 	return 0, true
 }
 
+// mustTable returns a table its builder cannot refuse in these tests.
+func mustTable[T panelElem](tab *indirectTable[T], err error) *indirectTable[T] {
+	if err != nil {
+		panic(err)
+	}
+	return tab
+}
+
+// runDenseF32 is the float dense launch over a freshly prepared table of A's
+// m rows, row stride lda.
+func runDenseF32(m, n, k int, a []float32, lda int, bpack, c []float32, ldc int, ep epilogueF32) {
+	denseGemmF32(mustTable(newDenseTable[float32](m, k, lda)), a, bpack, c, m, n, k, ldc, ep)
+}
+
+// runDenseI32 is runDenseF32 for the quantized operands, kp k-pairs a row.
+func runDenseI32(m, n, kp int, a []i16x2, lda int, bpack []i16x2, c []int32, ldc int) {
+	denseGemmI32(mustTable(newDenseTable[i16x2](m, kp, lda)), a, bpack, c, m, n, kp, ldc)
+}
+
 func TestGemmF32MatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, d := range gemmDims {
@@ -93,7 +111,7 @@ func TestGemmF32MatchesNaive(t *testing.T) {
 		t.Run(fmt.Sprintf("m%d_n%d_k%d", m, n, k), func(t *testing.T) {
 			a, bpack, want := gemmF32Case(rng, m, n, k, k, n)
 			got := make([]float32, m*n)
-			denseLaunchF32(m, n, k, a, k, bpack, got, n, epilogueF32{})
+			runDenseF32(m, n, k, a, k, bpack, got, n, epilogueF32{})
 			if i, ok := sameF32Bits(got, want); !ok {
 				t.Fatalf("c[%d]: dense %v != naive %v", i, got[i], want[i])
 			}
@@ -111,7 +129,7 @@ func TestGemmF32StridedOperands(t *testing.T) {
 		lda, ldc := k+5, n+3
 		a, bpack, want := gemmF32Case(rng, m, n, k, lda, ldc)
 		got := make([]float32, m*ldc)
-		denseLaunchF32(m, n, k, a, lda, bpack, got, ldc, epilogueF32{})
+		runDenseF32(m, n, k, a, lda, bpack, got, ldc, epilogueF32{})
 		if i, ok := sameF32Bits(got, want); !ok {
 			t.Fatalf("m%d n%d k%d: c[%d,%d]: dense %v != naive %v", m, n, k, i/ldc, i%ldc, got[i], want[i])
 		}
@@ -148,12 +166,11 @@ func TestDenseSplitMatchesSerial(t *testing.T) {
 			ep := epilogueF32{bias: drawF32(rng, tensor.Shape{n}).F32(), act: true, clamp: newClampF32(0, 0.5)}
 			ep.apply(naive)
 			serial := make([]float32, m*n)
-			denseLaunchF32(m, n, k, a, k, bpack, serial, n, ep)
+			runDenseF32(m, n, k, a, k, bpack, serial, n, ep)
 			if i, ok := sameF32Bits(serial, naive); !ok {
 				t.Fatalf("m%d n%d k%d: c[%d,%d]: dense %v != naive then staged epilogue %v", m, n, k, i/n, i%n, serial[i], naive[i])
 			}
-			s := getIndirect[float32](new(sync.Pool), gemmTiles(m, gemmMR), 1, 0)
-			denseRows(s, a, m, k, k)
+			tab := mustTable(newDenseTable[float32](m, k, k))
 			span := gemmWidePanels * gemmNR
 			groups := gemmTiles(n, span)
 			for lo := 0; lo < groups; lo++ {
@@ -162,7 +179,7 @@ func TestDenseSplitMatchesSerial(t *testing.T) {
 					for i := range got {
 						got[i] = 42
 					}
-					densePanelsF32{s.tiles, bpack, got, m, n, k, n, ep}.run(lo, hi)
+					densePanelsF32{tab, a, bpack, got, m, n, k, n, ep}.run(lo, hi)
 					for c := range got {
 						w := float32(42)
 						if j := c % n; j >= lo*span && j < hi*span {
@@ -216,7 +233,7 @@ func TestGemmI32MatchesNaive(t *testing.T) {
 			bpack := make([]i16x2, gemmTiles(n, gemmNR)*gemmNR*kp)
 			packPanels(bpack, pairRows(b, n, k), n, kp, kp, gemmNR)
 			got := make([]int32, m*n)
-			denseLaunchI32(m, n, kp, pairRows(a, m, k), kp, bpack, got, n)
+			runDenseI32(m, n, kp, pairRows(a, m, k), kp, bpack, got, n)
 			want := make([]int32, m*n)
 			naiveGemmI32(m, n, k, a, k, b, k, want, n)
 			for i := range want {
@@ -231,7 +248,7 @@ func TestGemmI32MatchesNaive(t *testing.T) {
 // TestGemmSerialPathDoesNotAllocate: when the budget answers "serial" — one
 // worker here, or a dense layer under an already split wavefront level —
 // the dense launches call the panel loop directly, with no closure per call,
-// and take their row tables from the pools.
+// over their prepared tables.
 func TestGemmSerialPathDoesNotAllocate(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector makes sync.Pool drop scratch buffers at random")
@@ -241,9 +258,10 @@ func TestGemmSerialPathDoesNotAllocate(t *testing.T) {
 	const m, n, k = 13, 9, 27
 	af, bf, cf := make([]float32, m*k), make([]float32, gemmTiles(n, gemmNR)*gemmNR*k), make([]float32, m*n)
 	ai, bi, ci := make([]i16x2, m*k), make([]i16x2, gemmTiles(n, gemmNR)*gemmNR*k), make([]int32, m*n)
+	tf, ti := mustTable(newDenseTable[float32](m, k, k)), mustTable(newDenseTable[i16x2](m, k, k))
 	for name, call := range map[string]func(){
-		"denseLaunchF32": func() { denseLaunchF32(m, n, k, af, k, bf, cf, n, epilogueF32{}) },
-		"denseLaunchI32": func() { denseLaunchI32(m, n, k, ai, k, bi, ci, n) },
+		"denseGemmF32": func() { denseGemmF32(tf, af, bf, cf, m, n, k, n, epilogueF32{}) },
+		"denseGemmI32": func() { denseGemmI32(ti, ai, bi, ci, m, n, k, n) },
 	} {
 		if allocs := testing.AllocsPerRun(200, call); allocs != 0 {
 			t.Errorf("%s allocates %v times per call on the serial path, want 0", name, allocs)
@@ -344,7 +362,7 @@ func TestConvIm2colMatchesDirectF32(t *testing.T) {
 				t.Fatalf("out[%d]: direct %v != im2col %v", i, direct.F32()[i], blocked.F32()[i])
 			}
 			// The registered kernel, whichever path it dispatches to.
-			got, err := conv2DF32([]*tensor.Tensor{data, weight}, cc.attrs(), out, nil)
+			got, err := Run("nn.conv2d", []*tensor.Tensor{data, weight}, cc.attrs(), out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,7 +400,7 @@ func TestConvIm2colMatchesDirectQnn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := qnnConv2D([]*tensor.Tensor{data, weight}, attrs, out, nil)
+			got, err := Run("qnn.conv2d", []*tensor.Tensor{data, weight}, attrs, out)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -402,16 +420,27 @@ func TestConvIm2colMatchesDirectQnn(t *testing.T) {
 type indirectTileKernel struct {
 	name   string
 	panels int
-	run    func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32)
+	run    func(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32)
 	needs  string
 	skip   bool
 }
 
 // narrowIndirect adapts a 4×8 tile to the wide accumulator buffer.
-func narrowIndirect(tile func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)) func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
-	return func(rows [][]float32, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
-		tile(rows, bp, bias, lo, hi, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
+func narrowIndirect(tile func(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmNR]float32)) func(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
+	return func(a []float32, base int, zero []float32, offs []int32, seg int, bp []float32, bias *[gemmWideNR]float32, lo, hi float32, acc *[gemmMR * gemmWideNR]float32) {
+		tile(a, base, zero, offs, seg, bp, bias, lo, hi, (*[gemmMR * gemmNR]float32)(acc[:gemmMR*gemmNR]))
 	}
+}
+
+// tileTable is one row tile's A side as the tiles take it: the data, the
+// row's origin in it, the zero row, the tile's entries and its segment
+// length.
+type tileTable[T panelElem] struct {
+	a    []T
+	base int
+	zero []T
+	offs []int32
+	seg  int
 }
 
 // indirectTileCases are the geometries the tile tests build convolution
@@ -439,32 +468,33 @@ var denseTileKs = func() []int {
 	return ks
 }()
 
-// indirectTables runs indirectRow over every output row and group of g and
-// calls each with every tile's table.
-func indirectTables[T panelElem](g *convGeom, din []T, each func(rows [][]T)) {
-	s := getConvIndirect[T](new(sync.Pool), g)
+// indirectTables prepares g's table and calls each with every tile of every
+// output row and group of din.
+func indirectTables[T panelElem](g *convGeom, din []T, each func(tab tileTable[T])) {
+	tab := mustTable(newConvTable[T](g))
 	for job := 0; job < len(din)/(g.h*g.w*g.c)*g.oh; job++ {
+		rows := tab.convRow(g, din, job)
 		for grp := 0; grp < g.groups; grp++ {
-			indirectRow(s, din, g, job, grp)
-			for _, rows := range s.tiles {
-				each(rows)
+			for it := range tab.seg {
+				offs, seg := rows.tile(it)
+				each(tileTable[T]{din, rows.base, tab.zero, offs, seg})
 			}
+			rows.base += g.icg
 		}
 	}
 }
 
-// denseTables runs denseRows over three rows of k values of din (row
+// denseTables prepares the table of three rows of k values of din (row
 // stride k+1, so the runs are not adjacent) and calls each with its one
-// tile's table, whose last row repeats the third.
-func denseTables[T panelElem](k int, din func() T, each func(rows [][]T)) {
+// tile, whose last row repeats the third.
+func denseTables[T panelElem](k int, din func() T, each func(tab tileTable[T])) {
 	const m = 3
 	a := make([]T, m*(k+1))
 	for i := range a {
 		a[i] = din()
 	}
-	s := getIndirect[T](new(sync.Pool), 1, 1, 0)
-	denseRows(s, a, m, k, k+1)
-	each(s.tiles[0])
+	tab := mustTable(newDenseTable[T](m, k, k+1))
+	each(tileTable[T]{a: a, offs: tab.offs, seg: k})
 }
 
 // storeEpilogues are the stores an f32 tile is tested under: none, a bias
@@ -517,19 +547,19 @@ func TestGemmIndirectF32Tile(t *testing.T) {
 					for i := range din {
 						din[i] = draw()
 					}
-					indirectTables(&g, din, func(rows [][]float32) {
-						testIndirectF32Tile(t, kern, cc.name, rows, draw)
+					indirectTables(&g, din, func(tab tileTable[float32]) {
+						testIndirectF32Tile(t, kern, cc.name, tab, draw)
 					})
 				}
 				for _, k := range denseTileKs {
-					denseTables(k, draw, func(rows [][]float32) {
-						testIndirectF32Tile(t, kern, "dense", rows, draw)
+					denseTables(k, draw, func(tab tileTable[float32]) {
+						testIndirectF32Tile(t, kern, "dense", tab, draw)
 					})
 				}
 			}
 			var acc [gemmMR * gemmWideNR]float32
 			acc[0] = 9
-			kern.run(nil, nil, nil, float32(math.Inf(-1)), float32(math.Inf(1)), &acc)
+			kern.run(nil, 0, nil, nil, 0, nil, nil, float32(math.Inf(-1)), float32(math.Inf(1)), &acc)
 			if acc != [gemmMR * gemmWideNR]float32{} {
 				t.Fatalf("empty table: %s acc = %v, want zeros", kern.name, acc)
 			}
@@ -537,9 +567,9 @@ func TestGemmIndirectF32Tile(t *testing.T) {
 	}
 }
 
-func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, rows [][]float32, draw func() float32) {
+func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, tab tileTable[float32], draw func() float32) {
 	t.Helper()
-	a := gatherTile(t, rows)
+	a := gatherTile(tab)
 	k := len(a) / gemmMR
 	ld := kern.panels * gemmNR
 	b := make([]float32, ld*k)
@@ -568,7 +598,7 @@ func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, row
 			got.acc[i] = 42
 		}
 		got.pre, got.post = [4]float32{1, 2, 3, 4}, [4]float32{5, 6, 7, 8}
-		kern.run(rows, bp, bb, ep.lo, ep.hi, &got.acc)
+		kern.run(tab.a, tab.base, tab.zero, tab.offs, tab.seg, bp, bb, ep.lo, ep.hi, &got.acc)
 		if got.pre != [4]float32{1, 2, 3, 4} || got.post != [4]float32{5, 6, 7, 8} {
 			t.Fatalf("%s k=%d %s: %s wrote outside acc", name, k, ep.name, kern.name)
 		}
@@ -585,7 +615,7 @@ func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, row
 				goBias = new([gemmWideNR]float32)
 				copy(goBias[:], bias[p*gemmNR:])
 			}
-			gemmIndirectF32Go(rows, bp[p*k*gemmNR:(p+1)*k*gemmNR], goBias, ep.lo, ep.hi, &goTile)
+			gemmIndirectF32Go(tab.a, tab.base, tab.zero, tab.offs, tab.seg, bp[p*k*gemmNR:(p+1)*k*gemmNR], goBias, ep.lo, ep.hi, &goTile)
 			for c := range goTile {
 				i, j := c/gemmNR, p*gemmNR+c%gemmNR
 				w := naive[i*ld+j]
@@ -614,7 +644,7 @@ func testIndirectF32Tile(t *testing.T, kern indirectTileKernel, name string, row
 // tile itself.
 var i16IndirectTileKernels = []struct {
 	name string
-	run  func(rows [][]i16x2, bp []i16x2, acc *[gemmMR * gemmNR]int32)
+	run  func(a []i16x2, base int, zero []i16x2, offs []int32, seg int, bp []i16x2, acc *[gemmMR * gemmNR]int32)
 }{{"gemmIndirectI16", gemmIndirectI16}, {"gemmIndirectI16Go", gemmIndirectI16Go}}
 
 // unpairRows is pairRows' inverse: each k-pair of src becomes its two int32
@@ -646,8 +676,8 @@ func TestGemmIndirectI16Tile(t *testing.T) {
 				return int32(rng.Intn(511) - 255)
 			}
 			drawPair := func() i16x2 { return pairOf(draw(), draw()) }
-			check := func(name string, rows [][]i16x2, drawB func() int32) {
-				a := unpairRows(gatherTile(t, rows))
+			check := func(name string, tab tileTable[i16x2], drawB func() int32) {
+				a := unpairRows(gatherTile(tab))
 				k := len(a) / gemmMR
 				b := make([]int32, gemmNR*k)
 				for i := range b {
@@ -659,7 +689,7 @@ func TestGemmIndirectI16Tile(t *testing.T) {
 				var want [gemmMR * gemmNR]int32
 				naiveGemmI32(gemmMR, gemmNR, k, a, k, b, k, want[:], gemmNR)
 				var goTile [gemmMR * gemmNR]int32
-				gemmIndirectI16Go(rows, bp, &goTile)
+				gemmIndirectI16Go(tab.a, tab.base, tab.zero, tab.offs, tab.seg, bp, &goTile)
 				var got struct {
 					pre  [4]int32
 					acc  [gemmMR * gemmNR]int32
@@ -669,7 +699,7 @@ func TestGemmIndirectI16Tile(t *testing.T) {
 					got.acc[i] = 42
 				}
 				got.pre, got.post = [4]int32{1, 2, 3, 4}, [4]int32{5, 6, 7, 8}
-				kern.run(rows, bp, &got.acc)
+				kern.run(tab.a, tab.base, tab.zero, tab.offs, tab.seg, bp, &got.acc)
 				if got.pre != [4]int32{1, 2, 3, 4} || got.post != [4]int32{5, 6, 7, 8} {
 					t.Fatalf("%s kp=%d: %s wrote outside acc", name, kp, kern.name)
 				}
@@ -684,17 +714,17 @@ func TestGemmIndirectI16Tile(t *testing.T) {
 				for i := range din {
 					din[i] = drawPair()
 				}
-				indirectTables(&gp, din, func(rows [][]i16x2) { check(cc.name, rows, draw) })
+				indirectTables(&gp, din, func(tab tileTable[i16x2]) { check(cc.name, tab, draw) })
 			}
 			for _, kp := range denseTileKs {
-				denseTables(kp, drawPair, func(rows [][]i16x2) { check("dense", rows, draw) })
+				denseTables(kp, drawPair, func(tab tileTable[i16x2]) { check("dense", tab, draw) })
 			}
 			// Every product at its largest: the sums' extremes.
-			denseTables(4097, func() i16x2 { return pairOf(255, 255) }, func(rows [][]i16x2) {
-				check("dense-extreme", rows, func() int32 { return -255 })
+			denseTables(4097, func() i16x2 { return pairOf(255, 255) }, func(tab tileTable[i16x2]) {
+				check("dense-extreme", tab, func() int32 { return -255 })
 			})
 			acc := [gemmMR * gemmNR]int32{0: 9}
-			kern.run(nil, nil, &acc)
+			kern.run(nil, 0, nil, nil, 0, nil, &acc)
 			if acc != [gemmMR * gemmNR]int32{} {
 				t.Fatalf("empty table: %s acc = %v, want zeros", kern.name, acc)
 			}

@@ -77,6 +77,17 @@ func qnnConcatOracle(args []*tensor.Tensor, attrs relay.Attrs, out *relay.Tensor
 	return concatenateKernel(rescaled, attrs, out, nil)
 }
 
+// prepared returns the launch of op for args' types: the steady state the
+// planned executor and the Neuron runtime run.
+func prepared(tb testing.TB, op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.TensorType) Launch {
+	tb.Helper()
+	l, err := Prepare(op, typesOf(args), attrs, out)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return l
+}
+
 // inferOut types one call of op over args the way the planner does.
 func inferOut(t *testing.T, op string, args []*tensor.Tensor, attrs relay.Attrs) *relay.TensorType {
 	t.Helper()
@@ -122,7 +133,8 @@ func TestMeanMatchesOracle(t *testing.T) {
 			want := meanOracle(in, c.axes, out)
 			dst := tensor.New(out.DType, out.Shape)
 			args := []*tensor.Tensor{in}
-			if err := RunInto("mean", args, attrs, out, dst); err != nil {
+			l := prepared(t, "mean", args, attrs, out)
+			if err := l.Run(args, dst); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(dst.F32(), want.F32()) {
@@ -131,7 +143,7 @@ func TestMeanMatchesOracle(t *testing.T) {
 			if race.Enabled || len(c.shape) > 8 {
 				return
 			}
-			if n := testing.AllocsPerRun(20, func() { _ = RunInto("mean", args, attrs, out, dst) }); n != 0 {
+			if n := testing.AllocsPerRun(20, func() { _ = l.Run(args, dst) }); n != 0 {
 				t.Errorf("mean allocates %v objects a call, want 0", n)
 			}
 		})
@@ -173,7 +185,8 @@ func TestQnnConcatenateMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			dst := tensor.New(out.DType, out.Shape)
-			if err := RunInto("qnn.concatenate", args, attrs, out, dst); err != nil {
+			l := prepared(t, "qnn.concatenate", args, attrs, out)
+			if err := l.Run(args, dst); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < dst.Elems(); i++ {
@@ -184,7 +197,7 @@ func TestQnnConcatenateMatchesOracle(t *testing.T) {
 			if race.Enabled {
 				continue
 			}
-			if n := testing.AllocsPerRun(20, func() { _ = RunInto("qnn.concatenate", args, attrs, out, dst) }); n != 0 {
+			if n := testing.AllocsPerRun(20, func() { _ = l.Run(args, dst) }); n != 0 {
 				t.Errorf("%v axis %d: qnn.concatenate allocates %v objects a call, want 0", dt, axis, n)
 			}
 		}

@@ -8,7 +8,10 @@ import "sync"
 // Output buffers are arena-planned by the executor, but scratch is shaped
 // per (kernel, chunk) and so is pooled here instead — keeping the planned
 // executor's steady state free of per-run heap allocation. Pooling
-// pointers-to-slices avoids boxing a fresh slice header on every Put.
+// pointers-to-slices avoids boxing a fresh slice header on every Put. What
+// a launch derives from its types alone — a convolution's or dense layer's
+// indirection table and zero row — is not scratch: it is prepared once per
+// launch (indirectTable) and never pooled.
 type scratchPool[T any] struct{ pool sync.Pool }
 
 var (

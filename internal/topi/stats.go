@@ -8,8 +8,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Per-kernel observability: when a registry is installed, every Run/RunInto
-// dispatch is counted and its wall time accumulated under the kernel's name.
+// Per-kernel observability: when a registry is installed, every launch
+// (Launch.Run, Run) is counted and its wall time accumulated under the kernel's name.
 // The hook is an atomic pointer so the disabled path costs one load on the
 // kernel hot path and nothing else; serving (npserve /metricsz) enables it,
 // batch tools leave it off.

@@ -21,7 +21,8 @@ func TestKernelMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := tensor.New(tensor.Float32, tensor.Shape{4})
-	if err := RunInto("add", []*tensor.Tensor{a, b}, relay.Attrs{}, out, dst); err != nil {
+	l := prepared(t, "add", []*tensor.Tensor{a, b}, relay.Attrs{}, out)
+	if err := l.Run([]*tensor.Tensor{a, b}, dst); err != nil {
 		t.Fatal(err)
 	}
 

@@ -430,7 +430,7 @@ func TestEveryRelayOpHasKernelOrIsStructural(t *testing.T) {
 	// Ops with no runtime kernel must be ones the executor lowers away.
 	structural := map[string]bool{}
 	for _, name := range relay.OpNames() {
-		if _, ok := Lookup(name); !ok && !structural[name] {
+		if !Has(name) && !structural[name] {
 			t.Errorf("relay op %q has no TOPI kernel", name)
 		}
 	}
