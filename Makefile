@@ -17,11 +17,11 @@ build:
 
 # portable cross-builds for arm64 and vets the packages with assembly there,
 # then runs their tests as 386, which amd64 runners execute natively: every
-# runner is amd64, where internal/topi's GEMM tiles and requantize body and
-# internal/video's resize passes are assembly, so nothing else compiles or
-# runs the pure-Go paths the other architectures take (gemm_generic.go,
-# resize_generic.go) — the 386 run puts them under every bitwise pin. Needs
-# no network.
+# runner is amd64, where internal/topi's GEMM tiles, depthwise rows, pair
+# widening and requantize body and internal/video's resize passes are
+# assembly, so nothing else compiles or runs the pure-Go paths the other
+# architectures take (gemm_generic.go, resize_generic.go) — the 386 run puts
+# them under every bitwise pin. Needs no network.
 portable:
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/topi ./internal/video

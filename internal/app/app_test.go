@@ -304,9 +304,11 @@ func TestSpoofGateSeparates(t *testing.T) {
 // (1.3 KB and 16 while the SSD rows were sorted by sort.Slice, which builds
 // a reflect swapper on every call, and every convolution packed its
 // patches into pooled panels); more in a run where a collection during the
-// passes empties the kernels' scratch pools (the widened operands), which
-// refill. The convolutions' offset tables are prepared with the plan state,
-// in the warm pass, and are not pooled. It read 6.6 KB and 142 objects
+// passes empties the kernels' scratch pools (the indirect launches' widened
+// k-pairs, the fused launches' int32 rows), which refill. The convolutions'
+// offset tables and the depthwise layers' tap tables and zero-point rows are
+// prepared with the plan state, in the warm pass, and are not pooled; the
+// quantized depthwise row reads the raw image and pools nothing. It read 6.6 KB and 142 objects
 // while every Run charged a fresh profile and every stage built an input-name
 // slice, 9.6 KB and 216 while every broadcasting multiply built its
 // broadcaster, 8 264 KB and 246 247 when every At/Set heap-allocated its

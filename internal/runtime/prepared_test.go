@@ -8,7 +8,8 @@ import (
 
 // preparedBytesBound is, per lite zoo model, at most how many bytes its
 // plan state's prepared launches may hold — the convolutions' and dense
-// layers' offset tables and zero rows — built TVM-only or BYOC: the
+// layers' offset tables and zero rows, and the quantized depthwise
+// layers' tap tables and zero-point rows — built TVM-only or BYOC: the
 // measured value, the same both ways, rounded up to the next KiB.
 var preparedBytesBound = map[string]int{
 	"anti-spoofing":         7 << 10,
@@ -18,11 +19,11 @@ var preparedBytesBound = map[string]int{
 	"inception v3":          22 << 10,
 	"inception v3 (quant)":  17 << 10,
 	"inception v4":          22 << 10,
-	"mobilenet ssd (quant)": 4 << 10,
+	"mobilenet ssd (quant)": 6 << 10,
 	"mobilenet v1":          5 << 10,
-	"mobilenet v1 (quant)":  4 << 10,
+	"mobilenet v1 (quant)":  7 << 10,
 	"mobilenet v2":          10 << 10,
-	"mobilenet v2 (quant)":  8 << 10,
+	"mobilenet v2 (quant)":  13 << 10,
 	"nasnet":                10 << 10,
 	"yolov3":                32 << 10,
 }

@@ -2,6 +2,7 @@ package topi
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/parallel"
 	"repro/internal/relay"
@@ -16,11 +17,14 @@ import (
 // the prepared types, binds the tensors — the weight's panels and the tiled
 // bias are read from the tensors themselves (Tensor.Derived), so a refilled
 // weight or bias derives afresh — and runs the loops. The float and the
-// quantized convolution run the same two strategies over the same loops —
-// the direct depthwise row (depthwiseRow) and the indirect table are one
-// generic body each, the quantized side feeding them operands widened once
-// to (raw − zero point): int32 for the direct row, k-pairs (i16x2) for the
-// indirect table — and differ only in the GEMM tile they call. Each launch
+// quantized convolution run the same two strategies. The indirect table is
+// one generic body, the quantized side feeding it operands widened once to
+// (raw − zero point) k-pairs (i16x2), and the two differ only in the GEMM
+// tile they call. The direct depthwise row is one per element type: the
+// float row (depthwiseRow) reads the image and a tap-major filter, and the
+// quantized one (depthwiseRowQnn) reads the raw 8-bit image in place
+// through a prepared tap table (depthwiseTable), widening each value as it
+// loads it, against a pair-major (raw − zp) filter. Each launch
 // may carry an epilogue: qnn.conv2d_fused and qnn.dense_fused are
 // qnn.conv2d and qnn.dense with bias → requantize → activation applied to
 // each output row as soon as it is reduced (fused.go), and nn.conv2d and
@@ -73,7 +77,7 @@ func (g *convGeom) rowLen() int { return g.ow * g.oc }         // cells of one o
 func (g *convGeom) work(rows int) int64 { return int64(rows) * int64(g.rowLen()) * int64(g.k()) }
 
 // depthwise reports one input and one output channel per group — so c ==
-// oc == groups — the geometry depthwiseRow walks by channel vectors.
+// oc == groups — the geometry the depthwise rows walk by channel vectors.
 func (g *convGeom) depthwise() bool { return g.icg == 1 && g.ocg() == 1 }
 
 // pairs is the geometry of the same convolution over k-pairs
@@ -209,18 +213,15 @@ func (r convRowsF32) run(lo, hi int) {
 	}
 }
 
-// depthwiseRow computes output row job (= b·oh + oy) of a depthwise
+// depthwiseRow computes output row job (= b·oh + oy) of a float depthwise
 // convolution into row[:ow·c]. An output pixel's c cells are one vector,
 // cleared and then accumulated tap by tap — (ky, kx) ascending, taps in the
 // padding skipped — from the pixel's input channel vector and the tap's row
 // of the tap-major filter (tapMajor), out[o] += x[o]·k[o]. Every cell sees
 // the same products added in the same order as its own accumulator in a
-// per-cell loop (convDirectRowPerCell, kept in conv_test.go), so float
-// results are bit-identical; the innermost loop runs over contiguous
-// channels. Quantized operands arrive widened to (raw − zero point), so a
-// skipped tap is exactly the QNN convention of padding with the zero point,
-// which contributes (zp − zp) = 0.
-func depthwiseRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
+// per-cell loop (convDirectRowPerCell, kept in conv_test.go), so the results
+// are bit-identical; the innermost loop runs over contiguous channels.
+func depthwiseRow(row, din, wt []float32, g *convGeom, job int) {
 	h, w, c, kh, kw := g.h, g.w, g.c, g.kh, g.kw
 	b, oy := job/g.oh, job%g.oh
 	for ox := 0; ox < g.ow; ox++ {
@@ -246,23 +247,23 @@ func depthwiseRow[T float32 | int32](row, din, wt []T, g *convGeom, job int) {
 
 // mulAddRow is out[o] += x[o]·k[o] over len(out) channels — one multiply
 // and one add per element, each rounded. Where the CPU has AVX2 the leading
-// multiple of eight channels run as vectors (mulAddRowVec), which round and
-// wrap exactly as this loop does; the loop takes the rest. It is kept out of
+// multiple of eight channels run as vectors (mulAddRowVec), which round
+// exactly as this loop does; the loop takes the rest. It is kept out of
 // line: inlined into depthwiseRow its operands are spilled to the stack on
 // every element.
 //
 //go:noinline
-func mulAddRow[T float32 | int32](out, x, k []T) {
+func mulAddRow(out, x, k []float32) {
 	x, k = x[:len(out)], k[:len(out)]
 	for o := mulAddRowVec(out, x, k); o < len(out); o++ {
-		out[o] += T(x[o] * k[o])
+		out[o] += float32(x[o] * k[o])
 	}
 }
 
-// tapMajor writes a depthwise filter — OHWI with one input channel, taps =
-// kh·kw values per output channel — tap-major: dst[t·oc+o] = src[o·taps+t],
-// so each tap's weights are one channel vector.
-func tapMajor[T float32 | int32](dst, src []T, oc, taps int) {
+// tapMajor writes a float depthwise filter — OHWI with one input channel,
+// taps = kh·kw values per output channel — tap-major: dst[t·oc+o] =
+// src[o·taps+t], so each tap's weights are one channel vector.
+func tapMajor(dst, src []float32, oc, taps int) {
 	for o := 0; o < oc; o++ {
 		for t, v := range src[o*taps : (o+1)*taps] {
 			dst[t*oc+o] = v
@@ -270,19 +271,20 @@ func tapMajor[T float32 | int32](dst, src []T, oc, taps int) {
 	}
 }
 
-// directWeight is a depthwise filter in the form depthwiseRow reads —
-// tap-major (tapMajor), a quantized one widened to (raw − zp) int32 first —
-// derived once per weight tensor and kept on it (Tensor.SetDerived) as
-// packed panels are. zp is the kernel zero point it was widened with; a
-// launch under another prepares afresh and leaves the stored form alone.
-type directWeight[T float32 | int32] struct {
+// directWeight is a depthwise filter in the form its row reads — float
+// tap-major (tapMajor) for depthwiseRow, quantized (raw − zp) pair-major
+// (directWeightQnn) for depthwiseRowQnn — derived once per weight tensor
+// and kept on it (Tensor.SetDerived) as packed panels are. zp is the kernel
+// zero point it was widened with; a launch under another prepares afresh
+// and leaves the stored form alone.
+type directWeight[T float32 | i16x2] struct {
 	zp   int32
 	data []T
 }
 
 // storedDirectWeight returns the form stored on w when it was widened with
 // zp, else nil.
-func storedDirectWeight[T float32 | int32](w *tensor.Tensor, zp int32) []T {
+func storedDirectWeight[T float32 | i16x2](w *tensor.Tensor, zp int32) []T {
 	if dw, ok := w.Derived().(*directWeight[T]); ok && dw.zp == zp {
 		return dw.data
 	}
@@ -300,21 +302,151 @@ func directWeightF32(w *tensor.Tensor, g *convGeom) []float32 {
 	return data
 }
 
-// directWeightI32 is the tap-major (raw − zp) form of a quantized depthwise
-// filter on g.
-func directWeightI32(w *tensor.Tensor, g *convGeom, zp int32) ([]int32, error) {
-	if data := storedDirectWeight[int32](w, zp); data != nil {
+// directWeightQnn is the pair-major (raw − zp) form of a quantized
+// depthwise filter on g. With the taps flattened (ky, kx) ascending, unit
+// wp[p·c+o] holds channel o's taps 2p and 2p+1, an odd last tap paired with
+// a zero: per tap pair one channel vector of k-pairs, which depthwiseRowQnn
+// multiplies against the two taps' interleaved data.
+func directWeightQnn(w *tensor.Tensor, g *convGeom, zp int32) ([]i16x2, error) {
+	if data := storedDirectWeight[i16x2](w, zp); data != nil {
 		return data, nil
 	}
-	rawP := scratchI32.get(w.Elems())
-	defer scratchI32.put(rawP)
-	if err := rawMinusZp(*rawP, w, zp); err != nil {
-		return nil, err
+	if w.DType != tensor.UInt8 && w.DType != tensor.Int8 {
+		return nil, fmt.Errorf("quantized kernel on %s tensor", w.DType)
 	}
-	data := make([]int32, w.Elems())
-	tapMajor(data, *rawP, g.oc, g.kh*g.kw)
-	w.SetDerived(&directWeight[int32]{zp: zp, data: data})
+	taps, c := g.kh*g.kw, g.oc
+	data := make([]i16x2, pairsOf(taps)*c)
+	for o := 0; o < c; o++ {
+		for t := 0; t < taps; t += 2 {
+			lo, hi := w.GetRaw(o*taps+t)-zp, int32(0)
+			if t+1 < taps {
+				hi = w.GetRaw(o*taps+t+1) - zp
+			}
+			data[t/2*c+o] = pairOf(lo, hi)
+		}
+	}
+	w.SetDerived(&directWeight[i16x2]{zp: zp, data: data})
 	return data, nil
+}
+
+// depthwiseTable is the prepared data side of a quantized depthwise launch.
+// An output pixel reads the image runs of its kh·kw filter taps — c raw
+// channel values each, where they lie — (ky, kx) ascending and padded to an
+// even count with one more tap. An entry is an int32 element offset from
+// the pixel's input origin, the element (oy·sh − padT, ox·sw − padL) of its
+// batch, or zeroRun for a tap in the padding and for the extra tap: those
+// read the zero row, c values of the input zero point, which widen to
+// exactly 0 — the QNN convention of padding with the zero point. Which taps
+// fall in the padding depends only on the pixel's row class and column
+// class (paddingClasses over oy and over ox), so the table holds one tap
+// list per pair of classes. It is built once per launch, from the types
+// alone.
+type depthwiseTable struct {
+	offs []int32 // row class r's tap lists are offs[r·per : (r+1)·per]
+	per  int     // column classes × taps
+	taps int     // kh·kw rounded up to even
+	rows []int32 // output row oy's class
+	cols []int32 // output column ox's tap list: its first entry's index in a row class's lists
+	zero *tensor.Tensor
+	zp   int32
+}
+
+// newDepthwiseTable builds the table of g over 8-bit data of dtype dt and
+// zero point zp.
+func newDepthwiseTable(g *convGeom, dt tensor.DType, zp int32) (*depthwiseTable, error) {
+	if dt != tensor.UInt8 && dt != tensor.Int8 {
+		return nil, fmt.Errorf("quantized depthwise convolution on %s data", dt)
+	}
+	if reach := (int64(g.kh-1)*int64(g.dh)*int64(g.w) + int64(g.kw-1)*int64(g.dw) + 1) * int64(g.c); reach > math.MaxInt32 {
+		return nil, fmt.Errorf("depthwise convolution over %d×%d×%d reaches offset %d, past int32", g.h, g.w, g.c, reach)
+	}
+	t := &depthwiseTable{taps: 2 * pairsOf(g.kh*g.kw), zp: zp}
+	var rows, cols [][2]int
+	t.rows, rows = paddingClasses(g.oh, g.sh, g.padT, g.kh, g.dh, g.h)
+	t.cols, cols = paddingClasses(g.ow, g.sw, g.padL, g.kw, g.dw, g.w)
+	t.per = len(cols) * t.taps
+	t.offs = make([]int32, 0, len(rows)*t.per)
+	for _, r := range rows {
+		for _, cs := range cols {
+			for tap := 0; tap < t.taps; tap++ {
+				ky, kx := tap/g.kw, tap%g.kw
+				off := zeroRun
+				if tap < g.kh*g.kw && ky >= r[0] && ky < r[1] && kx >= cs[0] && kx < cs[1] {
+					off = (ky*g.dh*g.w + kx*g.dw) * g.c
+				}
+				t.offs = append(t.offs, int32(off))
+			}
+		}
+	}
+	for ox := range t.cols {
+		t.cols[ox] *= int32(t.taps)
+	}
+	t.zero = tensor.New(dt, tensor.Shape{g.c})
+	for i := 0; i < g.c; i++ {
+		setRaw(t.zero, i, zp)
+	}
+	return t, nil
+}
+
+// bytes is what the table holds, none for no table.
+func (t *depthwiseTable) bytes() int {
+	if t == nil {
+		return 0
+	}
+	return 4*(len(t.offs)+len(t.rows)+len(t.cols)) + t.zero.Bytes()
+}
+
+// row computes output row job (= b·oh + oy) of g into dst[:ow·c] from
+// data's raw values and the pair-major weight wp (directWeightQnn).
+func (t *depthwiseTable) row(dst []int32, data *tensor.Tensor, wp []i16x2, g *convGeom, job int) {
+	offs := t.offs[int(t.rows[job%g.oh])*t.per:][:t.per]
+	base, step := g.origin(job), g.sw*g.c
+	if data.DType == tensor.UInt8 {
+		depthwiseRowQnn(dst, data.U8(), base, t.zero.U8(), offs, t.cols, step, t.taps, g.c, wp, t.zp)
+	} else {
+		depthwiseRowQnn(dst, data.I8(), base, t.zero.I8(), offs, t.cols, step, t.taps, g.c, wp, t.zp)
+	}
+}
+
+// depthwiseRowQnn is the quantized depthwise row over the raw 8-bit image.
+// Output pixel ox has its input origin at img[base + ox·step] and its tap
+// list at offs[cols[ox]:][:taps]; each of its c cells is the int32 sum over
+// the taps of (raw − zp)·w. Where the CPU has AVX2 the leading multiple of
+// eight channels run in YMM vectors (depthwiseRowVec) and
+// depthwiseRowQnnGo does the rest; elsewhere it does all of them. Products
+// of values within ±255 are exact and int32 addition is associative, so
+// pairing the taps gives the per-cell loop's bits.
+//
+//np:hotpath
+func depthwiseRowQnn[T uint8 | int8](row []int32, img []T, base int, zero []T, offs, cols []int32, step, taps, c int, wp []i16x2, zp int32) {
+	if lo := depthwiseRowVec(row, img, base, zero, offs, cols, step, taps, c, wp, zp); lo < c {
+		depthwiseRowQnnGo(row, img, base, zero, offs, cols, step, taps, c, wp, zp, lo)
+	}
+}
+
+// depthwiseRowQnnGo is depthwiseRowQnn in portable Go over channels
+// [lo, c) of every pixel. It clears the pixel's cells, then per tap pair p
+// pairs the two taps' channel values (tableRun), each minus zp, and
+// multiplies them against wp[p·c+o] — PMADDWD's lane operation, i16x2.dot.
+// It is the row on every architecture but amd64, the channel tail there,
+// and the oracle of the assembly.
+//
+//np:hotpath
+func depthwiseRowQnnGo[T uint8 | int8](row []int32, img []T, base int, zero []T, offs, cols []int32, step, taps, c int, wp []i16x2, zp int32, lo int) {
+	for ox, col := range cols {
+		out := row[ox*c+lo : ox*c+c]
+		clear(out)
+		list := offs[col:][:taps]
+		for p := 0; p+1 < taps; p += 2 {
+			w := wp[p/2*c+lo : p/2*c+c]
+			x0 := tableRun(img, base, zero, list[p], c)[lo:][:len(w)]
+			x1 := tableRun(img, base, zero, list[p+1], c)[lo:][:len(w)]
+			for o, k := range w {
+				out[o] += pairOf(int32(x0[o])-zp, int32(x1[o])-zp).dot(k)
+			}
+		}
+		base += step
+	}
 }
 
 // convLaunchQnn is a prepared quantized convolution: qnn.conv2d, whose
@@ -327,6 +459,7 @@ type convLaunchQnn struct {
 	g         convGeom
 	zpIn, zpK int32
 	tab       *indirectTable[i16x2] // over g.pairs(); nil: the direct depthwise row
+	dw        *depthwiseTable       // the direct depthwise row's; nil: the indirect GEMM
 	ep        *epilogue             // nil: qnn.conv2d
 }
 
@@ -372,22 +505,24 @@ func newConvLaunchQnn(in []*relay.TensorType, out *relay.TensorType, p conv2dPar
 		c.tab, err = newConvTable[i16x2](&gp)
 	} else if !c.g.depthwise() {
 		err = fmt.Errorf("the direct strategy runs depthwise geometries only")
+	} else {
+		c.dw, err = newDepthwiseTable(&c.g, in[0].DType, zpIn)
 	}
 	return c, err
 }
 
-func (c *convLaunchQnn) bytes() int { return c.tab.bytes() }
+func (c *convLaunchQnn) bytes() int { return c.tab.bytes() + c.dw.bytes() }
 
 // run runs the quantized convolution by its strategy, parallel over
 // (batch × output row) like convLaunchF32. The direct strategy, on a
-// depthwise geometry only, widens the data once into pooled (raw − zp)
-// int32 scratch and reads the weight's tap-major form (directWeightI32).
-// The indirect one widens the data into pooled k-pairs (rawMinusZpPairs),
-// which its table points into, and reads the packed pair panels of the
-// weight. Either widening is a parallel launch of its own ahead of the row
-// loop — every output row reads input rows of its neighbours, so the row
-// loop cannot widen its own. Integer accumulation is exact, so both
-// strategies give the same bits. Without an epilogue (qnn.conv2d) the int32
+// depthwise geometry only, reads the raw 8-bit data in place through its
+// prepared tap table, widening as it loads, against the weight's pair-major
+// form (directWeightQnn). The indirect one widens the data into pooled
+// k-pairs (rawMinusZpPairs), which its table points into, and reads the
+// packed pair panels of the weight; that widening is a parallel launch of
+// its own ahead of the row loop — every output row reads input rows of its
+// neighbours, so the row loop cannot widen its own. Integer accumulation is
+// exact, so both strategies give the same bits. Without an epilogue (qnn.conv2d) the int32
 // accumulators are the output; otherwise each output row is reduced into
 // scratch and narrowed through the epilogue. Split or not, a steady-state
 // launch allocates nothing.
@@ -414,16 +549,11 @@ func (c *convLaunchQnn) run(args []*tensor.Tensor, dst *tensor.Tensor) (*tensor.
 		}
 		r.dinPairs, r.pw = *dinP, pw
 	} else {
-		dinP := scratchI32.get(data.Elems())
-		defer scratchI32.put(dinP)
-		if err := rawMinusZp(*dinP, data, c.zpIn); err != nil {
-			return nil, err
-		}
-		wt, err := directWeightI32(weight, g, c.zpK)
+		wp, err := directWeightQnn(weight, g, c.zpK)
 		if err != nil {
 			return nil, err
 		}
-		r.din, r.wt = *dinP, wt
+		r.dw, r.data, r.wp = c.dw, data, wp
 	}
 	rows := data.Shape[0] * g.oh
 	convRegionQnn.Run(rows, g.work(rows), r)
@@ -434,14 +564,16 @@ var convRegionQnn = parallel.NewRegion(convRowsQnn.run)
 
 // convRowsQnn is one quantized convolution launch's row loop, passed by value
 // like convRowsF32, its epilogue bound to this launch's bias. tab and pw are
-// nil on the direct strategy, which reads din and wt; the indirect one reads
-// dinPairs and pw.
+// nil on the direct strategy, which reads data through dw against wp; the
+// indirect one reads dinPairs and pw.
 type convRowsQnn struct {
 	g        convGeom
 	tab      *indirectTable[i16x2]
-	din, wt  []int32
 	dinPairs []i16x2
 	pw       *packedWeight[i16x2]
+	dw       *depthwiseTable
+	data     *tensor.Tensor
+	wp       []i16x2
 	res      *tensor.Tensor
 	fused    bool
 	ep       epilogue
@@ -469,7 +601,7 @@ func (r convRowsQnn) run(lo, hi int) {
 			row = dout[job*g.rowLen() : (job+1)*g.rowLen()]
 		}
 		if r.tab == nil {
-			depthwiseRow(row, r.din, r.wt, g, job)
+			r.dw.row(row, r.data, r.wp, g, job)
 		} else {
 			rows := r.tab.convRow(&gp, r.dinPairs, job)
 			for grp := 0; grp < g.groups; grp++ {

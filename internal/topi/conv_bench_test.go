@@ -36,13 +36,28 @@ var strategyShapes = append(append([]convCase(nil), convCases...),
 	convCase{name: "ssd-pw-6x6x64-oc64", n: 1, h: 6, w: 6, c: 64, oc: 64, kh: 1, kw: 1, sh: 1, sw: 1, dh: 1, dw: 1, groups: 1},
 )
 
+// ssdDepthwiseShapes are the lite SSD's six depthwise layers, 3×3 over 8 to
+// 64 channels, the stride-2 ones padded below and right only.
+var ssdDepthwiseShapes = []convCase{
+	{name: "ssd-dw-48x48x8-s2", n: 1, h: 48, w: 48, c: 8, oc: 8, kh: 3, kw: 3, sh: 2, sw: 2, dh: 1, dw: 1, groups: 8, pad: [4]int{0, 0, 1, 1}},
+	{name: "ssd-dw-24x24x16-s1", n: 1, h: 24, w: 24, c: 16, oc: 16, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 16, pad: samePad},
+	{name: "ssd-dw-24x24x16-s2", n: 1, h: 24, w: 24, c: 16, oc: 16, kh: 3, kw: 3, sh: 2, sw: 2, dh: 1, dw: 1, groups: 16, pad: [4]int{0, 0, 1, 1}},
+	{name: "ssd-dw-12x12x32-s1", n: 1, h: 12, w: 12, c: 32, oc: 32, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 32, pad: samePad},
+	{name: "ssd-dw-12x12x32-s2", n: 1, h: 12, w: 12, c: 32, oc: 32, kh: 3, kw: 3, sh: 2, sw: 2, dh: 1, dw: 1, groups: 32, pad: [4]int{0, 0, 1, 1}},
+	{name: "ssd-dw-6x6x64-s1", n: 1, h: 6, w: 6, c: 64, oc: 64, kh: 3, kw: 3, sh: 1, sw: 1, dh: 1, dw: 1, groups: 64, pad: samePad},
+}
+
+func init() { strategyShapes = append(strategyShapes, ssdDepthwiseShapes...) }
+
 // BenchmarkConvStrategy times the direct kernel and the indirect GEMM on the
 // same shape — float32, quantized, and quantized with the fused epilogue
 // (bias, requantize, relu6 into uint8) — the measurement behind im2colPays.
-// On a depthwise shape the direct rows time depthwiseRow's launch, on any
-// other the per-cell loop the rule no longer runs (directConvF32,
-// directConvQnn), which has no parallel launch; so every row runs on one
-// worker, and the table compares the kernels core for core:
+// Each launch is prepared once, outside the timer, and runs into one output
+// on a weight of its own, as a plan state's launch does. On a depthwise
+// shape the direct rows time the depthwise row's launch, on any other the
+// per-cell loop the rule no longer runs (perCellConvF32, perCellConvQnn),
+// which has no parallel launch; so every row runs on one worker, and the
+// table compares the kernels core for core:
 //
 //	go test ./internal/topi -run '^$' -bench ConvStrategy -benchtime 200ms
 func BenchmarkConvStrategy(b *testing.B) {
@@ -79,17 +94,41 @@ func BenchmarkConvStrategy(b *testing.B) {
 			b.Fatal(err)
 		}
 		ep := e.bind(fargs)
+		g := newConvGeom(p, data.Shape, weight.Shape, shape)
+		depthwise := g.depthwise()
+		f32Launch := func(im2col bool) func() {
+			args := []*tensor.Tensor{data, weight.Clone()}
+			l, err := newConvLaunchF32(typesOf(args), out, p, epilogueF32{}, forced(im2col))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return func() { l.run(args, dst) }
+		}
+		qnnLaunch := func(out *relay.TensorType, dst *tensor.Tensor, im2col bool, ep *epilogue) func() {
+			args := []*tensor.Tensor{qdata, qweight.Clone()}
+			l, err := newConvLaunchQnn(typesOf(args), out, p, 128, 119, ep, forced(im2col))
+			if err != nil {
+				b.Fatal(err)
+			}
+			return func() { l.run(args, dst) }
+		}
+		f32Direct := func() { perCellConvF32(data, weight, p, out, epilogueF32{}) }
+		qnnDirect := func() { perCellConvQnn(qdata, qweight, p, 128, 119, qout, nil) }
+		fusedDirect := func() { perCellConvQnn(qdata, qweight, p, 128, 119, fout, &ep) }
+		if depthwise {
+			f32Direct, qnnDirect, fusedDirect = f32Launch(false), qnnLaunch(qout, qdst, false, nil), qnnLaunch(fout, fdst, false, &ep)
+		}
 
 		for _, k := range []struct {
 			name string
 			run  func()
 		}{
-			{"f32/direct", func() { directConvF32(data, weight, p, out, epilogueF32{}) }},
-			{"f32/indirect", func() { convF32(data, weight, p, out, dst, true, epilogueF32{}) }},
-			{"qnn/direct", func() { directConvQnn(qdata, qweight, p, 128, 119, qout, nil) }},
-			{"qnn/indirect", func() { convQnn(qdata, qweight, p, 128, 119, qout, qdst, true, nil) }},
-			{"qnn-fused/direct", func() { directConvQnn(qdata, qweight, p, 128, 119, fout, &ep) }},
-			{"qnn-fused/indirect", func() { convQnn(qdata, qweight, p, 128, 119, fout, fdst, true, &ep) }},
+			{"f32/direct", f32Direct},
+			{"f32/indirect", f32Launch(true)},
+			{"qnn/direct", qnnDirect},
+			{"qnn/indirect", qnnLaunch(qout, qdst, true, nil)},
+			{"qnn-fused/direct", fusedDirect},
+			{"qnn-fused/indirect", qnnLaunch(fout, fdst, true, &ep)},
 		} {
 			b.Run(name+"/"+k.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

@@ -10,10 +10,14 @@ import (
 )
 
 // FuzzConvGeometry runs one prepared convolution launch — nn.conv2d or
-// qnn.conv2d on int8 operands, with and without its fused epilogue — over
-// fuzzed geometries: strides, padding, dilation and groups, odd channel
-// counts per group, an output row shorter than a tile, a batch of one or
-// two. The launch is prepared once from the types alone and run twice, on
+// qnn.conv2d on uint8 or int8 operands, with and without its fused
+// epilogue — over fuzzed geometries: strides, padding, dilation and groups,
+// odd channel counts per group, an output row shorter than a tile, a batch
+// of one or two. A depthwise draw (one input and one output channel per
+// group) takes up to 80 channels and images up to 48×48, so the quantized
+// depthwise row's every channel block and tail is reached; every other
+// draw up to 8 groups and 16×16. The launch is prepared once from the
+// types alone and run twice, on
 // two input tensors of the prepared shape, so the second run reads a tensor
 // the offsets were not built against. Each run must equal the per-cell loop
 // (convDirectRowPerCell) followed by the staged epilogue, bit for bit; the
@@ -23,22 +27,35 @@ import (
 //	go test ./internal/topi -run '^$' -fuzz FuzzConvGeometry -fuzztime 30s
 func FuzzConvGeometry(f *testing.F) {
 	// n, h, w, icg, ocg, groups, kh, kw, sh, sw, dh, dw, padT, padL, padB,
-	// padR, then quantized and fused.
-	f.Add(int64(1), uint8(0), uint8(7), uint8(8), uint8(2), uint8(3), uint8(0), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), false, false)
-	f.Add(int64(2), uint8(1), uint8(8), uint8(6), uint8(2), uint8(4), uint8(1), uint8(2), uint8(2), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), true, true)
-	f.Add(int64(3), uint8(0), uint8(10), uint8(2), uint8(0), uint8(0), uint8(4), uint8(2), uint8(2), uint8(0), uint8(0), uint8(1), uint8(1), uint8(2), uint8(2), uint8(2), uint8(2), false, true)
-	f.Add(int64(4), uint8(1), uint8(6), uint8(9), uint8(4), uint8(8), uint8(0), uint8(1), uint8(2), uint8(1), uint8(0), uint8(0), uint8(1), uint8(0), uint8(1), uint8(2), uint8(1), true, false)
-	f.Add(int64(5), uint8(0), uint8(4), uint8(3), uint8(6), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, true)
+	// padR, then quantized, fused and unsigned (uint8 rather than int8).
+	f.Add(int64(1), uint8(0), uint8(7), uint8(8), uint8(2), uint8(3), uint8(0), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), false, false, false)
+	f.Add(int64(2), uint8(1), uint8(8), uint8(6), uint8(2), uint8(4), uint8(1), uint8(2), uint8(2), uint8(1), uint8(1), uint8(0), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), true, true, false)
+	f.Add(int64(3), uint8(0), uint8(10), uint8(2), uint8(0), uint8(0), uint8(4), uint8(2), uint8(2), uint8(0), uint8(0), uint8(1), uint8(1), uint8(2), uint8(2), uint8(2), uint8(2), false, true, false)
+	f.Add(int64(4), uint8(1), uint8(6), uint8(9), uint8(4), uint8(8), uint8(0), uint8(1), uint8(2), uint8(1), uint8(0), uint8(0), uint8(1), uint8(0), uint8(1), uint8(2), uint8(1), true, false, true)
+	f.Add(int64(5), uint8(0), uint8(4), uint8(3), uint8(6), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), true, true, true)
 	// The grouped-ocg1 shape: 16×16×16 in eight groups of two input
 	// channels and one output channel.
-	f.Add(int64(6), uint8(0), uint8(15), uint8(15), uint8(1), uint8(0), uint8(7), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), false, false)
-	f.Add(int64(7), uint8(0), uint8(15), uint8(15), uint8(1), uint8(0), uint8(7), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), true, true)
-	f.Fuzz(func(t *testing.T, seed int64, n, h, w, icg, ocg, groups, kh, kw, sh, sw, dh, dw, padT, padL, padB, padR uint8, quantized, fused bool) {
+	f.Add(int64(6), uint8(0), uint8(15), uint8(15), uint8(1), uint8(0), uint8(7), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), false, false, false)
+	f.Add(int64(7), uint8(0), uint8(15), uint8(15), uint8(1), uint8(0), uint8(7), uint8(2), uint8(2), uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), uint8(1), uint8(1), uint8(1), true, true, false)
+	// The lite SSD's six depthwise layers, 3×3 on uint8 with the fused
+	// epilogue: 48×48×8 s2, 24×24×16 s1 and s2, 12×12×32 s1 and s2,
+	// 6×6×64 s1, the stride-2 ones padded below and right only.
+	for _, l := range []struct{ hw, c, s uint8 }{{48, 8, 2}, {24, 16, 1}, {24, 16, 2}, {12, 32, 1}, {12, 32, 2}, {6, 64, 1}} {
+		pad := uint8(1)
+		if l.s == 2 {
+			pad = 0
+		}
+		f.Add(int64(l.hw)+int64(l.c), uint8(0), l.hw-1, l.hw-1, uint8(0), uint8(0), l.c-1, uint8(2), uint8(2), l.s-1, l.s-1, uint8(0), uint8(0), pad, pad, uint8(1), uint8(1), true, true, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, n, h, w, icg, ocg, groups, kh, kw, sh, sw, dh, dw, padT, padL, padB, padR uint8, quantized, fused, unsigned bool) {
 		cc := convCase{
 			n: 1 + int(n)%2, h: 1 + int(h)%16, w: 1 + int(w)%16,
 			kh: 1 + int(kh)%3, kw: 1 + int(kw)%3, sh: 1 + int(sh)%3, sw: 1 + int(sw)%3,
 			dh: 1 + int(dh)%2, dw: 1 + int(dw)%2, groups: 1 + int(groups)%8,
 			pad: [4]int{int(padT) % 3, int(padL) % 3, int(padB) % 3, int(padR) % 3},
+		}
+		if icg%7 == 0 && ocg%9 == 0 {
+			cc.h, cc.w, cc.groups = 1+int(h)%48, 1+int(w)%48, 1+int(groups)%80
 		}
 		cc.c, cc.oc = cc.groups*(1+int(icg)%7), cc.groups*(1+int(ocg)%9)
 		if cc.h+cc.pad[0]+cc.pad[2] < (cc.kh-1)*cc.dh+1 || cc.w+cc.pad[1]+cc.pad[3] < (cc.kw-1)*cc.dw+1 {
@@ -50,7 +67,7 @@ func FuzzConvGeometry(f *testing.F) {
 		weight := tensor.Shape{cc.oc, cc.kh, cc.kw, cc.c / cc.groups}
 		outShape := tensor.Shape{cc.n, oh, ow, cc.oc}
 		if quantized {
-			fuzzConvQnn(t, rng, cc, dataShape, weight, outShape, fused)
+			fuzzConvQnn(t, rng, cc, dataShape, weight, outShape, fused, unsigned)
 		} else {
 			fuzzConvF32(t, rng, cc, dataShape, weight, outShape, fused)
 		}
@@ -98,25 +115,30 @@ func fuzzConvF32(t *testing.T, rng *rand.Rand, cc convCase, data, weight, out te
 	}
 }
 
-// fuzzConvQnn is FuzzConvGeometry's int8 convolution: qnn.conv2d, or fused
-// with a bias, requantize and relu into int8.
-func fuzzConvQnn(t *testing.T, rng *rand.Rand, cc convCase, data, weight, out tensor.Shape, fused bool) {
-	drawI8 := func(s tensor.Shape) *tensor.Tensor {
-		x := tensor.New(tensor.Int8, s)
-		for i := range x.I8() {
-			x.I8()[i] = int8(rng.Intn(256) - 128)
+// fuzzConvQnn is FuzzConvGeometry's quantized convolution on int8 or, when
+// unsigned, uint8 operands: qnn.conv2d, or fused with a bias, requantize
+// and relu into the operands' dtype.
+func fuzzConvQnn(t *testing.T, rng *rand.Rand, cc convCase, data, weight, out tensor.Shape, fused, unsigned bool) {
+	dt, lo := tensor.Int8, int32(-128)
+	if unsigned {
+		dt, lo = tensor.UInt8, 0
+	}
+	draw := func(s tensor.Shape) *tensor.Tensor {
+		x := tensor.New(dt, s)
+		for i := 0; i < x.Elems(); i++ {
+			setRaw(x, i, lo+int32(rng.Intn(256)))
 		}
 		return x
 	}
 	attrs := cc.attrs()
-	zpIn, zpK := int32(rng.Intn(256)-128), int32(rng.Intn(256)-128)
+	zpIn, zpK := lo+int32(rng.Intn(256)), lo+int32(rng.Intn(256))
 	attrs["input_zero_point"], attrs["kernel_zero_point"] = int(zpIn), int(zpK)
-	args := []*tensor.Tensor{drawI8(data), drawI8(weight)}
+	args := []*tensor.Tensor{draw(data), draw(weight)}
 	op, outTy := "qnn.conv2d", &relay.TensorType{Shape: out, DType: tensor.Int32}
 	if fused {
 		op = "qnn.conv2d_fused"
-		q := tensor.QuantParams{Scale: 0.5, ZeroPoint: -3}
-		outTy = &relay.TensorType{Shape: out, DType: tensor.Int8, Quant: &q}
+		q := tensor.QuantParams{Scale: 0.5, ZeroPoint: lo + 125}
+		outTy = &relay.TensorType{Shape: out, DType: dt, Quant: &q}
 		attrs["requant_input_scale"], attrs["requant_output_scale"] = 0.013, q.Scale
 		attrs["requant_output_zero_point"], attrs["fused_activation"] = int(q.ZeroPoint), "relu"
 		bias := tensor.New(tensor.Int32, tensor.Shape{cc.oc})
@@ -139,7 +161,7 @@ func fuzzConvQnn(t *testing.T, rng *rand.Rand, cc convCase, data, weight, out te
 	}
 	for run := 0; run < 2; run++ {
 		if run == 1 {
-			args[0] = drawI8(data)
+			args[0] = draw(data)
 		}
 		dst := newOutput(outTy)
 		if err := l.Run(args, dst); err != nil {

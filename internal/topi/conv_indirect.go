@@ -3,6 +3,7 @@ package topi
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -22,7 +23,7 @@ import (
 // im2colPays is the built-in strategy rule, for both element types: every
 // convolution but a depthwise one — one input and one output channel per
 // group — runs on the indirect GEMM, and a depthwise one on the direct
-// channel-vector row (depthwiseRow). The tile's eight lanes are eight
+// channel-vector row (depthwiseRow, depthwiseRowQnn). The tile's eight lanes are eight
 // output channels of one group, so on a depthwise layer seven of every
 // eight lanes are padding, and BenchmarkConvStrategy has the direct row
 // ahead at every volume. On every other shape measured — a single filter
@@ -94,7 +95,7 @@ func newConvTable[T panelElem](g *convGeom) (*indirectTable[T], error) {
 		return nil, fmt.Errorf("convolution over %d×%d×%d reaches offset %d, past int32", g.h, g.w, g.c, reach)
 	}
 	tiles := gemmTiles(g.ow, gemmMR)
-	t := &indirectTable[T]{start: make([]int32, tiles+1), seg: make([]int32, tiles), class: make([]int32, g.oh)}
+	t := &indirectTable[T]{start: make([]int32, tiles+1), seg: make([]int32, tiles)}
 	longest := 0
 	for tt := range t.seg {
 		n := g.kh * g.kw * gemmMR
@@ -106,30 +107,36 @@ func newConvTable[T panelElem](g *convGeom) (*indirectTable[T], error) {
 		longest = max(longest, int(t.seg[tt]))
 	}
 	t.per, t.zero = int(t.start[tiles]), make([]T, longest)
-	// A row's class is the range [lo, hi) of its filter rows inside the
-	// image.
 	var spans [][2]int
-	for oy := range t.class {
-		lo, hi := g.kh, 0
-		for ky := 0; ky < g.kh; ky++ {
-			if iy := oy*g.sh - g.padT + ky*g.dh; iy >= 0 && iy < g.h {
-				lo, hi = min(lo, ky), ky+1
-			}
-		}
-		cls := len(spans)
-		for i, s := range spans {
-			if s == [2]int{lo, hi} {
-				cls = i
-			}
-		}
-		if cls == len(spans) {
-			spans = append(spans, [2]int{lo, hi})
-			t.offs = append(t.offs, make([]int32, t.per)...)
-			t.fillConv(t.classOffs(cls), g, lo, hi)
-		}
-		t.class[oy] = int32(cls)
+	t.class, spans = paddingClasses(g.oh, g.sh, g.padT, g.kh, g.dh, g.h)
+	t.offs = make([]int32, len(spans)*t.per)
+	for cls, s := range spans {
+		t.fillConv(t.classOffs(cls), g, s[0], s[1])
 	}
 	return t, nil
+}
+
+// paddingClasses groups the n output positions along one axis of a
+// convolution — stride s, padding pad before the image, a filter of k taps
+// dilated by d, an image extent of size — by the range [lo, hi) of their
+// taps that fall inside the image: class[i] is position i's class, numbered
+// in order of first appearance, and spans[cls] is its range.
+func paddingClasses(n, s, pad, k, d, size int) (class []int32, spans [][2]int) {
+	class = make([]int32, n)
+	for i := range class {
+		lo, hi := k, 0
+		for kk := 0; kk < k; kk++ {
+			if x := i*s - pad + kk*d; x >= 0 && x < size {
+				lo, hi = min(lo, kk), kk+1
+			}
+		}
+		cls := slices.Index(spans, [2]int{lo, hi})
+		if cls < 0 {
+			cls, spans = len(spans), append(spans, [2]int{lo, hi})
+		}
+		class[i] = int32(cls)
+	}
+	return class, spans
 }
 
 // runsTile reports whether row tile tt of g reads kh runs of kw·c values:

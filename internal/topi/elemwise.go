@@ -14,9 +14,9 @@ import (
 // cost model's weight for softmax and LRN — so a tensor big enough to pay
 // for a split is shared with the helper pool and a small one runs on the
 // caller without waking it, instead of a serial pass the helpers spin
-// through. The quantized convolution's operand widening (rawMinusZp,
-// rawMinusZpPairs in gemm.go) is such a launch too, split over whole pixel
-// vectors so no k-pair straddles two chunks.
+// through. The quantized GEMM's operand widening (rawMinusZpPairs in
+// gemm.go) is such a launch too, split over whole pixel vectors so no k-pair
+// straddles two chunks.
 //
 // Each launch's chunk runs a typed loop with the op's body inline: the
 // maps pass their loop to mapF32, and the six binary ops are one zipF32

@@ -236,8 +236,7 @@ const broadcastMultiplyAllocs = 0
 // widening, a parallel launch over pixel vectors, against a serial
 // per-element loop, at one and two workers, for both 8-bit types: pairs
 // at vec = 3 (the detector's first convolution; odd, so each vector ends in
-// a padded pair) and at vec = 16, and the int32 widening of the direct
-// path. The split launch cuts ceil(vectors/8) vectors a chunk — 1 080 for
+// a padded pair) and at vec = 16. The split launch cuts ceil(vectors/8) vectors a chunk — 1 080 for
 // the 97×89×3 image, 12 past a row of 89 pixels, and 144 for 37×31×16, 20
 // past a row of 31 — so chunks end mid-row.
 func TestWidenSplitMatchesSerial(t *testing.T) {
@@ -286,14 +285,47 @@ func TestWidenSplitMatchesSerial(t *testing.T) {
 						t.Fatalf("%s %v, %d workers: pair %d = %#x, serial %#x", dt, shape, workers, i, gotPairs[i], wantPairs[i])
 					}
 				}
-				gotI32 := make([]int32, len(wantI32))
-				if err := rawMinusZp(gotI32, x, zp); err != nil {
-					t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestWidenPairsVecMatchesGo pins widenPairs on an even vector — on an
+// AVX2 host its vector body (widenPairsVec) plus the Go tail — against the
+// pair-at-a-time loop (widenEvenPairs) and against pairOf per pair, on every
+// even length 0…70, so every length mod 16, for both 8-bit types at both
+// extremes of the zero point, the values drawn across the dtype's range and
+// its two ends; nothing past the run is written.
+func TestWidenPairsVecMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	testWidenPairsVec(t, rng, []int32{0, 255}, func() uint8 { return uint8(rng.Intn(256)) }, []uint8{0, 255})
+	testWidenPairsVec(t, rng, []int32{-128, 127}, func() int8 { return int8(rng.Intn(256) - 128) }, []int8{-128, 127})
+}
+
+func testWidenPairsVec[T uint8 | int8](t *testing.T, rng *rand.Rand, zps []int32, draw func() T, ends []T) {
+	t.Helper()
+	for _, zp := range zps {
+		for n := 0; n <= 70; n += 2 {
+			src := make([]T, n)
+			for i := range src {
+				if rng.Intn(3) == 0 {
+					src[i] = ends[rng.Intn(2)]
+				} else {
+					src[i] = draw()
 				}
-				for i := range wantI32 {
-					if gotI32[i] != wantI32[i] {
-						t.Fatalf("%s %v, %d workers: element %d = %d, serial %d", dt, shape, workers, i, gotI32[i], wantI32[i])
-					}
+			}
+			const mark = i16x2(0x7777)
+			got, twin := make([]i16x2, n/2+1), make([]i16x2, n/2+1)
+			got[n/2], twin[n/2] = mark, mark
+			widenPairs(got, src, zp, 2)
+			widenEvenPairs(twin, src, zp)
+			for j := 0; j <= n/2; j++ {
+				want := mark
+				if j < n/2 {
+					want = pairOf(int32(src[2*j])-zp, int32(src[2*j+1])-zp)
+				}
+				if got[j] != want || twin[j] != want {
+					t.Fatalf("%T zp %d n=%d: pair %d = %#x (Go loop %#x), want %#x", src, zp, n, j, got[j], twin[j], want)
 				}
 			}
 		}

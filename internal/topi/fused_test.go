@@ -187,15 +187,8 @@ func naiveDense(op string, args []*tensor.Tensor, attrs relay.Attrs, out *relay.
 	case "nn.dense":
 		naiveGemmF32(m, n, k, data.F32(), k, weight.F32(), k, res.F32(), n)
 	case "qnn.dense":
-		widen := func(x *tensor.Tensor, zp int32) []int32 {
-			v := make([]int32, x.Elems())
-			for i := range v {
-				v[i] = x.GetRaw(i) - zp
-			}
-			return v
-		}
-		a := widen(data, int32(attrs.Int("input_zero_point", 0)))
-		b := widen(weight, int32(attrs.Int("kernel_zero_point", 0)))
+		a := rawMinusZpI32(data, int32(attrs.Int("input_zero_point", 0)))
+		b := rawMinusZpI32(weight, int32(attrs.Int("kernel_zero_point", 0)))
 		naiveGemmI32(m, n, k, a, k, b, k, res.I32(), n)
 	default:
 		return nil, fmt.Errorf("naiveDense: %s is not a dense layer", op)

@@ -97,6 +97,13 @@ import (
 // The tiles and the panel loops that call them are the only
 // per-element-type code here.
 //
+// The quantized depthwise row (depthwiseRowQnn, conv.go) is not a GEMM but
+// rests on the same exactness: it widens its operands where it loads them,
+// the raw 8-bit image in place through a prepared tap table, interleaves
+// each pair of taps' (raw − zp) values into k-pairs, and multiplies them
+// against the filter's pair-major form with PMADDWD's lane operation —
+// on amd64 one VPMADDWD per eight channels of a tap pair (gemm_amd64.s).
+//
 // Parallelism: a convolution splits its output rows, and each row's panel
 // walk runs on the worker that owns the row. A dense launch (denseGemmF32,
 // denseGemmI32) launches its N-panel loop as a parallel.Region with the
@@ -206,7 +213,7 @@ func gemmIndirectF32Go(a []float32, base int, zero []float32, offs []int32, seg 
 
 // tableRun is the run a table entry names: seg values of a from base+off,
 // or of the zero row where off is zeroRun.
-func tableRun[T panelElem](a []T, base int, zero []T, off int32, seg int) []T {
+func tableRun[T any](a []T, base int, zero []T, off int32, seg int) []T {
 	if off < 0 {
 		return zero[:seg]
 	}
@@ -353,51 +360,12 @@ func packedConvWeightI32(w *tensor.Tensor, groups int, zp int32) (*packedWeight[
 // pairsOf is the number of k-pairs that hold n values.
 func pairsOf(n int) int { return (n + 1) / 2 }
 
-// rawMinusZp widens a quantized tensor's raw values into dst, subtracting
-// the zero point: a parallel launch over the elements, one MAC-equivalent
-// each, so a tensor large enough to pay for a split is widened by the
-// helper pool instead of on the caller alone.
-func rawMinusZp(dst []int32, t *tensor.Tensor, zp int32) error {
-	switch t.DType {
-	case tensor.UInt8:
-		src := t.U8()
-		widenRegionU8.Elems(len(src), widenArgs[uint8]{dst, src, zp})
-	case tensor.Int8:
-		src := t.I8()
-		widenRegionI8.Elems(len(src), widenArgs[int8]{dst, src, zp})
-	default:
-		return fmt.Errorf("quantized kernel on %s tensor", t.DType)
-	}
-	return nil
-}
-
-var (
-	widenRegionU8 = parallel.NewRegion(widenArgs[uint8].run)
-	widenRegionI8 = parallel.NewRegion(widenArgs[int8].run)
-)
-
-// widenArgs is rawMinusZp's chunk: elements [lo, hi).
-type widenArgs[T uint8 | int8] struct {
-	dst []int32
-	src []T
-	zp  int32
-}
-
-func (a widenArgs[T]) run(lo, hi int) { widen(a.dst[lo:hi], a.src[lo:hi], a.zp) }
-
-// widen writes dst[i] = src[i] − zp.
-//
-//np:hotpath
-func widen[T uint8 | int8](dst []int32, src []T, zp int32) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = int32(v) - zp
-	}
-}
-
-// rawMinusZpPairs is rawMinusZp into k-pairs: t's raw values, read as
-// consecutive vectors of vec, each become pairsOf(vec) units of dst, a
-// vector of odd length padded with a zero. With vec a convolution's
+// rawMinusZpPairs widens a quantized tensor's raw values into k-pairs of
+// (raw − zero point): t's raw values, read as consecutive vectors of vec,
+// each become pairsOf(vec) units of dst, a vector of odd length padded with
+// a zero. It is a parallel launch over the vectors, one MAC-equivalent a
+// value, so a tensor large enough to pay for a split is widened by the
+// helper pool instead of on the caller alone. With vec a convolution's
 // per-group channel count the padding is per tap, so a pair never straddles
 // two taps and the patch pack moves whole pairs; the zero meets a zero
 // weight pad, so the sums are those of the unpadded reduction. The launch
@@ -436,17 +404,16 @@ func (a widenPairsArgs[T]) run(lo, hi int) {
 
 // widenPairs widens whole vectors of vec raw values of src into
 // pairsOf(vec) k-pairs each of dst. An even vec pads nothing, so its
-// vectors are one run of pairs; an odd one ends each vector in a pair
-// padded with a zero.
+// vectors are one run of pairs — in memory, the raw values widened to int16
+// minus zp in order, which where the CPU has AVX2 widenPairsVec writes 16
+// values at a time, leaving widenEvenPairs the tail. An odd one ends each
+// vector in a pair padded with a zero.
 //
 //np:hotpath
 func widenPairs[T uint8 | int8](dst []i16x2, src []T, zp int32, vec int) {
 	if vec%2 == 0 {
-		dst = dst[:len(src)/2]
-		for j := range dst {
-			s := src[2*j : 2*j+2 : 2*j+2]
-			dst[j] = pairOf(int32(s[0])-zp, int32(s[1])-zp)
-		}
+		n := widenPairsVec(dst, src, zp)
+		widenEvenPairs(dst[n/2:], src[n:], zp)
 		return
 	}
 	vp := pairsOf(vec)
@@ -456,5 +423,18 @@ func widenPairs[T uint8 | int8](dst []i16x2, src []T, zp int32, vec int) {
 			d[j] = pairOf(int32(s[2*j])-zp, int32(s[2*j+1])-zp)
 		}
 		d[vp-1] = pairOf(int32(s[vec-1])-zp, 0)
+	}
+}
+
+// widenEvenPairs widens the even-length run src into len(src)/2 k-pairs of
+// dst, one pair at a time: the portable body of widenPairs on an even
+// vector, its tail on amd64, and the oracle of widenPairsVec.
+//
+//np:hotpath
+func widenEvenPairs[T uint8 | int8](dst []i16x2, src []T, zp int32) {
+	dst = dst[:len(src)/2]
+	for j := range dst {
+		s := src[2*j : 2*j+2 : 2*j+2]
+		dst[j] = pairOf(int32(s[0])-zp, int32(s[1])-zp)
 	}
 }

@@ -7,7 +7,9 @@ import (
 )
 
 // The kernels dispatch on cpuid.AVX (the YMM and AVX tiles) and cpuid.AVX2
-// (mulAddRow's and the requantize epilogue's vector bodies).
+// (the vector bodies of the float depthwise row's mulAddRow, of the
+// quantized depthwise row, of the even-vector pair widening and of the
+// requantize epilogue).
 
 // gemmWidePanels is how many adjacent B panels the widest f32 tile spans:
 // two (4×16, YMM) with AVX, else one. A 4×32 ZMM tile over four panels was
@@ -74,28 +76,82 @@ func gemmIndirectI16SSE2(a []i16x2, base int, zero []i16x2, offs []int32, seg in
 // multiple of eight channels in YMM vectors where the CPU has AVX2, and
 // returns how many it did; mulAddRow's Go loop does the rest. x and k are
 // at least len(out) long.
-func mulAddRowVec[T float32 | int32](out, x, k []T) int {
+func mulAddRowVec(out, x, k []float32) int {
 	n := len(out) &^ 7
 	if !cpuid.AVX2 || n == 0 {
 		return 0
 	}
-	po, px, pk := unsafe.Pointer(&out[0]), unsafe.Pointer(&x[0]), unsafe.Pointer(&k[0])
-	if _, f32 := any(out[0]).(float32); f32 {
-		mulAddRowF32AVX2(po, px, pk, n)
-	} else {
-		mulAddRowI32AVX2(po, px, pk, n)
-	}
+	mulAddRowF32AVX2(unsafe.Pointer(&out[0]), unsafe.Pointer(&x[0]), unsafe.Pointer(&k[0]), n)
 	return n
 }
 
-// mulAddRowF32AVX2 and mulAddRowI32AVX2 are mulAddRowVec's two bodies in
-// gemm_amd64.s; n is a positive multiple of 8.
+// mulAddRowF32AVX2 is mulAddRowVec's body in gemm_amd64.s; n is a positive
+// multiple of 8.
 //
 //go:noescape
 func mulAddRowF32AVX2(out, x, k unsafe.Pointer, n int)
 
+// depthwiseRowVec runs depthwiseRowQnn over the leading multiple of eight
+// channels of every pixel where the CPU has AVX2, and returns how many it
+// did; depthwiseRowQnnGo does the rest. The data's signedness picks the
+// body: uint8 widens by zero extension, int8 by sign extension.
+//
+//np:hotpath
+func depthwiseRowVec[T uint8 | int8](row []int32, img []T, base int, zero []T, offs, cols []int32, step, taps, c int, wp []i16x2, zp int32) int {
+	n := c &^ 7
+	if !cpuid.AVX2 || n == 0 || len(cols) == 0 {
+		return 0
+	}
+	_ = row[len(cols)*c-1]
+	pr, pi, pz, pw := unsafe.Pointer(&row[0]), unsafe.Pointer(&img[0]), unsafe.Pointer(&zero[0]), unsafe.Pointer(&wp[0])
+	if ^T(0) < 0 {
+		depthwiseRowI8AVX2(pr, pi, base, pz, offs, cols, step, taps, n, c, pw, zp)
+	} else {
+		depthwiseRowU8AVX2(pr, pi, base, pz, offs, cols, step, taps, n, c, pw, zp)
+	}
+	return n
+}
+
+// depthwiseRowU8AVX2 and depthwiseRowI8AVX2 are depthwiseRowVec's two
+// bodies in gemm_amd64.s, over channels [0, n) of rows of c, n a positive
+// multiple of 8 and taps even. They read the table's runs and nothing past
+// them, with no bounds check: the table must have been prepared for img's
+// shape.
+//
 //go:noescape
-func mulAddRowI32AVX2(out, x, k unsafe.Pointer, n int)
+func depthwiseRowU8AVX2(row, img unsafe.Pointer, base int, zero unsafe.Pointer, offs, cols []int32, step, taps, n, c int, wp unsafe.Pointer, zp int32)
+
+//go:noescape
+func depthwiseRowI8AVX2(row, img unsafe.Pointer, base int, zero unsafe.Pointer, offs, cols []int32, step, taps, n, c int, wp unsafe.Pointer, zp int32)
+
+// widenPairsVec writes the leading multiple of sixteen values of the
+// even-length run src, widened to int16 minus zp, into dst's k-pairs where
+// the CPU has AVX2, and returns how many values it did; widenEvenPairs does
+// the rest.
+//
+//np:hotpath
+func widenPairsVec[T uint8 | int8](dst []i16x2, src []T, zp int32) int {
+	n := len(src) &^ 15
+	if !cpuid.AVX2 || n == 0 {
+		return 0
+	}
+	_ = dst[n/2-1]
+	if ^T(0) < 0 {
+		widenPairsI8AVX2(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), n, zp)
+	} else {
+		widenPairsU8AVX2(unsafe.Pointer(&dst[0]), unsafe.Pointer(&src[0]), n, zp)
+	}
+	return n
+}
+
+// widenPairsU8AVX2 and widenPairsI8AVX2 are widenPairsVec's two bodies in
+// gemm_amd64.s; n is a positive multiple of 16.
+//
+//go:noescape
+func widenPairsU8AVX2(dst, src unsafe.Pointer, n int, zp int32)
+
+//go:noescape
+func widenPairsI8AVX2(dst, src unsafe.Pointer, n int, zp int32)
 
 // requantVec runs requantRow over the leading multiple of eight values of
 // a, a block of whole output pixels, in YMM vectors where the CPU has AVX2,

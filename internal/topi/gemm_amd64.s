@@ -1,8 +1,10 @@
 #include "textflag.h"
 
-// The f32 register tiles for amd64, the quantized pair tile, the depthwise
-// row's vector bodies and the requantize epilogue's. See gemm.go for the
-// panel layouts and the multiply-then-add rule, fused.go for the epilogue.
+// The f32 register tiles for amd64, the quantized pair tile, the vector
+// bodies of the float and the quantized depthwise row, of the pair widening
+// and of the requantize epilogue. See gemm.go for the panel layouts and the
+// multiply-then-add rule, conv.go for the depthwise rows, fused.go for the
+// epilogue.
 
 // The tiles. Each takes, for A, a table of the tile's four row runs per
 // segment (conv_indirect.go): entry 4s+i is row i's run in segment s as an
@@ -51,6 +53,214 @@
 	ROWPTR(12, R11) \
 	ADDQ $16, SI   \
 	XORQ AX, AX
+
+// The quantized depthwise row over the raw 8-bit image (depthwiseRowQnn in
+// conv.go). Per output pixel and block of channels the int32 sums stay in
+// YMM registers across all of the pixel's taps, which it takes a pair at a
+// time: TAPS points R8 and R9 at the two taps' channel vectors, and a
+// block of eight channels then loads the two runs' raw bytes, interleaves
+// them (VPUNPCKLBW: tap 2p in the low byte of each pair), widens the
+// sixteen bytes to int16 (VPMOVZXBW for uint8, VPMOVSXBW for int8),
+// subtracts the input zero point (VPSUBW against Y15) and multiplies the
+// eight k-pairs against the tap pair's pair-major weights, adding each
+// channel's two products (VPMADDWD), then accumulates (VPADDD). The values
+// lie within ±255, so every step is exact and the wrapping int32 adds are
+// the Go row's. The pixel's cells are stored once, after its last tap.
+//
+// Registers: R13 the pixel's input origin, R14 the zero row, DI the
+// pixel's cells, R12 its column entry, SI its tap list and R10 the pair's
+// entries within it, DX the pair's weights, R11 the weights' stride per
+// tap pair (4c bytes), BX the block's first channel, CX the pairs left,
+// AX the pixels left.
+
+// TAPPTR loads table entry d(R10) into r as the address of its run: the
+// origin plus the offset, or the zero row where the entry is negative.
+#define TAPPTR(d, r) \
+	MOVLQSX d(R10), r     \
+	TESTQ   r, r          \
+	LEAQ    (R13)(r*1), r \
+	CMOVQLT R14, r
+
+#define TAPS \
+	TAPPTR(0, R8) \
+	TAPPTR(4, R9) \
+	ADDQ $8, R10
+
+// DW16 accumulates sixteen channels from byte off of the two runs into lo
+// (the first eight) and hi, against the weights at w0(DX) and w1(DX).
+#define DW16(widen, off, w0, w1, lo, hi) \
+	VMOVDQU    off(R8)(BX*1), X8  \
+	VMOVDQU    off(R9)(BX*1), X9  \
+	VPUNPCKHBW X9, X8, X10        \
+	VPUNPCKLBW X9, X8, X8         \
+	widen      X8, Y8             \
+	widen      X10, Y10           \
+	VPSUBW     Y15, Y8, Y8        \
+	VPSUBW     Y15, Y10, Y10      \
+	VPMADDWD   w0(DX), Y8, Y8     \
+	VPMADDWD   w1(DX), Y10, Y10   \
+	VPADDD     Y8, lo, lo         \
+	VPADDD     Y10, hi, hi
+
+// DW8 accumulates the eight channels at the two runs' BX into Y0.
+#define DW8(widen) \
+	VMOVQ      (R8)(BX*1), X8 \
+	VMOVQ      (R9)(BX*1), X9 \
+	VPUNPCKLBW X9, X8, X8     \
+	widen      X8, Y8         \
+	VPSUBW     Y15, Y8, Y8    \
+	VPMADDWD   (DX), Y8, Y8   \
+	VPADDD     Y8, Y0, Y0
+
+// BLOCK starts a block of channels at BX, its accumulators cleared: the
+// weights of its first tap pair, the pixel's first pair of entries and the
+// pair count.
+#define BLOCK \
+	MOVQ wp+112(FP), DX   \
+	LEAQ (DX)(BX*4), DX   \
+	MOVQ SI, R10          \
+	MOVQ taps+88(FP), CX  \
+	SHRQ $1, CX
+
+// PAIRNEXT steps to the next tap pair's weights and loops to l while
+// pairs are left.
+#define PAIRNEXT(l) \
+	ADDQ R11, DX \
+	DECQ CX      \
+	JNZ  l
+
+// LEFT sets CX to the channels left after BX.
+#define LEFT \
+	MOVQ n+96(FP), CX \
+	SUBQ BX, CX
+
+// DWROW is the whole row for one widening. Per pixel it takes blocks of 64
+// channels (eight accumulators, Y0..Y7) while 64 are left — every channel
+// of a layer up to 64 wide in registers across all of its taps — then at
+// most one block each of 32, 16 and 8 channels.
+#define DWROW(widen) \
+	MOVQ         row+0(FP), DI         \
+	MOVQ         img+8(FP), R13        \
+	ADDQ         base+16(FP), R13      \
+	MOVQ         zero+24(FP), R14      \
+	MOVQ         cols_base+56(FP), R12 \
+	MOVQ         cols_len+64(FP), AX   \
+	MOVQ         c+104(FP), R11        \
+	SHLQ         $2, R11               \
+	MOVL         zp+120(FP), CX        \
+	VMOVD        CX, X15               \
+	VPBROADCASTW X15, Y15              \
+	TESTQ        AX, AX                \
+	JZ           done                  \
+pixel:                                 \
+	MOVLQSX (R12), SI                  \
+	SHLQ    $2, SI                     \
+	ADDQ    offs_base+32(FP), SI       \
+	XORQ    BX, BX                     \
+blk64:                                 \
+	LEFT                               \
+	CMPQ    CX, $64                    \
+	JLT     blk32                      \
+	VPXOR   Y0, Y0, Y0                 \
+	VPXOR   Y1, Y1, Y1                 \
+	VPXOR   Y2, Y2, Y2                 \
+	VPXOR   Y3, Y3, Y3                 \
+	VPXOR   Y4, Y4, Y4                 \
+	VPXOR   Y5, Y5, Y5                 \
+	VPXOR   Y6, Y6, Y6                 \
+	VPXOR   Y7, Y7, Y7                 \
+	BLOCK                              \
+loop64:                                \
+	TAPS                               \
+	DW16(widen, 0, 0, 32, Y0, Y1)      \
+	DW16(widen, 16, 64, 96, Y2, Y3)    \
+	DW16(widen, 32, 128, 160, Y4, Y5)  \
+	DW16(widen, 48, 192, 224, Y6, Y7)  \
+	PAIRNEXT(loop64)                   \
+	VMOVDQU Y0, (DI)(BX*4)             \
+	VMOVDQU Y1, 32(DI)(BX*4)           \
+	VMOVDQU Y2, 64(DI)(BX*4)           \
+	VMOVDQU Y3, 96(DI)(BX*4)           \
+	VMOVDQU Y4, 128(DI)(BX*4)          \
+	VMOVDQU Y5, 160(DI)(BX*4)          \
+	VMOVDQU Y6, 192(DI)(BX*4)          \
+	VMOVDQU Y7, 224(DI)(BX*4)          \
+	ADDQ    $64, BX                    \
+	JMP     blk64                      \
+blk32:                                 \
+	CMPQ    CX, $32                    \
+	JLT     blk16                      \
+	VPXOR   Y0, Y0, Y0                 \
+	VPXOR   Y1, Y1, Y1                 \
+	VPXOR   Y2, Y2, Y2                 \
+	VPXOR   Y3, Y3, Y3                 \
+	BLOCK                              \
+loop32:                                \
+	TAPS                               \
+	DW16(widen, 0, 0, 32, Y0, Y1)      \
+	DW16(widen, 16, 64, 96, Y2, Y3)    \
+	PAIRNEXT(loop32)                   \
+	VMOVDQU Y0, (DI)(BX*4)             \
+	VMOVDQU Y1, 32(DI)(BX*4)           \
+	VMOVDQU Y2, 64(DI)(BX*4)           \
+	VMOVDQU Y3, 96(DI)(BX*4)           \
+	ADDQ    $32, BX                    \
+	LEFT                               \
+blk16:                                 \
+	CMPQ    CX, $16                    \
+	JLT     blk8                       \
+	VPXOR   Y0, Y0, Y0                 \
+	VPXOR   Y1, Y1, Y1                 \
+	BLOCK                              \
+loop16:                                \
+	TAPS                               \
+	DW16(widen, 0, 0, 32, Y0, Y1)      \
+	PAIRNEXT(loop16)                   \
+	VMOVDQU Y0, (DI)(BX*4)             \
+	VMOVDQU Y1, 32(DI)(BX*4)           \
+	ADDQ    $16, BX                    \
+	LEFT                               \
+blk8:                                  \
+	CMPQ    CX, $8                     \
+	JLT     next                       \
+	VPXOR   Y0, Y0, Y0                 \
+	BLOCK                              \
+loop8:                                 \
+	TAPS                               \
+	DW8(widen)                         \
+	PAIRNEXT(loop8)                    \
+	VMOVDQU Y0, (DI)(BX*4)             \
+next:                                  \
+	ADDQ    step+80(FP), R13           \
+	ADDQ    R11, DI                    \
+	ADDQ    $4, R12                    \
+	DECQ    AX                         \
+	JNZ     pixel                      \
+done:                                  \
+	VZEROUPPER                         \
+	RET
+
+// WIDENPAIRS writes n raw values at src, n a positive multiple of 16,
+// widened to int16 minus the zero point, to dst: an even-length vector's
+// k-pairs, the even k in the low half (widenPairsVec).
+#define WIDENPAIRS(widen) \
+	MOVQ         dst+0(FP), DI \
+	MOVQ         src+8(FP), SI \
+	MOVQ         n+16(FP), CX  \
+	SHRQ         $4, CX        \
+	MOVL         zp+24(FP), AX \
+	VMOVD        AX, X15       \
+	VPBROADCASTW X15, Y15      \
+wploop:                        \
+	widen        (SI), Y0      \
+	VPSUBW       Y15, Y0, Y0   \
+	VMOVDQU      Y0, (DI)      \
+	ADDQ         $16, SI       \
+	ADDQ         $32, DI       \
+	DECQ         CX            \
+	JNZ          wploop        \
+	VZEROUPPER                 \
+	RET
 
 #define IWROW(p, t0, t1, lo, hi) \
 	VBROADCASTSS (p)(AX*4), t0 \
@@ -392,29 +602,24 @@ floop:
 	VZEROUPPER
 	RET
 
-// func mulAddRowI32AVX2(out, x, k unsafe.Pointer, n int)
-//
-// The int32 form: VPMULLD keeps the low 32 bits of each product and VPADDD
-// wraps, exactly Go's int32 arithmetic.
-TEXT ·mulAddRowI32AVX2(SB), NOSPLIT, $0-32
-	MOVQ out+0(FP), DI
-	MOVQ x+8(FP), SI
-	MOVQ k+16(FP), DX
-	MOVQ n+24(FP), CX
-	SHRQ $3, CX
+// The quantized depthwise row and the pair widening; their bodies are the
+// macros DWROW and WIDENPAIRS above, one TEXT per 8-bit type.
 
-iloop8:
-	VMOVDQU (SI), Y0
-	VPMULLD (DX), Y0, Y0
-	VPADDD  (DI), Y0, Y0
-	VMOVDQU Y0, (DI)
-	ADDQ    $32, SI
-	ADDQ    $32, DX
-	ADDQ    $32, DI
-	DECQ    CX
-	JNZ     iloop8
-	VZEROUPPER
-	RET
+// func depthwiseRowU8AVX2(row, img unsafe.Pointer, base int, zero unsafe.Pointer, offs, cols []int32, step, taps, n, c int, wp unsafe.Pointer, zp int32)
+TEXT ·depthwiseRowU8AVX2(SB), NOSPLIT, $0-124
+	DWROW(VPMOVZXBW)
+
+// func depthwiseRowI8AVX2(row, img unsafe.Pointer, base int, zero unsafe.Pointer, offs, cols []int32, step, taps, n, c int, wp unsafe.Pointer, zp int32)
+TEXT ·depthwiseRowI8AVX2(SB), NOSPLIT, $0-124
+	DWROW(VPMOVSXBW)
+
+// func widenPairsU8AVX2(dst, src unsafe.Pointer, n int, zp int32)
+TEXT ·widenPairsU8AVX2(SB), NOSPLIT, $0-28
+	WIDENPAIRS(VPMOVZXBW)
+
+// func widenPairsI8AVX2(dst, src unsafe.Pointer, n int, zp int32)
+TEXT ·widenPairsI8AVX2(SB), NOSPLIT, $0-28
+	WIDENPAIRS(VPMOVSXBW)
 
 // func requantAVX2(d, a, tile unsafe.Pointer, n, tileLen int, ratio float64, inZp, outZp, lo, hi int32)
 //

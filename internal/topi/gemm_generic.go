@@ -16,7 +16,15 @@ func gemmIndirectI16(a []i16x2, base int, zero []i16x2, offs []int32, seg int, b
 }
 
 // mulAddRowVec: no vector body, mulAddRow's Go loop does every channel.
-func mulAddRowVec[T float32 | int32](out, x, k []T) int { return 0 }
+func mulAddRowVec(out, x, k []float32) int { return 0 }
+
+// depthwiseRowVec: no vector body, depthwiseRowQnnGo does every channel.
+func depthwiseRowVec[T uint8 | int8](row []int32, img []T, base int, zero []T, offs, cols []int32, step, taps, c int, wp []i16x2, zp int32) int {
+	return 0
+}
+
+// widenPairsVec: no vector body, widenEvenPairs does every value.
+func widenPairsVec[T uint8 | int8](dst []i16x2, src []T, zp int32) int { return 0 }
 
 // requantVec: no vector body, requantRow's Go loop does every value.
 func requantVec[T uint8 | int8](d []T, a, tile []int32, ratio float64, inZp, outZp, lo, hi int32) int {

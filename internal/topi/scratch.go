@@ -3,8 +3,8 @@ package topi
 import "sync"
 
 // scratchPool recycles kernel-internal scratch buffers of one element type
-// (operands widened to (raw − zero point), as int32 or k-pairs; a fused
-// quantized launch's int32 sums; a reduction's float64 sums).
+// (operands widened to (raw − zero point) k-pairs; a fused quantized
+// launch's int32 sums; a reduction's float64 sums).
 // Output buffers are arena-planned by the executor, but scratch is shaped
 // per (kernel, chunk) and so is pooled here instead — keeping the planned
 // executor's steady state free of per-run heap allocation. Pooling
