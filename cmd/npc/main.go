@@ -294,10 +294,11 @@ func printStats(lib *runtime.Lib) {
 }
 
 // analyzeLib runs the full internal/analysis suite over a compiled library:
-// the independent plan-safety checker over the global ExecPlan, quantization
-// range analysis, per-region device-transfer legality, and dead-code
-// detection. All four emit verify.Diagnostic, so the output reads exactly
-// like -lint and -verify findings.
+// the independent plan-safety checker over the global ExecPlan and over each
+// region's sub-plan, lowered by runtime.LowerRegion as a plan state lowers
+// it, quantization range analysis, per-region device-transfer legality, and
+// dead-code detection. All four emit verify.Diagnostic, so the output reads
+// exactly like -lint and -verify findings.
 func analyzeLib(lib *runtime.Lib) *verify.Result {
 	res := &verify.Result{}
 	if plan, err := lib.Plan(); err == nil {
@@ -312,7 +313,18 @@ func analyzeLib(lib *runtime.Lib) *verify.Result {
 	}
 	sort.Strings(regions)
 	for _, name := range regions {
-		res.Merge(analysis.DeviceLegality(name, lib.External[name]))
+		cm := lib.External[name]
+		res.Merge(analysis.DeviceLegality(name, cm))
+		sub := &verify.Result{}
+		if sp, err := runtime.LowerRegion(cm); err != nil {
+			sub.Errorf("region-lowering", "", "%v", err)
+		} else {
+			sub = analysis.PlanSafety(sp.View())
+		}
+		for _, d := range sub.Diags {
+			d.Where = "region " + name + " sub-plan: " + d.Where
+			res.Diags = append(res.Diags, d)
+		}
 	}
 	res.Merge(analysis.DeadCode(lib.Module))
 	return res

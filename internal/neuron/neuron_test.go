@@ -1,11 +1,9 @@
 package neuron
 
 import (
-	"slices"
 	"strings"
 	"testing"
 
-	"repro/internal/race"
 	"repro/internal/relay"
 	"repro/internal/soc"
 	"repro/internal/tensor"
@@ -189,72 +187,6 @@ func TestExecuteTinyModel(t *testing.T) {
 	}
 }
 
-// TestExecuteIntoOutputs covers each way a model output reaches the caller's
-// buffer: an operation writes it in place (outs[0], also read by the next
-// operation), a passed-through input, a constant and a repeated output are
-// copied in. The steady state allocates nothing.
-func TestExecuteIntoOutputs(t *testing.T) {
-	m := NewModel("outs")
-	in := m.AddOperand("data", f32Type(2, 3), nil)
-	c := tensor.New(tensor.Float32, tensor.Shape{2, 3})
-	c.FillUniform(tensor.NewRNG(5), -1, 1)
-	ci := m.AddOperand("c", f32Type(2, 3), c)
-	mid := m.AddOperand("sig", f32Type(2, 3), nil)
-	out := m.AddOperand("act", f32Type(2, 3), nil)
-	m.AddOperation(Logistic, []int{in}, []int{mid}, nil)
-	m.AddOperation(ReLU, []int{mid}, []int{out}, nil)
-	m.Inputs = []int{in}
-	m.Outputs = []int{mid, out, in, ci, mid}
-	cm := &CompiledModel{Model: m}
-
-	st, err := cm.NewExecState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	outs := make([]*tensor.Tensor, len(m.Outputs))
-	for k := range outs {
-		outs[k] = tensor.New(tensor.Float32, tensor.Shape{2, 3})
-	}
-	data := tensor.New(tensor.Float32, tensor.Shape{2, 3})
-	for seed := uint64(1); seed <= 2; seed++ {
-		data.FillUniform(tensor.NewRNG(seed), -2, 2)
-		if err := cm.ExecuteInto(st, []*tensor.Tensor{data}, outs); err != nil {
-			t.Fatal(err)
-		}
-		if st.values[mid] != outs[0] || st.values[out] != outs[1] {
-			t.Fatal("operation results are not the caller's buffers")
-		}
-		// relu(sigmoid(x)) == sigmoid(x): outs 0, 1 and 4 agree bitwise.
-		for _, k := range []int{1, 4} {
-			if d := tensor.MaxAbsDiff(outs[0], outs[k]); d != 0 {
-				t.Errorf("seed %d: output %d differs from output 0 by %g", seed, k, d)
-			}
-		}
-		if d := tensor.MaxAbsDiff(outs[2], data); d != 0 {
-			t.Errorf("seed %d: passed-through input differs by %g", seed, d)
-		}
-		if d := tensor.MaxAbsDiff(outs[3], c); d != 0 {
-			t.Errorf("seed %d: constant output differs by %g", seed, d)
-		}
-		for i := 0; i < outs[0].Elems(); i++ {
-			if v := outs[0].GetF(i); v <= 0 || v >= 1 {
-				t.Fatalf("seed %d: sigmoid output %g", seed, v)
-			}
-		}
-	}
-	if race.Enabled {
-		return
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if err := cm.ExecuteInto(st, []*tensor.Tensor{data}, outs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("ExecuteInto allocates %v objects per call, want 0", allocs)
-	}
-}
-
 func TestExecuteChargesDMAAcrossBoundary(t *testing.T) {
 	// Conv on APU then Logistic (CPU-only) forces a crossing.
 	m := NewModel("mix")
@@ -340,57 +272,5 @@ func TestOpTableRowsComplete(t *testing.T) {
 	}
 	if len(names) != int(numOpCodes) {
 		t.Errorf("%d named opcodes, catalogue has %d", len(names), int(numOpCodes))
-	}
-}
-
-// TestPreparedStateFollowsRebindAndRefill: an ExecState prepares every
-// operation's launch once, from the operand types alone. Its CONV_2D —
-// data, weight and bias all model inputs, a fused relu — run on one state
-// must equal a fresh state's run, bit for bit, when a different data tensor
-// of the same shape is bound, and again when the weight and bias tensors
-// bound before are refilled in place: nothing derived from the first run's
-// weight or bias may be kept.
-func TestPreparedStateFollowsRebindAndRefill(t *testing.T) {
-	m := NewModel("rebind")
-	in := m.AddOperand("data", f32Type(1, 6, 7, 3), nil)
-	wi := m.AddOperand("w", f32Type(8, 3, 3, 3), nil)
-	bi := m.AddOperand("b", f32Type(8), nil)
-	out := m.AddOperand("out", f32Type(1, 6, 7, 8), nil)
-	m.AddOperation(Conv2D, []int{in, wi, bi}, []int{out}, relay.Attrs{"padding": []int{1, 1}, FusedActivationAttr: "relu"})
-	m.Inputs = []int{in, wi, bi}
-	m.Outputs = []int{out}
-	cm := &CompiledModel{Model: m}
-	st, err := cm.NewExecState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PreparedBytes() == 0 {
-		t.Fatal("the convolution prepared no offset table")
-	}
-	x := tensor.New(tensor.Float32, tensor.Shape{1, 6, 7, 3})
-	w := tensor.New(tensor.Float32, tensor.Shape{8, 3, 3, 3})
-	b := tensor.New(tensor.Float32, tensor.Shape{8})
-	w.FillUniform(tensor.NewRNG(1), -1, 1)
-	b.FillUniform(tensor.NewRNG(2), -1, 1)
-	outs := []*tensor.Tensor{tensor.New(tensor.Float32, tensor.Shape{1, 6, 7, 8})}
-	for run, step := range []string{"first", "rebound data", "refilled weight and bias"} {
-		switch run {
-		case 1:
-			x = tensor.New(tensor.Float32, x.Shape)
-		case 2:
-			w.FillUniform(tensor.NewRNG(3), -1, 1)
-			b.FillUniform(tensor.NewRNG(4), -1, 1)
-		}
-		x.FillUniform(tensor.NewRNG(uint64(10+run)), -1, 1)
-		if err := cm.ExecuteInto(st, []*tensor.Tensor{x, w, b}, outs); err != nil {
-			t.Fatal(err)
-		}
-		want, err := cm.Execute([]*tensor.Tensor{x.Clone(), w.Clone(), b.Clone()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(outs[0].F32(), want[0].F32()) {
-			t.Errorf("%s: the prepared state differs from a fresh one by %g", step, tensor.MaxAbsDiff(outs[0], want[0]))
-		}
 	}
 }

@@ -28,8 +28,8 @@ func (e *UnsupportedError) Error() string {
 
 // CompiledModel is the output of the Neuron compiler: the model, the SoC it
 // was compiled for, and the per-operation device plan. It is immutable once
-// compiled and shared by every module that executes it; the mutable working
-// set lives in an ExecState each executing instance owns (runtime.go).
+// compiled and shared by every module that executes it; each executing
+// plan state lowers it into a sub-plan of its own (Stages, runtime.go).
 type CompiledModel struct {
 	Model   *Model
 	SoC     *soc.SoC
@@ -206,8 +206,9 @@ func (cm *CompiledModel) PlanCounts() map[soc.DeviceKind]int {
 
 // Estimate charges the whole compiled model to a profile: per-op roofline
 // time plus boundary DMA. It is the only cost walk over a plan — both
-// executors call it beside Execute/ExecuteInto (which compute numerics and
-// charge nothing), and the full-scale Figure 6 sweep calls it alone.
+// executors call it beside the region's numerics (a sub-plan of the region's
+// node, or Execute), which charge nothing — and the full-scale Figure 6
+// sweep calls it alone.
 func (cm *CompiledModel) Estimate(prof *soc.Profile) soc.Seconds {
 	if prof == nil {
 		prof = soc.NewProfile()

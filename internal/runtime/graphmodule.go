@@ -186,7 +186,7 @@ func (g *GraphModule) planState() (*planState, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, err := newPlanState(plan)
+	st, err := newPlanState(plan, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func TestWeightPanelsFollowRefilledInput(t *testing.T) {
 // convolution's launch — geometry, epilogue, offset table — once, at the
 // first Run, from the plan's types alone. On a module whose data, weight
 // and bias are all graph inputs, built TVM-only (a prepared topi launch per
-// node) and BYOC (the same launch prepared in a Neuron ExecState), each of
+// node) and BYOC (the same launch prepared in a region's sub-plan), each of
 // three runs on one GraphModule — the first, one with a different data
 // tensor of the same shape bound, one with the weight and bias bound before
 // refilled in place — must equal a fresh module's run on copies of the

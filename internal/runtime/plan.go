@@ -619,6 +619,65 @@ func (b *planBuilder) evalExternal(c *relay.Call, fn *relay.Function) (pval, err
 	return pval{}, fmt.Errorf("runtime: plan: external %q has unsupported result type %v", sym, c.CheckedType())
 }
 
+// LowerRegion lowers a compiled NeuroPilot region into the serial sub-plan
+// its external node runs, the way a fused primitive's body becomes one:
+// each operation becomes the op nodes of its neuron.Stages, the model's
+// inputs are the params, its constants Const slots, and every stage result
+// is a slot the memory planner stores by the same level + 1 rule as any
+// other. cm's model must have passed Model.Check, as Compile and
+// NewCompiledModel ensure; a slot read before it is defined is left for the
+// plan-safety gate to report. Plan states lower their regions this way
+// (BuildPlan, Lib.Plan and Lib.Estimate never do), and so does npc -analyze,
+// which audits the result.
+func LowerRegion(cm *neuron.CompiledModel) (*ExecPlan, error) {
+	b := builderPool.Get().(*planBuilder)
+	b.reset(nil)
+	defer func() {
+		b.reset(nil)
+		builderPool.Put(b)
+	}()
+	m := cm.Model
+	slot := make([]int32, len(m.Operands)) // operand → slot, -1 before it is defined
+	for i := range slot {
+		slot[i] = -1
+	}
+	operand := func(idx int) int32 {
+		if slot[idx] < 0 { // a constant, given its slot at its first read
+			slot[idx] = b.addSlot(m.Operands[idx].Type.Relay())
+			b.slots[slot[idx]].Const = m.Operands[idx].Const
+		}
+		return slot[idx]
+	}
+	for _, idx := range m.Inputs {
+		slot[idx] = b.addParam(m.Operands[idx].Type.Relay())
+	}
+	for oi, op := range m.Operations {
+		stages, err := neuron.Stages(m, op)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: region %q operation %d (%s): %w", m.Name, oi, op.Code, err)
+		}
+		prev := int32(-1)
+		for _, sg := range stages {
+			base := len(b.stack)
+			for _, a := range sg.Args {
+				if a == neuron.Prev {
+					b.stack = append(b.stack, prev)
+				} else {
+					b.stack = append(b.stack, operand(a))
+				}
+			}
+			prev = b.addSlot(sg.Out)
+			b.addNode(planNode{kind: nodeOp, label: sg.Kernel, attrs: sg.Attrs, outTy: sg.Out}, base, prev)
+		}
+		slot[op.Outputs[0]] = prev
+	}
+	for _, idx := range m.Outputs {
+		b.stack = append(b.stack, operand(idx))
+	}
+	b.setOutputs()
+	return b.finish(), nil
+}
+
 // finish computes wavefront levels, slot liveness, and the static storage
 // assignment, and seals the plan into exactly sized slabs.
 func (b *planBuilder) finish() *ExecPlan {

@@ -2,9 +2,10 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/neuron"
+	"repro/internal/analysis"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/relay"
@@ -15,7 +16,8 @@ import (
 
 // This file is the runtime half of the planned executor: planState binds an
 // ExecPlan to a preallocated arena and prepares every node's kernel launch
-// once per GraphModule, at its first Run, and run executes the node list
+// once per GraphModule, at its first Run — a NeuroPilot region's included,
+// lowered then into a serial sub-plan of its node — and run executes the node list
 // level by level — independent nodes of one wavefront level across the
 // parallel workers — with the prepared launches writing into arena views, so
 // the steady-state hot path derives nothing and performs no heap allocation
@@ -23,9 +25,8 @@ import (
 
 // planState is the mutable execution state of one GraphModule over a plan:
 // the arena, the current tensor bound to each slot, per-node argument
-// scratch, per-op-node prepared launch, per-primitive-node sub-state and
-// per-external-node Neuron state. It is constructed once and reused by every
-// Run.
+// scratch, per-op-node prepared launch, and the sub-state of each primitive
+// and external node. It is constructed once and reused by every Run.
 type planState struct {
 	plan  *ExecPlan
 	arena *tensor.Arena
@@ -37,8 +38,9 @@ type planState struct {
 	args     []*tensor.Tensor
 	errs     []error       // per-node error scratch for wavefront execution
 	launches []topi.Launch // per-node prepared kernel launch (op nodes only)
-	subs     []*planState  // per-node sub-state (primitive nodes only)
-	ext      []extState    // per-node Neuron state (external nodes only)
+	// subs is the per-node sub-state: a primitive's over its fused body, an
+	// external node's over its region lowered by LowerRegion.
+	subs []*planState
 
 	// charged is the plan's simulated cost, charged by the first unprofiled
 	// Run and returned by every later one: the charge reads node costs and
@@ -53,16 +55,8 @@ type planState struct {
 	traceEpoch time.Time
 }
 
-// extState is what one external node executes with: this module's own Neuron
-// working set, and the arena views of the node's result slots, which the
-// Neuron runtime writes in place.
-type extState struct {
-	neuron *neuron.ExecState
-	outs   []*tensor.Tensor
-}
-
 // setProfiling switches per-node span recording on or off, including the
-// sub-states of fused primitive nodes.
+// sub-states of primitive and external nodes.
 func (st *planState) setProfiling(on bool) {
 	if on && st.trace == nil {
 		st.trace = make([]obs.Span, len(st.plan.nodes))
@@ -77,7 +71,7 @@ func (st *planState) setProfiling(on bool) {
 }
 
 // setEpoch sets the wall-clock zero for span timestamps on this state and
-// every primitive sub-state.
+// every sub-state.
 func (st *planState) setEpoch(t time.Time) {
 	st.traceEpoch = t
 	for _, sub := range st.subs {
@@ -89,8 +83,9 @@ func (st *planState) setEpoch(t time.Time) {
 
 // traceSpans collects the spans of the most recent profiled run: one span per
 // executed node on the PIDExec clock, with each node's wavefront lane as the
-// thread row, and the sub-spans of fused kernels folded onto their parent's
-// row (Perfetto nests them by containment).
+// thread row, and the sub-spans of fused kernels and of a region's stages
+// folded onto their parent's row as "fused-op" (Perfetto nests them by
+// containment).
 func (st *planState) traceSpans() []obs.Span {
 	if st.trace == nil {
 		return nil
@@ -117,11 +112,18 @@ func (st *planState) traceSpans() []obs.Span {
 
 // newPlanState allocates the arena, binds every statically known slot and
 // prepares every node: an op node's kernel launch from its argument slots'
-// types (topi.Prepare), a primitive node's sub-state, an external node's
-// Neuron state. Nothing prepared reads a tensor's data, so a graph input —
-// a weight included — may be refilled or rebound between runs. It runs at
-// a module's first Run, never in BuildPlan.
-func newPlanState(p *ExecPlan) (*planState, error) {
+// types (topi.Prepare), a primitive node's sub-state over its body, an
+// external node's over its region, lowered here and put through the gate
+// BuildPlan puts every plan through. Nothing prepared reads a tensor's
+// data, so a graph input — a weight included — may be refilled or rebound
+// between runs. It runs at a module's first Run, never in BuildPlan.
+//
+// outs, for a sub-plan, are the outer node's result views: each output a
+// node produces is bound, at its first listing, to its outer view, so the
+// kernel writing it lands in place and the dedicated storage the planner
+// gave it is left empty. An output no node produces — a parameter or
+// constant passed through — and a second listing are copied by runSub.
+func newPlanState(p *ExecPlan, outs []*tensor.Tensor) (*planState, error) {
 	st := &planState{
 		plan:     p,
 		arena:    tensor.NewArena(),
@@ -130,14 +132,25 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 		errs:     make([]error, len(p.nodes)),
 		launches: make([]topi.Launch, len(p.nodes)),
 		subs:     make([]*planState, len(p.nodes)),
-		ext:      make([]extState, len(p.nodes)),
 	}
-	for _, rec := range p.storages {
+	empty := make([]bool, len(p.storages))
+	if outs != nil {
+		for k, s := range p.ids(p.outputs) {
+			if sl := &p.slots[s]; sl.Producer >= 0 && st.slots[s] == nil {
+				st.slots[s], empty[sl.Storage] = outs[k], true
+			}
+		}
+	}
+	for id, rec := range p.storages {
+		if empty[id] {
+			rec.Elems = 0
+		}
 		st.arena.Add(rec.DType, rec.Elems)
 	}
 	for i := range p.slots {
 		sl := &p.slots[i]
 		switch {
+		case st.slots[i] != nil: // an output bound to its outer view
 		case sl.Const != nil:
 			st.slots[i] = sl.Const
 		case sl.Storage >= 0:
@@ -161,28 +174,21 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 				return nil, fmt.Errorf("runtime: plan state: node %d: %w", id, err)
 			}
 			st.launches[id] = l
-		case nodeExternal:
+		case nodePrim, nodeExternal:
+			sp := n.sub
+			if n.kind == nodeExternal {
+				var err error
+				if sp, err = regionPlan(p, n); err != nil {
+					return nil, err
+				}
+			}
 			outs := make([]*tensor.Tensor, 0, n.out.hi-n.out.lo)
 			for _, s := range p.ids(n.out) {
 				outs = append(outs, st.slots[s])
 			}
-			ns, err := n.cm.NewExecState()
-			if err != nil {
-				return nil, fmt.Errorf("runtime: plan state: external region %q: %w", n.label, err)
-			}
-			st.ext[id] = extState{neuron: ns, outs: outs}
-		case nodePrim:
-			sub, err := newPlanState(n.sub)
+			sub, err := newPlanState(sp, outs)
 			if err != nil {
 				return nil, err
-			}
-			// The sub-plan's result writes straight into the outer arena
-			// view: rebind the sub output slot so the fused body's last
-			// kernel lands in place (no copy). A body that is a bare
-			// parameter or constant has no producing node; runPrim copies
-			// in that case.
-			if outSlot := n.sub.index[n.sub.outputs.lo]; n.sub.slots[outSlot].Producer >= 0 {
-				sub.slots[outSlot] = st.slots[p.index[n.out.lo]]
 			}
 			st.subs[id] = sub
 		}
@@ -190,19 +196,51 @@ func newPlanState(p *ExecPlan) (*planState, error) {
 	return st, nil
 }
 
+// regionPlan lowers external node n of p and gates the sub-plan, which must
+// take and return tensors of the types the node passes and expects.
+func regionPlan(p *ExecPlan, n *planNode) (*ExecPlan, error) {
+	sp, err := LowerRegion(n.cm)
+	if err == nil {
+		err = checkRegion(sp)
+	}
+	if err == nil && (!sameTypes(p, p.ids(n.args), sp, sp.ids(sp.params)) || !sameTypes(p, p.ids(n.out), sp, sp.ids(sp.outputs))) {
+		err = fmt.Errorf("its inputs and outputs are not the tensors its node passes and expects")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("runtime: plan state: external region %q: %w", n.label, err)
+	}
+	return sp, nil
+}
+
+// sameTypes reports whether slots a of p and b of q agree one for one in
+// dtype and shape.
+func sameTypes(p *ExecPlan, a []int32, q *ExecPlan, b []int32) bool {
+	return slices.EqualFunc(a, b, func(x, y int32) bool {
+		tx, ty := p.slots[x].Type, q.slots[y].Type
+		return tx.DType == ty.DType && tx.Shape.Equal(ty.Shape)
+	})
+}
+
+// checkRegion is the gate on a lowered region: the plan-safety checker
+// BuildPlan puts every plan through.
+func checkRegion(sp *ExecPlan) error {
+	if err := analysis.PlanSafety((*checkedPlan)(sp)).Err(); err != nil {
+		return fmt.Errorf("sub-plan failed verification: %w", err)
+	}
+	return nil
+}
+
 // preparedBytes is what the state's prepared launches hold — the
 // indirection tables and zero rows of its convolutions and dense layers —
-// over every sub-state and Neuron state.
+// over every sub-state.
 func (st *planState) preparedBytes() int {
 	n := 0
 	for i := range st.plan.nodes {
 		switch st.plan.nodes[i].kind {
 		case nodeOp:
 			n += st.launches[i].Bytes()
-		case nodePrim:
+		case nodePrim, nodeExternal:
 			n += st.subs[i].preparedBytes()
-		case nodeExternal:
-			n += st.ext[i].neuron.PreparedBytes()
 		}
 	}
 	return n
@@ -282,7 +320,7 @@ func (st *planState) exec(ni int32) error {
 	}
 	start := time.Now()
 	err := st.execNode(ni)
-	dur := time.Since(start)
+	end := time.Now()
 	p := st.plan
 	n := &p.nodes[ni]
 	args := []obs.Arg{obs.A("level", int(n.level))}
@@ -292,13 +330,16 @@ func (st *planState) exec(ni int32) error {
 	if n.kind == nodeExternal {
 		args = append(args, obs.A("devices", n.devSummary))
 	}
+	// Both ends are rounded on the epoch's clock, so a sub-span lies inside
+	// its parent's span exactly as the runs nest.
+	us := start.Sub(st.traceEpoch).Microseconds()
 	st.trace[ni] = obs.Span{
 		Name:  n.label,
 		Cat:   n.kind.String(),
 		PID:   obs.PIDExec,
 		TID:   int(n.lane) + 1,
-		Start: start.Sub(st.traceEpoch).Microseconds(),
-		Dur:   dur.Microseconds(),
+		Start: us,
+		Dur:   end.Sub(st.traceEpoch).Microseconds() - us,
 		Args:  args,
 	}
 	return err
@@ -318,10 +359,9 @@ func (st *planState) execNode(ni int32) error {
 	case nodeOp:
 		return st.launches[ni].Run(args, st.slots[p.index[n.out.lo]])
 	case nodePrim:
-		return st.runPrim(ni, n, args)
+		return st.runSub(ni, n, args)
 	case nodeExternal:
-		x := &st.ext[ni]
-		if err := n.cm.ExecuteInto(x.neuron, args, x.outs); err != nil {
+		if err := st.runSub(ni, n, args); err != nil {
 			return fmt.Errorf("runtime: external region %q: %w", n.label, err)
 		}
 		return nil
@@ -329,13 +369,14 @@ func (st *planState) execNode(ni int32) error {
 	return fmt.Errorf("runtime: plan: unknown node kind %v", n.kind)
 }
 
-// runPrim executes a fused kernel's sub-plan serially within this node's
-// wavefront task. Each primitive node owns a private sub-state, so two fused
-// kernels scheduled on the same level never share sub-arena buffers.
+// runSub executes a fused kernel's or a region's sub-plan serially within
+// this node's wavefront task. Each such node owns a private sub-state, so
+// two of them scheduled on the same level never share sub-arena buffers.
 //
 //np:hotpath
-func (st *planState) runPrim(ni int32, n *planNode, args []*tensor.Tensor) error {
-	sub, sp := st.subs[ni], n.sub
+func (st *planState) runSub(ni int32, n *planNode, args []*tensor.Tensor) error {
+	sub := st.subs[ni]
+	sp := sub.plan
 	for i, s := range sp.ids(sp.params) {
 		sub.slots[s] = args[i]
 	}
@@ -348,11 +389,15 @@ func (st *planState) runPrim(ni int32, n *planNode, args []*tensor.Tensor) error
 			}
 		}
 	}
-	outSlot := sp.index[sp.outputs.lo]
-	if sp.slots[outSlot].Producer < 0 {
-		// Degenerate body (bare parameter/constant): materialize into the
-		// outer view.
-		return st.slots[st.plan.index[n.out.lo]].CopyFrom(sub.slots[outSlot])
+	// An output not bound to its outer view at state creation is copied
+	// there: a passed-through parameter or constant, or a repeated listing.
+	outs := st.plan.ids(n.out)
+	for k, s := range sp.ids(sp.outputs) {
+		if dst := st.slots[outs[k]]; sub.slots[s] != dst {
+			if err := dst.CopyFrom(sub.slots[s]); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -105,6 +105,53 @@ func TestPlannedMatchesInterpreterOnZoo(t *testing.T) {
 	}
 }
 
+// TestZooBYOCMatchesTVMOnly: every lite zoo model's outputs are the same
+// bits built BYOC and TVM-only. The two builds share no executor code for
+// a region's numerics — a region runs the stages neuron.Stages lowers each
+// Neuron operation to, TVM-only the relay calls fusion groups — so this pin
+// sees a lowering fault that the planned-vs-interpreter differential, whose
+// both sides read neuron.Stages, cannot.
+func TestZooBYOCMatchesTVMOnly(t *testing.T) {
+	for _, name := range models.Names() {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			spec, err := models.Get(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mod, err := spec.Build(models.SizeLite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := models.RandomInput(mod, 77)
+			var outs [2][]*tensor.Tensor
+			for i, opts := range []runtime.BuildOptions{{OptLevel: 3}, {OptLevel: 3, UseNIR: true}} {
+				lib, err := runtime.Build(mod, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gm := runtime.NewGraphModule(lib)
+				gm.SetExecutor(runtime.ExecutorPlanned)
+				gm.SetInput(gm.InputNames()[0], in)
+				if err := gm.Run(); err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < gm.NumOutputs(); k++ {
+					outs[i] = append(outs[i], gm.MustOutput(k))
+				}
+			}
+			if len(outs[0]) != len(outs[1]) {
+				t.Fatalf("TVM-only has %d outputs, BYOC %d", len(outs[0]), len(outs[1]))
+			}
+			for k := range outs[0] {
+				if !tensor.AllClose(outs[1][k], outs[0][k], 0, 0) {
+					t.Errorf("output %d: BYOC differs from TVM-only by %g", k, tensor.MaxAbsDiff(outs[1][k], outs[0][k]))
+				}
+			}
+		})
+	}
+}
+
 // A chain of same-shape elementwise ops needs exactly three buffers: two that
 // ping-pong plus the dedicated graph output. This pins the memory planner's
 // reuse behaviour on a hand-built graph.

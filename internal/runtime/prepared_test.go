@@ -30,7 +30,7 @@ var preparedBytesBound = map[string]int{
 
 // TestPreparedBytes bounds what a plan state prepares for each lite zoo
 // model, TVM-only (one topi launch per node, sub-plans included) and BYOC
-// (one launch per operation of each region's Neuron ExecState). A table
+// (one launch per stage of each region's sub-plan besides). A table
 // grows with the output row's width and the filter's taps, not with the
 // image's height, so it stays a few KiB a layer.
 func TestPreparedBytes(t *testing.T) {

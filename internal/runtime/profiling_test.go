@@ -151,6 +151,45 @@ func TestTraceSpans(t *testing.T) {
 	}
 }
 
+// TestRegionSpansNest: a profiled BYOC run folds each region's per-stage
+// spans under the region's external span, as "fused-op" sub-spans on its
+// row, and every sub-span lies inside its parent's span — so a consumer
+// that skips "fused-op" counts a region's wall time once.
+func TestRegionSpansNest(t *testing.T) {
+	_, gm := buildEmotion(t, runtime.BuildOptions{OptLevel: 3, UseNIR: true})
+	gm.SetExecutor(runtime.ExecutorPlanned)
+	gm.SetProfiling(true)
+	for run := 0; run < 3; run++ {
+		if err := gm.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var parent obs.Span
+		regionStages := 0
+		for _, s := range gm.TraceSpans() {
+			if s.Cat != "fused-op" {
+				parent = s
+				continue
+			}
+			if parent.Name == "" {
+				t.Fatalf("sub-span %q precedes every node span", s.Name)
+			}
+			if s.TID != parent.TID {
+				t.Errorf("sub-span %q on row %d, its parent %q on row %d", s.Name, s.TID, parent.Name, parent.TID)
+			}
+			if s.Start < parent.Start || s.Start+s.Dur > parent.Start+parent.Dur {
+				t.Errorf("sub-span %q [%d,+%d] µs outside its parent %q [%d,+%d]",
+					s.Name, s.Start, s.Dur, parent.Name, parent.Start, parent.Dur)
+			}
+			if parent.Cat == "external" {
+				regionStages++
+			}
+		}
+		if regionStages == 0 {
+			t.Fatal("no per-stage span folded under a region's span")
+		}
+	}
+}
+
 // Disabling profiling must leave the planned hot path allocation-free: a
 // module that was profiled and then switched off allocates exactly as much
 // per Run as one that never profiled.

@@ -93,9 +93,8 @@ func Has(name string) bool {
 // its geometry, strategy, epilogue and indirection table. Run executes it
 // on any tensors of those types; it never reads the data of the operands
 // it was prepared for, so a different tensor of the same type may be bound
-// on every run. The planned executor keeps one per node of a plan state and
-// the Neuron runtime one per operation of an ExecState; Run prepares one
-// per call.
+// on every run. The planned executor keeps one per op node of a plan state,
+// a NeuroPilot region's stages among them; Run prepares one per call.
 type Launch struct {
 	name string
 	out  *relay.TensorType
